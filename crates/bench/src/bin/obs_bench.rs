@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cumulus::localbackend::{DispatchMode, LocalConfig};
+use cumulus::localbackend::LocalConfig;
 use cumulus::obs::{http_get, BoundAddr, EventLog};
 use cumulus::workflow::{Activity, ActivityFn, WorkflowDef};
 use cumulus::{Backend, LocalBackend, Workflow};
@@ -90,10 +90,8 @@ fn overhead_stage(smoke: bool, threshold_pct: f64) -> bool {
         "== obs_bench: disabled-observability overhead ({PAIRS} pairs x {STAGES} stages, \
          {samples} samples/batch, best of 3 batches) =="
     );
-    run_once(&LocalConfig::new().with_mode(DispatchMode::Pipelined), SLOW_MS, FAST_MS); // warm-up
-    let dis_med = (0..3)
-        .map(|_| median(samples, || LocalConfig::new().with_mode(DispatchMode::Pipelined)))
-        .fold(f64::INFINITY, f64::min);
+    run_once(&LocalConfig::new(), SLOW_MS, FAST_MS); // warm-up
+    let dis_med = (0..3).map(|_| median(samples, LocalConfig::new)).fold(f64::INFINITY, f64::min);
     let overhead_pct = (dis_med / BASELINE_MED_MS - 1.0) * 100.0;
     println!(
         "  disabled median {dis_med:.3} ms vs pre-instrumentation baseline \
@@ -112,7 +110,6 @@ fn scrape_stage() -> bool {
     let bound = BoundAddr::new();
     let events = EventLog::new();
     let cfg = LocalConfig::new()
-        .with_mode(DispatchMode::Pipelined)
         .with_threads(2)
         .with_telemetry(Telemetry::attached())
         .with_metrics_addr("127.0.0.1:0")

@@ -1,6 +1,6 @@
-//! Measure the cost of always-compiled telemetry on the `pipeline_bench`
-//! straggler workload (8 pairs × 6 stages, one rotating 40 ms straggler,
-//! 4 worker threads, pipelined dispatch).
+//! Measure the cost of always-compiled telemetry on the rotating-straggler
+//! workload (8 pairs × 6 stages, one rotating 40 ms straggler, 4 worker
+//! threads) that EXPERIMENTS.md's dispatch table was measured on.
 //!
 //! Three configurations are timed:
 //!
@@ -33,7 +33,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cumulus::localbackend::{DispatchMode, LocalConfig};
+use cumulus::localbackend::LocalConfig;
 use cumulus::workflow::{Activity, ActivityFn, WorkflowDef};
 use cumulus::{Backend, LocalBackend, Workflow};
 use cumulus::{Relation, Tuple};
@@ -126,13 +126,12 @@ fn main() {
     );
 
     // warm-up: first run pays thread-spawn and page-fault costs
-    run_once(&LocalConfig::new().with_mode(DispatchMode::Pipelined));
+    run_once(&LocalConfig::new());
 
     // best of three batches: keep the batch whose median saw the least
     // ambient interference
-    let batches: Vec<(f64, f64, f64)> = (0..3)
-        .map(|_| measure(samples, || LocalConfig::new().with_mode(DispatchMode::Pipelined)))
-        .collect();
+    let batches: Vec<(f64, f64, f64)> =
+        (0..3).map(|_| measure(samples, LocalConfig::new)).collect();
     let (dis_min, dis_med, dis_mean) =
         *batches.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("three batches");
     println!(
@@ -140,9 +139,8 @@ fn main() {
         "telemetry disabled", dis_min, dis_med, dis_mean
     );
 
-    let (att_min, att_med, att_mean) = measure(samples.min(5), || {
-        LocalConfig::new().with_mode(DispatchMode::Pipelined).with_telemetry(Telemetry::attached())
-    });
+    let (att_min, att_med, att_mean) =
+        measure(samples.min(5), || LocalConfig::new().with_telemetry(Telemetry::attached()));
     println!(
         "{:<22} | {:>9.3} | {:>9.3} | {:>9.3}",
         "telemetry attached", att_min, att_med, att_mean
@@ -150,7 +148,6 @@ fn main() {
 
     let (st_min, st_med, st_mean) = measure(samples.min(5), || {
         LocalConfig::new()
-            .with_mode(DispatchMode::Pipelined)
             .with_telemetry(Telemetry::attached())
             .with_steering_tick(Duration::from_millis(10))
     });
@@ -163,7 +160,6 @@ fn main() {
         // demonstrate the full observability path once: snapshot + Chrome trace
         let tel = Telemetry::attached();
         let cfg = LocalConfig::new()
-            .with_mode(DispatchMode::Pipelined)
             .with_telemetry(tel.clone())
             .with_steering_tick(Duration::from_millis(10));
         run_once(&cfg);

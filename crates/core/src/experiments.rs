@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use cloudsim::{fleet_for_cores, FailureModel, NoiseModel, SharedFsModel};
-use cumulus::localbackend::{DispatchMode, LocalConfig};
+use cumulus::localbackend::LocalConfig;
 use cumulus::simbackend::{simulate_tasks, SimConfig, SimReport};
 use cumulus::workflow::FileStore;
 use cumulus::{
@@ -42,27 +42,6 @@ pub fn run_screening(
     threads: usize,
     cfg: &SciDockConfig,
 ) -> ScreeningOutcome {
-    run_screening_dispatched(
-        receptor_ids,
-        ligand_codes,
-        mode,
-        threads,
-        cfg,
-        DispatchMode::default(),
-    )
-}
-
-/// [`run_screening`] with an explicit activation dispatch strategy
-/// (pipelined dataflow vs per-activity barriers) — the knob the straggler
-/// benchmarks compare.
-pub fn run_screening_dispatched(
-    receptor_ids: &[&str],
-    ligand_codes: &[&str],
-    mode: EngineMode,
-    threads: usize,
-    cfg: &SciDockConfig,
-    dispatch: DispatchMode,
-) -> ScreeningOutcome {
     let ds = Dataset::subset(receptor_ids, ligand_codes, DatasetParams::default());
     let files = Arc::new(FileStore::new());
     let prov = Arc::new(ProvenanceStore::new());
@@ -72,8 +51,7 @@ pub fn run_screening_dispatched(
         LocalConfig::new()
             .with_threads(threads)
             .with_failures(FailureModel::none())
-            .with_max_retries(3)
-            .with_mode(dispatch),
+            .with_max_retries(3),
     );
     let report = backend
         .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)

@@ -33,12 +33,11 @@
 //! assert_eq!(outcome.final_output().tuples, vec![vec![Value::Int(42)]]);
 //! ```
 //!
-//! The older entry points ([`crate::run_local`], [`crate::simulate`],
-//! [`crate::run_dist`]) remain as the underlying implementations, but new
-//! code should go through [`Backend::run`]: it is the only surface that
-//! yields the backend-independent [`RunOutcome`] (with per-activity wall
-//! timings folded from provenance), and the only one that lets callers swap
-//! execution substrates behind a `dyn Backend`.
+//! [`Backend::run`] is the surface that yields the backend-independent
+//! [`RunOutcome`] (with per-activity wall timings folded from provenance)
+//! and lets callers swap execution substrates behind a `dyn Backend`;
+//! [`crate::run_dist`] and [`crate::simulate_tasks`] stay public for callers
+//! that need the raw [`RunReport`] or have no workflow definition.
 
 use std::sync::Arc;
 
@@ -371,18 +370,7 @@ impl Backend for SimBackend {
             .with_workflow_tag(wf.def.tag.clone())
             .with_activity_tags(wf.def.activities.iter().map(|a| a.tag.clone()).collect());
         let report = simulate_tasks(&tasks, &cfg, Some(store));
-        // simulate_tasks() registers the workflow itself; recover its id
-        let wkf = store
-            .query_rows("SELECT max(wkfid) FROM hworkflow", &[])
-            .ok()
-            .and_then(|r| r.rows.first().map(|row| row[0].clone()))
-            .and_then(|v| match v {
-                Value::Int(i) => Some(WorkflowId(i)),
-                _ => None,
-            })
-            .ok_or_else(|| {
-                CumulusError::Provenance("simulated run registered no workflow".into())
-            })?;
+        let wkf = report.workflow.expect("a simulation given a store registers its workflow");
         Ok(RunOutcome {
             workflow: wkf,
             total_seconds: report.tet_s,
@@ -491,19 +479,15 @@ mod tests {
 
     #[test]
     fn local_and_sim_mirror_emit_the_same_event_sequence() {
-        use crate::localbackend::DispatchMode;
         use crate::obs::EventLog;
 
-        // serial local run: thread scheduling cannot reorder the lifecycle
+        // serial local run: with one worker thread the pool runs activations
+        // in submission order, so scheduling cannot reorder the lifecycle
         let local_events = EventLog::new();
         let wf = Workflow::new(xy_def(), xy_input());
         let store = Arc::new(ProvenanceStore::new());
-        let local = LocalBackend::new(
-            LocalConfig::new()
-                .with_threads(1)
-                .with_mode(DispatchMode::Barrier)
-                .with_events(local_events.clone()),
-        );
+        let local =
+            LocalBackend::new(LocalConfig::new().with_threads(1).with_events(local_events.clone()));
         local.run(&wf, &store).unwrap();
 
         // sim mirror of the same workflow shape, fixed seed

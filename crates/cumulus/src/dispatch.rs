@@ -6,11 +6,9 @@
 //!
 //! The state machine is purely logical: it owns no threads and performs no
 //! I/O. Callers feed it completions (`activity produced these tuples`) and
-//! it answers with the next batch of ready activations, preserving the
-//! pipelined semantics documented on [`crate::localbackend::DispatchMode`]:
-//! tuples flow downstream the instant they exist, and barriers remain only
-//! where the algebra requires the whole relation (`Reduce`, `SRQuery`,
-//! `MRQuery`).
+//! it answers with the next batch of ready activations: tuples flow
+//! downstream the instant they exist, and barriers remain only where the
+//! algebra requires the whole relation (`Reduce`, `SRQuery`, `MRQuery`).
 
 use std::sync::Arc;
 
@@ -291,11 +289,10 @@ impl PipelineState {
 ///
 /// Single-tuple parts (Map/SplitMap/Filter activations) key on that tuple.
 /// Multi-tuple parts (Reduce groups, query relations) must key *order-
-/// insensitively*: the barrier executor assembles a group in submission
-/// order while the pipelined one collects it in completion order, and the
-/// key feeds both resume lookups and failure-fate rolls, which must agree
-/// across modes (and across backends). They get the smallest per-tuple
-/// render plus a digest over the sorted renders.
+/// insensitively*: a group is collected in completion order, which differs
+/// from run to run, and the key feeds both resume lookups and failure-fate
+/// rolls, which must agree across runs, thread counts and backends. They
+/// get the smallest per-tuple render plus a digest over the sorted renders.
 pub(crate) fn pair_key(tuples: &[Tuple]) -> String {
     match tuples {
         [] => String::from("<empty>"),

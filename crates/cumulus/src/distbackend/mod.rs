@@ -41,18 +41,21 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use cloudsim::{FailureModel, Fate};
+use cloudsim::FailureModel;
 use parking_lot::Mutex;
-use provenance::{ActivationRecord, ActivationStatus, ProvenanceStore, WorkflowId};
+use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{RemoteSpan, Telemetry};
 
 use crate::algebra::Relation;
-use crate::dispatch::{pair_key, split_path, PipelineState, SubmitReq};
+use crate::dispatch::{PipelineState, SubmitReq};
 use crate::error::CumulusError;
 use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView};
-use crate::localbackend::{tally, ActOutcome, ActivityCtx, LocalConfig, RunReport};
-use crate::obs::{BoundAddr, EventLog, HealthView, ObsServer, ObsState, Severity, WorkerHealth};
-use crate::steer::SteeringBridge;
+use crate::lifecycle::{
+    run_scoped, tally, ActOutcome, ActivityCtx, Admitted, Attempt, Exec, RunScope, ScopeCfg,
+    Settled,
+};
+use crate::localbackend::RunReport;
+use crate::obs::{BoundAddr, EventLog, HealthView, Severity, WorkerHealth};
 use crate::workflow::{FileStore, WorkflowDef};
 
 use proto::{Frame, WireFate, WireOutcome};
@@ -110,8 +113,8 @@ pub struct DistConfig {
     pub resume_from: Option<WorkflowId>,
     /// Telemetry sink; worker spans merge into it on per-worker tracks.
     pub telemetry: Telemetry,
-    /// When set, a [`SteeringBridge`] publishes in-flight activation state
-    /// into the provenance store at this interval.
+    /// When set, a [`crate::steer::SteeringBridge`] publishes in-flight
+    /// activation state into the provenance store at this interval.
     pub steering_tick: Option<Duration>,
     /// Durability override applied to the provenance store for this run.
     pub durability: Option<provenance::Durability>,
@@ -373,9 +376,9 @@ struct Job {
 /// Master-side record of a dispatched activation.
 struct InFlight {
     job: Job,
-    slot: Option<crate::steer::SlotId>,
-    /// Provenance clock (seconds since run start) at dispatch.
-    start: f64,
+    /// The lifecycle's handle on this attempt (fate, steering slot, start
+    /// clock), settled when the `Done` frame or the worker's death arrives.
+    at: Attempt,
     /// Wall clock at dispatch, for the hang detector.
     dispatched: Instant,
     /// Flagged by the straggler detector: running far beyond this
@@ -430,9 +433,9 @@ enum Event {
     Gone(usize),
 }
 
-/// Run a workflow across worker processes. The distributed analogue of
-/// [`crate::run_local`]; prefer [`crate::backend::Backend::run`] on a
-/// [`crate::backend::DistBackend`] in new code.
+/// Run a workflow across worker processes; prefer
+/// [`crate::backend::Backend::run`] on a [`crate::backend::DistBackend`]
+/// unless the raw [`RunReport`] is what you need.
 pub fn run_dist(
     def: &WorkflowDef,
     input: Relation,
@@ -440,7 +443,6 @@ pub fn run_dist(
     prov: Arc<ProvenanceStore>,
     cfg: &DistConfig,
 ) -> Result<RunReport, CumulusError> {
-    def.validate().map_err(CumulusError::Invalid)?;
     if cfg.workers == 0 {
         return Err(CumulusError::Invalid("distributed run needs at least one worker".into()));
     }
@@ -449,167 +451,179 @@ pub fn run_dist(
             "DistConfig needs a worker command or an in-process resolver".into(),
         ));
     }
-    if let Some(d) = cfg.durability {
-        prov.set_durability(d);
-    }
-    let tel = cfg.telemetry.clone();
-    // The merged cluster-wide collector workers stream their Stats deltas
-    // into: the session's own collector when telemetry is attached, a
-    // private one when only the endpoint needs it, otherwise disabled (an
-    // absorb into a disabled collector is a no-op, so streaming costs one
-    // small frame per heartbeat and nothing else).
-    let obs_tel = if tel.is_enabled() {
-        tel.clone()
-    } else if cfg.metrics_addr.is_some() {
-        Telemetry::attached()
-    } else {
-        Telemetry::disabled()
+    let scope_cfg = ScopeCfg {
+        backend: "dist",
+        track: "master",
+        workers: cfg.workers,
+        telemetry: &cfg.telemetry,
+        durability: cfg.durability,
+        steering_tick: cfg.steering_tick,
+        // without a log of the caller's, a fresh in-memory ring: still
+        // served from `/events` when the endpoint is up
+        events: Some(cfg.events.clone().unwrap_or_default()),
+        metrics_addr: cfg.metrics_addr.as_deref(),
+        metrics_bound: cfg.metrics_bound.as_ref(),
     };
-    let events = cfg.events.clone().unwrap_or_default();
-    let obs = ObsState::new(obs_tel, events.clone());
-    let server = match &cfg.metrics_addr {
-        Some(addr) => {
-            let s = ObsServer::start(addr, obs.clone())
-                .map_err(|e| CumulusError::Io(format!("metrics listener on {addr}: {e}")))?;
-            if let Some(bound) = &cfg.metrics_bound {
-                bound.set(s.addr());
+    run_scoped(def, &prov, scope_cfg, |scope| master_loop(def, &input, &files, cfg, scope))
+}
+
+/// The master's state for one run. The loop in [`master_loop`] drives it;
+/// the methods are the steps more than one place in that loop takes.
+struct Master<'a> {
+    cfg: &'a DistConfig,
+    scope: &'a RunScope,
+    ctxs: Vec<Arc<ActivityCtx>>,
+    fleet: Fleet,
+    controller: FleetController,
+    pipe: PipelineState,
+    /// Dispatcher submissions not yet admitted.
+    submits: VecDeque<SubmitReq>,
+    /// Admitted activations waiting for a worker slot.
+    pending: VecDeque<Job>,
+    /// `peak_workers` is kept current as the fleet changes.
+    report: RunReport,
+}
+
+impl Master<'_> {
+    /// A terminal activation: count it and let its tuples flow downstream.
+    fn finish(&mut self, activity: usize, out: ActOutcome) {
+        tally(&mut self.report, &out);
+        self.submits.extend(self.pipe.on_completion(activity, &out.tuples));
+    }
+
+    /// Act on what the lifecycle decided about `job`'s latest attempt.
+    fn settled(&mut self, mut job: Job, settled: Settled) {
+        match settled {
+            Settled::Terminal(out) => self.finish(job.activity, out),
+            Settled::Retry => {
+                self.report.failed_attempts += 1;
+                job.attempt += 1;
+                self.pending.push_front(job);
             }
-            Some(s)
         }
-        None => None,
-    };
-    let wkf = prov.begin_workflow(&def.tag, &def.description, &def.expdir);
-    let t0 = Instant::now();
-    let bridge = cfg.steering_tick.map(|tick| SteeringBridge::start(Arc::clone(&prov), t0, tick));
-    tel.name_current_track("master");
-    let run_start = tel.now_ns();
-    events.emit(
-        0.0,
-        Severity::Info,
-        "run_started",
-        &[
-            ("workflow", def.tag.clone()),
-            ("backend", "dist".to_string()),
-            ("workers", cfg.workers.to_string()),
-        ],
-    );
-
-    let result = master_loop(def, input, &files, &prov, cfg, wkf, t0, &bridge, &obs);
-    match &result {
-        Ok(r) => events.emit(
-            t0.elapsed().as_secs_f64(),
-            Severity::Info,
-            "run_finished",
-            &[
-                ("workflow", def.tag.clone()),
-                ("finished", r.finished.to_string()),
-                ("failed_attempts", r.failed_attempts.to_string()),
-                ("aborted", r.aborted.to_string()),
-                ("blacklisted", r.blacklisted.to_string()),
-            ],
-        ),
-        Err(e) => events.emit(
-            t0.elapsed().as_secs_f64(),
-            Severity::Error,
-            "run_error",
-            &[("workflow", def.tag.clone()), ("error", e.to_string())],
-        ),
-    }
-    {
-        let mut view = obs.health.lock().expect("health view poisoned");
-        view.phase = "done".to_string();
-    }
-    if let Some(s) = server {
-        s.shutdown();
     }
 
-    if let Some(b) = &bridge {
-        b.stop();
+    /// The scheduler's view of the run: logical quantities only (queue
+    /// depths, provisioned fleet, capacity) and never wall-clock state, so
+    /// the simulator can reproduce the exact decision sequence.
+    fn snapshot(&self) -> FleetSnapshot {
+        let mut queued_by_activity = vec![0usize; self.ctxs.len()];
+        for j in &self.pending {
+            queued_by_activity[j.activity] += 1;
+        }
+        for s in &self.submits {
+            queued_by_activity[s.activity] += 1;
+        }
+        let workers = &self.fleet.workers;
+        FleetSnapshot {
+            completions: 0, // the controller stamps its own count
+            queued: self.pending.len() + self.submits.len(),
+            in_flight: workers.iter().map(|w| w.in_flight.len()).sum(),
+            fleet: self.fleet.provisioned(),
+            idle: workers
+                .iter()
+                .filter(|w| w.alive && !w.draining && w.in_flight.is_empty())
+                .count(),
+            slots_per_worker: self.cfg.max_in_flight,
+            queued_by_activity,
+            stragglers: workers
+                .iter()
+                .filter(|w| w.alive)
+                .flat_map(|w| w.in_flight.values())
+                .filter(|j| j.straggler)
+                .count(),
+        }
     }
-    // the run's final rows must survive a crash after run_dist returns
-    prov.flush_wal();
-    if tel.is_enabled() {
-        tel.record_span_at(
-            "run",
-            &def.tag,
-            None,
-            run_start,
-            tel.now_ns(),
-            Some(&format!("dist workers={}", cfg.workers)),
-        );
+
+    /// One scheduler tick: show the policy the run and apply its decision.
+    fn rescale(&mut self) -> Result<(), CumulusError> {
+        let decision = self.controller.evaluate(self.snapshot());
+        for wi in apply_scale(decision, &mut self.fleet, self.cfg, self.scope)? {
+            self.lose_worker(wi, "drain_undeliverable");
+        }
+        self.report.peak_workers = self.report.peak_workers.max(self.fleet.provisioned());
+        Ok(())
     }
-    result.map(|mut report| {
-        report.metrics = tel.snapshot();
-        report
-    })
+
+    /// Declare worker `wi` lost: cut it down, settle every activation it
+    /// was running as a lost attempt, and reassign each — or blacklist it
+    /// as poison once its crash budget is spent.
+    fn lose_worker(&mut self, wi: usize, reason: &str) {
+        let w = &mut self.fleet.workers[wi];
+        if !w.alive {
+            return;
+        }
+        w.sever();
+        w.ended_at = Some(Instant::now());
+        let mut fields = vec![
+            ("worker", wi.to_string()),
+            ("reason", reason.to_string()),
+            ("in_flight", w.in_flight.len().to_string()),
+        ];
+        if let Some((job, ms)) = w.last_job {
+            // the worker's own last elapsed report (from its heartbeat):
+            // for a hang this is how long the wedged activation really ran
+            fields.push(("last_job", job.to_string()));
+            fields.push(("job_elapsed_ms", ms.to_string()));
+        }
+        self.scope.emit(Severity::Error, "worker_lost", &fields);
+        let mut lost: Vec<InFlight> = w.in_flight.drain().map(|(_, j)| j).collect();
+        // deterministic reassignment order regardless of hash-map iteration
+        lost.sort_by_key(|j| (j.job.activity, j.job.part_index));
+        for InFlight { mut job, at, .. } in lost {
+            let ctx = &self.ctxs[job.activity];
+            let retry = ctx.settle(at, Exec::Lost);
+            job.crashes += 1;
+            if job.crashes > self.cfg.reassign_budget {
+                // this input has now taken down too many workers: poison
+                let poisoned = ctx.poison(&job.key, job.attempt);
+                self.report.failed_attempts += 1;
+                self.finish(job.activity, poisoned);
+            } else {
+                self.settled(job, retry);
+            }
+        }
+    }
 }
 
 /// Spawn/connect the fleet, pump the pipelined dispatcher over it, and
-/// drain. Split out of [`run_dist`] so bridge/WAL/telemetry teardown in the
-/// caller runs on every exit path.
-#[allow(clippy::too_many_arguments)]
+/// drain. Runs as the body of the run scope, so bridge/WAL/telemetry
+/// teardown happens on every exit path.
 fn master_loop(
     def: &WorkflowDef,
-    input: Relation,
+    input: &Relation,
     files: &Arc<FileStore>,
-    prov: &Arc<ProvenanceStore>,
     cfg: &DistConfig,
-    wkf: WorkflowId,
-    t0: Instant,
-    bridge: &Option<Arc<SteeringBridge>>,
-    obs: &ObsState,
+    scope: &RunScope,
 ) -> Result<RunReport, CumulusError> {
-    let tel = cfg.telemetry.clone();
-    // the master reuses the local backend's per-activity provenance
-    // bookkeeping (activity registration, resume lookup, steering slots)
-    let lcfg = {
-        let c = LocalConfig::new()
-            .with_failures(cfg.failures)
-            .with_max_retries(cfg.max_retries)
-            .with_telemetry(tel.clone());
-        match cfg.resume_from {
-            Some(prev) => c.with_resume_from(prev),
-            None => c,
-        }
-    };
-    let ctxs: Vec<ActivityCtx> = (0..def.activities.len())
-        .map(|i| ActivityCtx::build(def, i, wkf, files, prov, &lcfg, t0, bridge))
-        .collect();
+    let tel = &scope.tel;
+    let obs = &scope.obs;
+    let run = scope.run_ctx(files, cfg.failures, cfg.max_retries, cfg.resume_from);
+    let ctxs = ActivityCtx::build_all(def, &run);
 
     // per-activity histogram names the straggler detector reads baselines
     // from (allocated once; the sweep runs every loop iteration)
     let act_hist: Vec<String> = ctxs.iter().map(|c| format!("activation.{}", c.tag)).collect();
 
-    {
-        let mut view = obs.health.lock().expect("health view poisoned");
-        view.phase = "starting".to_string();
-    }
-    let (mut fleet, events) = connect_fleet(cfg, files)?;
-    let mut controller = match &cfg.scheduler {
-        Some(factory) => FleetController::new(factory),
-        None => FleetController::fixed(),
-    };
-    let mut peak_workers = fleet.provisioned();
-    tel.gauge("fleet.size", peak_workers as f64);
+    obs.health.lock().expect("health view poisoned").phase = "starting".to_string();
+    let (fleet, events) = connect_fleet(cfg, files)?;
+    tel.gauge("fleet.size", fleet.provisioned() as f64);
 
-    let mut report = RunReport {
-        workflow: wkf,
-        total_seconds: 0.0,
-        finished: 0,
-        failed_attempts: 0,
-        aborted: 0,
-        blacklisted: 0,
-        resumed: 0,
-        outputs: Vec::new(),
-        metrics: None,
-        scale_events: Vec::new(),
-        peak_workers: 0,
-        fleet_cost_usd: None,
+    let (pipe, seeds) = PipelineState::new(Arc::new(def.clone()), input, tel.clone());
+    let mut m = Master {
+        cfg,
+        scope,
+        ctxs,
+        report: RunReport::empty(scope.wkf, fleet.provisioned()),
+        fleet,
+        controller: match &cfg.scheduler {
+            Some(factory) => FleetController::new(factory),
+            None => FleetController::fixed(),
+        },
+        pipe,
+        submits: seeds.into(),
+        pending: VecDeque::new(),
     };
-
-    let (mut pipe, seeds) = PipelineState::new(Arc::new(def.clone()), &input, tel.clone());
-    let mut submits: VecDeque<SubmitReq> = seeds.into();
-    let mut pending: VecDeque<Job> = VecDeque::new();
     let mut next_job: u64 = 0;
     // the scheduler sees the full initial backlog once, before dispatch
     let mut evaluated_initial = false;
@@ -619,61 +633,31 @@ fn master_loop(
         //    regression watches it), expire launches that never connected,
         //    and welcome scaled-up workers
         tel.count("dist.master.wakeups", 1);
-        let expired = fleet.expire_spawns(cfg);
+        let expired = m.fleet.expire_spawns(cfg);
         if expired > 0 {
             tel.count("fleet.spawn_timeouts", expired as u64);
         }
-        if fleet.accept(cfg)? > 0 {
-            tel.gauge("fleet.size", fleet.provisioned() as f64);
+        if m.fleet.accept(cfg)? > 0 {
+            tel.gauge("fleet.size", m.fleet.provisioned() as f64);
         }
-        peak_workers = peak_workers.max(fleet.provisioned());
-        obs.set_health(health_view(&fleet, "running"));
-        // 1. turn dispatcher submissions into queued jobs; resume hits and
-        //    blacklisted inputs complete inline without touching a worker
-        while let Some(req) = submits.pop_front() {
-            let ctx = &ctxs[req.activity];
-            let key = pair_key(&req.part);
-            if let Some(tuples) = ctx.prior.get(&key).cloned() {
-                let out = ActOutcome { tuples, resumed: 1, ..Default::default() };
-                tally(&mut report, &out);
-                submits.extend(pipe.on_completion(req.activity, &out.tuples));
-                continue;
+        m.report.peak_workers = m.report.peak_workers.max(m.fleet.provisioned());
+        obs.set_health(health_view(&m.fleet, "running"));
+        // 1. admit dispatcher submissions into the job queue; resume hits
+        //    and blacklisted inputs complete inline without touching a worker
+        while let Some(req) = m.submits.pop_front() {
+            match m.ctxs[req.activity].admit(&req.part) {
+                Admitted::Settled(out) => m.finish(req.activity, out),
+                Admitted::Run(key) => m.pending.push_back(Job {
+                    activity: req.activity,
+                    part: req.part,
+                    part_index: req.part_index,
+                    key,
+                    attempt: 0,
+                    crashes: 0,
+                }),
             }
-            if let Some(bl) = &ctx.blacklist {
-                if req.part.iter().any(|t| bl(t)) {
-                    let now = t0.elapsed().as_secs_f64();
-                    obs.events.emit(
-                        now,
-                        Severity::Error,
-                        "activation_blacklisted",
-                        &[("activity", ctx.tag.clone()), ("key", key.clone())],
-                    );
-                    prov.record_activation(&ActivationRecord {
-                        activity: ctx.act_id,
-                        workflow: ctx.wkf,
-                        status: ActivationStatus::Blacklisted,
-                        start_time: now,
-                        end_time: now,
-                        machine: None,
-                        retries: 0,
-                        pair_key: key,
-                    });
-                    report.blacklisted += 1;
-                    submits.extend(pipe.on_completion(req.activity, &[]));
-                    continue;
-                }
-            }
-            next_job += 1;
-            pending.push_back(Job {
-                activity: req.activity,
-                part: req.part,
-                part_index: req.part_index,
-                key,
-                attempt: 0,
-                crashes: 0,
-            });
         }
-        if pipe.done() {
+        if m.pipe.done() {
             break 'run;
         }
 
@@ -681,31 +665,14 @@ fn master_loop(
         //     any dispatch — the simulator evaluates at the same instant
         if !evaluated_initial {
             evaluated_initial = true;
-            let decision =
-                controller.evaluate(snapshot(&fleet, &pending, &submits, ctxs.len(), cfg));
-            for wi in apply_scale(decision, &mut fleet, cfg, &tel, obs, t0)? {
-                lose_worker(
-                    &mut fleet,
-                    wi,
-                    cfg,
-                    &ctxs,
-                    &mut pending,
-                    &mut submits,
-                    &mut pipe,
-                    &mut report,
-                    t0,
-                    prov,
-                    obs,
-                    "drain_undeliverable",
-                );
-            }
-            peak_workers = peak_workers.max(fleet.provisioned());
+            m.rescale()?;
         }
 
         // 2. dispatch queued jobs to workers with spare capacity; the
         //    policy places each activation (least-loaded by default)
-        while !pending.is_empty() {
-            let views: Vec<WorkerView> = fleet
+        while !m.pending.is_empty() {
+            let views: Vec<WorkerView> = m
+                .fleet
                 .workers
                 .iter()
                 .enumerate()
@@ -715,49 +682,24 @@ fn master_loop(
             if views.is_empty() {
                 break;
             }
-            let activity = pending.front().expect("loop guard").activity;
-            let wi = match controller.place(activity, &views) {
+            let activity = m.pending.front().expect("loop guard").activity;
+            let wi = match m.controller.place(activity, &views) {
                 Some(i) if views.iter().any(|v| v.index == i) => i,
                 // a placement outside the offered candidates falls back
                 // to the default least-loaded choice
-                _ => fleet.pick(cfg.max_in_flight).expect("views is non-empty"),
+                _ => m.fleet.pick(cfg.max_in_flight).expect("views is non-empty"),
             };
-            let job = pending.pop_front().expect("loop guard");
-            let ctx = &ctxs[job.activity];
-            let fate = cfg.failures.fate(&format!("{}#{}", ctx.tag, job.key), job.attempt);
-            let start = t0.elapsed().as_secs_f64();
-            let slot = ctx.begin_attempt(&job.key, start, job.attempt);
-            if fate == Fate::Hang {
+            let job = m.pending.pop_front().expect("loop guard");
+            let ctx = &m.ctxs[job.activity];
+            let mut at = ctx.begin(&job.key, job.attempt);
+            if at.hung() {
                 // the activation would loop forever; the engine aborts it
-                // without wasting a worker (the local backend's hang path)
-                let end = t0.elapsed().as_secs_f64();
-                ctx.record(
-                    slot,
-                    &ActivationRecord {
-                        activity: ctx.act_id,
-                        workflow: ctx.wkf,
-                        status: ActivationStatus::Aborted,
-                        start_time: start,
-                        end_time: end,
-                        machine: None,
-                        retries: job.attempt as i64,
-                        pair_key: job.key.clone(),
-                    },
-                );
-                report.aborted += 1;
-                obs.events.emit(
-                    end,
-                    Severity::Warn,
-                    "activation_aborted",
-                    &[
-                        ("activity", ctx.tag.clone()),
-                        ("key", job.key.clone()),
-                        ("attempt", job.attempt.to_string()),
-                    ],
-                );
-                submits.extend(pipe.on_completion(job.activity, &[]));
+                // without wasting a worker
+                let aborted = ctx.settle(at, Exec::Hung);
+                m.settled(job, aborted);
                 continue 'run; // new submissions may precede queued work
             }
+            at.worker = Some(wi);
             next_job += 1;
             let id = next_job;
             let frame = Frame::Run {
@@ -765,15 +707,13 @@ fn master_loop(
                 activity: job.activity as u32,
                 part_index: job.part_index as u64,
                 attempt: job.attempt,
-                fate: if fate == Fate::Fail { WireFate::Fail } else { WireFate::Ok },
-                workdir: format!("{}/{}", ctx.workdir_base, job.part_index),
+                fate: WireFate::injected(at.doomed()),
+                workdir: ctx.workdir(job.part_index),
                 part: job.part.clone(),
             };
-            let w = &mut fleet.workers[wi];
-            w.in_flight.insert(
-                id,
-                InFlight { job, slot, start, dispatched: Instant::now(), straggler: false },
-            );
+            let w = &mut m.fleet.workers[wi];
+            w.in_flight
+                .insert(id, InFlight { job, at, dispatched: Instant::now(), straggler: false });
             let sent = proto::write_frame(&mut *w.writer.lock(), &frame).is_ok();
             w.runs_sent += 1;
             if let Some(plan) = cfg.kill_plan {
@@ -786,20 +726,7 @@ fn master_loop(
                 }
             }
             if !sent {
-                lose_worker(
-                    &mut fleet,
-                    wi,
-                    cfg,
-                    &ctxs,
-                    &mut pending,
-                    &mut submits,
-                    &mut pipe,
-                    &mut report,
-                    t0,
-                    prov,
-                    obs,
-                    "send_failed",
-                );
+                m.lose_worker(wi, "send_failed");
                 continue 'run;
             }
         }
@@ -807,13 +734,13 @@ fn master_loop(
         // 3. wait for worker events, checking liveness on a tick
         match events.recv_timeout(Duration::from_millis(50)) {
             Ok(Event::Frame(wi, frame)) => {
-                fleet.workers[wi].last_seen = Instant::now();
+                m.fleet.workers[wi].last_seen = Instant::now();
                 match frame {
                     Frame::Heartbeat { job, job_elapsed_ms } => {
                         // the worker's own view of its current activation's
                         // age: the straggler detector cross-checks it and
                         // the hang detector quotes it on a loss
-                        fleet.workers[wi].last_job = job.map(|j| (j, job_elapsed_ms));
+                        m.fleet.workers[wi].last_job = job.map(|j| (j, job_elapsed_ms));
                         if job.is_some() {
                             if let Some(h) = obs.tel.histogram("dist.heartbeat.job_elapsed") {
                                 h.record(job_elapsed_ms.saturating_mul(1_000_000));
@@ -827,95 +754,54 @@ fn master_loop(
                         obs.tel.absorb(&delta);
                     }
                     Frame::Done { job, outcome } => {
-                        let Some(inflight) = fleet.workers[wi].in_flight.remove(&job) else {
+                        let w = &mut m.fleet.workers[wi];
+                        let Some(InFlight { job, at, dispatched, .. }) = w.in_flight.remove(&job)
+                        else {
                             continue 'run; // completion raced a reassignment
                         };
-                        fleet.workers[wi].busy_ns +=
-                            inflight.dispatched.elapsed().as_nanos() as u64;
-                        let out = complete(
-                            &ctxs[inflight.job.activity],
-                            &inflight,
-                            outcome,
-                            files,
-                            prov,
-                            t0,
-                            &tel,
-                            fleet.workers[wi].track,
-                            fleet.workers[wi].offset_ns,
-                            cfg.max_retries,
-                        );
-                        let ev_t = t0.elapsed().as_secs_f64();
-                        let ev_fields = |job: &Job| {
-                            [
-                                ("activity", ctxs[job.activity].tag.clone()),
-                                ("key", job.key.clone()),
-                                ("attempt", job.attempt.to_string()),
-                                ("worker", wi.to_string()),
-                            ]
+                        w.busy_ns += dispatched.elapsed().as_nanos() as u64;
+                        // land the worker's artifacts in the shared store
+                        // first, so recorded sizes are real and downstream
+                        // fetches always hit. Even a failed attempt's files
+                        // persist: the local backend shares one store, so
+                        // parity demands the same here
+                        let land = |shipped: Vec<(String, String)>| -> Vec<String> {
+                            shipped
+                                .into_iter()
+                                .map(|(path, contents)| {
+                                    files.write(&path, contents);
+                                    path
+                                })
+                                .collect()
                         };
-                        match out {
-                            Completed::Terminal(out) => {
-                                if out.finished > 0 {
-                                    obs.events.emit(
-                                        ev_t,
-                                        Severity::Info,
-                                        "activation_finished",
-                                        &ev_fields(&inflight.job),
-                                    );
-                                } else {
-                                    obs.events.emit(
-                                        ev_t,
-                                        Severity::Error,
-                                        "activation_failed",
-                                        &ev_fields(&inflight.job),
-                                    );
+                        let ctx = &m.ctxs[job.activity];
+                        let settled = match outcome {
+                            WireOutcome::Finished { tuples, files: shipped, params, spans } => {
+                                import(tel, w.track, w.offset_ns, spans);
+                                let paths = land(shipped);
+                                let exec =
+                                    Exec::Finished { tuples, files: &paths, params: &params };
+                                ctx.settle(at, exec)
+                            }
+                            WireOutcome::Failed { error, files: shipped, spans } => {
+                                import(tel, w.track, w.offset_ns, spans);
+                                if error.starts_with("oversized result") {
+                                    // the worker degraded an over-cap Done
+                                    // frame into a failed attempt; the run
+                                    // survives, but the cause stays countable
+                                    tel.count("proto.oversized_done", 1);
                                 }
-                                tally(&mut report, &out);
-                                submits
-                                    .extend(pipe.on_completion(inflight.job.activity, &out.tuples));
+                                land(shipped);
+                                ctx.settle(at, Exec::Failed)
                             }
-                            Completed::Retry => {
-                                obs.events.emit(
-                                    ev_t,
-                                    Severity::Warn,
-                                    "activation_failed",
-                                    &ev_fields(&inflight.job),
-                                );
-                                report.failed_attempts += 1;
-                                let mut job = inflight.job;
-                                job.attempt += 1;
-                                pending.push_front(job);
-                            }
-                        }
+                        };
+                        m.settled(job, settled);
                         // every processed completion is a scheduler tick
-                        controller.note_completion();
-                        let decision = controller.evaluate(snapshot(
-                            &fleet,
-                            &pending,
-                            &submits,
-                            ctxs.len(),
-                            cfg,
-                        ));
-                        for lost in apply_scale(decision, &mut fleet, cfg, &tel, obs, t0)? {
-                            lose_worker(
-                                &mut fleet,
-                                lost,
-                                cfg,
-                                &ctxs,
-                                &mut pending,
-                                &mut submits,
-                                &mut pipe,
-                                &mut report,
-                                t0,
-                                prov,
-                                obs,
-                                "drain_undeliverable",
-                            );
-                        }
-                        peak_workers = peak_workers.max(fleet.provisioned());
+                        m.controller.note_completion();
+                        m.rescale()?;
                     }
                     Frame::Bye { completed } => {
-                        let w = &mut fleet.workers[wi];
+                        let w = &mut m.fleet.workers[wi];
                         if !w.draining || !w.in_flight.is_empty() {
                             return Err(CumulusError::Protocol(format!(
                                 "unexpected Bye from worker {wi} (draining={}, in_flight={})",
@@ -933,9 +819,8 @@ fn master_loop(
                             "retire",
                             Some(&format!("worker-{wi} completed={completed}")),
                         );
-                        tel.gauge("fleet.size", fleet.provisioned() as f64);
-                        obs.events.emit(
-                            t0.elapsed().as_secs_f64(),
+                        tel.gauge("fleet.size", m.fleet.provisioned() as f64);
+                        scope.emit(
                             Severity::Info,
                             "worker_retired",
                             &[("worker", wi.to_string()), ("completed", completed.to_string())],
@@ -949,21 +834,8 @@ fn master_loop(
                 }
             }
             Ok(Event::Gone(wi)) => {
-                lose_worker(
-                    &mut fleet,
-                    wi,
-                    cfg,
-                    &ctxs,
-                    &mut pending,
-                    &mut submits,
-                    &mut pipe,
-                    &mut report,
-                    t0,
-                    prov,
-                    obs,
-                    "socket_closed",
-                );
-                obs.set_health(health_view(&fleet, "running"));
+                m.lose_worker(wi, "socket_closed");
+                obs.set_health(health_view(&m.fleet, "running"));
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => {
@@ -972,23 +844,8 @@ fn master_loop(
                 // event can arrive again, so settle liveness for every
                 // worker at once instead of spinning on the empty channel
                 // until the heartbeat clock notices.
-                for wi in 0..fleet.workers.len() {
-                    if fleet.workers[wi].alive {
-                        lose_worker(
-                            &mut fleet,
-                            wi,
-                            cfg,
-                            &ctxs,
-                            &mut pending,
-                            &mut submits,
-                            &mut pipe,
-                            &mut report,
-                            t0,
-                            prov,
-                            obs,
-                            "event_channel_closed",
-                        );
-                    }
+                for wi in 0..m.fleet.workers.len() {
+                    m.lose_worker(wi, "event_channel_closed");
                 }
             }
         }
@@ -999,16 +856,9 @@ fn master_loop(
         // flagged — once — as a straggler. The flag feeds the scheduler's
         // FleetSnapshot and the event log; the activation itself keeps
         // running (the hang detector, not this, cuts wedged workers).
-        for wi in 0..fleet.workers.len() {
-            let reported = fleet.workers[wi].last_job;
-            if !fleet.workers[wi].alive {
-                continue;
-            }
-            let mut flagged: Vec<(u64, String, String, u64, u64)> = Vec::new();
-            for (id, j) in fleet.workers[wi].in_flight.iter_mut() {
-                if j.straggler {
-                    continue;
-                }
+        for (wi, w) in m.fleet.workers.iter_mut().enumerate().filter(|(_, w)| w.alive) {
+            let reported = w.last_job;
+            for (id, j) in w.in_flight.iter_mut().filter(|(_, j)| !j.straggler) {
                 // trust whichever clock has seen more: the master's
                 // dispatch age or the worker's own heartbeat report
                 let mut elapsed_ms = j.dispatched.elapsed().as_millis() as u64;
@@ -1029,36 +879,26 @@ fn master_loop(
                     .max(cfg.straggler_min_ms);
                 if elapsed_ms > threshold_ms {
                     j.straggler = true;
-                    let job = &j.job;
-                    flagged.push((
-                        *id,
-                        ctxs[job.activity].tag.clone(),
-                        job.key.clone(),
-                        elapsed_ms,
-                        threshold_ms,
-                    ));
+                    obs.tel.count("dist.stragglers", 1);
+                    scope.emit(
+                        Severity::Warn,
+                        "straggler",
+                        &[
+                            ("worker", wi.to_string()),
+                            ("job", id.to_string()),
+                            ("activity", m.ctxs[j.job.activity].tag.clone()),
+                            ("key", j.job.key.clone()),
+                            ("elapsed_ms", elapsed_ms.to_string()),
+                            ("threshold_ms", threshold_ms.to_string()),
+                        ],
+                    );
                 }
-            }
-            for (id, tag, key, elapsed_ms, threshold_ms) in flagged {
-                obs.tel.count("dist.stragglers", 1);
-                obs.events.emit(
-                    t0.elapsed().as_secs_f64(),
-                    Severity::Warn,
-                    "straggler",
-                    &[
-                        ("worker", wi.to_string()),
-                        ("job", id.to_string()),
-                        ("activity", tag),
-                        ("key", key),
-                        ("elapsed_ms", elapsed_ms.to_string()),
-                        ("threshold_ms", threshold_ms.to_string()),
-                    ],
-                );
             }
         }
 
         // liveness: heartbeat silence and wedged activations
-        let lost: Vec<(usize, &'static str)> = fleet
+        let lost: Vec<(usize, &'static str)> = m
+            .fleet
             .workers
             .iter()
             .enumerate()
@@ -1080,7 +920,7 @@ fn master_loop(
                 // S1: the hang detector's detail quotes the worker's own
                 // elapsed report alongside the master's view (the FAILED
                 // provenance row itself stays byte-stable)
-                let worker_ms = fleet.workers[wi]
+                let worker_ms = m.fleet.workers[wi]
                     .last_job
                     .map_or_else(|| "none".to_string(), |(j, ms)| format!("job={j} {ms}ms"));
                 tel.instant(
@@ -1089,36 +929,24 @@ fn master_loop(
                     Some(&format!("worker-{wi} worker_elapsed: {worker_ms}")),
                 );
             }
-            lose_worker(
-                &mut fleet,
-                wi,
-                cfg,
-                &ctxs,
-                &mut pending,
-                &mut submits,
-                &mut pipe,
-                &mut report,
-                t0,
-                prov,
-                obs,
-                reason,
-            );
+            m.lose_worker(wi, reason);
         }
-        if fleet.workers.iter().all(|w| !w.alive) && fleet.spawning.is_empty() && !pipe.done() {
+        if m.fleet.workers.iter().all(|w| !w.alive) && m.fleet.spawning.is_empty() && !m.pipe.done()
+        {
             return Err(CumulusError::WorkerLost(format!(
                 "all {} workers lost with work outstanding",
-                fleet.workers.len()
+                m.fleet.workers.len()
             )));
         }
     }
 
-    tel.instant("dist", "jobs", Some(&format!("submitted={}", pipe.submitted())));
+    tel.instant("dist", "jobs", Some(&format!("submitted={}", m.pipe.submitted())));
     // per-worker utilisation, and the fleet bill if the policy carries a
     // cost model (per-started-hour, like the simulator's EC2 billing)
     let run_end = Instant::now();
-    let billing = controller.billing();
+    let billing = m.controller.billing();
     let mut fleet_cost = 0.0;
-    for (i, w) in fleet.workers.iter().enumerate() {
+    for (i, w) in m.fleet.workers.iter().enumerate() {
         let life = w.ended_at.unwrap_or(run_end).saturating_duration_since(w.connected_at);
         let life_s = life.as_secs_f64();
         let busy_s = w.busy_ns as f64 / 1e9;
@@ -1135,13 +963,13 @@ fn master_loop(
             fleet_cost += b.charge(life_s);
         }
     }
+    let mut report = m.report;
     report.fleet_cost_usd = billing.map(|_| fleet_cost);
-    report.peak_workers = peak_workers;
-    report.scale_events = controller.into_trace();
-    report.outputs = pipe.into_outputs();
-    report.total_seconds = t0.elapsed().as_secs_f64();
-    obs.set_health(health_view(&fleet, "draining"));
-    fleet.drain();
+    report.scale_events = m.controller.into_trace();
+    report.outputs = m.pipe.into_outputs();
+    report.total_seconds = scope.t0.elapsed().as_secs_f64();
+    obs.set_health(health_view(&m.fleet, "draining"));
+    m.fleet.drain();
     Ok(report)
 }
 
@@ -1166,45 +994,6 @@ fn health_view(fleet: &Fleet, phase: &str) -> HealthView {
     }
 }
 
-/// The scheduler's view of the run: logical quantities only (queue depths,
-/// provisioned fleet, capacity) and never wall-clock state, so the
-/// simulator can reproduce the exact decision sequence.
-fn snapshot(
-    fleet: &Fleet,
-    pending: &VecDeque<Job>,
-    submits: &VecDeque<SubmitReq>,
-    n_activities: usize,
-    cfg: &DistConfig,
-) -> FleetSnapshot {
-    let mut queued_by_activity = vec![0usize; n_activities];
-    for j in pending {
-        queued_by_activity[j.activity] += 1;
-    }
-    for s in submits {
-        queued_by_activity[s.activity] += 1;
-    }
-    FleetSnapshot {
-        completions: 0, // the controller stamps its own count
-        queued: pending.len() + submits.len(),
-        in_flight: fleet.workers.iter().map(|w| w.in_flight.len()).sum(),
-        fleet: fleet.provisioned(),
-        idle: fleet
-            .workers
-            .iter()
-            .filter(|w| w.alive && !w.draining && w.in_flight.is_empty())
-            .count(),
-        slots_per_worker: cfg.max_in_flight,
-        queued_by_activity,
-        stragglers: fleet
-            .workers
-            .iter()
-            .filter(|w| w.alive)
-            .flat_map(|w| w.in_flight.values())
-            .filter(|j| j.straggler)
-            .count(),
-    }
-}
-
 /// Apply a scale decision to the live fleet. Growth launches workers toward
 /// the listener (they join in [`Fleet::accept`]); shrink marks targets as
 /// draining and sends `Drain` — the worker finishes its queue, answers
@@ -1214,10 +1003,17 @@ fn apply_scale(
     decision: ScaleDecision,
     fleet: &mut Fleet,
     cfg: &DistConfig,
-    tel: &Telemetry,
-    obs: &ObsState,
-    t0: Instant,
+    scope: &RunScope,
 ) -> Result<Vec<usize>, CumulusError> {
+    let tel = &scope.tel;
+    let scaled = |what: String, fleet: &Fleet| {
+        tel.gauge("fleet.size", fleet.provisioned() as f64);
+        scope.emit(
+            Severity::Info,
+            "fleet_scale",
+            &[("decision", what), ("fleet", fleet.provisioned().to_string())],
+        );
+    };
     match decision {
         ScaleDecision::Hold => Ok(Vec::new()),
         ScaleDecision::Grow(n) => {
@@ -1225,13 +1021,7 @@ fn apply_scale(
                 fleet.launch(cfg)?;
             }
             tel.instant("fleet", "grow", Some(&format!("+{n} -> {}", fleet.provisioned())));
-            tel.gauge("fleet.size", fleet.provisioned() as f64);
-            obs.events.emit(
-                t0.elapsed().as_secs_f64(),
-                Severity::Info,
-                "fleet_scale",
-                &[("decision", format!("grow {n}")), ("fleet", fleet.provisioned().to_string())],
-            );
+            scaled(format!("grow {n}"), fleet);
             Ok(Vec::new())
         }
         ScaleDecision::Shrink(n) => {
@@ -1256,115 +1046,9 @@ fn apply_scale(
             }
             if n > 0 {
                 tel.instant("fleet", "drain", Some(&format!("-{n} -> {}", fleet.provisioned())));
-                tel.gauge("fleet.size", fleet.provisioned() as f64);
-                obs.events.emit(
-                    t0.elapsed().as_secs_f64(),
-                    Severity::Info,
-                    "fleet_scale",
-                    &[
-                        ("decision", format!("drain {n}")),
-                        ("fleet", fleet.provisioned().to_string()),
-                    ],
-                );
+                scaled(format!("drain {n}"), fleet);
             }
             Ok(undeliverable)
-        }
-    }
-}
-
-/// Outcome of folding a worker's `Done` frame into provenance.
-enum Completed {
-    /// The activation reached a terminal state (finished or out of budget).
-    Terminal(ActOutcome),
-    /// A retryable failure: bump the attempt and requeue.
-    Retry,
-}
-
-/// Write the provenance for one finished/failed attempt, in the same
-/// RUNNING → files/params/tuples → FINISHED-last order as the local
-/// backend, and merge the worker's spans onto its telemetry track.
-#[allow(clippy::too_many_arguments)]
-fn complete(
-    ctx: &ActivityCtx,
-    inflight: &InFlight,
-    outcome: WireOutcome,
-    files: &Arc<FileStore>,
-    prov: &Arc<ProvenanceStore>,
-    t0: Instant,
-    tel: &Telemetry,
-    track: u64,
-    offset_ns: i64,
-    max_retries: u32,
-) -> Completed {
-    let job = &inflight.job;
-    let end = t0.elapsed().as_secs_f64();
-    match outcome {
-        WireOutcome::Finished { tuples, files: shipped, params, spans } => {
-            import(tel, track, offset_ns, spans);
-            // land the worker's artifacts in the shared store first, so
-            // recorded sizes are real and downstream fetches always hit
-            for (path, contents) in &shipped {
-                files.write(path, contents.clone());
-            }
-            let rec = ActivationRecord {
-                activity: ctx.act_id,
-                workflow: ctx.wkf,
-                status: ActivationStatus::Running,
-                start_time: inflight.start,
-                end_time: end,
-                machine: None,
-                retries: job.attempt as i64,
-                pair_key: job.key.clone(),
-            };
-            let task = ctx.record(inflight.slot, &rec);
-            for (path, _) in &shipped {
-                let size = files.size(path).unwrap_or(0) as i64;
-                let (dir, name) = split_path(path);
-                prov.record_file(task, ctx.act_id, ctx.wkf, name, size, dir);
-            }
-            for (name, num, text) in &params {
-                prov.record_parameter(task, ctx.wkf, name, *num, text.as_deref());
-            }
-            for (ti, t) in tuples.iter().enumerate() {
-                prov.record_output_tuple(task, ctx.act_id, ctx.wkf, &job.key, ti, t);
-            }
-            let done = prov.update_activation(
-                task,
-                &ActivationRecord { status: ActivationStatus::Finished, ..rec },
-            );
-            debug_assert!(done, "the RUNNING row we just wrote must exist");
-            Completed::Terminal(ActOutcome { tuples, finished: 1, ..Default::default() })
-        }
-        WireOutcome::Failed { error, files: shipped, spans } => {
-            import(tel, track, offset_ns, spans);
-            if error.starts_with("oversized result") {
-                // the worker degraded an over-cap Done frame into a failed
-                // attempt; the run survives, but the cause stays countable
-                tel.count("proto.oversized_done", 1);
-            }
-            // even a failed attempt's files persist: the local backend
-            // shares one store, so parity demands the same here
-            for (path, contents) in shipped {
-                files.write(&path, contents);
-            }
-            ctx.record(
-                inflight.slot,
-                &ActivationRecord {
-                    activity: ctx.act_id,
-                    workflow: ctx.wkf,
-                    status: ActivationStatus::Failed,
-                    start_time: inflight.start,
-                    end_time: end,
-                    machine: None,
-                    retries: job.attempt as i64,
-                    pair_key: job.key.clone(),
-                },
-            );
-            if job.attempt >= max_retries {
-                Completed::Terminal(ActOutcome { failed_attempts: 1, ..Default::default() })
-            } else {
-                Completed::Retry
-            }
         }
     }
 }
@@ -1383,104 +1067,6 @@ fn import(tel: &Telemetry, track: u64, offset_ns: i64, spans: Vec<proto::WireSpa
         })
         .collect();
     tel.import_spans(track, offset_ns, &remote);
-}
-
-/// Declare worker `wi` lost: cut it down, record a `FAILED` row for every
-/// activation it was running, and reassign each — or blacklist it as
-/// poison once its crash budget is spent.
-#[allow(clippy::too_many_arguments)]
-fn lose_worker(
-    fleet: &mut Fleet,
-    wi: usize,
-    cfg: &DistConfig,
-    ctxs: &[ActivityCtx],
-    pending: &mut VecDeque<Job>,
-    submits: &mut VecDeque<SubmitReq>,
-    pipe: &mut PipelineState,
-    report: &mut RunReport,
-    t0: Instant,
-    prov: &Arc<ProvenanceStore>,
-    obs: &ObsState,
-    reason: &str,
-) {
-    let w = &mut fleet.workers[wi];
-    if !w.alive {
-        return;
-    }
-    w.sever();
-    w.ended_at = Some(Instant::now());
-    let end = t0.elapsed().as_secs_f64();
-    {
-        let mut fields = vec![
-            ("worker", wi.to_string()),
-            ("reason", reason.to_string()),
-            ("in_flight", w.in_flight.len().to_string()),
-        ];
-        if let Some((job, ms)) = w.last_job {
-            // the worker's own last elapsed report (from its heartbeat):
-            // for a hang this is how long the wedged activation really ran
-            fields.push(("last_job", job.to_string()));
-            fields.push(("job_elapsed_ms", ms.to_string()));
-        }
-        obs.events.emit(end, Severity::Error, "worker_lost", &fields);
-    }
-    let mut lost: Vec<InFlight> = w.in_flight.drain().map(|(_, j)| j).collect();
-    // deterministic reassignment order regardless of hash-map iteration
-    lost.sort_by_key(|j| (j.job.activity, j.job.part_index));
-    for inflight in lost {
-        let ctx = &ctxs[inflight.job.activity];
-        ctx.record(
-            inflight.slot,
-            &ActivationRecord {
-                activity: ctx.act_id,
-                workflow: ctx.wkf,
-                status: ActivationStatus::Failed,
-                start_time: inflight.start,
-                end_time: end,
-                machine: None,
-                retries: inflight.job.attempt as i64,
-                pair_key: inflight.job.key.clone(),
-            },
-        );
-        report.failed_attempts += 1;
-        obs.events.emit(
-            end,
-            Severity::Warn,
-            "activation_failed",
-            &[
-                ("activity", ctx.tag.clone()),
-                ("key", inflight.job.key.clone()),
-                ("attempt", inflight.job.attempt.to_string()),
-                ("worker", wi.to_string()),
-            ],
-        );
-        let mut job = inflight.job;
-        job.crashes += 1;
-        if job.crashes > cfg.reassign_budget {
-            // this input has now taken down too many workers: poison
-            prov.record_activation(&ActivationRecord {
-                activity: ctx.act_id,
-                workflow: ctx.wkf,
-                status: ActivationStatus::Blacklisted,
-                start_time: end,
-                end_time: end,
-                machine: None,
-                retries: job.attempt as i64,
-                pair_key: job.key.clone(),
-            });
-            report.blacklisted += 1;
-            obs.events.emit(
-                end,
-                Severity::Error,
-                "activation_blacklisted",
-                &[("activity", ctx.tag.clone()), ("key", job.key.clone())],
-            );
-            submits.extend(pipe.on_completion(job.activity, &[]));
-        } else {
-            job.attempt += 1;
-            pending.push_front(job);
-        }
-    }
 }
 
 // ------------------------------------------------------------------- fleet
@@ -1768,6 +1354,7 @@ mod tests {
     use super::*;
     use crate::algebra::Operator;
     use crate::fleet::{QueueDepthConfig, QueueDepthScheduler, ScaleEvent};
+    use crate::localbackend::LocalConfig;
     use crate::workflow::Activity;
     use provenance::{export_provn_canonical, Value};
 

@@ -37,6 +37,18 @@ pub(crate) enum WireFate {
     Fail,
 }
 
+impl WireFate {
+    /// The wire form of the lifecycle's verdict on an attempt that is about
+    /// to execute: was a failure injected or not.
+    pub(crate) fn injected(fail: bool) -> WireFate {
+        if fail {
+            WireFate::Fail
+        } else {
+            WireFate::Ok
+        }
+    }
+}
+
 /// A telemetry span measured on the worker's clock, shipped back in the
 /// result frame and merged into the master's collector with a clock offset
 /// (see `telemetry::Telemetry::import_spans`).
@@ -592,21 +604,19 @@ pub(crate) fn decode(buf: &[u8]) -> DecodeResult<Frame> {
 /// payload) from a genuinely broken stream.
 const FRAME_TOO_BIG: &str = "frame exceeds the 64 MiB cap";
 
-/// True if `e` is [`write_frame`]'s refusal of an oversized frame.
+/// True if `e` is [`write_body`]'s refusal of an oversized frame.
 pub(crate) fn frame_too_big(e: &std::io::Error) -> bool {
     e.kind() == std::io::ErrorKind::InvalidData && e.to_string().starts_with(FRAME_TOO_BIG)
 }
 
-/// Write one length-prefixed frame and flush it.
+/// Write one length-prefixed frame body and flush it — the framing both
+/// `SDW1` and `SDC1` share.
 ///
-/// A frame that encodes above [`MAX_FRAME`] (or whose lengths overflow
-/// their u32 prefixes) is refused with `InvalidData` **before any byte is
-/// written**, so the stream stays framed and the connection stays usable —
-/// the peer would reject the oversized frame anyway, but only after the
-/// sender had already desynced the socket.
-pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
-    let body =
-        encode(frame).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+/// A body above [`MAX_FRAME`] is refused with `InvalidData` **before any
+/// byte is written**, so the stream stays framed and the connection stays
+/// usable — the peer would reject the oversized frame anyway, but only
+/// after the sender had already desynced the socket.
+pub(crate) fn write_body<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
     if body.len() > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -614,13 +624,13 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result
         ));
     }
     w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    w.write_all(body)?;
     w.flush()
 }
 
-/// Read one length-prefixed frame; decode failures surface as
-/// `InvalidData` I/O errors so callers treat them like a broken peer.
-pub(crate) fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
+/// Read one length-prefixed frame body; a length above [`MAX_FRAME`] is a
+/// protocol error, not an allocation.
+pub(crate) fn read_body<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
@@ -632,7 +642,23 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    decode(&body).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    Ok(body)
+}
+
+fn invalid(e: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+}
+
+/// Write one frame (see [`write_body`]); a frame whose lengths overflow
+/// their u32 prefixes is refused the same way, before any byte is written.
+pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
+    write_body(w, &encode(frame).map_err(invalid)?)
+}
+
+/// Read one frame; decode failures surface as `InvalidData` I/O errors so
+/// callers treat them like a broken peer.
+pub(crate) fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
+    decode(&read_body(r)?).map_err(invalid)
 }
 
 #[cfg(test)]

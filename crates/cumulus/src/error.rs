@@ -1,14 +1,9 @@
 //! The unified error type shared by every execution backend.
 //!
-//! Historically each backend had its own ad-hoc error surface
-//! ([`crate::localbackend::EngineError`], panics in the simulator, …).
-//! The [`crate::backend::Backend`] trait funnels them all through
-//! [`CumulusError`] so callers match one enum regardless of where the
-//! workflow ran.
+//! Every backend reports through [`CumulusError`], so callers match one
+//! enum regardless of where the workflow ran.
 
 use std::fmt;
-
-use crate::localbackend::EngineError;
 
 /// Errors from running a workflow through any backend.
 ///
@@ -50,14 +45,6 @@ impl fmt::Display for CumulusError {
 
 impl std::error::Error for CumulusError {}
 
-impl From<EngineError> for CumulusError {
-    fn from(e: EngineError) -> CumulusError {
-        match e {
-            EngineError::Invalid(m) => CumulusError::Invalid(m),
-        }
-    }
-}
-
 impl From<std::io::Error> for CumulusError {
     fn from(e: std::io::Error) -> CumulusError {
         CumulusError::Io(e.to_string())
@@ -85,9 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn converts_from_engine_and_io_errors() {
-        let e: CumulusError = EngineError::Invalid("deps".into()).into();
-        assert_eq!(e, CumulusError::Invalid("deps".into()));
+    fn converts_from_io_errors() {
         let io = std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "refused");
         assert!(matches!(CumulusError::from(io), CumulusError::Io(_)));
     }

@@ -9,8 +9,10 @@
 //! * [`workflow`] — executable workflow definitions and the shared file
 //!   store activations exchange artifacts through;
 //! * [`pool`] — a from-scratch work-stealing thread pool (the MPJ stand-in);
-//! * [`localbackend`] — real parallel execution with provenance capture,
-//!   failure injection, retries, and poison-input blacklisting;
+//! * [`localbackend`] — real parallel execution on the pool, with
+//!   provenance capture, failure injection, retries, and poison-input
+//!   blacklisting (the activation lifecycle itself is one private module
+//!   shared with [`distbackend`] and [`serve`]);
 //! * [`sched`] — the weighted greedy scheduler, its master cost model, and
 //!   elasticity configuration;
 //! * [`fleet`] — the elastic fleet layer: the [`Scheduler`](fleet::Scheduler)
@@ -40,6 +42,7 @@ mod dispatch;
 pub mod distbackend;
 pub mod error;
 pub mod fleet;
+mod lifecycle;
 pub mod localbackend;
 pub mod obs;
 pub mod pool;
@@ -61,9 +64,7 @@ pub use fleet::{
     upward_ranks, CostAwareConfig, CostAwareScheduler, FixedScheduler, FleetSnapshot,
     QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent, Scheduler, SchedulerFactory,
 };
-#[allow(deprecated)]
-pub use localbackend::run_local;
-pub use localbackend::{DispatchMode, EngineError, LocalConfig, RunReport};
+pub use localbackend::{LocalConfig, RunReport};
 pub use obs::{BoundAddr, EventLog, HealthView, ObsEvent, Severity};
 pub use pool::Pool;
 pub use sched::{ElasticityConfig, MasterCostModel, Policy};
@@ -71,8 +72,6 @@ pub use serve::{
     CampaignResolver, CampaignState, CampaignStatus, Daemon, ServeClient, ServeConfig,
     SubmitOutcome,
 };
-#[allow(deprecated)]
-pub use simbackend::simulate;
 pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask};
 pub use steer::SteeringBridge;
 pub use template::{Template, TemplateError};

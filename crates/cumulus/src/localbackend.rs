@@ -5,58 +5,37 @@
 //! This is the backend SciDock's biological results (Table 3) come from;
 //! cloud-scale timing studies use [`crate::simbackend`] instead.
 //!
-//! # Dispatch modes
+//! Dispatch is ready-driven dataflow (the private `dispatch` module): the
+//! instant one pair's activity-N activation finishes, its output tuples flow
+//! into activity N+1 activations, while slower pairs are still in activity
+//! N. Barriers remain only where the algebra requires the whole input
+//! relation — `Reduce` (group boundaries unknown until every upstream tuple
+//! exists) and `SRQuery`/`MRQuery` (relation-level queries). A chain of
+//! Map-like activities therefore pays `max over pairs of sum(chain)` instead
+//! of `sum over activities of max(stage)`.
 //!
-//! [`DispatchMode::Barrier`] is the classic SciCumulus stage execution:
-//! every activation of activity N completes before activity N+1 starts, so
-//! a run pays `sum over activities of max(activation time)` — one straggler
-//! per stage serializes the whole fleet.
-//!
-//! [`DispatchMode::Pipelined`] (the default) is a ready-driven dataflow
-//! dispatcher: the instant one pair's activity-N activation finishes, its
-//! output tuples flow into activity N+1 activations, while slower pairs are
-//! still in activity N. Barriers remain only where the algebra requires the
-//! whole input relation — `Reduce` (group boundaries unknown until every
-//! upstream tuple exists) and `SRQuery`/`MRQuery` (relation-level queries).
-//! A chain of Map-like activities therefore pays `max over pairs of
-//! sum(chain)` instead of `sum over activities of max(stage)`.
-//!
-//! Both modes share one activation runner, and failure fates are keyed by
-//! `(activity tag, pair key, attempt)` — schedule-order independent — so
-//! the two modes finish/fail/abort/blacklist the *same* activations and
-//! fill provenance with the same rows (tuple order within a relation and
-//! workdir numbering differ: pipelined numbers activations by arrival).
+//! What happens to each activation is the private `lifecycle` module's
+//! business, and failure fates are keyed by `(activity tag, pair key,
+//! attempt)` — schedule-order independent — so every thread count (and every
+//! backend) finishes/fails/aborts/blacklists the *same* activations and
+//! fills provenance with the same rows (tuple order within a relation and
+//! workdir numbering differ: activations are numbered by arrival).
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Instant;
 
-use cloudsim::{FailureModel, Fate};
-use provenance::{
-    ActivationRecord, ActivationStatus, ActivityId, ProvenanceStore, TaskId, WorkflowId,
-};
+use cloudsim::FailureModel;
+use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{MetricsSnapshot, Telemetry};
 
-use crate::algebra::{Relation, Tuple};
-use crate::dispatch::{pair_key, split_path, PipelineState};
-use crate::obs::{BoundAddr, EventLog, HealthView, ObsServer, ObsState, Severity};
+use crate::algebra::Relation;
+use crate::dispatch::{PipelineState, SubmitReq};
+use crate::error::CumulusError;
+use crate::lifecycle::{run_scoped, tally, ActOutcome, ActivityCtx, ScopeCfg};
+use crate::obs::{BoundAddr, EventLog};
 use crate::pool::Pool;
-use crate::steer::{SlotId, SteeringBridge};
-use crate::workflow::{ActivationCtx, FileStore, WorkflowDef};
-
-/// How [`run_local`] schedules activations across activities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Ready-driven dataflow: a tuple enters activity N+1 as soon as its
-    /// activity-N activation finishes; barriers only where the algebra
-    /// requires the full relation (Reduce, SRQuery, MRQuery).
-    #[default]
-    Pipelined,
-    /// Activity-by-activity: all of activity N finishes before N+1 starts.
-    Barrier,
-}
+use crate::workflow::{FileStore, WorkflowDef};
 
 /// Local backend configuration.
 ///
@@ -77,14 +56,12 @@ pub struct LocalConfig {
     /// their recorded output tuples are reused (SciCumulus' re-execution
     /// mechanism — "it does not need to restart the entire workflow").
     pub resume_from: Option<WorkflowId>,
-    /// Activation scheduling strategy.
-    pub mode: DispatchMode,
     /// Telemetry sink: spans/counters/histograms are recorded into it when
     /// attached and near-free when disabled (the default).
     pub telemetry: Telemetry,
-    /// When set, a [`SteeringBridge`] flushes in-flight activation state
-    /// into the provenance store at this interval, so steering queries see
-    /// `RUNNING` rows during the run.
+    /// When set, a [`crate::steer::SteeringBridge`] flushes in-flight
+    /// activation state into the provenance store at this interval, so
+    /// steering queries see `RUNNING` rows during the run.
     pub steering_tick: Option<std::time::Duration>,
     /// Durability override applied to the provenance store for this run
     /// (e.g. `Durability::Sync` for crash tests, a wider batch window for
@@ -110,7 +87,6 @@ impl Default for LocalConfig {
             failures: FailureModel::none(),
             max_retries: 3,
             resume_from: None,
-            mode: DispatchMode::default(),
             telemetry: Telemetry::disabled(),
             steering_tick: None,
             durability: None,
@@ -149,12 +125,6 @@ impl LocalConfig {
     /// Resume from a prior workflow execution (skip activations it finished).
     pub fn with_resume_from(mut self, prev: WorkflowId) -> LocalConfig {
         self.resume_from = Some(prev);
-        self
-    }
-
-    /// Set the activation scheduling strategy.
-    pub fn with_mode(mut self, mode: DispatchMode) -> LocalConfig {
-        self.mode = mode;
         self
     }
 
@@ -231,676 +201,101 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// A report with nothing tallied yet.
+    pub(crate) fn empty(workflow: WorkflowId, peak_workers: usize) -> RunReport {
+        RunReport {
+            workflow,
+            total_seconds: 0.0,
+            finished: 0,
+            failed_attempts: 0,
+            aborted: 0,
+            blacklisted: 0,
+            resumed: 0,
+            outputs: Vec::new(),
+            metrics: None,
+            scale_events: Vec::new(),
+            peak_workers,
+            fleet_cost_usd: None,
+        }
+    }
+
     /// The output relation of the final activity.
     pub fn final_output(&self) -> &Relation {
         self.outputs.last().expect("workflow has at least one activity")
     }
 }
 
-/// Errors from running a workflow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// Structural validation failed.
-    Invalid(String),
-}
-
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Invalid(m) => write!(f, "invalid workflow: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-/// Per-activation result collected from a worker.
-#[derive(Default)]
-pub(crate) struct ActOutcome {
-    pub(crate) tuples: Vec<Tuple>,
-    pub(crate) finished: usize,
-    pub(crate) failed_attempts: usize,
-    pub(crate) aborted: usize,
-    pub(crate) blacklisted: usize,
-    pub(crate) resumed: usize,
-}
-
-/// Everything one activity's activations share, regardless of dispatch
-/// mode (or backend: the distributed master reuses this for its
-/// provenance/steering/resume bookkeeping). Built once per activity,
-/// cloned (cheaply, all `Arc`s) into jobs.
-pub(crate) struct ActivityCtx {
-    pub(crate) act_id: ActivityId,
-    pub(crate) wkf: WorkflowId,
-    pub(crate) tag: String,
-    pub(crate) func: crate::workflow::ActivityFn,
-    pub(crate) blacklist: Option<crate::workflow::BlacklistFn>,
-    /// Outputs this activity already finished in the resumed-from run.
-    pub(crate) prior: Arc<HashMap<String, Vec<Tuple>>>,
-    pub(crate) workdir_base: String,
-    pub(crate) files: Arc<FileStore>,
-    pub(crate) prov: Arc<ProvenanceStore>,
-    pub(crate) failures: FailureModel,
-    pub(crate) max_retries: u32,
-    pub(crate) start_base: Instant,
-    pub(crate) tel: Telemetry,
-    pub(crate) bridge: Option<Arc<SteeringBridge>>,
-    /// Structured event log, when one is attached to the run. Lifecycle
-    /// events carry `start_base`-relative timestamps.
-    pub(crate) events: Option<EventLog>,
-}
-
-impl ActivityCtx {
-    #[allow(clippy::too_many_arguments)] // one-call-site constructor bundling run-wide context
-    pub(crate) fn build(
-        def: &WorkflowDef,
-        i: usize,
-        wkf: WorkflowId,
-        files: &Arc<FileStore>,
-        prov: &Arc<ProvenanceStore>,
-        cfg: &LocalConfig,
-        start_base: Instant,
-        bridge: &Option<Arc<SteeringBridge>>,
-    ) -> ActivityCtx {
-        let activity = &def.activities[i];
-        let act_id = prov.register_activity(wkf, &activity.tag, activity.operator.name());
-        ActivityCtx {
-            act_id,
-            wkf,
-            tag: activity.tag.clone(),
-            func: Arc::clone(&activity.func),
-            blacklist: activity.blacklist.clone(),
-            prior: Arc::new(
-                cfg.resume_from
-                    .map(|prev| prov.finished_outputs(prev, &activity.tag))
-                    .unwrap_or_default(),
-            ),
-            workdir_base: format!("{}/{}", def.expdir.trim_end_matches('/'), activity.tag),
-            files: Arc::clone(files),
-            prov: Arc::clone(prov),
-            failures: cfg.failures,
-            max_retries: cfg.max_retries,
-            start_base,
-            tel: cfg.telemetry.clone(),
-            bridge: bridge.clone(),
-            events: cfg.events.clone(),
-        }
-    }
-
-    /// Write an attempt's definitive row: through the steering bridge when
-    /// one is active (replacing its `RUNNING` row in place), directly into
-    /// the store otherwise.
-    pub(crate) fn record(&self, slot: Option<SlotId>, rec: &ActivationRecord) -> TaskId {
-        match (&self.bridge, slot) {
-            (Some(b), Some(s)) => b.resolve(s, rec),
-            _ => self.prov.record_activation(rec),
-        }
-    }
-
-    /// Register the attempt with the steering bridge, if one is active.
-    pub(crate) fn begin_attempt(&self, key: &str, start: f64, attempt: u32) -> Option<SlotId> {
-        self.bridge.as_ref().map(|b| b.begin(self.act_id, self.wkf, key, start, attempt as i64))
-    }
-
-    /// Execute one activation: resume lookup, blacklist rule, then the
-    /// fate/retry loop with full provenance capture. `part_index` only
-    /// names the activation's working directory.
-    pub(crate) fn run_activation(&self, part: &[Tuple], part_index: usize) -> ActOutcome {
-        let mut out = ActOutcome::default();
-        let key = pair_key(part);
-        // one span per activation, covering the whole ready→terminal life
-        // including retries; its duration also feeds the per-activity
-        // histogram that RunReport::metrics summarises
-        let mut act_span = self
-            .tel
-            .span("activation", &self.tag)
-            .with_histogram(self.tel.histogram(&format!("activation.{}", self.tag)));
-        // resume: a prior run already finished this activation
-        if let Some(tuples) = self.prior.get(&key) {
-            act_span.set_detail(|| format!("resumed pair={key}"));
-            out.tuples = tuples.clone();
-            out.resumed = 1;
-            return out;
-        }
-        // poison-input rule: never execute blacklisted tuples
-        if let Some(bl) = &self.blacklist {
-            if part.iter().any(|t| bl(t)) {
-                let now = self.start_base.elapsed().as_secs_f64();
-                act_span.set_detail(|| format!("blacklisted pair={key}"));
-                if let Some(ev) = &self.events {
-                    ev.emit(
-                        now,
-                        Severity::Error,
-                        "activation_blacklisted",
-                        &[("activity", self.tag.clone()), ("key", key.clone())],
-                    );
-                }
-                self.prov.record_activation(&ActivationRecord {
-                    activity: self.act_id,
-                    workflow: self.wkf,
-                    status: ActivationStatus::Blacklisted,
-                    start_time: now,
-                    end_time: now,
-                    machine: None,
-                    retries: 0,
-                    pair_key: key,
-                });
-                out.blacklisted = 1;
-                return out;
-            }
-        }
-        let workdir = format!("{}/{}", self.workdir_base, part_index);
-        // fates are keyed by (tag, pair key, attempt) — independent of
-        // dispatch order, so Barrier and Pipelined roll identical dice
-        let tag_key = format!("{}#{}", self.tag, key);
-        let mut attempt = 0u32;
-        loop {
-            let fate = self.failures.fate(&tag_key, attempt);
-            let start = self.start_base.elapsed().as_secs_f64();
-            let slot = self.begin_attempt(&key, start, attempt);
-            let mut attempt_span = self.tel.span("attempt", &format!("{}#{attempt}", self.tag));
-            match fate {
-                Fate::Hang => {
-                    // the real program would loop forever; the engine
-                    // detects and aborts it
-                    let end = self.start_base.elapsed().as_secs_f64();
-                    attempt_span.set_detail(|| format!("aborted pair={key}"));
-                    act_span.set_detail(|| format!("aborted pair={key}"));
-                    if let Some(ev) = &self.events {
-                        ev.emit(
-                            end,
-                            Severity::Warn,
-                            "activation_aborted",
-                            &[
-                                ("activity", self.tag.clone()),
-                                ("key", key.clone()),
-                                ("attempt", attempt.to_string()),
-                            ],
-                        );
-                    }
-                    self.record(
-                        slot,
-                        &ActivationRecord {
-                            activity: self.act_id,
-                            workflow: self.wkf,
-                            status: ActivationStatus::Aborted,
-                            start_time: start,
-                            end_time: end,
-                            machine: None,
-                            retries: attempt as i64,
-                            pair_key: key,
-                        },
-                    );
-                    out.aborted = 1;
-                    return out;
-                }
-                Fate::Fail => {
-                    let mut ctx = ActivationCtx::new(&self.files, &workdir);
-                    let _ = (self.func)(part, &mut ctx); // work is lost
-                    let end = self.start_base.elapsed().as_secs_f64();
-                    attempt_span.set_detail(|| format!("failed pair={key}"));
-                    self.record(
-                        slot,
-                        &ActivationRecord {
-                            activity: self.act_id,
-                            workflow: self.wkf,
-                            status: ActivationStatus::Failed,
-                            start_time: start,
-                            end_time: end,
-                            machine: None,
-                            retries: attempt as i64,
-                            pair_key: key.clone(),
-                        },
-                    );
-                    out.failed_attempts += 1;
-                    if let Some(ev) = &self.events {
-                        let sev = if attempt >= self.max_retries {
-                            Severity::Error // budget exhausted: terminal
-                        } else {
-                            Severity::Warn // will be retried
-                        };
-                        ev.emit(
-                            end,
-                            sev,
-                            "activation_failed",
-                            &[
-                                ("activity", self.tag.clone()),
-                                ("key", key.clone()),
-                                ("attempt", attempt.to_string()),
-                            ],
-                        );
-                    }
-                    if attempt >= self.max_retries {
-                        act_span.set_detail(|| format!("failed-permanently pair={key}"));
-                        return out;
-                    }
-                    attempt += 1;
-                    self.tel.instant("activation", "retry", Some(&key));
-                }
-                Fate::Ok => {
-                    let mut ctx = ActivationCtx::new(&self.files, &workdir);
-                    match (self.func)(part, &mut ctx) {
-                        Ok(tuples) => {
-                            let end = self.start_base.elapsed().as_secs_f64();
-                            attempt_span.set_detail(|| format!("finished pair={key}"));
-                            act_span
-                                .set_detail(|| format!("finished pair={key} retries={attempt}"));
-                            // write-ahead ordering for crash recovery: the
-                            // row goes in as RUNNING, its files/params/
-                            // output tuples are recorded under that task id,
-                            // and only then does the row flip to FINISHED.
-                            // A recovered FINISHED row therefore always has
-                            // its complete outputs (the WAL preserves this
-                            // order), so resume never reuses a half-recorded
-                            // activation.
-                            let rec = ActivationRecord {
-                                activity: self.act_id,
-                                workflow: self.wkf,
-                                status: ActivationStatus::Running,
-                                start_time: start,
-                                end_time: end,
-                                machine: None,
-                                retries: attempt as i64,
-                                pair_key: key.clone(),
-                            };
-                            let task = self.record(slot, &rec);
-                            for path in ctx.produced_files() {
-                                let size = self.files.size(path).unwrap_or(0) as i64;
-                                let (dir, name) = split_path(path);
-                                self.prov.record_file(task, self.act_id, self.wkf, name, size, dir);
-                            }
-                            for (name, num, text) in &ctx.params {
-                                self.prov.record_parameter(
-                                    task,
-                                    self.wkf,
-                                    name,
-                                    *num,
-                                    text.as_deref(),
-                                );
-                            }
-                            for (ti, t) in tuples.iter().enumerate() {
-                                self.prov.record_output_tuple(
-                                    task,
-                                    self.act_id,
-                                    self.wkf,
-                                    &key,
-                                    ti,
-                                    t,
-                                );
-                            }
-                            let done = self.prov.update_activation(
-                                task,
-                                &ActivationRecord { status: ActivationStatus::Finished, ..rec },
-                            );
-                            debug_assert!(done, "the RUNNING row we just wrote must exist");
-                            if let Some(ev) = &self.events {
-                                ev.emit(
-                                    end,
-                                    Severity::Info,
-                                    "activation_finished",
-                                    &[
-                                        ("activity", self.tag.clone()),
-                                        ("key", key.clone()),
-                                        ("attempt", attempt.to_string()),
-                                    ],
-                                );
-                            }
-                            out.tuples = tuples;
-                            out.finished = 1;
-                            return out;
-                        }
-                        Err(_e) => {
-                            // domain error: behaves like a failure
-                            let end = self.start_base.elapsed().as_secs_f64();
-                            attempt_span.set_detail(|| format!("failed pair={key}"));
-                            self.record(
-                                slot,
-                                &ActivationRecord {
-                                    activity: self.act_id,
-                                    workflow: self.wkf,
-                                    status: ActivationStatus::Failed,
-                                    start_time: start,
-                                    end_time: end,
-                                    machine: None,
-                                    retries: attempt as i64,
-                                    pair_key: key.clone(),
-                                },
-                            );
-                            out.failed_attempts += 1;
-                            if let Some(ev) = &self.events {
-                                let sev = if attempt >= self.max_retries {
-                                    Severity::Error
-                                } else {
-                                    Severity::Warn
-                                };
-                                ev.emit(
-                                    end,
-                                    sev,
-                                    "activation_failed",
-                                    &[
-                                        ("activity", self.tag.clone()),
-                                        ("key", key.clone()),
-                                        ("attempt", attempt.to_string()),
-                                    ],
-                                );
-                            }
-                            if attempt >= self.max_retries {
-                                act_span.set_detail(|| format!("failed-permanently pair={key}"));
-                                return out;
-                            }
-                            attempt += 1;
-                            self.tel.instant("activation", "retry", Some(&key));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Run a workflow on the local pool.
-///
-/// Deprecated: prefer [`crate::backend::Backend::run`] on a
-/// [`crate::backend::LocalBackend`] in new code — it returns the
-/// backend-independent [`crate::backend::RunOutcome`] and lets callers swap
-/// execution substrates (local / distributed / simulated) behind one trait.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Backend::run` on a `LocalBackend` instead; this one-shot \
-            entry point bypasses the backend-independent `RunOutcome` surface"
-)]
-pub fn run_local(
-    def: &WorkflowDef,
-    input: Relation,
-    files: Arc<FileStore>,
-    prov: Arc<ProvenanceStore>,
-    cfg: &LocalConfig,
-) -> Result<RunReport, EngineError> {
-    run_local_impl(def, input, files, prov, cfg)
-}
-
-/// The engine behind both [`run_local`] and
-/// [`crate::backend::LocalBackend`]; in-crate callers use this directly so
-/// the deprecation attribute only fires on external one-shot use.
+/// Run a workflow on the local pool: the engine behind
+/// [`crate::backend::LocalBackend`]. Binds the dispatcher's [`SubmitReq`]s to
+/// pool jobs running [`ActivityCtx::run_activation`], with the mpsc
+/// completion channel playing the event queue.
 pub(crate) fn run_local_impl(
     def: &WorkflowDef,
     input: Relation,
     files: Arc<FileStore>,
     prov: Arc<ProvenanceStore>,
     cfg: &LocalConfig,
-) -> Result<RunReport, EngineError> {
-    def.validate().map_err(EngineError::Invalid)?;
-    if let Some(d) = cfg.durability {
-        prov.set_durability(d);
-    }
-    let pool = Pool::with_telemetry(cfg.threads, cfg.telemetry.clone());
-    let wkf = prov.begin_workflow(&def.tag, &def.description, &def.expdir);
-    let t0 = Instant::now();
-
-    // observability plane: structured lifecycle events, plus an optional
-    // std-only HTTP endpoint serving /metrics, /snapshot.json, /healthz and
-    // /events for the duration of the run. Observation never perturbs
-    // results: the plane only reads engine state.
-    let evlog = cfg.events.clone();
-    let obs = cfg.metrics_addr.as_ref().map(|_| {
-        let o = ObsState::new(cfg.telemetry.clone(), evlog.clone().unwrap_or_default());
-        o.set_health(HealthView {
-            phase: "running".to_string(),
-            fleet: cfg.threads,
-            workers: Vec::new(),
-        });
-        o
-    });
-    let server = match (&cfg.metrics_addr, &obs) {
-        (Some(addr), Some(o)) => {
-            let s = ObsServer::start(addr, o.clone()).map_err(|e| {
-                EngineError::Invalid(format!("cannot bind metrics endpoint {addr}: {e}"))
-            })?;
-            if let Some(b) = &cfg.metrics_bound {
-                b.set(s.addr());
-            }
-            Some(s)
-        }
-        _ => None,
+) -> Result<RunReport, CumulusError> {
+    let scope_cfg = ScopeCfg {
+        backend: "local",
+        track: "dispatcher",
+        workers: cfg.threads,
+        telemetry: &cfg.telemetry,
+        durability: cfg.durability,
+        steering_tick: cfg.steering_tick,
+        events: cfg.events.clone(),
+        metrics_addr: cfg.metrics_addr.as_deref(),
+        metrics_bound: cfg.metrics_bound.as_ref(),
     };
-    if let Some(ev) = &evlog {
-        ev.emit(
-            0.0,
-            Severity::Info,
-            "run_started",
-            &[
-                ("workflow", def.tag.clone()),
-                ("backend", "local".to_string()),
-                ("workers", cfg.threads.to_string()),
-            ],
-        );
-    }
-
-    let bridge = cfg.steering_tick.map(|tick| SteeringBridge::start(Arc::clone(&prov), t0, tick));
-    cfg.telemetry.name_current_track("dispatcher");
-    let run_start = cfg.telemetry.now_ns();
-    let result = match cfg.mode {
-        DispatchMode::Barrier => {
-            run_barrier(def, input, files, Arc::clone(&prov), cfg, &pool, wkf, t0, &bridge)
-        }
-        DispatchMode::Pipelined => {
-            run_pipelined(def, input, files, Arc::clone(&prov), cfg, &pool, wkf, t0, &bridge)
-        }
-    };
-    if let Some(b) = &bridge {
-        b.stop();
-    }
-    // join the workers *before* snapshotting: Pool::drop flushes its
-    // lifetime counters (parks, steals, …) into the sink
-    drop(pool);
-    // the run's final rows must survive a crash after run_local returns
-    prov.flush_wal();
-    if cfg.telemetry.is_enabled() {
-        cfg.telemetry.record_span_at(
-            "run",
-            &def.tag,
-            None,
-            run_start,
-            cfg.telemetry.now_ns(),
-            Some(&format!("mode={:?}", cfg.mode)),
-        );
-    }
-    if let Some(ev) = &evlog {
-        match &result {
-            Ok(r) => ev.emit(
-                t0.elapsed().as_secs_f64(),
-                Severity::Info,
-                "run_finished",
-                &[
-                    ("workflow", def.tag.clone()),
-                    ("finished", r.finished.to_string()),
-                    ("failed_attempts", r.failed_attempts.to_string()),
-                    ("aborted", r.aborted.to_string()),
-                    ("blacklisted", r.blacklisted.to_string()),
-                ],
-            ),
-            Err(e) => ev.emit(
-                t0.elapsed().as_secs_f64(),
-                Severity::Error,
-                "run_error",
-                &[("workflow", def.tag.clone()), ("error", e.to_string())],
-            ),
-        }
-    }
-    if let Some(o) = &obs {
-        let mut view = o.health.lock().expect("health view poisoned");
-        view.phase = "done".to_string();
-    }
-    if let Some(s) = server {
-        s.shutdown();
-    }
-    result.map(|mut report| {
-        report.metrics = cfg.telemetry.snapshot();
-        report
-    })
-}
-
-/// Stage-at-a-time executor: one `execute_all` barrier per activity.
-#[allow(clippy::too_many_arguments)]
-fn run_barrier(
-    def: &WorkflowDef,
-    input: Relation,
-    files: Arc<FileStore>,
-    prov: Arc<ProvenanceStore>,
-    cfg: &LocalConfig,
-    pool: &Pool,
-    wkf: WorkflowId,
-    t0: Instant,
-    bridge: &Option<Arc<SteeringBridge>>,
-) -> Result<RunReport, EngineError> {
-    let mut outputs: Vec<Relation> = Vec::with_capacity(def.activities.len());
-    let mut report = RunReport {
-        workflow: wkf,
-        total_seconds: 0.0,
-        finished: 0,
-        failed_attempts: 0,
-        aborted: 0,
-        blacklisted: 0,
-        resumed: 0,
-        outputs: Vec::new(),
-        metrics: None,
-        scale_events: Vec::new(),
-        peak_workers: cfg.threads,
-        fleet_cost_usd: None,
-    };
-
-    for (i, activity) in def.activities.iter().enumerate() {
-        let actx = Arc::new(ActivityCtx::build(def, i, wkf, &files, &prov, cfg, t0, bridge));
-        let input_rel = def.input_for(i, &input, &outputs);
-        let parts = activity.operator.partition(&input_rel);
-
-        let jobs: Vec<_> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(j, part)| {
-                let actx = Arc::clone(&actx);
-                move || actx.run_activation(&part, j)
-            })
-            .collect();
-
-        // the barrier executor pays one stage-wide wait per activity: the
-        // dispatcher blocks here until every activation of stage i is done
-        let stage_span =
-            cfg.telemetry.span_detail("barrier", &format!("stage.{}", activity.tag), || {
-                format!("activity={i}")
+    run_scoped(def, &prov, scope_cfg, |scope| {
+        // dropped (workers joined) when the body returns, i.e. before the
+        // scope snapshots metrics: Pool::drop flushes its lifetime counters
+        // (parks, steals, …) into the sink
+        let pool = Pool::with_telemetry(cfg.threads, cfg.telemetry.clone());
+        let run = scope.run_ctx(&files, cfg.failures, cfg.max_retries, cfg.resume_from);
+        let ctxs = ActivityCtx::build_all(def, &run);
+        // `Err` carries a panic out of the engine itself (the lifecycle
+        // already turned a panicking activity function into a FAILED
+        // attempt): e.g. a storage fault inside a provenance write. The pool
+        // swallows job panics, so it is shipped here and re-raised on the
+        // dispatcher — the run dies like the process it simulates, instead
+        // of waiting forever for a completion that will never arrive.
+        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<ActOutcome>)>();
+        let submit = |req: SubmitReq| {
+            let ctx = Arc::clone(&ctxs[req.activity]);
+            let tx = tx.clone();
+            pool.spawn(move || {
+                let out = catch_unwind(AssertUnwindSafe(|| {
+                    ctx.run_activation(&req.part, req.part_index)
+                }));
+                // the dispatcher owns the receiver for the whole run, so the
+                // send only fails if the run is already unwinding
+                let _ = tx.send((req.activity, out));
             });
-        let results = pool.execute_all(jobs);
-        drop(stage_span);
-        let mut rel = Relation { columns: activity.output_columns.clone(), tuples: Vec::new() };
-        for r in results {
-            tally(&mut report, &r);
-            for t in r.tuples {
-                assert_eq!(
-                    t.len(),
-                    rel.columns.len(),
-                    "activity {} produced tuple of wrong arity",
-                    activity.tag
-                );
-                rel.tuples.push(t);
-            }
-        }
-        outputs.push(rel);
-    }
-
-    report.outputs = outputs;
-    report.total_seconds = t0.elapsed().as_secs_f64();
-    Ok(report)
-}
-
-/// Message a finished activation sends back to the dispatcher; `Err` holds
-/// a panic payload to re-raise (so a panicking activity function behaves
-/// identically to the barrier executor).
-type Completion = (usize, std::thread::Result<ActOutcome>);
-
-/// Ready-driven dataflow executor (see module docs): activations are
-/// submitted the moment their input exists, with per-activity barriers only
-/// for Reduce/queries. The scheduling state machine lives in
-/// [`crate::dispatch::PipelineState`] (shared with the distributed master);
-/// this function only binds its [`SubmitReq`]s to the local pool, with the
-/// mpsc completion channel playing the event queue.
-///
-/// [`SubmitReq`]: crate::dispatch::SubmitReq
-#[allow(clippy::too_many_arguments)]
-fn run_pipelined(
-    def: &WorkflowDef,
-    input: Relation,
-    files: Arc<FileStore>,
-    prov: Arc<ProvenanceStore>,
-    cfg: &LocalConfig,
-    pool: &Pool,
-    wkf: WorkflowId,
-    t0: Instant,
-    bridge: &Option<Arc<SteeringBridge>>,
-) -> Result<RunReport, EngineError> {
-    let (tx, rx) = mpsc::channel::<Completion>();
-    let ctxs: Vec<Arc<ActivityCtx>> = (0..def.activities.len())
-        .map(|i| Arc::new(ActivityCtx::build(def, i, wkf, &files, &prov, cfg, t0, bridge)))
-        .collect();
-
-    let submit = |req: crate::dispatch::SubmitReq| {
-        let ctx = Arc::clone(&ctxs[req.activity]);
-        let tx = tx.clone();
-        pool.spawn(move || {
-            let out =
-                catch_unwind(AssertUnwindSafe(|| ctx.run_activation(&req.part, req.part_index)));
-            // the dispatcher owns the receiver for the whole run, so the
-            // send only fails if run_local is already unwinding
-            let _ = tx.send((req.activity, out));
-        });
-    };
-
-    let mut report = RunReport {
-        workflow: wkf,
-        total_seconds: 0.0,
-        finished: 0,
-        failed_attempts: 0,
-        aborted: 0,
-        blacklisted: 0,
-        resumed: 0,
-        outputs: Vec::new(),
-        metrics: None,
-        scale_events: Vec::new(),
-        peak_workers: cfg.threads,
-        fleet_cost_usd: None,
-    };
-
-    let (mut pipe, seeds) =
-        PipelineState::new(Arc::new(def.clone()), &input, cfg.telemetry.clone());
-    for req in seeds {
-        submit(req);
-    }
-    // event loop: consume completions until every activity closes. The
-    // invariant that keeps `recv` live: the topologically first non-closed
-    // activity always has `input_done` and therefore in-flight work (or it
-    // would have closed already).
-    while !pipe.done() {
-        let (i, outcome) = rx.recv().expect("dispatcher holds a sender");
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(payload) => resume_unwind(payload),
         };
-        tally(&mut report, &outcome);
-        for req in pipe.on_completion(i, &outcome.tuples) {
+
+        let mut report = RunReport::empty(scope.wkf, cfg.threads);
+        let (mut pipe, seeds) =
+            PipelineState::new(Arc::new(def.clone()), &input, cfg.telemetry.clone());
+        for req in seeds {
             submit(req);
         }
-    }
-
-    report.outputs = pipe.into_outputs();
-    report.total_seconds = t0.elapsed().as_secs_f64();
-    Ok(report)
-}
-
-pub(crate) fn tally(report: &mut RunReport, out: &ActOutcome) {
-    report.finished += out.finished;
-    report.failed_attempts += out.failed_attempts;
-    report.aborted += out.aborted;
-    report.blacklisted += out.blacklisted;
-    report.resumed += out.resumed;
+        // event loop: consume completions until every activity closes. The
+        // invariant that keeps `recv` live: the topologically first non-closed
+        // activity always has `input_done` and therefore in-flight work (or it
+        // would have closed already).
+        while !pipe.done() {
+            let (i, outcome) = rx.recv().expect("dispatcher holds a sender");
+            let outcome = outcome.unwrap_or_else(|payload| resume_unwind(payload));
+            tally(&mut report, &outcome);
+            for req in pipe.on_completion(i, &outcome.tuples) {
+                submit(req);
+            }
+        }
+        report.outputs = pipe.into_outputs();
+        report.total_seconds = scope.t0.elapsed().as_secs_f64();
+        Ok(report)
+    })
 }
 
 #[cfg(test)]
@@ -908,6 +303,7 @@ mod tests {
     use super::*;
     use crate::workflow::Activity;
     use provenance::Value;
+    use std::time::Instant;
 
     fn double_fn() -> crate::workflow::ActivityFn {
         Arc::new(|tuples, _ctx| {
@@ -1113,7 +509,7 @@ mod tests {
             &LocalConfig::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, EngineError::Invalid(_)));
+        assert!(matches!(err, CumulusError::Invalid(_)));
     }
 
     #[test]
@@ -1300,16 +696,10 @@ mod tests {
         assert_eq!(a, b, "resumed relation is value-identical");
     }
 
-    #[test]
-    fn split_path_helper() {
-        assert_eq!(split_path("/a/b/c.dlg"), ("/a/b/", "c.dlg"));
-        assert_eq!(split_path("file.txt"), ("", "file.txt"));
-    }
-
-    // ---- pipelined vs barrier parity & pipelining behavior ----
+    // ---- thread-count parity & pipelining behavior ----
 
     /// Tuples of a relation, sorted into a canonical order for comparison
-    /// (pipelined mode collects outputs in completion order).
+    /// (outputs are collected in completion order).
     fn sorted_tuples(rel: &Relation) -> Vec<String> {
         let mut v: Vec<String> = rel
             .tuples
@@ -1333,10 +723,11 @@ mod tests {
     }
 
     /// A messy workflow: fan-out, routing, blacklist, reduce, query — the
-    /// whole algebra — run under both dispatch modes with failures and
-    /// hangs on. Every aggregate the engine reports must match.
+    /// whole algebra — run serially (the deterministic order) and on four
+    /// threads with failures and hangs on. Every aggregate the engine
+    /// reports, and the canonical provenance, must match.
     #[test]
-    fn pipelined_matches_barrier_semantics() {
+    fn one_thread_matches_four_threads_semantics() {
         use crate::algebra::Operator;
         let mk_wf = || {
             let split: crate::workflow::ActivityFn = Arc::new(|tuples, _ctx| {
@@ -1376,14 +767,13 @@ mod tests {
         };
         let failures =
             FailureModel { fail_rate: 0.15, hang_rate: 0.05, fail_at_fraction: 0.5, seed: 42 };
-        let run = |mode: DispatchMode| {
+        let run = |threads: usize| {
             let prov = Arc::new(ProvenanceStore::new());
             let cfg = LocalConfig {
-                threads: 4,
+                threads,
                 failures,
                 max_retries: 2,
                 resume_from: None,
-                mode,
                 ..Default::default()
             };
             let rep = run_local_impl(
@@ -1396,63 +786,32 @@ mod tests {
             .unwrap();
             (rep, prov)
         };
-        let (barrier, bprov) = run(DispatchMode::Barrier);
-        let (pipelined, pprov) = run(DispatchMode::Pipelined);
+        let (serial, sprov) = run(1);
+        let (parallel, pprov) = run(4);
 
-        assert_eq!(pipelined.finished, barrier.finished);
-        assert_eq!(pipelined.failed_attempts, barrier.failed_attempts);
-        assert_eq!(pipelined.aborted, barrier.aborted);
-        assert_eq!(pipelined.blacklisted, barrier.blacklisted);
-        assert_eq!(pipelined.resumed, barrier.resumed);
+        assert_eq!(parallel.finished, serial.finished);
+        assert_eq!(parallel.failed_attempts, serial.failed_attempts);
+        assert_eq!(parallel.aborted, serial.aborted);
+        assert_eq!(parallel.blacklisted, serial.blacklisted);
+        assert_eq!(parallel.resumed, serial.resumed);
         assert!(
-            barrier.failed_attempts > 0 && barrier.aborted > 0 && barrier.blacklisted > 0,
+            serial.failed_attempts > 0 && serial.aborted > 0 && serial.blacklisted > 0,
             "the parity scenario must actually exercise failures/hangs/blacklist"
         );
-        assert_eq!(pipelined.outputs.len(), barrier.outputs.len());
-        for (p, b) in pipelined.outputs.iter().zip(&barrier.outputs) {
-            assert_eq!(sorted_tuples(p), sorted_tuples(b), "per-activity relations match");
+        assert_eq!(parallel.outputs.len(), serial.outputs.len());
+        for (p, s) in parallel.outputs.iter().zip(&serial.outputs) {
+            assert_eq!(sorted_tuples(p), sorted_tuples(s), "per-activity relations match");
         }
         assert_eq!(
-            status_counts(&pprov, pipelined.workflow),
-            status_counts(&bprov, barrier.workflow),
+            status_counts(&pprov, parallel.workflow),
+            status_counts(&sprov, serial.workflow),
             "identical provenance row counts per status"
         );
-    }
-
-    /// Resume across dispatch modes: a barrier run's provenance can seed a
-    /// pipelined resume and vice versa (pair keys are mode-independent).
-    #[test]
-    fn pipelined_resumes_from_barrier_run() {
-        let wf = simple_workflow();
-        let prov = Arc::new(ProvenanceStore::new());
-        let files = Arc::new(FileStore::new());
-        let cfg1 = LocalConfig {
-            threads: 2,
-            failures: FailureModel {
-                fail_rate: 0.5,
-                hang_rate: 0.0,
-                fail_at_fraction: 0.5,
-                seed: 9,
-            },
-            max_retries: 0,
-            resume_from: None,
-            mode: DispatchMode::Barrier,
-            ..Default::default()
-        };
-        let r1 =
-            run_local_impl(&wf, input(20), Arc::clone(&files), Arc::clone(&prov), &cfg1).unwrap();
-        assert!(r1.finished < 40, "some activations must drop");
-        let cfg2 = LocalConfig {
-            threads: 2,
-            failures: FailureModel::none(),
-            max_retries: 0,
-            resume_from: Some(r1.workflow),
-            mode: DispatchMode::Pipelined,
-            ..Default::default()
-        };
-        let r2 = run_local_impl(&wf, input(20), files, Arc::clone(&prov), &cfg2).unwrap();
-        assert_eq!(r2.resumed, r1.finished, "every finished activation is reused");
-        assert_eq!(r2.final_output().len(), 20, "the full relation is recovered");
+        assert_eq!(
+            provenance::export_provn_canonical(&pprov),
+            provenance::export_provn_canonical(&sprov),
+            "canonical provenance is byte-identical across thread counts"
+        );
     }
 
     /// The point of the tentpole: an activity-1 straggler must not stop
@@ -1487,7 +846,7 @@ mod tests {
             ],
             deps: vec![vec![], vec![0]],
         };
-        let cfg = LocalConfig { threads: 4, mode: DispatchMode::Pipelined, ..Default::default() };
+        let cfg = LocalConfig { threads: 4, ..Default::default() };
         let report = run_local_impl(
             &wf,
             input(8),
@@ -1503,49 +862,6 @@ mod tests {
         assert!(
             first < 300,
             "first pair reached activity 2 after {first} ms — pipelining is not happening"
-        );
-    }
-
-    /// Same workload under the barrier executor for contrast: activity 2
-    /// cannot start until the straggler clears activity 1.
-    #[test]
-    fn barrier_mode_does_block_downstream() {
-        let t0 = Instant::now();
-        let slow: crate::workflow::ActivityFn = Arc::new(|tuples, _ctx| {
-            if tuples[0][0] == Value::Int(0) {
-                std::thread::sleep(std::time::Duration::from_millis(250));
-            }
-            Ok(tuples.to_vec())
-        });
-        let first_entry_ms = Arc::new(std::sync::atomic::AtomicUsize::new(usize::MAX));
-        let fe = Arc::clone(&first_entry_ms);
-        let second: crate::workflow::ActivityFn = Arc::new(move |tuples, _ctx| {
-            fe.fetch_min(t0.elapsed().as_millis() as usize, std::sync::atomic::Ordering::SeqCst);
-            Ok(tuples.to_vec())
-        });
-        let wf = WorkflowDef {
-            tag: "straggler_barrier".into(),
-            description: String::new(),
-            expdir: "/e".into(),
-            activities: vec![
-                Activity::map("slow_stage", &["x"], slow),
-                Activity::map("fast_stage", &["x"], second),
-            ],
-            deps: vec![vec![], vec![0]],
-        };
-        let cfg = LocalConfig { threads: 4, mode: DispatchMode::Barrier, ..Default::default() };
-        let _ = run_local_impl(
-            &wf,
-            input(8),
-            Arc::new(FileStore::new()),
-            Arc::new(ProvenanceStore::new()),
-            &cfg,
-        )
-        .unwrap();
-        let first = first_entry_ms.load(std::sync::atomic::Ordering::SeqCst);
-        assert!(
-            first >= 250,
-            "barrier mode entered activity 2 after only {first} ms — barrier missing"
         );
     }
 
@@ -1565,22 +881,22 @@ mod tests {
             ],
             deps: vec![vec![], vec![], vec![0, 1]],
         };
-        let run = |mode| {
+        let run = |threads| {
             run_local_impl(
                 &mk(),
                 input(6),
                 Arc::new(FileStore::new()),
                 Arc::new(ProvenanceStore::new()),
-                &LocalConfig { mode, ..Default::default() },
+                &LocalConfig { threads, ..Default::default() },
             )
             .unwrap()
         };
-        let b = run(DispatchMode::Barrier);
-        let p = run(DispatchMode::Pipelined);
+        let serial = run(1);
+        let parallel = run(4);
         // both sources emit 0..6; the route keeps only x == 3, twice
-        assert_eq!(b.final_output().len(), 2);
-        assert_eq!(sorted_tuples(p.final_output()), sorted_tuples(b.final_output()));
-        assert_eq!(p.finished, b.finished);
+        assert_eq!(serial.final_output().len(), 2);
+        assert_eq!(sorted_tuples(parallel.final_output()), sorted_tuples(serial.final_output()));
+        assert_eq!(parallel.finished, serial.finished);
     }
 
     // ---- telemetry & live steering ----
@@ -1613,12 +929,7 @@ mod tests {
     #[test]
     fn pipelined_run_exports_chrome_trace_with_nested_activation_spans() {
         let tel = Telemetry::attached();
-        let cfg = LocalConfig {
-            threads: 2,
-            telemetry: tel.clone(),
-            mode: DispatchMode::Pipelined,
-            ..Default::default()
-        };
+        let cfg = LocalConfig { threads: 2, telemetry: tel.clone(), ..Default::default() };
         let report = run_local_impl(
             &simple_workflow(),
             input(6),
@@ -1711,20 +1022,19 @@ mod tests {
         assert_eq!(statuses, vec![("FINISHED".to_string(), 8)]);
     }
 
-    /// Satellite: the steering queries themselves agree across dispatch
-    /// modes on a failure-heavy workload.
+    /// Satellite: the steering queries themselves agree across thread
+    /// counts on a failure-heavy workload.
     #[test]
-    fn steering_queries_agree_across_dispatch_modes() {
+    fn steering_queries_agree_across_thread_counts() {
         use provenance::steering;
         let failures =
             FailureModel { fail_rate: 0.3, hang_rate: 0.05, fail_at_fraction: 0.5, seed: 11 };
-        let run = |mode| {
+        let run = |threads| {
             let prov = Arc::new(ProvenanceStore::new());
             let cfg = LocalConfig {
-                threads: 4,
+                threads,
                 failures,
                 max_retries: 2,
-                mode,
                 steering_tick: Some(std::time::Duration::from_millis(5)),
                 ..Default::default()
             };
@@ -1738,22 +1048,22 @@ mod tests {
             .unwrap();
             (rep, prov)
         };
-        let (brep, bprov) = run(DispatchMode::Barrier);
-        let (_prep, pprov) = run(DispatchMode::Pipelined);
-        assert!(brep.failed_attempts > 0, "scenario must exercise failures");
+        let (srep, sprov) = run(1);
+        let (_prep, pprov) = run(4);
+        assert!(srep.failed_attempts > 0, "scenario must exercise failures");
 
-        let bsum = steering::status_summary(&bprov).unwrap();
+        let ssum = steering::status_summary(&sprov).unwrap();
         let psum = steering::status_summary(&pprov).unwrap();
         assert_eq!(
-            bsum.iter().map(|s| (s.status.clone(), s.count)).collect::<Vec<_>>(),
+            ssum.iter().map(|s| (s.status.clone(), s.count)).collect::<Vec<_>>(),
             psum.iter().map(|s| (s.status.clone(), s.count)).collect::<Vec<_>>(),
-            "status_summary must agree across modes (and hold no RUNNING residue)"
+            "status_summary must agree across thread counts (and hold no RUNNING residue)"
         );
-        assert!(bsum.iter().all(|s| s.status != "RUNNING"));
+        assert!(ssum.iter().all(|s| s.status != "RUNNING"));
         assert_eq!(
-            steering::failures_by_activity(&bprov).unwrap(),
+            steering::failures_by_activity(&sprov).unwrap(),
             steering::failures_by_activity(&pprov).unwrap(),
-            "failures_by_activity must agree across modes"
+            "failures_by_activity must agree across thread counts"
         );
     }
 }

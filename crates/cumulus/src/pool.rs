@@ -585,6 +585,8 @@ mod tests {
     fn disabled_telemetry_pool_has_stats_but_no_sink() {
         let pool = Pool::new(2);
         pool.map(vec![1, 2, 3], |x| x);
+        // as above: `completed` lands just after the handle resolves
+        std::thread::sleep(Duration::from_millis(20));
         let s = pool.stats();
         assert_eq!(s.submitted, 3);
         assert_eq!(s.completed, 3);

@@ -23,9 +23,9 @@
 //!   (fair-share pick, admission, elastic scale) happen here, serially, so
 //!   there are no cross-campaign races to reason about.
 //! * **Worker threads** — one slot each; they execute activations through
-//!   the *same* [`ActivityCtx`](crate::localbackend) machinery as the local
-//!   backend, which is why a campaign's canonical PROV-N export is
-//!   byte-identical to a one-shot run of the same workflow.
+//!   the *same* activation lifecycle as the local backend, which is why a
+//!   campaign's canonical PROV-N export is byte-identical to a one-shot run
+//!   of the same workflow.
 //! * **Fair share** — each free slot goes to the ready campaign whose
 //!   tenant currently holds the fewest slots (ties: higher priority, then
 //!   lower campaign id). A heavy tenant with ten campaigns cannot starve a
@@ -58,7 +58,7 @@ use crate::algebra::{Relation, Tuple};
 use crate::backend::Workflow;
 use crate::dispatch::{PipelineState, SubmitReq};
 use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView};
-use crate::localbackend::{ActOutcome, ActivityCtx, LocalConfig};
+use crate::lifecycle::{ActOutcome, ActivityCtx, RunCtx};
 use crate::obs::{
     BoundAddr, CampaignRow, EventLog, HealthView, ObsServer, ObsState, Severity, WorkerHealth,
 };
@@ -991,31 +991,22 @@ impl Engine {
             }
             let wf = c.wf.take().expect("pending campaign holds its workflow");
             let wkf = self.prov.begin_workflow(&wf.def.tag, &wf.def.description, &wf.def.expdir);
-            // the exact ActivityCtx machinery of the local backend, so the
+            // the activation lifecycle every backend shares, so the
             // campaign's provenance rows are shaped identically to a
             // one-shot run (the PROV-N parity test pins this)
-            let lcfg = LocalConfig::new()
-                .with_failures(self.cfg.failures)
-                .with_max_retries(self.cfg.max_retries)
-                .with_telemetry(self.tel.clone());
-            let lcfg = match &self.events {
-                Some(ev) => lcfg.with_events(ev.clone()),
-                None => lcfg,
-            };
-            let ctxs: Vec<Arc<ActivityCtx>> = (0..wf.def.activities.len())
-                .map(|i| {
-                    Arc::new(ActivityCtx::build(
-                        &wf.def,
-                        i,
-                        wkf,
-                        &wf.files,
-                        &self.prov,
-                        &lcfg,
-                        self.epoch,
-                        &self.bridge,
-                    ))
-                })
-                .collect();
+            let run = Arc::new(RunCtx {
+                wkf,
+                files: Arc::clone(&wf.files),
+                prov: Arc::clone(&self.prov),
+                failures: self.cfg.failures,
+                max_retries: self.cfg.max_retries,
+                resume_from: None,
+                start_base: self.epoch,
+                tel: self.tel.clone(),
+                bridge: self.bridge.clone(),
+                events: self.events.clone(),
+            });
+            let ctxs = ActivityCtx::build_all(&wf.def, &run);
             let (pipe, seeds) = PipelineState::new(Arc::new(wf.def), &wf.input, self.tel.clone());
             c.wkf = Some(wkf);
             c.ctxs = ctxs;

@@ -23,13 +23,10 @@
 use std::io::{Read, Write};
 
 use crate::algebra::Tuple;
-use crate::distbackend::proto::{Buf, Cur};
+use crate::distbackend::proto::{read_body, write_body, Buf, Cur};
 
 /// `"SDC1"` — SciDock Campaign protocol, version 1.
 pub(crate) const MAGIC: u32 = 0x5344_4331;
-
-/// Upper bound on a frame body; larger lengths are rejected before reading.
-pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 /// Lifecycle state of a campaign as reported in a [`Msg::StatusReply`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,34 +246,15 @@ pub(crate) fn decode(buf: &[u8]) -> Result<Msg, String> {
 
 /// Write one length-prefixed frame and flush it. An oversized frame is
 /// refused with `InvalidData` before any byte hits the stream, keeping the
-/// connection framed (same contract as the worker protocol).
+/// connection framed (the framing is the worker protocol's).
 pub(crate) fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> std::io::Result<()> {
     let body = encode(msg).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    if body.len() > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("SDC1 frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
-        ));
-    }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
-    w.flush()
+    write_body(w, &body)
 }
 
 /// Read one length-prefixed frame.
 pub(crate) fn read_msg<R: Read>(r: &mut R) -> std::io::Result<Msg> {
-    let mut len4 = [0u8; 4];
-    r.read_exact(&mut len4)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("SDC1 frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    decode(&body).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    decode(&read_body(r)?).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -347,6 +325,19 @@ mod tests {
         let err = read_msg(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("cap"));
+    }
+
+    #[test]
+    fn oversized_write_is_refused_without_touching_the_stream() {
+        use crate::distbackend::proto::{frame_too_big, MAX_FRAME};
+        let big = Msg::Error { msg: "e".repeat(MAX_FRAME + 1) };
+        let mut wire = Vec::new();
+        let err = write_msg(&mut wire, &big).unwrap_err();
+        assert!(frame_too_big(&err), "the shared framer's refusal, recognisably: {err}");
+        assert!(wire.is_empty(), "no bytes may hit the wire for a refused frame");
+        // the connection stays framed: the next reply on it round-trips
+        write_msg(&mut wire, &Msg::Accept { id: 7 }).unwrap();
+        assert_eq!(read_msg(&mut std::io::Cursor::new(wire)).unwrap(), Msg::Accept { id: 7 });
     }
 
     #[test]

@@ -16,7 +16,9 @@ use cloudsim::{
     sim_ns, Cluster, EventQueue, FailureModel, Fate, InstanceType, NoiseModel, SharedFsModel,
     SimTime, VmId,
 };
-use provenance::{ActivationRecord, ActivationStatus, ActivityId, MachineId, ProvenanceStore};
+use provenance::{
+    ActivationRecord, ActivationStatus, ActivityId, MachineId, ProvenanceStore, WorkflowId,
+};
 use telemetry::{MetricsSnapshot, Telemetry};
 
 use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, ScaleEvent, SchedulerFactory};
@@ -249,6 +251,8 @@ impl SimConfig {
 /// Simulation outcome.
 #[derive(Debug, Clone)]
 pub struct SimReport {
+    /// Provenance id the run was recorded under (`None` without a store).
+    pub workflow: Option<WorkflowId>,
     /// Total execution time (TET) in simulated seconds.
     pub tet_s: f64,
     /// Activations that finished.
@@ -287,31 +291,14 @@ enum Event {
     TaskDone { task: usize, vm: VmId, attempt: u32, fate: Fate },
 }
 
-/// Run the simulation. When `prov` is given, every activation is recorded
-/// with its simulated timestamps, so the paper's provenance queries run
-/// against simulated executions too.
+/// Run the discrete-event simulation over a raw [`SimTask`] DAG. When
+/// `prov` is given, every activation is recorded with its simulated
+/// timestamps, so the paper's provenance queries run against simulated
+/// executions too.
 ///
-/// Deprecated: prefer [`crate::backend::Backend::run`] on a
-/// [`crate::backend::SimBackend`] when simulating a real [`crate::workflow::WorkflowDef`]
-/// — it synthesizes the task DAG from the workflow shape and returns the
-/// backend-independent [`crate::backend::RunOutcome`]. Cost-model studies
-/// that build [`SimTask`]s directly (the paper's scaling sweeps) should call
-/// [`simulate_tasks`], which is this function under its non-deprecated name.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Backend::run` on a `SimBackend` for workflow simulation, or \
-            `simulate_tasks` for raw task-DAG cost-model studies"
-)]
-pub fn simulate(tasks: &[SimTask], cfg: &SimConfig, prov: Option<&ProvenanceStore>) -> SimReport {
-    simulate_tasks(tasks, cfg, prov)
-}
-
-/// Run the discrete-event simulation over a raw [`SimTask`] DAG.
-///
-/// This is the engine behind [`crate::backend::SimBackend`] and the
-/// deprecated [`simulate`] wrapper. It stays public (and non-deprecated)
-/// because task-level cost-model sweeps have no workflow definition to hand
-/// to the `Backend` trait.
+/// This is the engine behind [`crate::backend::SimBackend`]; it stays public
+/// because task-level cost-model sweeps (the paper's scaling studies) have
+/// no workflow definition to hand to the `Backend` trait.
 pub fn simulate_tasks(
     tasks: &[SimTask],
     cfg: &SimConfig,
@@ -497,6 +484,7 @@ pub fn simulate_tasks(
     };
 
     let mut report = SimReport {
+        workflow: wkf,
         tet_s: 0.0,
         finished: 0,
         failed_attempts: 0,
@@ -1026,7 +1014,7 @@ fn sim_snapshot(
 
 fn record_blacklist(
     prov: Option<&ProvenanceStore>,
-    wkf: Option<provenance::WorkflowId>,
+    wkf: Option<WorkflowId>,
     act: Option<ActivityId>,
     task: &SimTask,
     now: SimTime,

@@ -56,8 +56,6 @@ pub use provwf::{
     ActivationRecord, ActivationStatus, ActivityId, MachineId, ProvenanceStore, QueryCursor, Row,
     TaskId, WorkflowId,
 };
-#[allow(deprecated)]
-pub use sql::execute;
 pub use sql::{QueryError, ResultSet};
 pub use table::{Database, DbError, Schema, Table};
 pub use value::{Value, ValueType};

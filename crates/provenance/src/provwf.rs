@@ -977,12 +977,6 @@ impl ProvenanceStore {
         run_query(g.backing.provider(), &q)
     }
 
-    /// Run a SQL query with `?` positional parameters bound to typed values.
-    #[deprecated(since = "0.2.0", note = "use `query` (streaming) or `query_rows`")]
-    pub fn query_with_params(&self, sql: &str, params: &[Value]) -> Result<ResultSet, QueryError> {
-        self.query_rows(sql, params)
-    }
-
     /// Row counts per table (diagnostics).
     pub fn stats(&self) -> Vec<(String, usize)> {
         let g = self.inner.lock();

@@ -110,7 +110,7 @@ pub enum Expr {
     /// `?` positional parameter (0-based, numbered left to right).
     ///
     /// Parameters are placeholders bound to typed [`Value`]s by
-    /// [`execute_with_params`](crate::sql::execute_with_params) before
+    /// [`ProvenanceStore::query`](crate::ProvenanceStore::query) before
     /// evaluation; an unbound parameter reaching the executor is an error.
     Param(usize),
 }

@@ -13,7 +13,7 @@ use crate::table::{Database, DbError, Schema};
 use crate::value::Value;
 
 use super::ast::{BinOp, Expr, Query};
-use super::parser::{parse, SqlParseError};
+use super::parser::SqlParseError;
 
 /// Query result: column names + rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,10 +210,10 @@ pub(crate) fn eval(expr: &Expr, b: &Bindings, ctx: &Ctx<'_>) -> Result<Value, Qu
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         // `?` placeholders are substituted by `bind_params` before execution;
-        // one surviving to evaluation means the caller used `execute` instead
-        // of `execute_with_params` on parameterized SQL.
+        // one surviving to evaluation means parameterized SQL was run
+        // without its values.
         Expr::Param(i) => Err(QueryError::Param(format!(
-            "unbound parameter ?{} — use execute_with_params",
+            "unbound parameter ?{} — pass its value to `ProvenanceStore::query`",
             i + 1
         ))),
         Expr::Column { table, name } => {
@@ -503,61 +503,6 @@ pub(crate) fn item_name(item: &super::ast::SelectItem) -> String {
     }
 }
 
-/// Execute a SQL string against the database.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProvenanceStore::query` (streaming cursor) or `query_rows`; \
-            for a raw Database use `sql::volcano::run_query`"
-)]
-pub fn execute(db: &Database, sql: &str) -> Result<ResultSet, QueryError> {
-    let q = parse(sql)?;
-    execute_query(db, &q)
-}
-
-/// Execute a SQL string with a typed `LIMIT` override: `n` replaces any
-/// `LIMIT` present in the text. This is the checked path for caller-supplied
-/// row counts — the value goes into the parsed [`Query`] directly and is
-/// never interpolated into the SQL string.
-#[deprecated(since = "0.2.0", note = "use `ProvenanceStore::query_limited`")]
-pub fn execute_with_limit(db: &Database, sql: &str, n: usize) -> Result<ResultSet, QueryError> {
-    let mut q = parse(sql)?;
-    q.limit = Some(n);
-    execute_query(db, &q)
-}
-
-/// Execute a SQL string with typed positional parameters.
-///
-/// Each `?` placeholder (numbered left to right) is replaced by the
-/// corresponding [`Value`] from `params` *after parsing*, so caller-supplied
-/// values can never change the query's structure — this is the injection-safe
-/// path for anything derived from user input or runtime state. The parameter
-/// count must match exactly.
-///
-/// ```
-/// # #![allow(deprecated)]
-/// # use provenance::table::{Database, Schema};
-/// # use provenance::value::{Value, ValueType};
-/// # use provenance::sql::execute_with_params;
-/// # let mut db = Database::new();
-/// # db.create_table("t", Schema::new(&[("x", ValueType::Int)])).unwrap();
-/// # db.insert("t", vec![Value::Int(7)]).unwrap();
-/// let r = execute_with_params(&db, "SELECT x FROM t WHERE x >= ?", &[Value::Int(5)]).unwrap();
-/// assert_eq!(r.len(), 1);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ProvenanceStore::query(sql, params)` which returns a streaming cursor"
-)]
-pub fn execute_with_params(
-    db: &Database,
-    sql: &str,
-    params: &[Value],
-) -> Result<ResultSet, QueryError> {
-    let mut q = parse(sql)?;
-    bind_params(&mut q, params)?;
-    execute_query(db, &q)
-}
-
 /// Replace every [`Expr::Param`] in the query with the matching literal from
 /// `params`. Errors if the placeholder count differs from `params.len()`.
 pub(crate) fn bind_params(q: &mut Query, params: &[Value]) -> Result<(), QueryError> {
@@ -800,11 +745,24 @@ pub(crate) fn order_keys(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy entry points stay covered until removal
-
     use super::*;
+    use crate::sql::parse;
     use crate::table::Schema;
     use crate::value::ValueType;
+
+    fn execute(db: &Database, sql: &str) -> Result<ResultSet, QueryError> {
+        execute_query(db, &parse(sql)?)
+    }
+
+    fn execute_with_params(
+        db: &Database,
+        sql: &str,
+        params: &[Value],
+    ) -> Result<ResultSet, QueryError> {
+        let mut q = parse(sql)?;
+        bind_params(&mut q, params)?;
+        execute_query(db, &q)
+    }
 
     fn db() -> Database {
         let mut db = Database::new();

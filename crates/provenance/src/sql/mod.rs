@@ -6,7 +6,7 @@
 //! `IS [NOT] NULL`, arithmetic, `extract('epoch' from …)`, the aggregates
 //! `min`/`max`/`sum`/`avg`/`count`, `GROUP BY`, `ORDER BY … [DESC]`,
 //! `LIMIT`, and `?` positional parameters bound to typed values via
-//! [`execute_with_params`].
+//! [`crate::ProvenanceStore::query`].
 
 pub mod ast;
 pub mod exec;
@@ -15,8 +15,6 @@ pub mod parser;
 pub mod plan;
 pub mod volcano;
 
-#[allow(deprecated)]
-pub use exec::{execute, execute_with_limit, execute_with_params};
 pub use exec::{execute_query, QueryError, ResultSet};
 pub use parser::{parse, SqlParseError};
 pub use plan::{Access, Plan, TableStep};

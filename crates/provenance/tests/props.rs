@@ -5,8 +5,7 @@ use proptest::prelude::*;
 use provenance::sql::{execute_query, parse, QueryError, ResultSet};
 use provenance::{Database, Schema, Value, ValueType};
 
-/// Parse + run on the reference engine (the non-deprecated spelling of the
-/// old `sql::execute` free function).
+/// Parse + run on the reference engine.
 fn execute(db: &Database, sql: &str) -> Result<ResultSet, QueryError> {
     execute_query(db, &parse(sql)?)
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cumulus::localbackend::{DispatchMode, LocalConfig};
+use cumulus::localbackend::LocalConfig;
 use cumulus::workflow::FileStore;
 use cumulus::{Backend, LocalBackend, Workflow};
 use provenance::{steering, ProvenanceStore};
@@ -49,7 +49,6 @@ fn main() {
     let backend = LocalBackend::new(
         LocalConfig::new()
             .with_threads(4)
-            .with_mode(DispatchMode::Pipelined)
             .with_telemetry(tel.clone())
             .with_steering_tick(Duration::from_millis(50)),
     );
