@@ -22,6 +22,13 @@ cargo build --release
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
+# the benchmark that gates PRs (BENCHMARK.json): its own unit tests, then a
+# tenth-size run of every workload with every correctness gate — exits
+# non-zero on any failed operation or golden-digest miss
+echo "== benchmark: unit tests + smoke set =="
+cargo test --manifest-path benchmark/Cargo.toml -q
+bash benchmark/run.sh --smoke
+
 echo "== telemetry: disabled-overhead smoke =="
 cargo run --release -p scidock-bench --bin telemetry_bench -- --smoke
 

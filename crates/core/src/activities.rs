@@ -96,7 +96,12 @@ impl Default for SciDockConfig {
 /// PDBQT text plus every map-shaping knob, so renamed or re-staged receptors
 /// still share one entry. Three read-through tiers:
 ///
-/// 1. in-memory (per workflow instance),
+/// 1. in-memory (per workflow instance) — each entry also keeps the set's
+///    rendered `.map` files, once per receptor *name* (the `.map` header
+///    names the receptor, so the texts are keyed by digest **and** name,
+///    never by name alone): [`GridCache::get_or_render`] formats them on
+///    first use and hands every later activation the same `Arc<str>`s,
+///    which the file store then holds by reference,
 /// 2. an optional on-disk directory (`<digest>.grid` entries, shared across
 ///    runs, campaigns, and worker processes on one machine; writes use
 ///    temp+rename like `provenance::durable` snapshots, so readers never see
@@ -110,8 +115,20 @@ impl Default for SciDockConfig {
 /// (a warm-cache run stays byte-identical to a cold one).
 #[derive(Default)]
 pub struct GridCache {
-    inner: Mutex<HashMap<u64, Arc<GridSet>>>,
+    inner: Mutex<HashMap<u64, Arc<GridEntry>>>,
     persist: Option<GridCachePersist>,
+}
+
+/// A grid set's AutoGrid output files, `(file name, text)` per map in
+/// [`GridSet::maps`] order, shared by every activation that stages them.
+pub type MapFiles = Arc<[(String, Arc<str>)]>;
+
+/// One cached grid set plus its rendered map files per receptor name.
+struct GridEntry {
+    grids: Arc<GridSet>,
+    /// Held while rendering, so racing activations of one receptor wait
+    /// for a single render instead of each formatting their own copy.
+    rendered: Mutex<HashMap<String, MapFiles>>,
 }
 
 struct GridCachePersist {
@@ -180,6 +197,39 @@ impl GridCache {
         engine: EngineKind,
         cfg: &DockConfig,
     ) -> Result<Arc<GridSet>, ActivityError> {
+        Ok(Arc::clone(&self.entry(receptor_pdbqt, engine, cfg)?.grids))
+    }
+
+    /// The `.map` files of the grid set [`GridCache::get_or_build`] resolves
+    /// (same lookup, same counters, same build on a miss), rendered for
+    /// `receptor_id`. The texts are formatted once per (content digest,
+    /// receptor name) — counted by `gridcache.maps.rendered` — and every
+    /// later call returns the same allocations, so staging them costs one
+    /// pointer write per map.
+    pub fn get_or_render(
+        &self,
+        receptor_id: &str,
+        receptor_pdbqt: &str,
+        engine: EngineKind,
+        cfg: &DockConfig,
+    ) -> Result<MapFiles, ActivityError> {
+        let entry = self.entry(receptor_pdbqt, engine, cfg)?;
+        let mut rendered = entry.rendered.lock();
+        if let Some(maps) = rendered.get(receptor_id) {
+            return Ok(Arc::clone(maps));
+        }
+        cfg.telemetry.count("gridcache.maps.rendered", 1);
+        let maps: MapFiles = docking::mapfile::render_map_files(&entry.grids, receptor_id).into();
+        rendered.insert(receptor_id.to_string(), Arc::clone(&maps));
+        Ok(maps)
+    }
+
+    fn entry(
+        &self,
+        receptor_pdbqt: &str,
+        engine: EngineKind,
+        cfg: &DockConfig,
+    ) -> Result<Arc<GridEntry>, ActivityError> {
         let digest = docking::gridio::grid_set_digest(
             receptor_pdbqt,
             engine.program_name(),
@@ -188,17 +238,15 @@ impl GridCache {
             cfg.pocket_probe,
             &LIGAND_TYPE_SUPERSET,
         );
-        if let Some(g) = self.inner.lock().get(&digest) {
+        if let Some(e) = self.inner.lock().get(&digest) {
             cfg.telemetry.count("gridcache.hit", 1);
-            return Ok(Arc::clone(g));
+            return Ok(Arc::clone(e));
         }
         cfg.telemetry.count("gridcache.miss", 1);
 
         if let Some(p) = &self.persist {
             if let Some(grids) = self.load_persisted(p, digest, cfg) {
-                let arc = Arc::new(grids);
-                self.inner.lock().insert(digest, Arc::clone(&arc));
-                return Ok(arc);
+                return Ok(self.insert(digest, grids));
             }
             cfg.telemetry.count("gridcache.persist.miss", 1);
         }
@@ -212,9 +260,18 @@ impl GridCache {
             Self::write_entry(p, digest, &text);
             p.files.write(&GridCachePersist::store_path(digest), text);
         }
-        let arc = Arc::new(grids);
-        self.inner.lock().insert(digest, Arc::clone(&arc));
-        Ok(arc)
+        Ok(self.insert(digest, grids))
+    }
+
+    /// Publish a resolved grid set. Racing resolvers of one digest hold
+    /// bit-identical grids; the first to land is kept, so a digest has one
+    /// entry — and its map files one rendering — for the cache's lifetime.
+    fn insert(&self, digest: u64, grids: GridSet) -> Arc<GridEntry> {
+        let mut inner = self.inner.lock();
+        let entry = inner.entry(digest).or_insert_with(|| {
+            Arc::new(GridEntry { grids: Arc::new(grids), rendered: Mutex::default() })
+        });
+        Arc::clone(entry)
     }
 
     /// Try the persistent tiers (disk, then shared file store / `FileReq`
@@ -226,8 +283,8 @@ impl GridCache {
         cfg: &DockConfig,
     ) -> Option<GridSet> {
         let disk = std::fs::read_to_string(p.entry_path(digest)).ok();
-        let (text, from_disk) = match disk {
-            Some(t) => (t, true),
+        let (text, from_disk): (Arc<str>, bool) = match disk {
+            Some(t) => (t.into(), true),
             None => (p.files.read(&GridCachePersist::store_path(digest))?, false),
         };
         // a corrupt or torn entry (integrity digest mismatch) falls back to
@@ -454,39 +511,24 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         let _ = &lig; // parsed for validation; grids are ligand-independent
         let rec_path = text(t, 3)?;
         let rec_text = ctx.read_file(&rec_path)?;
-        let grids = cache5.get_or_build(&receptor, &rec_text, EngineKind::Ad4, &cfg5.dock)?;
+        let maps = cache5.get_or_render(&receptor, &rec_text, EngineKind::Ad4, &cfg5.dock)?;
         // AutoGrid's outputs: one .map file per type + e/d maps, in the real
         // AutoGrid format. Maps are per-receptor and byte-identical for every
         // ligand (the header names the receptor's .gpf, not the pair's), so
-        // every activation (re)stages the shared set idempotently and records
-        // it — skipping files another activation already staged would make
-        // the recorded producer a scheduling artifact, and provenance must
-        // not depend on activation order.
-        let gpf_name = format!("{receptor}.gpf");
+        // the cache renders them once and every activation stages the shared
+        // set by reference — the same `Arc<str>` under the same 14 paths,
+        // idempotently — and records it. Skipping files another activation
+        // already staged would make the recorded producer a scheduling
+        // artifact, and provenance must not depend on activation order.
         let map_dir = format!("{}/maps", cfg5.expdir.trim_end_matches('/'));
-        for name in grids.map_file_names(&receptor) {
-            let path = format!("{map_dir}/{name}");
-            let map_key = name
-                .trim_start_matches(&format!("{receptor}."))
-                .trim_end_matches(".map")
-                .to_string();
-            let map = match map_key.as_str() {
-                "e" => grids.electrostatic.as_ref(),
-                "d" => grids.desolvation.as_ref(),
-                label => label.parse::<molkit::AdType>().ok().and_then(|t| grids.affinity.get(&t)),
-            };
-            if let Some(m) = map {
-                ctx.write_file_at(&path, docking::mapfile::write_map(m, &gpf_name, &receptor));
-            }
+        for (name, text) in maps.iter() {
+            ctx.write_file_at(&format!("{map_dir}/{name}"), Arc::clone(text));
         }
         // the grid map field file (.fld) indexes the maps, one per activation
-        let fld: String = grids
-            .map_file_names(&receptor)
-            .iter()
-            .map(|n| format!("variable file={map_dir}/{n}\n"))
-            .collect();
+        let fld: String =
+            maps.iter().map(|(name, _)| format!("variable file={map_dir}/{name}\n")).collect();
         ctx.write_file(&format!("{receptor}.maps.fld"), fld);
-        ctx.record_param("grid_maps", Some(grids.affinity.len() as f64 + 2.0), None);
+        ctx.record_param("grid_maps", Some(maps.len() as f64), None);
         Ok(vec![vec![
             receptor.as_str().into(),
             ligand.as_str().into(),
@@ -1061,6 +1103,102 @@ mod tests {
         assert_eq!(snap.counter("gridcache.hit"), Some(3));
         let bytes = snap.counter("gridcache.bytes").expect("bytes counter present");
         assert!(bytes > 0, "resident grid bytes recorded");
+    }
+
+    #[test]
+    fn autogrid4_renders_maps_once_and_stages_them_by_reference() {
+        let mut p = DatasetParams::default();
+        p.receptor.min_residues = 30;
+        p.receptor.max_residues = 35;
+        p.receptor.hg_fraction = 0.0;
+        p.ligand.min_heavy = 8;
+        p.ligand.max_heavy = 10;
+        // a receptor whose id is itself a map label: its own-label map
+        // (`e.e.map`) used to be silently neither staged nor recorded
+        let ds = Dataset::subset(&["e"], &["042", "074", "0D6"], p);
+        let files = Arc::new(FileStore::new());
+        let prov = Arc::new(ProvenanceStore::new());
+        let tel = telemetry::Telemetry::attached();
+        let mut cfg = fast_cfg();
+        cfg.dock.telemetry = tel.clone();
+        let input = stage_inputs(&ds, &files, &cfg.expdir);
+        let mut wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
+        wf.activities.truncate(5); // … up to and including autogrid4
+        wf.deps.truncate(5);
+        // read one staged map back after every autogrid4 activation
+        let probe = format!("{}/maps/e.e.map", cfg.expdir);
+        let seen: Arc<Mutex<Vec<Arc<str>>>> = Arc::default();
+        let autogrid4 = Arc::clone(&wf.activities[4].func);
+        wf.activities[4].func = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |tuples, ctx| {
+                let out = autogrid4(tuples, ctx)?;
+                seen.lock().push(ctx.read_file(&probe)?);
+                Ok(out)
+            })
+        };
+        let report = run(wf, input, Arc::clone(&files), &prov, LocalConfig::new().with_threads(1));
+        assert_eq!(report.final_output().len(), 3);
+
+        // every activation stages the same allocation, not a copy of it
+        let seen = seen.lock();
+        assert_eq!(seen.len(), 3);
+        assert!(seen.iter().all(|text| Arc::ptr_eq(text, &seen[0])));
+        assert_eq!(tel.snapshot().unwrap().counter("gridcache.maps.rendered"), Some(1));
+
+        // … and still records all of it: 14 maps + its own .fld, per pair
+        assert_eq!(files.list(&format!("{}/maps/", cfg.expdir)).len(), 14);
+        let rows = prov
+            .query_rows(
+                "SELECT f.fdir, f.fname, f.fsize FROM hfile f, hactivation t, hactivity a \
+                 WHERE f.taskid = t.taskid AND t.actid = a.actid AND a.tag = 'autogrid4'",
+                &[],
+            )
+            .unwrap();
+        assert_eq!(rows.len(), 15 * 3);
+        for i in 0..rows.len() {
+            let dir = rows.cell(i, 0).as_str().unwrap();
+            let name = rows.cell(i, 1).as_str().unwrap();
+            let size = files.size(&format!("{dir}{name}")).expect("recorded file is staged");
+            assert_eq!(rows.cell(i, 2), &Value::Int(size as i64), "{dir}{name}");
+        }
+        let maps =
+            prov.query_rows("SELECT count(*) FROM hfile WHERE fname LIKE 'e.%.map'", &[]).unwrap();
+        assert_eq!(maps.cell(0, 0), &Value::Int(14 * 3));
+    }
+
+    #[test]
+    fn rendered_maps_are_keyed_by_content_digest_and_receptor_name() {
+        let tel = telemetry::Telemetry::attached();
+        let (text, cfg) = cache_fixture(&tel);
+        let cache = GridCache::default();
+        let render =
+            |id: &str, text: &str| cache.get_or_render(id, text, EngineKind::Ad4, &cfg).unwrap();
+        let counter = |name: &str| tel.snapshot().unwrap().counter(name);
+
+        let first = render("1HUC", &text);
+        let again = render("1HUC", &text);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(first.len(), 14);
+        assert_eq!(counter("gridcache.maps.rendered"), Some(1));
+
+        // same content under a second name: same grids, but the .map header
+        // names the receptor, so the files are rendered again
+        let renamed = render("COPY", &text);
+        assert_eq!(counter("gridcache.miss"), Some(1));
+        assert_eq!(counter("gridcache.maps.rendered"), Some(2));
+        assert_eq!(renamed[0].0, "COPY.C.map");
+        assert!(renamed[0].1.contains("MACROMOLECULE COPY.pdbqt"));
+        assert_ne!(renamed[0].1, first[0].1);
+
+        // same name, different content: the digest is in the key, so a
+        // re-staged receptor never gets the previous one's maps
+        let moved = text.replacen("REMARK", "REMARK  edited\nREMARK", 1);
+        let other = render("1HUC", &moved);
+        assert_eq!(counter("gridcache.miss"), Some(2));
+        assert_eq!(counter("gridcache.maps.rendered"), Some(3));
+        assert!(!Arc::ptr_eq(&other, &first));
+        assert_eq!(cache.len(), 2);
     }
 
     /// One prepared receptor's PDBQT text plus a fast `DockConfig` bound to

@@ -765,7 +765,7 @@ fn master_loop(
                         // fetches always hit. Even a failed attempt's files
                         // persist: the local backend shares one store, so
                         // parity demands the same here
-                        let land = |shipped: Vec<(String, String)>| -> Vec<String> {
+                        let land = |shipped: Vec<(String, Arc<str>)>| -> Vec<String> {
                             shipped
                                 .into_iter()
                                 .map(|(path, contents)| {

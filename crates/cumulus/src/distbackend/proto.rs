@@ -15,6 +15,7 @@
 //! frame above the cap is a protocol error, not an allocation.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use provenance::Value;
 
@@ -72,8 +73,11 @@ pub(crate) enum WireOutcome {
     Finished {
         /// Output tuples.
         tuples: Vec<Tuple>,
-        /// Produced files as `(path, contents)`, in production order.
-        files: Vec<(String, String)>,
+        /// Produced files as `(path, contents)`, in production order. The
+        /// worker ships the store's own `Arc<str>`s (no copy until the
+        /// frame is encoded); the master decodes straight into the
+        /// allocation its store will hold.
+        files: Vec<(String, Arc<str>)>,
         /// Extracted domain parameters.
         params: Vec<(String, Option<f64>, Option<String>)>,
         /// Worker-side telemetry spans.
@@ -85,7 +89,7 @@ pub(crate) enum WireOutcome {
         error: String,
         /// Files written before the failure (kept for file-store parity
         /// with the local backend, which shares one store).
-        files: Vec<(String, String)>,
+        files: Vec<(String, Arc<str>)>,
         /// Worker-side telemetry spans.
         spans: Vec<WireSpan>,
     },
@@ -140,7 +144,7 @@ pub(crate) enum Frame {
         /// Echoed request id.
         req: u64,
         /// File contents, if the master has the file.
-        contents: Option<String>,
+        contents: Option<Arc<str>>,
     },
     /// Worker → master: liveness beacon, sent on a fixed interval.
     Heartbeat {
@@ -232,7 +236,7 @@ impl Buf {
         self.len32(s.len(), "string");
         self.out.extend_from_slice(s.as_bytes());
     }
-    pub(crate) fn opt_str(&mut self, s: &Option<String>) {
+    pub(crate) fn opt_str(&mut self, s: Option<&str>) {
         match s {
             None => self.u8(0),
             Some(s) => {
@@ -281,10 +285,10 @@ impl Buf {
             self.str(&s.name);
             self.u64(s.start_ns);
             self.u64(s.end_ns);
-            self.opt_str(&s.detail);
+            self.opt_str(s.detail.as_deref());
         }
     }
-    fn files(&mut self, fs: &[(String, String)]) {
+    fn files(&mut self, fs: &[(String, Arc<str>)]) {
         self.len32(fs.len(), "file vector");
         for (p, c) in fs {
             self.str(p);
@@ -345,7 +349,7 @@ pub(crate) fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
         Frame::FileData { req, contents } => {
             b.u8(4);
             b.u64(*req);
-            b.opt_str(contents);
+            b.opt_str(contents.as_deref());
         }
         Frame::Heartbeat { job, job_elapsed_ms } => {
             b.u8(5);
@@ -376,7 +380,7 @@ pub(crate) fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
                                 b.f64(*x);
                             }
                         }
-                        b.opt_str(text);
+                        b.opt_str(text.as_deref());
                     }
                     b.spans(spans);
                 }
@@ -443,17 +447,24 @@ impl<'a> Cur<'a> {
     pub(crate) fn f64(&mut self) -> DecodeResult<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    pub(crate) fn str(&mut self) -> DecodeResult<String> {
+    /// A string borrowed from the frame buffer, so file contents can be
+    /// copied once, straight into the `Arc<str>` the file store keeps.
+    fn str_slice(&mut self) -> DecodeResult<&'a str> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "invalid utf-8 in string".to_string())
+        std::str::from_utf8(self.take(n)?).map_err(|_| "invalid utf-8 in string".to_string())
     }
-    pub(crate) fn opt_str(&mut self) -> DecodeResult<Option<String>> {
+    fn opt_str_slice(&mut self) -> DecodeResult<Option<&'a str>> {
         match self.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
+            1 => Ok(Some(self.str_slice()?)),
             t => Err(format!("bad option tag {t}")),
         }
+    }
+    pub(crate) fn str(&mut self) -> DecodeResult<String> {
+        self.str_slice().map(str::to_owned)
+    }
+    pub(crate) fn opt_str(&mut self) -> DecodeResult<Option<String>> {
+        Ok(self.opt_str_slice()?.map(str::to_owned))
     }
     pub(crate) fn value(&mut self) -> DecodeResult<Value> {
         Ok(match self.u8()? {
@@ -492,11 +503,11 @@ impl<'a> Cur<'a> {
         }
         Ok(ss)
     }
-    fn files(&mut self) -> DecodeResult<Vec<(String, String)>> {
+    fn files(&mut self) -> DecodeResult<Vec<(String, Arc<str>)>> {
         let n = self.u32()? as usize;
         let mut fs = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            fs.push((self.str()?, self.str()?));
+            fs.push((self.str()?, self.str_slice()?.into()));
         }
         Ok(fs)
     }
@@ -549,7 +560,7 @@ pub(crate) fn decode(buf: &[u8]) -> DecodeResult<Frame> {
             part: c.tuples()?,
         },
         3 => Frame::FileReq { req: c.u64()?, path: c.str()? },
-        4 => Frame::FileData { req: c.u64()?, contents: c.opt_str()? },
+        4 => Frame::FileData { req: c.u64()?, contents: c.opt_str_slice()?.map(Arc::from) },
         5 => Frame::Heartbeat {
             job: match c.u8()? {
                 0 => None,
@@ -808,7 +819,7 @@ mod tests {
             job: 1,
             outcome: WireOutcome::Failed {
                 error: "x".into(),
-                files: vec![("/exp/big.map".into(), "G".repeat(MAX_FRAME + 1))],
+                files: vec![("/exp/big.map".into(), "G".repeat(MAX_FRAME + 1).into())],
                 spans: vec![],
             },
         };

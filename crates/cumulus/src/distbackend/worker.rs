@@ -40,6 +40,9 @@ pub(crate) struct ServeOptions {
     pub die_on_run: Option<usize>,
 }
 
+/// Where the socket thread delivers the master's answer to one `FileReq`.
+type FetchReply = mpsc::Sender<Option<Arc<str>>>;
+
 /// How long a read-through file fetch waits for the master's answer.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -75,8 +78,7 @@ pub(crate) fn serve_with(
 
     // worker-local file store with read-through to the master
     let files = Arc::new(FileStore::new());
-    let pending: Arc<Mutex<HashMap<u64, mpsc::Sender<Option<String>>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let pending: Arc<Mutex<HashMap<u64, FetchReply>>> = Arc::new(Mutex::new(HashMap::new()));
     let next_req = Arc::new(AtomicU64::new(1));
     {
         let writer = Arc::clone(&writer);
@@ -131,7 +133,10 @@ pub(crate) fn serve_with(
         let interval = Duration::from_millis(heartbeat_ms.max(10));
         std::thread::spawn(move || {
             while alive.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
+                // parked, not asleep: the exit paths unpark this thread
+                // before joining it, so a worker's exit does not wait out
+                // the interval
+                std::thread::park_timeout(interval);
                 if !alive.load(Ordering::SeqCst) {
                     break;
                 }
@@ -184,7 +189,9 @@ pub(crate) fn serve_with(
                         let func = Arc::clone(&a.func);
                         let mut ctx = ActivationCtx::new(&files, &workdir);
                         let result = catch_unwind(AssertUnwindSafe(|| func(&part, &mut ctx)));
-                        let shipped: Vec<(String, String)> = ctx
+                        // the store's own allocations: nothing is copied
+                        // until the Done frame is encoded
+                        let shipped: Vec<(String, Arc<str>)> = ctx
                             .produced_files()
                             .iter()
                             .map(|p| (p.clone(), files.read(p).unwrap_or_default()))
@@ -289,6 +296,7 @@ pub(crate) fn serve_with(
                         let _ = h.join();
                     }
                     if let Some(h) = heartbeat {
+                        h.thread().unpark();
                         let _ = h.join();
                     }
                     return Ok(());
@@ -356,6 +364,7 @@ pub(crate) fn serve_with(
     alive.store(false, Ordering::SeqCst);
     let _ = writer.lock().shutdown(std::net::Shutdown::Both);
     if let Some(h) = heartbeat {
+        h.thread().unpark();
         let _ = h.join();
     }
     result

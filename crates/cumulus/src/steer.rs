@@ -12,11 +12,10 @@
 //! row in place, so steering queries never double-count an activation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use provenance::{
     ActivationRecord, ActivationStatus, ActivityId, ProvenanceStore, TaskId, WorkflowId,
 };
@@ -48,7 +47,11 @@ pub struct SteeringBridge {
     prov: Arc<ProvenanceStore>,
     epoch: Instant,
     inner: Mutex<BridgeInner>,
-    shutdown: Arc<AtomicBool>,
+    /// Set by [`SteeringBridge::stop`]. The ticker sleeps on `wake` under
+    /// this lock, so a stop ends the tick it interrupts instead of waiting
+    /// it out — a run's wall time is not rounded up to a multiple of `tick`.
+    shutdown: Mutex<bool>,
+    wake: Condvar,
     ticker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -71,16 +74,25 @@ impl SteeringBridge {
             prov,
             epoch,
             inner: Mutex::new(BridgeInner::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: Mutex::new(false),
+            wake: Condvar::new(),
             ticker: Mutex::new(None),
         });
         let b = Arc::clone(&bridge);
         let handle = std::thread::Builder::new()
             .name("steering-tick".into())
-            .spawn(move || {
-                while !b.shutdown.load(Ordering::SeqCst) {
-                    std::thread::sleep(tick);
-                    b.flush_now();
+            .spawn(move || loop {
+                let stopped = {
+                    let mut shutdown = b.shutdown.lock();
+                    if !*shutdown {
+                        b.wake.wait_for(&mut shutdown, tick);
+                    }
+                    *shutdown
+                };
+                // also after a stop, as the tick it cut short would have
+                b.flush_now();
+                if stopped {
+                    return;
                 }
             })
             .expect("spawn steering ticker");
@@ -174,9 +186,12 @@ impl SteeringBridge {
         self.inner.lock().in_flight.len()
     }
 
-    /// Stop the ticker thread (idempotent).
+    /// Stop the ticker thread (idempotent). Wakes it out of its tick: it
+    /// flushes once more and exits, so this returns in the time of one
+    /// flush, not of one tick.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        *self.shutdown.lock() = true;
+        self.wake.notify_all();
         if let Some(h) = self.ticker.lock().take() {
             let _ = h.join();
         }
@@ -250,6 +265,19 @@ mod tests {
         bridge.forget(s2);
         assert_eq!(bridge.in_flight(), 0);
         bridge.stop();
+    }
+
+    #[test]
+    fn stop_cuts_the_tick_short_and_still_flushes() {
+        let (prov, w, a) = setup();
+        let bridge =
+            SteeringBridge::start(Arc::clone(&prov), Instant::now(), Duration::from_secs(120));
+        bridge.begin(a, w, "R:L", 0.0, 0);
+        let t0 = Instant::now();
+        bridge.stop();
+        assert!(t0.elapsed() < Duration::from_secs(60), "stop waited out the tick");
+        assert_eq!(running_count(&prov), 1, "the interrupted tick still published");
+        bridge.stop(); // idempotent
     }
 
     #[test]

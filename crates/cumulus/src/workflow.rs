@@ -13,11 +13,18 @@ use crate::algebra::{Operator, Relation, Tuple};
 /// Read-through hook consulted by [`FileStore::read`] on a local miss (e.g.
 /// a distributed worker fetching a staged input from the master's store).
 /// Returns `None` when the remote side doesn't have the file either.
-pub type FetchFn = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
+pub type FetchFn = Box<dyn Fn(&str) -> Option<Arc<str>> + Send + Sync>;
 
 /// The in-memory shared filesystem (stands in for the s3fs mount): path →
 /// file contents. Thread-safe; activations on any worker see each other's
 /// files.
+///
+/// Contents are immutable shared strings: `write` stores an `Arc<str>` and
+/// `read` hands the same allocation back, so a file staged under many paths
+/// or read by many activations exists once. Overwriting a path swaps the
+/// pointer; readers holding the old contents keep them. Activations that
+/// share a path (the per-receptor grid maps) must therefore write identical
+/// bytes — which one lands last is a scheduling artifact.
 ///
 /// A store may carry a read-through [`FetchFn`]: on a local `read` miss the
 /// hook is consulted and a hit is cached locally, so a distributed worker
@@ -25,7 +32,7 @@ pub type FetchFn = Box<dyn Fn(&str) -> Option<String> + Send + Sync>;
 /// stay strictly local — only `read` reaches out.
 #[derive(Default)]
 pub struct FileStore {
-    files: Mutex<HashMap<String, String>>,
+    files: Mutex<HashMap<String, Arc<str>>>,
     fetch: OnceLock<FetchFn>,
 }
 
@@ -44,20 +51,21 @@ impl FileStore {
         FileStore::default()
     }
 
-    /// Write (or overwrite) a file.
-    pub fn write(&self, path: &str, contents: impl Into<String>) {
+    /// Write (or overwrite) a file. An `Arc<str>` is stored as is (no copy);
+    /// a `String` or `&str` is moved or copied into one.
+    pub fn write(&self, path: &str, contents: impl Into<Arc<str>>) {
         self.files.lock().insert(path.to_string(), contents.into());
     }
 
     /// Read a file's contents. On a local miss, consults the remote-fetch
     /// hook (if [`FileStore::set_fetch_hook`] installed one) and caches a
     /// hit locally so repeat reads stay in-process.
-    pub fn read(&self, path: &str) -> Option<String> {
-        if let Some(c) = self.files.lock().get(path).cloned() {
-            return Some(c);
+    pub fn read(&self, path: &str) -> Option<Arc<str>> {
+        if let Some(c) = self.files.lock().get(path) {
+            return Some(Arc::clone(c));
         }
         let fetched = self.fetch.get()?(path)?;
-        self.files.lock().entry(path.to_string()).or_insert_with(|| fetched.clone());
+        self.files.lock().entry(path.to_string()).or_insert_with(|| Arc::clone(&fetched));
         Some(fetched)
     }
 
@@ -136,7 +144,7 @@ impl<'a> ActivationCtx<'a> {
     }
 
     /// Write an output file into the workdir; records it for provenance.
-    pub fn write_file(&mut self, name: &str, contents: impl Into<String>) -> String {
+    pub fn write_file(&mut self, name: &str, contents: impl Into<Arc<str>>) -> String {
         let path = format!("{}/{}", self.workdir.trim_end_matches('/'), name);
         self.files.write(&path, contents);
         self.produced.push(path.clone());
@@ -144,15 +152,16 @@ impl<'a> ActivationCtx<'a> {
     }
 
     /// Write an output file at an absolute path (for artifacts shared
-    /// across activations, e.g. per-receptor grid maps); records it for
+    /// across activations, e.g. per-receptor grid maps, which are passed as
+    /// one `Arc<str>` and so staged by reference); records it for
     /// provenance like [`ActivationCtx::write_file`].
-    pub fn write_file_at(&mut self, path: &str, contents: impl Into<String>) {
+    pub fn write_file_at(&mut self, path: &str, contents: impl Into<Arc<str>>) {
         self.files.write(path, contents);
         self.produced.push(path.to_string());
     }
 
     /// Read any file from the shared store.
-    pub fn read_file(&self, path: &str) -> Result<String, ActivityError> {
+    pub fn read_file(&self, path: &str) -> Result<Arc<str>, ActivityError> {
         self.files.read(path).ok_or_else(|| ActivityError(format!("missing input file {path}")))
     }
 
@@ -346,7 +355,7 @@ mod tests {
         let c = Arc::clone(&calls);
         fs.set_fetch_hook(Box::new(move |path| {
             c.fetch_add(1, Ordering::SeqCst);
-            (path == "/remote/only.txt").then(|| "from master".to_string())
+            (path == "/remote/only.txt").then(|| "from master".into())
         }));
         // local files never hit the hook
         fs.write("/local.txt", "here");
@@ -369,6 +378,24 @@ mod tests {
     }
 
     #[test]
+    fn filestore_shares_contents_by_reference() {
+        let fs = FileStore::new();
+        let shared: Arc<str> = "0.125\n".into();
+        fs.write("/maps/r.C.map", Arc::clone(&shared));
+        let mut ctx = ActivationCtx::new(&fs, "/exp/autogrid4/1");
+        ctx.write_file_at("/maps/r.C.map", Arc::clone(&shared));
+        // every read is the writer's allocation, not a copy of it
+        assert!(Arc::ptr_eq(&fs.read("/maps/r.C.map").unwrap(), &shared));
+        assert!(Arc::ptr_eq(&ctx.read_file("/maps/r.C.map").unwrap(), &shared));
+        assert_eq!(fs.size("/maps/r.C.map"), Some(6));
+        // an overwrite swaps the pointer; earlier readers keep what they read
+        let before = fs.read("/maps/r.C.map").unwrap();
+        fs.write("/maps/r.C.map", "0.250\n");
+        assert_eq!(&*before, "0.125\n");
+        assert_eq!(fs.read("/maps/r.C.map").as_deref(), Some("0.250\n"));
+    }
+
+    #[test]
     fn filestore_overwrite() {
         let fs = FileStore::new();
         fs.write("/f", "one");
@@ -387,7 +414,7 @@ mod tests {
         assert_eq!(ctx.produced_files(), std::slice::from_ref(&p));
         ctx.record_param("feb", Some(-5.0), None);
         assert_eq!(ctx.params.len(), 1);
-        assert_eq!(ctx.read_file(&p).unwrap(), "MOL");
+        assert_eq!(&*ctx.read_file(&p).unwrap(), "MOL");
         assert!(ctx.read_file("/missing").is_err());
     }
 

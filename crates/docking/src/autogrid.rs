@@ -62,28 +62,22 @@ pub struct GridSet {
 }
 
 impl GridSet {
-    /// Names of the map "files" AutoGrid would have produced (used for
-    /// provenance records: one `.map` per type + `.e.map` + `.d.map`).
-    pub fn map_file_names(&self, receptor: &str) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.affinity.keys().map(|t| format!("{receptor}.{}.map", t.label())).collect();
-        if self.electrostatic.is_some() {
-            names.push(format!("{receptor}.e.map"));
-        }
-        if self.desolvation.is_some() {
-            names.push(format!("{receptor}.d.map"));
-        }
-        names
+    /// Every map of the set with its AutoGrid label, in the one order every
+    /// writer uses (`.map` files, the `.maps.fld` index, `SDGC1` cache
+    /// entries): affinity maps in `BTreeMap` order, then `e`, then `d`.
+    pub fn maps(&self) -> impl Iterator<Item = (&'static str, &GridMap)> {
+        self.affinity
+            .iter()
+            .map(|(t, m)| (t.label(), m))
+            .chain(self.electrostatic.as_ref().map(|m| ("e", m)))
+            .chain(self.desolvation.as_ref().map(|m| ("d", m)))
     }
 
     /// Resident size of the map values in bytes (used by the grid-cache
     /// telemetry to report memory held per cached receptor).
     pub fn bytes(&self) -> u64 {
         let per_map = (self.spec.len() * std::mem::size_of::<f64>()) as u64;
-        let nmaps = self.affinity.len()
-            + usize::from(self.electrostatic.is_some())
-            + usize::from(self.desolvation.is_some());
-        per_map * nmaps as u64
+        per_map * self.maps().count() as u64
     }
 }
 
@@ -563,10 +557,8 @@ mod tests {
         assert_eq!(g.affinity.len(), 2);
         assert!(g.electrostatic.is_some());
         assert!(g.desolvation.is_some());
-        let names = g.map_file_names("1ABC");
-        assert!(names.contains(&"1ABC.C.map".to_string()));
-        assert!(names.contains(&"1ABC.e.map".to_string()));
-        assert_eq!(names.len(), 4);
+        let labels: Vec<&str> = g.maps().map(|(l, _)| l).collect();
+        assert_eq!(labels, ["C", "HD", "e", "d"]);
     }
 
     #[test]
@@ -605,7 +597,7 @@ mod tests {
         assert_eq!(g.kind, GridKind::Vina);
         assert!(g.electrostatic.is_none());
         assert!(g.desolvation.is_none());
-        assert_eq!(g.map_file_names("X").len(), 1);
+        assert_eq!(g.maps().map(|(l, _)| l).collect::<Vec<_>>(), ["C"]);
         // attractive somewhere, repulsive at the atom
         let m = &g.affinity[&AdType::C];
         assert!(m.min_value() < 0.0);

@@ -10,6 +10,7 @@
 //! over the body rejects torn or corrupt entries (writers use temp+rename,
 //! so a valid file is all-or-nothing anyway).
 
+use std::fmt::Write as _;
 use std::str::FromStr;
 
 use molkit::AdType;
@@ -37,7 +38,12 @@ impl std::error::Error for GridIoError {}
 /// hit would still deserialize to a well-formed grid set of the wrong
 /// receptor — the digest input includes everything that shapes the maps).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash over more bytes: `fnv1a64_from(fnv1a64(a), b)`
+/// equals `fnv1a64` of `a` followed by `b`.
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -57,28 +63,27 @@ pub fn grid_set_digest(
     pocket_probe: f64,
     types: &[AdType],
 ) -> u64 {
-    let mut key = String::with_capacity(receptor_pdbqt.len() + 128);
-    key.push_str(GRID_CACHE_MAGIC);
-    key.push('|');
-    key.push_str(engine_label);
-    key.push('|');
-    key.push_str(&format!(
-        "{:016x}|{:016x}|{:016x}|",
+    // the header is a few dozen bytes; the receptor text (tens of KB, hashed
+    // on every cache lookup) is fed to the same running hash in place
+    let mut header = String::with_capacity(128);
+    let _ = write!(
+        header,
+        "{GRID_CACHE_MAGIC}|{engine_label}|{:016x}|{:016x}|{:016x}|",
         grid_spacing.to_bits(),
         box_edge.to_bits(),
         pocket_probe.to_bits()
-    ));
+    );
     for t in types {
-        key.push_str(t.label());
-        key.push(',');
+        header.push_str(t.label());
+        header.push(',');
     }
-    key.push('|');
-    key.push_str(receptor_pdbqt);
-    fnv1a64(key.as_bytes())
+    header.push('|');
+    fnv1a64_from(fnv1a64(header.as_bytes()), receptor_pdbqt.as_bytes())
 }
 
 fn push_f64(out: &mut String, v: f64) {
-    out.push_str(&format!("{:016x}", v.to_bits()));
+    // `fmt::Write` into a `String` cannot fail
+    let _ = write!(out, "{:016x}", v.to_bits());
 }
 
 fn push_map(out: &mut String, label: &str, map: &GridMap) {
@@ -94,7 +99,8 @@ fn push_map(out: &mut String, label: &str, map: &GridMap) {
 /// Serialize a grid set into the `SDGC1` cache-entry text.
 pub fn serialize_grid_set(g: &GridSet) -> String {
     let spec = g.spec;
-    let mut out = String::new();
+    // 16 hex digits + a separator per lattice value
+    let mut out = String::with_capacity(g.maps().count() * (spec.len() * 17 + 16) + 128);
     out.push_str(GRID_CACHE_MAGIC);
     out.push_str(match g.kind {
         GridKind::Ad4 => " ad4 ",
@@ -114,14 +120,8 @@ pub fn serialize_grid_set(g: &GridSet) -> String {
         u8::from(g.electrostatic.is_some()),
         u8::from(g.desolvation.is_some())
     ));
-    for (t, m) in &g.affinity {
-        push_map(&mut out, t.label(), m);
-    }
-    if let Some(m) = &g.electrostatic {
-        push_map(&mut out, "e", m);
-    }
-    if let Some(m) = &g.desolvation {
-        push_map(&mut out, "d", m);
+    for (label, m) in g.maps() {
+        push_map(&mut out, label, m);
     }
     let digest = fnv1a64(out.as_bytes());
     out.push_str(&format!("end {digest:016x}\n"));
@@ -264,6 +264,88 @@ mod tests {
             assert_eq!(g.desolvation.is_some(), back.desolvation.is_some());
             // a second serialization of the roundtripped set is byte-identical
             assert_eq!(text, serialize_grid_set(&back));
+        }
+    }
+
+    /// The compositions `grid_set_digest` and `serialize_grid_set` replaced
+    /// (whole key concatenated before hashing; one `format!` per value).
+    /// `<digest>.grid` entries written by them must keep hitting.
+    fn digest_reference(
+        receptor_pdbqt: &str,
+        engine_label: &str,
+        knobs: [f64; 3],
+        types: &[AdType],
+    ) -> u64 {
+        let mut key = format!(
+            "{GRID_CACHE_MAGIC}|{engine_label}|{:016x}|{:016x}|{:016x}|",
+            knobs[0].to_bits(),
+            knobs[1].to_bits(),
+            knobs[2].to_bits()
+        );
+        for t in types {
+            key.push_str(t.label());
+            key.push(',');
+        }
+        key.push('|');
+        key.push_str(receptor_pdbqt);
+        fnv1a64(key.as_bytes())
+    }
+
+    fn serialize_reference(g: &GridSet) -> String {
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let mut out = format!(
+            "{GRID_CACHE_MAGIC} {} {} {} {} {} {} {} {} {}\n",
+            match g.kind {
+                GridKind::Ad4 => "ad4",
+                GridKind::Vina => "vina",
+            },
+            g.spec.npts,
+            hex(g.spec.spacing),
+            hex(g.spec.center.x),
+            hex(g.spec.center.y),
+            hex(g.spec.center.z),
+            g.affinity.len(),
+            u8::from(g.electrostatic.is_some()),
+            u8::from(g.desolvation.is_some())
+        );
+        let labelled = g
+            .affinity
+            .iter()
+            .map(|(t, m)| (t.label(), m))
+            .chain(g.electrostatic.iter().map(|m| ("e", m)))
+            .chain(g.desolvation.iter().map(|m| ("d", m)));
+        for (label, m) in labelled {
+            out.push_str("map ");
+            out.push_str(label);
+            for v in m.values() {
+                out.push(' ');
+                out.push_str(&hex(*v));
+            }
+            out.push('\n');
+        }
+        let digest = fnv1a64(out.as_bytes());
+        out.push_str(&format!("end {digest:016x}\n"));
+        out
+    }
+
+    #[test]
+    fn digest_and_entry_bytes_match_the_reference_compositions() {
+        let types = [AdType::C, AdType::OA, AdType::HD];
+        let text = "ATOM      1  OA  LIG     1      -1.500   0.200   0.000 -0.40 OA\n";
+        assert_eq!(
+            grid_set_digest(text, "autodock4", 0.375, 22.5, 1.4, &types),
+            digest_reference(text, "autodock4", [0.375, 22.5, 1.4], &types)
+        );
+        // pinned value: a change here orphans every cache entry on disk
+        assert_eq!(
+            grid_set_digest("ATOM 1", "ad4", 0.375, 22.5, 1.4, &types),
+            0x5e63_6ef3_bd54_d040
+        );
+        let r = receptor();
+        let ga = build_ad4_grids(&r, spec(), &types, &Ad4Params::new());
+        let gv = build_vina_grids(&r, spec(), &types, &VinaParams::default());
+        for g in [&ga, &gv] {
+            assert_eq!(serialize_grid_set(g), serialize_reference(g));
         }
     }
 

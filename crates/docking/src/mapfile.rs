@@ -15,8 +15,12 @@
 //! …
 //! ```
 
+use std::fmt::Write as _;
+use std::sync::Arc;
+
 use molkit::Vec3;
 
+use crate::autogrid::GridSet;
 use crate::grid::{GridMap, GridSpec};
 
 /// Error from parsing a `.map` file.
@@ -38,21 +42,40 @@ pub fn write_map(map: &GridMap, gpf_name: &str, receptor_name: &str) -> String {
     let spec = map.spec;
     let n = spec.npts - 1;
     let mut out = String::with_capacity(spec.len() * 8 + 200);
-    out.push_str(&format!("GRID_PARAMETER_FILE {gpf_name}\n"));
-    out.push_str(&format!("GRID_DATA_FILE {receptor_name}.maps.fld\n"));
-    out.push_str(&format!("MACROMOLECULE {receptor_name}.pdbqt\n"));
-    out.push_str(&format!("SPACING {}\n", spec.spacing));
-    out.push_str(&format!("NELEMENTS {n} {n} {n}\n"));
-    out.push_str(&format!(
-        "CENTER {:.3} {:.3} {:.3}\n",
-        spec.center.x, spec.center.y, spec.center.z
-    ));
+    // `fmt::Write` into a `String` cannot fail
+    let _ = write!(
+        out,
+        "GRID_PARAMETER_FILE {gpf_name}\n\
+         GRID_DATA_FILE {receptor_name}.maps.fld\n\
+         MACROMOLECULE {receptor_name}.pdbqt\n\
+         SPACING {}\n\
+         NELEMENTS {n} {n} {n}\n\
+         CENTER {:.3} {:.3} {:.3}\n",
+        spec.spacing, spec.center.x, spec.center.y, spec.center.z
+    );
     for v in map.values() {
         // AutoGrid prints %.3f for typical magnitudes; keep more precision
         // so roundtrips are tight
-        out.push_str(&format!("{v:.6}\n"));
+        let _ = writeln!(out, "{v:.6}");
     }
     out
+}
+
+/// Render every map of a receptor's grid set as the files AutoGrid leaves
+/// behind: `(file name, text)` per map, `<receptor>.<label>.map`, in
+/// [`GridSet::maps`] order. The header names the receptor and its
+/// `<receptor>.gpf`, never a ligand, so the result is the same for every
+/// pair docked against `receptor_name` — callers render once and share the
+/// `Arc<str>`s.
+pub fn render_map_files(grids: &GridSet, receptor_name: &str) -> Vec<(String, Arc<str>)> {
+    let gpf_name = format!("{receptor_name}.gpf");
+    grids
+        .maps()
+        .map(|(label, map)| {
+            let name = format!("{receptor_name}.{label}.map");
+            (name, write_map(map, &gpf_name, receptor_name).into())
+        })
+        .collect()
 }
 
 /// Parse AutoGrid `.map` text back into a grid map.
@@ -160,6 +183,54 @@ mod tests {
         assert!((back.spec.center - m.spec.center).norm() < 1e-3);
         for (a, b) in m.values().iter().zip(back.values()) {
             assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    /// The per-value `format!` composition `write_map` replaced; staged map
+    /// files (and so `hfile.fsize`) must not change by a byte.
+    fn write_map_reference(map: &GridMap, gpf_name: &str, receptor_name: &str) -> String {
+        let spec = map.spec;
+        let n = spec.npts - 1;
+        let mut out = String::new();
+        out.push_str(&format!("GRID_PARAMETER_FILE {gpf_name}\n"));
+        out.push_str(&format!("GRID_DATA_FILE {receptor_name}.maps.fld\n"));
+        out.push_str(&format!("MACROMOLECULE {receptor_name}.pdbqt\n"));
+        out.push_str(&format!("SPACING {}\n", spec.spacing));
+        out.push_str(&format!("NELEMENTS {n} {n} {n}\n"));
+        out.push_str(&format!(
+            "CENTER {:.3} {:.3} {:.3}\n",
+            spec.center.x, spec.center.y, spec.center.z
+        ));
+        for v in map.values() {
+            out.push_str(&format!("{v:.6}\n"));
+        }
+        out
+    }
+
+    #[test]
+    fn write_map_bytes_match_the_reference_composition() {
+        let m = sample_map();
+        assert_eq!(write_map(&m, "2HHN.gpf", "2HHN"), write_map_reference(&m, "2HHN.gpf", "2HHN"));
+    }
+
+    #[test]
+    fn render_map_files_names_every_map_in_set_order() {
+        use crate::autogrid::GridKind;
+        // a receptor whose id is itself a map label must still get all files
+        let mut g = GridSet {
+            kind: GridKind::Ad4,
+            spec: sample_map().spec,
+            affinity: Default::default(),
+            electrostatic: Some(sample_map()),
+            desolvation: Some(sample_map()),
+        };
+        g.affinity.insert(molkit::AdType::OA, sample_map());
+        g.affinity.insert(molkit::AdType::C, sample_map());
+        let files = render_map_files(&g, "e");
+        let names: Vec<&str> = files.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["e.C.map", "e.OA.map", "e.e.map", "e.d.map"]);
+        for (_, text) in &files {
+            assert_eq!(&**text, write_map(&sample_map(), "e.gpf", "e"));
         }
     }
 

@@ -164,9 +164,10 @@ impl Backing {
     /// paged backing.)
     fn has_task(&self, task: i64) -> bool {
         match self {
+            // from the back: the row asked about is one of the last inserted
             Backing::Mem(db) => db
                 .table("hactivation")
-                .map(|t| t.rows().iter().any(|r| r[0] == Value::Int(task)))
+                .map(|t| t.rows().iter().rev().any(|r| r[0] == Value::Int(task)))
                 .unwrap_or(false),
             Backing::Paged(pg) => {
                 pg.find_rowid_by_int("hactivation", "taskid", task).ok().flatten().is_some()
@@ -401,7 +402,11 @@ pub(crate) fn apply_op(db: &mut Database, c: &mut Counters, op: &WalOp) -> bool 
                 let Ok(t) = db.table_mut("hactivation") else {
                     return false;
                 };
-                let Some(r) = t.rows_mut().iter_mut().find(|r| r[0] == Value::Int(task)) else {
+                // from the back: an activation is updated soon after its RUNNING
+                // row went in, so a front scan walks the whole table for nothing
+                // (task ids are unique, so the match is the same row either way)
+                let Some(r) = t.rows_mut().iter_mut().rev().find(|r| r[0] == Value::Int(task))
+                else {
                     return false;
                 };
                 *r = row;

@@ -23,6 +23,7 @@ pub const COUNTERS: &[&str] = &[
     "fleet.spawn_timeouts",
     "gridcache.bytes",
     "gridcache.hit",
+    "gridcache.maps.rendered",
     "gridcache.miss",
     "gridcache.persist.bytes",
     "gridcache.persist.hit",
