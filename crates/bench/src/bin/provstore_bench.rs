@@ -1,14 +1,14 @@
 //! Measure the overhead of durable provenance over the in-memory store.
 //!
 //! The workload is the hot path of a docking campaign: per activation one
-//! `record_activation`, one `record_file`, one `record_parameter`, and one
-//! `record_output_tuple` (4 mutations = 4 WAL frames). Three stores run the
-//! identical stream:
+//! `commit_activation` carrying the `FINISHED` row, one file, one parameter
+//! and one output tuple (4 mutations = 1 WAL record; "per-op" below is per
+//! mutation). Three stores run the identical stream:
 //!
 //! 1. **in-memory** — `ProvenanceStore::new()`, the default everywhere;
 //! 2. **durable, group commit** — `Durability::Batched` (the durable
 //!    default: fsync per 64 ops or 20 ms, whichever first);
-//! 3. **durable, sync** — `Durability::Sync`, one fsync per mutation (the
+//! 3. **durable, sync** — `Durability::Sync`, one fsync per record (the
 //!    upper bound a steering-critical deployment would pay).
 //!
 //! ```sh
@@ -20,12 +20,18 @@
 //! stays within `PROVSTORE_OVERHEAD_X` (default 50×) of the in-memory
 //! per-op cost — the documented bound under which `LocalConfig::durability`
 //! is safe to leave on for real campaigns. Sync mode is reported but not
-//! bounded: its cost is one fsync per op by definition and entirely
+//! bounded: its cost is one fsync per record by definition and entirely
 //! device-dependent.
+//!
+//! Two more gates are counts, not clocks, so they hold on any machine:
+//! N activations make exactly N + 4 `provstore.wal_appends` (one record per
+//! activation plus the four registrations), and 40 000 mutations under
+//! `checkpoint_every = 64` take at most 11 `provstore.checkpoints` (one
+//! every 64 would be 625).
 
 use std::time::Instant;
 
-use provenance::durable::io::DirEnv;
+use provenance::durable::io::{DirEnv, MemEnv};
 use provenance::durable::testing::TempDir;
 use provenance::provwf::{ActivationRecord, ActivationStatus, ProvenanceStore};
 use provenance::{Durability, DurableOptions, Value};
@@ -42,25 +48,21 @@ fn workload(p: &ProvenanceStore, activations: usize) -> (u64, f64) {
     for i in 0..activations {
         let act = if i % 2 == 0 { babel } else { vina };
         let start = i as f64 * 0.25;
-        let t = p.record_activation(&ActivationRecord {
-            activity: act,
-            workflow: w,
-            status: ActivationStatus::Finished,
-            start_time: start,
-            end_time: start + 30.0,
-            machine: Some(vm),
-            retries: 0,
-            pair_key: format!("1AEC:{i:04}"),
-        });
-        p.record_file(t, act, w, &format!("out_{i}.dlg"), 64_000 + i as i64, "/bench/d/");
-        p.record_parameter(t, w, "exhaustiveness", Some(8.0), None);
-        p.record_output_tuple(
-            t,
-            act,
-            w,
-            &format!("1AEC:{i:04}"),
-            i,
-            &[Value::Float(-7.5), Value::Text(format!("pose{i}"))],
+        p.commit_activation(
+            None,
+            &ActivationRecord {
+                activity: act,
+                workflow: w,
+                status: ActivationStatus::Finished,
+                start_time: start,
+                end_time: start + 30.0,
+                machine: Some(vm),
+                retries: 0,
+                pair_key: format!("1AEC:{i:04}"),
+            },
+            &[(&format!("out_{i}.dlg"), 64_000 + i as i64, "/bench/d/")],
+            &[("exhaustiveness".to_string(), Some(8.0), None)],
+            &[vec![Value::Float(-7.5), Value::Text(format!("pose{i}"))]],
         );
         ops += 4;
     }
@@ -92,6 +94,19 @@ fn durable_run(activations: usize, durability: Durability, tel: &Telemetry) -> (
     workload(&p, activations)
 }
 
+fn counter(tel: &Telemetry, name: &str) -> u64 {
+    tel.counter(name).map_or(0, |c| c.get())
+}
+
+/// Print the gate's outcome; exit 1 when it does not hold.
+fn gate(ok: bool, what: &str) {
+    if !ok {
+        eprintln!("FAIL: {what}");
+        std::process::exit(1);
+    }
+    println!("OK: {what}");
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let activations = if smoke { 500 } else { 5_000 };
@@ -100,7 +115,7 @@ fn main() {
 
     println!(
         "provstore_bench: {activations} activations x 4 mutations \
-         (activation + file + parameter + output tuple)"
+         (file + parameter + output tuple + activation row, one record each)"
     );
     println!();
     println!("{:<26} | {:>7} | {:>12} | {:>11}", "store", "ops", "per-op (us)", "ops/s");
@@ -154,4 +169,24 @@ fn main() {
         std::process::exit(1);
     }
     println!("OK: group-commit durability is within the documented bound");
+
+    let appends = counter(&tel_batched, "provstore.wal_appends");
+    gate(
+        appends == activations as u64 + 4,
+        &format!("{activations} activations + 4 registrations made {appends} WAL appends"),
+    );
+
+    // 4 + 9 999 x 4 = 40 000 mutations, checkpoint floor 64
+    let tel = Telemetry::attached();
+    let p = ProvenanceStore::open_env(
+        Box::new(MemEnv::new()),
+        DurableOptions { checkpoint_every: 64, telemetry: tel.clone(), ..Default::default() },
+    )
+    .expect("fresh durable store");
+    let (ops, _) = workload(&p, 9_999);
+    let checkpoints = counter(&tel, "provstore.checkpoints");
+    gate(
+        ops == 40_000 && checkpoints <= 11,
+        &format!("{ops} mutations at checkpoint_every = 64 took {checkpoints} checkpoints"),
+    );
 }

@@ -17,9 +17,10 @@
 //!   and re-enters the queue with a bumped attempt; after more than
 //!   [`DistConfig::reassign_budget`] crashes the input is treated as poison
 //!   and `BLACKLISTED`, so one bad tuple cannot wedge the run.
-//! * **Provenance parity** — the master writes every row itself in the
-//!   exact RUNNING → outputs → FINISHED-last order the local backend uses,
-//!   so `provenance::export_provn_canonical` of a local and a distributed
+//! * **Provenance parity** — the master writes every row itself through the
+//!   lifecycle the local backend uses (a finished activation is one atomic
+//!   `commit_activation`: outputs and `FINISHED` row together), so
+//!   `provenance::export_provn_canonical` of a local and a distributed
 //!   run are byte-identical and `resume_from` stays sound across a master
 //!   crash.
 //! * **Telemetry lanes** — each worker ships its spans back inside result

@@ -11,9 +11,10 @@
 //! 3. [`ActivityCtx::settle`] — fold what the attempt did into provenance:
 //!    a hang is `ABORTED`; an injected failure, a domain error, a panic or
 //!    a lost worker is `FAILED` and retried while budget remains; success
-//!    is written `RUNNING` → files → parameters → output tuples →
-//!    `FINISHED` last, so a recovered `FINISHED` row always has its
-//!    complete outputs and resume never reuses a half-recorded activation.
+//!    is one store call, [`ProvenanceStore::commit_activation`] — files,
+//!    parameters, output tuples and the `FINISHED` row in one atomic
+//!    record, so a recovered `FINISHED` row always has its complete outputs
+//!    and resume never reuses a half-recorded activation.
 //!
 //! The backends differ only in *when* they call the steps. In-process
 //! callers (the local pool, `scidockd` workers) run all three back to back
@@ -276,25 +277,26 @@ impl ActivityCtx {
                 Settled::Terminal(ActOutcome { aborted: 1, ..Default::default() })
             }
             Exec::Finished { tuples, files, params } => {
-                let (prov, wkf) = (&self.run.prov, self.run.wkf);
-                let running = rec(ActivationStatus::Running);
-                let task = self.record(at.slot, &running);
-                for path in files {
-                    let size = self.run.files.size(path).unwrap_or(0) as i64;
-                    let (dir, name) = split_path(path);
-                    prov.record_file(task, self.act_id, wkf, name, size, dir);
-                }
-                for (name, num, text) in params {
-                    prov.record_parameter(task, wkf, name, *num, text.as_deref());
-                }
-                for (ti, t) in tuples.iter().enumerate() {
-                    prov.record_output_tuple(task, self.act_id, wkf, &at.key, ti, t);
-                }
-                let done = prov.update_activation(
-                    task,
-                    &ActivationRecord { status: ActivationStatus::Finished, ..running },
+                let files: Vec<(&str, i64, &str)> = files
+                    .iter()
+                    .map(|path| {
+                        let (dir, name) = split_path(path);
+                        (name, self.run.files.size(path).unwrap_or(0) as i64, dir)
+                    })
+                    .collect();
+                // a RUNNING row the bridge published for the attempt is
+                // written over, not joined by a second row
+                let running = match (&self.run.bridge, at.slot) {
+                    (Some(b), Some(s)) => b.forget(s),
+                    _ => None,
+                };
+                self.run.prov.commit_activation(
+                    running,
+                    &rec(ActivationStatus::Finished),
+                    &files,
+                    params,
+                    &tuples,
                 );
-                debug_assert!(done, "the RUNNING row we just wrote must exist");
                 self.emit(end, Severity::Info, "activation_finished", &at.key, Some(&at));
                 Settled::Terminal(ActOutcome { tuples, finished: 1, ..Default::default() })
             }
@@ -554,4 +556,96 @@ pub(crate) fn run_scoped(
         report.metrics = tel.snapshot();
         report
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workflow::Activity;
+    use provenance::Value;
+
+    /// A finished attempt whose `RUNNING` row the steering bridge already
+    /// published keeps that row's task id: the row is written over as
+    /// `FINISHED`, the files and tuples hang off the same id, and no
+    /// `RUNNING` row is left behind.
+    #[test]
+    fn a_published_running_row_is_finished_in_place_under_the_same_task_id() {
+        let prov = Arc::new(ProvenanceStore::new_paged());
+        let files = Arc::new(FileStore::new());
+        let func: ActivityFn = Arc::new(|tuples, _ctx| Ok(tuples.to_vec()));
+        let def = WorkflowDef {
+            tag: "live".into(),
+            description: String::new(),
+            expdir: "/e".into(),
+            activities: vec![Activity::map("vina", &["x"], func)],
+            deps: vec![vec![]],
+        };
+        let t0 = Instant::now();
+        // a tick that never comes: the test drives the flush itself
+        let bridge = SteeringBridge::start(Arc::clone(&prov), t0, Duration::from_secs(3600));
+        let run = Arc::new(RunCtx {
+            wkf: prov.begin_workflow(&def.tag, "", &def.expdir),
+            files: Arc::clone(&files),
+            prov: Arc::clone(&prov),
+            failures: FailureModel::none(),
+            max_retries: 0,
+            resume_from: None,
+            start_base: t0,
+            tel: Telemetry::disabled(),
+            bridge: Some(Arc::clone(&bridge)),
+            events: None,
+        });
+        let ctx = &ActivityCtx::build_all(&def, &run)[0];
+        let rows = |sql: &str| prov.query_rows(sql, &[]).unwrap().rows;
+
+        // one flush per attempt, so which gets which task id is not left to
+        // the bridge's map order
+        let published = ctx.begin("R:L1", 0);
+        bridge.flush_now();
+        let still_running = ctx.begin("R:L2", 0);
+        bridge.flush_now();
+        assert_eq!(
+            rows("SELECT taskid, status FROM hactivation ORDER BY taskid"),
+            vec![
+                vec![Value::Int(1), Value::from("RUNNING")],
+                vec![Value::Int(2), Value::from("RUNNING")]
+            ]
+        );
+        let never_published = ctx.begin("R:L3", 0);
+
+        files.write("/e/vina/0/out.dlg", "docked");
+        let produced = ["/e/vina/0/out.dlg".to_string()];
+        for at in [published, never_published] {
+            let exec = Exec::Finished {
+                tuples: vec![vec![Value::Int(7)]],
+                files: &produced,
+                params: &[("feb".to_string(), Some(-7.5), None)],
+            };
+            assert!(matches!(ctx.settle(at, exec), Settled::Terminal(out) if out.finished == 1));
+        }
+        assert_eq!(
+            rows("SELECT taskid, status, pairkey FROM hactivation ORDER BY taskid"),
+            vec![
+                vec![Value::Int(1), Value::from("FINISHED"), Value::from("R:L1")],
+                vec![Value::Int(2), Value::from("RUNNING"), Value::from("R:L2")],
+                vec![Value::Int(3), Value::from("FINISHED"), Value::from("R:L3")],
+            ],
+            "finished in place; the attempt still in flight keeps its RUNNING row"
+        );
+        for table in ["hfile", "hparameter", "houtput"] {
+            assert_eq!(
+                rows(&format!("SELECT taskid FROM {table} ORDER BY taskid")),
+                vec![vec![Value::Int(1)], vec![Value::Int(3)]],
+                "{table} rows carry their activation's task id"
+            );
+        }
+        // the bridge let go of both settled slots: a later tick touches neither
+        assert_eq!(bridge.in_flight(), 1);
+        bridge.flush_now();
+        assert_eq!(rows("SELECT taskid FROM hactivation WHERE status = 'RUNNING'").len(), 1);
+        assert!(matches!(ctx.settle(still_running, Exec::Hung), Settled::Terminal(_)));
+        bridge.stop();
+        assert!(rows("SELECT taskid FROM hactivation WHERE status = 'RUNNING'").is_empty());
+        prov.verify_integrity().unwrap();
+    }
 }

@@ -612,8 +612,13 @@ struct Campaign {
     saw_first_result: bool,
     cancel_requested: bool,
     outputs: Option<Vec<Relation>>,
-    /// Dispatch→completion latency per activation, nanoseconds.
+    /// Dispatch→completion latency per activation, nanoseconds. Emptied
+    /// when the campaign becomes terminal (see `p95_final`).
     lat_ns: Vec<u64>,
+    /// The p95 of a terminal campaign, computed once at the transition: the
+    /// observability refresh runs after every engine message and lists every
+    /// campaign ever submitted, so only live ones may cost a sort.
+    p95_final: Option<f64>,
 }
 
 impl Campaign {
@@ -621,14 +626,24 @@ impl Campaign {
         matches!(self.state, CampaignState::Pending | CampaignState::Running)
     }
 
-    fn p95_ms(&self) -> f64 {
+    fn p95_ms(&self, tel: &Telemetry) -> f64 {
+        if let Some(p95) = self.p95_final {
+            return p95;
+        }
         if self.lat_ns.is_empty() {
             return 0.0;
         }
+        tel.count("campaign.p95_sorts", 1);
         let mut v = self.lat_ns.clone();
         v.sort_unstable();
         let idx = ((v.len() as f64 * 0.95).ceil() as usize).clamp(1, v.len()) - 1;
         v[idx] as f64 / 1e6
+    }
+
+    /// The campaign just became terminal: no more latencies will arrive.
+    fn freeze_p95(&mut self, tel: &Telemetry) {
+        self.p95_final = Some(self.p95_ms(tel));
+        self.lat_ns = Vec::new();
     }
 }
 
@@ -958,6 +973,7 @@ impl Engine {
                 cancel_requested: false,
                 outputs: None,
                 lat_ns: Vec::new(),
+                p95_final: None,
             },
         );
         self.order.push(id);
@@ -1112,6 +1128,7 @@ impl Engine {
         }
         if c.cancel_requested {
             c.state = CampaignState::Cancelled;
+            c.freeze_p95(&self.tel);
             c.pipe = None;
             c.ctxs.clear();
             self.prov.flush_wal();
@@ -1136,6 +1153,7 @@ impl Engine {
         c.outputs = Some(pipe.into_outputs());
         c.ctxs.clear();
         c.state = CampaignState::Finished;
+        c.freeze_p95(&self.tel);
         // the campaign's terminal rows must survive a daemon crash
         self.prov.flush_wal();
         self.tel.count("campaign.finished", 1);
@@ -1159,6 +1177,7 @@ impl Engine {
         match c.state {
             CampaignState::Pending => {
                 c.state = CampaignState::Cancelled;
+                c.freeze_p95(&self.tel);
                 c.wf = None;
                 self.pending.retain(|&p| p != cid);
                 self.tel.count("campaign.cancelled", 1);
@@ -1197,7 +1216,7 @@ impl Engine {
                 state: c.state.as_str().to_string(),
                 done: c.done,
                 total: c.total.max(c.pipe.as_ref().map_or(0, |p| p.submitted() as u64)),
-                p95_ms: c.p95_ms(),
+                p95_ms: c.p95_ms(&self.tel),
             })
             .collect();
         obs.set_campaigns(rows);

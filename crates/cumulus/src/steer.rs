@@ -141,10 +141,12 @@ impl SteeringBridge {
         }
     }
 
-    /// Abandon an attempt without writing anything new (e.g. the activation
-    /// turned out to be resumed/blacklisted before executing). Any already
-    /// published `RUNNING` row is superseded by the caller's own terminal
-    /// insert, so this only drops the in-flight entry.
+    /// Take an attempt out of the bridge's hands without writing anything:
+    /// the caller writes the definitive row itself. Returns the task id of
+    /// the `RUNNING` row the ticker published for the slot, if it did — the
+    /// row the caller must write over (a finished activation passes it to
+    /// [`ProvenanceStore::commit_activation`]). Once this returns, the
+    /// ticker no longer touches that row.
     pub fn forget(&self, slot: SlotId) -> Option<TaskId> {
         self.inner.lock().in_flight.remove(&slot.0).and_then(|e| e.flushed)
     }

@@ -146,8 +146,8 @@ fn torn_wal_tail_recovers_committed_prefix_and_resumes() {
         run(wf2, input(N), &prov2, LocalConfig::new().with_threads(2).with_resume_from(prior))
             .unwrap();
     assert_eq!(resumed.finished + resumed.resumed, N as usize);
-    // the engine flips a row to FINISHED only after its outputs are in the
-    // WAL, so every recovered FINISHED row is fully resumable
+    // a FINISHED row and its outputs are one WAL record, so every recovered
+    // FINISHED row is fully resumable
     assert_eq!(resumed.resumed as i64, recovered);
     assert_eq!(sorted_output(resumed.final_output()), sorted_output(full.final_output()));
 }

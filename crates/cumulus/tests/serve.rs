@@ -180,6 +180,22 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
     }
     assert!(body.contains("\"state\":\"finished\""));
 
+    // observing a daemon whose campaigns are all terminal costs it no p95
+    // sort however often it is polled (each Status is an engine message, and
+    // the rows are refreshed after every message), and the report stands
+    let sorts = tel.counter("campaign.p95_sorts").expect("attached");
+    let sorted_while_live = sorts.get();
+    assert!(sorted_while_live > 0, "live campaigns' p95 is computed on refresh");
+    for _ in 0..20 {
+        for (id, _, _) in &ids {
+            assert_eq!(client.status(*id).expect("status io").state, CampaignState::Finished);
+        }
+    }
+    assert_eq!(sorts.get(), sorted_while_live, "a finished campaign's p95 is frozen");
+    let (_, again) =
+        cumulus::obs::http_get(obs_addr, "/campaigns", Duration::from_secs(2)).expect("scrape");
+    assert_eq!(again, body);
+
     // the fleet actually flexed: queue-depth policy grew it beyond the
     // initial 2 workers at some point
     assert!(

@@ -2,9 +2,9 @@
 //! checkpoints, and crash recovery.
 //!
 //! The engine owns the [`StorageEnv`] and all sequence-number bookkeeping;
-//! it deliberately does **not** own the [`Database`] — the store applies
-//! ops to its tables and hands the engine the op to log, so the exact same
-//! `apply` code path runs live and during replay.
+//! it deliberately does **not** own the tables — the store applies ops to
+//! them and hands the engine the op to log, so the exact same `apply` code
+//! path runs live and during replay.
 
 use std::time::Instant;
 
@@ -12,8 +12,9 @@ use telemetry::Telemetry;
 
 use crate::durable::io::{LogFile, StorageEnv};
 use crate::durable::snapshot::{self, Counters};
-use crate::durable::wal::{encode_frame, wal_header, WalOp, WalScan, WAL_HEADER_LEN};
+use crate::durable::wal::{encode_frame, wal_header, WalOp, WalScan, WAL_HEADER_LEN, WAL_VERSION};
 use crate::durable::{Durability, DurableError, DurableOptions};
+use crate::storage::TableProvider;
 use crate::table::Database;
 
 /// What [`DurableEngine::open`] found on storage.
@@ -33,14 +34,22 @@ pub(crate) struct DurableEngine {
     /// Highest sequence number covered by the current snapshot.
     base_seq: u64,
     durability: Durability,
-    /// Frames appended but not yet fsynced.
-    pending: usize,
-    /// When the oldest pending frame was appended.
+    /// Mutations appended but not yet fsynced.
+    pending: u64,
+    /// When the oldest pending record was appended.
     pending_since: Option<Instant>,
-    /// Frames appended since the last checkpoint.
-    frames_since_checkpoint: u64,
-    /// Auto-checkpoint threshold in frames (0 = manual checkpoints only).
+    /// Mutations logged since the last checkpoint — what recovery would
+    /// replay. Counted from the replayed tail at open.
+    tail_mutations: u64,
+    /// Rows in the current snapshot (0 = none): the checkpoint policy's
+    /// measure of the mutations the snapshot covers, recounted at open.
+    snapshot_rows: u64,
+    /// Floor of the auto-checkpoint threshold, in mutations (0 = manual
+    /// checkpoints only).
     checkpoint_every: u64,
+    /// The log still carries a version-1 header: it must be checkpointed
+    /// (which rewrites the header) before anything is appended to it.
+    stale_header: bool,
     telemetry: Telemetry,
 }
 
@@ -62,8 +71,12 @@ impl DurableEngine {
             None => None,
         };
         let base_seq = snap.as_ref().map_or(0, |(_, _, s)| *s);
+        let snapshot_rows = snap.as_ref().map_or(0, |(db, _, _)| {
+            db.table_names().iter().map(|n| db.table(n).map_or(0, |t| t.len() as u64)).sum()
+        });
         let mut log = env.open_log().map_err(DurableError::Io)?;
         let bytes = log.read_all().map_err(DurableError::Io)?;
+        let mut stale_header = false;
         let (ops, last_seq) = match crate::durable::wal::scan(&bytes) {
             WalScan::Reinit => {
                 // no frame was ever durable: write a fresh header
@@ -75,7 +88,8 @@ impl DurableEngine {
             WalScan::BadHeader(msg) => {
                 return Err(DurableError::Corrupt(format!("WAL header: {msg}")))
             }
-            WalScan::Frames { ops, valid_len, torn } => {
+            WalScan::Frames { version, ops, valid_len, torn } => {
+                stale_header = version != WAL_VERSION;
                 if torn {
                     log.truncate(valid_len).map_err(DurableError::Io)?;
                     log.sync().map_err(DurableError::Io)?;
@@ -93,7 +107,7 @@ impl DurableEngine {
                         )));
                     }
                 }
-                (kept.into_iter().map(|(_, op)| op).collect(), last_seq)
+                (kept.into_iter().map(|(_, op)| op).collect::<Vec<WalOp>>(), last_seq)
             }
         };
         let engine = DurableEngine {
@@ -104,28 +118,33 @@ impl DurableEngine {
             durability: options.durability,
             pending: 0,
             pending_since: None,
-            frames_since_checkpoint: 0,
+            tail_mutations: ops.iter().map(WalOp::mutations).sum(),
+            snapshot_rows,
             checkpoint_every: options.checkpoint_every,
+            stale_header,
             telemetry: options.telemetry.clone(),
         };
         Ok((engine, Recovered { snapshot: snap.map(|(db, c, _)| (db, c)), ops }))
     }
 
-    /// Append one op to the WAL and apply the group-commit policy.
+    /// Append one record to the WAL — one frame, however many mutations it
+    /// carries — and apply the group-commit policy, toward which (as toward
+    /// the checkpoint policy) the record counts once per mutation.
     pub(crate) fn append(&mut self, op: &WalOp) -> std::io::Result<()> {
+        debug_assert!(!self.stale_header, "a version-1 log is checkpointed before any append");
         let t0 = Instant::now();
         let frame = encode_frame(self.next_seq, op);
         self.log.append(&frame)?;
         self.next_seq += 1;
-        self.frames_since_checkpoint += 1;
-        self.pending += 1;
+        self.tail_mutations += op.mutations();
+        self.pending += op.mutations();
         if self.pending_since.is_none() {
             self.pending_since = Some(t0);
         }
         let flush_now = match self.durability {
             Durability::Sync => true,
             Durability::Batched { max_ops, max_delay } => {
-                self.pending >= max_ops
+                self.pending >= max_ops as u64
                     || self.pending_since.is_some_and(|s| s.elapsed() >= max_delay)
             }
         };
@@ -153,7 +172,7 @@ impl DurableEngine {
                 h.record(t0.elapsed().as_nanos() as u64);
             }
             if let Some(h) = self.telemetry.histogram("provstore.commit_batch") {
-                h.record(self.pending as u64);
+                h.record(self.pending);
             }
         }
         self.pending = 0;
@@ -167,26 +186,53 @@ impl DurableEngine {
         self.durability = durability;
     }
 
-    /// Should the caller take a checkpoint now? (Frame-count policy.)
+    /// Should the caller take a checkpoint now? Yes once the log tail holds
+    /// as many mutations as the snapshot holds rows, and at least
+    /// `checkpoint_every`. A checkpoint costs the whole store, so spacing
+    /// them by the store's own size keeps their total cost linear in it
+    /// (every fixed interval would make it quadratic), and recovery never
+    /// replays more than it loaded from the snapshot.
     pub(crate) fn should_checkpoint(&self) -> bool {
-        self.checkpoint_every > 0 && self.frames_since_checkpoint >= self.checkpoint_every
+        self.checkpoint_every > 0
+            && self.tail_mutations >= self.checkpoint_every.max(self.snapshot_rows)
     }
 
-    /// Write a snapshot of `db`/`counters` covering everything logged so
-    /// far, then truncate the WAL back to its header.
+    /// Does the log carry an older format version's header? The store
+    /// checkpoints such a log right after replaying it.
+    pub(crate) fn stale_header(&self) -> bool {
+        self.stale_header
+    }
+
+    /// Write a snapshot of `tables`/`counters` covering everything logged
+    /// so far, then truncate the WAL back to its header.
     ///
     /// Ordering: flush WAL → write+rename snapshot → truncate WAL. A crash
     /// between the last two steps leaves stale frames the next recovery
-    /// skips via the snapshot's `base_seq`.
-    pub(crate) fn checkpoint(&mut self, db: &Database, counters: &Counters) -> std::io::Result<()> {
+    /// skips via the snapshot's `base_seq`. A version-1 header is replaced
+    /// on the way (truncate to nothing, append the current header); a crash
+    /// between those two leaves an empty log, which the next open
+    /// reinitializes — the snapshot already holds everything.
+    pub(crate) fn checkpoint(
+        &mut self,
+        tables: &dyn TableProvider,
+        names: &[String],
+        counters: &Counters,
+    ) -> std::io::Result<()> {
         self.flush()?;
         let covered = self.next_seq - 1;
-        let bytes = snapshot::encode(db, counters, covered);
+        let bytes = snapshot::encode(tables, names, counters, covered);
         self.env.write_snapshot(&bytes)?;
-        self.log.truncate(WAL_HEADER_LEN)?;
+        if self.stale_header {
+            self.log.truncate(0)?;
+            self.log.append(&wal_header())?;
+            self.stale_header = false;
+        } else {
+            self.log.truncate(WAL_HEADER_LEN)?;
+        }
         self.log.sync()?;
         self.base_seq = covered;
-        self.frames_since_checkpoint = 0;
+        self.tail_mutations = 0;
+        self.snapshot_rows = names.iter().map(|n| tables.row_count(n).expect("listed table")).sum();
         self.telemetry.count("provstore.checkpoints", 1);
         Ok(())
     }
@@ -290,7 +336,7 @@ mod tests {
         }
         db.insert("t", vec![crate::value::Value::Int(42)]).unwrap();
         let counters = Counters { next_task: 5, ..Default::default() };
-        eng.checkpoint(&db, &counters).unwrap();
+        eng.checkpoint(&db, &["t".to_string()], &counters).unwrap();
         assert_eq!(eng.base_seq(), 4);
         for i in 5..=6 {
             eng.append(&op(i)).unwrap();
@@ -316,7 +362,7 @@ mod tests {
         }
         drop(eng);
         let db = Database::new();
-        let snap = snapshot::encode(&db, &Counters::default(), 3);
+        let snap = snapshot::encode(&db, &[], &Counters::default(), 3);
         env.set_snapshot_bytes(Some(snap));
         let (eng2, rec) =
             DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync)).unwrap();
@@ -326,7 +372,7 @@ mod tests {
         drop(eng2);
         // partial overlap: snapshot covers 1..=2, WAL holds 1..=3 → only
         // frame 3 replays
-        let snap = snapshot::encode(&db, &Counters::default(), 2);
+        let snap = snapshot::encode(&db, &[], &Counters::default(), 2);
         env.set_snapshot_bytes(Some(snap));
         let (_, rec) = DurableEngine::open(Box::new(env), &opts(Durability::Sync)).unwrap();
         assert_eq!(rec.ops, vec![op(3)]);

@@ -78,6 +78,8 @@ impl DirEnv {
     }
 }
 
+/// The log file, opened in append mode: every write lands at the end of
+/// the file without a seek before it.
 struct FsLog {
     file: File,
 }
@@ -91,7 +93,6 @@ impl LogFile for FsLog {
     }
 
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.file.seek(SeekFrom::End(0))?;
         self.file.write_all(data)
     }
 
@@ -100,19 +101,13 @@ impl LogFile for FsLog {
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        self.file.set_len(len)?;
-        self.file.seek(SeekFrom::End(0)).map(|_| ())
+        self.file.set_len(len)
     }
 }
 
 impl StorageEnv for DirEnv {
     fn open_log(&self) -> io::Result<Box<dyn LogFile>> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(self.wal_path())?;
+        let file = OpenOptions::new().read(true).append(true).create(true).open(self.wal_path())?;
         Ok(Box::new(FsLog { file }))
     }
 

@@ -5,17 +5,22 @@
 //! re-submission survive worker *and coordinator* failures; this module
 //! gives our from-scratch store the same property without leaving std:
 //!
-//! * every mutation is one logical [`wal`] record, appended (length-prefixed
-//!   and CRC-checksummed) before the caller sees the new id;
-//! * a frame-count policy takes [`snapshot`] checkpoints — full table
-//!   serializations written atomically (temp + rename) — and truncates the
-//!   log;
+//! * every store call is one logical [`wal`] record — a single mutation,
+//!   or a finished activation whole — appended (length-prefixed and
+//!   CRC-checksummed) before the caller sees the new id;
+//! * [`snapshot`] checkpoints — full table serializations written
+//!   atomically (temp + rename) — are taken, and the log truncated, when
+//!   the log tail holds as many mutations as the snapshot holds rows (and
+//!   at least [`DurableOptions::checkpoint_every`]), which keeps their total
+//!   cost linear in the store and replay no longer than the snapshot load;
 //! * on open, recovery loads the snapshot, replays the WAL tail through the
 //!   exact code path used live, and truncates any torn tail at the first
 //!   bad checksum.
 //!
 //! The group-commit policy ([`Durability::Batched`]) amortizes fsync over
-//! many appends so the hot activation path is not fsync-bound; an explicit
+//! many appends so the hot activation path is not fsync-bound (a record
+//! counts once per mutation it carries, so bigger records do not mean
+//! rarer fsyncs); an explicit
 //! [`crate::provwf::ProvenanceStore::flush_wal`] (called by the steering
 //! bridge and at run end) bounds the window of unfsynced work.
 //!
@@ -39,14 +44,15 @@ use telemetry::Telemetry;
 /// When WAL appends are forced to durable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
-    /// fsync after every mutation. Nothing acknowledged is ever lost;
-    /// the hot path pays one fsync per op.
+    /// fsync after every record. Nothing acknowledged is ever lost;
+    /// the hot path pays one fsync per store call.
     Sync,
     /// Group commit: fsync once a batch fills or ages out. A crash loses at
     /// most the unfsynced suffix — which is still a committed *prefix*
     /// boundary, never a torn record.
     Batched {
-        /// Flush after this many unfsynced appends.
+        /// Flush once this many mutations are unfsynced (a record carrying
+        /// a whole activation counts each of its mutations).
         max_ops: usize,
         /// Flush when the oldest unfsynced append is this old (checked on
         /// the next append; call `flush_wal` for a hard bound).
@@ -65,8 +71,10 @@ impl Default for Durability {
 pub struct DurableOptions {
     /// Commit policy.
     pub durability: Durability,
-    /// Take a snapshot checkpoint every N WAL frames (0 = only on an
-    /// explicit `checkpoint()` call).
+    /// Smallest log tail, in mutations, at which a snapshot checkpoint is
+    /// taken (0 = only on an explicit `checkpoint()` call). Past it,
+    /// checkpoints are spaced by the store's own size: one is due when the
+    /// tail holds as many mutations as the snapshot holds rows.
     pub checkpoint_every: u64,
     /// Telemetry sink for `provstore.*` metrics (detached by default).
     pub telemetry: Telemetry,

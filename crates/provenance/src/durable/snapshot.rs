@@ -1,6 +1,6 @@
 //! Snapshot (checkpoint) format: a full serialization of the provenance
-//! [`Database`] plus the id counters and the WAL sequence number the
-//! snapshot covers.
+//! tables plus the id counters and the WAL sequence number the snapshot
+//! covers.
 //!
 //! ## Layout
 //!
@@ -21,6 +21,7 @@
 //! (unlike a torn WAL tail, a bad snapshot cannot be safely truncated).
 
 use crate::durable::codec::{crc32, CodecError, Reader, Writer};
+use crate::storage::TableProvider;
 use crate::table::{Database, Schema};
 use crate::value::ValueType;
 
@@ -84,11 +85,29 @@ fn type_from_tag(t: u8) -> Result<ValueType, CodecError> {
     })
 }
 
-/// Serialize a snapshot of `db` + `counters` covering WAL frames up to and
-/// including `base_seq`.
-pub(crate) fn encode(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u8> {
-    let mut body = Writer::new();
-    body.u64(base_seq);
+/// Rows pulled from the provider per [`TableProvider::scan_batch`] call —
+/// all of the store the encoder holds decoded at any one time.
+const ENCODE_BATCH: usize = 1024;
+
+/// Serialize a snapshot of the tables `names` (sorted) of `tables` +
+/// `counters`, covering WAL frames up to and including `base_seq`.
+///
+/// Rows stream from the provider into the one output buffer, so the
+/// snapshot is the only full copy of the store the writer makes.
+pub(crate) fn encode(
+    tables: &dyn TableProvider,
+    names: &[String],
+    counters: &Counters,
+    base_seq: u64,
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    // magic and version open the buffer; the body (everything after them)
+    // is what the trailing CRC covers
+    for &b in SNAP_MAGIC {
+        w.u8(b);
+    }
+    w.u32(SNAP_VERSION);
+    w.u64(base_seq);
     for c in [
         counters.next_wkf,
         counters.next_act,
@@ -98,31 +117,39 @@ pub(crate) fn encode(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u
         counters.next_machine,
         counters.next_output,
     ] {
-        body.i64(c);
+        w.i64(c);
     }
-    let names = db.table_names();
-    body.u32(names.len() as u32);
+    w.u32(names.len() as u32);
+    let mut batch = Vec::with_capacity(ENCODE_BATCH);
     for name in names {
-        let t = db.table(name).expect("listed table");
-        body.str(name);
-        body.u32(t.schema.columns.len() as u32);
-        for col in &t.schema.columns {
-            body.str(&col.name);
-            body.u8(type_tag(col.ty));
+        let schema = tables.schema_of(name).expect("listed table");
+        w.str(name);
+        w.u32(schema.columns.len() as u32);
+        for col in &schema.columns {
+            w.str(&col.name);
+            w.u8(type_tag(col.ty));
         }
-        body.u32(t.rows().len() as u32);
-        for row in t.rows() {
-            for v in row {
-                body.value(v);
+        let nrows = tables.row_count(name).expect("listed table");
+        w.u32(nrows as u32);
+        let (mut pos, mut written) = (0u64, 0u64);
+        loop {
+            batch.clear();
+            tables.scan_batch(name, &mut pos, ENCODE_BATCH, &mut batch).expect("listed table");
+            if batch.is_empty() {
+                break;
+            }
+            written += batch.len() as u64;
+            for v in batch.iter().flatten() {
+                w.value(v);
             }
         }
+        // the count is written ahead of the rows: a disagreement would be a
+        // snapshot that cannot be loaded back
+        assert_eq!(written, nrows, "snapshot of {name}: scan and row count disagree");
     }
-    let body = body.into_bytes();
-    let mut out = Vec::with_capacity(16 + body.len());
-    out.extend_from_slice(SNAP_MAGIC);
-    out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    let mut out = w.into_bytes();
+    let crc = crc32(&out[12..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -219,11 +246,87 @@ mod tests {
         db
     }
 
+    fn names(db: &Database) -> Vec<String> {
+        db.table_names().iter().map(|n| n.to_string()).collect()
+    }
+
+    /// [`encode`] over every table of `db`.
+    fn encode_db(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u8> {
+        encode(db, &names(db), counters, base_seq)
+    }
+
+    /// The encoder as it was before it streamed from a [`TableProvider`]
+    /// (PR 14): walks a materialized [`Database`] into a body buffer, then
+    /// copies the body between header and CRC. Kept as the byte-for-byte
+    /// reference: existing `snapshot.bin` files must keep loading, and new
+    /// ones must be what that encoder would have written.
+    fn reference_encode(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u8> {
+        let mut body = Writer::new();
+        body.u64(base_seq);
+        for c in [
+            counters.next_wkf,
+            counters.next_act,
+            counters.next_task,
+            counters.next_file,
+            counters.next_param,
+            counters.next_machine,
+            counters.next_output,
+        ] {
+            body.i64(c);
+        }
+        let names = db.table_names();
+        body.u32(names.len() as u32);
+        for name in names {
+            let t = db.table(name).expect("listed table");
+            body.str(name);
+            body.u32(t.schema.columns.len() as u32);
+            for col in &t.schema.columns {
+                body.str(&col.name);
+                body.u8(type_tag(col.ty));
+            }
+            body.u32(t.rows().len() as u32);
+            for row in t.rows() {
+                for v in row {
+                    body.value(v);
+                }
+            }
+        }
+        let body = body.into_bytes();
+        let mut out = Vec::with_capacity(16 + body.len());
+        out.extend_from_slice(SNAP_MAGIC);
+        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn bytes_match_the_reference_encoder_on_both_providers() {
+        // more rows than one scan batch, so the streaming loop is crossed
+        let mut db = sample_db();
+        for i in 0..(2 * ENCODE_BATCH as i64 + 7) {
+            db.insert("empty", vec![Value::Int(i)]).unwrap();
+        }
+        let counters = Counters { next_file: 31, ..Default::default() };
+        let expect = reference_encode(&db, &counters, 9);
+        assert_eq!(encode_db(&db, &counters, 9), expect);
+
+        let mut paged = crate::storage::PagedDb::in_memory();
+        for name in db.table_names() {
+            let t = db.table(name).unwrap();
+            paged.create_table(name, t.schema.clone()).unwrap();
+            for row in t.rows() {
+                paged.insert(name, row.clone()).unwrap();
+            }
+        }
+        assert_eq!(encode(&paged, &names(&db), &counters, 9), expect);
+    }
+
     #[test]
     fn roundtrip() {
         let db = sample_db();
         let counters = Counters { next_wkf: 4, next_task: 99, ..Default::default() };
-        let bytes = encode(&db, &counters, 17);
+        let bytes = encode_db(&db, &counters, 17);
         let (db2, c2, seq) = decode(&bytes).unwrap();
         assert_eq!(seq, 17);
         assert_eq!(c2, counters);
@@ -236,7 +339,7 @@ mod tests {
 
     #[test]
     fn crc_detects_corruption() {
-        let bytes = encode(&sample_db(), &Counters::default(), 0);
+        let bytes = encode_db(&sample_db(), &Counters::default(), 0);
         for pos in [12, 20, bytes.len() - 5] {
             let mut bad = bytes.clone();
             bad[pos] ^= 1;
@@ -248,14 +351,14 @@ mod tests {
     fn header_validation() {
         assert!(decode(b"").is_err());
         assert!(decode(b"NOTMAGIC\x01\x00\x00\x00\x00\x00\x00\x00").is_err());
-        let mut bytes = encode(&sample_db(), &Counters::default(), 0);
+        let mut bytes = encode_db(&sample_db(), &Counters::default(), 0);
         bytes[8] = 9; // version
         assert!(decode(&bytes).is_err());
     }
 
     #[test]
     fn truncated_snapshot_rejected() {
-        let bytes = encode(&sample_db(), &Counters::default(), 3);
+        let bytes = encode_db(&sample_db(), &Counters::default(), 3);
         for cut in [0, 8, 15, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }

@@ -1,6 +1,9 @@
-//! Write-ahead log format: logical mutation records (one [`WalOp`] per
-//! [`crate::provwf::ProvenanceStore`] mutation), length-prefixed and
-//! CRC-checksummed.
+//! Write-ahead log format: logical mutation records, length-prefixed and
+//! CRC-checksummed. One frame holds one record — one [`WalOp`] — and a
+//! record is what one [`crate::provwf::ProvenanceStore`] call commits: a
+//! single mutation for the per-row methods, a whole finished activation
+//! ([`WalOp::Group`]) for `commit_activation`. A frame is recovered whole or
+//! not at all, so a record is the unit of atomicity.
 //!
 //! ## Frame layout
 //!
@@ -13,6 +16,16 @@
 //! `seq` increases by exactly 1 per frame across the store's lifetime
 //! (checkpoints do not reset it; the snapshot records the last sequence
 //! it contains, and replay skips frames at or below it).
+//!
+//! ## Versions
+//!
+//! Version 2 added the [`WalOp::Group`] record (payload tag 8); every other
+//! byte is as in version 1, and [`scan`] reads both. The bump exists for the
+//! *older* binary: it takes a tag it does not know for a torn tail and would
+//! truncate committed records away, whereas a version it does not know is a
+//! hard error. A version-1 log is therefore never appended to — the store
+//! checkpoints it on open, which rewrites the header (see
+//! [`crate::durable::engine::DurableEngine::checkpoint`]).
 //!
 //! ## Torn-tail rule
 //!
@@ -29,15 +42,15 @@ use crate::value::Value;
 
 /// Magic bytes opening every WAL file.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"SCWFWAL1";
-/// Format version.
-pub(crate) const WAL_VERSION: u32 = 1;
+/// Format version written by this build (see "Versions" in the module docs).
+pub(crate) const WAL_VERSION: u32 = 2;
 /// Bytes of the file header (magic + version).
 pub(crate) const WAL_HEADER_LEN: u64 = 12;
 /// Upper bound on a frame payload — anything larger is treated as
 /// corruption rather than allocated.
 const MAX_PAYLOAD: u32 = 1 << 26;
 
-/// One logged mutation. Every public mutator of `ProvenanceStore` reduces
+/// One logged record. Every public mutator of `ProvenanceStore` reduces
 /// to exactly one of these; the same `apply` path consumes them live and
 /// during recovery, so replay is application-order deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +95,22 @@ pub(crate) enum WalOp {
         tuple_idx: i64,
         tuple: Vec<Value>,
     },
+    /// `commit_activation`: the mutations of one finished activation — its
+    /// files, parameters and output tuples, then its `hactivation` row — in
+    /// one frame. Flat: a group never holds a group.
+    Group(Vec<WalOp>),
+}
+
+impl WalOp {
+    /// How many mutations the record carries — what it counts toward the
+    /// group-commit batch and the checkpoint policy, so that packing
+    /// mutations into one frame changes neither cadence.
+    pub(crate) fn mutations(&self) -> u64 {
+        match self {
+            WalOp::Group(ops) => ops.len() as u64,
+            _ => 1,
+        }
+    }
 }
 
 fn status_tag(s: ActivationStatus) -> u8 {
@@ -132,9 +161,8 @@ fn read_activation(r: &mut Reader<'_>) -> Result<(i64, ActivationRecord), CodecE
     Ok((task, rec))
 }
 
-/// Encode an op's payload (no frame envelope).
-pub(crate) fn encode_op(op: &WalOp) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Append an op's payload (no frame envelope) to `w`.
+fn write_op(w: &mut Writer, op: &WalOp) {
     match op {
         WalOp::BeginWorkflow { id, tag, description, expdir } => {
             w.u8(0);
@@ -159,11 +187,11 @@ pub(crate) fn encode_op(op: &WalOp) -> Vec<u8> {
         }
         WalOp::RecordActivation { task, rec } => {
             w.u8(3);
-            write_activation(&mut w, *task, rec);
+            write_activation(w, *task, rec);
         }
         WalOp::UpdateActivation { task, rec } => {
             w.u8(4);
-            write_activation(&mut w, *task, rec);
+            write_activation(w, *task, rec);
         }
         WalOp::RecordFile { id, task, activity, workflow, fname, fsize, fdir } => {
             w.u8(5);
@@ -205,14 +233,38 @@ pub(crate) fn encode_op(op: &WalOp) -> Vec<u8> {
                 w.value(v);
             }
         }
+        WalOp::Group(ops) => {
+            w.u8(8);
+            w.u32(ops.len() as u32);
+            for op in ops {
+                debug_assert!(!matches!(op, WalOp::Group(_)), "groups are flat");
+                write_op(w, op);
+            }
+        }
     }
+}
+
+/// Encode an op's payload (no frame envelope).
+#[cfg(test)]
+pub(crate) fn encode_op(op: &WalOp) -> Vec<u8> {
+    let mut w = Writer::new();
+    write_op(&mut w, op);
     w.into_bytes()
 }
 
-/// Decode an op payload encoded by [`encode_op`].
+/// Decode an op payload written by [`write_op`].
 pub(crate) fn decode_op(payload: &[u8]) -> Result<WalOp, CodecError> {
     let mut r = Reader::new(payload);
-    let op = match r.u8()? {
+    let op = read_op(&mut r, true)?;
+    if r.remaining() != 0 {
+        return Err(CodecError(format!("{} trailing bytes after op", r.remaining())));
+    }
+    Ok(op)
+}
+
+/// Read one op; `top` is false inside a group, where a group is malformed.
+fn read_op(r: &mut Reader<'_>, top: bool) -> Result<WalOp, CodecError> {
+    Ok(match r.u8()? {
         0 => WalOp::BeginWorkflow {
             id: r.i64()?,
             tag: r.str()?,
@@ -232,11 +284,11 @@ pub(crate) fn decode_op(payload: &[u8]) -> Result<WalOp, CodecError> {
             cores: r.i64()?,
         },
         3 => {
-            let (task, rec) = read_activation(&mut r)?;
+            let (task, rec) = read_activation(r)?;
             WalOp::RecordActivation { task, rec }
         }
         4 => {
-            let (task, rec) = read_activation(&mut r)?;
+            let (task, rec) = read_activation(r)?;
             WalOp::UpdateActivation { task, rec }
         }
         5 => WalOp::RecordFile {
@@ -281,12 +333,20 @@ pub(crate) fn decode_op(payload: &[u8]) -> Result<WalOp, CodecError> {
                 tuple,
             }
         }
+        8 if top => {
+            let n = r.u32()? as usize;
+            // every op is at least its tag byte
+            if n > r.remaining() {
+                return Err(CodecError(format!("implausible group size {n}")));
+            }
+            let mut ops = Vec::with_capacity(n);
+            for _ in 0..n {
+                ops.push(read_op(r, false)?);
+            }
+            WalOp::Group(ops)
+        }
         t => return Err(CodecError(format!("bad op tag {t}"))),
-    };
-    if r.remaining() != 0 {
-        return Err(CodecError(format!("{} trailing bytes after op", r.remaining())));
-    }
-    Ok(op)
+    })
 }
 
 /// The 12-byte file header.
@@ -297,17 +357,19 @@ pub(crate) fn wal_header() -> Vec<u8> {
     h
 }
 
-/// Wrap one op in a frame (length prefix + seq + crc).
+/// Wrap one op in a frame (length prefix + seq + crc). The frame is built
+/// in one buffer: `seq` and the payload lie next to each other in it, which
+/// is exactly the checksummed range.
 pub(crate) fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
-    let payload = encode_op(op);
-    let mut out = Vec::with_capacity(16 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    let mut crc_input = Vec::with_capacity(8 + payload.len());
-    crc_input.extend_from_slice(&seq.to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    let mut w = Writer::new();
+    w.u32(0); // payload length, known once the payload is written
+    w.u64(seq);
+    write_op(&mut w, op);
+    let mut out = w.into_bytes();
+    let payload_len = (out.len() - 12) as u32;
+    out[..4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -323,6 +385,8 @@ pub(crate) enum WalScan {
     /// Header valid; `ops` is the committed prefix and `valid_len` the
     /// byte length it occupies (truncate the file there if `torn`).
     Frames {
+        /// The header's format version (1 or 2).
+        version: u32,
         /// `(seq, op)` in commit order.
         ops: Vec<(u64, WalOp)>,
         /// Byte length of the valid prefix (header included).
@@ -341,7 +405,7 @@ pub(crate) fn scan(bytes: &[u8]) -> WalScan {
         return WalScan::BadHeader("bad magic".into());
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != WAL_VERSION {
+    if !(1..=WAL_VERSION).contains(&version) {
         return WalScan::BadHeader(format!("unsupported WAL version {version}"));
     }
     let mut ops = Vec::new();
@@ -360,10 +424,8 @@ pub(crate) fn scan(bytes: &[u8]) -> WalScan {
         let payload = &rest[12..12 + len as usize];
         let stored_crc =
             u32::from_le_bytes(rest[12 + len as usize..16 + len as usize].try_into().expect("4"));
-        let mut crc_input = Vec::with_capacity(8 + payload.len());
-        crc_input.extend_from_slice(&rest[4..12]);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != stored_crc {
+        // seq ‖ payload, contiguous in the frame
+        if crc32(&rest[4..12 + len as usize]) != stored_crc {
             break; // torn or corrupt frame
         }
         if let Some(p) = prev_seq {
@@ -378,7 +440,7 @@ pub(crate) fn scan(bytes: &[u8]) -> WalScan {
         ops.push((seq, op));
         pos += 16 + len as usize;
     }
-    WalScan::Frames { ops, valid_len: pos as u64, torn: pos < bytes.len() }
+    WalScan::Frames { version, ops, valid_len: pos as u64, torn: pos < bytes.len() }
 }
 
 #[cfg(test)]
@@ -439,7 +501,41 @@ mod tests {
                 tuple_idx: 0,
                 tuple: vec![Value::Int(5), Value::Text("x".into()), Value::Null],
             },
+            WalOp::Group(vec![
+                WalOp::RecordFile {
+                    id: 2,
+                    task: 2,
+                    activity: 1,
+                    workflow: 1,
+                    fname: "b.dlg".into(),
+                    fsize: 9,
+                    fdir: "/e/vina/1/".into(),
+                },
+                WalOp::RecordOutputTuple {
+                    first_id: 4,
+                    task: 2,
+                    activity: 1,
+                    workflow: 1,
+                    pair_key: "R:M".into(),
+                    tuple_idx: 0,
+                    tuple: vec![],
+                },
+                WalOp::RecordActivation { task: 2, rec: finished("R:M") },
+            ]),
         ]
+    }
+
+    fn finished(pair_key: &str) -> ActivationRecord {
+        ActivationRecord {
+            activity: ActivityId(1),
+            workflow: WorkflowId(1),
+            status: ActivationStatus::Finished,
+            start_time: 0.5,
+            end_time: 2.0,
+            machine: None,
+            retries: 1,
+            pair_key: pair_key.into(),
+        }
     }
 
     #[test]
@@ -448,6 +544,34 @@ mod tests {
             let payload = encode_op(&op);
             assert_eq!(decode_op(&payload).unwrap(), op, "{op:?}");
         }
+    }
+
+    #[test]
+    fn a_group_counts_its_mutations_and_does_not_nest() {
+        let ops = sample_ops();
+        assert!(ops[..7].iter().all(|op| op.mutations() == 1));
+        assert_eq!(ops[7].mutations(), 3);
+        // a group inside a group is malformed: tag 8, one member, tag 8, none
+        assert!(decode_op(&[8, 1, 0, 0, 0, 8, 0, 0, 0, 0]).is_err());
+        // a member count the payload cannot hold is refused before allocating
+        assert!(decode_op(&[8, 0xff, 0xff, 0xff, 0x7f]).is_err());
+    }
+
+    /// The frame of `update_activation(task 1, FINISHED)` at seq 7, as the
+    /// version-1 encoder (PR 14, which built the CRC input in a second
+    /// buffer) wrote it: frame bytes did not change with the encoder.
+    #[test]
+    fn frame_bytes_match_the_version_1_encoder() {
+        let expect: [u8; 74] = [
+            0x3a, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x01,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0xe0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x01,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x52, 0x3a, 0x4c,
+            0x87, 0x42, 0x1d, 0x46,
+        ];
+        let op = WalOp::UpdateActivation { task: 1, rec: finished("R:L") };
+        assert_eq!(encode_frame(7, &op), expect);
     }
 
     #[test]
@@ -464,12 +588,12 @@ mod tests {
             bytes.extend_from_slice(&encode_frame(k as u64 + 1, &op));
         }
         match scan(&bytes) {
-            WalScan::Frames { ops, valid_len, torn } => {
-                assert_eq!(ops.len(), 7);
+            WalScan::Frames { ops, valid_len, torn, .. } => {
+                assert_eq!(ops.len(), 8);
                 assert_eq!(valid_len, bytes.len() as u64);
                 assert!(!torn);
                 assert_eq!(ops[0].0, 1);
-                assert_eq!(ops.last().unwrap().0, 7);
+                assert_eq!(ops.last().unwrap().0, 8);
             }
             other => panic!("unexpected scan result {other:?}"),
         }
@@ -487,7 +611,7 @@ mod tests {
         // cut at every byte: recovered ops must be the longest whole-frame
         // prefix that fits
         for cut in WAL_HEADER_LEN as usize..bytes.len() {
-            let WalScan::Frames { ops: got, valid_len, torn } = scan(&bytes[..cut]) else {
+            let WalScan::Frames { ops: got, valid_len, torn, .. } = scan(&bytes[..cut]) else {
                 panic!("header was intact");
             };
             let whole = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
@@ -539,12 +663,19 @@ mod tests {
         assert!(matches!(scan(b""), WalScan::Reinit));
         assert!(matches!(scan(b"SCWFWA"), WalScan::Reinit));
         assert!(matches!(scan(b"NOTMAGIC\x01\x00\x00\x00"), WalScan::BadHeader(_)));
-        let mut v2 = wal_header();
-        v2[8] = 9;
-        assert!(matches!(scan(&v2), WalScan::BadHeader(_)));
+        for unknown in [0, WAL_VERSION as u8 + 1, 9] {
+            let mut h = wal_header();
+            h[8] = unknown;
+            assert!(matches!(scan(&h), WalScan::BadHeader(_)), "version {unknown}");
+        }
+        // the previous version is still read
+        let mut v1 = wal_header();
+        v1[8] = 1;
+        assert!(matches!(scan(&v1), WalScan::Frames { version: 1, .. }));
         // bare valid header: zero frames
         match scan(&wal_header()) {
-            WalScan::Frames { ops, valid_len, torn } => {
+            WalScan::Frames { version, ops, valid_len, torn } => {
+                assert_eq!(version, WAL_VERSION);
                 assert!(ops.is_empty());
                 assert_eq!(valid_len, WAL_HEADER_LEN);
                 assert!(!torn);

@@ -159,29 +159,6 @@ impl Backing {
             }
         }
     }
-
-    /// Is there an `hactivation` row for `task`? (Index-accelerated on the
-    /// paged backing.)
-    fn has_task(&self, task: i64) -> bool {
-        match self {
-            // from the back: the row asked about is one of the last inserted
-            Backing::Mem(db) => db
-                .table("hactivation")
-                .map(|t| t.rows().iter().rev().any(|r| r[0] == Value::Int(task)))
-                .unwrap_or(false),
-            Backing::Paged(pg) => {
-                pg.find_rowid_by_int("hactivation", "taskid", task).ok().flatten().is_some()
-            }
-        }
-    }
-
-    /// A plain [`Database`] with identical content (checkpoint source).
-    fn to_database(&self) -> Database {
-        match self {
-            Backing::Mem(db) => db.clone(),
-            Backing::Paged(pg) => pg.to_database(),
-        }
-    }
 }
 
 struct Inner {
@@ -193,7 +170,13 @@ struct Inner {
 }
 
 impl Inner {
-    /// Apply one mutation and, when durable, log it (and maybe checkpoint).
+    /// Apply one record to the tables. Returns `false` only for an update
+    /// of an `hactivation` row that does not exist.
+    fn apply(&mut self, op: &WalOp) -> bool {
+        self.backing.apply(&mut self.counters, op)
+    }
+
+    /// Log one applied record when durable (and maybe checkpoint).
     ///
     /// The WAL append happens under the same lock as the table mutation, so
     /// WAL order always equals application order — the invariant replay
@@ -204,31 +187,97 @@ impl Inner {
     /// that promised durability but can no longer write its log must not
     /// keep acknowledging mutations. (Fault-injection tests use exactly
     /// this panic as a simulated crash.)
-    fn commit(&mut self, op: WalOp) {
-        self.backing.apply(&mut self.counters, &op);
+    fn log(&mut self, op: &WalOp) {
         if let Some(eng) = &mut self.engine {
-            eng.append(&op).expect("provstore: durable WAL append failed");
+            eng.append(op).expect("provstore: durable WAL append failed");
             if eng.should_checkpoint() {
                 self.checkpoint_now();
             }
         }
     }
 
+    /// Apply one record and log it. A record that does not apply (see
+    /// [`Inner::apply`]) is not logged either, and `false` comes back.
+    fn commit(&mut self, op: WalOp) -> bool {
+        let applied = self.apply(&op);
+        if applied {
+            self.log(&op);
+        }
+        applied
+    }
+
     /// Snapshot the current state and truncate the WAL. Dirty pages are
     /// flushed first so the page file is coherent with the snapshot; the
-    /// snapshot itself is taken from a materialized [`Database`] (the
+    /// snapshot is encoded straight from the backing's tables (the
     /// WAL/snapshot pair stays the durability source of truth — the page
     /// file is a rebuildable acceleration structure).
     ///
     /// # Panics
-    /// Panics if the snapshot cannot be written (same contract as `commit`).
+    /// Panics if the snapshot cannot be written (same contract as `log`).
     fn checkpoint_now(&mut self) {
         if let Backing::Paged(pg) = &self.backing {
             pg.flush_pages();
         }
-        let db = self.backing.to_database();
+        let names = self.backing.table_names();
         if let Some(eng) = &mut self.engine {
-            eng.checkpoint(&db, &self.counters).expect("provstore: snapshot checkpoint failed");
+            eng.checkpoint(self.backing.provider(), &names, &self.counters)
+                .expect("provstore: snapshot checkpoint failed");
+        }
+    }
+
+    fn file_op(
+        &self,
+        task: i64,
+        activity: ActivityId,
+        workflow: WorkflowId,
+        (fname, fsize, fdir): (&str, i64, &str),
+    ) -> WalOp {
+        WalOp::RecordFile {
+            id: self.counters.next_file,
+            task,
+            activity: activity.0,
+            workflow: workflow.0,
+            fname: fname.to_string(),
+            fsize,
+            fdir: fdir.to_string(),
+        }
+    }
+
+    fn parameter_op(
+        &self,
+        task: i64,
+        workflow: WorkflowId,
+        name: &str,
+        num: Option<f64>,
+        text: Option<&str>,
+    ) -> WalOp {
+        WalOp::RecordParameter {
+            id: self.counters.next_param,
+            task,
+            workflow: workflow.0,
+            name: name.to_string(),
+            num,
+            text: text.map(str::to_string),
+        }
+    }
+
+    fn output_tuple_op(
+        &self,
+        task: i64,
+        activity: ActivityId,
+        workflow: WorkflowId,
+        pair_key: &str,
+        tuple_idx: usize,
+        tuple: &[Value],
+    ) -> WalOp {
+        WalOp::RecordOutputTuple {
+            first_id: self.counters.next_output,
+            task,
+            activity: activity.0,
+            workflow: workflow.0,
+            pair_key: pair_key.to_string(),
+            tuple_idx: tuple_idx as i64,
+            tuple: tuple.to_vec(),
         }
     }
 }
@@ -243,15 +292,15 @@ enum Mutation {
     UpdateActivation { task: i64, row: Vec<Value> },
 }
 
-/// Translate one logged mutation into primitive row mutations, advancing
-/// the id counters.
+/// Translate one logged record into primitive row mutations (appended to
+/// `muts`), advancing the id counters.
 ///
 /// This is the **only** code path that decides what the PROV-Wf tables
 /// contain: live mutations build a [`WalOp`] and run it through here before
 /// logging, and recovery replays logged ops through the same function — so
 /// a replayed store is bit-for-bit the store the ops originally built,
 /// regardless of which backing executes the mutations.
-fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
+fn plan_op(c: &mut Counters, op: &WalOp, muts: &mut Vec<Mutation>) {
     fn activation_row(task: i64, rec: &ActivationRecord) -> Vec<Value> {
         vec![
             Value::Int(task),
@@ -268,7 +317,7 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
     match op {
         WalOp::BeginWorkflow { id, tag, description, expdir } => {
             c.next_wkf = c.next_wkf.max(id + 1);
-            vec![Mutation::Insert {
+            muts.push(Mutation::Insert {
                 table: "hworkflow",
                 row: vec![
                     Value::Int(*id),
@@ -276,11 +325,11 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
                     description.as_str().into(),
                     expdir.as_str().into(),
                 ],
-            }]
+            });
         }
         WalOp::RegisterActivity { id, wkf, tag, acttype } => {
             c.next_act = c.next_act.max(id + 1);
-            vec![Mutation::Insert {
+            muts.push(Mutation::Insert {
                 table: "hactivity",
                 row: vec![
                     Value::Int(*id),
@@ -288,11 +337,11 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
                     tag.as_str().into(),
                     acttype.as_str().into(),
                 ],
-            }]
+            });
         }
         WalOp::RegisterMachine { id, name, instance_type, cores } => {
             c.next_machine = c.next_machine.max(id + 1);
-            vec![Mutation::Insert {
+            muts.push(Mutation::Insert {
                 table: "hmachine",
                 row: vec![
                     Value::Int(*id),
@@ -300,18 +349,18 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
                     instance_type.as_str().into(),
                     Value::Int(*cores),
                 ],
-            }]
+            });
         }
         WalOp::RecordActivation { task, rec } => {
             c.next_task = c.next_task.max(task + 1);
-            vec![Mutation::Insert { table: "hactivation", row: activation_row(*task, rec) }]
+            muts.push(Mutation::Insert { table: "hactivation", row: activation_row(*task, rec) });
         }
         WalOp::UpdateActivation { task, rec } => {
-            vec![Mutation::UpdateActivation { task: *task, row: activation_row(*task, rec) }]
+            muts.push(Mutation::UpdateActivation { task: *task, row: activation_row(*task, rec) });
         }
         WalOp::RecordFile { id, task, activity, workflow, fname, fsize, fdir } => {
             c.next_file = c.next_file.max(id + 1);
-            vec![Mutation::Insert {
+            muts.push(Mutation::Insert {
                 table: "hfile",
                 row: vec![
                     Value::Int(*id),
@@ -322,11 +371,11 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
                     Value::Int(*fsize),
                     fdir.as_str().into(),
                 ],
-            }]
+            });
         }
         WalOp::RecordParameter { id, task, workflow, name, num, text } => {
             c.next_param = c.next_param.max(id + 1);
-            vec![Mutation::Insert {
+            muts.push(Mutation::Insert {
                 table: "hparameter",
                 row: vec![
                     Value::Int(*id),
@@ -336,7 +385,7 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
                     num.map(Value::Float).unwrap_or(Value::Null),
                     text.as_deref().map(Value::from).unwrap_or(Value::Null),
                 ],
-            }]
+            });
         }
         WalOp::RecordOutputTuple {
             first_id,
@@ -347,7 +396,6 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
             tuple_idx,
             tuple,
         } => {
-            let mut muts = Vec::new();
             let mut id = *first_id;
             let mut push = |id: i64, colidx: i64, num: Option<f64>, text: Option<String>| {
                 muts.push(Mutation::Insert {
@@ -384,16 +432,23 @@ fn plan_op(c: &mut Counters, op: &WalOp) -> Vec<Mutation> {
                 id += 1;
             }
             c.next_output = c.next_output.max(id);
-            muts
+        }
+        WalOp::Group(ops) => {
+            for op in ops {
+                plan_op(c, op, muts);
+            }
         }
     }
 }
 
-/// Apply one logged mutation to an in-memory [`Database`]. Returns `false`
+/// Apply one logged record to an in-memory [`Database`]. Returns `false`
 /// only for an [`WalOp::UpdateActivation`] whose task id is unknown (the
-/// live path never logs those).
-pub(crate) fn apply_op(db: &mut Database, c: &mut Counters, op: &WalOp) -> bool {
-    for m in plan_op(c, op) {
+/// live path never logs those); the record's mutations before it stay
+/// applied.
+fn apply_op(db: &mut Database, c: &mut Counters, op: &WalOp) -> bool {
+    let mut muts = Vec::new();
+    plan_op(c, op, &mut muts);
+    for m in muts {
         match m {
             Mutation::Insert { table, row } => {
                 db.insert(table, row).expect("schema matches");
@@ -416,22 +471,22 @@ pub(crate) fn apply_op(db: &mut Database, c: &mut Counters, op: &WalOp) -> bool 
     true
 }
 
-/// Apply one logged mutation to the paged engine — same [`plan_op`]
+/// Apply one logged record to the paged engine — same [`plan_op`]
 /// translation, so both backings stay row-identical. Secondary index
 /// maintenance happens inside [`PagedDb`].
 fn apply_op_paged(pg: &mut PagedDb, c: &mut Counters, op: &WalOp) -> bool {
-    for m in plan_op(c, op) {
+    let mut muts = Vec::new();
+    plan_op(c, op, &mut muts);
+    for m in muts {
         match m {
             Mutation::Insert { table, row } => {
                 pg.insert(table, row).expect("schema matches");
             }
             Mutation::UpdateActivation { task, row } => {
-                let Some(rid) =
-                    pg.find_rowid_by_int("hactivation", "taskid", task).expect("schema matches")
-                else {
+                // taskid-index point lookup; the row it finds is the row rewritten
+                if !pg.update_by_int("hactivation", "taskid", task, row).expect("schema matches") {
                     return false;
-                };
-                pg.update("hactivation", rid, row).expect("schema matches");
+                }
             }
         }
     }
@@ -660,9 +715,15 @@ impl ProvenanceStore {
         for op in &recovered.ops {
             backing.apply(&mut counters, op);
         }
-        Ok(ProvenanceStore {
-            inner: Arc::new(Mutex::new(Inner { backing, counters, engine: Some(engine) })),
-        })
+        let upgrade = engine.stale_header();
+        let mut inner = Inner { backing, counters, engine: Some(engine) };
+        if upgrade {
+            // a log from before WAL version 2 must not receive records an
+            // older binary would mistake for a torn tail: fold it into a
+            // snapshot, which restarts the log under the current header
+            inner.checkpoint_now();
+        }
+        Ok(ProvenanceStore { inner: Arc::new(Mutex::new(inner)) })
     }
 
     /// Is this store backed by a durable engine?
@@ -755,14 +816,8 @@ impl ProvenanceStore {
     /// `status_summary` never double-counts the activation. Returns `false`
     /// when `task` is unknown (the row is then left to the caller to insert).
     pub fn update_activation(&self, task: TaskId, rec: &ActivationRecord) -> bool {
-        let mut g = self.inner.lock();
-        // check existence first so unknown tasks are never logged
-        // (taskid-index point lookup on the paged backing)
-        if !g.backing.has_task(task.0) {
-            return false;
-        }
-        g.commit(WalOp::UpdateActivation { task: task.0, rec: rec.clone() });
-        true
+        // an unknown task does not apply, and what does not apply is not logged
+        self.inner.lock().commit(WalOp::UpdateActivation { task: task.0, rec: rec.clone() })
     }
 
     /// Record a file produced by an activation.
@@ -776,16 +831,8 @@ impl ProvenanceStore {
         fdir: &str,
     ) {
         let mut g = self.inner.lock();
-        let id = g.counters.next_file;
-        g.commit(WalOp::RecordFile {
-            id,
-            task: task.0,
-            activity: activity.0,
-            workflow: workflow.0,
-            fname: fname.to_string(),
-            fsize,
-            fdir: fdir.to_string(),
-        });
+        let op = g.file_op(task.0, activity, workflow, (fname, fsize, fdir));
+        g.commit(op);
     }
 
     /// Record an extracted domain parameter (numeric, textual, or both).
@@ -798,15 +845,8 @@ impl ProvenanceStore {
         text: Option<&str>,
     ) {
         let mut g = self.inner.lock();
-        let id = g.counters.next_param;
-        g.commit(WalOp::RecordParameter {
-            id,
-            task: task.0,
-            workflow: workflow.0,
-            name: name.to_string(),
-            num,
-            text: text.map(str::to_string),
-        });
+        let op = g.parameter_op(task.0, workflow, name, num, text);
+        g.commit(op);
     }
 
     /// Persist one output tuple of an activation (SciCumulus stores the
@@ -825,16 +865,62 @@ impl ProvenanceStore {
         tuple: &[Value],
     ) {
         let mut g = self.inner.lock();
-        let first_id = g.counters.next_output;
-        g.commit(WalOp::RecordOutputTuple {
-            first_id,
-            task: task.0,
-            activity: activity.0,
-            workflow: workflow.0,
-            pair_key: pair_key.to_string(),
-            tuple_idx: tuple_idx as i64,
-            tuple: tuple.to_vec(),
-        });
+        let op = g.output_tuple_op(task.0, activity, workflow, pair_key, tuple_idx, tuple);
+        g.commit(op);
+    }
+
+    /// Commit a finished activation whole: its produced `files` (`(fname,
+    /// fsize, fdir)`, as for [`record_file`](Self::record_file)), extracted
+    /// `params`, output `tuples` (keyed by `rec.pair_key`, numbered in
+    /// order) and last its `hactivation` row `rec` — inserted, or, when
+    /// `running` names the `RUNNING` row the steering bridge published for
+    /// the attempt, written over that row. Returns the activation's task id.
+    ///
+    /// The rows are those the per-row methods would write, with ids from
+    /// the same counters in the same order; but they take the store's lock
+    /// once and are logged as **one** WAL record, so a crash leaves either
+    /// all of them or none: a recovered `FINISHED` row always has its
+    /// complete outputs, and no output row outlives its activation.
+    ///
+    /// # Panics
+    /// Panics if `running` names a task the store never recorded.
+    pub fn commit_activation(
+        &self,
+        running: Option<TaskId>,
+        rec: &ActivationRecord,
+        files: &[(&str, i64, &str)],
+        params: &[(String, Option<f64>, Option<String>)],
+        tuples: &[Vec<Value>],
+    ) -> TaskId {
+        let mut g = self.inner.lock();
+        let task = running.map_or(g.counters.next_task, |t| t.0);
+        let mut ops = Vec::with_capacity(files.len() + params.len() + tuples.len() + 1);
+        // each op takes its id from the counters as the ops before it left
+        // them, exactly as a sequence of per-row calls would
+        let mut stage = |g: &mut Inner, op: WalOp| {
+            let applied = g.apply(&op);
+            assert!(applied, "commit_activation: no RUNNING row for task {task}");
+            ops.push(op);
+        };
+        for &file in files {
+            let op = g.file_op(task, rec.activity, rec.workflow, file);
+            stage(&mut g, op);
+        }
+        for (name, num, text) in params {
+            let op = g.parameter_op(task, rec.workflow, name, *num, text.as_deref());
+            stage(&mut g, op);
+        }
+        for (ti, tuple) in tuples.iter().enumerate() {
+            let op = g.output_tuple_op(task, rec.activity, rec.workflow, &rec.pair_key, ti, tuple);
+            stage(&mut g, op);
+        }
+        let row = match running {
+            Some(_) => WalOp::UpdateActivation { task, rec: rec.clone() },
+            None => WalOp::RecordActivation { task, rec: rec.clone() },
+        };
+        stage(&mut g, row);
+        g.log(&WalOp::Group(ops));
+        TaskId(task)
     }
 
     /// Recover the recorded output tuples of every FINISHED activation of

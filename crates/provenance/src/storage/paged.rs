@@ -275,18 +275,47 @@ impl PagedDb {
 
     /// Replace the row at `rowid`, maintaining all indexes.
     pub fn update(&mut self, table: &str, rowid: u64, row: Vec<Value>) -> Result<(), DbError> {
-        let cache = &self.cache;
-        let old = self
-            .fetch_internal(table, rowid)?
+        let (old_rid, old) = self
+            .fetch_located(table, rowid)?
             .ok_or_else(|| DbError::NoSuchTable(format!("{table} rowid {rowid}")))?;
+        self.rewrite(table, rowid, old_rid, &old, row)
+    }
+
+    /// Replace the first row (insertion order) whose `col` equals `key`;
+    /// `Ok(false)` when there is none. The row is located once — index
+    /// lookup, primary descent, heap read — and that one resolution serves
+    /// both the match and the rewrite.
+    pub fn update_by_int(
+        &mut self,
+        table: &str,
+        col: &str,
+        key: i64,
+        row: Vec<Value>,
+    ) -> Result<bool, DbError> {
+        let Some((rowid, old_rid, old)) = self.find_by_int(table, col, key)? else {
+            return Ok(false);
+        };
+        self.rewrite(table, rowid, old_rid, &old, row)?;
+        Ok(true)
+    }
+
+    /// Overwrite the row `old`, stored at `old_rid` under `rowid`, with `row`.
+    fn rewrite(
+        &mut self,
+        table: &str,
+        rowid: u64,
+        old_rid: u64,
+        old: &[Value],
+        row: Vec<Value>,
+    ) -> Result<(), DbError> {
+        let cache = &self.cache;
         let t = self
             .tables
             .get_mut(&table.to_ascii_lowercase())
             .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
         t.validate(&row)?;
-        let old_rid = t.primary.get(cache, &rowid.to_be_bytes()).expect("fetched row has rid");
         for s in &mut t.secondaries {
-            let ko = s.entry_key(&old, rowid);
+            let ko = s.entry_key(old, rowid);
             let kn = s.entry_key(&row, rowid);
             if ko != kn {
                 s.tree.delete(cache, &ko);
@@ -300,13 +329,14 @@ impl PagedDb {
         Ok(())
     }
 
-    /// Rowid of the first row (insertion order) whose `col` equals `key`.
-    pub fn find_rowid_by_int(
+    /// `(rowid, record id, row)` of the first row (insertion order) whose
+    /// `col` equals `key`.
+    fn find_by_int(
         &self,
         table: &str,
         col: &str,
         key: i64,
-    ) -> Result<Option<u64>, DbError> {
+    ) -> Result<Option<(u64, u64, Vec<Value>)>, DbError> {
         let t = self.table(table)?;
         let ci =
             t.schema.index_of(col).ok_or_else(|| DbError::NoSuchTable(format!("{table}.{col}")))?;
@@ -319,9 +349,9 @@ impl PagedDb {
             let mut rowids: Vec<u64> = entries.into_iter().map(|(_, v)| v).collect();
             rowids.sort_unstable();
             for rowid in rowids {
-                if let Some(row) = self.fetch_internal(table, rowid)? {
+                if let Some((r, row)) = self.fetch_located(table, rowid)? {
                     if row[ci].sql_eq(&target) == Some(true) {
-                        return Ok(Some(rowid));
+                        return Ok(Some((rowid, r, row)));
                     }
                 }
             }
@@ -330,19 +360,25 @@ impl PagedDb {
         // full scan in insertion order
         for (rowid, row) in self.scan_entries(table, 0, usize::MAX)? {
             if row[ci].sql_eq(&target) == Some(true) {
-                return Ok(Some(rowid));
+                let r = t.primary.get(&self.cache, &rowid.to_be_bytes()).expect("scanned rowid");
+                return Ok(Some((rowid, r, row)));
             }
         }
         Ok(None)
     }
 
     fn fetch_internal(&self, table: &str, rowid: u64) -> Result<Option<Vec<Value>>, DbError> {
+        Ok(self.fetch_located(table, rowid)?.map(|(_, row)| row))
+    }
+
+    /// The row at `rowid` and the record id it is stored under.
+    fn fetch_located(&self, table: &str, rowid: u64) -> Result<Option<(u64, Vec<Value>)>, DbError> {
         let t = self.table(table)?;
         let Some(r) = t.primary.get(&self.cache, &rowid.to_be_bytes()) else {
             return Ok(None);
         };
         let bytes = t.heap.get(&self.cache, r).expect("primary rid resolves");
-        Ok(Some(decode_row(&bytes, t.schema.arity())))
+        Ok(Some((r, decode_row(&bytes, t.schema.arity()))))
     }
 
     /// `(rowid, row)` pairs with rowid ≥ `pos`, up to `max`, insertion order.
@@ -667,13 +703,19 @@ mod tests {
     }
 
     #[test]
-    fn find_rowid_by_int_prefers_first_insertion() {
-        let db = sample();
-        // id 7 appears at rowids 7, 57, 107, ... → first is 7
-        assert_eq!(db.find_rowid_by_int("t", "id", 7).unwrap(), Some(7));
-        assert_eq!(db.find_rowid_by_int("t", "id", 12345).unwrap(), None);
-        // unindexed column falls back to a scan
-        assert_eq!(db.find_rowid_by_int("t", "score", 0).unwrap(), Some(0));
+    fn update_by_int_rewrites_the_first_insertion() {
+        let mut db = sample();
+        let new = |id: i64| vec![Value::Int(id), Value::Text("rewritten".into()), Value::Null];
+        // id 7 appears at rowids 7, 57, 107, ... → the first is rewritten
+        assert!(db.update_by_int("t", "id", 7, new(700)).unwrap());
+        assert_eq!(db.fetch("t", 7).unwrap().unwrap(), new(700));
+        assert_eq!(db.fetch("t", 57).unwrap().unwrap()[0], Value::Int(7));
+        // no such key: nothing changes
+        assert!(!db.update_by_int("t", "id", 12345, new(1)).unwrap());
+        // unindexed column falls back to a scan (score 0.0 is rowid 0)
+        assert!(db.update_by_int("t", "score", 0, new(800)).unwrap());
+        assert_eq!(db.fetch("t", 0).unwrap().unwrap(), new(800));
+        db.verify_integrity().unwrap();
     }
 
     #[test]

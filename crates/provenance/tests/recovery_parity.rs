@@ -190,6 +190,87 @@ fn paged_and_mem_stores_answer_every_query_identically() {
     );
 }
 
+/// Write `n` finished activations (0–2 files, 0–2 parameters, 0–3 tuples
+/// each, every third one over a `RUNNING` row that was there first) either
+/// as the per-row call sequence a finished activation used to be, or as
+/// one `commit_activation` each.
+fn finished_stream(p: &ProvenanceStore, n: usize, whole: bool) {
+    let w = p.begin_workflow("SciDock", "docking campaign", "/root/exp_SciDock");
+    let act = p.register_activity(w, "autodockvina1k", "Map");
+    for i in 0..n {
+        let running = ActivationRecord {
+            activity: act,
+            workflow: w,
+            status: ActivationStatus::Running,
+            start_time: i as f64,
+            end_time: i as f64,
+            machine: None,
+            retries: (i % 3) as i64,
+            pair_key: format!("2HHN:{i:03}"),
+        };
+        let finished = ActivationRecord {
+            status: ActivationStatus::Finished,
+            end_time: i as f64 + 4.5,
+            ..running.clone()
+        };
+        let names = [format!("out_{i}.dlg"), format!("out_{i}.log")];
+        let files: Vec<(&str, i64, &str)> =
+            names[..i % 3].iter().map(|n| (n.as_str(), 100 + i as i64, "/e/vina/")).collect();
+        let all_params = [
+            ("feb".to_string(), Some(-6.0 - i as f64 / 8.0), None),
+            ("pose".to_string(), None, Some(format!("pose{i}"))),
+        ];
+        let params = &all_params[..(i + 1) % 3];
+        let all_tuples =
+            [vec![Value::Float(-6.5), Value::Text(format!("t{i}"))], vec![], vec![Value::Int(7)]];
+        let tuples = &all_tuples[..i % 4];
+        // as the steering bridge would have: a RUNNING row published earlier
+        let published = (i % 3 == 0).then(|| p.record_activation(&running));
+        if whole {
+            p.commit_activation(published, &finished, &files, params, tuples);
+            continue;
+        }
+        let t = published.unwrap_or_else(|| p.record_activation(&running));
+        for (name, size, dir) in files {
+            p.record_file(t, act, w, name, size, dir);
+        }
+        for (name, num, text) in params {
+            p.record_parameter(t, w, name, *num, text.as_deref());
+        }
+        for (ti, tuple) in tuples.iter().enumerate() {
+            p.record_output_tuple(t, act, w, &finished.pair_key, ti, tuple);
+        }
+        assert!(p.update_activation(t, &finished));
+    }
+}
+
+#[test]
+fn commit_activation_writes_the_rows_of_the_per_row_calls() {
+    // same ids, same values, same order within every table — on both
+    // backings, and again after the whole-activation records are replayed
+    let per_row = ProvenanceStore::new();
+    finished_stream(&per_row, 24, false);
+    let expect = per_row.dump_tables();
+    let provn = provenance::export_provn_canonical(&per_row);
+
+    let env = MemEnv::new();
+    let durable = ProvenanceStore::open_env(Box::new(env.clone()), sync_options()).unwrap();
+    for (whole, store) in [
+        (false, ProvenanceStore::new_paged()),
+        (true, ProvenanceStore::new()),
+        (true, ProvenanceStore::new_paged()),
+        (true, durable),
+    ] {
+        finished_stream(&store, 24, whole);
+        assert_eq!(store.dump_tables(), expect, "whole = {whole}, paged = {}", store.is_paged());
+        assert_eq!(provenance::export_provn_canonical(&store), provn);
+        store.verify_integrity().expect("paged structural invariants hold");
+    }
+    let replayed = ProvenanceStore::open_env(Box::new(env), sync_options()).unwrap();
+    assert_eq!(replayed.dump_tables(), expect);
+    assert_eq!(observe(&replayed), observe(&per_row));
+}
+
 #[test]
 fn clean_reopen_on_disk_answers_every_query_identically() {
     let dir = TempDir::new("parity-clean");

@@ -14,6 +14,7 @@ use crate::MetricsSnapshot;
 pub const COUNTERS: &[&str] = &[
     "campaign.cancelled",
     "campaign.finished",
+    "campaign.p95_sorts",
     "campaign.rejected",
     "campaign.started",
     "campaign.submitted",
