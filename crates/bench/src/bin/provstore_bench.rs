@@ -23,17 +23,24 @@
 //! bounded: its cost is one fsync per record by definition and entirely
 //! device-dependent.
 //!
-//! Two more gates are counts, not clocks, so they hold on any machine:
+//! Four more gates are counts, not clocks, so they hold on any machine:
 //! N activations make exactly N + 4 `provstore.wal_appends` (one record per
-//! activation plus the four registrations), and 40 000 mutations under
+//! activation plus the four registrations); 40 000 mutations under
 //! `checkpoint_every = 64` take at most 11 `provstore.checkpoints` (one
-//! every 64 would be 625).
+//! every 64 would be 625); the 500-activation smoke stream, single-threaded
+//! under `Batched { max_ops: 64 }`, makes exactly 32 `provstore.group_commit`
+//! fsyncs (2 004 mutations / 64, plus the closing `flush_wal` — taking the
+//! fsync off the store's lock must not thin them out); and 100 000 monotone
+//! keys fill their B+tree leaves (at most 1.1 × the pages full leaves take).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use provenance::durable::io::{DirEnv, MemEnv};
 use provenance::durable::testing::TempDir;
 use provenance::provwf::{ActivationRecord, ActivationStatus, ProvenanceStore};
+use provenance::storage::btree::BTree;
+use provenance::storage::page::PAGE_SIZE;
+use provenance::storage::pager::{MemPageStore, PageCache};
 use provenance::{Durability, DurableOptions, Value};
 use telemetry::Telemetry;
 
@@ -188,5 +195,34 @@ fn main() {
     gate(
         ops == 40_000 && checkpoints <= 11,
         &format!("{ops} mutations at checkpoint_every = 64 took {checkpoints} checkpoints"),
+    );
+
+    // the smoke stream again, with the batch's age out of the picture
+    let tel = Telemetry::attached();
+    let by_count = Durability::Batched { max_ops: 64, max_delay: Duration::from_secs(3600) };
+    let p = ProvenanceStore::open_env(
+        Box::new(MemEnv::new()),
+        DurableOptions { durability: by_count, telemetry: tel.clone(), ..Default::default() },
+    )
+    .expect("fresh durable store");
+    let (ops, _) = workload(&p, 500);
+    let fsyncs = tel.histogram("provstore.group_commit").map_or(0, |h| h.count());
+    gate(
+        ops == 2_004 && fsyncs == 32,
+        &format!("{ops} mutations at max_ops = 64 and a closing flush made {fsyncs} fsyncs"),
+    );
+
+    // rowid-shaped keys: 8 bytes, ascending; 20 bytes a leaf entry, 9 a header
+    let cache = PageCache::new(Box::new(MemPageStore::new()), 64);
+    let before = cache.pages_allocated();
+    let mut tree = BTree::create(&cache);
+    for i in 0..100_000u64 {
+        tree.insert(&cache, &i.to_be_bytes(), i);
+    }
+    let pages = u64::from(cache.pages_allocated() - before);
+    let full_leaves = 100_000u64.div_ceil((PAGE_SIZE as u64 - 9) / 20);
+    gate(
+        pages * 10 <= full_leaves * 11,
+        &format!("100000 monotone keys took {pages} B+tree pages ({full_leaves} full leaves)"),
     );
 }

@@ -22,7 +22,7 @@ use cumulus::obs::EventLog;
 use cumulus::serve::{CampaignResolver, Daemon, ServeConfig};
 use cumulus::workflow::FileStore;
 use cumulus::Workflow;
-use provenance::ProvenanceStore;
+use provenance::{DurableOptions, ProvenanceStore};
 use telemetry::Telemetry;
 
 fn usage() -> ! {
@@ -116,13 +116,21 @@ fn main() {
     }
 
     let prov = match &wal {
-        Some(path) => match ProvenanceStore::open(path) {
-            Ok(p) => Arc::new(p),
-            Err(e) => {
-                eprintln!("scidockd: cannot open WAL {path}: {e}");
-                std::process::exit(1);
+        Some(path) => {
+            // with an endpoint to read them at, the store's `provstore.*`
+            // metrics go where the daemon's own do
+            let mut options = DurableOptions::default();
+            if cfg.metrics_addr.is_some() {
+                options.telemetry = cfg.telemetry.clone();
             }
-        },
+            match ProvenanceStore::open_with(path, options) {
+                Ok(p) => Arc::new(p),
+                Err(e) => {
+                    eprintln!("scidockd: cannot open WAL {path}: {e}");
+                    std::process::exit(1);
+                }
+            }
+        }
         None => Arc::new(ProvenanceStore::new()),
     };
 

@@ -2116,15 +2116,20 @@ mod tests {
         assert_eq!(registry::unregistered(&ssnap), Vec::<String>::new());
 
         // served: campaign.* counters/gauges/histograms layered over the
-        // local activation machinery
+        // local activation machinery, on a durable store reporting to the
+        // same sink (provstore.*), as `scidockd --wal --metrics-addr` runs
         let vtel = Telemetry::attached();
+        let durable = provenance::DurableOptions { telemetry: vtel.clone(), ..Default::default() };
+        let vprov =
+            ProvenanceStore::open_env(Box::new(provenance::durable::io::MemEnv::new()), durable)
+                .expect("fresh env");
         let resolver: crate::serve::CampaignResolver = Arc::new(|spec: &str| {
             (spec == "ok").then(|| crate::backend::Workflow::new(test_def(0), test_input(4)))
         });
         let daemon = crate::serve::Daemon::start(
             crate::serve::ServeConfig::new().with_workers(2).with_telemetry(vtel.clone()),
             resolver,
-            Arc::new(ProvenanceStore::new()),
+            Arc::new(vprov),
         )
         .expect("daemon starts");
         let mut client = crate::serve::ServeClient::connect(daemon.addr()).expect("connect");
@@ -2154,6 +2159,9 @@ mod tests {
             vsnap.histograms.iter().any(|h| h.name == "campaign.first_result"),
             "first-result latency must be recorded"
         );
+        for name in ["provstore.lock_hold", "provstore.lock_wait", "provstore.group_commit"] {
+            assert!(vsnap.histograms.iter().any(|h| h.name == name), "{name} must be recorded");
+        }
         assert_eq!(registry::unregistered(&vsnap), Vec::<String>::new());
     }
 }

@@ -5,9 +5,24 @@
 //! it deliberately does **not** own the tables — the store applies ops to
 //! them and hands the engine the op to log, so the exact same `apply` code
 //! path runs live and during replay.
+//!
+//! Group commit keeps the disk out of the store's lock. Under the lock a
+//! commit applies, encodes and `write`s its frame — that fixes WAL order =
+//! apply order — and, when the commit policy says a flush is due,
+//! [`DurableEngine::append`] leaves a *ticket*: the sequence number that
+//! must be durable before the committer may return. The store's commit
+//! wrapper takes the ticket, releases the lock and redeems it at the shared
+//! [`Syncer`], which fsyncs through a second handle on the log unless its
+//! durable watermark already covers the ticket. So concurrent committers
+//! share one fsync, a query never queues behind a disk flush, and no
+//! acknowledgement is given earlier than before: `Sync` tickets every record,
+//! `Batched` the record that fills or outlives the batch.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
+use parking_lot::Mutex;
 use telemetry::Telemetry;
 
 use crate::durable::io::{LogFile, StorageEnv};
@@ -23,6 +38,59 @@ pub(crate) struct Recovered {
     pub(crate) snapshot: Option<(Database, Counters)>,
     /// Committed WAL ops after the snapshot, in commit order.
     pub(crate) ops: Vec<WalOp>,
+}
+
+/// The one place a commit's fsync is issued, shared by every committer and
+/// called with the store's lock released.
+pub(crate) struct Syncer {
+    /// Sequence number of the last frame `write`n to the log in full: stored
+    /// under the store's lock once the write has returned, and read before
+    /// an fsync starts — so that fsync covers every frame up to the value read.
+    written: AtomicU64,
+    /// Highest sequence number known durable. Stored under `handle`'s lock.
+    durable: AtomicU64,
+    /// Set by the first fsync that fails, never cleared: whatever the log
+    /// holds past `durable` may be lost, so nothing more is acknowledged.
+    failed: AtomicBool,
+    /// A second handle on the log. Committers with a ticket queue on its
+    /// lock; whoever holds it is inside the fsync the others may share.
+    handle: Mutex<Box<dyn LogFile>>,
+    telemetry: Telemetry,
+}
+
+impl Syncer {
+    /// Return once frame `seq` is durable: fsync, unless an fsync that began
+    /// after `seq` was written has completed meanwhile.
+    pub(crate) fn sync_to(&self, seq: u64) -> std::io::Result<()> {
+        self.sync_locked(&mut **self.handle.lock(), seq)
+    }
+
+    fn sync_locked(&self, handle: &mut dyn LogFile, seq: u64) -> std::io::Result<()> {
+        self.check()?;
+        if self.durable.load(Ordering::SeqCst) >= seq {
+            self.telemetry.count("provstore.fsync_shared", 1);
+            return Ok(());
+        }
+        let covers = self.written.load(Ordering::SeqCst);
+        let t0 = Instant::now();
+        if let Err(e) = handle.sync() {
+            self.failed.store(true, Ordering::SeqCst);
+            return Err(e);
+        }
+        self.durable.store(covers, Ordering::SeqCst);
+        if let Some(h) = self.telemetry.histogram("provstore.group_commit") {
+            h.record(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
+    }
+
+    /// An error once any fsync has failed.
+    fn check(&self) -> std::io::Result<()> {
+        if self.failed.load(Ordering::SeqCst) {
+            return Err(std::io::Error::other("an earlier WAL fsync failed"));
+        }
+        Ok(())
+    }
 }
 
 /// The storage engine behind a durable `ProvenanceStore`.
@@ -51,6 +119,11 @@ pub(crate) struct DurableEngine {
     /// (which rewrites the header) before anything is appended to it.
     stale_header: bool,
     telemetry: Telemetry,
+    syncer: Arc<Syncer>,
+    /// The ticket left by the commits made under the current acquisition of
+    /// the store's lock: the sequence number that must be durable before
+    /// their caller returns. The store's commit wrapper takes it.
+    due: Option<u64>,
 }
 
 impl DurableEngine {
@@ -110,6 +183,13 @@ impl DurableEngine {
                 (kept.into_iter().map(|(_, op)| op).collect::<Vec<WalOp>>(), last_seq)
             }
         };
+        let syncer = Arc::new(Syncer {
+            written: AtomicU64::new(last_seq),
+            durable: AtomicU64::new(last_seq),
+            failed: AtomicBool::new(false),
+            handle: Mutex::new(log.sync_handle().map_err(DurableError::Io)?),
+            telemetry: options.telemetry.clone(),
+        });
         let engine = DurableEngine {
             env,
             log,
@@ -123,33 +203,39 @@ impl DurableEngine {
             checkpoint_every: options.checkpoint_every,
             stale_header,
             telemetry: options.telemetry.clone(),
+            syncer,
+            due: None,
         };
         Ok((engine, Recovered { snapshot: snap.map(|(db, c, _)| (db, c)), ops }))
     }
 
     /// Append one record to the WAL — one frame, however many mutations it
     /// carries — and apply the group-commit policy, toward which (as toward
-    /// the checkpoint policy) the record counts once per mutation.
+    /// the checkpoint policy) the record counts once per mutation. The frame
+    /// is written, not forced to disk: when the policy wants that, a ticket
+    /// is left for [`take_due`](Self::take_due).
     pub(crate) fn append(&mut self, op: &WalOp) -> std::io::Result<()> {
         debug_assert!(!self.stale_header, "a version-1 log is checkpointed before any append");
+        self.syncer.check()?;
         let t0 = Instant::now();
         let frame = encode_frame(self.next_seq, op);
         self.log.append(&frame)?;
+        self.syncer.written.store(self.next_seq, Ordering::SeqCst);
         self.next_seq += 1;
         self.tail_mutations += op.mutations();
         self.pending += op.mutations();
         if self.pending_since.is_none() {
             self.pending_since = Some(t0);
         }
-        let flush_now = match self.durability {
+        let due = match self.durability {
             Durability::Sync => true,
             Durability::Batched { max_ops, max_delay } => {
                 self.pending >= max_ops as u64
                     || self.pending_since.is_some_and(|s| s.elapsed() >= max_delay)
             }
         };
-        if flush_now {
-            self.flush()?;
+        if due {
+            self.ticket();
         }
         if self.telemetry.is_enabled() {
             if let Some(h) = self.telemetry.histogram("provstore.wal_append") {
@@ -160,24 +246,29 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// Fsync any pending appends (a group commit).
-    pub(crate) fn flush(&mut self) -> std::io::Result<()> {
-        if self.pending == 0 {
-            return Ok(());
+    /// Close the pending batch (a group commit): everything appended so far
+    /// is to be durable before the caller of the current store call returns.
+    /// Leaves no ticket when nothing is pending and nothing written is still
+    /// waiting for another committer's fsync.
+    pub(crate) fn ticket(&mut self) {
+        let last = self.next_seq - 1;
+        if self.pending == 0 && self.syncer.durable.load(Ordering::SeqCst) >= last {
+            return;
         }
-        let t0 = Instant::now();
-        self.log.sync()?;
-        if self.telemetry.is_enabled() {
-            if let Some(h) = self.telemetry.histogram("provstore.group_commit") {
-                h.record(t0.elapsed().as_nanos() as u64);
-            }
+        if self.pending > 0 {
             if let Some(h) = self.telemetry.histogram("provstore.commit_batch") {
                 h.record(self.pending);
             }
         }
         self.pending = 0;
         self.pending_since = None;
-        Ok(())
+        self.due = Some(last);
+    }
+
+    /// Take the ticket the commits since the last call left, and the syncer
+    /// to redeem it at once the store's lock is released.
+    pub(crate) fn take_due(&mut self) -> Option<(Arc<Syncer>, u64)> {
+        self.due.take().map(|seq| (Arc::clone(&self.syncer), seq))
     }
 
     /// Replace the commit policy (the caller flushes first if it wants the
@@ -206,9 +297,12 @@ impl DurableEngine {
     /// Write a snapshot of `tables`/`counters` covering everything logged
     /// so far, then truncate the WAL back to its header.
     ///
-    /// Ordering: flush WAL → write+rename snapshot → truncate WAL. A crash
-    /// between the last two steps leaves stale frames the next recovery
-    /// skips via the snapshot's `base_seq`. A version-1 header is replaced
+    /// Ordering: flush WAL → write+rename snapshot → truncate WAL, all with
+    /// the store's lock *and* the syncer's handle held, so no commit's fsync
+    /// overlaps the truncation and a committer whose ticket this flush
+    /// covered finds it covered. A crash between the last two steps leaves
+    /// stale frames the next recovery skips via the snapshot's `base_seq`.
+    /// A version-1 header is replaced
     /// on the way (truncate to nothing, append the current header); a crash
     /// between those two leaves an empty log, which the next open
     /// reinitializes — the snapshot already holds everything.
@@ -218,7 +312,12 @@ impl DurableEngine {
         names: &[String],
         counters: &Counters,
     ) -> std::io::Result<()> {
-        self.flush()?;
+        let syncer = Arc::clone(&self.syncer);
+        let mut handle = syncer.handle.lock();
+        self.ticket();
+        if let Some(seq) = self.due.take() {
+            syncer.sync_locked(&mut **handle, seq)?;
+        }
         let covered = self.next_seq - 1;
         let bytes = snapshot::encode(tables, names, counters, covered);
         self.env.write_snapshot(&bytes)?;
@@ -253,7 +352,10 @@ impl DurableEngine {
 impl Drop for DurableEngine {
     fn drop(&mut self) {
         // best-effort group-commit flush; a crash here is what the WAL is for
-        let _ = self.flush();
+        self.ticket();
+        if let Some(seq) = self.due.take() {
+            let _ = self.syncer.sync_to(seq);
+        }
     }
 }
 
@@ -387,11 +489,18 @@ mod tests {
         eng.append(&op(1)).unwrap();
         eng.append(&op(2)).unwrap();
         assert_eq!(eng.pending, 2);
+        assert!(eng.take_due().is_none());
         eng.append(&op(3)).unwrap();
         assert_eq!(eng.pending, 0, "hit max_ops → group commit");
+        let (syncer, seq) = eng.take_due().expect("the batch's ticket");
+        assert_eq!((seq, env.syncs()), (3, 1), "only the header is synced so far");
+        syncer.sync_to(seq).unwrap();
+        syncer.sync_to(seq).unwrap();
+        assert_eq!(env.syncs(), 2, "a covered ticket costs no second fsync");
         eng.append(&op(4)).unwrap();
-        eng.flush().unwrap();
-        assert_eq!(eng.pending, 0);
+        assert!(eng.take_due().is_none(), "one pending mutation is not due");
+        eng.ticket();
+        assert_eq!((eng.pending, eng.take_due().map(|(_, seq)| seq)), (0, Some(4)));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   point, which is exactly a crash: recovery runs against the copied
 //!   bytes while the "crashed" store keeps the originals.
 //! * [`FaultEnv`] — wraps another env and injects failures: error or
-//!   short-write (torn write) on the Nth append, or panic (simulated
-//!   process death) after N appends.
+//!   short-write (torn write) on the Nth append, panic (simulated
+//!   process death) after N appends, or error on the Nth fsync.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -33,6 +33,11 @@ pub trait LogFile: Send {
     /// Truncate the log to `len` bytes (used to drop a torn tail and to
     /// reset the log after a snapshot checkpoint).
     fn truncate(&mut self, len: u64) -> io::Result<()>;
+    /// A second handle on the same log, for group commit: its
+    /// [`sync`](LogFile::sync) runs on whichever thread redeems a commit
+    /// ticket while this handle goes on appending, and covers every append
+    /// that returned before it was called.
+    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>>;
 }
 
 /// The durable layer's whole world: one log plus one snapshot slot.
@@ -103,6 +108,10 @@ impl LogFile for FsLog {
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)
     }
+
+    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>> {
+        Ok(Box::new(FsLog { file: self.file.try_clone()? }))
+    }
 }
 
 impl StorageEnv for DirEnv {
@@ -137,6 +146,7 @@ impl StorageEnv for DirEnv {
 struct MemFiles {
     wal: Vec<u8>,
     snapshot: Option<Vec<u8>>,
+    syncs: u64,
 }
 
 /// In-memory [`StorageEnv`] for tests: cloning the env shares the same
@@ -174,6 +184,11 @@ impl MemEnv {
     pub fn set_snapshot_bytes(&self, bytes: Option<Vec<u8>>) {
         self.files.lock().snapshot = bytes;
     }
+
+    /// Number of log `sync` calls made so far, through any handle.
+    pub fn syncs(&self) -> u64 {
+        self.files.lock().syncs
+    }
 }
 
 struct MemLog {
@@ -191,12 +206,17 @@ impl LogFile for MemLog {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        self.files.lock().syncs += 1;
         Ok(())
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.files.lock().wal.truncate(len as usize);
         Ok(())
+    }
+
+    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>> {
+        Ok(Box::new(MemLog { files: Arc::clone(&self.files) }))
     }
 }
 
@@ -217,11 +237,13 @@ impl StorageEnv for MemEnv {
 
 // -------------------------------------------------------------- FaultEnv
 
-/// What [`FaultEnv`] does to the Nth log append (1-based count across the
-/// env's lifetime; `None` fields never fire).
+/// What [`FaultEnv`] does to the Nth log append or sync (1-based counts
+/// across the env's lifetime and all of the log's handles; `None` fields
+/// never fire).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     appends: AtomicU64,
+    syncs: AtomicU64,
     /// Return an I/O error on append number N (nothing is written).
     pub fail_at_append: Option<u64>,
     /// Write only the first half of the buffer on append number N, then
@@ -230,6 +252,8 @@ pub struct FaultPlan {
     /// Panic *after* append number N completes — simulated process death
     /// with a fully written tail.
     pub panic_after_appends: Option<u64>,
+    /// Return an I/O error on sync number N (nothing is made durable).
+    pub fail_at_sync: Option<u64>,
 }
 
 impl FaultPlan {
@@ -249,9 +273,19 @@ impl FaultPlan {
         FaultPlan { panic_after_appends: Some(n), ..Default::default() }
     }
 
+    /// Plan that errors on sync number `n` (1-based).
+    pub fn fail_sync_at(n: u64) -> FaultPlan {
+        FaultPlan { fail_at_sync: Some(n), ..Default::default() }
+    }
+
     /// Number of append calls observed so far.
     pub fn appends_seen(&self) -> u64 {
         self.appends.load(Ordering::SeqCst)
+    }
+
+    /// Number of sync calls observed so far.
+    pub fn syncs_seen(&self) -> u64 {
+        self.syncs.load(Ordering::SeqCst)
     }
 }
 
@@ -297,11 +331,19 @@ impl LogFile for FaultLog {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        let n = self.plan.syncs.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.plan.fail_at_sync == Some(n) {
+            return Err(io::Error::other("injected sync failure"));
+        }
         self.inner.sync()
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.inner.truncate(len)
+    }
+
+    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>> {
+        Ok(Box::new(FaultLog { inner: self.inner.sync_handle()?, plan: Arc::clone(&self.plan) }))
     }
 }
 
@@ -352,6 +394,17 @@ mod tests {
         let mut log = env.open_log().unwrap();
         assert!(log.append(b"abcdef").is_err());
         assert_eq!(mem.wal_bytes(), b"abc", "torn write left half the buffer");
+
+        // syncs are counted across the log's handles, and only the Nth fails
+        let mem = MemEnv::new();
+        let plan = Arc::new(FaultPlan::fail_sync_at(2));
+        let env = FaultEnv::new(Box::new(mem.clone()), Arc::clone(&plan));
+        let mut log = env.open_log().unwrap();
+        let mut handle = log.sync_handle().unwrap();
+        log.sync().unwrap();
+        assert!(handle.sync().is_err());
+        handle.sync().unwrap();
+        assert_eq!((plan.syncs_seen(), mem.syncs()), (3, 2));
     }
 
     #[test]
@@ -373,6 +426,7 @@ mod tests {
         assert_eq!(log.read_all().unwrap(), b"abc");
         log.truncate(1).unwrap();
         log.append(b"z").unwrap();
+        log.sync_handle().unwrap().sync().unwrap();
         assert_eq!(log.read_all().unwrap(), b"az");
         assert!(env.read_snapshot().unwrap().is_none());
         env.write_snapshot(b"snapshot-1").unwrap();

@@ -6,8 +6,9 @@
 //! gives our from-scratch store the same property without leaving std:
 //!
 //! * every store call is one logical [`wal`] record — a single mutation,
-//!   or a finished activation whole — appended (length-prefixed and
-//!   CRC-checksummed) before the caller sees the new id;
+//!   or a finished activation whole — applied and appended (length-prefixed
+//!   and CRC-checksummed) under the store's lock, before the caller sees the
+//!   new id;
 //! * [`snapshot`] checkpoints — full table serializations written
 //!   atomically (temp + rename) — are taken, and the log truncated, when
 //!   the log tail holds as many mutations as the snapshot holds rows (and
@@ -23,6 +24,20 @@
 //! rarer fsyncs); an explicit
 //! [`crate::provwf::ProvenanceStore::flush_wal`] (called by the steering
 //! bridge and at run end) bounds the window of unfsynced work.
+//!
+//! No commit fsyncs under the store's lock. The lock covers apply + encode +
+//! `write` — which is what fixes WAL order = apply order — and the commit
+//! whose record makes a flush due leaves a *ticket* (its sequence number).
+//! With the lock released, the committer redeems the ticket at the engine's
+//! shared syncer: one thread at a time fsyncs a second handle on the log,
+//! recording as the durable watermark the last sequence number written
+//! *before* that fsync began; a ticket at or below the watermark returns
+//! without touching the disk. Concurrent committers therefore share fsyncs,
+//! readers never wait for one, and the promises are unchanged: under
+//! [`Durability::Sync`] a call returns only after an fsync covering its
+//! record, under `Batched` the call that fills or outlives the batch does.
+//! An fsync error panics its committer and fails every commit after it.
+//! Checkpoints alone flush under the lock, holding the syncer while they do.
 //!
 //! The recovery invariant, property-tested in `tests/durable_props.rs`:
 //! **any byte prefix of the WAL recovers to a record prefix of the
@@ -45,7 +60,8 @@ use telemetry::Telemetry;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
     /// fsync after every record. Nothing acknowledged is ever lost;
-    /// the hot path pays one fsync per store call.
+    /// the hot path waits for one fsync per store call (calls that overlap
+    /// may wait for the same one).
     Sync,
     /// Group commit: fsync once a batch fills or ages out. A crash loses at
     /// most the unfsynced suffix — which is still a committed *prefix*

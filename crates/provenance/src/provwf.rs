@@ -16,8 +16,10 @@
 
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
+use telemetry::Histogram;
 
 use crate::durable::engine::DurableEngine;
 use crate::durable::io::{DirEnv, StorageEnv};
@@ -180,13 +182,14 @@ impl Inner {
     ///
     /// The WAL append happens under the same lock as the table mutation, so
     /// WAL order always equals application order — the invariant replay
-    /// relies on.
+    /// relies on. Only the fsync, when one is due, is left to
+    /// [`ProvenanceStore::transact`], which runs it with the lock released.
     ///
     /// # Panics
-    /// Panics if the durable layer fails to append or checkpoint: a store
-    /// that promised durability but can no longer write its log must not
-    /// keep acknowledging mutations. (Fault-injection tests use exactly
-    /// this panic as a simulated crash.)
+    /// Panics if the durable layer fails to append or checkpoint, or has
+    /// failed an fsync before: a store that promised durability but can no
+    /// longer write its log must not keep acknowledging mutations.
+    /// (Fault-injection tests use exactly this panic as a simulated crash.)
     fn log(&mut self, op: &WalOp) {
         if let Some(eng) = &mut self.engine {
             eng.append(op).expect("provstore: durable WAL append failed");
@@ -498,6 +501,9 @@ pub struct ProvenanceStore {
     /// Shared with live [`QueryCursor`]s, which re-lock per `next_row` call
     /// so a half-drained cursor never blocks recording.
     inner: Arc<Mutex<Inner>>,
+    /// `provstore.lock_wait` / `provstore.lock_hold`, in nanoseconds, when a
+    /// durable store was opened with telemetry attached.
+    lock_times: Option<(Arc<Histogram>, Arc<Histogram>)>,
 }
 
 /// The secondary indexes installed over the PROV-Wf schema on every paged
@@ -649,6 +655,7 @@ impl ProvenanceStore {
                 counters: Counters::default(),
                 engine: None,
             })),
+            lock_times: None,
         }
     }
 
@@ -663,6 +670,7 @@ impl ProvenanceStore {
                 counters: Counters::default(),
                 engine: None,
             })),
+            lock_times: None,
         }
     }
 
@@ -707,6 +715,9 @@ impl ProvenanceStore {
         pages: Box<dyn PageStore>,
     ) -> Result<ProvenanceStore, DurableError> {
         let (engine, recovered) = DurableEngine::open(env, &options)?;
+        let tel = &options.telemetry;
+        let lock_times =
+            tel.histogram("provstore.lock_wait").zip(tel.histogram("provstore.lock_hold"));
         let (snap_db, mut counters) = match recovered.snapshot {
             Some((db, counters)) => (db, counters),
             None => (Self::schema_db(), Counters::default()),
@@ -723,7 +734,34 @@ impl ProvenanceStore {
             // snapshot, which restarts the log under the current header
             inner.checkpoint_now();
         }
-        Ok(ProvenanceStore { inner: Arc::new(Mutex::new(inner)) })
+        Ok(ProvenanceStore { inner: Arc::new(Mutex::new(inner)), lock_times })
+    }
+
+    /// Run one store call's mutations under the store's lock, and only
+    /// after releasing it wait for the disk: if what `f` logged left a
+    /// ticket (see [`crate::durable`]), return once that record is durable.
+    /// Every mutating method and [`flush_wal`](Self::flush_wal) go through
+    /// here, so no fsync is ever issued with the lock held except a
+    /// checkpoint's.
+    ///
+    /// # Panics
+    /// Panics if the fsync fails, or one failed before: the record may not
+    /// be durable, so the call must not be acknowledged.
+    fn transact<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+        let asked = self.lock_times.as_ref().map(|h| (h, Instant::now()));
+        let mut g = self.inner.lock();
+        let timed = asked.map(|(h, asked)| (h, asked, Instant::now()));
+        let out = f(&mut g);
+        let due = g.engine.as_mut().and_then(DurableEngine::take_due);
+        drop(g);
+        if let Some(((wait, hold), asked, locked)) = timed {
+            wait.record((locked - asked).as_nanos() as u64);
+            hold.record(locked.elapsed().as_nanos() as u64);
+        }
+        if let Some((syncer, seq)) = due {
+            syncer.sync_to(seq).expect("provstore: WAL fsync failed");
+        }
+        out
     }
 
     /// Is this store backed by a durable engine?
@@ -734,21 +772,23 @@ impl ProvenanceStore {
     /// Change the commit policy of a durable store (no-op when in-memory).
     /// Pending appends are flushed under the old policy first.
     pub fn set_durability(&self, durability: Durability) {
-        let mut g = self.inner.lock();
-        if let Some(eng) = &mut g.engine {
-            eng.flush().expect("provstore: WAL flush failed");
-            eng.set_durability(durability);
-        }
+        self.transact(|g| {
+            if let Some(eng) = &mut g.engine {
+                eng.ticket();
+                eng.set_durability(durability);
+            }
+        });
     }
 
     /// Group-commit barrier: force every acknowledged mutation to durable
     /// storage now (no-op when in-memory). The steering bridge calls this
     /// after flushing RUNNING rows; the local backend calls it at run end.
     pub fn flush_wal(&self) {
-        let mut g = self.inner.lock();
-        if let Some(eng) = &mut g.engine {
-            eng.flush().expect("provstore: WAL flush failed");
-        }
+        self.transact(|g| {
+            if let Some(eng) = &mut g.engine {
+                eng.ticket();
+            }
+        });
     }
 
     /// Take a snapshot checkpoint now, truncating the WAL. Returns `false`
@@ -764,49 +804,53 @@ impl ProvenanceStore {
 
     /// Register a workflow execution.
     pub fn begin_workflow(&self, tag: &str, description: &str, expdir: &str) -> WorkflowId {
-        let mut g = self.inner.lock();
-        let id = g.counters.next_wkf;
-        g.commit(WalOp::BeginWorkflow {
-            id,
-            tag: tag.to_string(),
-            description: description.to_string(),
-            expdir: expdir.to_string(),
-        });
-        WorkflowId(id)
+        self.transact(|g| {
+            let id = g.counters.next_wkf;
+            g.commit(WalOp::BeginWorkflow {
+                id,
+                tag: tag.to_string(),
+                description: description.to_string(),
+                expdir: expdir.to_string(),
+            });
+            WorkflowId(id)
+        })
     }
 
     /// Register an activity of a workflow.
     pub fn register_activity(&self, wkf: WorkflowId, tag: &str, acttype: &str) -> ActivityId {
-        let mut g = self.inner.lock();
-        let id = g.counters.next_act;
-        g.commit(WalOp::RegisterActivity {
-            id,
-            wkf: wkf.0,
-            tag: tag.to_string(),
-            acttype: acttype.to_string(),
-        });
-        ActivityId(id)
+        self.transact(|g| {
+            let id = g.counters.next_act;
+            g.commit(WalOp::RegisterActivity {
+                id,
+                wkf: wkf.0,
+                tag: tag.to_string(),
+                acttype: acttype.to_string(),
+            });
+            ActivityId(id)
+        })
     }
 
     /// Register a VM.
     pub fn register_machine(&self, name: &str, instance_type: &str, cores: i64) -> MachineId {
-        let mut g = self.inner.lock();
-        let id = g.counters.next_machine;
-        g.commit(WalOp::RegisterMachine {
-            id,
-            name: name.to_string(),
-            instance_type: instance_type.to_string(),
-            cores,
-        });
-        MachineId(id)
+        self.transact(|g| {
+            let id = g.counters.next_machine;
+            g.commit(WalOp::RegisterMachine {
+                id,
+                name: name.to_string(),
+                instance_type: instance_type.to_string(),
+                cores,
+            });
+            MachineId(id)
+        })
     }
 
     /// Record one activation.
     pub fn record_activation(&self, rec: &ActivationRecord) -> TaskId {
-        let mut g = self.inner.lock();
-        let id = g.counters.next_task;
-        g.commit(WalOp::RecordActivation { task: id, rec: rec.clone() });
-        TaskId(id)
+        self.transact(|g| {
+            let id = g.counters.next_task;
+            g.commit(WalOp::RecordActivation { task: id, rec: rec.clone() });
+            TaskId(id)
+        })
     }
 
     /// Replace the row of an existing activation in place.
@@ -817,7 +861,7 @@ impl ProvenanceStore {
     /// when `task` is unknown (the row is then left to the caller to insert).
     pub fn update_activation(&self, task: TaskId, rec: &ActivationRecord) -> bool {
         // an unknown task does not apply, and what does not apply is not logged
-        self.inner.lock().commit(WalOp::UpdateActivation { task: task.0, rec: rec.clone() })
+        self.transact(|g| g.commit(WalOp::UpdateActivation { task: task.0, rec: rec.clone() }))
     }
 
     /// Record a file produced by an activation.
@@ -830,9 +874,10 @@ impl ProvenanceStore {
         fsize: i64,
         fdir: &str,
     ) {
-        let mut g = self.inner.lock();
-        let op = g.file_op(task.0, activity, workflow, (fname, fsize, fdir));
-        g.commit(op);
+        self.transact(|g| {
+            let op = g.file_op(task.0, activity, workflow, (fname, fsize, fdir));
+            g.commit(op);
+        });
     }
 
     /// Record an extracted domain parameter (numeric, textual, or both).
@@ -844,9 +889,10 @@ impl ProvenanceStore {
         num: Option<f64>,
         text: Option<&str>,
     ) {
-        let mut g = self.inner.lock();
-        let op = g.parameter_op(task.0, workflow, name, num, text);
-        g.commit(op);
+        self.transact(|g| {
+            let op = g.parameter_op(task.0, workflow, name, num, text);
+            g.commit(op);
+        });
     }
 
     /// Persist one output tuple of an activation (SciCumulus stores the
@@ -864,9 +910,10 @@ impl ProvenanceStore {
         tuple_idx: usize,
         tuple: &[Value],
     ) {
-        let mut g = self.inner.lock();
-        let op = g.output_tuple_op(task.0, activity, workflow, pair_key, tuple_idx, tuple);
-        g.commit(op);
+        self.transact(|g| {
+            let op = g.output_tuple_op(task.0, activity, workflow, pair_key, tuple_idx, tuple);
+            g.commit(op);
+        });
     }
 
     /// Commit a finished activation whole: its produced `files` (`(fname,
@@ -892,35 +939,37 @@ impl ProvenanceStore {
         params: &[(String, Option<f64>, Option<String>)],
         tuples: &[Vec<Value>],
     ) -> TaskId {
-        let mut g = self.inner.lock();
-        let task = running.map_or(g.counters.next_task, |t| t.0);
-        let mut ops = Vec::with_capacity(files.len() + params.len() + tuples.len() + 1);
-        // each op takes its id from the counters as the ops before it left
-        // them, exactly as a sequence of per-row calls would
-        let mut stage = |g: &mut Inner, op: WalOp| {
-            let applied = g.apply(&op);
-            assert!(applied, "commit_activation: no RUNNING row for task {task}");
-            ops.push(op);
-        };
-        for &file in files {
-            let op = g.file_op(task, rec.activity, rec.workflow, file);
-            stage(&mut g, op);
-        }
-        for (name, num, text) in params {
-            let op = g.parameter_op(task, rec.workflow, name, *num, text.as_deref());
-            stage(&mut g, op);
-        }
-        for (ti, tuple) in tuples.iter().enumerate() {
-            let op = g.output_tuple_op(task, rec.activity, rec.workflow, &rec.pair_key, ti, tuple);
-            stage(&mut g, op);
-        }
-        let row = match running {
-            Some(_) => WalOp::UpdateActivation { task, rec: rec.clone() },
-            None => WalOp::RecordActivation { task, rec: rec.clone() },
-        };
-        stage(&mut g, row);
-        g.log(&WalOp::Group(ops));
-        TaskId(task)
+        self.transact(|g| {
+            let task = running.map_or(g.counters.next_task, |t| t.0);
+            let mut ops = Vec::with_capacity(files.len() + params.len() + tuples.len() + 1);
+            // each op takes its id from the counters as the ops before it left
+            // them, exactly as a sequence of per-row calls would
+            let mut stage = |g: &mut Inner, op: WalOp| {
+                let applied = g.apply(&op);
+                assert!(applied, "commit_activation: no RUNNING row for task {task}");
+                ops.push(op);
+            };
+            for &file in files {
+                let op = g.file_op(task, rec.activity, rec.workflow, file);
+                stage(g, op);
+            }
+            for (name, num, text) in params {
+                let op = g.parameter_op(task, rec.workflow, name, *num, text.as_deref());
+                stage(g, op);
+            }
+            for (ti, tuple) in tuples.iter().enumerate() {
+                let op =
+                    g.output_tuple_op(task, rec.activity, rec.workflow, &rec.pair_key, ti, tuple);
+                stage(g, op);
+            }
+            let row = match running {
+                Some(_) => WalOp::UpdateActivation { task, rec: rec.clone() },
+                None => WalOp::RecordActivation { task, rec: rec.clone() },
+            };
+            stage(g, row);
+            g.log(&WalOp::Group(ops));
+            TaskId(task)
+        })
     }
 
     /// Recover the recorded output tuples of every FINISHED activation of

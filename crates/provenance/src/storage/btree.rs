@@ -1,18 +1,42 @@
 //! B+tree over the page cache: byte-string keys → `u64` values.
 //!
+//! Every node is one slotted page, the layout the heap already uses
+//! ([`super::page`]): a fixed header, a directory of `u16` cell offsets
+//! **sorted by key** growing forward, and the cells growing back from the
+//! end of the page.
+//!
+//! ```text
+//! node       := u8:tag u16:n u32:link u16:cell_start  slot{n} ..gap..  cell*
+//! slot       := u16:offset of the cell holding the i-th smallest key
+//! leaf cell  := u16:klen key u64:value      link = next leaf (0 = none)
+//! inner cell := u16:klen key u32:child      link = child left of every key
+//! ```
+//!
+//! Searches (descent, `get`, the slot an insert or delete touches, where a
+//! range scan starts) are binary searches over the directory on the
+//! serialized page. An insert writes one cell into the gap and shifts at
+//! most `2·n` directory bytes; a delete drops a slot and leaves the cell
+//! behind as a hole. Nodes are decoded ([`read_node`]) only when a leaf has
+//! no gap left: the rewrite drops the holes, and only a node that is still
+//! too big splits. The page file is rebuilt from the WAL + snapshot at every
+//! open, so this layout has no on-disk compatibility to keep.
+//!
 //! Invariants (see DESIGN.md §15):
-//! - Every node serializes into one [`PAGE_SIZE`] page; inserts that would
-//!   overflow split the node at the midpoint, so the tree stays balanced on
-//!   the insert path (all leaves at equal depth).
+//! - Every node serializes into one [`PAGE_SIZE`] page; a node that would
+//!   overflow splits at the midpoint, so the tree stays balanced on the
+//!   insert path (all leaves at equal depth). One exception keeps monotone
+//!   trees full: a key past the last key of the rightmost leaf starts a
+//!   fresh right leaf instead of halving the full one.
 //! - Keys are unique byte strings in strictly increasing order left-to-right;
 //!   inserting an existing key replaces its value.
 //! - An internal separator `s` means: the subtree right of `s` holds keys
-//!   `≥ s`; descents take the child at `partition_point(keys ≤ target)`.
-//! - Leaves are chained left-to-right through `next` (page 0 = none), so
+//!   `≥ s`; descents take the child right of the last separator `≤ target`.
+//! - Leaves are chained left-to-right through `link` (page 0 = none), so
 //!   range scans walk leaves without re-descending.
 //! - Deletes are leaf-local (no merge/rebalance): the provenance workload is
 //!   append-mostly, and an underfull leaf is still a correct leaf.
 
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 use super::page::PAGE_SIZE;
@@ -21,117 +45,144 @@ use super::pager::{PageCache, PageId};
 const LEAF_TAG: u8 = 1;
 const INNER_TAG: u8 = 0;
 
+/// Header bytes: tag, `n`, `link`, `cell_start`.
+const HDR: usize = 9;
+/// Bytes per directory slot.
+const SLOT: usize = 2;
+/// Payload bytes after a leaf cell's key (the value) and an inner cell's
+/// (the child right of the key).
+const LEAF_PAYLOAD: usize = 8;
+const INNER_PAYLOAD: usize = 4;
+
+fn u16_at(p: &[u8], o: usize) -> usize {
+    u16::from_le_bytes([p[o], p[o + 1]]) as usize
+}
+
+fn u32_at(p: &[u8], o: usize) -> u32 {
+    u32::from_le_bytes([p[o], p[o + 1], p[o + 2], p[o + 3]])
+}
+
+fn u64_at(p: &[u8], o: usize) -> u64 {
+    u64::from_le_bytes(p[o..o + 8].try_into().expect("8 bytes"))
+}
+
+fn put_u16(p: &mut [u8], o: usize, v: usize) {
+    p[o..o + 2].copy_from_slice(&(v as u16).to_le_bytes());
+}
+
+fn count(p: &[u8]) -> usize {
+    u16_at(p, 1)
+}
+
+fn link(p: &[u8]) -> PageId {
+    u32_at(p, 3)
+}
+
+/// Key of the `i`-th cell in key order, and the offset of its payload.
+fn cell(p: &[u8], i: usize) -> (&[u8], usize) {
+    let c = u16_at(p, HDR + SLOT * i);
+    let payload = c + 2 + u16_at(p, c);
+    (&p[c + 2..payload], payload)
+}
+
+/// Binary search of a serialized node's directory: `Ok(i)` when the `i`-th
+/// key equals `key`, else `Err(i)` with `i` the number of keys below it.
+fn search(p: &[u8], key: &[u8]) -> Result<usize, usize> {
+    let (mut lo, mut hi) = (0, count(p));
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match cell(p, mid).0.cmp(key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
 enum Node {
     Leaf { next: PageId, entries: Vec<(Vec<u8>, u64)> },
     Inner { keys: Vec<Vec<u8>>, children: Vec<PageId> },
 }
 
 impl Node {
+    /// Bytes the node takes once written (no holes).
     fn size(&self) -> usize {
+        let cells =
+            |key_bytes: usize, n: usize, payload: usize| HDR + key_bytes + n * (SLOT + 2 + payload);
         match self {
             Node::Leaf { entries, .. } => {
-                7 + entries.iter().map(|(k, _)| 2 + k.len() + 8).sum::<usize>()
+                cells(entries.iter().map(|(k, _)| k.len()).sum(), entries.len(), LEAF_PAYLOAD)
             }
-            Node::Inner { keys, .. } => 7 + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>(),
+            Node::Inner { keys, .. } => {
+                cells(keys.iter().map(Vec::len).sum(), keys.len(), INNER_PAYLOAD)
+            }
         }
     }
 }
 
+/// Decode a node. Only the split path does this — every search works on the
+/// serialized page.
 fn read_node(cache: &PageCache, pid: PageId) -> Node {
     cache.with_page(pid, |p| {
-        let tag = p[0];
-        let n = u16::from_le_bytes([p[1], p[2]]) as usize;
-        let mut off = 3;
-        let u16_at = |p: &[u8], o: usize| u16::from_le_bytes([p[o], p[o + 1]]);
-        let u32_at = |p: &[u8], o: usize| u32::from_le_bytes([p[o], p[o + 1], p[o + 2], p[o + 3]]);
-        if tag == LEAF_TAG {
-            let next = u32_at(p, off);
-            off += 4;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let klen = u16_at(p, off) as usize;
-                off += 2;
-                let key = p[off..off + klen].to_vec();
-                off += klen;
-                let val = u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"));
-                off += 8;
-                entries.push((key, val));
-            }
-            Node::Leaf { next, entries }
+        let n = count(p);
+        if p[0] == LEAF_TAG {
+            let entries = (0..n).map(|i| cell(p, i)).map(|(k, v)| (k.to_vec(), u64_at(p, v)));
+            Node::Leaf { next: link(p), entries: entries.collect() }
         } else {
             let mut children = Vec::with_capacity(n + 1);
-            children.push(u32_at(p, off));
-            off += 4;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                let klen = u16_at(p, off) as usize;
-                off += 2;
-                keys.push(p[off..off + klen].to_vec());
-                off += klen;
-                children.push(u32_at(p, off));
-                off += 4;
-            }
-            Node::Inner { keys, children }
+            children.push(link(p));
+            children.extend((0..n).map(|i| u32_at(p, cell(p, i).1)));
+            Node::Inner { keys: (0..n).map(|i| cell(p, i).0.to_vec()).collect(), children }
         }
     })
 }
 
+/// Write `node` over page `pid`, cells packed against the end of the page.
 fn write_node(cache: &PageCache, pid: PageId, node: &Node) {
-    debug_assert!(node.size() <= PAGE_SIZE, "node overflows page");
-    cache.with_page_mut(pid, |p| match node {
-        Node::Leaf { next, entries } => {
-            p[0] = LEAF_TAG;
-            p[1..3].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-            p[3..7].copy_from_slice(&next.to_le_bytes());
-            let mut off = 7;
-            for (k, v) in entries {
-                p[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-                off += 2;
-                p[off..off + k.len()].copy_from_slice(k);
-                off += k.len();
-                p[off..off + 8].copy_from_slice(&v.to_le_bytes());
-                off += 8;
+    assert!(node.size() <= PAGE_SIZE, "node overflows page");
+    cache.with_page_mut(pid, |p| {
+        let (tag, link, n) = match node {
+            Node::Leaf { next, entries } => (LEAF_TAG, *next, entries.len()),
+            Node::Inner { keys, children } => (INNER_TAG, children[0], keys.len()),
+        };
+        p[0] = tag;
+        put_u16(p, 1, n);
+        p[3..7].copy_from_slice(&link.to_le_bytes());
+        let mut start = PAGE_SIZE;
+        let mut put = |p: &mut [u8], i: usize, key: &[u8], payload: &[u8]| {
+            start -= 2 + key.len() + payload.len();
+            put_u16(p, start, key.len());
+            p[start + 2..start + 2 + key.len()].copy_from_slice(key);
+            p[start + 2 + key.len()..start + 2 + key.len() + payload.len()]
+                .copy_from_slice(payload);
+            put_u16(p, HDR + SLOT * i, start);
+        };
+        match node {
+            Node::Leaf { entries, .. } => {
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    put(p, i, k, &v.to_le_bytes());
+                }
+            }
+            Node::Inner { keys, children } => {
+                for (i, (k, c)) in keys.iter().zip(&children[1..]).enumerate() {
+                    put(p, i, k, &c.to_le_bytes());
+                }
             }
         }
-        Node::Inner { keys, children } => {
-            p[0] = INNER_TAG;
-            p[1..3].copy_from_slice(&(keys.len() as u16).to_le_bytes());
-            p[3..7].copy_from_slice(&children[0].to_le_bytes());
-            let mut off = 7;
-            for (k, c) in keys.iter().zip(&children[1..]) {
-                p[off..off + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
-                off += 2;
-                p[off..off + k.len()].copy_from_slice(k);
-                off += k.len();
-                p[off..off + 4].copy_from_slice(&c.to_le_bytes());
-                off += 4;
-            }
-        }
+        put_u16(p, 7, start);
     });
 }
 
 /// Child pointer to follow for `target`, read straight off a serialized
-/// inner page. Descents run on every lookup and insert, so this avoids
-/// materialising the node (a `Vec` per key) just to binary-search it.
+/// inner page: the child right of the last separator `≤ target`.
 fn raw_child_for(p: &[u8], target: &[u8]) -> PageId {
     debug_assert_eq!(p[0], INNER_TAG);
-    let n = u16::from_le_bytes([p[1], p[2]]) as usize;
-    let mut child = u32::from_le_bytes([p[3], p[4], p[5], p[6]]);
-    let mut off = 7;
-    for _ in 0..n {
-        let klen = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
-        off += 2;
-        // separators are sorted: take the child right of the last
-        // separator ≤ target (same answer as `child_for`'s partition_point)
-        if &p[off..off + klen] <= target {
-            off += klen;
-            child = u32::from_le_bytes([p[off], p[off + 1], p[off + 2], p[off + 3]]);
-            off += 4;
-        } else {
-            break;
-        }
+    match search(p, target) {
+        Ok(i) => u32_at(p, cell(p, i).1),
+        Err(0) => link(p),
+        Err(i) => u32_at(p, cell(p, i - 1).1),
     }
-    child
 }
 
 /// Descend to the leaf that could hold `key` (leftmost leaf when `None`)
@@ -139,14 +190,7 @@ fn raw_child_for(p: &[u8], target: &[u8]) -> PageId {
 fn raw_leaf_for(cache: &PageCache, mut pid: PageId, key: Option<&[u8]>) -> PageId {
     loop {
         let next = cache.with_page(pid, |p| {
-            if p[0] == LEAF_TAG {
-                None
-            } else {
-                Some(match key {
-                    Some(k) => raw_child_for(p, k),
-                    None => u32::from_le_bytes([p[3], p[4], p[5], p[6]]),
-                })
-            }
+            (p[0] == INNER_TAG).then(|| key.map_or_else(|| link(p), |k| raw_child_for(p, k)))
         });
         match next {
             Some(c) => pid = c,
@@ -155,41 +199,48 @@ fn raw_leaf_for(cache: &PageCache, mut pid: PageId, key: Option<&[u8]>) -> PageI
     }
 }
 
-/// Splice `key → val` into a serialized leaf in place: overwrite the value
-/// on an exact match, else memmove the tail open and write the new entry.
-/// Returns `false` (entries untouched) when the page is full and the leaf
-/// must split via the decode path.
+/// Put `key → val` into a serialized leaf in place: overwrite the value on
+/// an exact match, else write one cell into the gap and open its slot in the
+/// directory. Returns `false` (leaf untouched) when the gap is too small and
+/// the leaf must go through the decode path.
 fn raw_leaf_insert(p: &mut [u8], key: &[u8], val: u64) -> bool {
     debug_assert_eq!(p[0], LEAF_TAG);
-    let n = u16::from_le_bytes([p[1], p[2]]) as usize;
-    let mut off = 7;
-    let mut ins = None;
-    for _ in 0..n {
-        let klen = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
-        let entry_len = 2 + klen + 8;
-        if ins.is_none() {
-            let k = &p[off + 2..off + 2 + klen];
-            if k == key {
-                p[off + 2 + klen..off + entry_len].copy_from_slice(&val.to_le_bytes());
-                return true;
-            }
-            if k > key {
-                ins = Some(off);
-            }
+    let at = match search(p, key) {
+        Ok(i) => {
+            let v = cell(p, i).1;
+            p[v..v + LEAF_PAYLOAD].copy_from_slice(&val.to_le_bytes());
+            return true;
         }
-        off += entry_len;
-    }
-    let used = off;
-    let ins = ins.unwrap_or(used);
-    let extra = 2 + key.len() + 8;
-    if used + extra > PAGE_SIZE {
+        Err(i) => i,
+    };
+    let n = count(p);
+    let (slot, dir_end) = (HDR + SLOT * at, HDR + SLOT * n);
+    let need = 2 + key.len() + LEAF_PAYLOAD;
+    let cell_start = u16_at(p, 7);
+    if cell_start < dir_end + SLOT + need {
         return false;
     }
-    p.copy_within(ins..used, ins + extra);
-    p[ins..ins + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
-    p[ins + 2..ins + 2 + key.len()].copy_from_slice(key);
-    p[ins + 2 + key.len()..ins + extra].copy_from_slice(&val.to_le_bytes());
-    p[1..3].copy_from_slice(&((n + 1) as u16).to_le_bytes());
+    let c = cell_start - need;
+    put_u16(p, c, key.len());
+    p[c + 2..c + 2 + key.len()].copy_from_slice(key);
+    p[c + 2 + key.len()..cell_start].copy_from_slice(&val.to_le_bytes());
+    p.copy_within(slot..dir_end, slot + SLOT);
+    put_u16(p, slot, c);
+    put_u16(p, 1, n + 1);
+    put_u16(p, 7, c);
+    true
+}
+
+/// Drop `key`'s slot from a serialized leaf; its cell stays behind as a hole
+/// until the leaf is next rewritten. Returns whether the key was present.
+fn raw_leaf_delete(p: &mut [u8], key: &[u8]) -> bool {
+    debug_assert_eq!(p[0], LEAF_TAG);
+    let Ok(i) = search(p, key) else {
+        return false;
+    };
+    let n = count(p);
+    p.copy_within(HDR + SLOT * (i + 1)..HDR + SLOT * n, HDR + SLOT * i);
+    put_u16(p, 1, n - 1);
     true
 }
 
@@ -206,15 +257,11 @@ impl BTree {
         BTree { root }
     }
 
-    fn child_for(keys: &[Vec<u8>], target: &[u8]) -> usize {
-        keys.partition_point(|k| k.as_slice() <= target)
-    }
-
     /// Insert `key → val`, replacing the value if `key` already exists.
     pub fn insert(&mut self, cache: &PageCache, key: &[u8], val: u64) {
-        // fast path: splice into the target leaf in place; falls through to
-        // the decode/split descent only when that leaf is full (~1 insert in
-        // fan-out, so splits stay amortised)
+        // fast path: one cell into the target leaf's gap; falls through to
+        // the decode/split descent only when that leaf has no gap left (~1
+        // insert in fan-out, so splits stay amortised)
         let leaf = raw_leaf_for(cache, self.root, Some(key));
         if cache.with_page_mut(leaf, |p| raw_leaf_insert(p, key, val)) {
             return;
@@ -230,6 +277,8 @@ impl BTree {
         }
     }
 
+    /// Insert through decoded nodes; returns the separator and right sibling
+    /// when the node at `pid` had to split.
     fn insert_rec(
         cache: &PageCache,
         pid: PageId,
@@ -238,17 +287,25 @@ impl BTree {
     ) -> Option<(Vec<u8>, PageId)> {
         match read_node(cache, pid) {
             Node::Leaf { next, mut entries } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => entries[i].1 = val,
-                    Err(i) => entries.insert(i, (key.to_vec(), val)),
-                }
+                let at = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
+                    Ok(i) => {
+                        entries[i].1 = val;
+                        i
+                    }
+                    Err(i) => {
+                        entries.insert(i, (key.to_vec(), val));
+                        i
+                    }
+                };
                 let node = Node::Leaf { next, entries };
                 if node.size() <= PAGE_SIZE {
+                    // the holes deletes left were all that was in the way
                     write_node(cache, pid, &node);
                     return None;
                 }
                 let Node::Leaf { next, mut entries } = node else { unreachable!() };
-                let mid = entries.len() / 2;
+                // a key past the end of the tree leaves the full leaf full
+                let mid = if next == 0 && at + 1 == entries.len() { at } else { entries.len() / 2 };
                 let right_entries = entries.split_off(mid);
                 let sep = right_entries[0].0.clone();
                 let right_pid = cache.allocate();
@@ -257,7 +314,7 @@ impl BTree {
                 Some((sep, right_pid))
             }
             Node::Inner { mut keys, mut children } => {
-                let idx = Self::child_for(&keys, key);
+                let idx = keys.partition_point(|k| k.as_slice() <= key);
                 let split = Self::insert_rec(cache, children[idx], key, val)?;
                 keys.insert(idx, split.0);
                 children.insert(idx + 1, split.1);
@@ -286,44 +343,14 @@ impl BTree {
 
     /// Remove `key`; returns whether it was present. Leaf-local (no merge).
     pub fn delete(&mut self, cache: &PageCache, key: &[u8]) -> bool {
-        let mut pid = self.root;
-        loop {
-            match read_node(cache, pid) {
-                Node::Inner { keys, children } => pid = children[Self::child_for(&keys, key)],
-                Node::Leaf { next, mut entries } => {
-                    return match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                        Ok(i) => {
-                            entries.remove(i);
-                            write_node(cache, pid, &Node::Leaf { next, entries });
-                            true
-                        }
-                        Err(_) => false,
-                    };
-                }
-            }
-        }
+        let leaf = raw_leaf_for(cache, self.root, Some(key));
+        cache.with_page_mut(leaf, |p| raw_leaf_delete(p, key))
     }
 
-    /// Exact-key lookup. Scans the serialized leaf in place — no allocation.
+    /// Exact-key lookup on the serialized leaf — no allocation.
     pub fn get(&self, cache: &PageCache, key: &[u8]) -> Option<u64> {
         let leaf = raw_leaf_for(cache, self.root, Some(key));
-        cache.with_page(leaf, |p| {
-            let n = u16::from_le_bytes([p[1], p[2]]) as usize;
-            let mut off = 7;
-            for _ in 0..n {
-                let klen = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
-                let k = &p[off + 2..off + 2 + klen];
-                if k == key {
-                    let v = off + 2 + klen;
-                    return Some(u64::from_le_bytes(p[v..v + 8].try_into().expect("8 bytes")));
-                }
-                if k > key {
-                    return None; // entries are sorted: passed the slot
-                }
-                off += 2 + klen + 8;
-            }
-            None
-        })
+        cache.with_page(leaf, |p| search(p, key).ok().map(|i| u64_at(p, cell(p, i).1)))
     }
 
     /// Collect up to `limit` `(key, value)` entries with keys in `(lo, hi)`,
@@ -343,46 +370,39 @@ impl BTree {
         // walk the leaf chain over the serialized pages, cloning only the
         // entries that are actually in range
         let mut pid = raw_leaf_for(cache, self.root, start);
+        let mut first = true;
         let mut taken = 0usize;
         loop {
             let (next, done) = cache.with_page(pid, |p| {
                 debug_assert_eq!(p[0], LEAF_TAG);
-                let n = u16::from_le_bytes([p[1], p[2]]) as usize;
-                let next = u32::from_le_bytes([p[3], p[4], p[5], p[6]]);
-                let mut off = 7;
-                for _ in 0..n {
-                    let klen = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
-                    let k = &p[off + 2..off + 2 + klen];
-                    let v_off = off + 2 + klen;
-                    off = v_off + 8;
-                    let after_lo = match lo {
-                        Bound::Included(l) => k >= l,
-                        Bound::Excluded(l) => k > l,
-                        Bound::Unbounded => true,
-                    };
-                    if !after_lo {
-                        continue;
-                    }
+                // `lo` falls in the first leaf; every later key is above it
+                let from = match (first, lo) {
+                    (true, Bound::Included(l)) => search(p, l).unwrap_or_else(|i| i),
+                    (true, Bound::Excluded(l)) => search(p, l).map_or_else(|i| i, |i| i + 1),
+                    _ => 0,
+                };
+                for i in from..count(p) {
+                    let (k, v) = cell(p, i);
                     let before_hi = match hi {
                         Bound::Included(h) => k <= h,
                         Bound::Excluded(h) => k < h,
                         Bound::Unbounded => true,
                     };
                     if !before_hi {
-                        return (next, true);
+                        return (0, true);
                     }
-                    let v = u64::from_le_bytes(p[v_off..v_off + 8].try_into().expect("8 bytes"));
-                    out.push((k.to_vec(), v));
+                    out.push((k.to_vec(), u64_at(p, v)));
                     taken += 1;
                     if taken >= limit {
-                        return (next, true);
+                        return (0, true);
                     }
                 }
-                (next, false)
+                (link(p), false)
             });
             if done || next == 0 {
                 return;
             }
+            first = false;
             pid = next;
         }
     }
@@ -514,5 +534,167 @@ mod tests {
             assert_eq!(t.get(&c, &key(i ^ 0x5A5A)), Some(i));
         }
         assert!(c.stats().evictions > 0);
+    }
+
+    /// Every entry, by walking the leaf chain from the leftmost leaf.
+    fn all(t: &BTree, c: &PageCache) -> Vec<(Vec<u8>, u64)> {
+        let mut out = Vec::new();
+        t.collect_range(c, Bound::Unbounded, Bound::Unbounded, usize::MAX, &mut out);
+        out
+    }
+
+    /// xorshift64*: the model test's only source of randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// 1–264 bytes from a small alphabet behind a shared prefix, so keys
+        /// collide (replace, delete hits) and long ones differ only late.
+        fn key(&mut self) -> Vec<u8> {
+            let len = match self.below(4) {
+                0 => 1 + self.below(8),
+                1 => 200 + self.below(65),
+                _ => 1 + self.below(40),
+            } as usize;
+            let mut k = vec![b'k'; len.saturating_sub(2)];
+            while k.len() < len {
+                k.push(b'a' + self.below(6) as u8);
+            }
+            k
+        }
+    }
+
+    #[test]
+    fn random_ops_agree_with_a_btreemap_model() {
+        use std::collections::BTreeMap;
+        for seed in [1u64, 0x9e37_79b9_7f4a_7c15, 0xdead_beef] {
+            let c = cache(8);
+            let mut t = BTree::create(&c);
+            let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+            let mut rng = Rng(seed);
+            let mut pages = c.pages_allocated();
+            for step in 0..6000u64 {
+                let k = rng.key();
+                match rng.below(10) {
+                    0..=5 => {
+                        t.insert(&c, &k, step);
+                        model.insert(k, step);
+                    }
+                    6 | 7 => {
+                        assert_eq!(t.delete(&c, &k), model.remove(&k).is_some(), "step {step}");
+                    }
+                    8 => assert_eq!(t.get(&c, &k), model.get(&k).copied(), "step {step}"),
+                    _ => {
+                        let (a, b) = (k, rng.key());
+                        let (a, b) = if a <= b { (a, b) } else { (b, a) };
+                        let bounds = |kind: u64| match kind {
+                            0 => (Bound::Included(&a[..]), Bound::Included(&b[..])),
+                            1 => (Bound::Excluded(&a[..]), Bound::Excluded(&b[..])),
+                            2 => (Bound::Included(&a[..]), Bound::Unbounded),
+                            _ => (Bound::Unbounded, Bound::Excluded(&b[..])),
+                        };
+                        let (lo, hi) = bounds(rng.below(4));
+                        let limit = if rng.below(2) == 0 { usize::MAX } else { 5 };
+                        let mut got = Vec::new();
+                        t.collect_range(&c, lo, hi, limit, &mut got);
+                        let want: Vec<(Vec<u8>, u64)> = model
+                            .range::<[u8], _>((lo, hi))
+                            .take(limit)
+                            .map(|(k, v)| (k.clone(), *v))
+                            .collect();
+                        assert_eq!(got, want, "step {step}");
+                    }
+                }
+                if c.pages_allocated() != pages {
+                    // a split: the leaf chain still holds every key, once, in order
+                    pages = c.pages_allocated();
+                    let want: Vec<(Vec<u8>, u64)> =
+                        model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+                    assert_eq!(all(&t, &c), want, "after the split at step {step}");
+                }
+            }
+            assert!(pages > 20, "seed {seed:#x} split only {pages} pages' worth");
+            assert!(c.stats().evictions > 0);
+            for (k, v) in &model {
+                assert_eq!(t.get(&c, k), Some(*v));
+            }
+        }
+    }
+
+    #[test]
+    fn an_exact_fit_stays_in_place_and_one_byte_less_compacts_before_splitting() {
+        // 8-byte keys take SLOT + 2 + 8 + LEAF_PAYLOAD = 20 bytes each:
+        // 408 of them leave a 23-byte gap in a single-leaf tree
+        let fill = |c: &PageCache| {
+            let mut t = BTree::create(c);
+            for i in 0..408u64 {
+                t.insert(c, &key(2 * i), i);
+            }
+            assert_eq!(PAGE_SIZE - HDR - 408 * 20, 23);
+            t
+        };
+        // an 11-byte key needs 2 + 2 + 11 + 8 = 23: exactly the gap
+        let c = cache(16);
+        let mut t = fill(&c);
+        let pages = c.pages_allocated();
+        t.insert(&c, b"\x00\x00\x00\x00\x00\x00\x00\x01abc", 7);
+        assert_eq!(c.pages_allocated(), pages, "an exact fit goes in place");
+        assert_eq!(c.with_page(t.root, |p| (p[0], count(p))), (LEAF_TAG, 409));
+
+        // a 12-byte key is one byte too many: the leaf splits
+        let mut t = fill(&c);
+        let pages = c.pages_allocated();
+        t.insert(&c, b"\x00\x00\x00\x00\x00\x00\x00\x01abcd", 7);
+        assert_eq!(c.pages_allocated(), pages + 2, "a right leaf and a new root");
+        assert_eq!(all(&t, &c).len(), 409);
+
+        // unless deletes left holes: the rewrite reclaims them and nothing splits
+        let mut t = fill(&c);
+        for i in 100..110u64 {
+            assert!(t.delete(&c, &key(2 * i)));
+        }
+        let pages = c.pages_allocated();
+        // slots came back, cells did not: the gap is 23 + 10 × 2, and 10
+        // odd keys at 20 bytes each do not fit in it without the holes
+        for i in 100..110u64 {
+            t.insert(&c, &key(2 * i + 1), i);
+        }
+        assert_eq!(c.pages_allocated(), pages, "holes were compacted, no page was added");
+        assert_eq!(c.with_page(t.root, |p| (p[0], count(p))), (LEAF_TAG, 408));
+        let got = all(&t, &c);
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!((100..110).all(|i| t.get(&c, &key(2 * i + 1)) == Some(i)));
+        assert!((100..110).all(|i| t.get(&c, &key(2 * i)).is_none()));
+    }
+
+    #[test]
+    fn monotone_keys_fill_their_leaves() {
+        let c = cache(64);
+        let before = c.pages_allocated();
+        let mut t = BTree::create(&c);
+        let n = 100_000u64;
+        for i in 0..n {
+            t.insert(&c, &key(i), i);
+        }
+        let per_leaf = ((PAGE_SIZE - HDR) / (SLOT + 2 + 8 + LEAF_PAYLOAD)) as u64;
+        let full_leaves = n.div_ceil(per_leaf);
+        let pages = (c.pages_allocated() - before) as u64;
+        // inner pages included; halving every full leaf would take twice this
+        assert!(
+            pages * 10 <= full_leaves * 11,
+            "{pages} pages for {n} keys, {full_leaves} full leaves"
+        );
+        assert_eq!(all(&t, &c).len() as u64, n);
+        assert_eq!(t.get(&c, &key(n - 1)), Some(n - 1));
     }
 }

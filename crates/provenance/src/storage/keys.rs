@@ -71,7 +71,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 
 /// Encode a composite key from `vals`, truncated to [`MAX_KEY_BYTES`].
 /// Returns the (possibly truncated) bytes and whether truncation happened.
-pub fn encode_key(vals: &[Value]) -> (Vec<u8>, bool) {
+pub fn encode_key<'a>(vals: impl IntoIterator<Item = &'a Value>) -> (Vec<u8>, bool) {
     let mut out = Vec::new();
     for v in vals {
         encode_value(v, &mut out);
@@ -98,7 +98,7 @@ pub fn prefix_upper(bytes: &[u8]) -> Option<Vec<u8>> {
 }
 
 /// Index-entry key: truncated composite column key + big-endian rowid.
-pub fn entry_key(vals: &[Value], rowid: u64) -> Vec<u8> {
+pub fn entry_key<'a>(vals: impl IntoIterator<Item = &'a Value>, rowid: u64) -> Vec<u8> {
     let (mut k, _) = encode_key(vals);
     k.extend_from_slice(&rowid.to_be_bytes());
     k

@@ -12,6 +12,7 @@
 //! chain. Dead space from relocations is not compacted — the provenance
 //! workload is append-mostly (one status rewrite per activation at worst).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
@@ -144,8 +145,7 @@ struct SecondaryIndex {
 
 impl SecondaryIndex {
     fn entry_key(&self, row: &[Value], rowid: u64) -> Vec<u8> {
-        let vals: Vec<Value> = self.cols.iter().map(|&c| row[c].clone()).collect();
-        keys::entry_key(&vals, rowid)
+        keys::entry_key(self.cols.iter().map(|&c| &row[c]), rowid)
     }
 }
 
@@ -175,6 +175,25 @@ impl PagedTable {
     }
 }
 
+/// `name` as the table map spells it — borrowed when it is already lower
+/// case, which every internal caller's is.
+fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// Mutable lookup over the table map alone, so callers keep the page cache
+/// borrowed beside it.
+fn table_mut<'a>(
+    tables: &'a mut BTreeMap<String, PagedTable>,
+    name: &str,
+) -> Result<&'a mut PagedTable, DbError> {
+    tables.get_mut(table_key(name).as_ref()).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+}
+
 /// The paged table store (see module docs).
 pub struct PagedDb {
     cache: PageCache,
@@ -194,19 +213,13 @@ impl PagedDb {
 
     fn table(&self, name: &str) -> Result<&PagedTable, DbError> {
         self.tables
-            .get(&name.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    fn table_mut(&mut self, name: &str) -> Result<&mut PagedTable, DbError> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
+            .get(table_key(name).as_ref())
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
     /// Create a table.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
-        let key = name.to_ascii_lowercase();
+        let key = table_key(name).into_owned();
         if self.tables.contains_key(&key) {
             return Err(DbError::TableExists(name.to_string()));
         }
@@ -248,7 +261,7 @@ impl PagedDb {
             let k = idx.entry_key(&row, rowid);
             idx.tree.insert(&self.cache, &k, rowid);
         }
-        self.table_mut(table)?.secondaries.push(idx);
+        table_mut(&mut self.tables, table)?.secondaries.push(idx);
         Ok(())
     }
 
@@ -256,10 +269,7 @@ impl PagedDb {
     /// returns its rowid.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<u64, DbError> {
         let cache = &self.cache;
-        let t = self
-            .tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
+        let t = table_mut(&mut self.tables, table)?;
         t.validate(&row)?;
         let rowid = t.next_rowid;
         t.next_rowid += 1;
@@ -309,10 +319,7 @@ impl PagedDb {
         row: Vec<Value>,
     ) -> Result<(), DbError> {
         let cache = &self.cache;
-        let t = self
-            .tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?;
+        let t = table_mut(&mut self.tables, table)?;
         t.validate(&row)?;
         for s in &mut t.secondaries {
             let ko = s.entry_key(old, rowid);
@@ -716,6 +723,65 @@ mod tests {
         assert!(db.update_by_int("t", "score", 0, new(800)).unwrap());
         assert_eq!(db.fetch("t", 0).unwrap().unwrap(), new(800));
         db.verify_integrity().unwrap();
+    }
+
+    /// The steering write pattern, at length: every rewrite deletes the old
+    /// `status` / `wkfid‖status` / `endtime` keys — leaving holes in leaves
+    /// that keep taking inserts — and reinserts under the new values.
+    #[test]
+    fn update_by_int_storms_keep_every_index_whole() {
+        let mut db = PagedDb::in_memory();
+        db.create_table(
+            "act",
+            Schema::new(&[
+                ("taskid", ValueType::Int),
+                ("wkfid", ValueType::Int),
+                ("status", ValueType::Text),
+                ("endtime", ValueType::Timestamp),
+            ]),
+        )
+        .unwrap();
+        db.create_index("act", "ix_taskid", &["taskid"]).unwrap();
+        db.create_index("act", "ix_status", &["status"]).unwrap();
+        db.create_index("act", "ix_wkfid_status", &["wkfid", "status"]).unwrap();
+        db.create_index("act", "ix_endtime", &["endtime"]).unwrap();
+        let row = |task: i64, status: &str, end: f64| {
+            vec![
+                Value::Int(task),
+                Value::Int(task % 7),
+                Value::Text(status.into()),
+                Value::Timestamp(end),
+            ]
+        };
+        let n = 4000i64;
+        for task in 0..n {
+            db.insert("act", row(task, "RUNNING", 0.0)).unwrap();
+            // a window of in-flight rows trails the inserts, as under steering
+            if task >= 8 {
+                let done = task - 8;
+                assert!(db.update_by_int("act", "taskid", done, row(done, "FAILED", 1.0)).unwrap());
+            }
+        }
+        db.verify_integrity().unwrap();
+        for (round, status) in ["RUNNING", "FINISHED", "RUNNING", "FINISHED"].iter().enumerate() {
+            // scattered order, so deletes and reinserts land all over the trees
+            for i in 0..n {
+                let task = (i * 2_654_435_761) % n;
+                let end = (round as i64 * n + i) as f64;
+                assert!(db.update_by_int("act", "taskid", task, row(task, status, end)).unwrap());
+            }
+            db.verify_integrity().unwrap();
+        }
+        let (lo, hi) = keys::eq_range(&[Value::Text("FINISHED".into())]);
+        let lo = match &lo {
+            Bound::Included(k) => Bound::Included(k.as_slice()),
+            _ => unreachable!(),
+        };
+        let hi = match &hi {
+            Bound::Excluded(k) => Bound::Excluded(k.as_slice()),
+            _ => unreachable!(),
+        };
+        assert_eq!(db.index_rowids("act", "ix_status", lo, hi).unwrap().len() as i64, n);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -68,37 +68,35 @@ impl PageStore for MemPageStore {
 /// engine's snapshot + WAL, so stale spill contents are never trusted.
 pub struct FilePageStore {
     file: File,
+    /// Bytes in the file: the end of the furthest page written. Nothing else
+    /// writes the file, so tracking it saves a `seek(End)` per transfer.
+    len: u64,
 }
 
 impl FilePageStore {
     /// Create (truncating) the page file at `path`.
     pub fn create(path: &Path) -> std::io::Result<FilePageStore> {
         let file = File::options().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(FilePageStore { file })
+        Ok(FilePageStore { file, len: 0 })
     }
 }
 
 impl PageStore for FilePageStore {
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> std::io::Result<()> {
-        let end = self.file.seek(SeekFrom::End(0))?;
         let off = pid as u64 * PAGE_SIZE as u64;
-        if off >= end {
+        if off >= self.len {
             buf.fill(0);
             return Ok(());
         }
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)
+        self.file.read_exact_at(buf, off)
     }
 
     fn write(&mut self, pid: PageId, buf: &[u8]) -> std::io::Result<()> {
         let off = pid as u64 * PAGE_SIZE as u64;
-        let end = self.file.seek(SeekFrom::End(0))?;
-        if off > end {
-            // keep the file dense so read_exact never hits a hole
-            self.file.set_len(off)?;
-        }
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(buf)
+        // a write past the end leaves a hole, which reads back as zeroes
+        self.file.write_all_at(buf, off)?;
+        self.len = self.len.max(off + buf.len() as u64);
+        Ok(())
     }
 }
 
@@ -356,10 +354,22 @@ mod tests {
         let mut buf = vec![0xFFu8; PAGE_SIZE];
         store.read(5, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0));
-        // write page 3 without writing 0..3, then read the hole
+        // write page 3 past the end of the empty file: every page up to it
+        // reads back zero-filled, and so does the first page after it
         store.write(3, &vec![7u8; PAGE_SIZE]).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 4 * PAGE_SIZE as u64);
+        for hole in [0, 1, 2, 4] {
+            buf.fill(0xFF);
+            store.read(hole, &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 0), "page {hole}");
+        }
+        store.read(3, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 7));
+        // filling a hole later neither moves the end nor disturbs page 3
+        store.write(1, &vec![9u8; PAGE_SIZE]).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 4 * PAGE_SIZE as u64);
         store.read(1, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0));
+        assert!(buf.iter().all(|&b| b == 9));
         store.read(3, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 7));
     }

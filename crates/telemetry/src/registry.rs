@@ -38,6 +38,7 @@ pub const COUNTERS: &[&str] = &[
     "pool.unparks",
     "proto.oversized_done",
     "provstore.checkpoints",
+    "provstore.fsync_shared",
     "provstore.wal_appends",
     "sim.dispatched",
     "sim.events",
@@ -55,6 +56,8 @@ pub const HISTOGRAMS: &[&str] = &[
     "pool.queue_wait",
     "provstore.commit_batch",
     "provstore.group_commit",
+    "provstore.lock_hold",
+    "provstore.lock_wait",
     "provstore.wal_append",
 ];
 
