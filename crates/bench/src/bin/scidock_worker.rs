@@ -4,7 +4,9 @@
 //! `scidock-worker --connect HOST:PORT`. It connects back, resolves the
 //! workflow spec the master ships in its `Hello` frame through the shared
 //! [`scidock_bench::distspec`] registry, and serves activations until the
-//! master sends `Shutdown` or the connection drops.
+//! master sends `Shutdown` or the connection drops. The resolver owns this
+//! process's one receptor tier, so each receptor the worker meets is
+//! prepared, loaded and rendered once however many pairs it is handed.
 
 fn main() {
     let mut addr = None;

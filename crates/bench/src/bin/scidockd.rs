@@ -3,8 +3,9 @@
 //! Binds the `SDC1` submission endpoint, resolves campaign specs through
 //! the shared [`scidock_bench::distspec`] registry (so `scidock:ad4:4x8`
 //! and `unit:spin:16:5` both work), and serves many concurrent campaigns
-//! from many tenants over one shared elastic worker fleet and one durable
-//! provenance store.
+//! from many tenants over one shared elastic worker fleet, one durable
+//! provenance store and one bounded receptor tier (a receptor is screened,
+//! prepared, loaded and rendered once per daemon, not once per campaign).
 //!
 //! ```sh
 //! scidockd --addr 127.0.0.1:7878 --workers 4 --max-workers 8 \
@@ -19,9 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cumulus::obs::EventLog;
-use cumulus::serve::{CampaignResolver, Daemon, ServeConfig};
-use cumulus::workflow::FileStore;
-use cumulus::Workflow;
+use cumulus::serve::{Daemon, ServeConfig};
 use provenance::{DurableOptions, ProvenanceStore};
 use telemetry::Telemetry;
 
@@ -43,17 +42,6 @@ fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &s
     })
 }
 
-/// Resolve specs through the same registry the distributed backend uses,
-/// staging each campaign's inputs into its own file store.
-fn resolver() -> CampaignResolver {
-    Arc::new(|spec: &str| {
-        let files = Arc::new(FileStore::new());
-        let def = scidock_bench::distspec::resolve_with(spec, &files)?;
-        let input = scidock_bench::distspec::prepare(spec, &files)?;
-        Some(Workflow::new(def, input).with_files(files))
-    })
-}
-
 fn main() {
     let mut cfg = ServeConfig::new()
         .with_addr("127.0.0.1:7878")
@@ -63,6 +51,7 @@ fn main() {
         .with_telemetry(Telemetry::attached())
         .with_events(EventLog::new());
     let mut wal: Option<String> = None;
+    let mut grid_cache_dir: Option<std::path::PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -103,26 +92,22 @@ fn main() {
             }
             "--wal" => wal = Some(parse(&mut args, "--wal")),
             "--grid-cache-dir" => {
-                // exported so the resolver — and every spawned dist worker,
-                // which inherits the environment — points each campaign's
-                // GridCache at one shared persistent directory: the same
-                // receptor set across thousands of campaigns builds each map
-                // set exactly once
-                let dir: String = parse(&mut args, "--grid-cache-dir");
-                std::env::set_var("SCIDOCK_GRID_CACHE_DIR", dir);
+                // one persistent directory under every campaign's grid
+                // cache: a receptor's map set is built once, ever
+                grid_cache_dir = Some(parse::<String>(&mut args, "--grid-cache-dir").into());
             }
             _ => usage(),
         }
     }
 
+    // with an endpoint to read them at, the store's `provstore.*` and the
+    // docking side's `gridcache.*` / `receptor.*` / `dock.evaluations` go
+    // where the daemon's own metrics do; otherwise they stay detached
+    let layer_tel =
+        if cfg.metrics_addr.is_some() { cfg.telemetry.clone() } else { Telemetry::disabled() };
     let prov = match &wal {
         Some(path) => {
-            // with an endpoint to read them at, the store's `provstore.*`
-            // metrics go where the daemon's own do
-            let mut options = DurableOptions::default();
-            if cfg.metrics_addr.is_some() {
-                options.telemetry = cfg.telemetry.clone();
-            }
+            let options = DurableOptions { telemetry: layer_tel.clone(), ..Default::default() };
             match ProvenanceStore::open_with(path, options) {
                 Ok(p) => Arc::new(p),
                 Err(e) => {
@@ -134,7 +119,10 @@ fn main() {
         None => Arc::new(ProvenanceStore::new()),
     };
 
-    let daemon = match Daemon::start(cfg, resolver(), prov) {
+    // the resolver owns the daemon's one receptor tier: every campaign's
+    // workflow shares it, so a receptor is prepared once per process
+    let resolver = scidock_bench::distspec::campaign_resolver(grid_cache_dir, layer_tel);
+    let daemon = match Daemon::start(cfg, resolver, prov) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("scidockd: cannot start: {e}");

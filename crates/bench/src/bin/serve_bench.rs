@@ -21,6 +21,13 @@
 //!    slowest tenant's mean campaign-completion latency must stay within
 //!    `SERVE_FAIRNESS_SPREAD` × the fastest tenant's (default 3.0).
 //!
+//! 4. **Once per receptor, by count**: campaigns of `scidock:ad4:2x3`
+//!    resolved by the resolver `scidockd` ships
+//!    ([`scidock_bench::distspec::campaign_resolver`]) screen, prepare and
+//!    render each of the two receptors once and touch the on-disk grid
+//!    cache once per grid set — whatever the campaign and worker counts.
+//!    Counts, not clocks: the gate reads `receptor.*` / `gridcache.*`.
+//!
 //! A JSON sidecar (`target/serve_bench.json`, schema v1) records the
 //! latency quantiles, reject counts, and per-tenant means so trajectories
 //! can be diffed across PRs.
@@ -120,6 +127,53 @@ fn drive_tenant(addr: std::net::SocketAddr, tenant: String, campaigns: usize) ->
         }
     }
     TenantOutcome { tenant, rejected, finish_ms }
+}
+
+/// Gate 4: `campaigns` campaigns of `scidock:ad4:2x3`, all outstanding at
+/// once, through the shipped resolver on a fresh grid-cache directory and
+/// `workers` workers. Returns the four counts that must each equal the two
+/// receptors of the spec: Hg screens, preparations, map renderings, and
+/// on-disk grid cache lookups (hits + misses).
+fn once_per_receptor_counts(campaigns: usize, workers: usize) -> [u64; 4] {
+    let dir = std::path::PathBuf::from(format!(
+        "target/serve_bench-gridcache-{}-{campaigns}x{workers}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tel = Telemetry::attached();
+    let daemon = Daemon::start(
+        ServeConfig::new()
+            .with_workers(workers)
+            .with_max_active(4)
+            .with_max_pending(campaigns)
+            .with_telemetry(tel.clone()),
+        scidock_bench::distspec::campaign_resolver(Some(dir.clone()), tel.clone()),
+        Arc::new(ProvenanceStore::new()),
+    )
+    .expect("daemon starts");
+    let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+    let ids: Vec<u64> = (0..campaigns)
+        .map(|i| match client.submit(&format!("tenant-{}", i % 2), 0, "scidock:ad4:2x3") {
+            Ok(SubmitOutcome::Accepted { id }) => id,
+            other => panic!("campaign {i} not admitted: {other:?}"),
+        })
+        .collect();
+    for id in ids {
+        while client.status(id).expect("status io").state != CampaignState::Finished {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    let snap = tel.snapshot().expect("telemetry attached");
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(count("campaign.finished"), campaigns as u64);
+    [
+        count("receptor.hg_screened"),
+        count("receptor.prepared"),
+        count("gridcache.maps.rendered"),
+        count("gridcache.persist.hit") + count("gridcache.persist.miss"),
+    ]
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -232,6 +286,17 @@ fn main() {
     if spread >= spread_gate {
         eprintln!("FAIL: fairness spread {spread:.2}x >= {spread_gate}x");
         ok = false;
+    }
+    for (campaigns, workers) in [(6, 1), (9, 4)] {
+        let counts = once_per_receptor_counts(campaigns, workers);
+        println!(
+            "  {campaigns} x scidock:ad4:2x3 on {workers} worker(s): Hg screens, preparations, \
+             map renderings, disk-cache lookups = {counts:?}"
+        );
+        if counts != [2; 4] {
+            eprintln!("FAIL: each must be 2 (one per receptor), whatever the campaign count");
+            ok = false;
+        }
     }
     if !ok {
         std::process::exit(1);

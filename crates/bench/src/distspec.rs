@@ -19,28 +19,34 @@
 //! [`FileStore`] so provenance-derived rules like the Hg blacklist see the
 //! staged inputs) and stages inputs with [`prepare`]; workers resolve the
 //! same spec through [`resolver`] with a store that starts empty and warms
-//! lazily through the master fetch protocol.
+//! lazily through the master fetch protocol; `scidockd` resolves each
+//! submitted campaign through [`campaign_resolver`].
+//!
+//! Who owns the receptor tier ([`ReceptorCache`]): [`campaign_resolver`]
+//! and [`resolver`] each create **one** for the process they serve and put
+//! it in every workflow they resolve, so a receptor is screened, prepared,
+//! loaded and rendered once however many campaigns use it; a bare
+//! [`resolve_with`] (a one-shot dist master) gets a private one.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cumulus::distbackend::worker::WorkflowResolver;
+use cumulus::serve::CampaignResolver;
 use cumulus::workflow::{Activity, FileStore, WorkflowDef};
-use cumulus::Relation;
+use cumulus::{Relation, Workflow};
 use provenance::Value;
 use scidock::{
-    build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, SciDockConfig, LIGAND_CODES,
-    RECEPTOR_IDS,
+    build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, ReceptorCache, SciDockConfig,
+    LIGAND_CODES, RECEPTOR_IDS,
 };
+use telemetry::Telemetry;
 
 /// The fast search budget shared by every `scidock:` spec (mirrors the
-/// integration tests: small LGA/MC budgets, coarse grid).
-///
-/// `SCIDOCK_GRID_CACHE_DIR`, when set, points every resolved workflow —
-/// including the ones dist worker processes resolve, since spawned workers
-/// inherit the environment — at one persistent on-disk grid cache, so
-/// repeated runs and concurrent campaigns build each receptor's maps once.
-fn fast_cfg() -> SciDockConfig {
+/// integration tests: small LGA/MC budgets, coarse grid), with the grid
+/// cache directory and receptor tier of whoever resolves the spec.
+fn fast_cfg(grid_cache_dir: Option<PathBuf>, receptors: ReceptorCache) -> SciDockConfig {
     SciDockConfig {
         dock: docking::engine::DockConfig {
             ad4_runs: 1,
@@ -51,9 +57,18 @@ fn fast_cfg() -> SciDockConfig {
             ..Default::default()
         },
         hg_rule: true,
-        grid_cache_dir: std::env::var_os("SCIDOCK_GRID_CACHE_DIR").map(std::path::PathBuf::from),
+        grid_cache_dir,
+        receptors,
         ..Default::default()
     }
+}
+
+/// `SCIDOCK_GRID_CACHE_DIR`: how a dist master and the `scidock-worker`
+/// processes it spawns (which inherit the environment) agree on one
+/// persistent on-disk grid cache, so repeated runs build each receptor's
+/// maps once.
+fn env_grid_cache_dir() -> Option<PathBuf> {
+    std::env::var_os("SCIDOCK_GRID_CACHE_DIR").map(PathBuf::from)
 }
 
 fn scidock_parts(spec: &str) -> Option<(EngineMode, usize, usize)> {
@@ -118,26 +133,51 @@ fn unit_def(kind: &'static str, ms: u64) -> WorkflowDef {
     }
 }
 
-/// Resolve a spec with an explicit shared file store (master side: the
-/// SciDock Hg blacklist rule reads staged receptors from it).
-pub fn resolve_with(spec: &str, files: &Arc<FileStore>) -> Option<WorkflowDef> {
-    if let Some((mode, nr, nl)) = scidock_parts(spec) {
-        let _ = scidock_dataset(nr, nl); // validate the range eagerly
-        return Some(build_scidock(mode, &fast_cfg(), Arc::clone(files)));
+fn resolve_in(spec: &str, files: &Arc<FileStore>, cfg: &SciDockConfig) -> Option<WorkflowDef> {
+    if let Some((mode, _, _)) = scidock_parts(spec) {
+        return Some(build_scidock(mode, cfg, Arc::clone(files)));
     }
     let (kind, _, ms) = unit_parts(spec)?;
     Some(unit_def(kind, ms))
 }
 
-/// Resolve a spec with a fresh, empty file store (worker side).
-pub fn resolve(spec: &str) -> Option<WorkflowDef> {
-    resolve_with(spec, &Arc::new(FileStore::new()))
+/// Resolve a spec with an explicit shared file store (master side: the
+/// SciDock Hg blacklist rule reads staged receptors from it). The grid
+/// cache directory is `SCIDOCK_GRID_CACHE_DIR` as set at the call; the
+/// receptor tier is private to the returned workflow.
+pub fn resolve_with(spec: &str, files: &Arc<FileStore>) -> Option<WorkflowDef> {
+    resolve_in(spec, files, &fast_cfg(env_grid_cache_dir(), ReceptorCache::default()))
 }
 
 /// The resolver the `scidock-worker` binary (and in-process test workers)
-/// hand to [`cumulus::distbackend::worker::serve`].
+/// hand to [`cumulus::distbackend::worker::serve`]: each spec is resolved
+/// against a fresh, empty file store and this process's one receptor tier.
 pub fn resolver() -> WorkflowResolver {
-    Arc::new(resolve)
+    let cfg = fast_cfg(env_grid_cache_dir(), ReceptorCache::default());
+    Arc::new(move |spec| resolve_in(spec, &Arc::new(FileStore::new()), &cfg))
+}
+
+/// The resolver `scidockd` serves campaigns with: each campaign gets its own
+/// file store with its inputs staged, and all of them share the daemon's
+/// grid cache directory and its one receptor tier. `telemetry` receives the
+/// docking-side metrics (`gridcache.*`, `receptor.*`, `dock.evaluations`).
+pub fn campaign_resolver(
+    grid_cache_dir: Option<PathBuf>,
+    telemetry: Telemetry,
+) -> CampaignResolver {
+    let mut cfg = fast_cfg(grid_cache_dir, ReceptorCache::default());
+    cfg.dock.telemetry = telemetry;
+    Arc::new(move |spec| {
+        // gauges live in the collector's ring: one sampled only when the
+        // tier grows would scroll out of a busy daemon's `/metrics`, so the
+        // tier's owner samples it again at every submission
+        let resident = cfg.receptors.resident_bytes();
+        cfg.dock.telemetry.gauge("gridcache.resident_bytes", resident as f64);
+        let files = Arc::new(FileStore::new());
+        let def = resolve_in(spec, &files, &cfg)?;
+        let input = prepare(spec, &files)?;
+        Some(Workflow::new(def, input).with_files(files))
+    })
 }
 
 /// Master-side preparation: stage any input files the spec needs into the
@@ -145,7 +185,8 @@ pub fn resolver() -> WorkflowResolver {
 pub fn prepare(spec: &str, files: &FileStore) -> Option<Relation> {
     if let Some((_, nr, nl)) = scidock_parts(spec) {
         let ds = scidock_dataset(nr, nl);
-        return Some(stage_inputs(&ds, files, &fast_cfg().expdir));
+        // `fast_cfg` keeps the default experiment directory
+        return Some(stage_inputs(&ds, files, &SciDockConfig::default().expdir));
     }
     let (_, n, _) = unit_parts(spec)?;
     let mut r = Relation::new(&["x"]);
@@ -158,6 +199,10 @@ pub fn prepare(spec: &str, files: &FileStore) -> Option<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn resolve(spec: &str) -> Option<WorkflowDef> {
+        resolver()(spec)
+    }
 
     #[test]
     fn specs_resolve_and_prepare() {

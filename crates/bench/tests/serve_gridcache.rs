@@ -1,14 +1,18 @@
-//! Cross-campaign persistent grid cache through the daemon.
+//! The daemon's receptor tier and the persistent grid cache, across
+//! campaigns and across daemons.
 //!
-//! Two campaigns over the same receptor set share one on-disk grid cache:
-//! the first (cold) builds and persists every map set, the second (warm)
-//! must build ZERO new grid maps — asserted through the
-//! `gridcache.persist.*` counters — and its canonical PROV-N must be
-//! byte-identical to the cold campaign's and to a one-shot cold-cache run
-//! through the local backend, because cache traffic never appears as
-//! produced files in provenance.
+//! Campaigns resolved by one daemon share one [`ReceptorCache`] handle: the
+//! first (cold) screens, prepares, builds, persists and renders each
+//! receptor once, and every later one is served from process memory — no
+//! disk load, no build, no parse, no rendering, asserted through the
+//! `gridcache.*` / `receptor.*` counters. A second daemon with a new handle
+//! on the same directory is served from disk. Every campaign's canonical
+//! PROV-N is byte-identical to a one-shot cold-cache run through the local
+//! backend with telemetry off, because cache traffic never appears as
+//! produced files in provenance. A finished campaign lets go of its file
+//! store; only the tier's one entry per receptor stays.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use cumulus::serve::{
@@ -21,7 +25,8 @@ use scidock::{build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, S
 use telemetry::Telemetry;
 
 /// The fast integration-test search budget, pointed at `cache_dir` and
-/// wired to `tel` so the gridcache counters are observable.
+/// wired to `tel` so the cache counters are observable. Each call makes a
+/// fresh receptor tier; clones of the returned config share it.
 fn campaign_cfg(tel: &Telemetry, cache_dir: &std::path::Path) -> SciDockConfig {
     SciDockConfig {
         dock: docking::engine::DockConfig {
@@ -68,95 +73,141 @@ fn wait_finished(client: &mut ServeClient, id: u64) {
     }
 }
 
+/// A two-worker daemon whose every campaign is `scidock_workflow(cfg)` — so
+/// all of them share `cfg`'s receptor tier — and which notes each campaign's
+/// file store in `stores`.
+fn start_daemon(
+    cfg: &SciDockConfig,
+    tel: &Telemetry,
+    prov: &Arc<ProvenanceStore>,
+    stores: &Arc<Mutex<Vec<Weak<FileStore>>>>,
+) -> Daemon {
+    let resolver: CampaignResolver = {
+        let (cfg, stores) = (cfg.clone(), Arc::clone(stores));
+        Arc::new(move |spec: &str| {
+            (spec == "sd:ad4").then(|| {
+                let wf = scidock_workflow(&cfg);
+                stores.lock().unwrap().push(Arc::downgrade(&wf.files));
+                wf
+            })
+        })
+    };
+    Daemon::start(
+        ServeConfig::new().with_workers(2).with_telemetry(tel.clone()),
+        resolver,
+        Arc::clone(prov),
+    )
+    .expect("daemon starts")
+}
+
+fn run_campaign(client: &mut ServeClient, tenant: &str) {
+    let SubmitOutcome::Accepted { id } = client.submit(tenant, 0, "sd:ad4").expect("submit io")
+    else {
+        panic!("campaign of {tenant} must be admitted")
+    };
+    wait_finished(client, id);
+}
+
+/// Canonical PROV-N of every workflow in `prov`, in submission order.
+fn exports(prov: &Arc<ProvenanceStore>) -> Vec<String> {
+    let rows = prov.query_rows("SELECT wkfid FROM hworkflow", &[]).expect("wkf listing");
+    let mut ids: Vec<i64> = rows.rows.iter().map(|r| r[0].as_f64().unwrap() as i64).collect();
+    ids.sort_unstable();
+    ids.into_iter().map(|id| export_provn_canonical_for(prov, provenance::WorkflowId(id))).collect()
+}
+
+/// What the first campaign on a tier pays once and no later one may pay
+/// again.
+const ONCE_PER_RECEPTOR: [&str; 6] = [
+    "gridcache.persist.hit",
+    "gridcache.persist.miss",
+    "gridcache.bytes",
+    "gridcache.maps.rendered",
+    "receptor.prepared",
+    "receptor.hg_screened",
+];
+
 #[test]
-fn second_campaign_reuses_persisted_grids_with_identical_provenance() {
+fn campaigns_share_one_receptor_tier_and_a_new_daemon_loads_from_disk() {
     let dir = std::env::temp_dir().join(format!("scidock-serve-gridcache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let tel = Telemetry::attached();
     let cfg = campaign_cfg(&tel, &dir);
-    let resolver: CampaignResolver = {
-        let cfg = cfg.clone();
-        Arc::new(move |spec: &str| (spec == "sd:ad4").then(|| scidock_workflow(&cfg)))
-    };
     let prov = Arc::new(ProvenanceStore::new());
-    let daemon = Daemon::start(
-        ServeConfig::new().with_workers(2).with_telemetry(tel.clone()),
-        resolver,
-        Arc::clone(&prov),
-    )
-    .expect("daemon starts");
+    let stores: Arc<Mutex<Vec<Weak<FileStore>>>> = Arc::default();
+    let daemon = start_daemon(&cfg, &tel, &prov, &stores);
     let mut client = ServeClient::connect(daemon.addr()).expect("connect");
-
-    // campaign 1: cold cache — builds each receptor's maps and persists them
-    let SubmitOutcome::Accepted { id: cold } =
-        client.submit("alice", 0, "sd:ad4").expect("submit io")
-    else {
-        panic!("cold campaign must be admitted")
+    let counters = |tel: &Telemetry| {
+        let snap = tel.snapshot().expect("attached");
+        ONCE_PER_RECEPTOR.map(|name| snap.counter(name).unwrap_or(0))
     };
-    wait_finished(&mut client, cold);
-    let snap1 = tel.snapshot().expect("attached");
-    let built_cold = snap1.counter("gridcache.bytes").unwrap_or(0);
-    assert!(
-        snap1.counter("gridcache.persist.miss").unwrap_or(0) >= 1,
-        "cold campaign must miss the persistent tier"
-    );
-    assert!(
-        snap1.counter("gridcache.persist.write").unwrap_or(0) >= 1,
-        "cold campaign must persist what it built"
-    );
-    assert!(built_cold > 0, "cold campaign built grids");
 
-    // campaign 2: same receptors — served wholly from the persistent tier
-    let SubmitOutcome::Accepted { id: warm } =
-        client.submit("bob", 0, "sd:ad4").expect("submit io")
-    else {
-        panic!("warm campaign must be admitted")
-    };
-    wait_finished(&mut client, warm);
-    let snap2 = tel.snapshot().expect("attached");
-    assert_eq!(
-        snap2.counter("gridcache.persist.miss"),
-        snap1.counter("gridcache.persist.miss"),
-        "warm campaign must not miss the persistent tier"
-    );
-    assert_eq!(
-        snap2.counter("gridcache.bytes"),
-        Some(built_cold),
-        "warm campaign must build ZERO new grid maps"
-    );
-    assert!(
-        snap2.counter("gridcache.persist.hit").unwrap_or(0) >= 1,
-        "warm campaign must load persisted entries"
-    );
-    // containment: everything a persistent-cache campaign emits is in the
-    // metric-name registry
-    assert_eq!(telemetry::registry::unregistered(&snap2), Vec::<String>::new());
+    // campaign 1: cold — one receptor is screened, prepared, built,
+    // persisted and rendered, each exactly once whichever worker got there
+    run_campaign(&mut client, "alice");
+    let cold = counters(&tel);
+    let [persist_hit, persist_miss, built, rendered, prepared, screened] = cold;
+    assert_eq!(persist_hit, 0, "nothing on disk yet");
+    assert_eq!(persist_miss, 1, "cold campaign must miss the persistent tier");
+    assert!(built > 0, "cold campaign built grids");
+    assert_eq!((rendered, prepared, screened), (1, 1, 1));
+    let snap = tel.snapshot().expect("attached");
+    assert_eq!(snap.counter("gridcache.persist.write"), Some(1), "… and persist what it built");
+
+    // campaigns 2 and 3: same receptor — served wholly from the daemon's
+    // memory tier
+    for tenant in ["bob", "carol"] {
+        run_campaign(&mut client, tenant);
+        assert_eq!(counters(&tel), cold, "{tenant}'s campaign must not load, build or prepare");
+    }
+    let snap = tel.snapshot().expect("attached");
+    assert_eq!(snap.counter("receptor.prep.hit"), Some(5), "2 pairs x 3 campaigns, less the one");
+    assert!(snap.gauge("gridcache.resident_bytes").is_some());
+    // containment: everything a cached campaign emits is in the metric-name
+    // registry
+    assert_eq!(telemetry::registry::unregistered(&snap), Vec::<String>::new());
+
+    // a finished campaign lets go of its file store (a worker may hold its
+    // last activation's context a moment longer); the tier keeps one entry
+    // per distinct receptor however many campaigns ran
+    let deadline = Instant::now() + Duration::from_secs(30);
+    assert_eq!(stores.lock().unwrap().len(), 3);
+    while stores.lock().unwrap().iter().any(|s| s.upgrade().is_some()) {
+        assert!(Instant::now() < deadline, "a finished campaign's FileStore is still alive");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!((cfg.receptors.receptors(), cfg.receptors.grid_sets()), (1, 1));
     daemon.shutdown();
 
-    // PROV-N parity: warm == cold == one-shot cold-cache local run; the
-    // cache is invisible to provenance
-    let wf_rows = prov.query_rows("SELECT wkfid FROM hworkflow", &[]).expect("wkf listing");
-    let mut ids: Vec<i64> = wf_rows.rows.iter().map(|r| r[0].as_f64().unwrap() as i64).collect();
-    ids.sort_unstable();
-    assert_eq!(ids.len(), 2, "two campaigns recorded");
-    let cold_export = export_provn_canonical_for(&prov, provenance::WorkflowId(ids[0]));
-    let warm_export = export_provn_canonical_for(&prov, provenance::WorkflowId(ids[1]));
-    assert_eq!(cold_export, warm_export, "warm-cache PROV-N == cold-cache PROV-N");
+    // a second daemon — new tier, same directory — is served from disk
+    let tel2 = Telemetry::attached();
+    let cfg2 = campaign_cfg(&tel2, &dir);
+    let prov2 = Arc::new(ProvenanceStore::new());
+    let daemon2 = start_daemon(&cfg2, &tel2, &prov2, &Arc::default());
+    let mut client2 = ServeClient::connect(daemon2.addr()).expect("connect");
+    run_campaign(&mut client2, "dave");
+    daemon2.shutdown();
+    let [persist_hit, persist_miss, built, ..] = counters(&tel2);
+    assert_eq!((persist_hit, persist_miss), (1, 0), "the new daemon loads the persisted entry");
+    assert_eq!(built, 0, "the new daemon must build ZERO new grid maps");
 
+    // PROV-N parity: every campaign == a one-shot cold-cache local run with
+    // telemetry off; neither the cache nor its metrics are visible to
+    // provenance
     let solo_dir =
         std::env::temp_dir().join(format!("scidock-serve-gridcache-solo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&solo_dir);
     let solo_prov = Arc::new(ProvenanceStore::new());
-    let solo_cfg = campaign_cfg(&Telemetry::attached(), &solo_dir);
+    let solo_cfg = campaign_cfg(&Telemetry::disabled(), &solo_dir);
     LocalBackend::new(LocalConfig::new().with_threads(2))
         .run(&scidock_workflow(&solo_cfg), &solo_prov)
         .expect("one-shot run");
-    let solo_wkf = solo_prov.latest_workflow().expect("one-shot workflow recorded");
-    assert_eq!(
-        warm_export,
-        export_provn_canonical_for(&solo_prov, solo_wkf),
-        "daemon provenance must equal one-shot cold-cache provenance"
-    );
+    let solo = exports(&solo_prov).pop().expect("one-shot workflow recorded");
+    let served: Vec<String> = exports(&prov).into_iter().chain(exports(&prov2)).collect();
+    assert_eq!(served.len(), 4, "four campaigns recorded");
+    for (i, export) in served.iter().enumerate() {
+        assert_eq!(export, &solo, "campaign {i}: daemon provenance must equal the one-shot run's");
+    }
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&solo_dir);
 }

@@ -11,15 +11,17 @@
 //! | 6 | `dockfilter` | C: docking preparation | size split: small→AD4, large→Vina |
 //! | 7 | `autodpf4` / `vinaconfig` | C | DPF / Vina config generation |
 //! | 8 | `autodock4` / `vina` | D: molecular docking | the docking run, `.dlg`/log output |
+//!
+//! Every receptor-side step (the Hg rule, activity 3, the grids and map
+//! files of activities 5 and 8) is a pure function of the receptor's bytes
+//! and is computed once per process by [`crate::receptors`]; the activities
+//! still run once per pair and record the same files, parameters and tuples.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use cumulus::workflow::{Activity, ActivityError, ActivityFn, FileStore, WorkflowDef};
 use cumulus::{Operator, Relation, Template};
-use docking::autogrid::GridSet;
 use docking::dlg::{parse_dlg_feb, parse_dlg_rmsd, parse_vina_modes, write_dlg, write_vina_log};
 use docking::engine::{dock_with_grids, DockConfig, EngineKind};
 use molkit::charges::assign_gasteiger;
@@ -27,11 +29,10 @@ use molkit::formats::{mol2, pdb, pdbqt, sdf};
 use molkit::synth::name_seed;
 use molkit::torsion::build_torsion_tree;
 use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
-use molkit::Element;
 use provenance::Value;
-use std::collections::BTreeMap;
 
 use crate::dataset::Dataset;
+pub use crate::receptors::{GridCache, MapFiles, ReceptorCache};
 
 /// Which docking program(s) the workflow uses (paper Fig. 4 scenarios).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +61,12 @@ pub struct SciDockConfig {
     /// §V.D "top interactions" analysis as a workflow step).
     pub with_ranking: bool,
     /// Directory for the persistent cross-campaign grid cache; `None`
-    /// keeps the cache in-memory per workflow (the pre-PR-9 behavior).
+    /// keeps grids in memory only.
     pub grid_cache_dir: Option<std::path::PathBuf>,
+    /// The memory tier every workflow built from this config shares:
+    /// `Default` is a fresh private tier, `Clone` shares it. Not a knob —
+    /// a process that outlives campaigns creates one and hands it to each.
+    pub receptors: ReceptorCache,
 }
 
 impl Default for SciDockConfig {
@@ -84,281 +89,8 @@ impl Default for SciDockConfig {
             hg_rule: true,
             with_ranking: false,
             grid_cache_dir: None,
+            receptors: ReceptorCache::default(),
         }
-    }
-}
-
-/// Content-addressed cache of receptor grids (AutoGrid output is shared by
-/// every ligand docked against the same receptor — and, content-addressed,
-/// by every *campaign* docking the same receptor under the same knobs).
-///
-/// Keys are [`docking::gridio::grid_set_digest`] values over the receptor
-/// PDBQT text plus every map-shaping knob, so renamed or re-staged receptors
-/// still share one entry. Three read-through tiers:
-///
-/// 1. in-memory (per workflow instance) — each entry also keeps the set's
-///    rendered `.map` files, once per receptor *name* (the `.map` header
-///    names the receptor, so the texts are keyed by digest **and** name,
-///    never by name alone): [`GridCache::get_or_render`] formats them on
-///    first use and hands every later activation the same `Arc<str>`s,
-///    which the file store then holds by reference,
-/// 2. an optional on-disk directory (`<digest>.grid` entries, shared across
-///    runs, campaigns, and worker processes on one machine; writes use
-///    temp+rename like `provenance::durable` snapshots, so readers never see
-///    a torn entry),
-/// 3. the shared [`FileStore`] under `/gridcache/` — on a distributed worker
-///    a read miss triggers the existing `FileReq` fetch hook, pulling an
-///    entry the master already holds instead of rebuilding it.
-///
-/// Entries are written *directly* to tiers 2–3, never through the activation
-/// context: cache traffic must not appear as produced files in provenance
-/// (a warm-cache run stays byte-identical to a cold one).
-#[derive(Default)]
-pub struct GridCache {
-    inner: Mutex<HashMap<u64, Arc<GridEntry>>>,
-    persist: Option<GridCachePersist>,
-}
-
-/// A grid set's AutoGrid output files, `(file name, text)` per map in
-/// [`GridSet::maps`] order, shared by every activation that stages them.
-pub type MapFiles = Arc<[(String, Arc<str>)]>;
-
-/// One cached grid set plus its rendered map files per receptor name.
-struct GridEntry {
-    grids: Arc<GridSet>,
-    /// Held while rendering, so racing activations of one receptor wait
-    /// for a single render instead of each formatting their own copy.
-    rendered: Mutex<HashMap<String, MapFiles>>,
-}
-
-struct GridCachePersist {
-    dir: std::path::PathBuf,
-    files: Arc<FileStore>,
-}
-
-impl GridCachePersist {
-    fn entry_path(&self, digest: u64) -> std::path::PathBuf {
-        self.dir.join(format!("{digest:016x}.grid"))
-    }
-
-    fn store_path(digest: u64) -> String {
-        format!("/gridcache/{digest:016x}.grid")
-    }
-}
-
-/// Every AD type a generated ligand can contain — cached receptor grids
-/// carry all of them so one AutoGrid run serves every ligand (exactly how
-/// the real pipeline shares maps across a screening campaign).
-const LIGAND_TYPE_SUPERSET: [molkit::AdType; 12] = [
-    molkit::AdType::C,
-    molkit::AdType::A,
-    molkit::AdType::N,
-    molkit::AdType::NA,
-    molkit::AdType::OA,
-    molkit::AdType::S,
-    molkit::AdType::SA,
-    molkit::AdType::HD,
-    molkit::AdType::H,
-    molkit::AdType::F,
-    molkit::AdType::Cl,
-    molkit::AdType::Br,
-];
-
-/// Monotonic temp-name counter so concurrent writers in one process never
-/// collide on the same temp file (the pid separates processes).
-static GRID_TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-impl GridCache {
-    /// A cache whose entries persist in `dir` across runs and campaigns and
-    /// are published to (and fetched from) `files` under `/gridcache/`.
-    pub fn persistent(dir: impl Into<std::path::PathBuf>, files: Arc<FileStore>) -> GridCache {
-        GridCache {
-            inner: Mutex::new(HashMap::new()),
-            persist: Some(GridCachePersist { dir: dir.into(), files }),
-        }
-    }
-
-    /// Cached grid lookup / computation. Grids are ligand-independent: the
-    /// box is sized from the receptor pocket + `cfg.box_edge` and carries
-    /// affinity maps for the whole ligand-type superset.
-    ///
-    /// Emits `gridcache.hit` / `gridcache.miss` counters (memory tier) plus
-    /// `gridcache.bytes` (resident map bytes of freshly built sets) through
-    /// `cfg.telemetry`, and builds maps with `cfg.threads` slab workers.
-    /// With a persistent tier configured, a memory miss additionally emits
-    /// `gridcache.persist.hit` (entry loaded from disk or the shared file
-    /// store), or `gridcache.persist.miss` + `gridcache.persist.write`
-    /// (built and persisted), and `gridcache.persist.bytes` (entry bytes
-    /// moved through the tier).
-    pub fn get_or_build(
-        &self,
-        _receptor_id: &str,
-        receptor_pdbqt: &str,
-        engine: EngineKind,
-        cfg: &DockConfig,
-    ) -> Result<Arc<GridSet>, ActivityError> {
-        Ok(Arc::clone(&self.entry(receptor_pdbqt, engine, cfg)?.grids))
-    }
-
-    /// The `.map` files of the grid set [`GridCache::get_or_build`] resolves
-    /// (same lookup, same counters, same build on a miss), rendered for
-    /// `receptor_id`. The texts are formatted once per (content digest,
-    /// receptor name) — counted by `gridcache.maps.rendered` — and every
-    /// later call returns the same allocations, so staging them costs one
-    /// pointer write per map.
-    pub fn get_or_render(
-        &self,
-        receptor_id: &str,
-        receptor_pdbqt: &str,
-        engine: EngineKind,
-        cfg: &DockConfig,
-    ) -> Result<MapFiles, ActivityError> {
-        let entry = self.entry(receptor_pdbqt, engine, cfg)?;
-        let mut rendered = entry.rendered.lock();
-        if let Some(maps) = rendered.get(receptor_id) {
-            return Ok(Arc::clone(maps));
-        }
-        cfg.telemetry.count("gridcache.maps.rendered", 1);
-        let maps: MapFiles = docking::mapfile::render_map_files(&entry.grids, receptor_id).into();
-        rendered.insert(receptor_id.to_string(), Arc::clone(&maps));
-        Ok(maps)
-    }
-
-    fn entry(
-        &self,
-        receptor_pdbqt: &str,
-        engine: EngineKind,
-        cfg: &DockConfig,
-    ) -> Result<Arc<GridEntry>, ActivityError> {
-        let digest = docking::gridio::grid_set_digest(
-            receptor_pdbqt,
-            engine.program_name(),
-            cfg.grid_spacing,
-            cfg.box_edge,
-            cfg.pocket_probe,
-            &LIGAND_TYPE_SUPERSET,
-        );
-        if let Some(e) = self.inner.lock().get(&digest) {
-            cfg.telemetry.count("gridcache.hit", 1);
-            return Ok(Arc::clone(e));
-        }
-        cfg.telemetry.count("gridcache.miss", 1);
-
-        if let Some(p) = &self.persist {
-            if let Some(grids) = self.load_persisted(p, digest, cfg) {
-                return Ok(self.insert(digest, grids));
-            }
-            cfg.telemetry.count("gridcache.persist.miss", 1);
-        }
-
-        let grids = Self::build(receptor_pdbqt, engine, cfg)?;
-        cfg.telemetry.count("gridcache.bytes", grids.bytes());
-        if let Some(p) = &self.persist {
-            let text = docking::gridio::serialize_grid_set(&grids);
-            cfg.telemetry.count("gridcache.persist.write", 1);
-            cfg.telemetry.count("gridcache.persist.bytes", text.len() as u64);
-            Self::write_entry(p, digest, &text);
-            p.files.write(&GridCachePersist::store_path(digest), text);
-        }
-        Ok(self.insert(digest, grids))
-    }
-
-    /// Publish a resolved grid set. Racing resolvers of one digest hold
-    /// bit-identical grids; the first to land is kept, so a digest has one
-    /// entry — and its map files one rendering — for the cache's lifetime.
-    fn insert(&self, digest: u64, grids: GridSet) -> Arc<GridEntry> {
-        let mut inner = self.inner.lock();
-        let entry = inner.entry(digest).or_insert_with(|| {
-            Arc::new(GridEntry { grids: Arc::new(grids), rendered: Mutex::default() })
-        });
-        Arc::clone(entry)
-    }
-
-    /// Try the persistent tiers (disk, then shared file store / `FileReq`
-    /// fetch). A hit back-fills whichever tier was missing.
-    fn load_persisted(
-        &self,
-        p: &GridCachePersist,
-        digest: u64,
-        cfg: &DockConfig,
-    ) -> Option<GridSet> {
-        let disk = std::fs::read_to_string(p.entry_path(digest)).ok();
-        let (text, from_disk): (Arc<str>, bool) = match disk {
-            Some(t) => (t.into(), true),
-            None => (p.files.read(&GridCachePersist::store_path(digest))?, false),
-        };
-        // a corrupt or torn entry (integrity digest mismatch) falls back to
-        // a rebuild instead of failing the activation
-        let grids = match docking::gridio::deserialize_grid_set(&text) {
-            Ok(g) => g,
-            Err(_) => return None,
-        };
-        cfg.telemetry.count("gridcache.persist.hit", 1);
-        cfg.telemetry.count("gridcache.persist.bytes", text.len() as u64);
-        if from_disk {
-            if !p.files.exists(&GridCachePersist::store_path(digest)) {
-                p.files.write(&GridCachePersist::store_path(digest), text);
-            }
-        } else {
-            Self::write_entry(p, digest, &text);
-        }
-        Some(grids)
-    }
-
-    /// Atomically publish an entry on disk: write to a uniquely named temp
-    /// file, then rename over the final path (the `provenance::durable`
-    /// snapshot discipline). Racing writers produce identical bytes, so
-    /// whichever rename lands last is as good as the first; readers only
-    /// ever see a complete entry.
-    fn write_entry(p: &GridCachePersist, digest: u64, text: &str) {
-        if std::fs::create_dir_all(&p.dir).is_err() {
-            return; // persistence is best-effort; the build already succeeded
-        }
-        let seq = GRID_TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = p.dir.join(format!("{digest:016x}.grid.tmp.{}.{seq}", std::process::id()));
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, p.entry_path(digest));
-        }
-        let _ = std::fs::remove_file(&tmp); // no-op after a successful rename
-    }
-
-    fn build(
-        receptor_pdbqt: &str,
-        engine: EngineKind,
-        cfg: &DockConfig,
-    ) -> Result<GridSet, ActivityError> {
-        let receptor = pdbqt::read_receptor_pdbqt(receptor_pdbqt)
-            .map_err(|e| ActivityError(format!("receptor pdbqt: {e}")))?;
-        let pocket = molkit::geometry::find_pocket(&receptor, cfg.pocket_probe)
-            .ok_or_else(|| ActivityError("no binding pocket detected".into()))?;
-        let spec =
-            docking::grid::GridSpec::with_edge(pocket.center, cfg.box_edge, cfg.grid_spacing);
-        Ok(match engine {
-            EngineKind::Ad4 => docking::autogrid::build_ad4_grids_threads(
-                &receptor,
-                spec,
-                &LIGAND_TYPE_SUPERSET,
-                &docking::params::Ad4Params::new(),
-                cfg.threads,
-            ),
-            EngineKind::Vina => docking::autogrid::build_vina_grids_threads(
-                &receptor,
-                spec,
-                &LIGAND_TYPE_SUPERSET,
-                &docking::params::VinaParams::default(),
-                cfg.threads,
-            ),
-        })
-    }
-
-    /// Number of cached grid sets.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
     }
 }
 
@@ -409,10 +141,12 @@ pub fn stage_inputs(ds: &Dataset, files: &FileStore, expdir: &str) -> Relation {
 /// engine column). `files` is the shared store the workflow will run
 /// against; the Hg blacklist rule inspects staged receptor files through it.
 pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore>) -> WorkflowDef {
-    let cache = match &cfg.grid_cache_dir {
-        Some(dir) => Arc::new(GridCache::persistent(dir.clone(), Arc::clone(&files))),
-        None => Arc::new(GridCache::default()),
-    };
+    // this campaign's view of the tier `cfg` carries
+    let cache = Arc::new(GridCache::view(
+        cfg.receptors.clone(),
+        cfg.grid_cache_dir.clone(),
+        Arc::clone(&files),
+    ));
     let cfga = Arc::new(cfg.clone());
 
     // -- activity 1: babel (SDF -> MOL2) ------------------------------------
@@ -453,22 +187,22 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
     });
 
     // -- activity 3: prepare_receptor4 (PDB -> receptor PDBQT) --------------
+    // The PDBQT depends on the receptor alone, so the tier prepares it once
+    // per (content, name) and every pair stages that text by reference.
+    let cfg3 = Arc::clone(&cfga);
     let a3: ActivityFn = Arc::new(move |tuples, ctx| {
         let t = &tuples[0];
         let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
         let pdb_text = ctx.read_file(&text(t, 2)?)?;
-        let mut mol = pdb::read_pdb(&pdb_text).map_err(|e| ActivityError(format!("pdb: {e}")))?;
-        mol.name = receptor.clone();
-        assign_ad_types(&mut mol);
-        assign_gasteiger(&mut mol, &Default::default());
-        let out = ctx.write_file(&format!("{receptor}.pdbqt"), pdbqt::write_receptor_pdbqt(&mol));
-        ctx.record_param("receptor_atoms", Some(mol.heavy_atom_count() as f64), None);
+        let prepared = cfg3.receptors.prepared(&pdb_text, &receptor, &cfg3.dock.telemetry)?;
+        let out = ctx.write_file(&format!("{receptor}.pdbqt"), Arc::clone(&prepared.pdbqt));
+        ctx.record_param("receptor_atoms", Some(prepared.heavy_atoms as f64), None);
         Ok(vec![vec![
             receptor.as_str().into(),
             ligand.as_str().into(),
             text(t, 3)?.into(),
             out.into(),
-            Value::Int(mol.heavy_atom_count() as i64),
+            Value::Int(prepared.heavy_atoms as i64),
         ]])
     });
 
@@ -711,6 +445,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         // the rule the paper added after provenance analysis: receptors whose
         // PDB file contains mercury never reach the docking programs
         let bl_files = Arc::clone(&files);
+        let bl_cfg = Arc::clone(&cfga);
         Some(Arc::new(move |t: &cumulus::Tuple| {
             // activity 3's input tuple carries the staged PDB path in col 2
             let Some(path) = t.get(2).and_then(|v| v.as_str()) else {
@@ -719,10 +454,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             let Some(text) = bl_files.read(path) else {
                 return false;
             };
-            match pdb::read_pdb(&text) {
-                Ok(mol) => mol.contains_element(Element::Hg),
-                Err(_) => false,
-            }
+            bl_cfg.receptors.has_hg(&text, &bl_cfg.dock.telemetry)
         }))
     } else {
         None
@@ -926,6 +658,8 @@ mod tests {
     use crate::dataset::{Dataset, DatasetParams};
     use cumulus::localbackend::LocalConfig;
     use cumulus::{Backend, LocalBackend, RunOutcome, Workflow};
+    use docking::autogrid::GridSet;
+    use parking_lot::Mutex;
     use provenance::ProvenanceStore;
 
     /// Run a workflow through the `Backend` trait (the non-deprecated

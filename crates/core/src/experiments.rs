@@ -14,7 +14,7 @@ use cumulus::{
 use provenance::ProvenanceStore;
 use telemetry::Telemetry;
 
-use crate::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
+use crate::activities::{build_scidock, stage_inputs, EngineMode, ReceptorCache, SciDockConfig};
 use crate::analysis::{results_from_relation, PairResult};
 use crate::cost::{build_sim_tasks, CostModel, SIM_ACTIVITY_TAGS};
 use crate::dataset::{Dataset, DatasetParams, LIGAND_CODES, RECEPTOR_IDS};
@@ -34,7 +34,8 @@ pub struct ScreeningOutcome {
 /// Run a real screening of `receptor_ids × ligand_codes` with one engine.
 ///
 /// This is the Table 3 workload when called with 238 receptors × the four
-/// detail ligands; tests call it with much smaller slices.
+/// detail ligands; tests call it with much smaller slices. Each call runs
+/// against a receptor tier of its own, not `cfg.receptors`.
 pub fn run_screening(
     receptor_ids: &[&str],
     ligand_codes: &[&str],
@@ -46,6 +47,9 @@ pub fn run_screening(
     let files = Arc::new(FileStore::new());
     let prov = Arc::new(ProvenanceStore::new());
     let input = stage_inputs(&ds, &files, &cfg.expdir);
+    // nothing outlives a one-shot run to share a tier with, and two calls
+    // must not meet through the caller's `cfg`
+    let cfg = &SciDockConfig { receptors: ReceptorCache::default(), ..cfg.clone() };
     let wf = build_scidock(mode, cfg, Arc::clone(&files));
     let backend = LocalBackend::new(
         LocalConfig::new()

@@ -8,6 +8,9 @@
 //! * [`activities`] — the eight SciDock activities (Fig. 1) as executable
 //!   [`cumulus`] workflow activities, including the adaptive AD4/Vina size
 //!   split and the Hg blacklist rule;
+//! * [`receptors`] — the bounded per-process receptor cache under them: Hg
+//!   screen, receptor preparation, grids and map files, each once per
+//!   receptor however many pairs and campaigns use it;
 //! * [`cost`] — the activity cost model calibrated to the paper's Fig. 10
 //!   provenance measurements, for the simulated cloud-scale studies;
 //! * [`analysis`] — Table 3 (FEB(−) counts, average FEB/RMSD) and top-
@@ -39,6 +42,7 @@ pub mod analysis;
 pub mod cost;
 pub mod dataset;
 pub mod experiments;
+pub mod receptors;
 pub mod redock;
 
 pub use activities::{build_scidock, scidock_xml_spec, stage_inputs, EngineMode, SciDockConfig};
@@ -49,3 +53,4 @@ pub use experiments::{
     headline, run_screening, scaling_sweep, simulate_at, Headline, ScalePoint, ScreeningOutcome,
     SweepConfig, PAPER_CORE_COUNTS,
 };
+pub use receptors::ReceptorCache;

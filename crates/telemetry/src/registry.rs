@@ -23,6 +23,7 @@ pub const COUNTERS: &[&str] = &[
     "dock.evaluations",
     "fleet.spawn_timeouts",
     "gridcache.bytes",
+    "gridcache.evicted",
     "gridcache.hit",
     "gridcache.maps.rendered",
     "gridcache.miss",
@@ -40,6 +41,9 @@ pub const COUNTERS: &[&str] = &[
     "provstore.checkpoints",
     "provstore.fsync_shared",
     "provstore.wal_appends",
+    "receptor.hg_screened",
+    "receptor.prep.hit",
+    "receptor.prepared",
     "sim.dispatched",
     "sim.events",
     "sim.vm_acquired",
@@ -65,8 +69,14 @@ pub const HISTOGRAMS: &[&str] = &[
 pub const HISTOGRAM_PREFIXES: &[&str] = &["activation."];
 
 /// Every registered gauge name, sorted.
-pub const GAUGES: &[&str] =
-    &["campaign.active", "campaign.queued", "fleet.size", "pool.queue_depth", "sim.ready_queue"];
+pub const GAUGES: &[&str] = &[
+    "campaign.active",
+    "campaign.queued",
+    "fleet.size",
+    "gridcache.resident_bytes",
+    "pool.queue_depth",
+    "sim.ready_queue",
+];
 
 /// Names in `snap` that are NOT in the registry, each prefixed with its
 /// metric kind (e.g. `"counter:dist.jobs"`). Empty means the snapshot is
