@@ -10,8 +10,8 @@
 //!   search budget the integration tests use (`mode` is `ad4`, `vina`, or
 //!   `adaptive`).
 //! * `unit:spin:<N>:<MS>` — one Map activity over `N` tuples, each
-//!   busy-spinning for `MS` milliseconds (CPU-bound; what `dist_bench` uses
-//!   to measure multi-process speedup).
+//!   busy-spinning for `MS` milliseconds (CPU-bound; what the benchmark's
+//!   layer suite submits to time the daemon's round trip).
 //! * `unit:sleep:<N>:<MS>` — same shape but sleeping instead of spinning
 //!   (timing-controlled; what the fault drills use).
 //!

@@ -1,8 +1,10 @@
-//! # scidock-bench — benchmark harness
+//! # scidock-bench — the shipped binaries
 //!
-//! Hosts the Criterion micro-benchmarks (`benches/`) and the `figures`
+//! Hosts `scidockd`, `scidock-worker` and `scidock-top`, the `figures`
 //! binary that regenerates every table and figure of the paper's evaluation
-//! section (see EXPERIMENTS.md at the workspace root).
+//! section (see EXPERIMENTS.md at the workspace root), and the integration
+//! tests that need more than one product crate. Timing lives in
+//! `benchmark/` at the workspace root, not here.
 
 #![warn(missing_docs)]
 
@@ -10,15 +12,14 @@ pub mod distspec;
 
 /// Machine-readable JSON sidecar for the `figures` binary: each figure or
 /// table pushes its series as a pre-rendered JSON value under a key, and the
-/// whole collection is written as one object so bench trajectories can be
-/// diffed across PRs without scraping the text output.
+/// whole collection is written as one object so the series can be diffed
+/// across PRs without scraping the text output.
 pub mod sidecar {
     use telemetry::json;
 
-    /// Version of the sidecar envelope shared by every bench binary
-    /// (`dock_bench.json`, `dist_bench.json`, `fleet_bench.json`,
-    /// `figures.json`). Emitted as the first key of [`Sidecar::to_json`];
-    /// bump it whenever a key is renamed or its value shape changes.
+    /// Version of the `figures.json` envelope. Emitted as the first key of
+    /// [`Sidecar::to_json`]; bump it whenever a key is renamed or its value
+    /// shape changes.
     pub const SCHEMA_VERSION: u64 = 1;
 
     /// Accumulates `(key, json_value)` entries in insertion order.
@@ -124,7 +125,7 @@ pub mod sidecar {
     }
 }
 
-/// Shared helpers for the benches and the figures binary.
+/// Text rendering shared by `figures` and `scidock-top`.
 pub mod util {
     /// Render seconds as a short human-friendly duration.
     pub fn human_time(s: f64) -> String {

@@ -211,3 +211,50 @@ fn campaigns_share_one_receptor_tier_and_a_new_daemon_loads_from_disk() {
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&solo_dir);
 }
+
+/// Once per receptor, by count, through the resolver `scidockd` ships:
+/// campaigns of `scidock:ad4:2x3`, all outstanding at once, screen, prepare
+/// and render each of the spec's two receptors once and look the on-disk
+/// grid cache up once per grid set — whatever the campaign and worker
+/// counts.
+#[test]
+fn shipped_resolver_pays_once_per_receptor_whatever_the_campaign_count() {
+    for (campaigns, workers) in [(6usize, 1usize), (9, 4)] {
+        let dir = std::env::temp_dir()
+            .join(format!("scidock-serve-once-{}-{campaigns}x{workers}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tel = Telemetry::attached();
+        let daemon = Daemon::start(
+            ServeConfig::new()
+                .with_workers(workers)
+                .with_max_active(4)
+                .with_max_pending(campaigns)
+                .with_telemetry(tel.clone()),
+            scidock_bench::distspec::campaign_resolver(Some(dir.clone()), tel.clone()),
+            Arc::new(ProvenanceStore::new()),
+        )
+        .expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let ids: Vec<u64> = (0..campaigns)
+            .map(|i| match client.submit(&format!("tenant-{}", i % 2), 0, "scidock:ad4:2x3") {
+                Ok(SubmitOutcome::Accepted { id }) => id,
+                other => panic!("campaign {i} not admitted: {other:?}"),
+            })
+            .collect();
+        for id in ids {
+            wait_finished(&mut client, id);
+        }
+        daemon.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        let snap = tel.snapshot().expect("attached");
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(count("campaign.finished"), campaigns as u64);
+        let counts = [
+            count("receptor.hg_screened"),
+            count("receptor.prepared"),
+            count("gridcache.maps.rendered"),
+            count("gridcache.persist.hit") + count("gridcache.persist.miss"),
+        ];
+        assert_eq!(counts, [2; 4], "{campaigns} campaigns on {workers} worker(s)");
+    }
+}

@@ -9,7 +9,7 @@ use cumulus::localbackend::LocalConfig;
 use cumulus::simbackend::{simulate_tasks, SimConfig, SimReport};
 use cumulus::workflow::FileStore;
 use cumulus::{
-    Backend, ElasticityConfig, LocalBackend, MasterCostModel, Policy, RunOutcome, Workflow,
+    Backend, LocalBackend, MasterCostModel, Policy, RunOutcome, SchedulerFactory, Workflow,
 };
 use provenance::ProvenanceStore;
 use telemetry::Telemetry;
@@ -107,9 +107,9 @@ pub struct SweepConfig {
     pub sharedfs: SharedFsModel,
     /// VM noise.
     pub noise: NoiseModel,
-    /// Elasticity (None = fixed fleet per point, the paper's setup for
-    /// Figs 7–9).
-    pub elasticity: Option<ElasticityConfig>,
+    /// Elastic fleet policy (None = fixed fleet per point, the paper's
+    /// setup for Figs 7–9).
+    pub scheduler: Option<SchedulerFactory>,
     /// Honor the Hg blacklist rule.
     pub hg_rule: bool,
     /// Scheduling weights per activity tag, mined from a prior run's
@@ -137,7 +137,7 @@ impl Default for SweepConfig {
             master: MasterCostModel::default(),
             sharedfs: SharedFsModel::default(),
             noise: NoiseModel::default(),
-            elasticity: None,
+            scheduler: None,
             hg_rule: true,
             weight_profile: None,
             telemetry: Telemetry::disabled(),
@@ -174,8 +174,8 @@ pub fn simulate_at(
             EngineMode::Adaptive => "SciDock",
         })
         .with_activity_tags(SIM_ACTIVITY_TAGS.iter().map(|s| s.to_string()).collect());
-    if let Some(elasticity) = sweep.elasticity {
-        cfg = cfg.with_elasticity(elasticity);
+    if let Some(factory) = &sweep.scheduler {
+        cfg = cfg.with_scheduler(factory.clone());
     }
     if let Some(prof) = &sweep.weight_profile {
         cfg = cfg.with_weight_profile(

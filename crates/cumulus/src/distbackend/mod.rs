@@ -119,7 +119,7 @@ pub struct DistConfig {
     pub steering_tick: Option<Duration>,
     /// Durability override applied to the provenance store for this run.
     pub durability: Option<provenance::Durability>,
-    /// Fault-drill hook (tests / `dist_bench`).
+    /// Fault-drill hook (tests).
     pub kill_plan: Option<KillPlan>,
     /// Elastic fleet policy. `None` = fixed fleet (today's behavior): the
     /// run starts with [`DistConfig::workers`] workers and keeps them.
@@ -684,12 +684,7 @@ fn master_loop(
                 break;
             }
             let activity = m.pending.front().expect("loop guard").activity;
-            let wi = match m.controller.place(activity, &views) {
-                Some(i) if views.iter().any(|v| v.index == i) => i,
-                // a placement outside the offered candidates falls back
-                // to the default least-loaded choice
-                _ => m.fleet.pick(cfg.max_in_flight).expect("views is non-empty"),
-            };
+            let wi = m.controller.place(activity, &views).expect("views is non-empty");
             let job = m.pending.pop_front().expect("loop guard");
             let ctx = &m.ctxs[job.activity];
             let mut at = ctx.begin(&job.key, job.attempt);
@@ -1095,17 +1090,6 @@ struct Fleet {
 }
 
 impl Fleet {
-    /// The alive, non-draining worker with the most spare capacity (ties
-    /// broken by index, for deterministic assignment).
-    fn pick(&self, max_in_flight: usize) -> Option<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive && !w.draining && w.in_flight.len() < max_in_flight)
-            .min_by_key(|(i, w)| (w.in_flight.len(), *i))
-            .map(|(i, _)| i)
-    }
-
     /// Provisioned fleet size the scheduler reasons about: serving workers
     /// (alive, not draining) plus launches still connecting.
     fn provisioned(&self) -> usize {

@@ -137,7 +137,7 @@ pub trait Scheduler: Send {
     /// to the lowest index — exactly the pre-elastic dispatcher.
     fn place(&mut self, activity: usize, candidates: &[WorkerView]) -> Option<usize> {
         let _ = activity;
-        candidates.iter().min_by_key(|w| (w.in_flight, w.index)).map(|w| w.index)
+        least_loaded(candidates)
     }
 
     /// The price of one worker-hour, when the policy carries one. Backends
@@ -145,6 +145,11 @@ pub trait Scheduler: Send {
     fn billing(&self) -> Option<BillingModel> {
         None
     }
+}
+
+/// The default placement: least loaded, ties to the lowest index.
+fn least_loaded(candidates: &[WorkerView]) -> Option<usize> {
+    candidates.iter().min_by_key(|w| (w.in_flight, w.index)).map(|w| w.index)
 }
 
 /// Builds a fresh [`Scheduler`] per run, so one config can drive many runs
@@ -222,9 +227,16 @@ impl FleetController {
         decision
     }
 
-    /// Forward a placement query to the policy.
+    /// Ask the policy where the next activation of `activity` goes. A
+    /// policy is user code and its answer indexes the backend's worker
+    /// table: one that names no candidate falls back to the default
+    /// least-loaded choice, so the result is always the `index` of one of
+    /// `candidates` — `None` only when there are none.
     pub fn place(&mut self, activity: usize, candidates: &[WorkerView]) -> Option<usize> {
-        self.sched.place(activity, candidates)
+        match self.sched.place(activity, candidates) {
+            Some(i) if candidates.iter().any(|w| w.index == i) => Some(i),
+            _ => least_loaded(candidates),
+        }
     }
 
     /// The policy's billing model, if any.

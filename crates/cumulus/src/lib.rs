@@ -13,8 +13,7 @@
 //!   provenance capture, failure injection, retries, and poison-input
 //!   blacklisting (the activation lifecycle itself is one private module
 //!   shared with [`distbackend`] and [`serve`]);
-//! * [`sched`] — the weighted greedy scheduler, its master cost model, and
-//!   elasticity configuration;
+//! * [`sched`] — the weighted greedy scheduler and its master cost model;
 //! * [`fleet`] — the elastic fleet layer: the [`Scheduler`](fleet::Scheduler)
 //!   trait (placement + scale decisions, separated from resource
 //!   bookkeeping) with fixed, queue-depth, and cost-aware policies, driven
@@ -67,7 +66,7 @@ pub use fleet::{
 pub use localbackend::{LocalConfig, RunReport};
 pub use obs::{BoundAddr, EventLog, HealthView, ObsEvent, Severity};
 pub use pool::Pool;
-pub use sched::{ElasticityConfig, MasterCostModel, Policy};
+pub use sched::{MasterCostModel, Policy};
 pub use serve::{
     CampaignResolver, CampaignState, CampaignStatus, Daemon, ServeClient, ServeConfig,
     SubmitOutcome,

@@ -521,8 +521,8 @@ fn handle_conn(mut stream: TcpStream, state: &ObsState) {
 }
 
 /// Minimal std-only HTTP GET against the exposition endpoint: returns
-/// `(status code, body)`. Used by `scidock-top`, the scrape smoke in
-/// `obs_bench`, and tests — no curl required.
+/// `(status code, body)`. Used by `scidock-top`, the benchmark's scrape
+/// and tests — no curl required.
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;

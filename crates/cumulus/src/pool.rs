@@ -5,13 +5,10 @@
 //! `crossbeam::deque` (per-worker LIFO deques + a global FIFO injector, idle
 //! workers steal from siblings) and `parking_lot` synchronization.
 //!
-//! Two submission APIs:
-//! - [`Pool::submit`] hands one job to the pool and returns a [`JobHandle`]
-//!   immediately; the caller joins (or ignores) it whenever convenient. This
-//!   is what the ready-driven local backend dispatcher uses to keep
-//!   activations flowing without stage barriers.
-//! - [`Pool::execute_all`] is the batch API: submit a vec, block until every
-//!   job finished, return results in submission order.
+//! One submission API: [`Pool::spawn`] hands one job to the pool and returns
+//! immediately. A job reports its own outcome — the ready-driven local
+//! backend dispatcher sends each activation's over a channel — so
+//! activations keep flowing without stage barriers.
 //!
 //! Idle workers park on a condvar and are woken per-push. The wakeup
 //! protocol avoids missed notifications by (a) incrementing `queued` before
@@ -19,7 +16,7 @@
 //! before sleeping; the wait itself keeps a generous timeout purely as a
 //! backstop against bugs, not as a polling loop.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -97,42 +94,6 @@ impl Shared {
     }
 }
 
-/// Completion handle for a job submitted with [`Pool::submit`].
-///
-/// Dropping the handle detaches the job (it still runs).
-pub struct JobHandle<T> {
-    state: Arc<HandleState<T>>,
-}
-
-struct HandleState<T> {
-    result: Mutex<Option<std::thread::Result<T>>>,
-    cv: Condvar,
-}
-
-impl<T> JobHandle<T> {
-    /// Has the job finished (success or panic)?
-    pub fn is_finished(&self) -> bool {
-        self.state.result.lock().is_some()
-    }
-
-    /// Block until the job finishes; `Err` carries a panic payload.
-    pub fn wait(self) -> std::thread::Result<T> {
-        let mut slot = self.state.result.lock();
-        while slot.is_none() {
-            self.state.cv.wait(&mut slot);
-        }
-        slot.take().expect("checked above")
-    }
-
-    /// Block until the job finishes, re-raising its panic if it had one.
-    pub fn join(self) -> T {
-        match self.wait() {
-            Ok(v) => v,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-}
-
 /// A fixed-size work-stealing thread pool.
 pub struct Pool {
     shared: Arc<Shared>,
@@ -141,14 +102,9 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawn a pool with `threads` workers (min 1) and no telemetry sink.
-    pub fn new(threads: usize) -> Pool {
-        Pool::with_telemetry(threads, Telemetry::disabled())
-    }
-
-    /// Spawn a pool whose workers record into `telemetry`: per-job spans and
-    /// queue-wait samples on named worker tracks, plus park/steal counters
-    /// flushed on drop.
+    /// Spawn a pool with `threads` workers (min 1) that record into
+    /// `telemetry`: per-job spans and queue-wait samples on named worker
+    /// tracks, plus park/steal counters flushed on drop.
     pub fn with_telemetry(threads: usize, telemetry: Telemetry) -> Pool {
         let threads = threads.max(1);
         let locals: Vec<Worker<Job>> = (0..threads).map(|_| Worker::new_lifo()).collect();
@@ -184,34 +140,6 @@ impl Pool {
         self.threads
     }
 
-    /// Submit one job without blocking; the returned handle resolves when
-    /// the job completes. Panics inside the job are captured into the
-    /// handle (and re-raised by [`JobHandle::join`]), never onto a worker.
-    pub fn submit<T, F>(&self, job: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let state = Arc::new(HandleState { result: Mutex::new(None), cv: Condvar::new() });
-        let state2 = Arc::clone(&state);
-        // the telemetry prologue compiles to two branch-only no-ops when no
-        // sink is attached (now_ns() returns 0, queue_wait is None)
-        let tel = self.shared.telemetry.clone();
-        let enqueued_ns = tel.now_ns();
-        let queue_wait = self.shared.queue_wait.clone();
-        self.shared.inject(Box::new(move || {
-            if let Some(h) = &queue_wait {
-                h.record(tel.now_ns().saturating_sub(enqueued_ns));
-            }
-            let _job_span = tel.span("pool", "job");
-            let out = catch_unwind(AssertUnwindSafe(job));
-            let mut slot = state2.result.lock();
-            *slot = Some(out);
-            state2.cv.notify_all();
-        }));
-        JobHandle { state }
-    }
-
     /// Activity counters so far (always available, telemetry or not).
     pub fn stats(&self) -> PoolStats {
         let s = &self.shared.stats;
@@ -225,53 +153,25 @@ impl Pool {
         }
     }
 
-    /// Fire-and-forget submission. Panics are swallowed (the job is
-    /// responsible for reporting its own outcome, e.g. over a channel).
+    /// Submit one job without blocking. A panic inside the job is caught
+    /// and dropped, never raised on a worker: the job is responsible for
+    /// reporting its own outcome, e.g. over a channel.
     pub fn spawn<F>(&self, job: F)
     where
         F: FnOnce() + Send + 'static,
     {
-        drop(self.submit(job));
-    }
-
-    /// Run every job, returning results in submission order.
-    ///
-    /// Panics in jobs are caught per-job; the corresponding result re-raises
-    /// the panic payload after all other jobs have finished, so one bad
-    /// activation cannot wedge the pool.
-    pub fn execute_all<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let handles: Vec<JobHandle<T>> = jobs.into_iter().map(|job| self.submit(job)).collect();
-        let results: Vec<std::thread::Result<T>> =
-            handles.into_iter().map(JobHandle::wait).collect();
-        results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(payload) => resume_unwind(payload),
-            })
-            .collect()
-    }
-
-    /// Convenience: parallel map over items.
-    pub fn map<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: Fn(T) -> U + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let jobs: Vec<_> = items
-            .into_iter()
-            .map(|item| {
-                let f = Arc::clone(&f);
-                move || f(item)
-            })
-            .collect();
-        self.execute_all(jobs)
+        // the telemetry prologue compiles to two branch-only no-ops when no
+        // sink is attached (now_ns() returns 0, queue_wait is None)
+        let tel = self.shared.telemetry.clone();
+        let enqueued_ns = tel.now_ns();
+        let queue_wait = self.shared.queue_wait.clone();
+        self.shared.inject(Box::new(move || {
+            if let Some(h) = &queue_wait {
+                h.record(tel.now_ns().saturating_sub(enqueued_ns));
+            }
+            let _job_span = tel.span("pool", "job");
+            let _ = catch_unwind(AssertUnwindSafe(job));
+        }));
     }
 }
 
@@ -366,97 +266,80 @@ fn find_job(index: usize, local: &Worker<Job>, shared: &Shared) -> Option<Job> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
-    #[test]
-    fn results_in_submission_order() {
-        let pool = Pool::new(4);
-        let out = pool.map((0..100).collect::<Vec<i64>>(), |i| i * 2);
-        assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<i64>>());
+    fn pool(threads: usize) -> Pool {
+        Pool::with_telemetry(threads, Telemetry::disabled())
     }
 
-    #[test]
-    fn empty_batch() {
-        let pool = Pool::new(2);
-        let out: Vec<i32> = pool.execute_all(Vec::<fn() -> i32>::new());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn single_thread_pool_works() {
-        let pool = Pool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let out = pool.map(vec![1, 2, 3], |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
+    /// Spawn `f(0) .. f(n - 1)` and block until every job has ended; the
+    /// values of those that did not panic, by index.
+    fn run_all<T: Send + 'static>(
+        pool: &Pool,
+        n: usize,
+        f: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let f = Arc::new(f);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..n {
+            let (f, tx) = (Arc::clone(&f), tx.clone());
+            pool.spawn(move || {
+                let _ = tx.send((i, f(i)));
+            });
+        }
+        drop(tx);
+        // ends when the last job has dropped its sender, panicked or not
+        let mut out: Vec<(usize, T)> = rx.iter().collect();
+        out.sort_by_key(|(i, _)| *i);
+        out.into_iter().map(|(_, v)| v).collect()
     }
 
     #[test]
     fn zero_threads_clamped_to_one() {
-        let pool = Pool::new(0);
+        let pool = pool(0);
         assert_eq!(pool.threads(), 1);
+        assert_eq!(run_all(&pool, 3, |i| i + 1), vec![1, 2, 3]);
     }
 
     #[test]
     fn actually_parallel() {
         // 8 jobs that each sleep 30 ms on 8 threads must finish well under
         // the serial 240 ms
-        let pool = Pool::new(8);
+        let pool = pool(8);
         let t0 = Instant::now();
-        pool.map((0..8).collect::<Vec<_>>(), |_| {
-            std::thread::sleep(Duration::from_millis(30));
-        });
+        run_all(&pool, 8, |_| std::thread::sleep(Duration::from_millis(30)));
         let elapsed = t0.elapsed();
         assert!(elapsed < Duration::from_millis(200), "took {elapsed:?}, not parallel");
     }
 
     #[test]
     fn all_jobs_execute_exactly_once() {
-        let pool = Pool::new(4);
+        let pool = pool(4);
         let counter = Arc::new(AtomicU64::new(0));
         let c2 = Arc::clone(&counter);
-        pool.map((0..1000).collect::<Vec<_>>(), move |_| {
+        run_all(&pool, 1000, move |_| {
             c2.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 1000);
     }
 
     #[test]
-    fn multiple_batches_reuse_pool() {
-        let pool = Pool::new(3);
-        for round in 0..5 {
-            let out = pool.map(vec![round; 10], |x| x);
-            assert_eq!(out, vec![round; 10]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "activation exploded")]
-    fn job_panic_propagates_after_batch() {
-        let pool = Pool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> =
-            vec![Box::new(|| 1), Box::new(|| panic!("activation exploded")), Box::new(|| 3)];
-        let _ = pool.execute_all(jobs);
-    }
-
-    #[test]
     fn pool_survives_job_panic() {
-        let pool = Pool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> =
-            vec![Box::new(|| panic!("boom")), Box::new(|| 2)];
-        let res = catch_unwind(AssertUnwindSafe(|| pool.execute_all(jobs)));
-        assert!(res.is_err());
-        // pool still usable afterwards
-        let out = pool.map(vec![1, 2, 3], |x| x * 10);
-        assert_eq!(out, vec![10, 20, 30]);
+        let pool = pool(1);
+        let out = run_all(&pool, 2, |i| if i == 0 { panic!("boom") } else { 2 });
+        assert_eq!(out, vec![2], "the panic reached nobody");
+        // the single worker survived it and still runs jobs
+        assert_eq!(run_all(&pool, 3, |i| i * 10), vec![0, 10, 20]);
     }
 
     #[test]
     fn uneven_workloads_balance() {
         // one long job + many short ones: stealing should keep total time
         // near the long job's duration
-        let pool = Pool::new(4);
+        let pool = pool(4);
         let t0 = Instant::now();
-        pool.map((0..40).collect::<Vec<_>>(), |i| {
+        run_all(&pool, 40, |i| {
             let ms = if i == 0 { 80 } else { 5 };
             std::thread::sleep(Duration::from_millis(ms));
         });
@@ -466,44 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn submit_returns_value_through_handle() {
-        let pool = Pool::new(2);
-        let h = pool.submit(|| 40 + 2);
-        assert_eq!(h.join(), 42);
-    }
-
-    #[test]
-    fn submit_panic_captured_in_handle_not_worker() {
-        let pool = Pool::new(1);
-        let h = pool.submit(|| -> i32 { panic!("contained") });
-        assert!(h.wait().is_err());
-        // the single worker survived the panic and still runs jobs
-        assert_eq!(pool.submit(|| 7).join(), 7);
-    }
-
-    #[test]
-    fn handles_resolve_out_of_order() {
-        // a short job submitted after a long one must complete (and be
-        // joinable) well before the long one finishes — no batch barrier
-        let pool = Pool::new(2);
-        let long = pool.submit(|| {
-            std::thread::sleep(Duration::from_millis(150));
-            "long"
-        });
-        let t0 = Instant::now();
-        let short = pool.submit(|| "short");
-        assert_eq!(short.join(), "short");
-        assert!(t0.elapsed() < Duration::from_millis(100), "short job waited on long job");
-        assert_eq!(long.join(), "long");
-    }
-
-    #[test]
     fn parked_pool_wakes_promptly() {
-        let pool = Pool::new(2);
+        let pool = pool(2);
         // let the workers park
         std::thread::sleep(Duration::from_millis(120));
         let t0 = Instant::now();
-        pool.submit(|| ()).join();
+        run_all(&pool, 1, |_| ());
         assert!(
             t0.elapsed() < Duration::from_millis(60),
             "parked worker was not woken by push (took {:?})",
@@ -512,26 +363,26 @@ mod tests {
     }
 
     #[test]
-    fn missed_wakeup_regression_submit_after_park() {
-        // Regression pin for the PR-1 wakeup fix: a submit that lands right
+    fn missed_wakeup_regression_spawn_after_park() {
+        // Regression pin for the PR-1 wakeup fix: a spawn that lands right
         // after a worker's park-predicate check must still wake it via the
         // condvar, never via the 250 ms backstop timeout. Run many
-        // park→submit cycles; if any submit were missed, its join would
-        // stall for the full backstop and the latency bound here trips.
-        let pool = Pool::new(2);
+        // park→spawn cycles; if any spawn were missed, its job would stall
+        // for the full backstop and the latency bound here trips.
+        let pool = pool(2);
         for round in 0..20 {
             // drain and give both workers time to park
             std::thread::sleep(Duration::from_millis(5));
             let t0 = Instant::now();
-            pool.submit(move || round).join();
+            run_all(&pool, 1, move |_| round);
             let waited = t0.elapsed();
             assert!(
                 waited < Duration::from_millis(150),
                 "round {round}: parked worker woke only via backstop ({waited:?})"
             );
         }
-        // `completed` is bumped by the worker *after* the handle resolves,
-        // so give the last increment a moment to land
+        // `completed` is bumped by the worker *after* the job reports, so
+        // give the last increment a moment to land
         std::thread::sleep(Duration::from_millis(20));
         let s = pool.stats();
         assert!(s.parks > 0, "workers never parked; the test exercised nothing");
@@ -542,20 +393,16 @@ mod tests {
 
     #[test]
     fn stats_count_submissions_and_steals() {
-        let pool = Pool::new(4);
-        pool.map((0..200).collect::<Vec<_>>(), |i| {
+        let pool = pool(4);
+        run_all(&pool, 200, |i| {
             if i % 7 == 0 {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            i
         });
         std::thread::sleep(Duration::from_millis(20));
         let s = pool.stats();
         assert_eq!(s.submitted, 200);
         assert_eq!(s.completed, 200);
-        // steals/parks are scheduling-dependent; just ensure the counters
-        // stay coherent (completed never exceeds submitted)
-        assert!(s.completed <= s.submitted);
     }
 
     #[test]
@@ -563,10 +410,7 @@ mod tests {
         let tel = telemetry::Telemetry::attached();
         {
             let pool = Pool::with_telemetry(2, tel.clone());
-            pool.map((0..16).collect::<Vec<_>>(), |i| {
-                std::thread::sleep(Duration::from_millis(1));
-                i
-            });
+            run_all(&pool, 16, |_| std::thread::sleep(Duration::from_millis(1)));
         } // drop flushes counters
         let snap = tel.snapshot().unwrap();
         let qw = snap.histogram("pool.queue_wait").expect("queue-wait histogram");
@@ -579,26 +423,5 @@ mod tests {
             snap.tracks
         );
         assert!(snap.gauge("pool.queue_depth").is_some(), "queue depth gauge sampled");
-    }
-
-    #[test]
-    fn disabled_telemetry_pool_has_stats_but_no_sink() {
-        let pool = Pool::new(2);
-        pool.map(vec![1, 2, 3], |x| x);
-        // as above: `completed` lands just after the handle resolves
-        std::thread::sleep(Duration::from_millis(20));
-        let s = pool.stats();
-        assert_eq!(s.submitted, 3);
-        assert_eq!(s.completed, 3);
-    }
-
-    #[test]
-    fn is_finished_tracks_completion() {
-        let pool = Pool::new(1);
-        let h = pool.submit(|| std::thread::sleep(Duration::from_millis(40)));
-        assert!(!h.is_finished());
-        std::thread::sleep(Duration::from_millis(120));
-        assert!(h.is_finished());
-        h.join();
     }
 }

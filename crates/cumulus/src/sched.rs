@@ -195,32 +195,6 @@ pub fn activity_profiles(
     out
 }
 
-/// Adaptive elasticity configuration (SciCumulus "scales the amount of VMs
-/// up and down according to performance behavior").
-#[derive(Debug, Clone, Copy)]
-pub struct ElasticityConfig {
-    /// Acquire a VM when `ready_queue > grow_factor × total_cores`.
-    pub grow_factor: f64,
-    /// Minimum simulated seconds between acquisitions.
-    pub cooldown_s: f64,
-    /// Release a VM whose cores have all been idle this long while the
-    /// queue is empty.
-    pub idle_release_s: f64,
-    /// Hard cap on VMs.
-    pub max_vms: usize,
-}
-
-impl Default for ElasticityConfig {
-    fn default() -> Self {
-        ElasticityConfig {
-            grow_factor: 16.0,
-            cooldown_s: 120.0,
-            idle_release_s: 600.0,
-            max_vms: 32,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

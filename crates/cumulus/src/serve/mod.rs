@@ -1081,7 +1081,8 @@ impl Engine {
             let req = c.ready.pop_front().expect("picked campaign has ready work");
             let ctx = Arc::clone(&c.ctxs[req.activity]);
             c.in_flight += 1;
-            let widx = self.fleet.place(req.activity, &candidates).unwrap_or(candidates[0].index);
+            let widx =
+                self.fleet.place(req.activity, &candidates).expect("candidates is non-empty");
             let w = &mut self.workers[widx];
             w.busy = Some(cid);
             let _ = w.tx.send(WorkerMsg::Run {
@@ -1264,4 +1265,81 @@ fn worker_loop(rx: Receiver<WorkerMsg>, tx: Sender<EngineMsg>, index: usize) {
         }
     }
     let _ = tx.send(EngineMsg::Retired { worker: index });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workflow::{Activity, WorkflowDef};
+    use provenance::Value;
+
+    /// Fair share as a count: while every tenant has ready work, filling
+    /// the idle slots never leaves two tenants' in-flight counts more than
+    /// one apart, whatever completed in between.
+    #[test]
+    fn fair_share_keeps_tenants_within_one_slot_of_each_other() {
+        const SLOTS: usize = 5;
+        let resolver: CampaignResolver = Arc::new(|_| {
+            let def = WorkflowDef {
+                tag: "flat".into(),
+                description: "fair share".into(),
+                expdir: "/exp/flat".into(),
+                activities: vec![Activity::map("work", &["x"], Arc::new(|p, _| Ok(p.to_vec())))],
+                deps: vec![vec![]],
+            };
+            let mut input = Relation::new(&["x"]);
+            for i in 0..40 {
+                input.push(vec![Value::Int(i)]);
+            }
+            Some(Workflow::new(def, input))
+        });
+        let (engine_tx, _engine_rx) = channel();
+        let mut e = Engine::new(
+            ServeConfig::new().with_max_active(6),
+            resolver,
+            Arc::new(ProvenanceStore::new()),
+            Instant::now(),
+            None,
+            None,
+            engine_tx,
+        );
+        // three, two and one campaigns: the share is the tenant's, not the
+        // campaign's
+        let tenants = ["a", "b", "c"];
+        for tenant in ["a", "a", "a", "b", "b", "c"] {
+            let reply = e.admit(tenant.to_string(), 0, "flat".into());
+            assert!(matches!(reply, proto::Msg::Accept { .. }), "{reply:?}");
+        }
+        e.start_pending();
+        // slots whose `Run`s nobody executes: the test completes them
+        let _slots: Vec<Receiver<WorkerMsg>> = (0..SLOTS)
+            .map(|_| {
+                let (tx, rx) = channel();
+                e.workers.push(WorkerSlot {
+                    tx,
+                    handle: None,
+                    busy: None,
+                    draining: false,
+                    alive: true,
+                });
+                rx
+            })
+            .collect();
+        for round in 0..30 {
+            e.dispatch();
+            let loads = tenants.map(|t| {
+                let of_tenant = e.campaigns.values().filter(|c| c.tenant == t);
+                assert!(of_tenant.clone().any(|c| !c.ready.is_empty()), "{t} ran dry");
+                of_tenant.map(|c| c.in_flight).sum::<usize>()
+            });
+            assert_eq!(loads.iter().sum::<usize>(), SLOTS, "every idle slot is filled");
+            let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
+            assert!(spread <= 1, "round {round}: in flight per tenant {loads:?}");
+            // a different three or four of the five complete each round
+            for i in (0..SLOTS).filter(|i| (i + round) % 3 != 0) {
+                let cid = e.workers[i].busy.take().expect("slot was filled");
+                e.campaigns.get_mut(&cid).expect("campaign of a busy slot").in_flight -= 1;
+            }
+        }
+    }
 }

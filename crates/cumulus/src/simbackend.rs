@@ -7,7 +7,7 @@
 //! virtualization noise, shared-filesystem staging, ~10% activation
 //! failures with re-execution, hang detection, poison-input blacklisting,
 //! serialized master dispatch whose planning cost grows with queue × VMs,
-//! and adaptive elasticity.
+//! and an elastic fleet under a [`crate::fleet::Scheduler`] policy.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -23,7 +23,7 @@ use telemetry::{MetricsSnapshot, Telemetry};
 
 use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, ScaleEvent, SchedulerFactory};
 use crate::obs::{EventLog, Severity};
-use crate::sched::{ElasticityConfig, MasterCostModel, Policy, ReadyQueue, ReadyTask};
+use crate::sched::{MasterCostModel, Policy, ReadyQueue, ReadyTask};
 
 /// One activation to simulate.
 #[derive(Debug, Clone)]
@@ -73,9 +73,6 @@ pub struct SimConfig {
     pub policy: Policy,
     /// Master dispatch cost model.
     pub master: MasterCostModel,
-    /// Adaptive elasticity (None = fixed fleet). Ignored when
-    /// [`SimConfig::scheduler`] is set — the policy owns scaling then.
-    pub elasticity: Option<ElasticityConfig>,
     /// Elastic fleet policy — the same [`crate::fleet::Scheduler`] the
     /// distributed backend runs. `None` = fixed fleet. When set, the
     /// controller evaluates once over the seeded backlog and then after
@@ -118,7 +115,6 @@ impl Default for SimConfig {
             sharedfs: SharedFsModel::default(),
             policy: Policy::GreedyWeighted,
             master: MasterCostModel::default(),
-            elasticity: None,
             scheduler: None,
             scale_itype: &cloudsim::M3_XLARGE,
             hg_rule: true,
@@ -189,12 +185,6 @@ impl SimConfig {
     /// Set the master dispatch cost model.
     pub fn with_master(mut self, master: MasterCostModel) -> SimConfig {
         self.master = master;
-        self
-    }
-
-    /// Enable adaptive elasticity.
-    pub fn with_elasticity(mut self, elasticity: ElasticityConfig) -> SimConfig {
-        self.elasticity = Some(elasticity);
         self
     }
 
@@ -565,7 +555,6 @@ pub fn simulate_tasks(
     }
 
     let mut master_free: SimTime = 0.0;
-    let mut last_acquire: SimTime = 0.0;
     let mut now: SimTime = 0.0;
 
     // the policy's first look: the whole seeded backlog, before any
@@ -696,39 +685,6 @@ pub fn simulate_tasks(
                 tel.count("sim.dispatched", 1);
             }
             events.push(done_at, Event::TaskDone { task: rt.task, vm: vm_id, attempt, fate });
-
-            // adaptive elasticity (legacy knob): grow when backlogged.
-            // Superseded by the fleet policy when one is installed.
-            if let Some(el) = cfg.elasticity.as_ref().filter(|_| cfg.scheduler.is_none()) {
-                let alive = cluster.alive_at(now).len()
-                    + cluster
-                        .vms()
-                        .iter()
-                        .filter(|v| v.ready_at > now && v.released_at.is_none())
-                        .count();
-                if ready.len() as f64 > el.grow_factor * total_cores as f64
-                    && now - last_acquire >= el.cooldown_s
-                    && alive < el.max_vms
-                {
-                    let itype = if alive.is_multiple_of(2) {
-                        &cloudsim::M3_2XLARGE
-                    } else {
-                        &cloudsim::M3_XLARGE
-                    };
-                    acquire(
-                        itype,
-                        now,
-                        &mut cluster,
-                        &mut events,
-                        &mut vm_busy,
-                        &mut vm_machine,
-                        &mut released,
-                        &mut draining,
-                    );
-                    last_acquire = now;
-                    report.peak_vms = report.peak_vms.max(vm_busy.len());
-                }
-            }
         }
 
         let Some((t, ev)) = events.pop() else { break };
@@ -899,26 +855,6 @@ pub fn simulate_tasks(
                         }
                         dropped[ti] = true;
                         cancel_downstream(ti, &mut dropped, &mut report, &successors);
-                    }
-                }
-
-                // legacy elasticity: release idle VMs when nothing is
-                // queued (the fleet policy replaces this path too)
-                if let Some(el) = cfg.elasticity.as_ref().filter(|_| cfg.scheduler.is_none()) {
-                    if ready.is_empty() {
-                        let alive = cluster.alive_at(now);
-                        for v in alive {
-                            if vm_busy[v.0] == 0 && !released[v.0] && now > el.idle_release_s {
-                                // keep at least one VM
-                                let still_alive = released.iter().filter(|r| !**r).count();
-                                if still_alive <= 1 {
-                                    break;
-                                }
-                                released[v.0] = true;
-                                cluster.release(v, now);
-                                free_slots.retain(|s| *s != v);
-                            }
-                        }
                     }
                 }
 
@@ -1210,14 +1146,14 @@ mod tests {
 
     #[test]
     fn elasticity_grows_fleet_under_backlog() {
+        use crate::fleet::{QueueDepthConfig, QueueDepthScheduler};
         let tasks = chain_tasks(3000, 1, 10.0);
-        let mut cfg = base_cfg(4);
-        cfg.elasticity = Some(ElasticityConfig {
-            grow_factor: 2.0,
-            cooldown_s: 10.0,
-            idle_release_s: 50.0,
-            max_vms: 8,
-        });
+        let cfg = base_cfg(4).with_scheduler(SchedulerFactory::new(|| {
+            Box::new(QueueDepthScheduler::new(QueueDepthConfig {
+                max_workers: 8,
+                ..QueueDepthConfig::default()
+            }))
+        }));
         let r = simulate_tasks(&tasks, &cfg, None);
         assert!(r.peak_vms > cfg.fleet.len(), "fleet should grow, peak {}", r.peak_vms);
         // grown fleet must beat the fixed one

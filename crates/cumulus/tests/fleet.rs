@@ -3,14 +3,21 @@
 //! logical workload, must produce the identical decision trace — scale
 //! decisions are functions of logical state (completions, backlog,
 //! provisioned fleet), never of wall-clock timing.
+//!
+//! Placement is the policy's other answer: one that names no offered worker
+//! is replaced by the default on the daemon and on `run_dist` alike.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use cumulus::fleet::WorkerView;
+use cumulus::serve::{CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome};
 use cumulus::workflow::{Activity, FileStore, WorkflowDef};
 use cumulus::{
     run_dist, simulate_tasks, CostAwareConfig, CostAwareScheduler, DistConfig, QueueDepthConfig,
-    QueueDepthScheduler, Relation, SchedulerFactory, SimConfig, SimTask,
+    QueueDepthScheduler, Relation, ScaleDecision, Scheduler, SchedulerFactory, SimConfig, SimTask,
+    Workflow,
 };
 use provenance::{ProvenanceStore, Value};
 
@@ -120,4 +127,86 @@ fn cost_aware_policy_bills_the_distributed_fleet() {
     // per-started-hour billing: every worker bills at least one hour
     assert!(cost >= billing.hourly_usd, "cost {cost} must cover at least one worker-hour");
     assert!(report.peak_workers <= 3, "the $/hour cap bounds the fleet");
+}
+
+/// A policy whose every placement is the same index, whoever the candidates
+/// are: a worker that is busy (so not offered), or no worker at all.
+struct Hostile(usize);
+
+impl Scheduler for Hostile {
+    fn name(&self) -> &'static str {
+        "hostile"
+    }
+
+    fn decide(&mut self, _: &cumulus::FleetSnapshot) -> ScaleDecision {
+        ScaleDecision::Hold
+    }
+
+    fn place(&mut self, _: usize, _: &[WorkerView]) -> Option<usize> {
+        Some(self.0)
+    }
+}
+
+/// A placement that names no candidate falls back to the least-loaded one
+/// on both substrates: the daemon's engine neither indexes out of bounds nor
+/// sends a second `Run` to a busy worker, and `run_dist` completes.
+#[test]
+fn a_placement_outside_the_candidates_falls_back_to_least_loaded() {
+    for answer in [0, usize::MAX] {
+        let factory = SchedulerFactory::new(move || Box::new(Hostile(answer)));
+
+        // which daemon worker threads ran an activation
+        let ran: Arc<Mutex<BTreeSet<String>>> = Arc::default();
+        let seen = Arc::clone(&ran);
+        let def = WorkflowDef {
+            tag: "flat".into(),
+            description: "hostile placement".into(),
+            expdir: "/exp/flat".into(),
+            activities: vec![Activity::map(
+                "work",
+                &["x"],
+                Arc::new(move |t, _: &mut _| {
+                    let name = std::thread::current().name().unwrap_or_default().to_string();
+                    seen.lock().unwrap().insert(name);
+                    std::thread::sleep(Duration::from_millis(20));
+                    Ok(t.to_vec())
+                }),
+            )],
+            deps: vec![vec![]],
+        };
+        let daemon = Daemon::start(
+            ServeConfig::new().with_workers(2).with_scheduler(factory.clone()),
+            Arc::new(move |spec: &str| {
+                (spec == "flat").then(|| Workflow::new(def.clone(), flat_input(6)))
+            }),
+            Arc::new(ProvenanceStore::new()),
+        )
+        .expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let SubmitOutcome::Accepted { id } = client.submit("t", 0, "flat").expect("submit io")
+        else {
+            panic!("campaign must be admitted")
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let st = client.status(id).expect("the engine thread is alive");
+            if st.state == CampaignState::Finished {
+                assert_eq!(st.done, 6);
+                break;
+            }
+            assert!(Instant::now() < deadline, "campaign stuck in {:?}", st.state);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        daemon.shutdown();
+        // six activations were ready at the first dispatch and two workers
+        // idle: each got one, whatever the policy said
+        let ran: Vec<String> = ran.lock().unwrap().iter().cloned().collect();
+        assert_eq!(ran, ["scidockd-worker-0", "scidockd-worker-1"], "answer {answer}");
+
+        let cfg = dist_cfg(5).with_workers(2).with_scheduler(factory);
+        let prov = Arc::new(ProvenanceStore::new());
+        let dist = run_dist(&flat_def(5), flat_input(6), Arc::new(FileStore::new()), prov, &cfg)
+            .expect("distributed run");
+        assert_eq!((dist.finished, dist.failed_attempts), (6, 0), "answer {answer}");
+    }
 }

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use cloudsim::EventQueue;
-use cumulus::pool::Pool;
 use cumulus::sched::{Policy, ReadyQueue, ReadyTask};
 use cumulus::xmlspec::{parse_xml, SciCumulusSpec};
 use rand::SeedableRng;
@@ -11,15 +10,6 @@ use rand_chacha::ChaCha8Rng;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn pool_map_equals_sequential_map(items in prop::collection::vec(-1000i64..1000, 0..200),
-                                      threads in 1usize..6) {
-        let pool = Pool::new(threads);
-        let seq: Vec<i64> = items.iter().map(|x| x * 3 - 1).collect();
-        let par = pool.map(items, |x| x * 3 - 1);
-        prop_assert_eq!(par, seq);
-    }
 
     #[test]
     fn event_queue_pops_sorted(times in prop::collection::vec(0.0..1e6f64, 0..200)) {

@@ -19,7 +19,7 @@
 //! Candidates from the cell list are iterated in ascending atom order and
 //! rejected with the same cutoff test, so both kernels perform the same
 //! floating-point operations in the same order: their outputs are
-//! **bit-identical**, which `ci.sh` asserts via `dock_bench --smoke`.
+//! **bit-identical**, which the `kernel_props` property tests assert.
 
 use std::collections::BTreeMap;
 
@@ -390,8 +390,8 @@ pub fn build_vina_grids_threads(
 }
 
 /// Naive O(points × atoms) grid builders, kept always-compiled as the
-/// ground truth the optimized kernels are gated against (`dock_bench`
-/// asserts bit-identical output; property tests in `kernel_props` fuzz it).
+/// ground truth the optimized kernels are gated against (the property
+/// tests in `kernel_props` assert bit-identical output).
 pub mod reference {
     use super::*;
 

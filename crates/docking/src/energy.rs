@@ -13,17 +13,16 @@
 //! row-major cell base is shared by every co-located map, and
 //! [`EnergyModel::total_batch`] scores a whole population of poses through
 //! the same chunked pass so the lanes stay full across pose boundaries.
-//! Every shortcut is bit-identical to the retained references — the PR-4
-//! stencil kernel ([`EnergyModel::total_scalar`]) and the naive path
-//! ([`EnergyModel::total_reference`]); the `kernel_props` property tests and
-//! `dock_bench --smoke` enforce that.
+//! Every shortcut is bit-identical to the retained naive path
+//! ([`EnergyModel::total_reference`]); the `kernel_props` property tests
+//! enforce that.
 
 use molkit::{Molecule, Vec3};
 
 use crate::autogrid::{GridKind, GridSet};
 use crate::conformation::LigandModel;
 use crate::engine::DockError;
-use crate::grid::{sample_flat, GridMap};
+use crate::grid::sample_flat;
 use crate::params::{type_index, vina_radius, Ad4Params, PairParams, VinaParams};
 use crate::scoring::{
     ad4_pair, ad4_pair_pre, ad4_solvation_param, vina_hbond_pair, vina_pair, vina_pair_pre, CUTOFF,
@@ -66,23 +65,18 @@ pub struct EnergyModel<'a> {
     pub ad4: Ad4Params,
     /// Vina parameter set (used when `grids.kind` is Vina).
     pub vina: VinaParams,
-    /// Per-ligand-atom affinity map, resolved once at construction.
-    atom_map: Vec<&'a GridMap>,
     /// Per-atom electrostatic coefficient `w_estat · q` (AD4 only).
     atom_elec: Vec<f64>,
     /// Per-atom desolvation coefficient `(w_desolv · 2) · s` (AD4 only).
     atom_desolv: Vec<f64>,
-    /// Resolved electrostatic map (AD4 only).
-    emap: Option<&'a GridMap>,
-    /// Resolved desolvation map (AD4 only).
-    dmap: Option<&'a GridMap>,
     /// Precomputed intramolecular pair table.
     intra: IntraTable,
     /// Grid origin, precomputed once. [`crate::grid::GridSpec::origin`] is a
     /// pure function of the spec, so this is bit-identical to recomputing it
     /// inside every stencil.
     origin: Vec3,
-    /// Raw value slices of the per-atom affinity maps (SoA fast path).
+    /// Raw value slices of the per-atom affinity maps, resolved once at
+    /// construction.
     atom_vals: Vec<&'a [f64]>,
     /// Raw electrostatic map values (AD4 only; empty for Vina).
     emap_vals: &'a [f64],
@@ -103,10 +97,10 @@ impl<'a> EnergyModel<'a> {
         let ad4 = Ad4Params::new();
         let vina = VinaParams::default();
 
-        let mut atom_map = Vec::with_capacity(ligand.types.len());
+        let mut atom_vals: Vec<&'a [f64]> = Vec::with_capacity(ligand.types.len());
         for t in &ligand.types {
             match grids.affinity.get(t) {
-                Some(m) => atom_map.push(m),
+                Some(m) => atom_vals.push(m.values()),
                 None => return Err(DockError::MissingAffinityMap(t.to_string())),
             }
         }
@@ -155,7 +149,6 @@ impl<'a> EnergyModel<'a> {
             ),
         };
 
-        let atom_vals: Vec<&'a [f64]> = atom_map.iter().map(|m| m.values()).collect();
         let emap = grids.electrostatic.as_ref();
         let dmap = grids.desolvation.as_ref();
         Ok(EnergyModel {
@@ -163,11 +156,8 @@ impl<'a> EnergyModel<'a> {
             ligand,
             ad4,
             vina,
-            atom_map,
             atom_elec,
             atom_desolv,
-            emap,
-            dmap,
             intra,
             origin: grids.spec.origin(),
             atom_vals,
@@ -180,7 +170,6 @@ impl<'a> EnergyModel<'a> {
     ///
     /// SoA fast path: single-pose front end of the chunked kernel behind
     /// [`total_batch`](EnergyModel::total_batch). Bit-identical to
-    /// [`intermolecular_scalar`](EnergyModel::intermolecular_scalar) and
     /// [`intermolecular_reference`](EnergyModel::intermolecular_reference).
     pub fn intermolecular(&self, coords: &[Vec3]) -> f64 {
         let mut out = [0.0];
@@ -195,7 +184,7 @@ impl<'a> EnergyModel<'a> {
     /// run over fixed-width lanes so they auto-vectorize; each atom then
     /// resolves one [`FlatStencil`](crate::grid::FlatStencil) whose flattened
     /// cell base is shared by every co-located map. Per-pose accumulation
-    /// order is atom order, exactly as the scalar loop, so the result is
+    /// order is atom order, exactly as the reference loop, so the result is
     /// bit-identical for every batch size.
     fn intermolecular_batch(&self, coords: &[Vec3], natoms: usize, out: &mut [f64]) {
         debug_assert_eq!(coords.len(), natoms * out.len());
@@ -258,7 +247,7 @@ impl<'a> EnergyModel<'a> {
     /// change `e`: no partial sum here is ever `-0.0` (every nonzero pair
     /// term carries a non-underflowing vdW/steric component, and exact
     /// cancellation rounds to `+0.0`), so this is bit-identical to the
-    /// filter-free scalar loop.
+    /// filter-free reference loop.
     pub fn intramolecular(&self, coords: &[Vec3]) -> f64 {
         const CUTOFF_SQ: f64 = CUTOFF * CUTOFF;
         let mut e = 0.0;
@@ -308,60 +297,6 @@ impl<'a> EnergyModel<'a> {
         for (p, c) in coords.chunks_exact(natoms.max(1)).enumerate() {
             out[p] += self.intramolecular(c);
         }
-    }
-
-    /// The PR-4 stencil-per-atom kernel, retained verbatim as the mid-tier
-    /// reference between the SoA fast path and the naive reference — one
-    /// [`Stencil`](crate::grid::Stencil) per atom, sampled by every
-    /// co-located map. `dock_bench` uses it to price the SoA restructuring
-    /// on its own.
-    pub fn intermolecular_scalar(&self, coords: &[Vec3]) -> f64 {
-        let mut e = 0.0;
-        match self.grids.kind {
-            GridKind::Ad4 => {
-                let emap = self.emap.expect("AD4 grid set has an electrostatic map");
-                let dmap = self.dmap.expect("AD4 grid set has a desolvation map");
-                for (i, &p) in coords.iter().enumerate() {
-                    let st = self.grids.spec.stencil(p);
-                    let aff = self.atom_map[i].sample(&st);
-                    let elec = self.atom_elec[i] * emap.sample(&st);
-                    let desolv = self.atom_desolv[i] * dmap.sample(&st);
-                    e += aff + elec + desolv;
-                }
-            }
-            GridKind::Vina => {
-                for (i, &p) in coords.iter().enumerate() {
-                    e += self.atom_map[i].interpolate(p);
-                }
-            }
-        }
-        e
-    }
-
-    /// The PR-4 intramolecular loop (no distance prefilter), retained as the
-    /// mid-tier reference for [`intramolecular`](EnergyModel::intramolecular).
-    pub fn intramolecular_scalar(&self, coords: &[Vec3]) -> f64 {
-        let mut e = 0.0;
-        match &self.intra {
-            IntraTable::Ad4(pairs) => {
-                for pr in pairs {
-                    let r = coords[pr.i].dist(coords[pr.j]);
-                    e += ad4_pair_pre(&self.ad4, &pr.pp, pr.qq, pr.dcoef, r);
-                }
-            }
-            IntraTable::Vina(pairs) => {
-                for pr in pairs {
-                    let r = coords[pr.i].dist(coords[pr.j]);
-                    e += vina_pair_pre(&self.vina, pr.rsum, pr.hydrophobic, pr.hbond, r);
-                }
-            }
-        }
-        e
-    }
-
-    /// Mid-tier total (scalar intermolecular + scalar intramolecular).
-    pub fn total_scalar(&self, coords: &[Vec3]) -> f64 {
-        self.intermolecular_scalar(coords) + self.intramolecular_scalar(coords)
     }
 
     /// Naive intermolecular evaluation retained as the parity reference:
@@ -704,11 +639,6 @@ mod tests {
             assert_eq!(ea.intramolecular(&c), ea.intramolecular_reference(&c));
             assert_eq!(ea.total(&c), ea.total_reference(&c));
             assert_eq!(ev.total(&c), ev.total_reference(&c));
-            // all three tiers agree bitwise: SoA == PR-4 scalar == naive
-            assert_eq!(ea.intermolecular(&c).to_bits(), ea.intermolecular_scalar(&c).to_bits());
-            assert_eq!(ea.intramolecular(&c).to_bits(), ea.intramolecular_scalar(&c).to_bits());
-            assert_eq!(ea.total(&c).to_bits(), ea.total_scalar(&c).to_bits());
-            assert_eq!(ev.total(&c).to_bits(), ev.total_scalar(&c).to_bits());
         }
     }
 

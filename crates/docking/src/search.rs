@@ -49,8 +49,8 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Like [`Evaluator::new`] but scoring through the naive
-    /// [`EnergyModel::total_reference`] path — used by `dock_bench` to time
-    /// the pre-optimization inner loop (the results are bit-identical).
+    /// [`EnergyModel::total_reference`] path — what the `kernel_props`
+    /// property tests hold the fast path bit-identical to.
     pub fn new_reference(model: &'a EnergyModel<'a>) -> Evaluator<'a> {
         Evaluator {
             model,

@@ -300,16 +300,19 @@ mod tests {
         assert!(plan.contains("[2 filter(s)]"), "{plan}");
     }
 
+    /// The point shapes a steering client polls with: each is an index scan,
+    /// not a pass over every activation.
     #[test]
-    fn status_equality_uses_status_index_on_paged_store() {
-        let plan =
-            plan_of(&paged_store(), "SELECT count(*) FROM hactivation WHERE status = 'FAILED'");
-        assert!(
-            plan.contains(
-                "IndexScan hactivation AS hactivation USING ix_hactivation_status (status =)"
-            ),
-            "status equality should pick the status index:\n{plan}"
-        );
+    fn equality_predicates_use_their_index_on_paged_store() {
+        let p = paged_store();
+        for (col, literal) in [("status", "'FAILED'"), ("taskid", "3"), ("pairkey", "'D:x'")] {
+            let plan =
+                plan_of(&p, &format!("SELECT count(*) FROM hactivation WHERE {col} = {literal}"));
+            let want = format!(
+                "IndexScan hactivation AS hactivation USING ix_hactivation_{col} ({col} =)"
+            );
+            assert!(plan.contains(&want), "{col} equality should pick its index:\n{plan}");
+        }
     }
 
     #[test]

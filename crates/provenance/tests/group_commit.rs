@@ -271,3 +271,51 @@ fn provstore_telemetry_does_not_change_the_provenance() {
     assert_eq!(run(tel.clone()), run(Telemetry::disabled()));
     assert_eq!(tel.histogram("provstore.lock_hold").expect("attached").count(), 203);
 }
+
+/// The campaign-shaped stream: four registrations, then `n` activations of
+/// four mutations each (row, file, parameter, output tuple) in one
+/// `commit_activation`, and the closing barrier. Returns the mutation count.
+fn campaign(p: &ProvenanceStore, n: usize) -> u64 {
+    let w = p.begin_workflow("wf", "counts", "/e");
+    let babel = p.register_activity(w, "babel", "Map");
+    let vina = p.register_activity(w, "vina", "Map");
+    p.register_machine("vm-001", "m3.xlarge", 4);
+    for i in 0..n {
+        p.commit_activation(
+            None,
+            &finished(if i % 2 == 0 { babel } else { vina }, w, i),
+            &[("o.dlg", 64_000 + i as i64, "/e/d/")],
+            &[("exhaustiveness".into(), Some(8.0), None)],
+            &[vec![Value::Float(-7.5), Value::Text(format!("pose{i}"))]],
+        );
+    }
+    p.flush_wal();
+    4 + 4 * n as u64
+}
+
+/// One WAL record per activation, whatever it carries, plus one per
+/// registration: N activations make exactly N + 4 appends.
+#[test]
+fn n_activations_make_n_plus_4_wal_appends() {
+    for n in [1usize, 500] {
+        let tel = Telemetry::attached();
+        let options = DurableOptions { telemetry: tel.clone(), ..Default::default() };
+        let p = ProvenanceStore::open_env(Box::new(MemEnv::new()), options).expect("fresh env");
+        campaign(&p, n);
+        assert_eq!(tel.counter("provstore.wal_appends").expect("attached").get(), n as u64 + 4);
+    }
+}
+
+/// Taking the fsync off the store's lock must not thin the fsyncs out: with
+/// the batch's age out of the picture, 2 004 mutations at `max_ops` 64 are 31
+/// full batches and the closing barrier's one.
+#[test]
+fn five_hundred_activations_at_max_ops_64_make_32_group_commit_fsyncs() {
+    let tel = Telemetry::attached();
+    let by_count = Durability::Batched { max_ops: 64, max_delay: Duration::from_secs(3600) };
+    let options =
+        DurableOptions { durability: by_count, telemetry: tel.clone(), ..Default::default() };
+    let p = ProvenanceStore::open_env(Box::new(MemEnv::new()), options).expect("fresh env");
+    assert_eq!(campaign(&p, 500), 2_004);
+    assert_eq!(tel.histogram("provstore.group_commit").expect("attached").count(), 32);
+}

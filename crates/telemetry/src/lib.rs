@@ -18,8 +18,8 @@
 //! Instrumentation is *always compiled* but near-free when no sink is
 //! attached: a [`Telemetry`] handle is an `Option<Arc<Collector>>`, and every
 //! entry point starts with one branch on that option — no allocation, no
-//! clock read, no locking on the disabled path (`telemetry_bench` measures
-//! this; see EXPERIMENTS.md).
+//! clock read, no locking on the disabled path (the layer suite's
+//! `telemetry.*` rows measure this; see `benchmark/README.md`).
 //!
 //! ```
 //! use telemetry::Telemetry;

@@ -238,12 +238,12 @@ fn profile_weights_track_oracle_weights() {
 fn elasticity_beats_fixed_small_fleet() {
     let fixed = sweep();
     let elastic = SweepConfig {
-        elasticity: Some(cumulus::ElasticityConfig {
-            grow_factor: 4.0,
-            cooldown_s: 60.0,
-            idle_release_s: 400.0,
-            max_vms: 16,
-        }),
+        scheduler: Some(cumulus::SchedulerFactory::new(|| {
+            Box::new(cumulus::QueueDepthScheduler::new(cumulus::QueueDepthConfig {
+                max_workers: 16,
+                ..Default::default()
+            }))
+        })),
         ..sweep()
     };
     let f = simulate_at(4, EngineMode::Ad4Only, &fixed, None);
