@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, the tier-1 build, and every crate's tests.
+# CI gate: formatting, lints, rustdoc, the tier-1 build, and every crate's tests.
 # Run from the repository root:
 #
 #   ./ci.sh
@@ -13,6 +13,10 @@ cargo fmt --all --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# broken and private intra-doc links fail the build
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: cargo build --release =="
 cargo build --release

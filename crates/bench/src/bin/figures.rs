@@ -31,6 +31,12 @@ use scidock_bench::sidecar::{num_array, Sidecar};
 use scidock_bench::util::{bar, human_time};
 use telemetry::json;
 
+/// Every artifact a `--<name>` flag selects; `--all` (or no flag) = all.
+const ARTIFACTS: [&str; 14] = [
+    "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "query1", "query2", "table3",
+    "top3", "headline", "cost", "spec",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_arg =
@@ -50,14 +56,15 @@ fn main() {
         .collect();
     let scale: usize = flag_arg("--scale").and_then(|v| v.parse().ok()).unwrap_or(1);
     let mut sidecar = Sidecar::new();
-    let all = wanted.is_empty() || args.iter().any(|a| a == "--all");
-    if all {
-        for w in [
-            "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "query1", "query2",
-            "table3", "top3", "headline", "cost", "spec",
-        ] {
-            wanted.insert(w.to_string());
-        }
+    if let Some(unknown) = wanted.iter().find(|w| !ARTIFACTS.contains(&w.as_str())) {
+        eprintln!(
+            "figures: unknown flag --{unknown}\nusage: figures [--all] [--scale N] [--json PATH] {}",
+            ARTIFACTS.map(|a| format!("[--{a}]")).join(" ")
+        );
+        std::process::exit(2);
+    }
+    if wanted.is_empty() || args.iter().any(|a| a == "--all") {
+        wanted.extend(ARTIFACTS.map(String::from));
     }
     let want = |k: &str| wanted.contains(k);
 

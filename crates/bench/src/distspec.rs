@@ -168,11 +168,6 @@ pub fn campaign_resolver(
     let mut cfg = fast_cfg(grid_cache_dir, ReceptorCache::default());
     cfg.dock.telemetry = telemetry;
     Arc::new(move |spec| {
-        // gauges live in the collector's ring: one sampled only when the
-        // tier grows would scroll out of a busy daemon's `/metrics`, so the
-        // tier's owner samples it again at every submission
-        let resident = cfg.receptors.resident_bytes();
-        cfg.dock.telemetry.gauge("gridcache.resident_bytes", resident as f64);
         let files = Arc::new(FileStore::new());
         let def = resolve_in(spec, &files, &cfg)?;
         let input = prepare(spec, &files)?;

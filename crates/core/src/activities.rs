@@ -446,15 +446,25 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         // PDB file contains mercury never reach the docking programs
         let bl_files = Arc::clone(&files);
         let bl_cfg = Arc::clone(&cfga);
+        // The rule runs on the engine's own thread (`scidockd`, `run_dist`)
+        // once per pair, and `has_hg` digests the whole PDB text to find its
+        // entry in the tier: a staged receptor is screened once per path of
+        // this workflow's store, not once per ligand it meets.
+        let screened: parking_lot::Mutex<BTreeMap<String, bool>> = Default::default();
         Some(Arc::new(move |t: &cumulus::Tuple| {
             // activity 3's input tuple carries the staged PDB path in col 2
             let Some(path) = t.get(2).and_then(|v| v.as_str()) else {
                 return false;
             };
+            if let Some(&has_hg) = screened.lock().get(path) {
+                return has_hg;
+            }
             let Some(text) = bl_files.read(path) else {
                 return false;
             };
-            bl_cfg.receptors.has_hg(&text, &bl_cfg.dock.telemetry)
+            let has_hg = bl_cfg.receptors.has_hg(&text, &bl_cfg.dock.telemetry);
+            screened.lock().insert(path.to_string(), has_hg);
+            has_hg
         }))
     } else {
         None

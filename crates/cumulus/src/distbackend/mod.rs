@@ -1,12 +1,14 @@
-//! The distributed execution backend: a master–worker engine running one
-//! workflow across multiple OS processes on the same machine.
+//! The distributed execution backend: one workflow across multiple OS
+//! processes on the same machine.
 //!
-//! The master owns the same ready-driven pipelined dispatcher as the local
-//! backend ([`crate::dispatch::PipelineState`]) — but instead of handing
-//! activations to a thread pool it shards them over TCP to worker
-//! processes, each a [`worker::serve`] loop around the length-prefixed
-//! frame protocol in [`proto`] (`mod proto` is private; the frame layout is
-//! documented in `DESIGN.md` §10). The master keeps every run honest:
+//! [`run_dist`] is the crate's one engine (`engine.rs`, shared with
+//! [`crate::serve`]) holding a single run — the same ready-driven pipelined
+//! dispatcher as the local backend — with this module's `SDW1` port as its
+//! workers: instead of handing activations to threads, the port shards them
+//! over TCP to worker processes, each a [`worker::serve`] loop around the
+//! length-prefixed frame protocol of the private `proto` module (the frame
+//! layout is documented in `DESIGN.md` §10). Together they keep every run
+//! honest:
 //!
 //! * **Backpressure** — at most [`DistConfig::max_in_flight`] activations
 //!   are outstanding per worker; the rest wait in a FIFO.
@@ -17,12 +19,13 @@
 //!   and re-enters the queue with a bumped attempt; after more than
 //!   [`DistConfig::reassign_budget`] crashes the input is treated as poison
 //!   and `BLACKLISTED`, so one bad tuple cannot wedge the run.
-//! * **Provenance parity** — the master writes every row itself through the
-//!   lifecycle the local backend uses (a finished activation is one atomic
-//!   `commit_activation`: outputs and `FINISHED` row together), so
-//!   `provenance::export_provn_canonical` of a local and a distributed
-//!   run are byte-identical and `resume_from` stays sound across a master
-//!   crash.
+//! * **Provenance parity** — the master process writes every row itself
+//!   through the lifecycle the local backend uses (a finished activation is
+//!   one atomic `commit_activation`: outputs and `FINISHED` row together,
+//!   made by the reader thread of the connection its `Done` frame arrived
+//!   on), so `provenance::export_provn_canonical` of a local and a
+//!   distributed run are byte-identical and `resume_from` stays sound
+//!   across a master crash.
 //! * **Telemetry lanes** — each worker ships its spans back inside result
 //!   frames; the master merges them onto a per-worker track with a clock
 //!   offset, so a Chrome trace shows one lane per worker process.
@@ -48,15 +51,12 @@ use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{RemoteSpan, Telemetry};
 
 use crate::algebra::Relation;
-use crate::dispatch::{PipelineState, SubmitReq};
+use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort, TICK};
 use crate::error::CumulusError;
-use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView};
-use crate::lifecycle::{
-    run_scoped, tally, ActOutcome, ActivityCtx, Admitted, Attempt, Exec, RunScope, ScopeCfg,
-    Settled,
-};
+use crate::fleet::SchedulerFactory;
+use crate::lifecycle::{run_scoped, tally, ActivityCtx, Attempt, Exec, ScopeCfg, Settled};
 use crate::localbackend::RunReport;
-use crate::obs::{BoundAddr, EventLog, HealthView, Severity, WorkerHealth};
+use crate::obs::{BoundAddr, EventLog};
 use crate::workflow::{FileStore, WorkflowDef};
 
 use proto::{Frame, WireFate, WireOutcome};
@@ -100,8 +100,6 @@ pub struct DistConfig {
     /// worker is declared lost and the activation reassigned. `None`
     /// disables the hang detector.
     pub activation_timeout: Option<Duration>,
-    /// Deadline for all workers to connect and complete the handshake.
-    pub connect_timeout: Duration,
     /// Worker crashes an activation survives before being blacklisted as
     /// poison input.
     pub reassign_budget: u32,
@@ -160,7 +158,6 @@ impl std::fmt::Debug for DistConfig {
             .field("heartbeat", &self.heartbeat)
             .field("heartbeat_timeout", &self.heartbeat_timeout)
             .field("activation_timeout", &self.activation_timeout)
-            .field("connect_timeout", &self.connect_timeout)
             .field("reassign_budget", &self.reassign_budget)
             .field("failures", &self.failures)
             .field("max_retries", &self.max_retries)
@@ -188,7 +185,6 @@ impl Default for DistConfig {
             heartbeat: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(3),
             activation_timeout: None,
-            connect_timeout: Duration::from_secs(10),
             reassign_budget: 2,
             failures: FailureModel::none(),
             max_retries: 3,
@@ -265,12 +261,6 @@ impl DistConfig {
     /// Enable the per-activation hang detector.
     pub fn with_activation_timeout(mut self, timeout: Duration) -> DistConfig {
         self.activation_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the worker connect/handshake deadline.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> DistConfig {
-        self.connect_timeout = timeout;
         self
     }
 
@@ -360,83 +350,19 @@ impl DistConfig {
     }
 }
 
-// ------------------------------------------------------------------ master
+// --------------------------------------------------------------------- run
 
-/// One activation the master wants executed somewhere.
-#[derive(Debug, Clone)]
-struct Job {
-    activity: usize,
-    part: Vec<crate::algebra::Tuple>,
-    part_index: usize,
-    key: String,
-    attempt: u32,
-    /// Worker crashes this activation has survived (reassignment count).
-    crashes: u32,
-}
-
-/// Master-side record of a dispatched activation.
-struct InFlight {
-    job: Job,
-    /// The lifecycle's handle on this attempt (fate, steering slot, start
-    /// clock), settled when the `Done` frame or the worker's death arrives.
-    at: Attempt,
-    /// Wall clock at dispatch, for the hang detector.
-    dispatched: Instant,
-    /// Flagged by the straggler detector: running far beyond this
-    /// activity's latency baseline (each activation alarms at most once).
-    straggler: bool,
-}
-
-/// Everything the master tracks about one worker connection.
-struct WorkerHandle {
-    writer: Arc<Mutex<TcpStream>>,
-    alive: bool,
-    /// Fleet controller sent `Drain`: no new work; retires on its `Bye`.
-    draining: bool,
-    /// Left cleanly via drain-then-retire (as opposed to being lost).
-    retired: bool,
-    child: Option<Child>,
-    thread: Option<std::thread::JoinHandle<()>>,
-    reader: Option<std::thread::JoinHandle<()>>,
-    last_seen: Instant,
-    in_flight: HashMap<u64, InFlight>,
-    /// Telemetry track (trace lane) for this worker's spans.
-    track: u64,
-    /// master_clock − worker_clock, for span merging.
-    offset_ns: i64,
-    runs_sent: usize,
-    /// Last heartbeat-reported `(job, elapsed_ms)`: the worker's own view
-    /// of its current activation's age (quoted by the hang detector and
-    /// cross-checked by the straggler detector).
-    last_job: Option<(u64, u64)>,
-    /// Handshake completion, for billing and utilisation.
-    connected_at: Instant,
-    /// Retirement/loss time; `None` while serving.
-    ended_at: Option<Instant>,
-    /// Wall-clock nanoseconds of completed activations (dispatch → Done),
-    /// for utilisation telemetry.
-    busy_ns: u64,
-}
-
-impl WorkerHandle {
-    fn sever(&mut self) {
-        self.alive = false;
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-    }
-}
-
-enum Event {
-    Frame(usize, Frame),
-    Gone(usize),
-}
+/// Deadline for a launched worker to connect and complete the handshake.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Run a workflow across worker processes; prefer
 /// [`crate::backend::Backend::run`] on a [`crate::backend::DistBackend`]
 /// unless the raw [`RunReport`] is what you need.
+///
+/// One run scope around the crate's one engine (the module `engine`, shared
+/// with [`crate::serve`]) holding this one run, with `SDW1` connections as
+/// its workers; what is specific to a one-shot run — the utilisation and
+/// billing epilogue — follows it.
 pub fn run_dist(
     def: &WorkflowDef,
     input: Relation,
@@ -465,618 +391,130 @@ pub fn run_dist(
         metrics_addr: cfg.metrics_addr.as_deref(),
         metrics_bound: cfg.metrics_bound.as_ref(),
     };
-    run_scoped(def, &prov, scope_cfg, |scope| master_loop(def, &input, &files, cfg, scope))
+    run_scoped(def, &prov, scope_cfg, |scope| {
+        let tel = &scope.tel;
+        let run = scope.run_ctx(&files, cfg.failures, cfg.max_retries, cfg.resume_from);
+        let ctxs = ActivityCtx::build_all(def, &run);
+
+        scope.obs.health.lock().expect("health view poisoned").phase = "starting".to_string();
+        let (events_tx, events) = mpsc::channel();
+        let port = Sdw1Port::connect(cfg, &files, tel, &scope.obs.tel, events_tx)?;
+        let mut engine = Engine::new(
+            port,
+            EngineCfg {
+                // whatever the policy asks for, one worker keeps serving; how
+                // far it grows is the policy's own business
+                floor: 1,
+                ceiling: usize::MAX,
+                reassign_budget: cfg.reassign_budget,
+                heartbeat_timeout: Some(cfg.heartbeat_timeout),
+                activation_timeout: cfg.activation_timeout,
+                straggler: Some((cfg.straggler_factor, cfg.straggler_min_ms)),
+                tel: tel.clone(),
+                events: scope.events.clone(),
+                epoch: scope.t0,
+                obs: Some(scope.obs.clone()),
+            },
+            cfg.scheduler.as_ref(),
+        );
+        engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
+        let closed = loop {
+            // the no-busy-spin regression watches this count
+            tel.count("dist.master.wakeups", 1);
+            engine.pump()?;
+            if let Some(closed) = engine.closed.pop() {
+                break closed;
+            }
+            match events.recv_timeout(TICK) {
+                Ok(ev) => engine.handle(ev)?,
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                // the port holds a sender for as long as the engine holds
+                // the port; were it ever gone, nothing could arrive again
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(CumulusError::WorkerLost("worker event channel closed".into()));
+                }
+            }
+            engine.tick();
+        };
+
+        tel.instant("dist", "jobs", Some(&format!("submitted={}", closed.submitted())));
+        // per-worker utilisation, and the fleet bill if the policy carries a
+        // cost model (per-started-hour, like the simulator's EC2 billing)
+        let billing = engine.controller.billing();
+        let mut fleet_cost = 0.0;
+        for (i, (life, busy)) in engine.worker_lives().enumerate() {
+            let (life_s, busy_s) = (life.as_secs_f64(), busy.as_secs_f64());
+            let util = if life_s > 0.0 { (busy_s / life_s).min(1.0) } else { 0.0 };
+            tel.instant(
+                "fleet",
+                "utilization",
+                Some(&format!(
+                    "worker-{i} busy={busy_s:.3}s life={life_s:.3}s util={:.0}%",
+                    util * 100.0
+                )),
+            );
+            if let Some(b) = billing {
+                fleet_cost += b.charge(life_s);
+            }
+        }
+        let mut report = RunReport::empty(scope.wkf, engine.peak_workers);
+        tally(&mut report, &closed.tally);
+        report.fleet_cost_usd = billing.map(|_| fleet_cost);
+        report.scale_events = engine.controller.trace().to_vec();
+        report.outputs = closed.into_outputs();
+        report.total_seconds = scope.t0.elapsed().as_secs_f64();
+        engine.shutdown();
+        Ok(report)
+    })
 }
 
-/// The master's state for one run. The loop in [`master_loop`] drives it;
-/// the methods are the steps more than one place in that loop takes.
-struct Master<'a> {
+// --------------------------------------------------------------- SDW1 port
+
+/// Attempts begun for one worker and not yet settled, by job id. Whoever
+/// takes an entry out — the connection's reader on `Done`, the engine
+/// through [`WorkerPort::sever`] on a loss — settles it; nobody else can.
+type Begun = Arc<Mutex<HashMap<u64, (Arc<ActivityCtx>, Attempt)>>>;
+
+/// Everything the port tracks about one worker connection.
+struct Conn {
+    writer: Arc<Mutex<TcpStream>>,
+    child: Option<Child>,
+    thread: Option<std::thread::JoinHandle<()>>,
+    reader: Option<std::thread::JoinHandle<()>>,
+    begun: Begun,
+    runs_sent: usize,
+}
+
+impl Conn {
+    fn sever(&mut self) {
+        if let Some(child) = &mut self.child {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
+    }
+}
+
+/// The engine's port onto `SDW1` worker connections, [`DistConfig::max_in_flight`]
+/// activation slots each, plus everything needed to grow the fleet mid-run:
+/// the listening socket stays open for the run's lifetime, and the port
+/// keeps a sender of the engine's event channel for the readers of
+/// scaled-up workers.
+///
+/// `begin` is called where the `Run` frame is written (the engine's thread:
+/// the frame carries the attempt's fate, and the store's interval runs from
+/// dispatch to result); the connection's reader thread lands the files a
+/// `Done` frame ships and calls `settle`, so provenance commits of different
+/// workers overlap and never wait behind the engine's dispatch.
+struct Sdw1Port<'a> {
     cfg: &'a DistConfig,
-    scope: &'a RunScope,
-    ctxs: Vec<Arc<ActivityCtx>>,
-    fleet: Fleet,
-    controller: FleetController,
-    pipe: PipelineState,
-    /// Dispatcher submissions not yet admitted.
-    submits: VecDeque<SubmitReq>,
-    /// Admitted activations waiting for a worker slot.
-    pending: VecDeque<Job>,
-    /// `peak_workers` is kept current as the fleet changes.
-    report: RunReport,
-}
-
-impl Master<'_> {
-    /// A terminal activation: count it and let its tuples flow downstream.
-    fn finish(&mut self, activity: usize, out: ActOutcome) {
-        tally(&mut self.report, &out);
-        self.submits.extend(self.pipe.on_completion(activity, &out.tuples));
-    }
-
-    /// Act on what the lifecycle decided about `job`'s latest attempt.
-    fn settled(&mut self, mut job: Job, settled: Settled) {
-        match settled {
-            Settled::Terminal(out) => self.finish(job.activity, out),
-            Settled::Retry => {
-                self.report.failed_attempts += 1;
-                job.attempt += 1;
-                self.pending.push_front(job);
-            }
-        }
-    }
-
-    /// The scheduler's view of the run: logical quantities only (queue
-    /// depths, provisioned fleet, capacity) and never wall-clock state, so
-    /// the simulator can reproduce the exact decision sequence.
-    fn snapshot(&self) -> FleetSnapshot {
-        let mut queued_by_activity = vec![0usize; self.ctxs.len()];
-        for j in &self.pending {
-            queued_by_activity[j.activity] += 1;
-        }
-        for s in &self.submits {
-            queued_by_activity[s.activity] += 1;
-        }
-        let workers = &self.fleet.workers;
-        FleetSnapshot {
-            completions: 0, // the controller stamps its own count
-            queued: self.pending.len() + self.submits.len(),
-            in_flight: workers.iter().map(|w| w.in_flight.len()).sum(),
-            fleet: self.fleet.provisioned(),
-            idle: workers
-                .iter()
-                .filter(|w| w.alive && !w.draining && w.in_flight.is_empty())
-                .count(),
-            slots_per_worker: self.cfg.max_in_flight,
-            queued_by_activity,
-            stragglers: workers
-                .iter()
-                .filter(|w| w.alive)
-                .flat_map(|w| w.in_flight.values())
-                .filter(|j| j.straggler)
-                .count(),
-        }
-    }
-
-    /// One scheduler tick: show the policy the run and apply its decision.
-    fn rescale(&mut self) -> Result<(), CumulusError> {
-        let decision = self.controller.evaluate(self.snapshot());
-        for wi in apply_scale(decision, &mut self.fleet, self.cfg, self.scope)? {
-            self.lose_worker(wi, "drain_undeliverable");
-        }
-        self.report.peak_workers = self.report.peak_workers.max(self.fleet.provisioned());
-        Ok(())
-    }
-
-    /// Declare worker `wi` lost: cut it down, settle every activation it
-    /// was running as a lost attempt, and reassign each — or blacklist it
-    /// as poison once its crash budget is spent.
-    fn lose_worker(&mut self, wi: usize, reason: &str) {
-        let w = &mut self.fleet.workers[wi];
-        if !w.alive {
-            return;
-        }
-        w.sever();
-        w.ended_at = Some(Instant::now());
-        let mut fields = vec![
-            ("worker", wi.to_string()),
-            ("reason", reason.to_string()),
-            ("in_flight", w.in_flight.len().to_string()),
-        ];
-        if let Some((job, ms)) = w.last_job {
-            // the worker's own last elapsed report (from its heartbeat):
-            // for a hang this is how long the wedged activation really ran
-            fields.push(("last_job", job.to_string()));
-            fields.push(("job_elapsed_ms", ms.to_string()));
-        }
-        self.scope.emit(Severity::Error, "worker_lost", &fields);
-        let mut lost: Vec<InFlight> = w.in_flight.drain().map(|(_, j)| j).collect();
-        // deterministic reassignment order regardless of hash-map iteration
-        lost.sort_by_key(|j| (j.job.activity, j.job.part_index));
-        for InFlight { mut job, at, .. } in lost {
-            let ctx = &self.ctxs[job.activity];
-            let retry = ctx.settle(at, Exec::Lost);
-            job.crashes += 1;
-            if job.crashes > self.cfg.reassign_budget {
-                // this input has now taken down too many workers: poison
-                let poisoned = ctx.poison(&job.key, job.attempt);
-                self.report.failed_attempts += 1;
-                self.finish(job.activity, poisoned);
-            } else {
-                self.settled(job, retry);
-            }
-        }
-    }
-}
-
-/// Spawn/connect the fleet, pump the pipelined dispatcher over it, and
-/// drain. Runs as the body of the run scope, so bridge/WAL/telemetry
-/// teardown happens on every exit path.
-fn master_loop(
-    def: &WorkflowDef,
-    input: &Relation,
-    files: &Arc<FileStore>,
-    cfg: &DistConfig,
-    scope: &RunScope,
-) -> Result<RunReport, CumulusError> {
-    let tel = &scope.tel;
-    let obs = &scope.obs;
-    let run = scope.run_ctx(files, cfg.failures, cfg.max_retries, cfg.resume_from);
-    let ctxs = ActivityCtx::build_all(def, &run);
-
-    // per-activity histogram names the straggler detector reads baselines
-    // from (allocated once; the sweep runs every loop iteration)
-    let act_hist: Vec<String> = ctxs.iter().map(|c| format!("activation.{}", c.tag)).collect();
-
-    obs.health.lock().expect("health view poisoned").phase = "starting".to_string();
-    let (fleet, events) = connect_fleet(cfg, files)?;
-    tel.gauge("fleet.size", fleet.provisioned() as f64);
-
-    let (pipe, seeds) = PipelineState::new(Arc::new(def.clone()), input, tel.clone());
-    let mut m = Master {
-        cfg,
-        scope,
-        ctxs,
-        report: RunReport::empty(scope.wkf, fleet.provisioned()),
-        fleet,
-        controller: match &cfg.scheduler {
-            Some(factory) => FleetController::new(factory),
-            None => FleetController::fixed(),
-        },
-        pipe,
-        submits: seeds.into(),
-        pending: VecDeque::new(),
-    };
-    let mut next_job: u64 = 0;
-    // the scheduler sees the full initial backlog once, before dispatch
-    let mut evaluated_initial = false;
-
-    'run: loop {
-        // 0. elastic bookkeeping: count this wakeup (the no-busy-spin
-        //    regression watches it), expire launches that never connected,
-        //    and welcome scaled-up workers
-        tel.count("dist.master.wakeups", 1);
-        let expired = m.fleet.expire_spawns(cfg);
-        if expired > 0 {
-            tel.count("fleet.spawn_timeouts", expired as u64);
-        }
-        if m.fleet.accept(cfg)? > 0 {
-            tel.gauge("fleet.size", m.fleet.provisioned() as f64);
-        }
-        m.report.peak_workers = m.report.peak_workers.max(m.fleet.provisioned());
-        obs.set_health(health_view(&m.fleet, "running"));
-        // 1. admit dispatcher submissions into the job queue; resume hits
-        //    and blacklisted inputs complete inline without touching a worker
-        while let Some(req) = m.submits.pop_front() {
-            match m.ctxs[req.activity].admit(&req.part) {
-                Admitted::Settled(out) => m.finish(req.activity, out),
-                Admitted::Run(key) => m.pending.push_back(Job {
-                    activity: req.activity,
-                    part: req.part,
-                    part_index: req.part_index,
-                    key,
-                    attempt: 0,
-                    crashes: 0,
-                }),
-            }
-        }
-        if m.pipe.done() {
-            break 'run;
-        }
-
-        // 1b. the policy's first look: the whole seeded backlog, before
-        //     any dispatch — the simulator evaluates at the same instant
-        if !evaluated_initial {
-            evaluated_initial = true;
-            m.rescale()?;
-        }
-
-        // 2. dispatch queued jobs to workers with spare capacity; the
-        //    policy places each activation (least-loaded by default)
-        while !m.pending.is_empty() {
-            let views: Vec<WorkerView> = m
-                .fleet
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.alive && !w.draining && w.in_flight.len() < cfg.max_in_flight)
-                .map(|(i, w)| WorkerView { index: i, in_flight: w.in_flight.len() })
-                .collect();
-            if views.is_empty() {
-                break;
-            }
-            let activity = m.pending.front().expect("loop guard").activity;
-            let wi = m.controller.place(activity, &views).expect("views is non-empty");
-            let job = m.pending.pop_front().expect("loop guard");
-            let ctx = &m.ctxs[job.activity];
-            let mut at = ctx.begin(&job.key, job.attempt);
-            if at.hung() {
-                // the activation would loop forever; the engine aborts it
-                // without wasting a worker
-                let aborted = ctx.settle(at, Exec::Hung);
-                m.settled(job, aborted);
-                continue 'run; // new submissions may precede queued work
-            }
-            at.worker = Some(wi);
-            next_job += 1;
-            let id = next_job;
-            let frame = Frame::Run {
-                job: id,
-                activity: job.activity as u32,
-                part_index: job.part_index as u64,
-                attempt: job.attempt,
-                fate: WireFate::injected(at.doomed()),
-                workdir: ctx.workdir(job.part_index),
-                part: job.part.clone(),
-            };
-            let w = &mut m.fleet.workers[wi];
-            w.in_flight
-                .insert(id, InFlight { job, at, dispatched: Instant::now(), straggler: false });
-            let sent = proto::write_frame(&mut *w.writer.lock(), &frame).is_ok();
-            w.runs_sent += 1;
-            if let Some(plan) = cfg.kill_plan {
-                if plan.worker == wi && plan.after_runs == w.runs_sent {
-                    // SIGKILL mid-activation; in-process workers sever
-                    // themselves via their own die_on_run counter
-                    if let Some(child) = &mut w.child {
-                        let _ = child.kill();
-                    }
-                }
-            }
-            if !sent {
-                m.lose_worker(wi, "send_failed");
-                continue 'run;
-            }
-        }
-
-        // 3. wait for worker events, checking liveness on a tick
-        match events.recv_timeout(Duration::from_millis(50)) {
-            Ok(Event::Frame(wi, frame)) => {
-                m.fleet.workers[wi].last_seen = Instant::now();
-                match frame {
-                    Frame::Heartbeat { job, job_elapsed_ms } => {
-                        // the worker's own view of its current activation's
-                        // age: the straggler detector cross-checks it and
-                        // the hang detector quotes it on a loss
-                        m.fleet.workers[wi].last_job = job.map(|j| (j, job_elapsed_ms));
-                        if job.is_some() {
-                            if let Some(h) = obs.tel.histogram("dist.heartbeat.job_elapsed") {
-                                h.record(job_elapsed_ms.saturating_mul(1_000_000));
-                            }
-                        }
-                    }
-                    Frame::Stats { delta } => {
-                        // periodic worker-local counter/histogram growth:
-                        // merging it here keeps a continuously-current
-                        // cluster-wide snapshot behind /metrics mid-run
-                        obs.tel.absorb(&delta);
-                    }
-                    Frame::Done { job, outcome } => {
-                        let w = &mut m.fleet.workers[wi];
-                        let Some(InFlight { job, at, dispatched, .. }) = w.in_flight.remove(&job)
-                        else {
-                            continue 'run; // completion raced a reassignment
-                        };
-                        w.busy_ns += dispatched.elapsed().as_nanos() as u64;
-                        // land the worker's artifacts in the shared store
-                        // first, so recorded sizes are real and downstream
-                        // fetches always hit. Even a failed attempt's files
-                        // persist: the local backend shares one store, so
-                        // parity demands the same here
-                        let land = |shipped: Vec<(String, Arc<str>)>| -> Vec<String> {
-                            shipped
-                                .into_iter()
-                                .map(|(path, contents)| {
-                                    files.write(&path, contents);
-                                    path
-                                })
-                                .collect()
-                        };
-                        let ctx = &m.ctxs[job.activity];
-                        let settled = match outcome {
-                            WireOutcome::Finished { tuples, files: shipped, params, spans } => {
-                                import(tel, w.track, w.offset_ns, spans);
-                                let paths = land(shipped);
-                                let exec =
-                                    Exec::Finished { tuples, files: &paths, params: &params };
-                                ctx.settle(at, exec)
-                            }
-                            WireOutcome::Failed { error, files: shipped, spans } => {
-                                import(tel, w.track, w.offset_ns, spans);
-                                if error.starts_with("oversized result") {
-                                    // the worker degraded an over-cap Done
-                                    // frame into a failed attempt; the run
-                                    // survives, but the cause stays countable
-                                    tel.count("proto.oversized_done", 1);
-                                }
-                                land(shipped);
-                                ctx.settle(at, Exec::Failed)
-                            }
-                        };
-                        m.settled(job, settled);
-                        // every processed completion is a scheduler tick
-                        m.controller.note_completion();
-                        m.rescale()?;
-                    }
-                    Frame::Bye { completed } => {
-                        let w = &mut m.fleet.workers[wi];
-                        if !w.draining || !w.in_flight.is_empty() {
-                            return Err(CumulusError::Protocol(format!(
-                                "unexpected Bye from worker {wi} (draining={}, in_flight={})",
-                                w.draining,
-                                w.in_flight.len()
-                            )));
-                        }
-                        // drain-then-retire completed cleanly: this is not
-                        // a loss, so nothing is reassigned or blacklisted
-                        w.retired = true;
-                        w.ended_at = Some(Instant::now());
-                        w.sever();
-                        tel.instant(
-                            "fleet",
-                            "retire",
-                            Some(&format!("worker-{wi} completed={completed}")),
-                        );
-                        tel.gauge("fleet.size", m.fleet.provisioned() as f64);
-                        scope.emit(
-                            Severity::Info,
-                            "worker_retired",
-                            &[("worker", wi.to_string()), ("completed", completed.to_string())],
-                        );
-                    }
-                    f => {
-                        return Err(CumulusError::Protocol(format!(
-                            "unexpected frame from worker {wi}: {f:?}"
-                        )))
-                    }
-                }
-            }
-            Ok(Event::Gone(wi)) => {
-                m.lose_worker(wi, "socket_closed");
-                obs.set_health(health_view(&m.fleet, "running"));
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Structurally unreachable — the fleet holds its own event
-                // sender for its whole lifetime — but if it ever happens no
-                // event can arrive again, so settle liveness for every
-                // worker at once instead of spinning on the empty channel
-                // until the heartbeat clock notices.
-                for wi in 0..m.fleet.workers.len() {
-                    m.lose_worker(wi, "event_channel_closed");
-                }
-            }
-        }
-
-        // straggler detection: an in-flight activation running beyond
-        // `straggler_factor ×` its activity's rolling p95 (merged from
-        // worker Stats frames) *and* past the `straggler_min_ms` floor is
-        // flagged — once — as a straggler. The flag feeds the scheduler's
-        // FleetSnapshot and the event log; the activation itself keeps
-        // running (the hang detector, not this, cuts wedged workers).
-        for (wi, w) in m.fleet.workers.iter_mut().enumerate().filter(|(_, w)| w.alive) {
-            let reported = w.last_job;
-            for (id, j) in w.in_flight.iter_mut().filter(|(_, j)| !j.straggler) {
-                // trust whichever clock has seen more: the master's
-                // dispatch age or the worker's own heartbeat report
-                let mut elapsed_ms = j.dispatched.elapsed().as_millis() as u64;
-                if let Some((rj, rms)) = reported {
-                    if rj == *id {
-                        elapsed_ms = elapsed_ms.max(rms);
-                    }
-                }
-                if elapsed_ms < cfg.straggler_min_ms {
-                    continue;
-                }
-                let threshold_ms = obs
-                    .tel
-                    .histogram(&act_hist[j.job.activity])
-                    .filter(|h| h.count() >= 3)
-                    .map(|h| (h.quantile(0.95) * cfg.straggler_factor / 1e6) as u64)
-                    .unwrap_or(0)
-                    .max(cfg.straggler_min_ms);
-                if elapsed_ms > threshold_ms {
-                    j.straggler = true;
-                    obs.tel.count("dist.stragglers", 1);
-                    scope.emit(
-                        Severity::Warn,
-                        "straggler",
-                        &[
-                            ("worker", wi.to_string()),
-                            ("job", id.to_string()),
-                            ("activity", m.ctxs[j.job.activity].tag.clone()),
-                            ("key", j.job.key.clone()),
-                            ("elapsed_ms", elapsed_ms.to_string()),
-                            ("threshold_ms", threshold_ms.to_string()),
-                        ],
-                    );
-                }
-            }
-        }
-
-        // liveness: heartbeat silence and wedged activations
-        let lost: Vec<(usize, &'static str)> = m
-            .fleet
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.alive)
-            .filter_map(|(i, w)| {
-                if cfg.activation_timeout.is_some_and(|limit| {
-                    w.in_flight.values().any(|j| j.dispatched.elapsed() > limit)
-                }) {
-                    Some((i, "activation_timeout"))
-                } else if w.last_seen.elapsed() > cfg.heartbeat_timeout {
-                    Some((i, "heartbeat_timeout"))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (wi, reason) in lost {
-            if reason == "activation_timeout" {
-                // S1: the hang detector's detail quotes the worker's own
-                // elapsed report alongside the master's view (the FAILED
-                // provenance row itself stays byte-stable)
-                let worker_ms = m.fleet.workers[wi]
-                    .last_job
-                    .map_or_else(|| "none".to_string(), |(j, ms)| format!("job={j} {ms}ms"));
-                tel.instant(
-                    "dist",
-                    "hang",
-                    Some(&format!("worker-{wi} worker_elapsed: {worker_ms}")),
-                );
-            }
-            m.lose_worker(wi, reason);
-        }
-        if m.fleet.workers.iter().all(|w| !w.alive) && m.fleet.spawning.is_empty() && !m.pipe.done()
-        {
-            return Err(CumulusError::WorkerLost(format!(
-                "all {} workers lost with work outstanding",
-                m.fleet.workers.len()
-            )));
-        }
-    }
-
-    tel.instant("dist", "jobs", Some(&format!("submitted={}", m.pipe.submitted())));
-    // per-worker utilisation, and the fleet bill if the policy carries a
-    // cost model (per-started-hour, like the simulator's EC2 billing)
-    let run_end = Instant::now();
-    let billing = m.controller.billing();
-    let mut fleet_cost = 0.0;
-    for (i, w) in m.fleet.workers.iter().enumerate() {
-        let life = w.ended_at.unwrap_or(run_end).saturating_duration_since(w.connected_at);
-        let life_s = life.as_secs_f64();
-        let busy_s = w.busy_ns as f64 / 1e9;
-        let util = if life_s > 0.0 { (busy_s / life_s).min(1.0) } else { 0.0 };
-        tel.instant(
-            "fleet",
-            "utilization",
-            Some(&format!(
-                "worker-{i} busy={busy_s:.3}s life={life_s:.3}s util={:.0}%",
-                util * 100.0
-            )),
-        );
-        if let Some(b) = billing {
-            fleet_cost += b.charge(life_s);
-        }
-    }
-    let mut report = m.report;
-    report.fleet_cost_usd = billing.map(|_| fleet_cost);
-    report.scale_events = m.controller.into_trace();
-    report.outputs = m.pipe.into_outputs();
-    report.total_seconds = scope.t0.elapsed().as_secs_f64();
-    obs.set_health(health_view(&m.fleet, "draining"));
-    m.fleet.drain();
-    Ok(report)
-}
-
-/// The fleet as `/healthz` reports it.
-fn health_view(fleet: &Fleet, phase: &str) -> HealthView {
-    HealthView {
-        phase: phase.to_string(),
-        fleet: fleet.provisioned(),
-        workers: fleet
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WorkerHealth {
-                id: i,
-                alive: w.alive,
-                draining: w.draining,
-                last_seen_ms: w.last_seen.elapsed().as_millis() as u64,
-                in_flight: w.in_flight.len(),
-                stragglers: w.in_flight.values().filter(|j| j.straggler).count(),
-            })
-            .collect(),
-    }
-}
-
-/// Apply a scale decision to the live fleet. Growth launches workers toward
-/// the listener (they join in [`Fleet::accept`]); shrink marks targets as
-/// draining and sends `Drain` — the worker finishes its queue, answers
-/// `Bye`, and is retired without a single `FAILED` row. Returns workers
-/// whose `Drain` could not be delivered; the caller declares those lost.
-fn apply_scale(
-    decision: ScaleDecision,
-    fleet: &mut Fleet,
-    cfg: &DistConfig,
-    scope: &RunScope,
-) -> Result<Vec<usize>, CumulusError> {
-    let tel = &scope.tel;
-    let scaled = |what: String, fleet: &Fleet| {
-        tel.gauge("fleet.size", fleet.provisioned() as f64);
-        scope.emit(
-            Severity::Info,
-            "fleet_scale",
-            &[("decision", what), ("fleet", fleet.provisioned().to_string())],
-        );
-    };
-    match decision {
-        ScaleDecision::Hold => Ok(Vec::new()),
-        ScaleDecision::Grow(n) => {
-            for _ in 0..n {
-                fleet.launch(cfg)?;
-            }
-            tel.instant("fleet", "grow", Some(&format!("+{n} -> {}", fleet.provisioned())));
-            scaled(format!("grow {n}"), fleet);
-            Ok(Vec::new())
-        }
-        ScaleDecision::Shrink(n) => {
-            // idle workers first, lowest index first; whatever the policy
-            // asked for, at least one worker keeps serving
-            let mut targets: Vec<usize> = fleet
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.alive && !w.draining)
-                .map(|(i, _)| i)
-                .collect();
-            targets.sort_by_key(|&i| (!fleet.workers[i].in_flight.is_empty(), i));
-            let n = n.min((targets.len() + fleet.spawning.len()).saturating_sub(1));
-            let mut undeliverable = Vec::new();
-            for &wi in targets.iter().take(n) {
-                let w = &mut fleet.workers[wi];
-                w.draining = true;
-                if proto::write_frame(&mut *w.writer.lock(), &Frame::Drain).is_err() {
-                    undeliverable.push(wi);
-                }
-            }
-            if n > 0 {
-                tel.instant("fleet", "drain", Some(&format!("-{n} -> {}", fleet.provisioned())));
-                scaled(format!("drain {n}"), fleet);
-            }
-            Ok(undeliverable)
-        }
-    }
-}
-
-fn import(tel: &Telemetry, track: u64, offset_ns: i64, spans: Vec<proto::WireSpan>) {
-    if spans.is_empty() {
-        return;
-    }
-    let remote: Vec<RemoteSpan> = spans
-        .into_iter()
-        .map(|s| RemoteSpan {
-            name: s.name,
-            start_ns: s.start_ns,
-            end_ns: s.end_ns,
-            detail: s.detail,
-        })
-        .collect();
-    tel.import_spans(track, offset_ns, &remote);
-}
-
-// ------------------------------------------------------------------- fleet
-
-/// The connected worker fleet plus everything needed to grow it mid-run:
-/// the listening socket stays open for the run's lifetime, and the fleet
-/// keeps a clone of the master's event sender so readers spawned for
-/// scaled-up workers feed the same channel (this also guarantees the
-/// channel can never disconnect while the fleet exists).
-struct Fleet {
-    workers: Vec<WorkerHandle>,
+    tel: Telemetry,
+    /// The collector `/metrics` serves: workers' `Stats` deltas merge here.
+    obs_tel: Telemetry,
+    conns: Vec<Conn>,
     listener: TcpListener,
     addr: String,
-    events_tx: mpsc::Sender<Event>,
+    events_tx: mpsc::Sender<PortEvent>,
     /// Shared file store reader threads answer `FileReq` from.
     files: Arc<FileStore>,
     /// Spawned OS processes not yet matched to a connection (by pid).
@@ -1087,49 +525,62 @@ struct Fleet {
     spawning: VecDeque<Instant>,
     /// Total launches ever (drives per-launch test options).
     launched: usize,
+    /// Connections the engine has not been told about yet.
+    fresh: usize,
 }
 
-impl Fleet {
-    /// Provisioned fleet size the scheduler reasons about: serving workers
-    /// (alive, not draining) plus launches still connecting.
-    fn provisioned(&self) -> usize {
-        self.workers.iter().filter(|w| w.alive && !w.draining).count() + self.spawning.len()
-    }
-
-    /// Launch one more worker (process or in-process thread) toward the
-    /// listening socket. The handshake completes later in [`Fleet::accept`].
-    fn launch(&mut self, cfg: &DistConfig) -> Result<(), CumulusError> {
-        let seq = self.launched;
-        self.launched += 1;
-        if let Some((program, args)) = &cfg.worker_cmd {
-            let child = Command::new(program)
-                .args(args)
-                .arg("--connect")
-                .arg(&self.addr)
-                .stdin(Stdio::null())
-                .spawn()
-                .map_err(|e| CumulusError::Io(format!("spawning worker {seq} ({program}): {e}")))?;
-            self.children.push(child);
-        } else {
-            let resolver = cfg.resolver.clone().expect("validated by run_dist");
-            let addr = self.addr.clone();
-            let opts = worker::ServeOptions {
-                no_heartbeat: cfg.mute_heartbeat == Some(seq),
-                die_on_run: cfg.kill_plan.filter(|p| p.worker == seq).map(|p| p.after_runs),
-            };
-            self.threads.push_back(std::thread::spawn(move || {
-                let _ = worker::serve_with(&addr, resolver, opts);
-            }));
+impl<'a> Sdw1Port<'a> {
+    /// Bind, launch the initial fleet, and complete the `Ready`/`Hello`
+    /// handshake with every worker of it.
+    fn connect(
+        cfg: &'a DistConfig,
+        files: &Arc<FileStore>,
+        tel: &Telemetry,
+        obs_tel: &Telemetry,
+        events_tx: mpsc::Sender<PortEvent>,
+    ) -> Result<Sdw1Port<'a>, CumulusError> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?.to_string();
+        listener.set_nonblocking(true)?;
+        let mut port = Sdw1Port {
+            cfg,
+            tel: tel.clone(),
+            obs_tel: obs_tel.clone(),
+            conns: Vec::with_capacity(cfg.workers),
+            listener,
+            addr,
+            events_tx,
+            files: Arc::clone(files),
+            children: Vec::new(),
+            threads: VecDeque::new(),
+            spawning: VecDeque::new(),
+            launched: 0,
+            fresh: 0,
+        };
+        for _ in 0..cfg.workers {
+            port.launch()?;
         }
-        self.spawning.push_back(Instant::now());
-        Ok(())
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
+        while port.conns.len() < cfg.workers {
+            if port.accept()? == 0 {
+                if Instant::now() > deadline {
+                    // Drop reaps the children and joins the threads
+                    return Err(CumulusError::Timeout(format!(
+                        "only {}/{} workers connected within {CONNECT_TIMEOUT:?}",
+                        port.conns.len(),
+                        cfg.workers,
+                    )));
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        Ok(port)
     }
 
     /// Accept and handshake every connection currently waiting on the
     /// listener; spawn a reader thread per new worker. Returns how many
     /// workers joined. Non-blocking: returns 0 when nobody is knocking.
-    fn accept(&mut self, cfg: &DistConfig) -> Result<usize, CumulusError> {
-        let tel = &cfg.telemetry;
+    fn accept(&mut self) -> Result<usize, CumulusError> {
         let mut joined = 0;
         loop {
             let (mut stream, _) = match self.listener.accept() {
@@ -1139,7 +590,7 @@ impl Fleet {
             };
             stream.set_nonblocking(false)?;
             stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(cfg.connect_timeout))?;
+            stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
             let (pid, worker_now) = match proto::read_frame(&mut stream) {
                 Ok(Frame::Ready { pid, now_ns }) => (pid, now_ns),
                 Ok(f) => {
@@ -1148,15 +599,15 @@ impl Fleet {
                 Err(e) => return Err(CumulusError::Protocol(format!("bad handshake: {e}"))),
             };
             stream.set_read_timeout(None)?;
-            let offset_ns = tel.now_ns() as i64 - worker_now as i64;
-            let i = self.workers.len();
-            let track = tel.alloc_track(&format!("worker-{i}"));
+            let offset_ns = self.tel.now_ns() as i64 - worker_now as i64;
+            let i = self.conns.len();
+            let track = self.tel.alloc_track(&format!("worker-{i}"));
             proto::write_frame(
                 &mut stream,
                 &Frame::Hello {
                     worker_id: i as u32,
-                    spec: cfg.spec.clone(),
-                    heartbeat_ms: cfg.heartbeat.as_millis() as u64,
+                    spec: self.cfg.spec.clone(),
+                    heartbeat_ms: self.cfg.heartbeat.as_millis() as u64,
                 },
             )?;
             // match the OS child (if any) to this connection by pid
@@ -1166,110 +617,46 @@ impl Fleet {
                 .position(|c| c.id() == pid)
                 .map(|at| self.children.swap_remove(at));
             let writer = Arc::new(Mutex::new(stream));
-            let reader = {
-                let mut stream = writer
+            let begun = Begun::default();
+            let reader = Reader {
+                worker: i,
+                stream: writer
                     .lock()
                     .try_clone()
-                    .map_err(|e| CumulusError::Io(format!("cloning worker {i} stream: {e}")))?;
-                let writer = Arc::clone(&writer);
-                let files = Arc::clone(&self.files);
-                let tx = self.events_tx.clone();
-                std::thread::spawn(move || loop {
-                    match proto::read_frame(&mut stream) {
-                        // answer file fetches right here so they never
-                        // queue behind the master's dispatch loop
-                        Ok(Frame::FileReq { req, path }) => {
-                            let contents = files.read(&path);
-                            if proto::write_frame(
-                                &mut *writer.lock(),
-                                &Frame::FileData { req, contents },
-                            )
-                            .is_err()
-                            {
-                                let _ = tx.send(Event::Gone(i));
-                                break;
-                            }
-                        }
-                        Ok(f) => {
-                            if tx.send(Event::Frame(i, f)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = tx.send(Event::Gone(i));
-                            break;
-                        }
-                    }
-                })
-            };
-            self.workers.push(WorkerHandle {
-                writer,
-                alive: true,
-                draining: false,
-                retired: false,
-                child,
-                thread: self.threads.pop_front(),
-                reader: Some(reader),
-                last_seen: Instant::now(),
-                in_flight: HashMap::new(),
+                    .map_err(|e| CumulusError::Io(format!("cloning worker {i} stream: {e}")))?,
+                writer: Arc::clone(&writer),
+                files: Arc::clone(&self.files),
+                tx: self.events_tx.clone(),
+                begun: Arc::clone(&begun),
+                tel: self.tel.clone(),
+                obs_tel: self.obs_tel.clone(),
                 track,
                 offset_ns,
+            };
+            self.conns.push(Conn {
+                writer,
+                child,
+                thread: self.threads.pop_front(),
+                reader: Some(std::thread::spawn(move || reader.serve())),
+                begun,
                 runs_sent: 0,
-                last_job: None,
-                connected_at: Instant::now(),
-                ended_at: None,
-                busy_ns: 0,
             });
             self.spawning.pop_front();
             joined += 1;
         }
+        self.fresh += joined;
         Ok(joined)
-    }
-
-    /// Forget launches that never completed the handshake within the
-    /// connect deadline, so the scheduler stops counting them. Returns how
-    /// many expired.
-    fn expire_spawns(&mut self, cfg: &DistConfig) -> usize {
-        let before = self.spawning.len();
-        self.spawning.retain(|at| at.elapsed() <= cfg.connect_timeout);
-        before - self.spawning.len()
-    }
-
-    /// Graceful shutdown: ask every live worker to drain, give processes a
-    /// moment to exit, then reap whatever is left.
-    fn drain(&mut self) {
-        for w in self.workers.iter_mut().filter(|w| w.alive) {
-            let _ = proto::write_frame(&mut *w.writer.lock(), &Frame::Shutdown);
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let mut waiting = false;
-            for w in &mut self.workers {
-                if let Some(child) = &mut w.child {
-                    match child.try_wait() {
-                        Ok(Some(_)) => w.child = None,
-                        Ok(None) => waiting = true,
-                        Err(_) => w.child = None,
-                    }
-                }
-            }
-            if !waiting || Instant::now() > deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.teardown();
     }
 
     /// Sever everything and join every handle, including launches that
     /// never finished connecting.
     fn teardown(&mut self) {
-        for w in &mut self.workers {
-            w.sever();
-            if let Some(t) = w.thread.take() {
+        for c in &mut self.conns {
+            c.sever();
+            if let Some(t) = c.thread.take() {
                 let _ = t.join();
             }
-            if let Some(r) = w.reader.take() {
+            if let Some(r) = c.reader.take() {
                 let _ = r.join();
             }
         }
@@ -1284,61 +671,243 @@ impl Fleet {
     }
 }
 
-impl Drop for Fleet {
+impl WorkerPort for Sdw1Port<'_> {
+    fn slots(&self) -> usize {
+        self.cfg.max_in_flight
+    }
+
+    /// Launch one more worker (process or in-process thread) toward the
+    /// listening socket. The handshake completes later, in `joined`.
+    fn launch(&mut self) -> Result<(), CumulusError> {
+        let seq = self.launched;
+        self.launched += 1;
+        if let Some((program, args)) = &self.cfg.worker_cmd {
+            let child = Command::new(program)
+                .args(args)
+                .arg("--connect")
+                .arg(&self.addr)
+                .stdin(Stdio::null())
+                .spawn()
+                .map_err(|e| CumulusError::Io(format!("spawning worker {seq} ({program}): {e}")))?;
+            self.children.push(child);
+        } else {
+            let resolver = self.cfg.resolver.clone().expect("validated by run_dist");
+            let addr = self.addr.clone();
+            let opts = worker::ServeOptions {
+                no_heartbeat: self.cfg.mute_heartbeat == Some(seq),
+                die_on_run: self.cfg.kill_plan.filter(|p| p.worker == seq).map(|p| p.after_runs),
+            };
+            self.threads.push_back(std::thread::spawn(move || {
+                let _ = worker::serve_with(&addr, resolver, opts);
+            }));
+        }
+        self.spawning.push_back(Instant::now());
+        Ok(())
+    }
+
+    fn joined(&mut self) -> Result<(usize, usize), CumulusError> {
+        // launches that never completed the handshake within the connect
+        // deadline are forgotten, so the scheduler stops counting them
+        let before = self.spawning.len();
+        self.spawning.retain(|at| at.elapsed() <= CONNECT_TIMEOUT);
+        let expired = before - self.spawning.len();
+        self.accept()?;
+        Ok((std::mem::take(&mut self.fresh), expired))
+    }
+
+    fn run(&mut self, worker: usize, id: u64, ctx: &Arc<ActivityCtx>, job: &Job) -> bool {
+        let mut at = ctx.begin(&job.key, job.attempt);
+        at.worker = Some(worker);
+        let frame = Frame::Run {
+            job: id,
+            activity: job.activity as u32,
+            part_index: job.part_index as u64,
+            attempt: job.attempt,
+            fate: WireFate::injected(at.doomed()),
+            workdir: ctx.workdir(job.part_index),
+            part: job.part.to_vec(),
+        };
+        let c = &mut self.conns[worker];
+        c.begun.lock().insert(id, (Arc::clone(ctx), at));
+        let sent = proto::write_frame(&mut *c.writer.lock(), &frame).is_ok();
+        c.runs_sent += 1;
+        if let Some(plan) = self.cfg.kill_plan {
+            if plan.worker == worker && plan.after_runs == c.runs_sent {
+                // SIGKILL mid-activation; in-process workers sever
+                // themselves via their own die_on_run counter
+                if let Some(child) = &mut c.child {
+                    let _ = child.kill();
+                }
+            }
+        }
+        sent
+    }
+
+    fn drain(&mut self, worker: usize) -> bool {
+        proto::write_frame(&mut *self.conns[worker].writer.lock(), &Frame::Drain).is_ok()
+    }
+
+    fn sever(&mut self, worker: usize) -> Vec<(u64, Attempt)> {
+        let c = &mut self.conns[worker];
+        c.sever();
+        c.begun.lock().drain().map(|(id, (_, at))| (id, at)).collect()
+    }
+
+    /// Graceful shutdown: ask every worker still connected to exit, give
+    /// processes a moment to do so, then reap whatever is left.
+    fn shutdown(&mut self) {
+        for c in &self.conns {
+            let _ = proto::write_frame(&mut *c.writer.lock(), &Frame::Shutdown);
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let mut waiting = false;
+            for c in &mut self.conns {
+                if let Some(child) = &mut c.child {
+                    match child.try_wait() {
+                        Ok(Some(_)) => c.child = None,
+                        Ok(None) => waiting = true,
+                        Err(_) => c.child = None,
+                    }
+                }
+            }
+            if !waiting || Instant::now() > deadline {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        self.teardown();
+    }
+}
+
+impl Drop for Sdw1Port<'_> {
     fn drop(&mut self) {
         // safety net for error paths: never leave worker processes behind
         self.teardown();
     }
 }
 
-/// Bind, launch the initial fleet, and complete the `Ready`/`Hello`
-/// handshake with every worker. Returns the fleet plus the receiving end
-/// of its event channel.
-fn connect_fleet(
-    cfg: &DistConfig,
-    files: &Arc<FileStore>,
-) -> Result<(Fleet, mpsc::Receiver<Event>), CumulusError> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
-    listener.set_nonblocking(true)?;
-    let (events_tx, events) = mpsc::channel::<Event>();
-    let mut fleet = Fleet {
-        workers: Vec::with_capacity(cfg.workers),
-        listener,
-        addr,
-        events_tx,
-        files: Arc::clone(files),
-        children: Vec::new(),
-        threads: VecDeque::new(),
-        spawning: VecDeque::new(),
-        launched: 0,
-    };
-    for _ in 0..cfg.workers {
-        fleet.launch(cfg)?;
-    }
-    let deadline = Instant::now() + cfg.connect_timeout;
-    while fleet.workers.len() < cfg.workers {
-        if fleet.accept(cfg)? == 0 {
-            if Instant::now() > deadline {
-                // Fleet::drop reaps the children and joins the threads
-                return Err(CumulusError::Timeout(format!(
-                    "only {}/{} workers connected within {:?}",
-                    fleet.workers.len(),
-                    cfg.workers,
-                    cfg.connect_timeout
-                )));
+/// The thread reading one worker connection.
+struct Reader {
+    worker: usize,
+    stream: TcpStream,
+    writer: Arc<Mutex<TcpStream>>,
+    files: Arc<FileStore>,
+    tx: mpsc::Sender<PortEvent>,
+    begun: Begun,
+    tel: Telemetry,
+    obs_tel: Telemetry,
+    /// Telemetry track (trace lane) for this worker's spans.
+    track: u64,
+    /// master_clock − worker_clock, for span merging.
+    offset_ns: i64,
+}
+
+impl Reader {
+    fn serve(mut self) {
+        let worker = self.worker;
+        let lost = loop {
+            let event = match proto::read_frame(&mut self.stream) {
+                // answer file fetches right here so they never queue
+                // behind the engine's dispatch
+                Ok(Frame::FileReq { req, path }) => {
+                    let reply = Frame::FileData { req, contents: self.files.read(&path) };
+                    if proto::write_frame(&mut *self.writer.lock(), &reply).is_err() {
+                        break "socket_closed";
+                    }
+                    continue;
+                }
+                Ok(Frame::Stats { delta }) => {
+                    // periodic worker-local counter/histogram growth:
+                    // merging it here keeps a continuously-current
+                    // cluster-wide snapshot behind /metrics mid-run
+                    self.obs_tel.absorb(&delta);
+                    continue;
+                }
+                Ok(Frame::Heartbeat { job, job_elapsed_ms }) => {
+                    // the worker's own view of its current activation's
+                    // age: the straggler sweep cross-checks it and the hang
+                    // detector quotes it on a loss
+                    if job.is_some() {
+                        if let Some(h) = self.obs_tel.histogram("dist.heartbeat.job_elapsed") {
+                            h.record(job_elapsed_ms.saturating_mul(1_000_000));
+                        }
+                    }
+                    PortEvent::Seen { worker, job: job.map(|j| (j, job_elapsed_ms)) }
+                }
+                Ok(Frame::Done { job, outcome }) => {
+                    let Some((ctx, at)) = self.begun.lock().remove(&job) else {
+                        continue; // completion raced a reassignment
+                    };
+                    PortEvent::Settled { worker, job, settled: self.settle(&ctx, at, outcome) }
+                }
+                Ok(Frame::Bye { completed }) => PortEvent::Retired { worker, completed },
+                Ok(_) => break "unexpected_frame",
+                Err(_) => break "socket_closed",
+            };
+            if self.tx.send(event).is_err() {
+                return;
             }
-            std::thread::sleep(Duration::from_millis(5));
+        };
+        let _ = self.tx.send(PortEvent::Lost { worker, reason: lost });
+    }
+
+    /// Land the worker's artifacts in the shared store first, so recorded
+    /// sizes are real and downstream fetches always hit — even a failed
+    /// attempt's files persist: the local backend shares one store, so
+    /// parity demands the same here — then let the lifecycle record it.
+    fn settle(&self, ctx: &ActivityCtx, at: Attempt, outcome: WireOutcome) -> Settled {
+        let land = |shipped: Vec<(String, Arc<str>)>| -> Vec<String> {
+            shipped
+                .into_iter()
+                .map(|(path, contents)| {
+                    self.files.write(&path, contents);
+                    path
+                })
+                .collect()
+        };
+        match outcome {
+            WireOutcome::Finished { tuples, files, params, spans } => {
+                self.import(spans);
+                let paths = land(files);
+                ctx.settle(at, Exec::Finished { tuples, files: &paths, params: &params })
+            }
+            WireOutcome::Failed { error, files, spans } => {
+                self.import(spans);
+                if error.starts_with("oversized result") {
+                    // the worker degraded an over-cap Done frame into a
+                    // failed attempt; the run survives, but the cause
+                    // stays countable
+                    self.tel.count("proto.oversized_done", 1);
+                }
+                land(files);
+                ctx.settle(at, Exec::Failed)
+            }
         }
     }
-    Ok((fleet, events))
+
+    fn import(&self, spans: Vec<proto::WireSpan>) {
+        if spans.is_empty() {
+            return;
+        }
+        let remote: Vec<RemoteSpan> = spans
+            .into_iter()
+            .map(|s| RemoteSpan {
+                name: s.name,
+                start_ns: s.start_ns,
+                end_ns: s.end_ns,
+                detail: s.detail,
+            })
+            .collect();
+        self.tel.import_spans(self.track, self.offset_ns, &remote);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algebra::Operator;
-    use crate::fleet::{QueueDepthConfig, QueueDepthScheduler, ScaleEvent};
+    use crate::fleet::{QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent};
     use crate::localbackend::LocalConfig;
     use crate::workflow::Activity;
     use provenance::{export_provn_canonical, Value};

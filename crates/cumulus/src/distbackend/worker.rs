@@ -2,7 +2,7 @@
 //!
 //! A worker is a single TCP client (one per OS process, or one per thread
 //! for in-process tests). It connects to the master, announces itself
-//! ([`super::proto::Frame::Ready`]), resolves the workflow spec the master
+//! (a `Ready` frame), resolves the workflow spec the master
 //! names in its `Hello`, and then executes `Run` frames one at a time on a
 //! dedicated executor thread while the socket thread keeps servicing
 //! file-fetch responses and a heartbeat thread keeps the master convinced

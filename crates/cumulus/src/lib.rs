@@ -13,8 +13,11 @@
 //!   provenance capture, failure injection, retries, and poison-input
 //!   blacklisting (the activation lifecycle itself is one private module
 //!   shared with [`distbackend`] and [`serve`]);
+//! * [`distbackend`] — one workflow across worker processes speaking the
+//!   `SDW1` frame protocol: backpressure, heartbeats, hang and straggler
+//!   detection, reassignment of a lost worker's activations;
 //! * [`sched`] — the weighted greedy scheduler and its master cost model;
-//! * [`fleet`] — the elastic fleet layer: the [`Scheduler`](fleet::Scheduler)
+//! * [`fleet`] — the elastic fleet layer: the [`Scheduler`]
 //!   trait (placement + scale decisions, separated from resource
 //!   bookkeeping) with fixed, queue-depth, and cost-aware policies, driven
 //!   identically by the distributed backend and the simulator;
@@ -32,6 +35,13 @@
 //!   concurrent campaigns from many tenants over one shared elastic fleet
 //!   and one durable provenance store, with fair-share scheduling and
 //!   explicit admission control.
+//!
+//! [`distbackend`] and [`serve`] are two owners of one private engine
+//! (`engine.rs`) — the table of live runs, the worker table, admission →
+//! fair share → placement → dispatch, the fleet-policy tick, worker loss and
+//! reassignment, the health view — which reaches its workers only through a
+//! small `WorkerPort` each of them implements: `SDW1` connections there,
+//! worker threads here. The local backend still runs on [`pool`].
 
 #![warn(missing_docs)]
 
@@ -39,6 +49,7 @@ pub mod algebra;
 pub mod backend;
 mod dispatch;
 pub mod distbackend;
+mod engine;
 pub mod error;
 pub mod fleet;
 mod lifecycle;

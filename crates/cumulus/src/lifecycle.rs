@@ -16,11 +16,14 @@
 //!    record, so a recovered `FINISHED` row always has its complete outputs
 //!    and resume never reuses a half-recorded activation.
 //!
-//! The backends differ only in *when* they call the steps. In-process
-//! callers (the local pool, `scidockd` workers) run all three back to back
-//! in [`ActivityCtx::run_activation`]; the distributed master calls `admit`
-//! when the dispatcher submits, `begin` when it ships a `Run` frame, and
-//! `settle` when the `Done` frame (or the worker's death) comes back.
+//! The backends differ only in *when* and *where* they call the steps. The
+//! local pool runs all three back to back in
+//! [`ActivityCtx::run_activation`]. The engine (`crate::engine`, under
+//! `scidockd` and `run_dist`) calls `admit` itself when the dispatcher
+//! submits and leaves the other two to its port: a `scidockd` worker thread
+//! runs `begin` → execute → `settle` in [`ActivityCtx::run_dispatched`]; the
+//! `SDW1` port calls `begin` when it ships a `Run` frame and `settle` when
+//! the `Done` frame (or the worker's death) comes back.
 //!
 //! [`run_scoped`] is the same idea one level up: the prologue and epilogue
 //! of a whole run, shared by the local and distributed backends.
@@ -55,6 +58,17 @@ pub(crate) struct ActOutcome {
     pub(crate) resumed: usize,
 }
 
+impl ActOutcome {
+    /// Fold `out`'s counts (not its tuples) into this running total.
+    pub(crate) fn add(&mut self, out: &ActOutcome) {
+        self.finished += out.finished;
+        self.failed_attempts += out.failed_attempts;
+        self.aborted += out.aborted;
+        self.blacklisted += out.blacklisted;
+        self.resumed += out.resumed;
+    }
+}
+
 pub(crate) fn tally(report: &mut RunReport, out: &ActOutcome) {
     report.finished += out.finished;
     report.failed_attempts += out.failed_attempts;
@@ -85,6 +99,8 @@ pub(crate) struct ActivityCtx {
     run: Arc<RunCtx>,
     act_id: ActivityId,
     pub(crate) tag: String,
+    /// Name of the activity's latency histogram, `activation.<tag>`.
+    pub(crate) hist: String,
     func: ActivityFn,
     blacklist: Option<BlacklistFn>,
     /// Outputs this activity already finished in the resumed-from run.
@@ -158,6 +174,7 @@ impl ActivityCtx {
         ActivityCtx {
             act_id: run.prov.register_activity(run.wkf, &activity.tag, activity.operator.name()),
             tag: activity.tag.clone(),
+            hist: format!("activation.{}", activity.tag),
             func: Arc::clone(&activity.func),
             blacklist: activity.blacklist.clone(),
             prior: run
@@ -243,11 +260,21 @@ impl ActivityCtx {
         Admitted::Run(key)
     }
 
+    /// Fates are keyed by (tag, pair key, attempt) — independent of dispatch
+    /// order and of which backend asks.
+    fn fate(&self, key: &str, attempt: u32) -> Fate {
+        self.run.failures.fate(&format!("{}#{}", self.tag, key), attempt)
+    }
+
+    /// Would this attempt loop forever? The engine asks before it gives the
+    /// attempt a worker slot, and settles a yes as [`Exec::Hung`] itself.
+    pub(crate) fn hangs(&self, key: &str, attempt: u32) -> bool {
+        self.run.failures.hang_rate > 0.0 && self.fate(key, attempt) == Fate::Hang
+    }
+
     /// Step 2: start attempt number `attempt` of the activation `key`.
     pub(crate) fn begin(&self, key: &str, attempt: u32) -> Attempt {
-        // fates are keyed by (tag, pair key, attempt) — independent of
-        // dispatch order and of which backend asks
-        let fate = self.run.failures.fate(&format!("{}#{}", self.tag, key), attempt);
+        let fate = self.fate(key, attempt);
         let start = self.now();
         let slot = self
             .run
@@ -315,17 +342,66 @@ impl ActivityCtx {
         }
     }
 
-    /// All three steps in one place, for backends that execute the activity
-    /// function in this process. `part_index` only names the activation's
-    /// working directory.
-    pub(crate) fn run_activation(&self, part: &[Tuple], part_index: usize) -> ActOutcome {
+    fn activation_span(&self) -> telemetry::Span {
         let tel = &self.run.tel;
+        tel.span("activation", &self.tag).with_histogram(tel.histogram(&self.hist))
+    }
+
+    /// Steps 2 and 3 around the activity function, for callers that execute
+    /// it in this process. `part_index` only names the working directory.
+    fn run_attempt(&self, key: &str, attempt: u32, part: &[Tuple], part_index: usize) -> Settled {
+        let at = self.begin(key, attempt);
+        let mut attempt_span = self.run.tel.span("attempt", &format!("{}#{attempt}", self.tag));
+        let workdir = self.workdir(part_index);
+        let mut ctx = ActivationCtx::new(&self.run.files, &workdir);
+        let (what, exec) = if at.hung() {
+            // the real program would loop forever; the engine detects
+            // and aborts it
+            ("aborted", Exec::Hung)
+        } else {
+            // a panicking activity function is a failed attempt, not a
+            // dead worker thread: the payload is dropped here (the panic
+            // hook already printed it)
+            match catch_unwind(AssertUnwindSafe(|| (self.func)(part, &mut ctx))) {
+                Ok(Ok(tuples)) if !at.doomed() => (
+                    "finished",
+                    Exec::Finished { tuples, files: ctx.produced_files(), params: &ctx.params },
+                ),
+                // injected failure (the work is lost) or domain error
+                Ok(_) => ("failed", Exec::Failed),
+                Err(_) => ("panicked", Exec::Failed),
+            }
+        };
+        attempt_span.set_detail(|| format!("{what} pair={key}"));
+        self.settle(at, exec)
+    }
+
+    /// One dispatched attempt under its own `activation` span, which so
+    /// encloses `settle`: what a worker thread of the engine's thread port
+    /// runs. A retry is a new dispatch, so the span (and the activity's
+    /// latency histogram) counts attempts, as a `scidock-worker` process does.
+    pub(crate) fn run_dispatched(
+        &self,
+        key: &str,
+        attempt: u32,
+        part: &[Tuple],
+        part_index: usize,
+    ) -> Settled {
+        let mut act_span = self.activation_span();
+        let settled = self.run_attempt(key, attempt, part, part_index);
+        act_span.set_detail(|| match &settled {
+            Settled::Retry => format!("failed pair={key} attempt={attempt}"),
+            Settled::Terminal(out) => terminal_detail(out, key, attempt),
+        });
+        settled
+    }
+
+    /// All three steps in one place, retries included, for the local pool.
+    pub(crate) fn run_activation(&self, part: &[Tuple], part_index: usize) -> ActOutcome {
         // one span per activation, covering the whole ready→terminal life
         // including retries; its duration also feeds the per-activity
         // histogram that RunReport::metrics summarises
-        let mut act_span = tel
-            .span("activation", &self.tag)
-            .with_histogram(tel.histogram(&format!("activation.{}", self.tag)));
+        let mut act_span = self.activation_span();
         let key = match self.admit(part) {
             Admitted::Run(key) => key,
             Admitted::Settled(out) => {
@@ -334,52 +410,31 @@ impl ActivityCtx {
                 return out;
             }
         };
-        let workdir = self.workdir(part_index);
         let mut attempt = 0u32;
         loop {
-            let at = self.begin(&key, attempt);
-            let mut attempt_span = tel.span("attempt", &format!("{}#{attempt}", self.tag));
-            let mut ctx = ActivationCtx::new(&self.run.files, &workdir);
-            let (what, exec) = if at.hung() {
-                // the real program would loop forever; the engine detects
-                // and aborts it
-                ("aborted", Exec::Hung)
-            } else {
-                // a panicking activity function is a failed attempt, not a
-                // dead worker thread: the payload is dropped here (the panic
-                // hook already printed it)
-                match catch_unwind(AssertUnwindSafe(|| (self.func)(part, &mut ctx))) {
-                    Ok(Ok(tuples)) if !at.doomed() => (
-                        "finished",
-                        Exec::Finished { tuples, files: ctx.produced_files(), params: &ctx.params },
-                    ),
-                    // injected failure (the work is lost) or domain error
-                    Ok(_) => ("failed", Exec::Failed),
-                    Err(_) => ("panicked", Exec::Failed),
-                }
-            };
-            attempt_span.set_detail(|| format!("{what} pair={key}"));
-            match self.settle(at, exec) {
+            match self.run_attempt(&key, attempt, part, part_index) {
                 Settled::Retry => {
                     attempt += 1;
-                    tel.instant("activation", "retry", Some(&key));
+                    self.run.tel.instant("activation", "retry", Some(&key));
                 }
                 Settled::Terminal(mut out) => {
                     // every earlier attempt of this activation failed
                     out.failed_attempts += attempt as usize;
-                    act_span.set_detail(|| {
-                        if out.finished > 0 {
-                            format!("finished pair={key} retries={attempt}")
-                        } else if out.aborted > 0 {
-                            format!("aborted pair={key}")
-                        } else {
-                            format!("failed-permanently pair={key}")
-                        }
-                    });
+                    act_span.set_detail(|| terminal_detail(&out, &key, attempt));
                     return out;
                 }
             }
         }
+    }
+}
+
+fn terminal_detail(out: &ActOutcome, key: &str, attempt: u32) -> String {
+    if out.finished > 0 {
+        format!("finished pair={key} retries={attempt}")
+    } else if out.aborted > 0 {
+        format!("aborted pair={key}")
+    } else {
+        format!("failed-permanently pair={key}")
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Everything else in this crate runs one workflow and exits; this module
 //! is the paper's cloud-service endgame: a daemon that accepts **campaign**
-//! submissions over TCP (the [`proto`] `SDC1` protocol), multiplexes many
+//! submissions over TCP (the `SDC1` protocol), multiplexes many
 //! campaigns concurrently over one shared elastic worker fleet, and
 //! persists every campaign into one durable provenance store — each
 //! campaign under its own `wkfid` namespace, so results are queryable
@@ -12,32 +12,36 @@
 //! Architecture (all std, no async runtime):
 //!
 //! ```text
-//!   clients ──SDC1──▶ acceptor ──▶ handler threads ──Ctl──▶ ┌────────┐
-//!                                                           │ engine │──▶ obs plane
-//!   workers ◀──────────── WorkerMsg::Run ────────────────── │ thread │    (/campaigns)
-//!      └────────────────── Done/Retired ──────────────────▶ └────────┘
+//!   clients ──SDC1──▶ acceptor ──▶ handler threads ──Ctl──▶ ┌───────────┐
+//!                                                           │ directory │──▶ obs plane
+//!   workers ◀──────────── thread port: Run ──────────────── │ + engine  │    (/campaigns)
+//!      └────────────── Settled / Retired ─────────────────▶ └───────────┘
 //! ```
 //!
-//! * **Engine thread** — owns every campaign, the shared
-//!   [`PipelineState`]s, and the worker fleet. All scheduling decisions
+//! * **Engine thread** — runs admission control and the directory of every
+//!   campaign submitted, on top of the crate's one engine (the module
+//!   `engine`, shared with [`crate::distbackend`]), which holds the *live*
+//!   campaigns' dispatchers and the worker table. All scheduling decisions
 //!   (fair-share pick, admission, elastic scale) happen here, serially, so
-//!   there are no cross-campaign races to reason about.
-//! * **Worker threads** — one slot each; they execute activations through
-//!   the *same* activation lifecycle as the local backend, which is why a
-//!   campaign's canonical PROV-N export is byte-identical to a one-shot run
-//!   of the same workflow.
+//!   there are no cross-campaign races to reason about. A campaign that
+//!   finishes or is cancelled leaves the engine; the directory keeps its
+//!   final counts and results.
+//! * **Worker threads** — the engine's thread port: one slot each; they
+//!   run every attempt through the *same* activation lifecycle as the local
+//!   backend, on their own thread, which is why a campaign's canonical
+//!   PROV-N export is byte-identical to a one-shot run of the same workflow.
 //! * **Fair share** — each free slot goes to the ready campaign whose
 //!   tenant currently holds the fewest slots (ties: higher priority, then
 //!   lower campaign id). A heavy tenant with ten campaigns cannot starve a
 //!   light tenant with one.
 //! * **Admission control** — a bounded pending queue and a per-tenant quota
-//!   on live campaigns. Over either bound the daemon answers
-//!   [`Reject`](proto::Msg::Reject) with a retry-after hint instead of
-//!   queueing unboundedly: backpressure is explicit and immediate.
-//! * **Elastic fleet** — the same [`Scheduler`](crate::fleet::Scheduler) /
-//!   [`FleetController`] machinery the distributed backend and the
-//!   simulator use, fed a [`FleetSnapshot`] aggregated across campaigns;
-//!   `Grow` spawns worker threads, `Shrink` drains idle ones.
+//!   on live campaigns. Over either bound the daemon answers `Reject` with a
+//!   retry-after hint ([`SubmitOutcome::Rejected`]) instead of queueing
+//!   unboundedly: backpressure is explicit and immediate.
+//! * **Elastic fleet** — the same [`Scheduler`](crate::fleet::Scheduler)
+//!   machinery the distributed backend and the simulator use, fed a
+//!   [`FleetSnapshot`](crate::fleet::FleetSnapshot) aggregated across live
+//!   campaigns; `Grow` spawns worker threads, `Shrink` drains them.
 //! * **Steering** — one daemon-wide [`SteeringBridge`] publishes in-flight
 //!   activations of *every* campaign into the shared store on a tick, so
 //!   the paper's §V.C runtime queries answer mid-run, across campaigns.
@@ -51,17 +55,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cloudsim::FailureModel;
-use provenance::{ProvenanceStore, WorkflowId};
+use provenance::ProvenanceStore;
 use telemetry::Telemetry;
 
 use crate::algebra::{Relation, Tuple};
 use crate::backend::Workflow;
-use crate::dispatch::{PipelineState, SubmitReq};
-use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView};
-use crate::lifecycle::{ActOutcome, ActivityCtx, RunCtx};
-use crate::obs::{
-    BoundAddr, CampaignRow, EventLog, HealthView, ObsServer, ObsState, Severity, WorkerHealth,
-};
+use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort, TICK};
+use crate::error::CumulusError;
+use crate::fleet::SchedulerFactory;
+use crate::lifecycle::{ActivityCtx, Attempt, RunCtx};
+use crate::obs::{BoundAddr, CampaignRow, EventLog, ObsServer, ObsState, Severity};
 use crate::steer::SteeringBridge;
 
 pub(crate) mod proto;
@@ -360,7 +363,8 @@ fn unexpected(msg: &proto::Msg) -> std::io::Error {
 
 // ------------------------------------------------------------------ daemon
 
-/// The running daemon: `SDC1` listener + engine + worker fleet.
+/// The running daemon: `SDC1` listener, admission control and the campaign
+/// directory over the one engine, whose workers are threads of this process.
 #[derive(Debug)]
 pub struct Daemon {
     addr: SocketAddr,
@@ -409,11 +413,42 @@ impl Daemon {
         };
 
         let (tx, rx) = channel::<EngineMsg>();
-        let engine =
-            Engine::new(cfg, resolver, Arc::clone(&prov), epoch, bridge.clone(), obs, tx.clone());
+        let tel = cfg.telemetry.clone();
+        let engine = Engine::new(
+            ThreadPort { tx: tx.clone(), tel: tel.clone(), workers: Vec::new(), fresh: 0 },
+            EngineCfg {
+                floor: cfg.min_workers.max(1),
+                ceiling: cfg.max_workers,
+                // threads of this process are neither lost nor silent
+                reassign_budget: 0,
+                heartbeat_timeout: None,
+                activation_timeout: None,
+                straggler: None,
+                tel: tel.clone(),
+                events: cfg.events.clone(),
+                epoch,
+                obs: obs.clone(),
+            },
+            cfg.scheduler.as_ref(),
+        );
+        let directory = Directory {
+            cfg,
+            resolver,
+            prov: Arc::clone(&prov),
+            tel,
+            epoch,
+            bridge: bridge.clone(),
+            obs,
+            campaigns: HashMap::new(),
+            order: Vec::new(),
+            pending: VecDeque::new(),
+            engine,
+            stale: true,
+            sampled: [None; 2],
+        };
         let engine_thread = std::thread::Builder::new()
             .name("scidockd-engine".into())
-            .spawn(move || engine.run(rx))?;
+            .spawn(move || directory.run(rx))?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -449,7 +484,7 @@ impl Daemon {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let _ = self.engine_tx.send(EngineMsg::Ctl(Ctl::Shutdown));
+        let _ = self.engine_tx.send(EngineMsg::Shutdown);
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
         }
@@ -484,16 +519,13 @@ fn accept_loop(
                     .name("scidockd-conn".into())
                     .spawn(move || handle_client(stream, tx, prov, stop));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// Serve one client connection: forward control requests to the engine,
-/// answer provenance queries directly against the shared store.
+/// Serve one client connection: forward campaign requests to the engine
+/// thread, answer provenance queries directly against the shared store.
 fn handle_client(
     mut stream: TcpStream,
     tx: Sender<EngineMsg>,
@@ -521,12 +553,10 @@ fn handle_client(
                 Ok(rs) => proto::Msg::QueryReply { columns: rs.columns, rows: rs.rows },
                 Err(e) => proto::Msg::Error { msg: e.to_string() },
             },
-            proto::Msg::Submit { tenant, priority, spec } => {
-                ask(&tx, |reply| Ctl::Submit { tenant, priority, spec, reply })
-            }
-            proto::Msg::Status { id } => ask(&tx, |reply| Ctl::Status { id, reply }),
-            proto::Msg::Results { id } => ask(&tx, |reply| Ctl::Results { id, reply }),
-            proto::Msg::Cancel { id } => ask(&tx, |reply| Ctl::Cancel { id, reply }),
+            proto::Msg::Submit { .. }
+            | proto::Msg::Status { .. }
+            | proto::Msg::Results { .. }
+            | proto::Msg::Cancel { .. } => ask(&tx, msg),
             other => proto::Msg::Error { msg: format!("client sent a server frame {other:?}") },
         };
         if proto::write_msg(&mut stream, &reply).is_err() {
@@ -535,476 +565,279 @@ fn handle_client(
     }
 }
 
-/// Round-trip one control request through the engine thread.
-fn ask(tx: &Sender<EngineMsg>, make: impl FnOnce(Sender<proto::Msg>) -> Ctl) -> proto::Msg {
+/// Round-trip one campaign request through the engine thread.
+fn ask(tx: &Sender<EngineMsg>, request: proto::Msg) -> proto::Msg {
     let (reply_tx, reply_rx) = channel();
-    if tx.send(EngineMsg::Ctl(make(reply_tx))).is_err() {
-        return proto::Msg::Error { msg: "daemon is shutting down".to_string() };
+    let _ = tx.send(EngineMsg::Ask(request, reply_tx));
+    let error = |msg: &str| proto::Msg::Error { msg: msg.to_string() };
+    match reply_rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(reply) => reply,
+        Err(RecvTimeoutError::Timeout) => error("daemon did not answer"),
+        // the engine thread left its loop, before or after the request
+        Err(RecvTimeoutError::Disconnected) => error("daemon is shutting down"),
     }
-    reply_rx
-        .recv_timeout(Duration::from_secs(30))
-        .unwrap_or(proto::Msg::Error { msg: "daemon did not answer".to_string() })
 }
 
-// ------------------------------------------------------------------ engine
+// ------------------------------------------------------------- thread port
 
-enum Ctl {
-    Submit { tenant: String, priority: u8, spec: String, reply: Sender<proto::Msg> },
-    Status { id: u64, reply: Sender<proto::Msg> },
-    Results { id: u64, reply: Sender<proto::Msg> },
-    Cancel { id: u64, reply: Sender<proto::Msg> },
+/// What the engine thread wakes for.
+enum EngineMsg {
+    /// A client's `Submit`, `Status`, `Results` or `Cancel`, and where the
+    /// answer goes.
+    Ask(proto::Msg, Sender<proto::Msg>),
+    Port(PortEvent),
     Shutdown,
 }
 
-enum EngineMsg {
-    Ctl(Ctl),
-    Done { worker: usize, campaign: u64, activity: usize, outcome: ActOutcome, elapsed_ns: u64 },
-    Retired { worker: usize },
+enum WorkerMsg {
+    Run { id: u64, ctx: Arc<ActivityCtx>, job: Job },
+    Drain,
 }
 
-impl std::fmt::Debug for EngineMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineMsg::Ctl(_) => write!(f, "Ctl(..)"),
-            EngineMsg::Done { worker, campaign, activity, .. } => {
-                write!(f, "Done{{worker:{worker},campaign:{campaign},activity:{activity}}}")
+/// The engine's port onto worker threads of this process, one activation
+/// slot each. A worker runs `begin` → execute → `settle` itself, through the
+/// same lifecycle as the local backend — which is why a campaign's canonical
+/// PROV-N is byte-identical to a one-shot run's, and why the provenance
+/// commits of different workers overlap instead of queueing on the engine
+/// thread.
+struct ThreadPort {
+    tx: Sender<EngineMsg>,
+    tel: Telemetry,
+    workers: Vec<(Sender<WorkerMsg>, Option<JoinHandle<()>>)>,
+    /// Launched since the engine last asked.
+    fresh: usize,
+}
+
+impl WorkerPort for ThreadPort {
+    fn slots(&self) -> usize {
+        1
+    }
+
+    fn launch(&mut self) -> Result<(), CumulusError> {
+        let worker = self.workers.len();
+        let (tx, rx) = channel::<WorkerMsg>();
+        let (events, tel) = (self.tx.clone(), self.tel.clone());
+        let name = format!("scidockd-worker-{worker}");
+        let handle = std::thread::Builder::new().name(name.clone()).spawn(move || {
+            tel.name_current_track(&name);
+            let mut completed = 0;
+            while let Ok(WorkerMsg::Run { id, ctx, job }) = rx.recv() {
+                let settled = ctx.run_dispatched(&job.key, job.attempt, &job.part, job.part_index);
+                completed += 1;
+                let ev = PortEvent::Settled { worker, job: id, settled };
+                if events.send(EngineMsg::Port(ev)).is_err() {
+                    return; // the engine is gone; no one to retire to
+                }
             }
-            EngineMsg::Retired { worker } => write!(f, "Retired{{worker:{worker}}}"),
+            let _ = events.send(EngineMsg::Port(PortEvent::Retired { worker, completed }));
+        })?;
+        self.workers.push((tx, Some(handle)));
+        self.fresh += 1;
+        Ok(())
+    }
+
+    fn joined(&mut self) -> Result<(usize, usize), CumulusError> {
+        Ok((std::mem::take(&mut self.fresh), 0))
+    }
+
+    fn run(&mut self, worker: usize, id: u64, ctx: &Arc<ActivityCtx>, job: &Job) -> bool {
+        let msg = WorkerMsg::Run { id, ctx: Arc::clone(ctx), job: job.clone() };
+        self.workers[worker].0.send(msg).is_ok()
+    }
+
+    fn drain(&mut self, worker: usize) -> bool {
+        self.workers[worker].0.send(WorkerMsg::Drain).is_ok()
+    }
+
+    fn sever(&mut self, worker: usize) -> Vec<(u64, Attempt)> {
+        // only ever a thread that has left its loop (retired, or dead)
+        if let Some(h) = self.workers[worker].1.take() {
+            let _ = h.join();
+        }
+        Vec::new() // attempts begin and settle on the worker thread
+    }
+
+    fn shutdown(&mut self) {
+        for worker in 0..self.workers.len() {
+            self.drain(worker);
+        }
+        for worker in 0..self.workers.len() {
+            self.sever(worker);
         }
     }
 }
 
-enum WorkerMsg {
-    Run {
-        campaign: u64,
-        activity: usize,
-        part: Vec<Tuple>,
-        part_index: usize,
-        ctx: Arc<ActivityCtx>,
-    },
-    Drain,
-}
+// --------------------------------------------------------------- directory
 
-struct WorkerSlot {
-    tx: Sender<WorkerMsg>,
-    handle: Option<JoinHandle<()>>,
-    /// Campaign currently running on this worker (one slot per worker).
-    busy: Option<u64>,
-    draining: bool,
-    alive: bool,
-}
-
+/// One campaign as the daemon remembers it. While it runs its progress lives
+/// in the engine; what is kept here is frozen when it leaves the engine.
 struct Campaign {
-    id: u64,
     tenant: String,
     priority: u8,
     state: CampaignState,
     /// Resolved workflow, consumed at start time.
     wf: Option<Workflow>,
-    wkf: Option<WorkflowId>,
-    pipe: Option<PipelineState>,
-    ctxs: Vec<Arc<ActivityCtx>>,
-    ready: VecDeque<SubmitReq>,
-    in_flight: usize,
-    done: u64,
-    total: u64,
     submitted_at: Instant,
     saw_first_result: bool,
-    cancel_requested: bool,
+    done: u64,
+    total: u64,
+    p95_ms: f64,
     outputs: Option<Vec<Relation>>,
-    /// Dispatch→completion latency per activation, nanoseconds. Emptied
-    /// when the campaign becomes terminal (see `p95_final`).
-    lat_ns: Vec<u64>,
-    /// The p95 of a terminal campaign, computed once at the transition: the
-    /// observability refresh runs after every engine message and lists every
-    /// campaign ever submitted, so only live ones may cost a sort.
-    p95_final: Option<f64>,
 }
 
-impl Campaign {
-    fn live(&self) -> bool {
-        matches!(self.state, CampaignState::Pending | CampaignState::Running)
-    }
-
-    fn p95_ms(&self, tel: &Telemetry) -> f64 {
-        if let Some(p95) = self.p95_final {
-            return p95;
-        }
-        if self.lat_ns.is_empty() {
-            return 0.0;
-        }
-        tel.count("campaign.p95_sorts", 1);
-        let mut v = self.lat_ns.clone();
-        v.sort_unstable();
-        let idx = ((v.len() as f64 * 0.95).ceil() as usize).clamp(1, v.len()) - 1;
-        v[idx] as f64 / 1e6
-    }
-
-    /// The campaign just became terminal: no more latencies will arrive.
-    fn freeze_p95(&mut self, tel: &Telemetry) {
-        self.p95_final = Some(self.p95_ms(tel));
-        self.lat_ns = Vec::new();
-    }
-}
-
-struct Engine {
+/// What runs on the engine thread: admission control and the directory of
+/// every campaign submitted, on top of the engine that runs the live ones.
+struct Directory {
     cfg: ServeConfig,
     resolver: CampaignResolver,
     prov: Arc<ProvenanceStore>,
     tel: Telemetry,
-    events: Option<EventLog>,
     epoch: Instant,
     bridge: Option<Arc<SteeringBridge>>,
     obs: Option<ObsState>,
+    /// Campaign ids count from 1, in submission order.
     campaigns: HashMap<u64, Campaign>,
     /// Submission order (stable display order for `/campaigns`).
     order: Vec<u64>,
     pending: VecDeque<u64>,
-    next_id: u64,
-    workers: Vec<WorkerSlot>,
-    fleet: FleetController,
-    /// Cloned into every worker thread for Done/Retired sends.
-    worker_tx: Sender<EngineMsg>,
-    shutting_down: bool,
+    engine: Engine<ThreadPort>,
+    /// A campaign changed state since `/campaigns` was last rebuilt.
+    stale: bool,
+    /// `campaign.active` / `campaign.queued` as last sampled.
+    sampled: [Option<usize>; 2],
 }
 
-impl Engine {
-    fn new(
-        cfg: ServeConfig,
-        resolver: CampaignResolver,
-        prov: Arc<ProvenanceStore>,
-        epoch: Instant,
-        bridge: Option<Arc<SteeringBridge>>,
-        obs: Option<ObsState>,
-        worker_tx: Sender<EngineMsg>,
-    ) -> Engine {
-        let fleet = match &cfg.scheduler {
-            Some(f) => FleetController::new(f),
-            None => FleetController::fixed(),
-        };
-        let tel = cfg.telemetry.clone();
-        let events = cfg.events.clone();
-        Engine {
-            cfg,
-            resolver,
-            prov,
-            tel,
-            events,
-            epoch,
-            bridge,
-            obs,
-            campaigns: HashMap::new(),
-            order: Vec::new(),
-            pending: VecDeque::new(),
-            next_id: 1,
-            workers: Vec::new(),
-            fleet,
-            worker_tx,
-            shutting_down: false,
-        }
-    }
-
+impl Directory {
     fn run(mut self, rx: Receiver<EngineMsg>) {
-        for _ in 0..self.cfg.workers.max(1) {
-            self.spawn_worker();
-        }
-        self.tel.gauge("fleet.size", self.provisioned() as f64);
+        self.tel.name_current_track("scidockd-engine");
+        let workers = self.cfg.workers.max(1);
+        self.engine.launch(workers).expect("spawn serve worker threads");
         loop {
-            match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(msg) => self.handle(msg),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if !self.shutting_down {
-                self.start_pending();
-                self.dispatch();
-            } else if self.workers.iter().all(|w| !w.alive) {
-                break;
-            }
-            self.refresh_obs();
-        }
-    }
-
-    fn emit(&self, severity: Severity, kind: &str, fields: &[(&str, String)]) {
-        if let Some(ev) = &self.events {
-            ev.emit(self.epoch.elapsed().as_secs_f64(), severity, kind, fields);
-        }
-    }
-
-    // ------------------------------------------------------------ workers
-
-    fn spawn_worker(&mut self) {
-        let index = self.workers.len();
-        let (tx, rx) = channel::<WorkerMsg>();
-        let done_tx = self.worker_tx.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("scidockd-worker-{index}"))
-            .spawn(move || worker_loop(rx, done_tx, index))
-            .expect("spawn serve worker thread");
-        self.workers.push(WorkerSlot {
-            tx,
-            handle: Some(handle),
-            busy: None,
-            draining: false,
-            alive: true,
-        });
-    }
-
-    /// Workers serving new activations: alive and not draining.
-    fn provisioned(&self) -> usize {
-        self.workers.iter().filter(|w| w.alive && !w.draining).count()
-    }
-
-    fn snapshot(&self) -> FleetSnapshot {
-        let queued: usize = self.campaigns.values().map(|c| c.ready.len()).sum();
-        let in_flight: usize = self.campaigns.values().map(|c| c.in_flight).sum();
-        let idle =
-            self.workers.iter().filter(|w| w.alive && !w.draining && w.busy.is_none()).count();
-        let n_acts = self
-            .campaigns
-            .values()
-            .filter(|c| c.state == CampaignState::Running)
-            .map(|c| c.ctxs.len())
-            .max()
-            .unwrap_or(0);
-        let mut queued_by_activity = vec![0usize; n_acts];
-        for c in self.campaigns.values() {
-            for req in &c.ready {
-                if req.activity < queued_by_activity.len() {
-                    queued_by_activity[req.activity] += 1;
+            let handled = match rx.recv_timeout(TICK) {
+                Ok(EngineMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+                Ok(EngineMsg::Ask(request, reply)) => {
+                    let _ = reply.send(self.answer(request));
+                    Ok(())
                 }
+                Ok(EngineMsg::Port(ev)) => self.engine.handle(ev),
+                Err(RecvTimeoutError::Timeout) => Ok(()),
+            };
+            self.start_pending();
+            // the daemon outlives an engine error: it is the operator's to read
+            if let Err(e) = handled.and(self.engine.pump()) {
+                self.engine.emit(Severity::Error, "engine_error", &[("error", e.to_string())]);
+            }
+            self.reap();
+            if self.engine.tick() || self.stale {
+                self.refresh_obs();
             }
         }
-        FleetSnapshot {
-            completions: 0, // overwritten by the controller
-            queued,
-            in_flight,
-            fleet: self.provisioned(),
-            idle,
-            slots_per_worker: 1,
-            queued_by_activity,
-            stragglers: 0,
-        }
+        self.engine.shutdown();
     }
 
-    fn apply_scale(&mut self, decision: ScaleDecision) {
-        match decision {
-            ScaleDecision::Hold => return,
-            ScaleDecision::Grow(n) => {
-                let room = self.cfg.max_workers.saturating_sub(self.provisioned());
-                let grow = n.min(room);
-                for _ in 0..grow {
-                    self.spawn_worker();
+    /// Campaign `id` was `what`: count it and say so in the event log.
+    fn transition(&mut self, severity: Severity, what: &str, id: u64, more: &[(&str, String)]) {
+        self.stale = true;
+        self.tel.count(&format!("campaign.{what}"), 1);
+        let tenant = self.campaigns[&id].tenant.clone();
+        let mut fields = vec![("campaign", id.to_string()), ("tenant", tenant)];
+        fields.extend_from_slice(more);
+        self.engine.emit(severity, &format!("campaign_{what}"), &fields);
+    }
+
+    fn answer(&mut self, request: proto::Msg) -> proto::Msg {
+        let unknown = |id: u64| proto::Msg::Error { msg: format!("unknown campaign {id}") };
+        match request {
+            proto::Msg::Submit { tenant, priority, spec } => self.admit(tenant, priority, spec),
+            proto::Msg::Status { id } => match self.campaigns.get(&id) {
+                Some(c) => {
+                    let (tenant, state, (done, total)) =
+                        (c.tenant.clone(), c.state, self.progress(id, c));
+                    proto::Msg::StatusReply { id, tenant, state, done, total }
                 }
-                if grow > 0 {
-                    self.emit(
-                        Severity::Info,
-                        "fleet_scale",
-                        &[
-                            ("decision", format!("grow {grow}")),
-                            ("fleet", self.provisioned().to_string()),
-                        ],
-                    );
-                }
-            }
-            ScaleDecision::Shrink(n) => {
-                let floor = self.cfg.min_workers.max(1);
-                let can = self.provisioned().saturating_sub(floor);
-                let mut left = n.min(can);
-                let mut drained = 0usize;
-                for w in self.workers.iter_mut() {
-                    if left == 0 {
-                        break;
-                    }
-                    if w.alive && !w.draining && w.busy.is_none() {
-                        let _ = w.tx.send(WorkerMsg::Drain);
-                        w.draining = true;
-                        left -= 1;
-                        drained += 1;
+                None => unknown(id),
+            },
+            proto::Msg::Results { id } => match self.campaigns.get(&id) {
+                Some(Campaign { outputs: Some(outs), .. }) => {
+                    let last = outs.last();
+                    proto::Msg::ResultsReply {
+                        columns: last.map(|r| r.columns.clone()).unwrap_or_default(),
+                        tuples: last.map(|r| r.tuples.clone()).unwrap_or_default(),
                     }
                 }
-                if drained > 0 {
-                    self.emit(
-                        Severity::Info,
-                        "fleet_scale",
-                        &[
-                            ("decision", format!("drain {drained}")),
-                            ("fleet", self.provisioned().to_string()),
-                        ],
-                    );
+                Some(c) => {
+                    proto::Msg::Error { msg: format!("campaign {id} is {}", c.state.as_str()) }
                 }
-            }
-        }
-        self.tel.gauge("fleet.size", self.provisioned() as f64);
-    }
-
-    // ---------------------------------------------------------- lifecycle
-
-    fn handle(&mut self, msg: EngineMsg) {
-        match msg {
-            EngineMsg::Ctl(ctl) => self.handle_ctl(ctl),
-            EngineMsg::Done { worker, campaign, activity, outcome, elapsed_ns } => {
-                if let Some(w) = self.workers.get_mut(worker) {
-                    w.busy = None;
-                }
-                self.fleet.note_completion();
-                self.handle_done(campaign, activity, outcome, elapsed_ns);
-                let snap = self.snapshot();
-                let decision = self.fleet.evaluate(snap);
-                self.apply_scale(decision);
-            }
-            EngineMsg::Retired { worker } => {
-                if let Some(w) = self.workers.get_mut(worker) {
-                    w.alive = false;
-                    w.draining = true;
-                    if let Some(h) = w.handle.take() {
-                        let _ = h.join();
-                    }
-                }
-                self.tel.gauge("fleet.size", self.provisioned() as f64);
-            }
+                None => unknown(id),
+            },
+            proto::Msg::Cancel { id } => match self.cancel(id) {
+                Some(cancelled) => proto::Msg::CancelReply { cancelled },
+                None => unknown(id),
+            },
+            other => proto::Msg::Error { msg: format!("not a campaign request: {other:?}") },
         }
     }
 
-    fn handle_ctl(&mut self, ctl: Ctl) {
-        match ctl {
-            Ctl::Submit { tenant, priority, spec, reply } => {
-                let msg = self.admit(tenant, priority, spec);
-                let _ = reply.send(msg);
-            }
-            Ctl::Status { id, reply } => {
-                let msg = match self.campaigns.get(&id) {
-                    Some(c) => proto::Msg::StatusReply {
-                        id,
-                        tenant: c.tenant.clone(),
-                        state: c.state,
-                        done: c.done,
-                        total: c.total.max(c.pipe.as_ref().map_or(0, |p| p.submitted() as u64)),
-                    },
-                    None => proto::Msg::Error { msg: format!("unknown campaign {id}") },
-                };
-                let _ = reply.send(msg);
-            }
-            Ctl::Results { id, reply } => {
-                let msg = match self.campaigns.get(&id) {
-                    Some(c) => match (&c.state, &c.outputs) {
-                        (CampaignState::Finished, Some(outs)) => {
-                            let last = outs.last();
-                            proto::Msg::ResultsReply {
-                                columns: last.map(|r| r.columns.clone()).unwrap_or_default(),
-                                tuples: last.map(|r| r.tuples.clone()).unwrap_or_default(),
-                            }
-                        }
-                        _ => proto::Msg::Error {
-                            msg: format!("campaign {id} is {}", c.state.as_str()),
-                        },
-                    },
-                    None => proto::Msg::Error { msg: format!("unknown campaign {id}") },
-                };
-                let _ = reply.send(msg);
-            }
-            Ctl::Cancel { id, reply } => {
-                let msg = match self.cancel(id) {
-                    Some(cancelled) => proto::Msg::CancelReply { cancelled },
-                    None => proto::Msg::Error { msg: format!("unknown campaign {id}") },
-                };
-                let _ = reply.send(msg);
-            }
-            Ctl::Shutdown => {
-                self.shutting_down = true;
-                for w in self.workers.iter_mut() {
-                    if w.alive && !w.draining {
-                        let _ = w.tx.send(WorkerMsg::Drain);
-                        w.draining = true;
-                    }
-                }
-            }
-        }
+    /// `(done, total)` activations of a campaign: the engine's count while
+    /// it runs, the frozen one otherwise.
+    fn progress(&self, id: u64, c: &Campaign) -> (u64, u64) {
+        self.engine.run(id).map_or((c.done, c.total), |r| (r.done, r.submitted()))
+    }
+
+    fn reject(&self, tenant: String, reason: String, retry_after_ms: u64) -> proto::Msg {
+        self.tel.count("campaign.rejected", 1);
+        let fields = [("tenant", tenant), ("reason", reason.clone())];
+        self.engine.emit(Severity::Warn, "campaign_rejected", &fields);
+        proto::Msg::Reject { reason, retry_after_ms }
     }
 
     /// Admission control: bounded pending queue, per-tenant quota, then
     /// spec resolution. Rejections are explicit backpressure, never queued.
     fn admit(&mut self, tenant: String, priority: u8, spec: String) -> proto::Msg {
-        let reject = |engine: &Engine, reason: &str, retry: u64, tenant: &str| {
-            engine.tel.count("campaign.rejected", 1);
-            engine.emit(
-                Severity::Warn,
-                "campaign_rejected",
-                &[("tenant", tenant.to_string()), ("reason", reason.to_string())],
-            );
-            proto::Msg::Reject { reason: reason.to_string(), retry_after_ms: retry }
-        };
-        if self.shutting_down {
-            return reject(self, "daemon is shutting down", 0, &tenant);
-        }
+        let retry = self.cfg.retry_after_ms;
         if self.pending.len() >= self.cfg.max_pending {
-            return reject(self, "pending queue full", self.cfg.retry_after_ms, &tenant);
+            return self.reject(tenant, "pending queue full".into(), retry);
         }
-        let live = self.campaigns.values().filter(|c| c.live() && c.tenant == tenant).count();
-        if live >= self.cfg.tenant_quota {
-            return reject(self, "tenant quota exceeded", self.cfg.retry_after_ms, &tenant);
+        let live = |c: &&Campaign| {
+            matches!(c.state, CampaignState::Pending | CampaignState::Running) && c.tenant == tenant
+        };
+        if self.campaigns.values().filter(live).count() >= self.cfg.tenant_quota {
+            return self.reject(tenant, "tenant quota exceeded".into(), retry);
         }
-        let wf = match (self.resolver)(&spec) {
-            Some(wf) => wf,
-            None => return reject(self, "unknown spec", 0, &tenant),
+        let Some(wf) = (self.resolver)(&spec) else {
+            return self.reject(tenant, "unknown spec".into(), 0);
         };
         if let Err(e) = wf.def.validate() {
-            return reject(self, &format!("invalid workflow: {e}"), 0, &tenant);
+            return self.reject(tenant, format!("invalid workflow: {e}"), 0);
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.order.len() as u64 + 1;
         self.campaigns.insert(
             id,
             Campaign {
-                id,
-                tenant: tenant.clone(),
+                tenant,
                 priority,
                 state: CampaignState::Pending,
                 wf: Some(wf),
-                wkf: None,
-                pipe: None,
-                ctxs: Vec::new(),
-                ready: VecDeque::new(),
-                in_flight: 0,
-                done: 0,
-                total: 0,
                 submitted_at: Instant::now(),
                 saw_first_result: false,
-                cancel_requested: false,
+                done: 0,
+                total: 0,
+                p95_ms: 0.0,
                 outputs: None,
-                lat_ns: Vec::new(),
-                p95_final: None,
             },
         );
         self.order.push(id);
         self.pending.push_back(id);
-        self.tel.count("campaign.submitted", 1);
-        self.emit(
-            Severity::Info,
-            "campaign_submitted",
-            &[
-                ("campaign", id.to_string()),
-                ("tenant", tenant),
-                ("spec", spec),
-                ("priority", priority.to_string()),
-            ],
-        );
+        let more = [("spec", spec), ("priority", priority.to_string())];
+        self.transition(Severity::Info, "submitted", id, &more);
         proto::Msg::Accept { id }
     }
 
-    /// Instantiate pending campaigns while concurrency slots are free.
+    /// Hand pending campaigns to the engine while concurrency slots are free.
     fn start_pending(&mut self) {
-        loop {
-            let running =
-                self.campaigns.values().filter(|c| c.state == CampaignState::Running).count();
-            if running >= self.cfg.max_active {
-                return;
-            }
+        while self.engine.runs.len() < self.cfg.max_active {
             let Some(id) = self.pending.pop_front() else { return };
-            let c = self.campaigns.get_mut(&id).expect("pending id is live");
-            if c.state != CampaignState::Pending {
-                continue; // cancelled while queued
-            }
+            let c = self.campaigns.get_mut(&id).expect("pending id is in the directory");
             let wf = c.wf.take().expect("pending campaign holds its workflow");
             let wkf = self.prov.begin_workflow(&wf.def.tag, &wf.def.description, &wf.def.expdir);
             // the activation lifecycle every backend shares, so the
@@ -1020,251 +853,90 @@ impl Engine {
                 start_base: self.epoch,
                 tel: self.tel.clone(),
                 bridge: self.bridge.clone(),
-                events: self.events.clone(),
+                events: self.cfg.events.clone(),
             });
             let ctxs = ActivityCtx::build_all(&wf.def, &run);
-            let (pipe, seeds) = PipelineState::new(Arc::new(wf.def), &wf.input, self.tel.clone());
-            c.wkf = Some(wkf);
-            c.ctxs = ctxs;
-            c.ready = seeds.into();
-            c.pipe = Some(pipe);
             c.state = CampaignState::Running;
-            self.tel.count("campaign.started", 1);
-            let tenant = c.tenant.clone();
-            self.emit(
-                Severity::Info,
-                "campaign_started",
-                &[("campaign", id.to_string()), ("tenant", tenant), ("wkfid", wkf.0.to_string())],
-            );
-            // a campaign with no seeds (empty input) finishes immediately
-            self.try_finish(id);
+            self.engine.add_run(id, &c.tenant, c.priority, Arc::new(wf.def), &wf.input, ctxs);
+            self.transition(Severity::Info, "started", id, &[("wkfid", wkf.0.to_string())]);
         }
     }
 
-    /// Fair-share pick: the ready campaign whose tenant holds the fewest
-    /// worker slots right now; ties broken by priority (higher first), then
-    /// by campaign id (older first).
-    fn pick_campaign(&self) -> Option<u64> {
-        let mut tenant_load: HashMap<&str, usize> = HashMap::new();
-        for c in self.campaigns.values() {
-            *tenant_load.entry(c.tenant.as_str()).or_insert(0) += c.in_flight;
-        }
-        self.campaigns
-            .values()
-            .filter(|c| c.state == CampaignState::Running && !c.ready.is_empty())
-            .min_by_key(|c| {
-                (
-                    *tenant_load.get(c.tenant.as_str()).unwrap_or(&0),
-                    std::cmp::Reverse(c.priority),
-                    c.id,
-                )
-            })
-            .map(|c| c.id)
-    }
-
-    /// Hand every idle worker slot one activation, fair-share across
-    /// campaigns, placement via the fleet policy.
-    fn dispatch(&mut self) {
-        loop {
-            let candidates: Vec<WorkerView> = self
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.alive && !w.draining && w.busy.is_none())
-                .map(|(i, _)| WorkerView { index: i, in_flight: 0 })
-                .collect();
-            if candidates.is_empty() {
-                return;
-            }
-            let Some(cid) = self.pick_campaign() else { return };
-            let c = self.campaigns.get_mut(&cid).expect("picked campaign exists");
-            let req = c.ready.pop_front().expect("picked campaign has ready work");
-            let ctx = Arc::clone(&c.ctxs[req.activity]);
-            c.in_flight += 1;
-            let widx =
-                self.fleet.place(req.activity, &candidates).expect("candidates is non-empty");
-            let w = &mut self.workers[widx];
-            w.busy = Some(cid);
-            let _ = w.tx.send(WorkerMsg::Run {
-                campaign: cid,
-                activity: req.activity,
-                part: req.part,
-                part_index: req.part_index,
-                ctx,
-            });
-        }
-    }
-
-    fn handle_done(&mut self, cid: u64, activity: usize, outcome: ActOutcome, elapsed_ns: u64) {
-        let Some(c) = self.campaigns.get_mut(&cid) else { return };
-        c.in_flight = c.in_flight.saturating_sub(1);
-        c.done += 1;
-        c.lat_ns.push(elapsed_ns);
-        if !c.saw_first_result && outcome.finished > 0 {
-            c.saw_first_result = true;
-            let since_submit = c.submitted_at.elapsed().as_nanos() as u64;
-            if let Some(h) = self.tel.histogram("campaign.first_result") {
-                h.record(since_submit);
+    /// Book what the engine's last turn did to the campaigns: a first
+    /// result, and runs that closed — `Finished` when the pipeline did,
+    /// `Cancelled` when the client asked and the in-flight tail has drained.
+    fn reap(&mut self) {
+        let closed = std::mem::take(&mut self.engine.closed);
+        for run in self.engine.runs.iter().chain(&closed) {
+            let c = self.campaigns.get_mut(&run.id).expect("every run is in the directory");
+            if !c.saw_first_result && run.tally.finished > 0 {
+                c.saw_first_result = true;
+                if let Some(h) = self.tel.histogram("campaign.first_result") {
+                    h.record(c.submitted_at.elapsed().as_nanos() as u64);
+                }
             }
         }
-        if c.cancel_requested {
-            // ready queue is already dropped; just drain in-flight
-            self.try_finish(cid);
-            return;
-        }
-        if let Some(pipe) = c.pipe.as_mut() {
-            let more = pipe.on_completion(activity, &outcome.tuples);
-            c.ready.extend(more);
-        }
-        self.try_finish(cid);
-    }
-
-    /// Transition a running campaign to its terminal state when no work
-    /// remains: `Finished` when the pipeline closed, `Cancelled` when the
-    /// client asked and the in-flight tail has drained.
-    fn try_finish(&mut self, cid: u64) {
-        let Some(c) = self.campaigns.get_mut(&cid) else { return };
-        if c.state != CampaignState::Running || c.in_flight > 0 {
-            return;
-        }
-        if c.cancel_requested {
-            c.state = CampaignState::Cancelled;
-            c.freeze_p95(&self.tel);
-            c.pipe = None;
-            c.ctxs.clear();
+        for run in closed {
+            let (id, activations) = (run.id, ("activations", run.done.to_string()));
+            let c = self.campaigns.get_mut(&id).expect("every run is in the directory");
+            (c.done, c.total, c.p95_ms) = (run.done, run.submitted(), run.p95_ms(&self.tel));
+            // the campaign's terminal rows must survive a daemon crash
             self.prov.flush_wal();
-            self.tel.count("campaign.cancelled", 1);
-            let tenant = c.tenant.clone();
-            self.emit(
-                Severity::Warn,
-                "campaign_cancelled",
-                &[("campaign", cid.to_string()), ("tenant", tenant)],
-            );
-            return;
+            if run.cancelled {
+                c.state = CampaignState::Cancelled;
+                self.transition(Severity::Warn, "cancelled", id, &[]);
+            } else {
+                c.state = CampaignState::Finished;
+                c.outputs = Some(run.into_outputs());
+                self.transition(Severity::Info, "finished", id, &[activations]);
+            }
         }
-        let done = match &c.pipe {
-            Some(p) => p.done(),
-            None => false,
-        };
-        if !done || !c.ready.is_empty() {
-            return;
-        }
-        let pipe = c.pipe.take().expect("checked above");
-        c.total = pipe.submitted() as u64;
-        c.outputs = Some(pipe.into_outputs());
-        c.ctxs.clear();
-        c.state = CampaignState::Finished;
-        c.freeze_p95(&self.tel);
-        // the campaign's terminal rows must survive a daemon crash
-        self.prov.flush_wal();
-        self.tel.count("campaign.finished", 1);
-        let tenant = c.tenant.clone();
-        let done_n = c.done;
-        self.emit(
-            Severity::Info,
-            "campaign_finished",
-            &[
-                ("campaign", cid.to_string()),
-                ("tenant", tenant),
-                ("activations", done_n.to_string()),
-            ],
-        );
     }
 
     /// `Some(true)` = was live and is now cancelled (or draining toward
     /// it); `Some(false)` = already terminal; `None` = unknown id.
-    fn cancel(&mut self, cid: u64) -> Option<bool> {
-        let c = self.campaigns.get_mut(&cid)?;
-        match c.state {
+    fn cancel(&mut self, id: u64) -> Option<bool> {
+        let c = self.campaigns.get_mut(&id)?;
+        Some(match c.state {
             CampaignState::Pending => {
                 c.state = CampaignState::Cancelled;
-                c.freeze_p95(&self.tel);
                 c.wf = None;
-                self.pending.retain(|&p| p != cid);
-                self.tel.count("campaign.cancelled", 1);
-                let tenant = c.tenant.clone();
-                self.emit(
-                    Severity::Warn,
-                    "campaign_cancelled",
-                    &[("campaign", cid.to_string()), ("tenant", tenant)],
-                );
-                Some(true)
+                self.pending.retain(|&p| p != id);
+                self.transition(Severity::Warn, "cancelled", id, &[]);
+                true
             }
-            CampaignState::Running => {
-                c.cancel_requested = true;
-                c.ready.clear();
-                self.try_finish(cid);
-                Some(true)
-            }
-            _ => Some(false),
-        }
+            CampaignState::Running => self.engine.cancel(id),
+            _ => false,
+        })
     }
 
-    // ------------------------------------------------------------- obs
-
-    fn refresh_obs(&self) {
-        let active = self.campaigns.values().filter(|c| c.state == CampaignState::Running).count();
-        self.tel.gauge("campaign.active", active as f64);
-        self.tel.gauge("campaign.queued", self.pending.len() as f64);
+    /// Rebuild `/campaigns` and sample the campaign gauges: on the loop's
+    /// tick and when a campaign changed state, not per engine message. A
+    /// gauge is sampled only when its value changed (the collector keeps the
+    /// last one).
+    fn refresh_obs(&mut self) {
+        self.stale = false;
+        let now = [self.engine.runs.len(), self.pending.len()];
+        for (i, name) in ["campaign.active", "campaign.queued"].into_iter().enumerate() {
+            if self.sampled[i] != Some(now[i]) {
+                self.sampled[i] = Some(now[i]);
+                self.tel.gauge(name, now[i] as f64);
+            }
+        }
         let Some(obs) = &self.obs else { return };
-        let rows: Vec<CampaignRow> = self
-            .order
-            .iter()
-            .filter_map(|id| self.campaigns.get(id))
-            .map(|c| CampaignRow {
-                id: c.id,
-                tenant: c.tenant.clone(),
-                state: c.state.as_str().to_string(),
-                done: c.done,
-                total: c.total.max(c.pipe.as_ref().map_or(0, |p| p.submitted() as u64)),
-                p95_ms: c.p95_ms(&self.tel),
-            })
-            .collect();
-        obs.set_campaigns(rows);
-        obs.set_health(HealthView {
-            phase: if self.shutting_down { "draining" } else { "running" }.to_string(),
-            fleet: self.provisioned(),
-            workers: self
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.alive)
-                .map(|(i, w)| WorkerHealth {
-                    id: i,
-                    alive: w.alive,
-                    draining: w.draining,
-                    last_seen_ms: 0,
-                    in_flight: usize::from(w.busy.is_some()),
-                    stragglers: 0,
-                })
-                .collect(),
-        });
+        let row = |&id: &u64| {
+            let c = &self.campaigns[&id];
+            // a live campaign's p95 costs a sort; a terminal one's was taken
+            // when it left the engine
+            let (done, total, p95_ms) = match self.engine.run(id) {
+                Some(r) => (r.done, r.submitted(), r.p95_ms(&self.tel)),
+                None => (c.done, c.total, c.p95_ms),
+            };
+            let state = c.state.as_str().to_string();
+            CampaignRow { id, tenant: c.tenant.clone(), state, done, total, p95_ms }
+        };
+        obs.set_campaigns(self.order.iter().map(row).collect());
     }
-}
-
-fn worker_loop(rx: Receiver<WorkerMsg>, tx: Sender<EngineMsg>, index: usize) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Run { campaign, activity, part, part_index, ctx } => {
-                let t = Instant::now();
-                let outcome = ctx.run_activation(&part, part_index);
-                if tx
-                    .send(EngineMsg::Done {
-                        worker: index,
-                        campaign,
-                        activity,
-                        outcome,
-                        elapsed_ns: t.elapsed().as_nanos() as u64,
-                    })
-                    .is_err()
-                {
-                    return; // engine is gone; no one to report retirement to
-                }
-            }
-            WorkerMsg::Drain => break,
-        }
-    }
-    let _ = tx.send(EngineMsg::Retired { worker: index });
 }
 
 #[cfg(test)]
@@ -1273,73 +945,78 @@ mod tests {
     use crate::workflow::{Activity, WorkflowDef};
     use provenance::Value;
 
-    /// Fair share as a count: while every tenant has ready work, filling
-    /// the idle slots never leaves two tenants' in-flight counts more than
-    /// one apart, whatever completed in between.
+    /// One value of every `"key":number` in a Chrome-trace event.
+    fn num(ev: &str, key: &str) -> f64 {
+        let at = ev.find(key).unwrap_or_else(|| panic!("{key} in {ev}")) + key.len();
+        let end = ev[at..].find([',', '}']).expect("number ends") + at;
+        ev[at..end].parse().unwrap_or_else(|_| panic!("{key} of {ev}"))
+    }
+
+    /// On the thread port `begin` → execute → `settle` run on the worker
+    /// threads: every `activation` span — which encloses `settle`, and so
+    /// the provenance commit — is on a `scidockd-worker-*` track, none on the
+    /// engine thread's, and two slow activations overlap in wall time.
     #[test]
-    fn fair_share_keeps_tenants_within_one_slot_of_each_other() {
-        const SLOTS: usize = 5;
+    fn activations_begin_and_settle_on_worker_threads_and_overlap() {
         let resolver: CampaignResolver = Arc::new(|_| {
+            let slow = Arc::new(|p: &[Tuple], _: &mut crate::workflow::ActivationCtx| {
+                std::thread::sleep(Duration::from_millis(80));
+                Ok(p.to_vec())
+            });
             let def = WorkflowDef {
-                tag: "flat".into(),
-                description: "fair share".into(),
-                expdir: "/exp/flat".into(),
-                activities: vec![Activity::map("work", &["x"], Arc::new(|p, _| Ok(p.to_vec())))],
+                tag: "slow".into(),
+                description: "two slow activations".into(),
+                expdir: "/exp/slow".into(),
+                activities: vec![Activity::map("work", &["x"], slow)],
                 deps: vec![vec![]],
             };
             let mut input = Relation::new(&["x"]);
-            for i in 0..40 {
-                input.push(vec![Value::Int(i)]);
-            }
+            input.push(vec![Value::Int(0)]);
+            input.push(vec![Value::Int(1)]);
             Some(Workflow::new(def, input))
         });
-        let (engine_tx, _engine_rx) = channel();
-        let mut e = Engine::new(
-            ServeConfig::new().with_max_active(6),
+        let tel = Telemetry::attached();
+        let daemon = Daemon::start(
+            ServeConfig::new().with_workers(2).with_telemetry(tel.clone()),
             resolver,
             Arc::new(ProvenanceStore::new()),
-            Instant::now(),
-            None,
-            None,
-            engine_tx,
-        );
-        // three, two and one campaigns: the share is the tenant's, not the
-        // campaign's
-        let tenants = ["a", "b", "c"];
-        for tenant in ["a", "a", "a", "b", "b", "c"] {
-            let reply = e.admit(tenant.to_string(), 0, "flat".into());
-            assert!(matches!(reply, proto::Msg::Accept { .. }), "{reply:?}");
+        )
+        .expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let SubmitOutcome::Accepted { id } = client.submit("t", 0, "slow").expect("submit io")
+        else {
+            panic!("campaign must be admitted")
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while client.status(id).expect("status io").state != CampaignState::Finished {
+            assert!(Instant::now() < deadline, "campaign never finished");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        e.start_pending();
-        // slots whose `Run`s nobody executes: the test completes them
-        let _slots: Vec<Receiver<WorkerMsg>> = (0..SLOTS)
-            .map(|_| {
-                let (tx, rx) = channel();
-                e.workers.push(WorkerSlot {
-                    tx,
-                    handle: None,
-                    busy: None,
-                    draining: false,
-                    alive: true,
-                });
-                rx
-            })
+        daemon.shutdown();
+
+        let trace = tel.export_chrome_trace().expect("attached");
+        let events: Vec<&str> = trace.split("{\"ph\":").collect();
+        let track_of = |name: &str| -> Option<u64> {
+            let named = format!("\"args\":{{\"name\":\"{name}\"}}");
+            events.iter().find(|e| e.contains(&named)).map(|e| num(e, "\"tid\":") as u64)
+        };
+        let workers = [track_of("scidockd-worker-0"), track_of("scidockd-worker-1")];
+        let engine = track_of("scidockd-engine").expect("the engine thread names its track");
+        let activations: Vec<(u64, f64, f64)> = events
+            .iter()
+            .filter(|e| e.starts_with("\"X\"") && e.contains("\"cat\":\"activation\""))
+            .map(|e| (num(e, "\"tid\":") as u64, num(e, "\"ts\":"), num(e, "\"dur\":")))
             .collect();
-        for round in 0..30 {
-            e.dispatch();
-            let loads = tenants.map(|t| {
-                let of_tenant = e.campaigns.values().filter(|c| c.tenant == t);
-                assert!(of_tenant.clone().any(|c| !c.ready.is_empty()), "{t} ran dry");
-                of_tenant.map(|c| c.in_flight).sum::<usize>()
-            });
-            assert_eq!(loads.iter().sum::<usize>(), SLOTS, "every idle slot is filled");
-            let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
-            assert!(spread <= 1, "round {round}: in flight per tenant {loads:?}");
-            // a different three or four of the five complete each round
-            for i in (0..SLOTS).filter(|i| (i + round) % 3 != 0) {
-                let cid = e.workers[i].busy.take().expect("slot was filled");
-                e.campaigns.get_mut(&cid).expect("campaign of a busy slot").in_flight -= 1;
-            }
+        assert_eq!(activations.len(), 2, "{trace}");
+        for (tid, _, _) in &activations {
+            assert!(workers.contains(&Some(*tid)), "activation span on track {tid}: {trace}");
+            assert_ne!(*tid, engine);
         }
+        let (_, a_ts, a_dur) = activations[0];
+        let (_, b_ts, b_dur) = activations[1];
+        assert!(
+            a_ts < b_ts + b_dur && b_ts < a_ts + a_dur,
+            "two workers, two 80 ms activations: they run side by side, not in turn"
+        );
     }
 }

@@ -28,7 +28,7 @@ use crate::distbackend::proto::{read_body, write_body, Buf, Cur};
 /// `"SDC1"` — SciDock Campaign protocol, version 1.
 pub(crate) const MAGIC: u32 = 0x5344_4331;
 
-/// Lifecycle state of a campaign as reported in a [`Msg::StatusReply`].
+/// Lifecycle state of a campaign as reported in a `StatusReply` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignState {
     /// Admitted, waiting for a concurrency slot.

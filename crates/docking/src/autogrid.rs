@@ -14,7 +14,7 @@
 //!   point, optionally fanning contiguous z-slabs across scoped threads —
 //!   the map layout is z-major, so each thread writes a disjoint contiguous
 //!   chunk of every map;
-//! * the naive kernels in [`reference`] scan every atom for every point.
+//! * the naive kernels in [`mod@reference`] scan every atom for every point.
 //!
 //! Candidates from the cell list are iterated in ascending atom order and
 //! rejected with the same cutoff test, so both kernels perform the same

@@ -5,11 +5,11 @@
 //! re-submission survive worker *and coordinator* failures; this module
 //! gives our from-scratch store the same property without leaving std:
 //!
-//! * every store call is one logical [`wal`] record — a single mutation,
+//! * every store call is one logical `wal` record — a single mutation,
 //!   or a finished activation whole — applied and appended (length-prefixed
 //!   and CRC-checksummed) under the store's lock, before the caller sees the
 //!   new id;
-//! * [`snapshot`] checkpoints — full table serializations written
+//! * `snapshot` checkpoints — full table serializations written
 //!   atomically (temp + rename) — are taken, and the log truncated, when
 //!   the log tail holds as many mutations as the snapshot holds rows (and
 //!   at least [`DurableOptions::checkpoint_every`]), which keeps their total

@@ -3,10 +3,10 @@
 //!
 //! Two operator families:
 //!
-//! - **Row operators** ([`Op`]) produce flat joined rows: [`ScanOp`] (seq /
-//!   index-eq / index-range / index-probe access), [`FilterOp`],
-//!   [`NlJoinOp`], `EmptyRowOp`.
-//! - **Tuple operators** ([`TupleOp`]) carry `(projected values, sort keys)`
+//! - **Row operators** (`Op`) produce flat joined rows: `ScanOp` (seq /
+//!   index-eq / index-range / index-probe access), `FilterOp`,
+//!   `NlJoinOp`, `EmptyRowOp`.
+//! - **Tuple operators** (`TupleOp`) carry `(projected values, sort keys)`
 //!   pairs: `ProjectOp`, `AggOp` (streaming accumulators), `DistinctOp`,
 //!   `SortOp`, `LimitOp`.
 //!

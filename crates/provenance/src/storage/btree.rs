@@ -16,7 +16,7 @@
 //! range scan starts) are binary searches over the directory on the
 //! serialized page. An insert writes one cell into the gap and shifts at
 //! most `2·n` directory bytes; a delete drops a slot and leaves the cell
-//! behind as a hole. Nodes are decoded ([`read_node`]) only when a leaf has
+//! behind as a hole. Nodes are decoded (`read_node`) only when a leaf has
 //! no gap left: the rewrite drops the holes, and only a node that is still
 //! too big splits. The page file is rebuilt from the WAL + snapshot at every
 //! open, so this layout has no on-disk compatibility to keep.

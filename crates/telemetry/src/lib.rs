@@ -9,7 +9,8 @@
 //! * **Counters** — named `AtomicU64`s (pool parks, steals, DES events …);
 //! * **Histograms** — log₂-bucketed latency histograms with exact max,
 //!   powering per-activity p50/p95/max in [`MetricsSnapshot`];
-//! * **Gauges** — timestamped value samples (queue depth over time);
+//! * **Gauges** — timestamped value samples (queue depth over time); the
+//!   last sample of each outlives the ring, so a snapshot always has it;
 //! * a **sharded ring-buffer collector** behind everything, safe to write
 //!   from many threads with one short mutex hold per record;
 //! * a **Chrome-trace exporter** ([`Telemetry::export_chrome_trace`]) whose
@@ -418,6 +419,9 @@ pub struct Collector {
     shards: Vec<Mutex<Shard>>,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    /// The last sample of every gauge: the ring forgets, and a gauge sampled
+    /// only when it changes must not scroll out of `/metrics`.
+    gauges: Mutex<BTreeMap<&'static str, (u64, f64)>>,
     tracks: Mutex<Vec<(u64, String)>>,
 }
 
@@ -440,6 +444,7 @@ impl Collector {
                 .collect(),
             counters: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
+            gauges: Mutex::new(BTreeMap::new()),
             tracks: Mutex::new(Vec::new()),
         }
     }
@@ -477,6 +482,12 @@ impl Collector {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect()
+    }
+
+    /// `(name, timestamp ns, value)` of every gauge's last sample.
+    pub(crate) fn last_gauges(&self) -> Vec<(&'static str, u64, f64)> {
+        let g = self.gauges.lock().expect("telemetry gauges poisoned");
+        g.iter().map(|(name, (ts_ns, value))| (*name, *ts_ns, *value)).collect()
     }
 
     pub(crate) fn hist_handles(&self) -> Vec<(String, Arc<Histogram>)> {
@@ -720,6 +731,7 @@ impl Telemetry {
     /// Record a gauge sample at an explicit (e.g. simulated) timestamp.
     pub fn gauge_at(&self, name: &'static str, ts_ns: u64, value: f64) {
         let Some(col) = &self.inner else { return };
+        col.gauges.lock().expect("telemetry gauges poisoned").insert(name, (ts_ns, value));
         col.push(0, Record::Gauge { name, ts_ns, value });
     }
 

@@ -232,6 +232,14 @@ pub(crate) fn build_snapshot(col: &Collector) -> MetricsSnapshot {
         }
     }
 
+    // a gauge whose samples all scrolled out of the ring still has a value
+    for (name, ts_ns, value) in col.last_gauges() {
+        let samples = gauges.entry(name).or_default();
+        if samples.is_empty() {
+            samples.push((ts_ns as f64 / NS, value));
+        }
+    }
+
     let wall_s = if t_max > t_min { (t_max - t_min) as f64 / NS } else { 0.0 };
     let names: BTreeMap<u64, String> = col.track_names().into_iter().collect();
 

@@ -180,6 +180,24 @@ mod tests {
         assert!(q50.value > 0.0);
     }
 
+    /// A gauge sampled once — because its value never changed again — is
+    /// still exposed after the ring has overwritten that sample many times.
+    #[test]
+    fn a_gauge_keeps_its_last_value_after_its_samples_scroll_out_of_the_ring() {
+        let tel = Telemetry::attached();
+        tel.gauge("fleet.size", 3.0);
+        // gauges share shard 0 with whatever else lands there: 16 K records
+        for i in 0..20_000 {
+            tel.gauge_at("pool.queue_depth", i, 1.0);
+        }
+        let snap = tel.snapshot().unwrap();
+        assert!(snap.dropped_records > 0, "the ring must actually have wrapped");
+        assert_eq!(snap.gauge("fleet.size").map(|g| g.samples.len()), Some(1));
+        let samples = parse(&render(&snap)).expect("rendered exposition must parse");
+        let fleet = samples.iter().find(|s| s.name == "scidock_fleet_size").map(|s| s.value);
+        assert_eq!(fleet, Some(3.0));
+    }
+
     #[test]
     fn parser_rejects_malformed_lines() {
         assert!(parse("good_metric 1\nbad metric line\n").is_err());
