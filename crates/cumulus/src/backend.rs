@@ -224,7 +224,7 @@ pub trait Backend {
     fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunOutcome, CumulusError>;
 }
 
-/// In-process execution on the work-stealing thread pool
+/// In-process execution on worker threads of this process
 /// (see [`crate::localbackend`]).
 #[derive(Debug, Clone, Default)]
 pub struct LocalBackend {
@@ -481,7 +481,7 @@ mod tests {
     fn local_and_sim_mirror_emit_the_same_event_sequence() {
         use crate::obs::EventLog;
 
-        // serial local run: with one worker thread the pool runs activations
+        // serial local run: with one worker thread the engine runs activations
         // in submission order, so scheduling cannot reorder the lifecycle
         let local_events = EventLog::new();
         let wf = Workflow::new(xy_def(), xy_input());

@@ -1,8 +1,7 @@
-//! The ready-driven pipelined dispatcher, extracted from the local backend
-//! so every master shares one scheduling state machine: the in-process pool
-//! backend ([`crate::localbackend`]) and the multi-process distributed
-//! backend ([`crate::distbackend`]) both drive a [`PipelineState`] and only
-//! differ in *where* a [`SubmitReq`] executes.
+//! The ready-driven pipelined dispatcher: one scheduling state machine per
+//! run the engine holds, whichever backend owns it — the backends drive the
+//! same [`PipelineState`] and only differ in *where* a [`SubmitReq`]
+//! executes.
 //!
 //! The state machine is purely logical: it owns no threads and performs no
 //! I/O. Callers feed it completions (`activity produced these tuples`) and

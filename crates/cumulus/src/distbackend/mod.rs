@@ -2,13 +2,13 @@
 //! processes on the same machine.
 //!
 //! [`run_dist`] is the crate's one engine (`engine.rs`, shared with
-//! [`crate::serve`]) holding a single run — the same ready-driven pipelined
-//! dispatcher as the local backend — with this module's `SDW1` port as its
-//! workers: instead of handing activations to threads, the port shards them
-//! over TCP to worker processes, each a [`worker::serve`] loop around the
-//! length-prefixed frame protocol of the private `proto` module (the frame
-//! layout is documented in `DESIGN.md` §10). Together they keep every run
-//! honest:
+//! [`crate::serve`] and [`crate::localbackend`]) holding a single run — the
+//! same ready-driven pipelined dispatcher as the local backend — with this
+//! module's `SDW1` port as its workers: instead of handing activations to
+//! threads, the port shards them over TCP to worker processes, each a
+//! [`worker::serve`] loop around the length-prefixed frame protocol of the
+//! private `proto` module (the frame layout is documented in `DESIGN.md`
+//! §10). Together they keep every run honest:
 //!
 //! * **Backpressure** — at most [`DistConfig::max_in_flight`] activations
 //!   are outstanding per worker; the rest wait in a FIFO.
@@ -51,10 +51,10 @@ use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{RemoteSpan, Telemetry};
 
 use crate::algebra::Relation;
-use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort, TICK};
+use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort};
 use crate::error::CumulusError;
 use crate::fleet::SchedulerFactory;
-use crate::lifecycle::{run_scoped, tally, ActivityCtx, Attempt, Exec, ScopeCfg, Settled};
+use crate::lifecycle::{run_scoped, ActivityCtx, Attempt, Exec, ScopeCfg, Settled};
 use crate::localbackend::RunReport;
 use crate::obs::{BoundAddr, EventLog};
 use crate::workflow::{FileStore, WorkflowDef};
@@ -360,9 +360,9 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// unless the raw [`RunReport`] is what you need.
 ///
 /// One run scope around the crate's one engine (the module `engine`, shared
-/// with [`crate::serve`]) holding this one run, with `SDW1` connections as
-/// its workers; what is specific to a one-shot run — the utilisation and
-/// billing epilogue — follows it.
+/// with [`crate::serve`] and the local backend) holding this one run, with
+/// `SDW1` connections as its workers; what is specific to a distributed run —
+/// the utilisation and billing epilogue — follows it.
 pub fn run_dist(
     def: &WorkflowDef,
     input: Relation,
@@ -418,24 +418,8 @@ pub fn run_dist(
             cfg.scheduler.as_ref(),
         );
         engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
-        let closed = loop {
-            // the no-busy-spin regression watches this count
-            tel.count("dist.master.wakeups", 1);
-            engine.pump()?;
-            if let Some(closed) = engine.closed.pop() {
-                break closed;
-            }
-            match events.recv_timeout(TICK) {
-                Ok(ev) => engine.handle(ev)?,
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                // the port holds a sender for as long as the engine holds
-                // the port; were it ever gone, nothing could arrive again
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(CumulusError::WorkerLost("worker event channel closed".into()));
-                }
-            }
-            engine.tick();
-        };
+        // the no-busy-spin regression watches the wake-up count
+        let closed = engine.drive(&events, Some("dist.master.wakeups"))?;
 
         tel.instant("dist", "jobs", Some(&format!("submitted={}", closed.submitted())));
         // per-worker utilisation, and the fleet bill if the policy carries a
@@ -457,11 +441,9 @@ pub fn run_dist(
                 fleet_cost += b.charge(life_s);
             }
         }
-        let mut report = RunReport::empty(scope.wkf, engine.peak_workers);
-        tally(&mut report, &closed.tally);
+        let mut report = closed.into_report(scope.wkf, engine.peak_workers);
         report.fleet_cost_usd = billing.map(|_| fleet_cost);
         report.scale_events = engine.controller.trace().to_vec();
-        report.outputs = closed.into_outputs();
         report.total_seconds = scope.t0.elapsed().as_secs_f64();
         engine.shutdown();
         Ok(report)
@@ -1634,7 +1616,7 @@ mod tests {
         assert!(!dsnap.counters.is_empty(), "dist run must emit counters");
         assert_eq!(registry::unregistered(&dsnap), Vec::<String>::new());
 
-        // local: pool.* counters/histograms/gauges + activation histograms
+        // local: fleet size + activation histograms
         let ltel = Telemetry::attached();
         let lreport = crate::localbackend::run_local_impl(
             &test_def(0),

@@ -1,5 +1,6 @@
-//! The one engine under `scidockd` and `run_dist`: the paper's SciCumulus
-//! master, brokering the activations of its live runs to an elastic fleet.
+//! The one engine under `scidockd`, `run_dist` and the local backend: the
+//! paper's SciCumulus master, brokering the activations of its live runs to
+//! an elastic fleet.
 //!
 //! [`Engine`] owns, once: the table of *live* runs (dispatcher, activity
 //! contexts, queue of admitted [`Job`]s), the worker table with what each
@@ -10,9 +11,11 @@
 //!
 //! It never touches a thread or a socket: workers are behind a
 //! [`WorkerPort`] and report back as [`PortEvent`]s on the channel the
-//! engine's owner reads. Two ports ship — `scidockd`'s worker threads
-//! (`serve`) and `run_dist`'s `SDW1` connections (`distbackend`) — and the
-//! tests below drive a third that has neither.
+//! engine's owner reads. Two ports ship — worker threads of this process
+//! (`threadport`, under `scidockd` and the local backend) and `run_dist`'s
+//! `SDW1` connections (`distbackend`) — and the tests below drive a third
+//! that has neither. The two one-shot owners share their loop,
+//! [`Engine::drive`].
 //!
 //! Which thread runs the lifecycle's steps is the one thing the ports differ
 //! in. The engine always `admit`s (and aborts a hung fate) on its own
@@ -23,9 +26,11 @@
 //! `settle` on the connection's reader thread.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use provenance::WorkflowId;
 use telemetry::Telemetry;
 
 use crate::algebra::{Relation, Tuple};
@@ -33,6 +38,7 @@ use crate::dispatch::{PipelineState, SubmitReq};
 use crate::error::CumulusError;
 use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView};
 use crate::lifecycle::{ActOutcome, ActivityCtx, Admitted, Attempt, Exec, Settled};
+use crate::localbackend::RunReport;
 use crate::obs::{EventLog, HealthView, ObsState, Severity, WorkerHealth};
 use crate::workflow::WorkflowDef;
 
@@ -64,6 +70,9 @@ pub(crate) enum PortEvent {
     Retired { worker: usize, completed: u64 },
     /// `worker` is gone, or unusable.
     Lost { worker: usize, reason: &'static str },
+    /// A panic escaped the lifecycle on a worker: a fault of the engine
+    /// itself, e.g. in a provenance write. [`Engine::handle`] re-raises it.
+    Panicked(Box<dyn std::any::Any + Send>),
 }
 
 /// The engine's whole view of the worker substrate.
@@ -191,6 +200,25 @@ impl Run {
     /// The output relation of every activity of a run that finished.
     pub(crate) fn into_outputs(self) -> Vec<Relation> {
         self.pipe.into_outputs()
+    }
+
+    /// A one-shot run's report: what it tallied and its outputs.
+    pub(crate) fn into_report(self, workflow: WorkflowId, peak_workers: usize) -> RunReport {
+        let t = &self.tally;
+        RunReport {
+            workflow,
+            total_seconds: 0.0,
+            finished: t.finished,
+            failed_attempts: t.failed_attempts,
+            aborted: t.aborted,
+            blacklisted: t.blacklisted,
+            resumed: t.resumed,
+            outputs: self.into_outputs(),
+            metrics: None,
+            scale_events: Vec::new(),
+            peak_workers,
+            fleet_cost_usd: None,
+        }
     }
 
     /// A terminal activation: count it and let its tuples flow downstream.
@@ -672,8 +700,40 @@ impl<P: WorkerPort> Engine<P> {
                 self.emit(Severity::Info, "worker_retired", &fields);
             }
             PortEvent::Lost { worker, reason } => self.lose_worker(worker, reason),
+            // the owner dies of it, as the process it stands for would,
+            // instead of waiting forever for an attempt that never settles
+            PortEvent::Panicked(payload) => std::panic::resume_unwind(payload),
         }
         Ok(())
+    }
+
+    /// The loop of a one-shot owner (`run_dist`, the local backend): pump,
+    /// then wait for a port event or the tick, until the run closes. Every
+    /// wake-up bumps the counter `wakeups` names.
+    pub(crate) fn drive(
+        &mut self,
+        events: &Receiver<PortEvent>,
+        wakeups: Option<&str>,
+    ) -> Result<Run, CumulusError> {
+        loop {
+            if let Some(name) = wakeups {
+                self.cfg.tel.count(name, 1);
+            }
+            self.pump()?;
+            if let Some(closed) = self.closed.pop() {
+                return Ok(closed);
+            }
+            match events.recv_timeout(TICK) {
+                Ok(ev) => self.handle(ev)?,
+                Err(RecvTimeoutError::Timeout) => {}
+                // the port holds a sender for as long as the engine holds
+                // the port; were it ever gone, nothing could arrive again
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(CumulusError::WorkerLost("worker event channel closed".into()));
+                }
+            }
+            self.tick();
+        }
     }
 
     /// Call on every wakeup of the owner's loop. Once per [`TICK`] it runs

@@ -8,11 +8,10 @@
 //!   from-scratch XML parser;
 //! * [`workflow`] — executable workflow definitions and the shared file
 //!   store activations exchange artifacts through;
-//! * [`pool`] — a from-scratch work-stealing thread pool (the MPJ stand-in);
-//! * [`localbackend`] — real parallel execution on the pool, with
-//!   provenance capture, failure injection, retries, and poison-input
-//!   blacklisting (the activation lifecycle itself is one private module
-//!   shared with [`distbackend`] and [`serve`]);
+//! * [`localbackend`] — real parallel execution on threads of this process
+//!   (the MPJ stand-in), with provenance capture, failure injection, retries,
+//!   and poison-input blacklisting (the activation lifecycle itself is one
+//!   private module shared with [`distbackend`] and [`serve`]);
 //! * [`distbackend`] — one workflow across worker processes speaking the
 //!   `SDW1` frame protocol: backpressure, heartbeats, hang and straggler
 //!   detection, reassignment of a lost worker's activations;
@@ -36,12 +35,13 @@
 //!   and one durable provenance store, with fair-share scheduling and
 //!   explicit admission control.
 //!
-//! [`distbackend`] and [`serve`] are two owners of one private engine
-//! (`engine.rs`) — the table of live runs, the worker table, admission →
-//! fair share → placement → dispatch, the fleet-policy tick, worker loss and
-//! reassignment, the health view — which reaches its workers only through a
-//! small `WorkerPort` each of them implements: `SDW1` connections there,
-//! worker threads here. The local backend still runs on [`pool`].
+//! [`localbackend`], [`distbackend`] and [`serve`] are three owners of one
+//! private engine (`engine.rs`) — the table of live runs, the worker table,
+//! admission → fair share → placement → dispatch, the fleet-policy tick,
+//! worker loss and reassignment, the health view — which reaches its workers
+//! only through a small `WorkerPort`: `SDW1` connections for
+//! [`distbackend`], worker threads of this process (`threadport.rs`) for the
+//! other two.
 
 #![warn(missing_docs)]
 
@@ -55,12 +55,12 @@ pub mod fleet;
 mod lifecycle;
 pub mod localbackend;
 pub mod obs;
-pub mod pool;
 pub mod sched;
 pub mod serve;
 pub mod simbackend;
 pub mod steer;
 pub mod template;
+mod threadport;
 pub mod workflow;
 pub mod xmlspec;
 
@@ -76,7 +76,6 @@ pub use fleet::{
 };
 pub use localbackend::{LocalConfig, RunReport};
 pub use obs::{BoundAddr, EventLog, HealthView, ObsEvent, Severity};
-pub use pool::Pool;
 pub use sched::{MasterCostModel, Policy};
 pub use serve::{
     CampaignResolver, CampaignState, CampaignStatus, Daemon, ServeClient, ServeConfig,

@@ -16,14 +16,13 @@
 //!    record, so a recovered `FINISHED` row always has its complete outputs
 //!    and resume never reuses a half-recorded activation.
 //!
-//! The backends differ only in *when* and *where* they call the steps. The
-//! local pool runs all three back to back in
-//! [`ActivityCtx::run_activation`]. The engine (`crate::engine`, under
-//! `scidockd` and `run_dist`) calls `admit` itself when the dispatcher
-//! submits and leaves the other two to its port: a `scidockd` worker thread
-//! runs `begin` → execute → `settle` in [`ActivityCtx::run_dispatched`]; the
-//! `SDW1` port calls `begin` when it ships a `Run` frame and `settle` when
-//! the `Done` frame (or the worker's death) comes back.
+//! The backends differ only in *where* they call the steps. The engine
+//! (`crate::engine`, under every real backend) calls `admit` itself when the
+//! dispatcher submits and leaves the other two to its port: a worker thread
+//! of the thread port (`scidockd`, the local backend) runs `begin` → execute
+//! → `settle` in [`ActivityCtx::run_dispatched`]; the `SDW1` port calls
+//! `begin` when it ships a `Run` frame and `settle` when the `Done` frame (or
+//! the worker's death) comes back. A retry is a new dispatch everywhere.
 //!
 //! [`run_scoped`] is the same idea one level up: the prologue and epilogue
 //! of a whole run, shared by the local and distributed backends.
@@ -67,14 +66,6 @@ impl ActOutcome {
         self.blacklisted += out.blacklisted;
         self.resumed += out.resumed;
     }
-}
-
-pub(crate) fn tally(report: &mut RunReport, out: &ActOutcome) {
-    report.finished += out.finished;
-    report.failed_attempts += out.failed_attempts;
-    report.aborted += out.aborted;
-    report.blacklisted += out.blacklisted;
-    report.resumed += out.resumed;
 }
 
 /// Everything the activations of one workflow execution share.
@@ -129,12 +120,6 @@ pub(crate) struct Attempt {
 }
 
 impl Attempt {
-    /// The attempt would loop forever: settle it as [`Exec::Hung`] without
-    /// executing anything.
-    pub(crate) fn hung(&self) -> bool {
-        self.fate == Fate::Hang
-    }
-
     /// The attempt executes but its work is lost (injected failure).
     pub(crate) fn doomed(&self) -> bool {
         self.fate == Fate::Fail
@@ -342,44 +327,12 @@ impl ActivityCtx {
         }
     }
 
-    fn activation_span(&self) -> telemetry::Span {
-        let tel = &self.run.tel;
-        tel.span("activation", &self.tag).with_histogram(tel.histogram(&self.hist))
-    }
-
-    /// Steps 2 and 3 around the activity function, for callers that execute
-    /// it in this process. `part_index` only names the working directory.
-    fn run_attempt(&self, key: &str, attempt: u32, part: &[Tuple], part_index: usize) -> Settled {
-        let at = self.begin(key, attempt);
-        let mut attempt_span = self.run.tel.span("attempt", &format!("{}#{attempt}", self.tag));
-        let workdir = self.workdir(part_index);
-        let mut ctx = ActivationCtx::new(&self.run.files, &workdir);
-        let (what, exec) = if at.hung() {
-            // the real program would loop forever; the engine detects
-            // and aborts it
-            ("aborted", Exec::Hung)
-        } else {
-            // a panicking activity function is a failed attempt, not a
-            // dead worker thread: the payload is dropped here (the panic
-            // hook already printed it)
-            match catch_unwind(AssertUnwindSafe(|| (self.func)(part, &mut ctx))) {
-                Ok(Ok(tuples)) if !at.doomed() => (
-                    "finished",
-                    Exec::Finished { tuples, files: ctx.produced_files(), params: &ctx.params },
-                ),
-                // injected failure (the work is lost) or domain error
-                Ok(_) => ("failed", Exec::Failed),
-                Err(_) => ("panicked", Exec::Failed),
-            }
-        };
-        attempt_span.set_detail(|| format!("{what} pair={key}"));
-        self.settle(at, exec)
-    }
-
-    /// One dispatched attempt under its own `activation` span, which so
-    /// encloses `settle`: what a worker thread of the engine's thread port
-    /// runs. A retry is a new dispatch, so the span (and the activity's
-    /// latency histogram) counts attempts, as a `scidock-worker` process does.
+    /// One dispatched attempt — `begin` → the activity function → `settle` —
+    /// under its own `activation` span, which so encloses `settle`: what a
+    /// worker thread of the engine's thread port runs. A retry is a new
+    /// dispatch, so the span (and the activity's latency histogram) counts
+    /// attempts, as a `scidock-worker` process does. `part_index` only names
+    /// the working directory.
     pub(crate) fn run_dispatched(
         &self,
         key: &str,
@@ -387,54 +340,35 @@ impl ActivityCtx {
         part: &[Tuple],
         part_index: usize,
     ) -> Settled {
-        let mut act_span = self.activation_span();
-        let settled = self.run_attempt(key, attempt, part, part_index);
+        let tel = &self.run.tel;
+        let mut act_span =
+            tel.span("activation", &self.tag).with_histogram(tel.histogram(&self.hist));
+        let at = self.begin(key, attempt);
+        let mut attempt_span = tel.span("attempt", &format!("{}#{attempt}", self.tag));
+        let workdir = self.workdir(part_index);
+        let mut ctx = ActivationCtx::new(&self.run.files, &workdir);
+        // a panicking activity function is a failed attempt, not a dead
+        // worker thread: the payload is dropped here (the panic hook already
+        // printed it)
+        let (what, exec) = match catch_unwind(AssertUnwindSafe(|| (self.func)(part, &mut ctx))) {
+            Ok(Ok(tuples)) if !at.doomed() => (
+                "finished",
+                Exec::Finished { tuples, files: ctx.produced_files(), params: &ctx.params },
+            ),
+            // injected failure (the work is lost) or domain error
+            Ok(_) => ("failed", Exec::Failed),
+            Err(_) => ("panicked", Exec::Failed),
+        };
+        attempt_span.set_detail(|| format!("{what} pair={key}"));
+        let settled = self.settle(at, exec);
         act_span.set_detail(|| match &settled {
             Settled::Retry => format!("failed pair={key} attempt={attempt}"),
-            Settled::Terminal(out) => terminal_detail(out, key, attempt),
+            Settled::Terminal(out) if out.finished > 0 => {
+                format!("finished pair={key} retries={attempt}")
+            }
+            Settled::Terminal(_) => format!("failed-permanently pair={key}"),
         });
         settled
-    }
-
-    /// All three steps in one place, retries included, for the local pool.
-    pub(crate) fn run_activation(&self, part: &[Tuple], part_index: usize) -> ActOutcome {
-        // one span per activation, covering the whole ready→terminal life
-        // including retries; its duration also feeds the per-activity
-        // histogram that RunReport::metrics summarises
-        let mut act_span = self.activation_span();
-        let key = match self.admit(part) {
-            Admitted::Run(key) => key,
-            Admitted::Settled(out) => {
-                let what = if out.resumed > 0 { "resumed" } else { "blacklisted" };
-                act_span.set_detail(|| format!("{what} pair={}", pair_key(part)));
-                return out;
-            }
-        };
-        let mut attempt = 0u32;
-        loop {
-            match self.run_attempt(&key, attempt, part, part_index) {
-                Settled::Retry => {
-                    attempt += 1;
-                    self.run.tel.instant("activation", "retry", Some(&key));
-                }
-                Settled::Terminal(mut out) => {
-                    // every earlier attempt of this activation failed
-                    out.failed_attempts += attempt as usize;
-                    act_span.set_detail(|| terminal_detail(&out, &key, attempt));
-                    return out;
-                }
-            }
-        }
-    }
-}
-
-fn terminal_detail(out: &ActOutcome, key: &str, attempt: u32) -> String {
-    if out.finished > 0 {
-        format!("finished pair={key} retries={attempt}")
-    } else if out.aborted > 0 {
-        format!("aborted pair={key}")
-    } else {
-        format!("failed-permanently pair={key}")
     }
 }
 

@@ -1,6 +1,7 @@
-//! The local execution backend: runs workflow activations *for real* on the
-//! work-stealing pool, with provenance capture, failure injection, retry,
-//! and poison-input blacklisting.
+//! The local execution backend: runs workflow activations *for real* on
+//! worker threads of this process — the crate's one engine over its thread
+//! port — with provenance capture, failure injection, retry, and
+//! poison-input blacklisting.
 //!
 //! This is the backend SciDock's biological results (Table 3) come from;
 //! cloud-scale timing studies use [`crate::simbackend`] instead.
@@ -21,7 +22,6 @@
 //! fills provenance with the same rows (tuple order within a relation and
 //! workdir numbering differ: activations are numbered by arrival).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -30,11 +30,11 @@ use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{MetricsSnapshot, Telemetry};
 
 use crate::algebra::Relation;
-use crate::dispatch::{PipelineState, SubmitReq};
+use crate::engine::{Engine, EngineCfg};
 use crate::error::CumulusError;
-use crate::lifecycle::{run_scoped, tally, ActOutcome, ActivityCtx, ScopeCfg};
+use crate::lifecycle::{run_scoped, ActivityCtx, ScopeCfg};
 use crate::obs::{BoundAddr, EventLog};
-use crate::pool::Pool;
+use crate::threadport::ThreadPort;
 use crate::workflow::{FileStore, WorkflowDef};
 
 /// Local backend configuration.
@@ -201,34 +201,16 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// A report with nothing tallied yet.
-    pub(crate) fn empty(workflow: WorkflowId, peak_workers: usize) -> RunReport {
-        RunReport {
-            workflow,
-            total_seconds: 0.0,
-            finished: 0,
-            failed_attempts: 0,
-            aborted: 0,
-            blacklisted: 0,
-            resumed: 0,
-            outputs: Vec::new(),
-            metrics: None,
-            scale_events: Vec::new(),
-            peak_workers,
-            fleet_cost_usd: None,
-        }
-    }
-
     /// The output relation of the final activity.
     pub fn final_output(&self) -> &Relation {
         self.outputs.last().expect("workflow has at least one activity")
     }
 }
 
-/// Run a workflow on the local pool: the engine behind
-/// [`crate::backend::LocalBackend`]. Binds the dispatcher's [`SubmitReq`]s to
-/// pool jobs running [`ActivityCtx::run_activation`], with the mpsc
-/// completion channel playing the event queue.
+/// Run a workflow on threads of this process: the engine behind
+/// [`crate::backend::LocalBackend`]. One run scope around the crate's one
+/// engine holding this one run over a fixed fleet of `threads` workers of the
+/// thread port — the same port `scidockd` runs on.
 pub(crate) fn run_local_impl(
     def: &WorkflowDef,
     input: Relation,
@@ -236,10 +218,11 @@ pub(crate) fn run_local_impl(
     prov: Arc<ProvenanceStore>,
     cfg: &LocalConfig,
 ) -> Result<RunReport, CumulusError> {
+    let threads = cfg.threads.max(1);
     let scope_cfg = ScopeCfg {
         backend: "local",
         track: "dispatcher",
-        workers: cfg.threads,
+        workers: threads,
         telemetry: &cfg.telemetry,
         durability: cfg.durability,
         steering_tick: cfg.steering_tick,
@@ -248,52 +231,32 @@ pub(crate) fn run_local_impl(
         metrics_bound: cfg.metrics_bound.as_ref(),
     };
     run_scoped(def, &prov, scope_cfg, |scope| {
-        // dropped (workers joined) when the body returns, i.e. before the
-        // scope snapshots metrics: Pool::drop flushes its lifetime counters
-        // (parks, steals, …) into the sink
-        let pool = Pool::with_telemetry(cfg.threads, cfg.telemetry.clone());
         let run = scope.run_ctx(&files, cfg.failures, cfg.max_retries, cfg.resume_from);
         let ctxs = ActivityCtx::build_all(def, &run);
-        // `Err` carries a panic out of the engine itself (the lifecycle
-        // already turned a panicking activity function into a FAILED
-        // attempt): e.g. a storage fault inside a provenance write. The pool
-        // swallows job panics, so it is shipped here and re-raised on the
-        // dispatcher — the run dies like the process it simulates, instead
-        // of waiting forever for a completion that will never arrive.
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<ActOutcome>)>();
-        let submit = |req: SubmitReq| {
-            let ctx = Arc::clone(&ctxs[req.activity]);
-            let tx = tx.clone();
-            pool.spawn(move || {
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    ctx.run_activation(&req.part, req.part_index)
-                }));
-                // the dispatcher owns the receiver for the whole run, so the
-                // send only fails if the run is already unwinding
-                let _ = tx.send((req.activity, out));
-            });
-        };
-
-        let mut report = RunReport::empty(scope.wkf, cfg.threads);
-        let (mut pipe, seeds) =
-            PipelineState::new(Arc::new(def.clone()), &input, cfg.telemetry.clone());
-        for req in seeds {
-            submit(req);
-        }
-        // event loop: consume completions until every activity closes. The
-        // invariant that keeps `recv` live: the topologically first non-closed
-        // activity always has `input_done` and therefore in-flight work (or it
-        // would have closed already).
-        while !pipe.done() {
-            let (i, outcome) = rx.recv().expect("dispatcher holds a sender");
-            let outcome = outcome.unwrap_or_else(|payload| resume_unwind(payload));
-            tally(&mut report, &outcome);
-            for req in pipe.on_completion(i, &outcome.tuples) {
-                submit(req);
-            }
-        }
-        report.outputs = pipe.into_outputs();
+        let (tx, events) = mpsc::channel();
+        let mut engine = Engine::new(
+            ThreadPort::new(tx, &scope.tel, "cumulus-worker"),
+            EngineCfg {
+                floor: threads,
+                ceiling: threads,
+                // threads of this process are neither lost nor silent
+                reassign_budget: 0,
+                heartbeat_timeout: None,
+                activation_timeout: None,
+                straggler: None,
+                tel: scope.tel.clone(),
+                events: scope.events.clone(),
+                epoch: scope.t0,
+                obs: Some(scope.obs.clone()),
+            },
+            None,
+        );
+        engine.launch(threads)?;
+        engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
+        let closed = engine.drive(&events, None)?;
+        let mut report = closed.into_report(scope.wkf, engine.peak_workers);
         report.total_seconds = scope.t0.elapsed().as_secs_f64();
+        engine.shutdown();
         Ok(report)
     })
 }
@@ -924,8 +887,9 @@ mod tests {
     }
 
     /// Acceptance: a pipelined run with a sink attached exports valid
-    /// Chrome-trace JSON whose activation spans sit (parent-linked) on the
-    /// worker-thread tracks, and its report carries a metrics snapshot.
+    /// Chrome-trace JSON whose activation spans — which enclose `settle`, and
+    /// so the provenance commit — all sit on the worker-thread tracks, none on
+    /// the engine's, and its report carries a metrics snapshot.
     #[test]
     fn pipelined_run_exports_chrome_trace_with_nested_activation_spans() {
         let tel = Telemetry::attached();
@@ -945,9 +909,6 @@ mod tests {
         let h = snap.histogram("activation.double").expect("per-activity histogram");
         assert_eq!(h.count, 6);
         assert!(h.p95_s >= h.p50_s);
-        assert_eq!(snap.counter("pool.submitted"), Some(12));
-        assert_eq!(snap.counter("pool.completed"), Some(12));
-        assert!(snap.histogram("pool.queue_wait").is_some(), "queue-wait histogram captured");
 
         let trace = tel.export_chrome_trace().unwrap();
         telemetry::json::validate(&trace).unwrap_or_else(|off| {
@@ -955,24 +916,41 @@ mod tests {
         });
 
         let evs = trace_events(&trace);
-        let worker_tids: std::collections::HashSet<u64> = evs
-            .iter()
-            .filter(|e| e.starts_with("{\"ph\":\"M\"") && e.contains("cumulus-worker-"))
-            .filter_map(|e| event_field_u64(e, "\"tid\":"))
-            .collect();
+        let tids_named = |name: &str| -> std::collections::HashSet<u64> {
+            evs.iter()
+                .filter(|e| e.starts_with("{\"ph\":\"M\"") && e.contains(name))
+                .filter_map(|e| event_field_u64(e, "\"tid\":"))
+                .collect()
+        };
+        let worker_tids = tids_named("\"cumulus-worker-");
+        let dispatcher = tids_named("\"dispatcher\"");
         assert_eq!(worker_tids.len(), 2, "one named track per worker thread");
-        let nested_activations = evs
+        assert_eq!(dispatcher.len(), 1, "the engine thread names its track");
+        let activation_tids: Vec<u64> = evs
             .iter()
             .filter(|e| e.starts_with("{\"ph\":\"X\"") && e.contains("\"cat\":\"activation\""))
-            .filter(|e| {
-                event_field_u64(e, "\"tid\":").is_some_and(|tid| worker_tids.contains(&tid))
-            })
-            .filter(|e| e.contains("\"parent\":"))
-            .count();
-        assert_eq!(
-            nested_activations, 12,
-            "every activation span lies on a worker track, nested under its pool job span"
-        );
+            .filter_map(|e| event_field_u64(e, "\"tid\":"))
+            .collect();
+        assert_eq!(activation_tids.len(), 12, "one activation span per attempt");
+        for tid in activation_tids {
+            assert!(worker_tids.contains(&tid), "activation span on track {tid}: {trace}");
+            assert!(!dispatcher.contains(&tid), "an activation settled on the engine thread");
+        }
+    }
+
+    /// `threads = 0` runs on the one thread it is clamped to, and says so.
+    #[test]
+    fn zero_threads_runs_on_one_and_reports_it() {
+        let report = run_local_impl(
+            &simple_workflow(),
+            input(5),
+            Arc::new(FileStore::new()),
+            Arc::new(ProvenanceStore::new()),
+            &LocalConfig::new().with_threads(0),
+        )
+        .unwrap();
+        assert_eq!(report.finished, 10);
+        assert_eq!(report.peak_workers, 1);
     }
 
     /// Acceptance: with `steering_tick` set, `steering::status_summary`

@@ -20,16 +20,20 @@
 //!
 //! * **Engine thread** — runs admission control and the directory of every
 //!   campaign submitted, on top of the crate's one engine (the module
-//!   `engine`, shared with [`crate::distbackend`]), which holds the *live*
-//!   campaigns' dispatchers and the worker table. All scheduling decisions
-//!   (fair-share pick, admission, elastic scale) happen here, serially, so
-//!   there are no cross-campaign races to reason about. A campaign that
+//!   `engine`, shared with [`crate::distbackend`] and
+//!   [`crate::localbackend`]), which holds the *live* campaigns' dispatchers
+//!   and the worker table. All scheduling decisions (fair-share pick,
+//!   admission, elastic scale) happen here, serially, so there are no
+//!   cross-campaign races to reason about. A campaign that
 //!   finishes or is cancelled leaves the engine; the directory keeps its
 //!   final counts and results.
-//! * **Worker threads** — the engine's thread port: one slot each; they
-//!   run every attempt through the *same* activation lifecycle as the local
-//!   backend, on their own thread, which is why a campaign's canonical
-//!   PROV-N export is byte-identical to a one-shot run of the same workflow.
+//! * **Worker threads** — the engine's thread port, the one the local
+//!   backend runs on too: one slot each; they run every attempt through the
+//!   *same* activation lifecycle on their own thread, which is why a
+//!   campaign's canonical PROV-N export is byte-identical to a one-shot run
+//!   of the same workflow. A panic that escapes the lifecycle there (a store
+//!   fault) takes the engine thread down with it: clients then read an
+//!   `Error`, not a campaign `Running` forever.
 //! * **Fair share** — each free slot goes to the ready campaign whose
 //!   tenant currently holds the fewest slots (ties: higher priority, then
 //!   lower campaign id). A heavy tenant with ten campaigns cannot starve a
@@ -60,12 +64,12 @@ use telemetry::Telemetry;
 
 use crate::algebra::{Relation, Tuple};
 use crate::backend::Workflow;
-use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort, TICK};
-use crate::error::CumulusError;
+use crate::engine::{Engine, EngineCfg, PortEvent, TICK};
 use crate::fleet::SchedulerFactory;
-use crate::lifecycle::{ActivityCtx, Attempt, RunCtx};
+use crate::lifecycle::{ActivityCtx, RunCtx};
 use crate::obs::{BoundAddr, CampaignRow, EventLog, ObsServer, ObsState, Severity};
 use crate::steer::SteeringBridge;
+use crate::threadport::ThreadPort;
 
 pub(crate) mod proto;
 
@@ -415,7 +419,7 @@ impl Daemon {
         let (tx, rx) = channel::<EngineMsg>();
         let tel = cfg.telemetry.clone();
         let engine = Engine::new(
-            ThreadPort { tx: tx.clone(), tel: tel.clone(), workers: Vec::new(), fresh: 0 },
+            ThreadPort::new(tx.clone(), &tel, "scidockd-worker"),
             EngineCfg {
                 floor: cfg.min_workers.max(1),
                 ceiling: cfg.max_workers,
@@ -578,7 +582,7 @@ fn ask(tx: &Sender<EngineMsg>, request: proto::Msg) -> proto::Msg {
     }
 }
 
-// ------------------------------------------------------------- thread port
+// ------------------------------------------------------------ engine thread
 
 /// What the engine thread wakes for.
 enum EngineMsg {
@@ -589,81 +593,9 @@ enum EngineMsg {
     Shutdown,
 }
 
-enum WorkerMsg {
-    Run { id: u64, ctx: Arc<ActivityCtx>, job: Job },
-    Drain,
-}
-
-/// The engine's port onto worker threads of this process, one activation
-/// slot each. A worker runs `begin` → execute → `settle` itself, through the
-/// same lifecycle as the local backend — which is why a campaign's canonical
-/// PROV-N is byte-identical to a one-shot run's, and why the provenance
-/// commits of different workers overlap instead of queueing on the engine
-/// thread.
-struct ThreadPort {
-    tx: Sender<EngineMsg>,
-    tel: Telemetry,
-    workers: Vec<(Sender<WorkerMsg>, Option<JoinHandle<()>>)>,
-    /// Launched since the engine last asked.
-    fresh: usize,
-}
-
-impl WorkerPort for ThreadPort {
-    fn slots(&self) -> usize {
-        1
-    }
-
-    fn launch(&mut self) -> Result<(), CumulusError> {
-        let worker = self.workers.len();
-        let (tx, rx) = channel::<WorkerMsg>();
-        let (events, tel) = (self.tx.clone(), self.tel.clone());
-        let name = format!("scidockd-worker-{worker}");
-        let handle = std::thread::Builder::new().name(name.clone()).spawn(move || {
-            tel.name_current_track(&name);
-            let mut completed = 0;
-            while let Ok(WorkerMsg::Run { id, ctx, job }) = rx.recv() {
-                let settled = ctx.run_dispatched(&job.key, job.attempt, &job.part, job.part_index);
-                completed += 1;
-                let ev = PortEvent::Settled { worker, job: id, settled };
-                if events.send(EngineMsg::Port(ev)).is_err() {
-                    return; // the engine is gone; no one to retire to
-                }
-            }
-            let _ = events.send(EngineMsg::Port(PortEvent::Retired { worker, completed }));
-        })?;
-        self.workers.push((tx, Some(handle)));
-        self.fresh += 1;
-        Ok(())
-    }
-
-    fn joined(&mut self) -> Result<(usize, usize), CumulusError> {
-        Ok((std::mem::take(&mut self.fresh), 0))
-    }
-
-    fn run(&mut self, worker: usize, id: u64, ctx: &Arc<ActivityCtx>, job: &Job) -> bool {
-        let msg = WorkerMsg::Run { id, ctx: Arc::clone(ctx), job: job.clone() };
-        self.workers[worker].0.send(msg).is_ok()
-    }
-
-    fn drain(&mut self, worker: usize) -> bool {
-        self.workers[worker].0.send(WorkerMsg::Drain).is_ok()
-    }
-
-    fn sever(&mut self, worker: usize) -> Vec<(u64, Attempt)> {
-        // only ever a thread that has left its loop (retired, or dead)
-        if let Some(h) = self.workers[worker].1.take() {
-            let _ = h.join();
-        }
-        Vec::new() // attempts begin and settle on the worker thread
-    }
-
-    fn shutdown(&mut self) {
-        for worker in 0..self.workers.len() {
-            self.drain(worker);
-        }
-        for worker in 0..self.workers.len() {
-            self.sever(worker);
-        }
+impl From<PortEvent> for EngineMsg {
+    fn from(ev: PortEvent) -> EngineMsg {
+        EngineMsg::Port(ev)
     }
 }
 
@@ -700,7 +632,7 @@ struct Directory {
     /// Submission order (stable display order for `/campaigns`).
     order: Vec<u64>,
     pending: VecDeque<u64>,
-    engine: Engine<ThreadPort>,
+    engine: Engine<ThreadPort<EngineMsg>>,
     /// A campaign changed state since `/campaigns` was last rebuilt.
     stale: bool,
     /// `campaign.active` / `campaign.queued` as last sampled.

@@ -375,6 +375,49 @@ fn tenant_quota_stops_one_tenant_from_starving_the_rest() {
     daemon.shutdown();
 }
 
+/// A store fault inside a worker's `commit_activation` is a fault of the
+/// daemon, not of the activation: the worker forwards the panic, the engine
+/// thread dies of it, and a polling client reads an error — never a campaign
+/// `Running` forever behind a worker thread that died silently.
+#[test]
+fn a_store_fault_in_a_workers_commit_fails_the_daemon_instead_of_hanging_the_campaign() {
+    use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
+
+    // opening the store is append 1; the engine thread registers the
+    // workflow and its two activities in 2–4; append 5 is the first
+    // activation a worker commits
+    let plan = Arc::new(FaultPlan::panic_after(5));
+    let env = FaultEnv::new(Box::new(MemEnv::new()), Arc::clone(&plan));
+    let prov = ProvenanceStore::open_env(Box::new(env), Default::default()).expect("fresh env");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let daemon = Daemon::start(ServeConfig::new().with_workers(2), resolver(), Arc::new(prov))
+            .expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let SubmitOutcome::Accepted { id } = client.submit("alice", 0, "wf:doomed:4:0").unwrap()
+        else {
+            panic!("admitted")
+        };
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let polled = loop {
+            match client.status(id) {
+                Err(e) => break Ok(e.to_string()),
+                Ok(st) if Instant::now() >= deadline => break Err(st.state),
+                Ok(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        drop(client);
+        daemon.shutdown();
+        let _ = done_tx.send(polled);
+    });
+    let polled = done_rx.recv_timeout(Duration::from_secs(60)).expect("Daemon::shutdown hung");
+    assert!(plan.appends_seen() >= 5, "the fault fired");
+    match polled {
+        Ok(msg) => assert_eq!(msg, "daemon is shutting down"),
+        Err(state) => panic!("the campaign still reads {state:?}: the fault left it hanging"),
+    }
+}
+
 #[test]
 fn cancel_pending_and_running_campaigns() {
     let daemon = Daemon::start(

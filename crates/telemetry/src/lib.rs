@@ -6,7 +6,7 @@
 //! * **Spans** — timed intervals with ids, parent linkage (a thread-local
 //!   span stack), and a per-thread *track* so a trace viewer can lay them
 //!   out one lane per worker thread or per simulated VM;
-//! * **Counters** — named `AtomicU64`s (pool parks, steals, DES events …);
+//! * **Counters** — named `AtomicU64`s (WAL appends, grid-cache hits, DES events …);
 //! * **Histograms** — log₂-bucketed latency histograms with exact max,
 //!   powering per-activity p50/p95/max in [`MetricsSnapshot`];
 //! * **Gauges** — timestamped value samples (queue depth over time); the

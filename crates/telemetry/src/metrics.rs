@@ -25,7 +25,7 @@ pub struct HistogramStats {
 /// A gauge's timestamped samples: `(seconds since epoch, value)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaugeSeries {
-    /// Gauge name (e.g. `pool.queue_depth`).
+    /// Gauge name (e.g. `fleet.size`).
     pub name: String,
     /// Samples in time order.
     pub samples: Vec<(f64, f64)>,

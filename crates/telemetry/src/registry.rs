@@ -31,12 +31,6 @@ pub const COUNTERS: &[&str] = &[
     "gridcache.persist.hit",
     "gridcache.persist.miss",
     "gridcache.persist.write",
-    "pool.completed",
-    "pool.parks",
-    "pool.steals",
-    "pool.submitted",
-    "pool.timeout_wakeups",
-    "pool.unparks",
     "proto.oversized_done",
     "provstore.checkpoints",
     "provstore.fsync_shared",
@@ -57,7 +51,6 @@ pub const COUNTERS: &[&str] = &[
 pub const HISTOGRAMS: &[&str] = &[
     "campaign.first_result",
     "dist.heartbeat.job_elapsed",
-    "pool.queue_wait",
     "provstore.commit_batch",
     "provstore.group_commit",
     "provstore.lock_hold",
@@ -74,7 +67,6 @@ pub const GAUGES: &[&str] = &[
     "campaign.queued",
     "fleet.size",
     "gridcache.resident_bytes",
-    "pool.queue_depth",
     "sim.ready_queue",
 ];
 

@@ -78,7 +78,7 @@ fn main() {
     }
 
     // the timeline view: one lane per worker thread, spans nested
-    // job → activation → attempt, plus the dispatcher lane
+    // activation → attempt, plus the engine's dispatcher lane
     let trace = tel.export_chrome_trace().expect("collector was attached");
     let path = "target/scidock_trace.json";
     std::fs::write(path, &trace).expect("write trace");
