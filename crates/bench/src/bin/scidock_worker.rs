@@ -6,7 +6,9 @@
 //! [`scidock_bench::distspec`] registry, and serves activations until the
 //! master sends `Shutdown` or the connection drops. The resolver owns this
 //! process's one receptor tier, so each receptor the worker meets is
-//! prepared, loaded and rendered once however many pairs it is handed.
+//! prepared, loaded and rendered once however many pairs it is handed, and
+//! counts into the worker's collector, whose growth reaches the master in
+//! `Stats` frames.
 
 fn main() {
     let mut addr = None;
@@ -24,8 +26,7 @@ fn main() {
         eprintln!("usage: scidock-worker --connect HOST:PORT");
         std::process::exit(2);
     };
-    if let Err(e) = cumulus::distbackend::worker::serve(&addr, scidock_bench::distspec::resolver())
-    {
+    if let Err(e) = cumulus::distbackend::worker::serve(&addr, scidock_bench::distspec::resolver) {
         eprintln!("scidock-worker: {e}");
         std::process::exit(1);
     }

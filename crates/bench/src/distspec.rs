@@ -149,11 +149,14 @@ pub fn resolve_with(spec: &str, files: &Arc<FileStore>) -> Option<WorkflowDef> {
     resolve_in(spec, files, &fast_cfg(env_grid_cache_dir(), ReceptorCache::default()))
 }
 
-/// The resolver the `scidock-worker` binary (and in-process test workers)
-/// hand to [`cumulus::distbackend::worker::serve`]: each spec is resolved
-/// against a fresh, empty file store and this process's one receptor tier.
-pub fn resolver() -> WorkflowResolver {
-    let cfg = fast_cfg(env_grid_cache_dir(), ReceptorCache::default());
+/// The resolver the `scidock-worker` binary hands to
+/// [`cumulus::distbackend::worker::serve`]: each spec is resolved against a
+/// fresh, empty file store and this process's one receptor tier, whose
+/// metrics (`gridcache.*`, `receptor.*`, `files.*`, `dock.evaluations`) go
+/// to `telemetry` — the worker's collector, which ships them to the master.
+pub fn resolver(telemetry: Telemetry) -> WorkflowResolver {
+    let mut cfg = fast_cfg(env_grid_cache_dir(), ReceptorCache::default());
+    cfg.dock.telemetry = telemetry;
     Arc::new(move |spec| resolve_in(spec, &Arc::new(FileStore::new()), &cfg))
 }
 
@@ -196,7 +199,7 @@ mod tests {
     use super::*;
 
     fn resolve(spec: &str) -> Option<WorkflowDef> {
-        resolver()(spec)
+        resolver(Telemetry::disabled())(spec)
     }
 
     #[test]

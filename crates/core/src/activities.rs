@@ -195,7 +195,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
         let pdb_text = ctx.read_file(&text(t, 2)?)?;
         let prepared = cfg3.receptors.prepared(&pdb_text, &receptor, &cfg3.dock.telemetry)?;
-        let out = ctx.write_file(&format!("{receptor}.pdbqt"), Arc::clone(&prepared.pdbqt));
+        let out = ctx.write_file(&format!("{receptor}.pdbqt"), prepared.pdbqt.clone());
         ctx.record_param("receptor_atoms", Some(prepared.heavy_atoms as f64), None);
         Ok(vec![vec![
             receptor.as_str().into(),
@@ -256,7 +256,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         // artifact, and provenance must not depend on activation order.
         let map_dir = format!("{}/maps", cfg5.expdir.trim_end_matches('/'));
         for (name, text) in maps.iter() {
-            ctx.write_file_at(&format!("{map_dir}/{name}"), Arc::clone(text));
+            ctx.write_file_at(&format!("{map_dir}/{name}"), text.clone());
         }
         // the grid map field file (.fld) indexes the maps, one per activation
         let fld: String =
@@ -387,7 +387,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             let lig = pdbqt::read_ligand_pdbqt(&lig_text)
                 .map_err(|e| ActivityError(format!("ligand pdbqt: {e}")))?;
             let rec_text = ctx.read_file(&text(t, 3)?)?;
-            let grids = cache.get_or_build(&receptor, &rec_text, engine, &cfg.dock)?;
+            let grids = cache.grids(&rec_text, engine, &cfg.dock)?;
             let mut dock_cfg = cfg.dock.clone();
             dock_cfg.seed = name_seed(&format!("{receptor}:{ligand}:{}", engine.program_name()));
             let result = dock_with_grids(&grids, &receptor, &lig, engine, &dock_cfg)
@@ -447,24 +447,14 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         let bl_files = Arc::clone(&files);
         let bl_cfg = Arc::clone(&cfga);
         // The rule runs on the engine's own thread (`scidockd`, `run_dist`)
-        // once per pair, and `has_hg` digests the whole PDB text to find its
-        // entry in the tier: a staged receptor is screened once per path of
-        // this workflow's store, not once per ligand it meets.
-        let screened: parking_lot::Mutex<BTreeMap<String, bool>> = Default::default();
+        // once per pair: the staged PDB's digest finds its entry in the
+        // tier, so a receptor is parsed once and looked up per ligand
         Some(Arc::new(move |t: &cumulus::Tuple| {
             // activity 3's input tuple carries the staged PDB path in col 2
-            let Some(path) = t.get(2).and_then(|v| v.as_str()) else {
+            let Some(pdb) = t.get(2).and_then(|v| v.as_str()).and_then(|p| bl_files.read(p)) else {
                 return false;
             };
-            if let Some(&has_hg) = screened.lock().get(path) {
-                return has_hg;
-            }
-            let Some(text) = bl_files.read(path) else {
-                return false;
-            };
-            let has_hg = bl_cfg.receptors.has_hg(&text, &bl_cfg.dock.telemetry);
-            screened.lock().insert(path.to_string(), has_hg);
-            has_hg
+            bl_cfg.receptors.has_hg(&pdb, &bl_cfg.dock.telemetry)
         }))
     } else {
         None
@@ -871,7 +861,7 @@ mod tests {
         wf.deps.truncate(5);
         // read one staged map back after every autogrid4 activation
         let probe = format!("{}/maps/e.e.map", cfg.expdir);
-        let seen: Arc<Mutex<Vec<Arc<str>>>> = Arc::default();
+        let seen: Arc<Mutex<Vec<cumulus::Blob>>> = Arc::default();
         let autogrid4 = Arc::clone(&wf.activities[4].func);
         wf.activities[4].func = {
             let seen = Arc::clone(&seen);
@@ -887,7 +877,7 @@ mod tests {
         // every activation stages the same allocation, not a copy of it
         let seen = seen.lock();
         assert_eq!(seen.len(), 3);
-        assert!(seen.iter().all(|text| Arc::ptr_eq(text, &seen[0])));
+        assert!(seen.iter().all(|text| Arc::ptr_eq(text.text(), seen[0].text())));
         assert_eq!(tel.snapshot().unwrap().counter("gridcache.maps.rendered"), Some(1));
 
         // … and still records all of it: 14 maps + its own .fld, per pair
@@ -916,8 +906,9 @@ mod tests {
         let tel = telemetry::Telemetry::attached();
         let (text, cfg) = cache_fixture(&tel);
         let cache = GridCache::default();
-        let render =
-            |id: &str, text: &str| cache.get_or_render(id, text, EngineKind::Ad4, &cfg).unwrap();
+        let render = |id: &str, text: &cumulus::Blob| {
+            cache.get_or_render(id, text, EngineKind::Ad4, &cfg).unwrap()
+        };
         let counter = |name: &str| tel.snapshot().unwrap().counter(name);
 
         let first = render("1HUC", &text);
@@ -937,7 +928,7 @@ mod tests {
 
         // same name, different content: the digest is in the key, so a
         // re-staged receptor never gets the previous one's maps
-        let moved = text.replacen("REMARK", "REMARK  edited\nREMARK", 1);
+        let moved = cumulus::Blob::new(text.replacen("REMARK", "REMARK  edited\nREMARK", 1));
         let other = render("1HUC", &moved);
         assert_eq!(counter("gridcache.miss"), Some(2));
         assert_eq!(counter("gridcache.maps.rendered"), Some(3));
@@ -947,7 +938,7 @@ mod tests {
 
     /// One prepared receptor's PDBQT text plus a fast `DockConfig` bound to
     /// `tel`, shared by the persistent-cache tests below.
-    fn cache_fixture(tel: &telemetry::Telemetry) -> (String, DockConfig) {
+    fn cache_fixture(tel: &telemetry::Telemetry) -> (cumulus::Blob, DockConfig) {
         let mut p = DatasetParams::default();
         p.receptor.min_residues = 30;
         p.receptor.max_residues = 35;
@@ -955,7 +946,7 @@ mod tests {
         let mut mol = crate::dataset::make_receptor("1HUC", &p).structure;
         assign_ad_types(&mut mol);
         assign_gasteiger(&mut mol, &Default::default());
-        let text = pdbqt::write_receptor_pdbqt(&mol);
+        let text = cumulus::Blob::new(pdbqt::write_receptor_pdbqt(&mol));
         let cfg = DockConfig {
             grid_spacing: 1.5,
             box_edge: 14.0,
@@ -999,6 +990,34 @@ mod tests {
             Vec::<String>::new(),
             "persistent-cache metrics are all registered"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_under_another_name_is_a_miss_not_an_error() {
+        let dir =
+            std::env::temp_dir().join(format!("scidock-gridcache-renamed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tel = telemetry::Telemetry::attached();
+        let (text, cfg) = cache_fixture(&tel);
+        let built = GridCache::persistent(&dir, Arc::new(FileStore::new()))
+            .grids(&text, EngineKind::Ad4, &cfg)
+            .unwrap();
+        // the entry as a build that keyed grids differently named it
+        let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        std::fs::rename(&entry, dir.join("5e636ef3bd54d040.grid")).unwrap();
+
+        let rebuilt = GridCache::persistent(&dir, Arc::new(FileStore::new()))
+            .grids(&text, EngineKind::Ad4, &cfg)
+            .unwrap();
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.counter("gridcache.persist.miss"), Some(2), "built again");
+        assert_eq!(snap.counter("gridcache.persist.hit"), None);
+        assert_eq!(
+            docking::gridio::serialize_grid_set(&built),
+            docking::gridio::serialize_grid_set(&rebuilt)
+        );
+        assert!(entry.exists(), "… and published under its own name");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

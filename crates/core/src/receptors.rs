@@ -16,13 +16,15 @@
 //!   (tier 3).
 //!
 //! What is keyed by what — always content, never a path, and a name only
-//! where the output text carries it:
+//! where the output text carries it. A content's digest is the one its
+//! [`Blob`] took when it was made (staged, prepared or rendered), so a
+//! lookup hashes nothing:
 //!
 //! | entry | key |
 //! |-------|-----|
-//! | grid set | [`grid_set_digest`] (receptor PDBQT text + every map-shaping knob) |
-//! | rendered `.map` files | grid digest × receptor name (the header names the receptor) |
-//! | parsed receptor (Hg answer + molecule) | FNV-1a of the PDB text |
+//! | grid set | [`grid_key`] (every map-shaping knob + the receptor PDBQT's digest) |
+//! | rendered `.map` files | grid key × receptor name (the header names the receptor) |
+//! | parsed receptor (Hg answer + molecule) | the PDB text's digest |
 //! | prepared PDBQT + heavy-atom count | PDB digest × receptor name (the `NAME` record) |
 //!
 //! Lookups of one key are **single flight**: the key's cell is locked while
@@ -43,10 +45,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use cumulus::workflow::{ActivityError, FileStore};
+use cumulus::workflow::{digest, ActivityError, Blob, FileStore};
 use docking::autogrid::GridSet;
 use docking::engine::{DockConfig, EngineKind};
-use docking::gridio::{fnv1a64, grid_set_digest};
+use docking::gridio::grid_key_header;
 use molkit::charges::assign_gasteiger;
 use molkit::formats::{pdb, pdbqt};
 use molkit::typer::assign_ad_types;
@@ -118,10 +120,18 @@ impl fmt::Debug for ReceptorCache {
     }
 }
 
+/// `text` as a [`Blob`], its digest counted as `files.digest_bytes`.
+fn digested(text: impl Into<Arc<str>>, tel: &Telemetry) -> Blob {
+    let blob = Blob::new(text);
+    tel.count("files.digest_bytes", blob.len() as u64);
+    blob
+}
+
 /// Activity 3's output for one (receptor content, receptor name).
 pub struct Prepared {
-    /// The receptor PDBQT text, staged by reference by every activation.
-    pub pdbqt: Arc<str>,
+    /// The receptor PDBQT text, digested once here and staged by reference
+    /// by every activation.
+    pub pdbqt: Blob,
     /// Heavy atoms, the activity-6 size filter's input.
     pub heavy_atoms: usize,
 }
@@ -140,28 +150,27 @@ impl ReceptorCache {
         ReceptorCache(Arc::new(Tier { budget, state: Mutex::default() }))
     }
 
-    /// Does the receptor in `pdb_text` contain mercury? One parse per
+    /// Does the staged receptor PDB `pdb` contain mercury? One parse per
     /// content (counted by `receptor.hg_screened`) answers every pair and
     /// feeds [`ReceptorCache::prepared`]. A text that does not parse is not
     /// remembered and answers `false`: activity 3 reports the error.
-    pub fn has_hg(&self, pdb_text: &str, tel: &Telemetry) -> bool {
-        self.receptor(fnv1a64(pdb_text.as_bytes()), pdb_text, tel).is_ok_and(|r| r.has_hg)
+    pub fn has_hg(&self, pdb: &Blob, tel: &Telemetry) -> bool {
+        self.receptor(pdb, tel).is_ok_and(|r| r.has_hg)
     }
 
-    /// `prepare_receptor4` of `pdb_text` as receptor `name`: typed, charged
-    /// and formatted once per (content, name) — counted by
+    /// `prepare_receptor4` of the staged PDB `pdb` as receptor `name`:
+    /// typed, charged and formatted once per (content, name) — counted by
     /// `receptor.prepared`, later calls by `receptor.prep.hit` — from the one
     /// parse [`ReceptorCache::has_hg`] shares.
     pub fn prepared(
         &self,
-        pdb_text: &str,
+        pdb: &Blob,
         name: &str,
         tel: &Telemetry,
     ) -> Result<Arc<Prepared>, ActivityError> {
-        let digest = fnv1a64(pdb_text.as_bytes());
         let (prepared, computed) =
-            self.get_or_try(Key::Pdbqt(digest, name.to_string()), tel, || {
-                let receptor = self.receptor(digest, pdb_text, tel)?;
+            self.get_or_try(Key::Pdbqt(pdb.digest(), name.to_string()), tel, || {
+                let receptor = self.receptor(pdb, tel)?;
                 let mut guard = receptor.mol.lock();
                 let (mol, ready) = &mut *guard;
                 if !*ready {
@@ -170,7 +179,7 @@ impl ReceptorCache {
                     *ready = true;
                 }
                 mol.name = name.to_string();
-                let pdbqt: Arc<str> = pdbqt::write_receptor_pdbqt(mol).into();
+                let pdbqt = digested(pdbqt::write_receptor_pdbqt(mol), tel);
                 let bytes = pdbqt.len() as u64;
                 Ok((Prepared { pdbqt, heavy_atoms: mol.heavy_atom_count() }, bytes))
             })?;
@@ -180,15 +189,10 @@ impl ReceptorCache {
 
     /// The one place a receptor PDB is parsed, for the rule and for
     /// activity 3 alike.
-    fn receptor(
-        &self,
-        digest: u64,
-        pdb_text: &str,
-        tel: &Telemetry,
-    ) -> Result<Arc<Receptor>, ActivityError> {
-        let (receptor, _) = self.get_or_try(Key::Receptor(digest), tel, || {
+    fn receptor(&self, pdb: &Blob, tel: &Telemetry) -> Result<Arc<Receptor>, ActivityError> {
+        let (receptor, _) = self.get_or_try(Key::Receptor(pdb.digest()), tel, || {
             tel.count("receptor.hg_screened", 1);
-            let mol = pdb::read_pdb(pdb_text).map_err(|e| ActivityError(format!("pdb: {e}")))?;
+            let mol = pdb::read_pdb(pdb).map_err(|e| ActivityError(format!("pdb: {e}")))?;
             let has_hg = mol.contains_element(Element::Hg);
             let names: usize =
                 mol.atoms.iter().map(|a| a.name.capacity() + a.res_name.capacity()).sum();
@@ -295,17 +299,35 @@ impl ReceptorCache {
 }
 
 /// A grid set's AutoGrid output files, `(file name, text)` per map in
-/// [`GridSet::maps`] order, shared by every activation that stages them.
-pub type MapFiles = Arc<[(String, Arc<str>)]>;
+/// [`GridSet::maps`] order, digested when rendered and shared by every
+/// activation that stages them.
+pub type MapFiles = Arc<[(String, Blob)]>;
+
+/// The cache key of the grid set built from a receptor PDBQT whose digest
+/// is `pdbqt_digest`, under `engine` and `cfg`'s map-shaping knobs: the
+/// [`digest`] of the knob header ([`grid_key_header`]) followed by the
+/// content digest. It names the on-disk `<key>.grid` entry, so it must not
+/// change from build to build.
+pub fn grid_key(pdbqt_digest: u64, engine: EngineKind, cfg: &DockConfig) -> u64 {
+    let mut key = grid_key_header(
+        engine.program_name(),
+        cfg.grid_spacing,
+        cfg.box_edge,
+        cfg.pocket_probe,
+        &LIGAND_TYPE_SUPERSET,
+    )
+    .into_bytes();
+    key.extend_from_slice(&pdbqt_digest.to_le_bytes());
+    digest(&key)
+}
 
 /// Content-addressed cache of receptor grids (AutoGrid output is shared by
 /// every ligand docked against the same receptor — and, content-addressed,
 /// by every *campaign* docking the same receptor under the same knobs).
 ///
-/// Keys are [`grid_set_digest`] values over the receptor PDBQT text plus
-/// every map-shaping knob, so renamed or re-staged receptors still share
-/// one entry. A `GridCache` is one campaign's view of three read-through
-/// tiers:
+/// Keys are [`grid_key`] values over the receptor PDBQT's digest plus every
+/// map-shaping knob, so renamed or re-staged receptors still share one
+/// entry. A `GridCache` is one campaign's view of three read-through tiers:
 ///
 /// 1. process memory — a [`ReceptorCache`] handle, private to this view
 ///    unless one was passed to [`GridCache::view`]. Beside each grid set it
@@ -395,6 +417,9 @@ impl GridCache {
     /// from disk or the shared file store), or `gridcache.persist.miss` +
     /// `gridcache.persist.write` (built and persisted), and
     /// `gridcache.persist.bytes` (entry bytes moved through the tier).
+    ///
+    /// The text is digested here; a staged receptor goes through
+    /// [`GridCache::grids`], which reuses its blob's digest.
     pub fn get_or_build(
         &self,
         _receptor_id: &str,
@@ -402,53 +427,59 @@ impl GridCache {
         engine: EngineKind,
         cfg: &DockConfig,
     ) -> Result<Arc<GridSet>, ActivityError> {
-        Ok(self.grids(receptor_pdbqt, engine, cfg)?.1)
+        self.grids(&digested(receptor_pdbqt, &cfg.telemetry), engine, cfg)
     }
 
-    /// The `.map` files of the grid set [`GridCache::get_or_build`] resolves
-    /// (same lookup, same counters, same build on a miss), rendered for
-    /// `receptor_id`. The texts are formatted once per (content digest,
-    /// receptor name) — counted by `gridcache.maps.rendered` — and every
-    /// later call returns the same allocations, so staging them costs one
-    /// pointer write per map.
+    /// [`GridCache::get_or_build`] for a staged receptor PDBQT.
+    pub fn grids(
+        &self,
+        receptor_pdbqt: &Blob,
+        engine: EngineKind,
+        cfg: &DockConfig,
+    ) -> Result<Arc<GridSet>, ActivityError> {
+        Ok(self.lookup(receptor_pdbqt, engine, cfg)?.1)
+    }
+
+    /// The `.map` files of the grid set [`GridCache::grids`] resolves (same
+    /// lookup, same counters, same build on a miss), rendered for
+    /// `receptor_id`. The texts are formatted and digested once per (grid
+    /// key, receptor name) — counted by `gridcache.maps.rendered` — and every
+    /// later call returns the same blobs, so staging them costs one pointer
+    /// write per map.
     pub fn get_or_render(
         &self,
         receptor_id: &str,
-        receptor_pdbqt: &str,
+        receptor_pdbqt: &Blob,
         engine: EngineKind,
         cfg: &DockConfig,
     ) -> Result<MapFiles, ActivityError> {
-        let (digest, grids) = self.grids(receptor_pdbqt, engine, cfg)?;
+        let (key, grids) = self.lookup(receptor_pdbqt, engine, cfg)?;
         let tel = &cfg.telemetry;
         let (maps, _) =
-            self.tier.get_or_try(Key::Maps(digest, receptor_id.to_string()), tel, || {
+            self.tier.get_or_try(Key::Maps(key, receptor_id.to_string()), tel, || {
                 tel.count("gridcache.maps.rendered", 1);
-                let maps: MapFiles = docking::mapfile::render_map_files(&grids, receptor_id).into();
+                let maps: MapFiles = docking::mapfile::render_map_files(&grids, receptor_id)
+                    .into_iter()
+                    .map(|(name, text)| (name, digested(text, tel)))
+                    .collect();
                 let bytes = maps.iter().map(|(name, text)| (name.len() + text.len()) as u64).sum();
                 Ok((maps, bytes))
             })?;
         Ok(MapFiles::clone(&maps))
     }
 
-    fn grids(
+    fn lookup(
         &self,
-        receptor_pdbqt: &str,
+        receptor_pdbqt: &Blob,
         engine: EngineKind,
         cfg: &DockConfig,
     ) -> Result<(u64, Arc<GridSet>), ActivityError> {
-        let digest = grid_set_digest(
-            receptor_pdbqt,
-            engine.program_name(),
-            cfg.grid_spacing,
-            cfg.box_edge,
-            cfg.pocket_probe,
-            &LIGAND_TYPE_SUPERSET,
-        );
+        let key = grid_key(receptor_pdbqt.digest(), engine, cfg);
         let tel = &cfg.telemetry;
-        let (grids, computed) = self.tier.get_or_try(Key::Grids(digest), tel, || {
+        let (grids, computed) = self.tier.get_or_try(Key::Grids(key), tel, || {
             tel.count("gridcache.miss", 1);
             let grids = match &self.persist {
-                Some(p) => match Self::load_persisted(p, digest, cfg) {
+                Some(p) => match Self::load_persisted(p, key, cfg) {
                     Some(grids) => grids,
                     None => {
                         tel.count("gridcache.persist.miss", 1);
@@ -456,8 +487,8 @@ impl GridCache {
                         let text = docking::gridio::serialize_grid_set(&grids);
                         tel.count("gridcache.persist.write", 1);
                         tel.count("gridcache.persist.bytes", text.len() as u64);
-                        Self::write_entry(p, digest, &text);
-                        p.files.write(&GridCachePersist::store_path(digest), text);
+                        Self::write_entry(p, key, &text);
+                        p.files.write(&GridCachePersist::store_path(key), text);
                         grids
                     }
                 },
@@ -469,7 +500,7 @@ impl GridCache {
         if !computed {
             tel.count("gridcache.hit", 1);
         }
-        Ok((digest, grids))
+        Ok((key, grids))
     }
 
     /// Try the persistent tiers (disk, then shared file store / `FileReq`
@@ -478,7 +509,10 @@ impl GridCache {
         let disk = std::fs::read_to_string(p.entry_path(digest)).ok();
         let (text, from_disk): (Arc<str>, bool) = match disk {
             Some(t) => (t.into(), true),
-            None => (p.files.read(&GridCachePersist::store_path(digest))?, false),
+            None => {
+                let stored = p.files.read(&GridCachePersist::store_path(digest))?;
+                (Arc::clone(stored.text()), false)
+            }
         };
         // a corrupt or torn entry (integrity digest mismatch) falls back to
         // a rebuild instead of failing the activation
@@ -576,8 +610,9 @@ mod tests {
         p
     }
 
-    fn pdb_text(id: &str, p: &DatasetParams) -> String {
-        pdb::write_pdb(&make_receptor(id, p).structure)
+    /// A receptor's PDB text as activity 3 reads it from the store.
+    fn pdb_text(id: &str, p: &DatasetParams) -> Blob {
+        Blob::new(pdb::write_pdb(&make_receptor(id, p).structure))
     }
 
     fn fast_cfg(tel: &Telemetry, receptors: ReceptorCache) -> SciDockConfig {
@@ -665,15 +700,27 @@ mod tests {
 
         // a text that does not parse is an error for activity 3, `false` for
         // the rule, and is not remembered
-        let broken = "ATOM      1  N   ALA A   1      xx.xxx\n";
-        assert!(tier.prepared(broken, "1HUC", &tel).is_err());
-        assert!(!tier.has_hg(broken, &tel));
+        let broken = Blob::new("ATOM      1  N   ALA A   1      xx.xxx\n");
+        assert!(tier.prepared(&broken, "1HUC", &tel).is_err());
+        assert!(!tier.has_hg(&broken, &tel));
         assert_eq!(counter(&tel, "receptor.hg_screened"), 4, "parsed again each time");
         assert_eq!(tier.receptors(), 2);
         assert_eq!(
             telemetry::registry::unregistered(&tel.snapshot().unwrap()),
             Vec::<String>::new()
         );
+    }
+
+    #[test]
+    fn grid_keys_separate_engines_knobs_and_contents_and_are_pinned() {
+        let cfg = DockConfig { grid_spacing: 0.375, box_edge: 22.5, ..Default::default() };
+        let key = grid_key(digest(b"ATOM 1"), EngineKind::Ad4, &cfg);
+        // pinned: a change here orphans every cache entry on disk
+        assert_eq!(key, 0xdc0e_13a5_3138_cd46);
+        assert_ne!(key, grid_key(digest(b"ATOM 2"), EngineKind::Ad4, &cfg));
+        assert_ne!(key, grid_key(digest(b"ATOM 1"), EngineKind::Vina, &cfg));
+        let coarser = DockConfig { grid_spacing: 0.5, ..cfg.clone() };
+        assert_ne!(key, grid_key(digest(b"ATOM 1"), EngineKind::Ad4, &coarser));
     }
 
     #[test]
@@ -723,20 +770,22 @@ mod tests {
             .unwrap();
 
         // three pairs, three paths, one allocation
-        let staged: Vec<Arc<str>> = report
+        let staged: Vec<Blob> = report
             .final_output()
             .tuples
             .iter()
             .map(|t| files.read(t[3].as_str().unwrap()).unwrap())
             .collect();
         assert_eq!(staged.len(), 3);
-        assert!(staged.iter().all(|text| Arc::ptr_eq(text, &staged[0])));
+        assert!(staged.iter().all(|text| Arc::ptr_eq(text.text(), staged[0].text())));
         assert_eq!(counter(&tel, "receptor.prepared"), 1);
         assert_eq!(counter(&tel, "receptor.prep.hit"), 2);
 
         // … recorded per pair exactly as an unshared preparation would be
         let (text, heavy_atoms) = unshared(&pdb_text("1HUC", &params(0.0)), "1HUC");
         assert_eq!(&*staged[0], text);
+        // … digested when prepared, and never again while staged
+        assert_eq!(staged[0].digest(), cumulus::digest(text.as_bytes()));
         let sizes =
             prov.query_rows("SELECT fsize FROM hfile WHERE fname = '1HUC.pdbqt'", &[]).unwrap();
         assert_eq!(sizes.len(), 3);
@@ -834,7 +883,7 @@ mod tests {
         let tel = Telemetry::attached();
         let (one, two) = (pdb_text("1HUC", &params(0.0)), pdb_text("2HHN", &params(0.0)));
         // holds either receptor's parse + text, never both
-        let weigh = |pdb: &str| {
+        let weigh = |pdb: &Blob| {
             let tier = ReceptorCache::default();
             tier.prepared(pdb, "any", &Telemetry::disabled()).unwrap();
             tier.resident_bytes()

@@ -4,7 +4,7 @@
 //! [`run_dist`] is the crate's one engine (`engine.rs`, shared with
 //! [`crate::serve`] and [`crate::localbackend`]) holding a single run — the
 //! same ready-driven pipelined dispatcher as the local backend — with this
-//! module's `SDW1` port as its workers: instead of handing activations to
+//! module's `SDW2` port as its workers: instead of handing activations to
 //! threads, the port shards them over TCP to worker processes, each a
 //! [`worker::serve`] loop around the length-prefixed frame protocol of the
 //! private `proto` module (the frame layout is documented in `DESIGN.md`
@@ -25,7 +25,11 @@
 //!   made by the reader thread of the connection its `Done` frame arrived
 //!   on), so `provenance::export_provn_canonical` of a local and a
 //!   distributed run are byte-identical and `resume_from` stays sound
-//!   across a master crash.
+//!   across a master crash. A store fault in that commit is the run's:
+//!   the reader forwards the panic to the engine, which re-raises it.
+//! * **One copy per content** — produced files and fetched inputs are
+//!   named by digest; a connection carries each content's bytes once, and
+//!   the receiver re-hashes what it is sent.
 //! * **Telemetry lanes** — each worker ships its spans back inside result
 //!   frames; the master merges them onto a per-worker track with a clock
 //!   offset, so a Chrome trace shows one lane per worker process.
@@ -41,6 +45,7 @@ pub(crate) mod proto;
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -57,9 +62,9 @@ use crate::fleet::SchedulerFactory;
 use crate::lifecycle::{run_scoped, ActivityCtx, Attempt, Exec, ScopeCfg, Settled};
 use crate::localbackend::RunReport;
 use crate::obs::{BoundAddr, EventLog};
-use crate::workflow::{FileStore, WorkflowDef};
+use crate::workflow::{Blob, FileStore, WorkflowDef};
 
-use proto::{Frame, WireFate, WireOutcome};
+use proto::{Carried, Frame, WireFate, WireOutcome};
 
 /// Fault-drill hook: sever worker `worker` right after it has been sent its
 /// `after_runs`-th `Run` frame (1-based). Spawned workers are killed with
@@ -361,7 +366,7 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 ///
 /// One run scope around the crate's one engine (the module `engine`, shared
 /// with [`crate::serve`] and the local backend) holding this one run, with
-/// `SDW1` connections as its workers; what is specific to a distributed run —
+/// `SDW2` connections as its workers; what is specific to a distributed run —
 /// the utilisation and billing epilogue — follows it.
 pub fn run_dist(
     def: &WorkflowDef,
@@ -398,7 +403,7 @@ pub fn run_dist(
 
         scope.obs.health.lock().expect("health view poisoned").phase = "starting".to_string();
         let (events_tx, events) = mpsc::channel();
-        let port = Sdw1Port::connect(cfg, &files, tel, &scope.obs.tel, events_tx)?;
+        let port = SdwPort::connect(cfg, &files, tel, &scope.obs.tel, events_tx)?;
         let mut engine = Engine::new(
             port,
             EngineCfg {
@@ -450,7 +455,7 @@ pub fn run_dist(
     })
 }
 
-// --------------------------------------------------------------- SDW1 port
+// --------------------------------------------------------------- SDW2 port
 
 /// Attempts begun for one worker and not yet settled, by job id. Whoever
 /// takes an entry out — the connection's reader on `Done`, the engine
@@ -477,7 +482,7 @@ impl Conn {
     }
 }
 
-/// The engine's port onto `SDW1` worker connections, [`DistConfig::max_in_flight`]
+/// The engine's port onto `SDW2` worker connections, [`DistConfig::max_in_flight`]
 /// activation slots each, plus everything needed to grow the fleet mid-run:
 /// the listening socket stays open for the run's lifetime, and the port
 /// keeps a sender of the engine's event channel for the readers of
@@ -488,7 +493,7 @@ impl Conn {
 /// dispatch to result); the connection's reader thread lands the files a
 /// `Done` frame ships and calls `settle`, so provenance commits of different
 /// workers overlap and never wait behind the engine's dispatch.
-struct Sdw1Port<'a> {
+struct SdwPort<'a> {
     cfg: &'a DistConfig,
     tel: Telemetry,
     /// The collector `/metrics` serves: workers' `Stats` deltas merge here.
@@ -511,7 +516,7 @@ struct Sdw1Port<'a> {
     fresh: usize,
 }
 
-impl<'a> Sdw1Port<'a> {
+impl<'a> SdwPort<'a> {
     /// Bind, launch the initial fleet, and complete the `Ready`/`Hello`
     /// handshake with every worker of it.
     fn connect(
@@ -520,11 +525,11 @@ impl<'a> Sdw1Port<'a> {
         tel: &Telemetry,
         obs_tel: &Telemetry,
         events_tx: mpsc::Sender<PortEvent>,
-    ) -> Result<Sdw1Port<'a>, CumulusError> {
+    ) -> Result<SdwPort<'a>, CumulusError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
         listener.set_nonblocking(true)?;
-        let mut port = Sdw1Port {
+        let mut port = SdwPort {
             cfg,
             tel: tel.clone(),
             obs_tel: obs_tel.clone(),
@@ -573,7 +578,7 @@ impl<'a> Sdw1Port<'a> {
             stream.set_nonblocking(false)?;
             stream.set_nodelay(true).ok();
             stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
-            let (pid, worker_now) = match proto::read_frame(&mut stream) {
+            let (pid, worker_now) = match recv(&self.tel, &mut stream) {
                 Ok(Frame::Ready { pid, now_ns }) => (pid, now_ns),
                 Ok(f) => {
                     return Err(CumulusError::Protocol(format!("expected Ready, got {f:?}")));
@@ -584,7 +589,8 @@ impl<'a> Sdw1Port<'a> {
             let offset_ns = self.tel.now_ns() as i64 - worker_now as i64;
             let i = self.conns.len();
             let track = self.tel.alloc_track(&format!("worker-{i}"));
-            proto::write_frame(
+            send(
+                &self.tel,
                 &mut stream,
                 &Frame::Hello {
                     worker_id: i as u32,
@@ -608,6 +614,7 @@ impl<'a> Sdw1Port<'a> {
                     .map_err(|e| CumulusError::Io(format!("cloning worker {i} stream: {e}")))?,
                 writer: Arc::clone(&writer),
                 files: Arc::clone(&self.files),
+                carried: Carried::default(),
                 tx: self.events_tx.clone(),
                 begun: Arc::clone(&begun),
                 tel: self.tel.clone(),
@@ -653,7 +660,7 @@ impl<'a> Sdw1Port<'a> {
     }
 }
 
-impl WorkerPort for Sdw1Port<'_> {
+impl WorkerPort for SdwPort<'_> {
     fn slots(&self) -> usize {
         self.cfg.max_in_flight
     }
@@ -680,7 +687,7 @@ impl WorkerPort for Sdw1Port<'_> {
                 die_on_run: self.cfg.kill_plan.filter(|p| p.worker == seq).map(|p| p.after_runs),
             };
             self.threads.push_back(std::thread::spawn(move || {
-                let _ = worker::serve_with(&addr, resolver, opts);
+                let _ = worker::serve_with(&addr, |_| resolver, opts);
             }));
         }
         self.spawning.push_back(Instant::now());
@@ -711,7 +718,7 @@ impl WorkerPort for Sdw1Port<'_> {
         };
         let c = &mut self.conns[worker];
         c.begun.lock().insert(id, (Arc::clone(ctx), at));
-        let sent = proto::write_frame(&mut *c.writer.lock(), &frame).is_ok();
+        let sent = send(&self.tel, &mut c.writer.lock(), &frame).is_ok();
         c.runs_sent += 1;
         if let Some(plan) = self.cfg.kill_plan {
             if plan.worker == worker && plan.after_runs == c.runs_sent {
@@ -726,7 +733,7 @@ impl WorkerPort for Sdw1Port<'_> {
     }
 
     fn drain(&mut self, worker: usize) -> bool {
-        proto::write_frame(&mut *self.conns[worker].writer.lock(), &Frame::Drain).is_ok()
+        send(&self.tel, &mut self.conns[worker].writer.lock(), &Frame::Drain).is_ok()
     }
 
     fn sever(&mut self, worker: usize) -> Vec<(u64, Attempt)> {
@@ -739,7 +746,7 @@ impl WorkerPort for Sdw1Port<'_> {
     /// processes a moment to do so, then reap whatever is left.
     fn shutdown(&mut self) {
         for c in &self.conns {
-            let _ = proto::write_frame(&mut *c.writer.lock(), &Frame::Shutdown);
+            let _ = send(&self.tel, &mut c.writer.lock(), &Frame::Shutdown);
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
@@ -762,11 +769,24 @@ impl WorkerPort for Sdw1Port<'_> {
     }
 }
 
-impl Drop for Sdw1Port<'_> {
+impl Drop for SdwPort<'_> {
     fn drop(&mut self) {
         // safety net for error paths: never leave worker processes behind
         self.teardown();
     }
+}
+
+/// Write one frame to a worker, counted as `sdw.bytes_out`.
+fn send(tel: &Telemetry, stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
+    tel.count("sdw.bytes_out", proto::write_frame(stream, frame)? as u64);
+    Ok(())
+}
+
+/// Read one frame from a worker, counted as `sdw.bytes_in`.
+fn recv(tel: &Telemetry, stream: &mut TcpStream) -> std::io::Result<Frame> {
+    let body = proto::read_body(stream)?;
+    tel.count("sdw.bytes_in", body.len() as u64 + 4);
+    proto::decode(&body).map_err(proto::invalid)
 }
 
 /// The thread reading one worker connection.
@@ -775,6 +795,8 @@ struct Reader {
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     files: Arc<FileStore>,
+    /// What this connection has carried, in either direction.
+    carried: Carried,
     tx: mpsc::Sender<PortEvent>,
     begun: Begun,
     tel: Telemetry,
@@ -789,12 +811,17 @@ impl Reader {
     fn serve(mut self) {
         let worker = self.worker;
         let lost = loop {
-            let event = match proto::read_frame(&mut self.stream) {
+            let event = match recv(&self.tel, &mut self.stream) {
                 // answer file fetches right here so they never queue
                 // behind the engine's dispatch
                 Ok(Frame::FileReq { req, path }) => {
-                    let reply = Frame::FileData { req, contents: self.files.read(&path) };
-                    if proto::write_frame(&mut *self.writer.lock(), &reply).is_err() {
+                    let contents = self.files.read(&path).map(|blob| {
+                        let (mut wire, fresh) = self.carried.offer([&blob]);
+                        self.carried.extend(fresh);
+                        wire.remove(0)
+                    });
+                    let reply = Frame::FileData { req, contents };
+                    if send(&self.tel, &mut self.writer.lock(), &reply).is_err() {
                         break "socket_closed";
                     }
                     continue;
@@ -817,11 +844,33 @@ impl Reader {
                     }
                     PortEvent::Seen { worker, job: job.map(|j| (j, job_elapsed_ms)) }
                 }
-                Ok(Frame::Done { job, outcome }) => {
+                Ok(Frame::Done { job, mut outcome }) => {
+                    // resolved even for a completion that raced a
+                    // reassignment: the worker counts its contents carried
+                    let (WireOutcome::Finished { files, .. } | WireOutcome::Failed { files, .. }) =
+                        &mut outcome;
+                    let files: Result<Vec<(String, Blob)>, _> = std::mem::take(files)
+                        .into_iter()
+                        .map(|(path, c)| Ok((path, self.carried.land(c, &self.tel)?)))
+                        .collect();
+                    let files = match files {
+                        Ok(files) => files,
+                        Err(reason) => break reason,
+                    };
                     let Some((ctx, at)) = self.begun.lock().remove(&job) else {
                         continue; // completion raced a reassignment
                     };
-                    PortEvent::Settled { worker, job, settled: self.settle(&ctx, at, outcome) }
+                    let paths = self.land(files);
+                    // a panic here is a store fault in the commit: the run
+                    // dies of it, as the engine's other ports make it
+                    match catch_unwind(AssertUnwindSafe(|| self.settle(&ctx, at, outcome, &paths)))
+                    {
+                        Ok(settled) => PortEvent::Settled { worker, job, settled },
+                        Err(payload) => {
+                            let _ = self.tx.send(PortEvent::Panicked(payload));
+                            return;
+                        }
+                    }
                 }
                 Ok(Frame::Bye { completed }) => PortEvent::Retired { worker, completed },
                 Ok(_) => break "unexpected_frame",
@@ -834,27 +883,37 @@ impl Reader {
         let _ = self.tx.send(PortEvent::Lost { worker, reason: lost });
     }
 
-    /// Land the worker's artifacts in the shared store first, so recorded
-    /// sizes are real and downstream fetches always hit — even a failed
-    /// attempt's files persist: the local backend shares one store, so
-    /// parity demands the same here — then let the lifecycle record it.
-    fn settle(&self, ctx: &ActivityCtx, at: Attempt, outcome: WireOutcome) -> Settled {
-        let land = |shipped: Vec<(String, Arc<str>)>| -> Vec<String> {
-            shipped
-                .into_iter()
-                .map(|(path, contents)| {
-                    self.files.write(&path, contents);
-                    path
-                })
-                .collect()
-        };
+    /// Land an attempt's artifacts in the shared store before the lifecycle
+    /// records them, so recorded sizes are real and downstream fetches
+    /// always hit — even a failed attempt's files persist: the local backend
+    /// shares one store, so parity demands the same here. The connection's
+    /// table then names each content by the store's allocation of it, not
+    /// by the frame's copy.
+    fn land(&mut self, files: Vec<(String, Blob)>) -> Vec<String> {
+        files
+            .into_iter()
+            .map(|(path, blob)| {
+                let stored = self.files.write(&path, blob);
+                self.carried.extend([stored]);
+                path
+            })
+            .collect()
+    }
+
+    /// Let the lifecycle record an attempt whose files have landed.
+    fn settle(
+        &self,
+        ctx: &ActivityCtx,
+        at: Attempt,
+        outcome: WireOutcome,
+        paths: &[String],
+    ) -> Settled {
         match outcome {
-            WireOutcome::Finished { tuples, files, params, spans } => {
+            WireOutcome::Finished { tuples, params, spans, .. } => {
                 self.import(spans);
-                let paths = land(files);
-                ctx.settle(at, Exec::Finished { tuples, files: &paths, params: &params })
+                ctx.settle(at, Exec::Finished { tuples, files: paths, params: &params })
             }
-            WireOutcome::Failed { error, files, spans } => {
+            WireOutcome::Failed { error, spans, .. } => {
                 self.import(spans);
                 if error.starts_with("oversized result") {
                     // the worker degraded an over-cap Done frame into a
@@ -862,7 +921,6 @@ impl Reader {
                     // stays countable
                     self.tel.count("proto.oversized_done", 1);
                 }
-                land(files);
                 ctx.settle(at, Exec::Failed)
             }
         }
@@ -1377,6 +1435,73 @@ mod tests {
             vec![vec![Value::Int(18)]],
             "resumed outputs reconstruct from provenance"
         );
+    }
+
+    #[test]
+    fn a_store_fault_in_a_reader_commit_kills_the_run_instead_of_waiting_for_heartbeats() {
+        use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
+
+        // opening the store is append 1; the engine thread registers the
+        // workflow and its three activities in 2–5; every later append is a
+        // commit made by a connection's reader thread
+        let env = MemEnv::new();
+        let plan = Arc::new(FaultPlan::panic_after(7));
+        let fault = FaultEnv::new(Box::new(env.clone()), Arc::clone(&plan));
+        let prov =
+            Arc::new(ProvenanceStore::open_env(Box::new(fault), Default::default()).unwrap());
+        // a silent worker would only be noticed long after the watchdog
+        let cfg = dist_cfg(2).with_heartbeat_timeout(Duration::from_secs(30));
+        let (done_tx, done_rx) = mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let files = Arc::new(FileStore::new());
+            let report = run_dist(&test_def(0), test_input(8), files, prov, &cfg);
+            let _ = done_tx.send(report.is_ok());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Err(mpsc::RecvTimeoutError::Disconnected) => {}
+            other => panic!("run_dist must die of the store fault, got {other:?}"),
+        }
+        assert!(run.join().is_err(), "the fault re-raised on the run's thread");
+        assert!(plan.appends_seen() >= 7, "the fault fired");
+        // what a restarted process recovers holds no poisoned input
+        let recovered = ProvenanceStore::open_env(Box::new(env), Default::default()).unwrap();
+        let blacklisted = recovered
+            .query_rows("SELECT count(*) FROM hactivation WHERE status = 'BLACKLISTED'", &[])
+            .unwrap();
+        assert_eq!(blacklisted.cell(0, 0), &Value::Int(0));
+    }
+
+    #[test]
+    fn a_version_1_worker_fails_the_handshake_with_a_protocol_error() {
+        use std::io::Write;
+
+        let cfg = dist_cfg(1);
+        let files = Arc::new(FileStore::new());
+        let (tx, _events) = mpsc::channel();
+        let tel = Telemetry::disabled();
+        let mut port = SdwPort::connect(&cfg, &files, &tel, &tel, tx).expect("one worker joins");
+        // an SDW1 worker's Ready: tag 0, magic "SDW1", pid, clock
+        let mut body = vec![0u8];
+        body.extend_from_slice(&0x5344_5731u32.to_le_bytes());
+        body.extend_from_slice(&[0; 12]);
+        let mut stranger = TcpStream::connect(&port.addr).unwrap();
+        stranger.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+        stranger.write_all(&body).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let err = loop {
+            match port.accept() {
+                Err(e) => break e,
+                Ok(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+                Ok(_) => panic!("the stranger was never refused"),
+            }
+        };
+        match err {
+            CumulusError::Protocol(msg) => {
+                assert!(msg.contains("the peer speaks SDW1, this end speaks SDW2"), "{msg}")
+            }
+            other => panic!("not a protocol error: {other}"),
+        }
+        assert_eq!(port.conns.len(), 1, "the stranger never joined");
     }
 
     // ------------------------------------------- observability plane

@@ -9,20 +9,113 @@
 //!
 //! Integers are little-endian and fixed-width; strings are
 //! `[u32 len][utf-8 bytes]`; options are `[u8 0|1][payload]`; vectors are
-//! `[u32 count][items]`. The first frame a worker sends ([`Frame::Ready`])
-//! opens with the `SDW1` magic so the master can reject strangers before
-//! trusting anything else on the socket. Bodies are capped at 64 MiB — a
-//! frame above the cap is a protocol error, not an allocation.
+//! `[u32 count][items]`. The handshake frames ([`Frame::Ready`], then
+//! [`Frame::Hello`]) open with the `SDW2` magic, so each side rejects a
+//! stranger or an older peer before trusting anything else on the socket.
+//! Bodies are capped at 64 MiB — a frame above the cap is a protocol error,
+//! not an allocation.
+//!
+//! File contents are named by `(digest, len)` ([`WireContent`]) and carry
+//! their bytes only the first time the connection carries that digest, in
+//! either direction; each end keeps what its connection carried in a
+//! [`Carried`] table.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
 use provenance::Value;
+use telemetry::Telemetry;
 
 use crate::algebra::Tuple;
+use crate::workflow::Blob;
 
-/// `"SDW1"` — SciDock Worker protocol, version 1.
-pub(crate) const MAGIC: u32 = 0x5344_5731;
+/// `"SDW2"` — SciDock Worker protocol, version 2 (content-addressed files).
+pub(crate) const MAGIC: u32 = 0x5344_5732;
+
+/// Check a handshake frame's magic.
+fn check_magic(magic: u32) -> DecodeResult<()> {
+    if magic == MAGIC {
+        return Ok(());
+    }
+    let name: String = magic.to_be_bytes().iter().map(|&b| b as char).collect();
+    let name = if name.chars().all(|c| c.is_ascii_alphanumeric()) { name } else { "?".into() };
+    Err(format!("bad magic {magic:#x}: the peer speaks {name}, this end speaks SDW2"))
+}
+
+/// A file's contents on the wire: named by digest and length, with the
+/// bytes only the first time this connection carries the digest.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct WireContent {
+    pub digest: u64,
+    pub len: u64,
+    /// The text, when the connection has not carried `digest` before.
+    pub bytes: Option<Arc<str>>,
+}
+
+/// The contents one connection has carried, in either direction, by
+/// digest. Neither end evicts during a run, so "the peer has it" is exact:
+/// what one end's table holds, the other end's holds too once the frames
+/// between them are read.
+#[derive(Default)]
+pub(crate) struct Carried(HashMap<u64, Blob>);
+
+impl Carried {
+    /// How to send `blobs`: bytes for a digest neither this table nor an
+    /// earlier entry of the same batch holds, the digest alone otherwise.
+    /// The blobs sent as bytes come back separately; they join the table
+    /// ([`Carried::extend`]) once the frame is written.
+    pub(crate) fn offer<'a>(
+        &self,
+        blobs: impl IntoIterator<Item = &'a Blob>,
+    ) -> (Vec<WireContent>, Vec<Blob>) {
+        let mut fresh: Vec<Blob> = Vec::new();
+        let wire = blobs
+            .into_iter()
+            .map(|blob| {
+                let known = self.0.contains_key(&blob.digest())
+                    || fresh.iter().any(|f| f.digest() == blob.digest());
+                if !known {
+                    fresh.push(blob.clone());
+                }
+                WireContent {
+                    digest: blob.digest(),
+                    len: blob.len() as u64,
+                    bytes: (!known).then(|| Arc::clone(blob.text())),
+                }
+            })
+            .collect();
+        (wire, fresh)
+    }
+
+    /// Record blobs the peer now holds.
+    pub(crate) fn extend(&mut self, blobs: impl IntoIterator<Item = Blob>) {
+        self.0.extend(blobs.into_iter().map(|b| (b.digest(), b)));
+    }
+
+    /// Resolve received contents: bytes are digested again (counted as
+    /// `files.digest_bytes` on `tel`) and must match their name; a digest
+    /// alone must be one this connection carried. The error is the reason
+    /// the connection is dropped.
+    pub(crate) fn land(&mut self, c: WireContent, tel: &Telemetry) -> Result<Blob, &'static str> {
+        let blob = match c.bytes {
+            Some(text) => {
+                tel.count("files.digest_bytes", text.len() as u64);
+                let blob = Blob::new(text);
+                if blob.digest() != c.digest {
+                    return Err("digest_mismatch");
+                }
+                self.0.insert(blob.digest(), blob.clone());
+                blob
+            }
+            None => self.0.get(&c.digest).cloned().ok_or("unknown_digest")?,
+        };
+        if blob.len() as u64 != c.len {
+            return Err("length_mismatch");
+        }
+        Ok(blob)
+    }
+}
 
 /// Upper bound on a frame body; larger lengths are rejected before reading.
 pub(crate) const MAX_FRAME: usize = 64 << 20;
@@ -73,11 +166,10 @@ pub(crate) enum WireOutcome {
     Finished {
         /// Output tuples.
         tuples: Vec<Tuple>,
-        /// Produced files as `(path, contents)`, in production order. The
-        /// worker ships the store's own `Arc<str>`s (no copy until the
-        /// frame is encoded); the master decodes straight into the
-        /// allocation its store will hold.
-        files: Vec<(String, Arc<str>)>,
+        /// Produced files as `(path, contents)`, in production order. Bytes
+        /// the worker ships are its store's own allocations (no copy until
+        /// the frame is encoded).
+        files: Vec<(String, WireContent)>,
         /// Extracted domain parameters.
         params: Vec<(String, Option<f64>, Option<String>)>,
         /// Worker-side telemetry spans.
@@ -89,7 +181,7 @@ pub(crate) enum WireOutcome {
         error: String,
         /// Files written before the failure (kept for file-store parity
         /// with the local backend, which shares one store).
-        files: Vec<(String, Arc<str>)>,
+        files: Vec<(String, WireContent)>,
         /// Worker-side telemetry spans.
         spans: Vec<WireSpan>,
     },
@@ -106,7 +198,7 @@ pub(crate) enum Frame {
         /// master derives the clock offset for span merging from this.
         now_ns: u64,
     },
-    /// Master → worker, in response to `Ready`.
+    /// Master → worker, in response to `Ready`: magic + the worker's task.
     Hello {
         /// Master-assigned worker id (also its telemetry lane).
         worker_id: u32,
@@ -144,7 +236,7 @@ pub(crate) enum Frame {
         /// Echoed request id.
         req: u64,
         /// File contents, if the master has the file.
-        contents: Option<Arc<str>>,
+        contents: Option<WireContent>,
     },
     /// Worker → master: liveness beacon, sent on a fixed interval.
     Heartbeat {
@@ -288,11 +380,22 @@ impl Buf {
             self.opt_str(s.detail.as_deref());
         }
     }
-    fn files(&mut self, fs: &[(String, Arc<str>)]) {
+    fn content(&mut self, c: &WireContent) {
+        self.u64(c.digest);
+        self.u64(c.len);
+        match &c.bytes {
+            None => self.u8(0),
+            Some(text) => {
+                self.u8(1);
+                self.out.extend_from_slice(text.as_bytes());
+            }
+        }
+    }
+    fn files(&mut self, fs: &[(String, WireContent)]) {
         self.len32(fs.len(), "file vector");
         for (p, c) in fs {
             self.str(p);
-            self.str(c);
+            self.content(c);
         }
     }
     fn stats_delta(&mut self, d: &telemetry::StatsDelta) {
@@ -324,6 +427,7 @@ pub(crate) fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
         }
         Frame::Hello { worker_id, spec, heartbeat_ms } => {
             b.u8(1);
+            b.u32(MAGIC);
             b.u32(*worker_id);
             b.str(spec);
             b.u64(*heartbeat_ms);
@@ -349,7 +453,13 @@ pub(crate) fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
         Frame::FileData { req, contents } => {
             b.u8(4);
             b.u64(*req);
-            b.opt_str(contents.as_deref());
+            match contents {
+                None => b.u8(0),
+                Some(c) => {
+                    b.u8(1);
+                    b.content(c);
+                }
+            }
         }
         Frame::Heartbeat { job, job_elapsed_ms } => {
             b.u8(5);
@@ -425,7 +535,7 @@ impl<'a> Cur<'a> {
     }
 
     pub(crate) fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        if self.at + n > self.buf.len() {
+        if n > self.buf.len() - self.at {
             return Err(format!("truncated frame: wanted {n} bytes at {}", self.at));
         }
         let s = &self.buf[self.at..self.at + n];
@@ -447,24 +557,33 @@ impl<'a> Cur<'a> {
     pub(crate) fn f64(&mut self) -> DecodeResult<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    /// A string borrowed from the frame buffer, so file contents can be
-    /// copied once, straight into the `Arc<str>` the file store keeps.
-    fn str_slice(&mut self) -> DecodeResult<&'a str> {
-        let n = self.u32()? as usize;
+    fn utf8(&mut self, n: usize) -> DecodeResult<&'a str> {
         std::str::from_utf8(self.take(n)?).map_err(|_| "invalid utf-8 in string".to_string())
     }
-    fn opt_str_slice(&mut self) -> DecodeResult<Option<&'a str>> {
+    pub(crate) fn str(&mut self) -> DecodeResult<String> {
+        let n = self.u32()? as usize;
+        self.utf8(n).map(str::to_owned)
+    }
+    pub(crate) fn opt_str(&mut self) -> DecodeResult<Option<String>> {
         match self.u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.str_slice()?)),
+            1 => Ok(Some(self.str()?)),
             t => Err(format!("bad option tag {t}")),
         }
     }
-    pub(crate) fn str(&mut self) -> DecodeResult<String> {
-        self.str_slice().map(str::to_owned)
-    }
-    pub(crate) fn opt_str(&mut self) -> DecodeResult<Option<String>> {
-        Ok(self.opt_str_slice()?.map(str::to_owned))
+    /// File contents, their bytes copied once, straight into the
+    /// allocation the receiving store keeps.
+    fn content(&mut self) -> DecodeResult<WireContent> {
+        let (digest, len) = (self.u64()?, self.u64()?);
+        let bytes = match self.u8()? {
+            0 => None,
+            1 => {
+                let n = usize::try_from(len).map_err(|_| format!("content of {len} bytes"))?;
+                Some(self.utf8(n)?.into())
+            }
+            t => return Err(format!("bad option tag {t}")),
+        };
+        Ok(WireContent { digest, len, bytes })
     }
     pub(crate) fn value(&mut self) -> DecodeResult<Value> {
         Ok(match self.u8()? {
@@ -503,11 +622,11 @@ impl<'a> Cur<'a> {
         }
         Ok(ss)
     }
-    fn files(&mut self) -> DecodeResult<Vec<(String, Arc<str>)>> {
+    fn files(&mut self) -> DecodeResult<Vec<(String, WireContent)>> {
         let n = self.u32()? as usize;
         let mut fs = Vec::with_capacity(n.min(1 << 16));
         for _ in 0..n {
-            fs.push((self.str()?, self.str_slice()?.into()));
+            fs.push((self.str()?, self.content()?));
         }
         Ok(fs)
     }
@@ -539,13 +658,13 @@ pub(crate) fn decode(buf: &[u8]) -> DecodeResult<Frame> {
     let mut c = Cur { buf, at: 0 };
     let frame = match c.u8()? {
         0 => {
-            let magic = c.u32()?;
-            if magic != MAGIC {
-                return Err(format!("bad magic {magic:#x}"));
-            }
+            check_magic(c.u32()?)?;
             Frame::Ready { pid: c.u32()?, now_ns: c.u64()? }
         }
-        1 => Frame::Hello { worker_id: c.u32()?, spec: c.str()?, heartbeat_ms: c.u64()? },
+        1 => {
+            check_magic(c.u32()?)?;
+            Frame::Hello { worker_id: c.u32()?, spec: c.str()?, heartbeat_ms: c.u64()? }
+        }
         2 => Frame::Run {
             job: c.u64()?,
             activity: c.u32()?,
@@ -560,7 +679,14 @@ pub(crate) fn decode(buf: &[u8]) -> DecodeResult<Frame> {
             part: c.tuples()?,
         },
         3 => Frame::FileReq { req: c.u64()?, path: c.str()? },
-        4 => Frame::FileData { req: c.u64()?, contents: c.opt_str_slice()?.map(Arc::from) },
+        4 => Frame::FileData {
+            req: c.u64()?,
+            contents: match c.u8()? {
+                0 => None,
+                1 => Some(c.content()?),
+                t => return Err(format!("bad option tag {t}")),
+            },
+        },
         5 => Frame::Heartbeat {
             job: match c.u8()? {
                 0 => None,
@@ -621,7 +747,7 @@ pub(crate) fn frame_too_big(e: &std::io::Error) -> bool {
 }
 
 /// Write one length-prefixed frame body and flush it — the framing both
-/// `SDW1` and `SDC1` share.
+/// `SDW2` and `SDC1` share.
 ///
 /// A body above [`MAX_FRAME`] is refused with `InvalidData` **before any
 /// byte is written**, so the stream stays framed and the connection stays
@@ -656,14 +782,17 @@ pub(crate) fn read_body<R: Read>(r: &mut R) -> std::io::Result<Vec<u8>> {
     Ok(body)
 }
 
-fn invalid(e: String) -> std::io::Error {
+pub(crate) fn invalid(e: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, e)
 }
 
-/// Write one frame (see [`write_body`]); a frame whose lengths overflow
-/// their u32 prefixes is refused the same way, before any byte is written.
-pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<()> {
-    write_body(w, &encode(frame).map_err(invalid)?)
+/// Write one frame (see [`write_body`]) and return the bytes it took on the
+/// wire; a frame whose lengths overflow their u32 prefixes is refused the
+/// same way, before any byte is written.
+pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> std::io::Result<usize> {
+    let body = encode(frame).map_err(invalid)?;
+    write_body(w, &body)?;
+    Ok(body.len() + 4)
 }
 
 /// Read one frame; decode failures surface as `InvalidData` I/O errors so
@@ -685,6 +814,17 @@ mod tests {
         let mut cursor = &wire[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), f);
         assert!(cursor.is_empty());
+    }
+
+    /// `text` as a first carriage sends it: digest, length and bytes.
+    fn shipped(text: &str) -> WireContent {
+        let blob = Blob::new(text);
+        WireContent { digest: blob.digest(), len: blob.len() as u64, bytes: Some(text.into()) }
+    }
+
+    /// `text` named by digest alone, as every later carriage sends it.
+    fn named(text: &str) -> WireContent {
+        WireContent { bytes: None, ..shipped(text) }
     }
 
     #[test]
@@ -711,15 +851,20 @@ mod tests {
             ],
         });
         roundtrip(Frame::FileReq { req: 7, path: "/exp/prep/0/r.pdbqt".into() });
-        roundtrip(Frame::FileData { req: 7, contents: Some("ATOM…".into()) });
-        roundtrip(Frame::FileData { req: 8, contents: None });
+        roundtrip(Frame::FileData { req: 7, contents: Some(shipped("ATOM…")) });
+        roundtrip(Frame::FileData { req: 8, contents: Some(named("ATOM…")) });
+        roundtrip(Frame::FileData { req: 9, contents: None });
         roundtrip(Frame::Heartbeat { job: None, job_elapsed_ms: 0 });
         roundtrip(Frame::Heartbeat { job: Some(9), job_elapsed_ms: 340 });
         roundtrip(Frame::Done {
             job: 9,
             outcome: WireOutcome::Finished {
                 tuples: vec![vec![Value::Float(-7.25)]],
-                files: vec![("/exp/dock/31/out.dlg".into(), "DOCKED".into())],
+                files: vec![
+                    ("/exp/dock/31/out.dlg".into(), shipped("DOCKED")),
+                    ("/exp/maps/r.C.map".into(), named("0.125\n")),
+                    ("/exp/dock/31/empty".into(), shipped("")),
+                ],
                 params: vec![
                     ("feb".into(), Some(-7.25), None),
                     ("pose".into(), None, Some("model 1".into())),
@@ -801,6 +946,66 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_handshake_is_refused_by_name() {
+        // SDW1's Ready and Hello, byte for byte: tag, [magic,] fields
+        let mut ready = vec![0u8];
+        ready.extend_from_slice(&0x5344_5731u32.to_le_bytes());
+        ready.extend_from_slice(&7u32.to_le_bytes());
+        ready.extend_from_slice(&0u64.to_le_bytes());
+        let err = decode(&ready).unwrap_err();
+        assert!(err.contains("the peer speaks SDW1, this end speaks SDW2"), "{err}");
+
+        let mut hello = vec![1u8];
+        hello.extend_from_slice(&3u32.to_le_bytes()); // worker id, no magic
+        hello.extend_from_slice(&1u32.to_le_bytes());
+        hello.push(b's');
+        hello.extend_from_slice(&100u64.to_le_bytes());
+        assert!(decode(&hello).unwrap_err().contains("bad magic"));
+    }
+
+    #[test]
+    fn a_connection_carries_each_content_once_per_direction_pair() {
+        let tel = Telemetry::attached();
+        let (mut worker, mut master) = (Carried::default(), Carried::default());
+        let (map, dlg) = (Blob::new("0.125\n".repeat(50)), Blob::new("DOCKED"));
+
+        // first Done: the map twice (two paths) and the log — bytes once each
+        let (wire, fresh) = worker.offer([&map, &map, &dlg]);
+        assert_eq!(wire.iter().map(|c| c.bytes.is_some()).collect::<Vec<_>>(), [true, false, true]);
+        assert_eq!(fresh.len(), 2);
+        worker.extend(fresh);
+        let landed: Vec<Blob> =
+            wire.into_iter().map(|c| master.land(c, &tel).expect("resolves")).collect();
+        assert_eq!(landed, [map.clone(), map.clone(), dlg.clone()]);
+        assert_eq!(tel.snapshot().unwrap().counter("files.digest_bytes"), Some(306));
+
+        // the next Done, and the master's FileData for either: digests only
+        let (wire, fresh) = worker.offer([&map]);
+        assert!(wire[0].bytes.is_none() && fresh.is_empty());
+        assert_eq!(master.land(wire[0].clone(), &tel), Ok(map.clone()));
+        let (wire, fresh) = master.offer([&dlg]);
+        assert!(wire[0].bytes.is_none() && fresh.is_empty());
+        assert_eq!(worker.land(wire[0].clone(), &tel), Ok(dlg.clone()));
+        assert_eq!(tel.snapshot().unwrap().counter("files.digest_bytes"), Some(306));
+
+        // bytes that do not hash to their name, a name never carried, and a
+        // wrong length are each a reason to drop the connection
+        let forged = WireContent { bytes: Some("DOCKEX".into()), ..shipped("DOCKED") };
+        assert_eq!(Carried::default().land(forged, &tel), Err("digest_mismatch"));
+        assert_eq!(Carried::default().land(named("DOCKED"), &tel), Err("unknown_digest"));
+        let short = WireContent { len: 5, ..named("DOCKED") };
+        assert_eq!(master.land(short, &tel), Err("length_mismatch"));
+    }
+
+    #[test]
+    fn content_lengths_are_checked_before_allocation() {
+        let mut body = encode(&Frame::FileData { req: 1, contents: Some(shipped("abc")) }).unwrap();
+        // the length field follows tag, req, option tag and digest
+        body[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(decode(&body).unwrap_err().contains("truncated"));
+    }
+
+    #[test]
     fn oversized_frames_are_rejected_before_allocation() {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
@@ -819,7 +1024,7 @@ mod tests {
             job: 1,
             outcome: WireOutcome::Failed {
                 error: "x".into(),
-                files: vec![("/exp/big.map".into(), "G".repeat(MAX_FRAME + 1).into())],
+                files: vec![("/exp/big.map".into(), shipped(&"G".repeat(MAX_FRAME + 1)))],
                 spans: vec![],
             },
         };
@@ -874,7 +1079,7 @@ mod tests {
             job: 3,
             outcome: WireOutcome::Finished {
                 tuples: vec![vec![Value::Int(1), Value::Text("t".into())]],
-                files: vec![("/f".into(), "c".into())],
+                files: vec![("/f".into(), shipped("c")), ("/g".into(), named("c"))],
                 params: vec![("p".into(), Some(1.0), Some("s".into()))],
                 spans: vec![WireSpan { name: "n".into(), start_ns: 0, end_ns: 1, detail: None }],
             },

@@ -18,11 +18,12 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
+use telemetry::Telemetry;
 
 use crate::error::CumulusError;
-use crate::workflow::{ActivationCtx, FileStore, WorkflowDef};
+use crate::workflow::{ActivationCtx, Blob, Contents, FileStore, WorkflowDef};
 
-use super::proto::{self, Frame, WireFate, WireOutcome, WireSpan};
+use super::proto::{self, Carried, Frame, WireFate, WireOutcome, WireSpan};
 
 /// Maps the spec name shipped in the master's `Hello` to an executable
 /// workflow definition. Activity functions are Rust closures and cannot
@@ -41,7 +42,7 @@ pub(crate) struct ServeOptions {
 }
 
 /// Where the socket thread delivers the master's answer to one `FileReq`.
-type FetchReply = mpsc::Sender<Option<Arc<str>>>;
+type FetchReply = mpsc::Sender<Option<Blob>>;
 
 /// How long a read-through file fetch waits for the master's answer.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(30);
@@ -49,13 +50,20 @@ const FETCH_TIMEOUT: Duration = Duration::from_secs(30);
 /// Connect to a master at `addr` and serve activations until it sends
 /// `Shutdown` (or the connection drops). This is the entry point the
 /// `scidock-worker` binary wraps.
-pub fn serve(addr: &str, resolver: WorkflowResolver) -> Result<(), CumulusError> {
+///
+/// `resolver` is handed the worker's metrics collector, whose growth every
+/// `Stats` frame ships to the master: counters of the workflows it resolves
+/// (the receptor tier's, say) reach the master's snapshot through it.
+pub fn serve(
+    addr: &str,
+    resolver: impl FnOnce(Telemetry) -> WorkflowResolver,
+) -> Result<(), CumulusError> {
     serve_with(addr, resolver, ServeOptions::default())
 }
 
 pub(crate) fn serve_with(
     addr: &str,
-    resolver: WorkflowResolver,
+    resolver: impl FnOnce(Telemetry) -> WorkflowResolver,
     opts: ServeOptions,
 ) -> Result<(), CumulusError> {
     let epoch = Instant::now();
@@ -69,15 +77,25 @@ pub(crate) fn serve_with(
         &mut *writer.lock(),
         &Frame::Ready { pid: std::process::id(), now_ns: now_ns(Instant::now()) },
     )?;
-    let (spec, heartbeat_ms) = match proto::read_frame(&mut reader)? {
-        Frame::Hello { spec, heartbeat_ms, .. } => (spec, heartbeat_ms),
-        f => return Err(CumulusError::Protocol(format!("expected Hello, got {f:?}"))),
+    let (spec, heartbeat_ms) = match proto::read_frame(&mut reader) {
+        Ok(Frame::Hello { spec, heartbeat_ms, .. }) => (spec, heartbeat_ms),
+        Ok(f) => return Err(CumulusError::Protocol(format!("expected Hello, got {f:?}"))),
+        Err(e) => return Err(CumulusError::Protocol(format!("bad handshake: {e}"))),
     };
-    let def = resolver(&spec)
+
+    // worker-local metrics (activation latencies, outcome counters, and
+    // whatever the resolved workflow counts), streamed to the master as
+    // Stats deltas at heartbeat cadence. The collector's ring shards stay
+    // unused (spans ship inside Done frames), so the smallest sizing
+    // suffices.
+    let wtel = Telemetry::with_config(telemetry::CollectorConfig { shards: 1, shard_capacity: 16 });
+    let def = resolver(wtel.clone())(&spec)
         .ok_or_else(|| CumulusError::Protocol(format!("unknown workflow spec {spec:?}")))?;
 
-    // worker-local file store with read-through to the master
+    // worker-local file store with read-through to the master, and what
+    // this connection has carried
     let files = Arc::new(FileStore::new());
+    let carried: Arc<Mutex<Carried>> = Arc::default();
     let pending: Arc<Mutex<HashMap<u64, FetchReply>>> = Arc::new(Mutex::new(HashMap::new()));
     let next_req = Arc::new(AtomicU64::new(1));
     {
@@ -95,7 +113,7 @@ pub(crate) fn serve_with(
             .is_ok();
             let got = if sent { rx.recv_timeout(FETCH_TIMEOUT).ok().flatten() } else { None };
             pending.lock().remove(&req);
-            got
+            got.map(Contents::from)
         }));
     }
 
@@ -105,14 +123,6 @@ pub(crate) fn serve_with(
     // lifetime Done count, reported in the Bye frame when drained
     let completed = Arc::new(AtomicU64::new(0));
 
-    // worker-local metrics (activation latencies, outcome counters),
-    // streamed to the master as Stats deltas at heartbeat cadence. The
-    // collector's ring shards stay unused (spans ship inside Done frames),
-    // so the smallest sizing suffices.
-    let wtel = telemetry::Telemetry::with_config(telemetry::CollectorConfig {
-        shards: 1,
-        shard_capacity: 16,
-    });
     let stats_cursor = Arc::new(Mutex::new(telemetry::DeltaCursor::default()));
     let flush_stats = {
         let wtel = wtel.clone();
@@ -164,6 +174,7 @@ pub(crate) fn serve_with(
         let files = Arc::clone(&files);
         let current = Arc::clone(&current);
         let completed = Arc::clone(&completed);
+        let carried = Arc::clone(&carried);
         let wtel = wtel.clone();
         let def = Arc::new(def);
         std::thread::spawn(move || {
@@ -179,6 +190,9 @@ pub(crate) fn serve_with(
                     .get(activity as usize)
                     .map(|a| a.tag.clone())
                     .unwrap_or_else(|| format!("activity-{activity}"));
+                // contents this connection carried before go as digests;
+                // they join its table once the frame is on the wire
+                let mut fresh = Vec::new();
                 let outcome = match def.activities.get(activity as usize) {
                     None => WireOutcome::Failed {
                         error: format!("no activity at index {activity}"),
@@ -191,11 +205,15 @@ pub(crate) fn serve_with(
                         let result = catch_unwind(AssertUnwindSafe(|| func(&part, &mut ctx)));
                         // the store's own allocations: nothing is copied
                         // until the Done frame is encoded
-                        let shipped: Vec<(String, Arc<str>)> = ctx
+                        let produced: Vec<Blob> = ctx
                             .produced_files()
                             .iter()
-                            .map(|p| (p.clone(), files.read(p).unwrap_or_default()))
+                            .map(|p| files.read(p).unwrap_or_else(|| Blob::new("")))
                             .collect();
+                        let (contents, new) = carried.lock().offer(&produced);
+                        fresh = new;
+                        let shipped: Vec<_> =
+                            ctx.produced_files().iter().cloned().zip(contents).collect();
                         let span = |detail: &str| WireSpan {
                             name: tag.clone(),
                             start_ns: start,
@@ -245,12 +263,19 @@ pub(crate) fn serve_with(
                     },
                     1,
                 );
+                let digested = files.take_digest_bytes();
+                if digested > 0 {
+                    wtel.count("files.digest_bytes", digested);
+                }
                 // complete the first write in its own statement: a guard
                 // created in a match scrutinee lives to the end of the
                 // match, and the fallback arm must re-lock the writer
                 let first = proto::write_frame(&mut *writer.lock(), &Frame::Done { job, outcome });
                 let sent = match first {
-                    Ok(()) => true,
+                    Ok(_) => {
+                        carried.lock().extend(fresh);
+                        true
+                    }
                     Err(e) if proto::frame_too_big(&e) => {
                         // The result is too large for the wire. write_frame
                         // refused it *before* emitting bytes, so the stream
@@ -314,8 +339,23 @@ pub(crate) fn serve_with(
                 }
             }
             Ok(Frame::FileData { req, contents }) => {
-                if let Some(tx) = pending.lock().remove(&req) {
-                    let _ = tx.send(contents);
+                // landed even when its fetch timed out: the master counts the
+                // content as carried either way
+                let landed = contents.map(|c| carried.lock().land(c, &wtel)).transpose();
+                match landed {
+                    Ok(blob) => {
+                        if let Some(tx) = pending.lock().remove(&req) {
+                            let _ = tx.send(blob);
+                        }
+                    }
+                    Err(reason) => {
+                        result = Err(CumulusError::Protocol(format!("FileData {req}: {reason}")));
+                        // no graceful drain on a broken stream: queued work
+                        // fails to report and waiting fetches give up now
+                        let _ = writer.lock().shutdown(std::net::Shutdown::Both);
+                        pending.lock().clear();
+                        break;
+                    }
                 }
             }
             Ok(Frame::Drain) => {

@@ -13,7 +13,7 @@
 //! [`WorkerPort`] and report back as [`PortEvent`]s on the channel the
 //! engine's owner reads. Two ports ship — worker threads of this process
 //! (`threadport`, under `scidockd` and the local backend) and `run_dist`'s
-//! `SDW1` connections (`distbackend`) — and the tests below drive a third
+//! `SDW2` connections (`distbackend`) — and the tests below drive a third
 //! that has neither. The two one-shot owners share their loop,
 //! [`Engine::drive`].
 //!
@@ -21,7 +21,7 @@
 //! in. The engine always `admit`s (and aborts a hung fate) on its own
 //! thread. The thread port runs `begin` → execute → `settle` on the worker
 //! thread, so the provenance commits of different workers overlap. The
-//! `SDW1` port calls `begin` where it writes the `Run` frame (the frame
+//! `SDW2` port calls `begin` where it writes the `Run` frame (the frame
 //! carries the fate, and the store's interval runs from dispatch) and
 //! `settle` on the connection's reader thread.
 
@@ -844,7 +844,7 @@ mod tests {
     use provenance::{ProvenanceStore, Value};
 
     /// A port with no threads and no sockets: workers join the moment they
-    /// are launched, `run` begins the attempt (as the `SDW1` port does) and
+    /// are launched, `run` begins the attempt (as the `SDW2` port does) and
     /// holds it until the test settles it or the engine severs the worker.
     struct FakePort {
         slots: usize,

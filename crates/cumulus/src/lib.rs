@@ -13,7 +13,7 @@
 //!   and poison-input blacklisting (the activation lifecycle itself is one
 //!   private module shared with [`distbackend`] and [`serve`]);
 //! * [`distbackend`] — one workflow across worker processes speaking the
-//!   `SDW1` frame protocol: backpressure, heartbeats, hang and straggler
+//!   `SDW2` frame protocol: backpressure, heartbeats, hang and straggler
 //!   detection, reassignment of a lost worker's activations;
 //! * [`sched`] — the weighted greedy scheduler and its master cost model;
 //! * [`fleet`] — the elastic fleet layer: the [`Scheduler`]
@@ -39,7 +39,7 @@
 //! private engine (`engine.rs`) — the table of live runs, the worker table,
 //! admission → fair share → placement → dispatch, the fleet-policy tick,
 //! worker loss and reassignment, the health view — which reaches its workers
-//! only through a small `WorkerPort`: `SDW1` connections for
+//! only through a small `WorkerPort`: `SDW2` connections for
 //! [`distbackend`], worker threads of this process (`threadport.rs`) for the
 //! other two.
 
@@ -85,5 +85,6 @@ pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask};
 pub use steer::SteeringBridge;
 pub use template::{Template, TemplateError};
 pub use workflow::{
-    ActivationCtx, Activity, ActivityError, ActivityFn, FetchFn, FileStore, WorkflowDef,
+    digest, ActivationCtx, Activity, ActivityError, ActivityFn, Blob, Contents, FetchFn, FileStore,
+    WorkflowDef,
 };

@@ -20,7 +20,7 @@
 //! (`crate::engine`, under every real backend) calls `admit` itself when the
 //! dispatcher submits and leaves the other two to its port: a worker thread
 //! of the thread port (`scidockd`, the local backend) runs `begin` → execute
-//! → `settle` in [`ActivityCtx::run_dispatched`]; the `SDW1` port calls
+//! → `settle` in [`ActivityCtx::run_dispatched`]; the `SDW2` port calls
 //! `begin` when it ships a `Run` frame and `settle` when the `Done` frame (or
 //! the worker's death) comes back. A retry is a new dispatch everywhere.
 //!
@@ -272,6 +272,11 @@ impl ActivityCtx {
     /// Step 3: record what the attempt did and decide what happens next.
     pub(crate) fn settle(&self, at: Attempt, exec: Exec<'_>) -> Settled {
         let end = self.now();
+        // what the run's store digested since the last attempt settled
+        let digested = self.run.files.take_digest_bytes();
+        if digested > 0 {
+            self.run.tel.count("files.digest_bytes", digested);
+        }
         let rec = |status| ActivationRecord {
             activity: self.act_id,
             workflow: self.run.wkf,

@@ -9,7 +9,7 @@
 //! body := [u32 magic "SDC1"][u8 frame tag][fields...]
 //! ```
 //!
-//! Unlike `SDW1` (where only the opening `Ready` frame is magic-tagged),
+//! Unlike `SDW2` (where only the handshake frames are magic-tagged),
 //! *every* `SDC1` frame opens with the magic: client connections are
 //! short-lived and the daemon must be able to reject a stray scraper or a
 //! worker that dialed the wrong port on any frame, not just the first.

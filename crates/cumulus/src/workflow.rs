@@ -1,8 +1,11 @@
 //! Executable workflow definitions: activities bound to Rust functions, plus
 //! the shared file store activations exchange artifacts through.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -10,21 +13,178 @@ use provenance::Value;
 
 use crate::algebra::{Operator, Relation, Tuple};
 
+/// The content digest: 64-bit XXH64 (seed 0) of `bytes`.
+///
+/// The one function that names file contents — in a [`FileStore`], on the
+/// worker wire and in the keys of the receptor tier and the on-disk grid
+/// cache — so it is a published algorithm with fixed constants, stable
+/// across builds and platforms, and reads eight bytes a step (several times
+/// FNV-1a's byte loop).
+pub fn digest(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, lane: u64| {
+        acc.wrapping_add(lane.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+    };
+    let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().expect("eight bytes"));
+
+    let mut rest = bytes;
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        while rest.len() >= 32 {
+            for (i, lane) in v.iter_mut().enumerate() {
+                *lane = round(*lane, word(&rest[8 * i..]));
+            }
+            rest = &rest[32..];
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        h = (h ^ round(0, word(rest))).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let w = u32::from_le_bytes(rest[..4].try_into().expect("four bytes")) as u64;
+        h = (h ^ w.wrapping_mul(P1)).rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// A file's contents and their [`digest`], taken once when the contents are
+/// made. Cloning shares both: a blob staged again, shipped or looked up is
+/// never hashed again. Dereferences to the text.
+#[derive(Clone)]
+pub struct Blob {
+    text: Arc<str>,
+    digest: u64,
+}
+
+impl Blob {
+    /// Digest `text` and wrap it.
+    pub fn new(text: impl Into<Arc<str>>) -> Blob {
+        let text = text.into();
+        Blob { digest: digest(text.as_bytes()), text }
+    }
+
+    /// The content digest.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The shared allocation holding the text.
+    pub fn text(&self) -> &Arc<str> {
+        &self.text
+    }
+
+    /// Equal bytes (the same allocation, or a digest hit and a byte compare).
+    fn same_content(&self, other: &Blob) -> bool {
+        self.digest == other.digest
+            && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+    }
+}
+
+impl Deref for Blob {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl PartialEq for Blob {
+    fn eq(&self, other: &Blob) -> bool {
+        self.same_content(other)
+    }
+}
+
+impl Eq for Blob {}
+
+impl fmt::Debug for Blob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.text, f)
+    }
+}
+
+impl fmt::Display for Blob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+/// What [`FileStore::write`] takes: text, which the store digests on the
+/// way in, or a [`Blob`], whose digest it reuses.
+pub struct Contents(Repr);
+
+enum Repr {
+    Text(Arc<str>),
+    Blob(Blob),
+}
+
+impl From<Blob> for Contents {
+    fn from(blob: Blob) -> Contents {
+        Contents(Repr::Blob(blob))
+    }
+}
+
+impl From<Arc<str>> for Contents {
+    fn from(text: Arc<str>) -> Contents {
+        Contents(Repr::Text(text))
+    }
+}
+
+impl From<String> for Contents {
+    fn from(text: String) -> Contents {
+        Contents(Repr::Text(text.into()))
+    }
+}
+
+impl From<&str> for Contents {
+    fn from(text: &str) -> Contents {
+        Contents(Repr::Text(text.into()))
+    }
+}
+
 /// Read-through hook consulted by [`FileStore::read`] on a local miss (e.g.
 /// a distributed worker fetching a staged input from the master's store).
 /// Returns `None` when the remote side doesn't have the file either.
-pub type FetchFn = Box<dyn Fn(&str) -> Option<Arc<str>> + Send + Sync>;
+pub type FetchFn = Box<dyn Fn(&str) -> Option<Contents> + Send + Sync>;
 
 /// The in-memory shared filesystem (stands in for the s3fs mount): path →
 /// file contents. Thread-safe; activations on any worker see each other's
 /// files.
 ///
-/// Contents are immutable shared strings: `write` stores an `Arc<str>` and
-/// `read` hands the same allocation back, so a file staged under many paths
-/// or read by many activations exists once. Overwriting a path swaps the
+/// Contents are [`Blob`]s, **interned**: `write` digests new text (outside
+/// the store's lock), and if the store already holds equal contents —
+/// a digest hit, then a byte compare — the path names that allocation
+/// instead. So one content exists once however many paths name it and
+/// however it arrived; [`FileStore::resident_bytes`] is what that costs and
+/// [`FileStore::total_bytes`] what it would cost without. A content leaves
+/// the store with the last path naming it. Overwriting a path swaps the
 /// pointer; readers holding the old contents keep them. Activations that
-/// share a path (the per-receptor grid maps) must therefore write identical
-/// bytes — which one lands last is a scheduling artifact.
+/// share a path (the per-receptor grid maps) must write identical bytes —
+/// which one lands last is a scheduling artifact.
 ///
 /// A store may carry a read-through [`FetchFn`]: on a local `read` miss the
 /// hook is consulted and a hit is cached locally, so a distributed worker
@@ -32,14 +192,63 @@ pub type FetchFn = Box<dyn Fn(&str) -> Option<Arc<str>> + Send + Sync>;
 /// stay strictly local — only `read` reaches out.
 #[derive(Default)]
 pub struct FileStore {
-    files: Mutex<HashMap<String, Arc<str>>>,
+    table: Mutex<Table>,
     fetch: OnceLock<FetchFn>,
+    /// Bytes digested by `write` and not yet taken by
+    /// [`FileStore::take_digest_bytes`].
+    digested: AtomicU64,
+}
+
+#[derive(Default)]
+struct Table {
+    paths: HashMap<String, Blob>,
+    /// Every content some path names, by digest (contents whose digests
+    /// collide share a list), with how many paths name it.
+    contents: HashMap<u64, Vec<(Blob, usize)>>,
+}
+
+impl Table {
+    /// Name `blob`'s content `path`; returns the stored blob.
+    fn put(&mut self, path: &str, blob: Blob) -> Blob {
+        let same = self.contents.entry(blob.digest).or_default();
+        let stored = match same.iter_mut().find(|(held, _)| held.same_content(&blob)) {
+            Some((held, paths)) => {
+                *paths += 1;
+                held.clone()
+            }
+            None => {
+                same.push((blob.clone(), 1));
+                blob
+            }
+        };
+        if let Some(old) = self.paths.insert(path.to_string(), stored.clone()) {
+            self.release(&old);
+        }
+        stored
+    }
+
+    /// One path fewer names `blob`'s content.
+    fn release(&mut self, blob: &Blob) {
+        let Entry::Occupied(mut same) = self.contents.entry(blob.digest) else {
+            unreachable!("a named content is held");
+        };
+        let list = same.get_mut();
+        let at = list.iter().position(|(held, _)| Arc::ptr_eq(&held.text, &blob.text));
+        let at = at.expect("a named content is held");
+        list[at].1 -= 1;
+        if list[at].1 == 0 {
+            list.swap_remove(at);
+            if list.is_empty() {
+                same.remove();
+            }
+        }
+    }
 }
 
 impl fmt::Debug for FileStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FileStore")
-            .field("files", &self.files)
+            .field("files", &self.table.lock().paths)
             .field("fetch", &self.fetch.get().map(|_| "<hook>"))
             .finish()
     }
@@ -51,22 +260,38 @@ impl FileStore {
         FileStore::default()
     }
 
-    /// Write (or overwrite) a file. An `Arc<str>` is stored as is (no copy);
-    /// a `String` or `&str` is moved or copied into one.
-    pub fn write(&self, path: &str, contents: impl Into<Arc<str>>) {
-        self.files.lock().insert(path.to_string(), contents.into());
+    /// Write (or overwrite) a file; returns the blob the store keeps for it,
+    /// which is an earlier writer's when the store already held the content.
+    /// Text (`String`, `&str`, `Arc<str>`) is digested here; a [`Blob`] is
+    /// stored as is.
+    pub fn write(&self, path: &str, contents: impl Into<Contents>) -> Blob {
+        let blob = self.blob(contents.into());
+        self.table.lock().put(path, blob)
+    }
+
+    fn blob(&self, contents: Contents) -> Blob {
+        match contents.0 {
+            Repr::Blob(blob) => blob,
+            Repr::Text(text) => {
+                self.digested.fetch_add(text.len() as u64, Ordering::Relaxed);
+                Blob::new(text)
+            }
+        }
     }
 
     /// Read a file's contents. On a local miss, consults the remote-fetch
     /// hook (if [`FileStore::set_fetch_hook`] installed one) and caches a
     /// hit locally so repeat reads stay in-process.
-    pub fn read(&self, path: &str) -> Option<Arc<str>> {
-        if let Some(c) = self.files.lock().get(path) {
-            return Some(Arc::clone(c));
+    pub fn read(&self, path: &str) -> Option<Blob> {
+        if let Some(blob) = self.table.lock().paths.get(path) {
+            return Some(blob.clone());
         }
-        let fetched = self.fetch.get()?(path)?;
-        self.files.lock().entry(path.to_string()).or_insert_with(|| Arc::clone(&fetched));
-        Some(fetched)
+        let fetched = self.blob(self.fetch.get()?(path)?);
+        let mut table = self.table.lock();
+        match table.paths.get(path) {
+            Some(raced) => Some(raced.clone()),
+            None => Some(table.put(path, fetched)),
+        }
     }
 
     /// Install the read-through hook consulted on local `read` misses.
@@ -78,36 +303,50 @@ impl FileStore {
 
     /// File size in bytes, if present.
     pub fn size(&self, path: &str) -> Option<u64> {
-        self.files.lock().get(path).map(|c| c.len() as u64)
+        self.table.lock().paths.get(path).map(|c| c.len() as u64)
     }
 
     /// Does a file exist?
     pub fn exists(&self, path: &str) -> bool {
-        self.files.lock().contains_key(path)
+        self.table.lock().paths.contains_key(path)
     }
 
     /// All paths under a prefix (sorted).
     pub fn list(&self, prefix: &str) -> Vec<String> {
+        let table = self.table.lock();
         let mut v: Vec<String> =
-            self.files.lock().keys().filter(|k| k.starts_with(prefix)).cloned().collect();
+            table.paths.keys().filter(|k| k.starts_with(prefix)).cloned().collect();
         v.sort();
         v
     }
 
     /// Number of files stored.
     pub fn len(&self) -> usize {
-        self.files.lock().len()
+        self.table.lock().paths.len()
     }
 
     /// Is the store empty?
     pub fn is_empty(&self) -> bool {
-        self.files.lock().is_empty()
+        self.table.lock().paths.is_empty()
     }
 
-    /// Total bytes stored (the paper's "600 GB per execution" figure is the
-    /// real-system analogue of this counter).
+    /// Total bytes of every file, each counted under every path naming it
+    /// (the paper's "600 GB per execution" figure is the real-system
+    /// analogue of this counter).
     pub fn total_bytes(&self) -> u64 {
-        self.files.lock().values().map(|c| c.len() as u64).sum()
+        self.table.lock().paths.values().map(|c| c.len() as u64).sum()
+    }
+
+    /// Bytes the store actually holds: each distinct content once.
+    pub fn resident_bytes(&self) -> u64 {
+        let table = self.table.lock();
+        table.contents.values().flatten().map(|(blob, _)| blob.len() as u64).sum()
+    }
+
+    /// Bytes this store has digested since the last call — what a run adds
+    /// to `files.digest_bytes` for it.
+    pub fn take_digest_bytes(&self) -> u64 {
+        self.digested.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -144,7 +383,7 @@ impl<'a> ActivationCtx<'a> {
     }
 
     /// Write an output file into the workdir; records it for provenance.
-    pub fn write_file(&mut self, name: &str, contents: impl Into<Arc<str>>) -> String {
+    pub fn write_file(&mut self, name: &str, contents: impl Into<Contents>) -> String {
         let path = format!("{}/{}", self.workdir.trim_end_matches('/'), name);
         self.files.write(&path, contents);
         self.produced.push(path.clone());
@@ -153,15 +392,15 @@ impl<'a> ActivationCtx<'a> {
 
     /// Write an output file at an absolute path (for artifacts shared
     /// across activations, e.g. per-receptor grid maps, which are passed as
-    /// one `Arc<str>` and so staged by reference); records it for
-    /// provenance like [`ActivationCtx::write_file`].
-    pub fn write_file_at(&mut self, path: &str, contents: impl Into<Arc<str>>) {
+    /// one [`Blob`] and so staged by reference); records it for provenance
+    /// like [`ActivationCtx::write_file`].
+    pub fn write_file_at(&mut self, path: &str, contents: impl Into<Contents>) {
         self.files.write(path, contents);
         self.produced.push(path.to_string());
     }
 
     /// Read any file from the shared store.
-    pub fn read_file(&self, path: &str) -> Result<Arc<str>, ActivityError> {
+    pub fn read_file(&self, path: &str) -> Result<Blob, ActivityError> {
         self.files.read(path).ok_or_else(|| ActivityError(format!("missing input file {path}")))
     }
 
@@ -380,19 +619,74 @@ mod tests {
     #[test]
     fn filestore_shares_contents_by_reference() {
         let fs = FileStore::new();
-        let shared: Arc<str> = "0.125\n".into();
-        fs.write("/maps/r.C.map", Arc::clone(&shared));
+        let shared = Blob::new("0.125\n");
+        fs.write("/maps/r.C.map", shared.clone());
         let mut ctx = ActivationCtx::new(&fs, "/exp/autogrid4/1");
-        ctx.write_file_at("/maps/r.C.map", Arc::clone(&shared));
-        // every read is the writer's allocation, not a copy of it
-        assert!(Arc::ptr_eq(&fs.read("/maps/r.C.map").unwrap(), &shared));
-        assert!(Arc::ptr_eq(&ctx.read_file("/maps/r.C.map").unwrap(), &shared));
+        ctx.write_file_at("/maps/r.C.map", shared.clone());
+        // every read is the writer's allocation, not a copy of it, and a
+        // blob is staged without being digested again
+        assert!(Arc::ptr_eq(fs.read("/maps/r.C.map").unwrap().text(), shared.text()));
+        assert!(Arc::ptr_eq(ctx.read_file("/maps/r.C.map").unwrap().text(), shared.text()));
         assert_eq!(fs.size("/maps/r.C.map"), Some(6));
+        assert_eq!(fs.take_digest_bytes(), 0);
         // an overwrite swaps the pointer; earlier readers keep what they read
         let before = fs.read("/maps/r.C.map").unwrap();
         fs.write("/maps/r.C.map", "0.250\n");
         assert_eq!(&*before, "0.125\n");
         assert_eq!(fs.read("/maps/r.C.map").as_deref(), Some("0.250\n"));
+        assert_eq!(fs.take_digest_bytes(), 6);
+        assert_eq!(fs.take_digest_bytes(), 0, "taken once");
+    }
+
+    #[test]
+    fn digest_is_xxh64() {
+        // reference values of XXH64 with seed 0: each length class (the
+        // 32-byte stripes, 8- and 4-byte words, single bytes) is covered
+        assert_eq!(digest(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(digest(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(digest(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(digest(b"Nobody inspects the spammish repetition"), 0xFBCE_A83C_8A37_8BF1);
+        assert_eq!(Blob::new("abc").digest(), digest(b"abc"));
+    }
+
+    #[test]
+    fn equal_contents_are_stored_once_until_the_last_path_goes() {
+        let fs = FileStore::new();
+        let text = "ATOM 1\n".repeat(100);
+        let a = fs.write("/in/a.pdb", text.clone());
+        let b = fs.write("/out/b.pdbqt", text.clone()); // another allocation, equal bytes
+        assert!(Arc::ptr_eq(a.text(), b.text()), "the second write names the first's allocation");
+        assert_eq!((fs.total_bytes(), fs.resident_bytes()), (1400, 700));
+        fs.write("/in/a.pdb", "moved");
+        assert_eq!(fs.read("/out/b.pdbqt").as_deref(), Some(text.as_str()));
+        assert_eq!((fs.total_bytes(), fs.resident_bytes()), (705, 705));
+        fs.write("/out/b.pdbqt", "moved");
+        let (a, b) = (fs.read("/in/a.pdb").unwrap(), fs.read("/out/b.pdbqt").unwrap());
+        assert!(Arc::ptr_eq(a.text(), b.text()));
+        assert_eq!((fs.total_bytes(), fs.resident_bytes()), (10, 5), "no path names the text");
+    }
+
+    #[test]
+    fn colliding_digests_keep_every_content_intact() {
+        // every content under one digest: only the byte compare tells them
+        // apart, and every path must still read back its own bytes
+        let collide = |text: &str| Blob { text: text.into(), digest: 7 };
+        let fs = FileStore::new();
+        let texts = ["one", "two", "three", "one", "", "two"];
+        for (i, text) in texts.iter().enumerate() {
+            fs.write(&format!("/f{i}"), collide(text));
+        }
+        for (i, text) in texts.iter().enumerate() {
+            assert_eq!(fs.read(&format!("/f{i}")).as_deref(), Some(*text));
+        }
+        assert_eq!(fs.resident_bytes(), 3 + 3 + 5);
+        assert!(Arc::ptr_eq(fs.read("/f0").unwrap().text(), fs.read("/f3").unwrap().text()));
+        assert!(!Arc::ptr_eq(fs.read("/f0").unwrap().text(), fs.read("/f1").unwrap().text()));
+        for i in 0..texts.len() {
+            fs.write(&format!("/f{i}"), collide("one"));
+        }
+        assert_eq!(fs.resident_bytes(), 3);
+        assert_eq!(fs.table.lock().contents[&7].len(), 1);
     }
 
     #[test]
@@ -528,6 +822,47 @@ mod tests {
         assert!(s.contains("tag1"));
         assert!(s.contains("Filter"));
         assert!(s.contains("has_blacklist: true"));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Writes and overwrites over a few paths and contents, each write
+        /// a fresh allocation: the store reads back what was written last,
+        /// names each content with one allocation, and holds exactly the
+        /// contents some path still names.
+        #[test]
+        fn interning_store_matches_a_path_map(
+            ops in proptest::collection::vec((0usize..4, 0usize..5, 0u8..2), 0..60)
+        ) {
+            let contents = ["", "x", "abc", &"0.125\n".repeat(9), &"ATOM ".repeat(20)];
+            let fs = FileStore::new();
+            let mut model: HashMap<usize, usize> = HashMap::new();
+            for (path, content, as_blob) in ops {
+                let text = contents[content].to_string();
+                if as_blob == 1 {
+                    fs.write(&format!("/p{path}"), Blob::new(text));
+                } else {
+                    fs.write(&format!("/p{path}"), text);
+                }
+                model.insert(path, content);
+
+                for (p, c) in &model {
+                    let got = fs.read(&format!("/p{p}")).expect("written");
+                    proptest::prop_assert_eq!(&*got, contents[*c]);
+                    for (q, d) in &model {
+                        let other = fs.read(&format!("/p{q}")).expect("written");
+                        proptest::prop_assert_eq!(Arc::ptr_eq(got.text(), other.text()), c == d);
+                    }
+                }
+                let mut named: Vec<usize> = model.values().copied().collect();
+                named.sort_unstable();
+                named.dedup();
+                let resident: u64 = named.iter().map(|&c| contents[c].len() as u64).sum();
+                proptest::prop_assert_eq!(fs.resident_bytes(), resident);
+                proptest::prop_assert_eq!(fs.len(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Exact-roundtrip serialization of precomputed grid sets and the FNV
-//! content digest that keys the persistent cross-campaign grid cache.
+//! Exact-roundtrip serialization of precomputed grid sets, and the knob
+//! header that — with the receptor's content digest — keys the persistent
+//! cross-campaign grid cache.
 //!
 //! Receptor maps are ligand-independent (built over the full probe-type
 //! superset), so one receptor's grid set can be reused by every campaign
@@ -33,17 +34,10 @@ impl std::fmt::Display for GridIoError {
 
 impl std::error::Error for GridIoError {}
 
-/// 64-bit FNV-1a over a byte string (std-only content hashing; collisions
-/// are astronomically unlikely across a few hundred receptors, and a wrong
-/// hit would still deserialize to a well-formed grid set of the wrong
-/// receptor — the digest input includes everything that shapes the maps).
+/// 64-bit FNV-1a over a byte string: the integrity footer of an `SDGC1`
+/// entry.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_from(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continue an FNV-1a hash over more bytes: `fnv1a64_from(fnv1a64(a), b)`
-/// equals `fnv1a64` of `a` followed by `b`.
-fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -51,20 +45,17 @@ fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Content address of a receptor's grid set: digests the receptor PDBQT
-/// *text* (no reparse needed on lookup) together with every knob that shapes
-/// the maps — engine, spacing, box edge, pocket probe, probe-type superset —
-/// and the format version, so incompatible entries can never collide.
-pub fn grid_set_digest(
-    receptor_pdbqt: &str,
+/// Every knob that shapes a grid set's maps — engine, spacing, box edge,
+/// pocket probe, probe-type superset — and the format version, as the text
+/// a grid-set cache key digests ahead of the receptor's content digest, so
+/// incompatible entries never collide.
+pub fn grid_key_header(
     engine_label: &str,
     grid_spacing: f64,
     box_edge: f64,
     pocket_probe: f64,
     types: &[AdType],
-) -> u64 {
-    // the header is a few dozen bytes; the receptor text (tens of KB, hashed
-    // on every cache lookup) is fed to the same running hash in place
+) -> String {
     let mut header = String::with_capacity(128);
     let _ = write!(
         header,
@@ -78,7 +69,7 @@ pub fn grid_set_digest(
         header.push(',');
     }
     header.push('|');
-    fnv1a64_from(fnv1a64(header.as_bytes()), receptor_pdbqt.as_bytes())
+    header
 }
 
 fn push_f64(out: &mut String, v: f64) {
@@ -267,30 +258,8 @@ mod tests {
         }
     }
 
-    /// The compositions `grid_set_digest` and `serialize_grid_set` replaced
-    /// (whole key concatenated before hashing; one `format!` per value).
-    /// `<digest>.grid` entries written by them must keep hitting.
-    fn digest_reference(
-        receptor_pdbqt: &str,
-        engine_label: &str,
-        knobs: [f64; 3],
-        types: &[AdType],
-    ) -> u64 {
-        let mut key = format!(
-            "{GRID_CACHE_MAGIC}|{engine_label}|{:016x}|{:016x}|{:016x}|",
-            knobs[0].to_bits(),
-            knobs[1].to_bits(),
-            knobs[2].to_bits()
-        );
-        for t in types {
-            key.push_str(t.label());
-            key.push(',');
-        }
-        key.push('|');
-        key.push_str(receptor_pdbqt);
-        fnv1a64(key.as_bytes())
-    }
-
+    /// The composition `serialize_grid_set` replaced (one `format!` per
+    /// value): entries written by it must keep loading.
     fn serialize_reference(g: &GridSet) -> String {
         let hex = |v: f64| format!("{:016x}", v.to_bits());
         let mut out = format!(
@@ -329,18 +298,8 @@ mod tests {
     }
 
     #[test]
-    fn digest_and_entry_bytes_match_the_reference_compositions() {
+    fn entry_bytes_match_the_reference_composition() {
         let types = [AdType::C, AdType::OA, AdType::HD];
-        let text = "ATOM      1  OA  LIG     1      -1.500   0.200   0.000 -0.40 OA\n";
-        assert_eq!(
-            grid_set_digest(text, "autodock4", 0.375, 22.5, 1.4, &types),
-            digest_reference(text, "autodock4", [0.375, 22.5, 1.4], &types)
-        );
-        // pinned value: a change here orphans every cache entry on disk
-        assert_eq!(
-            grid_set_digest("ATOM 1", "ad4", 0.375, 22.5, 1.4, &types),
-            0x5e63_6ef3_bd54_d040
-        );
         let r = receptor();
         let ga = build_ad4_grids(&r, spec(), &types, &Ad4Params::new());
         let gv = build_vina_grids(&r, spec(), &types, &VinaParams::default());
@@ -363,42 +322,21 @@ mod tests {
     }
 
     #[test]
-    fn digest_separates_every_knob() {
-        let base = grid_set_digest("ATOM 1", "ad4", 0.375, 22.5, 1.4, &[AdType::C, AdType::OA]);
-        assert_ne!(
-            base,
-            grid_set_digest("ATOM 2", "ad4", 0.375, 22.5, 1.4, &[AdType::C, AdType::OA]),
-            "receptor text"
-        );
-        assert_ne!(
-            base,
-            grid_set_digest("ATOM 1", "vina", 0.375, 22.5, 1.4, &[AdType::C, AdType::OA]),
-            "engine"
-        );
-        assert_ne!(
-            base,
-            grid_set_digest("ATOM 1", "ad4", 0.5, 22.5, 1.4, &[AdType::C, AdType::OA]),
-            "spacing"
-        );
-        assert_ne!(
-            base,
-            grid_set_digest("ATOM 1", "ad4", 0.375, 24.0, 1.4, &[AdType::C, AdType::OA]),
-            "box edge"
-        );
-        assert_ne!(
-            base,
-            grid_set_digest("ATOM 1", "ad4", 0.375, 22.5, 1.6, &[AdType::C, AdType::OA]),
-            "pocket probe"
-        );
-        assert_ne!(
-            base,
-            grid_set_digest("ATOM 1", "ad4", 0.375, 22.5, 1.4, &[AdType::C]),
-            "type superset"
-        );
-        // deterministic
+    fn key_header_separates_every_knob() {
+        let types = [AdType::C, AdType::OA];
+        let base = grid_key_header("ad4", 0.375, 22.5, 1.4, &types);
         assert_eq!(
-            base,
-            grid_set_digest("ATOM 1", "ad4", 0.375, 22.5, 1.4, &[AdType::C, AdType::OA])
+            base, "SDGC1|ad4|3fd8000000000000|4036800000000000|3ff6666666666666|C,OA,|",
+            "the text on-disk entry names digest"
         );
+        for (other, knob) in [
+            (grid_key_header("vina", 0.375, 22.5, 1.4, &types), "engine"),
+            (grid_key_header("ad4", 0.5, 22.5, 1.4, &types), "spacing"),
+            (grid_key_header("ad4", 0.375, 24.0, 1.4, &types), "box edge"),
+            (grid_key_header("ad4", 0.375, 22.5, 1.6, &types), "pocket probe"),
+            (grid_key_header("ad4", 0.375, 22.5, 1.4, &[AdType::C]), "type superset"),
+        ] {
+            assert_ne!(base, other, "{knob}");
+        }
     }
 }

@@ -21,6 +21,7 @@ pub const COUNTERS: &[&str] = &[
     "dist.master.wakeups",
     "dist.stragglers",
     "dock.evaluations",
+    "files.digest_bytes",
     "fleet.spawn_timeouts",
     "gridcache.bytes",
     "gridcache.evicted",
@@ -38,6 +39,8 @@ pub const COUNTERS: &[&str] = &[
     "receptor.hg_screened",
     "receptor.prep.hit",
     "receptor.prepared",
+    "sdw.bytes_in",
+    "sdw.bytes_out",
     "sim.dispatched",
     "sim.events",
     "sim.vm_acquired",
