@@ -1022,6 +1022,42 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_claiming_an_impossible_lattice_is_rebuilt_not_loaded() {
+        let dir =
+            std::env::temp_dir().join(format!("scidock-gridcache-npts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tel = telemetry::Telemetry::attached();
+        let (text, cfg) = cache_fixture(&tel);
+        let built = GridCache::persistent(&dir, Arc::new(FileStore::new()))
+            .grids(&text, EngineKind::Ad4, &cfg)
+            .unwrap();
+        // the entry with 10¹⁵ lattice points in its header and a footer
+        // that matches: only the lattice size is a lie
+        let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let on_disk = std::fs::read_to_string(&entry).unwrap();
+        let (header, maps) = on_disk[..on_disk.rfind("end ").unwrap()].split_once('\n').unwrap();
+        let mut h: Vec<&str> = header.split(' ').collect();
+        h[2] = "100000";
+        let body = format!("{}\n{maps}", h.join(" "));
+        let crafted = format!("{body}end {:016x}\n", docking::gridio::fnv1a64(body.as_bytes()));
+        assert!(docking::gridio::deserialize_grid_set(&crafted).is_err());
+        std::fs::write(&entry, crafted).unwrap();
+
+        let rebuilt = GridCache::persistent(&dir, Arc::new(FileStore::new()))
+            .grids(&text, EngineKind::Ad4, &cfg)
+            .unwrap();
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.counter("gridcache.persist.miss"), Some(2), "built again");
+        assert_eq!(snap.counter("gridcache.persist.hit"), None);
+        assert_eq!(
+            docking::gridio::serialize_grid_set(&built),
+            docking::gridio::serialize_grid_set(&rebuilt)
+        );
+        assert_eq!(std::fs::read_to_string(&entry).unwrap(), on_disk, "… and written back whole");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn persistent_grid_cache_racers_share_one_untorn_entry() {
         let dir =
             std::env::temp_dir().join(format!("scidock-gridcache-race-{}", std::process::id()));

@@ -514,8 +514,9 @@ impl GridCache {
                 (Arc::clone(stored.text()), false)
             }
         };
-        // a corrupt or torn entry (integrity digest mismatch) falls back to
-        // a rebuild instead of failing the activation
+        // a corrupt, torn or malformed entry (a digest mismatch, a lattice
+        // its map lines do not hold) falls back to a rebuild instead of
+        // failing the activation
         let grids = docking::gridio::deserialize_grid_set(&text).ok()?;
         cfg.telemetry.count("gridcache.persist.hit", 1);
         cfg.telemetry.count("gridcache.persist.bytes", text.len() as u64);

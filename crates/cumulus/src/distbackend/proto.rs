@@ -7,7 +7,8 @@
 //! body := [u8 frame tag][fields...]
 //! ```
 //!
-//! Integers are little-endian and fixed-width; strings are
+//! Bodies are written and read by the one codec, [`provenance::codec`]:
+//! integers are little-endian and fixed-width; strings are
 //! `[u32 len][utf-8 bytes]`; options are `[u8 0|1][payload]`; vectors are
 //! `[u32 count][items]`. The handshake frames ([`Frame::Ready`], then
 //! [`Frame::Hello`]) open with the `SDW2` magic, so each side rejects a
@@ -24,7 +25,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use provenance::Value;
+use provenance::codec::{self, CodecError, Decode, Encode, Reader, Writer};
 use telemetry::Telemetry;
 
 use crate::algebra::Tuple;
@@ -34,13 +35,13 @@ use crate::workflow::Blob;
 pub(crate) const MAGIC: u32 = 0x5344_5732;
 
 /// Check a handshake frame's magic.
-fn check_magic(magic: u32) -> DecodeResult<()> {
+fn check_magic(magic: u32) -> Result<(), CodecError> {
     if magic == MAGIC {
         return Ok(());
     }
     let name: String = magic.to_be_bytes().iter().map(|&b| b as char).collect();
     let name = if name.chars().all(|c| c.is_ascii_alphanumeric()) { name } else { "?".into() };
-    Err(format!("bad magic {magic:#x}: the peer speaks {name}, this end speaks SDW2"))
+    Err(CodecError(format!("bad magic {magic:#x}: the peer speaks {name}, this end speaks SDW2")))
 }
 
 /// A file's contents on the wire: named by digest and length, with the
@@ -278,462 +279,151 @@ pub(crate) enum Frame {
     },
 }
 
-// ---------------------------------------------------------------- encoding
+// ------------------------------------------------------------------ codec
 
-pub(crate) struct Buf {
-    out: Vec<u8>,
-    err: Option<String>,
+/// `digest`, `len`, then the bytes as an option with no length prefix of
+/// their own: `len` is it.
+impl Encode for WireContent {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.digest).put(&self.len);
+        match &self.bytes {
+            None => w.u8(0),
+            Some(text) if text.len() as u64 != self.len => {
+                w.fail(format!("{} content bytes named as {}", text.len(), self.len))
+            }
+            Some(text) => w.u8(1).bytes(text.as_bytes()),
+        };
+    }
 }
 
-impl Buf {
-    pub(crate) fn new() -> Buf {
-        Buf { out: Vec::new(), err: None }
-    }
-    pub(crate) fn finish(self) -> Result<Vec<u8>, String> {
-        match self.err {
-            None => Ok(self.out),
-            Some(e) => Err(e),
-        }
-    }
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.out.push(v);
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Emit a length prefix, refusing values the u32 cannot hold: an
-    /// unchecked `as u32` would silently truncate a ≥ 4 GiB payload and
-    /// desync the stream for every frame after it.
-    pub(crate) fn len32(&mut self, n: usize, what: &str) {
-        match u32::try_from(n) {
-            Ok(v) => self.u32(v),
-            Err(_) => {
-                if self.err.is_none() {
-                    self.err = Some(format!("{what} length {n} overflows the u32 length prefix"));
-                }
-                self.u32(0);
+/// The bytes are copied once, straight into the allocation the receiving
+/// store keeps.
+impl Decode for WireContent {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (digest, len) = (r.get()?, r.get()?);
+        let bytes = match r.u8()? {
+            0 => None,
+            1 => {
+                let n = usize::try_from(len)
+                    .map_err(|_| CodecError(format!("content of {len} bytes")))?;
+                Some(r.utf8(n)?.into())
             }
-        }
+            t => return Err(CodecError(format!("bad option tag {t}"))),
+        };
+        Ok(WireContent { digest, len, bytes })
     }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.len32(s.len(), "string");
-        self.out.extend_from_slice(s.as_bytes());
+}
+
+/// One flag: was a failure injected.
+impl Encode for WireFate {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&(*self == WireFate::Fail));
     }
-    pub(crate) fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
-            }
-        }
+}
+
+impl Decode for WireFate {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.get().map(WireFate::injected)
     }
-    pub(crate) fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Int(i) => {
-                self.u8(1);
-                self.i64(*i);
-            }
-            Value::Float(x) => {
-                self.u8(2);
-                self.f64(*x);
-            }
-            Value::Text(s) => {
-                self.u8(3);
-                self.str(s);
-            }
-            Value::Timestamp(t) => {
-                self.u8(4);
-                self.f64(*t);
-            }
-            Value::Bool(b) => {
-                self.u8(5);
-                self.u8(*b as u8);
-            }
-        }
+}
+
+impl Encode for WireSpan {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.name).put(&self.start_ns).put(&self.end_ns).put(&self.detail);
     }
-    pub(crate) fn tuples(&mut self, ts: &[Tuple]) {
-        self.len32(ts.len(), "tuple vector");
-        for t in ts {
-            self.len32(t.len(), "tuple");
-            for v in t {
-                self.value(v);
+}
+
+impl Decode for WireSpan {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(WireSpan { name: r.get()?, start_ns: r.get()?, end_ns: r.get()?, detail: r.get()? })
+    }
+}
+
+/// A tag byte, then the fields in declaration order; `Ready` and `Hello`
+/// carry the magic after their tag.
+impl Encode for Frame {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            Frame::Ready { pid, now_ns } => w.u8(0).put(&MAGIC).put(pid).put(now_ns),
+            Frame::Hello { worker_id, spec, heartbeat_ms } => {
+                w.u8(1).put(&MAGIC).put(worker_id).put(spec).put(heartbeat_ms)
             }
-        }
-    }
-    fn spans(&mut self, ss: &[WireSpan]) {
-        self.len32(ss.len(), "span vector");
-        for s in ss {
-            self.str(&s.name);
-            self.u64(s.start_ns);
-            self.u64(s.end_ns);
-            self.opt_str(s.detail.as_deref());
-        }
-    }
-    fn content(&mut self, c: &WireContent) {
-        self.u64(c.digest);
-        self.u64(c.len);
-        match &c.bytes {
-            None => self.u8(0),
-            Some(text) => {
-                self.u8(1);
-                self.out.extend_from_slice(text.as_bytes());
+            Frame::Run { job, activity, part_index, attempt, fate, workdir, part } => {
+                w.u8(2).put(job).put(activity).put(part_index).put(attempt);
+                w.put(fate).put(workdir).put(part)
             }
-        }
-    }
-    fn files(&mut self, fs: &[(String, WireContent)]) {
-        self.len32(fs.len(), "file vector");
-        for (p, c) in fs {
-            self.str(p);
-            self.content(c);
-        }
-    }
-    fn stats_delta(&mut self, d: &telemetry::StatsDelta) {
-        self.len32(d.counters.len(), "counter vector");
-        for (name, v) in &d.counters {
-            self.str(name);
-            self.u64(*v);
-        }
-        self.len32(d.hists.len(), "histogram vector");
-        for (name, snap) in &d.hists {
-            self.str(name);
-            for w in snap.to_words() {
-                self.u64(w);
+            Frame::FileReq { req, path } => w.u8(3).put(req).put(path),
+            Frame::FileData { req, contents } => w.u8(4).put(req).put(contents),
+            Frame::Heartbeat { job, job_elapsed_ms } => w.u8(5).put(job).put(job_elapsed_ms),
+            Frame::Done {
+                job,
+                outcome: WireOutcome::Finished { tuples, files, params, spans },
+            } => w.u8(6).put(job).u8(0).put(tuples).put(files).put(params).put(spans),
+            Frame::Done { job, outcome: WireOutcome::Failed { error, files, spans } } => {
+                w.u8(6).put(job).u8(1).put(error).put(files).put(spans)
             }
-        }
+            Frame::Shutdown => w.u8(7),
+            Frame::Drain => w.u8(8),
+            Frame::Bye { completed } => w.u8(9).put(completed),
+            Frame::Stats { delta } => w.u8(10).put(delta),
+        };
+    }
+}
+
+impl Decode for Frame {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => {
+                check_magic(r.get()?)?;
+                Frame::Ready { pid: r.get()?, now_ns: r.get()? }
+            }
+            1 => {
+                check_magic(r.get()?)?;
+                Frame::Hello { worker_id: r.get()?, spec: r.get()?, heartbeat_ms: r.get()? }
+            }
+            2 => Frame::Run {
+                job: r.get()?,
+                activity: r.get()?,
+                part_index: r.get()?,
+                attempt: r.get()?,
+                fate: r.get()?,
+                workdir: r.get()?,
+                part: r.get()?,
+            },
+            3 => Frame::FileReq { req: r.get()?, path: r.get()? },
+            4 => Frame::FileData { req: r.get()?, contents: r.get()? },
+            5 => Frame::Heartbeat { job: r.get()?, job_elapsed_ms: r.get()? },
+            6 => Frame::Done {
+                job: r.get()?,
+                outcome: match r.u8()? {
+                    0 => WireOutcome::Finished {
+                        tuples: r.get()?,
+                        files: r.get()?,
+                        params: r.get()?,
+                        spans: r.get()?,
+                    },
+                    1 => WireOutcome::Failed { error: r.get()?, files: r.get()?, spans: r.get()? },
+                    t => return Err(CodecError(format!("bad outcome tag {t}"))),
+                },
+            },
+            7 => Frame::Shutdown,
+            8 => Frame::Drain,
+            9 => Frame::Bye { completed: r.get()? },
+            10 => Frame::Stats { delta: r.get()? },
+            t => return Err(CodecError(format!("unknown frame tag {t}"))),
+        })
     }
 }
 
 /// Encode a frame body (without the length prefix). Fails if any length
 /// field overflows its u32 prefix — nothing is emitted for such a frame.
 pub(crate) fn encode(frame: &Frame) -> Result<Vec<u8>, String> {
-    let mut b = Buf::new();
-    match frame {
-        Frame::Ready { pid, now_ns } => {
-            b.u8(0);
-            b.u32(MAGIC);
-            b.u32(*pid);
-            b.u64(*now_ns);
-        }
-        Frame::Hello { worker_id, spec, heartbeat_ms } => {
-            b.u8(1);
-            b.u32(MAGIC);
-            b.u32(*worker_id);
-            b.str(spec);
-            b.u64(*heartbeat_ms);
-        }
-        Frame::Run { job, activity, part_index, attempt, fate, workdir, part } => {
-            b.u8(2);
-            b.u64(*job);
-            b.u32(*activity);
-            b.u64(*part_index);
-            b.u32(*attempt);
-            b.u8(match fate {
-                WireFate::Ok => 0,
-                WireFate::Fail => 1,
-            });
-            b.str(workdir);
-            b.tuples(part);
-        }
-        Frame::FileReq { req, path } => {
-            b.u8(3);
-            b.u64(*req);
-            b.str(path);
-        }
-        Frame::FileData { req, contents } => {
-            b.u8(4);
-            b.u64(*req);
-            match contents {
-                None => b.u8(0),
-                Some(c) => {
-                    b.u8(1);
-                    b.content(c);
-                }
-            }
-        }
-        Frame::Heartbeat { job, job_elapsed_ms } => {
-            b.u8(5);
-            match job {
-                None => b.u8(0),
-                Some(j) => {
-                    b.u8(1);
-                    b.u64(*j);
-                }
-            }
-            b.u64(*job_elapsed_ms);
-        }
-        Frame::Done { job, outcome } => {
-            b.u8(6);
-            b.u64(*job);
-            match outcome {
-                WireOutcome::Finished { tuples, files, params, spans } => {
-                    b.u8(0);
-                    b.tuples(tuples);
-                    b.files(files);
-                    b.len32(params.len(), "parameter vector");
-                    for (name, num, text) in params {
-                        b.str(name);
-                        match num {
-                            None => b.u8(0),
-                            Some(x) => {
-                                b.u8(1);
-                                b.f64(*x);
-                            }
-                        }
-                        b.opt_str(text.as_deref());
-                    }
-                    b.spans(spans);
-                }
-                WireOutcome::Failed { error, files, spans } => {
-                    b.u8(1);
-                    b.str(error);
-                    b.files(files);
-                    b.spans(spans);
-                }
-            }
-        }
-        Frame::Shutdown => b.u8(7),
-        Frame::Drain => b.u8(8),
-        Frame::Bye { completed } => {
-            b.u8(9);
-            b.u64(*completed);
-        }
-        Frame::Stats { delta } => {
-            b.u8(10);
-            b.stats_delta(delta);
-        }
-    }
-    b.finish()
-}
-
-// ---------------------------------------------------------------- decoding
-
-pub(crate) struct Cur<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-type DecodeResult<T> = Result<T, String>;
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Cur<'a> {
-        Cur { buf, at: 0 }
-    }
-
-    pub(crate) fn at_end(&self) -> bool {
-        self.at == self.buf.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
-        if n > self.buf.len() - self.at {
-            return Err(format!("truncated frame: wanted {n} bytes at {}", self.at));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> DecodeResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    pub(crate) fn u32(&mut self) -> DecodeResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> DecodeResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn i64(&mut self) -> DecodeResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn f64(&mut self) -> DecodeResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn utf8(&mut self, n: usize) -> DecodeResult<&'a str> {
-        std::str::from_utf8(self.take(n)?).map_err(|_| "invalid utf-8 in string".to_string())
-    }
-    pub(crate) fn str(&mut self) -> DecodeResult<String> {
-        let n = self.u32()? as usize;
-        self.utf8(n).map(str::to_owned)
-    }
-    pub(crate) fn opt_str(&mut self) -> DecodeResult<Option<String>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
-            t => Err(format!("bad option tag {t}")),
-        }
-    }
-    /// File contents, their bytes copied once, straight into the
-    /// allocation the receiving store keeps.
-    fn content(&mut self) -> DecodeResult<WireContent> {
-        let (digest, len) = (self.u64()?, self.u64()?);
-        let bytes = match self.u8()? {
-            0 => None,
-            1 => {
-                let n = usize::try_from(len).map_err(|_| format!("content of {len} bytes"))?;
-                Some(self.utf8(n)?.into())
-            }
-            t => return Err(format!("bad option tag {t}")),
-        };
-        Ok(WireContent { digest, len, bytes })
-    }
-    pub(crate) fn value(&mut self) -> DecodeResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Float(self.f64()?),
-            3 => Value::Text(self.str()?),
-            4 => Value::Timestamp(self.f64()?),
-            5 => Value::Bool(self.u8()? != 0),
-            t => return Err(format!("bad value tag {t}")),
-        })
-    }
-    pub(crate) fn tuples(&mut self) -> DecodeResult<Vec<Tuple>> {
-        let n = self.u32()? as usize;
-        let mut ts = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let k = self.u32()? as usize;
-            let mut t = Vec::with_capacity(k.min(1 << 12));
-            for _ in 0..k {
-                t.push(self.value()?);
-            }
-            ts.push(t);
-        }
-        Ok(ts)
-    }
-    fn spans(&mut self) -> DecodeResult<Vec<WireSpan>> {
-        let n = self.u32()? as usize;
-        let mut ss = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            ss.push(WireSpan {
-                name: self.str()?,
-                start_ns: self.u64()?,
-                end_ns: self.u64()?,
-                detail: self.opt_str()?,
-            });
-        }
-        Ok(ss)
-    }
-    fn files(&mut self) -> DecodeResult<Vec<(String, WireContent)>> {
-        let n = self.u32()? as usize;
-        let mut fs = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            fs.push((self.str()?, self.content()?));
-        }
-        Ok(fs)
-    }
-    fn stats_delta(&mut self) -> DecodeResult<telemetry::StatsDelta> {
-        let mut d = telemetry::StatsDelta::default();
-        let n = self.u32()? as usize;
-        d.counters.reserve(n.min(1 << 12));
-        for _ in 0..n {
-            d.counters.push((self.str()?, self.u64()?));
-        }
-        let n = self.u32()? as usize;
-        d.hists.reserve(n.min(1 << 12));
-        for _ in 0..n {
-            let name = self.str()?;
-            let mut words = [0u64; 3 + telemetry::HIST_BUCKETS];
-            for w in words.iter_mut() {
-                *w = self.u64()?;
-            }
-            let snap = telemetry::HistogramSnapshot::from_words(&words)
-                .ok_or_else(|| "bad histogram snapshot".to_string())?;
-            d.hists.push((name, snap));
-        }
-        Ok(d)
-    }
+    codec::to_bytes(frame).map_err(|e| e.0)
 }
 
 /// Decode a frame body (without the length prefix).
-pub(crate) fn decode(buf: &[u8]) -> DecodeResult<Frame> {
-    let mut c = Cur { buf, at: 0 };
-    let frame = match c.u8()? {
-        0 => {
-            check_magic(c.u32()?)?;
-            Frame::Ready { pid: c.u32()?, now_ns: c.u64()? }
-        }
-        1 => {
-            check_magic(c.u32()?)?;
-            Frame::Hello { worker_id: c.u32()?, spec: c.str()?, heartbeat_ms: c.u64()? }
-        }
-        2 => Frame::Run {
-            job: c.u64()?,
-            activity: c.u32()?,
-            part_index: c.u64()?,
-            attempt: c.u32()?,
-            fate: match c.u8()? {
-                0 => WireFate::Ok,
-                1 => WireFate::Fail,
-                t => return Err(format!("bad fate tag {t}")),
-            },
-            workdir: c.str()?,
-            part: c.tuples()?,
-        },
-        3 => Frame::FileReq { req: c.u64()?, path: c.str()? },
-        4 => Frame::FileData {
-            req: c.u64()?,
-            contents: match c.u8()? {
-                0 => None,
-                1 => Some(c.content()?),
-                t => return Err(format!("bad option tag {t}")),
-            },
-        },
-        5 => Frame::Heartbeat {
-            job: match c.u8()? {
-                0 => None,
-                1 => Some(c.u64()?),
-                t => return Err(format!("bad option tag {t}")),
-            },
-            job_elapsed_ms: c.u64()?,
-        },
-        6 => {
-            let job = c.u64()?;
-            let outcome = match c.u8()? {
-                0 => WireOutcome::Finished {
-                    tuples: c.tuples()?,
-                    files: c.files()?,
-                    params: {
-                        let n = c.u32()? as usize;
-                        let mut ps = Vec::with_capacity(n.min(1 << 16));
-                        for _ in 0..n {
-                            ps.push((
-                                c.str()?,
-                                match c.u8()? {
-                                    0 => None,
-                                    1 => Some(c.f64()?),
-                                    t => return Err(format!("bad option tag {t}")),
-                                },
-                                c.opt_str()?,
-                            ));
-                        }
-                        ps
-                    },
-                    spans: c.spans()?,
-                },
-                1 => WireOutcome::Failed { error: c.str()?, files: c.files()?, spans: c.spans()? },
-                t => return Err(format!("bad outcome tag {t}")),
-            };
-            Frame::Done { job, outcome }
-        }
-        7 => Frame::Shutdown,
-        8 => Frame::Drain,
-        9 => Frame::Bye { completed: c.u64()? },
-        10 => Frame::Stats { delta: c.stats_delta()? },
-        t => return Err(format!("unknown frame tag {t}")),
-    };
-    if c.at != buf.len() {
-        return Err(format!("{} trailing bytes after frame", buf.len() - c.at));
-    }
-    Ok(frame)
+pub(crate) fn decode(buf: &[u8]) -> Result<Frame, String> {
+    codec::from_bytes(buf).map_err(|e| e.0)
 }
 
 /// Marker prefix in the error message of a frame refused for size, so
@@ -754,13 +444,16 @@ pub(crate) fn frame_too_big(e: &std::io::Error) -> bool {
 /// usable — the peer would reject the oversized frame anyway, but only
 /// after the sender had already desynced the socket.
 pub(crate) fn write_body<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
-    if body.len() > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{FRAME_TOO_BIG}: body is {} bytes", body.len()),
-        ));
-    }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
+    let len = match u32::try_from(body.len()) {
+        Ok(len) if body.len() <= MAX_FRAME => len,
+        _ => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{FRAME_TOO_BIG}: body is {} bytes", body.len()),
+            ))
+        }
+    };
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(body)?;
     w.flush()
 }
@@ -804,6 +497,8 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use provenance::codec::testing::{check_codec, Gen};
+    use provenance::Value;
 
     fn roundtrip(f: Frame) {
         let body = encode(&f).unwrap();
@@ -945,6 +640,110 @@ mod tests {
         assert!(decode(&[99]).unwrap_err().contains("unknown frame tag"));
     }
 
+    /// One frame of every tag, byte for byte as the wire carries it: three
+    /// in full, and all of them through the XXH64 of their concatenation.
+    #[test]
+    fn sdw2_frames_are_pinned() {
+        let mut h = telemetry::HistogramSnapshot::new();
+        for v in [0u64, 17, 4096] {
+            h.record(v);
+        }
+        let content = |bytes: Option<&str>| WireContent {
+            digest: 0x0123_4567_89ab_cdef,
+            len: 5,
+            bytes: bytes.map(Arc::from),
+        };
+        let frames = [
+            Frame::Ready { pid: 4242, now_ns: 17 },
+            Frame::Hello { worker_id: 3, spec: "scidock:ad4:2x8".into(), heartbeat_ms: 150 },
+            Frame::Run {
+                job: 9,
+                activity: 2,
+                part_index: 31,
+                attempt: 1,
+                fate: WireFate::Fail,
+                workdir: "/exp/dock/31".into(),
+                part: vec![
+                    vec![
+                        Value::Int(-5),
+                        Value::Float(2.5),
+                        Value::Text("1AEC".into()),
+                        Value::Null,
+                        Value::Timestamp(12.125),
+                        Value::Bool(true),
+                    ],
+                    vec![],
+                ],
+            },
+            Frame::FileReq { req: 7, path: "/exp/prep/0/r.pdbqt".into() },
+            Frame::FileData { req: 7, contents: Some(content(Some("ATOM\n"))) },
+            Frame::FileData { req: 8, contents: Some(content(None)) },
+            Frame::FileData { req: 9, contents: None },
+            Frame::Heartbeat { job: Some(9), job_elapsed_ms: 340 },
+            Frame::Heartbeat { job: None, job_elapsed_ms: 0 },
+            Frame::Done {
+                job: 9,
+                outcome: WireOutcome::Finished {
+                    tuples: vec![vec![Value::Float(-7.25)]],
+                    files: vec![
+                        ("/exp/dock/31/out.dlg".into(), content(Some("DOCK\n"))),
+                        ("/exp/maps/r.C.map".into(), content(None)),
+                    ],
+                    params: vec![
+                        ("feb".into(), Some(-7.25), None),
+                        ("pose".into(), None, Some("model 1".into())),
+                    ],
+                    spans: vec![
+                        WireSpan { name: "dock".into(), start_ns: 10, end_ns: 999, detail: None },
+                        WireSpan {
+                            name: "vina".into(),
+                            start_ns: 1,
+                            end_ns: 2,
+                            detail: Some("job=9".into()),
+                        },
+                    ],
+                },
+            },
+            Frame::Done {
+                job: 10,
+                outcome: WireOutcome::Failed {
+                    error: "missing input file".into(),
+                    files: vec![("/exp/x".into(), content(None))],
+                    spans: vec![],
+                },
+            },
+            Frame::Shutdown,
+            Frame::Drain,
+            Frame::Bye { completed: 12 },
+            Frame::Stats {
+                delta: telemetry::StatsDelta {
+                    counters: vec![("worker.jobs".into(), 3)],
+                    hists: vec![("activation.dock".into(), h)],
+                },
+            },
+        ];
+        let mut wire = Vec::new();
+        for f in &frames {
+            write_frame(&mut wire, f).unwrap();
+        }
+        assert_eq!(wire.len(), 1220);
+        assert_eq!(crate::workflow::digest(&wire), 0x6179_ebc3_6137_2eee);
+        let ready: [u8; 17] = [0, 50, 87, 68, 83, 146, 16, 0, 0, 17, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(encode(&frames[0]).unwrap(), ready);
+        let run: [u8; 93] = [
+            2, 9, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 31, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 12, 0,
+            0, 0, 47, 101, 120, 112, 47, 100, 111, 99, 107, 47, 51, 49, 2, 0, 0, 0, 6, 0, 0, 0, 1,
+            251, 255, 255, 255, 255, 255, 255, 255, 2, 0, 0, 0, 0, 0, 0, 4, 64, 3, 4, 0, 0, 0, 49,
+            65, 69, 67, 0, 4, 0, 0, 0, 0, 0, 64, 40, 64, 5, 1, 0, 0, 0, 0,
+        ];
+        assert_eq!(encode(&frames[2]).unwrap(), run);
+        let file_data: [u8; 32] = [
+            4, 7, 0, 0, 0, 0, 0, 0, 0, 1, 239, 205, 171, 137, 103, 69, 35, 1, 5, 0, 0, 0, 0, 0, 0,
+            0, 1, 65, 84, 79, 77, 10,
+        ];
+        assert_eq!(encode(&frames[4]).unwrap(), file_data);
+    }
+
     #[test]
     fn a_version_1_handshake_is_refused_by_name() {
         // SDW1's Ready and Hello, byte for byte: tag, [magic,] fields
@@ -1003,6 +802,10 @@ mod tests {
         // the length field follows tag, req, option tag and digest
         body[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(decode(&body).unwrap_err().contains("truncated"));
+        // and bytes that disagree with their length are never sent
+        let short = WireContent { len: 2, ..shipped("abc") };
+        let err = encode(&Frame::FileData { req: 1, contents: Some(short) }).unwrap_err();
+        assert!(err.contains("3 content bytes named as 2"), "{err}");
     }
 
     #[test]
@@ -1045,51 +848,96 @@ mod tests {
     }
 
     #[test]
-    fn length_prefix_overflow_is_a_checked_error() {
-        // Lengths ≥ 4 GiB used to be cast `as u32`, silently truncating the
-        // prefix. A 4 GiB string cannot be allocated in a unit test, so the
-        // length path is exercised directly.
-        let mut b = Buf::new();
-        b.len32(u32::MAX as usize, "string");
-        assert!(b.err.is_none(), "u32::MAX itself still fits");
-        let mut b = Buf::new();
-        b.len32(u32::MAX as usize + 1, "string");
-        b.len32(u32::MAX as usize + 2, "tuple vector"); // only the first error is kept
-        let err = b.finish().unwrap_err();
-        assert!(
-            err.contains("string length") && err.contains("overflows the u32"),
-            "unexpected error: {err}"
-        );
-        // and frame_too_big does not claim overflow errors
-        let io = std::io::Error::new(std::io::ErrorKind::InvalidData, err);
+    fn a_length_overflow_is_not_taken_for_an_oversized_frame() {
+        // the codec latches the overflow instead of truncating the prefix;
+        // a caller that degrades oversized payloads must not mistake it
+        let mut w = Writer::new();
+        w.len(u32::MAX as usize + 1);
+        let io = invalid(w.finish().unwrap_err().0);
         assert!(!frame_too_big(&io));
     }
 
-    #[test]
-    fn random_bytes_never_panic_the_decoder() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xF022);
-        for _ in 0..512 {
-            let len = rng.gen_range(0..512);
-            let buf: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-            let _ = decode(&buf); // must return Err, never panic or OOM
+    fn any_content(g: &mut Gen) -> WireContent {
+        let text = g.text();
+        WireContent {
+            digest: g.u64(),
+            len: text.len() as u64,
+            bytes: g.bool().then(|| text.into()),
         }
-        // Mutated valid frames: flip bytes in real encodings.
-        let seed = encode(&Frame::Done {
-            job: 3,
-            outcome: WireOutcome::Finished {
-                tuples: vec![vec![Value::Int(1), Value::Text("t".into())]],
-                files: vec![("/f".into(), shipped("c")), ("/g".into(), named("c"))],
-                params: vec![("p".into(), Some(1.0), Some("s".into()))],
-                spans: vec![WireSpan { name: "n".into(), start_ns: 0, end_ns: 1, detail: None }],
-            },
+    }
+
+    fn any_files(g: &mut Gen) -> Vec<(String, WireContent)> {
+        g.vec(3, |g| (g.text(), any_content(g)))
+    }
+
+    fn any_spans(g: &mut Gen) -> Vec<WireSpan> {
+        g.vec(3, |g| WireSpan {
+            name: g.text(),
+            start_ns: g.u64(),
+            end_ns: g.u64(),
+            detail: g.option(Gen::text),
         })
-        .unwrap();
-        for _ in 0..512 {
-            let mut m = seed.clone();
-            let i = rng.gen_range(0..m.len());
-            m[i] = rng.gen();
-            let _ = decode(&m); // Ok or Err both fine; panics are not
+    }
+
+    /// A frame with tag `tag` (`Done` either way) and random fields.
+    fn any_frame(g: &mut Gen, tag: usize) -> Frame {
+        match tag {
+            0 => Frame::Ready { pid: g.u64() as u32, now_ns: g.u64() },
+            1 => Frame::Hello { worker_id: g.u64() as u32, spec: g.text(), heartbeat_ms: g.u64() },
+            2 => Frame::Run {
+                job: g.u64(),
+                activity: g.u64() as u32,
+                part_index: g.u64(),
+                attempt: g.u64() as u32,
+                fate: WireFate::injected(g.bool()),
+                workdir: g.text(),
+                part: g.vec(3, |g| g.vec(4, Gen::cell)),
+            },
+            3 => Frame::FileReq { req: g.u64(), path: g.text() },
+            4 => Frame::FileData { req: g.u64(), contents: g.option(any_content) },
+            5 => Frame::Heartbeat { job: g.option(Gen::u64), job_elapsed_ms: g.u64() },
+            6 if g.bool() => Frame::Done {
+                job: g.u64(),
+                outcome: WireOutcome::Finished {
+                    tuples: g.vec(3, |g| g.vec(4, Gen::cell)),
+                    files: any_files(g),
+                    params: g.vec(3, |g| (g.text(), g.option(Gen::f64), g.option(Gen::text))),
+                    spans: any_spans(g),
+                },
+            },
+            6 => Frame::Done {
+                job: g.u64(),
+                outcome: WireOutcome::Failed {
+                    error: g.text(),
+                    files: any_files(g),
+                    spans: any_spans(g),
+                },
+            },
+            7 => Frame::Shutdown,
+            8 => Frame::Drain,
+            9 => Frame::Bye { completed: g.u64() },
+            _ => Frame::Stats {
+                delta: telemetry::StatsDelta {
+                    counters: g.vec(3, |g| (g.text(), g.u64())),
+                    hists: g.vec(2, |g| {
+                        let words: Vec<u64> =
+                            (0..3 + telemetry::HIST_BUCKETS).map(|_| g.u64()).collect();
+                        (g.text(), telemetry::HistogramSnapshot::from_words(&words).unwrap())
+                    }),
+                },
+            },
         }
+    }
+
+    #[test]
+    fn every_frame_passes_the_codec_harness() {
+        let mut n = 0;
+        check_codec(
+            |g| {
+                n += 1;
+                any_frame(g, n % 11)
+            },
+            220,
+        );
     }
 }

@@ -2,7 +2,8 @@
 //! docking client and a [`crate::serve`] daemon.
 //!
 //! Wire layout mirrors the worker protocol
-//! ([`crate::distbackend::proto`] — the codec primitives are shared):
+//! ([`crate::distbackend::proto`]), and bodies go through the same codec,
+//! [`provenance::codec`]:
 //!
 //! ```text
 //! [u32 LE body length][body]
@@ -22,8 +23,10 @@
 
 use std::io::{Read, Write};
 
+use provenance::codec::{self, CodecError, Decode, Encode, Reader, Writer};
+
 use crate::algebra::Tuple;
-use crate::distbackend::proto::{read_body, write_body, Buf, Cur};
+use crate::distbackend::proto::{invalid, read_body, write_body};
 
 /// `"SDC1"` — SciDock Campaign protocol, version 1.
 pub(crate) const MAGIC: u32 = 0x5344_4331;
@@ -54,25 +57,29 @@ impl CampaignState {
             CampaignState::Failed => "failed",
         }
     }
+}
 
-    fn tag(self) -> u8 {
-        match self {
+impl Encode for CampaignState {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(match self {
             CampaignState::Pending => 0,
             CampaignState::Running => 1,
             CampaignState::Finished => 2,
             CampaignState::Cancelled => 3,
             CampaignState::Failed => 4,
-        }
+        });
     }
+}
 
-    fn from_tag(t: u8) -> Result<CampaignState, String> {
-        Ok(match t {
+impl Decode for CampaignState {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
             0 => CampaignState::Pending,
             1 => CampaignState::Running,
             2 => CampaignState::Finished,
             3 => CampaignState::Cancelled,
             4 => CampaignState::Failed,
-            t => return Err(format!("bad campaign state tag {t}")),
+            t => return Err(CodecError(format!("bad campaign state tag {t}"))),
         })
     }
 }
@@ -124,142 +131,83 @@ pub(crate) enum Msg {
     Error { msg: String },
 }
 
-fn columns(b: &mut Buf, cols: &[String]) {
-    b.len32(cols.len(), "columns");
-    for c in cols {
-        b.str(c);
+/// The magic, a tag byte, then the fields in declaration order.
+impl Encode for Msg {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&MAGIC);
+        match self {
+            Msg::Submit { tenant, priority, spec } => w.u8(0).put(tenant).put(priority).put(spec),
+            Msg::Status { id } => w.u8(1).put(id),
+            Msg::Results { id } => w.u8(2).put(id),
+            Msg::Cancel { id } => w.u8(3).put(id),
+            Msg::Query { sql } => w.u8(4).put(sql),
+            Msg::Accept { id } => w.u8(16).put(id),
+            Msg::Reject { reason, retry_after_ms } => w.u8(17).put(reason).put(retry_after_ms),
+            Msg::StatusReply { id, tenant, state, done, total } => {
+                w.u8(18).put(id).put(tenant).put(state).put(done).put(total)
+            }
+            Msg::ResultsReply { columns, tuples } => w.u8(19).put(columns).put(tuples),
+            Msg::QueryReply { columns, rows } => w.u8(20).put(columns).put(rows),
+            Msg::CancelReply { cancelled } => w.u8(21).put(cancelled),
+            Msg::Error { msg } => w.u8(22).put(msg),
+        };
     }
 }
 
-fn columns_dec(c: &mut Cur<'_>) -> Result<Vec<String>, String> {
-    let n = c.u32()? as usize;
-    let mut cols = Vec::with_capacity(n.min(1 << 12));
-    for _ in 0..n {
-        cols.push(c.str()?);
+impl Decode for Msg {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let magic: u32 = r.get()?;
+        if magic != MAGIC {
+            return Err(CodecError(format!("bad SDC1 magic {magic:#x}")));
+        }
+        Ok(match r.u8()? {
+            0 => Msg::Submit { tenant: r.get()?, priority: r.get()?, spec: r.get()? },
+            1 => Msg::Status { id: r.get()? },
+            2 => Msg::Results { id: r.get()? },
+            3 => Msg::Cancel { id: r.get()? },
+            4 => Msg::Query { sql: r.get()? },
+            16 => Msg::Accept { id: r.get()? },
+            17 => Msg::Reject { reason: r.get()?, retry_after_ms: r.get()? },
+            18 => Msg::StatusReply {
+                id: r.get()?,
+                tenant: r.get()?,
+                state: r.get()?,
+                done: r.get()?,
+                total: r.get()?,
+            },
+            19 => Msg::ResultsReply { columns: r.get()?, tuples: r.get()? },
+            20 => Msg::QueryReply { columns: r.get()?, rows: r.get()? },
+            21 => Msg::CancelReply { cancelled: r.get()? },
+            22 => Msg::Error { msg: r.get()? },
+            t => return Err(CodecError(format!("unknown SDC1 frame tag {t}"))),
+        })
     }
-    Ok(cols)
 }
 
 pub(crate) fn encode(msg: &Msg) -> Result<Vec<u8>, String> {
-    let mut b = Buf::new();
-    b.u32(MAGIC);
-    match msg {
-        Msg::Submit { tenant, priority, spec } => {
-            b.u8(0);
-            b.str(tenant);
-            b.u8(*priority);
-            b.str(spec);
-        }
-        Msg::Status { id } => {
-            b.u8(1);
-            b.u64(*id);
-        }
-        Msg::Results { id } => {
-            b.u8(2);
-            b.u64(*id);
-        }
-        Msg::Cancel { id } => {
-            b.u8(3);
-            b.u64(*id);
-        }
-        Msg::Query { sql } => {
-            b.u8(4);
-            b.str(sql);
-        }
-        Msg::Accept { id } => {
-            b.u8(16);
-            b.u64(*id);
-        }
-        Msg::Reject { reason, retry_after_ms } => {
-            b.u8(17);
-            b.str(reason);
-            b.u64(*retry_after_ms);
-        }
-        Msg::StatusReply { id, tenant, state, done, total } => {
-            b.u8(18);
-            b.u64(*id);
-            b.str(tenant);
-            b.u8(state.tag());
-            b.u64(*done);
-            b.u64(*total);
-        }
-        Msg::ResultsReply { columns: cols, tuples } => {
-            b.u8(19);
-            columns(&mut b, cols);
-            b.tuples(tuples);
-        }
-        Msg::QueryReply { columns: cols, rows } => {
-            b.u8(20);
-            columns(&mut b, cols);
-            b.tuples(rows);
-        }
-        Msg::CancelReply { cancelled } => {
-            b.u8(21);
-            b.u8(u8::from(*cancelled));
-        }
-        Msg::Error { msg } => {
-            b.u8(22);
-            b.str(msg);
-        }
-    }
-    b.finish()
+    codec::to_bytes(msg).map_err(|e| e.0)
 }
 
 pub(crate) fn decode(buf: &[u8]) -> Result<Msg, String> {
-    let mut c = Cur::new(buf);
-    let magic = c.u32()?;
-    if magic != MAGIC {
-        return Err(format!("bad SDC1 magic {magic:#x}"));
-    }
-    let msg = match c.u8()? {
-        0 => Msg::Submit { tenant: c.str()?, priority: c.u8()?, spec: c.str()? },
-        1 => Msg::Status { id: c.u64()? },
-        2 => Msg::Results { id: c.u64()? },
-        3 => Msg::Cancel { id: c.u64()? },
-        4 => Msg::Query { sql: c.str()? },
-        16 => Msg::Accept { id: c.u64()? },
-        17 => Msg::Reject { reason: c.str()?, retry_after_ms: c.u64()? },
-        18 => Msg::StatusReply {
-            id: c.u64()?,
-            tenant: c.str()?,
-            state: CampaignState::from_tag(c.u8()?)?,
-            done: c.u64()?,
-            total: c.u64()?,
-        },
-        19 => Msg::ResultsReply { columns: columns_dec(&mut c)?, tuples: c.tuples()? },
-        20 => Msg::QueryReply { columns: columns_dec(&mut c)?, rows: c.tuples()? },
-        21 => Msg::CancelReply {
-            cancelled: match c.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("bad bool tag {t}")),
-            },
-        },
-        22 => Msg::Error { msg: c.str()? },
-        t => return Err(format!("unknown SDC1 frame tag {t}")),
-    };
-    if !c.at_end() {
-        return Err("trailing bytes after SDC1 frame".to_string());
-    }
-    Ok(msg)
+    codec::from_bytes(buf).map_err(|e| e.0)
 }
 
 /// Write one length-prefixed frame and flush it. An oversized frame is
 /// refused with `InvalidData` before any byte hits the stream, keeping the
 /// connection framed (the framing is the worker protocol's).
 pub(crate) fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> std::io::Result<()> {
-    let body = encode(msg).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    write_body(w, &body)
+    write_body(w, &encode(msg).map_err(invalid)?)
 }
 
 /// Read one length-prefixed frame.
 pub(crate) fn read_msg<R: Read>(r: &mut R) -> std::io::Result<Msg> {
-    decode(&read_body(r)?).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    decode(&read_body(r)?).map_err(invalid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use provenance::codec::testing::{check_codec, Gen};
     use provenance::Value;
 
     fn roundtrip(m: Msg) {
@@ -306,6 +254,63 @@ mod tests {
         roundtrip(Msg::Error { msg: "unknown campaign 77".into() });
     }
 
+    /// One message of every tag, byte for byte as the wire carries it: three
+    /// in full, and all of them through the XXH64 of their concatenation.
+    #[test]
+    fn sdc1_frames_are_pinned() {
+        let msgs = [
+            Msg::Submit { tenant: "alice".into(), priority: 7, spec: "unit:spin:4:0".into() },
+            Msg::Status { id: 42 },
+            Msg::Results { id: 43 },
+            Msg::Cancel { id: 9 },
+            Msg::Query { sql: "SELECT * FROM hworkflow".into() },
+            Msg::Accept { id: 1 },
+            Msg::Reject { reason: "queue full".into(), retry_after_ms: 250 },
+            Msg::StatusReply {
+                id: 3,
+                tenant: "bob".into(),
+                state: CampaignState::Cancelled,
+                done: 5,
+                total: 8,
+            },
+            Msg::ResultsReply {
+                columns: vec!["x".into(), "feb".into()],
+                tuples: vec![
+                    vec![Value::Int(1), Value::Float(-7.5)],
+                    vec![Value::Null, Value::Bool(true)],
+                ],
+            },
+            Msg::QueryReply {
+                columns: vec!["tag".into()],
+                rows: vec![vec![Value::from("dock")], vec![Value::Timestamp(0.5)]],
+            },
+            Msg::CancelReply { cancelled: true },
+            Msg::Error { msg: "unknown campaign 77".into() },
+        ];
+        let mut wire = Vec::new();
+        for m in &msgs {
+            write_msg(&mut wire, m).unwrap();
+        }
+        assert_eq!(wire.len(), 362);
+        assert_eq!(crate::workflow::digest(&wire), 0xd1c3_07a7_ef37_5fce);
+        let submit: [u8; 32] = [
+            49, 67, 68, 83, 0, 5, 0, 0, 0, 97, 108, 105, 99, 101, 7, 13, 0, 0, 0, 117, 110, 105,
+            116, 58, 115, 112, 105, 110, 58, 52, 58, 48,
+        ];
+        assert_eq!(encode(&msgs[0]).unwrap(), submit);
+        let status_reply: [u8; 37] = [
+            49, 67, 68, 83, 18, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 98, 111, 98, 3, 5, 0, 0, 0, 0,
+            0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(encode(&msgs[7]).unwrap(), status_reply);
+        let results_reply: [u8; 54] = [
+            49, 67, 68, 83, 19, 2, 0, 0, 0, 1, 0, 0, 0, 120, 3, 0, 0, 0, 102, 101, 98, 2, 0, 0, 0,
+            2, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 30, 192, 2, 0, 0, 0, 0, 5,
+            1,
+        ];
+        assert_eq!(encode(&msgs[8]).unwrap(), results_reply);
+    }
+
     #[test]
     fn rejects_bad_magic_and_trailing_bytes() {
         let mut body = encode(&Msg::Status { id: 1 }).unwrap();
@@ -340,19 +345,50 @@ mod tests {
         assert_eq!(read_msg(&mut std::io::Cursor::new(wire)).unwrap(), Msg::Accept { id: 7 });
     }
 
-    #[test]
-    fn random_bytes_never_panic_the_decoder() {
-        // deterministic pseudo-random garbage: decode must error, not panic
-        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-        for _ in 0..2000 {
-            let mut buf = Vec::with_capacity(48);
-            for _ in 0..48 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                buf.push((x & 0xFF) as u8);
-            }
-            let _ = decode(&buf);
+    /// A message with the `n`-th of the twelve tags and random fields.
+    fn any_msg(g: &mut Gen, n: usize) -> Msg {
+        use CampaignState::*;
+        match n {
+            0 => Msg::Submit { tenant: g.text(), priority: g.u8(), spec: g.text() },
+            1 => Msg::Status { id: g.u64() },
+            2 => Msg::Results { id: g.u64() },
+            3 => Msg::Cancel { id: g.u64() },
+            4 => Msg::Query { sql: g.text() },
+            5 => Msg::Accept { id: g.u64() },
+            6 => Msg::Reject { reason: g.text(), retry_after_ms: g.u64() },
+            7 => Msg::StatusReply {
+                id: g.u64(),
+                tenant: g.text(),
+                state: [Pending, Running, Finished, Cancelled, Failed][g.below(5)],
+                done: g.u64(),
+                total: g.u64(),
+            },
+            8 => Msg::ResultsReply {
+                columns: g.vec(3, Gen::text),
+                tuples: g.vec(3, |g| g.vec(3, Gen::cell)),
+            },
+            9 => Msg::QueryReply {
+                columns: g.vec(3, Gen::text),
+                rows: g.vec(3, |g| g.vec(3, Gen::cell)),
+            },
+            10 => Msg::CancelReply { cancelled: g.bool() },
+            _ => Msg::Error { msg: g.text() },
         }
+    }
+
+    #[test]
+    fn every_message_passes_the_codec_harness() {
+        let mut n = 0;
+        check_codec(
+            |g| {
+                n += 1;
+                any_msg(g, n % 12)
+            },
+            240,
+        );
+        // CancelReply's flag is a strict bool
+        let mut body = encode(&Msg::CancelReply { cancelled: true }).unwrap();
+        body[5] = 2;
+        assert!(decode(&body).unwrap_err().contains("bad bool tag 2"));
     }
 }

@@ -125,22 +125,24 @@ fn parse_f64(tok: &str) -> Result<f64, GridIoError> {
         .map_err(|_| GridIoError(format!("bad f64 bits {tok:?}")))
 }
 
-fn parse_map(line: &str, spec: GridSpec) -> Result<(String, GridMap), GridIoError> {
+/// Parse one `map` line of a lattice of `points` values.
+fn parse_map(line: &str, spec: GridSpec, points: usize) -> Result<(String, GridMap), GridIoError> {
     let mut toks = line.split_ascii_whitespace();
     let tag = toks.next();
     if tag != Some("map") {
         return Err(GridIoError(format!("expected map line, got {tag:?}")));
     }
     let label = toks.next().ok_or_else(|| GridIoError("map line missing label".into()))?;
-    let mut values = Vec::with_capacity(spec.len());
+    // a value takes at least two bytes of the line (a digit and a
+    // separator), so a lattice the line cannot hold sizes no allocation
+    let mut values = Vec::with_capacity(points.min(line.len() / 2));
     for tok in toks {
         values.push(parse_f64(tok)?);
     }
-    if values.len() != spec.len() {
+    if values.len() != points {
         return Err(GridIoError(format!(
-            "map {label}: {} values for a {}-point lattice",
-            values.len(),
-            spec.len()
+            "map {label}: {} values for a {points}-point lattice",
+            values.len()
         )));
     }
     Ok((label.to_string(), GridMap::from_values(spec, values)))
@@ -174,6 +176,12 @@ pub fn deserialize_grid_set(text: &str) -> Result<GridSet, GridIoError> {
         other => return Err(GridIoError(format!("unknown engine {other:?}"))),
     };
     let npts: usize = h[2].parse().map_err(|_| GridIoError(format!("bad npts {:?}", h[2])))?;
+    // npts³ from the header, checked: each map line must then hold exactly
+    // that many values, and the header alone sizes no allocation
+    let points = Some(npts)
+        .filter(|&n| n >= 2)
+        .and_then(|n| n.checked_mul(n)?.checked_mul(n))
+        .ok_or_else(|| GridIoError(format!("bad npts {npts}")))?;
     let spacing = parse_f64(h[3])?;
     let center = molkit::Vec3::new(parse_f64(h[4])?, parse_f64(h[5])?, parse_f64(h[6])?);
     let n_aff: usize =
@@ -191,18 +199,18 @@ pub fn deserialize_grid_set(text: &str) -> Result<GridSet, GridIoError> {
     };
     for _ in 0..n_aff {
         let line = lines.next().ok_or_else(|| GridIoError("truncated affinity maps".into()))?;
-        let (label, map) = parse_map(line, spec)?;
+        let (label, map) = parse_map(line, spec, points)?;
         let t = AdType::from_str(&label)
             .map_err(|_| GridIoError(format!("unknown AD type {label:?}")))?;
         g.affinity.insert(t, map);
     }
     if has_e {
         let line = lines.next().ok_or_else(|| GridIoError("missing electrostatic map".into()))?;
-        g.electrostatic = Some(parse_map(line, spec)?.1);
+        g.electrostatic = Some(parse_map(line, spec, points)?.1);
     }
     if has_d {
         let line = lines.next().ok_or_else(|| GridIoError("missing desolvation map".into()))?;
-        g.desolvation = Some(parse_map(line, spec)?.1);
+        g.desolvation = Some(parse_map(line, spec, points)?.1);
     }
     Ok(g)
 }
@@ -319,6 +327,29 @@ mod tests {
         }
         assert!(deserialize_grid_set("").is_err());
         assert!(deserialize_grid_set("garbage").is_err());
+    }
+
+    /// `text` with its header's `npts` replaced and the footer recomputed,
+    /// so only the lattice size is wrong.
+    fn with_npts(text: &str, npts: &str) -> String {
+        let body = &text[..text.rfind("end ").unwrap()];
+        let (header, maps) = body.split_once('\n').unwrap();
+        let mut h: Vec<&str> = header.split(' ').collect();
+        h[2] = npts;
+        let body = format!("{}\n{maps}", h.join(" "));
+        format!("{body}end {:016x}\n", fnv1a64(body.as_bytes()))
+    }
+
+    #[test]
+    fn a_lattice_size_the_map_lines_do_not_hold_is_refused_before_allocating() {
+        let g = build_vina_grids(&receptor(), spec(), &[AdType::C], &VinaParams::default());
+        let text = serialize_grid_set(&g);
+        assert!(deserialize_grid_set(&with_npts(&text, "9")).is_ok(), "the untouched size loads");
+        // 10¹⁵ points, 2⁶⁶ (wraps a u64), and sizes too small to dock in
+        for npts in ["100000", "4194304", "0", "1"] {
+            let err = deserialize_grid_set(&with_npts(&text, npts)).unwrap_err();
+            assert!(err.0.contains("npts") || err.0.contains("-point lattice"), "{npts}: {err}");
+        }
     }
 
     #[test]

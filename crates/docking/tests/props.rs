@@ -142,3 +142,66 @@ proptest! {
         prop_assert!((parsed - feb).abs() < 1e-9);
     }
 }
+
+/// A small serialized `SDGC1` entry: a two-atom receptor's AD4 maps for
+/// carbon (plus the electrostatic and desolvation maps).
+fn grid_entry() -> String {
+    use molkit::atom::Atom;
+    use molkit::molecule::Molecule;
+    use molkit::Element;
+    let mut m = Molecule::new("R");
+    let mut a = Atom::new(1, "OA", Element::O, Vec3::new(-1.5, 0.2, 0.0));
+    a.charge = -0.4;
+    a.ad_type = AdType::OA;
+    m.add_atom(a);
+    let mut b = Atom::new(2, "C", Element::C, Vec3::new(1.5, -0.3, 0.4));
+    b.charge = 0.2;
+    b.ad_type = AdType::C;
+    m.add_atom(b);
+    let spec = GridSpec { center: Vec3::new(0.1, -0.2, 0.3), npts: 5, spacing: 0.7 };
+    let g = docking::autogrid::build_ad4_grids(&m, spec, &[AdType::C], &Ad4Params::new());
+    docking::gridio::serialize_grid_set(&g)
+}
+
+/// `body` as a whole entry: its integrity footer recomputed, so a mutation
+/// reaches the parser instead of the digest check.
+fn with_footer(body: &str) -> String {
+    format!("{body}end {:016x}\n", docking::gridio::fnv1a64(body.as_bytes()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn mutated_grid_entries_load_or_fail_but_never_panic(at in 0usize..1 << 20,
+                                                         byte in 0usize..64,
+                                                         header in 0usize..2) {
+        let text = grid_entry();
+        let body = &text[..text.rfind("end ").unwrap()];
+        // half the mutations land on the header line, where the sizes are
+        let span = if header == 0 { body.find('\n').unwrap() } else { body.len() };
+        let alphabet = b"0123456789abcdef -\nmapendCx+.";
+        let mut bytes = body.as_bytes().to_vec();
+        bytes[at % span] = alphabet[byte % alphabet.len()];
+        let body = String::from_utf8(bytes).unwrap();
+        let _ = docking::gridio::deserialize_grid_set(&with_footer(&body));
+    }
+
+    #[test]
+    fn grid_entries_with_hostile_header_fields_are_refused(field in 2usize..10, pick in 0usize..9) {
+        let text = grid_entry();
+        let body = &text[..text.rfind("end ").unwrap()];
+        let (header, maps) = body.split_once('\n').unwrap();
+        let mut h: Vec<&str> = header.split(' ').collect();
+        let hostile = ["0", "1", "2", "100000", "4194304", "18446744073709551615",
+                       "99999999999999999999", "-1", "x"];
+        h[field] = hostile[pick];
+        let entry = with_footer(&format!("{}\n{maps}", h.join(" ")));
+        let parsed = docking::gridio::deserialize_grid_set(&entry);
+        // the lattice size is checked against the map lines; the other
+        // fields only have to fail cleanly when they are wrong
+        if field == 2 {
+            prop_assert!(parsed.is_err(), "field {} = {}", field, hostile[pick]);
+        }
+    }
+}

@@ -27,7 +27,7 @@ use telemetry::Telemetry;
 
 use crate::durable::io::{LogFile, StorageEnv};
 use crate::durable::snapshot::{self, Counters};
-use crate::durable::wal::{encode_frame, wal_header, WalOp, WalScan, WAL_HEADER_LEN, WAL_VERSION};
+use crate::durable::wal::{self, wal_header, WalOp, WalScan, WAL_HEADER_LEN, WAL_VERSION};
 use crate::durable::{Durability, DurableError, DurableOptions};
 use crate::storage::TableProvider;
 use crate::table::Database;
@@ -137,20 +137,17 @@ impl DurableEngine {
         options: &DurableOptions,
     ) -> Result<(DurableEngine, Recovered), DurableError> {
         let snap = match env.read_snapshot().map_err(DurableError::Io)? {
-            Some(bytes) => {
-                let (db, counters, base_seq) = snapshot::decode(&bytes)?;
-                Some((db, counters, base_seq))
-            }
+            Some(bytes) => Some(snapshot::decode(&bytes)?),
             None => None,
         };
-        let base_seq = snap.as_ref().map_or(0, |(_, _, s)| *s);
-        let snapshot_rows = snap.as_ref().map_or(0, |(db, _, _)| {
-            db.table_names().iter().map(|n| db.table(n).map_or(0, |t| t.len() as u64)).sum()
+        let base_seq = snap.as_ref().map_or(0, |s| s.base_seq);
+        let snapshot_rows = snap.as_ref().map_or(0, |s| {
+            s.db.table_names().iter().map(|n| s.db.table(n).map_or(0, |t| t.len() as u64)).sum()
         });
         let mut log = env.open_log().map_err(DurableError::Io)?;
         let bytes = log.read_all().map_err(DurableError::Io)?;
         let mut stale_header = false;
-        let (ops, last_seq) = match crate::durable::wal::scan(&bytes) {
+        let (ops, last_seq) = match wal::scan(&bytes) {
             WalScan::Reinit => {
                 // no frame was ever durable: write a fresh header
                 log.truncate(0).map_err(DurableError::Io)?;
@@ -206,19 +203,21 @@ impl DurableEngine {
             syncer,
             due: None,
         };
-        Ok((engine, Recovered { snapshot: snap.map(|(db, c, _)| (db, c)), ops }))
+        Ok((engine, Recovered { snapshot: snap.map(|s| (s.db, s.counters)), ops }))
     }
 
     /// Append one record to the WAL — one frame, however many mutations it
     /// carries — and apply the group-commit policy, toward which (as toward
     /// the checkpoint policy) the record counts once per mutation. The frame
     /// is written, not forced to disk: when the policy wants that, a ticket
-    /// is left for [`take_due`](Self::take_due).
+    /// is left for [`take_due`](Self::take_due). A record the frame cannot
+    /// hold is an `InvalidData` error, and nothing reaches the log.
     pub(crate) fn append(&mut self, op: &WalOp) -> std::io::Result<()> {
         debug_assert!(!self.stale_header, "a version-1 log is checkpointed before any append");
         self.syncer.check()?;
         let t0 = Instant::now();
-        let frame = encode_frame(self.next_seq, op);
+        let frame = wal::frame(self.next_seq, op)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         self.log.append(&frame)?;
         self.syncer.written.store(self.next_seq, Ordering::SeqCst);
         self.next_seq += 1;

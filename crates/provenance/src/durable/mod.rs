@@ -44,7 +44,6 @@
 //! committed mutation sequence** — never a lost committed record below the
 //! prefix, never a phantom partial record.
 
-pub mod codec;
 pub(crate) mod engine;
 pub mod io;
 pub(crate) mod snapshot;
@@ -140,8 +139,8 @@ impl From<std::io::Error> for DurableError {
     }
 }
 
-impl From<codec::CodecError> for DurableError {
-    fn from(e: codec::CodecError) -> Self {
+impl From<crate::codec::CodecError> for DurableError {
+    fn from(e: crate::codec::CodecError) -> Self {
         DurableError::Corrupt(e.0)
     }
 }

@@ -20,7 +20,7 @@
 //! CRC is a hard [`Corrupt`](crate::durable::DurableError::Corrupt) error
 //! (unlike a torn WAL tail, a bad snapshot cannot be safely truncated).
 
-use crate::durable::codec::{crc32, CodecError, Reader, Writer};
+use crate::codec::{crc32, from_bytes, CodecError, Decode, Encode, Reader, Writer};
 use crate::storage::TableProvider;
 use crate::table::{Database, Schema};
 use crate::value::ValueType;
@@ -64,73 +64,89 @@ impl Default for Counters {
     }
 }
 
-fn type_tag(t: ValueType) -> u8 {
-    match t {
-        ValueType::Int => 0,
-        ValueType::Float => 1,
-        ValueType::Text => 2,
-        ValueType::Timestamp => 3,
-        ValueType::Bool => 4,
+/// The seven counters, in declaration order.
+impl Encode for Counters {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.next_wkf).put(&self.next_act).put(&self.next_task).put(&self.next_file);
+        w.put(&self.next_param).put(&self.next_machine).put(&self.next_output);
     }
 }
 
-fn type_from_tag(t: u8) -> Result<ValueType, CodecError> {
-    Ok(match t {
-        0 => ValueType::Int,
-        1 => ValueType::Float,
-        2 => ValueType::Text,
-        3 => ValueType::Timestamp,
-        4 => ValueType::Bool,
-        other => return Err(CodecError(format!("bad type tag {other}"))),
-    })
+impl Decode for Counters {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Counters {
+            next_wkf: r.get()?,
+            next_act: r.get()?,
+            next_task: r.get()?,
+            next_file: r.get()?,
+            next_param: r.get()?,
+            next_machine: r.get()?,
+            next_output: r.get()?,
+        })
+    }
+}
+
+impl Encode for ValueType {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(match self {
+            ValueType::Int => 0,
+            ValueType::Float => 1,
+            ValueType::Text => 2,
+            ValueType::Timestamp => 3,
+            ValueType::Bool => 4,
+        });
+    }
+}
+
+impl Decode for ValueType {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => ValueType::Int,
+            1 => ValueType::Float,
+            2 => ValueType::Text,
+            3 => ValueType::Timestamp,
+            4 => ValueType::Bool,
+            other => return Err(CodecError(format!("bad type tag {other}"))),
+        })
+    }
 }
 
 /// Rows pulled from the provider per [`TableProvider::scan_batch`] call —
 /// all of the store the encoder holds decoded at any one time.
 const ENCODE_BATCH: usize = 1024;
 
-/// Serialize a snapshot of the tables `names` (sorted) of `tables` +
-/// `counters`, covering WAL frames up to and including `base_seq`.
-///
-/// Rows stream from the provider into the one output buffer, so the
-/// snapshot is the only full copy of the store the writer makes.
-pub(crate) fn encode(
+/// A snapshot body — everything between the version and the CRC — as it
+/// decodes.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Snapshot {
+    /// The tables.
+    pub(crate) db: Database,
+    /// The id counters.
+    pub(crate) counters: Counters,
+    /// The last WAL sequence number the snapshot covers.
+    pub(crate) base_seq: u64,
+}
+
+/// Write a snapshot body: `base_seq`, `counters`, then the tables `names`
+/// of `tables`. Rows stream from the provider into `w`, so the encoding is
+/// the only full copy of the store the writer makes.
+fn write_body(
+    w: &mut Writer,
     tables: &dyn TableProvider,
     names: &[String],
     counters: &Counters,
     base_seq: u64,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    // magic and version open the buffer; the body (everything after them)
-    // is what the trailing CRC covers
-    for &b in SNAP_MAGIC {
-        w.u8(b);
-    }
-    w.u32(SNAP_VERSION);
-    w.u64(base_seq);
-    for c in [
-        counters.next_wkf,
-        counters.next_act,
-        counters.next_task,
-        counters.next_file,
-        counters.next_param,
-        counters.next_machine,
-        counters.next_output,
-    ] {
-        w.i64(c);
-    }
-    w.u32(names.len() as u32);
+) {
+    w.put(&base_seq).put(counters).len(names.len());
     let mut batch = Vec::with_capacity(ENCODE_BATCH);
     for name in names {
         let schema = tables.schema_of(name).expect("listed table");
-        w.str(name);
-        w.u32(schema.columns.len() as u32);
+        w.put(name).len(schema.columns.len());
         for col in &schema.columns {
-            w.str(&col.name);
-            w.u8(type_tag(col.ty));
+            w.put(&col.name).put(&col.ty);
         }
         let nrows = tables.row_count(name).expect("listed table");
-        w.u32(nrows as u32);
+        w.len(usize::try_from(nrows).unwrap_or(usize::MAX));
         let (mut pos, mut written) = (0u64, 0u64);
         loop {
             batch.clear();
@@ -140,21 +156,70 @@ pub(crate) fn encode(
             }
             written += batch.len() as u64;
             for v in batch.iter().flatten() {
-                w.value(v);
+                w.put(v);
             }
         }
         // the count is written ahead of the rows: a disagreement would be a
         // snapshot that cannot be loaded back
         assert_eq!(written, nrows, "snapshot of {name}: scan and row count disagree");
     }
-    let mut out = w.into_bytes();
+}
+
+impl Encode for Snapshot {
+    fn encode(&self, w: &mut Writer) {
+        let names: Vec<String> = self.db.table_names().iter().map(|n| n.to_string()).collect();
+        write_body(w, &self.db, &names, &self.counters, self.base_seq);
+    }
+}
+
+impl Decode for Snapshot {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (base_seq, counters) = (r.get()?, r.get()?);
+        let mut db = Database::new();
+        for _ in 0..r.count()? {
+            let name: String = r.get()?;
+            let cols: Vec<(String, ValueType)> = r.get()?;
+            let schema =
+                Schema::new(&cols.iter().map(|(n, t)| (n.as_str(), *t)).collect::<Vec<_>>());
+            db.create_table(&name, schema)
+                .map_err(|e| CodecError(format!("snapshot table {name}: {e}")))?;
+            // a row takes at least a byte per column, and every store
+            // table has a column
+            for _ in 0..r.count()? {
+                let row = cols.iter().map(|_| r.get()).collect::<Result<Vec<_>, _>>()?;
+                db.insert(&name, row)
+                    .map_err(|e| CodecError(format!("snapshot row in {name}: {e}")))?;
+            }
+        }
+        Ok(Snapshot { db, counters, base_seq })
+    }
+}
+
+/// Serialize a snapshot of the tables `names` (sorted) of `tables` +
+/// `counters`, covering WAL frames up to and including `base_seq`.
+///
+/// # Panics
+/// Panics if a table, column or row count, or a text, overflows its u32
+/// prefix (4 Gi rows in one table) — like any failed checkpoint.
+pub(crate) fn encode(
+    tables: &dyn TableProvider,
+    names: &[String],
+    counters: &Counters,
+    base_seq: u64,
+) -> Vec<u8> {
+    let mut w = Writer::new();
+    // magic and version open the buffer; the body (everything after them)
+    // is what the trailing CRC covers
+    w.bytes(SNAP_MAGIC).put(&SNAP_VERSION);
+    write_body(&mut w, tables, names, counters, base_seq);
+    let mut out = w.finish().expect("snapshot counts fit their u32 prefixes");
     let crc = crc32(&out[12..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
 /// Deserialize a snapshot, verifying magic, version, and CRC.
-pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, Counters, u64), CodecError> {
+pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
     if bytes.len() < 16 {
         return Err(CodecError("snapshot shorter than header".into()));
     }
@@ -170,50 +235,13 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(Database, Counters, u64), CodecErr
     if crc32(body) != stored_crc {
         return Err(CodecError("snapshot CRC mismatch".into()));
     }
-    let mut r = Reader::new(body);
-    let base_seq = r.u64()?;
-    let counters = Counters {
-        next_wkf: r.i64()?,
-        next_act: r.i64()?,
-        next_task: r.i64()?,
-        next_file: r.i64()?,
-        next_param: r.i64()?,
-        next_machine: r.i64()?,
-        next_output: r.i64()?,
-    };
-    let mut db = Database::new();
-    let ntables = r.u32()?;
-    for _ in 0..ntables {
-        let name = r.str()?;
-        let ncols = r.u32()? as usize;
-        let mut cols = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let cname = r.str()?;
-            let ty = type_from_tag(r.u8()?)?;
-            cols.push((cname, ty));
-        }
-        let schema = Schema::new(&cols.iter().map(|(n, t)| (n.as_str(), *t)).collect::<Vec<_>>());
-        db.create_table(&name, schema)
-            .map_err(|e| CodecError(format!("snapshot table {name}: {e}")))?;
-        let nrows = r.u32()? as usize;
-        for _ in 0..nrows {
-            let mut row = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                row.push(r.value()?);
-            }
-            db.insert(&name, row)
-                .map_err(|e| CodecError(format!("snapshot row in {name}: {e}")))?;
-        }
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError(format!("{} trailing snapshot bytes", r.remaining())));
-    }
-    Ok((db, counters, base_seq))
+    from_bytes(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::testing::{check_codec, Gen};
     use crate::value::Value;
 
     fn sample_db() -> Database {
@@ -262,7 +290,7 @@ mod tests {
     /// ones must be what that encoder would have written.
     fn reference_encode(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u8> {
         let mut body = Writer::new();
-        body.u64(base_seq);
+        body.put(&base_seq);
         for c in [
             counters.next_wkf,
             counters.next_act,
@@ -272,26 +300,32 @@ mod tests {
             counters.next_machine,
             counters.next_output,
         ] {
-            body.i64(c);
+            body.put(&c);
         }
         let names = db.table_names();
-        body.u32(names.len() as u32);
+        body.len(names.len());
         for name in names {
             let t = db.table(name).expect("listed table");
-            body.str(name);
-            body.u32(t.schema.columns.len() as u32);
+            body.put(name);
+            body.len(t.schema.columns.len());
             for col in &t.schema.columns {
-                body.str(&col.name);
-                body.u8(type_tag(col.ty));
+                body.put(&col.name);
+                body.u8(match col.ty {
+                    ValueType::Int => 0,
+                    ValueType::Float => 1,
+                    ValueType::Text => 2,
+                    ValueType::Timestamp => 3,
+                    ValueType::Bool => 4,
+                });
             }
-            body.u32(t.rows().len() as u32);
+            body.len(t.rows().len());
             for row in t.rows() {
                 for v in row {
-                    body.value(v);
+                    body.put(v);
                 }
             }
         }
-        let body = body.into_bytes();
+        let body = body.finish().unwrap();
         let mut out = Vec::with_capacity(16 + body.len());
         out.extend_from_slice(SNAP_MAGIC);
         out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
@@ -327,7 +361,7 @@ mod tests {
         let db = sample_db();
         let counters = Counters { next_wkf: 4, next_task: 99, ..Default::default() };
         let bytes = encode_db(&db, &counters, 17);
-        let (db2, c2, seq) = decode(&bytes).unwrap();
+        let Snapshot { db: db2, counters: c2, base_seq: seq } = decode(&bytes).unwrap();
         assert_eq!(seq, 17);
         assert_eq!(c2, counters);
         assert_eq!(db2.table_names(), db.table_names());
@@ -354,6 +388,53 @@ mod tests {
         let mut bytes = encode_db(&sample_db(), &Counters::default(), 0);
         bytes[8] = 9; // version
         assert!(decode(&bytes).is_err());
+    }
+
+    /// A body of up to three tables of one to four typed columns, each
+    /// cell a value of its column's type or NULL.
+    fn any_snapshot(g: &mut Gen) -> Snapshot {
+        use ValueType::*;
+        let mut db = Database::new();
+        for t in 0..g.below(4) {
+            let types: Vec<ValueType> =
+                (0..=g.below(4)).map(|_| [Int, Float, Text, Timestamp, Bool][g.below(5)]).collect();
+            let cols: Vec<(String, ValueType)> =
+                types.iter().enumerate().map(|(i, ty)| (format!("c{i}"), *ty)).collect();
+            let name = format!("t{t}");
+            let cols: Vec<(&str, ValueType)> =
+                cols.iter().map(|(n, ty)| (n.as_str(), *ty)).collect();
+            db.create_table(&name, Schema::new(&cols)).unwrap();
+            for _ in 0..g.below(6) {
+                let row = types
+                    .iter()
+                    .map(|ty| match (g.below(4), ty) {
+                        (0, _) => Value::Null,
+                        (_, Int) => Value::Int(g.i64()),
+                        (_, Float) => Value::Float(g.f64()),
+                        (_, Text) => Value::Text(g.text()),
+                        (_, Timestamp) => Value::Timestamp(g.f64()),
+                        (_, Bool) => Value::Bool(g.bool()),
+                    })
+                    .collect();
+                db.insert(&name, row).unwrap();
+            }
+        }
+        let mut c = || g.i64();
+        let counters = Counters {
+            next_wkf: c(),
+            next_act: c(),
+            next_task: c(),
+            next_file: c(),
+            next_param: c(),
+            next_machine: c(),
+            next_output: c(),
+        };
+        Snapshot { db, counters, base_seq: g.u64() }
+    }
+
+    #[test]
+    fn snapshot_bodies_pass_the_codec_harness() {
+        check_codec(any_snapshot, 64);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! truncates away. A torn *header* can only happen before any frame was
 //! ever durable, so it downgrades to "empty log".
 
-use crate::durable::codec::{crc32, CodecError, Reader, Writer};
+use crate::codec::{crc32, from_bytes, CodecError, Decode, Encode, Reader, Writer};
 use crate::provwf::{ActivationRecord, ActivationStatus, ActivityId, MachineId, WorkflowId};
 use crate::value::Value;
 
@@ -46,8 +46,9 @@ pub(crate) const WAL_MAGIC: &[u8; 8] = b"SCWFWAL1";
 pub(crate) const WAL_VERSION: u32 = 2;
 /// Bytes of the file header (magic + version).
 pub(crate) const WAL_HEADER_LEN: u64 = 12;
-/// Upper bound on a frame payload — anything larger is treated as
-/// corruption rather than allocated.
+/// Upper bound on a frame payload, on both sides: [`frame`] refuses a
+/// larger record, and [`scan`] takes a larger length for corruption rather
+/// than allocating it.
 const MAX_PAYLOAD: u32 = 1 << 26;
 
 /// One logged record. Every public mutator of `ProvenanceStore` reduces
@@ -113,215 +114,77 @@ impl WalOp {
     }
 }
 
-fn status_tag(s: ActivationStatus) -> u8 {
-    match s {
-        ActivationStatus::Finished => 0,
-        ActivationStatus::Failed => 1,
-        ActivationStatus::Aborted => 2,
-        ActivationStatus::Blacklisted => 3,
-        ActivationStatus::Running => 4,
+impl Encode for ActivationStatus {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(match self {
+            ActivationStatus::Finished => 0,
+            ActivationStatus::Failed => 1,
+            ActivationStatus::Aborted => 2,
+            ActivationStatus::Blacklisted => 3,
+            ActivationStatus::Running => 4,
+        });
     }
 }
 
-fn status_from_tag(t: u8) -> Result<ActivationStatus, CodecError> {
-    Ok(match t {
-        0 => ActivationStatus::Finished,
-        1 => ActivationStatus::Failed,
-        2 => ActivationStatus::Aborted,
-        3 => ActivationStatus::Blacklisted,
-        4 => ActivationStatus::Running,
-        other => return Err(CodecError(format!("bad status tag {other}"))),
-    })
-}
-
-fn write_activation(w: &mut Writer, task: i64, rec: &ActivationRecord) {
-    w.i64(task);
-    w.i64(rec.activity.0);
-    w.i64(rec.workflow.0);
-    w.u8(status_tag(rec.status));
-    w.f64(rec.start_time);
-    w.f64(rec.end_time);
-    w.opt(rec.machine, |w, m| w.i64(m.0));
-    w.i64(rec.retries);
-    w.str(&rec.pair_key);
-}
-
-fn read_activation(r: &mut Reader<'_>) -> Result<(i64, ActivationRecord), CodecError> {
-    let task = r.i64()?;
-    let rec = ActivationRecord {
-        activity: ActivityId(r.i64()?),
-        workflow: WorkflowId(r.i64()?),
-        status: status_from_tag(r.u8()?)?,
-        start_time: r.f64()?,
-        end_time: r.f64()?,
-        machine: r.opt(|r| r.i64())?.map(MachineId),
-        retries: r.i64()?,
-        pair_key: r.str()?,
-    };
-    Ok((task, rec))
-}
-
-/// Append an op's payload (no frame envelope) to `w`.
-fn write_op(w: &mut Writer, op: &WalOp) {
-    match op {
-        WalOp::BeginWorkflow { id, tag, description, expdir } => {
-            w.u8(0);
-            w.i64(*id);
-            w.str(tag);
-            w.str(description);
-            w.str(expdir);
-        }
-        WalOp::RegisterActivity { id, wkf, tag, acttype } => {
-            w.u8(1);
-            w.i64(*id);
-            w.i64(*wkf);
-            w.str(tag);
-            w.str(acttype);
-        }
-        WalOp::RegisterMachine { id, name, instance_type, cores } => {
-            w.u8(2);
-            w.i64(*id);
-            w.str(name);
-            w.str(instance_type);
-            w.i64(*cores);
-        }
-        WalOp::RecordActivation { task, rec } => {
-            w.u8(3);
-            write_activation(w, *task, rec);
-        }
-        WalOp::UpdateActivation { task, rec } => {
-            w.u8(4);
-            write_activation(w, *task, rec);
-        }
-        WalOp::RecordFile { id, task, activity, workflow, fname, fsize, fdir } => {
-            w.u8(5);
-            w.i64(*id);
-            w.i64(*task);
-            w.i64(*activity);
-            w.i64(*workflow);
-            w.str(fname);
-            w.i64(*fsize);
-            w.str(fdir);
-        }
-        WalOp::RecordParameter { id, task, workflow, name, num, text } => {
-            w.u8(6);
-            w.i64(*id);
-            w.i64(*task);
-            w.i64(*workflow);
-            w.str(name);
-            w.opt(*num, |w, v| w.f64(v));
-            w.opt(text.as_deref(), |w, v| w.str(v));
-        }
-        WalOp::RecordOutputTuple {
-            first_id,
-            task,
-            activity,
-            workflow,
-            pair_key,
-            tuple_idx,
-            tuple,
-        } => {
-            w.u8(7);
-            w.i64(*first_id);
-            w.i64(*task);
-            w.i64(*activity);
-            w.i64(*workflow);
-            w.str(pair_key);
-            w.i64(*tuple_idx);
-            w.u32(tuple.len() as u32);
-            for v in tuple {
-                w.value(v);
-            }
-        }
-        WalOp::Group(ops) => {
-            w.u8(8);
-            w.u32(ops.len() as u32);
-            for op in ops {
-                debug_assert!(!matches!(op, WalOp::Group(_)), "groups are flat");
-                write_op(w, op);
-            }
-        }
+impl Decode for ActivationStatus {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match r.u8()? {
+            0 => ActivationStatus::Finished,
+            1 => ActivationStatus::Failed,
+            2 => ActivationStatus::Aborted,
+            3 => ActivationStatus::Blacklisted,
+            4 => ActivationStatus::Running,
+            other => return Err(CodecError(format!("bad status tag {other}"))),
+        })
     }
 }
 
-/// Encode an op's payload (no frame envelope).
-#[cfg(test)]
-pub(crate) fn encode_op(op: &WalOp) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_op(&mut w, op);
-    w.into_bytes()
-}
-
-/// Decode an op payload written by [`write_op`].
-pub(crate) fn decode_op(payload: &[u8]) -> Result<WalOp, CodecError> {
-    let mut r = Reader::new(payload);
-    let op = read_op(&mut r, true)?;
-    if r.remaining() != 0 {
-        return Err(CodecError(format!("{} trailing bytes after op", r.remaining())));
+/// An `hactivation` row after its task id.
+impl Encode for ActivationRecord {
+    fn encode(&self, w: &mut Writer) {
+        w.put(&self.activity.0).put(&self.workflow.0).put(&self.status);
+        w.put(&self.start_time).put(&self.end_time).put(&self.machine.map(|m| m.0));
+        w.put(&self.retries).put(&self.pair_key);
     }
-    Ok(op)
 }
 
-/// Read one op; `top` is false inside a group, where a group is malformed.
-fn read_op(r: &mut Reader<'_>, top: bool) -> Result<WalOp, CodecError> {
-    Ok(match r.u8()? {
-        0 => WalOp::BeginWorkflow {
-            id: r.i64()?,
-            tag: r.str()?,
-            description: r.str()?,
-            expdir: r.str()?,
-        },
-        1 => WalOp::RegisterActivity {
-            id: r.i64()?,
-            wkf: r.i64()?,
-            tag: r.str()?,
-            acttype: r.str()?,
-        },
-        2 => WalOp::RegisterMachine {
-            id: r.i64()?,
-            name: r.str()?,
-            instance_type: r.str()?,
-            cores: r.i64()?,
-        },
-        3 => {
-            let (task, rec) = read_activation(r)?;
-            WalOp::RecordActivation { task, rec }
-        }
-        4 => {
-            let (task, rec) = read_activation(r)?;
-            WalOp::UpdateActivation { task, rec }
-        }
-        5 => WalOp::RecordFile {
-            id: r.i64()?,
-            task: r.i64()?,
-            activity: r.i64()?,
-            workflow: r.i64()?,
-            fname: r.str()?,
-            fsize: r.i64()?,
-            fdir: r.str()?,
-        },
-        6 => WalOp::RecordParameter {
-            id: r.i64()?,
-            task: r.i64()?,
-            workflow: r.i64()?,
-            name: r.str()?,
-            num: r.opt(|r| r.f64())?,
-            text: r.opt(|r| r.str())?,
-        },
-        7 => {
-            let first_id = r.i64()?;
-            let task = r.i64()?;
-            let activity = r.i64()?;
-            let workflow = r.i64()?;
-            let pair_key = r.str()?;
-            let tuple_idx = r.i64()?;
-            let n = r.u32()? as usize;
-            if n > MAX_PAYLOAD as usize {
-                return Err(CodecError(format!("implausible tuple arity {n}")));
+impl Decode for ActivationRecord {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ActivationRecord {
+            activity: ActivityId(r.get()?),
+            workflow: WorkflowId(r.get()?),
+            status: r.get()?,
+            start_time: r.get()?,
+            end_time: r.get()?,
+            machine: r.get::<Option<i64>>()?.map(MachineId),
+            retries: r.get()?,
+            pair_key: r.get()?,
+        })
+    }
+}
+
+/// An op's payload (no frame envelope): tag byte, then the fields in
+/// declaration order. A group holding a group is refused.
+impl Encode for WalOp {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            WalOp::BeginWorkflow { id, tag, description, expdir } => {
+                w.u8(0).put(id).put(tag).put(description).put(expdir)
             }
-            let mut tuple = Vec::with_capacity(n);
-            for _ in 0..n {
-                tuple.push(r.value()?);
+            WalOp::RegisterActivity { id, wkf, tag, acttype } => {
+                w.u8(1).put(id).put(wkf).put(tag).put(acttype)
+            }
+            WalOp::RegisterMachine { id, name, instance_type, cores } => {
+                w.u8(2).put(id).put(name).put(instance_type).put(cores)
+            }
+            WalOp::RecordActivation { task, rec } => w.u8(3).put(task).put(rec),
+            WalOp::UpdateActivation { task, rec } => w.u8(4).put(task).put(rec),
+            WalOp::RecordFile { id, task, activity, workflow, fname, fsize, fdir } => {
+                w.u8(5).put(id).put(task).put(activity).put(workflow);
+                w.put(fname).put(fsize).put(fdir)
+            }
+            WalOp::RecordParameter { id, task, workflow, name, num, text } => {
+                w.u8(6).put(id).put(task).put(workflow).put(name).put(num).put(text)
             }
             WalOp::RecordOutputTuple {
                 first_id,
@@ -331,19 +194,79 @@ fn read_op(r: &mut Reader<'_>, top: bool) -> Result<WalOp, CodecError> {
                 pair_key,
                 tuple_idx,
                 tuple,
+            } => {
+                w.u8(7).put(first_id).put(task).put(activity).put(workflow);
+                w.put(pair_key).put(tuple_idx).put(tuple)
             }
-        }
+            WalOp::Group(ops) => {
+                if ops.iter().any(|op| matches!(op, WalOp::Group(_))) {
+                    w.fail("a WAL group holds a group".into());
+                }
+                w.u8(8).put(ops)
+            }
+        };
+    }
+}
+
+impl Decode for WalOp {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        read_op(r, true)
+    }
+}
+
+/// Read one op; `top` is false inside a group, where a group is malformed
+/// (and refused by its tag, before any recursion).
+fn read_op(r: &mut Reader<'_>, top: bool) -> Result<WalOp, CodecError> {
+    Ok(match r.u8()? {
+        0 => WalOp::BeginWorkflow {
+            id: r.get()?,
+            tag: r.get()?,
+            description: r.get()?,
+            expdir: r.get()?,
+        },
+        1 => WalOp::RegisterActivity {
+            id: r.get()?,
+            wkf: r.get()?,
+            tag: r.get()?,
+            acttype: r.get()?,
+        },
+        2 => WalOp::RegisterMachine {
+            id: r.get()?,
+            name: r.get()?,
+            instance_type: r.get()?,
+            cores: r.get()?,
+        },
+        3 => WalOp::RecordActivation { task: r.get()?, rec: r.get()? },
+        4 => WalOp::UpdateActivation { task: r.get()?, rec: r.get()? },
+        5 => WalOp::RecordFile {
+            id: r.get()?,
+            task: r.get()?,
+            activity: r.get()?,
+            workflow: r.get()?,
+            fname: r.get()?,
+            fsize: r.get()?,
+            fdir: r.get()?,
+        },
+        6 => WalOp::RecordParameter {
+            id: r.get()?,
+            task: r.get()?,
+            workflow: r.get()?,
+            name: r.get()?,
+            num: r.get()?,
+            text: r.get()?,
+        },
+        7 => WalOp::RecordOutputTuple {
+            first_id: r.get()?,
+            task: r.get()?,
+            activity: r.get()?,
+            workflow: r.get()?,
+            pair_key: r.get()?,
+            tuple_idx: r.get()?,
+            tuple: r.get()?,
+        },
         8 if top => {
-            let n = r.u32()? as usize;
-            // every op is at least its tag byte
-            if n > r.remaining() {
-                return Err(CodecError(format!("implausible group size {n}")));
-            }
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
-                ops.push(read_op(r, false)?);
-            }
-            WalOp::Group(ops)
+            let n = r.count()?;
+            WalOp::Group((0..n).map(|_| read_op(r, false)).collect::<Result<_, _>>()?)
         }
         t => return Err(CodecError(format!("bad op tag {t}"))),
     })
@@ -360,17 +283,23 @@ pub(crate) fn wal_header() -> Vec<u8> {
 /// Wrap one op in a frame (length prefix + seq + crc). The frame is built
 /// in one buffer: `seq` and the payload lie next to each other in it, which
 /// is exactly the checksummed range.
-pub(crate) fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
+///
+/// A payload above [`MAX_PAYLOAD`] is refused before any byte reaches the
+/// log: [`scan`] would take it for a torn tail and drop it, and every
+/// record after it, on recovery.
+pub(crate) fn frame(seq: u64, op: &WalOp) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
-    w.u32(0); // payload length, known once the payload is written
-    w.u64(seq);
-    write_op(&mut w, op);
-    let mut out = w.into_bytes();
-    let payload_len = (out.len() - 12) as u32;
-    out[..4].copy_from_slice(&payload_len.to_le_bytes());
+    // the payload length is known once the payload is written
+    w.put(&0u32).put(&seq).put(op);
+    let mut out = w.finish()?;
+    let len = out.len() - 12;
+    let prefix = u32::try_from(len).ok().filter(|&n| n <= MAX_PAYLOAD).ok_or_else(|| {
+        CodecError(format!("a WAL record of {len} bytes exceeds the {MAX_PAYLOAD}-byte cap"))
+    })?;
+    out[..4].copy_from_slice(&prefix.to_le_bytes());
     let crc = crc32(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// Result of scanning a WAL file.
@@ -433,7 +362,7 @@ pub(crate) fn scan(bytes: &[u8]) -> WalScan {
                 break; // broken seq chain: treat as tail corruption
             }
         }
-        let Ok(op) = decode_op(payload) else {
+        let Ok(op) = from_bytes::<WalOp>(payload) else {
             break; // checksummed but undecodable: stop, don't guess
         };
         prev_seq = Some(seq);
@@ -446,6 +375,8 @@ pub(crate) fn scan(bytes: &[u8]) -> WalScan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::testing::{check_codec, Gen};
+    use crate::codec::to_bytes;
 
     fn sample_ops() -> Vec<WalOp> {
         vec![
@@ -538,11 +469,93 @@ mod tests {
         }
     }
 
+    /// [`frame`] for the records these tests build, which all fit.
+    fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
+        frame(seq, op).expect("a test record fits a frame")
+    }
+
+    fn any_record(g: &mut Gen) -> ActivationRecord {
+        use ActivationStatus::*;
+        ActivationRecord {
+            activity: ActivityId(g.i64()),
+            workflow: WorkflowId(g.i64()),
+            status: [Finished, Failed, Aborted, Blacklisted, Running][g.below(5)],
+            start_time: g.f64(),
+            end_time: g.f64(),
+            machine: g.option(|g| MachineId(g.i64())),
+            retries: g.i64(),
+            pair_key: g.text(),
+        }
+    }
+
+    /// An op with payload tag `tag` (8 = a group of any other ops).
+    fn any_op(g: &mut Gen, tag: usize) -> WalOp {
+        match tag {
+            0 => WalOp::BeginWorkflow {
+                id: g.i64(),
+                tag: g.text(),
+                description: g.text(),
+                expdir: g.text(),
+            },
+            1 => WalOp::RegisterActivity {
+                id: g.i64(),
+                wkf: g.i64(),
+                tag: g.text(),
+                acttype: g.text(),
+            },
+            2 => WalOp::RegisterMachine {
+                id: g.i64(),
+                name: g.text(),
+                instance_type: g.text(),
+                cores: g.i64(),
+            },
+            3 => WalOp::RecordActivation { task: g.i64(), rec: any_record(g) },
+            4 => WalOp::UpdateActivation { task: g.i64(), rec: any_record(g) },
+            5 => WalOp::RecordFile {
+                id: g.i64(),
+                task: g.i64(),
+                activity: g.i64(),
+                workflow: g.i64(),
+                fname: g.text(),
+                fsize: g.i64(),
+                fdir: g.text(),
+            },
+            6 => WalOp::RecordParameter {
+                id: g.i64(),
+                task: g.i64(),
+                workflow: g.i64(),
+                name: g.text(),
+                num: g.option(Gen::f64),
+                text: g.option(Gen::text),
+            },
+            7 => WalOp::RecordOutputTuple {
+                first_id: g.i64(),
+                task: g.i64(),
+                activity: g.i64(),
+                workflow: g.i64(),
+                pair_key: g.text(),
+                tuple_idx: g.i64(),
+                tuple: g.vec(5, Gen::cell),
+            },
+            _ => WalOp::Group(g.vec(4, |g| {
+                let tag = g.below(8);
+                any_op(g, tag)
+            })),
+        }
+    }
+
     #[test]
-    fn op_payload_roundtrip() {
+    fn every_op_passes_the_codec_harness() {
+        let mut n = 0;
+        check_codec(
+            |g| {
+                n += 1;
+                any_op(g, n % 9)
+            },
+            180,
+        );
         for op in sample_ops() {
-            let payload = encode_op(&op);
-            assert_eq!(decode_op(&payload).unwrap(), op, "{op:?}");
+            assert_eq!(from_bytes::<WalOp>(&to_bytes(&op).unwrap()).unwrap(), op);
         }
     }
 
@@ -551,10 +564,36 @@ mod tests {
         let ops = sample_ops();
         assert!(ops[..7].iter().all(|op| op.mutations() == 1));
         assert_eq!(ops[7].mutations(), 3);
-        // a group inside a group is malformed: tag 8, one member, tag 8, none
-        assert!(decode_op(&[8, 1, 0, 0, 0, 8, 0, 0, 0, 0]).is_err());
+        // a group inside a group is malformed: the encoder refuses it …
+        let nested = WalOp::Group(vec![ops[0].clone(), WalOp::Group(vec![])]);
+        assert!(frame(1, &nested).unwrap_err().0.contains("holds a group"));
+        // … and so does the decoder: tag 8, one member, tag 8, none
+        assert!(from_bytes::<WalOp>(&[8, 1, 0, 0, 0, 8, 0, 0, 0, 0]).is_err());
         // a member count the payload cannot hold is refused before allocating
-        assert!(decode_op(&[8, 0xff, 0xff, 0xff, 0x7f]).is_err());
+        assert!(from_bytes::<WalOp>(&[8, 0xff, 0xff, 0xff, 0x7f]).is_err());
+    }
+
+    #[test]
+    fn a_payload_over_the_cap_is_refused_before_it_is_framed() {
+        // tag, id, task, workflow, name "p", no num, then the text's option
+        // tag and length: 36 bytes around the text
+        let param = |len: usize| WalOp::RecordParameter {
+            id: 1,
+            task: 1,
+            workflow: 1,
+            name: "p".into(),
+            num: None,
+            text: Some("x".repeat(len)),
+        };
+        let at_cap = MAX_PAYLOAD as usize - 36;
+        let mut bytes = wal_header();
+        bytes.extend_from_slice(&encode_frame(1, &param(at_cap)));
+        let WalScan::Frames { ops, torn: false, .. } = scan(&bytes) else {
+            panic!("a frame at the cap is recovered");
+        };
+        assert_eq!(ops.len(), 1);
+        let err = frame(2, &param(at_cap + 1)).unwrap_err();
+        assert!(err.0.contains("exceeds the 67108864-byte cap"), "{err}");
     }
 
     /// The frame of `update_activation(task 1, FINISHED)` at seq 7, as the
@@ -576,9 +615,9 @@ mod tests {
 
     #[test]
     fn trailing_garbage_in_payload_rejected() {
-        let mut payload = encode_op(&sample_ops()[0]);
+        let mut payload = to_bytes(&sample_ops()[0]).unwrap();
         payload.push(0);
-        assert!(decode_op(&payload).is_err());
+        assert!(from_bytes::<WalOp>(&payload).is_err());
     }
 
     #[test]

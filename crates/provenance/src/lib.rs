@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod durable;
 pub mod provn;
 pub mod provwf;

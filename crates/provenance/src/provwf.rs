@@ -1697,6 +1697,30 @@ mod tests {
     }
 
     #[test]
+    fn a_record_over_the_frame_cap_panics_without_costing_the_records_around_it() {
+        let (env, p) = durable_pair();
+        let w = p.begin_workflow("A", "", "");
+        let big = "x".repeat(65 << 20);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.record_parameter(TaskId(1), w, "big", None, Some(&big));
+        }));
+        assert!(refused.is_err(), "an append that cannot be framed fails the call");
+        drop(big);
+        p.register_activity(w, "C", "Map");
+        drop(p);
+        // the refused record never reached the log, so recovery keeps what
+        // follows it instead of truncating there as at a torn tail
+        let p2 =
+            ProvenanceStore::open_env(Box::new(env), crate::durable::DurableOptions::default())
+                .unwrap();
+        assert_eq!(p2.workflows().len(), 1);
+        let r = p2.query_rows("SELECT tag FROM hactivity", &[]).unwrap();
+        assert_eq!(r.rows, vec![vec![Value::from("C")]]);
+        let r = p2.query_rows("SELECT count(*) FROM hparameter", &[]).unwrap();
+        assert_eq!(r.cell(0, 0), &Value::Int(0));
+    }
+
+    #[test]
     fn durable_checkpoint_compacts_and_reopens() {
         let (env, p) = durable_pair();
         let w = p.begin_workflow("ckpt", "", "");

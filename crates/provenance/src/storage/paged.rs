@@ -16,7 +16,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
-use crate::durable::codec::{Reader, Writer};
+use crate::codec::{Reader, Writer};
 use crate::table::{Database, DbError, Schema};
 use crate::value::{Value, ValueType};
 
@@ -120,19 +120,23 @@ impl HeapFile {
     }
 }
 
+/// A row record: its values back to back (the schema gives the arity).
+///
+/// # Panics
+/// Panics on a text of 4 GiB or more, which no length prefix can hold.
 fn encode_row(row: &[Value]) -> Vec<u8> {
     let mut w = Writer::new();
     for v in row {
-        w.value(v);
+        w.put(v);
     }
-    w.into_bytes()
+    w.finish().expect("a row record's texts fit their u32 length prefixes")
 }
 
 fn decode_row(bytes: &[u8], arity: usize) -> Vec<Value> {
     let mut r = Reader::new(bytes);
     let mut row = Vec::with_capacity(arity);
     for _ in 0..arity {
-        row.push(r.value().expect("stored row decodes"));
+        row.push(r.get().expect("stored row decodes"));
     }
     row
 }

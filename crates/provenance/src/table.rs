@@ -120,7 +120,7 @@ impl fmt::Display for DbError {
 impl std::error::Error for DbError {}
 
 /// A heap table: schema + row storage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// The table's schema.
     pub schema: Schema,
@@ -175,7 +175,7 @@ impl Table {
 }
 
 /// The database: a named collection of tables.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
 }
