@@ -2,10 +2,7 @@
 //! ligand) and the top-interaction ranking of §V.D.
 
 use cumulus::Relation;
-use provenance::ProvenanceStore;
-
-#[cfg(test)]
-use provenance::Value;
+use provenance::{ProvenanceStore, Value};
 
 /// One docked pair's extracted values.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,10 +36,9 @@ pub fn results_from_relation(rel: &Relation) -> Vec<PairResult> {
         .collect()
 }
 
-/// Collect pair results from the provenance store (the extractor-recorded
-/// `feb`/`rmsd`/`pair`/`engine` parameters), via the SQL engine.
-pub fn results_from_provenance(prov: &ProvenanceStore) -> Vec<PairResult> {
-    let sql = "SELECT p_pair.pvalue_text, p_engine.pvalue_text, \
+/// SQL behind [`results_from_provenance`]: one row per docked pair, joined
+/// from its four extracted parameters.
+pub const PAIR_RESULTS_SQL: &str = "SELECT p_pair.pvalue_text, p_engine.pvalue_text, \
                       p_feb.pvalue_num, p_rmsd.pvalue_num \
                FROM hparameter p_pair, hparameter p_engine, hparameter p_feb, hparameter p_rmsd \
                WHERE p_pair.pname = 'pair' \
@@ -52,7 +48,31 @@ pub fn results_from_provenance(prov: &ProvenanceStore) -> Vec<PairResult> {
                  AND p_pair.taskid = p_engine.taskid \
                  AND p_pair.taskid = p_feb.taskid \
                  AND p_pair.taskid = p_rmsd.taskid";
-    let rs = prov.query_rows(sql, &[]).unwrap_or_else(|e| panic!("provenance query failed: {e}"));
+
+/// SQL behind [`activation_durations`] (`?` = the workflow id): the
+/// paper's Fig. 5 query.
+pub const DURATIONS_SQL: &str = "SELECT extract('epoch' from (t.endtime-t.starttime)) \
+     FROM hworkflow w, hactivity a, hactivation t \
+     WHERE w.wkfid = a.wkfid AND a.actid = t.actid AND w.wkfid = ? \
+     ORDER BY t.endtime";
+
+/// SQL behind [`per_activity_stats`] (`?` = the workflow id): the paper's
+/// Query 1 (Fig. 10).
+pub const PER_ACTIVITY_SQL: &str = "SELECT a.tag, \
+       min(extract('epoch' from (t.endtime-t.starttime))), \
+       max(extract('epoch' from (t.endtime-t.starttime))), \
+       sum(extract('epoch' from (t.endtime-t.starttime))), \
+       avg(extract('epoch' from (t.endtime-t.starttime))) \
+     FROM hworkflow w, hactivity a, hactivation t \
+     WHERE w.wkfid = a.wkfid AND a.actid = t.actid AND w.wkfid = ? \
+     GROUP BY a.tag ORDER BY a.tag";
+
+/// Collect pair results from the provenance store (the extractor-recorded
+/// `feb`/`rmsd`/`pair`/`engine` parameters), via the SQL engine.
+pub fn results_from_provenance(prov: &ProvenanceStore) -> Vec<PairResult> {
+    let rs = prov
+        .query_rows(PAIR_RESULTS_SQL, &[])
+        .unwrap_or_else(|e| panic!("provenance query failed: {e}"));
     rs.rows
         .iter()
         .filter_map(|r| {
@@ -174,13 +194,7 @@ pub fn histogram(values: &[f64], bins: usize) -> Vec<(f64, f64, usize)> {
 
 /// Activation durations of a workflow, via the paper's Fig. 5 query.
 pub fn activation_durations(prov: &ProvenanceStore, wkfid: i64) -> Vec<f64> {
-    let sql = format!(
-        "SELECT extract('epoch' from (t.endtime-t.starttime)) \
-         FROM hworkflow w, hactivity a, hactivation t \
-         WHERE w.wkfid = a.wkfid AND a.actid = t.actid AND w.wkfid = {wkfid} \
-         ORDER BY t.endtime"
-    );
-    prov.query_rows(&sql, &[])
+    prov.query_rows(DURATIONS_SQL, &[Value::Int(wkfid)])
         .map(|rs| rs.rows.iter().filter_map(|r| r[0].as_f64()).collect())
         .unwrap_or_default()
 }
@@ -188,17 +202,7 @@ pub fn activation_durations(prov: &ProvenanceStore, wkfid: i64) -> Vec<f64> {
 /// Per-activity duration stats (tag, min, max, sum, avg) — the paper's
 /// Query 1 (Fig. 10) — for Fig. 6's per-activity distribution.
 pub fn per_activity_stats(prov: &ProvenanceStore, wkfid: i64) -> Vec<(String, f64, f64, f64, f64)> {
-    let sql = format!(
-        "SELECT a.tag, \
-           min(extract('epoch' from (t.endtime-t.starttime))), \
-           max(extract('epoch' from (t.endtime-t.starttime))), \
-           sum(extract('epoch' from (t.endtime-t.starttime))), \
-           avg(extract('epoch' from (t.endtime-t.starttime))) \
-         FROM hworkflow w, hactivity a, hactivation t \
-         WHERE w.wkfid = a.wkfid AND a.actid = t.actid AND w.wkfid = {wkfid} \
-         GROUP BY a.tag ORDER BY a.tag"
-    );
-    prov.query_rows(&sql, &[])
+    prov.query_rows(PER_ACTIVITY_SQL, &[Value::Int(wkfid)])
         .map(|rs| {
             rs.rows
                 .iter()

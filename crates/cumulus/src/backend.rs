@@ -164,24 +164,23 @@ impl RunOutcome {
     }
 }
 
+/// The `FINISHED` activations of one workflow (`?` = its id), for
+/// [`activity_timings`].
+pub const FINISHED_TIMES_SQL: &str = "SELECT a.tag, t.starttime, t.endtime \
+     FROM hactivation t, hactivity a \
+     WHERE t.actid = a.actid AND t.wkfid = ? AND t.status = 'FINISHED' ORDER BY t.taskid";
+
+/// The activity tags of one workflow (`?` = its id) in registration order,
+/// for [`activity_timings`].
+pub const ACTIVITY_TAGS_SQL: &str = "SELECT tag FROM hactivity WHERE wkfid = ? ORDER BY actid";
+
 /// Fold per-activity wall-time statistics out of the provenance store's
 /// `FINISHED` rows for one workflow execution.
 pub fn activity_timings(store: &ProvenanceStore, wkf: WorkflowId) -> Vec<ActivityTiming> {
-    let rows = store
-        .query_rows(
-            "SELECT a.tag, t.starttime, t.endtime FROM hactivation t, hactivity a \
-             WHERE t.actid = a.actid AND t.wkfid = ? AND t.status = 'FINISHED' \
-             ORDER BY t.taskid",
-            &[Value::Int(wkf.0)],
-        )
-        .expect("provenance schema is fixed");
+    let wkfid = [Value::Int(wkf.0)];
+    let rows = store.query_rows(FINISHED_TIMES_SQL, &wkfid).expect("provenance schema is fixed");
     // preserve activity registration order
-    let acts = store
-        .query_rows(
-            "SELECT tag FROM hactivity WHERE wkfid = ? ORDER BY actid",
-            &[Value::Int(wkf.0)],
-        )
-        .expect("provenance schema is fixed");
+    let acts = store.query_rows(ACTIVITY_TAGS_SQL, &wkfid).expect("provenance schema is fixed");
     let mut out: Vec<ActivityTiming> = acts
         .rows
         .iter()

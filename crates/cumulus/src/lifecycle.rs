@@ -564,7 +564,7 @@ mod tests {
     /// `RUNNING` row is left behind.
     #[test]
     fn a_published_running_row_is_finished_in_place_under_the_same_task_id() {
-        let prov = Arc::new(ProvenanceStore::new_paged());
+        let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
         let func: ActivityFn = Arc::new(|tuples, _ctx| Ok(tuples.to_vec()));
         let def = WorkflowDef {

@@ -170,6 +170,12 @@ impl MasterCostModel {
     }
 }
 
+/// SQL behind [`activity_profiles`].
+pub const ACTIVITY_PROFILES_SQL: &str =
+    "SELECT a.tag, avg(extract('epoch' from (t.endtime - t.starttime))) \
+     FROM hactivity a, hactivation t \
+     WHERE a.actid = t.actid AND t.status = 'FINISHED' GROUP BY a.tag";
+
 /// Per-activity mean durations mined from a prior run's provenance — the
 /// paper's cost-model input: "By monitoring or querying Vina's execution
 /// history in the provenance database, SciCumulus …".
@@ -180,12 +186,7 @@ pub fn activity_profiles(
     prov: &provenance::ProvenanceStore,
 ) -> std::collections::HashMap<String, f64> {
     let mut out = std::collections::HashMap::new();
-    if let Ok(rs) = prov.query_rows(
-        "SELECT a.tag, avg(extract('epoch' from (t.endtime - t.starttime))) \
-         FROM hactivity a, hactivation t \
-         WHERE a.actid = t.actid AND t.status = 'FINISHED' GROUP BY a.tag",
-        &[],
-    ) {
+    if let Ok(rs) = prov.query_rows(ACTIVITY_PROFILES_SQL, &[]) {
         for r in &rs.rows {
             if let (Some(tag), Some(avg)) = (r[0].as_str(), r[1].as_f64()) {
                 out.insert(tag.to_string(), avg);

@@ -351,7 +351,9 @@ impl ServeClient {
 
     /// Run a read-only SQL query against the daemon's shared provenance
     /// store. Scope to one campaign with its `wkfid`, or span campaigns by
-    /// omitting it — every campaign lives in the same store.
+    /// omitting it — every campaign lives in the same store. At most
+    /// 100 000 rows come back, fewer when the query's own `LIMIT` is lower;
+    /// an `EXPLAIN ` prefix returns the plan instead.
     pub fn query(&mut self, sql: &str) -> std::io::Result<(Vec<String>, Vec<Tuple>)> {
         match self.roundtrip(&proto::Msg::Query { sql: sql.to_string() })? {
             proto::Msg::QueryReply { columns, rows } => Ok((columns, rows)),

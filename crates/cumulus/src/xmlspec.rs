@@ -244,7 +244,7 @@ pub struct RelationSpec {
     pub reltype: RelType,
     /// Relation name.
     pub name: String,
-    /// Backing file of the relation.
+    /// The file that holds the relation.
     pub filename: String,
 }
 

@@ -20,7 +20,9 @@ use cumulus::{
     Backend, LocalBackend, LocalConfig, QueueDepthConfig, QueueDepthScheduler, Relation,
     SchedulerFactory, Workflow,
 };
-use provenance::{export_provn_canonical_for, ProvenanceStore, Value};
+use provenance::{
+    export_provn_canonical_for, ActivationRecord, ActivationStatus, ProvenanceStore, Value,
+};
 use telemetry::Telemetry;
 
 /// A two-stage map chain (`scale` → `tag`) over `n` pair rows, each
@@ -372,6 +374,43 @@ fn tenant_quota_stops_one_tenant_from_starving_the_rest() {
         client.submit("hog", 0, "wf:hoglater:2:1").expect("submit io"),
         SubmitOutcome::Accepted { .. }
     ));
+    daemon.shutdown();
+}
+
+/// A steering query sent as `SDC1 Query` keeps its own `LIMIT` under the
+/// daemon's row cap, and an `EXPLAIN` comes back as the plan, which names
+/// the index a task-id probe reads.
+#[test]
+fn a_query_keeps_its_own_limit_and_an_explain_names_its_index() {
+    let prov = Arc::new(ProvenanceStore::new());
+    let w = prov.begin_workflow("steer", "", "/e");
+    let act = prov.register_activity(w, "act", "Map");
+    for i in 0..5 {
+        prov.record_activation(&ActivationRecord {
+            activity: act,
+            workflow: w,
+            status: ActivationStatus::Finished,
+            start_time: i as f64,
+            end_time: i as f64 + 1.0,
+            machine: None,
+            retries: 0,
+            pair_key: format!("R:L{i}"),
+        });
+    }
+    let daemon = Daemon::start(ServeConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
+        .expect("daemon starts");
+    let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+    let (_, rows) =
+        client.query("SELECT taskid FROM hactivation ORDER BY taskid LIMIT 3").expect("query");
+    assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)], vec![Value::Int(3)]]);
+    let (_, plan) = client
+        .query("EXPLAIN SELECT taskid, status, pairkey FROM hactivation WHERE taskid = 2")
+        .expect("explain");
+    assert!(
+        plan.iter()
+            .any(|r| r[0].as_str().is_some_and(|l| l.contains("USING ix_hactivation_taskid"))),
+        "{plan:?}"
+    );
     daemon.shutdown();
 }
 

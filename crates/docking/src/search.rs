@@ -472,24 +472,6 @@ pub fn mc_restart(
     best
 }
 
-/// Run Vina-style Monte-Carlo iterated local search with one shared RNG
-/// stream across restarts (the serial legacy entry point; see
-/// [`run_mc_seeded`] for the per-restart-seeded parallel driver).
-pub fn run_mc(
-    ev: &mut Evaluator<'_>,
-    spec: &GridSpec,
-    ligand: &LigandModel,
-    cfg: &McConfig,
-    rng: &mut ChaCha8Rng,
-) -> McOutcome {
-    let mut modes: Vec<ScoredPose> = Vec::with_capacity(cfg.restarts);
-    for _ in 0..cfg.restarts {
-        modes.push(mc_restart(ev, spec, ligand, cfg, rng));
-    }
-    modes.sort_by(|a, b| a.energy.total_cmp(&b.energy));
-    McOutcome { best: modes[0].clone(), modes }
-}
-
 /// Round-robin a set of independently seeded work items across `threads`
 /// scoped threads and return the results in item order plus the summed
 /// evaluation count.
@@ -581,9 +563,8 @@ pub fn run_lga_seeded(
 /// Run `cfg.restarts` MC restarts, fanned across `threads` threads
 /// (`0` = one per core), restart `r` seeded `seed + r`.
 ///
-/// Unlike [`run_mc`] (one RNG stream threaded through all restarts), each
-/// restart owns an independent ChaCha8 stream, which is what makes the fan
-/// deterministic and byte-identical for any thread count.
+/// Each restart owns an independent ChaCha8 stream, which is what makes the
+/// fan deterministic and byte-identical for any thread count.
 pub fn run_mc_seeded(
     em: &EnergyModel<'_>,
     spec: &GridSpec,
@@ -743,10 +724,8 @@ mod tests {
         let lm = crate::conformation::LigandModel::new(&lig);
         let g = build_vina_grids(&r, spec(), &lig.mol.ad_types(), &VinaParams::default());
         let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
-        let mut ev = Evaluator::new(&em);
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
         let cfg = McConfig { restarts: 4, steps: 5, ..Default::default() };
-        let out = run_mc(&mut ev, &spec(), &lm, &cfg, &mut rng);
+        let (out, _) = run_mc_seeded(&em, &spec(), &lm, &cfg, 9, 1);
         assert_eq!(out.modes.len(), 4);
         for w in out.modes.windows(2) {
             assert!(w[0].energy <= w[1].energy, "modes must be sorted");
@@ -832,10 +811,10 @@ mod tests {
         let mut ev = Evaluator::new(&em);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let cfg = McConfig { restarts: 2, steps: 3, ..Default::default() };
-        let _ = run_mc(&mut ev, &spec(), &lm, &cfg, &mut rng);
+        let _ = mc_restart(&mut ev, &spec(), &lm, &cfg, &mut rng);
         let first = ev.evals;
         assert!(first > 0);
-        let _ = run_mc(&mut ev, &spec(), &lm, &cfg, &mut rng);
+        let _ = mc_restart(&mut ev, &spec(), &lm, &cfg, &mut rng);
         assert!(ev.evals > first);
     }
 }

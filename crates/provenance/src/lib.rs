@@ -6,9 +6,10 @@
 //! from-scratch SQL engine able to run the paper's Query 1 / Query 2
 //! verbatim.
 //!
-//! Two storage backings share one API: a plain in-memory [`Database`]
-//! and a paged engine (slotted-page heap files + B+tree indexes, see
-//! [`storage`]) whose Volcano-style executor plans index access paths.
+//! Every store keeps its tables in one paged engine (slotted-page heap
+//! files + B+tree indexes, see [`storage`]), in memory or under a WAL,
+//! and a Volcano-style executor plans index access paths over it; a plain
+//! in-memory [`Database`] is the reference the parity tests hold it to.
 //! Queries run through [`ProvenanceStore::query`], which returns a
 //! streaming [`QueryCursor`] — or [`ProvenanceStore::query_rows`] for a
 //! materialized [`ResultSet`].

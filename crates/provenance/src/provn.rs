@@ -14,6 +14,25 @@ use std::fmt::Write as _;
 use crate::provwf::{ProvenanceStore, WorkflowId};
 use crate::value::Value;
 
+/// Workflow executions, as both exports read them.
+pub const WORKFLOWS_SQL: &str = "SELECT wkfid, tag FROM hworkflow ORDER BY wkfid";
+
+/// Machines, for [`export_provn`]'s agents.
+pub const MACHINES_SQL: &str =
+    "SELECT vmid, vmname, instancetype, cores FROM hmachine ORDER BY vmid";
+
+/// Activations with their activity tag, as both exports read them.
+pub const ACTIVATIONS_SQL: &str = "SELECT t.taskid, t.wkfid, a.tag, t.status, t.retries, \
+     t.pairkey, extract('epoch' from t.starttime), extract('epoch' from t.endtime), t.vmid \
+     FROM hactivation t, hactivity a WHERE t.actid = a.actid ORDER BY t.taskid";
+
+/// Produced files, as both exports read them.
+pub const FILES_SQL: &str = "SELECT fileid, taskid, fname, fsize, fdir FROM hfile ORDER BY fileid";
+
+/// Extracted parameters, as both exports read them.
+pub const PARAMETERS_SQL: &str = "SELECT paramid, taskid, pname, pvalue_num, pvalue_text \
+     FROM hparameter ORDER BY paramid";
+
 /// Escape a PROV-N string literal.
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -36,9 +55,7 @@ pub fn export_provn(store: &ProvenanceStore) -> String {
     out.push_str("  prefix provwf <https://example.org/prov-wf#>\n\n");
 
     // workflows
-    if let Ok(wfs) =
-        store.query_rows("SELECT wkfid, tag, description FROM hworkflow ORDER BY wkfid", &[])
-    {
+    if let Ok(wfs) = store.query_rows(WORKFLOWS_SQL, &[]) {
         for row in &wfs.rows {
             let id = row[0].as_f64().unwrap_or(0.0) as i64;
             let tag = row[1].as_str().unwrap_or("");
@@ -51,9 +68,7 @@ pub fn export_provn(store: &ProvenanceStore) -> String {
     }
 
     // machines → agents
-    if let Ok(ms) = store
-        .query_rows("SELECT vmid, vmname, instancetype, cores FROM hmachine ORDER BY vmid", &[])
-    {
+    if let Ok(ms) = store.query_rows(MACHINES_SQL, &[]) {
         for row in &ms.rows {
             let id = row[0].as_f64().unwrap_or(0.0) as i64;
             let name = row[1].as_str().unwrap_or("");
@@ -69,29 +84,23 @@ pub fn export_provn(store: &ProvenanceStore) -> String {
     }
 
     // activations → activities with times, associations, membership
-    if let Ok(acts) = store.query_rows(
-        "SELECT t.taskid, t.wkfid, a.tag, t.status, \
-           extract('epoch' from t.starttime), extract('epoch' from t.endtime), \
-           t.vmid, t.pairkey \
-         FROM hactivation t, hactivity a WHERE t.actid = a.actid ORDER BY t.taskid",
-        &[],
-    ) {
+    if let Ok(acts) = store.query_rows(ACTIVATIONS_SQL, &[]) {
         for row in &acts.rows {
             let task = row[0].as_f64().unwrap_or(0.0) as i64;
             let wkf = row[1].as_f64().unwrap_or(0.0) as i64;
             let tag = row[2].as_str().unwrap_or("");
             let status = row[3].as_str().unwrap_or("");
-            let start = row[4].as_f64().unwrap_or(0.0);
-            let end = row[5].as_f64().unwrap_or(0.0);
+            let start = row[6].as_f64().unwrap_or(0.0);
+            let end = row[7].as_f64().unwrap_or(0.0);
             let _ = writeln!(
                 out,
                 "  activity(scw:task_{task}, {start:.3}, {end:.3}, [provwf:activity=\"{}\", provwf:status=\"{}\", provwf:pair=\"{}\"])",
                 esc(tag),
                 esc(status),
-                esc(row[7].as_str().unwrap_or(""))
+                esc(row[5].as_str().unwrap_or(""))
             );
             let _ = writeln!(out, "  wasInformedBy(scw:task_{task}, scw:workflow_{wkf})");
-            if let Some(vm) = row[6].as_f64() {
+            if let Some(vm) = row[8].as_f64() {
                 let _ =
                     writeln!(out, "  wasAssociatedWith(scw:task_{task}, scw:vm_{}, -)", vm as i64);
             }
@@ -99,9 +108,7 @@ pub fn export_provn(store: &ProvenanceStore) -> String {
     }
 
     // files → entities generated by their activation
-    if let Ok(files) = store
-        .query_rows("SELECT fileid, taskid, fname, fsize, fdir FROM hfile ORDER BY fileid", &[])
-    {
+    if let Ok(files) = store.query_rows(FILES_SQL, &[]) {
         for row in &files.rows {
             let fid = row[0].as_f64().unwrap_or(0.0) as i64;
             let task = row[1].as_f64().unwrap_or(0.0) as i64;
@@ -119,10 +126,7 @@ pub fn export_provn(store: &ProvenanceStore) -> String {
     }
 
     // extracted parameters → entity attributes on a value node
-    if let Ok(params) = store.query_rows(
-        "SELECT paramid, taskid, pname, pvalue_num, pvalue_text FROM hparameter ORDER BY paramid",
-        &[],
-    ) {
+    if let Ok(params) = store.query_rows(PARAMETERS_SQL, &[]) {
         for row in &params.rows {
             let pid = row[0].as_f64().unwrap_or(0.0) as i64;
             let task = row[1].as_f64().unwrap_or(0.0) as i64;
@@ -212,7 +216,7 @@ fn export_provn_canonical_impl(store: &ProvenanceStore, only_wkf: Option<i64>) -
     // workflows, renumbered in wkfid order (begin_workflow order is logical,
     // not a scheduling artifact)
     let mut wkf_canon: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-    if let Ok(wfs) = store.query_rows("SELECT wkfid, tag FROM hworkflow ORDER BY wkfid", &[]) {
+    if let Ok(wfs) = store.query_rows(WORKFLOWS_SQL, &[]) {
         let kept = wfs.rows.iter().filter(|row| {
             let id = row[0].as_f64().unwrap_or(0.0) as i64;
             only_wkf.is_none_or(|w| w == id)
@@ -231,11 +235,7 @@ fn export_provn_canonical_impl(store: &ProvenanceStore, only_wkf: Option<i64>) -
 
     // activations sorted by content; taskid → canonical id map for files/params
     let mut task_canon: std::collections::HashMap<i64, usize> = std::collections::HashMap::new();
-    if let Ok(acts) = store.query_rows(
-        "SELECT t.taskid, t.wkfid, a.tag, t.status, t.retries, t.pairkey \
-         FROM hactivation t, hactivity a WHERE t.actid = a.actid ORDER BY t.taskid",
-        &[],
-    ) {
+    if let Ok(acts) = store.query_rows(ACTIVATIONS_SQL, &[]) {
         let mut rows: Vec<(i64, i64, String, String, i64, String)> = acts
             .rows
             .iter()
@@ -271,18 +271,16 @@ fn export_provn_canonical_impl(store: &ProvenanceStore, only_wkf: Option<i64>) -
     }
 
     // files sorted under their canonical activation, dirs masked
-    if let Ok(files) =
-        store.query_rows("SELECT taskid, fname, fsize, fdir FROM hfile ORDER BY fileid", &[])
-    {
+    if let Ok(files) = store.query_rows(FILES_SQL, &[]) {
         let mut rows: Vec<(usize, String, i64, String)> = files
             .rows
             .iter()
             .map(|r| {
                 (
-                    task_canon.get(&(r[0].as_f64().unwrap_or(0.0) as i64)).copied().unwrap_or(0),
-                    r[1].as_str().unwrap_or("").to_string(),
-                    r[2].as_f64().unwrap_or(0.0) as i64,
-                    canonical_dir(r[3].as_str().unwrap_or("")),
+                    task_canon.get(&(r[1].as_f64().unwrap_or(0.0) as i64)).copied().unwrap_or(0),
+                    r[2].as_str().unwrap_or("").to_string(),
+                    r[3].as_f64().unwrap_or(0.0) as i64,
+                    canonical_dir(r[4].as_str().unwrap_or("")),
                 )
             })
             .collect();
@@ -303,22 +301,19 @@ fn export_provn_canonical_impl(store: &ProvenanceStore, only_wkf: Option<i64>) -
     }
 
     // parameters sorted under their canonical activation
-    if let Ok(params) = store.query_rows(
-        "SELECT taskid, pname, pvalue_num, pvalue_text FROM hparameter ORDER BY paramid",
-        &[],
-    ) {
+    if let Ok(params) = store.query_rows(PARAMETERS_SQL, &[]) {
         let mut rows: Vec<(usize, String, String)> = params
             .rows
             .iter()
             .map(|r| {
-                let value = match (&r[2], &r[3]) {
+                let value = match (&r[3], &r[4]) {
                     (Value::Null, Value::Null) => String::new(),
                     (v, Value::Null) => v.to_string(),
                     (_, v) => v.to_string(),
                 };
                 (
-                    task_canon.get(&(r[0].as_f64().unwrap_or(0.0) as i64)).copied().unwrap_or(0),
-                    r[1].as_str().unwrap_or("").to_string(),
+                    task_canon.get(&(r[1].as_f64().unwrap_or(0.0) as i64)).copied().unwrap_or(0),
+                    r[2].as_str().unwrap_or("").to_string(),
                     value,
                 )
             })

@@ -9,10 +9,13 @@
 //! the user runs *runtime provenance queries* — the SciCumulus feature the
 //! paper highlights for steering.
 //!
-//! By default the store is purely in-memory ([`ProvenanceStore::new`]); the
-//! durable constructors ([`ProvenanceStore::open`] and friends) put a
-//! write-ahead log + snapshot engine underneath it so the same API survives
-//! crashes — see [`crate::durable`] for the storage format and guarantees.
+//! Every store keeps its tables in one engine, a [`PagedDb`]: slotted-page
+//! heap files with B+tree secondary indexes ([`PROV_INDEXES`]) that the
+//! planner turns steering predicates into. [`ProvenanceStore::new`] keeps
+//! the pages in memory; the durable constructors ([`ProvenanceStore::open`]
+//! and friends) put a write-ahead log + snapshot engine underneath the same
+//! tables so the same API survives crashes — see [`crate::durable`] for the
+//! storage format and guarantees.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -25,6 +28,7 @@ use crate::durable::engine::DurableEngine;
 use crate::durable::io::{DirEnv, StorageEnv};
 use crate::durable::wal::WalOp;
 use crate::durable::{Counters, Durability, DurableError, DurableOptions};
+use crate::sql::ast::Query;
 use crate::sql::exec::bind_params;
 use crate::sql::volcano::{build_pipeline, ExecCtx, Pipeline};
 use crate::sql::{explain_query, parse, run_query, QueryError, ResultSet};
@@ -105,66 +109,9 @@ pub struct ActivationRecord {
     pub pair_key: String,
 }
 
-/// The table storage under a [`ProvenanceStore`]: either the reference
-/// in-memory engine or the paged heap-file + B+tree engine.
-///
-/// Both backings must answer every query with row-identical results — the
-/// parity property in `tests/query_parity.rs` — so callers never observe
-/// which one is underneath.
-enum Backing {
-    /// Plain [`Database`]: `Vec`-of-rows tables, no indexes. The default for
-    /// scratch stores and the reference engine in parity tests.
-    Mem(Database),
-    /// [`PagedDb`]: slotted-page heap files behind an LRU page cache, with
-    /// B+tree secondary indexes over the hot PROV-Wf columns. Used by every
-    /// durable constructor.
-    Paged(PagedDb),
-}
-
-impl Backing {
-    fn provider(&self) -> &dyn TableProvider {
-        match self {
-            Backing::Mem(db) => db,
-            Backing::Paged(pg) => pg,
-        }
-    }
-
-    /// Apply one logged mutation. Returns `false` only for an
-    /// [`WalOp::UpdateActivation`] whose task id is unknown.
-    fn apply(&mut self, c: &mut Counters, op: &WalOp) -> bool {
-        match self {
-            Backing::Mem(db) => apply_op(db, c, op),
-            Backing::Paged(pg) => apply_op_paged(pg, c, op),
-        }
-    }
-
-    /// Every table, sorted by name.
-    fn table_names(&self) -> Vec<String> {
-        match self {
-            Backing::Mem(db) => db.table_names().iter().map(|n| n.to_string()).collect(),
-            Backing::Paged(pg) => pg.table_names().iter().map(|n| n.to_string()).collect(),
-        }
-    }
-
-    /// Materialize every row of `table` in insertion order.
-    fn scan_all(&self, table: &str) -> Vec<Vec<Value>> {
-        let p = self.provider();
-        let mut out = Vec::new();
-        let mut pos = 0u64;
-        loop {
-            let before = out.len();
-            if p.scan_batch(table, &mut pos, 1024, &mut out).is_err() {
-                return Vec::new();
-            }
-            if out.len() == before {
-                return out;
-            }
-        }
-    }
-}
-
 struct Inner {
-    backing: Backing,
+    /// The PROV-Wf tables. Every mutation reaches them through [`plan_op`].
+    db: PagedDb,
     counters: Counters,
     /// Present on stores opened via a durable constructor; `None` keeps the
     /// store purely in-memory (the default — zero I/O on any path).
@@ -175,7 +122,7 @@ impl Inner {
     /// Apply one record to the tables. Returns `false` only for an update
     /// of an `hactivation` row that does not exist.
     fn apply(&mut self, op: &WalOp) -> bool {
-        self.backing.apply(&mut self.counters, op)
+        plan_op(&mut self.db, &mut self.counters, op)
     }
 
     /// Log one applied record when durable (and maybe checkpoint).
@@ -209,21 +156,30 @@ impl Inner {
         applied
     }
 
+    /// Every table, sorted by name.
+    fn table_names(&self) -> Vec<String> {
+        self.db.table_names().into_iter().map(str::to_string).collect()
+    }
+
+    /// Every row of `table` in insertion order.
+    fn scan_all(&self, table: &str) -> Vec<Vec<Value>> {
+        let rows = self.db.scan_entries(table, 0, usize::MAX).unwrap_or_default();
+        rows.into_iter().map(|(_, row)| row).collect()
+    }
+
     /// Snapshot the current state and truncate the WAL. Dirty pages are
     /// flushed first so the page file is coherent with the snapshot; the
-    /// snapshot is encoded straight from the backing's tables (the
-    /// WAL/snapshot pair stays the durability source of truth — the page
-    /// file is a rebuildable acceleration structure).
+    /// snapshot is encoded straight from the tables (the WAL/snapshot pair
+    /// stays the durability source of truth — the page file is a
+    /// rebuildable acceleration structure).
     ///
     /// # Panics
     /// Panics if the snapshot cannot be written (same contract as `log`).
     fn checkpoint_now(&mut self) {
-        if let Backing::Paged(pg) = &self.backing {
-            pg.flush_pages();
-        }
-        let names = self.backing.table_names();
+        self.db.flush_pages();
+        let names = self.table_names();
         if let Some(eng) = &mut self.engine {
-            eng.checkpoint(self.backing.provider(), &names, &self.counters)
+            eng.checkpoint(&self.db, &names, &self.counters)
                 .expect("provstore: snapshot checkpoint failed");
         }
     }
@@ -285,25 +241,17 @@ impl Inner {
     }
 }
 
-/// One primitive table mutation, produced by [`plan_op`]. Keeping the
-/// op→rows translation in one place guarantees the in-memory and paged
-/// backings materialize *identical* rows for every logged op.
-enum Mutation {
-    /// Append `row` to `table`.
-    Insert { table: &'static str, row: Vec<Value> },
-    /// Replace the `hactivation` row whose `taskid` is `task`.
-    UpdateActivation { task: i64, row: Vec<Value> },
-}
-
-/// Translate one logged record into primitive row mutations (appended to
-/// `muts`), advancing the id counters.
+/// Apply one logged record to the tables, advancing the id counters.
+/// Returns `false` only for an [`WalOp::UpdateActivation`] whose task id is
+/// unknown (the live path never logs those); the rows of a group before it
+/// stay applied.
 ///
 /// This is the **only** code path that decides what the PROV-Wf tables
 /// contain: live mutations build a [`WalOp`] and run it through here before
 /// logging, and recovery replays logged ops through the same function — so
-/// a replayed store is bit-for-bit the store the ops originally built,
-/// regardless of which backing executes the mutations.
-fn plan_op(c: &mut Counters, op: &WalOp, muts: &mut Vec<Mutation>) {
+/// a replayed store is bit-for-bit the store the ops originally built.
+/// Secondary index maintenance happens inside [`PagedDb`].
+fn plan_op(db: &mut PagedDb, c: &mut Counters, op: &WalOp) -> bool {
     fn activation_row(task: i64, rec: &ActivationRecord) -> Vec<Value> {
         vec![
             Value::Int(task),
@@ -317,78 +265,70 @@ fn plan_op(c: &mut Counters, op: &WalOp, muts: &mut Vec<Mutation>) {
             rec.pair_key.as_str().into(),
         ]
     }
-    match op {
+    let (table, row) = match op {
         WalOp::BeginWorkflow { id, tag, description, expdir } => {
             c.next_wkf = c.next_wkf.max(id + 1);
-            muts.push(Mutation::Insert {
-                table: "hworkflow",
-                row: vec![
-                    Value::Int(*id),
-                    tag.as_str().into(),
-                    description.as_str().into(),
-                    expdir.as_str().into(),
-                ],
-            });
+            let row = vec![
+                Value::Int(*id),
+                tag.as_str().into(),
+                description.as_str().into(),
+                expdir.as_str().into(),
+            ];
+            ("hworkflow", row)
         }
         WalOp::RegisterActivity { id, wkf, tag, acttype } => {
             c.next_act = c.next_act.max(id + 1);
-            muts.push(Mutation::Insert {
-                table: "hactivity",
-                row: vec![
-                    Value::Int(*id),
-                    Value::Int(*wkf),
-                    tag.as_str().into(),
-                    acttype.as_str().into(),
-                ],
-            });
+            let row = vec![
+                Value::Int(*id),
+                Value::Int(*wkf),
+                tag.as_str().into(),
+                acttype.as_str().into(),
+            ];
+            ("hactivity", row)
         }
         WalOp::RegisterMachine { id, name, instance_type, cores } => {
             c.next_machine = c.next_machine.max(id + 1);
-            muts.push(Mutation::Insert {
-                table: "hmachine",
-                row: vec![
-                    Value::Int(*id),
-                    name.as_str().into(),
-                    instance_type.as_str().into(),
-                    Value::Int(*cores),
-                ],
-            });
+            let row = vec![
+                Value::Int(*id),
+                name.as_str().into(),
+                instance_type.as_str().into(),
+                Value::Int(*cores),
+            ];
+            ("hmachine", row)
         }
         WalOp::RecordActivation { task, rec } => {
             c.next_task = c.next_task.max(task + 1);
-            muts.push(Mutation::Insert { table: "hactivation", row: activation_row(*task, rec) });
+            ("hactivation", activation_row(*task, rec))
         }
         WalOp::UpdateActivation { task, rec } => {
-            muts.push(Mutation::UpdateActivation { task: *task, row: activation_row(*task, rec) });
+            // taskid-index point lookup; the row it finds is the row rewritten
+            let row = activation_row(*task, rec);
+            return db.update_by_int("hactivation", "taskid", *task, row).expect("schema matches");
         }
         WalOp::RecordFile { id, task, activity, workflow, fname, fsize, fdir } => {
             c.next_file = c.next_file.max(id + 1);
-            muts.push(Mutation::Insert {
-                table: "hfile",
-                row: vec![
-                    Value::Int(*id),
-                    Value::Int(*task),
-                    Value::Int(*activity),
-                    Value::Int(*workflow),
-                    fname.as_str().into(),
-                    Value::Int(*fsize),
-                    fdir.as_str().into(),
-                ],
-            });
+            let row = vec![
+                Value::Int(*id),
+                Value::Int(*task),
+                Value::Int(*activity),
+                Value::Int(*workflow),
+                fname.as_str().into(),
+                Value::Int(*fsize),
+                fdir.as_str().into(),
+            ];
+            ("hfile", row)
         }
         WalOp::RecordParameter { id, task, workflow, name, num, text } => {
             c.next_param = c.next_param.max(id + 1);
-            muts.push(Mutation::Insert {
-                table: "hparameter",
-                row: vec![
-                    Value::Int(*id),
-                    Value::Int(*task),
-                    Value::Int(*workflow),
-                    name.as_str().into(),
-                    num.map(Value::Float).unwrap_or(Value::Null),
-                    text.as_deref().map(Value::from).unwrap_or(Value::Null),
-                ],
-            });
+            let row = vec![
+                Value::Int(*id),
+                Value::Int(*task),
+                Value::Int(*workflow),
+                name.as_str().into(),
+                num.map(Value::Float).unwrap_or(Value::Null),
+                text.as_deref().map(Value::from).unwrap_or(Value::Null),
+            ];
+            ("hparameter", row)
         }
         WalOp::RecordOutputTuple {
             first_id,
@@ -401,20 +341,18 @@ fn plan_op(c: &mut Counters, op: &WalOp, muts: &mut Vec<Mutation>) {
         } => {
             let mut id = *first_id;
             let mut push = |id: i64, colidx: i64, num: Option<f64>, text: Option<String>| {
-                muts.push(Mutation::Insert {
-                    table: "houtput",
-                    row: vec![
-                        Value::Int(id),
-                        Value::Int(*task),
-                        Value::Int(*activity),
-                        Value::Int(*workflow),
-                        pair_key.as_str().into(),
-                        Value::Int(*tuple_idx),
-                        Value::Int(colidx),
-                        num.map(Value::Float).unwrap_or(Value::Null),
-                        text.map(Value::from).unwrap_or(Value::Null),
-                    ],
-                });
+                let row = vec![
+                    Value::Int(id),
+                    Value::Int(*task),
+                    Value::Int(*activity),
+                    Value::Int(*workflow),
+                    pair_key.as_str().into(),
+                    Value::Int(*tuple_idx),
+                    Value::Int(colidx),
+                    num.map(Value::Float).unwrap_or(Value::Null),
+                    text.map(Value::from).unwrap_or(Value::Null),
+                ];
+                db.insert("houtput", row).expect("schema matches");
             };
             for (col, v) in tuple.iter().enumerate() {
                 let (num, text) = match v {
@@ -435,64 +373,11 @@ fn plan_op(c: &mut Counters, op: &WalOp, muts: &mut Vec<Mutation>) {
                 id += 1;
             }
             c.next_output = c.next_output.max(id);
+            return true;
         }
-        WalOp::Group(ops) => {
-            for op in ops {
-                plan_op(c, op, muts);
-            }
-        }
-    }
-}
-
-/// Apply one logged record to an in-memory [`Database`]. Returns `false`
-/// only for an [`WalOp::UpdateActivation`] whose task id is unknown (the
-/// live path never logs those); the record's mutations before it stay
-/// applied.
-fn apply_op(db: &mut Database, c: &mut Counters, op: &WalOp) -> bool {
-    let mut muts = Vec::new();
-    plan_op(c, op, &mut muts);
-    for m in muts {
-        match m {
-            Mutation::Insert { table, row } => {
-                db.insert(table, row).expect("schema matches");
-            }
-            Mutation::UpdateActivation { task, row } => {
-                let Ok(t) = db.table_mut("hactivation") else {
-                    return false;
-                };
-                // from the back: an activation is updated soon after its RUNNING
-                // row went in, so a front scan walks the whole table for nothing
-                // (task ids are unique, so the match is the same row either way)
-                let Some(r) = t.rows_mut().iter_mut().rev().find(|r| r[0] == Value::Int(task))
-                else {
-                    return false;
-                };
-                *r = row;
-            }
-        }
-    }
-    true
-}
-
-/// Apply one logged record to the paged engine — same [`plan_op`]
-/// translation, so both backings stay row-identical. Secondary index
-/// maintenance happens inside [`PagedDb`].
-fn apply_op_paged(pg: &mut PagedDb, c: &mut Counters, op: &WalOp) -> bool {
-    let mut muts = Vec::new();
-    plan_op(c, op, &mut muts);
-    for m in muts {
-        match m {
-            Mutation::Insert { table, row } => {
-                pg.insert(table, row).expect("schema matches");
-            }
-            Mutation::UpdateActivation { task, row } => {
-                // taskid-index point lookup; the row it finds is the row rewritten
-                if !pg.update_by_int("hactivation", "taskid", task, row).expect("schema matches") {
-                    return false;
-                }
-            }
-        }
-    }
+        WalOp::Group(ops) => return ops.iter().all(|op| plan_op(db, c, op)),
+    };
+    db.insert(table, row).expect("schema matches");
     true
 }
 
@@ -506,29 +391,24 @@ pub struct ProvenanceStore {
     lock_times: Option<(Arc<Histogram>, Arc<Histogram>)>,
 }
 
-/// The secondary indexes installed over the PROV-Wf schema on every paged
-/// store — chosen to cover the steering queries' access paths (status
-/// summaries, per-activity failure counts, taskid point updates, time-range
-/// scans). See DESIGN.md §15.
-const PROV_INDEXES: &[(&str, &str, &[&str])] = &[
+/// The secondary indexes `(table, index, columns)` installed over the
+/// PROV-Wf schema on every store: exactly the ones an `EXPLAIN` of a shipped
+/// query picks, plus `ix_hactivation_taskid`, which rewrites a `RUNNING` row
+/// in place. Every index costs each insert into its table a B+tree write,
+/// so one no query reads is pure ingest cost. Order matters: the planner
+/// breaks ties by it. See DESIGN.md §15.
+pub const PROV_INDEXES: &[(&str, &str, &[&str])] = &[
     ("hworkflow", "ix_hworkflow_wkfid", &["wkfid"]),
     ("hactivity", "ix_hactivity_actid", &["actid"]),
     ("hactivity", "ix_hactivity_wkfid", &["wkfid"]),
-    ("hactivity", "ix_hactivity_tag", &["tag"]),
     ("hactivation", "ix_hactivation_taskid", &["taskid"]),
-    ("hactivation", "ix_hactivation_wkfid", &["wkfid"]),
     ("hactivation", "ix_hactivation_wkfid_status", &["wkfid", "status"]),
     ("hactivation", "ix_hactivation_actid", &["actid"]),
     ("hactivation", "ix_hactivation_status", &["status"]),
     ("hactivation", "ix_hactivation_endtime", &["endtime"]),
     ("hactivation", "ix_hactivation_pairkey", &["pairkey"]),
-    ("hfile", "ix_hfile_taskid", &["taskid"]),
-    ("hfile", "ix_hfile_wkfid", &["wkfid"]),
     ("hparameter", "ix_hparameter_taskid", &["taskid"]),
     ("hparameter", "ix_hparameter_pname", &["pname"]),
-    ("houtput", "ix_houtput_taskid", &["taskid"]),
-    ("houtput", "ix_houtput_wkfid", &["wkfid"]),
-    ("hmachine", "ix_hmachine_vmid", &["vmid"]),
 ];
 
 /// Build a [`PagedDb`] over `store` with the contents of `db` and the
@@ -646,32 +526,22 @@ impl ProvenanceStore {
         db
     }
 
-    /// Create a purely in-memory store with the PROV-Wf schema installed,
-    /// backed by the reference row-vector engine (no indexes, no paging).
+    /// Create a purely in-memory store with the PROV-Wf schema and
+    /// [`PROV_INDEXES`] installed: the paged engine over an in-memory page
+    /// store, so queries take the same index access paths as on a durable
+    /// store.
     pub fn new() -> ProvenanceStore {
+        let db = paged_from_db(&Self::schema_db(), Box::new(MemPageStore::new()));
         ProvenanceStore {
-            inner: Arc::new(Mutex::new(Inner {
-                backing: Backing::Mem(Self::schema_db()),
-                counters: Counters::default(),
-                engine: None,
-            })),
+            inner: Arc::new(Mutex::new(Inner { db, counters: Counters::default(), engine: None })),
             lock_times: None,
         }
     }
 
-    /// Create a non-durable store on the paged engine (heap pages + B+tree
-    /// indexes over an in-memory page store). Same API and query results as
-    /// [`ProvenanceStore::new`]; indexed access paths instead of full scans.
+    // `new()` under a second name, which the benchmark's layer suite calls
+    #[doc(hidden)]
     pub fn new_paged() -> ProvenanceStore {
-        let pg = paged_from_db(&Self::schema_db(), Box::new(MemPageStore::new()));
-        ProvenanceStore {
-            inner: Arc::new(Mutex::new(Inner {
-                backing: Backing::Paged(pg),
-                counters: Counters::default(),
-                engine: None,
-            })),
-            lock_times: None,
-        }
+        Self::new()
     }
 
     /// Open (or create) a durable store in directory `dir` with default
@@ -686,8 +556,7 @@ impl ProvenanceStore {
 
     /// [`ProvenanceStore::open`] with explicit durability options.
     ///
-    /// Durable stores always run on the paged engine. The page file
-    /// (`pages.db` next to the WAL and snapshot) is a rebuildable
+    /// The page file (`pages.db` next to the WAL and snapshot) is a rebuildable
     /// acceleration structure: it is recreated from the snapshot + WAL on
     /// every open, so crash safety rests entirely on the logged state.
     pub fn open_with(
@@ -722,12 +591,12 @@ impl ProvenanceStore {
             Some((db, counters)) => (db, counters),
             None => (Self::schema_db(), Counters::default()),
         };
-        let mut backing = Backing::Paged(paged_from_db(&snap_db, pages));
+        let mut db = paged_from_db(&snap_db, pages);
         for op in &recovered.ops {
-            backing.apply(&mut counters, op);
+            plan_op(&mut db, &mut counters, op);
         }
         let upgrade = engine.stale_header();
-        let mut inner = Inner { backing, counters, engine: Some(engine) };
+        let mut inner = Inner { db, counters, engine: Some(engine) };
         if upgrade {
             // a log from before WAL version 2 must not receive records an
             // older binary would mistake for a torn tail: fold it into a
@@ -988,7 +857,7 @@ impl ProvenanceStore {
         // output rows (done with direct table scans: this is engine-internal,
         // not a user query)
         let mut out: std::collections::HashMap<String, Vec<Vec<Value>>> = Default::default();
-        let activities = g.backing.scan_all("hactivity");
+        let activities = g.scan_all("hactivity");
         let act_id = activities.iter().find_map(|r| {
             let id = r[0].as_f64()? as i64;
             let w = r[1].as_f64()? as i64;
@@ -997,7 +866,6 @@ impl ProvenanceStore {
         });
         let Some(act_id) = act_id else { return out };
         let finished: std::collections::HashMap<i64, String> = g
-            .backing
             .scan_all("hactivation")
             .iter()
             .filter_map(|r| {
@@ -1011,7 +879,7 @@ impl ProvenanceStore {
         // (pair_key, tuple_idx) -> Vec<(colidx, value)>
         let mut cells: std::collections::HashMap<(String, i64), Vec<(i64, Value)>> =
             Default::default();
-        for r in &g.backing.scan_all("houtput") {
+        for r in &g.scan_all("houtput") {
             let task = match r[1].as_f64() {
                 Some(t) => t as i64,
                 None => continue,
@@ -1072,21 +940,21 @@ impl ProvenanceStore {
         let (q, explain) = Self::prepare(sql, params)?;
         let g = self.inner.lock();
         if explain {
-            let r = explain_query(g.backing.provider(), &q)?;
+            let r = explain_query(&g.db, &q)?;
             return Ok(QueryCursor {
                 inner: Arc::clone(&self.inner),
                 columns: Arc::new(r.columns),
                 src: CursorSrc::Rows(r.rows.into_iter()),
             });
         }
-        let pipe = build_pipeline(g.backing.provider(), &q)?;
+        let pipe = build_pipeline(&g.db, &q)?;
         Ok(QueryCursor::from_pipeline(Arc::clone(&self.inner), pipe))
     }
 
     /// Parse `sql` (honoring a leading case-insensitive `EXPLAIN ` prefix)
     /// and bind `?` placeholders. Returns the bound query and whether it was
     /// an EXPLAIN.
-    fn prepare(sql: &str, params: &[Value]) -> Result<(crate::sql::ast::Query, bool), QueryError> {
+    fn prepare(sql: &str, params: &[Value]) -> Result<(Query, bool), QueryError> {
         let trimmed = sql.trim_start();
         let explain = trimmed.get(..8).is_some_and(|p| p.eq_ignore_ascii_case("explain "));
         let mut q = parse(if explain { &trimmed[8..] } else { sql })?;
@@ -1094,37 +962,43 @@ impl ProvenanceStore {
         Ok((q, explain))
     }
 
+    /// Run a prepared query (or its EXPLAIN) to completion under one lock
+    /// acquisition.
+    fn run_prepared(&self, q: &Query, explain: bool) -> Result<ResultSet, QueryError> {
+        let g = self.inner.lock();
+        if explain {
+            explain_query(&g.db, q)
+        } else {
+            run_query(&g.db, q)
+        }
+    }
+
     /// [`ProvenanceStore::query`], fully materialized: runs the query to
     /// completion under one lock acquisition and returns the whole
     /// [`ResultSet`].
     pub fn query_rows(&self, sql: &str, params: &[Value]) -> Result<ResultSet, QueryError> {
         let (q, explain) = Self::prepare(sql, params)?;
-        let g = self.inner.lock();
-        if explain {
-            return explain_query(g.backing.provider(), &q);
-        }
-        run_query(g.backing.provider(), &q)
+        self.run_prepared(&q, explain)
     }
 
-    /// Run a SQL query with a typed row cap: `n` replaces the query's
-    /// `LIMIT` without ever being spliced into the SQL text, and is enforced
-    /// by the pipeline's `Limit` operator — upstream operators are never
-    /// pulled past the cap, rather than truncating a materialized result.
+    /// [`ProvenanceStore::query_rows`] with a typed row cap: at most `n`
+    /// rows, or fewer when the query's own `LIMIT` is lower. The cap is never
+    /// spliced into the SQL text, and is enforced by the pipeline's `Limit`
+    /// operator — upstream operators are never pulled past it, rather than
+    /// truncating a materialized result. An `EXPLAIN` shows the capped plan.
     pub fn query_limited(&self, sql: &str, n: usize) -> Result<ResultSet, QueryError> {
-        let mut q = parse(sql)?;
-        q.limit = Some(n);
-        let g = self.inner.lock();
-        run_query(g.backing.provider(), &q)
+        let (mut q, explain) = Self::prepare(sql, &[])?;
+        q.limit = Some(q.limit.map_or(n, |own| own.min(n)));
+        self.run_prepared(&q, explain)
     }
 
     /// Row counts per table (diagnostics).
     pub fn stats(&self) -> Vec<(String, usize)> {
         let g = self.inner.lock();
-        g.backing
-            .table_names()
+        g.table_names()
             .into_iter()
             .map(|n| {
-                let count = g.backing.provider().row_count(&n).unwrap_or(0) as usize;
+                let count = g.db.row_count(&n).unwrap_or(0) as usize;
                 (n, count)
             })
             .collect()
@@ -1135,7 +1009,6 @@ impl ProvenanceStore {
     pub fn workflows(&self) -> Vec<(WorkflowId, String)> {
         let g = self.inner.lock();
         let mut out: Vec<(WorkflowId, String)> = g
-            .backing
             .scan_all("hworkflow")
             .iter()
             .filter_map(|r| {
@@ -1155,42 +1028,29 @@ impl ProvenanceStore {
     }
 
     /// Full table dump, sorted by table name: `(table, rows)`. Used by the
-    /// recovery property tests to compare stores for exact state equality
-    /// (across backings too); not a user query surface.
+    /// recovery property tests to compare stores for exact state equality;
+    /// not a user query surface.
     pub fn dump_tables(&self) -> Vec<(String, Vec<Vec<Value>>)> {
         let g = self.inner.lock();
-        g.backing
-            .table_names()
+        g.table_names()
             .into_iter()
             .map(|n| {
-                let rows = g.backing.scan_all(&n);
+                let rows = g.scan_all(&n);
                 (n, rows)
             })
             .collect()
     }
 
-    /// Is this store running on the paged (heap file + B+tree) engine?
-    pub fn is_paged(&self) -> bool {
-        matches!(self.inner.lock().backing, Backing::Paged(_))
-    }
-
-    /// Page-cache statistics (hits, misses, evictions, writebacks); all
-    /// zeros for a non-paged store.
+    /// Page-cache statistics (hits, misses, evictions, writebacks).
     pub fn cache_stats(&self) -> crate::storage::pager::CacheStats {
-        match &self.inner.lock().backing {
-            Backing::Paged(pg) => pg.cache_stats(),
-            Backing::Mem(_) => Default::default(),
-        }
+        self.inner.lock().db.cache_stats()
     }
 
-    /// Run the paged backing's structural checks — B+tree ordering, index ↔
-    /// heap agreement, page bookkeeping. A no-op `Ok` on the in-memory
-    /// backing. Crash-recovery tests call this after every reopen.
+    /// Run the tables' structural checks — B+tree ordering, index ↔ heap
+    /// agreement, page bookkeeping. Crash-recovery tests call this after
+    /// every reopen.
     pub fn verify_integrity(&self) -> Result<(), String> {
-        match &self.inner.lock().backing {
-            Backing::Paged(pg) => pg.verify_integrity(),
-            Backing::Mem(_) => Ok(()),
-        }
+        self.inner.lock().db.verify_integrity()
     }
 }
 
@@ -1233,7 +1093,7 @@ impl QueryCursor {
         let values = match &mut self.src {
             CursorSrc::Pipe(pipe) => {
                 let g = self.inner.lock();
-                let cx = ExecCtx { provider: g.backing.provider() };
+                let cx = ExecCtx { provider: &g.db };
                 pipe.next_row(&cx)?
             }
             CursorSrc::Rows(it) => it.next(),
@@ -1594,9 +1454,18 @@ mod tests {
         assert_eq!(r.len(), 2);
         let r = p.query_limited("SELECT taskid FROM hactivation", 0).unwrap();
         assert!(r.is_empty());
-        // an in-text LIMIT is overridden by the typed one
+        // the lower of an in-text LIMIT and the typed cap wins
         let r = p.query_limited("SELECT taskid FROM hactivation LIMIT 4", 1).unwrap();
         assert_eq!(r.len(), 1);
+        let r = p.query_limited("SELECT taskid FROM hactivation LIMIT 3", 100).unwrap();
+        assert_eq!(r.len(), 3);
+        // and an EXPLAIN is answered, showing the capped plan
+        let r = p.query_limited("EXPLAIN SELECT taskid FROM hactivation WHERE taskid = 2", 9);
+        let plan: Vec<Value> = r.unwrap().rows.into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(plan[0], Value::from("Limit 9"));
+        assert!(plan
+            .iter()
+            .any(|l| l.as_str().is_some_and(|l| l.contains("ix_hactivation_taskid"))));
     }
 
     fn durable_pair() -> (crate::durable::io::MemEnv, ProvenanceStore) {

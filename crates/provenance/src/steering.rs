@@ -4,10 +4,10 @@
 //! directories. Each helper wraps one SQL query against the PROV-Wf schema
 //! and returns typed rows.
 //!
-//! On a paged store these queries run through secondary indexes instead of
-//! full scans (`status`, `actid`, `endtime`, …); prefix any of the SQL
-//! below with `EXPLAIN` via [`ProvenanceStore::query`] to see the chosen
-//! access path.
+//! These queries run through the store's secondary indexes instead of full
+//! scans (`status`, `actid`, `endtime`, …); prefix any of the SQL below
+//! with `EXPLAIN` via [`ProvenanceStore::query`] to see the chosen access
+//! path.
 
 use crate::provwf::ProvenanceStore;
 use crate::sql::QueryError;
@@ -27,6 +27,24 @@ pub const FAILURES_BY_ACTIVITY_SQL: &str =
 pub const ACTIVATIONS_SINCE_SQL: &str =
     "SELECT t.taskid, t.status, t.pairkey, extract('epoch' from t.endtime) AS fin \
      FROM hactivation t WHERE t.endtime >= ? ORDER BY t.endtime, t.taskid";
+
+/// SQL behind [`slowest_activations`], before its typed `LIMIT`.
+pub const SLOWEST_ACTIVATIONS_SQL: &str =
+    "SELECT a.tag, t.pairkey, extract('epoch' from (t.endtime - t.starttime)) AS dur \
+     FROM hactivity a, hactivation t \
+     WHERE a.actid = t.actid AND t.status = 'FINISHED' \
+     ORDER BY dur DESC";
+
+/// SQL behind [`problematic_pairs`].
+pub const PROBLEMATIC_PAIRS_SQL: &str = "SELECT pairkey, max(retries) AS r FROM hactivation \
+     GROUP BY pairkey HAVING max(retries) >= ? ORDER BY pairkey";
+
+/// SQL behind [`throughput`].
+pub const THROUGHPUT_SQL: &str =
+    "SELECT extract('epoch' from endtime) FROM hactivation WHERE status = 'FINISHED'";
+
+/// SQL behind [`data_volume_bytes`].
+pub const DATA_VOLUME_SQL: &str = "SELECT sum(fsize) FROM hfile";
 
 /// Per-status activation counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,9 +70,9 @@ pub fn status_summary(prov: &ProvenanceStore) -> Result<Vec<StatusCount>, QueryE
 
 /// Failure counts per activity (where is the workflow fragile?).
 ///
-/// On a paged store the `t.status = 'FAILED'` conjunct drives an index
-/// lookup and each activity is matched by an index probe on `actid` — the
-/// query reads only failed rows no matter how large the table is.
+/// The `t.status = 'FAILED'` conjunct drives an index lookup and each
+/// activity is matched by an index probe on `actid` — the query reads only
+/// failed rows no matter how large the table is.
 pub fn failures_by_activity(prov: &ProvenanceStore) -> Result<Vec<(String, i64)>, QueryError> {
     let rs = prov.query_rows(FAILURES_BY_ACTIVITY_SQL, &[])?;
     Ok(rs
@@ -79,8 +97,8 @@ pub struct RecentActivation {
 
 /// Activations whose `endtime` is at or after `since`, oldest first — the
 /// incremental "what happened since I last looked" steering poll. The bound
-/// is a typed `?` parameter; on a paged store it becomes a B+tree range
-/// scan over the `endtime` index.
+/// is a typed `?` parameter, and becomes a B+tree range scan over the
+/// `endtime` index.
 pub fn activations_since(
     prov: &ProvenanceStore,
     since: f64,
@@ -127,13 +145,7 @@ pub fn slowest_activations(
     prov: &ProvenanceStore,
     n: usize,
 ) -> Result<Vec<SlowActivation>, QueryError> {
-    let rs = prov.query_limited(
-        "SELECT a.tag, t.pairkey, extract('epoch' from (t.endtime - t.starttime)) AS dur \
-         FROM hactivity a, hactivation t \
-         WHERE a.actid = t.actid AND t.status = 'FINISHED' \
-         ORDER BY dur DESC",
-        n,
-    )?;
+    let rs = prov.query_limited(SLOWEST_ACTIVATIONS_SQL, n)?;
     Ok(rs
         .rows
         .iter()
@@ -157,11 +169,7 @@ pub fn problematic_pairs(
     prov: &ProvenanceStore,
     min_retries: i64,
 ) -> Result<Vec<(String, i64)>, QueryError> {
-    let rs = prov.query_rows(
-        "SELECT pairkey, max(retries) AS r FROM hactivation \
-         GROUP BY pairkey HAVING max(retries) >= ? ORDER BY pairkey",
-        &[Value::Int(min_retries)],
-    )?;
+    let rs = prov.query_rows(PROBLEMATIC_PAIRS_SQL, &[Value::Int(min_retries)])?;
     Ok(rs
         .rows
         .iter()
@@ -178,10 +186,7 @@ pub fn problematic_pairs(
 /// store lock is released between pulls.
 pub fn throughput(prov: &ProvenanceStore, bucket_s: f64) -> Result<Vec<(i64, i64)>, QueryError> {
     assert!(bucket_s > 0.0, "bucket width must be positive");
-    let mut cur = prov.query(
-        "SELECT extract('epoch' from endtime) FROM hactivation WHERE status = 'FINISHED'",
-        &[],
-    )?;
+    let mut cur = prov.query(THROUGHPUT_SQL, &[])?;
     let mut buckets: std::collections::BTreeMap<i64, i64> = Default::default();
     while let Some(row) = cur.next_row()? {
         if let Ok(t) = row.float(0) {
@@ -194,7 +199,7 @@ pub fn throughput(prov: &ProvenanceStore, bucket_s: f64) -> Result<Vec<(i64, i64
 /// Total data volume recorded in `hfile`, in bytes (the paper's "600 GB per
 /// execution" bookkeeping).
 pub fn data_volume_bytes(prov: &ProvenanceStore) -> Result<f64, QueryError> {
-    let rs = prov.query_rows("SELECT sum(fsize) FROM hfile", &[])?;
+    let rs = prov.query_rows(DATA_VOLUME_SQL, &[])?;
     Ok(rs.rows.first().and_then(|r| r[0].as_f64()).unwrap_or(0.0))
 }
 
@@ -236,12 +241,6 @@ mod tests {
         p
     }
 
-    fn paged_store() -> ProvenanceStore {
-        let p = ProvenanceStore::new_paged();
-        fill(&p);
-        p
-    }
-
     /// The `plan` column of an EXPLAIN, joined into one string.
     fn plan_of(p: &ProvenanceStore, sql: &str) -> String {
         let rs = p
@@ -257,41 +256,38 @@ mod tests {
 
     #[test]
     fn status_summary_counts() {
-        for p in [store(), paged_store()] {
-            let s = status_summary(&p).unwrap();
-            let get = |name: &str| s.iter().find(|c| c.status == name).map(|c| c.count);
-            assert_eq!(get("FINISHED"), Some(5));
-            assert_eq!(get("FAILED"), Some(3));
-            assert_eq!(get("ABORTED"), Some(1));
-            assert_eq!(get("BLACKLISTED"), None);
-        }
+        let p = store();
+        let s = status_summary(&p).unwrap();
+        let get = |name: &str| s.iter().find(|c| c.status == name).map(|c| c.count);
+        assert_eq!(get("FINISHED"), Some(5));
+        assert_eq!(get("FAILED"), Some(3));
+        assert_eq!(get("ABORTED"), Some(1));
+        assert_eq!(get("BLACKLISTED"), None);
     }
 
     #[test]
     fn failures_grouped_by_activity() {
-        for p in [store(), paged_store()] {
-            let f = failures_by_activity(&p).unwrap();
-            assert_eq!(f, vec![("babel".to_string(), 1), ("vina".to_string(), 2)]);
-        }
+        let p = store();
+        let f = failures_by_activity(&p).unwrap();
+        assert_eq!(f, vec![("babel".to_string(), 1), ("vina".to_string(), 2)]);
     }
 
     #[test]
     fn activations_since_filters_by_end_time() {
-        for p in [store(), paged_store()] {
-            let all = activations_since(&p, 0.0).unwrap();
-            assert_eq!(all.len(), 9);
-            let recent = activations_since(&p, 100.0).unwrap();
-            // end times ≥ 100: the 137-second vina row, the 180-second one,
-            // and the 390-second aborted one
-            assert_eq!(recent.len(), 3);
-            assert!(recent.windows(2).all(|w| w[0].end_time <= w[1].end_time));
-            assert_eq!(recent.last().unwrap().status, "ABORTED");
-        }
+        let p = store();
+        let all = activations_since(&p, 0.0).unwrap();
+        assert_eq!(all.len(), 9);
+        let recent = activations_since(&p, 100.0).unwrap();
+        // end times ≥ 100: the 137-second vina row, the 180-second one,
+        // and the 390-second aborted one
+        assert_eq!(recent.len(), 3);
+        assert!(recent.windows(2).all(|w| w[0].end_time <= w[1].end_time));
+        assert_eq!(recent.last().unwrap().status, "ABORTED");
     }
 
     #[test]
     fn failure_join_probes_actid_index_on_paged_store() {
-        let plan = plan_of(&paged_store(), FAILURES_BY_ACTIVITY_SQL);
+        let plan = plan_of(&store(), FAILURES_BY_ACTIVITY_SQL);
         assert!(
             plan.contains("IndexProbe hactivation AS t USING ix_hactivation_actid (actid =)"),
             "the join key should probe the actid index:\n{plan}"
@@ -304,7 +300,7 @@ mod tests {
     /// not a pass over every activation.
     #[test]
     fn equality_predicates_use_their_index_on_paged_store() {
-        let p = paged_store();
+        let p = store();
         for (col, literal) in [("status", "'FAILED'"), ("taskid", "3"), ("pairkey", "'D:x'")] {
             let plan =
                 plan_of(&p, &format!("SELECT count(*) FROM hactivation WHERE {col} = {literal}"));
@@ -317,7 +313,7 @@ mod tests {
 
     #[test]
     fn since_query_uses_endtime_range_on_paged_store() {
-        let plan = plan_of(&paged_store(), ACTIVATIONS_SINCE_SQL);
+        let plan = plan_of(&store(), ACTIVATIONS_SINCE_SQL);
         assert!(
             plan.contains("IndexRange hactivation") && plan.contains("ix_hactivation_endtime"),
             "endtime bound should become a B+tree range scan:\n{plan}"
@@ -325,21 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_plans_full_scans() {
-        let plan = plan_of(&store(), FAILURES_BY_ACTIVITY_SQL);
-        assert!(plan.contains("SeqScan"), "{plan}");
-        assert!(!plan.contains("Index"), "no indexes on the mem backing:\n{plan}");
-    }
-
-    #[test]
     fn slowest_finds_the_long_dockings() {
-        for p in [store(), paged_store()] {
-            let s = slowest_activations(&p, 2).unwrap();
-            assert_eq!(s.len(), 2);
-            assert_eq!(s[0].activity, "vina");
-            assert!(s[0].seconds >= s[1].seconds);
-            assert!((s[0].seconds - 60.0).abs() < 1e-9);
-        }
+        let p = store();
+        let s = slowest_activations(&p, 2).unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s[0].activity, "vina");
+        assert!(s[0].seconds >= s[1].seconds);
+        assert!((s[0].seconds - 60.0).abs() < 1e-9);
     }
 
     #[test]
@@ -357,12 +345,11 @@ mod tests {
 
     #[test]
     fn problematic_pairs_by_retry_count() {
-        for p in [store(), paged_store()] {
-            let pp = problematic_pairs(&p, 2).unwrap();
-            assert_eq!(pp, vec![("B:x".to_string(), 2)]);
-            let loose = problematic_pairs(&p, 1).unwrap();
-            assert_eq!(loose.len(), 1, "only B:x was retried");
-        }
+        let p = store();
+        let pp = problematic_pairs(&p, 2).unwrap();
+        assert_eq!(pp, vec![("B:x".to_string(), 2)]);
+        let loose = problematic_pairs(&p, 1).unwrap();
+        assert_eq!(loose.len(), 1, "only B:x was retried");
     }
 
     #[test]
@@ -377,20 +364,18 @@ mod tests {
 
     #[test]
     fn throughput_buckets() {
-        for p in [store(), paged_store()] {
-            // finished end times: 2.0, 7.5, 70.0, 137.0, 180.0 → buckets of 60 s
-            let t = throughput(&p, 60.0).unwrap();
-            let total: i64 = t.iter().map(|(_, c)| c).sum();
-            assert_eq!(total, 5);
-            assert_eq!(t[0], (0, 2));
-        }
+        let p = store();
+        // finished end times: 2.0, 7.5, 70.0, 137.0, 180.0 → buckets of 60 s
+        let t = throughput(&p, 60.0).unwrap();
+        let total: i64 = t.iter().map(|(_, c)| c).sum();
+        assert_eq!(total, 5);
+        assert_eq!(t[0], (0, 2));
     }
 
     #[test]
     fn data_volume_sums_files() {
         assert_eq!(data_volume_bytes(&store()).unwrap(), 60_000.0);
         assert_eq!(data_volume_bytes(&ProvenanceStore::new()).unwrap(), 0.0);
-        assert_eq!(data_volume_bytes(&paged_store()).unwrap(), 60_000.0);
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //! and B+tree primary + secondary indexes — plus the [`TableProvider`]
 //! abstraction the Volcano executor scans through.
 //!
-//! Two providers exist:
+//! [`PagedDb`] is the table engine under every
+//! [`ProvenanceStore`](crate::ProvenanceStore): rows live in slotted heap
+//! pages behind a bounded [`PageCache`](pager::PageCache); a primary B+tree
+//! maps `rowid → record` and secondary B+trees map encoded column keys (see
+//! [`keys`]) back to rowids, so the store does not have to fit in RAM and
+//! selective steering queries are not full scans.
 //!
-//! - [`Database`] (the original in-memory vectors): sequential scans only,
-//!   no indexes — the reference engine, and the planner's full-scan path.
-//! - [`PagedDb`]: rows live in slotted heap pages behind a bounded
-//!   [`PageCache`](pager::PageCache); a primary B+tree maps `rowid → record`
-//!   and secondary B+trees map encoded column keys (see [`keys`]) back to
-//!   rowids, so the store no longer has to fit in RAM and selective
-//!   steering queries stop being full scans.
+//! [`Database`] (plain in-memory vectors, sequential scans only, no
+//! indexes) is a provider too, but not a store's tables: it is the
+//! reference the query-parity tests hold the Volcano executor to, and the
+//! decoded form of a snapshot.
 //!
 //! Contract shared by both (and relied on by the executor for row-order
 //! parity with the reference engine): rowids are dense-ish, monotonically

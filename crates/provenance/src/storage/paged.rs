@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use crate::codec::{Reader, Writer};
-use crate::table::{Database, DbError, Schema};
+use crate::table::{DbError, Schema};
 use crate::value::{Value, ValueType};
 
 use super::btree::BTree;
@@ -417,7 +417,8 @@ impl PagedDb {
         Ok(out)
     }
 
-    /// Names of all tables, sorted (mirrors [`Database::table_names`]).
+    /// Names of all tables, sorted (mirrors
+    /// [`Database::table_names`](crate::table::Database::table_names)).
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(|s| s.as_str()).collect()
     }
@@ -430,20 +431,6 @@ impl PagedDb {
     /// Write all dirty pages back to the page store (checkpoint hook).
     pub fn flush_pages(&self) {
         self.cache.flush();
-    }
-
-    /// Materialize the whole store as an in-memory [`Database`] (used by
-    /// the durable engine's snapshot writer — checkpoints are rare).
-    pub fn to_database(&self) -> Database {
-        let mut db = Database::new();
-        for name in self.table_names().into_iter().map(str::to_string).collect::<Vec<_>>() {
-            let schema = self.table(&name).expect("listed").schema.clone();
-            db.create_table(&name, schema).expect("fresh db");
-            for (_, row) in self.scan_entries(&name, 0, usize::MAX).expect("listed") {
-                db.insert(&name, row).expect("row was validated on the way in");
-            }
-        }
-        db
     }
 
     /// Exhaustive structural check: every row reachable through the primary
@@ -799,17 +786,6 @@ mod tests {
         // Int widens to Float; NULL fits anything
         db.insert("t", vec![Value::Int(1), Value::Null, Value::Int(5)]).unwrap();
         assert!(matches!(db.insert("nope", vec![]), Err(DbError::NoSuchTable(_))));
-    }
-
-    #[test]
-    fn to_database_round_trips() {
-        let db = sample();
-        let mem = db.to_database();
-        assert_eq!(mem.table("t").unwrap().len(), 500);
-        let rows = db.scan_entries("t", 0, usize::MAX).unwrap();
-        for ((_, a), b) in rows.iter().zip(mem.table("t").unwrap().rows()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Page store + page cache.
 //!
-//! [`PageStore`] is the backing byte store (a file, or memory for tests);
-//! [`PageCache`] keeps a bounded set of page frames in RAM with LRU
-//! eviction and dirty write-back. Pinning is implicit: a frame is pinned
-//! while any [`Arc`] handle to it is alive (i.e. while a page closure is
-//! running), and the evictor skips pinned frames.
+//! [`PageStore`] is the backing byte store (a file under a durable store,
+//! memory otherwise); [`PageCache`] keeps a bounded set of page frames in
+//! RAM with LRU eviction and dirty write-back. Pinning is implicit: a frame
+//! is pinned while any [`Arc`] handle to it is alive (i.e. while a page
+//! closure is running), and the evictor skips pinned frames.
 //!
 //! Durability note: the page file is a *rebuildable spill target*, not the
 //! source of truth — the WAL + snapshot engine in [`crate::durable`] remains
@@ -26,7 +26,7 @@ use super::page::PAGE_SIZE;
 /// nil sentinel (B+tree leaves use it as "no next leaf").
 pub type PageId = u32;
 
-/// Backing byte store for pages.
+/// The byte store pages are read from and written back to.
 pub trait PageStore: Send {
     /// Read page `pid` into `buf` (all zeroes if never written).
     fn read(&mut self, pid: PageId, buf: &mut [u8]) -> std::io::Result<()>;
@@ -34,7 +34,8 @@ pub trait PageStore: Send {
     fn write(&mut self, pid: PageId, buf: &[u8]) -> std::io::Result<()>;
 }
 
-/// In-memory page store (tests, benches, env-based stores with no dir).
+/// In-memory page store: under `ProvenanceStore::new()`, env-based stores
+/// with no directory, tests and benches.
 #[derive(Default)]
 pub struct MemPageStore {
     pages: HashMap<PageId, Box<[u8]>>,

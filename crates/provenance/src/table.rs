@@ -157,12 +157,6 @@ impl Table {
         &self.rows
     }
 
-    /// Mutable row access for in-place updates (the caller is responsible
-    /// for keeping values type-compatible with the schema).
-    pub fn rows_mut(&mut self) -> &mut [Vec<Value>] {
-        &mut self.rows
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -203,16 +197,12 @@ impl Database {
             .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
     }
 
-    /// Mutable lookup.
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
     /// Insert into a named table.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), DbError> {
-        self.table_mut(table)?.insert(row)
+        self.tables
+            .get_mut(&table.to_ascii_lowercase())
+            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?
+            .insert(row)
     }
 
     /// Names of all tables, sorted.

@@ -206,9 +206,8 @@ proptest! {
         if let Err(e) = pg.verify_integrity() {
             prop_assert!(false, "integrity violated: {}", e);
         }
-        // and the round-trip back to a plain Database preserves every row
-        let db = pg.to_database();
-        prop_assert_eq!(db.table("t").unwrap().len(), t_rows.len());
-        prop_assert_eq!(db.table("u").unwrap().len(), u_rows.len());
+        // and every row is there
+        prop_assert_eq!(pg.row_count("t").unwrap(), t_rows.len() as u64);
+        prop_assert_eq!(pg.row_count("u").unwrap(), u_rows.len() as u64);
     }
 }

@@ -165,31 +165,6 @@ fn reference(steps: usize) -> Observed {
     observe(&p)
 }
 
-#[test]
-fn paged_and_mem_stores_answer_every_query_identically() {
-    // same mutation sequence into both backings, no durability involved:
-    // the B+tree/heap-file engine and the Vec-of-rows engine must be
-    // observationally indistinguishable, including byte-identical
-    // canonical PROV-N
-    let mem = ProvenanceStore::new();
-    let paged = ProvenanceStore::new_paged();
-    assert!(!mem.is_paged());
-    assert!(paged.is_paged());
-    populate(&mem, FULL);
-    populate(&paged, FULL);
-    assert_eq!(observe(&mem), observe(&paged));
-    assert_eq!(
-        provenance::export_provn_canonical(&mem),
-        provenance::export_provn_canonical(&paged),
-        "canonical PROV-N must be byte-identical across backings"
-    );
-    paged.verify_integrity().expect("paged structural invariants hold");
-    assert!(
-        paged.cache_stats().hits > 0,
-        "queries over the paged store must actually go through the page cache"
-    );
-}
-
 /// Write `n` finished activations (0–2 files, 0–2 parameters, 0–3 tuples
 /// each, every third one over a `RUNNING` row that was there first) either
 /// as the per-row call sequence a finished activation used to be, or as
@@ -246,23 +221,19 @@ fn finished_stream(p: &ProvenanceStore, n: usize, whole: bool) {
 
 #[test]
 fn commit_activation_writes_the_rows_of_the_per_row_calls() {
-    // same ids, same values, same order within every table — on both
-    // backings, and again after the whole-activation records are replayed
+    // same ids, same values, same order within every table — in memory and
+    // durable, and again after the whole-activation records are replayed
     let per_row = ProvenanceStore::new();
     finished_stream(&per_row, 24, false);
     let expect = per_row.dump_tables();
     let provn = provenance::export_provn_canonical(&per_row);
+    assert!(per_row.cache_stats().hits > 0, "reads go through the page cache");
 
     let env = MemEnv::new();
     let durable = ProvenanceStore::open_env(Box::new(env.clone()), sync_options()).unwrap();
-    for (whole, store) in [
-        (false, ProvenanceStore::new_paged()),
-        (true, ProvenanceStore::new()),
-        (true, ProvenanceStore::new_paged()),
-        (true, durable),
-    ] {
-        finished_stream(&store, 24, whole);
-        assert_eq!(store.dump_tables(), expect, "whole = {whole}, paged = {}", store.is_paged());
+    for store in [ProvenanceStore::new(), durable] {
+        finished_stream(&store, 24, true);
+        assert_eq!(store.dump_tables(), expect, "durable = {}", store.is_durable());
         assert_eq!(provenance::export_provn_canonical(&store), provn);
         store.verify_integrity().expect("paged structural invariants hold");
     }
@@ -317,7 +288,6 @@ fn crash_recovered_store_answers_like_its_committed_prefix() {
         std::mem::forget(p);
 
         let rp = ProvenanceStore::open_env(Box::new(env), sync_options()).unwrap();
-        assert!(rp.is_paged(), "durable stores recover onto the paged backing");
         rp.verify_integrity().expect("recovered paged store passes structural checks");
         assert_eq!(
             observe(&rp),
