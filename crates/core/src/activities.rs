@@ -469,7 +469,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         Activity::map("babel", &["receptor", "ligand", "pdb_file", "mol2_file"], a1),
         Activity::map("prepligand", &["receptor", "ligand", "pdb_file", "lig_pdbqt"], a2),
         {
-            let mut a = Activity::map("prepreceptor", &prep_cols, a3);
+            let mut a = Activity::map("prepreceptor", &prep_cols, a3).with_affinity("receptor");
             a.blacklist = hg_blacklist;
             a
         },
@@ -478,7 +478,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             &["receptor", "ligand", "lig_pdbqt", "rec_pdbqt", "rec_atoms", "gpf_file"],
             a4,
         ),
-        Activity::map("autogrid4", &prep_cols, a5),
+        Activity::map("autogrid4", &prep_cols, a5).with_affinity("receptor"),
         Activity::map("dockfilter", &filt_cols, a6).with_operator(Operator::Filter),
     ];
     let mut deps: Vec<Vec<usize>> = vec![vec![], vec![0], vec![1], vec![2], vec![3], vec![4]];
@@ -489,11 +489,14 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
                 Activity::map("autodpf4", &parm_cols, a7a).with_route("engine", "AD4".into()),
             );
             deps.push(vec![5]);
-            activities.push(Activity::map(
-                "autodock4",
-                &dock_cols,
-                dock_fn(EngineKind::Ad4, Arc::clone(&cache), Arc::clone(&cfga)),
-            ));
+            activities.push(
+                Activity::map(
+                    "autodock4",
+                    &dock_cols,
+                    dock_fn(EngineKind::Ad4, Arc::clone(&cache), Arc::clone(&cfga)),
+                )
+                .with_affinity("receptor"),
+            );
             deps.push(vec![6]);
         }
         EngineMode::VinaOnly => {
@@ -501,11 +504,14 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
                 Activity::map("vinaconfig", &parm_cols, a7b).with_route("engine", "VINA".into()),
             );
             deps.push(vec![5]);
-            activities.push(Activity::map(
-                "vina",
-                &dock_cols,
-                dock_fn(EngineKind::Vina, Arc::clone(&cache), Arc::clone(&cfga)),
-            ));
+            activities.push(
+                Activity::map(
+                    "vina",
+                    &dock_cols,
+                    dock_fn(EngineKind::Vina, Arc::clone(&cache), Arc::clone(&cfga)),
+                )
+                .with_affinity("receptor"),
+            );
             deps.push(vec![6]);
         }
         EngineMode::Adaptive => {
@@ -517,17 +523,23 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
                 Activity::map("vinaconfig", &parm_cols, a7b).with_route("engine", "VINA".into()),
             );
             deps.push(vec![5]);
-            activities.push(Activity::map(
-                "autodock4",
-                &dock_cols,
-                dock_fn(EngineKind::Ad4, Arc::clone(&cache), Arc::clone(&cfga)),
-            ));
+            activities.push(
+                Activity::map(
+                    "autodock4",
+                    &dock_cols,
+                    dock_fn(EngineKind::Ad4, Arc::clone(&cache), Arc::clone(&cfga)),
+                )
+                .with_affinity("receptor"),
+            );
             deps.push(vec![6]);
-            activities.push(Activity::map(
-                "vina",
-                &dock_cols,
-                dock_fn(EngineKind::Vina, Arc::clone(&cache), Arc::clone(&cfga)),
-            ));
+            activities.push(
+                Activity::map(
+                    "vina",
+                    &dock_cols,
+                    dock_fn(EngineKind::Vina, Arc::clone(&cache), Arc::clone(&cfga)),
+                )
+                .with_affinity("receptor"),
+            );
             deps.push(vec![7]);
         }
     }

@@ -30,7 +30,9 @@
 //! Lookups of one key are **single flight**: the key's cell is locked while
 //! its value is computed, so racing activations wait for one load, build,
 //! parse or rendering instead of each doing their own. A failed computation
-//! is not memoised.
+//! is not memoised. Each such wait is counted (`receptor.waits`) and timed
+//! (`receptor.wait`): the engine's affinity dispatch exists to keep them
+//! near zero.
 //!
 //! The tier is **LRU by resident bytes** against `TIER_BUDGET_BYTES`.
 //! Eviction only drops the tier's reference: activations and file stores
@@ -42,6 +44,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -224,7 +227,9 @@ impl ReceptorCache {
 
     /// The value under `key`, computed by `fill` (which also says what it
     /// weighs) if the tier does not hold it; the flag is `true` for the one
-    /// caller whose `fill` ran.
+    /// caller whose `fill` ran. A caller that finds the key's cell held by
+    /// another is counted by `receptor.waits`, and its wait timed into the
+    /// `receptor.wait` histogram (nanoseconds).
     fn get_or_try<T: Any + Send + Sync>(
         &self,
         key: Key,
@@ -243,7 +248,15 @@ impl ReceptorCache {
             held.used = now;
             Arc::clone(&held.slot)
         };
-        let mut cell = slot.lock();
+        let mut cell = slot.try_lock().unwrap_or_else(|| {
+            tel.count("receptor.waits", 1);
+            let start = Instant::now();
+            let cell = slot.lock();
+            if let Some(h) = tel.histogram("receptor.wait") {
+                h.record(start.elapsed().as_nanos() as u64);
+            }
+            cell
+        });
         if let Some(value) = &*cell {
             let value = Arc::clone(value).downcast().expect("a key's variant fixes its value type");
             return Ok((value, false));
@@ -834,6 +847,37 @@ mod tests {
         assert_eq!(counter(&tel, "gridcache.miss"), 1);
         assert_eq!(counter(&tel, "gridcache.hit"), 7);
         assert_eq!(counter(&tel, "gridcache.bytes"), got[0].1.bytes(), "one build");
+    }
+
+    #[test]
+    fn a_caller_that_finds_a_fill_in_progress_is_one_counted_wait() {
+        let tel = Telemetry::attached();
+        let tier = ReceptorCache::default();
+        let (entered, fills) = (Barrier::new(2), std::sync::atomic::AtomicUsize::new(0));
+        let ask = || {
+            tier.get_or_try(Key::Receptor(7), &tel, || {
+                fills.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                entered.wait();
+                // hold the cell until the other caller has found it held
+                while counter(&tel, "receptor.waits") == 0 {
+                    std::thread::yield_now();
+                }
+                Ok((42u64, 8))
+            })
+        };
+        let (first, second) = std::thread::scope(|s| {
+            let filler = s.spawn(ask);
+            entered.wait();
+            let waiter = ask().unwrap();
+            (filler.join().unwrap().unwrap(), waiter)
+        });
+        assert!(first.1 && !second.1, "the filler computed, the waiter did not");
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+        assert_eq!(fills.into_inner(), 1);
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.counter("receptor.waits"), Some(1));
+        assert_eq!(snap.histogram("receptor.wait").map(|h| h.count), Some(1));
+        assert_eq!(telemetry::registry::unregistered(&snap), Vec::<String>::new());
     }
 
     #[test]

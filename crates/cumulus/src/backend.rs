@@ -134,7 +134,11 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// The output relation of the final activity.
+    /// The output relation of the *last* activity in definition order, and
+    /// only that one: in a workflow with several sinks the others' tuples
+    /// are not in it (an adaptive SciDock run without ranking ends in
+    /// `autodock4` and `vina`, and this is `vina`'s relation alone). Read
+    /// `outputs` by index for the rest.
     ///
     /// # Panics
     /// Panics when the backend produced no output relations (the

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use telemetry::Telemetry;
 
 use crate::algebra::{Operator, Relation, Tuple};
-use crate::workflow::WorkflowDef;
+use crate::workflow::{digest, WorkflowDef};
 
 /// One activation the dispatcher wants executed: `part` tuples of activity
 /// `activity`, with `part_index` naming its working directory (arrival
@@ -27,6 +27,9 @@ pub(crate) struct SubmitReq {
     pub part: Vec<Tuple>,
     /// Working-directory index (submission order within the activity).
     pub part_index: usize,
+    /// [`affinity_key`] of the part, when its activity declares an
+    /// affinity column.
+    pub affinity: Option<u64>,
 }
 
 /// Dispatcher-side state of one activity.
@@ -37,6 +40,8 @@ struct ActState {
     /// Columns of this activity's *input* relation (upstream schema or the
     /// workflow input schema) — needed for route filtering and Reduce keys.
     input_columns: Vec<String>,
+    /// Position of the affinity column in `input_columns`.
+    affinity: Option<usize>,
     /// Buffered input tuples (barrier operators only).
     buffer: Vec<Tuple>,
     /// When the first tuple was buffered (barrier operators only) — start
@@ -105,12 +110,17 @@ impl PipelineState {
                     }
                     first.clone()
                 };
+                let affinity = activity
+                    .affinity
+                    .as_ref()
+                    .and_then(|col| input_columns.iter().position(|c| c.eq_ignore_ascii_case(col)));
                 ActState {
                     is_barrier_op: matches!(
                         activity.operator,
                         Operator::Reduce { .. } | Operator::SRQuery | Operator::MRQuery
                     ),
                     input_columns,
+                    affinity,
                     buffer: Vec::new(),
                     barrier_wait_start: None,
                     upstream_open: def.deps[i].len(),
@@ -253,7 +263,8 @@ impl PipelineState {
         let j = state.next_part;
         state.next_part += 1;
         state.in_flight += 1;
-        reqs.push(SubmitReq { activity: i, part, part_index: j });
+        let affinity = state.affinity.zip(part.first()).map(|(ci, t)| affinity_key(i, &t[ci]));
+        reqs.push(SubmitReq { activity: i, part, part_index: j, affinity });
     }
 
     /// Cascade closures; closing an activity may complete the input of (and
@@ -311,6 +322,15 @@ pub(crate) fn pair_key(tuples: &[Tuple]) -> String {
             format!("{first}*{h:016x}")
         }
     }
+}
+
+/// The dispatch affinity key of an activation of `activity` whose affinity
+/// column holds `value` (a multi-tuple part keys on its first tuple): the
+/// [`digest`] of both, taken once, when the dispatcher submits the part.
+/// Keys compare across runs: between runs of one workflow, equal keys
+/// mean the same activity over the same receptor.
+pub(crate) fn affinity_key(activity: usize, value: &provenance::Value) -> u64 {
+    digest(format!("{activity}:{value}").as_bytes())
 }
 
 /// Render one tuple as a short key.
@@ -469,6 +489,40 @@ mod tests {
         assert!(reqs.is_empty());
         assert!(pipe.done(), "empty workflow closes at seed time");
         assert_eq!(pipe.submitted(), 0);
+    }
+
+    #[test]
+    fn affinity_keys_follow_activity_and_value_and_a_missing_column_sets_none() {
+        let mut rel = Relation::new(&["receptor", "ligand"]);
+        for (r, l) in [("r0", "a"), ("r0", "b"), ("r1", "a")] {
+            rel.push(vec![r.into(), l.into()]);
+        }
+        let cols = ["receptor", "ligand"];
+        let def = WorkflowDef {
+            tag: "t".into(),
+            description: String::new(),
+            expdir: "/e".into(),
+            activities: vec![
+                Activity::map("a", &cols, ident()).with_affinity("RECEPTOR"),
+                Activity::map("b", &cols, ident()).with_affinity("receptor"),
+                Activity::map("c", &cols, ident()).with_affinity("nope"),
+                Activity::map("d", &cols, ident()),
+            ],
+            deps: vec![vec![], vec![0], vec![0], vec![0]],
+        };
+        let (mut pipe, reqs) = PipelineState::new(Arc::new(def), &rel, Telemetry::disabled());
+        let keys: Vec<Option<u64>> = reqs.iter().map(|r| r.affinity).collect();
+        // the column resolves as a route's does, case-insensitively
+        assert_eq!(keys[0], Some(affinity_key(0, &"r0".into())));
+        assert_eq!(keys[0], keys[1], "equal values, equal keys");
+        assert_ne!(keys[0], keys[2]);
+        let next = pipe.on_completion(0, &reqs[0].part);
+        let next: Vec<(usize, Option<u64>)> =
+            next.iter().map(|r| (r.activity, r.affinity)).collect();
+        // the same receptor under another activity is other work; a column
+        // the input lacks, or none declared, sets no key
+        assert_eq!(next, [(1, Some(affinity_key(1, &"r0".into()))), (2, None), (3, None)]);
+        assert_ne!(next[0].1, keys[0]);
     }
 
     #[test]

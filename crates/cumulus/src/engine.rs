@@ -4,10 +4,11 @@
 //!
 //! [`Engine`] owns, once: the table of *live* runs (dispatcher, activity
 //! contexts, queue of admitted [`Job`]s), the worker table with what each
-//! worker has in flight, admit → fair-share pick → place → dispatch, the
-//! completion tick that feeds the fleet policy, the [`FleetSnapshot`] and the
-//! application of scale decisions, worker loss → [`Exec::Lost`] → reassign →
-//! poison, the straggler and liveness sweeps, and the `/healthz` view.
+//! worker has in flight, admit → fair-share pick → affinity pick → place →
+//! dispatch, the completion tick that feeds the fleet policy, the
+//! [`FleetSnapshot`] and the application of scale decisions, worker loss →
+//! [`Exec::Lost`] → reassign → poison, the straggler and liveness sweeps,
+//! and the `/healthz` view.
 //!
 //! It never touches a thread or a socket: workers are behind a
 //! [`WorkerPort`] and report back as [`PortEvent`]s on the channel the
@@ -54,6 +55,10 @@ pub(crate) struct Job {
     pub(crate) part_index: usize,
     pub(crate) part: Arc<Vec<Tuple>>,
     pub(crate) key: Arc<str>,
+    /// The dispatcher's affinity key, when the activity declares one: a
+    /// slot skips a job whose key an attempt in flight holds while the run
+    /// has ready work with a free key.
+    affinity: Option<u64>,
     pub(crate) attempt: u32,
     /// Worker losses this activation has survived.
     crashes: u32,
@@ -168,6 +173,10 @@ pub(crate) struct Run {
     submits: VecDeque<SubmitReq>,
     /// Admitted activations waiting for a worker slot.
     ready: VecDeque<Job>,
+    /// `submits` and `ready` together, by activity: counted as jobs enter
+    /// and leave them, so the fleet policy's per-completion look at the
+    /// backlog walks no queue.
+    queued: Vec<usize>,
     in_flight: usize,
     pub(crate) tally: ActOutcome,
     /// Terminal activations so far.
@@ -221,12 +230,35 @@ impl Run {
         }
     }
 
+    /// Queue what the dispatcher submitted, for admission.
+    fn submit(&mut self, reqs: Vec<SubmitReq>) {
+        for req in reqs {
+            self.queued[req.activity] += 1;
+            self.submits.push_back(req);
+        }
+    }
+
+    /// Take the ready job at `at` for a worker slot.
+    fn take(&mut self, at: usize) -> Job {
+        let job = self.ready.remove(at).expect("a ready job's position");
+        self.queued[job.activity] -= 1;
+        job
+    }
+
+    /// Drop everything queued: the run is cancelled.
+    fn clear(&mut self) {
+        self.ready.clear();
+        self.submits.clear();
+        self.queued.fill(0);
+    }
+
     /// A terminal activation: count it and let its tuples flow downstream.
     fn finish(&mut self, activity: usize, out: ActOutcome) {
         self.tally.add(&out);
         self.done += 1;
         if !self.cancelled {
-            self.submits.extend(self.pipe.on_completion(activity, &out.tuples));
+            let reqs = self.pipe.on_completion(activity, &out.tuples);
+            self.submit(reqs);
         }
     }
 
@@ -238,6 +270,7 @@ impl Run {
                 self.tally.failed_attempts += 1;
                 job.attempt += 1;
                 if !self.cancelled {
+                    self.queued[job.activity] += 1;
                     self.ready.push_front(job);
                 }
             }
@@ -310,13 +343,14 @@ impl<P: WorkerPort> Engine<P> {
         ctxs: Vec<Arc<ActivityCtx>>,
     ) {
         let (pipe, seeds) = PipelineState::new(def, input, self.cfg.tel.clone());
-        self.runs.push(Run {
+        let mut run = Run {
             id,
             tenant: tenant.to_string(),
             priority,
             pipe,
+            queued: vec![0; ctxs.len()],
             ctxs,
-            submits: seeds.into(),
+            submits: VecDeque::new(),
             ready: VecDeque::new(),
             in_flight: 0,
             tally: ActOutcome::default(),
@@ -324,7 +358,9 @@ impl<P: WorkerPort> Engine<P> {
             lat_ns: Vec::new(),
             cancelled: false,
             unseen: true,
-        });
+        };
+        run.submit(seeds);
+        self.runs.push(run);
     }
 
     /// The live run `id`.
@@ -337,8 +373,7 @@ impl<P: WorkerPort> Engine<P> {
     pub(crate) fn cancel(&mut self, id: u64) -> bool {
         let Some(run) = self.runs.iter_mut().find(|r| r.id == id) else { return false };
         run.cancelled = true;
-        run.ready.clear();
-        run.submits.clear();
+        run.clear();
         self.close_runs();
         true
     }
@@ -408,12 +443,11 @@ impl<P: WorkerPort> Engine<P> {
     /// provisioned fleet, capacity), never wall-clock state, so the
     /// simulator can reproduce the exact decision sequence.
     fn snapshot(&self) -> FleetSnapshot {
-        let n_acts = self.runs.iter().map(|r| r.ctxs.len()).max().unwrap_or(0);
+        let n_acts = self.runs.iter().map(|r| r.queued.len()).max().unwrap_or(0);
         let mut queued_by_activity = vec![0usize; n_acts];
         for r in &self.runs {
-            let queued = r.ready.iter().map(|j| j.activity);
-            for activity in queued.chain(r.submits.iter().map(|s| s.activity)) {
-                queued_by_activity[activity] += 1;
+            for (total, n) in queued_by_activity.iter_mut().zip(&r.queued) {
+                *total += n;
             }
         }
         let alive = || self.workers.iter().filter(|w| w.alive);
@@ -580,12 +614,16 @@ impl<P: WorkerPort> Engine<P> {
             while let Some(req) = run.submits.pop_front() {
                 any = true;
                 match run.ctxs[req.activity].admit(&req.part) {
-                    Admitted::Settled(out) => run.finish(req.activity, out),
+                    Admitted::Settled(out) => {
+                        run.queued[req.activity] -= 1;
+                        run.finish(req.activity, out);
+                    }
                     Admitted::Run(key) => run.ready.push_back(Job {
                         activity: req.activity,
                         part_index: req.part_index,
                         part: Arc::new(req.part),
                         key: key.into(),
+                        affinity: req.affinity,
                         attempt: 0,
                         crashes: 0,
                     }),
@@ -608,11 +646,14 @@ impl<P: WorkerPort> Engine<P> {
     }
 
     /// Hand every free slot one attempt, fair-share across runs, placed by
-    /// the fleet policy (least loaded by default). Free slots are filled
-    /// from what is already admitted: admission runs a workflow's own rules
-    /// and store lookups, so it waits until every slot is busy — or until
-    /// nothing admitted is left to fill one with — and costs no worker any
-    /// time.
+    /// the fleet policy (least loaded by default). Within the picked run the
+    /// slot takes the oldest ready job whose affinity key no attempt in
+    /// flight holds, or the oldest job when every key is held: two workers
+    /// never build one receptor's grids at once while other work is ready.
+    /// Free slots are filled from what is already admitted: admission runs a
+    /// workflow's own rules and store lookups, so it waits until every slot
+    /// is busy — or until nothing admitted is left to fill one with — and
+    /// costs no worker any time.
     fn dispatch(&mut self) {
         let slots = self.port.slots();
         loop {
@@ -630,8 +671,13 @@ impl<P: WorkerPort> Engine<P> {
                 }
                 return;
             };
+            let workers = &self.workers;
+            let held = |key| {
+                workers.iter().flat_map(|w| &w.in_flight).any(|f| f.job.affinity == Some(key))
+            };
             let run = &mut self.runs[ri];
-            let job = run.ready.pop_front().expect("picked run has ready work");
+            let at = run.ready.iter().position(|j| !j.affinity.is_some_and(held)).unwrap_or(0);
+            let job = run.take(at);
             let ctx = Arc::clone(&run.ctxs[job.activity]);
             if ctx.hangs(&job.key, job.attempt) {
                 // the activation would loop forever: abort it here rather
@@ -851,11 +897,13 @@ mod tests {
         launched: usize,
         held: Vec<Vec<(u64, Attempt)>>,
         drained: Vec<usize>,
+        /// `(worker, part_index)` of every attempt handed over, in order.
+        ran: Vec<(usize, usize)>,
     }
 
     impl FakePort {
         fn new(slots: usize) -> FakePort {
-            FakePort { slots, launched: 0, held: Vec::new(), drained: Vec::new() }
+            FakePort { slots, launched: 0, held: Vec::new(), drained: Vec::new(), ran: Vec::new() }
         }
     }
 
@@ -879,6 +927,7 @@ mod tests {
             let held = &mut self.held[worker];
             held.push((id, ctx.begin(&job.key, job.attempt)));
             assert!(held.len() <= self.slots, "worker {worker} holds {} jobs", held.len());
+            self.ran.push((worker, job.part_index));
             true
         }
 
@@ -937,6 +986,33 @@ mod tests {
         e
     }
 
+    /// One Map activity over receptor × ligand pairs, with `affinity` as its
+    /// affinity column when given.
+    fn dock_def(affinity: Option<&str>) -> Arc<WorkflowDef> {
+        let dock = Activity::map("dock", &["receptor", "ligand"], Arc::new(|p, _| Ok(p.to_vec())));
+        Arc::new(WorkflowDef {
+            tag: "dock".into(),
+            description: "engine test".into(),
+            expdir: "/exp/dock".into(),
+            activities: vec![match affinity {
+                Some(column) => dock.with_affinity(column),
+                None => dock,
+            }],
+            deps: vec![vec![]],
+        })
+    }
+
+    /// `receptors × ligands` pairs, receptor-major, as SciDock stages them.
+    fn receptor_major(receptors: usize, ligands: usize) -> Relation {
+        let mut r = Relation::new(&["receptor", "ligand"]);
+        for i in 0..receptors {
+            for j in 0..ligands {
+                r.push(vec![Value::from(format!("r{i}")), Value::from(format!("l{j}"))]);
+            }
+        }
+        r
+    }
+
     /// Take on `n` flat activations as run `id` of `tenant`, recorded in
     /// `prov`.
     fn add_flat(
@@ -947,7 +1023,19 @@ mod tests {
         prov: &Arc<ProvenanceStore>,
         failures: FailureModel,
     ) {
-        let def = flat_def();
+        add_def(e, id, tenant, flat_def(), &ints(n), prov, failures);
+    }
+
+    /// Take on `def` over `input` as run `id` of `tenant`, recorded in `prov`.
+    fn add_def(
+        e: &mut Engine<FakePort>,
+        id: u64,
+        tenant: &str,
+        def: Arc<WorkflowDef>,
+        input: &Relation,
+        prov: &Arc<ProvenanceStore>,
+        failures: FailureModel,
+    ) {
         let run = Arc::new(RunCtx {
             wkf: prov.begin_workflow(&def.tag, &def.description, &def.expdir),
             files: Arc::new(FileStore::new()),
@@ -961,7 +1049,21 @@ mod tests {
             events: None,
         });
         let ctxs = ActivityCtx::build_all(&def, &run);
-        e.add_run(id, tenant, 0, def, &ints(n), ctxs);
+        e.add_run(id, tenant, 0, def, input, ctxs);
+    }
+
+    /// Settle the attempt `worker` took last as finished, its input passed
+    /// downstream as its output.
+    fn settle_ok(e: &mut Engine<FakePort>, worker: usize) {
+        let (job, _) = e.port.held[worker].pop().expect("worker holds an attempt");
+        let f = e.workers[worker].in_flight.iter().find(|f| f.id == job).expect("in flight");
+        let out = ActOutcome { finished: 1, tuples: f.job.part.to_vec(), ..Default::default() };
+        e.handle(PortEvent::Settled { worker, job, settled: Settled::Terminal(out) }).unwrap();
+    }
+
+    /// Affinity keys of the attempts in flight.
+    fn keys_in_flight(e: &Engine<FakePort>) -> Vec<Option<u64>> {
+        e.workers.iter().flat_map(|w| &w.in_flight).map(|f| f.job.affinity).collect()
     }
 
     fn finished() -> Settled {
@@ -1135,5 +1237,150 @@ mod tests {
         assert_eq!((e.closed[0].tally.aborted, e.closed[0].done), (4, 4));
         assert!(statuses(&prov).iter().all(|(_, s)| s == "ABORTED"));
         assert_eq!(statuses(&prov).len(), 4);
+    }
+
+    /// Receptor-major pairs on two one-slot workers, affinity on the
+    /// receptor: while the run has a ready pair of a receptor nobody holds,
+    /// the two workers never hold the same receptor.
+    #[test]
+    fn affinity_keeps_two_workers_off_one_receptor_while_other_work_is_ready() {
+        let prov = Arc::new(ProvenanceStore::new());
+        let mut e = engine(1, 2, 1, None);
+        let input = receptor_major(3, 4);
+        add_def(&mut e, 1, "t", dock_def(Some("receptor")), &input, &prov, FailureModel::none());
+        let mut shared = 0;
+        for step in 0..12 {
+            e.pump().unwrap();
+            let keys = keys_in_flight(&e);
+            assert!(keys.iter().all(Option::is_some), "every pair has a key");
+            if keys.len() == 2 && keys[0] == keys[1] {
+                shared += 1;
+                let free = e.runs[0].ready.iter().find(|j| !keys.contains(&j.affinity));
+                assert!(free.is_none(), "step {step}: one receptor twice, {free:?} ready");
+            }
+            // the workers take turns finishing
+            let worker = [step % 2, 1 - step % 2].into_iter().find(|&w| !e.port.held[w].is_empty());
+            settle_ok(&mut e, worker.expect("a worker holds work"));
+        }
+        e.pump().unwrap();
+        assert_eq!(e.closed[0].done, 12);
+        // the second worker starts on the second receptor, not the first's
+        // next ligand; only the last receptor's tail, with nothing else
+        // ready, runs side by side
+        assert_eq!(e.port.ran[..2], [(0, 0), (1, 4)]);
+        assert_eq!(shared, 3);
+    }
+
+    /// With no affinity declared — or one on a column the input does not
+    /// have, which sets no key, as a route on a missing column matches
+    /// nothing — the dispatch sequence is FIFO: pinned.
+    #[test]
+    fn without_an_affinity_key_the_dispatch_sequence_is_fifo() {
+        for affinity in [None, Some("target")] {
+            let prov = Arc::new(ProvenanceStore::new());
+            let mut e = engine(1, 2, 1, None);
+            let input = receptor_major(3, 4);
+            add_def(&mut e, 1, "t", dock_def(affinity), &input, &prov, FailureModel::none());
+            for step in 0..12 {
+                e.pump().unwrap();
+                assert!(keys_in_flight(&e).iter().all(Option::is_none), "{affinity:?}");
+                let worker =
+                    [step % 2, 1 - step % 2].into_iter().find(|&w| !e.port.held[w].is_empty());
+                settle_ok(&mut e, worker.expect("a worker holds work"));
+            }
+            let fifo = [(0, 0), (1, 1), (0, 2), (1, 3), (0, 4), (1, 5)];
+            let fifo = fifo.into_iter().chain([(0, 6), (1, 7), (0, 8), (1, 9), (0, 10), (1, 11)]);
+            assert_eq!(e.port.ran, fifo.collect::<Vec<_>>(), "{affinity:?}");
+        }
+    }
+
+    /// A retried attempt and a lost worker's attempt each go back to the
+    /// front of the queue with their key, and are the next dispatched.
+    #[test]
+    fn a_retried_and_a_requeued_job_keep_their_key_and_the_front() {
+        let prov = Arc::new(ProvenanceStore::new());
+        let mut e = engine(1, 2, 1, None);
+        let input = receptor_major(2, 3);
+        add_def(&mut e, 1, "t", dock_def(Some("receptor")), &input, &prov, FailureModel::none());
+        e.pump().unwrap();
+        assert_eq!(e.port.ran, [(0, 0), (1, 3)]);
+        let [r0, r1] = [0, 1].map(|w| e.workers[w].in_flight[0].job.affinity);
+        let front = |e: &Engine<FakePort>| {
+            let j = e.runs[0].ready.front().expect("ready work");
+            (j.part_index, j.attempt, j.crashes, j.affinity)
+        };
+
+        let (job, _) = e.port.held[0].pop().unwrap();
+        e.handle(PortEvent::Settled { worker: 0, job, settled: Settled::Retry }).unwrap();
+        assert_eq!(front(&e), (0, 1, 0, r0));
+        e.pump().unwrap();
+        assert_eq!(e.port.ran.last(), Some(&(0, 0)));
+
+        e.handle(PortEvent::Lost { worker: 1, reason: "test" }).unwrap();
+        assert_eq!(front(&e), (3, 1, 1, r1));
+        e.launch(1).unwrap();
+        e.pump().unwrap();
+        assert_eq!(e.port.ran.last(), Some(&(2, 3)));
+    }
+
+    /// The per-run counts the fleet policy reads equal a full recount of
+    /// both queues after every step: admission (a blacklisted input settles
+    /// there), dispatch and the affinity pick, completion, retry, worker
+    /// loss and cancel.
+    #[test]
+    fn queued_counts_equal_a_full_recount_after_every_step() {
+        fn check(e: &Engine<FakePort>, step: usize) {
+            let mut recount = vec![0; e.runs.iter().map(|r| r.ctxs.len()).max().unwrap_or(0)];
+            for r in &e.runs {
+                let ready = r.ready.iter().map(|j| j.activity);
+                for activity in ready.chain(r.submits.iter().map(|s| s.activity)) {
+                    recount[activity] += 1;
+                }
+            }
+            assert_eq!(e.snapshot().queued_by_activity, recount, "step {step}");
+        }
+        let ident: crate::workflow::ActivityFn = Arc::new(|p, _| Ok(p.to_vec()));
+        let cols = ["receptor", "ligand"];
+        let def = Arc::new(WorkflowDef {
+            tag: "chain".into(),
+            description: "engine test".into(),
+            expdir: "/exp/chain".into(),
+            activities: vec![
+                Activity::map("stage", &cols, Arc::clone(&ident)),
+                Activity::map("dock", &cols, ident)
+                    .with_affinity("receptor")
+                    .with_blacklist(Arc::new(|t| t[1] == Value::from("l1"))),
+            ],
+            deps: vec![vec![], vec![0]],
+        });
+        let prov = Arc::new(ProvenanceStore::new());
+        let mut e = engine(1, 2, 1, None);
+        add_def(&mut e, 1, "a", def, &receptor_major(3, 3), &prov, FailureModel::none());
+        add_flat(&mut e, 2, "b", 6, &prov, FailureModel::none());
+        check(&e, 0);
+        for step in 1..100 {
+            e.pump().unwrap();
+            check(&e, step);
+            if e.runs.is_empty() {
+                assert_eq!(e.closed.len(), 2);
+                return;
+            }
+            let busy = (0..e.port.held.len()).find(|&w| !e.port.held[w].is_empty());
+            let worker = busy.expect("a live run has work in flight");
+            match step {
+                3 | 8 => {
+                    let (job, _) = e.port.held[worker].pop().unwrap();
+                    e.handle(PortEvent::Settled { worker, job, settled: Settled::Retry }).unwrap();
+                }
+                5 => {
+                    e.handle(PortEvent::Lost { worker, reason: "test" }).unwrap();
+                    e.launch(1).unwrap();
+                }
+                7 => assert!(e.cancel(2)),
+                _ => settle_ok(&mut e, worker),
+            }
+            check(&e, step);
+        }
+        panic!("the runs never closed");
     }
 }

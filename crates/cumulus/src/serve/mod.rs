@@ -330,7 +330,10 @@ impl ServeClient {
         }
     }
 
-    /// Fetch the final output relation of a finished campaign.
+    /// Fetch the output relation of a finished campaign's *last* activity in
+    /// definition order, and only that one: a campaign whose workflow has
+    /// several sinks answers with the last sink's tuples alone (an adaptive
+    /// SciDock spec without ranking: `vina`'s pairs, none of `autodock4`'s).
     pub fn results(&mut self, id: u64) -> std::io::Result<(Vec<String>, Vec<Tuple>)> {
         match self.roundtrip(&proto::Msg::Results { id })? {
             proto::Msg::ResultsReply { columns, tuples } => Ok((columns, tuples)),

@@ -440,6 +440,10 @@ pub struct Activity {
     /// Consume only input tuples where `column == value` (routing after a
     /// Filter activity, e.g. small→AD4, large→Vina).
     pub route: Option<(String, Value)>,
+    /// Input column whose value names what an activation works on (a
+    /// receptor): the engine keeps two activations of this activity with
+    /// equal values off the workers at once while other ready work exists.
+    pub affinity: Option<String>,
     /// Poison-input rule: matching tuples are recorded as BLACKLISTED and
     /// skipped.
     pub blacklist: Option<BlacklistFn>,
@@ -452,6 +456,7 @@ impl fmt::Debug for Activity {
             .field("operator", &self.operator)
             .field("output_columns", &self.output_columns)
             .field("route", &self.route)
+            .field("affinity", &self.affinity)
             .field("has_blacklist", &self.blacklist.is_some())
             .finish()
     }
@@ -466,6 +471,7 @@ impl Activity {
             output_columns: output_columns.iter().map(|s| s.to_string()).collect(),
             func,
             route: None,
+            affinity: None,
             blacklist: None,
         }
     }
@@ -479,6 +485,15 @@ impl Activity {
     /// Builder: route on `column == value`.
     pub fn with_route(mut self, column: &str, value: Value) -> Activity {
         self.route = Some((column.to_string(), value));
+        self
+    }
+
+    /// Builder: dispatch with affinity on input `column` — activations
+    /// sharing its value (a receptor whose grids the first one builds) are
+    /// not run side by side while other ready work can fill the slot. A
+    /// column missing from the input schema sets no affinity.
+    pub fn with_affinity(mut self, column: &str) -> Activity {
+        self.affinity = Some(column.to_string());
         self
     }
 

@@ -39,6 +39,7 @@ pub const COUNTERS: &[&str] = &[
     "receptor.hg_screened",
     "receptor.prep.hit",
     "receptor.prepared",
+    "receptor.waits",
     "sdw.bytes_in",
     "sdw.bytes_out",
     "sim.dispatched",
@@ -59,6 +60,7 @@ pub const HISTOGRAMS: &[&str] = &[
     "provstore.lock_hold",
     "provstore.lock_wait",
     "provstore.wal_append",
+    "receptor.wait",
 ];
 
 /// Registered dynamic histogram families: `<prefix><activity tag>`.
