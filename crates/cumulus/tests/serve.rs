@@ -414,6 +414,26 @@ fn a_query_keeps_its_own_limit_and_an_explain_names_its_index() {
     daemon.shutdown();
 }
 
+/// A query nested past the SQL parser's depth bound — 10 000 parentheses,
+/// which used to overflow the connection thread's stack and abort the
+/// whole daemon — is answered `Error`, and the daemon keeps answering.
+#[test]
+fn an_over_deep_query_is_an_error_and_the_daemon_still_answers_status() {
+    let prov = Arc::new(ProvenanceStore::new());
+    let daemon = Daemon::start(ServeConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
+        .expect("daemon starts");
+    let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+    let SubmitOutcome::Accepted { id } = client.submit("alice", 0, "wf:deep:2:0").unwrap() else {
+        panic!("admitted")
+    };
+    let deep = format!("SELECT {}1{} FROM hactivation", "(".repeat(10_000), ")".repeat(10_000));
+    let err = client.query(&deep).expect_err("an over-deep query is refused");
+    assert!(err.to_string().contains("nested deeper"), "{err}");
+    let state = wait_state(&mut client, id, CampaignState::Finished, Duration::from_secs(20));
+    assert_eq!(state, CampaignState::Finished);
+    daemon.shutdown();
+}
+
 /// A store fault inside a worker's `commit_activation` is a fault of the
 /// daemon, not of the activation: the worker forwards the panic, the engine
 /// thread dies of it, and a polling client reads an error — never a campaign

@@ -29,15 +29,21 @@ use crate::durable::io::{LogFile, StorageEnv};
 use crate::durable::snapshot::{self, Counters};
 use crate::durable::wal::{self, wal_header, WalOp, WalScan, WAL_HEADER_LEN, WAL_VERSION};
 use crate::durable::{Durability, DurableError, DurableOptions};
-use crate::storage::TableProvider;
-use crate::table::Database;
+use crate::storage::{PagedDb, TableProvider};
 
-/// What [`DurableEngine::open`] found on storage.
+/// What [`DurableEngine::open`] found on storage besides the snapshot's
+/// tables, which it decodes into the store's own.
 pub(crate) struct Recovered {
-    /// Snapshot state, if a snapshot existed.
-    pub(crate) snapshot: Option<(Database, Counters)>,
+    /// The snapshot's id counters, if a snapshot existed.
+    pub(crate) counters: Option<Counters>,
     /// Committed WAL ops after the snapshot, in commit order.
     pub(crate) ops: Vec<WalOp>,
+}
+
+/// Rows in every table of `db`: the checkpoint policy's measure of what a
+/// snapshot of it covers.
+fn rows_in(db: &PagedDb) -> u64 {
+    db.table_names().iter().map(|n| db.row_count(n).expect("listed table")).sum()
 }
 
 /// The one place a commit's fsync is issued, shared by every committer and
@@ -128,22 +134,22 @@ pub(crate) struct DurableEngine {
 
 impl DurableEngine {
     /// Open the env, run recovery, and return the engine plus whatever
-    /// committed state it found.
+    /// committed state it found. A snapshot's tables are decoded into `db`,
+    /// which must hold none of them.
     ///
     /// Torn WAL tails are truncated here; a corrupt snapshot or WAL header
     /// is a hard error (we will not silently drop a whole database).
     pub(crate) fn open(
         env: Box<dyn StorageEnv>,
         options: &DurableOptions,
+        db: &mut PagedDb,
     ) -> Result<(DurableEngine, Recovered), DurableError> {
         let snap = match env.read_snapshot().map_err(DurableError::Io)? {
-            Some(bytes) => Some(snapshot::decode(&bytes)?),
+            Some(bytes) => Some(snapshot::decode_into(&bytes, db)?),
             None => None,
         };
-        let base_seq = snap.as_ref().map_or(0, |s| s.base_seq);
-        let snapshot_rows = snap.as_ref().map_or(0, |s| {
-            s.db.table_names().iter().map(|n| s.db.table(n).map_or(0, |t| t.len() as u64)).sum()
-        });
+        let base_seq = snap.map_or(0, |(seq, _)| seq);
+        let snapshot_rows = rows_in(db);
         let mut log = env.open_log().map_err(DurableError::Io)?;
         let bytes = log.read_all().map_err(DurableError::Io)?;
         let mut stale_header = false;
@@ -203,7 +209,7 @@ impl DurableEngine {
             syncer,
             due: None,
         };
-        Ok((engine, Recovered { snapshot: snap.map(|s| (s.db, s.counters)), ops }))
+        Ok((engine, Recovered { counters: snap.map(|(_, counters)| counters), ops }))
     }
 
     /// Append one record to the WAL — one frame, however many mutations it
@@ -293,8 +299,8 @@ impl DurableEngine {
         self.stale_header
     }
 
-    /// Write a snapshot of `tables`/`counters` covering everything logged
-    /// so far, then truncate the WAL back to its header.
+    /// Write a snapshot of `db`/`counters` covering everything logged so
+    /// far, then truncate the WAL back to its header.
     ///
     /// Ordering: flush WAL → write+rename snapshot → truncate WAL, all with
     /// the store's lock *and* the syncer's handle held, so no commit's fsync
@@ -305,12 +311,7 @@ impl DurableEngine {
     /// on the way (truncate to nothing, append the current header); a crash
     /// between those two leaves an empty log, which the next open
     /// reinitializes — the snapshot already holds everything.
-    pub(crate) fn checkpoint(
-        &mut self,
-        tables: &dyn TableProvider,
-        names: &[String],
-        counters: &Counters,
-    ) -> std::io::Result<()> {
+    pub(crate) fn checkpoint(&mut self, db: &PagedDb, counters: &Counters) -> std::io::Result<()> {
         let syncer = Arc::clone(&self.syncer);
         let mut handle = syncer.handle.lock();
         self.ticket();
@@ -318,7 +319,7 @@ impl DurableEngine {
             syncer.sync_locked(&mut **handle, seq)?;
         }
         let covered = self.next_seq - 1;
-        let bytes = snapshot::encode(tables, names, counters, covered);
+        let bytes = snapshot::encode(db, counters, covered);
         self.env.write_snapshot(&bytes)?;
         if self.stale_header {
             self.log.truncate(0)?;
@@ -330,7 +331,7 @@ impl DurableEngine {
         self.log.sync()?;
         self.base_seq = covered;
         self.tail_mutations = 0;
-        self.snapshot_rows = names.iter().map(|n| tables.row_count(n).expect("listed table")).sum();
+        self.snapshot_rows = rows_in(db);
         self.telemetry.count("provstore.checkpoints", 1);
         Ok(())
     }
@@ -368,6 +369,16 @@ mod tests {
         DurableOptions { durability, ..Default::default() }
     }
 
+    /// [`DurableEngine::open`] decoding any snapshot into a fresh store.
+    fn open(
+        env: &MemEnv,
+        durability: Durability,
+    ) -> Result<(DurableEngine, Recovered, PagedDb), DurableError> {
+        let mut db = PagedDb::in_memory();
+        let (eng, rec) = DurableEngine::open(Box::new(env.clone()), &opts(durability), &mut db)?;
+        Ok((eng, rec, db))
+    }
+
     fn op(i: i64) -> WalOp {
         WalOp::RecordActivation {
             task: i,
@@ -387,17 +398,15 @@ mod tests {
     #[test]
     fn append_flush_reopen_roundtrip() {
         let env = MemEnv::new();
-        let (mut eng, rec) = DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync))
-            .expect("fresh env opens");
-        assert!(rec.snapshot.is_none());
+        let (mut eng, rec, _) = open(&env, Durability::Sync).expect("fresh env opens");
+        assert!(rec.counters.is_none());
         assert!(rec.ops.is_empty());
         for i in 1..=5 {
             eng.append(&op(i)).unwrap();
         }
         assert_eq!(eng.last_seq(), 5);
         drop(eng);
-        let (eng2, rec2) =
-            DurableEngine::open(Box::new(env), &opts(Durability::Sync)).expect("reopen");
+        let (eng2, rec2, _) = open(&env, Durability::Sync).expect("reopen");
         assert_eq!(rec2.ops, (1..=5).map(op).collect::<Vec<_>>());
         assert_eq!(eng2.last_seq(), 5);
     }
@@ -405,8 +414,7 @@ mod tests {
     #[test]
     fn torn_tail_truncated_on_open() {
         let env = MemEnv::new();
-        let (mut eng, _) =
-            DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync)).unwrap();
+        let (mut eng, _, _) = open(&env, Durability::Sync).unwrap();
         for i in 1..=3 {
             eng.append(&op(i)).unwrap();
         }
@@ -415,8 +423,7 @@ mod tests {
         let full = bytes.len();
         bytes.truncate(full - 7); // tear the last frame
         env.set_wal_bytes(bytes);
-        let (eng2, rec) =
-            DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync)).unwrap();
+        let (eng2, rec, _) = open(&env, Durability::Sync).unwrap();
         assert_eq!(rec.ops.len(), 2);
         assert_eq!(eng2.last_seq(), 2);
         // the torn bytes are physically gone, and appending works again
@@ -427,9 +434,7 @@ mod tests {
     #[test]
     fn checkpoint_then_tail_replay() {
         let env = MemEnv::new();
-        let (mut eng, _) =
-            DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync)).unwrap();
-        let mut db = Database::new();
+        let (mut eng, _, mut db) = open(&env, Durability::Sync).unwrap();
         db.create_table("t", crate::table::Schema::new(&[("x", crate::value::ValueType::Int)]))
             .unwrap();
         for i in 1..=4 {
@@ -437,16 +442,15 @@ mod tests {
         }
         db.insert("t", vec![crate::value::Value::Int(42)]).unwrap();
         let counters = Counters { next_task: 5, ..Default::default() };
-        eng.checkpoint(&db, &["t".to_string()], &counters).unwrap();
+        eng.checkpoint(&db, &counters).unwrap();
         assert_eq!(eng.base_seq(), 4);
         for i in 5..=6 {
             eng.append(&op(i)).unwrap();
         }
         drop(eng);
-        let (eng2, rec) = DurableEngine::open(Box::new(env), &opts(Durability::Sync)).unwrap();
-        let (snap_db, snap_counters) = rec.snapshot.expect("snapshot written");
-        assert_eq!(snap_counters, counters);
-        assert_eq!(snap_db.table("t").unwrap().len(), 1);
+        let (eng2, rec, snap_db) = open(&env, Durability::Sync).unwrap();
+        assert_eq!(rec.counters, Some(counters));
+        assert_eq!(snap_db.row_count("t").unwrap(), 1);
         assert_eq!(rec.ops, vec![op(5), op(6)]);
         assert_eq!(eng2.last_seq(), 6);
     }
@@ -456,26 +460,24 @@ mod tests {
         // simulate a crash between snapshot rename and WAL truncate: the
         // snapshot covers seq 1..=3 but the WAL still holds those frames
         let env = MemEnv::new();
-        let (mut eng, _) =
-            DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync)).unwrap();
+        let (mut eng, _, _) = open(&env, Durability::Sync).unwrap();
         for i in 1..=3 {
             eng.append(&op(i)).unwrap();
         }
         drop(eng);
-        let db = Database::new();
-        let snap = snapshot::encode(&db, &[], &Counters::default(), 3);
+        let db = PagedDb::in_memory();
+        let snap = snapshot::encode(&db, &Counters::default(), 3);
         env.set_snapshot_bytes(Some(snap));
-        let (eng2, rec) =
-            DurableEngine::open(Box::new(env.clone()), &opts(Durability::Sync)).unwrap();
-        assert!(rec.snapshot.is_some());
+        let (eng2, rec, _) = open(&env, Durability::Sync).unwrap();
+        assert!(rec.counters.is_some());
         assert!(rec.ops.is_empty(), "frames ≤ base_seq are in the snapshot already");
         assert_eq!(eng2.last_seq(), 3);
         drop(eng2);
         // partial overlap: snapshot covers 1..=2, WAL holds 1..=3 → only
         // frame 3 replays
-        let snap = snapshot::encode(&db, &[], &Counters::default(), 2);
+        let snap = snapshot::encode(&db, &Counters::default(), 2);
         env.set_snapshot_bytes(Some(snap));
-        let (_, rec) = DurableEngine::open(Box::new(env), &opts(Durability::Sync)).unwrap();
+        let (_, rec, _) = open(&env, Durability::Sync).unwrap();
         assert_eq!(rec.ops, vec![op(3)]);
     }
 
@@ -484,7 +486,7 @@ mod tests {
         let env = MemEnv::new();
         let durability =
             Durability::Batched { max_ops: 3, max_delay: std::time::Duration::from_secs(3600) };
-        let (mut eng, _) = DurableEngine::open(Box::new(env.clone()), &opts(durability)).unwrap();
+        let (mut eng, _, _) = open(&env, durability).unwrap();
         eng.append(&op(1)).unwrap();
         eng.append(&op(2)).unwrap();
         assert_eq!(eng.pending, 2);
@@ -506,7 +508,7 @@ mod tests {
     fn corrupt_snapshot_is_a_hard_error() {
         let env = MemEnv::new();
         env.set_snapshot_bytes(Some(b"garbage".to_vec()));
-        let Err(err) = DurableEngine::open(Box::new(env), &opts(Durability::Sync)) else {
+        let Err(err) = open(&env, Durability::Sync) else {
             panic!("garbage snapshot must not open");
         };
         assert!(matches!(err, DurableError::Corrupt(_)));
@@ -516,7 +518,7 @@ mod tests {
     fn bad_wal_header_is_a_hard_error() {
         let env = MemEnv::new();
         env.set_wal_bytes(b"NOTMAGIC\x01\x00\x00\x00rest".to_vec());
-        let Err(err) = DurableEngine::open(Box::new(env), &opts(Durability::Sync)) else {
+        let Err(err) = open(&env, Durability::Sync) else {
             panic!("foreign WAL header must not open");
         };
         assert!(matches!(err, DurableError::Corrupt(_)));

@@ -20,9 +20,11 @@
 //! CRC is a hard [`Corrupt`](crate::durable::DurableError::Corrupt) error
 //! (unlike a torn WAL tail, a bad snapshot cannot be safely truncated).
 
-use crate::codec::{crc32, from_bytes, CodecError, Decode, Encode, Reader, Writer};
-use crate::storage::TableProvider;
-use crate::table::{Database, Schema};
+use std::collections::HashSet;
+
+use crate::codec::{crc32, CodecError, Decode, Encode, Reader, Writer};
+use crate::storage::{PagedDb, TableProvider};
+use crate::table::Schema;
 use crate::value::ValueType;
 
 /// Magic bytes opening every snapshot file.
@@ -115,42 +117,25 @@ impl Decode for ValueType {
 /// all of the store the encoder holds decoded at any one time.
 const ENCODE_BATCH: usize = 1024;
 
-/// A snapshot body — everything between the version and the CRC — as it
-/// decodes.
-#[derive(Debug, PartialEq)]
-pub(crate) struct Snapshot {
-    /// The tables.
-    pub(crate) db: Database,
-    /// The id counters.
-    pub(crate) counters: Counters,
-    /// The last WAL sequence number the snapshot covers.
-    pub(crate) base_seq: u64,
-}
-
-/// Write a snapshot body: `base_seq`, `counters`, then the tables `names`
-/// of `tables`. Rows stream from the provider into `w`, so the encoding is
-/// the only full copy of the store the writer makes.
-fn write_body(
-    w: &mut Writer,
-    tables: &dyn TableProvider,
-    names: &[String],
-    counters: &Counters,
-    base_seq: u64,
-) {
+/// Write a snapshot body: `base_seq`, `counters`, then every table of
+/// `db` in name order. Rows stream from the tables into `w`, so the
+/// encoding is the only full copy of the store the writer makes.
+fn write_body(w: &mut Writer, db: &PagedDb, counters: &Counters, base_seq: u64) {
+    let names = db.table_names();
     w.put(&base_seq).put(counters).len(names.len());
     let mut batch = Vec::with_capacity(ENCODE_BATCH);
     for name in names {
-        let schema = tables.schema_of(name).expect("listed table");
+        let schema = db.schema_of(name).expect("listed table");
         w.put(name).len(schema.columns.len());
         for col in &schema.columns {
             w.put(&col.name).put(&col.ty);
         }
-        let nrows = tables.row_count(name).expect("listed table");
+        let nrows = db.row_count(name).expect("listed table");
         w.len(usize::try_from(nrows).unwrap_or(usize::MAX));
         let (mut pos, mut written) = (0u64, 0u64);
         loop {
             batch.clear();
-            tables.scan_batch(name, &mut pos, ENCODE_BATCH, &mut batch).expect("listed table");
+            db.scan_batch(name, &mut pos, ENCODE_BATCH, &mut batch).expect("listed table");
             if batch.is_empty() {
                 break;
             }
@@ -165,61 +150,54 @@ fn write_body(
     }
 }
 
-impl Encode for Snapshot {
-    fn encode(&self, w: &mut Writer) {
-        let names: Vec<String> = self.db.table_names().iter().map(|n| n.to_string()).collect();
-        write_body(w, &self.db, &names, &self.counters, self.base_seq);
-    }
-}
-
-impl Decode for Snapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (base_seq, counters) = (r.get()?, r.get()?);
-        let mut db = Database::new();
-        for _ in 0..r.count()? {
-            let name: String = r.get()?;
-            let cols: Vec<(String, ValueType)> = r.get()?;
-            let schema =
-                Schema::new(&cols.iter().map(|(n, t)| (n.as_str(), *t)).collect::<Vec<_>>());
-            db.create_table(&name, schema)
-                .map_err(|e| CodecError(format!("snapshot table {name}: {e}")))?;
-            // a row takes at least a byte per column, and every store
-            // table has a column
-            for _ in 0..r.count()? {
-                let row = cols.iter().map(|_| r.get()).collect::<Result<Vec<_>, _>>()?;
-                db.insert(&name, row)
-                    .map_err(|e| CodecError(format!("snapshot row in {name}: {e}")))?;
-            }
+/// Read a snapshot body into `db`, which holds none of its tables: each
+/// table is created and its rows inserted as they decode, so `db`'s own
+/// insert is what checks every row against its schema. Returns the body's
+/// `base_seq` and counters.
+fn read_body(r: &mut Reader<'_>, db: &mut PagedDb) -> Result<(u64, Counters), CodecError> {
+    let (base_seq, counters) = (r.get()?, r.get()?);
+    for _ in 0..r.count()? {
+        let name: String = r.get()?;
+        let cols: Vec<(String, ValueType)> = r.get()?;
+        let mut seen = HashSet::new();
+        if !cols.iter().all(|(n, _)| seen.insert(n.to_ascii_lowercase())) {
+            return Err(CodecError(format!("snapshot table {name}: duplicate column")));
         }
-        Ok(Snapshot { db, counters, base_seq })
+        let schema = Schema::new(&cols.iter().map(|(n, t)| (n.as_str(), *t)).collect::<Vec<_>>());
+        db.create_table(&name, schema)
+            .map_err(|e| CodecError(format!("snapshot table {name}: {e}")))?;
+        // a row takes at least a byte per column, and every store
+        // table has a column
+        for _ in 0..r.count()? {
+            let row = cols.iter().map(|_| r.get()).collect::<Result<Vec<_>, _>>()?;
+            db.insert(&name, row)
+                .map_err(|e| CodecError(format!("snapshot row in {name}: {e}")))?;
+        }
     }
+    Ok((base_seq, counters))
 }
 
-/// Serialize a snapshot of the tables `names` (sorted) of `tables` +
-/// `counters`, covering WAL frames up to and including `base_seq`.
+/// Serialize a snapshot of every table of `db` + `counters`, covering WAL
+/// frames up to and including `base_seq`.
 ///
 /// # Panics
 /// Panics if a table, column or row count, or a text, overflows its u32
 /// prefix (4 Gi rows in one table) — like any failed checkpoint.
-pub(crate) fn encode(
-    tables: &dyn TableProvider,
-    names: &[String],
-    counters: &Counters,
-    base_seq: u64,
-) -> Vec<u8> {
+pub(crate) fn encode(db: &PagedDb, counters: &Counters, base_seq: u64) -> Vec<u8> {
     let mut w = Writer::new();
     // magic and version open the buffer; the body (everything after them)
     // is what the trailing CRC covers
     w.bytes(SNAP_MAGIC).put(&SNAP_VERSION);
-    write_body(&mut w, tables, names, counters, base_seq);
+    write_body(&mut w, db, counters, base_seq);
     let mut out = w.finish().expect("snapshot counts fit their u32 prefixes");
     let crc = crc32(&out[12..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Deserialize a snapshot, verifying magic, version, and CRC.
-pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
+/// Deserialize a snapshot into `db` (see [`read_body`]) once its magic,
+/// version and CRC check out. Returns its `base_seq` and counters.
+pub(crate) fn decode_into(bytes: &[u8], db: &mut PagedDb) -> Result<(u64, Counters), CodecError> {
     if bytes.len() < 16 {
         return Err(CodecError("snapshot shorter than header".into()));
     }
@@ -235,7 +213,10 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Snapshot, CodecError> {
     if crc32(body) != stored_crc {
         return Err(CodecError("snapshot CRC mismatch".into()));
     }
-    from_bytes(body)
+    let mut r = Reader::new(body);
+    let found = read_body(&mut r, db)?;
+    r.finish()?;
+    Ok(found)
 }
 
 #[cfg(test)]
@@ -244,21 +225,42 @@ mod tests {
     use crate::codec::testing::{check_codec, Gen};
     use crate::value::Value;
 
-    fn sample_db() -> Database {
-        let mut db = Database::new();
-        db.create_table(
-            "t",
-            Schema::new(&[
-                ("id", ValueType::Int),
-                ("name", ValueType::Text),
-                ("score", ValueType::Float),
-                ("when", ValueType::Timestamp),
-                ("ok", ValueType::Bool),
-            ]),
-        )
-        .unwrap();
-        db.insert(
-            "t",
+    /// A table as plain data: name, schema, rows.
+    type Plain = (String, Schema, Vec<Vec<Value>>);
+
+    /// Every table of `db` as plain data, in name order.
+    fn contents(db: &PagedDb) -> Vec<Plain> {
+        db.table_names()
+            .into_iter()
+            .map(|name| {
+                let rows = db.scan_entries(name, 0, usize::MAX).unwrap();
+                let rows = rows.into_iter().map(|(_, row)| row).collect();
+                (name.to_string(), db.schema_of(name).unwrap(), rows)
+            })
+            .collect()
+    }
+
+    fn paged(tables: &[Plain]) -> PagedDb {
+        let mut db = PagedDb::in_memory();
+        for (name, schema, rows) in tables {
+            db.create_table(name, schema.clone()).unwrap();
+            for row in rows {
+                db.insert(name, row.clone()).unwrap();
+            }
+        }
+        db
+    }
+
+    /// Two tables, in name order.
+    fn sample() -> Vec<Plain> {
+        let t = Schema::new(&[
+            ("id", ValueType::Int),
+            ("name", ValueType::Text),
+            ("score", ValueType::Float),
+            ("when", ValueType::Timestamp),
+            ("ok", ValueType::Bool),
+        ]);
+        let rows = vec![
             vec![
                 Value::Int(1),
                 Value::Text("a".into()),
@@ -266,29 +268,20 @@ mod tests {
                 Value::Timestamp(9.0),
                 Value::Bool(true),
             ],
-        )
-        .unwrap();
-        db.insert("t", vec![Value::Int(2), Value::Null, Value::Null, Value::Null, Value::Null])
-            .unwrap();
-        db.create_table("empty", Schema::new(&[("x", ValueType::Int)])).unwrap();
-        db
+            vec![Value::Int(2), Value::Null, Value::Null, Value::Null, Value::Null],
+        ];
+        vec![
+            ("empty".into(), Schema::new(&[("x", ValueType::Int)]), Vec::new()),
+            ("t".into(), t, rows),
+        ]
     }
 
-    fn names(db: &Database) -> Vec<String> {
-        db.table_names().iter().map(|n| n.to_string()).collect()
-    }
-
-    /// [`encode`] over every table of `db`.
-    fn encode_db(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u8> {
-        encode(db, &names(db), counters, base_seq)
-    }
-
-    /// The encoder as it was before it streamed from a [`TableProvider`]
-    /// (PR 14): walks a materialized [`Database`] into a body buffer, then
-    /// copies the body between header and CRC. Kept as the byte-for-byte
-    /// reference: existing `snapshot.bin` files must keep loading, and new
-    /// ones must be what that encoder would have written.
-    fn reference_encode(db: &Database, counters: &Counters, base_seq: u64) -> Vec<u8> {
+    /// The encoder as it was before it streamed from the tables: walks
+    /// materialized tables into a body buffer, then copies the body
+    /// between header and CRC. Kept as the byte-for-byte reference:
+    /// existing `snapshot.bin` files must keep loading, and new ones must be
+    /// what that encoder would have written.
+    fn reference_encode(tables: &[Plain], counters: &Counters, base_seq: u64) -> Vec<u8> {
         let mut body = Writer::new();
         body.put(&base_seq);
         for c in [
@@ -302,13 +295,11 @@ mod tests {
         ] {
             body.put(&c);
         }
-        let names = db.table_names();
-        body.len(names.len());
-        for name in names {
-            let t = db.table(name).expect("listed table");
+        body.len(tables.len());
+        for (name, schema, rows) in tables {
             body.put(name);
-            body.len(t.schema.columns.len());
-            for col in &t.schema.columns {
+            body.len(schema.columns.len());
+            for col in &schema.columns {
                 body.put(&col.name);
                 body.u8(match col.ty {
                     ValueType::Int => 0,
@@ -318,8 +309,8 @@ mod tests {
                     ValueType::Bool => 4,
                 });
             }
-            body.len(t.rows().len());
-            for row in t.rows() {
+            body.len(rows.len());
+            for row in rows {
                 for v in row {
                     body.put(v);
                 }
@@ -335,45 +326,31 @@ mod tests {
     }
 
     #[test]
-    fn bytes_match_the_reference_encoder_on_both_providers() {
+    fn bytes_match_the_reference_encoder() {
         // more rows than one scan batch, so the streaming loop is crossed
-        let mut db = sample_db();
-        for i in 0..(2 * ENCODE_BATCH as i64 + 7) {
-            db.insert("empty", vec![Value::Int(i)]).unwrap();
-        }
+        let mut tables = sample();
+        tables[0].2 = (0..(2 * ENCODE_BATCH as i64 + 7)).map(|i| vec![Value::Int(i)]).collect();
         let counters = Counters { next_file: 31, ..Default::default() };
-        let expect = reference_encode(&db, &counters, 9);
-        assert_eq!(encode_db(&db, &counters, 9), expect);
-
-        let mut paged = crate::storage::PagedDb::in_memory();
-        for name in db.table_names() {
-            let t = db.table(name).unwrap();
-            paged.create_table(name, t.schema.clone()).unwrap();
-            for row in t.rows() {
-                paged.insert(name, row.clone()).unwrap();
-            }
-        }
-        assert_eq!(encode(&paged, &names(&db), &counters, 9), expect);
+        assert_eq!(encode(&paged(&tables), &counters, 9), reference_encode(&tables, &counters, 9));
     }
 
     #[test]
     fn roundtrip() {
-        let db = sample_db();
         let counters = Counters { next_wkf: 4, next_task: 99, ..Default::default() };
-        let bytes = encode_db(&db, &counters, 17);
-        let Snapshot { db: db2, counters: c2, base_seq: seq } = decode(&bytes).unwrap();
-        assert_eq!(seq, 17);
-        assert_eq!(c2, counters);
-        assert_eq!(db2.table_names(), db.table_names());
-        let t = db2.table("t").unwrap();
-        assert_eq!(t.schema, db.table("t").unwrap().schema);
-        assert_eq!(t.rows(), db.table("t").unwrap().rows());
-        assert!(db2.table("empty").unwrap().is_empty());
+        let bytes = encode(&paged(&sample()), &counters, 17);
+        let mut db = PagedDb::in_memory();
+        assert_eq!(decode_into(&bytes, &mut db).unwrap(), (17, counters));
+        assert_eq!(contents(&db), sample());
+    }
+
+    /// Decode `bytes` into a fresh store.
+    fn decode(bytes: &[u8]) -> Result<(u64, Counters), CodecError> {
+        decode_into(bytes, &mut PagedDb::in_memory())
     }
 
     #[test]
     fn crc_detects_corruption() {
-        let bytes = encode_db(&sample_db(), &Counters::default(), 0);
+        let bytes = encode(&paged(&sample()), &Counters::default(), 0);
         for pos in [12, 20, bytes.len() - 5] {
             let mut bad = bytes.clone();
             bad[pos] ^= 1;
@@ -385,16 +362,60 @@ mod tests {
     fn header_validation() {
         assert!(decode(b"").is_err());
         assert!(decode(b"NOTMAGIC\x01\x00\x00\x00\x00\x00\x00\x00").is_err());
-        let mut bytes = encode_db(&sample_db(), &Counters::default(), 0);
+        let mut bytes = encode(&paged(&sample()), &Counters::default(), 0);
         bytes[8] = 9; // version
         assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_table_naming_one_column_twice_is_refused() {
+        let mut w = Writer::new();
+        w.put(&0u64).put(&Counters::default()).len(1);
+        w.put("t").put(&vec![("a".to_string(), ValueType::Int), ("A".into(), ValueType::Text)]);
+        w.len(0);
+        let err = read_body(&mut Reader::new(&w.finish().unwrap()), &mut PagedDb::in_memory());
+        assert!(err.unwrap_err().0.contains("duplicate column"));
+    }
+
+    /// A snapshot body as it decodes, for the codec harness.
+    struct Snapshot {
+        db: PagedDb,
+        counters: Counters,
+        base_seq: u64,
+    }
+
+    impl Encode for Snapshot {
+        fn encode(&self, w: &mut Writer) {
+            write_body(w, &self.db, &self.counters, self.base_seq);
+        }
+    }
+
+    impl Decode for Snapshot {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            let mut db = PagedDb::in_memory();
+            let (base_seq, counters) = read_body(r, &mut db)?;
+            Ok(Snapshot { db, counters, base_seq })
+        }
+    }
+
+    impl PartialEq for Snapshot {
+        fn eq(&self, other: &Snapshot) -> bool {
+            (self.base_seq, self.counters) == (other.base_seq, other.counters)
+                && contents(&self.db) == contents(&other.db)
+        }
+    }
+
+    impl std::fmt::Debug for Snapshot {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            write!(f, "Snapshot({}, {:?}, {:?})", self.base_seq, self.counters, contents(&self.db))
+        }
     }
 
     /// A body of up to three tables of one to four typed columns, each
     /// cell a value of its column's type or NULL.
     fn any_snapshot(g: &mut Gen) -> Snapshot {
         use ValueType::*;
-        let mut db = Database::new();
+        let mut db = PagedDb::in_memory();
         for t in 0..g.below(4) {
             let types: Vec<ValueType> =
                 (0..=g.below(4)).map(|_| [Int, Float, Text, Timestamp, Bool][g.below(5)]).collect();
@@ -439,7 +460,7 @@ mod tests {
 
     #[test]
     fn truncated_snapshot_rejected() {
-        let bytes = encode_db(&sample_db(), &Counters::default(), 3);
+        let bytes = encode(&paged(&sample()), &Counters::default(), 3);
         for cut in [0, 8, 15, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }

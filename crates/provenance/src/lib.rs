@@ -7,9 +7,8 @@
 //! verbatim.
 //!
 //! Every store keeps its tables in one paged engine (slotted-page heap
-//! files + B+tree indexes, see [`storage`]), in memory or under a WAL,
-//! and a Volcano-style executor plans index access paths over it; a plain
-//! in-memory [`Database`] is the reference the parity tests hold it to.
+//! files + B+tree indexes, see [`storage`]), in memory or under a WAL, and
+//! one Volcano-style executor plans index access paths over it.
 //! Queries run through [`ProvenanceStore::query`], which returns a
 //! streaming [`QueryCursor`] — or [`ProvenanceStore::query_rows`] for a
 //! materialized [`ResultSet`].
@@ -59,5 +58,5 @@ pub use provwf::{
     TaskId, WorkflowId,
 };
 pub use sql::{QueryError, ResultSet};
-pub use table::{Database, DbError, Schema, Table};
+pub use table::{DbError, Schema};
 pub use value::{Value, ValueType};

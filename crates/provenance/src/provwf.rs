@@ -29,12 +29,13 @@ use crate::durable::io::{DirEnv, StorageEnv};
 use crate::durable::wal::WalOp;
 use crate::durable::{Counters, Durability, DurableError, DurableOptions};
 use crate::sql::ast::Query;
-use crate::sql::exec::bind_params;
+use crate::sql::expr::bind_params;
 use crate::sql::volcano::{build_pipeline, ExecCtx, Pipeline};
 use crate::sql::{explain_query, parse, run_query, QueryError, ResultSet};
+use crate::storage::paged::DEFAULT_CACHE_PAGES;
 use crate::storage::pager::{FilePageStore, MemPageStore, PageStore};
 use crate::storage::{PagedDb, TableProvider};
-use crate::table::{Database, DbError, Schema};
+use crate::table::{DbError, Schema};
 use crate::value::{Value, ValueType};
 
 /// Workflow execution id.
@@ -177,9 +178,8 @@ impl Inner {
     /// Panics if the snapshot cannot be written (same contract as `log`).
     fn checkpoint_now(&mut self) {
         self.db.flush_pages();
-        let names = self.table_names();
         if let Some(eng) = &mut self.engine {
-            eng.checkpoint(&self.db, &names, &self.counters)
+            eng.checkpoint(&self.db, &self.counters)
                 .expect("provstore: snapshot checkpoint failed");
         }
     }
@@ -411,21 +411,102 @@ pub const PROV_INDEXES: &[(&str, &str, &[&str])] = &[
     ("hparameter", "ix_hparameter_pname", &["pname"]),
 ];
 
-/// Build a [`PagedDb`] over `store` with the contents of `db` and the
-/// standard PROV-Wf index set (backfilled over any recovered rows).
-fn paged_from_db(db: &Database, store: Box<dyn PageStore>) -> PagedDb {
-    let mut pg = PagedDb::new(store, crate::storage::paged::DEFAULT_CACHE_PAGES);
-    for name in db.table_names() {
-        let t = db.table(name).expect("listed table");
-        pg.create_table(name, t.schema.clone()).expect("fresh paged db");
-        for row in t.rows() {
-            pg.insert(name, row.clone()).expect("row was valid in the source db");
-        }
+/// The PROV-Wf tables `(table, columns)`, in name order: the order they are
+/// created in fixes where their B+tree roots land in the page file.
+const PROV_TABLES: &[(&str, &[(&str, ValueType)])] = &[
+    (
+        "hactivation",
+        &[
+            ("taskid", ValueType::Int),
+            ("actid", ValueType::Int),
+            ("wkfid", ValueType::Int),
+            ("status", ValueType::Text),
+            ("starttime", ValueType::Timestamp),
+            ("endtime", ValueType::Timestamp),
+            ("vmid", ValueType::Int),
+            ("retries", ValueType::Int),
+            ("pairkey", ValueType::Text),
+        ],
+    ),
+    (
+        "hactivity",
+        &[
+            ("actid", ValueType::Int),
+            ("wkfid", ValueType::Int),
+            ("tag", ValueType::Text),
+            ("acttype", ValueType::Text),
+        ],
+    ),
+    (
+        "hfile",
+        &[
+            ("fileid", ValueType::Int),
+            ("taskid", ValueType::Int),
+            ("actid", ValueType::Int),
+            ("wkfid", ValueType::Int),
+            ("fname", ValueType::Text),
+            ("fsize", ValueType::Int),
+            ("fdir", ValueType::Text),
+        ],
+    ),
+    (
+        "hmachine",
+        &[
+            ("vmid", ValueType::Int),
+            ("vmname", ValueType::Text),
+            ("instancetype", ValueType::Text),
+            ("cores", ValueType::Int),
+        ],
+    ),
+    (
+        "houtput",
+        &[
+            ("outid", ValueType::Int),
+            ("taskid", ValueType::Int),
+            ("actid", ValueType::Int),
+            ("wkfid", ValueType::Int),
+            ("pairkey", ValueType::Text),
+            ("tupleidx", ValueType::Int),
+            ("colidx", ValueType::Int),
+            ("val_num", ValueType::Float),
+            ("val_text", ValueType::Text),
+        ],
+    ),
+    (
+        "hparameter",
+        &[
+            ("paramid", ValueType::Int),
+            ("taskid", ValueType::Int),
+            ("wkfid", ValueType::Int),
+            ("pname", ValueType::Text),
+            ("pvalue_num", ValueType::Float),
+            ("pvalue_text", ValueType::Text),
+        ],
+    ),
+    (
+        "hworkflow",
+        &[
+            ("wkfid", ValueType::Int),
+            ("tag", ValueType::Text),
+            ("description", ValueType::Text),
+            ("expdir", ValueType::Text),
+        ],
+    ),
+];
+
+/// Create the empty PROV-Wf tables on a fresh `db`.
+fn create_tables(db: &mut PagedDb) {
+    for (name, cols) in PROV_TABLES {
+        db.create_table(name, Schema::new(cols)).expect("fresh paged db");
     }
+}
+
+/// Install [`PROV_INDEXES`] on `db`'s PROV-Wf tables, backfilled over the
+/// rows they already hold.
+fn create_indexes(db: &mut PagedDb) {
     for (table, name, cols) in PROV_INDEXES {
-        pg.create_index(table, name, cols).expect("fresh paged db");
+        db.create_index(table, name, cols).expect("each PROV-Wf table exists, without indexes yet");
     }
-    pg
 }
 
 impl Default for ProvenanceStore {
@@ -435,103 +516,14 @@ impl Default for ProvenanceStore {
 }
 
 impl ProvenanceStore {
-    /// The PROV-Wf schema, freshly installed in an empty database.
-    fn schema_db() -> Database {
-        let mut db = Database::new();
-        db.create_table(
-            "hworkflow",
-            Schema::new(&[
-                ("wkfid", ValueType::Int),
-                ("tag", ValueType::Text),
-                ("description", ValueType::Text),
-                ("expdir", ValueType::Text),
-            ]),
-        )
-        .expect("fresh database");
-        db.create_table(
-            "hactivity",
-            Schema::new(&[
-                ("actid", ValueType::Int),
-                ("wkfid", ValueType::Int),
-                ("tag", ValueType::Text),
-                ("acttype", ValueType::Text),
-            ]),
-        )
-        .expect("fresh database");
-        db.create_table(
-            "hactivation",
-            Schema::new(&[
-                ("taskid", ValueType::Int),
-                ("actid", ValueType::Int),
-                ("wkfid", ValueType::Int),
-                ("status", ValueType::Text),
-                ("starttime", ValueType::Timestamp),
-                ("endtime", ValueType::Timestamp),
-                ("vmid", ValueType::Int),
-                ("retries", ValueType::Int),
-                ("pairkey", ValueType::Text),
-            ]),
-        )
-        .expect("fresh database");
-        db.create_table(
-            "hfile",
-            Schema::new(&[
-                ("fileid", ValueType::Int),
-                ("taskid", ValueType::Int),
-                ("actid", ValueType::Int),
-                ("wkfid", ValueType::Int),
-                ("fname", ValueType::Text),
-                ("fsize", ValueType::Int),
-                ("fdir", ValueType::Text),
-            ]),
-        )
-        .expect("fresh database");
-        db.create_table(
-            "hparameter",
-            Schema::new(&[
-                ("paramid", ValueType::Int),
-                ("taskid", ValueType::Int),
-                ("wkfid", ValueType::Int),
-                ("pname", ValueType::Text),
-                ("pvalue_num", ValueType::Float),
-                ("pvalue_text", ValueType::Text),
-            ]),
-        )
-        .expect("fresh database");
-        db.create_table(
-            "houtput",
-            Schema::new(&[
-                ("outid", ValueType::Int),
-                ("taskid", ValueType::Int),
-                ("actid", ValueType::Int),
-                ("wkfid", ValueType::Int),
-                ("pairkey", ValueType::Text),
-                ("tupleidx", ValueType::Int),
-                ("colidx", ValueType::Int),
-                ("val_num", ValueType::Float),
-                ("val_text", ValueType::Text),
-            ]),
-        )
-        .expect("fresh database");
-        db.create_table(
-            "hmachine",
-            Schema::new(&[
-                ("vmid", ValueType::Int),
-                ("vmname", ValueType::Text),
-                ("instancetype", ValueType::Text),
-                ("cores", ValueType::Int),
-            ]),
-        )
-        .expect("fresh database");
-        db
-    }
-
     /// Create a purely in-memory store with the PROV-Wf schema and
     /// [`PROV_INDEXES`] installed: the paged engine over an in-memory page
     /// store, so queries take the same index access paths as on a durable
     /// store.
     pub fn new() -> ProvenanceStore {
-        let db = paged_from_db(&Self::schema_db(), Box::new(MemPageStore::new()));
+        let mut db = PagedDb::in_memory();
+        create_tables(&mut db);
+        create_indexes(&mut db);
         ProvenanceStore {
             inner: Arc::new(Mutex::new(Inner { db, counters: Counters::default(), engine: None })),
             lock_times: None,
@@ -583,15 +575,17 @@ impl ProvenanceStore {
         options: DurableOptions,
         pages: Box<dyn PageStore>,
     ) -> Result<ProvenanceStore, DurableError> {
-        let (engine, recovered) = DurableEngine::open(env, &options)?;
+        let mut db = PagedDb::new(pages, DEFAULT_CACHE_PAGES);
+        let (engine, recovered) = DurableEngine::open(env, &options, &mut db)?;
         let tel = &options.telemetry;
         let lock_times =
             tel.histogram("provstore.lock_wait").zip(tel.histogram("provstore.lock_hold"));
-        let (snap_db, mut counters) = match recovered.snapshot {
-            Some((db, counters)) => (db, counters),
-            None => (Self::schema_db(), Counters::default()),
-        };
-        let mut db = paged_from_db(&snap_db, pages);
+        // a snapshot brought its tables; a store without one starts empty
+        if recovered.counters.is_none() {
+            create_tables(&mut db);
+        }
+        create_indexes(&mut db);
+        let mut counters = recovered.counters.unwrap_or_default();
         for op in &recovered.ops {
             plan_op(&mut db, &mut counters, op);
         }
@@ -1466,6 +1460,62 @@ mod tests {
         assert!(plan
             .iter()
             .any(|l| l.as_str().is_some_and(|l| l.contains("ix_hactivation_taskid"))));
+    }
+
+    /// Each shape the parser's depth bound counts, nested to `depth` levels
+    /// (the select item or WHERE clause itself is the first).
+    fn nested(depth: usize) -> Vec<String> {
+        let n = depth - 1;
+        let select = |e: String| format!("SELECT {e} FROM hactivation");
+        let filter = |e: String| format!("SELECT taskid FROM hactivation WHERE {e}");
+        vec![
+            select(format!("{}1{}", "(".repeat(n), ")".repeat(n))),
+            select(format!("{}1", "- ".repeat(n))),
+            select(format!("1{}", " + 1".repeat(n))),
+            select(format!("{}1{}", "abs(".repeat(n), ")".repeat(n))),
+            filter(format!("taskid = 1{}", " OR taskid = 1".repeat(n))),
+            filter(format!("{}taskid = 1{}", "NOT (".repeat(n), ")".repeat(n))),
+            filter(format!("taskid IN ({}1{})", "(".repeat(n - 1), ")".repeat(n - 1))),
+        ]
+    }
+
+    /// At the bound every shape runs the whole way — parse, plan, execute,
+    /// drop — on a test thread's default stack; one level more is a parse
+    /// error, which is what keeps a hostile `SDC1 Query` from overflowing a
+    /// daemon connection thread.
+    #[test]
+    fn expressions_nest_to_the_depth_bound_and_no_further() {
+        use crate::sql::parser::MAX_EXPR_DEPTH;
+        let (p, _, _, _) = populated();
+        for sql in nested(MAX_EXPR_DEPTH) {
+            let r = p.query_limited(&sql, 10);
+            assert!(r.is_ok(), "{r:?} at the bound: {}", &sql[..60]);
+        }
+        for sql in nested(MAX_EXPR_DEPTH + 1) {
+            match p.query_limited(&sql, 10) {
+                Err(QueryError::Parse(e)) => assert!(e.0.contains("nested deeper"), "{e}"),
+                other => panic!("{other:?} past the bound: {}", &sql[..60]),
+            }
+        }
+    }
+
+    /// Integer `+ - *`, unary minus and `abs` are exact in `i64`, and an
+    /// overflow is a type error rather than a panic or a wrapped value.
+    #[test]
+    fn integer_arithmetic_is_exact_and_overflow_is_an_error() {
+        let (p, _, _, _) = populated();
+        let one = |e: &str| p.query_limited(&format!("SELECT {e} FROM hworkflow"), 1);
+        assert_eq!(one("9007199254740993 + 0").unwrap().rows, [[Value::Int(9007199254740993)]]);
+        for overflow in [
+            "-(-9223372036854775807 - 1)",
+            "abs(-9223372036854775807 - 1)",
+            "9223372036854775807 * 2",
+        ] {
+            match one(overflow) {
+                Err(QueryError::Type(m)) => assert!(m.contains("integer overflow"), "{m}"),
+                other => panic!("{overflow}: {other:?}"),
+            }
+        }
     }
 
     fn durable_pair() -> (crate::durable::io::MemEnv, ProvenanceStore) {

@@ -36,7 +36,7 @@ pub enum BinOp {
 pub enum Expr {
     /// Possibly-qualified column reference (`t.endtime`, `tag`).
     Column {
-        /// Table/alias qualifier.
+        /// The table name or alias qualifying it.
         table: Option<String>,
         /// Column name.
         name: String,
@@ -156,7 +156,7 @@ pub struct SelectItem {
 /// A table reference in FROM: `name [alias]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableRef {
-    /// Table name in the catalog.
+    /// The table's name in the catalog.
     pub name: String,
     /// Optional binding alias.
     pub alias: Option<String>,

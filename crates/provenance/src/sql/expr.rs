@@ -1,15 +1,15 @@
-//! SQL execution: join, filter, group, aggregate, order, project.
+//! The expression layer the planner and the Volcano operators share:
+//! column bindings, evaluation of one expression over a row (scalar
+//! functions and `LIKE` included), ORDER BY keys, parameter binding, and
+//! the result/error types every query returns.
 //!
-//! The executor is a straightforward iterator-free implementation with one
-//! real optimization: the WHERE clause is split into conjuncts and each
-//! conjunct is applied as soon as every column it mentions is bound, so
-//! selective predicates (e.g. `w.wkfid = 432`) prune the join early instead
-//! of filtering a full cross product.
+//! Integer `+`, `-`, `*`, unary minus and `abs` are exact in `i64`; an
+//! overflow is a [`QueryError::Type`], never a panic or a wrapped value.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::str::Chars;
 
-use crate::table::{Database, DbError, Schema};
+use crate::table::{DbError, Schema};
 use crate::value::Value;
 
 use super::ast::{BinOp, Expr, Query};
@@ -200,9 +200,11 @@ pub(crate) fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Evaluation context: one row, or a group of rows for aggregates.
+/// Evaluation context: one row, or — in the reference executor, which
+/// evaluates aggregates per group instead of accumulating them — a group.
 pub(crate) enum Ctx<'a> {
     Row(&'a [Value]),
+    #[cfg(test)]
     Group(&'a [&'a Vec<Value>]),
 }
 
@@ -221,15 +223,17 @@ pub(crate) fn eval(expr: &Expr, b: &Bindings, ctx: &Ctx<'_>) -> Result<Value, Qu
             match ctx {
                 Ctx::Row(row) => Ok(row[idx].clone()),
                 // outside an aggregate, a column in a grouped query takes its
-                // value from the first row of the group (valid because the
-                // planner requires it to be a GROUP BY key)
+                // value from the first row of the group
+                #[cfg(test)]
                 Ctx::Group(rows) => Ok(rows.first().map(|r| r[idx].clone()).unwrap_or(Value::Null)),
             }
         }
         Expr::Neg(inner) => {
             let v = eval(inner, b, ctx)?;
             match v {
-                Value::Int(i) => Ok(Value::Int(-i)),
+                Value::Int(i) => {
+                    i.checked_neg().map(Value::Int).ok_or_else(|| overflow(format!("-({i})")))
+                }
                 Value::Float(f) => Ok(Value::Float(-f)),
                 Value::Null => Ok(Value::Null),
                 other => Err(QueryError::Type(format!("cannot negate {other}"))),
@@ -296,39 +300,30 @@ pub(crate) fn eval(expr: &Expr, b: &Bindings, ctx: &Ctx<'_>) -> Result<Value, Qu
             }
         }
         Expr::CountStar => match ctx {
-            Ctx::Group(rows) => Ok(Value::Int(rows.len() as i64)),
             Ctx::Row(_) => Ok(Value::Int(1)),
+            #[cfg(test)]
+            Ctx::Group(rows) => Ok(Value::Int(rows.len() as i64)),
         },
         Expr::Call { name, args } => {
             if super::ast::is_aggregate(name) {
-                let rows: Vec<&Vec<Value>> = match ctx {
-                    Ctx::Group(rows) => rows.to_vec(),
-                    // aggregate over a non-grouped query treats the whole
-                    // result as one group; handled by the caller — a single
-                    // row behaves as a group of one here
+                return match ctx {
                     Ctx::Row(_) => {
-                        return Err(QueryError::Type(format!(
-                            "aggregate {name} outside grouped context"
-                        )))
+                        Err(QueryError::Type(format!("aggregate {name} outside grouped context")))
                     }
+                    #[cfg(test)]
+                    Ctx::Group(rows) => super::reference::aggregate(name, args, b, rows),
                 };
-                if args.len() != 1 {
-                    return Err(QueryError::Type(format!("{name} takes one argument")));
-                }
-                let mut vals = Vec::with_capacity(rows.len());
-                for r in rows {
-                    let v = eval(&args[0], b, &Ctx::Row(r))?;
-                    if !v.is_null() {
-                        vals.push(v);
-                    }
-                }
-                return aggregate(name, &vals);
             }
             // scalar functions
             let vals: Result<Vec<Value>, _> = args.iter().map(|a| eval(a, b, ctx)).collect();
             scalar_fn(name, &vals?)
         }
     }
+}
+
+/// The error for an integer expression whose value does not fit an `i64`.
+fn overflow(expr: String) -> QueryError {
+    QueryError::Type(format!("integer overflow in {expr}"))
 }
 
 fn binary(op: BinOp, a: Value, c: Value) -> Result<Value, QueryError> {
@@ -355,18 +350,24 @@ fn binary(op: BinOp, a: Value, c: Value) -> Result<Value, QueryError> {
             if a.is_null() || c.is_null() {
                 return Ok(Value::Null);
             }
-            // timestamp - timestamp = interval seconds (Float)
-            if let (Value::Timestamp(x), Value::Timestamp(y)) = (&a, &c) {
-                if op == Sub {
-                    return Ok(Value::Float(x - y));
+            match (&a, &c, op) {
+                // timestamp - timestamp = interval seconds (Float)
+                (Value::Timestamp(x), Value::Timestamp(y), Sub) => return Ok(Value::Float(x - y)),
+                (&Value::Int(x), &Value::Int(y), Add | Sub | Mul) => {
+                    let (r, sym) = match op {
+                        Add => (x.checked_add(y), " + "),
+                        Sub => (x.checked_sub(y), " - "),
+                        _ => (x.checked_mul(y), " * "),
+                    };
+                    return r.map(Value::Int).ok_or_else(|| overflow(format!("{x}{sym}{y}")));
                 }
+                _ => {}
             }
             let (x, y) = match (a.as_f64(), c.as_f64()) {
                 (Some(x), Some(y)) => (x, y),
                 _ => return Err(QueryError::Type(format!("arithmetic on {a} and {c}"))),
             };
-            let both_int = matches!(a, Value::Int(_)) && matches!(c, Value::Int(_)) && op != Div;
-            let r = match op {
+            Ok(Value::Float(match op {
                 Add => x + y,
                 Sub => x - y,
                 Mul => x * y,
@@ -377,44 +378,8 @@ fn binary(op: BinOp, a: Value, c: Value) -> Result<Value, QueryError> {
                     x / y
                 }
                 _ => unreachable!(),
-            };
-            Ok(if both_int { Value::Int(r as i64) } else { Value::Float(r) })
+            }))
         }
-    }
-}
-
-pub(crate) fn aggregate(name: &str, vals: &[Value]) -> Result<Value, QueryError> {
-    let lower = name.to_ascii_lowercase();
-    if lower == "count" {
-        return Ok(Value::Int(vals.len() as i64));
-    }
-    if vals.is_empty() {
-        return Ok(Value::Null);
-    }
-    match lower.as_str() {
-        "min" => Ok(vals
-            .iter()
-            .cloned()
-            .reduce(|a, b| if a.compare(&b).is_none_or(|o| o.is_le()) { a } else { b })
-            .unwrap_or(Value::Null)),
-        "max" => Ok(vals
-            .iter()
-            .cloned()
-            .reduce(|a, b| if a.compare(&b).is_none_or(|o| o.is_ge()) { a } else { b })
-            .unwrap_or(Value::Null)),
-        "sum" | "avg" => {
-            let mut s = 0.0;
-            for v in vals {
-                s += v
-                    .as_f64()
-                    .ok_or_else(|| QueryError::Type(format!("{name} over non-numeric {v}")))?;
-            }
-            if lower == "avg" {
-                s /= vals.len() as f64;
-            }
-            Ok(Value::Float(s))
-        }
-        other => Err(QueryError::UnknownFunction(other.to_string())),
     }
 }
 
@@ -424,7 +389,9 @@ fn scalar_fn(name: &str, args: &[Value]) -> Result<Value, QueryError> {
     };
     match name {
         "abs" => match arg1()? {
-            Value::Int(i) => Ok(Value::Int(i.abs())),
+            Value::Int(i) => {
+                i.checked_abs().map(Value::Int).ok_or_else(|| overflow(format!("abs({i})")))
+            }
             Value::Float(f) => Ok(Value::Float(f.abs())),
             Value::Null => Ok(Value::Null),
             other => Err(QueryError::Type(format!("abs({other})"))),
@@ -466,27 +433,38 @@ fn scalar_fn(name: &str, args: &[Value]) -> Result<Value, QueryError> {
 }
 
 /// SQL LIKE matcher: `%` = any run, `_` = any single char.
+///
+/// Greedy with one backtrack point: on a mismatch only the last `%` seen
+/// needs to absorb one more character, because any run an earlier `%`
+/// could take, the last one can take as well. So it allocates nothing and
+/// keeps two positions per string; time is O(|pattern| · |text|) at worst.
 fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    // dynamic programming over (pattern idx, text idx)
-    let mut dp = vec![vec![false; t.len() + 1]; p.len() + 1];
-    dp[0][0] = true;
-    for i in 1..=p.len() {
-        if p[i - 1] == '%' {
-            dp[i][0] = dp[i - 1][0];
+    let (mut p, mut t) = (pattern.chars(), text.chars());
+    // the pattern just past the last `%`, and the text it resumes from
+    let mut retry: Option<(Chars<'_>, Chars<'_>)> = None;
+    loop {
+        let mut p_next = p.clone();
+        let mut t_next = t.clone();
+        match (p_next.next(), t_next.next()) {
+            (Some('%'), _) => {
+                p = p_next;
+                retry = Some((p.clone(), t.clone()));
+                continue;
+            }
+            (Some(pc), Some(tc)) if pc == '_' || pc == tc => {
+                (p, t) = (p_next, t_next);
+                continue;
+            }
+            (None, None) => return true,
+            _ => {}
         }
-    }
-    for i in 1..=p.len() {
-        for j in 1..=t.len() {
-            dp[i][j] = match p[i - 1] {
-                '%' => dp[i - 1][j] || dp[i][j - 1],
-                '_' => dp[i - 1][j - 1],
-                c => dp[i - 1][j - 1] && c == t[j - 1],
-            };
+        // mismatch: the last `%` takes one more character, if any are left
+        let Some((rp, rt)) = &mut retry else { return false };
+        if rt.next().is_none() {
+            return false;
         }
+        (p, t) = (rp.clone(), rt.clone());
     }
-    dp[p.len()][t.len()]
 }
 
 /// Derive an output column name for a select item.
@@ -566,159 +544,6 @@ pub(crate) fn bind_params(q: &mut Query, params: &[Value]) -> Result<(), QueryEr
     Ok(())
 }
 
-/// Execute a parsed query.
-pub fn execute_query(db: &Database, q: &Query) -> Result<ResultSet, QueryError> {
-    // bind FROM tables
-    let mut tables = Vec::new();
-    let mut offset = 0usize;
-    for tr in &q.from {
-        let t = db.table(&tr.name)?;
-        tables.push((tr.binding().to_string(), t.schema.clone(), offset));
-        offset += t.schema.arity();
-    }
-    let bindings = Bindings { tables, width: offset };
-
-    let preds: Vec<&Expr> = q.where_clause.as_ref().map(conjuncts).unwrap_or_default();
-    // assign each conjunct to the earliest join step where it is fully bound
-    let mut pred_at: Vec<Vec<&Expr>> = vec![Vec::new(); q.from.len() + 1];
-    for p in preds {
-        match (1..=q.from.len()).find(|&n| bindings.expr_bound(p, n)) {
-            Some(n) => pred_at[n].push(p),
-            // will fail with UnknownColumn during evaluation; evaluate last
-            None => pred_at[q.from.len()].push(p),
-        }
-    }
-
-    // incremental nested-loop join with predicate push-down
-    let mut joined: Vec<Vec<Value>> = vec![Vec::new()];
-    for (n, tr) in q.from.iter().enumerate() {
-        let t = db.table(&tr.name)?;
-        let mut next = Vec::new();
-        for base in &joined {
-            for row in t.rows() {
-                let mut combined = base.clone();
-                combined.extend(row.iter().cloned());
-                let mut keep = true;
-                for p in &pred_at[n + 1] {
-                    let v = eval(p, &bindings, &Ctx::Row(&combined))?;
-                    if !v.is_truthy() {
-                        keep = false;
-                        break;
-                    }
-                }
-                if keep {
-                    next.push(combined);
-                }
-            }
-        }
-        joined = next;
-    }
-    debug_assert!(joined.iter().all(|r| r.len() == bindings.width));
-
-    let grouped = !q.group_by.is_empty() || q.items.iter().any(|i| i.expr.contains_aggregate());
-
-    // (row values for projection, order keys)
-    let mut out_rows: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-    let columns: Vec<String>;
-
-    if q.star {
-        if grouped {
-            return Err(QueryError::Type("SELECT * cannot be grouped".to_string()));
-        }
-        columns = bindings
-            .tables
-            .iter()
-            .flat_map(|(b, s, _)| s.columns.iter().map(move |c| format!("{b}.{}", c.name)))
-            .collect();
-        for row in &joined {
-            let keys = order_keys(q, &bindings, &Ctx::Row(row), row, &columns)?;
-            out_rows.push((row.clone(), keys));
-        }
-    } else if grouped {
-        columns = q.items.iter().map(item_name).collect();
-        // group rows by GROUP BY key values
-        let mut groups: HashMap<String, Vec<&Vec<Value>>> = HashMap::new();
-        let mut group_order: Vec<String> = Vec::new();
-        for row in &joined {
-            let mut key = String::new();
-            for g in &q.group_by {
-                let v = eval(g, &bindings, &Ctx::Row(row))?;
-                key.push_str(&format!("{v}\u{1}"));
-            }
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                group_order.push(key.clone());
-                Vec::new()
-            });
-            entry.push(row);
-        }
-        if q.group_by.is_empty() && !joined.is_empty() {
-            // implicit single group
-            groups.insert(String::new(), joined.iter().collect());
-            group_order = vec![String::new()];
-        }
-        if q.group_by.is_empty() && joined.is_empty() {
-            // aggregates over empty input yield one row (count=0, others NULL)
-            groups.insert(String::new(), Vec::new());
-            group_order = vec![String::new()];
-        }
-        for key in &group_order {
-            let rows = &groups[key];
-            let ctx = Ctx::Group(rows);
-            if let Some(h) = &q.having {
-                if !eval(h, &bindings, &ctx)?.is_truthy() {
-                    continue;
-                }
-            }
-            let mut vals = Vec::with_capacity(q.items.len());
-            for item in &q.items {
-                vals.push(eval(&item.expr, &bindings, &ctx)?);
-            }
-            let keys = order_keys(q, &bindings, &ctx, &vals, &columns)?;
-            out_rows.push((vals, keys));
-        }
-    } else {
-        columns = q.items.iter().map(item_name).collect();
-        for row in &joined {
-            let ctx = Ctx::Row(row);
-            let mut vals = Vec::with_capacity(q.items.len());
-            for item in &q.items {
-                vals.push(eval(&item.expr, &bindings, &ctx)?);
-            }
-            let keys = order_keys(q, &bindings, &ctx, &vals, &columns)?;
-            out_rows.push((vals, keys));
-        }
-    }
-
-    if q.distinct {
-        let mut seen = std::collections::HashSet::new();
-        out_rows.retain(|(vals, _)| {
-            let key: String = vals.iter().map(|v| format!("{v}\u{1}")).collect();
-            seen.insert(key)
-        });
-    }
-    if !q.order_by.is_empty() {
-        out_rows.sort_by(|(_, ka), (_, kb)| {
-            for (k, spec) in ka.iter().zip(kb).zip(&q.order_by) {
-                let (a, b) = k;
-                // total_cmp, not compare: NULLs sort first instead of
-                // breaking sort_by's total-order contract
-                let ord = a.total_cmp(b);
-                let ord = if spec.descending { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    let mut rows: Vec<Vec<Value>> = out_rows.into_iter().map(|(v, _)| v).collect();
-    if let Some(n) = q.limit {
-        rows.truncate(n);
-    }
-    Ok(ResultSet { columns, rows })
-}
-
 /// Evaluate the ORDER BY keys for one output row. A bare, unqualified name
 /// that matches an output column (a select-list alias or derived name) sorts
 /// by the projected value — SQL's "ORDER BY output name" rule — otherwise
@@ -746,26 +571,26 @@ pub(crate) fn order_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::parse;
-    use crate::table::Schema;
+    use crate::sql::{parse, run_query};
+    use crate::storage::PagedDb;
     use crate::value::ValueType;
 
-    fn execute(db: &Database, sql: &str) -> Result<ResultSet, QueryError> {
-        execute_query(db, &parse(sql)?)
+    fn execute(db: &PagedDb, sql: &str) -> Result<ResultSet, QueryError> {
+        run_query(db, &parse(sql)?)
     }
 
     fn execute_with_params(
-        db: &Database,
+        db: &PagedDb,
         sql: &str,
         params: &[Value],
     ) -> Result<ResultSet, QueryError> {
         let mut q = parse(sql)?;
         bind_params(&mut q, params)?;
-        execute_query(db, &q)
+        run_query(db, &q)
     }
 
-    fn db() -> Database {
-        let mut db = Database::new();
+    fn db() -> PagedDb {
+        let mut db = PagedDb::in_memory();
         db.create_table(
             "emp",
             Schema::new(&[
@@ -901,7 +726,7 @@ mod tests {
 
     #[test]
     fn extract_epoch_from_timestamps() {
-        let mut db = Database::new();
+        let mut db = PagedDb::in_memory();
         db.create_table(
             "t",
             Schema::new(&[("starttime", ValueType::Timestamp), ("endtime", ValueType::Timestamp)]),

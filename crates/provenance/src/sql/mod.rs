@@ -1,4 +1,4 @@
-//! The SQL subset engine: lexer → parser → executor.
+//! The SQL subset engine: lexer → parser → planner → Volcano executor.
 //!
 //! Supports the query shapes the paper's provenance analysis uses (Queries 1
 //! and 2, the histogram query of Fig. 5) and a bit more: multi-table FROM
@@ -9,13 +9,15 @@
 //! [`crate::ProvenanceStore::query`].
 
 pub mod ast;
-pub mod exec;
+pub(crate) mod expr;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+#[cfg(test)]
+mod reference;
 pub mod volcano;
 
-pub use exec::{execute_query, QueryError, ResultSet};
+pub use expr::{QueryError, ResultSet};
 pub use parser::{parse, SqlParseError};
 pub use plan::{Access, Plan, TableStep};
 pub use volcano::{explain_query, run_query};

@@ -26,6 +26,13 @@ use crate::value::Value;
 use super::ast::{BinOp, Expr, OrderKey, Query, SelectItem, TableRef};
 use super::lexer::{lex, Token};
 
+/// Deepest expression [`parse`] accepts. Each parenthesis, function call,
+/// unary operator and link of a binary chain counts one level; the paper's
+/// queries need fewer than ten. The planner, the executor and `Drop` all
+/// recurse over the tree, so the bound is what keeps a hostile query from
+/// overflowing the stack of the thread that runs it.
+pub(crate) const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parse error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SqlParseError(pub String);
@@ -38,10 +45,12 @@ impl std::fmt::Display for SqlParseError {
 
 impl std::error::Error for SqlParseError {}
 
-/// Parse a SELECT statement.
+/// Parse a SELECT statement. An expression nested more than 128 levels
+/// deep (parentheses, calls, unary minus and the links of an operator
+/// chain each count) is refused.
 pub fn parse(sql: &str) -> Result<Query, SqlParseError> {
     let tokens = lex(sql).map_err(|e| SqlParseError(e.to_string()))?;
-    let mut p = Parser { tokens, pos: 0, params: 0 };
+    let mut p = Parser { tokens, pos: 0, params: 0, depth: 0 };
     let q = p.query()?;
     p.eat_optional_semi();
     if p.pos != p.tokens.len() {
@@ -55,6 +64,8 @@ struct Parser {
     pos: usize,
     /// Number of `?` placeholders seen so far; assigns positional indices.
     params: usize,
+    /// Expression levels open at the current token (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -122,6 +133,18 @@ impl Parser {
                 other.map(|t| t.to_string()).unwrap_or_else(|| "<eof>".into())
             ))),
         }
+    }
+
+    /// Open one more expression level, refusing past [`MAX_EXPR_DEPTH`].
+    /// The caller closes what it opened by restoring `depth`.
+    fn deeper(&mut self) -> Result<(), SqlParseError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(SqlParseError(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(())
     }
 
     fn eat_optional_semi(&mut self) {
@@ -216,25 +239,36 @@ impl Parser {
         Ok(Query { items, star, distinct, from, where_clause, group_by, having, order_by, limit })
     }
 
+    /// One expression, one level deeper than its context.
     fn expr(&mut self) -> Result<Expr, SqlParseError> {
-        self.or_expr()
+        let outer = self.depth;
+        self.deeper()?;
+        let e = self.or_expr()?;
+        self.depth = outer;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> Result<Expr, SqlParseError> {
+        let outer = self.depth;
         let mut lhs = self.and_expr()?;
         while self.eat_kw("OR") {
+            self.deeper()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, SqlParseError> {
+        let outer = self.depth;
         let mut lhs = self.not_expr()?;
         while self.eat_kw("AND") {
+            self.deeper()?;
             let rhs = self.not_expr()?;
             lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -328,6 +362,7 @@ impl Parser {
     }
 
     fn sum_expr(&mut self) -> Result<Expr, SqlParseError> {
+        let outer = self.depth;
         let mut lhs = self.prod_expr()?;
         loop {
             let op = match self.peek() {
@@ -336,13 +371,16 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.prod_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn prod_expr(&mut self) -> Result<Expr, SqlParseError> {
+        let outer = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -351,15 +389,20 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.unary_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, SqlParseError> {
         if self.eat(&Token::Minus) {
+            let outer = self.depth;
+            self.deeper()?;
             let inner = self.unary_expr()?;
+            self.depth = outer;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.atom()

@@ -26,7 +26,7 @@ use crate::storage::{IndexMeta, TableProvider};
 use crate::value::Value;
 
 use super::ast::{BinOp, Expr, Query};
-use super::exec::{conjuncts, Bindings, QueryError};
+use super::expr::{conjuncts, Bindings, QueryError};
 
 /// How one table of the join is read.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,11 +17,12 @@
 //! pipeline, release the store lock, and resume later.
 //!
 //! Semantics contract: for any query the pipeline produces *row-identical*
-//! output (values **and** order) to the reference executor
-//! [`execute_query`](super::exec::execute_query) — property-tested in
-//! `tests/query_parity.rs`. Index access paths may fetch a superset of
-//! matching rows (see [`crate::storage::keys`]); every predicate is
-//! re-applied by `FilterOp`, so supersets never leak into results.
+//! output (values **and** order) to the tree-walking reference executor
+//! that the crate's tests keep as its oracle (`sql::reference`, test-only),
+//! with or without indexes under it. Index access paths may fetch a
+//! superset of matching rows (see [`crate::storage::keys`]); every
+//! predicate is re-applied by `FilterOp`, so supersets never leak into
+//! results.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Bound;
@@ -31,12 +32,12 @@ use crate::storage::{keys, TableProvider};
 use crate::value::Value;
 
 use super::ast::{is_aggregate, Expr, Query};
-use super::exec::{eval, item_name, order_keys, Bindings, Ctx, QueryError, ResultSet};
+use super::expr::{eval, item_name, order_keys, Bindings, Ctx, QueryError, ResultSet};
 use super::plan::{explain_lines, plan_query, Access, Plan, TableStep};
 
 /// Per-call execution context: the storage the operators read through.
 pub struct ExecCtx<'a> {
-    /// Table storage (in-memory reference tables or the paged store).
+    /// The tables the operators read.
     pub provider: &'a dyn TableProvider,
 }
 
@@ -785,10 +786,6 @@ pub(crate) fn build_pipeline_planned(
 }
 
 /// Run a parsed query through the Volcano pipeline, materializing the result.
-///
-/// The planner-driven replacement for
-/// [`execute_query`](super::exec::execute_query); both must return
-/// row-identical results for every query (the parity property).
 pub fn run_query(provider: &dyn TableProvider, q: &Query) -> Result<ResultSet, QueryError> {
     let mut pipe = build_pipeline(provider, q)?;
     let cx = ExecCtx { provider };
@@ -810,14 +807,15 @@ pub fn explain_query(provider: &dyn TableProvider, q: &Query) -> Result<ResultSe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::exec::execute_query;
     use crate::sql::parse;
+    use crate::sql::reference::execute_query;
     use crate::storage::PagedDb;
-    use crate::table::{Database, Schema};
+    use crate::table::Schema;
     use crate::value::ValueType;
 
-    /// Mirrored fixture: same rows in a plain Database and an indexed PagedDb.
-    fn fixtures() -> (Database, PagedDb) {
+    /// Mirrored fixture: the same rows in an index-free and an indexed
+    /// `PagedDb`.
+    fn fixtures() -> (PagedDb, PagedDb) {
         let emp = Schema::new(&[
             ("id", ValueType::Int),
             ("name", ValueType::Text),
@@ -825,7 +823,7 @@ mod tests {
             ("salary", ValueType::Float),
         ]);
         let dept = Schema::new(&[("dname", ValueType::Text), ("floor", ValueType::Int)]);
-        let mut db = Database::new();
+        let mut db = PagedDb::in_memory();
         let mut pg = PagedDb::in_memory();
         db.create_table("emp", emp.clone()).unwrap();
         db.create_table("dept", dept.clone()).unwrap();
@@ -857,16 +855,16 @@ mod tests {
         (db, pg)
     }
 
-    /// Assert reference, volcano-over-Database, and volcano-over-PagedDb all
-    /// return identical results for `sql`.
+    /// Assert the reference, the pipeline over the index-free store and the
+    /// pipeline over the indexed one all return identical results for `sql`.
     fn check(sql: &str) {
         let (db, pg) = fixtures();
         let q = parse(sql).unwrap();
         let reference = execute_query(&db, &q).unwrap();
-        let v_mem = run_query(&db, &q).unwrap();
-        let v_pg = run_query(&pg, &q).unwrap();
-        assert_eq!(reference, v_mem, "volcano/Database diverged: {sql}");
-        assert_eq!(reference, v_pg, "volcano/PagedDb diverged: {sql}");
+        let v_plain = run_query(&db, &q).unwrap();
+        let v_indexed = run_query(&pg, &q).unwrap();
+        assert_eq!(reference, v_plain, "volcano/index-free diverged: {sql}");
+        assert_eq!(reference, v_indexed, "volcano/indexed diverged: {sql}");
     }
 
     #[test]

@@ -9,12 +9,7 @@
 //! [`keys`]) back to rowids, so the store does not have to fit in RAM and
 //! selective steering queries are not full scans.
 //!
-//! [`Database`] (plain in-memory vectors, sequential scans only, no
-//! indexes) is a provider too, but not a store's tables: it is the
-//! reference the query-parity tests hold the Volcano executor to, and the
-//! decoded form of a snapshot.
-//!
-//! Contract shared by both (and relied on by the executor for row-order
+//! Contract of every provider (relied on by the executor for row-order
 //! parity with the reference engine): rowids are dense-ish, monotonically
 //! increasing insertion ids; sequential scans and index lookups both yield
 //! rows in ascending-rowid (= insertion) order; updates keep their rowid.
@@ -29,7 +24,7 @@ pub mod pager;
 
 use std::ops::Bound;
 
-use crate::table::{Database, DbError, Schema};
+use crate::table::{DbError, Schema};
 use crate::value::Value;
 
 pub use paged::PagedDb;
@@ -81,47 +76,4 @@ pub trait TableProvider {
         lo: Bound<&[u8]>,
         hi: Bound<&[u8]>,
     ) -> Result<Vec<u64>, DbError>;
-}
-
-impl TableProvider for Database {
-    fn schema_of(&self, table: &str) -> Result<Schema, DbError> {
-        Ok(self.table(table)?.schema.clone())
-    }
-
-    fn row_count(&self, table: &str) -> Result<u64, DbError> {
-        Ok(self.table(table)?.len() as u64)
-    }
-
-    fn indexes_of(&self, _table: &str) -> Vec<IndexMeta> {
-        Vec::new()
-    }
-
-    fn scan_batch(
-        &self,
-        table: &str,
-        pos: &mut u64,
-        max: usize,
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<(), DbError> {
-        let rows = self.table(table)?.rows();
-        let start = (*pos).min(rows.len() as u64) as usize;
-        let end = start.saturating_add(max).min(rows.len());
-        out.extend(rows[start..end].iter().cloned());
-        *pos = end as u64;
-        Ok(())
-    }
-
-    fn fetch(&self, table: &str, rowid: u64) -> Result<Option<Vec<Value>>, DbError> {
-        Ok(self.table(table)?.rows().get(rowid as usize).cloned())
-    }
-
-    fn index_rowids(
-        &self,
-        table: &str,
-        index: &str,
-        _lo: Bound<&[u8]>,
-        _hi: Bound<&[u8]>,
-    ) -> Result<Vec<u64>, DbError> {
-        Err(DbError::NoSuchIndex { table: table.to_string(), index: index.to_string() })
-    }
 }

@@ -210,7 +210,7 @@ impl PagedDb {
         PagedDb { cache: PageCache::new(store, cache_pages), tables: BTreeMap::new() }
     }
 
-    /// Memory-backed store with the default cache size (tests, benches).
+    /// Memory-backed store with the default cache size.
     pub fn in_memory() -> PagedDb {
         PagedDb::new(Box::new(MemPageStore::new()), DEFAULT_CACHE_PAGES)
     }
@@ -269,8 +269,8 @@ impl PagedDb {
         Ok(())
     }
 
-    /// Insert a row (validated like [`crate::table::Table::insert`]);
-    /// returns its rowid.
+    /// Insert a row after arity/type checking (NULL fits any column, an
+    /// `Int` a `Float` column); returns its rowid.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<u64, DbError> {
         let cache = &self.cache;
         let t = table_mut(&mut self.tables, table)?;
@@ -417,8 +417,7 @@ impl PagedDb {
         Ok(out)
     }
 
-    /// Names of all tables, sorted (mirrors
-    /// [`Database::table_names`](crate::table::Database::table_names)).
+    /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<&str> {
         self.tables.keys().map(|s| s.as_str()).collect()
     }
@@ -786,6 +785,13 @@ mod tests {
         // Int widens to Float; NULL fits anything
         db.insert("t", vec![Value::Int(1), Value::Null, Value::Int(5)]).unwrap();
         assert!(matches!(db.insert("nope", vec![]), Err(DbError::NoSuchTable(_))));
+        // the catalog: names are case-insensitive, unique, and listed sorted
+        db.create_table("S1", schema()).unwrap();
+        assert!(matches!(db.create_table("s1", schema()), Err(DbError::TableExists(_))));
+        db.insert("s1", vec![Value::Int(1), Value::Text("a".into()), Value::Float(0.5)]).unwrap();
+        assert_eq!(db.row_count("S1").unwrap(), 1);
+        assert!(matches!(db.row_count("nope"), Err(DbError::NoSuchTable(_))));
+        assert_eq!(db.table_names(), vec!["s1", "t"]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Tables, schemas, and the database catalog.
+//! Schemas of tables, and the errors of table and catalog operations.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::value::{Value, ValueType};
+use crate::value::ValueType;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,13 +63,13 @@ pub enum DbError {
         /// The type it requires.
         expected: ValueType,
     },
-    /// Table name not in catalog.
+    /// No table of that name in the catalog.
     NoSuchTable(String),
     /// Duplicate table registration.
     TableExists(String),
     /// Index name not defined on the table.
     NoSuchIndex {
-        /// Table the lookup targeted.
+        /// The table the lookup targeted.
         table: String,
         /// The missing index name.
         index: String,
@@ -119,98 +118,6 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// A heap table: schema + row storage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table {
-    /// The table's schema.
-    pub schema: Schema,
-    rows: Vec<Vec<Value>>,
-}
-
-impl Table {
-    /// Empty table with the given schema.
-    pub fn new(schema: Schema) -> Table {
-        Table { schema, rows: Vec::new() }
-    }
-
-    /// Insert a row after arity/type checking (NULL fits any column).
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
-        if row.len() != self.schema.arity() {
-            return Err(DbError::ArityMismatch { expected: self.schema.arity(), got: row.len() });
-        }
-        for (v, c) in row.iter().zip(&self.schema.columns) {
-            if let Some(t) = v.value_type() {
-                let ok = t == c.ty
-                    // Int is acceptable where Float is expected
-                    || (t == ValueType::Int && c.ty == ValueType::Float);
-                if !ok {
-                    return Err(DbError::TypeMismatch { column: c.name.clone(), expected: c.ty });
-                }
-            }
-        }
-        self.rows.push(row);
-        Ok(())
-    }
-
-    /// All rows, in insertion order.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
-/// The database: a named collection of tables.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Database {
-    tables: BTreeMap<String, Table>,
-}
-
-impl Database {
-    /// Empty database.
-    pub fn new() -> Database {
-        Database::default()
-    }
-
-    /// Create a table.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), DbError> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        self.tables.insert(key, Table::new(schema));
-        Ok(())
-    }
-
-    /// Look up a table (case-insensitive).
-    pub fn table(&self, name: &str) -> Result<&Table, DbError> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    /// Insert into a named table.
-    pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), DbError> {
-        self.tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| DbError::NoSuchTable(table.to_string()))?
-            .insert(row)
-    }
-
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,47 +143,5 @@ mod tests {
     #[should_panic(expected = "duplicate column")]
     fn duplicate_columns_panic() {
         Schema::new(&[("a", ValueType::Int), ("A", ValueType::Text)]);
-    }
-
-    #[test]
-    fn insert_validates_arity() {
-        let mut t = Table::new(schema());
-        let err = t.insert(vec![Value::Int(1)]).unwrap_err();
-        assert_eq!(err, DbError::ArityMismatch { expected: 3, got: 1 });
-    }
-
-    #[test]
-    fn insert_validates_types() {
-        let mut t = Table::new(schema());
-        let err = t
-            .insert(vec![Value::Text("x".into()), Value::Text("y".into()), Value::Float(0.5)])
-            .unwrap_err();
-        assert!(matches!(err, DbError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn int_widens_to_float() {
-        let mut t = Table::new(schema());
-        t.insert(vec![Value::Int(1), Value::Text("a".into()), Value::Int(5)]).unwrap();
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn null_fits_any_column() {
-        let mut t = Table::new(schema());
-        t.insert(vec![Value::Null, Value::Null, Value::Null]).unwrap();
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn database_catalog_operations() {
-        let mut db = Database::new();
-        db.create_table("T1", schema()).unwrap();
-        assert!(matches!(db.create_table("t1", schema()), Err(DbError::TableExists(_))));
-        db.insert("t1", vec![Value::Int(1), Value::Text("a".into()), Value::Float(0.5)]).unwrap();
-        assert_eq!(db.table("T1").unwrap().len(), 1);
-        assert!(matches!(db.table("nope"), Err(DbError::NoSuchTable(_))));
-        assert_eq!(db.table_names(), vec!["t1"]);
     }
 }

@@ -2,12 +2,13 @@
 
 use proptest::prelude::*;
 
-use provenance::sql::{execute_query, parse, QueryError, ResultSet};
-use provenance::{Database, Schema, Value, ValueType};
+use provenance::sql::{parse, run_query, QueryError, ResultSet};
+use provenance::storage::PagedDb;
+use provenance::{Schema, Value, ValueType};
 
-/// Parse + run on the reference engine.
-fn execute(db: &Database, sql: &str) -> Result<ResultSet, QueryError> {
-    execute_query(db, &parse(sql)?)
+/// Parse + run on the Volcano executor.
+fn execute(db: &PagedDb, sql: &str) -> Result<ResultSet, QueryError> {
+    run_query(db, &parse(sql)?)
 }
 
 /// Reference implementation of SQL LIKE used to check the engine's matcher.
@@ -27,8 +28,8 @@ fn p_chars(s: &str) -> Vec<char> {
     s.chars().collect()
 }
 
-fn tiny_db(values: &[(i64, String)]) -> Database {
-    let mut db = Database::new();
+fn tiny_db(values: &[(i64, String)]) -> PagedDb {
+    let mut db = PagedDb::in_memory();
     db.create_table("t", Schema::new(&[("n", ValueType::Int), ("s", ValueType::Text)])).unwrap();
     for (n, s) in values {
         db.insert("t", vec![Value::Int(*n), Value::Text(s.clone())]).unwrap();
