@@ -314,49 +314,28 @@ impl SimBackend {
                 activity.operator,
                 Operator::Reduce { .. } | Operator::SRQuery | Operator::MRQuery
             );
-            if barrier {
+            // each activation's pair-key suffix and dependencies
+            let activations: Vec<(String, Vec<usize>)> = if barrier {
                 // one activation consuming the whole upstream relation
-                let id = tasks.len();
+                vec![("all".to_string(), upstream)]
+            } else if def.deps[i].is_empty() {
+                // source Map-like: one activation per input tuple
+                (0..wf.input.tuples.len()).map(|j| (j.to_string(), Vec::new())).collect()
+            } else {
+                // downstream Map-like: 1:1 with upstream activations
+                upstream.into_iter().enumerate().map(|(j, up)| (j.to_string(), vec![up])).collect()
+            };
+            for (suffix, deps) in activations {
+                produced[i].push(tasks.len());
                 tasks.push(SimTask {
                     activity_index: i,
-                    pair_key: format!("{}#all", activity.tag),
+                    pair_key: format!("{}#{suffix}", activity.tag),
                     nominal_s: 1.0,
                     in_bytes: 0,
                     out_bytes: 0,
-                    deps: upstream,
+                    deps,
                     poison: false,
                 });
-                produced[i].push(id);
-            } else if def.deps[i].is_empty() {
-                // source Map-like: one activation per input tuple
-                for (j, _) in wf.input.tuples.iter().enumerate() {
-                    let id = tasks.len();
-                    tasks.push(SimTask {
-                        activity_index: i,
-                        pair_key: format!("{}#{}", activity.tag, j),
-                        nominal_s: 1.0,
-                        in_bytes: 0,
-                        out_bytes: 0,
-                        deps: Vec::new(),
-                        poison: false,
-                    });
-                    produced[i].push(id);
-                }
-            } else {
-                // downstream Map-like: 1:1 with upstream activations
-                for (j, &up) in upstream.iter().enumerate() {
-                    let id = tasks.len();
-                    tasks.push(SimTask {
-                        activity_index: i,
-                        pair_key: format!("{}#{}", activity.tag, j),
-                        nominal_s: 1.0,
-                        in_bytes: 0,
-                        out_bytes: 0,
-                        deps: vec![up],
-                        poison: false,
-                    });
-                    produced[i].push(id);
-                }
             }
         }
         tasks

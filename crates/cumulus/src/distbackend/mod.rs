@@ -20,13 +20,14 @@
 //!   [`DistConfig::reassign_budget`] crashes the input is treated as poison
 //!   and `BLACKLISTED`, so one bad tuple cannot wedge the run.
 //! * **Provenance parity** — the master process writes every row itself
-//!   through the lifecycle the local backend uses (a finished activation is
-//!   one atomic `commit_activation`: outputs and `FINISHED` row together,
-//!   made by the reader thread of the connection its `Done` frame arrived
-//!   on), so `provenance::export_provn_canonical` of a local and a
-//!   distributed run are byte-identical and `resume_from` stays sound
-//!   across a master crash. A store fault in that commit is the run's:
-//!   the reader forwards the panic to the engine, which re-raises it.
+//!   through the lifecycle the local backend uses (the reader thread of the
+//!   connection a `Done` frame arrived on settles the attempt, and the run's
+//!   committer writes a finished activation as one atomic record: outputs
+//!   and `FINISHED` row together), so `provenance::export_provn_canonical`
+//!   of a local and a distributed run are byte-identical and `resume_from`
+//!   stays sound across a master crash. A store fault in that write is the
+//!   run's: the committer forwards the panic to the engine, which re-raises
+//!   it.
 //! * **One copy per content** — produced files and fetched inputs are
 //!   named by digest; a connection carries each content's bytes once, and
 //!   the receiver re-hashes what it is sent.
@@ -117,8 +118,8 @@ pub struct DistConfig {
     pub resume_from: Option<WorkflowId>,
     /// Telemetry sink; worker spans merge into it on per-worker tracks.
     pub telemetry: Telemetry,
-    /// When set, a [`crate::steer::SteeringBridge`] publishes in-flight
-    /// activation state into the provenance store at this interval.
+    /// When set, the run's provenance committer publishes a `RUNNING` row
+    /// for every attempt in flight at this interval.
     pub steering_tick: Option<Duration>,
     /// Durability override applied to the provenance store for this run.
     pub durability: Option<provenance::Durability>,
@@ -299,7 +300,7 @@ impl DistConfig {
         self
     }
 
-    /// Enable the steering bridge at the given flush interval.
+    /// Publish `RUNNING` rows at the given interval.
     pub fn with_steering_tick(mut self, tick: Duration) -> DistConfig {
         self.steering_tick = Some(tick);
         self
@@ -402,8 +403,7 @@ pub fn run_dist(
         let ctxs = ActivityCtx::build_all(def, &run);
 
         scope.obs.health.lock().expect("health view poisoned").phase = "starting".to_string();
-        let (events_tx, events) = mpsc::channel();
-        let port = SdwPort::connect(cfg, &files, tel, &scope.obs.tel, events_tx)?;
+        let port = SdwPort::connect(cfg, &files, tel, &scope.obs.tel, scope.port_tx.clone())?;
         let mut engine = Engine::new(
             port,
             EngineCfg {
@@ -424,7 +424,7 @@ pub fn run_dist(
         );
         engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
         // the no-busy-spin regression watches the wake-up count
-        let closed = engine.drive(&events, Some("dist.master.wakeups"))?;
+        let closed = engine.drive(&scope.port_rx, Some("dist.master.wakeups"))?;
 
         tel.instant("dist", "jobs", Some(&format!("submitted={}", closed.submitted())));
         // per-worker utilisation, and the fleet bill if the policy carries a
@@ -491,8 +491,8 @@ impl Conn {
 /// `begin` is called where the `Run` frame is written (the engine's thread:
 /// the frame carries the attempt's fate, and the store's interval runs from
 /// dispatch to result); the connection's reader thread lands the files a
-/// `Done` frame ships and calls `settle`, so provenance commits of different
-/// workers overlap and never wait behind the engine's dispatch.
+/// `Done` frame ships and calls `settle`, which queues the attempt's rows
+/// for the run's committer, so no result waits behind the engine's dispatch.
 struct SdwPort<'a> {
     cfg: &'a DistConfig,
     tel: Telemetry,
@@ -640,8 +640,10 @@ impl<'a> SdwPort<'a> {
     /// Sever everything and join every handle, including launches that
     /// never finished connecting.
     fn teardown(&mut self) {
+        // every connection first: an in-process worker's thread is matched to
+        // a connection by launch order, so it may hold a socket further down
+        self.conns.iter_mut().for_each(Conn::sever);
         for c in &mut self.conns {
-            c.sever();
             if let Some(t) = c.thread.take() {
                 let _ = t.join();
             }
@@ -861,8 +863,9 @@ impl Reader {
                         continue; // completion raced a reassignment
                     };
                     let paths = self.land(files);
-                    // a panic here is a store fault in the commit: the run
-                    // dies of it, as the engine's other ports make it
+                    // a panic here is a fault of the lifecycle itself, e.g.
+                    // a dead committer: the run dies of it, as the engine's
+                    // other ports make it
                     match catch_unwind(AssertUnwindSafe(|| self.settle(&ctx, at, outcome, &paths)))
                     {
                         Ok(settled) => PortEvent::Settled { worker, job, settled },
@@ -911,7 +914,7 @@ impl Reader {
         match outcome {
             WireOutcome::Finished { tuples, params, spans, .. } => {
                 self.import(spans);
-                ctx.settle(at, Exec::Finished { tuples, files: paths, params: &params })
+                ctx.settle(at, Exec::Finished { tuples, files: paths, params })
             }
             WireOutcome::Failed { error, spans, .. } => {
                 self.import(spans);
@@ -1438,12 +1441,12 @@ mod tests {
     }
 
     #[test]
-    fn a_store_fault_in_a_reader_commit_kills_the_run_instead_of_waiting_for_heartbeats() {
+    fn a_store_fault_in_the_committer_kills_the_run_instead_of_waiting_for_heartbeats() {
         use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
 
         // opening the store is append 1; the engine thread registers the
-        // workflow and its three activities in 2–5; every later append is a
-        // commit made by a connection's reader thread
+        // workflow and its three activities in 2–5; every later append is
+        // the committer's, writing what the connections' readers settled
         let env = MemEnv::new();
         let plan = Arc::new(FaultPlan::panic_after(7));
         let fault = FaultEnv::new(Box::new(env.clone()), Arc::clone(&plan));
@@ -1819,7 +1822,11 @@ mod tests {
             vsnap.histograms.iter().any(|h| h.name == "campaign.first_result"),
             "first-result latency must be recorded"
         );
-        for name in ["provstore.lock_hold", "provstore.lock_wait", "provstore.group_commit"] {
+        let committed = ["provstore.commit_lag", "provstore.commit_records"];
+        for name in ["provstore.lock_hold", "provstore.lock_wait", "provstore.group_commit"]
+            .into_iter()
+            .chain(committed)
+        {
             assert!(vsnap.histograms.iter().any(|h| h.name == name), "{name} must be recorded");
         }
         assert_eq!(registry::unregistered(&vsnap), Vec::<String>::new());

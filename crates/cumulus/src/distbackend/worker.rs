@@ -387,7 +387,12 @@ pub(crate) fn serve_with(
                 result = Err(CumulusError::Protocol(format!("unexpected frame {f:?}")));
                 break;
             }
-            Err(_) => break, // master gone; nothing left to serve
+            Err(_) => {
+                // master gone: waiting fetches and queued results give up now
+                let _ = writer.lock().shutdown(std::net::Shutdown::Both);
+                pending.lock().clear();
+                break;
+            }
         }
     }
 

@@ -21,10 +21,11 @@
 //! Which thread runs the lifecycle's steps is the one thing the ports differ
 //! in. The engine always `admit`s (and aborts a hung fate) on its own
 //! thread. The thread port runs `begin` → execute → `settle` on the worker
-//! thread, so the provenance commits of different workers overlap. The
-//! `SDW2` port calls `begin` where it writes the `Run` frame (the frame
-//! carries the fate, and the store's interval runs from dispatch) and
-//! `settle` on the connection's reader thread.
+//! thread. The `SDW2` port calls `begin` where it writes the `Run` frame
+//! (the frame carries the fate, and the store's interval runs from
+//! dispatch) and `settle` on the connection's reader thread. On every thread
+//! `settle` only queues the attempt's rows for the owner's committer, so no
+//! step waits on the store.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -75,8 +76,9 @@ pub(crate) enum PortEvent {
     Retired { worker: usize, completed: u64 },
     /// `worker` is gone, or unusable.
     Lost { worker: usize, reason: &'static str },
-    /// A panic escaped the lifecycle on a worker: a fault of the engine
-    /// itself, e.g. in a provenance write. [`Engine::handle`] re-raises it.
+    /// A panic escaped the lifecycle on a worker, or the owner's committer
+    /// panicked: a fault of the engine itself, e.g. a store fault in a
+    /// provenance write. [`Engine::handle`] re-raises it.
     Panicked(Box<dyn std::any::Any + Send>),
 }
 
@@ -883,6 +885,7 @@ impl<P: WorkerPort> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::Committer;
     use crate::fleet::Scheduler;
     use crate::lifecycle::RunCtx;
     use crate::workflow::{Activity, FileStore};
@@ -1020,7 +1023,7 @@ mod tests {
         id: u64,
         tenant: &str,
         n: i64,
-        prov: &Arc<ProvenanceStore>,
+        prov: &Store,
         failures: FailureModel,
     ) {
         add_def(e, id, tenant, flat_def(), &ints(n), prov, failures);
@@ -1033,19 +1036,19 @@ mod tests {
         tenant: &str,
         def: Arc<WorkflowDef>,
         input: &Relation,
-        prov: &Arc<ProvenanceStore>,
+        prov: &Store,
         failures: FailureModel,
     ) {
         let run = Arc::new(RunCtx {
-            wkf: prov.begin_workflow(&def.tag, &def.description, &def.expdir),
+            wkf: prov.prov.begin_workflow(&def.tag, &def.description, &def.expdir),
             files: Arc::new(FileStore::new()),
-            prov: Arc::clone(prov),
+            prov: Arc::clone(&prov.prov),
             failures,
             max_retries: 0,
             resume_from: None,
             start_base: Instant::now(),
             tel: Telemetry::disabled(),
-            bridge: None,
+            commit: Arc::clone(&prov.commit),
             events: None,
         });
         let ctxs = ActivityCtx::build_all(&def, &run);
@@ -1070,13 +1073,29 @@ mod tests {
         Settled::Terminal(ActOutcome { finished: 1, ..Default::default() })
     }
 
-    fn statuses(prov: &ProvenanceStore) -> Vec<(String, String)> {
-        prov.query_rows("SELECT pairkey, status FROM hactivation ORDER BY taskid", &[])
-            .unwrap()
-            .rows
-            .iter()
-            .map(|r| (r[0].to_string(), r[1].to_string()))
-            .collect()
+    /// A store and its committer, as an owner holds them.
+    struct Store {
+        prov: Arc<ProvenanceStore>,
+        commit: Arc<Committer>,
+    }
+
+    impl Store {
+        fn new() -> Store {
+            let prov = Arc::new(ProvenanceStore::new());
+            let (events, _) = std::sync::mpsc::channel::<PortEvent>();
+            let tel = Telemetry::disabled();
+            let commit = Committer::start(Arc::clone(&prov), Instant::now(), None, &tel, events);
+            Store { prov, commit }
+        }
+
+        /// `(pair key, status)` of every row in task order, once every row
+        /// sent so far is in.
+        fn statuses(&self) -> Vec<(String, String)> {
+            assert!(self.commit.drain());
+            let sql = "SELECT pairkey, status FROM hactivation ORDER BY taskid";
+            let rows = self.prov.query_rows(sql, &[]).unwrap().rows;
+            rows.iter().map(|r| (r[0].to_string(), r[1].to_string())).collect()
+        }
     }
 
     /// Fair share as a count: while every tenant has ready work, filling
@@ -1085,7 +1104,7 @@ mod tests {
     #[test]
     fn fair_share_keeps_tenants_within_one_slot_of_each_other() {
         const SLOTS: usize = 5;
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(1, SLOTS, 1, None);
         // three, two and one runs: the share is the tenant's, not the run's
         let tenants = ["a", "b", "c"];
@@ -1116,7 +1135,7 @@ mod tests {
     /// `BLACKLISTED` and the run goes on without it.
     #[test]
     fn a_lost_workers_jobs_are_requeued_in_order_and_poison_is_blacklisted() {
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(3, 1, 1, None);
         add_flat(&mut e, 7, "t", 5, &prov, FailureModel::none());
         e.pump().unwrap();
@@ -1143,7 +1162,7 @@ mod tests {
         // budget 2: the third loss is one too many for inputs 0, 1 and 2
         assert_eq!(e.runs[0].tally.blacklisted, 3);
         assert_eq!(e.runs[0].tally.failed_attempts, 9);
-        let rows = statuses(&prov);
+        let rows = prov.statuses();
         for key in ["0", "1", "2"] {
             let of_key: Vec<&str> =
                 rows.iter().filter(|(k, _)| k == key).map(|(_, s)| s.as_str()).collect();
@@ -1179,7 +1198,7 @@ mod tests {
     fn shrink_drains_idle_workers_first_lowest_index_first_and_keeps_the_floor() {
         let script = [ScaleDecision::Hold, ScaleDecision::Shrink(2), ScaleDecision::Shrink(9)];
         let factory = SchedulerFactory::new(move || Box::new(Scripted(script.into())));
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(1, 5, 2, Some(&factory));
         // three jobs on five single-slot workers: 0, 1, 2 busy; 3, 4 idle
         add_flat(&mut e, 1, "t", 3, &prov, FailureModel::none());
@@ -1202,13 +1221,13 @@ mod tests {
 
         // a drained worker that says goodbye is retired, not lost
         e.handle(PortEvent::Retired { worker: 3, completed: 0 }).unwrap();
-        assert!(statuses(&prov).is_empty(), "nothing failed, nothing was reassigned");
+        assert!(prov.statuses().is_empty(), "nothing failed, nothing was reassigned");
     }
 
     #[test]
     fn a_port_with_k_slots_never_has_more_than_k_jobs_on_one_worker() {
         const K: usize = 3;
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(K, 2, 1, None);
         add_flat(&mut e, 1, "t", 20, &prov, FailureModel::none());
         let mut done = 0;
@@ -1229,14 +1248,14 @@ mod tests {
     fn a_hung_fate_is_aborted_without_occupying_a_slot() {
         // every attempt hangs
         let hangs = FailureModel { fail_rate: 0.0, hang_rate: 1.0, fail_at_fraction: 0.5, seed: 3 };
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(1, 2, 1, None);
         add_flat(&mut e, 1, "t", 4, &prov, hangs);
         e.pump().unwrap();
         assert!(e.port.held.iter().all(Vec::is_empty), "no worker was handed a hung attempt");
         assert_eq!((e.closed[0].tally.aborted, e.closed[0].done), (4, 4));
-        assert!(statuses(&prov).iter().all(|(_, s)| s == "ABORTED"));
-        assert_eq!(statuses(&prov).len(), 4);
+        assert!(prov.statuses().iter().all(|(_, s)| s == "ABORTED"));
+        assert_eq!(prov.statuses().len(), 4);
     }
 
     /// Receptor-major pairs on two one-slot workers, affinity on the
@@ -1244,7 +1263,7 @@ mod tests {
     /// the two workers never hold the same receptor.
     #[test]
     fn affinity_keeps_two_workers_off_one_receptor_while_other_work_is_ready() {
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(1, 2, 1, None);
         let input = receptor_major(3, 4);
         add_def(&mut e, 1, "t", dock_def(Some("receptor")), &input, &prov, FailureModel::none());
@@ -1277,7 +1296,7 @@ mod tests {
     #[test]
     fn without_an_affinity_key_the_dispatch_sequence_is_fifo() {
         for affinity in [None, Some("target")] {
-            let prov = Arc::new(ProvenanceStore::new());
+            let prov = Store::new();
             let mut e = engine(1, 2, 1, None);
             let input = receptor_major(3, 4);
             add_def(&mut e, 1, "t", dock_def(affinity), &input, &prov, FailureModel::none());
@@ -1298,7 +1317,7 @@ mod tests {
     /// front of the queue with their key, and are the next dispatched.
     #[test]
     fn a_retried_and_a_requeued_job_keep_their_key_and_the_front() {
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(1, 2, 1, None);
         let input = receptor_major(2, 3);
         add_def(&mut e, 1, "t", dock_def(Some("receptor")), &input, &prov, FailureModel::none());
@@ -1353,7 +1372,7 @@ mod tests {
             ],
             deps: vec![vec![], vec![0]],
         });
-        let prov = Arc::new(ProvenanceStore::new());
+        let prov = Store::new();
         let mut e = engine(1, 2, 1, None);
         add_def(&mut e, 1, "a", def, &receptor_major(3, 3), &prov, FailureModel::none());
         add_flat(&mut e, 2, "b", 6, &prov, FailureModel::none());

@@ -20,9 +20,6 @@
 //!   trait (placement + scale decisions, separated from resource
 //!   bookkeeping) with fixed, queue-depth, and cost-aware policies, driven
 //!   identically by the distributed backend and the simulator;
-//! * [`steer`] — the live-steering bridge that publishes in-flight
-//!   activation state into the provenance store on a tick, so the paper's
-//!   §V.C runtime queries answer during a run;
 //! * [`obs`] — the live observability plane: structured event log, fleet
 //!   health view, and a std-only HTTP endpoint serving Prometheus text
 //!   exposition, snapshot JSON, health and events mid-run;
@@ -41,12 +38,15 @@
 //! worker loss and reassignment, the health view — which reaches its workers
 //! only through a small `WorkerPort`: `SDW2` connections for
 //! [`distbackend`], worker threads of this process (`threadport.rs`) for the
-//! other two.
+//! other two. Each owner also starts one private committer (`commit.rs`),
+//! the one thread that writes activation rows into its provenance store and
+//! publishes the `RUNNING` rows live steering queries see.
 
 #![warn(missing_docs)]
 
 pub mod algebra;
 pub mod backend;
+mod commit;
 mod dispatch;
 pub mod distbackend;
 mod engine;
@@ -58,7 +58,6 @@ pub mod obs;
 pub mod sched;
 pub mod serve;
 pub mod simbackend;
-pub mod steer;
 pub mod template;
 mod threadport;
 pub mod workflow;
@@ -82,7 +81,6 @@ pub use serve::{
     SubmitOutcome,
 };
 pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask};
-pub use steer::SteeringBridge;
 pub use template::{Template, TemplateError};
 pub use workflow::{
     digest, ActivationCtx, Activity, ActivityError, ActivityFn, Blob, Contents, FetchFn, FileStore,

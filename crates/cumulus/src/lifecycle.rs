@@ -7,14 +7,18 @@
 //!    this pair: reuse its tuples), then the blacklist rule (`BLACKLISTED`
 //!    row + event, nothing executes);
 //! 2. [`ActivityCtx::begin`] — roll the attempt's fate, register it with
-//!    the steering bridge, start its clock;
+//!    the run's committer when a steering tick publishes `RUNNING` rows,
+//!    start its clock;
 //! 3. [`ActivityCtx::settle`] — fold what the attempt did into provenance:
 //!    a hang is `ABORTED`; an injected failure, a domain error, a panic or
 //!    a lost worker is `FAILED` and retried while budget remains; success
-//!    is one store call, [`ProvenanceStore::commit_activation`] — files,
-//!    parameters, output tuples and the `FINISHED` row in one atomic
-//!    record, so a recovered `FINISHED` row always has its complete outputs
-//!    and resume never reuses a half-recorded activation.
+//!    is one record — files, parameters, output tuples and the `FINISHED`
+//!    row, written as one atomic WAL record, so a recovered `FINISHED` row
+//!    always has its complete outputs and resume never reuses a
+//!    half-recorded activation.
+//!
+//! Every row is queued for the owner's [`Committer`], which writes it on its
+//! own thread; it is durable at the latest when the run (or campaign) ends.
 //!
 //! The backends differ only in *where* they call the steps. The engine
 //! (`crate::engine`, under every real backend) calls `admit` itself when the
@@ -29,21 +33,24 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cloudsim::{FailureModel, Fate};
 use provenance::{
-    ActivationRecord, ActivationStatus, ActivityId, Durability, ProvenanceStore, TaskId, WorkflowId,
+    ActivationOutputs, ActivationRecord, ActivationStatus, ActivityId, Durability, ProvenanceStore,
+    WorkflowId,
 };
 use telemetry::Telemetry;
 
 use crate::algebra::Tuple;
+use crate::commit::Committer;
 use crate::dispatch::{pair_key, split_path};
+use crate::engine::PortEvent;
 use crate::error::CumulusError;
 use crate::localbackend::RunReport;
 use crate::obs::{BoundAddr, EventLog, HealthView, ObsServer, ObsState, Severity};
-use crate::steer::{SlotId, SteeringBridge};
 use crate::workflow::{ActivationCtx, ActivityFn, BlacklistFn, FileStore, WorkflowDef};
 
 /// What one activation contributed to the run, once it is terminal.
@@ -80,7 +87,8 @@ pub(crate) struct RunCtx {
     /// Time origin of every provenance and event timestamp.
     pub(crate) start_base: Instant,
     pub(crate) tel: Telemetry,
-    pub(crate) bridge: Option<Arc<SteeringBridge>>,
+    /// Writes every activation row of the run.
+    pub(crate) commit: Arc<Committer>,
     pub(crate) events: Option<EventLog>,
 }
 
@@ -113,7 +121,8 @@ pub(crate) struct Attempt {
     pub(crate) attempt: u32,
     fate: Fate,
     start: f64,
-    slot: Option<SlotId>,
+    /// The committer's registration of the attempt, under a steering tick.
+    registered: Option<u64>,
     /// Which worker serves the attempt, where the backend has such a
     /// notion; named in the attempt's event.
     pub(crate) worker: Option<usize>,
@@ -135,7 +144,7 @@ pub(crate) enum Exec<'a> {
     Finished {
         tuples: Vec<Tuple>,
         files: &'a [String],
-        params: &'a [(String, Option<f64>, Option<String>)],
+        params: Vec<(String, Option<f64>, Option<String>)>,
     },
     /// Injected failure, domain error or panic: consumes retry budget.
     Failed,
@@ -197,13 +206,24 @@ impl ActivityCtx {
         ev.emit(t, severity, kind, &fields);
     }
 
-    /// Write an attempt's definitive row: through the steering bridge when
-    /// one is active (replacing its `RUNNING` row in place), directly into
-    /// the store otherwise.
-    fn record(&self, slot: Option<SlotId>, rec: &ActivationRecord) -> TaskId {
-        match (&self.run.bridge, slot) {
-            (Some(b), Some(s)) => b.resolve(s, rec),
-            _ => self.run.prov.record_activation(rec),
+    /// This activity's `hactivation` row for attempt `retries` of `key`.
+    fn row(
+        &self,
+        status: ActivationStatus,
+        key: &str,
+        start: f64,
+        end: f64,
+        retries: u32,
+    ) -> ActivationRecord {
+        ActivationRecord {
+            activity: self.act_id,
+            workflow: self.run.wkf,
+            status,
+            start_time: start,
+            end_time: end,
+            machine: None,
+            retries: retries as i64,
+            pair_key: key.to_string(),
         }
     }
 
@@ -214,16 +234,8 @@ impl ActivityCtx {
     pub(crate) fn poison(&self, key: &str, retries: u32) -> ActOutcome {
         let now = self.now();
         self.emit(now, Severity::Error, "activation_blacklisted", key, None);
-        self.run.prov.record_activation(&ActivationRecord {
-            activity: self.act_id,
-            workflow: self.run.wkf,
-            status: ActivationStatus::Blacklisted,
-            start_time: now,
-            end_time: now,
-            machine: None,
-            retries: retries as i64,
-            pair_key: key.to_string(),
-        });
+        let row = self.row(ActivationStatus::Blacklisted, key, now, now, retries);
+        self.run.commit.write(None, row, None);
         ActOutcome { blacklisted: 1, ..Default::default() }
     }
 
@@ -261,12 +273,9 @@ impl ActivityCtx {
     pub(crate) fn begin(&self, key: &str, attempt: u32) -> Attempt {
         let fate = self.fate(key, attempt);
         let start = self.now();
-        let slot = self
-            .run
-            .bridge
-            .as_ref()
-            .map(|b| b.begin(self.act_id, self.run.wkf, key, start, attempt as i64));
-        Attempt { key: key.to_string(), attempt, fate, start, slot, worker: None }
+        let running = || self.row(ActivationStatus::Running, key, start, start, attempt);
+        let registered = self.run.commit.begin(running);
+        Attempt { key: key.to_string(), attempt, fate, start, registered, worker: None }
     }
 
     /// Step 3: record what the attempt did and decide what happens next.
@@ -277,48 +286,32 @@ impl ActivityCtx {
         if digested > 0 {
             self.run.tel.count("files.digest_bytes", digested);
         }
-        let rec = |status| ActivationRecord {
-            activity: self.act_id,
-            workflow: self.run.wkf,
-            status,
-            start_time: at.start,
-            end_time: end,
-            machine: None,
-            retries: at.attempt as i64,
-            pair_key: at.key.clone(),
+        let write = |status, outputs| {
+            let row = self.row(status, &at.key, at.start, end, at.attempt);
+            self.run.commit.write(at.registered, row, outputs);
         };
         match exec {
             Exec::Hung => {
-                self.record(at.slot, &rec(ActivationStatus::Aborted));
+                write(ActivationStatus::Aborted, None);
                 self.emit(end, Severity::Warn, "activation_aborted", &at.key, Some(&at));
                 Settled::Terminal(ActOutcome { aborted: 1, ..Default::default() })
             }
             Exec::Finished { tuples, files, params } => {
-                let files: Vec<(&str, i64, &str)> = files
+                let files = files
                     .iter()
                     .map(|path| {
                         let (dir, name) = split_path(path);
-                        (name, self.run.files.size(path).unwrap_or(0) as i64, dir)
+                        let size = self.run.files.size(path).unwrap_or(0) as i64;
+                        (name.to_string(), size, dir.to_string())
                     })
                     .collect();
-                // a RUNNING row the bridge published for the attempt is
-                // written over, not joined by a second row
-                let running = match (&self.run.bridge, at.slot) {
-                    (Some(b), Some(s)) => b.forget(s),
-                    _ => None,
-                };
-                self.run.prov.commit_activation(
-                    running,
-                    &rec(ActivationStatus::Finished),
-                    &files,
-                    params,
-                    &tuples,
-                );
+                let outputs = ActivationOutputs { files, params, tuples: tuples.clone() };
+                write(ActivationStatus::Finished, Some(outputs));
                 self.emit(end, Severity::Info, "activation_finished", &at.key, Some(&at));
                 Settled::Terminal(ActOutcome { tuples, finished: 1, ..Default::default() })
             }
             Exec::Failed | Exec::Lost => {
-                self.record(at.slot, &rec(ActivationStatus::Failed));
+                write(ActivationStatus::Failed, None);
                 let spent = matches!(exec, Exec::Failed) && at.attempt >= self.run.max_retries;
                 // warn while the attempt will be retried, error once terminal
                 let severity = if spent { Severity::Error } else { Severity::Warn };
@@ -356,10 +349,10 @@ impl ActivityCtx {
         // worker thread: the payload is dropped here (the panic hook already
         // printed it)
         let (what, exec) = match catch_unwind(AssertUnwindSafe(|| (self.func)(part, &mut ctx))) {
-            Ok(Ok(tuples)) if !at.doomed() => (
-                "finished",
-                Exec::Finished { tuples, files: ctx.produced_files(), params: &ctx.params },
-            ),
+            Ok(Ok(tuples)) if !at.doomed() => {
+                let params = std::mem::take(&mut ctx.params);
+                ("finished", Exec::Finished { tuples, files: ctx.produced_files(), params })
+            }
             // injected failure (the work is lost) or domain error
             Ok(_) => ("failed", Exec::Failed),
             Err(_) => ("panicked", Exec::Failed),
@@ -402,11 +395,15 @@ pub(crate) struct RunScope {
     pub(crate) t0: Instant,
     pub(crate) prov: Arc<ProvenanceStore>,
     pub(crate) tel: Telemetry,
-    pub(crate) bridge: Option<Arc<SteeringBridge>>,
+    pub(crate) commit: Arc<Committer>,
     pub(crate) events: Option<EventLog>,
     /// Observability state behind the endpoint; `obs.tel` is the collector
     /// `/metrics` serves (the run's own sink when one is attached).
     pub(crate) obs: ObsState,
+    /// The engine's event channel, on which the body's port and the
+    /// committer report.
+    pub(crate) port_tx: Sender<PortEvent>,
+    pub(crate) port_rx: Receiver<PortEvent>,
 }
 
 impl RunScope {
@@ -434,16 +431,21 @@ impl RunScope {
             resume_from,
             start_base: self.t0,
             tel: self.tel.clone(),
-            bridge: self.bridge.clone(),
+            commit: Arc::clone(&self.commit),
             events: self.events.clone(),
         })
     }
 }
 
 /// Run `body` inside the one run scope: validate → durability → observability
-/// endpoint → `run_started` → steering bridge → *body* → `run_finished` /
-/// `run_error` → bridge stop → WAL flush → run span → metrics snapshot.
-/// Everything after the body runs on every exit path.
+/// endpoint → committer → `run_started` → *body* → committer drained (every
+/// row applied and durable) → `run_finished` / `run_error` → committer stop
+/// → run span → metrics snapshot. Everything after the body runs on every
+/// exit path but a panic, which stops the committer as it unwinds.
+///
+/// # Panics
+/// Panics if the committer died before it drained: the run's rows are not
+/// all recorded.
 pub(crate) fn run_scoped(
     def: &WorkflowDef,
     prov: &Arc<ProvenanceStore>,
@@ -484,14 +486,19 @@ pub(crate) fn run_scoped(
         None => None,
     };
     let wkf = prov.begin_workflow(&def.tag, &def.description, &def.expdir);
-    let mut scope = RunScope {
+    let t0 = Instant::now();
+    let (port_tx, port_rx) = mpsc::channel();
+    let commit = Committer::start(Arc::clone(prov), t0, cfg.steering_tick, &tel, port_tx.clone());
+    let scope = RunScope {
         wkf,
-        t0: Instant::now(),
+        t0,
         prov: Arc::clone(prov),
         tel: tel.clone(),
-        bridge: None,
+        commit,
         events: cfg.events.clone(),
         obs,
+        port_tx,
+        port_rx,
     };
     scope.emit(
         Severity::Info,
@@ -502,13 +509,14 @@ pub(crate) fn run_scoped(
             ("workers", cfg.workers.to_string()),
         ],
     );
-    scope.bridge =
-        cfg.steering_tick.map(|tick| SteeringBridge::start(Arc::clone(prov), scope.t0, tick));
     tel.name_current_track(cfg.track);
     let run_start = tel.now_ns();
 
     let result = body(&scope);
 
+    // the run's rows must be countable, and survive a crash, once it is
+    // reported finished
+    assert!(scope.commit.drain(), "the provenance committer died before the run's rows were in");
     match &result {
         Ok(r) => scope.emit(
             Severity::Info,
@@ -528,11 +536,7 @@ pub(crate) fn run_scoped(
         ),
     }
     scope.obs.health.lock().expect("health view poisoned").phase = "done".to_string();
-    if let Some(b) = &scope.bridge {
-        b.stop();
-    }
-    // the run's final rows must survive a crash after the backend returns
-    prov.flush_wal();
+    scope.commit.stop();
     if tel.is_enabled() {
         tel.record_span_at(
             "run",
@@ -558,7 +562,7 @@ mod tests {
     use crate::workflow::Activity;
     use provenance::Value;
 
-    /// A finished attempt whose `RUNNING` row the steering bridge already
+    /// A finished attempt whose `RUNNING` row the committer already
     /// published keeps that row's task id: the row is written over as
     /// `FINISHED`, the files and tuples hang off the same id, and no
     /// `RUNNING` row is left behind.
@@ -575,8 +579,10 @@ mod tests {
             deps: vec![vec![]],
         };
         let t0 = Instant::now();
-        // a tick that never comes: the test drives the flush itself
-        let bridge = SteeringBridge::start(Arc::clone(&prov), t0, Duration::from_secs(3600));
+        // a tick that never comes: the test publishes itself
+        let (events, _) = mpsc::channel::<PortEvent>();
+        let tick = Some(Duration::from_secs(3600));
+        let commit = Committer::start(Arc::clone(&prov), t0, tick, &Telemetry::disabled(), events);
         let run = Arc::new(RunCtx {
             wkf: prov.begin_workflow(&def.tag, "", &def.expdir),
             files: Arc::clone(&files),
@@ -586,18 +592,20 @@ mod tests {
             resume_from: None,
             start_base: t0,
             tel: Telemetry::disabled(),
-            bridge: Some(Arc::clone(&bridge)),
+            commit: Arc::clone(&commit),
             events: None,
         });
         let ctx = &ActivityCtx::build_all(&def, &run)[0];
-        let rows = |sql: &str| prov.query_rows(sql, &[]).unwrap().rows;
+        let rows = |sql: &str| {
+            assert!(commit.drain());
+            prov.query_rows(sql, &[]).unwrap().rows
+        };
 
-        // one flush per attempt, so which gets which task id is not left to
-        // the bridge's map order
+        // one publish per attempt, so which gets which task id is pinned
         let published = ctx.begin("R:L1", 0);
-        bridge.flush_now();
+        commit.publish_now();
         let still_running = ctx.begin("R:L2", 0);
-        bridge.flush_now();
+        commit.publish_now();
         assert_eq!(
             rows("SELECT taskid, status FROM hactivation ORDER BY taskid"),
             vec![
@@ -613,17 +621,19 @@ mod tests {
             let exec = Exec::Finished {
                 tuples: vec![vec![Value::Int(7)]],
                 files: &produced,
-                params: &[("feb".to_string(), Some(-7.5), None)],
+                params: vec![("feb".to_string(), Some(-7.5), None)],
             };
             assert!(matches!(ctx.settle(at, exec), Settled::Terminal(out) if out.finished == 1));
         }
+        let finished = vec![
+            vec![Value::Int(1), Value::from("FINISHED"), Value::from("R:L1")],
+            vec![Value::Int(2), Value::from("RUNNING"), Value::from("R:L2")],
+            vec![Value::Int(3), Value::from("FINISHED"), Value::from("R:L3")],
+        ];
+        let all = "SELECT taskid, status, pairkey FROM hactivation ORDER BY taskid";
         assert_eq!(
-            rows("SELECT taskid, status, pairkey FROM hactivation ORDER BY taskid"),
-            vec![
-                vec![Value::Int(1), Value::from("FINISHED"), Value::from("R:L1")],
-                vec![Value::Int(2), Value::from("RUNNING"), Value::from("R:L2")],
-                vec![Value::Int(3), Value::from("FINISHED"), Value::from("R:L3")],
-            ],
+            rows(all),
+            finished,
             "finished in place; the attempt still in flight keeps its RUNNING row"
         );
         for table in ["hfile", "hparameter", "houtput"] {
@@ -633,12 +643,11 @@ mod tests {
                 "{table} rows carry their activation's task id"
             );
         }
-        // the bridge let go of both settled slots: a later tick touches neither
-        assert_eq!(bridge.in_flight(), 1);
-        bridge.flush_now();
-        assert_eq!(rows("SELECT taskid FROM hactivation WHERE status = 'RUNNING'").len(), 1);
+        // the committer let go of both settled attempts: a later tick
+        // touches neither
+        commit.publish_now();
+        assert_eq!(rows(all), finished);
         assert!(matches!(ctx.settle(still_running, Exec::Hung), Settled::Terminal(_)));
-        bridge.stop();
         assert!(rows("SELECT taskid FROM hactivation WHERE status = 'RUNNING'").is_empty());
         prov.verify_integrity().unwrap();
     }

@@ -22,7 +22,6 @@
 //! fills provenance with the same rows (tuple order within a relation and
 //! workdir numbering differ: activations are numbered by arrival).
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use cloudsim::FailureModel;
@@ -59,9 +58,9 @@ pub struct LocalConfig {
     /// Telemetry sink: spans/counters/histograms are recorded into it when
     /// attached and near-free when disabled (the default).
     pub telemetry: Telemetry,
-    /// When set, a [`crate::steer::SteeringBridge`] flushes in-flight
-    /// activation state into the provenance store at this interval, so
-    /// steering queries see `RUNNING` rows during the run.
+    /// When set, the run's provenance committer publishes a `RUNNING` row
+    /// for every attempt in flight at this interval, so steering queries see
+    /// in-flight work during the run.
     pub steering_tick: Option<std::time::Duration>,
     /// Durability override applied to the provenance store for this run
     /// (e.g. `Durability::Sync` for crash tests, a wider batch window for
@@ -134,7 +133,7 @@ impl LocalConfig {
         self
     }
 
-    /// Enable the steering bridge at the given flush interval.
+    /// Publish `RUNNING` rows at the given interval.
     pub fn with_steering_tick(mut self, tick: std::time::Duration) -> LocalConfig {
         self.steering_tick = Some(tick);
         self
@@ -237,9 +236,8 @@ pub(crate) fn run_local_impl(
     run_scoped(def, &prov, scope_cfg, |scope| {
         let run = scope.run_ctx(&files, cfg.failures, cfg.max_retries, cfg.resume_from);
         let ctxs = ActivityCtx::build_all(def, &run);
-        let (tx, events) = mpsc::channel();
         let mut engine = Engine::new(
-            ThreadPort::new(tx, &scope.tel, "cumulus-worker"),
+            ThreadPort::new(scope.port_tx.clone(), &scope.tel, "cumulus-worker"),
             EngineCfg {
                 floor: threads,
                 ceiling: threads,
@@ -257,7 +255,7 @@ pub(crate) fn run_local_impl(
         );
         engine.launch(threads)?;
         engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
-        let closed = engine.drive(&events, None)?;
+        let closed = engine.drive(&scope.port_rx, None)?;
         let mut report = closed.into_report(scope.wkf, engine.peak_workers);
         report.total_seconds = scope.t0.elapsed().as_secs_f64();
         engine.shutdown();
@@ -891,9 +889,9 @@ mod tests {
     }
 
     /// Acceptance: a pipelined run with a sink attached exports valid
-    /// Chrome-trace JSON whose activation spans — which enclose `settle`, and
-    /// so the provenance commit — all sit on the worker-thread tracks, none on
-    /// the engine's, and its report carries a metrics snapshot.
+    /// Chrome-trace JSON whose activation spans — which enclose `settle` —
+    /// all sit on the worker-thread tracks, none on the engine's, and its
+    /// report carries a metrics snapshot.
     #[test]
     fn pipelined_run_exports_chrome_trace_with_nested_activation_spans() {
         let tel = Telemetry::attached();

@@ -31,9 +31,9 @@
 //!   backend runs on too: one slot each; they run every attempt through the
 //!   *same* activation lifecycle on their own thread, which is why a
 //!   campaign's canonical PROV-N export is byte-identical to a one-shot run
-//!   of the same workflow. A panic that escapes the lifecycle there (a store
-//!   fault) takes the engine thread down with it: clients then read an
-//!   `Error`, not a campaign `Running` forever.
+//!   of the same workflow. A panic that escapes the lifecycle there, or a
+//!   store fault on the committer, takes the engine thread down with it:
+//!   clients then read an `Error`, not a campaign `Running` forever.
 //! * **Fair share** — each free slot goes to the ready campaign whose
 //!   tenant currently holds the fewest slots (ties: higher priority, then
 //!   lower campaign id). A heavy tenant with ten campaigns cannot starve a
@@ -46,9 +46,11 @@
 //!   machinery the distributed backend and the simulator use, fed a
 //!   [`FleetSnapshot`](crate::fleet::FleetSnapshot) aggregated across live
 //!   campaigns; `Grow` spawns worker threads, `Shrink` drains them.
-//! * **Steering** — one daemon-wide [`SteeringBridge`] publishes in-flight
-//!   activations of *every* campaign into the shared store on a tick, so
-//!   the paper's §V.C runtime queries answer mid-run, across campaigns.
+//! * **One committer** — every campaign's rows reach the shared store
+//!   through the daemon's provenance committer (module `commit`), which on
+//!   the steering tick also publishes in-flight activations of *every*
+//!   campaign as `RUNNING` rows for the paper's §V.C runtime queries. A
+//!   campaign turns `Finished` once its rows are durable.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -64,11 +66,11 @@ use telemetry::Telemetry;
 
 use crate::algebra::{Relation, Tuple};
 use crate::backend::Workflow;
+use crate::commit::Committer;
 use crate::engine::{Engine, EngineCfg, PortEvent, TICK};
 use crate::fleet::SchedulerFactory;
 use crate::lifecycle::{ActivityCtx, RunCtx};
 use crate::obs::{BoundAddr, CampaignRow, EventLog, ObsServer, ObsState, Severity};
-use crate::steer::SteeringBridge;
 use crate::threadport::ThreadPort;
 
 pub(crate) mod proto;
@@ -108,7 +110,7 @@ pub struct ServeConfig {
     pub retry_after_ms: u64,
     /// Elastic fleet policy (None = fixed fleet of `workers`).
     pub scheduler: Option<SchedulerFactory>,
-    /// Publish in-flight activations of all campaigns into the store on
+    /// Publish in-flight activations of all campaigns as `RUNNING` rows on
     /// this tick (None = no steering rows).
     pub steering_tick: Option<Duration>,
     /// Failure injection forwarded to every activation.
@@ -204,7 +206,7 @@ impl ServeConfig {
         self
     }
 
-    /// Enable the steering bridge on this tick.
+    /// Publish `RUNNING` rows on this tick.
     pub fn with_steering_tick(mut self, tick: Duration) -> ServeConfig {
         self.steering_tick = Some(tick);
         self
@@ -293,9 +295,13 @@ impl ServeClient {
         Ok(ServeClient { stream })
     }
 
+    /// Send `msg` and read the reply; an `Error` reply is an error.
     fn roundtrip(&mut self, msg: &proto::Msg) -> std::io::Result<proto::Msg> {
         proto::write_msg(&mut self.stream, msg)?;
-        proto::read_msg(&mut self.stream)
+        match proto::read_msg(&mut self.stream)? {
+            proto::Msg::Error { msg } => Err(std::io::Error::other(msg)),
+            reply => Ok(reply),
+        }
     }
 
     /// Submit a campaign on behalf of `tenant` with `priority` (higher =
@@ -325,7 +331,6 @@ impl ServeClient {
             proto::Msg::StatusReply { id, tenant, state, done, total } => {
                 Ok(CampaignStatus { id, tenant, state, done, total })
             }
-            proto::Msg::Error { msg } => Err(std::io::Error::other(msg)),
             other => Err(unexpected(&other)),
         }
     }
@@ -337,7 +342,6 @@ impl ServeClient {
     pub fn results(&mut self, id: u64) -> std::io::Result<(Vec<String>, Vec<Tuple>)> {
         match self.roundtrip(&proto::Msg::Results { id })? {
             proto::Msg::ResultsReply { columns, tuples } => Ok((columns, tuples)),
-            proto::Msg::Error { msg } => Err(std::io::Error::other(msg)),
             other => Err(unexpected(&other)),
         }
     }
@@ -347,7 +351,6 @@ impl ServeClient {
     pub fn cancel(&mut self, id: u64) -> std::io::Result<bool> {
         match self.roundtrip(&proto::Msg::Cancel { id })? {
             proto::Msg::CancelReply { cancelled } => Ok(cancelled),
-            proto::Msg::Error { msg } => Err(std::io::Error::other(msg)),
             other => Err(unexpected(&other)),
         }
     }
@@ -360,7 +363,6 @@ impl ServeClient {
     pub fn query(&mut self, sql: &str) -> std::io::Result<(Vec<String>, Vec<Tuple>)> {
         match self.roundtrip(&proto::Msg::Query { sql: sql.to_string() })? {
             proto::Msg::QueryReply { columns, rows } => Ok((columns, rows)),
-            proto::Msg::Error { msg } => Err(std::io::Error::other(msg)),
             other => Err(unexpected(&other)),
         }
     }
@@ -382,7 +384,7 @@ pub struct Daemon {
     accept_thread: Option<JoinHandle<()>>,
     engine_thread: Option<JoinHandle<()>>,
     obs_server: Option<ObsServer>,
-    bridge: Option<Arc<SteeringBridge>>,
+    commit: Arc<Committer>,
 }
 
 impl Daemon {
@@ -403,9 +405,6 @@ impl Daemon {
         let addr = listener.local_addr()?;
         let epoch = Instant::now();
 
-        let bridge =
-            cfg.steering_tick.map(|tick| SteeringBridge::start(Arc::clone(&prov), epoch, tick));
-
         let obs = cfg
             .metrics_addr
             .as_ref()
@@ -423,6 +422,8 @@ impl Daemon {
 
         let (tx, rx) = channel::<EngineMsg>();
         let tel = cfg.telemetry.clone();
+        let commit =
+            Committer::start(Arc::clone(&prov), epoch, cfg.steering_tick, &tel, tx.clone());
         let engine = Engine::new(
             ThreadPort::new(tx.clone(), &tel, "scidockd-worker"),
             EngineCfg {
@@ -446,7 +447,8 @@ impl Daemon {
             prov: Arc::clone(&prov),
             tel,
             epoch,
-            bridge: bridge.clone(),
+            commit: Arc::clone(&commit),
+            tx: tx.clone(),
             obs,
             campaigns: HashMap::new(),
             order: Vec::new(),
@@ -473,7 +475,7 @@ impl Daemon {
             accept_thread: Some(accept_thread),
             engine_thread: Some(engine_thread),
             obs_server,
-            bridge,
+            commit,
         })
     }
 
@@ -483,7 +485,8 @@ impl Daemon {
     }
 
     /// Stop accepting, drain the worker fleet, and join every thread.
-    /// In-flight activations finish; queued-but-undispatched work does not.
+    /// In-flight activations finish, and every row is durable when this
+    /// returns; queued-but-undispatched work does not start.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -497,9 +500,7 @@ impl Daemon {
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
         }
-        if let Some(b) = self.bridge.take() {
-            b.stop();
-        }
+        self.commit.stop();
         if let Some(s) = self.obs_server.take() {
             s.shutdown();
         }
@@ -595,6 +596,9 @@ enum EngineMsg {
     /// answer goes.
     Ask(proto::Msg, Sender<proto::Msg>),
     Port(PortEvent),
+    /// A campaign closed and its rows are durable: its id, and its outputs
+    /// unless it was cancelled.
+    Recorded(u64, Option<Vec<Relation>>),
     Shutdown,
 }
 
@@ -630,7 +634,9 @@ struct Directory {
     prov: Arc<ProvenanceStore>,
     tel: Telemetry,
     epoch: Instant,
-    bridge: Option<Arc<SteeringBridge>>,
+    commit: Arc<Committer>,
+    /// The engine thread's own channel, where the committer's barriers answer.
+    tx: Sender<EngineMsg>,
     obs: Option<ObsState>,
     /// Campaign ids count from 1, in submission order.
     campaigns: HashMap<u64, Campaign>,
@@ -657,6 +663,10 @@ impl Directory {
                     Ok(())
                 }
                 Ok(EngineMsg::Port(ev)) => self.engine.handle(ev),
+                Ok(EngineMsg::Recorded(id, outputs)) => {
+                    self.recorded(id, outputs);
+                    Ok(())
+                }
                 Err(RecvTimeoutError::Timeout) => Ok(()),
             };
             self.start_pending();
@@ -789,7 +799,7 @@ impl Directory {
                 resume_from: None,
                 start_base: self.epoch,
                 tel: self.tel.clone(),
-                bridge: self.bridge.clone(),
+                commit: Arc::clone(&self.commit),
                 events: self.cfg.events.clone(),
             });
             let ctxs = ActivityCtx::build_all(&wf.def, &run);
@@ -800,8 +810,9 @@ impl Directory {
     }
 
     /// Book what the engine's last turn did to the campaigns: a first
-    /// result, and runs that closed — `Finished` when the pipeline did,
-    /// `Cancelled` when the client asked and the in-flight tail has drained.
+    /// result, and runs that closed — each turns `Finished` (or `Cancelled`,
+    /// when the client asked and the in-flight tail has drained) once the
+    /// committer answers its barrier: the engine thread never waits on disk.
     fn reap(&mut self) {
         let closed = std::mem::take(&mut self.engine.closed);
         for run in self.engine.runs.iter().chain(&closed) {
@@ -814,20 +825,29 @@ impl Directory {
             }
         }
         for run in closed {
-            let (id, activations) = (run.id, ("activations", run.done.to_string()));
+            let id = run.id;
             let c = self.campaigns.get_mut(&id).expect("every run is in the directory");
             (c.done, c.total, c.p95_ms) = (run.done, run.submitted(), run.p95_ms(&self.tel));
-            // the campaign's terminal rows must survive a daemon crash
-            self.prov.flush_wal();
-            if run.cancelled {
-                c.state = CampaignState::Cancelled;
-                self.transition(Severity::Warn, "cancelled", id, &[]);
-            } else {
-                c.state = CampaignState::Finished;
-                c.outputs = Some(run.into_outputs());
-                self.transition(Severity::Info, "finished", id, &[activations]);
-            }
+            let outputs = (!run.cancelled).then(|| run.into_outputs());
+            let tx = self.tx.clone();
+            // a dead committer has sent the engine its panic already
+            self.commit.barrier(move || {
+                let _ = tx.send(EngineMsg::Recorded(id, outputs));
+            });
         }
+    }
+
+    /// Campaign `id` closed and its rows are durable: `Finished` with its
+    /// `outputs`, or `Cancelled` without.
+    fn recorded(&mut self, id: u64, outputs: Option<Vec<Relation>>) {
+        let c = self.campaigns.get_mut(&id).expect("every run is in the directory");
+        if outputs.is_none() {
+            c.state = CampaignState::Cancelled;
+            return self.transition(Severity::Warn, "cancelled", id, &[]);
+        }
+        let activations = ("activations", c.done.to_string());
+        (c.state, c.outputs) = (CampaignState::Finished, outputs);
+        self.transition(Severity::Info, "finished", id, &[activations]);
     }
 
     /// `Some(true)` = was live and is now cancelled (or draining toward
@@ -890,9 +910,9 @@ mod tests {
     }
 
     /// On the thread port `begin` → execute → `settle` run on the worker
-    /// threads: every `activation` span — which encloses `settle`, and so
-    /// the provenance commit — is on a `scidockd-worker-*` track, none on the
-    /// engine thread's, and two slow activations overlap in wall time.
+    /// threads: every `activation` span — which encloses `settle` — is on a
+    /// `scidockd-worker-*` track, none on the engine thread's, and two slow
+    /// activations overlap in wall time.
     #[test]
     fn activations_begin_and_settle_on_worker_threads_and_overlap() {
         let resolver: CampaignResolver = Arc::new(|_| {

@@ -396,6 +396,18 @@ pub fn simulate_tasks(
         .max(cfg.activity_tags.len().max(1));
     let mut ready_by_activity = vec![0usize; n_acts];
     let slots_per_worker = cfg.fleet.iter().map(|f| f.cores as usize).max().unwrap_or(1);
+    // a scale decision's event, naming the fleet it leaves
+    let scale_event = |now, decision: String, released: &[bool]| {
+        if let Some(ev) = &evlog {
+            let fleet = released.iter().filter(|r| !**r).count().to_string();
+            ev.emit(
+                now,
+                Severity::Info,
+                "fleet_scale",
+                &[("decision", decision), ("fleet", fleet)],
+            );
+        }
+    };
     let apply_scale = |decision: ScaleDecision,
                        now: SimTime,
                        cluster: &mut Cluster,
@@ -422,31 +434,11 @@ pub fn simulate_tasks(
                     );
                 }
                 report.peak_vms = report.peak_vms.max(vm_busy.len());
-                if let Some(ev) = &evlog {
-                    ev.emit(
-                        now,
-                        Severity::Info,
-                        "fleet_scale",
-                        &[
-                            ("decision", format!("grow {k}")),
-                            ("fleet", released.iter().filter(|r| !**r).count().to_string()),
-                        ],
-                    );
-                }
+                scale_event(now, format!("grow {k}"), released);
             }
             ScaleDecision::Shrink(k) => {
                 if k > 0 {
-                    if let Some(ev) = &evlog {
-                        ev.emit(
-                            now,
-                            Severity::Info,
-                            "fleet_scale",
-                            &[
-                                ("decision", format!("drain {k}")),
-                                ("fleet", released.iter().filter(|r| !**r).count().to_string()),
-                            ],
-                        );
-                    }
+                    scale_event(now, format!("drain {k}"), released);
                 }
                 // booted VMs, idle first, lowest id first; whatever the
                 // policy asked for, at least one VM keeps serving
@@ -525,26 +517,8 @@ pub fn simulate_tasks(
         }
         if t.poison && cfg.hg_rule {
             // provenance-driven rule fires before execution
-            if let Some(ev) = &evlog {
-                ev.emit(
-                    0.0,
-                    Severity::Error,
-                    "activation_blacklisted",
-                    &[("activity", tag_of(t.activity_index)), ("key", t.pair_key.clone())],
-                );
-            }
-            if let Some(p) = prov {
-                p.record_activation(&ActivationRecord {
-                    activity: act_id(t.activity_index).expect("registered activity"),
-                    workflow: wkf.expect("workflow registered"),
-                    status: ActivationStatus::Blacklisted,
-                    start_time: 0.0,
-                    end_time: 0.0,
-                    machine: None,
-                    retries: 0,
-                    pair_key: t.pair_key.clone(),
-                });
-            }
+            let act = (wkf, act_id(t.activity_index), tag_of(t.activity_index));
+            blacklist(prov, evlog.as_ref(), act, t, 0.0);
             report.blacklisted += 1;
             dropped[i] = true;
             cancel_downstream(i, &mut dropped, &mut report, &successors);
@@ -728,6 +702,17 @@ pub fn simulate_tasks(
                     }
                     None
                 };
+                // the attempt's lifecycle event
+                let emit = |severity, kind| {
+                    if let Some(ev) = &evlog {
+                        let fields = [
+                            ("activity", tag_of(task.activity_index)),
+                            ("key", task.pair_key.clone()),
+                            ("attempt", attempt.to_string()),
+                        ];
+                        ev.emit(now, severity, kind, &fields);
+                    }
+                };
                 match fate {
                     Fate::Ok => {
                         let task_id = record(
@@ -757,18 +742,7 @@ pub fn simulate_tasks(
                             );
                         }
                         report.finished += 1;
-                        if let Some(ev) = &evlog {
-                            ev.emit(
-                                now,
-                                Severity::Info,
-                                "activation_finished",
-                                &[
-                                    ("activity", tag_of(task.activity_index)),
-                                    ("key", task.pair_key.clone()),
-                                    ("attempt", attempt.to_string()),
-                                ],
-                            );
-                        }
+                        emit(Severity::Info, "activation_finished");
                         for &s in &successors[ti] {
                             if dropped[s] {
                                 continue;
@@ -777,18 +751,9 @@ pub fn simulate_tasks(
                             if dep_count[s] == 0 {
                                 let st = &tasks[s];
                                 if st.poison && cfg.hg_rule {
-                                    if let Some(ev) = &evlog {
-                                        ev.emit(
-                                            now,
-                                            Severity::Error,
-                                            "activation_blacklisted",
-                                            &[
-                                                ("activity", tag_of(st.activity_index)),
-                                                ("key", st.pair_key.clone()),
-                                            ],
-                                        );
-                                    }
-                                    record_blacklist(prov, wkf, act_id(st.activity_index), st, now);
+                                    let act =
+                                        (wkf, act_id(st.activity_index), tag_of(st.activity_index));
+                                    blacklist(prov, evlog.as_ref(), act, st, now);
                                     report.blacklisted += 1;
                                     dropped[s] = true;
                                     cancel_downstream(s, &mut dropped, &mut report, &successors);
@@ -807,24 +772,13 @@ pub fn simulate_tasks(
                             attempt as i64,
                         );
                         report.failed_attempts += 1;
-                        if let Some(ev) = &evlog {
-                            let sev = if attempt < cfg.max_retries {
-                                Severity::Warn // will be retried
-                            } else {
-                                Severity::Error // budget exhausted: terminal
-                            };
-                            ev.emit(
-                                now,
-                                sev,
-                                "activation_failed",
-                                &[
-                                    ("activity", tag_of(task.activity_index)),
-                                    ("key", task.pair_key.clone()),
-                                    ("attempt", attempt.to_string()),
-                                ],
-                            );
-                        }
-                        if attempt < cfg.max_retries {
+                        // warn while the attempt will be retried, error once terminal
+                        let retried = attempt < cfg.max_retries;
+                        emit(
+                            if retried { Severity::Warn } else { Severity::Error },
+                            "activation_failed",
+                        );
+                        if retried {
                             attempts[ti] = attempt + 1;
                             ready_by_activity[task.activity_index] += 1;
                             ready.push(ReadyTask { task: ti, weight: weight_of(task) });
@@ -841,18 +795,7 @@ pub fn simulate_tasks(
                             attempt as i64,
                         );
                         report.aborted += 1;
-                        if let Some(ev) = &evlog {
-                            ev.emit(
-                                now,
-                                Severity::Warn,
-                                "activation_aborted",
-                                &[
-                                    ("activity", tag_of(task.activity_index)),
-                                    ("key", task.pair_key.clone()),
-                                    ("attempt", attempt.to_string()),
-                                ],
-                            );
-                        }
+                        emit(Severity::Warn, "activation_aborted");
                         dropped[ti] = true;
                         cancel_downstream(ti, &mut dropped, &mut report, &successors);
                     }
@@ -948,13 +891,19 @@ fn sim_snapshot(
     }
 }
 
-fn record_blacklist(
+/// Blacklist `task` of activity `(workflow, id, tag)` at `now`: its event
+/// and its `BLACKLISTED` row.
+fn blacklist(
     prov: Option<&ProvenanceStore>,
-    wkf: Option<WorkflowId>,
-    act: Option<ActivityId>,
+    evlog: Option<&EventLog>,
+    (wkf, act, tag): (Option<WorkflowId>, Option<ActivityId>, String),
     task: &SimTask,
     now: SimTime,
 ) {
+    if let Some(ev) = evlog {
+        let fields = [("activity", tag), ("key", task.pair_key.clone())];
+        ev.emit(now, Severity::Error, "activation_blacklisted", &fields);
+    }
     if let Some(p) = prov {
         p.record_activation(&ActivationRecord {
             activity: act.expect("registered activity"),

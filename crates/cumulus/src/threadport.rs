@@ -20,9 +20,9 @@ enum WorkerMsg {
 /// Worker threads of this process, one activation slot each. A worker runs
 /// `begin` → execute → `settle` itself, through the lifecycle every backend
 /// shares — which is why a run's canonical PROV-N does not depend on the
-/// backend, and why the provenance commits of different workers overlap
-/// instead of queueing on the owner's thread. It reports on the owner's
-/// channel, as whatever message `M` that channel carries.
+/// backend; `settle` queues the attempt's rows for the owner's committer
+/// and the worker moves on. It reports on the owner's channel, as whatever
+/// message `M` that channel carries.
 ///
 /// Dropping the port drains and joins its workers, so an owner unwinding
 /// past its engine leaves no thread writing behind it.
@@ -59,7 +59,7 @@ impl<M: From<PortEvent> + Send + 'static> WorkerPort for ThreadPort<M> {
                 let run = || ctx.run_dispatched(&job.key, job.attempt, &job.part, job.part_index);
                 // an activity function's panic is a FAILED attempt already:
                 // what escapes is a fault of the lifecycle itself, e.g. a
-                // provenance write, and the owner dies of it
+                // dead committer, and the owner dies of it
                 let settled = match catch_unwind(AssertUnwindSafe(run)) {
                     Ok(settled) => settled,
                     Err(payload) => {

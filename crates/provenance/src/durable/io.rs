@@ -12,7 +12,8 @@
 //!   bytes while the "crashed" store keeps the originals.
 //! * [`FaultEnv`] — wraps another env and injects failures: error or
 //!   short-write (torn write) on the Nth append, panic (simulated
-//!   process death) after N appends, or error on the Nth fsync.
+//!   process death) or a stall until released after N appends, or error
+//!   on the Nth fsync.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 /// An append-only log file handle.
 pub trait LogFile: Send {
@@ -254,6 +255,12 @@ pub struct FaultPlan {
     pub panic_after_appends: Option<u64>,
     /// Return an I/O error on sync number N (nothing is made durable).
     pub fail_at_sync: Option<u64>,
+    /// Block *after* append number N completes until [`FaultPlan::release`]
+    /// — a stalled disk, with the writer stuck inside its append.
+    pub park_after_append: Option<u64>,
+    /// `(parked, released)` of the `park_after_append` append.
+    park: Mutex<(bool, bool)>,
+    park_changed: Condvar,
 }
 
 impl FaultPlan {
@@ -276,6 +283,26 @@ impl FaultPlan {
     /// Plan that errors on sync number `n` (1-based).
     pub fn fail_sync_at(n: u64) -> FaultPlan {
         FaultPlan { fail_at_sync: Some(n), ..Default::default() }
+    }
+
+    /// Plan that parks the writer after append number `n` (1-based) until
+    /// [`FaultPlan::release`].
+    pub fn park_after(n: u64) -> FaultPlan {
+        FaultPlan { park_after_append: Some(n), ..Default::default() }
+    }
+
+    /// Block until the writer is parked in its append.
+    pub fn wait_parked(&self) {
+        let mut st = self.park.lock();
+        while !st.0 {
+            self.park_changed.wait(&mut st);
+        }
+    }
+
+    /// Let the parked writer go on; no later append parks.
+    pub fn release(&self) {
+        self.park.lock().1 = true;
+        self.park_changed.notify_all();
     }
 
     /// Number of append calls observed so far.
@@ -322,6 +349,14 @@ impl LogFile for FaultLog {
             return Err(io::Error::other("injected short write"));
         }
         self.inner.append(data)?;
+        if self.plan.park_after_append == Some(n) {
+            let mut st = self.plan.park.lock();
+            st.0 = true;
+            self.plan.park_changed.notify_all();
+            while !st.1 {
+                self.plan.park_changed.wait(&mut st);
+            }
+        }
         if let Some(k) = self.plan.panic_after_appends {
             if n >= k {
                 panic!("injected crash after {n} WAL appends");

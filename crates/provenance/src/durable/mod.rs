@@ -5,10 +5,11 @@
 //! re-submission survive worker *and coordinator* failures; this module
 //! gives our from-scratch store the same property without leaving std:
 //!
-//! * every store call is one logical `wal` record — a single mutation,
-//!   or a finished activation whole — applied and appended (length-prefixed
-//!   and CRC-checksummed) under the store's lock, before the caller sees the
-//!   new id;
+//! * every write is one logical `wal` record — a single mutation, or a
+//!   finished activation whole — applied and appended (length-prefixed and
+//!   CRC-checksummed) under the store's lock, before the caller sees the new
+//!   id; a `commit_batch` of many activations takes the lock once and still
+//!   logs one record per activation;
 //! * `snapshot` checkpoints — full table serializations written
 //!   atomically (temp + rename) — are taken, and the log truncated, when
 //!   the log tail holds as many mutations as the snapshot holds rows (and
@@ -22,8 +23,9 @@
 //! many appends so the hot activation path is not fsync-bound (a record
 //! counts once per mutation it carries, so bigger records do not mean
 //! rarer fsyncs); an explicit
-//! [`crate::provwf::ProvenanceStore::flush_wal`] (called by the steering
-//! bridge and at run end) bounds the window of unfsynced work.
+//! [`crate::provwf::ProvenanceStore::flush_wal`] (called by a run's
+//! committer after each steering tick and for every barrier: a run's end, a
+//! campaign's close) bounds the window of unfsynced work.
 //!
 //! No commit fsyncs under the store's lock. The lock covers apply + encode +
 //! `write` — which is what fixes WAL order = apply order — and the commit
@@ -58,9 +60,13 @@ use telemetry::Telemetry;
 /// When WAL appends are forced to durable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
-    /// fsync after every record. Nothing acknowledged is ever lost;
-    /// the hot path waits for one fsync per store call (calls that overlap
-    /// may wait for the same one).
+    /// fsync after every record. Nothing acknowledged is ever lost; a
+    /// store call waits for one fsync (calls that overlap may wait for the
+    /// same one, and a `commit_batch` waits once for all its records). In a
+    /// `cumulus` run the caller is the provenance committer, so a worker's
+    /// record is queued, not acknowledged: the promise is kept where a run
+    /// ends or a campaign turns `Finished`, both of which wait for the
+    /// committer's fsync.
     Sync,
     /// Group commit: fsync once a batch fills or ages out. A crash loses at
     /// most the unfsynced suffix — which is still a committed *prefix*

@@ -54,8 +54,8 @@ pub mod value;
 pub use durable::{Durability, DurableError, DurableOptions};
 pub use provn::{export_provn, export_provn_canonical, export_provn_canonical_for};
 pub use provwf::{
-    ActivationRecord, ActivationStatus, ActivityId, MachineId, ProvenanceStore, QueryCursor, Row,
-    TaskId, WorkflowId,
+    ActivationOutputs, ActivationRecord, ActivationStatus, ActivationWrite, ActivityId, MachineId,
+    ProvenanceStore, QueryCursor, Row, TaskId, WorkflowId,
 };
 pub use sql::{QueryError, ResultSet};
 pub use table::{DbError, Schema};

@@ -66,7 +66,7 @@ pub enum ActivationStatus {
     Aborted,
     /// Never executed: input was blacklisted (e.g. Hg-containing receptor).
     Blacklisted,
-    /// Currently executing — written by the live-steering bridge so runtime
+    /// Currently executing — published on the steering tick so runtime
     /// queries see in-flight work; replaced in place by a terminal status.
     Running,
 }
@@ -108,6 +108,31 @@ pub struct ActivationRecord {
     pub retries: i64,
     /// Which receptor–ligand pair this activation processed (tuple key).
     pub pair_key: String,
+}
+
+/// One activation's rows, as [`ProvenanceStore::commit_batch`] writes them:
+/// its `hactivation` row and, once it finished, what it produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActivationWrite {
+    /// The `RUNNING` row published for the activation, written over in
+    /// place; `None` inserts a new row.
+    pub over: Option<TaskId>,
+    /// The activation's row.
+    pub rec: ActivationRecord,
+    /// A finished activation's outputs, logged with its row as one record;
+    /// `None` writes the row alone.
+    pub outputs: Option<ActivationOutputs>,
+}
+
+/// What a finished activation produced.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActivationOutputs {
+    /// Produced files, `(fname, fsize, fdir)`.
+    pub files: Vec<(String, i64, String)>,
+    /// Extracted parameters, `(name, numeric, textual)`.
+    pub params: Vec<(String, Option<f64>, Option<String>)>,
+    /// Output tuples, numbered in order under the row's pair key.
+    pub tuples: Vec<Vec<Value>>,
 }
 
 struct Inner {
@@ -155,6 +180,57 @@ impl Inner {
             self.log(&op);
         }
         applied
+    }
+
+    /// Apply one activation's rows and log them as one record: a row alone
+    /// as itself, a finished activation's files, parameters, tuples and then
+    /// its row as one [`WalOp::Group`]. Each op takes its id from the
+    /// counters as the ops before it left them, exactly as a sequence of
+    /// per-row calls would.
+    ///
+    /// # Panics
+    /// Panics if `w.over` names a task the store never recorded.
+    fn write(&mut self, w: &ActivationWrite) -> TaskId {
+        let (rec, task) = (&w.rec, w.over.map_or(self.counters.next_task, |t| t.0));
+        let mut ops = Vec::new();
+        let mut stage = |g: &mut Inner, op: WalOp| {
+            let applied = g.apply(&op);
+            assert!(applied, "provstore: no RUNNING row for task {task}");
+            ops.push(op);
+        };
+        if let Some(out) = &w.outputs {
+            for (fname, fsize, fdir) in &out.files {
+                let file = (fname.as_str(), *fsize, fdir.as_str());
+                let op = self.file_op(task, rec.activity, rec.workflow, file);
+                stage(self, op);
+            }
+            for (name, num, text) in &out.params {
+                let op = self.parameter_op(task, rec.workflow, name, *num, text.as_deref());
+                stage(self, op);
+            }
+            for (ti, tuple) in out.tuples.iter().enumerate() {
+                let op = self.output_tuple_op(
+                    task,
+                    rec.activity,
+                    rec.workflow,
+                    &rec.pair_key,
+                    ti,
+                    tuple,
+                );
+                stage(self, op);
+            }
+        }
+        let row = match w.over {
+            Some(_) => WalOp::UpdateActivation { task, rec: rec.clone() },
+            None => WalOp::RecordActivation { task, rec: rec.clone() },
+        };
+        stage(self, row);
+        let record = match w.outputs {
+            Some(_) => WalOp::Group(ops),
+            None => ops.pop().expect("the row was staged"),
+        };
+        self.log(&record);
+        TaskId(task)
     }
 
     /// Every table, sorted by name.
@@ -384,11 +460,28 @@ fn plan_op(db: &mut PagedDb, c: &mut Counters, op: &WalOp) -> bool {
 /// The provenance store.
 pub struct ProvenanceStore {
     /// Shared with live [`QueryCursor`]s, which re-lock per `next_row` call
-    /// so a half-drained cursor never blocks recording.
+    /// so a half-drained cursor never holds the lock between pulls.
     inner: Arc<Mutex<Inner>>,
     /// `provstore.lock_wait` / `provstore.lock_hold`, in nanoseconds, when a
-    /// durable store was opened with telemetry attached.
+    /// durable store was opened with telemetry attached: one sample each per
+    /// mutating call.
     lock_times: Option<(Arc<Histogram>, Arc<Histogram>)>,
+    /// `provstore.query_hold`, in nanoseconds, under the same condition: one
+    /// sample per reader hold (a query run whole, a plan, a cursor pull).
+    query_hold: Option<Arc<Histogram>>,
+}
+
+/// Run `f` on the tables under the store's lock as a reader, timing the
+/// hold (not the wait for it) into `hold`.
+fn read_timed<R>(inner: &Mutex<Inner>, hold: Option<&Histogram>, f: impl FnOnce(&Inner) -> R) -> R {
+    let g = inner.lock();
+    let t0 = hold.map(|h| (h, Instant::now()));
+    let out = f(&g);
+    drop(g);
+    if let Some((h, t0)) = t0 {
+        h.record(t0.elapsed().as_nanos() as u64);
+    }
+    out
 }
 
 /// The secondary indexes `(table, index, columns)` installed over the
@@ -527,6 +620,7 @@ impl ProvenanceStore {
         ProvenanceStore {
             inner: Arc::new(Mutex::new(Inner { db, counters: Counters::default(), engine: None })),
             lock_times: None,
+            query_hold: None,
         }
     }
 
@@ -580,6 +674,7 @@ impl ProvenanceStore {
         let tel = &options.telemetry;
         let lock_times =
             tel.histogram("provstore.lock_wait").zip(tel.histogram("provstore.lock_hold"));
+        let query_hold = tel.histogram("provstore.query_hold");
         // a snapshot brought its tables; a store without one starts empty
         if recovered.counters.is_none() {
             create_tables(&mut db);
@@ -597,7 +692,7 @@ impl ProvenanceStore {
             // snapshot, which restarts the log under the current header
             inner.checkpoint_now();
         }
-        Ok(ProvenanceStore { inner: Arc::new(Mutex::new(inner)), lock_times })
+        Ok(ProvenanceStore { inner: Arc::new(Mutex::new(inner)), lock_times, query_hold })
     }
 
     /// Run one store call's mutations under the store's lock, and only
@@ -644,8 +739,9 @@ impl ProvenanceStore {
     }
 
     /// Group-commit barrier: force every acknowledged mutation to durable
-    /// storage now (no-op when in-memory). The steering bridge calls this
-    /// after flushing RUNNING rows; the local backend calls it at run end.
+    /// storage now (no-op when in-memory). A run's committer calls this
+    /// after publishing RUNNING rows, and for every barrier it is sent (a
+    /// run's or a campaign's end).
     pub fn flush_wal(&self) {
         self.transact(|g| {
             if let Some(eng) = &mut g.engine {
@@ -779,18 +875,29 @@ impl ProvenanceStore {
         });
     }
 
-    /// Commit a finished activation whole: its produced `files` (`(fname,
-    /// fsize, fdir)`, as for [`record_file`](Self::record_file)), extracted
-    /// `params`, output `tuples` (keyed by `rec.pair_key`, numbered in
-    /// order) and last its `hactivation` row `rec` — inserted, or, when
-    /// `running` names the `RUNNING` row the steering bridge published for
-    /// the attempt, written over that row. Returns the activation's task id.
+    /// Write many activations under one acquisition of the store's lock,
+    /// in order, and return their task ids. Each write is its own WAL
+    /// record, so the unit recovery keeps or drops is one activation: a
+    /// finished activation's files, parameters, output tuples and
+    /// `hactivation` row are one record, and a recovered `FINISHED` row
+    /// always has its complete outputs. The rows are those the per-row
+    /// methods would write, with ids from the same counters in the same
+    /// order. Whatever fsync the commit policy makes due is waited for once,
+    /// after the lock is released.
     ///
-    /// The rows are those the per-row methods would write, with ids from
-    /// the same counters in the same order; but they take the store's lock
-    /// once and are logged as **one** WAL record, so a crash leaves either
-    /// all of them or none: a recovered `FINISHED` row always has its
-    /// complete outputs, and no output row outlives its activation.
+    /// # Panics
+    /// Panics if a write's `over` names a task the store never recorded,
+    /// or if the durable layer fails to append, checkpoint or fsync.
+    pub fn commit_batch(&self, writes: &[ActivationWrite]) -> Vec<TaskId> {
+        self.transact(|g| writes.iter().map(|w| g.write(w)).collect())
+    }
+
+    /// Commit a finished activation whole: [`commit_batch`](Self::commit_batch)
+    /// of one write — its produced `files` (`(fname, fsize, fdir)`, as for
+    /// [`record_file`](Self::record_file)), extracted `params`, output
+    /// `tuples` and last its `hactivation` row `rec`, inserted or, when
+    /// `running` names the attempt's published `RUNNING` row, written over
+    /// that row. Returns the activation's task id.
     ///
     /// # Panics
     /// Panics if `running` names a task the store never recorded.
@@ -802,37 +909,13 @@ impl ProvenanceStore {
         params: &[(String, Option<f64>, Option<String>)],
         tuples: &[Vec<Value>],
     ) -> TaskId {
-        self.transact(|g| {
-            let task = running.map_or(g.counters.next_task, |t| t.0);
-            let mut ops = Vec::with_capacity(files.len() + params.len() + tuples.len() + 1);
-            // each op takes its id from the counters as the ops before it left
-            // them, exactly as a sequence of per-row calls would
-            let mut stage = |g: &mut Inner, op: WalOp| {
-                let applied = g.apply(&op);
-                assert!(applied, "commit_activation: no RUNNING row for task {task}");
-                ops.push(op);
-            };
-            for &file in files {
-                let op = g.file_op(task, rec.activity, rec.workflow, file);
-                stage(g, op);
-            }
-            for (name, num, text) in params {
-                let op = g.parameter_op(task, rec.workflow, name, *num, text.as_deref());
-                stage(g, op);
-            }
-            for (ti, tuple) in tuples.iter().enumerate() {
-                let op =
-                    g.output_tuple_op(task, rec.activity, rec.workflow, &rec.pair_key, ti, tuple);
-                stage(g, op);
-            }
-            let row = match running {
-                Some(_) => WalOp::UpdateActivation { task, rec: rec.clone() },
-                None => WalOp::RecordActivation { task, rec: rec.clone() },
-            };
-            stage(g, row);
-            g.log(&WalOp::Group(ops));
-            TaskId(task)
-        })
+        let outputs = ActivationOutputs {
+            files: files.iter().map(|&(name, size, dir)| (name.into(), size, dir.into())).collect(),
+            params: params.to_vec(),
+            tuples: tuples.to_vec(),
+        };
+        let write = ActivationWrite { over: running, rec: rec.clone(), outputs: Some(outputs) };
+        self.commit_batch(&[write])[0]
     }
 
     /// Recover the recorded output tuples of every FINISHED activation of
@@ -915,7 +998,9 @@ impl ProvenanceStore {
     /// around streaming: the query is parsed, parameter-bound, and planned
     /// up front (under a brief lock), then rows are pulled one at a time
     /// with [`QueryCursor::next_row`] — each pull re-locks the store, so a
-    /// half-read cursor never blocks workers recording activations.
+    /// half-read cursor holds nothing between pulls. Each hold (the plan,
+    /// every pull) is a `provstore.query_hold` sample, which is what a
+    /// writer queued behind it waits.
     ///
     /// `?` placeholders (numbered left to right) become [`Value`] literals
     /// after parsing, so caller-supplied values can never change the query's
@@ -932,17 +1017,16 @@ impl ProvenanceStore {
     /// [`query_rows`]: ProvenanceStore::query_rows
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryCursor, QueryError> {
         let (q, explain) = Self::prepare(sql, params)?;
-        let g = self.inner.lock();
-        if explain {
-            let r = explain_query(&g.db, &q)?;
-            return Ok(QueryCursor {
-                inner: Arc::clone(&self.inner),
-                columns: Arc::new(r.columns),
-                src: CursorSrc::Rows(r.rows.into_iter()),
-            });
-        }
-        let pipe = build_pipeline(&g.db, &q)?;
-        Ok(QueryCursor::from_pipeline(Arc::clone(&self.inner), pipe))
+        let (columns, src) = read_timed(&self.inner, self.query_hold.as_deref(), |g| {
+            if explain {
+                let r = explain_query(&g.db, &q)?;
+                return Ok((r.columns, CursorSrc::Rows(r.rows.into_iter())));
+            }
+            let pipe = build_pipeline(&g.db, &q)?;
+            Ok::<_, QueryError>((pipe.columns.clone(), CursorSrc::Pipe(pipe)))
+        })?;
+        let (inner, hold) = (Arc::clone(&self.inner), self.query_hold.clone());
+        Ok(QueryCursor { inner, hold, columns: Arc::new(columns), src })
     }
 
     /// Parse `sql` (honoring a leading case-insensitive `EXPLAIN ` prefix)
@@ -959,12 +1043,13 @@ impl ProvenanceStore {
     /// Run a prepared query (or its EXPLAIN) to completion under one lock
     /// acquisition.
     fn run_prepared(&self, q: &Query, explain: bool) -> Result<ResultSet, QueryError> {
-        let g = self.inner.lock();
-        if explain {
-            explain_query(&g.db, q)
-        } else {
-            run_query(&g.db, q)
-        }
+        read_timed(&self.inner, self.query_hold.as_deref(), |g| {
+            if explain {
+                explain_query(&g.db, q)
+            } else {
+                run_query(&g.db, q)
+            }
+        })
     }
 
     /// [`ProvenanceStore::query`], fully materialized: runs the query to
@@ -1060,23 +1145,22 @@ enum CursorSrc {
 ///
 /// Returned by [`ProvenanceStore::query`]. Rows are produced on demand by
 /// [`next_row`](QueryCursor::next_row); each pull briefly locks the store,
-/// so holding a cursor open does not block concurrent recording. Dropping
-/// the cursor abandons the rest of the query — there is nothing to clean up.
+/// so a cursor held open between pulls keeps no writer waiting (a run's
+/// committer, the one thread recording activations, waits at most one
+/// pull). Dropping the cursor abandons the rest of the query — there is
+/// nothing to clean up.
 ///
 /// Cursors do not snapshot: mutations racing a cursor may or may not be
 /// visible in its remaining rows.
 pub struct QueryCursor {
     inner: Arc<Mutex<Inner>>,
+    /// `provstore.query_hold`, sampled per pull.
+    hold: Option<Arc<Histogram>>,
     columns: Arc<Vec<String>>,
     src: CursorSrc,
 }
 
 impl QueryCursor {
-    fn from_pipeline(inner: Arc<Mutex<Inner>>, pipe: Pipeline) -> QueryCursor {
-        let columns = Arc::new(pipe.columns.clone());
-        QueryCursor { inner, columns, src: CursorSrc::Pipe(pipe) }
-    }
-
     /// Output column names, in order.
     pub fn columns(&self) -> &[String] {
         &self.columns
@@ -1085,11 +1169,9 @@ impl QueryCursor {
     /// Pull the next row, or `None` when the query is exhausted.
     pub fn next_row(&mut self) -> Result<Option<Row>, QueryError> {
         let values = match &mut self.src {
-            CursorSrc::Pipe(pipe) => {
-                let g = self.inner.lock();
-                let cx = ExecCtx { provider: &g.db };
-                pipe.next_row(&cx)?
-            }
+            CursorSrc::Pipe(pipe) => read_timed(&self.inner, self.hold.as_deref(), |g| {
+                pipe.next_row(&ExecCtx { provider: &g.db })
+            })?,
             CursorSrc::Rows(it) => it.next(),
         };
         Ok(values.map(|values| Row { columns: Arc::clone(&self.columns), values }))

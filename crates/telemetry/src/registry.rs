@@ -56,9 +56,12 @@ pub const HISTOGRAMS: &[&str] = &[
     "campaign.first_result",
     "dist.heartbeat.job_elapsed",
     "provstore.commit_batch",
+    "provstore.commit_lag",
+    "provstore.commit_records",
     "provstore.group_commit",
     "provstore.lock_hold",
     "provstore.lock_wait",
+    "provstore.query_hold",
     "provstore.wal_append",
     "receptor.wait",
 ];
@@ -72,6 +75,7 @@ pub const GAUGES: &[&str] = &[
     "campaign.queued",
     "fleet.size",
     "gridcache.resident_bytes",
+    "provstore.commit_queue",
     "sim.ready_queue",
 ];
 

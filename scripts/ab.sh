@@ -14,9 +14,14 @@
 # run the parent first, even pairs this checkout. Every pair prints the
 # end-to-end metrics BENCHMARK.json lists, parent → change. The summary gives
 # per metric and side the median [Q1..Q3] (Python's exclusive quartiles, as
-# the benchmark's own `--ab`), the pairs the change wins, and whether a gain
-# would be claimable: the change wins at least 9 pairs in 10 and the medians
-# differ by more than the parent's inter-quartile range.
+# the benchmark's own `--ab`), the pairs the change wins, whether a gain
+# would be claimable (the change wins at least 9 pairs in 10 and the medians
+# differ by more than the parent's inter-quartile range), and the
+# no-regression verdict against the metric's BENCHMARK.json `bound`, a
+# fraction of the parent's median: "unresolved" when the parent's IQR is
+# wider than the bound, else "REGRESSED" when the change's median is worse
+# by more than the bound, else "within bound". Its last line totals each
+# side's failed operations.
 #
 # Each run's full output is kept in target/ab/<sha>/logs/, and the table of
 # values in target/ab/<sha>/<workload>.tsv.
@@ -109,7 +114,20 @@ for end in ends:
     wins = sum((b < a) if lower else (b > a) for a, b in pairs)
     gap = (cm - pm) / pm * 100 if pm else float("nan")
     claim = wins >= 0.9 * len(pairs) and abs(cm - pm) > (p3 - p1) and ((cm < pm) == lower)
+    bound = end["bound"]
+    worse = ((cm - pm) if lower else (pm - cm)) / abs(pm) if pm else float("inf")
+    spread_rel = (p3 - p1) / abs(pm) if pm else float("inf")
+    if spread_rel > bound:
+        verdict = f"unresolved (parent IQR {spread_rel:.1%} > bound {bound:.0%})"
+    elif worse > bound:
+        verdict = f"REGRESSED ({worse:.1%} worse > bound {bound:.0%})"
+    else:
+        verdict = f"within bound {bound:.0%}"
     print(f"  {name}: parent {pm:.4g} [{p1:.4g}..{p3:.4g}]  change {cm:.4g} [{c1:.4g}..{c3:.4g}]"
           f"  {gap:+.1f} %  change better {wins}/{len(pairs)}"
-          f"  claimable (wins >= 9/10, gap > parent IQR): {'yes' if claim else 'no'}")
+          f"  claimable (wins >= 9/10, gap > parent IQR): {'yes' if claim else 'no'}"
+          f"  no-regression: {verdict}")
+failed = {side: sum(json.loads(r[2 if side == "parent" else 3])["failed"] for r in rows)
+          for side in ("parent", "change")}
+print(f"  failed ops: parent {failed['parent']}, change {failed['change']}")
 EOF
