@@ -7,7 +7,9 @@ use std::sync::Arc;
 
 use cumulus::distbackend::DistConfig;
 use cumulus::workflow::FileStore;
-use cumulus::{Backend, DistBackend, LocalBackend, LocalConfig, RunOutcome, Workflow};
+use cumulus::{
+    activity_timings, Backend, DistBackend, LocalBackend, LocalConfig, RunReport, Workflow,
+};
 use provenance::steering::{failures_by_activity, problematic_pairs, status_summary};
 use provenance::{export_provn_canonical, ProvenanceStore};
 use scidock_bench::distspec;
@@ -21,7 +23,7 @@ fn workflow() -> Workflow {
     Workflow::new(def, input).with_files(files)
 }
 
-fn run(backend: &dyn Backend) -> (RunOutcome, Arc<ProvenanceStore>) {
+fn run(backend: &dyn Backend) -> (RunReport, Arc<ProvenanceStore>) {
     let store = Arc::new(ProvenanceStore::new());
     let outcome = backend.run(&workflow(), &store).expect("run succeeds");
     (outcome, store)
@@ -75,7 +77,8 @@ fn local_and_dist_runs_are_provenance_identical() {
     assert_eq!(problematic_pairs(&lstore, 1).unwrap(), problematic_pairs(&dstore, 1).unwrap());
 
     // per-activity timing folds cover the same activities in both worlds
-    let tags =
-        |o: &RunOutcome| o.activity_timings.iter().map(|t| t.tag.clone()).collect::<Vec<_>>();
-    assert_eq!(tags(&lout), tags(&dout));
+    let tags = |o: &RunReport, store: &ProvenanceStore| {
+        activity_timings(store, o.workflow).into_iter().map(|t| t.tag).collect::<Vec<_>>()
+    };
+    assert_eq!(tags(&lout, &lstore), tags(&dout, &dstore));
 }

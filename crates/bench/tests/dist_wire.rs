@@ -11,7 +11,7 @@ use std::sync::Arc;
 use cumulus::distbackend::worker;
 use cumulus::workflow::{Blob, FileStore};
 use cumulus::{
-    Backend, CumulusError, DistBackend, DistConfig, LocalBackend, LocalConfig, RunOutcome, Workflow,
+    Backend, CumulusError, DistBackend, DistConfig, LocalBackend, LocalConfig, RunReport, Workflow,
 };
 use provenance::{export_provn_canonical, ProvenanceStore};
 use scidock_bench::distspec;
@@ -26,7 +26,7 @@ fn workflow(spec: &str) -> Workflow {
     Workflow::new(def, input).with_files(files)
 }
 
-fn run(backend: &dyn Backend, wf: &Workflow) -> (RunOutcome, Arc<ProvenanceStore>) {
+fn run(backend: &dyn Backend, wf: &Workflow) -> (RunReport, Arc<ProvenanceStore>) {
     let store = Arc::new(ProvenanceStore::new());
     let outcome = backend.run(wf, &store).expect("run succeeds");
     (outcome, store)

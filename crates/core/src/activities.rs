@@ -669,7 +669,7 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, DatasetParams};
     use cumulus::localbackend::LocalConfig;
-    use cumulus::{Backend, LocalBackend, RunOutcome, Workflow};
+    use cumulus::{Backend, LocalBackend, RunReport, Workflow};
     use docking::autogrid::GridSet;
     use parking_lot::Mutex;
     use provenance::ProvenanceStore;
@@ -682,7 +682,7 @@ mod tests {
         files: Arc<FileStore>,
         prov: &Arc<ProvenanceStore>,
         cfg: LocalConfig,
-    ) -> RunOutcome {
+    ) -> RunReport {
         LocalBackend::new(cfg).run(&Workflow::new(wf, input).with_files(files), prov).unwrap()
     }
 

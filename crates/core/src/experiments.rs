@@ -9,7 +9,7 @@ use cumulus::localbackend::LocalConfig;
 use cumulus::simbackend::{simulate_tasks, SimConfig, SimReport};
 use cumulus::workflow::FileStore;
 use cumulus::{
-    Backend, LocalBackend, MasterCostModel, Policy, RunOutcome, SchedulerFactory, Workflow,
+    Backend, LocalBackend, MasterCostModel, Policy, RunReport, SchedulerFactory, Workflow,
 };
 use provenance::ProvenanceStore;
 use telemetry::Telemetry;
@@ -21,8 +21,8 @@ use crate::dataset::{Dataset, DatasetParams, LIGAND_CODES, RECEPTOR_IDS};
 
 /// Outcome of a real (local-backend) screening run.
 pub struct ScreeningOutcome {
-    /// The backend-independent outcome of the run.
-    pub report: RunOutcome,
+    /// The run's report.
+    pub report: RunReport,
     /// Provenance database of the run (query it!).
     pub prov: Arc<ProvenanceStore>,
     /// The shared file store with every produced artifact.
@@ -162,7 +162,6 @@ pub fn simulate_at(
         .with_noise(sweep.noise)
         .with_failures(sweep.failures)
         .with_max_retries(3)
-        .with_hang_timeout_factor(10.0)
         .with_sharedfs(sweep.sharedfs)
         .with_policy(sweep.policy)
         .with_master(sweep.master)

@@ -611,7 +611,7 @@ mod tests {
     use crate::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
     use crate::dataset::{make_receptor, Dataset, DatasetParams};
     use cumulus::localbackend::LocalConfig;
-    use cumulus::{Backend, LocalBackend, RunOutcome, Workflow};
+    use cumulus::{Backend, LocalBackend, RunReport, Workflow};
     use provenance::{export_provn_canonical_for, ProvenanceStore, Value};
 
     fn params(hg_fraction: f64) -> DatasetParams {
@@ -657,7 +657,7 @@ mod tests {
         mode: EngineMode,
         cfg: &SciDockConfig,
         ligand_major: bool,
-    ) -> (RunOutcome, Arc<FileStore>, Arc<ProvenanceStore>) {
+    ) -> (RunReport, Arc<FileStore>, Arc<ProvenanceStore>) {
         let files = Arc::new(FileStore::new());
         let prov = Arc::new(ProvenanceStore::new());
         let mut input = stage_inputs(ds, &files, &cfg.expdir);

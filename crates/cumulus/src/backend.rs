@@ -1,8 +1,8 @@
 //! The unified execution-backend API.
 //!
-//! Every way of running a workflow — in-process threads
-//! ([`LocalBackend`]), multiple OS processes ([`DistBackend`]), or the
-//! discrete-event simulator ([`SimBackend`]) — implements one trait:
+//! Both ways of running a workflow — in-process threads ([`LocalBackend`])
+//! and multiple OS processes ([`DistBackend`]) — implement one trait, and
+//! both answer with the [`RunReport`] the engine builds:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -28,27 +28,26 @@
 //! let wf = Workflow::new(def, input);
 //! let store = Arc::new(ProvenanceStore::new());
 //! let backend: Box<dyn Backend> = Box::new(LocalBackend::new(LocalConfig::new()));
-//! let outcome = backend.run(&wf, &store).unwrap();
-//! assert_eq!(outcome.finished, 1);
-//! assert_eq!(outcome.final_output().tuples, vec![vec![Value::Int(42)]]);
+//! let report = backend.run(&wf, &store).unwrap();
+//! assert_eq!(report.finished, 1);
+//! assert_eq!(report.final_output().tuples, vec![vec![Value::Int(42)]]);
 //! ```
 //!
-//! [`Backend::run`] is the surface that yields the backend-independent
-//! [`RunOutcome`] (with per-activity wall timings folded from provenance)
-//! and lets callers swap execution substrates behind a `dyn Backend`;
-//! [`crate::run_dist`] and [`crate::simulate_tasks`] stay public for callers
-//! that need the raw [`RunReport`] or have no workflow definition.
+//! [`Backend::run`] lets callers swap execution substrates behind a
+//! `dyn Backend`. Per-activity wall timings are a query over the run's
+//! provenance, [`activity_timings`], for callers that want them. The
+//! paper's cloud-scale simulator is not a backend: it models costs, not
+//! data, and runs task DAGs through [`crate::simulate_tasks`].
 
 use std::sync::Arc;
 
 use provenance::{ProvenanceStore, Value, WorkflowId};
 use telemetry::MetricsSnapshot;
 
-use crate::algebra::{Operator, Relation};
+use crate::algebra::Relation;
 use crate::distbackend::{run_dist, DistConfig};
 use crate::error::CumulusError;
-use crate::localbackend::{run_local_impl, LocalConfig, RunReport};
-use crate::simbackend::{simulate_tasks, SimConfig, SimTask};
+use crate::localbackend::{run_local_impl, LocalConfig};
 use crate::workflow::{FileStore, WorkflowDef};
 
 /// A runnable workflow: the definition plus its input relation and the
@@ -92,79 +91,48 @@ pub struct ActivityTiming {
     pub max_s: f64,
 }
 
-/// The backend-independent outcome of [`Backend::run`].
-///
-/// Marked `#[non_exhaustive]` so future backends can add fields without a
-/// breaking release; construct only via a backend.
+/// Outcome of a workflow run, whichever backend ran it.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct RunOutcome {
+pub struct RunReport {
     /// Provenance id of this run.
     pub workflow: WorkflowId,
-    /// Wall-clock (or simulated) duration of the whole run in seconds.
+    /// Wall-clock duration of the whole run in seconds.
     pub total_seconds: f64,
     /// Successful activations.
     pub finished: usize,
     /// Failed attempts (each retried unless the budget ran out).
     pub failed_attempts: usize,
-    /// Activations aborted after entering a looping/hanging state.
+    /// Activations aborted after entering a looping state.
     pub aborted: usize,
     /// Activations skipped by the blacklist rule.
     pub blacklisted: usize,
-    /// Activations skipped because a prior run already finished them.
+    /// Activations skipped because a prior run already finished them
+    /// (resume mode).
     pub resumed: usize,
-    /// Activations cancelled because an upstream was dropped (simulator
-    /// only; real backends always retry or blacklist instead).
-    pub cancelled: usize,
-    /// Output relation of every activity, by activity index (empty for the
-    /// simulator, which models costs rather than data).
+    /// Output relation of every activity, by activity index.
     pub outputs: Vec<Relation>,
-    /// Aggregated telemetry — `None` when no sink was attached.
+    /// Aggregated telemetry (per-activity latency quantiles, queue depth,
+    /// worker utilisation) — `None` when no sink was attached.
     pub metrics: Option<MetricsSnapshot>,
-    /// Per-activity wall-time statistics folded from provenance.
-    pub activity_timings: Vec<ActivityTiming>,
-    /// Scale decisions taken by the elastic fleet policy, in order (empty
-    /// for fixed fleets). Identical across `DistBackend` and `SimBackend`
-    /// under the same policy and workload — the parity tests assert this.
+    /// Scale decisions taken by the elastic fleet policy, in order. Empty
+    /// for fixed fleets (and always for the local backend).
     pub scale_events: Vec<crate::fleet::ScaleEvent>,
-    /// Largest provisioned fleet at any point in the run.
+    /// Largest provisioned fleet at any point in the run (the thread count
+    /// for the local backend).
     pub peak_workers: usize,
-    /// Fleet bill under the active cost model, when one applies.
+    /// Fleet bill under the policy's cost model (per-started-hour), when
+    /// the active scheduler carries one.
     pub fleet_cost_usd: Option<f64>,
 }
 
-impl RunOutcome {
+impl RunReport {
     /// The output relation of the *last* activity in definition order, and
     /// only that one: in a workflow with several sinks the others' tuples
     /// are not in it (an adaptive SciDock run without ranking ends in
     /// `autodock4` and `vina`, and this is `vina`'s relation alone). Read
     /// `outputs` by index for the rest.
-    ///
-    /// # Panics
-    /// Panics when the backend produced no output relations (the
-    /// simulator) — check `outputs.is_empty()` first for `SimBackend`.
     pub fn final_output(&self) -> &Relation {
-        self.outputs.last().expect("backend produced no output relations")
-    }
-
-    fn from_report(report: RunReport, store: &ProvenanceStore) -> RunOutcome {
-        let activity_timings = activity_timings(store, report.workflow);
-        RunOutcome {
-            workflow: report.workflow,
-            total_seconds: report.total_seconds,
-            finished: report.finished,
-            failed_attempts: report.failed_attempts,
-            aborted: report.aborted,
-            blacklisted: report.blacklisted,
-            resumed: report.resumed,
-            cancelled: 0,
-            outputs: report.outputs,
-            metrics: report.metrics,
-            activity_timings,
-            scale_events: report.scale_events,
-            peak_workers: report.peak_workers,
-            fleet_cost_usd: report.fleet_cost_usd,
-        }
+        self.outputs.last().expect("workflow has at least one activity")
     }
 }
 
@@ -219,12 +187,12 @@ pub fn activity_timings(store: &ProvenanceStore, wkf: WorkflowId) -> Vec<Activit
 
 /// A way of executing a [`Workflow`] against a [`ProvenanceStore`].
 ///
-/// All three implementations record the same PROV-Wf provenance shape, so
+/// Both implementations record the same PROV-Wf provenance shape, so
 /// `provenance::export_provn_canonical` of a local and a distributed run of
 /// the same workflow are byte-identical (the parity tests assert this).
 pub trait Backend {
     /// Run the workflow to completion, recording provenance into `store`.
-    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunOutcome, CumulusError>;
+    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError>;
 }
 
 /// In-process execution on worker threads of this process
@@ -242,15 +210,14 @@ impl LocalBackend {
 }
 
 impl Backend for LocalBackend {
-    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunOutcome, CumulusError> {
-        let report = run_local_impl(
+    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError> {
+        run_local_impl(
             &wf.def,
             wf.input.clone(),
             Arc::clone(&wf.files),
             Arc::clone(store),
             &self.cfg,
-        )?;
-        Ok(RunOutcome::from_report(report, store))
+        )
     }
 }
 
@@ -269,112 +236,16 @@ impl DistBackend {
 }
 
 impl Backend for DistBackend {
-    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunOutcome, CumulusError> {
-        let report = run_dist(
-            &wf.def,
-            wf.input.clone(),
-            Arc::clone(&wf.files),
-            Arc::clone(store),
-            &self.cfg,
-        )?;
-        Ok(RunOutcome::from_report(report, store))
-    }
-}
-
-/// Discrete-event simulated execution on an elastic EC2 fleet
-/// (see [`crate::simbackend`]).
-///
-/// The simulator models activation *costs*, not data, so the workflow's
-/// activity functions never run: a synthetic activation DAG is derived from
-/// the workflow shape (one task per input tuple for sources, 1:1 chains
-/// through Map-like operators, a barrier task for Reduce/queries) and the
-/// outcome's `outputs` are empty.
-#[derive(Debug, Clone, Default)]
-pub struct SimBackend {
-    cfg: SimConfig,
-}
-
-impl SimBackend {
-    /// A simulated backend with the given configuration. The config's
-    /// `workflow_tag`/`activity_tags` are overridden from the workflow.
-    pub fn new(cfg: SimConfig) -> SimBackend {
-        SimBackend { cfg }
-    }
-
-    /// Derive the synthetic activation DAG the simulator will execute.
-    fn synthesize(wf: &Workflow) -> Vec<SimTask> {
-        let def = &wf.def;
-        let mut tasks: Vec<SimTask> = Vec::new();
-        // task indices produced by each activity
-        let mut produced: Vec<Vec<usize>> = vec![Vec::new(); def.activities.len()];
-        for (i, activity) in def.activities.iter().enumerate() {
-            let upstream: Vec<usize> =
-                def.deps[i].iter().flat_map(|&d| produced[d].iter().copied()).collect();
-            let barrier = matches!(
-                activity.operator,
-                Operator::Reduce { .. } | Operator::SRQuery | Operator::MRQuery
-            );
-            // each activation's pair-key suffix and dependencies
-            let activations: Vec<(String, Vec<usize>)> = if barrier {
-                // one activation consuming the whole upstream relation
-                vec![("all".to_string(), upstream)]
-            } else if def.deps[i].is_empty() {
-                // source Map-like: one activation per input tuple
-                (0..wf.input.tuples.len()).map(|j| (j.to_string(), Vec::new())).collect()
-            } else {
-                // downstream Map-like: 1:1 with upstream activations
-                upstream.into_iter().enumerate().map(|(j, up)| (j.to_string(), vec![up])).collect()
-            };
-            for (suffix, deps) in activations {
-                produced[i].push(tasks.len());
-                tasks.push(SimTask {
-                    activity_index: i,
-                    pair_key: format!("{}#{suffix}", activity.tag),
-                    nominal_s: 1.0,
-                    in_bytes: 0,
-                    out_bytes: 0,
-                    deps,
-                    poison: false,
-                });
-            }
-        }
-        tasks
-    }
-}
-
-impl Backend for SimBackend {
-    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunOutcome, CumulusError> {
-        wf.def.validate().map_err(CumulusError::Invalid)?;
-        let tasks = Self::synthesize(wf);
-        let cfg = self
-            .cfg
-            .clone()
-            .with_workflow_tag(wf.def.tag.clone())
-            .with_activity_tags(wf.def.activities.iter().map(|a| a.tag.clone()).collect());
-        let report = simulate_tasks(&tasks, &cfg, Some(store));
-        let wkf = report.workflow.expect("a simulation given a store registers its workflow");
-        Ok(RunOutcome {
-            workflow: wkf,
-            total_seconds: report.tet_s,
-            finished: report.finished,
-            failed_attempts: report.failed_attempts,
-            aborted: report.aborted,
-            blacklisted: report.blacklisted,
-            resumed: 0,
-            cancelled: report.cancelled,
-            outputs: Vec::new(),
-            metrics: report.metrics,
-            activity_timings: activity_timings(store, wkf),
-            scale_events: report.scale_events,
-            peak_workers: report.peak_vms,
-            fleet_cost_usd: Some(report.cost_usd),
-        })
+    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError> {
+        run_dist(&wf.def, wf.input.clone(), Arc::clone(&wf.files), Arc::clone(store), &self.cfg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::Operator;
+    use crate::simbackend::{simulate_tasks, SimConfig, SimTask};
     use crate::workflow::Activity;
 
     fn xy_def() -> WorkflowDef {
@@ -434,29 +305,13 @@ mod tests {
         let out = backend.run(&wf, &store).unwrap();
         assert_eq!(out.finished, 6); // 5 inc + 1 sum
         assert_eq!(out.final_output().tuples, vec![vec![Value::Int(15)]]);
-        assert_eq!(out.activity_timings.len(), 2);
-        assert_eq!(out.activity_timings[0].tag, "inc");
-        assert_eq!(out.activity_timings[0].activations, 5);
-        assert_eq!(out.activity_timings[1].tag, "sum");
-        assert_eq!(out.activity_timings[1].activations, 1);
-        assert!(out.activity_timings[0].mean_s <= out.activity_timings[0].max_s + 1e-12);
-    }
-
-    #[test]
-    fn sim_backend_runs_the_same_workflow_shape() {
-        let wf = Workflow::new(xy_def(), xy_input());
-        let store = Arc::new(ProvenanceStore::new());
-        let backend: Box<dyn Backend> = Box::new(SimBackend::new(SimConfig::new()));
-        let out = backend.run(&wf, &store).unwrap();
-        assert_eq!(out.finished, 6);
-        assert!(out.outputs.is_empty());
-        assert!(out.total_seconds > 0.0);
-        // provenance carries the workflow's own tags
-        let tags = store.query_rows("SELECT tag FROM hactivity ORDER BY actid", &[]).unwrap();
-        let tags: Vec<String> = tags.rows.iter().map(|r| r[0].to_string()).collect();
-        assert_eq!(tags, vec!["inc", "sum"]);
-        assert_eq!(out.activity_timings.len(), 2);
-        assert_eq!(out.activity_timings[0].activations, 5);
+        let timings = activity_timings(&store, out.workflow);
+        assert_eq!(timings.len(), 2);
+        assert_eq!(timings[0].tag, "inc");
+        assert_eq!(timings[0].activations, 5);
+        assert_eq!(timings[1].tag, "sum");
+        assert_eq!(timings[1].activations, 1);
+        assert!(timings[0].mean_s <= timings[0].max_s + 1e-12);
     }
 
     #[test]
@@ -472,11 +327,26 @@ mod tests {
             LocalBackend::new(LocalConfig::new().with_threads(1).with_events(local_events.clone()));
         local.run(&wf, &store).unwrap();
 
-        // sim mirror of the same workflow shape, fixed seed
+        // sim mirror of the same workflow shape, fixed seed: one task per
+        // input tuple, then one barrier task over all of them
+        let task = |activity_index, deps| SimTask {
+            activity_index,
+            pair_key: String::new(),
+            nominal_s: 1.0,
+            in_bytes: 0,
+            out_bytes: 0,
+            deps,
+            poison: false,
+        };
+        let mut tasks: Vec<SimTask> = (0..5).map(|_| task(0, vec![])).collect();
+        tasks.push(task(1, (0..5).collect()));
         let sim_events = EventLog::new();
-        let sim_store = Arc::new(ProvenanceStore::new());
-        let sim = SimBackend::new(SimConfig::new().with_seed(7).with_events(sim_events.clone()));
-        sim.run(&wf, &sim_store).unwrap();
+        let sim_cfg = SimConfig::new()
+            .with_seed(7)
+            .with_events(sim_events.clone())
+            .with_workflow_tag("bt")
+            .with_activity_tags(vec!["inc".into(), "sum".into()]);
+        simulate_tasks(&tasks, &sim_cfg, None);
 
         let local_seq: Vec<_> =
             local_events.events().iter().map(|e| e.parity_signature()).collect();

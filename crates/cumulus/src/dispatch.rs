@@ -69,8 +69,8 @@ struct ActState {
 pub(crate) struct PipelineState {
     def: Arc<WorkflowDef>,
     tel: Telemetry,
-    /// Successors with edge multiplicity (a duplicated dep feeds twice,
-    /// just like `input_for`'s concatenation would).
+    /// Successors with edge multiplicity (a duplicated dep feeds its
+    /// downstream twice: upstream relations concatenate).
     successors: Vec<Vec<usize>>,
     states: Vec<ActState>,
     /// Activities not yet closed; the run is done when this reaches zero.
@@ -99,8 +99,9 @@ impl PipelineState {
                 let input_columns = if def.deps[i].is_empty() {
                     input.columns.clone()
                 } else {
-                    // input_for asserts upstreams share a schema; check the
-                    // static column lists up front since we stream per-edge
+                    // upstream relations concatenate, so they must share a
+                    // schema; check the static column lists up front since
+                    // tuples stream per edge
                     let first = &def.activities[def.deps[i][0]].output_columns;
                     for &d in &def.deps[i] {
                         assert_eq!(
@@ -204,8 +205,9 @@ impl PipelineState {
         self.states.into_iter().map(|s| s.output).collect()
     }
 
-    /// Deliver tuples to activity `i`, applying its route filter against its
-    /// input schema exactly as `input_for` does on the assembled relation.
+    /// Deliver tuples to activity `i`, keeping those its route accepts: the
+    /// route column resolves against the activity's input schema, and a
+    /// route on a column the input lacks accepts nothing.
     fn feed(&mut self, i: usize, tuples: Vec<Tuple>, reqs: &mut Vec<SubmitReq>) {
         let state = &mut self.states[i];
         let mut accepted = tuples;
@@ -471,6 +473,25 @@ mod tests {
         assert_eq!(outs[1].len(), 3);
         // both sources emit 0..3; the route keeps only x == 1, twice
         assert_eq!(outs[2].len(), 2);
+    }
+
+    #[test]
+    fn routes_filter_the_workflow_input_and_a_missing_column_drops_everything() {
+        let def = WorkflowDef {
+            tag: "t".into(),
+            description: String::new(),
+            expdir: "/e".into(),
+            activities: vec![
+                Activity::map("one", &["x"], ident()).with_route("x", Value::Int(1)),
+                Activity::map("nope", &["x"], ident()).with_route("nope", Value::Int(1)),
+            ],
+            deps: vec![vec![], vec![]],
+        };
+        let (pipe, reqs) = PipelineState::new(Arc::new(def), &input(3), Telemetry::disabled());
+        let parts: Vec<(usize, Vec<Tuple>)> =
+            reqs.into_iter().map(|r| (r.activity, r.part)).collect();
+        assert_eq!(parts, [(0, vec![vec![Value::Int(1)]])]);
+        assert_eq!(pipe.submitted(), 1, "the missing-column route closed its activity empty");
     }
 
     #[test]

@@ -57,11 +57,11 @@ use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{RemoteSpan, Telemetry};
 
 use crate::algebra::Relation;
+use crate::backend::RunReport;
 use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort};
 use crate::error::CumulusError;
 use crate::fleet::SchedulerFactory;
 use crate::lifecycle::{run_scoped, ActivityCtx, Attempt, Exec, ScopeCfg, Settled};
-use crate::localbackend::RunReport;
 use crate::obs::{BoundAddr, EventLog};
 use crate::workflow::{Blob, FileStore, WorkflowDef};
 

@@ -36,11 +36,13 @@ use provenance::WorkflowId;
 use telemetry::Telemetry;
 
 use crate::algebra::{Relation, Tuple};
+use crate::backend::RunReport;
 use crate::dispatch::{PipelineState, SubmitReq};
 use crate::error::CumulusError;
-use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView};
+use crate::fleet::{
+    drain_targets, FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView,
+};
 use crate::lifecycle::{ActOutcome, ActivityCtx, Admitted, Attempt, Exec, Settled};
-use crate::localbackend::RunReport;
 use crate::obs::{EventLog, HealthView, ObsState, Severity, WorkerHealth};
 use crate::workflow::WorkflowDef;
 
@@ -467,9 +469,9 @@ impl<P: WorkerPort> Engine<P> {
 
     /// One scheduler tick: show the policy the fleet and apply its decision
     /// — the only place a [`ScaleDecision`] takes effect outside the
-    /// simulator. `Grow` launches up to the ceiling; `Shrink` drains idle
-    /// workers first, lowest index first, never below the floor: a drained
-    /// worker finishes what it holds and retires without a `FAILED` row.
+    /// simulator. `Grow` launches up to the ceiling; `Shrink` drains the
+    /// workers [`drain_targets`] picks above the floor: a drained worker
+    /// finishes what it holds and retires without a `FAILED` row.
     fn rescale(&mut self) -> Result<(), CumulusError> {
         let (verb, sign, n) = match self.controller.evaluate(self.snapshot()) {
             ScaleDecision::Hold => return Ok(()),
@@ -479,15 +481,12 @@ impl<P: WorkerPort> Engine<P> {
                 ("grow", '+', n)
             }
             ScaleDecision::Shrink(n) => {
-                let workers = &mut self.workers;
-                let mut targets: Vec<usize> = (0..workers.len())
-                    .filter(|&i| workers[i].alive && !workers[i].draining)
-                    .collect();
-                targets.sort_by_key(|&i| (!workers[i].in_flight.is_empty(), i));
-                let spare = (targets.len() + self.spawning).saturating_sub(self.cfg.floor);
-                targets.truncate(n.min(spare));
+                let serving = (self.workers.iter().enumerate())
+                    .filter(|(_, w)| w.alive && !w.draining)
+                    .map(|(i, w)| (i, !w.in_flight.is_empty()));
+                let targets = drain_targets(serving, self.spawning, self.cfg.floor, n);
                 for &wi in &targets {
-                    workers[wi].draining = true;
+                    self.workers[wi].draining = true;
                 }
                 for &wi in &targets {
                     if !self.port.drain(wi) {

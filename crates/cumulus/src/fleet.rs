@@ -152,6 +152,24 @@ fn least_loaded(candidates: &[WorkerView]) -> Option<usize> {
     candidates.iter().min_by_key(|w| (w.in_flight, w.index)).map(|w| w.index)
 }
 
+/// The workers a `Shrink(n)` drains, in drain order: booted serving workers,
+/// idle before busy and lowest index first, never so many that fewer than
+/// `floor` stay provisioned — workers still booting count toward the floor.
+/// `serving` yields `(index, busy)` of every booted worker that is neither
+/// draining nor gone. The engine and the simulator both drain by this rule.
+pub(crate) fn drain_targets(
+    serving: impl Iterator<Item = (usize, bool)>,
+    booting: usize,
+    floor: usize,
+    n: usize,
+) -> Vec<usize> {
+    let mut targets: Vec<(bool, usize)> = serving.map(|(i, busy)| (busy, i)).collect();
+    let spare = (targets.len() + booting).saturating_sub(floor);
+    targets.sort_unstable();
+    targets.truncate(n.min(spare));
+    targets.into_iter().map(|(_, i)| i).collect()
+}
+
 /// Builds a fresh [`Scheduler`] per run, so one config can drive many runs
 /// (and the parity test can hand the *same* factory to both backends).
 #[derive(Clone)]

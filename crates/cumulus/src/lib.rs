@@ -25,8 +25,11 @@
 //!   exposition, snapshot JSON, health and events mid-run;
 //! * [`template`] — %TAG% activity command templates (the instrumentation
 //!   mechanism of paper Figs. 2–3);
-//! * [`simbackend`] — a discrete-event simulation of the engine on an
-//!   elastic EC2 fleet, for the cloud-scale studies of Figures 7–9;
+//! * [`simbackend`] — the paper's simulator: a discrete-event cost model
+//!   of the SciCumulus master on an elastic EC2 fleet, for the cloud-scale
+//!   studies of Figures 7–9 ([`simulate_tasks`] over a task DAG; it is not
+//!   a [`Backend`] and does not drive the engine, but drains its fleet by
+//!   the engine's rule);
 //! * [`serve`] — `scidockd`, the always-on campaign service: many
 //!   concurrent campaigns from many tenants over one shared elastic fleet
 //!   and one durable provenance store, with fair-share scheduling and
@@ -65,7 +68,7 @@ pub mod xmlspec;
 
 pub use algebra::{Operator, Relation, Tuple};
 pub use backend::{
-    ActivityTiming, Backend, DistBackend, LocalBackend, RunOutcome, SimBackend, Workflow,
+    activity_timings, ActivityTiming, Backend, DistBackend, LocalBackend, RunReport, Workflow,
 };
 pub use distbackend::{run_dist, DistConfig, KillPlan};
 pub use error::CumulusError;
@@ -73,7 +76,7 @@ pub use fleet::{
     upward_ranks, CostAwareConfig, CostAwareScheduler, FixedScheduler, FleetSnapshot,
     QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent, Scheduler, SchedulerFactory,
 };
-pub use localbackend::{LocalConfig, RunReport};
+pub use localbackend::LocalConfig;
 pub use obs::{BoundAddr, EventLog, HealthView, ObsEvent, Severity};
 pub use sched::{MasterCostModel, Policy};
 pub use serve::{

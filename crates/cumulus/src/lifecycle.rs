@@ -45,11 +45,11 @@ use provenance::{
 use telemetry::Telemetry;
 
 use crate::algebra::Tuple;
+use crate::backend::RunReport;
 use crate::commit::Committer;
 use crate::dispatch::{pair_key, split_path};
 use crate::engine::PortEvent;
 use crate::error::CumulusError;
-use crate::localbackend::RunReport;
 use crate::obs::{BoundAddr, EventLog, HealthView, ObsServer, ObsState, Severity};
 use crate::workflow::{ActivationCtx, ActivityFn, BlacklistFn, FileStore, WorkflowDef};
 

@@ -26,9 +26,10 @@ use std::sync::Arc;
 
 use cloudsim::FailureModel;
 use provenance::{ProvenanceStore, WorkflowId};
-use telemetry::{MetricsSnapshot, Telemetry};
+use telemetry::Telemetry;
 
 use crate::algebra::Relation;
+use crate::backend::RunReport;
 use crate::engine::{Engine, EngineCfg};
 use crate::error::CumulusError;
 use crate::lifecycle::{run_scoped, ActivityCtx, ScopeCfg};
@@ -162,51 +163,6 @@ impl LocalConfig {
     pub fn with_metrics_bound(mut self, bound: BoundAddr) -> LocalConfig {
         self.metrics_bound = Some(bound);
         self
-    }
-}
-
-/// Outcome of a workflow run.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Provenance id of this run.
-    pub workflow: WorkflowId,
-    /// Wall-clock duration of the whole run in seconds.
-    pub total_seconds: f64,
-    /// Successful activations.
-    pub finished: usize,
-    /// Failed attempts (each retried unless the budget ran out).
-    pub failed_attempts: usize,
-    /// Activations aborted after entering a looping state.
-    pub aborted: usize,
-    /// Activations skipped by the blacklist rule.
-    pub blacklisted: usize,
-    /// Activations skipped because a prior run already finished them
-    /// (resume mode).
-    pub resumed: usize,
-    /// Output relation of every activity, by activity index.
-    pub outputs: Vec<Relation>,
-    /// Aggregated telemetry (per-activity latency quantiles, queue depth,
-    /// worker utilisation) — `None` when no sink was attached.
-    pub metrics: Option<MetricsSnapshot>,
-    /// Scale decisions taken by the elastic fleet policy, in order. Empty
-    /// for fixed fleets (and always for the local backend).
-    pub scale_events: Vec<crate::fleet::ScaleEvent>,
-    /// Largest provisioned fleet at any point in the run (the thread count
-    /// for the local backend).
-    pub peak_workers: usize,
-    /// Fleet bill under the policy's cost model (per-started-hour), when
-    /// the active scheduler carries one.
-    pub fleet_cost_usd: Option<f64>,
-}
-
-impl RunReport {
-    /// The output relation of the *last* activity in definition order, and
-    /// only that one: in a workflow with several sinks the others' tuples
-    /// are not in it (an adaptive SciDock run without ranking ends in
-    /// `autodock4` and `vina`, and this is `vina`'s relation alone). Read
-    /// `outputs` by index for the rest.
-    pub fn final_output(&self) -> &Relation {
-        self.outputs.last().expect("workflow has at least one activity")
     }
 }
 

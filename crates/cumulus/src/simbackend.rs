@@ -1,13 +1,20 @@
-//! The simulated execution backend: a discrete-event simulation of
-//! SciCumulus running an activation DAG on an elastic EC2 fleet.
+//! The paper's simulator: a discrete-event model of the SciCumulus master
+//! running an activation DAG on an elastic EC2 fleet.
 //!
-//! This backend produces the paper's cloud-scale numbers (Figures 7–9):
-//! Total Execution Time, speedup, and efficiency at 2–128 virtual cores,
+//! It produces the paper's cloud-scale numbers (Figures 7–9): Total
+//! Execution Time, speedup, and efficiency at 2–128 virtual cores,
 //! including the effects the paper discusses — VM heterogeneity and
 //! virtualization noise, shared-filesystem staging, ~10% activation
 //! failures with re-execution, hang detection, poison-input blacklisting,
-//! serialized master dispatch whose planning cost grows with queue × VMs,
-//! and an elastic fleet under a [`crate::fleet::Scheduler`] policy.
+//! serialized master dispatch whose planning cost grows with queue × VMs
+//! (§V.C's weighted cost model with its greedy pick), and an elastic fleet
+//! under a [`crate::fleet::Scheduler`] policy.
+//!
+//! It is a cost model, not a backend: it runs no activity and moves no
+//! data, and it keeps its own event loop rather than driving the engine.
+//! What it shares with the engine is the fleet layer — the same policy
+//! objects, snapshot shape and drain rule ([`crate::fleet`]) — so a policy
+//! takes the same decisions here as on real workers.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -21,9 +28,15 @@ use provenance::{
 };
 use telemetry::{MetricsSnapshot, Telemetry};
 
-use crate::fleet::{FleetController, FleetSnapshot, ScaleDecision, ScaleEvent, SchedulerFactory};
+use crate::fleet::{
+    drain_targets, FleetController, FleetSnapshot, ScaleDecision, ScaleEvent, SchedulerFactory,
+};
 use crate::obs::{EventLog, Severity};
 use crate::sched::{MasterCostModel, Policy, ReadyQueue, ReadyTask};
+
+/// The hang detector aborts a hanging activation after this many times its
+/// runtime on the VM it landed on.
+const HANG_TIMEOUT_FACTOR: f64 = 10.0;
 
 /// One activation to simulate.
 #[derive(Debug, Clone)]
@@ -64,9 +77,6 @@ pub struct SimConfig {
     pub failures: FailureModel,
     /// Retry budget per activation.
     pub max_retries: u32,
-    /// A hanging activation is aborted after `hang_timeout_factor ×
-    /// nominal_s` (the engine's hang detector).
-    pub hang_timeout_factor: f64,
     /// Shared-filesystem model.
     pub sharedfs: SharedFsModel,
     /// Scheduling policy.
@@ -111,7 +121,6 @@ impl Default for SimConfig {
             noise: NoiseModel::default(),
             failures: FailureModel::none(),
             max_retries: 3,
-            hang_timeout_factor: 10.0,
             sharedfs: SharedFsModel::default(),
             policy: Policy::GreedyWeighted,
             master: MasterCostModel::default(),
@@ -161,12 +170,6 @@ impl SimConfig {
     /// Set the per-activation retry budget.
     pub fn with_max_retries(mut self, max_retries: u32) -> SimConfig {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Set the hang-detector timeout factor.
-    pub fn with_hang_timeout_factor(mut self, factor: f64) -> SimConfig {
-        self.hang_timeout_factor = factor;
         self
     }
 
@@ -239,7 +242,7 @@ impl SimConfig {
 }
 
 /// Simulation outcome.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Provenance id the run was recorded under (`None` without a store).
     pub workflow: Option<WorkflowId>,
@@ -281,353 +284,288 @@ enum Event {
     TaskDone { task: usize, vm: VmId, attempt: u32, fate: Fate },
 }
 
-/// Run the discrete-event simulation over a raw [`SimTask`] DAG. When
-/// `prov` is given, every activation is recorded with its simulated
-/// timestamps, so the paper's provenance queries run against simulated
-/// executions too.
-///
-/// This is the engine behind [`crate::backend::SimBackend`]; it stays public
-/// because task-level cost-model sweeps (the paper's scaling studies) have
-/// no workflow definition to hand to the `Backend` trait.
+/// Run the discrete-event simulation over a [`SimTask`] DAG. When `prov` is
+/// given, every activation is recorded with its simulated timestamps, so
+/// the paper's provenance queries run against simulated executions too.
 pub fn simulate_tasks(
     tasks: &[SimTask],
     cfg: &SimConfig,
     prov: Option<&ProvenanceStore>,
 ) -> SimReport {
-    assert!(!cfg.fleet.is_empty(), "fleet must contain at least one VM");
-    let n = tasks.len();
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5C4E_D01E);
-
-    // provenance registration
-    let (wkf, act_ids): (Option<_>, Vec<Option<ActivityId>>) = match prov {
-        Some(p) => {
-            let w = p.begin_workflow(&cfg.workflow_tag, "simulated run", "/root/scidock/");
-            let ids =
-                cfg.activity_tags.iter().map(|t| Some(p.register_activity(w, t, "Map"))).collect();
-            (Some(w), ids)
+    let mut sim = Sim::new(tasks, cfg, prov);
+    // the policy's first look: the whole seeded backlog, before any
+    // dispatch — the distributed master evaluates at the same instant
+    sim.rescale();
+    loop {
+        sim.dispatch();
+        let Some((t, ev)) = sim.events.pop() else { break };
+        cfg.telemetry.count("sim.events", 1);
+        sim.now = t;
+        sim.report.tet_s = sim.report.tet_s.max(t);
+        match ev {
+            Event::VmReady(vm) => sim.boot(vm),
+            Event::TaskDone { task, vm, attempt, fate } => {
+                sim.complete(task, vm, attempt, fate);
+                // every completion is a scheduler tick, exactly like the
+                // distributed master processing a Done frame
+                if let Some(ctrl) = sim.controller.as_mut() {
+                    ctrl.note_completion();
+                }
+                sim.rescale();
+            }
         }
-        None => (None, vec![None; cfg.activity_tags.len().max(1)]),
-    };
-    let act_id = |i: usize| -> Option<ActivityId> { act_ids.get(i).copied().flatten() };
+    }
+    sim.finish()
+}
 
-    // structured events, mirroring the distributed master's lifecycle
-    // emissions at simulated timestamps
-    let evlog = cfg.events.clone();
-    let tag_of =
-        |i: usize| -> String { cfg.activity_tags.get(i).cloned().unwrap_or_else(|| "task".into()) };
-    if let Some(ev) = &evlog {
-        ev.emit(
-            0.0,
-            Severity::Info,
-            "run_started",
-            &[
+/// One VM of a simulated fleet, at its `VmId` index.
+struct SimVm {
+    /// When it finishes booting.
+    ready_at: SimTime,
+    /// Tasks running on it.
+    busy: u32,
+    /// Its `hmachine` row, when the run records provenance.
+    machine: Option<MachineId>,
+    /// The fleet policy asked it to retire: it takes no new task and is
+    /// released the moment its last one lands (drain-then-retire).
+    draining: bool,
+    /// Handed back to the cloud.
+    released: bool,
+}
+
+impl SimVm {
+    /// Provisioned and not retiring: the VM counts toward the fleet.
+    fn serving(&self) -> bool {
+        !self.released && !self.draining
+    }
+}
+
+/// The state of one [`simulate_tasks`] run.
+struct Sim<'a> {
+    tasks: &'a [SimTask],
+    cfg: &'a SimConfig,
+    prov: Option<&'a ProvenanceStore>,
+    /// The run's activities by index, when `prov` is set.
+    act_ids: Vec<ActivityId>,
+    rng: ChaCha8Rng,
+    cluster: Cluster,
+    events: EventQueue<Event>,
+    vms: Vec<SimVm>,
+    /// One entry per free core of a booted, serving VM.
+    free_slots: Vec<VmId>,
+    ready: ReadyQueue,
+    ready_by_activity: Vec<usize>,
+    in_flight: usize,
+    /// Dependencies of each task not yet finished.
+    dep_count: Vec<usize>,
+    successors: Vec<Vec<usize>>,
+    attempts: Vec<u32>,
+    /// Blacklisted, aborted, out of retries, or cancelled by an upstream.
+    dropped: Vec<bool>,
+    /// Fleet-policy state, mirroring the distributed master: the controller
+    /// owns the completion counter and the snapshot carries logical
+    /// quantities only, so the decision trace is reproducible across
+    /// substrates.
+    controller: Option<FleetController>,
+    /// Cores of the initial fleet: the master plans for them while they boot.
+    fleet_cores: u32,
+    slots_per_worker: usize,
+    /// When the master is done planning its last dispatch.
+    master_free: SimTime,
+    now: SimTime,
+    report: SimReport,
+}
+
+impl<'a> Sim<'a> {
+    /// Register the run, boot the initial fleet and seed the ready queue.
+    fn new(tasks: &'a [SimTask], cfg: &'a SimConfig, prov: Option<&'a ProvenanceStore>) -> Self {
+        assert!(!cfg.fleet.is_empty(), "fleet must contain at least one VM");
+        let (wkf, act_ids) = match prov {
+            Some(p) => {
+                let w = p.begin_workflow(&cfg.workflow_tag, "simulated run", "/root/scidock/");
+                (
+                    Some(w),
+                    cfg.activity_tags.iter().map(|t| p.register_activity(w, t, "Map")).collect(),
+                )
+            }
+            None => (None, Vec::new()),
+        };
+        // structured events, mirroring the distributed master's lifecycle
+        // emissions at simulated timestamps
+        if let Some(ev) = &cfg.events {
+            let fields = [
                 ("workflow", cfg.workflow_tag.clone()),
                 ("backend", "sim".to_string()),
                 ("workers", cfg.fleet.len().to_string()),
-            ],
-        );
-    }
-
-    // dependency bookkeeping
-    let mut dep_count: Vec<usize> = tasks.iter().map(|t| t.deps.len()).collect();
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            assert!(d < n, "task {i} depends on out-of-range {d}");
-            successors[d].push(i);
+            ];
+            ev.emit(0.0, Severity::Info, "run_started", &fields);
         }
-    }
-    let mut attempts = vec![0u32; n];
-    let mut dropped = vec![false; n];
-
-    // cluster + slots
-    let tel = &cfg.telemetry;
-    let mut cluster = Cluster::with_telemetry(cfg.seed, cfg.noise, tel.clone());
-    let mut events: EventQueue<Event> = EventQueue::new();
-    let mut free_slots: Vec<VmId> = Vec::new();
-    let mut vm_busy: Vec<u32> = Vec::new();
-    let mut vm_machine: Vec<Option<MachineId>> = Vec::new();
-    let mut released: Vec<bool> = Vec::new();
-    // fleet policy asked this VM to retire: no new tasks; released the
-    // moment its last in-flight task completes (drain-then-retire)
-    let mut draining: Vec<bool> = Vec::new();
-
-    let acquire =
-        |itype: &'static InstanceType,
-         t: SimTime,
-         cluster: &mut Cluster,
-         events: &mut EventQueue<Event>,
-         vm_busy: &mut Vec<u32>,
-         vm_machine: &mut Vec<Option<MachineId>>,
-         released: &mut Vec<bool>,
-         draining: &mut Vec<bool>| {
-            let id = cluster.acquire(itype, t);
-            events.push(cluster.vm(id).ready_at, Event::VmReady(id));
-            vm_busy.push(0);
-            released.push(false);
-            draining.push(false);
-            vm_machine.push(prov.map(|p| {
-                p.register_machine(&format!("vm-{}", id.0), itype.name, itype.cores as i64)
-            }));
+        let n = tasks.len();
+        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, t) in tasks.iter().enumerate() {
+            for &d in &t.deps {
+                assert!(d < n, "task {i} depends on out-of-range {d}");
+                successors[d].push(i);
+            }
+        }
+        let n_acts = tasks
+            .iter()
+            .map(|t| t.activity_index + 1)
+            .max()
+            .unwrap_or(1)
+            .max(cfg.activity_tags.len().max(1));
+        let mut sim = Sim {
+            tasks,
+            cfg,
+            prov,
+            act_ids,
+            rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5C4E_D01E),
+            cluster: Cluster::with_telemetry(cfg.seed, cfg.noise, cfg.telemetry.clone()),
+            events: EventQueue::new(),
+            vms: Vec::new(),
+            free_slots: Vec::new(),
+            ready: ReadyQueue::new(cfg.policy),
+            ready_by_activity: vec![0; n_acts],
+            in_flight: 0,
+            dep_count: tasks.iter().map(|t| t.deps.len()).collect(),
+            successors,
+            attempts: vec![0; n],
+            dropped: vec![false; n],
+            controller: cfg.scheduler.as_ref().map(FleetController::new),
+            fleet_cores: cfg.fleet.iter().map(|f| f.cores).sum(),
+            slots_per_worker: cfg.fleet.iter().map(|f| f.cores as usize).max().unwrap_or(1),
+            master_free: 0.0,
+            now: 0.0,
+            report: SimReport { workflow: wkf, peak_vms: cfg.fleet.len(), ..Default::default() },
         };
-    for itype in &cfg.fleet {
-        acquire(
-            itype,
-            0.0,
-            &mut cluster,
-            &mut events,
-            &mut vm_busy,
-            &mut vm_machine,
-            &mut released,
-            &mut draining,
-        );
+        for itype in &cfg.fleet {
+            sim.acquire(itype);
+        }
+        for (i, task) in tasks.iter().enumerate() {
+            if task.deps.is_empty() {
+                sim.admit(i);
+            }
+        }
+        sim
     }
 
-    // fleet-policy state, mirroring the distributed master: the controller
-    // owns the completion counter, the snapshot carries logical quantities
-    // only, so the decision trace is reproducible across substrates
-    let mut controller = cfg.scheduler.as_ref().map(FleetController::new);
-    let mut sim_in_flight: usize = 0;
-    let n_acts = tasks
-        .iter()
-        .map(|t| t.activity_index + 1)
-        .max()
-        .unwrap_or(1)
-        .max(cfg.activity_tags.len().max(1));
-    let mut ready_by_activity = vec![0usize; n_acts];
-    let slots_per_worker = cfg.fleet.iter().map(|f| f.cores as usize).max().unwrap_or(1);
-    // a scale decision's event, naming the fleet it leaves
-    let scale_event = |now, decision: String, released: &[bool]| {
-        if let Some(ev) = &evlog {
-            let fleet = released.iter().filter(|r| !**r).count().to_string();
-            ev.emit(
-                now,
-                Severity::Info,
-                "fleet_scale",
-                &[("decision", decision), ("fleet", fleet)],
-            );
-        }
-    };
-    let apply_scale = |decision: ScaleDecision,
-                       now: SimTime,
-                       cluster: &mut Cluster,
-                       events: &mut EventQueue<Event>,
-                       vm_busy: &mut Vec<u32>,
-                       vm_machine: &mut Vec<Option<MachineId>>,
-                       released: &mut Vec<bool>,
-                       draining: &mut Vec<bool>,
-                       free_slots: &mut Vec<VmId>,
-                       report: &mut SimReport| {
-        match decision {
-            ScaleDecision::Hold => {}
-            ScaleDecision::Grow(k) => {
-                for _ in 0..k {
-                    acquire(
-                        cfg.scale_itype,
-                        now,
-                        cluster,
-                        events,
-                        vm_busy,
-                        vm_machine,
-                        released,
-                        draining,
-                    );
-                }
-                report.peak_vms = report.peak_vms.max(vm_busy.len());
-                scale_event(now, format!("grow {k}"), released);
-            }
-            ScaleDecision::Shrink(k) => {
-                if k > 0 {
-                    scale_event(now, format!("drain {k}"), released);
-                }
-                // booted VMs, idle first, lowest id first; whatever the
-                // policy asked for, at least one VM keeps serving
-                let mut targets: Vec<usize> = (0..released.len())
-                    .filter(|&v| {
-                        !released[v] && !draining[v] && cluster.vm(VmId(v)).ready_at <= now
-                    })
-                    .collect();
-                targets.sort_by_key(|&v| (vm_busy[v] > 0, v));
-                let booting = (0..released.len())
-                    .filter(|&v| !released[v] && !draining[v] && cluster.vm(VmId(v)).ready_at > now)
-                    .count();
-                let k = k.min((targets.len() + booting).saturating_sub(1));
-                for &v in targets.iter().take(k) {
-                    draining[v] = true;
-                    free_slots.retain(|s| s.0 != v);
-                    if vm_busy[v] == 0 {
-                        // idle: the drain completes immediately
-                        released[v] = true;
-                        cluster.release(VmId(v), now);
-                    }
-                }
+    /// Acquire one VM of `itype` now; it joins the fleet once booted.
+    fn acquire(&mut self, itype: &'static InstanceType) {
+        let id = self.cluster.acquire(itype, self.now);
+        let ready_at = self.cluster.vm(id).ready_at;
+        self.events.push(ready_at, Event::VmReady(id));
+        let machine = self
+            .prov
+            .map(|p| p.register_machine(&format!("vm-{}", id.0), itype.name, itype.cores as i64));
+        self.vms.push(SimVm { ready_at, busy: 0, machine, draining: false, released: false });
+    }
+
+    /// VM `vm` finished booting: its cores take work unless a drain came first.
+    fn boot(&mut self, vm: VmId) {
+        if self.vms[vm.0].serving() {
+            for _ in 0..self.cluster.vm(vm).itype.cores {
+                self.free_slots.push(vm);
             }
         }
-    };
+    }
 
-    let mut report = SimReport {
-        workflow: wkf,
-        tet_s: 0.0,
-        finished: 0,
-        failed_attempts: 0,
-        aborted: 0,
-        blacklisted: 0,
-        cancelled: 0,
-        busy_core_seconds: 0.0,
-        master_overhead_s: 0.0,
-        staging_s: 0.0,
-        cost_usd: 0.0,
-        peak_vms: cfg.fleet.len(),
-        final_cores: 0,
-        metrics: None,
-        scale_events: Vec::new(),
-    };
+    /// Every dependency of task `i` finished: the provenance-driven Hg rule
+    /// blacklists a poison input before it runs; anything else is queued.
+    fn admit(&mut self, i: usize) {
+        if self.tasks[i].poison && self.cfg.hg_rule {
+            self.blacklist(i);
+            self.report.blacklisted += 1;
+            self.dropped[i] = true;
+            self.cancel_downstream(i);
+        } else {
+            self.enqueue(i);
+        }
+    }
 
-    let mut ready = ReadyQueue::new(cfg.policy);
-    // scheduling weight: profiled per-activity mean if available, else the
-    // task's true nominal cost
-    let weight_of = |t: &SimTask| -> f64 {
-        cfg.weight_profile
-            .as_ref()
-            .and_then(|p| p.get(t.activity_index))
+    fn enqueue(&mut self, i: usize) {
+        let task = &self.tasks[i];
+        // scheduling weight: profiled per-activity mean if available, else
+        // the task's true nominal cost
+        let weight = (self.cfg.weight_profile.as_ref())
+            .and_then(|p| p.get(task.activity_index))
             .copied()
-            .unwrap_or(t.nominal_s)
-    };
-    // cancel a task and everything downstream of it
-    let cancel_downstream = |start: usize,
-                             dropped: &mut Vec<bool>,
-                             report: &mut SimReport,
-                             successors: &Vec<Vec<usize>>| {
+            .unwrap_or(task.nominal_s);
+        self.ready_by_activity[task.activity_index] += 1;
+        self.ready.push(ReadyTask { task: i, weight });
+    }
+
+    /// Cancel everything downstream of task `start`.
+    fn cancel_downstream(&mut self, start: usize) {
         let mut stack = vec![start];
         while let Some(u) = stack.pop() {
-            for &s in &successors[u] {
-                if !dropped[s] {
-                    dropped[s] = true;
-                    report.cancelled += 1;
+            for &s in &self.successors[u] {
+                if !self.dropped[s] {
+                    self.dropped[s] = true;
+                    self.report.cancelled += 1;
                     stack.push(s);
                 }
             }
         }
-    };
-
-    // seed ready queue; handle blacklisted roots
-    for (i, t) in tasks.iter().enumerate() {
-        if dep_count[i] != 0 {
-            continue;
-        }
-        if t.poison && cfg.hg_rule {
-            // provenance-driven rule fires before execution
-            let act = (wkf, act_id(t.activity_index), tag_of(t.activity_index));
-            blacklist(prov, evlog.as_ref(), act, t, 0.0);
-            report.blacklisted += 1;
-            dropped[i] = true;
-            cancel_downstream(i, &mut dropped, &mut report, &successors);
-        } else {
-            ready_by_activity[t.activity_index] += 1;
-            ready.push(ReadyTask { task: i, weight: weight_of(t) });
-        }
     }
 
-    let mut master_free: SimTime = 0.0;
-    let mut now: SimTime = 0.0;
+    /// Dispatch as long as both a free slot and a ready task exist, each
+    /// planned in turn by the one master.
+    fn dispatch(&mut self) {
+        let (cfg, tel, now) = (self.cfg, &self.cfg.telemetry, self.now);
+        while !self.ready.is_empty() && !self.free_slots.is_empty() {
+            let total_cores = self.cluster.cores_at(now).max(self.fleet_cores);
+            let overhead = cfg.master.dispatch_overhead(self.ready.len(), total_cores);
+            let dispatch_at = self.master_free.max(now) + overhead;
+            self.master_free = dispatch_at;
+            self.report.master_overhead_s += overhead;
 
-    // the policy's first look: the whole seeded backlog, before any
-    // dispatch — the distributed master evaluates at the same instant
-    if let Some(ctrl) = controller.as_mut() {
-        let decision = ctrl.evaluate(sim_snapshot(
-            ready.len(),
-            &ready_by_activity,
-            sim_in_flight,
-            &released,
-            &draining,
-            &vm_busy,
-            &cluster,
-            now,
-            slots_per_worker,
-        ));
-        apply_scale(
-            decision,
-            now,
-            &mut cluster,
-            &mut events,
-            &mut vm_busy,
-            &mut vm_machine,
-            &mut released,
-            &mut draining,
-            &mut free_slots,
-            &mut report,
-        );
-    }
-
-    loop {
-        // dispatch as long as both a free slot and a ready task exist
-        loop {
-            if ready.is_empty() || free_slots.is_empty() {
-                break;
-            }
-            let total_cores = cluster.cores_at(now).max(
-                cfg.fleet.iter().map(|f| f.cores).sum(), // before boot completes
-            );
-            let overhead = cfg.master.dispatch_overhead(ready.len(), total_cores);
-            let master_start = master_free.max(now);
-            let dispatch_at = master_start + overhead;
-            master_free = dispatch_at;
-            report.master_overhead_s += overhead;
-
-            let rt = ready.pop(&mut rng).expect("non-empty");
-            let task = &tasks[rt.task];
-            ready_by_activity[task.activity_index] =
-                ready_by_activity[task.activity_index].saturating_sub(1);
-            sim_in_flight += 1;
+            let rt = self.ready.pop(&mut self.rng).expect("non-empty");
+            let task = &self.tasks[rt.task];
+            self.ready_by_activity[task.activity_index] =
+                self.ready_by_activity[task.activity_index].saturating_sub(1);
+            self.in_flight += 1;
             // slot choice: greedy takes the fastest VM, others take the last
+            let cluster = &self.cluster;
             let slot_idx = match cfg.policy {
-                Policy::GreedyWeighted => free_slots
-                    .iter()
-                    .enumerate()
+                Policy::GreedyWeighted => (self.free_slots.iter().enumerate())
                     .max_by(|(_, a), (_, b)| {
                         cluster.vm(**a).core_speed().total_cmp(&cluster.vm(**b).core_speed())
                     })
                     .map(|(i, _)| i)
                     .expect("non-empty"),
-                _ => free_slots.len() - 1,
+                _ => self.free_slots.len() - 1,
             };
-            let vm_id = free_slots.swap_remove(slot_idx);
-            vm_busy[vm_id.0] += 1;
+            let vm_id = self.free_slots.swap_remove(slot_idx);
+            self.vms[vm_id.0].busy += 1;
 
-            let attempt = attempts[rt.task];
+            let attempt = self.attempts[rt.task];
             let fate = if task.poison && !cfg.hg_rule {
                 Fate::Hang // without the rule, poison inputs always hang
             } else {
                 cfg.failures.fate(&format!("{}#{}", task.pair_key, task.activity_index), attempt)
             };
-            let vm = cluster.vm(vm_id);
-            let alive_vms = released.iter().filter(|r| !**r).count();
-            let n_vms = vm_busy.iter().filter(|&&b| b > 0).count().max(1) as u32;
+            let alive_vms = self.vms.iter().filter(|v| !v.released).count();
+            let n_vms = self.vms.iter().filter(|v| v.busy > 0).count().max(1) as u32;
             let staging = cfg.sharedfs.transfer_time(task.in_bytes, n_vms)
                 + cfg.sharedfs.transfer_time(task.out_bytes, n_vms)
                 + cfg.master.distribution_latency(alive_vms);
-            let compute = vm.runtime_for(task.nominal_s);
+            let compute = cluster.vm(vm_id).runtime_for(task.nominal_s);
             let duration = match fate {
                 Fate::Ok => staging + compute,
                 Fate::Fail => staging + compute * cfg.failures.fail_at_fraction,
-                Fate::Hang => staging + cfg.hang_timeout_factor * compute,
+                Fate::Hang => staging + HANG_TIMEOUT_FACTOR * compute,
             };
-            report.staging_s += staging;
-            report.busy_core_seconds += duration;
+            self.report.staging_s += staging;
+            self.report.busy_core_seconds += duration;
             let done_at = dispatch_at + duration;
             if tel.is_enabled() {
                 // the full timing is known at dispatch: record the task's
                 // span on its VM's trace lane at simulated timestamps, with
                 // the shared-FS stage-in/out windows at its edges
                 let lane = Some(cluster.track(vm_id));
-                let tag = cfg
-                    .activity_tags
-                    .get(task.activity_index)
-                    .map(|s| s.as_str())
-                    .unwrap_or("task");
                 tel.record_span_at(
                     "sim.task",
-                    tag,
+                    self.tag(task.activity_index),
                     lane,
                     sim_ns(dispatch_at),
                     sim_ns(done_at),
@@ -655,271 +593,242 @@ pub fn simulate_tasks(
                         Some(&format!("bytes={}", task.out_bytes)),
                     );
                 }
-                tel.gauge_at("sim.ready_queue", sim_ns(now), ready.len() as f64);
+                tel.gauge_at("sim.ready_queue", sim_ns(now), self.ready.len() as f64);
                 tel.count("sim.dispatched", 1);
             }
-            events.push(done_at, Event::TaskDone { task: rt.task, vm: vm_id, attempt, fate });
+            self.events.push(done_at, Event::TaskDone { task: rt.task, vm: vm_id, attempt, fate });
         }
+    }
 
-        let Some((t, ev)) = events.pop() else { break };
-        tel.count("sim.events", 1);
-        now = t;
-        report.tet_s = report.tet_s.max(now);
-        match ev {
-            Event::VmReady(vm) => {
-                if !released[vm.0] && !draining[vm.0] {
-                    for _ in 0..cluster.vm(vm).itype.cores {
-                        free_slots.push(vm);
+    /// Attempt `attempt` of task `ti` on `vm` ended now with `fate`.
+    fn complete(&mut self, ti: usize, vm: VmId, attempt: u32, fate: Fate) {
+        let v = &mut self.vms[vm.0];
+        v.busy = v.busy.saturating_sub(1);
+        self.in_flight = self.in_flight.saturating_sub(1);
+        if v.draining {
+            // no new work for a draining VM; retire it the moment its last
+            // in-flight task lands
+            if v.busy == 0 && !v.released {
+                v.released = true;
+                self.cluster.release(vm, self.now);
+            }
+        } else {
+            self.free_slots.push(vm);
+        }
+        match fate {
+            Fate::Ok => {
+                self.record(ti, vm, ActivationStatus::Finished, attempt);
+                self.report.finished += 1;
+                self.emit(ti, attempt, Severity::Info, "activation_finished");
+                for k in 0..self.successors[ti].len() {
+                    let s = self.successors[ti][k];
+                    if self.dropped[s] {
+                        continue;
+                    }
+                    self.dep_count[s] -= 1;
+                    if self.dep_count[s] == 0 {
+                        self.admit(s);
                     }
                 }
             }
-            Event::TaskDone { task: ti, vm, attempt, fate } => {
-                vm_busy[vm.0] = vm_busy[vm.0].saturating_sub(1);
-                sim_in_flight = sim_in_flight.saturating_sub(1);
-                if draining[vm.0] {
-                    // no new work for a draining VM; retire it the moment
-                    // its last in-flight task lands
-                    if vm_busy[vm.0] == 0 && !released[vm.0] {
-                        released[vm.0] = true;
-                        cluster.release(vm, now);
-                    }
+            Fate::Fail => {
+                self.record(ti, vm, ActivationStatus::Failed, attempt);
+                self.report.failed_attempts += 1;
+                // warn while the attempt will be retried, error once terminal
+                let retried = attempt < self.cfg.max_retries;
+                let severity = if retried { Severity::Warn } else { Severity::Error };
+                self.emit(ti, attempt, severity, "activation_failed");
+                if retried {
+                    self.attempts[ti] = attempt + 1;
+                    self.enqueue(ti);
                 } else {
-                    free_slots.push(vm);
+                    self.dropped[ti] = true;
+                    self.cancel_downstream(ti);
                 }
-                let task = &tasks[ti];
-                let record = |status: ActivationStatus, start: f64, end: f64, retries: i64| {
-                    if let Some(p) = prov {
-                        return Some(p.record_activation(&ActivationRecord {
-                            activity: act_id(task.activity_index).expect("registered activity"),
-                            workflow: wkf.expect("workflow registered"),
-                            status,
-                            start_time: start,
-                            end_time: end,
-                            machine: vm_machine[vm.0],
-                            retries,
-                            pair_key: task.pair_key.clone(),
-                        }));
-                    }
-                    None
-                };
-                // the attempt's lifecycle event
-                let emit = |severity, kind| {
-                    if let Some(ev) = &evlog {
-                        let fields = [
-                            ("activity", tag_of(task.activity_index)),
-                            ("key", task.pair_key.clone()),
-                            ("attempt", attempt.to_string()),
-                        ];
-                        ev.emit(now, severity, kind, &fields);
-                    }
-                };
-                match fate {
-                    Fate::Ok => {
-                        let task_id = record(
-                            ActivationStatus::Finished,
-                            now - tasks[ti].nominal_s.min(now),
-                            now,
-                            attempt as i64,
-                        );
-                        // the activation's output artifact (what the shared
-                        // FS staged out) — makes Query 2 and the data-volume
-                        // bookkeeping work against simulated runs too
-                        if let (Some(p), Some(tid)) = (prov, task_id) {
-                            let tag = cfg
-                                .activity_tags
-                                .get(task.activity_index)
-                                .map(|s| s.as_str())
-                                .unwrap_or("act");
-                            let safe_pair = task.pair_key.replace(':', "_");
-                            let ext = if tag.contains("dock") { "dlg" } else { "out" };
-                            p.record_file(
-                                tid,
-                                act_id(task.activity_index).expect("registered activity"),
-                                wkf.expect("workflow registered"),
-                                &format!("{safe_pair}.{ext}"),
-                                task.out_bytes as i64,
-                                &format!("/root/exp_SciDock/{tag}/"),
-                            );
-                        }
-                        report.finished += 1;
-                        emit(Severity::Info, "activation_finished");
-                        for &s in &successors[ti] {
-                            if dropped[s] {
-                                continue;
-                            }
-                            dep_count[s] -= 1;
-                            if dep_count[s] == 0 {
-                                let st = &tasks[s];
-                                if st.poison && cfg.hg_rule {
-                                    let act =
-                                        (wkf, act_id(st.activity_index), tag_of(st.activity_index));
-                                    blacklist(prov, evlog.as_ref(), act, st, now);
-                                    report.blacklisted += 1;
-                                    dropped[s] = true;
-                                    cancel_downstream(s, &mut dropped, &mut report, &successors);
-                                } else {
-                                    ready_by_activity[st.activity_index] += 1;
-                                    ready.push(ReadyTask { task: s, weight: weight_of(st) });
-                                }
-                            }
-                        }
-                    }
-                    Fate::Fail => {
-                        record(
-                            ActivationStatus::Failed,
-                            now - 1.0_f64.min(now),
-                            now,
-                            attempt as i64,
-                        );
-                        report.failed_attempts += 1;
-                        // warn while the attempt will be retried, error once terminal
-                        let retried = attempt < cfg.max_retries;
-                        emit(
-                            if retried { Severity::Warn } else { Severity::Error },
-                            "activation_failed",
-                        );
-                        if retried {
-                            attempts[ti] = attempt + 1;
-                            ready_by_activity[task.activity_index] += 1;
-                            ready.push(ReadyTask { task: ti, weight: weight_of(task) });
-                        } else {
-                            dropped[ti] = true;
-                            cancel_downstream(ti, &mut dropped, &mut report, &successors);
-                        }
-                    }
-                    Fate::Hang => {
-                        record(
-                            ActivationStatus::Aborted,
-                            now - 1.0_f64.min(now),
-                            now,
-                            attempt as i64,
-                        );
-                        report.aborted += 1;
-                        emit(Severity::Warn, "activation_aborted");
-                        dropped[ti] = true;
-                        cancel_downstream(ti, &mut dropped, &mut report, &successors);
-                    }
-                }
+            }
+            Fate::Hang => {
+                self.record(ti, vm, ActivationStatus::Aborted, attempt);
+                self.report.aborted += 1;
+                self.emit(ti, attempt, Severity::Warn, "activation_aborted");
+                self.dropped[ti] = true;
+                self.cancel_downstream(ti);
+            }
+        }
+    }
 
-                // every completion is a scheduler tick, exactly like the
-                // distributed master processing a Done frame
-                if let Some(ctrl) = controller.as_mut() {
-                    ctrl.note_completion();
-                    let decision = ctrl.evaluate(sim_snapshot(
-                        ready.len(),
-                        &ready_by_activity,
-                        sim_in_flight,
-                        &released,
-                        &draining,
-                        &vm_busy,
-                        &cluster,
-                        now,
-                        slots_per_worker,
-                    ));
-                    apply_scale(
-                        decision,
-                        now,
-                        &mut cluster,
-                        &mut events,
-                        &mut vm_busy,
-                        &mut vm_machine,
-                        &mut released,
-                        &mut draining,
-                        &mut free_slots,
-                        &mut report,
-                    );
+    /// The scheduler's view, shaped identically to the engine's: logical
+    /// queue depths, provisioned fleet (booted + booting, minus draining),
+    /// and per-worker slot capacity.
+    fn snapshot(&self) -> FleetSnapshot {
+        let serving = || self.vms.iter().filter(|v| v.serving());
+        FleetSnapshot {
+            completions: 0, // the controller stamps its own count
+            queued: self.ready.len(),
+            in_flight: self.in_flight,
+            fleet: serving().count(),
+            idle: serving().filter(|v| v.busy == 0 && v.ready_at <= self.now).count(),
+            slots_per_worker: self.slots_per_worker,
+            queued_by_activity: self.ready_by_activity.clone(),
+            // the simulator has no wall-clock variance, so nothing straggles
+            stragglers: 0,
+        }
+    }
+
+    /// One scheduler tick: show the policy the fleet and apply its decision.
+    /// `Grow` acquires VMs of the scale type; `Shrink` drains by the
+    /// engine's rule ([`drain_targets`]) with a floor of one VM, and an idle
+    /// VM it drains is released at once.
+    fn rescale(&mut self) {
+        let Some(mut ctrl) = self.controller.take() else { return };
+        let decision = ctrl.evaluate(self.snapshot());
+        self.controller = Some(ctrl);
+        match decision {
+            ScaleDecision::Hold => {}
+            ScaleDecision::Grow(k) => {
+                for _ in 0..k {
+                    self.acquire(self.cfg.scale_itype);
+                }
+                self.report.peak_vms = self.report.peak_vms.max(self.vms.len());
+                self.scale_event(format!("grow {k}"));
+            }
+            ScaleDecision::Shrink(k) => {
+                if k > 0 {
+                    self.scale_event(format!("drain {k}"));
+                }
+                let now = self.now;
+                let serving = self.vms.iter().enumerate().filter(|(_, v)| v.serving());
+                let booting = serving.clone().filter(|(_, v)| v.ready_at > now).count();
+                let booted =
+                    serving.filter(|(_, v)| v.ready_at <= now).map(|(i, v)| (i, v.busy > 0));
+                for i in drain_targets(booted, booting, 1, k) {
+                    let vm = &mut self.vms[i];
+                    vm.draining = true;
+                    self.free_slots.retain(|s| s.0 != i);
+                    if vm.busy == 0 {
+                        // idle: the drain completes immediately
+                        vm.released = true;
+                        self.cluster.release(VmId(i), now);
+                    }
                 }
             }
         }
     }
 
-    report.cost_usd = cluster.total_cost(report.tet_s);
-    report.final_cores = cluster.cores_at(report.tet_s);
-    report.peak_vms = report.peak_vms.max(cluster.vms().len());
-    report.metrics = tel.snapshot();
-    if let Some(ctrl) = controller {
-        report.scale_events = ctrl.into_trace();
+    /// A scale decision's event, naming the fleet it leaves.
+    fn scale_event(&self, decision: String) {
+        if let Some(ev) = &self.cfg.events {
+            let fleet = self.vms.iter().filter(|v| !v.released).count().to_string();
+            ev.emit(
+                self.now,
+                Severity::Info,
+                "fleet_scale",
+                &[("decision", decision), ("fleet", fleet)],
+            );
+        }
     }
-    if let Some(ev) = &evlog {
-        ev.emit(
-            report.tet_s,
-            Severity::Info,
-            "run_finished",
-            &[
-                ("workflow", cfg.workflow_tag.clone()),
-                ("finished", report.finished.to_string()),
-                ("failed_attempts", report.failed_attempts.to_string()),
-                ("aborted", report.aborted.to_string()),
-                ("blacklisted", report.blacklisted.to_string()),
-            ],
-        );
-    }
-    report
-}
 
-/// The scheduler's view of a simulated run, shaped identically to the
-/// distributed master's: logical queue depths, provisioned fleet (booted +
-/// booting, minus draining), and per-worker slot capacity.
-#[allow(clippy::too_many_arguments)]
-fn sim_snapshot(
-    ready_len: usize,
-    ready_by_activity: &[usize],
-    in_flight: usize,
-    released: &[bool],
-    draining: &[bool],
-    vm_busy: &[u32],
-    cluster: &Cluster,
-    now: SimTime,
-    slots_per_worker: usize,
-) -> FleetSnapshot {
-    let fleet = (0..released.len()).filter(|&v| !released[v] && !draining[v]).count();
-    let idle = (0..released.len())
-        .filter(|&v| {
-            !released[v] && !draining[v] && vm_busy[v] == 0 && cluster.vm(VmId(v)).ready_at <= now
-        })
-        .count();
-    FleetSnapshot {
-        completions: 0, // the controller stamps its own count
-        queued: ready_len,
-        in_flight,
-        fleet,
-        idle,
-        slots_per_worker,
-        queued_by_activity: ready_by_activity.to_vec(),
-        // the simulator has no wall-clock variance, so nothing straggles
-        stragglers: 0,
+    fn tag(&self, activity: usize) -> &str {
+        self.cfg.activity_tags.get(activity).map_or("task", String::as_str)
     }
-}
 
-/// Blacklist `task` of activity `(workflow, id, tag)` at `now`: its event
-/// and its `BLACKLISTED` row.
-fn blacklist(
-    prov: Option<&ProvenanceStore>,
-    evlog: Option<&EventLog>,
-    (wkf, act, tag): (Option<WorkflowId>, Option<ActivityId>, String),
-    task: &SimTask,
-    now: SimTime,
-) {
-    if let Some(ev) = evlog {
-        let fields = [("activity", tag), ("key", task.pair_key.clone())];
-        ev.emit(now, Severity::Error, "activation_blacklisted", &fields);
+    /// The lifecycle event of attempt `attempt` of task `ti`.
+    fn emit(&self, ti: usize, attempt: u32, severity: Severity, kind: &str) {
+        if let Some(ev) = &self.cfg.events {
+            let task = &self.tasks[ti];
+            let fields = [
+                ("activity", self.tag(task.activity_index).to_string()),
+                ("key", task.pair_key.clone()),
+                ("attempt", attempt.to_string()),
+            ];
+            ev.emit(self.now, severity, kind, &fields);
+        }
     }
-    if let Some(p) = prov {
-        p.record_activation(&ActivationRecord {
-            activity: act.expect("registered activity"),
-            workflow: wkf.expect("workflow registered"),
-            status: ActivationStatus::Blacklisted,
-            start_time: now,
-            end_time: now,
-            machine: None,
-            retries: 0,
+
+    /// Blacklist task `i` now: its event and its `BLACKLISTED` row.
+    fn blacklist(&self, i: usize) {
+        let task = &self.tasks[i];
+        if let Some(ev) = &self.cfg.events {
+            let fields = [
+                ("activity", self.tag(task.activity_index).to_string()),
+                ("key", task.pair_key.clone()),
+            ];
+            ev.emit(self.now, Severity::Error, "activation_blacklisted", &fields);
+        }
+        if let Some(p) = self.prov {
+            p.record_activation(&self.row(i, ActivationStatus::Blacklisted, self.now, None, 0));
+        }
+    }
+
+    /// The terminal row of attempt `attempt` of task `ti` on `vm`, ending
+    /// now. A `FINISHED` row is committed in one record with the output
+    /// file the shared FS staged out (what Query 2 and the data-volume
+    /// bookkeeping read), as the engine's lifecycle commits an activation.
+    fn record(&self, ti: usize, vm: VmId, status: ActivationStatus, attempt: u32) {
+        let Some(p) = self.prov else { return };
+        let task = &self.tasks[ti];
+        // a finished attempt spans its nominal runtime, any other one second
+        let span = if status == ActivationStatus::Finished { task.nominal_s } else { 1.0 };
+        let rec =
+            self.row(ti, status, self.now - span.min(self.now), self.vms[vm.0].machine, attempt);
+        if status != ActivationStatus::Finished {
+            p.record_activation(&rec);
+            return;
+        }
+        let tag = self.tag(task.activity_index);
+        let ext = if tag.contains("dock") { "dlg" } else { "out" };
+        let fname = format!("{}.{ext}", task.pair_key.replace(':', "_"));
+        let fdir = format!("/root/exp_SciDock/{tag}/");
+        p.commit_activation(None, &rec, &[(&fname, task.out_bytes as i64, &fdir)], &[], &[]);
+    }
+
+    fn row(
+        &self,
+        ti: usize,
+        status: ActivationStatus,
+        start_time: f64,
+        machine: Option<MachineId>,
+        attempt: u32,
+    ) -> ActivationRecord {
+        let task = &self.tasks[ti];
+        ActivationRecord {
+            activity: *self.act_ids.get(task.activity_index).expect("registered activity"),
+            workflow: self.report.workflow.expect("workflow registered"),
+            status,
+            start_time,
+            end_time: self.now,
+            machine,
+            retries: attempt as i64,
             pair_key: task.pair_key.clone(),
-        });
+        }
+    }
+
+    fn finish(mut self) -> SimReport {
+        let r = &mut self.report;
+        r.cost_usd = self.cluster.total_cost(r.tet_s);
+        r.final_cores = self.cluster.cores_at(r.tet_s);
+        r.peak_vms = r.peak_vms.max(self.cluster.vms().len());
+        r.metrics = self.cfg.telemetry.snapshot();
+        if let Some(ctrl) = self.controller {
+            r.scale_events = ctrl.into_trace();
+        }
+        if let Some(ev) = &self.cfg.events {
+            let fields = [
+                ("workflow", self.cfg.workflow_tag.clone()),
+                ("finished", r.finished.to_string()),
+                ("failed_attempts", r.failed_attempts.to_string()),
+                ("aborted", r.aborted.to_string()),
+                ("blacklisted", r.blacklisted.to_string()),
+            ];
+            ev.emit(r.tet_s, Severity::Info, "run_finished", &fields);
+        }
+        self.report
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     /// `pairs` chains of `acts` activities, each activation `nominal_s`.
@@ -1035,11 +944,10 @@ mod tests {
         tasks[0].poison = true;
         let mut cfg = base_cfg(4);
         cfg.hg_rule = false;
-        cfg.hang_timeout_factor = 20.0;
         let r = simulate_tasks(&tasks, &cfg, None);
         assert_eq!(r.blacklisted, 0);
         assert_eq!(r.aborted, 1);
-        // the hang burned ~20× the nominal runtime
+        // the hang burned HANG_TIMEOUT_FACTOR × the nominal runtime
         let clean = simulate_tasks(
             &chain_tasks(10, 2, 2.0),
             &{
@@ -1091,6 +999,54 @@ mod tests {
             )
             .unwrap();
         assert!(d.cell(0, 0).as_f64().unwrap() > 0.0);
+    }
+
+    /// A crash at any WAL append of a simulated run keeps the store's write
+    /// unit: every `FINISHED` row it recovers has its output file.
+    #[test]
+    fn a_crash_at_any_append_leaves_no_finished_row_without_its_file() {
+        use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
+        use std::collections::BTreeSet;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let mut tasks = chain_tasks(4, 2, 3.0);
+        for t in &mut tasks {
+            t.out_bytes = 1_000;
+        }
+        let mut cfg = base_cfg(4);
+        cfg.activity_tags = vec!["prep".into(), "dock".into()];
+        cfg.failures =
+            FailureModel { fail_rate: 0.3, hang_rate: 0.0, fail_at_fraction: 0.5, seed: 5 };
+        let open = |plan: &Arc<FaultPlan>, env: &MemEnv| {
+            let fault = FaultEnv::new(Box::new(env.clone()), Arc::clone(plan));
+            ProvenanceStore::open_env(Box::new(fault), Default::default()).unwrap()
+        };
+        let whole = Arc::new(FaultPlan::default());
+        let prov = open(&whole, &MemEnv::new());
+        assert_eq!(simulate_tasks(&tasks, &cfg, Some(&prov)).finished, 8);
+        let appends = whole.appends_seen();
+
+        let taskids = |prov: &ProvenanceStore, sql: &str| -> BTreeSet<String> {
+            let rows = prov.query_rows(sql, &[]).unwrap().rows;
+            rows.iter().map(|r| r[0].to_string()).collect()
+        };
+        // the first append opens the store
+        for k in 2..=appends {
+            let env = MemEnv::new();
+            let prov = open(&Arc::new(FaultPlan::panic_after(k)), &env);
+            let crashed =
+                catch_unwind(AssertUnwindSafe(|| simulate_tasks(&tasks, &cfg, Some(&prov))));
+            assert!(crashed.is_err(), "append {k} of {appends}: the crash must kill the run");
+            // a killed process runs no destructors
+            std::mem::forget(prov);
+
+            let prov = ProvenanceStore::open_env(Box::new(env), Default::default()).unwrap();
+            let finished =
+                taskids(&prov, "SELECT taskid FROM hactivation WHERE status = 'FINISHED'");
+            let filed = taskids(&prov, "SELECT taskid FROM hfile");
+            let bare: Vec<_> = finished.difference(&filed).collect();
+            assert!(bare.is_empty(), "append {k}: FINISHED without its file: {bare:?}");
+        }
     }
 
     #[test]

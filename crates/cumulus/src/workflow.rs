@@ -11,7 +11,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 use provenance::Value;
 
-use crate::algebra::{Operator, Relation, Tuple};
+use crate::algebra::{Operator, Tuple};
 
 /// The content digest: 64-bit XXH64 (seed 0) of `bytes`.
 ///
@@ -546,36 +546,6 @@ impl WorkflowDef {
         }
         Ok(())
     }
-
-    /// Assemble the input relation of activity `i` from upstream outputs
-    /// (or the workflow input when it has no dependencies), applying the
-    /// activity's route filter.
-    pub fn input_for(&self, i: usize, workflow_input: &Relation, outputs: &[Relation]) -> Relation {
-        let a = &self.activities[i];
-        let mut rel = if self.deps[i].is_empty() {
-            workflow_input.clone()
-        } else {
-            let first = &outputs[self.deps[i][0]];
-            let mut r = Relation { columns: first.columns.clone(), tuples: Vec::new() };
-            for &d in &self.deps[i] {
-                let o = &outputs[d];
-                assert_eq!(
-                    o.columns, r.columns,
-                    "activity {i}: upstream relations must share a schema"
-                );
-                r.tuples.extend(o.tuples.iter().cloned());
-            }
-            r
-        };
-        if let Some((col, val)) = &a.route {
-            if let Some(ci) = rel.column(col) {
-                rel.tuples.retain(|t| t[ci].sql_eq(val).unwrap_or(false));
-            } else {
-                rel.tuples.clear();
-            }
-        }
-        rel
-    }
 }
 
 #[cfg(test)]
@@ -752,80 +722,6 @@ mod tests {
         let mut mismatch = wf;
         mismatch.deps.pop();
         assert!(mismatch.validate().is_err());
-    }
-
-    #[test]
-    fn input_routing() {
-        let wf = WorkflowDef {
-            tag: "T".into(),
-            description: String::new(),
-            expdir: "/exp".into(),
-            activities: vec![
-                Activity::map("src", &["pair", "engine"], identity_fn()),
-                Activity::map("ad4", &["pair"], identity_fn())
-                    .with_route("engine", Value::from("AD4")),
-            ],
-            deps: vec![vec![], vec![0]],
-        };
-        let mut out0 = Relation::new(&["pair", "engine"]);
-        out0.push(vec!["p1".into(), "AD4".into()]);
-        out0.push(vec!["p2".into(), "VINA".into()]);
-        out0.push(vec!["p3".into(), "AD4".into()]);
-        let input = wf.input_for(1, &Relation::new(&["pair", "engine"]), &[out0]);
-        assert_eq!(input.len(), 2);
-        assert_eq!(input.tuples[0][0], Value::from("p1"));
-        assert_eq!(input.tuples[1][0], Value::from("p3"));
-    }
-
-    #[test]
-    fn input_concatenates_multiple_upstreams() {
-        let wf = WorkflowDef {
-            tag: "T".into(),
-            description: String::new(),
-            expdir: "/exp".into(),
-            activities: vec![
-                Activity::map("a", &["x"], identity_fn()),
-                Activity::map("b", &["x"], identity_fn()),
-                Activity::map("c", &["x"], identity_fn()),
-            ],
-            deps: vec![vec![], vec![], vec![0, 1]],
-        };
-        let mut o0 = Relation::new(&["x"]);
-        o0.push(vec![Value::Int(1)]);
-        let mut o1 = Relation::new(&["x"]);
-        o1.push(vec![Value::Int(2)]);
-        let input = wf.input_for(2, &Relation::new(&["x"]), &[o0, o1, Relation::new(&["x"])]);
-        assert_eq!(input.len(), 2);
-    }
-
-    #[test]
-    fn source_activity_reads_workflow_input() {
-        let wf = WorkflowDef {
-            tag: "T".into(),
-            description: String::new(),
-            expdir: "/exp".into(),
-            activities: vec![Activity::map("a", &["x"], identity_fn())],
-            deps: vec![vec![]],
-        };
-        let mut input = Relation::new(&["x"]);
-        input.push(vec![Value::Int(9)]);
-        let got = wf.input_for(0, &input, &[]);
-        assert_eq!(got.len(), 1);
-    }
-
-    #[test]
-    fn route_on_missing_column_drops_everything() {
-        let act = Activity::map("a", &["x"], identity_fn()).with_route("nope", Value::Int(1));
-        let wf = WorkflowDef {
-            tag: "T".into(),
-            description: String::new(),
-            expdir: "/e".into(),
-            activities: vec![act],
-            deps: vec![vec![]],
-        };
-        let mut input = Relation::new(&["x"]);
-        input.push(vec![Value::Int(1)]);
-        assert!(wf.input_for(0, &input, &[]).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cumulus::{
-    Activity, Backend, CumulusError, FileStore, LocalBackend, LocalConfig, Relation, RunOutcome,
+    Activity, Backend, CumulusError, FileStore, LocalBackend, LocalConfig, Relation, RunReport,
     Workflow, WorkflowDef,
 };
 use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
@@ -45,7 +45,7 @@ fn run(
     input: Relation,
     prov: &Arc<ProvenanceStore>,
     cfg: LocalConfig,
-) -> Result<RunOutcome, CumulusError> {
+) -> Result<RunReport, CumulusError> {
     LocalBackend::new(cfg)
         .run(&Workflow::new(wf, input).with_files(Arc::new(FileStore::new())), prov)
 }

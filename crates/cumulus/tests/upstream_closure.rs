@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cumulus::{
-    Activity, Backend, FileStore, LocalBackend, LocalConfig, Relation, RunOutcome, Workflow,
+    Activity, Backend, FileStore, LocalBackend, LocalConfig, Relation, RunReport, Workflow,
     WorkflowDef,
 };
 use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
@@ -55,7 +55,7 @@ fn chain() -> WorkflowDef {
     }
 }
 
-fn run(prov: &Arc<ProvenanceStore>, cfg: LocalConfig) -> RunOutcome {
+fn run(prov: &Arc<ProvenanceStore>, cfg: LocalConfig) -> RunReport {
     let mut input = Relation::new(&["pair", "x"]);
     for k in 0..PAIRS {
         input.push(vec![Value::from(format!("P{k:02}")), Value::Int(k)]);
@@ -64,7 +64,7 @@ fn run(prov: &Arc<ProvenanceStore>, cfg: LocalConfig) -> RunOutcome {
     LocalBackend::new(cfg).run(&wf, prov).expect("the run completes")
 }
 
-fn sorted_output(out: &RunOutcome) -> Vec<String> {
+fn sorted_output(out: &RunReport) -> Vec<String> {
     let mut rows: Vec<String> =
         out.final_output().tuples.iter().map(|t| format!("{}|{}", t[0], t[1])).collect();
     rows.sort();

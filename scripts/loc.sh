@@ -1,0 +1,49 @@
+#!/usr/bin/env bash
+# Non-test Rust lines per crate: every `src/**/*.rs` of each crate in this
+# repository, each file counted up to its first column-0 `#[cfg(test)]`
+# (where its test module starts).
+#
+#   scripts/loc.sh          the working tree
+#   scripts/loc.sh <rev>    <rev> against the working tree, with the change
+#                           per crate
+#
+# The revision is exported with `git archive` into target/loc/<sha>/.
+set -euo pipefail
+
+if [[ $# -gt 1 ]]; then
+    echo "usage: scripts/loc.sh [<rev>]" >&2
+    exit 2
+fi
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+
+count() { # tree → "<crate> <lines>" per crate, sorted by crate
+    local tree="$1" manifest crate
+    for manifest in "$tree"/Cargo.toml "$tree"/*/Cargo.toml "$tree"/*/*/Cargo.toml; do
+        crate="$(dirname "${manifest#"$tree"/}")"
+        [[ -d "$tree/$crate/src" && "$crate" != target* ]] || continue
+        find "$tree/$crate/src" -name '*.rs' -print0 |
+            xargs -0 -r awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ }
+                             END { print n + 0 }' |
+            awk -v crate="$crate" '{ n += $1 } END { print crate, n + 0 }'
+    done | sort
+}
+
+tree="$(count "$root")"
+if [[ $# -eq 0 ]]; then
+    awk '{ printf "%-24s %8d\n", $1, $2; t += $2 } END { printf "%-24s %8d\n", "total", t }' \
+        <<<"$tree"
+    exit 0
+fi
+
+sha="$(git -C "$root" rev-parse --verify "$1^{commit}")"
+src="$root/target/loc/${sha:0:12}"
+if [[ ! -d "$src" ]]; then
+    mkdir -p "$src.tmp"
+    git -C "$root" archive "$sha" | tar -x -C "$src.tmp"
+    mv "$src.tmp" "$src"
+fi
+join -a 1 -a 2 -e 0 -o 0,1.2,2.2 <(count "$src") - <<<"$tree" |
+    awk -v rev="${sha:0:12}" '
+        BEGIN { printf "%-24s %12s %12s %8s\n", "crate", rev, "tree", "change" }
+        { printf "%-24s %12d %12d %+8d\n", $1, $2, $3, $3 - $2; a += $2; b += $3 }
+        END { printf "%-24s %12d %12d %+8d\n", "total", a, b, b - a }'
