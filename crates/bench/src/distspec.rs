@@ -26,7 +26,10 @@
 //! and [`resolver`] each create **one** for the process they serve and put
 //! it in every workflow they resolve, so a receptor is screened, prepared,
 //! loaded and rendered once however many campaigns use it; a bare
-//! [`resolve_with`] (a one-shot dist master) gets a private one.
+//! [`resolve_with`] (a one-shot dist master) gets a private one. Beside its
+//! tier, [`campaign_resolver`] owns the daemon's one [`InputCatalog`], so
+//! every campaign stages each receptor PDB and ligand SDF by reference to
+//! the one rendering; a bare [`prepare`] stages through a fresh catalog.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -38,8 +41,8 @@ use cumulus::workflow::{Activity, FileStore, WorkflowDef};
 use cumulus::{Relation, Workflow};
 use provenance::Value;
 use scidock::{
-    build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, ReceptorCache, SciDockConfig,
-    LIGAND_CODES, RECEPTOR_IDS,
+    build_scidock, EngineMode, InputCatalog, ReceptorCache, SciDockConfig, LIGAND_CODES,
+    RECEPTOR_IDS,
 };
 use telemetry::Telemetry;
 
@@ -86,12 +89,6 @@ fn scidock_parts(spec: &str) -> Option<(EngineMode, usize, usize)> {
         return None;
     }
     Some((mode, nr, nl))
-}
-
-fn scidock_dataset(nr: usize, nl: usize) -> Dataset {
-    let ids: Vec<&str> = RECEPTOR_IDS[..nr].to_vec();
-    let codes: Vec<&str> = LIGAND_CODES[..nl].to_vec();
-    Dataset::subset(&ids, &codes, DatasetParams::default())
 }
 
 fn unit_parts(spec: &str) -> Option<(&'static str, usize, u64)> {
@@ -162,18 +159,20 @@ pub fn resolver(telemetry: Telemetry) -> WorkflowResolver {
 
 /// The resolver `scidockd` serves campaigns with: each campaign gets its own
 /// file store with its inputs staged, and all of them share the daemon's
-/// grid cache directory and its one receptor tier. `telemetry` receives the
-/// docking-side metrics (`gridcache.*`, `receptor.*`, `dock.evaluations`).
+/// grid cache directory, its one receptor tier and its one input catalog.
+/// `telemetry` receives the docking-side metrics (`gridcache.*`,
+/// `receptor.*`, `dock.evaluations`).
 pub fn campaign_resolver(
     grid_cache_dir: Option<PathBuf>,
     telemetry: Telemetry,
 ) -> CampaignResolver {
     let mut cfg = fast_cfg(grid_cache_dir, ReceptorCache::default());
     cfg.dock.telemetry = telemetry;
+    let catalog = InputCatalog::default();
     Arc::new(move |spec| {
         let files = Arc::new(FileStore::new());
         let def = resolve_in(spec, &files, &cfg)?;
-        let input = prepare(spec, &files)?;
+        let input = prepare_from(spec, &files, &catalog)?;
         Some(Workflow::new(def, input).with_files(files))
     })
 }
@@ -181,10 +180,15 @@ pub fn campaign_resolver(
 /// Master-side preparation: stage any input files the spec needs into the
 /// shared store and return the workflow's input relation.
 pub fn prepare(spec: &str, files: &FileStore) -> Option<Relation> {
+    prepare_from(spec, files, &InputCatalog::default())
+}
+
+/// [`prepare`], staging a `scidock:` spec's inputs through `catalog`.
+fn prepare_from(spec: &str, files: &FileStore, catalog: &InputCatalog) -> Option<Relation> {
     if let Some((_, nr, nl)) = scidock_parts(spec) {
-        let ds = scidock_dataset(nr, nl);
         // `fast_cfg` keeps the default experiment directory
-        return Some(stage_inputs(&ds, files, &SciDockConfig::default().expdir));
+        let expdir = SciDockConfig::default().expdir;
+        return catalog.stage(&RECEPTOR_IDS[..nr], &LIGAND_CODES[..nl], files, &expdir);
     }
     let (_, n, _) = unit_parts(spec)?;
     let mut r = Relation::new(&["x"]);

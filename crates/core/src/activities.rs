@@ -21,17 +21,17 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cumulus::workflow::{Activity, ActivityError, ActivityFn, FileStore, WorkflowDef};
-use cumulus::{Operator, Relation, Template};
+use cumulus::{Operator, Template};
 use docking::dlg::{parse_dlg_feb, parse_dlg_rmsd, parse_vina_modes, write_dlg, write_vina_log};
 use docking::engine::{dock_with_grids, DockConfig, EngineKind};
 use molkit::charges::assign_gasteiger;
-use molkit::formats::{mol2, pdb, pdbqt, sdf};
+use molkit::formats::{mol2, pdbqt, sdf};
 use molkit::synth::name_seed;
 use molkit::torsion::build_torsion_tree;
 use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
 use provenance::Value;
 
-use crate::dataset::Dataset;
+pub use crate::inputs::{stage_inputs, InputCatalog};
 pub use crate::receptors::{GridCache, MapFiles, ReceptorCache};
 
 /// Which docking program(s) the workflow uses (paper Fig. 4 scenarios).
@@ -108,30 +108,6 @@ fn int(t: &[Value], i: usize) -> Result<i64, ActivityError> {
         Some(Value::Float(f)) if f.fract() == 0.0 => Ok(*f as i64),
         other => Err(ActivityError(format!("tuple column {i} is not int: {other:?}"))),
     }
-}
-
-/// Stage the dataset's raw structure files into the shared store and build
-/// the workflow input relation: `(receptor, ligand, pdb_file, sdf_file)`.
-pub fn stage_inputs(ds: &Dataset, files: &FileStore, expdir: &str) -> Relation {
-    let dir = format!("{}/input", expdir.trim_end_matches('/'));
-    for r in &ds.receptors {
-        files.write(&format!("{dir}/{}.pdb", r.id), pdb::write_pdb(&r.structure));
-    }
-    for l in &ds.ligands {
-        files.write(&format!("{dir}/{}.sdf", l.code), sdf::write_sdf(&l.structure));
-    }
-    let mut rel = Relation::new(&["receptor", "ligand", "pdb_file", "sdf_file"]);
-    for r in &ds.receptors {
-        for l in &ds.ligands {
-            rel.push(vec![
-                r.id.as_str().into(),
-                l.code.as_str().into(),
-                format!("{dir}/{}.pdb", r.id).into(),
-                format!("{dir}/{}.sdf", l.code).into(),
-            ]);
-        }
-    }
-    rel
 }
 
 /// Build the SciDock workflow.

@@ -8,6 +8,9 @@
 //! * [`activities`] — the eight SciDock activities (Fig. 1) as executable
 //!   [`cumulus`] workflow activities, including the adaptive AD4/Vina size
 //!   split and the Hg blacklist rule;
+//! * [`inputs`] — staging a screen's receptor PDBs and ligand SDFs, and the
+//!   per-process catalog that renders each input once however many
+//!   campaigns stage it;
 //! * [`receptors`] — the bounded per-process receptor cache under them: Hg
 //!   screen, receptor preparation, grids and map files, each once per
 //!   receptor however many pairs and campaigns use it;
@@ -42,6 +45,7 @@ pub mod analysis;
 pub mod cost;
 pub mod dataset;
 pub mod experiments;
+pub mod inputs;
 pub mod receptors;
 pub mod redock;
 
@@ -53,4 +57,5 @@ pub use experiments::{
     headline, run_screening, scaling_sweep, simulate_at, Headline, ScalePoint, ScreeningOutcome,
     SweepConfig, PAPER_CORE_COUNTS,
 };
+pub use inputs::InputCatalog;
 pub use receptors::ReceptorCache;

@@ -1814,18 +1814,19 @@ mod tests {
             assert!(std::time::Instant::now() < deadline, "campaign stuck in {:?}", st.state);
             std::thread::sleep(Duration::from_millis(20));
         }
+        // a few ticks with nothing to read: idle engine turns
+        std::thread::sleep(crate::engine::TICK * 4);
         daemon.shutdown();
         let vsnap = vtel.snapshot().expect("serve telemetry attached");
         assert_eq!(vsnap.counter("campaign.finished"), Some(1));
         assert_eq!(vsnap.counter("campaign.rejected"), Some(1));
-        assert!(
-            vsnap.histograms.iter().any(|h| h.name == "campaign.first_result"),
-            "first-result latency must be recorded"
-        );
         let committed = ["provstore.commit_lag", "provstore.commit_records"];
+        let turns = ["serve.turn.ask", "serve.turn.port", "serve.turn.recorded", "serve.turn.idle"];
         for name in ["provstore.lock_hold", "provstore.lock_wait", "provstore.group_commit"]
             .into_iter()
             .chain(committed)
+            .chain(turns)
+            .chain(["campaign.first_result", "campaign.resolve"])
         {
             assert!(vsnap.histograms.iter().any(|h| h.name == name), "{name} must be recorded");
         }

@@ -12,10 +12,11 @@
 //! Architecture (all std, no async runtime):
 //!
 //! ```text
-//!   clients ──SDC1──▶ acceptor ──▶ handler threads ──Ctl──▶ ┌───────────┐
-//!                                                           │ directory │──▶ obs plane
-//!   workers ◀──────────── thread port: Run ──────────────── │ + engine  │    (/campaigns)
-//!      └────────────── Settled / Retired ─────────────────▶ └───────────┘
+//!                              ┌── Status / Results ──▶ campaign table ◀── writes ──┐
+//!   clients ──SDC1──▶ handler threads                                         ┌───────────┐
+//!                              └── Submit / Cancel ───────── ask ───────────▶ │ directory │──▶ obs plane
+//!   workers ◀──────────────── thread port: Run ─────────────────────────────── │ + engine  │    (/campaigns)
+//!      └────────────────── Settled / Retired ────────────────────────────────▶ └───────────┘
 //! ```
 //!
 //! * **Engine thread** — runs admission control and the directory of every
@@ -25,15 +26,23 @@
 //!   and the worker table. All scheduling decisions (fair-share pick,
 //!   admission, elastic scale) happen here, serially, so there are no
 //!   cross-campaign races to reason about. A campaign that
-//!   finishes or is cancelled leaves the engine; the directory keeps its
-//!   final counts and results.
+//!   finishes or is cancelled leaves the engine; the campaign table keeps
+//!   its final counts and results. Only `Submit` and `Cancel` wake it.
+//! * **Campaign table** — each campaign's tenant, state, `done`/`total` and
+//!   outputs, as clients read them. The engine thread alone writes it: at
+//!   every state change, and once per turn for the live runs' progress.
+//!   Connection threads answer `Status` and `Results` from it, so a poll
+//!   costs the engine nothing and never waits behind a turn. When the
+//!   engine thread exits, by shutdown or by unwinding, it closes the table,
+//!   and every later read answers `Error "daemon is shutting down"`.
 //! * **Worker threads** — the engine's thread port, the one the local
 //!   backend runs on too: one slot each; they run every attempt through the
 //!   *same* activation lifecycle on their own thread, which is why a
 //!   campaign's canonical PROV-N export is byte-identical to a one-shot run
 //!   of the same workflow. A panic that escapes the lifecycle there, or a
 //!   store fault on the committer, takes the engine thread down with it:
-//!   clients then read an `Error`, not a campaign `Running` forever.
+//!   clients then read an `Error` from the closed table, not a campaign
+//!   `Running` forever.
 //! * **Fair share** — each free slot goes to the ready campaign whose
 //!   tenant currently holds the fewest slots (ties: higher priority, then
 //!   lower campaign id). A heavy tenant with ten campaigns cannot starve a
@@ -61,8 +70,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cloudsim::FailureModel;
+use parking_lot::Mutex;
 use provenance::ProvenanceStore;
-use telemetry::Telemetry;
+use telemetry::{Histogram, Telemetry};
 
 use crate::algebra::{Relation, Tuple};
 use crate::backend::Workflow;
@@ -325,7 +335,8 @@ impl ServeClient {
         }
     }
 
-    /// Poll a campaign's state and progress.
+    /// Poll a campaign's state and progress, as of the engine's last turn:
+    /// the daemon answers from its campaign table without waking the engine.
     pub fn status(&mut self, id: u64) -> std::io::Result<CampaignStatus> {
         match self.roundtrip(&proto::Msg::Status { id })? {
             proto::Msg::StatusReply { id, tenant, state, done, total } => {
@@ -339,6 +350,8 @@ impl ServeClient {
     /// definition order, and only that one: a campaign whose workflow has
     /// several sinks answers with the last sink's tuples alone (an adaptive
     /// SciDock spec without ranking: `vina`'s pairs, none of `autodock4`'s).
+    /// Like [`ServeClient::status`], it is answered from the campaign table
+    /// as of the engine's last turn, without waking the engine.
     pub fn results(&mut self, id: u64) -> std::io::Result<(Vec<String>, Vec<Tuple>)> {
         match self.roundtrip(&proto::Msg::Results { id })? {
             proto::Msg::ResultsReply { columns, tuples } => Ok((columns, tuples)),
@@ -403,7 +416,6 @@ impl Daemon {
         let listener = TcpListener::bind(sockaddr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let epoch = Instant::now();
 
         let obs = cfg
             .metrics_addr
@@ -421,42 +433,10 @@ impl Daemon {
         };
 
         let (tx, rx) = channel::<EngineMsg>();
-        let tel = cfg.telemetry.clone();
-        let commit =
-            Committer::start(Arc::clone(&prov), epoch, cfg.steering_tick, &tel, tx.clone());
-        let engine = Engine::new(
-            ThreadPort::new(tx.clone(), &tel, "scidockd-worker"),
-            EngineCfg {
-                floor: cfg.min_workers.max(1),
-                ceiling: cfg.max_workers,
-                // threads of this process are neither lost nor silent
-                reassign_budget: 0,
-                heartbeat_timeout: None,
-                activation_timeout: None,
-                straggler: None,
-                tel: tel.clone(),
-                events: cfg.events.clone(),
-                epoch,
-                obs: obs.clone(),
-            },
-            cfg.scheduler.as_ref(),
-        );
-        let directory = Directory {
-            cfg,
-            resolver,
-            prov: Arc::clone(&prov),
-            tel,
-            epoch,
-            commit: Arc::clone(&commit),
-            tx: tx.clone(),
-            obs,
-            campaigns: HashMap::new(),
-            order: Vec::new(),
-            pending: VecDeque::new(),
-            engine,
-            stale: true,
-            sampled: [None; 2],
-        };
+        let table = Arc::new(Table::open());
+        let directory =
+            Directory::new(cfg, resolver, Arc::clone(&prov), tx.clone(), Arc::clone(&table), obs);
+        let commit = Arc::clone(&directory.commit);
         let engine_thread = std::thread::Builder::new()
             .name("scidockd-engine".into())
             .spawn(move || directory.run(rx))?;
@@ -466,7 +446,7 @@ impl Daemon {
         let tx2 = tx.clone();
         let accept_thread = std::thread::Builder::new()
             .name("scidockd-accept".into())
-            .spawn(move || accept_loop(listener, tx2, prov, stop2))?;
+            .spawn(move || accept_loop(listener, tx2, table, prov, stop2))?;
 
         Ok(Daemon {
             addr,
@@ -516,6 +496,7 @@ impl Drop for Daemon {
 fn accept_loop(
     listener: TcpListener,
     tx: Sender<EngineMsg>,
+    table: Arc<Table>,
     prov: Arc<ProvenanceStore>,
     stop: Arc<AtomicBool>,
 ) {
@@ -523,22 +504,25 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 let tx = tx.clone();
+                let table = Arc::clone(&table);
                 let prov = Arc::clone(&prov);
                 let stop = Arc::clone(&stop);
                 let _ = std::thread::Builder::new()
                     .name("scidockd-conn".into())
-                    .spawn(move || handle_client(stream, tx, prov, stop));
+                    .spawn(move || handle_client(stream, tx, table, prov, stop));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
 }
 
-/// Serve one client connection: forward campaign requests to the engine
-/// thread, answer provenance queries directly against the shared store.
+/// Serve one client connection: forward `Submit` and `Cancel` to the engine
+/// thread, answer `Status` and `Results` from the campaign table and
+/// provenance queries from the shared store, both on this thread.
 fn handle_client(
     mut stream: TcpStream,
     tx: Sender<EngineMsg>,
+    table: Arc<Table>,
     prov: Arc<ProvenanceStore>,
     stop: Arc<AtomicBool>,
 ) {
@@ -561,13 +545,12 @@ fn handle_client(
         let reply = match msg {
             proto::Msg::Query { sql } => match prov.query_limited(&sql, 100_000) {
                 Ok(rs) => proto::Msg::QueryReply { columns: rs.columns, rows: rs.rows },
-                Err(e) => proto::Msg::Error { msg: e.to_string() },
+                Err(e) => error(e.to_string()),
             },
-            proto::Msg::Submit { .. }
-            | proto::Msg::Status { .. }
-            | proto::Msg::Results { .. }
-            | proto::Msg::Cancel { .. } => ask(&tx, msg),
-            other => proto::Msg::Error { msg: format!("client sent a server frame {other:?}") },
+            proto::Msg::Status { id } => table.status(id),
+            proto::Msg::Results { id } => table.results(id),
+            proto::Msg::Submit { .. } | proto::Msg::Cancel { .. } => ask(&tx, msg),
+            other => error(format!("client sent a server frame {other:?}")),
         };
         if proto::write_msg(&mut stream, &reply).is_err() {
             return;
@@ -575,16 +558,99 @@ fn handle_client(
     }
 }
 
+/// What a request that reaches a daemon whose engine thread has exited reads.
+const SHUTTING_DOWN: &str = "daemon is shutting down";
+
+fn error(msg: impl Into<String>) -> proto::Msg {
+    proto::Msg::Error { msg: msg.into() }
+}
+
 /// Round-trip one campaign request through the engine thread.
 fn ask(tx: &Sender<EngineMsg>, request: proto::Msg) -> proto::Msg {
     let (reply_tx, reply_rx) = channel();
     let _ = tx.send(EngineMsg::Ask(request, reply_tx));
-    let error = |msg: &str| proto::Msg::Error { msg: msg.to_string() };
     match reply_rx.recv_timeout(Duration::from_secs(30)) {
         Ok(reply) => reply,
         Err(RecvTimeoutError::Timeout) => error("daemon did not answer"),
         // the engine thread left its loop, before or after the request
-        Err(RecvTimeoutError::Disconnected) => error("daemon is shutting down"),
+        Err(RecvTimeoutError::Disconnected) => error(SHUTTING_DOWN),
+    }
+}
+
+// ----------------------------------------------------------- campaign table
+
+/// A campaign as clients read it.
+struct Entry {
+    tenant: Arc<str>,
+    state: CampaignState,
+    /// Activations done and submitted: the engine's counts as of its last
+    /// turn while the campaign runs, frozen when it leaves the engine.
+    done: u64,
+    total: u64,
+    /// Every activity's output relation, once `Finished`.
+    outputs: Option<Arc<Vec<Relation>>>,
+}
+
+/// The campaign directory as clients read it: campaign `id` is entry
+/// `id - 1`. The engine thread alone writes it; connection threads answer
+/// `Status` and `Results` from it. `None` once the engine thread has
+/// exited ([`Closer`]).
+struct Table(Mutex<Option<Vec<Entry>>>);
+
+impl Table {
+    fn open() -> Table {
+        Table(Mutex::new(Some(Vec::new())))
+    }
+
+    /// `f` over the entries: the engine thread's access, while it runs.
+    fn entries<R>(&self, f: impl FnOnce(&mut Vec<Entry>) -> R) -> R {
+        f(self.0.lock().as_mut().expect("the table is open while the engine thread runs"))
+    }
+
+    /// `f` over campaign `id`'s entry, or the error a client reads.
+    fn read<R>(&self, id: u64, f: impl FnOnce(&Entry) -> R) -> Result<R, proto::Msg> {
+        let table = self.0.lock();
+        let entries = table.as_ref().ok_or_else(|| error(SHUTTING_DOWN))?;
+        let index = usize::try_from(id).ok().and_then(|id| id.checked_sub(1));
+        let entry = index.and_then(|i| entries.get(i));
+        entry.map(f).ok_or_else(|| error(format!("unknown campaign {id}")))
+    }
+
+    fn status(&self, id: u64) -> proto::Msg {
+        let reply = |e: &Entry| proto::Msg::StatusReply {
+            id,
+            tenant: e.tenant.to_string(),
+            state: e.state,
+            done: e.done,
+            total: e.total,
+        };
+        self.read(id, reply).unwrap_or_else(|e| e)
+    }
+
+    /// The last output relation of a finished campaign: its outputs' `Arc`
+    /// is cloned under the lock, the relation copied outside it.
+    fn results(&self, id: u64) -> proto::Msg {
+        let outputs = match self.read(id, |e| e.outputs.clone().ok_or(e.state)) {
+            Ok(Ok(outputs)) => outputs,
+            Ok(Err(state)) => return error(format!("campaign {id} is {}", state.as_str())),
+            Err(reply) => return reply,
+        };
+        let last = outputs.last();
+        proto::Msg::ResultsReply {
+            columns: last.map(|r| r.columns.clone()).unwrap_or_default(),
+            tuples: last.map(|r| r.tuples.clone()).unwrap_or_default(),
+        }
+    }
+}
+
+/// Closes the table when dropped. The engine thread holds one for as long
+/// as it runs, so its exit — a shutdown, or unwinding from a panic — closes
+/// the table, and no client reads a campaign `Running` forever.
+struct Closer(Arc<Table>);
+
+impl Drop for Closer {
+    fn drop(&mut self) {
+        *self.0 .0.lock() = None;
     }
 }
 
@@ -592,8 +658,7 @@ fn ask(tx: &Sender<EngineMsg>, request: proto::Msg) -> proto::Msg {
 
 /// What the engine thread wakes for.
 enum EngineMsg {
-    /// A client's `Submit`, `Status`, `Results` or `Cancel`, and where the
-    /// answer goes.
+    /// A client's `Submit` or `Cancel`, and where the answer goes.
     Ask(proto::Msg, Sender<proto::Msg>),
     Port(PortEvent),
     /// A campaign closed and its rows are durable: its id, and its outputs
@@ -610,21 +675,24 @@ impl From<PortEvent> for EngineMsg {
 
 // --------------------------------------------------------------- directory
 
-/// One campaign as the daemon remembers it. While it runs its progress lives
-/// in the engine; what is kept here is frozen when it leaves the engine.
+/// The engine thread's side of one campaign; what clients read of it is its
+/// [`Entry`] in the table.
 struct Campaign {
-    tenant: String,
+    tenant: Arc<str>,
     priority: u8,
-    state: CampaignState,
     /// Resolved workflow, consumed at start time.
     wf: Option<Workflow>,
     submitted_at: Instant,
     saw_first_result: bool,
-    done: u64,
-    total: u64,
+    /// Frozen when the campaign leaves the engine.
     p95_ms: f64,
-    outputs: Option<Vec<Relation>>,
 }
+
+/// What wakes an engine turn, as the `serve.turn.*` histogram its time goes
+/// to: a client's `Submit`/`Cancel`, a worker port event, a committer
+/// barrier, or the tick with nothing to read.
+const TURNS: [&str; 4] =
+    ["serve.turn.ask", "serve.turn.port", "serve.turn.recorded", "serve.turn.idle"];
 
 /// What runs on the engine thread: admission control and the directory of
 /// every campaign submitted, on top of the engine that runs the live ones.
@@ -638,97 +706,159 @@ struct Directory {
     /// The engine thread's own channel, where the committer's barriers answer.
     tx: Sender<EngineMsg>,
     obs: Option<ObsState>,
-    /// Campaign ids count from 1, in submission order.
-    campaigns: HashMap<u64, Campaign>,
-    /// Submission order (stable display order for `/campaigns`).
-    order: Vec<u64>,
+    /// Campaign ids count from 1, in submission order: campaign `id` is
+    /// `campaigns[id - 1]` here and entry `id - 1` of `table`.
+    campaigns: Vec<Campaign>,
+    table: Arc<Table>,
+    /// Live (pending or running) campaigns per tenant, moved at each
+    /// transition, so the quota check does not walk the history.
+    live: HashMap<Arc<str>, usize>,
     pending: VecDeque<u64>,
     engine: Engine<ThreadPort<EngineMsg>>,
     /// A campaign changed state since `/campaigns` was last rebuilt.
     stale: bool,
     /// `campaign.active` / `campaign.queued` as last sampled.
     sampled: [Option<usize>; 2],
+    /// The `TURNS` histograms and `campaign.resolve` (None: telemetry off).
+    turn_hists: [Option<Arc<Histogram>>; 4],
+    resolve_hist: Option<Arc<Histogram>>,
+}
+
+/// Campaign `id`'s index in the directory and the table.
+fn at(id: u64) -> usize {
+    id as usize - 1
 }
 
 impl Directory {
+    fn new(
+        cfg: ServeConfig,
+        resolver: CampaignResolver,
+        prov: Arc<ProvenanceStore>,
+        tx: Sender<EngineMsg>,
+        table: Arc<Table>,
+        obs: Option<ObsState>,
+    ) -> Directory {
+        let epoch = Instant::now();
+        let tel = cfg.telemetry.clone();
+        let commit =
+            Committer::start(Arc::clone(&prov), epoch, cfg.steering_tick, &tel, tx.clone());
+        let engine = Engine::new(
+            ThreadPort::new(tx.clone(), &tel, "scidockd-worker"),
+            EngineCfg {
+                floor: cfg.min_workers.max(1),
+                ceiling: cfg.max_workers,
+                // threads of this process are neither lost nor silent
+                reassign_budget: 0,
+                heartbeat_timeout: None,
+                activation_timeout: None,
+                straggler: None,
+                tel: tel.clone(),
+                events: cfg.events.clone(),
+                epoch,
+                obs: obs.clone(),
+            },
+            cfg.scheduler.as_ref(),
+        );
+        Directory {
+            cfg,
+            resolver,
+            prov,
+            turn_hists: TURNS.map(|name| tel.histogram(name)),
+            resolve_hist: tel.histogram("campaign.resolve"),
+            tel,
+            epoch,
+            commit,
+            tx,
+            obs,
+            campaigns: Vec::new(),
+            table,
+            live: HashMap::new(),
+            pending: VecDeque::new(),
+            engine,
+            stale: true,
+            sampled: [None; 2],
+        }
+    }
+
     fn run(mut self, rx: Receiver<EngineMsg>) {
+        let _closer = Closer(Arc::clone(&self.table));
         self.tel.name_current_track("scidockd-engine");
         let workers = self.cfg.workers.max(1);
         self.engine.launch(workers).expect("spawn serve worker threads");
-        loop {
-            let handled = match rx.recv_timeout(TICK) {
-                Ok(EngineMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-                Ok(EngineMsg::Ask(request, reply)) => {
-                    let _ = reply.send(self.answer(request));
-                    Ok(())
-                }
-                Ok(EngineMsg::Port(ev)) => self.engine.handle(ev),
-                Ok(EngineMsg::Recorded(id, outputs)) => {
-                    self.recorded(id, outputs);
-                    Ok(())
-                }
-                Err(RecvTimeoutError::Timeout) => Ok(()),
-            };
-            self.start_pending();
-            // the daemon outlives an engine error: it is the operator's to read
-            if let Err(e) = handled.and(self.engine.pump()) {
-                self.engine.emit(Severity::Error, "engine_error", &[("error", e.to_string())]);
-            }
-            self.reap();
-            if self.engine.tick() || self.stale {
-                self.refresh_obs();
-            }
-        }
+        while self.turn(rx.recv_timeout(TICK)) {}
         self.engine.shutdown();
+    }
+
+    /// One turn: act on what woke the engine thread, then start pending
+    /// campaigns, pump the engine, publish progress and refresh
+    /// `/campaigns`. The turn's time goes to the `TURNS` histogram of what
+    /// woke it. `false`: the thread is to stop.
+    fn turn(&mut self, woke: Result<EngineMsg, RecvTimeoutError>) -> bool {
+        let start = Instant::now();
+        // `kind` indexes `TURNS`
+        let (kind, handled) = match woke {
+            Ok(EngineMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return false,
+            Ok(EngineMsg::Ask(request, reply)) => {
+                let _ = reply.send(self.answer(request));
+                (0, Ok(()))
+            }
+            Ok(EngineMsg::Port(ev)) => (1, self.engine.handle(ev)),
+            Ok(EngineMsg::Recorded(id, outputs)) => {
+                self.recorded(id, outputs);
+                (2, Ok(()))
+            }
+            Err(RecvTimeoutError::Timeout) => (3, Ok(())),
+        };
+        self.start_pending();
+        // the daemon outlives an engine error: it is the operator's to read
+        if let Err(e) = handled.and(self.engine.pump()) {
+            self.engine.emit(Severity::Error, "engine_error", &[("error", e.to_string())]);
+        }
+        self.reap();
+        if self.engine.tick() || self.stale {
+            self.refresh_obs();
+        }
+        if let Some(h) = &self.turn_hists[kind] {
+            h.record(start.elapsed().as_nanos() as u64);
+        }
+        true
     }
 
     /// Campaign `id` was `what`: count it and say so in the event log.
     fn transition(&mut self, severity: Severity, what: &str, id: u64, more: &[(&str, String)]) {
         self.stale = true;
         self.tel.count(&format!("campaign.{what}"), 1);
-        let tenant = self.campaigns[&id].tenant.clone();
+        let tenant = self.campaigns[at(id)].tenant.to_string();
         let mut fields = vec![("campaign", id.to_string()), ("tenant", tenant)];
         fields.extend_from_slice(more);
         self.engine.emit(severity, &format!("campaign_{what}"), &fields);
     }
 
-    fn answer(&mut self, request: proto::Msg) -> proto::Msg {
-        let unknown = |id: u64| proto::Msg::Error { msg: format!("unknown campaign {id}") };
-        match request {
-            proto::Msg::Submit { tenant, priority, spec } => self.admit(tenant, priority, spec),
-            proto::Msg::Status { id } => match self.campaigns.get(&id) {
-                Some(c) => {
-                    let (tenant, state, (done, total)) =
-                        (c.tenant.clone(), c.state, self.progress(id, c));
-                    proto::Msg::StatusReply { id, tenant, state, done, total }
-                }
-                None => unknown(id),
-            },
-            proto::Msg::Results { id } => match self.campaigns.get(&id) {
-                Some(Campaign { outputs: Some(outs), .. }) => {
-                    let last = outs.last();
-                    proto::Msg::ResultsReply {
-                        columns: last.map(|r| r.columns.clone()).unwrap_or_default(),
-                        tuples: last.map(|r| r.tuples.clone()).unwrap_or_default(),
-                    }
-                }
-                Some(c) => {
-                    proto::Msg::Error { msg: format!("campaign {id} is {}", c.state.as_str()) }
-                }
-                None => unknown(id),
-            },
-            proto::Msg::Cancel { id } => match self.cancel(id) {
-                Some(cancelled) => proto::Msg::CancelReply { cancelled },
-                None => unknown(id),
-            },
-            other => proto::Msg::Error { msg: format!("not a campaign request: {other:?}") },
+    /// Set campaign `id`'s state in the table.
+    fn set_state(&self, id: u64, state: CampaignState) {
+        self.table.entries(|t| t[at(id)].state = state);
+    }
+
+    /// Campaign `id` is no longer live: its tenant's count drops.
+    fn leave(&mut self, id: u64) {
+        let tenant = &self.campaigns[at(id)].tenant;
+        let n = self.live.get_mut(tenant).expect("a live campaign's tenant is counted");
+        *n -= 1;
+        if *n == 0 {
+            self.live.remove(tenant);
         }
     }
 
-    /// `(done, total)` activations of a campaign: the engine's count while
-    /// it runs, the frozen one otherwise.
-    fn progress(&self, id: u64, c: &Campaign) -> (u64, u64) {
-        self.engine.run(id).map_or((c.done, c.total), |r| (r.done, r.submitted()))
+    /// `Submit` and `Cancel`; the connection threads answer everything else.
+    fn answer(&mut self, request: proto::Msg) -> proto::Msg {
+        match request {
+            proto::Msg::Submit { tenant, priority, spec } => self.admit(tenant, priority, spec),
+            proto::Msg::Cancel { id } => match self.cancel(id) {
+                Some(cancelled) => proto::Msg::CancelReply { cancelled },
+                None => error(format!("unknown campaign {id}")),
+            },
+            other => error(format!("not a campaign request: {other:?}")),
+        }
     }
 
     fn reject(&self, tenant: String, reason: String, retry_after_ms: u64) -> proto::Msg {
@@ -739,41 +869,46 @@ impl Directory {
     }
 
     /// Admission control: bounded pending queue, per-tenant quota, then
-    /// spec resolution. Rejections are explicit backpressure, never queued.
+    /// spec resolution (timed into `campaign.resolve`). Rejections are
+    /// explicit backpressure, never queued.
     fn admit(&mut self, tenant: String, priority: u8, spec: String) -> proto::Msg {
         let retry = self.cfg.retry_after_ms;
         if self.pending.len() >= self.cfg.max_pending {
             return self.reject(tenant, "pending queue full".into(), retry);
         }
-        let live = |c: &&Campaign| {
-            matches!(c.state, CampaignState::Pending | CampaignState::Running) && c.tenant == tenant
-        };
-        if self.campaigns.values().filter(live).count() >= self.cfg.tenant_quota {
+        if self.live.get(tenant.as_str()).copied().unwrap_or(0) >= self.cfg.tenant_quota {
             return self.reject(tenant, "tenant quota exceeded".into(), retry);
         }
-        let Some(wf) = (self.resolver)(&spec) else {
+        let start = Instant::now();
+        let resolved = (self.resolver)(&spec);
+        if let Some(h) = &self.resolve_hist {
+            h.record(start.elapsed().as_nanos() as u64);
+        }
+        let Some(wf) = resolved else {
             return self.reject(tenant, "unknown spec".into(), 0);
         };
         if let Err(e) = wf.def.validate() {
             return self.reject(tenant, format!("invalid workflow: {e}"), 0);
         }
-        let id = self.order.len() as u64 + 1;
-        self.campaigns.insert(
-            id,
-            Campaign {
-                tenant,
-                priority,
-                state: CampaignState::Pending,
-                wf: Some(wf),
-                submitted_at: Instant::now(),
-                saw_first_result: false,
-                done: 0,
-                total: 0,
-                p95_ms: 0.0,
-                outputs: None,
-            },
-        );
-        self.order.push(id);
+        let id = self.campaigns.len() as u64 + 1;
+        let tenant: Arc<str> = tenant.into();
+        let entry = Entry {
+            tenant: Arc::clone(&tenant),
+            state: CampaignState::Pending,
+            done: 0,
+            total: 0,
+            outputs: None,
+        };
+        self.table.entries(|t| t.push(entry));
+        *self.live.entry(Arc::clone(&tenant)).or_default() += 1;
+        self.campaigns.push(Campaign {
+            tenant,
+            priority,
+            wf: Some(wf),
+            submitted_at: Instant::now(),
+            saw_first_result: false,
+            p95_ms: 0.0,
+        });
         self.pending.push_back(id);
         let more = [("spec", spec), ("priority", priority.to_string())];
         self.transition(Severity::Info, "submitted", id, &more);
@@ -784,7 +919,7 @@ impl Directory {
     fn start_pending(&mut self) {
         while self.engine.runs.len() < self.cfg.max_active {
             let Some(id) = self.pending.pop_front() else { return };
-            let c = self.campaigns.get_mut(&id).expect("pending id is in the directory");
+            let c = &mut self.campaigns[at(id)];
             let wf = c.wf.take().expect("pending campaign holds its workflow");
             let wkf = self.prov.begin_workflow(&wf.def.tag, &wf.def.description, &wf.def.expdir);
             // the activation lifecycle every backend shares, so the
@@ -803,31 +938,39 @@ impl Directory {
                 events: self.cfg.events.clone(),
             });
             let ctxs = ActivityCtx::build_all(&wf.def, &run);
-            c.state = CampaignState::Running;
             self.engine.add_run(id, &c.tenant, c.priority, Arc::new(wf.def), &wf.input, ctxs);
+            self.set_state(id, CampaignState::Running);
             self.transition(Severity::Info, "started", id, &[("wkfid", wkf.0.to_string())]);
         }
     }
 
-    /// Book what the engine's last turn did to the campaigns: a first
-    /// result, and runs that closed — each turns `Finished` (or `Cancelled`,
-    /// when the client asked and the in-flight tail has drained) once the
-    /// committer answers its barrier: the engine thread never waits on disk.
+    /// Book what the engine's last turn did to the campaigns: publish the
+    /// live runs' progress to the table, note a first result, and send each
+    /// run that closed through the committer — it turns `Finished` (or
+    /// `Cancelled`, when the client asked and the in-flight tail has
+    /// drained) once the committer answers its barrier: the engine thread
+    /// never waits on disk.
     fn reap(&mut self) {
         let closed = std::mem::take(&mut self.engine.closed);
-        for run in self.engine.runs.iter().chain(&closed) {
-            let c = self.campaigns.get_mut(&run.id).expect("every run is in the directory");
-            if !c.saw_first_result && run.tally.finished > 0 {
-                c.saw_first_result = true;
-                if let Some(h) = self.tel.histogram("campaign.first_result") {
-                    h.record(c.submitted_at.elapsed().as_nanos() as u64);
+        if self.engine.runs.is_empty() && closed.is_empty() {
+            return;
+        }
+        self.table.entries(|t| {
+            for run in self.engine.runs.iter().chain(&closed) {
+                let e = &mut t[at(run.id)];
+                (e.done, e.total) = (run.done, run.submitted());
+                let c = &mut self.campaigns[at(run.id)];
+                if !c.saw_first_result && run.tally.finished > 0 {
+                    c.saw_first_result = true;
+                    if let Some(h) = self.tel.histogram("campaign.first_result") {
+                        h.record(c.submitted_at.elapsed().as_nanos() as u64);
+                    }
                 }
             }
-        }
+        });
         for run in closed {
             let id = run.id;
-            let c = self.campaigns.get_mut(&id).expect("every run is in the directory");
-            (c.done, c.total, c.p95_ms) = (run.done, run.submitted(), run.p95_ms(&self.tel));
+            self.campaigns[at(id)].p95_ms = run.p95_ms(&self.tel);
             let outputs = (!run.cancelled).then(|| run.into_outputs());
             let tx = self.tx.clone();
             // a dead committer has sent the engine its panic already
@@ -840,25 +983,30 @@ impl Directory {
     /// Campaign `id` closed and its rows are durable: `Finished` with its
     /// `outputs`, or `Cancelled` without.
     fn recorded(&mut self, id: u64, outputs: Option<Vec<Relation>>) {
-        let c = self.campaigns.get_mut(&id).expect("every run is in the directory");
-        if outputs.is_none() {
-            c.state = CampaignState::Cancelled;
+        self.leave(id);
+        let Some(outputs) = outputs else {
+            self.set_state(id, CampaignState::Cancelled);
             return self.transition(Severity::Warn, "cancelled", id, &[]);
-        }
-        let activations = ("activations", c.done.to_string());
-        (c.state, c.outputs) = (CampaignState::Finished, outputs);
-        self.transition(Severity::Info, "finished", id, &[activations]);
+        };
+        let done = self.table.entries(|t| {
+            let e = &mut t[at(id)];
+            (e.state, e.outputs) = (CampaignState::Finished, Some(Arc::new(outputs)));
+            e.done
+        });
+        self.transition(Severity::Info, "finished", id, &[("activations", done.to_string())]);
     }
 
     /// `Some(true)` = was live and is now cancelled (or draining toward
     /// it); `Some(false)` = already terminal; `None` = unknown id.
     fn cancel(&mut self, id: u64) -> Option<bool> {
-        let c = self.campaigns.get_mut(&id)?;
-        Some(match c.state {
+        let i = usize::try_from(id).ok()?.checked_sub(1)?;
+        let state = self.table.entries(|t| t.get(i).map(|e| e.state))?;
+        Some(match state {
             CampaignState::Pending => {
-                c.state = CampaignState::Cancelled;
-                c.wf = None;
+                self.set_state(id, CampaignState::Cancelled);
+                self.campaigns[i].wf = None;
                 self.pending.retain(|&p| p != id);
+                self.leave(id);
                 self.transition(Severity::Warn, "cancelled", id, &[]);
                 true
             }
@@ -881,18 +1029,26 @@ impl Directory {
             }
         }
         let Some(obs) = &self.obs else { return };
-        let row = |&id: &u64| {
-            let c = &self.campaigns[&id];
-            // a live campaign's p95 costs a sort; a terminal one's was taken
-            // when it left the engine
-            let (done, total, p95_ms) = match self.engine.run(id) {
-                Some(r) => (r.done, r.submitted(), r.p95_ms(&self.tel)),
-                None => (c.done, c.total, c.p95_ms),
+        let mut rows: Vec<CampaignRow> = self.table.entries(|t| {
+            let row = |(i, e): (usize, &Entry)| CampaignRow {
+                id: i as u64 + 1,
+                tenant: e.tenant.to_string(),
+                state: e.state.as_str().to_string(),
+                done: e.done,
+                total: e.total,
+                p95_ms: 0.0,
             };
-            let state = c.state.as_str().to_string();
-            CampaignRow { id, tenant: c.tenant.clone(), state, done, total, p95_ms }
-        };
-        obs.set_campaigns(self.order.iter().map(row).collect());
+            t.iter().enumerate().map(row).collect()
+        });
+        // outside the table's lock: a live campaign's p95 costs a sort; a
+        // terminal one's was taken when it left the engine
+        for row in &mut rows {
+            row.p95_ms = match self.engine.run(row.id) {
+                Some(r) => r.p95_ms(&self.tel),
+                None => self.campaigns[at(row.id)].p95_ms,
+            };
+        }
+        obs.set_campaigns(rows);
     }
 }
 
@@ -975,5 +1131,179 @@ mod tests {
             a_ts < b_ts + b_dur && b_ts < a_ts + a_dur,
             "two workers, two 80 ms activations: they run side by side, not in turn"
         );
+    }
+
+    /// One Map activity over `n` tuples, each sleeping `ms`.
+    fn sleeper(n: i64, ms: u64) -> Workflow {
+        let def = WorkflowDef {
+            tag: "sleeper".into(),
+            description: "one map".into(),
+            expdir: "/exp/sleeper".into(),
+            activities: vec![Activity::map(
+                "work",
+                &["x"],
+                Arc::new(move |p: &[Tuple], _: &mut crate::workflow::ActivationCtx| {
+                    std::thread::sleep(Duration::from_millis(ms));
+                    Ok(p.to_vec())
+                }),
+            )],
+            deps: vec![vec![]],
+        };
+        let mut input = Relation::new(&["x"]);
+        for i in 0..n {
+            input.push(vec![Value::Int(i)]);
+        }
+        Workflow::new(def, input)
+    }
+
+    /// With the engine thread held inside a second `Submit` (its resolver
+    /// parks on a channel), another connection's `Status` and `Results` of a
+    /// finished campaign still answer within 100 ms; released, the parked
+    /// `Submit` is accepted.
+    #[test]
+    fn status_and_results_never_wait_for_the_engine() {
+        let (entered_tx, entered_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let parked = Mutex::new((entered_tx, release_rx));
+        let resolver: CampaignResolver = Arc::new(move |spec| {
+            if spec == "park" {
+                let parked = parked.lock();
+                let _ = parked.0.send(());
+                let _ = parked.1.recv();
+            }
+            Some(sleeper(3, 0))
+        });
+        let daemon = Daemon::start(
+            ServeConfig::new().with_workers(1),
+            resolver,
+            Arc::new(ProvenanceStore::new()),
+        )
+        .expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let SubmitOutcome::Accepted { id } = client.submit("t", 0, "quick").expect("submit io")
+        else {
+            panic!("campaign must be admitted")
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while client.status(id).expect("status io").state != CampaignState::Finished {
+            assert!(Instant::now() < deadline, "campaign never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let addr = daemon.addr();
+        let parked_submit = std::thread::spawn(move || {
+            ServeClient::connect(addr).expect("connect").submit("u", 0, "park").expect("submit io")
+        });
+        entered_rx.recv_timeout(Duration::from_secs(10)).expect("the resolver is entered");
+        let (answered_tx, answered_rx) = channel();
+        std::thread::spawn(move || {
+            let start = Instant::now();
+            let status = client.status(id).map(|s| s.state);
+            let status_took = start.elapsed();
+            let start = Instant::now();
+            let results = client.results(id).map(|(_, tuples)| tuples.len());
+            let _ = answered_tx.send((status, status_took, results, start.elapsed()));
+        });
+        let answered = answered_rx.recv_timeout(Duration::from_secs(5));
+        release_tx.send(()).expect("the resolver waits");
+        let (status, status_took, results, results_took) =
+            answered.expect("Status and Results answered while the engine thread is parked");
+        assert_eq!(status.expect("status io"), CampaignState::Finished);
+        assert!(status_took < Duration::from_millis(100), "Status took {status_took:?}");
+        assert_eq!(results.expect("results io"), 3);
+        assert!(results_took < Duration::from_millis(100), "Results took {results_took:?}");
+        let submitted = parked_submit.join().expect("the parked submit returns");
+        assert_eq!(submitted, SubmitOutcome::Accepted { id: 2 });
+        daemon.shutdown();
+    }
+
+    /// Live campaigns of every tenant, counted from the table.
+    fn recount(dir: &Directory) -> HashMap<Arc<str>, usize> {
+        dir.table.entries(|t| {
+            let mut live: HashMap<Arc<str>, usize> = HashMap::new();
+            for e in t.iter() {
+                if matches!(e.state, CampaignState::Pending | CampaignState::Running) {
+                    *live.entry(Arc::clone(&e.tenant)).or_default() += 1;
+                }
+            }
+            live
+        })
+    }
+
+    /// One engine turn, then the check: the per-tenant count admission
+    /// reads equals a full recount.
+    fn turn(dir: &mut Directory, woke: Result<EngineMsg, RecvTimeoutError>) {
+        assert!(dir.turn(woke));
+        assert_eq!(dir.live, recount(dir));
+    }
+
+    fn ask_in_turn(dir: &mut Directory, request: proto::Msg) -> proto::Msg {
+        let (reply_tx, reply_rx) = channel();
+        turn(dir, Ok(EngineMsg::Ask(request, reply_tx)));
+        reply_rx.recv().expect("answered in its turn")
+    }
+
+    /// The tenant quota's live count equals a full recount after every turn
+    /// of the engine thread: submits, rejects, starts, finishes, and the
+    /// cancels of a pending and of a running campaign.
+    #[test]
+    fn the_live_count_per_tenant_equals_a_recount_after_every_turn() {
+        let resolver: CampaignResolver = Arc::new(|spec| (spec == "ok").then(|| sleeper(3, 5)));
+        let (tx, rx) = channel();
+        let cfg = ServeConfig::new().with_workers(1).with_max_active(1).with_tenant_quota(2);
+        let prov = Arc::new(ProvenanceStore::new());
+        let mut dir = Directory::new(cfg, resolver, prov, tx, Arc::new(Table::open()), None);
+        dir.engine.launch(1).expect("a worker thread");
+        let submit = |tenant: &str, spec: &str| proto::Msg::Submit {
+            tenant: tenant.into(),
+            priority: 0,
+            spec: spec.into(),
+        };
+        let rejected = |reply: proto::Msg| matches!(reply, proto::Msg::Reject { .. });
+        let cancelled = proto::Msg::CancelReply { cancelled: true };
+
+        // 1 starts in its submit's turn, 2 waits behind it
+        assert_eq!(ask_in_turn(&mut dir, submit("a", "ok")), proto::Msg::Accept { id: 1 });
+        assert_eq!(ask_in_turn(&mut dir, submit("a", "ok")), proto::Msg::Accept { id: 2 });
+        assert_eq!(dir.live.get("a"), Some(&2));
+        assert!(rejected(ask_in_turn(&mut dir, submit("a", "ok"))), "over quota");
+        assert!(rejected(ask_in_turn(&mut dir, submit("b", "nope"))), "unknown spec");
+        assert_eq!(ask_in_turn(&mut dir, proto::Msg::Cancel { id: 2 }), cancelled);
+        assert_eq!(ask_in_turn(&mut dir, submit("b", "ok")), proto::Msg::Accept { id: 3 });
+        assert_eq!(ask_in_turn(&mut dir, proto::Msg::Cancel { id: 1 }), cancelled);
+
+        let state = |dir: &Directory, id: u64| dir.table.entries(|t| t[at(id)].state);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let closed = [CampaignState::Cancelled, CampaignState::Finished];
+        while [state(&dir, 1), state(&dir, 3)] != closed {
+            assert!(Instant::now() < deadline, "campaigns 1 and 3 never closed");
+            turn(&mut dir, rx.recv_timeout(TICK));
+        }
+        assert!(dir.live.is_empty(), "{:?}", dir.live);
+        dir.engine.shutdown();
+        dir.commit.stop();
+    }
+
+    /// An open table answers a live campaign's progress and refuses its
+    /// results; once its closer drops, every read is the shutdown error.
+    #[test]
+    fn a_closed_table_answers_that_the_daemon_is_shutting_down() {
+        let table = Arc::new(Table::open());
+        table.entries(|t| {
+            t.push(Entry {
+                tenant: "t".into(),
+                state: CampaignState::Running,
+                done: 1,
+                total: 2,
+                outputs: None,
+            })
+        });
+        assert!(matches!(table.status(1), proto::Msg::StatusReply { done: 1, total: 2, .. }));
+        assert_eq!(table.results(1), error("campaign 1 is running"));
+        assert_eq!(table.status(0), error("unknown campaign 0"));
+        assert_eq!(table.status(2), error("unknown campaign 2"));
+        drop(Closer(Arc::clone(&table)));
+        assert_eq!(table.status(1), error(SHUTTING_DOWN));
+        assert_eq!(table.results(1), error(SHUTTING_DOWN));
     }
 }

@@ -54,6 +54,7 @@ pub const COUNTERS: &[&str] = &[
 /// registered dynamic prefix (see [`HISTOGRAM_PREFIXES`]).
 pub const HISTOGRAMS: &[&str] = &[
     "campaign.first_result",
+    "campaign.resolve",
     "dist.heartbeat.job_elapsed",
     "provstore.commit_batch",
     "provstore.commit_lag",
@@ -64,6 +65,10 @@ pub const HISTOGRAMS: &[&str] = &[
     "provstore.query_hold",
     "provstore.wal_append",
     "receptor.wait",
+    "serve.turn.ask",
+    "serve.turn.idle",
+    "serve.turn.port",
+    "serve.turn.recorded",
 ];
 
 /// Registered dynamic histogram families: `<prefix><activity tag>`.
