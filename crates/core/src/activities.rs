@@ -31,7 +31,9 @@ use molkit::torsion::build_torsion_tree;
 use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
 use provenance::Value;
 
-pub use crate::inputs::{stage_inputs, InputCatalog};
+// Also at `scidock::activities`, beside `build_scidock`, where the examples
+// and integration tests import it.
+pub use crate::inputs::stage_inputs;
 pub use crate::receptors::{GridCache, MapFiles, ReceptorCache};
 
 /// Which docking program(s) the workflow uses (paper Fig. 4 scenarios).

@@ -73,10 +73,10 @@ pub fn stage_inputs(ds: &Dataset, files: &FileStore, expdir: &str) -> Relation {
 }
 
 /// Every Table 2 input this process has staged, each rendered once: see
-/// the module docs. `Default` generates with [`DatasetParams::default`].
+/// the module docs. Structures are generated with
+/// [`DatasetParams::default`].
 #[derive(Debug)]
 pub struct InputCatalog {
-    params: DatasetParams,
     /// By position in [`RECEPTOR_IDS`].
     receptors: Vec<OnceLock<Blob>>,
     /// By position in [`LIGAND_CODES`].
@@ -85,23 +85,17 @@ pub struct InputCatalog {
 
 impl Default for InputCatalog {
     fn default() -> InputCatalog {
-        InputCatalog::new(DatasetParams::default())
-    }
-}
-
-impl InputCatalog {
-    /// An empty catalog whose structures are generated with `params`.
-    pub fn new(params: DatasetParams) -> InputCatalog {
         InputCatalog {
-            params,
             receptors: RECEPTOR_IDS.iter().map(|_| OnceLock::new()).collect(),
             ligands: LIGAND_CODES.iter().map(|_| OnceLock::new()).collect(),
         }
     }
+}
 
+impl InputCatalog {
     /// Stage `receptors` × `ligands` into `files`: the same paths, bytes and
     /// relation as [`stage_inputs`] over `Dataset::subset` of these ids with
-    /// this catalog's parameters. An id's first staging renders its
+    /// default parameters. An id's first staging renders its
     /// structure, which the store digests; the catalog keeps the store's
     /// blob, and every later staging writes that blob. `None` when an id is
     /// not one of Table 2's.
@@ -117,12 +111,13 @@ impl InputCatalog {
         };
         let rs = positions(&RECEPTOR_IDS, receptors)?;
         let ls = positions(&LIGAND_CODES, ligands)?;
+        let params = DatasetParams::default();
         Some(stage(receptors, ligands, expdir, |side, i, path| match side {
             Side::Receptor => put(&self.receptors[rs[i]], files, path, || {
-                pdb::write_pdb(&make_receptor(receptors[i], &self.params).structure)
+                pdb::write_pdb(&make_receptor(receptors[i], &params).structure)
             }),
             Side::Ligand => put(&self.ligands[ls[i]], files, path, || {
-                sdf::write_sdf(&make_ligand(ligands[i], &self.params).structure)
+                sdf::write_sdf(&make_ligand(ligands[i], &params).structure)
             }),
         }))
     }

@@ -49,7 +49,7 @@ pub mod inputs;
 pub mod receptors;
 pub mod redock;
 
-pub use activities::{build_scidock, scidock_xml_spec, stage_inputs, EngineMode, SciDockConfig};
+pub use activities::{build_scidock, scidock_xml_spec, EngineMode, SciDockConfig};
 pub use analysis::{table3, top_interactions, total_feb_negative, PairResult, Table3Row};
 pub use cost::{build_sim_tasks, CostModel};
 pub use dataset::{Dataset, DatasetParams, LIGAND_CODES, RECEPTOR_IDS};
@@ -57,5 +57,5 @@ pub use experiments::{
     headline, run_screening, scaling_sweep, simulate_at, Headline, ScalePoint, ScreeningOutcome,
     SweepConfig, PAPER_CORE_COUNTS,
 };
-pub use inputs::InputCatalog;
+pub use inputs::{stage_inputs, InputCatalog};
 pub use receptors::ReceptorCache;
