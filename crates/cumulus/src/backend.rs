@@ -2,7 +2,9 @@
 //!
 //! Both ways of running a workflow — in-process threads ([`LocalBackend`])
 //! and multiple OS processes ([`DistBackend`]) — implement one trait, and
-//! both answer with the [`RunReport`] the engine builds:
+//! both run a workflow as the one campaign of a campaign directory (the run
+//! scope `scidockd` turns too) and answer with the [`RunReport`] of the
+//! closed run:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -47,7 +49,7 @@ use telemetry::MetricsSnapshot;
 use crate::algebra::Relation;
 use crate::distbackend::{run_dist, DistConfig};
 use crate::error::CumulusError;
-use crate::localbackend::{run_local_impl, LocalConfig};
+use crate::localbackend::LocalConfig;
 use crate::workflow::{FileStore, WorkflowDef};
 
 /// A runnable workflow: the definition plus its input relation and the
@@ -199,25 +201,13 @@ pub trait Backend {
 /// (see [`crate::localbackend`]).
 #[derive(Debug, Clone, Default)]
 pub struct LocalBackend {
-    cfg: LocalConfig,
+    pub(crate) cfg: LocalConfig,
 }
 
 impl LocalBackend {
     /// A local backend with the given configuration.
     pub fn new(cfg: LocalConfig) -> LocalBackend {
         LocalBackend { cfg }
-    }
-}
-
-impl Backend for LocalBackend {
-    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError> {
-        run_local_impl(
-            &wf.def,
-            wf.input.clone(),
-            Arc::clone(&wf.files),
-            Arc::clone(store),
-            &self.cfg,
-        )
     }
 }
 
@@ -359,8 +349,8 @@ mod tests {
         );
         // and the sequence is the expected lifecycle, start to finish
         let kinds: Vec<String> = local_events.events().iter().map(|e| e.kind.clone()).collect();
-        assert_eq!(kinds.first().map(String::as_str), Some("run_started"));
-        assert_eq!(kinds.last().map(String::as_str), Some("run_finished"));
+        assert_eq!(kinds.first().map(String::as_str), Some("campaign_submitted"));
+        assert_eq!(kinds.last().map(String::as_str), Some("campaign_finished"));
         assert_eq!(kinds.iter().filter(|k| *k == "activation_finished").count(), 6);
     }
 

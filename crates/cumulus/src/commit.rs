@@ -1,5 +1,5 @@
-//! The one provenance committer of a store's owner (the `Daemon`, each
-//! `run_scoped` run): a bounded FIFO queue drained by one thread, the only
+//! The one provenance committer of each campaign directory (the `Daemon`'s,
+//! a one-shot run's): a bounded FIFO queue drained by one thread, the only
 //! writer of activation rows. `settle` and `poison` queue an owned record
 //! and return, so no worker, reader or engine thread waits on the store's
 //! lock or fsync. Each drained batch is one [`ProvenanceStore::commit_batch`]
@@ -143,6 +143,7 @@ impl Committer {
 
     /// Return once everything sent before is applied and durable; `false`
     /// when the committer died first.
+    #[cfg(test)]
     pub(crate) fn drain(&self) -> bool {
         let (done, applied) = mpsc::channel();
         self.barrier(move || {

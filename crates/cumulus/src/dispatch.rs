@@ -391,7 +391,7 @@ mod tests {
 
     /// Drive a PipelineState synchronously with an identity executor and
     /// return the final outputs.
-    fn drive(def: &WorkflowDef, input: &Relation) -> Vec<Relation> {
+    fn run_identity(def: &WorkflowDef, input: &Relation) -> Vec<Relation> {
         let (mut pipe, mut queue) =
             PipelineState::new(Arc::new(def.clone()), input, Telemetry::disabled());
         while let Some(req) = queue.pop() {
@@ -468,7 +468,7 @@ mod tests {
             ],
             deps: vec![vec![], vec![], vec![0, 1]],
         };
-        let outs = drive(&def, &input(3));
+        let outs = run_identity(&def, &input(3));
         assert_eq!(outs[0].len(), 3);
         assert_eq!(outs[1].len(), 3);
         // both sources emit 0..3; the route keeps only x == 1, twice

@@ -1,14 +1,15 @@
 //! The distributed execution backend: one workflow across multiple OS
 //! processes on the same machine.
 //!
-//! [`run_dist`] is the crate's one engine (`engine.rs`, shared with
-//! [`crate::serve`] and [`crate::localbackend`]) holding a single run — the
-//! same ready-driven pipelined dispatcher as the local backend — with this
-//! module's `SDW2` port as its workers: instead of handing activations to
-//! threads, the port shards them over TCP to worker processes, each a
-//! [`worker::serve`] loop around the length-prefixed frame protocol of the
-//! private `proto` module (the frame layout is documented in `DESIGN.md`
-//! §10). Together they keep every run honest:
+//! [`run_dist`] is one campaign of the crate's run scope ([`crate::serve`]'s
+//! directory, which the local backend runs its one campaign in too), whose
+//! engine (`engine.rs`) runs it — the same ready-driven pipelined dispatcher
+//! as the local backend — with this module's `SDW2` port as its workers:
+//! instead of handing activations to threads, the port shards them over TCP
+//! to worker processes, each a [`worker::serve`] loop around the
+//! length-prefixed frame protocol of the private `proto` module (the frame
+//! layout is documented in `DESIGN.md` §10). Together they keep every run
+//! honest:
 //!
 //! * **Backpressure** — at most [`DistConfig::max_in_flight`] activations
 //!   are outstanding per worker; the rest wait in a FIFO.
@@ -57,12 +58,13 @@ use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::{RemoteSpan, Telemetry};
 
 use crate::algebra::Relation;
-use crate::backend::RunReport;
-use crate::engine::{Engine, EngineCfg, Job, PortEvent, WorkerPort};
+use crate::backend::{RunReport, Workflow};
+use crate::engine::{EngineCfg, Job, PortEvent, WorkerPort};
 use crate::error::CumulusError;
 use crate::fleet::SchedulerFactory;
-use crate::lifecycle::{run_scoped, ActivityCtx, Attempt, Exec, ScopeCfg, Settled};
+use crate::lifecycle::{ActivityCtx, Attempt, Exec, Settled};
 use crate::obs::{BoundAddr, EventLog};
+use crate::serve::{Directory, ServeConfig};
 use crate::workflow::{Blob, FileStore, WorkflowDef};
 
 use proto::{Carried, Frame, WireFate, WireOutcome};
@@ -121,8 +123,6 @@ pub struct DistConfig {
     /// When set, the run's provenance committer publishes a `RUNNING` row
     /// for every attempt in flight at this interval.
     pub steering_tick: Option<Duration>,
-    /// Durability override applied to the provenance store for this run.
-    pub durability: Option<provenance::Durability>,
     /// Fault-drill hook (tests).
     pub kill_plan: Option<KillPlan>,
     /// Elastic fleet policy. `None` = fixed fleet (today's behavior): the
@@ -169,7 +169,6 @@ impl std::fmt::Debug for DistConfig {
             .field("max_retries", &self.max_retries)
             .field("resume_from", &self.resume_from)
             .field("steering_tick", &self.steering_tick)
-            .field("durability", &self.durability)
             .field("kill_plan", &self.kill_plan)
             .field("scheduler", &self.scheduler)
             .field("metrics_addr", &self.metrics_addr)
@@ -197,7 +196,6 @@ impl Default for DistConfig {
             resume_from: None,
             telemetry: Telemetry::disabled(),
             steering_tick: None,
-            durability: None,
             kill_plan: None,
             scheduler: None,
             metrics_addr: None,
@@ -306,12 +304,6 @@ impl DistConfig {
         self
     }
 
-    /// Override the provenance store's durability for this run.
-    pub fn with_durability(mut self, durability: provenance::Durability) -> DistConfig {
-        self.durability = Some(durability);
-        self
-    }
-
     /// Install a fault-drill kill plan.
     pub fn with_kill_plan(mut self, plan: KillPlan) -> DistConfig {
         self.kill_plan = Some(plan);
@@ -365,10 +357,10 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// [`crate::backend::Backend::run`] on a [`crate::backend::DistBackend`]
 /// unless the raw [`RunReport`] is what you need.
 ///
-/// One run scope around the crate's one engine (the module `engine`, shared
-/// with [`crate::serve`] and the local backend) holding this one run, with
-/// `SDW2` connections as its workers; what is specific to a distributed run —
-/// the utilisation and billing epilogue — follows it.
+/// One campaign of a directory (the run scope `scidockd` turns too) whose
+/// engine holds it with `SDW2` connections as its workers, turned on the
+/// calling thread; what is specific to a distributed run — the utilisation
+/// and billing epilogue — follows it.
 pub fn run_dist(
     def: &WorkflowDef,
     input: Relation,
@@ -384,75 +376,58 @@ pub fn run_dist(
             "DistConfig needs a worker command or an in-process resolver".into(),
         ));
     }
-    let scope_cfg = ScopeCfg {
-        backend: "dist",
-        track: "master",
-        workers: cfg.workers,
-        telemetry: &cfg.telemetry,
-        durability: cfg.durability,
+    def.validate().map_err(CumulusError::Invalid)?;
+    let tel = &cfg.telemetry;
+    let serve = ServeConfig {
+        failures: cfg.failures,
+        max_retries: cfg.max_retries,
+        telemetry: tel.clone(),
         steering_tick: cfg.steering_tick,
+        scheduler: cfg.scheduler.clone(),
         // without a log of the caller's, a fresh in-memory ring: still
         // served from `/events` when the endpoint is up
         events: Some(cfg.events.clone().unwrap_or_default()),
-        metrics_addr: cfg.metrics_addr.as_deref(),
-        metrics_bound: cfg.metrics_bound.as_ref(),
+        metrics_addr: cfg.metrics_addr.clone(),
+        metrics_bound: cfg.metrics_bound.clone(),
+        ..ServeConfig::default()
     };
-    run_scoped(def, &prov, scope_cfg, |scope| {
-        let tel = &scope.tel;
-        let run = scope.run_ctx(&files, cfg.failures, cfg.max_retries, cfg.resume_from);
-        let ctxs = ActivityCtx::build_all(def, &run);
+    let fleet = EngineCfg {
+        // whatever the policy asks for, one worker keeps serving; how far it
+        // grows is the policy's own business
+        floor: 1,
+        ceiling: usize::MAX,
+        reassign_budget: cfg.reassign_budget,
+        heartbeat_timeout: Some(cfg.heartbeat_timeout),
+        activation_timeout: cfg.activation_timeout,
+        straggler: Some((cfg.straggler_factor, cfg.straggler_min_ms)),
+    };
+    let port = |obs_tel: &Telemetry, tx| SdwPort::connect(cfg, &files, tel, obs_tel, tx);
+    let mut dir = Directory::new(serve, Arc::new(|_| None), prov, fleet, port)?;
+    let wf = Workflow { def: def.clone(), input, files };
+    let mut report = dir.run_one(wf, cfg.resume_from, "master")?;
 
-        scope.obs.health.lock().expect("health view poisoned").phase = "starting".to_string();
-        let port = SdwPort::connect(cfg, &files, tel, &scope.obs.tel, scope.port_tx.clone())?;
-        let mut engine = Engine::new(
-            port,
-            EngineCfg {
-                // whatever the policy asks for, one worker keeps serving; how
-                // far it grows is the policy's own business
-                floor: 1,
-                ceiling: usize::MAX,
-                reassign_budget: cfg.reassign_budget,
-                heartbeat_timeout: Some(cfg.heartbeat_timeout),
-                activation_timeout: cfg.activation_timeout,
-                straggler: Some((cfg.straggler_factor, cfg.straggler_min_ms)),
-                tel: tel.clone(),
-                events: scope.events.clone(),
-                epoch: scope.t0,
-                obs: Some(scope.obs.clone()),
-            },
-            cfg.scheduler.as_ref(),
+    // per-worker utilisation, and the fleet bill if the policy carries a
+    // cost model (per-started-hour, like the simulator's EC2 billing)
+    let billing = dir.engine.controller.billing();
+    let mut fleet_cost = 0.0;
+    for (i, (life, busy)) in dir.engine.worker_lives().enumerate() {
+        let (life_s, busy_s) = (life.as_secs_f64(), busy.as_secs_f64());
+        let util = if life_s > 0.0 { (busy_s / life_s).min(1.0) } else { 0.0 };
+        tel.instant(
+            "fleet",
+            "utilization",
+            Some(&format!(
+                "worker-{i} busy={busy_s:.3}s life={life_s:.3}s util={:.0}%",
+                util * 100.0
+            )),
         );
-        engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
-        // the no-busy-spin regression watches the wake-up count
-        let closed = engine.drive(&scope.port_rx, Some("dist.master.wakeups"))?;
-
-        tel.instant("dist", "jobs", Some(&format!("submitted={}", closed.submitted())));
-        // per-worker utilisation, and the fleet bill if the policy carries a
-        // cost model (per-started-hour, like the simulator's EC2 billing)
-        let billing = engine.controller.billing();
-        let mut fleet_cost = 0.0;
-        for (i, (life, busy)) in engine.worker_lives().enumerate() {
-            let (life_s, busy_s) = (life.as_secs_f64(), busy.as_secs_f64());
-            let util = if life_s > 0.0 { (busy_s / life_s).min(1.0) } else { 0.0 };
-            tel.instant(
-                "fleet",
-                "utilization",
-                Some(&format!(
-                    "worker-{i} busy={busy_s:.3}s life={life_s:.3}s util={:.0}%",
-                    util * 100.0
-                )),
-            );
-            if let Some(b) = billing {
-                fleet_cost += b.charge(life_s);
-            }
+        if let Some(b) = billing {
+            fleet_cost += b.charge(life_s);
         }
-        let mut report = closed.into_report(scope.wkf, engine.peak_workers);
-        report.fleet_cost_usd = billing.map(|_| fleet_cost);
-        report.scale_events = engine.controller.trace().to_vec();
-        report.total_seconds = scope.t0.elapsed().as_secs_f64();
-        engine.shutdown();
-        Ok(report)
-    })
+    }
+    report.fleet_cost_usd = billing.map(|_| fleet_cost);
+    report.metrics = dir.close();
+    Ok(report)
 }
 
 // --------------------------------------------------------------- SDW2 port
@@ -493,7 +468,7 @@ impl Conn {
 /// dispatch to result); the connection's reader thread lands the files a
 /// `Done` frame ships and calls `settle`, which queues the attempt's rows
 /// for the run's committer, so no result waits behind the engine's dispatch.
-struct SdwPort<'a> {
+struct SdwPort<'a, M: From<PortEvent> + Send + 'static> {
     cfg: &'a DistConfig,
     tel: Telemetry,
     /// The collector `/metrics` serves: workers' `Stats` deltas merge here.
@@ -501,7 +476,8 @@ struct SdwPort<'a> {
     conns: Vec<Conn>,
     listener: TcpListener,
     addr: String,
-    events_tx: mpsc::Sender<PortEvent>,
+    /// The owner's channel, as whatever message `M` it carries.
+    events_tx: mpsc::Sender<M>,
     /// Shared file store reader threads answer `FileReq` from.
     files: Arc<FileStore>,
     /// Spawned OS processes not yet matched to a connection (by pid).
@@ -516,7 +492,7 @@ struct SdwPort<'a> {
     fresh: usize,
 }
 
-impl<'a> SdwPort<'a> {
+impl<'a, M: From<PortEvent> + Send + 'static> SdwPort<'a, M> {
     /// Bind, launch the initial fleet, and complete the `Ready`/`Hello`
     /// handshake with every worker of it.
     fn connect(
@@ -524,8 +500,8 @@ impl<'a> SdwPort<'a> {
         files: &Arc<FileStore>,
         tel: &Telemetry,
         obs_tel: &Telemetry,
-        events_tx: mpsc::Sender<PortEvent>,
-    ) -> Result<SdwPort<'a>, CumulusError> {
+        events_tx: mpsc::Sender<M>,
+    ) -> Result<SdwPort<'a, M>, CumulusError> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
         listener.set_nonblocking(true)?;
@@ -662,7 +638,7 @@ impl<'a> SdwPort<'a> {
     }
 }
 
-impl WorkerPort for SdwPort<'_> {
+impl<M: From<PortEvent> + Send + 'static> WorkerPort for SdwPort<'_, M> {
     fn slots(&self) -> usize {
         self.cfg.max_in_flight
     }
@@ -771,7 +747,7 @@ impl WorkerPort for SdwPort<'_> {
     }
 }
 
-impl Drop for SdwPort<'_> {
+impl<M: From<PortEvent> + Send + 'static> Drop for SdwPort<'_, M> {
     fn drop(&mut self) {
         // safety net for error paths: never leave worker processes behind
         self.teardown();
@@ -792,14 +768,14 @@ fn recv(tel: &Telemetry, stream: &mut TcpStream) -> std::io::Result<Frame> {
 }
 
 /// The thread reading one worker connection.
-struct Reader {
+struct Reader<M: From<PortEvent> + Send + 'static> {
     worker: usize,
     stream: TcpStream,
     writer: Arc<Mutex<TcpStream>>,
     files: Arc<FileStore>,
     /// What this connection has carried, in either direction.
     carried: Carried,
-    tx: mpsc::Sender<PortEvent>,
+    tx: mpsc::Sender<M>,
     begun: Begun,
     tel: Telemetry,
     obs_tel: Telemetry,
@@ -809,7 +785,7 @@ struct Reader {
     offset_ns: i64,
 }
 
-impl Reader {
+impl<M: From<PortEvent> + Send + 'static> Reader<M> {
     fn serve(mut self) {
         let worker = self.worker;
         let lost = loop {
@@ -870,7 +846,7 @@ impl Reader {
                     {
                         Ok(settled) => PortEvent::Settled { worker, job, settled },
                         Err(payload) => {
-                            let _ = self.tx.send(PortEvent::Panicked(payload));
+                            let _ = self.tx.send(PortEvent::Panicked(payload).into());
                             return;
                         }
                     }
@@ -879,11 +855,11 @@ impl Reader {
                 Ok(_) => break "unexpected_frame",
                 Err(_) => break "socket_closed",
             };
-            if self.tx.send(event).is_err() {
+            if self.tx.send(event.into()).is_err() {
                 return;
             }
         };
-        let _ = self.tx.send(PortEvent::Lost { worker, reason: lost });
+        let _ = self.tx.send(PortEvent::Lost { worker, reason: lost }.into());
     }
 
     /// Land an attempt's artifacts in the shared store before the lifecycle
@@ -950,6 +926,7 @@ impl Reader {
 mod tests {
     use super::*;
     use crate::algebra::Operator;
+    use crate::backend::{Backend, LocalBackend};
     use crate::fleet::{QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent};
     use crate::localbackend::LocalConfig;
     use crate::workflow::Activity;
@@ -1033,6 +1010,12 @@ mod tests {
         DistConfig::new().with_workers(workers).with_resolver(resolver(0)).with_spec("dist-test")
     }
 
+    /// `test_def(0)` over four inputs through the local backend.
+    fn run_local(cfg: LocalConfig, prov: &Arc<ProvenanceStore>) -> RunReport {
+        let wf = Workflow::new(test_def(0), test_input(4));
+        LocalBackend::new(cfg).run(&wf, prov).expect("local run")
+    }
+
     fn run(cfg: &DistConfig) -> (RunReport, Arc<ProvenanceStore>, Arc<FileStore>) {
         let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
@@ -1051,14 +1034,7 @@ mod tests {
         assert_eq!(last.tuples, vec![vec![Value::Int(18)]]);
 
         let lprov = Arc::new(ProvenanceStore::new());
-        let lreport = crate::localbackend::run_local_impl(
-            &test_def(0),
-            test_input(4),
-            Arc::new(FileStore::new()),
-            Arc::clone(&lprov),
-            &LocalConfig::new().with_threads(2),
-        )
-        .expect("local run");
+        let lreport = run_local(LocalConfig::new().with_threads(2), &lprov);
         assert_eq!(lreport.finished, report.finished);
         assert_eq!(
             export_provn_canonical(&prov),
@@ -1086,14 +1062,10 @@ mod tests {
         let (report, prov, _) = run(&cfg);
 
         let lprov = Arc::new(ProvenanceStore::new());
-        let lreport = crate::localbackend::run_local_impl(
-            &test_def(0),
-            test_input(4),
-            Arc::new(FileStore::new()),
-            Arc::clone(&lprov),
-            &LocalConfig::new().with_threads(2).with_failures(failures).with_max_retries(2),
-        )
-        .expect("local run");
+        let lreport = run_local(
+            LocalConfig::new().with_threads(2).with_failures(failures).with_max_retries(2),
+            &lprov,
+        );
         assert_eq!(report.finished, lreport.finished);
         assert_eq!(report.failed_attempts, lreport.failed_attempts);
         assert_eq!(report.aborted, lreport.aborted);
@@ -1408,7 +1380,9 @@ mod tests {
         .expect("slow run");
         assert_eq!(report.finished, 5); // 2 stage + 2 score + 1 reduce
         let snap = report.metrics.expect("telemetry attached");
-        let wakeups = snap.counter("dist.master.wakeups").expect("counted every iteration");
+        // every turn of the master's loop is timed into a `serve.turn.*`
+        let turn = |h: &&telemetry::HistogramStats| h.name.starts_with("serve.turn.");
+        let wakeups: u64 = snap.histograms.iter().filter(turn).map(|h| h.count).sum();
         assert!(wakeups > 0);
         assert!(wakeups < 200, "master loop spun {wakeups} times for a ~0.7 s run");
     }
@@ -1474,13 +1448,49 @@ mod tests {
         assert_eq!(blacklisted.cell(0, 0), &Value::Int(0));
     }
 
+    /// A worker command that cannot be started fails the run with an
+    /// error: no panic, and no wait for a worker that never comes.
+    #[test]
+    fn a_worker_command_that_cannot_start_is_an_error() {
+        let cfg = DistConfig::new()
+            .with_worker_command("scidock-worker-that-does-not-exist", Vec::new())
+            .with_spec("dist-test");
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let prov = Arc::new(ProvenanceStore::new());
+            let files = Arc::new(FileStore::new());
+            let report = run_dist(&test_def(0), test_input(2), files, prov, &cfg);
+            let _ = done_tx.send(report.map(|r| r.finished));
+        });
+        match done_rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(CumulusError::Io(msg))) => assert!(msg.contains("spawning worker 0"), "{msg}"),
+            other => panic!("run_dist must return the spawn error, got {other:?}"),
+        }
+    }
+
+    /// Only `/campaigns` shows a campaign's p95: without an endpoint neither
+    /// a traced local run nor a traced `run_dist` run sorts its latencies.
+    #[test]
+    fn no_p95_sort_without_an_endpoint() {
+        let ltel = Telemetry::attached();
+        let local = LocalConfig::new().with_threads(2).with_telemetry(ltel.clone());
+        assert_eq!(run_local(local, &Arc::new(ProvenanceStore::new())).finished, 9);
+        let dtel = Telemetry::attached();
+        assert_eq!(run(&dist_cfg(2).with_telemetry(dtel.clone())).0.finished, 9);
+        for tel in [ltel, dtel] {
+            let snap = tel.snapshot().expect("attached");
+            assert_eq!(snap.counter("campaign.p95_sorts").unwrap_or(0), 0);
+            assert_eq!(snap.counter("campaign.finished"), Some(1), "the run was a campaign");
+        }
+    }
+
     #[test]
     fn a_version_1_worker_fails_the_handshake_with_a_protocol_error() {
         use std::io::Write;
 
         let cfg = dist_cfg(1);
         let files = Arc::new(FileStore::new());
-        let (tx, _events) = mpsc::channel();
+        let (tx, _events) = mpsc::channel::<PortEvent>();
         let tel = Telemetry::disabled();
         let mut port = SdwPort::connect(&cfg, &files, &tel, &tel, tx).expect("one worker joins");
         // an SDW1 worker's Ready: tag 0, magic "SDW1", pid, clock
@@ -1588,8 +1598,8 @@ mod tests {
         let report = handle.join().expect("run thread");
         assert_eq!(report.finished, 25); // 12 stage + 12 score + 1 reduce
         let evs = events.events();
-        assert_eq!(evs.first().map(|e| e.kind.as_str()), Some("run_started"));
-        assert_eq!(evs.last().map(|e| e.kind.as_str()), Some("run_finished"));
+        assert_eq!(evs.first().map(|e| e.kind.as_str()), Some("campaign_submitted"));
+        assert_eq!(evs.last().map(|e| e.kind.as_str()), Some("campaign_finished"));
         assert_eq!(evs.iter().filter(|e| e.kind == "activation_finished").count(), 25);
     }
 
@@ -1731,7 +1741,7 @@ mod tests {
     fn every_emitted_metric_name_is_in_the_registry() {
         use telemetry::{registry, Telemetry};
 
-        // distributed: master wakeups, fleet size, worker.* counters,
+        // distributed: turn timings, fleet size, worker.* counters,
         // activation histograms, heartbeat/straggler plumbing
         let dtel = Telemetry::attached();
         let cfg = dist_cfg(2)
@@ -1746,14 +1756,10 @@ mod tests {
 
         // local: fleet size + activation histograms
         let ltel = Telemetry::attached();
-        let lreport = crate::localbackend::run_local_impl(
-            &test_def(0),
-            test_input(4),
-            Arc::new(FileStore::new()),
-            Arc::new(ProvenanceStore::new()),
-            &LocalConfig::new().with_threads(2).with_telemetry(ltel.clone()),
-        )
-        .expect("local run");
+        let lreport = run_local(
+            LocalConfig::new().with_threads(2).with_telemetry(ltel.clone()),
+            &Arc::new(ProvenanceStore::new()),
+        );
         assert_eq!(lreport.finished, 9);
         let lsnap = ltel.snapshot().expect("local telemetry attached");
         assert!(!lsnap.histograms.is_empty(), "local run must emit histograms");

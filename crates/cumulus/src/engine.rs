@@ -15,8 +15,9 @@
 //! engine's owner reads. Two ports ship — worker threads of this process
 //! (`threadport`, under `scidockd` and the local backend) and `run_dist`'s
 //! `SDW2` connections (`distbackend`) — and the tests below drive a third
-//! that has neither. The two one-shot owners share their loop,
-//! [`Engine::drive`].
+//! that has neither. Every owner drives it from one loop, the campaign
+//! directory's turn (`serve`): `scidockd` on its engine thread, the local
+//! backend and `run_dist` on the calling thread for their one campaign.
 //!
 //! Which thread runs the lifecycle's steps is the one thing the ports differ
 //! in. The engine always `admit`s (and aborts a hung fate) on its own
@@ -28,15 +29,12 @@
 //! step waits on the store.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use provenance::WorkflowId;
 use telemetry::Telemetry;
 
 use crate::algebra::{Relation, Tuple};
-use crate::backend::RunReport;
 use crate::dispatch::{PipelineState, SubmitReq};
 use crate::error::CumulusError;
 use crate::fleet::{
@@ -46,7 +44,7 @@ use crate::lifecycle::{ActOutcome, ActivityCtx, Admitted, Attempt, Exec, Settled
 use crate::obs::{EventLog, HealthView, ObsState, Severity, WorkerHealth};
 use crate::workflow::WorkflowDef;
 
-/// How long an owner's loop waits for a [`PortEvent`] before it pumps and
+/// How long the directory's loop waits for a [`PortEvent`] before it pumps and
 /// ticks anyway.
 pub(crate) const TICK: Duration = Duration::from_millis(25);
 
@@ -115,7 +113,8 @@ pub(crate) trait WorkerPort {
     fn shutdown(&mut self);
 }
 
-/// What differs between the engine's owners that is not the port.
+/// What differs between the engine's owners that is not the port: each
+/// owner supplies its own.
 pub(crate) struct EngineCfg {
     /// `Shrink` never drains below this many workers.
     pub(crate) floor: usize,
@@ -130,6 +129,26 @@ pub(crate) struct EngineCfg {
     /// Flag an attempt running longer than `factor ×` its activity's p95
     /// and longer than `min_ms`.
     pub(crate) straggler: Option<(f64, u64)>,
+}
+
+impl EngineCfg {
+    /// Between `floor` and `ceiling` threads of this process, which are
+    /// neither lost nor silent.
+    pub(crate) fn threads(floor: usize, ceiling: usize) -> EngineCfg {
+        EngineCfg {
+            floor,
+            ceiling,
+            reassign_budget: 0,
+            heartbeat_timeout: None,
+            activation_timeout: None,
+            straggler: None,
+        }
+    }
+}
+
+/// Where the engine reports, shared with its owner: telemetry, the event
+/// log and the clock its events are stamped on, the observability state.
+pub(crate) struct Sinks {
     pub(crate) tel: Telemetry,
     pub(crate) events: Option<EventLog>,
     /// Time origin of event timestamps.
@@ -215,25 +234,6 @@ impl Run {
         self.pipe.into_outputs()
     }
 
-    /// A one-shot run's report: what it tallied and its outputs.
-    pub(crate) fn into_report(self, workflow: WorkflowId, peak_workers: usize) -> RunReport {
-        let t = &self.tally;
-        RunReport {
-            workflow,
-            total_seconds: 0.0,
-            finished: t.finished,
-            failed_attempts: t.failed_attempts,
-            aborted: t.aborted,
-            blacklisted: t.blacklisted,
-            resumed: t.resumed,
-            outputs: self.into_outputs(),
-            metrics: None,
-            scale_events: Vec::new(),
-            peak_workers,
-            fleet_cost_usd: None,
-        }
-    }
-
     /// Queue what the dispatcher submitted, for admission.
     fn submit(&mut self, reqs: Vec<SubmitReq>) {
         for req in reqs {
@@ -291,6 +291,7 @@ impl Run {
 pub(crate) struct Engine<P: WorkerPort> {
     pub(crate) port: P,
     cfg: EngineCfg,
+    sinks: Sinks,
     /// The fleet policy, with the decisions it has taken.
     pub(crate) controller: FleetController,
     /// The live runs, in the order they were taken on.
@@ -309,10 +310,16 @@ pub(crate) struct Engine<P: WorkerPort> {
 }
 
 impl<P: WorkerPort> Engine<P> {
-    pub(crate) fn new(port: P, cfg: EngineCfg, scheduler: Option<&SchedulerFactory>) -> Engine<P> {
+    pub(crate) fn new(
+        port: P,
+        cfg: EngineCfg,
+        sinks: Sinks,
+        scheduler: Option<&SchedulerFactory>,
+    ) -> Engine<P> {
         Engine {
             port,
             cfg,
+            sinks,
             controller: scheduler.map_or_else(FleetController::fixed, FleetController::new),
             runs: Vec::new(),
             closed: Vec::new(),
@@ -327,8 +334,8 @@ impl<P: WorkerPort> Engine<P> {
 
     /// Emit an event into the owner's log, stamped on the owner's clock.
     pub(crate) fn emit(&self, severity: Severity, kind: &str, fields: &[(&str, String)]) {
-        if let Some(ev) = &self.cfg.events {
-            ev.emit(self.cfg.epoch.elapsed().as_secs_f64(), severity, kind, fields);
+        if let Some(ev) = &self.sinks.events {
+            ev.emit(self.sinks.epoch.elapsed().as_secs_f64(), severity, kind, fields);
         }
     }
 
@@ -346,7 +353,7 @@ impl<P: WorkerPort> Engine<P> {
         input: &Relation,
         ctxs: Vec<Arc<ActivityCtx>>,
     ) {
-        let (pipe, seeds) = PipelineState::new(def, input, self.cfg.tel.clone());
+        let (pipe, seeds) = PipelineState::new(def, input, self.sinks.tel.clone());
         let mut run = Run {
             id,
             tenant: tenant.to_string(),
@@ -421,13 +428,13 @@ impl<P: WorkerPort> Engine<P> {
 
     fn fleet_changed(&mut self) {
         self.peak_workers = self.peak_workers.max(self.provisioned());
-        self.cfg.tel.gauge("fleet.size", self.provisioned() as f64);
+        self.sinks.tel.gauge("fleet.size", self.provisioned() as f64);
         self.publish_health();
     }
 
     /// The fleet as `/healthz` reports it.
     fn publish_health(&self) {
-        let Some(obs) = &self.cfg.obs else { return };
+        let Some(obs) = &self.sinks.obs else { return };
         let worker = |(i, w): (usize, &Worker)| WorkerHealth {
             id: i,
             alive: w.alive,
@@ -498,7 +505,7 @@ impl<P: WorkerPort> Engine<P> {
         };
         if n > 0 {
             let fleet = self.provisioned();
-            self.cfg.tel.instant("fleet", verb, Some(&format!("{sign}{n} -> {fleet}")));
+            self.sinks.tel.instant("fleet", verb, Some(&format!("{sign}{n} -> {fleet}")));
             self.fleet_changed();
             let fields = [("decision", format!("{verb} {n}")), ("fleet", fleet.to_string())];
             self.emit(Severity::Info, "fleet_scale", &fields);
@@ -565,7 +572,7 @@ impl<P: WorkerPort> Engine<P> {
     pub(crate) fn pump(&mut self) -> Result<(), CumulusError> {
         let (joined, expired) = self.port.joined()?;
         if expired > 0 {
-            self.cfg.tel.count("fleet.spawn_timeouts", expired as u64);
+            self.sinks.tel.count("fleet.spawn_timeouts", expired as u64);
         }
         self.spawning = self.spawning.saturating_sub(joined + expired);
         let now = Instant::now();
@@ -741,7 +748,7 @@ impl<P: WorkerPort> Engine<P> {
                 w.ended_at = Some(Instant::now());
                 self.port.sever(worker);
                 let detail = format!("worker-{worker} completed={completed}");
-                self.cfg.tel.instant("fleet", "retire", Some(&detail));
+                self.sinks.tel.instant("fleet", "retire", Some(&detail));
                 self.fleet_changed();
                 let fields = [("worker", worker.to_string()), ("completed", completed.to_string())];
                 self.emit(Severity::Info, "worker_retired", &fields);
@@ -752,35 +759,6 @@ impl<P: WorkerPort> Engine<P> {
             PortEvent::Panicked(payload) => std::panic::resume_unwind(payload),
         }
         Ok(())
-    }
-
-    /// The loop of a one-shot owner (`run_dist`, the local backend): pump,
-    /// then wait for a port event or the tick, until the run closes. Every
-    /// wake-up bumps the counter `wakeups` names.
-    pub(crate) fn drive(
-        &mut self,
-        events: &Receiver<PortEvent>,
-        wakeups: Option<&str>,
-    ) -> Result<Run, CumulusError> {
-        loop {
-            if let Some(name) = wakeups {
-                self.cfg.tel.count(name, 1);
-            }
-            self.pump()?;
-            if let Some(closed) = self.closed.pop() {
-                return Ok(closed);
-            }
-            match events.recv_timeout(TICK) {
-                Ok(ev) => self.handle(ev)?,
-                Err(RecvTimeoutError::Timeout) => {}
-                // the port holds a sender for as long as the engine holds
-                // the port; were it ever gone, nothing could arrive again
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CumulusError::WorkerLost("worker event channel closed".into()));
-                }
-            }
-            self.tick();
-        }
     }
 
     /// Call on every wakeup of the owner's loop. Once per [`TICK`] it runs
@@ -803,8 +781,8 @@ impl<P: WorkerPort> Engine<P> {
     /// keeps running (the hang detector, not this, cuts wedged workers).
     fn flag_stragglers(&mut self) {
         let Some((factor, min_ms)) = self.cfg.straggler else { return };
-        let cfg = &self.cfg;
-        let tel = cfg.obs.as_ref().map_or(&cfg.tel, |o| &o.tel);
+        let sinks = &self.sinks;
+        let tel = sinks.obs.as_ref().map_or(&sinks.tel, |o| &o.tel);
         for (wi, w) in self.workers.iter_mut().enumerate().filter(|(_, w)| w.alive) {
             for f in w.in_flight.iter_mut().filter(|f| !f.straggler) {
                 // trust whichever clock has seen more: the engine's dispatch
@@ -822,9 +800,9 @@ impl<P: WorkerPort> Engine<P> {
                 if elapsed_ms > threshold_ms {
                     f.straggler = true;
                     tel.count("dist.stragglers", 1);
-                    let Some(events) = &cfg.events else { continue };
+                    let Some(events) = &sinks.events else { continue };
                     events.emit(
-                        cfg.epoch.elapsed().as_secs_f64(),
+                        sinks.epoch.elapsed().as_secs_f64(),
                         Severity::Warn,
                         "straggler",
                         &[
@@ -866,7 +844,7 @@ impl<P: WorkerPort> Engine<P> {
                     .last_job
                     .map_or_else(|| "none".to_string(), |(j, ms)| format!("job={j} {ms}ms"));
                 let detail = format!("worker-{wi} worker_elapsed: {worker_ms}");
-                self.cfg.tel.instant("dist", "hang", Some(&detail));
+                self.sinks.tel.instant("dist", "hang", Some(&detail));
             }
             self.lose_worker(wi, reason);
         }
@@ -970,19 +948,10 @@ mod tests {
         floor: usize,
         scheduler: Option<&SchedulerFactory>,
     ) -> Engine<FakePort> {
-        let cfg = EngineCfg {
-            floor,
-            ceiling: usize::MAX,
-            reassign_budget: 2,
-            heartbeat_timeout: None,
-            activation_timeout: None,
-            straggler: None,
-            tel: Telemetry::disabled(),
-            events: None,
-            epoch: Instant::now(),
-            obs: None,
-        };
-        let mut e = Engine::new(FakePort::new(slots), cfg, scheduler);
+        let cfg = EngineCfg { reassign_budget: 2, ..EngineCfg::threads(floor, usize::MAX) };
+        let sinks =
+            Sinks { tel: Telemetry::disabled(), events: None, epoch: Instant::now(), obs: None };
+        let mut e = Engine::new(FakePort::new(slots), cfg, sinks, scheduler);
         e.launch(workers).unwrap();
         e.pump().unwrap();
         e

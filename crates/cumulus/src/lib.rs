@@ -35,15 +35,18 @@
 //!   and one durable provenance store, with fair-share scheduling and
 //!   explicit admission control.
 //!
-//! [`localbackend`], [`distbackend`] and [`serve`] are three owners of one
-//! private engine (`engine.rs`) — the table of live runs, the worker table,
-//! admission → fair share → placement → dispatch, the fleet-policy tick,
-//! worker loss and reassignment, the health view — which reaches its workers
-//! only through a small `WorkerPort`: `SDW2` connections for
-//! [`distbackend`], worker threads of this process (`threadport.rs`) for the
-//! other two. Each owner also starts one private committer (`commit.rs`),
-//! the one thread that writes activation rows into its provenance store and
-//! publishes the `RUNNING` rows live steering queries see.
+//! Every run is a campaign of one run scope, [`serve`]'s campaign directory:
+//! `scidockd` turns one on its engine thread for many campaigns, and
+//! [`localbackend`] and [`distbackend`] each turn one on the calling thread
+//! for their one campaign. A directory owns one private engine
+//! (`engine.rs`) — the table of live runs, the worker table, admission →
+//! fair share → placement → dispatch, the fleet-policy tick, worker loss and
+//! reassignment, the health view — which reaches its workers only through a
+//! small `WorkerPort`: `SDW2` connections for [`distbackend`], worker threads
+//! of this process (`threadport.rs`) for the other two. It also starts one
+//! private committer (`commit.rs`), the one thread that writes activation
+//! rows into its provenance store and publishes the `RUNNING` rows live
+//! steering queries see.
 
 #![warn(missing_docs)]
 

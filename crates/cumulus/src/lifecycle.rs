@@ -1,5 +1,4 @@
-//! The one activation lifecycle every real backend runs, and the one run
-//! scope around it.
+//! The one activation lifecycle every real backend runs.
 //!
 //! What happens to an activation does not depend on where it executes:
 //!
@@ -18,7 +17,7 @@
 //!    half-recorded activation.
 //!
 //! Every row is queued for the owner's [`Committer`], which writes it on its
-//! own thread; it is durable at the latest when the run (or campaign) ends.
+//! own thread; it is durable at the latest when the campaign is recorded.
 //!
 //! The backends differ only in *where* they call the steps. The engine
 //! (`crate::engine`, under every real backend) calls `admit` itself when the
@@ -28,29 +27,24 @@
 //! `begin` when it ships a `Run` frame and `settle` when the `Done` frame (or
 //! the worker's death) comes back. A retry is a new dispatch everywhere.
 //!
-//! [`run_scoped`] is the same idea one level up: the prologue and epilogue
-//! of a whole run, shared by the local and distributed backends.
+//! One level up, every run is a campaign of the one run scope, the `serve`
+//! module's campaign directory, whichever backend owns it.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cloudsim::{FailureModel, Fate};
 use provenance::{
-    ActivationOutputs, ActivationRecord, ActivationStatus, ActivityId, Durability, ProvenanceStore,
-    WorkflowId,
+    ActivationOutputs, ActivationRecord, ActivationStatus, ActivityId, ProvenanceStore, WorkflowId,
 };
 use telemetry::Telemetry;
 
 use crate::algebra::Tuple;
-use crate::backend::RunReport;
 use crate::commit::Committer;
 use crate::dispatch::{pair_key, split_path};
-use crate::engine::PortEvent;
-use crate::error::CumulusError;
-use crate::obs::{BoundAddr, EventLog, HealthView, ObsServer, ObsState, Severity};
+use crate::obs::{EventLog, Severity};
 use crate::workflow::{ActivationCtx, ActivityFn, BlacklistFn, FileStore, WorkflowDef};
 
 /// What one activation contributed to the run, once it is terminal.
@@ -370,197 +364,14 @@ impl ActivityCtx {
     }
 }
 
-// --------------------------------------------------------------- run scope
-
-/// What a backend's configuration contributes to [`run_scoped`].
-pub(crate) struct ScopeCfg<'a> {
-    /// `run_started`'s `backend` field.
-    pub(crate) backend: &'a str,
-    /// Telemetry track name of the thread driving the run.
-    pub(crate) track: &'a str,
-    /// Initial fleet size (threads or worker processes).
-    pub(crate) workers: usize,
-    pub(crate) telemetry: &'a Telemetry,
-    pub(crate) durability: Option<Durability>,
-    pub(crate) steering_tick: Option<Duration>,
-    /// `None` = lifecycle events are not emitted at all.
-    pub(crate) events: Option<EventLog>,
-    pub(crate) metrics_addr: Option<&'a str>,
-    pub(crate) metrics_bound: Option<&'a BoundAddr>,
-}
-
-/// What the body of a run gets from [`run_scoped`].
-pub(crate) struct RunScope {
-    pub(crate) wkf: WorkflowId,
-    pub(crate) t0: Instant,
-    pub(crate) prov: Arc<ProvenanceStore>,
-    pub(crate) tel: Telemetry,
-    pub(crate) commit: Arc<Committer>,
-    pub(crate) events: Option<EventLog>,
-    /// Observability state behind the endpoint; `obs.tel` is the collector
-    /// `/metrics` serves (the run's own sink when one is attached).
-    pub(crate) obs: ObsState,
-    /// The engine's event channel, on which the body's port and the
-    /// committer report.
-    pub(crate) port_tx: Sender<PortEvent>,
-    pub(crate) port_rx: Receiver<PortEvent>,
-}
-
-impl RunScope {
-    /// Emit a run-level event, stamped on the run's clock.
-    pub(crate) fn emit(&self, severity: Severity, kind: &str, fields: &[(&str, String)]) {
-        if let Some(ev) = &self.events {
-            ev.emit(self.t0.elapsed().as_secs_f64(), severity, kind, fields);
-        }
-    }
-
-    /// The activation-side context of this run.
-    pub(crate) fn run_ctx(
-        &self,
-        files: &Arc<FileStore>,
-        failures: FailureModel,
-        max_retries: u32,
-        resume_from: Option<WorkflowId>,
-    ) -> Arc<RunCtx> {
-        Arc::new(RunCtx {
-            wkf: self.wkf,
-            files: Arc::clone(files),
-            prov: Arc::clone(&self.prov),
-            failures,
-            max_retries,
-            resume_from,
-            start_base: self.t0,
-            tel: self.tel.clone(),
-            commit: Arc::clone(&self.commit),
-            events: self.events.clone(),
-        })
-    }
-}
-
-/// Run `body` inside the one run scope: validate → durability → observability
-/// endpoint → committer → `run_started` → *body* → committer drained (every
-/// row applied and durable) → `run_finished` / `run_error` → committer stop
-/// → run span → metrics snapshot. Everything after the body runs on every
-/// exit path but a panic, which stops the committer as it unwinds.
-///
-/// # Panics
-/// Panics if the committer died before it drained: the run's rows are not
-/// all recorded.
-pub(crate) fn run_scoped(
-    def: &WorkflowDef,
-    prov: &Arc<ProvenanceStore>,
-    cfg: ScopeCfg<'_>,
-    body: impl FnOnce(&RunScope) -> Result<RunReport, CumulusError>,
-) -> Result<RunReport, CumulusError> {
-    def.validate().map_err(CumulusError::Invalid)?;
-    if let Some(d) = cfg.durability {
-        prov.set_durability(d);
-    }
-    let tel = cfg.telemetry.clone();
-    // The collector the endpoint serves (and distributed workers stream
-    // their Stats deltas into): the run's own sink when one is attached, a
-    // private one when only the endpoint needs it, otherwise disabled.
-    let obs_tel = if tel.is_enabled() {
-        tel.clone()
-    } else if cfg.metrics_addr.is_some() {
-        Telemetry::attached()
-    } else {
-        Telemetry::disabled()
-    };
-    // observation never perturbs results: the plane only reads engine state
-    let obs = ObsState::new(obs_tel, cfg.events.clone().unwrap_or_default());
-    obs.set_health(HealthView {
-        phase: "running".to_string(),
-        fleet: cfg.workers,
-        workers: Vec::new(),
-    });
-    let server = match cfg.metrics_addr {
-        Some(addr) => {
-            let s = ObsServer::start(addr, obs.clone())
-                .map_err(|e| CumulusError::Io(format!("metrics listener on {addr}: {e}")))?;
-            if let Some(bound) = cfg.metrics_bound {
-                bound.set(s.addr());
-            }
-            Some(s)
-        }
-        None => None,
-    };
-    let wkf = prov.begin_workflow(&def.tag, &def.description, &def.expdir);
-    let t0 = Instant::now();
-    let (port_tx, port_rx) = mpsc::channel();
-    let commit = Committer::start(Arc::clone(prov), t0, cfg.steering_tick, &tel, port_tx.clone());
-    let scope = RunScope {
-        wkf,
-        t0,
-        prov: Arc::clone(prov),
-        tel: tel.clone(),
-        commit,
-        events: cfg.events.clone(),
-        obs,
-        port_tx,
-        port_rx,
-    };
-    scope.emit(
-        Severity::Info,
-        "run_started",
-        &[
-            ("workflow", def.tag.clone()),
-            ("backend", cfg.backend.to_string()),
-            ("workers", cfg.workers.to_string()),
-        ],
-    );
-    tel.name_current_track(cfg.track);
-    let run_start = tel.now_ns();
-
-    let result = body(&scope);
-
-    // the run's rows must be countable, and survive a crash, once it is
-    // reported finished
-    assert!(scope.commit.drain(), "the provenance committer died before the run's rows were in");
-    match &result {
-        Ok(r) => scope.emit(
-            Severity::Info,
-            "run_finished",
-            &[
-                ("workflow", def.tag.clone()),
-                ("finished", r.finished.to_string()),
-                ("failed_attempts", r.failed_attempts.to_string()),
-                ("aborted", r.aborted.to_string()),
-                ("blacklisted", r.blacklisted.to_string()),
-            ],
-        ),
-        Err(e) => scope.emit(
-            Severity::Error,
-            "run_error",
-            &[("workflow", def.tag.clone()), ("error", e.to_string())],
-        ),
-    }
-    scope.obs.health.lock().expect("health view poisoned").phase = "done".to_string();
-    scope.commit.stop();
-    if tel.is_enabled() {
-        tel.record_span_at(
-            "run",
-            &def.tag,
-            None,
-            run_start,
-            tel.now_ns(),
-            Some(&format!("{} workers={}", cfg.backend, cfg.workers)),
-        );
-    }
-    if let Some(s) = server {
-        s.shutdown();
-    }
-    result.map(|mut report| {
-        report.metrics = tel.snapshot();
-        report
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PortEvent;
     use crate::workflow::Activity;
     use provenance::Value;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// A finished attempt whose `RUNNING` row the committer already
     /// published keeps that row's task id: the row is written over as

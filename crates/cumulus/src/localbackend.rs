@@ -1,7 +1,8 @@
 //! The local execution backend: runs workflow activations *for real* on
-//! worker threads of this process — the crate's one engine over its thread
-//! port — with provenance capture, failure injection, retry, and
-//! poison-input blacklisting.
+//! worker threads of this process — one campaign of the crate's run scope
+//! (`serve`'s directory), whose engine runs it over the thread port — with
+//! provenance capture, failure injection, retry, and poison-input
+//! blacklisting.
 //!
 //! This is the backend SciDock's biological results (Table 3) come from;
 //! cloud-scale timing studies use [`crate::simbackend`] instead.
@@ -28,14 +29,12 @@ use cloudsim::FailureModel;
 use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::Telemetry;
 
-use crate::algebra::Relation;
-use crate::backend::RunReport;
-use crate::engine::{Engine, EngineCfg};
+use crate::backend::{Backend, LocalBackend, RunReport, Workflow};
+use crate::engine::EngineCfg;
 use crate::error::CumulusError;
-use crate::lifecycle::{run_scoped, ActivityCtx, ScopeCfg};
 use crate::obs::{BoundAddr, EventLog};
+use crate::serve::{Directory, ServeConfig};
 use crate::threadport::ThreadPort;
-use crate::workflow::{FileStore, WorkflowDef};
 
 /// Local backend configuration.
 ///
@@ -63,11 +62,6 @@ pub struct LocalConfig {
     /// for every attempt in flight at this interval, so steering queries see
     /// in-flight work during the run.
     pub steering_tick: Option<std::time::Duration>,
-    /// Durability override applied to the provenance store for this run
-    /// (e.g. `Durability::Sync` for crash tests, a wider batch window for
-    /// throughput). `None` keeps whatever the store was opened with; the
-    /// knob has no effect on in-memory stores.
-    pub durability: Option<provenance::Durability>,
     /// Structured event log: run/activation lifecycle events are emitted
     /// into it (and served from `/events` when an endpoint is bound).
     pub events: Option<EventLog>,
@@ -89,7 +83,6 @@ impl Default for LocalConfig {
             resume_from: None,
             telemetry: Telemetry::disabled(),
             steering_tick: None,
-            durability: None,
             events: None,
             metrics_addr: None,
             metrics_bound: None,
@@ -140,12 +133,6 @@ impl LocalConfig {
         self
     }
 
-    /// Override the provenance store's durability for this run.
-    pub fn with_durability(mut self, durability: provenance::Durability) -> LocalConfig {
-        self.durability = Some(durability);
-        self
-    }
-
     /// Attach a structured event log.
     pub fn with_events(mut self, events: EventLog) -> LocalConfig {
         self.events = Some(events);
@@ -166,65 +153,53 @@ impl LocalConfig {
     }
 }
 
-/// Run a workflow on threads of this process: the engine behind
-/// [`crate::backend::LocalBackend`]. One run scope around the crate's one
-/// engine holding this one run over a fixed fleet of `threads` workers of the
-/// thread port — the same port `scidockd` runs on.
-pub(crate) fn run_local_impl(
-    def: &WorkflowDef,
-    input: Relation,
-    files: Arc<FileStore>,
-    prov: Arc<ProvenanceStore>,
-    cfg: &LocalConfig,
-) -> Result<RunReport, CumulusError> {
-    let threads = cfg.threads.max(1);
-    let scope_cfg = ScopeCfg {
-        backend: "local",
-        track: "dispatcher",
-        workers: threads,
-        telemetry: &cfg.telemetry,
-        durability: cfg.durability,
-        steering_tick: cfg.steering_tick,
-        events: cfg.events.clone(),
-        metrics_addr: cfg.metrics_addr.as_deref(),
-        metrics_bound: cfg.metrics_bound.as_ref(),
-    };
-    run_scoped(def, &prov, scope_cfg, |scope| {
-        let run = scope.run_ctx(&files, cfg.failures, cfg.max_retries, cfg.resume_from);
-        let ctxs = ActivityCtx::build_all(def, &run);
-        let mut engine = Engine::new(
-            ThreadPort::new(scope.port_tx.clone(), &scope.tel, "cumulus-worker"),
-            EngineCfg {
-                floor: threads,
-                ceiling: threads,
-                // threads of this process are neither lost nor silent
-                reassign_budget: 0,
-                heartbeat_timeout: None,
-                activation_timeout: None,
-                straggler: None,
-                tel: scope.tel.clone(),
-                events: scope.events.clone(),
-                epoch: scope.t0,
-                obs: Some(scope.obs.clone()),
-            },
-            None,
-        );
-        engine.launch(threads)?;
-        engine.add_run(0, "", 0, Arc::new(def.clone()), &input, ctxs);
-        let closed = engine.drive(&scope.port_rx, None)?;
-        let mut report = closed.into_report(scope.wkf, engine.peak_workers);
-        report.total_seconds = scope.t0.elapsed().as_secs_f64();
-        engine.shutdown();
+/// A run on threads of this process: the one campaign of a directory — the
+/// run scope `scidockd` turns too — whose engine holds it over a fixed fleet
+/// of `threads` workers of the thread port, turned on the calling thread.
+impl Backend for LocalBackend {
+    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError> {
+        wf.def.validate().map_err(CumulusError::Invalid)?;
+        let cfg = &self.cfg;
+        let threads = cfg.threads.max(1);
+        let serve = ServeConfig {
+            failures: cfg.failures,
+            max_retries: cfg.max_retries,
+            telemetry: cfg.telemetry.clone(),
+            steering_tick: cfg.steering_tick,
+            events: cfg.events.clone(),
+            metrics_addr: cfg.metrics_addr.clone(),
+            metrics_bound: cfg.metrics_bound.clone(),
+            ..ServeConfig::default()
+        };
+        let port = |_: &Telemetry, tx| Ok(ThreadPort::new(tx, &cfg.telemetry, "cumulus-worker"));
+        let fleet = EngineCfg::threads(threads, threads);
+        let mut dir = Directory::new(serve, Arc::new(|_| None), Arc::clone(store), fleet, port)?;
+        dir.engine.launch(threads)?;
+        let mut report = dir.run_one(wf.clone(), cfg.resume_from, "dispatcher")?;
+        report.metrics = dir.close();
         Ok(report)
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::Activity;
+    use crate::algebra::Relation;
+    use crate::workflow::{Activity, FileStore, WorkflowDef};
     use provenance::Value;
     use std::time::Instant;
+
+    /// `def` over `input` through the local backend.
+    fn run_local(
+        def: &WorkflowDef,
+        input: Relation,
+        files: Arc<FileStore>,
+        prov: Arc<ProvenanceStore>,
+        cfg: &LocalConfig,
+    ) -> Result<RunReport, CumulusError> {
+        let wf = Workflow { def: def.clone(), input, files };
+        LocalBackend::new(cfg.clone()).run(&wf, &prov)
+    }
 
     fn double_fn() -> crate::workflow::ActivityFn {
         Arc::new(|tuples, _ctx| {
@@ -261,7 +236,7 @@ mod tests {
 
     #[test]
     fn chain_executes_and_collects() {
-        let report = run_local_impl(
+        let report = run_local(
             &simple_workflow(),
             input(10),
             Arc::new(FileStore::new()),
@@ -280,7 +255,7 @@ mod tests {
     #[test]
     fn provenance_rows_recorded() {
         let prov = Arc::new(ProvenanceStore::new());
-        let _ = run_local_impl(
+        let _ = run_local(
             &simple_workflow(),
             input(5),
             Arc::new(FileStore::new()),
@@ -313,7 +288,7 @@ mod tests {
         };
         let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
-        let _ = run_local_impl(
+        let _ = run_local(
             &wf,
             input(3),
             Arc::clone(&files),
@@ -347,7 +322,7 @@ mod tests {
             ..Default::default()
         };
         let prov = Arc::new(ProvenanceStore::new());
-        let report = run_local_impl(
+        let report = run_local(
             &simple_workflow(),
             input(30),
             Arc::new(FileStore::new()),
@@ -381,7 +356,7 @@ mod tests {
             max_retries: 1,
             ..Default::default()
         };
-        let report = run_local_impl(
+        let report = run_local(
             &simple_workflow(),
             input(40),
             Arc::new(FileStore::new()),
@@ -402,7 +377,7 @@ mod tests {
             .clone()
             .with_blacklist(Arc::new(|t| matches!(t[0], Value::Int(k) if k % 2 == 0)));
         let prov = Arc::new(ProvenanceStore::new());
-        let report = run_local_impl(
+        let report = run_local(
             &wf,
             input(10),
             Arc::new(FileStore::new()),
@@ -422,7 +397,7 @@ mod tests {
     fn invalid_workflow_rejected() {
         let mut wf = simple_workflow();
         wf.deps = vec![vec![], vec![5]];
-        let err = run_local_impl(
+        let err = run_local(
             &wf,
             input(1),
             Arc::new(FileStore::new()),
@@ -445,7 +420,7 @@ mod tests {
             deps: vec![vec![]],
         };
         let cfg = LocalConfig { max_retries: 2, ..Default::default() };
-        let report = run_local_impl(
+        let report = run_local(
             &wf,
             input(4),
             Arc::new(FileStore::new()),
@@ -494,7 +469,7 @@ mod tests {
             rel.push(vec![Value::Int(k)]);
         }
         let prov = Arc::new(ProvenanceStore::new());
-        let report = run_local_impl(
+        let report = run_local(
             &wf,
             rel,
             Arc::new(FileStore::new()),
@@ -563,8 +538,7 @@ mod tests {
             resume_from: None,
             ..Default::default()
         };
-        let r1 =
-            run_local_impl(&wf, input(20), Arc::clone(&files), Arc::clone(&prov), &cfg1).unwrap();
+        let r1 = run_local(&wf, input(20), Arc::clone(&files), Arc::clone(&prov), &cfg1).unwrap();
         assert!(r1.finished < 20, "some activations must drop");
         assert!(r1.failed_attempts > 0);
         let calls_after_run1 = func_calls.load(std::sync::atomic::Ordering::SeqCst);
@@ -578,8 +552,7 @@ mod tests {
             resume_from: Some(r1.workflow),
             ..Default::default()
         };
-        let r2 =
-            run_local_impl(&wf, input(20), Arc::clone(&files), Arc::clone(&prov), &cfg2).unwrap();
+        let r2 = run_local(&wf, input(20), Arc::clone(&files), Arc::clone(&prov), &cfg2).unwrap();
         assert_eq!(r2.resumed, r1.finished, "every finished activation is reused");
         assert_eq!(r2.finished + r2.resumed, 20, "the full relation is recovered");
         assert_eq!(r2.final_output().len(), 20);
@@ -596,7 +569,7 @@ mod tests {
         let wf = simple_workflow();
         let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
-        let r1 = run_local_impl(
+        let r1 = run_local(
             &wf,
             input(5),
             Arc::clone(&files),
@@ -605,7 +578,7 @@ mod tests {
         )
         .unwrap();
         let cfg2 = LocalConfig { resume_from: Some(r1.workflow), ..Default::default() };
-        let r2 = run_local_impl(&wf, input(5), files, Arc::clone(&prov), &cfg2).unwrap();
+        let r2 = run_local(&wf, input(5), files, Arc::clone(&prov), &cfg2).unwrap();
         assert_eq!(r2.resumed, 10, "both activities fully resumed");
         assert_eq!(r2.finished, 0);
         let mut a: Vec<f64> =
@@ -697,14 +670,9 @@ mod tests {
                 resume_from: None,
                 ..Default::default()
             };
-            let rep = run_local_impl(
-                &mk_wf(),
-                input(25),
-                Arc::new(FileStore::new()),
-                Arc::clone(&prov),
-                &cfg,
-            )
-            .unwrap();
+            let rep =
+                run_local(&mk_wf(), input(25), Arc::new(FileStore::new()), Arc::clone(&prov), &cfg)
+                    .unwrap();
             (rep, prov)
         };
         let (serial, sprov) = run(1);
@@ -768,7 +736,7 @@ mod tests {
             deps: vec![vec![], vec![0]],
         };
         let cfg = LocalConfig { threads: 4, ..Default::default() };
-        let report = run_local_impl(
+        let report = run_local(
             &wf,
             input(8),
             Arc::new(FileStore::new()),
@@ -803,7 +771,7 @@ mod tests {
             deps: vec![vec![], vec![], vec![0, 1]],
         };
         let run = |threads| {
-            run_local_impl(
+            run_local(
                 &mk(),
                 input(6),
                 Arc::new(FileStore::new()),
@@ -852,7 +820,7 @@ mod tests {
     fn pipelined_run_exports_chrome_trace_with_nested_activation_spans() {
         let tel = Telemetry::attached();
         let cfg = LocalConfig { threads: 2, telemetry: tel.clone(), ..Default::default() };
-        let report = run_local_impl(
+        let report = run_local(
             &simple_workflow(),
             input(6),
             Arc::new(FileStore::new()),
@@ -896,10 +864,58 @@ mod tests {
         }
     }
 
+    /// A one-shot run is a campaign like any other: mid-run, `/campaigns`
+    /// lists it as one `running` row whose progress never exceeds what was
+    /// submitted.
+    #[test]
+    fn a_one_shot_run_shows_up_on_campaigns_mid_run() {
+        use std::time::Duration;
+        let slow: crate::workflow::ActivityFn = Arc::new(|tuples, _ctx| {
+            std::thread::sleep(Duration::from_millis(60));
+            Ok(tuples.to_vec())
+        });
+        let wf = WorkflowDef {
+            tag: "slow".into(),
+            description: String::new(),
+            expdir: "/e".into(),
+            activities: vec![Activity::map("slow", &["x"], slow)],
+            deps: vec![vec![]],
+        };
+        let bound = BoundAddr::new();
+        let cfg = LocalConfig::new()
+            .with_threads(2)
+            .with_metrics_addr("127.0.0.1:0")
+            .with_metrics_bound(bound.clone());
+        let run = std::thread::spawn(move || {
+            let prov = Arc::new(ProvenanceStore::new());
+            run_local(&wf, input(8), Arc::new(FileStore::new()), prov, &cfg)
+        });
+        let addr = bound.wait(Duration::from_secs(10)).expect("the endpoint comes up");
+        let mut running = None;
+        while running.is_none() && !run.is_finished() {
+            // the endpoint goes with the run
+            let scraped = crate::obs::http_get(addr, "/campaigns", Duration::from_secs(2));
+            let Ok((code, body)) = scraped else { break };
+            assert_eq!(code, 200);
+            if body.contains("\"state\":\"running\"") {
+                running = Some(body);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let report = run.join().expect("run thread").expect("run");
+        assert_eq!(report.finished, 8);
+        let body = running.expect("/campaigns never listed the run while it ran");
+        telemetry::json::validate(&body).expect("valid campaigns JSON");
+        assert_eq!(body.matches("\"id\":").count(), 1, "one campaign: {body}");
+        let done = event_field_u64(&body, "\"done\":").expect("done");
+        let total = event_field_u64(&body, "\"total\":").expect("total");
+        assert!(done <= total && total <= 8, "{body}");
+    }
+
     /// `threads = 0` runs on the one thread it is clamped to, and says so.
     #[test]
     fn zero_threads_runs_on_one_and_reports_it() {
-        let report = run_local_impl(
+        let report = run_local(
             &simple_workflow(),
             input(5),
             Arc::new(FileStore::new()),
@@ -946,8 +962,7 @@ mod tests {
             ..Default::default()
         };
         let report =
-            run_local_impl(&wf, input(8), Arc::new(FileStore::new()), Arc::clone(&prov), &cfg)
-                .unwrap();
+            run_local(&wf, input(8), Arc::new(FileStore::new()), Arc::clone(&prov), &cfg).unwrap();
         assert_eq!(report.finished, 8);
         assert!(
             max_running_seen.load(Ordering::SeqCst) >= 1,
@@ -974,7 +989,7 @@ mod tests {
                 steering_tick: Some(std::time::Duration::from_millis(5)),
                 ..Default::default()
             };
-            let rep = run_local_impl(
+            let rep = run_local(
                 &simple_workflow(),
                 input(30),
                 Arc::new(FileStore::new()),

@@ -1,13 +1,13 @@
 //! The live observability plane: a structured event log, a per-worker
 //! health view, and a std-only HTTP exposition endpoint serving
-//! `/metrics` (Prometheus text exposition), `/snapshot.json`, `/healthz`
-//! and `/events`.
+//! `/metrics` (Prometheus text exposition), `/snapshot.json`, `/healthz`,
+//! `/events` and `/campaigns`.
 //!
 //! Every backend can attach an [`EventLog`] (the simulator emits at
 //! *simulated* timestamps so a sim mirror of a run produces the same event
-//! sequence), and the local and distributed backends can additionally bind
-//! an HTTP listener with `with_metrics_addr` so the state is scrapeable
-//! mid-run. Observation never perturbs results: the plane only reads
+//! sequence), and every real run — a local or distributed one, `scidockd` —
+//! can additionally bind an HTTP listener with `with_metrics_addr` so the
+//! state is scrapeable mid-run. Observation never perturbs results: the plane only reads
 //! engine state, and canonical provenance is byte-identical with it on or
 //! off.
 
@@ -69,7 +69,11 @@ pub struct ObsEvent {
 ///   `campaign_rejected`, `campaign_cancelled`). Purely additive: every v1
 ///   kind and field is unchanged, so v1 consumers can read v2 streams by
 ///   ignoring unknown kinds.
-pub const EVENT_SCHEMA_VERSION: u32 = 2;
+/// * **v3** — one vocabulary for every run: a one-shot run (local, dist, a
+///   simulated mirror) is campaign 1 of the anonymous tenant and emits the
+///   campaign kinds; `run_started`, `run_finished` and `run_error` are
+///   gone, and an engine error is `engine_error` everywhere.
+pub const EVENT_SCHEMA_VERSION: u32 = 3;
 
 impl ObsEvent {
     /// One JSON object, no trailing newline.
@@ -115,11 +119,12 @@ impl ObsEvent {
 
 /// Field names carrying backend-specific resource identity, excluded from
 /// [`ObsEvent::parity_signature`]: which *resource* served an activation (a
-/// thread, a worker process, a simulated VM) and how the backend names it
-/// are substrate details; the lifecycle itself (kind, severity, activity,
-/// attempt, outcome counts) must match across substrates.
+/// thread, a worker process, a simulated VM), which workflow id the store
+/// gave the run (a simulation without a store has none) and how the backend
+/// names them are substrate details; the lifecycle itself (kind, severity,
+/// activity, attempt, outcome counts) must match across substrates.
 pub const PARITY_EXCLUDED_FIELDS: &[&str] =
-    &["backend", "workers", "worker", "vm", "fleet", "key", "job", "elapsed_ms", "threshold_ms"];
+    &["worker", "vm", "fleet", "key", "job", "elapsed_ms", "threshold_ms", "wkfid"];
 
 #[derive(Debug)]
 struct EventLogInner {
@@ -362,7 +367,7 @@ fn campaigns_to_json(rows: &[CampaignRow]) -> String {
 
 /// Shared state behind the HTTP endpoint: the (merged) telemetry collector,
 /// the event log, the mutable health view the engine refreshes on every
-/// scheduling tick, and (for `scidockd`) the per-campaign rows.
+/// scheduling tick, and the per-campaign rows.
 #[derive(Debug, Clone)]
 pub struct ObsState {
     /// Collector the endpoint snapshots for `/metrics` and `/snapshot.json`.
@@ -371,7 +376,8 @@ pub struct ObsState {
     pub events: EventLog,
     /// Health view served from `/healthz`.
     pub health: Arc<Mutex<HealthView>>,
-    /// Campaign rows served from `/campaigns` (empty outside `scidockd`).
+    /// Campaign rows served from `/campaigns`: a one-shot run's one
+    /// campaign, or every campaign `scidockd` was sent.
     pub campaigns: Arc<Mutex<Vec<CampaignRow>>>,
 }
 
@@ -391,7 +397,7 @@ impl ObsState {
         *self.health.lock().expect("health view poisoned") = view;
     }
 
-    /// Replace the campaign rows (called by the `scidockd` engine loop).
+    /// Replace the campaign rows (called by the campaign directory's loop).
     pub fn set_campaigns(&self, rows: Vec<CampaignRow>) {
         *self.campaigns.lock().expect("campaign rows poisoned") = rows;
     }
@@ -557,7 +563,7 @@ mod tests {
         for line in log.to_jsonl().lines() {
             telemetry::json::validate(line)
                 .unwrap_or_else(|off| panic!("invalid event JSON at byte {off}: {line}"));
-            assert!(line.contains("\"v\":2"));
+            assert!(line.contains("\"v\":3"));
         }
         assert_eq!(evs[1].signature().1, "straggler");
     }

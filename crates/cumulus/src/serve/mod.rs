@@ -1,13 +1,22 @@
-//! `scidockd` — the always-on, multi-campaign docking service.
+//! `scidockd` — the always-on, multi-campaign docking service — and the one
+//! run scope every run of this crate is a campaign of.
 //!
-//! Everything else in this crate runs one workflow and exits; this module
-//! is the paper's cloud-service endgame: a daemon that accepts **campaign**
-//! submissions over TCP (the `SDC1` protocol), multiplexes many
+//! This module is the paper's cloud-service endgame: a daemon that accepts
+//! **campaign** submissions over TCP (the `SDC1` protocol), multiplexes many
 //! campaigns concurrently over one shared elastic worker fleet, and
 //! persists every campaign into one durable provenance store — each
 //! campaign under its own `wkfid` namespace, so results are queryable
 //! per-campaign *and* across campaigns with the same SQL surface the
 //! one-shot backends expose.
+//!
+//! Its campaign directory is the crate's only run scope. A one-shot run —
+//! [`crate::backend::LocalBackend`] over the thread port, [`crate::run_dist`]
+//! over `SDW2` connections — is an in-process directory of its own: the
+//! backend submits its one workflow directly (no `SDC1`, no resolver, and
+//! with its `resume_from`), turns the directory on the calling thread until
+//! that campaign is recorded, and reports the closed run. So a one-shot run
+//! has the daemon's committer, events, `serve.turn.*` timings and
+//! `/campaigns` row.
 //!
 //! Architecture (all std, no async runtime):
 //!
@@ -19,10 +28,9 @@
 //!      └────────────────── Settled / Retired ────────────────────────────────▶ └───────────┘
 //! ```
 //!
-//! * **Engine thread** — runs admission control and the directory of every
-//!   campaign submitted, on top of the crate's one engine (the module
-//!   `engine`, shared with [`crate::distbackend`] and
-//!   [`crate::localbackend`]), which holds the *live* campaigns' dispatchers
+//! * **Engine thread** — turns the directory: admission control and the
+//!   record of every campaign submitted, on top of the crate's one engine
+//!   (the module `engine`), which holds the *live* campaigns' dispatchers
 //!   and the worker table. All scheduling decisions (fair-share pick,
 //!   admission, elastic scale) happen here, serially, so there are no
 //!   cross-campaign races to reason about. A campaign that
@@ -71,16 +79,17 @@ use std::time::{Duration, Instant};
 
 use cloudsim::FailureModel;
 use parking_lot::Mutex;
-use provenance::ProvenanceStore;
-use telemetry::{Histogram, Telemetry};
+use provenance::{ProvenanceStore, WorkflowId};
+use telemetry::{Histogram, MetricsSnapshot, Telemetry};
 
 use crate::algebra::{Relation, Tuple};
-use crate::backend::Workflow;
+use crate::backend::{RunReport, Workflow};
 use crate::commit::Committer;
-use crate::engine::{Engine, EngineCfg, PortEvent, TICK};
+use crate::engine::{Engine, EngineCfg, PortEvent, Sinks, WorkerPort, TICK};
+use crate::error::CumulusError;
 use crate::fleet::SchedulerFactory;
-use crate::lifecycle::{ActivityCtx, RunCtx};
-use crate::obs::{BoundAddr, CampaignRow, EventLog, ObsServer, ObsState, Severity};
+use crate::lifecycle::{ActOutcome, ActivityCtx, RunCtx};
+use crate::obs::{BoundAddr, CampaignRow, EventLog, HealthView, ObsServer, ObsState, Severity};
 use crate::threadport::ThreadPort;
 
 pub(crate) mod proto;
@@ -396,13 +405,13 @@ pub struct Daemon {
     engine_tx: Sender<EngineMsg>,
     accept_thread: Option<JoinHandle<()>>,
     engine_thread: Option<JoinHandle<()>>,
-    obs_server: Option<ObsServer>,
-    commit: Arc<Committer>,
 }
 
 impl Daemon {
-    /// Bind the `SDC1` endpoint and start serving campaigns resolved by
-    /// `resolver`, persisting all provenance into `prov`.
+    /// Bind the `SDC1` endpoint, start the initial worker fleet, and serve
+    /// campaigns resolved by `resolver`, persisting all provenance into
+    /// `prov`. A fleet that cannot be started is an error here, before any
+    /// client is answered.
     pub fn start(
         cfg: ServeConfig,
         resolver: CampaignResolver,
@@ -417,29 +426,16 @@ impl Daemon {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let obs = cfg
-            .metrics_addr
-            .as_ref()
-            .map(|_| ObsState::new(cfg.telemetry.clone(), cfg.events.clone().unwrap_or_default()));
-        let obs_server = match (&cfg.metrics_addr, &obs) {
-            (Some(maddr), Some(state)) => {
-                let s = ObsServer::start(maddr, state.clone())?;
-                if let Some(b) = &cfg.metrics_bound {
-                    b.set(s.addr());
-                }
-                Some(s)
-            }
-            _ => None,
-        };
-
-        let (tx, rx) = channel::<EngineMsg>();
-        let table = Arc::new(Table::open());
-        let directory =
-            Directory::new(cfg, resolver, Arc::clone(&prov), tx.clone(), Arc::clone(&table), obs);
-        let commit = Arc::clone(&directory.commit);
+        let fleet = EngineCfg::threads(cfg.min_workers.max(1), cfg.max_workers);
+        let (workers, tel) = (cfg.workers.max(1), cfg.telemetry.clone());
+        let port = |_: &Telemetry, tx| Ok(ThreadPort::new(tx, &tel, "scidockd-worker"));
+        let mut directory = Directory::new(cfg, resolver, Arc::clone(&prov), fleet, port)
+            .map_err(std::io::Error::other)?;
+        directory.engine.launch(workers).map_err(std::io::Error::other)?;
+        let (tx, table) = (directory.tx.clone(), Arc::clone(&directory.table));
         let engine_thread = std::thread::Builder::new()
             .name("scidockd-engine".into())
-            .spawn(move || directory.run(rx))?;
+            .spawn(move || directory.run())?;
 
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
@@ -454,8 +450,6 @@ impl Daemon {
             engine_tx: tx,
             accept_thread: Some(accept_thread),
             engine_thread: Some(engine_thread),
-            obs_server,
-            commit,
         })
     }
 
@@ -477,12 +471,10 @@ impl Daemon {
             let _ = t.join();
         }
         let _ = self.engine_tx.send(EngineMsg::Shutdown);
+        // the directory stops the fleet, the committer and the endpoint as
+        // the engine thread leaves it
         if let Some(t) = self.engine_thread.take() {
             let _ = t.join();
-        }
-        self.commit.stop();
-        if let Some(s) = self.obs_server.take() {
-            s.shutdown();
         }
     }
 }
@@ -656,8 +648,8 @@ impl Drop for Closer {
 
 // ------------------------------------------------------------ engine thread
 
-/// What the engine thread wakes for.
-enum EngineMsg {
+/// What the directory's loop wakes for.
+pub(crate) enum EngineMsg {
     /// A client's `Submit` or `Cancel`, and where the answer goes.
     Ask(proto::Msg, Sender<proto::Msg>),
     Port(PortEvent),
@@ -675,16 +667,22 @@ impl From<PortEvent> for EngineMsg {
 
 // --------------------------------------------------------------- directory
 
-/// The engine thread's side of one campaign; what clients read of it is its
+/// The directory's side of one campaign; what clients read of it is its
 /// [`Entry`] in the table.
 struct Campaign {
     tenant: Arc<str>,
     priority: u8,
     /// Resolved workflow, consumed at start time.
     wf: Option<Workflow>,
+    /// Activations this prior execution finished are not re-executed.
+    resume_from: Option<WorkflowId>,
+    /// Its provenance id, once started.
+    wkf: Option<WorkflowId>,
     submitted_at: Instant,
     saw_first_result: bool,
-    /// Frozen when the campaign leaves the engine.
+    /// Frozen when the campaign leaves the engine: its counts, and its p95
+    /// when an endpoint shows it.
+    tally: ActOutcome,
     p95_ms: f64,
 }
 
@@ -694,18 +692,27 @@ struct Campaign {
 const TURNS: [&str; 4] =
     ["serve.turn.ask", "serve.turn.port", "serve.turn.recorded", "serve.turn.idle"];
 
-/// What runs on the engine thread: admission control and the directory of
-/// every campaign submitted, on top of the engine that runs the live ones.
-struct Directory {
+/// The one run scope: admission control and the directory of every campaign
+/// submitted, on top of the engine that runs the live ones, with the
+/// committer, the observability endpoint and the event log they report to.
+/// `scidockd` turns it on its engine thread ([`Directory::run`]); the local
+/// backend and `run_dist` turn it on the calling thread for their one
+/// campaign ([`Directory::run_one`]). Dropping it stops the fleet, then the
+/// committer, then the endpoint.
+pub(crate) struct Directory<P: WorkerPort> {
     cfg: ServeConfig,
     resolver: CampaignResolver,
     prov: Arc<ProvenanceStore>,
     tel: Telemetry,
     epoch: Instant,
     commit: Arc<Committer>,
-    /// The engine thread's own channel, where the committer's barriers answer.
+    /// The directory's own channel: the port, the committer's barriers and
+    /// the daemon's connection threads send here.
     tx: Sender<EngineMsg>,
+    rx: Receiver<EngineMsg>,
     obs: Option<ObsState>,
+    /// Serves `obs` for as long as the directory lives.
+    _server: Option<ObsServer>,
     /// Campaign ids count from 1, in submission order: campaign `id` is
     /// `campaigns[id - 1]` here and entry `id - 1` of `table`.
     campaigns: Vec<Campaign>,
@@ -714,7 +721,7 @@ struct Directory {
     /// transition, so the quota check does not walk the history.
     live: HashMap<Arc<str>, usize>,
     pending: VecDeque<u64>,
-    engine: Engine<ThreadPort<EngineMsg>>,
+    pub(crate) engine: Engine<P>,
     /// A campaign changed state since `/campaigns` was last rebuilt.
     stale: bool,
     /// `campaign.active` / `campaign.queued` as last sampled.
@@ -729,89 +736,152 @@ fn at(id: u64) -> usize {
     id as usize - 1
 }
 
-impl Directory {
-    fn new(
+impl<P: WorkerPort> Directory<P> {
+    /// A directory with nothing submitted: its endpoint bound when `cfg`
+    /// asks for one, its committer started, and its engine over the port
+    /// `port` builds from the collector workers report into and the
+    /// directory's channel. The owner supplies the engine's `fleet` settings
+    /// and starts its initial workers.
+    pub(crate) fn new(
         cfg: ServeConfig,
         resolver: CampaignResolver,
         prov: Arc<ProvenanceStore>,
-        tx: Sender<EngineMsg>,
-        table: Arc<Table>,
-        obs: Option<ObsState>,
-    ) -> Directory {
+        fleet: EngineCfg,
+        port: impl FnOnce(&Telemetry, Sender<EngineMsg>) -> Result<P, CumulusError>,
+    ) -> Result<Directory<P>, CumulusError> {
         let epoch = Instant::now();
         let tel = cfg.telemetry.clone();
+        let (tx, rx) = channel();
+        // the endpoint serves the run's own collector when one is attached,
+        // otherwise a private one; observation only reads engine state
+        let (obs, server) = match &cfg.metrics_addr {
+            Some(addr) => {
+                let obs_tel = if tel.is_enabled() { tel.clone() } else { Telemetry::attached() };
+                let obs = ObsState::new(obs_tel, cfg.events.clone().unwrap_or_default());
+                obs.set_health(HealthView { phase: "starting".into(), ..HealthView::default() });
+                let server = ObsServer::start(addr, obs.clone())
+                    .map_err(|e| CumulusError::Io(format!("metrics listener on {addr}: {e}")))?;
+                if let Some(bound) = &cfg.metrics_bound {
+                    bound.set(server.addr());
+                }
+                (Some(obs), Some(server))
+            }
+            None => (None, None),
+        };
         let commit =
             Committer::start(Arc::clone(&prov), epoch, cfg.steering_tick, &tel, tx.clone());
-        let engine = Engine::new(
-            ThreadPort::new(tx.clone(), &tel, "scidockd-worker"),
-            EngineCfg {
-                floor: cfg.min_workers.max(1),
-                ceiling: cfg.max_workers,
-                // threads of this process are neither lost nor silent
-                reassign_budget: 0,
-                heartbeat_timeout: None,
-                activation_timeout: None,
-                straggler: None,
-                tel: tel.clone(),
-                events: cfg.events.clone(),
-                epoch,
-                obs: obs.clone(),
-            },
-            cfg.scheduler.as_ref(),
-        );
-        Directory {
-            cfg,
+        let port = port(obs.as_ref().map_or(&tel, |o| &o.tel), tx.clone())?;
+        let sinks = Sinks { tel: tel.clone(), events: cfg.events.clone(), epoch, obs: obs.clone() };
+        let engine = Engine::new(port, fleet, sinks, cfg.scheduler.as_ref());
+        Ok(Directory {
             resolver,
             prov,
             turn_hists: TURNS.map(|name| tel.histogram(name)),
             resolve_hist: tel.histogram("campaign.resolve"),
+            cfg,
             tel,
             epoch,
             commit,
             tx,
+            rx,
             obs,
+            _server: server,
             campaigns: Vec::new(),
-            table,
+            table: Arc::new(Table::open()),
             live: HashMap::new(),
             pending: VecDeque::new(),
             engine,
             stale: true,
             sampled: [None; 2],
+        })
+    }
+
+    /// `scidockd`'s engine thread: turn until the daemon shuts down.
+    fn run(mut self) {
+        let _closer = Closer(Arc::clone(&self.table));
+        self.tel.name_current_track("scidockd-engine");
+        loop {
+            match self.rx.recv_timeout(TICK).ok() {
+                Some(EngineMsg::Shutdown) => return,
+                // the daemon outlives an engine error: the turn logged it
+                // for the operator
+                woke => {
+                    let _ = self.turn(woke);
+                }
+            }
         }
     }
 
-    fn run(mut self, rx: Receiver<EngineMsg>) {
-        let _closer = Closer(Arc::clone(&self.table));
-        self.tel.name_current_track("scidockd-engine");
-        let workers = self.cfg.workers.max(1);
-        self.engine.launch(workers).expect("spawn serve worker threads");
-        while self.turn(rx.recv_timeout(TICK)) {}
-        self.engine.shutdown();
+    /// A one-shot run: `wf` as the directory's one campaign, resuming from
+    /// `resume_from`, turned on the calling thread — its telemetry track
+    /// named `track` — until the campaign is recorded. An engine error ends
+    /// the run. The report's `metrics` are [`Directory::close`]'s.
+    pub(crate) fn run_one(
+        &mut self,
+        wf: Workflow,
+        resume_from: Option<WorkflowId>,
+        track: &str,
+    ) -> Result<RunReport, CumulusError> {
+        self.tel.name_current_track(track);
+        let id = self.enter(String::new(), 0, wf.def.tag.clone(), wf, resume_from);
+        let mut woke = None;
+        let outputs = loop {
+            self.turn(woke)?;
+            if let Some(outputs) = self.table.entries(|t| t[at(id)].outputs.take()) {
+                break Arc::unwrap_or_clone(outputs);
+            }
+            woke = self.rx.recv_timeout(TICK).ok();
+        };
+        let c = &self.campaigns[at(id)];
+        let t = &c.tally;
+        Ok(RunReport {
+            workflow: c.wkf.expect("a recorded campaign was started"),
+            total_seconds: self.epoch.elapsed().as_secs_f64(),
+            finished: t.finished,
+            failed_attempts: t.failed_attempts,
+            aborted: t.aborted,
+            blacklisted: t.blacklisted,
+            resumed: t.resumed,
+            outputs,
+            metrics: None,
+            scale_events: self.engine.controller.trace().to_vec(),
+            peak_workers: self.engine.peak_workers,
+            fleet_cost_usd: None,
+        })
     }
 
-    /// One turn: act on what woke the engine thread, then start pending
-    /// campaigns, pump the engine, publish progress and refresh
+    /// Drop the directory, then snapshot the telemetry: what the run's
+    /// [`RunReport::metrics`] hold, with what the fleet reported as it
+    /// stopped.
+    pub(crate) fn close(self) -> Option<MetricsSnapshot> {
+        let tel = self.tel.clone();
+        drop(self);
+        tel.snapshot()
+    }
+
+    /// One turn: act on what woke the loop (`None`: the tick), then start
+    /// pending campaigns, pump the engine, publish progress and refresh
     /// `/campaigns`. The turn's time goes to the `TURNS` histogram of what
-    /// woke it. `false`: the thread is to stop.
-    fn turn(&mut self, woke: Result<EngineMsg, RecvTimeoutError>) -> bool {
+    /// woke it. An engine error is emitted as `engine_error` and returned.
+    fn turn(&mut self, woke: Option<EngineMsg>) -> Result<(), CumulusError> {
         let start = Instant::now();
         // `kind` indexes `TURNS`
         let (kind, handled) = match woke {
-            Ok(EngineMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return false,
-            Ok(EngineMsg::Ask(request, reply)) => {
+            Some(EngineMsg::Ask(request, reply)) => {
                 let _ = reply.send(self.answer(request));
                 (0, Ok(()))
             }
-            Ok(EngineMsg::Port(ev)) => (1, self.engine.handle(ev)),
-            Ok(EngineMsg::Recorded(id, outputs)) => {
+            Some(EngineMsg::Port(ev)) => (1, self.engine.handle(ev)),
+            Some(EngineMsg::Recorded(id, outputs)) => {
                 self.recorded(id, outputs);
                 (2, Ok(()))
             }
-            Err(RecvTimeoutError::Timeout) => (3, Ok(())),
+            // a shutdown is the loop's own to act on
+            Some(EngineMsg::Shutdown) | None => (3, Ok(())),
         };
         self.start_pending();
-        // the daemon outlives an engine error: it is the operator's to read
-        if let Err(e) = handled.and(self.engine.pump()) {
+        let result = handled.and(self.engine.pump());
+        if let Err(e) = &result {
             self.engine.emit(Severity::Error, "engine_error", &[("error", e.to_string())]);
         }
         self.reap();
@@ -821,7 +891,7 @@ impl Directory {
         if let Some(h) = &self.turn_hists[kind] {
             h.record(start.elapsed().as_nanos() as u64);
         }
-        true
+        result
     }
 
     /// Campaign `id` was `what`: count it and say so in the event log.
@@ -890,6 +960,20 @@ impl Directory {
         if let Err(e) = wf.def.validate() {
             return self.reject(tenant, format!("invalid workflow: {e}"), 0);
         }
+        proto::Msg::Accept { id: self.enter(tenant, priority, spec, wf, None) }
+    }
+
+    /// Take on `wf`, submitted as `spec`, as `tenant`'s next pending
+    /// campaign; its id. Its activations resume from `resume_from`'s
+    /// finished ones, an in-process submission's option.
+    fn enter(
+        &mut self,
+        tenant: String,
+        priority: u8,
+        spec: String,
+        wf: Workflow,
+        resume_from: Option<WorkflowId>,
+    ) -> u64 {
         let id = self.campaigns.len() as u64 + 1;
         let tenant: Arc<str> = tenant.into();
         let entry = Entry {
@@ -905,14 +989,17 @@ impl Directory {
             tenant,
             priority,
             wf: Some(wf),
+            resume_from,
+            wkf: None,
             submitted_at: Instant::now(),
             saw_first_result: false,
+            tally: ActOutcome::default(),
             p95_ms: 0.0,
         });
         self.pending.push_back(id);
         let more = [("spec", spec), ("priority", priority.to_string())];
         self.transition(Severity::Info, "submitted", id, &more);
-        proto::Msg::Accept { id }
+        id
     }
 
     /// Hand pending campaigns to the engine while concurrency slots are free.
@@ -922,6 +1009,7 @@ impl Directory {
             let c = &mut self.campaigns[at(id)];
             let wf = c.wf.take().expect("pending campaign holds its workflow");
             let wkf = self.prov.begin_workflow(&wf.def.tag, &wf.def.description, &wf.def.expdir);
+            c.wkf = Some(wkf);
             // the activation lifecycle every backend shares, so the
             // campaign's provenance rows are shaped identically to a
             // one-shot run (the PROV-N parity test pins this)
@@ -931,7 +1019,7 @@ impl Directory {
                 prov: Arc::clone(&self.prov),
                 failures: self.cfg.failures,
                 max_retries: self.cfg.max_retries,
-                resume_from: None,
+                resume_from: c.resume_from,
                 start_base: self.epoch,
                 tel: self.tel.clone(),
                 commit: Arc::clone(&self.commit),
@@ -968,9 +1056,12 @@ impl Directory {
                 }
             }
         });
-        for run in closed {
+        for mut run in closed {
             let id = run.id;
-            self.campaigns[at(id)].p95_ms = run.p95_ms(&self.tel);
+            let c = &mut self.campaigns[at(id)];
+            c.tally = std::mem::take(&mut run.tally);
+            // only `/campaigns` shows a p95: without an endpoint, no sort
+            c.p95_ms = self.obs.as_ref().map_or(0.0, |_| run.p95_ms(&self.tel));
             let outputs = (!run.cancelled).then(|| run.into_outputs());
             let tx = self.tx.clone();
             // a dead committer has sent the engine its panic already
@@ -1049,6 +1140,15 @@ impl Directory {
             };
         }
         obs.set_campaigns(rows);
+    }
+}
+
+impl<P: WorkerPort> Drop for Directory<P> {
+    /// Stop the fleet (running attempts finish and record themselves), then
+    /// the committer; the endpoint goes with the fields.
+    fn drop(&mut self) {
+        self.engine.shutdown();
+        self.commit.stop();
     }
 }
 
@@ -1217,8 +1317,11 @@ mod tests {
         daemon.shutdown();
     }
 
+    /// A directory over the thread port, as `scidockd` runs it.
+    type Threads = Directory<ThreadPort<EngineMsg>>;
+
     /// Live campaigns of every tenant, counted from the table.
-    fn recount(dir: &Directory) -> HashMap<Arc<str>, usize> {
+    fn recount(dir: &Threads) -> HashMap<Arc<str>, usize> {
         dir.table.entries(|t| {
             let mut live: HashMap<Arc<str>, usize> = HashMap::new();
             for e in t.iter() {
@@ -1232,14 +1335,14 @@ mod tests {
 
     /// One engine turn, then the check: the per-tenant count admission
     /// reads equals a full recount.
-    fn turn(dir: &mut Directory, woke: Result<EngineMsg, RecvTimeoutError>) {
-        assert!(dir.turn(woke));
+    fn turn(dir: &mut Threads, woke: Option<EngineMsg>) {
+        dir.turn(woke).expect("the engine runs");
         assert_eq!(dir.live, recount(dir));
     }
 
-    fn ask_in_turn(dir: &mut Directory, request: proto::Msg) -> proto::Msg {
+    fn ask_in_turn(dir: &mut Threads, request: proto::Msg) -> proto::Msg {
         let (reply_tx, reply_rx) = channel();
-        turn(dir, Ok(EngineMsg::Ask(request, reply_tx)));
+        turn(dir, Some(EngineMsg::Ask(request, reply_tx)));
         reply_rx.recv().expect("answered in its turn")
     }
 
@@ -1249,10 +1352,11 @@ mod tests {
     #[test]
     fn the_live_count_per_tenant_equals_a_recount_after_every_turn() {
         let resolver: CampaignResolver = Arc::new(|spec| (spec == "ok").then(|| sleeper(3, 5)));
-        let (tx, rx) = channel();
         let cfg = ServeConfig::new().with_workers(1).with_max_active(1).with_tenant_quota(2);
         let prov = Arc::new(ProvenanceStore::new());
-        let mut dir = Directory::new(cfg, resolver, prov, tx, Arc::new(Table::open()), None);
+        let port = |tel: &Telemetry, tx| Ok(ThreadPort::new(tx, tel, "scidockd-worker"));
+        let mut dir: Threads = Directory::new(cfg, resolver, prov, EngineCfg::threads(1, 8), port)
+            .expect("no endpoint");
         dir.engine.launch(1).expect("a worker thread");
         let submit = |tenant: &str, spec: &str| proto::Msg::Submit {
             tenant: tenant.into(),
@@ -1272,16 +1376,15 @@ mod tests {
         assert_eq!(ask_in_turn(&mut dir, submit("b", "ok")), proto::Msg::Accept { id: 3 });
         assert_eq!(ask_in_turn(&mut dir, proto::Msg::Cancel { id: 1 }), cancelled);
 
-        let state = |dir: &Directory, id: u64| dir.table.entries(|t| t[at(id)].state);
+        let state = |dir: &Threads, id: u64| dir.table.entries(|t| t[at(id)].state);
         let deadline = Instant::now() + Duration::from_secs(30);
         let closed = [CampaignState::Cancelled, CampaignState::Finished];
         while [state(&dir, 1), state(&dir, 3)] != closed {
             assert!(Instant::now() < deadline, "campaigns 1 and 3 never closed");
-            turn(&mut dir, rx.recv_timeout(TICK));
+            let woke = dir.rx.recv_timeout(TICK).ok();
+            turn(&mut dir, woke);
         }
         assert!(dir.live.is_empty(), "{:?}", dir.live);
-        dir.engine.shutdown();
-        dir.commit.stop();
     }
 
     /// An open table answers a live campaign's progress and refuses its

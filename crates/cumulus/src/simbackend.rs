@@ -241,6 +241,12 @@ impl SimConfig {
     }
 }
 
+/// The fields naming the campaign a simulated run mirrors: a one-shot run
+/// is campaign 1 of the anonymous tenant.
+fn campaign_fields() -> Vec<(&'static str, String)> {
+    vec![("campaign", "1".to_string()), ("tenant", String::new())]
+}
+
 /// Simulation outcome.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
@@ -390,15 +396,15 @@ impl<'a> Sim<'a> {
             }
             None => (None, Vec::new()),
         };
-        // structured events, mirroring the distributed master's lifecycle
-        // emissions at simulated timestamps
+        // structured events at simulated timestamps, mirroring a real run:
+        // campaign 1 of the anonymous tenant, submitted under its tag
         if let Some(ev) = &cfg.events {
-            let fields = [
-                ("workflow", cfg.workflow_tag.clone()),
-                ("backend", "sim".to_string()),
-                ("workers", cfg.fleet.len().to_string()),
-            ];
-            ev.emit(0.0, Severity::Info, "run_started", &fields);
+            let mut submitted = campaign_fields();
+            submitted.extend([("spec", cfg.workflow_tag.clone()), ("priority", "0".into())]);
+            ev.emit(0.0, Severity::Info, "campaign_submitted", &submitted);
+            let mut started = campaign_fields();
+            started.extend(wkf.map(|w| ("wkfid", w.0.to_string())));
+            ev.emit(0.0, Severity::Info, "campaign_started", &started);
         }
         let n = tasks.len();
         let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -812,14 +818,11 @@ impl<'a> Sim<'a> {
             r.scale_events = ctrl.into_trace();
         }
         if let Some(ev) = &self.cfg.events {
-            let fields = [
-                ("workflow", self.cfg.workflow_tag.clone()),
-                ("finished", r.finished.to_string()),
-                ("failed_attempts", r.failed_attempts.to_string()),
-                ("aborted", r.aborted.to_string()),
-                ("blacklisted", r.blacklisted.to_string()),
-            ];
-            ev.emit(r.tet_s, Severity::Info, "run_finished", &fields);
+            // every task an upstream drop did not cancel ended once
+            let activations = self.tasks.len() - r.cancelled;
+            let mut fields = campaign_fields();
+            fields.push(("activations", activations.to_string()));
+            ev.emit(r.tet_s, Severity::Info, "campaign_finished", &fields);
         }
         self.report
     }

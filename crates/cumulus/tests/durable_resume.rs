@@ -155,15 +155,12 @@ fn torn_wal_tail_recovers_committed_prefix_and_resumes() {
 #[test]
 fn durability_knob_and_steering_flush_reach_the_wal() {
     let env = MemEnv::new();
-    let prov =
-        Arc::new(ProvenanceStore::open_env(Box::new(env.clone()), Default::default()).unwrap());
+    let prov = Arc::new(ProvenanceStore::open_env(Box::new(env.clone()), sync_options()).unwrap());
     assert!(prov.is_durable());
     let calls = Arc::new(AtomicUsize::new(0));
     let wf = doubling_workflow(&calls);
-    let cfg = LocalConfig::new()
-        .with_threads(2)
-        .with_durability(Durability::Sync)
-        .with_steering_tick(std::time::Duration::from_millis(1));
+    let cfg =
+        LocalConfig::new().with_threads(2).with_steering_tick(std::time::Duration::from_millis(1));
     let r = run(wf, input(N), &prov, cfg).unwrap();
     assert_eq!(r.finished, N as usize);
     drop(prov);

@@ -276,12 +276,6 @@ impl DurableEngine {
         self.due.take().map(|seq| (Arc::clone(&self.syncer), seq))
     }
 
-    /// Replace the commit policy (the caller flushes first if it wants the
-    /// old policy's pending work bounded).
-    pub(crate) fn set_durability(&mut self, durability: Durability) {
-        self.durability = durability;
-    }
-
     /// Should the caller take a checkpoint now? Yes once the log tail holds
     /// as many mutations as the snapshot holds rows, and at least
     /// `checkpoint_every`. A checkpoint costs the whole store, so spacing

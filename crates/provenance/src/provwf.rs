@@ -27,7 +27,7 @@ use telemetry::Histogram;
 use crate::durable::engine::DurableEngine;
 use crate::durable::io::{DirEnv, StorageEnv};
 use crate::durable::wal::WalOp;
-use crate::durable::{Counters, Durability, DurableError, DurableOptions};
+use crate::durable::{Counters, DurableError, DurableOptions};
 use crate::sql::ast::Query;
 use crate::sql::expr::bind_params;
 use crate::sql::volcano::{build_pipeline, ExecCtx, Pipeline};
@@ -725,17 +725,6 @@ impl ProvenanceStore {
     /// Is this store backed by a durable engine?
     pub fn is_durable(&self) -> bool {
         self.inner.lock().engine.is_some()
-    }
-
-    /// Change the commit policy of a durable store (no-op when in-memory).
-    /// Pending appends are flushed under the old policy first.
-    pub fn set_durability(&self, durability: Durability) {
-        self.transact(|g| {
-            if let Some(eng) = &mut g.engine {
-                eng.ticket();
-                eng.set_durability(durability);
-            }
-        });
     }
 
     /// Group-commit barrier: force every acknowledged mutation to durable
@@ -1761,7 +1750,6 @@ mod tests {
         };
         let p = ProvenanceStore::open_with(dir.path(), opts.clone()).unwrap();
         let w = p.begin_workflow("disk", "", "");
-        p.set_durability(crate::durable::Durability::default());
         p.register_activity(w, "a", "Map");
         p.flush_wal();
         drop(p);

@@ -53,7 +53,7 @@ const STATUSES: [ActivationStatus; 5] = [
 /// Apply exactly `steps` mutations to `p`, deterministically from `seed`.
 /// Two stores driven with the same `(seed, steps)` receive identical calls
 /// and allocate identical ids.
-fn drive(p: &ProvenanceStore, seed: u64, steps: usize) {
+fn mutate(p: &ProvenanceStore, seed: u64, steps: usize) {
     let mut rng = Rng(seed);
     let mut wkfs: Vec<WorkflowId> = Vec::new();
     let mut acts: Vec<(ActivityId, WorkflowId)> = Vec::new();
@@ -187,7 +187,7 @@ fn sync_options() -> DurableOptions {
 /// The tables of a fresh in-memory store after the first `m` calls.
 fn prefix_state(seed: u64, m: usize) -> Vec<(String, Vec<Vec<Value>>)> {
     let p = ProvenanceStore::new();
-    drive(&p, seed, m);
+    mutate(&p, seed, m);
     p.dump_tables()
 }
 
@@ -214,7 +214,7 @@ proptest! {
     ) {
         let env = MemEnv::new();
         let p = ProvenanceStore::open_env(Box::new(env.clone()), sync_options()).unwrap();
-        drive(&p, seed, steps);
+        mutate(&p, seed, steps);
         drop(p);
         let wal = env.wal_bytes();
         // the 12-byte header (magic + version) is written and synced once at
@@ -264,7 +264,7 @@ proptest! {
             Arc::new(FaultPlan::panic_after(crash_at as u64 + 1)),
         );
         let p = ProvenanceStore::open_env(Box::new(fault), sync_options()).unwrap();
-        let died = catch_unwind(AssertUnwindSafe(|| drive(&p, seed, steps))).is_err();
+        let died = catch_unwind(AssertUnwindSafe(|| mutate(&p, seed, steps))).is_err();
         // a killed process runs no destructors
         std::mem::forget(p);
         prop_assert!(died || crash_at >= steps);
@@ -291,7 +291,7 @@ proptest! {
         );
         let p = ProvenanceStore::open_env(Box::new(fault), sync_options()).unwrap();
         // the torn append panics the commit path (crash semantics)
-        let died = catch_unwind(AssertUnwindSafe(|| drive(&p, seed, steps))).is_err();
+        let died = catch_unwind(AssertUnwindSafe(|| mutate(&p, seed, steps))).is_err();
         std::mem::forget(p);
         prop_assert!(died);
 
@@ -423,7 +423,7 @@ fn checkpoints_are_spaced_by_what_the_snapshot_covers() {
     let manual = MemEnv::new();
     let p = open(&manual, DurableOptions { checkpoint_every: 0, ..options() });
     let seen = checkpoints.get();
-    drive(&p, 7, 300);
+    mutate(&p, 7, 300);
     assert_eq!(checkpoints.get(), seen);
     assert!(manual.snapshot_bytes().is_none());
 }

@@ -18,7 +18,6 @@ pub const COUNTERS: &[&str] = &[
     "campaign.rejected",
     "campaign.started",
     "campaign.submitted",
-    "dist.master.wakeups",
     "dist.stragglers",
     "dock.evaluations",
     "files.digest_bytes",

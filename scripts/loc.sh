@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per crate: every `src/**/*.rs` of each crate in this
 # repository, each file counted up to its first column-0 `#[cfg(test)]`
-# (where its test module starts).
+# (where its test module starts). A file its parent declares as a test
+# module (`#[cfg(test)] mod name;`) is test code, and so is everything under
+# it: neither is counted, nor is the declaration.
 #
 #   scripts/loc.sh          the working tree
 #   scripts/loc.sh <rev>    <rev> against the working tree, with the change
@@ -16,14 +18,44 @@ if [[ $# -gt 1 ]]; then
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
+# a module declared from its parent's file: `mod name;`, `pub(crate) mod name;`
+DECL='(^|[^A-Za-z0-9_])mod[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*;'
+
+test_mods() { # src dir → "<dir>/<name>.rs" and "<dir>/<name>/" per test module
+    find "$1" -name '*.rs' -print0 |
+        xargs -0 -r awk -v decl="$DECL" '
+            FNR == 1 { attr = 0 }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { attr = 1 }
+            attr && match($0, decl) {
+                name = substr($0, RSTART, RLENGTH)
+                sub(/^.*mod[[:space:]]+/, "", name)
+                sub(/[[:space:]]*;$/, "", name)
+                # lib.rs, main.rs and mod.rs declare their siblings; foo.rs
+                # declares what lives in foo/
+                dir = FILENAME
+                if (FILENAME ~ /\/(lib|main|mod)\.rs$/) sub(/\/[^\/]*$/, "", dir)
+                else sub(/\.rs$/, "", dir)
+                print dir "/" name ".rs"
+                print dir "/" name "/"
+            }
+            !/^[[:space:]]*#\[/ { attr = 0 }'
+}
+
 count() { # tree → "<crate> <lines>" per crate, sorted by crate
-    local tree="$1" manifest crate
+    local tree="$1" manifest crate src
     for manifest in "$tree"/Cargo.toml "$tree"/*/Cargo.toml "$tree"/*/*/Cargo.toml; do
         crate="$(dirname "${manifest#"$tree"/}")"
-        [[ -d "$tree/$crate/src" && "$crate" != target* ]] || continue
-        find "$tree/$crate/src" -name '*.rs' -print0 |
-            xargs -0 -r awk 'FNR == 1 { on = 1 } /^#\[cfg\(test\)\]/ { on = 0 } on { n++ }
-                             END { print n + 0 }' |
+        src="$tree/$crate/src"
+        [[ -d "$src" && "$crate" != target* ]] || continue
+        find "$src" -name '*.rs' | grep -v -F -f <(test_mods "$src") |
+            tr '\n' '\0' |
+            xargs -0 -r awk -v decl="$DECL" '
+                FNR == 1 { on = 1; held = 0 }
+                held && /^#\[/ { next }
+                held { held = 0; if ($0 ~ decl) next; on = 0 }
+                on && /^#\[cfg\(test\)\]/ { if ($0 !~ decl) held = 1; next }
+                on { n++ }
+                END { print n + 0 }' |
             awk -v crate="$crate" '{ n += $1 } END { print crate, n + 0 }'
     done | sort
 }
