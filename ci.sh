@@ -26,6 +26,11 @@ cargo build --release
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
+# the batched exp against libm over 10^7 arguments: ignored in the default
+# run, ~1 s in release
+echo "== docking: ignored release sweeps =="
+cargo test --release -p docking -q -- --ignored
+
 # the benchmark that gates PRs (BENCHMARK.json): its own unit tests, then a
 # tenth-size run of every workload with every correctness gate — exits
 # non-zero on any failed operation or golden-digest miss

@@ -1178,16 +1178,20 @@ mod tests {
     }
 
     #[test]
-    fn xml_spec_roundtrips_for_all_modes() {
-        use cumulus::xmlspec::SciCumulusSpec;
+    fn xml_spec_renders_all_modes() {
         for (mode, n) in
             [(EngineMode::Ad4Only, 8), (EngineMode::VinaOnly, 8), (EngineMode::Adaptive, 10)]
         {
             let xml = scidock_xml_spec(mode, &SciDockConfig::default());
-            let spec = SciCumulusSpec::from_xml(&xml).expect("generated XML parses");
-            assert_eq!(spec.activities.len(), n, "{mode:?}");
-            assert_eq!(spec.activities[0].tag, "babel");
-            assert!(spec.activities.iter().all(|a| a.relations.len() == 2));
+            let starting = |tag: &str| -> Vec<&str> {
+                xml.lines().filter(|l| l.trim_start().starts_with(tag)).collect()
+            };
+            let activities = starting("<SciCumulusActivity ");
+            assert_eq!(activities.len(), n, "{mode:?}");
+            assert!(activities[0].contains("tag=\"babel\""));
+            // an input and an output relation per activity
+            assert_eq!(starting("<Relation reltype=\"Input\"").len(), n);
+            assert_eq!(starting("<Relation reltype=\"Output\"").len(), n);
         }
         // the paper's Fig. 2 shape: babel with instrumented experiment.cmd
         let xml = scidock_xml_spec(EngineMode::Ad4Only, &SciDockConfig::default());

@@ -4,8 +4,8 @@
 //!
 //! * [`algebra`] — the relational workflow algebra (Map/SplitMap/Reduce/
 //!   Filter/SRQuery/MRQuery over relations of tuples);
-//! * [`xmlspec`] — the SciCumulus XML workflow dialect (paper Fig. 2) with a
-//!   from-scratch XML parser;
+//! * [`xmlspec`] — the SciCumulus XML workflow dialect (paper Fig. 2),
+//!   rendered from a built workflow;
 //! * [`workflow`] — executable workflow definitions and the shared file
 //!   store activations exchange artifacts through;
 //! * [`localbackend`] — real parallel execution on threads of this process

@@ -19,7 +19,10 @@
 //! Candidates from the cell list are iterated in ascending atom order and
 //! rejected with the same cutoff test, so both kernels perform the same
 //! floating-point operations in the same order: their outputs are
-//! **bit-identical**, which the `kernel_props` property tests assert.
+//! **bit-identical**, which the `kernel_props` property tests assert. The
+//! production kernels score the surviving candidates [`vexp::LANES`] at a
+//! time, with one batched `exp` per argument kind ([`crate::vexp`]), and
+//! add the terms to each lattice point's sums in candidate order.
 
 use std::collections::BTreeMap;
 
@@ -27,10 +30,13 @@ use molkit::{AdType, Molecule};
 
 use crate::celllist::CellList;
 use crate::grid::{GridMap, GridSpec};
+use crate::params::vina_radius;
 use crate::params::{type_index, Ad4Params, VinaParams};
 use crate::scoring::{
-    ad4_vdw_hb, ad4_vdw_hb_pre, dielectric, vina_pair, COULOMB, CUTOFF, DESOLV_SIGMA,
+    ad4_vdw_hb, ad4_vdw_hb_pre, dielectric, dielectric_exp_arg, dielectric_from_exp, flag,
+    vina_exp_args, vina_hbond_pair, vina_pair, vina_pair_lanes, COULOMB, CUTOFF, DESOLV_SIGMA,
 };
+use crate::vexp::{self, ExpLanes, ExpPath, Kernel};
 
 /// Cell edge for receptor binning: half the interaction cutoff, so the
 /// gathered neighborhood is a 20 Å cube instead of the 24 Å cube that
@@ -143,115 +149,261 @@ fn partition_buffers<'a>(
     per_chunk
 }
 
-/// Fill z-slabs `k0..k1` of the AD4 maps. `maps` is
-/// `[affinity(probe_types[0]), …, electrostatic, desolvation]`, each slice
+/// One z-slab chunk of a grid build: slabs `k0..k1` of `maps`, each slice
 /// covering exactly this chunk's points in z-major layout.
-#[allow(clippy::too_many_arguments)]
-fn fill_ad4_chunk(
+struct Slabs<'a, 'm, P> {
     spec: GridSpec,
     k0: usize,
     k1: usize,
-    atoms: &ReceptorAtoms,
-    cells: &CellList,
-    probe_types: &[AdType],
-    params: &Ad4Params,
-    maps: &mut [&mut [f64]],
-) {
-    let npts = spec.npts;
-    let nprobe = probe_types.len();
-    let cutoff_sq = CUTOFF * CUTOFF;
-    let reach = cells.reach(CUTOFF);
-    let mut cand: Vec<u32> = Vec::new();
-    let mut last_cell = [i64::MIN; 3];
-    let mut aff = vec![0.0f64; nprobe];
-    for k in k0..k1 {
-        for j in 0..npts {
-            for i in 0..npts {
-                let p = spec.point(i, j, k);
-                // consecutive points along i share a cell for ~cell/spacing
-                // steps, so candidate gathering amortizes across points
-                let cc = cells.coords(p);
-                if cc != last_cell {
-                    cells.gather(cc, reach, &mut cand);
-                    last_cell = cc;
-                }
-                let mut e_acc = 0.0;
-                let mut d_acc = 0.0;
-                aff.iter_mut().for_each(|v| *v = 0.0);
-                for &a in &cand {
-                    let a = a as usize;
-                    let d2 = atoms.pos[a].dist_sq(p);
-                    if d2 > cutoff_sq {
-                        continue;
+    atoms: &'a ReceptorAtoms,
+    cells: &'a CellList,
+    probe_types: &'a [AdType],
+    params: &'a P,
+    maps: &'m mut [&'a mut [f64]],
+}
+
+/// The candidates of one lattice point within the cutoff,
+/// [`vexp::LANES`] at a time: atom index, squared distance and distance.
+struct CandLanes {
+    atom: [usize; vexp::LANES],
+    d2: [f64; vexp::LANES],
+    r: [f64; vexp::LANES],
+    m: usize,
+}
+
+/// One lattice point's sums under construction.
+trait PointSums {
+    /// Add a batch of in-cutoff candidates of `atoms`, in ascending atom
+    /// order.
+    fn add<E: ExpLanes>(&mut self, atoms: &ReceptorAtoms, b: &CandLanes);
+    /// Store the sums at offset `off` of `maps`, and start over from zero.
+    fn store(&mut self, maps: &mut [&mut [f64]], off: usize);
+}
+
+impl<P> Slabs<'_, '_, P> {
+    /// Visit every lattice point of the chunk in map order, feeding its
+    /// in-cutoff candidates to `sums` batch by batch and storing the sums
+    /// once its last batch is in.
+    #[inline(always)]
+    fn fill<E: ExpLanes>(&mut self, sums: &mut impl PointSums) {
+        let (spec, cells, atoms) = (self.spec, self.cells, self.atoms);
+        let npts = spec.npts;
+        let cutoff_sq = CUTOFF * CUTOFF;
+        let reach = cells.reach(CUTOFF);
+        let mut cand: Vec<u32> = Vec::new();
+        let mut last_cell = [i64::MIN; 3];
+        let mut b = CandLanes {
+            atom: [0; vexp::LANES],
+            d2: [0.0; vexp::LANES],
+            r: [0.0; vexp::LANES],
+            m: 0,
+        };
+        for k in self.k0..self.k1 {
+            for j in 0..npts {
+                for i in 0..npts {
+                    let p = spec.point(i, j, k);
+                    // consecutive points along i share a cell for
+                    // ~cell/spacing steps, so candidate gathering amortizes
+                    // across points
+                    let cc = cells.coords(p);
+                    if cc != last_cell {
+                        cells.gather(cc, reach, &mut cand);
+                        last_cell = cc;
                     }
-                    let r = d2.sqrt().max(0.35);
-                    e_acc += coulomb_term(atoms.charge[a], r);
-                    d_acc += params.volume[type_index(atoms.ad_type[a])]
-                        * (-d2 / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA)).exp();
-                    // one set of distance powers serves every probe type
-                    let (r6, r10) = (r.powi(6), r.powi(10));
-                    let tb = atoms.ad_type[a];
-                    for (ti, &t) in probe_types.iter().enumerate() {
-                        aff[ti] += ad4_vdw_hb_pre(params, params.pair(t, tb), r, r6, r10);
+                    for &a in &cand {
+                        let a = a as usize;
+                        let d2 = atoms.pos[a].dist_sq(p);
+                        if d2 > cutoff_sq {
+                            continue;
+                        }
+                        b.atom[b.m] = a;
+                        b.d2[b.m] = d2;
+                        b.r[b.m] = d2.sqrt();
+                        b.m += 1;
+                        if b.m == vexp::LANES {
+                            sums.add::<E>(atoms, &b);
+                            b.m = 0;
+                        }
                     }
+                    if b.m > 0 {
+                        sums.add::<E>(atoms, &b);
+                        b.m = 0;
+                    }
+                    sums.store(self.maps, ((k - self.k0) * npts + j) * npts + i);
                 }
-                let off = ((k - k0) * npts + j) * npts + i;
-                for (ti, slice) in maps.iter_mut().take(nprobe).enumerate() {
-                    slice[off] = aff[ti];
-                }
-                maps[nprobe][off] = e_acc;
-                maps[nprobe + 1][off] = d_acc;
             }
         }
     }
 }
 
-/// Fill z-slabs `k0..k1` of the Vina maps (`maps[ti]` = probe type `ti`).
-#[allow(clippy::too_many_arguments)]
-fn fill_vina_chunk(
-    spec: GridSpec,
-    k0: usize,
-    k1: usize,
-    atoms: &ReceptorAtoms,
-    cells: &CellList,
-    probe_types: &[AdType],
-    params: &VinaParams,
-    maps: &mut [&mut [f64]],
-) {
-    let npts = spec.npts;
-    let cutoff_sq = CUTOFF * CUTOFF;
-    let reach = cells.reach(CUTOFF);
-    let mut cand: Vec<u32> = Vec::new();
-    let mut last_cell = [i64::MIN; 3];
-    let mut aff = vec![0.0f64; probe_types.len()];
-    for k in k0..k1 {
-        for j in 0..npts {
-            for i in 0..npts {
-                let p = spec.point(i, j, k);
-                let cc = cells.coords(p);
-                if cc != last_cell {
-                    cells.gather(cc, reach, &mut cand);
-                    last_cell = cc;
-                }
-                aff.iter_mut().for_each(|v| *v = 0.0);
-                for &a in &cand {
-                    let a = a as usize;
-                    let d2 = atoms.pos[a].dist_sq(p);
-                    if d2 > cutoff_sq {
-                        continue;
-                    }
-                    let r = d2.sqrt();
-                    for (ti, &t) in probe_types.iter().enumerate() {
-                        aff[ti] += vina_pair(params, t, atoms.ad_type[a], r);
-                    }
-                }
-                let off = ((k - k0) * npts + j) * npts + i;
-                for (ti, slice) in maps.iter_mut().enumerate() {
-                    slice[off] = aff[ti];
-                }
+/// An AD4 point's sums: electrostatic, desolvation, one per probe type.
+struct Ad4Sums<'a> {
+    probe_types: &'a [AdType],
+    params: &'a Ad4Params,
+    e: f64,
+    d: f64,
+    aff: Vec<f64>,
+}
+
+impl PointSums for Ad4Sums<'_> {
+    #[inline(always)]
+    fn add<E: ExpLanes>(&mut self, atoms: &ReceptorAtoms, b: &CandLanes) {
+        const L: usize = vexp::LANES;
+        let params = self.params;
+        let (mut rc, mut eps, mut g) = ([0.0; L], [0.0; L], [0.0; L]);
+        for l in 0..L {
+            rc[l] = b.r[l].max(0.35);
+            eps[l] = dielectric_exp_arg(rc[l]);
+            g[l] = -b.d2[l] / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA);
+        }
+        E::exp(&mut eps, b.m);
+        E::exp(&mut g, b.m);
+        let (mut q, mut vol) = ([0.0; L], [0.0; L]);
+        for l in 0..b.m {
+            q[l] = atoms.charge[b.atom[l]];
+            vol[l] = params.volume[type_index(atoms.ad_type[b.atom[l]])];
+        }
+        let (mut et, mut dt) = ([0.0; L], [0.0; L]);
+        for l in 0..L {
+            et[l] = COULOMB * q[l] / (dielectric_from_exp(eps[l]) * rc[l]);
+            dt[l] = vol[l] * g[l];
+        }
+        for l in 0..b.m {
+            self.e += et[l];
+            self.d += dt[l];
+        }
+        for (&r, &a) in rc.iter().zip(&b.atom[..b.m]) {
+            // one set of distance powers serves every probe type
+            let (r6, r10) = (r.powi(6), r.powi(10));
+            let tb = atoms.ad_type[a];
+            for (ti, &t) in self.probe_types.iter().enumerate() {
+                self.aff[ti] += ad4_vdw_hb_pre(params, params.pair(t, tb), r, r6, r10);
             }
         }
     }
+
+    #[inline(always)]
+    fn store(&mut self, maps: &mut [&mut [f64]], off: usize) {
+        let nprobe = self.aff.len();
+        for (slice, v) in maps.iter_mut().zip(&mut self.aff) {
+            slice[off] = std::mem::take(v);
+        }
+        maps[nprobe][off] = std::mem::take(&mut self.e);
+        maps[nprobe + 1][off] = std::mem::take(&mut self.d);
+    }
+}
+
+/// The AD4 fill: `maps` is `[affinity(probe_types[0]), …, electrostatic,
+/// desolvation]`.
+impl Kernel for Slabs<'_, '_, Ad4Params> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<E: ExpLanes>(mut self) {
+        let (probe_types, params) = (self.probe_types, self.params);
+        let aff = vec![0.0; probe_types.len()];
+        self.fill::<E>(&mut Ad4Sums { probe_types, params, e: 0.0, d: 0.0, aff });
+    }
+}
+
+/// A Vina point's sums, one per probe type.
+struct VinaSums<'a> {
+    probe_types: &'a [AdType],
+    params: &'a VinaParams,
+    aff: Vec<f64>,
+}
+
+impl PointSums for VinaSums<'_> {
+    #[inline(always)]
+    fn add<E: ExpLanes>(&mut self, atoms: &ReceptorAtoms, b: &CandLanes) {
+        const L: usize = vexp::LANES;
+        let mut tb = [AdType::C; L];
+        for (t, &a) in tb.iter_mut().zip(&b.atom[..b.m]) {
+            *t = atoms.ad_type[a];
+        }
+        for (ti, &t) in self.probe_types.iter().enumerate() {
+            let (mut rsum, mut hydrophobic, mut hbond) = ([0.0; L], [0.0; L], [0.0; L]);
+            for l in 0..b.m {
+                rsum[l] = vina_radius(t) + vina_radius(tb[l]);
+                hydrophobic[l] = flag(t.is_hydrophobic() && tb[l].is_hydrophobic());
+                hbond[l] = flag(vina_hbond_pair(t, tb[l]));
+            }
+            let (mut d, mut g1, mut g2) = ([0.0; L], [0.0; L], [0.0; L]);
+            for l in 0..L {
+                d[l] = b.r[l] - rsum[l];
+                [g1[l], g2[l]] = vina_exp_args(d[l]);
+            }
+            E::exp(&mut g1, b.m);
+            E::exp(&mut g2, b.m);
+            let term = vina_pair_lanes(self.params, &b.r, &d, [&g1, &g2], [&hydrophobic, &hbond]);
+            for v in &term[..b.m] {
+                self.aff[ti] += v;
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn store(&mut self, maps: &mut [&mut [f64]], off: usize) {
+        for (slice, v) in maps.iter_mut().zip(&mut self.aff) {
+            slice[off] = std::mem::take(v);
+        }
+    }
+}
+
+/// The Vina fill: `maps[ti]` is probe type `ti`'s map.
+impl Kernel for Slabs<'_, '_, VinaParams> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<E: ExpLanes>(mut self) {
+        let (probe_types, params) = (self.probe_types, self.params);
+        let aff = vec![0.0; probe_types.len()];
+        self.fill::<E>(&mut VinaSums { probe_types, params, aff });
+    }
+}
+
+/// Fill `nmaps` map buffers of `spec.len()` points with the cell-list
+/// kernel for `params`' physics on `path`, fanning contiguous z-slab chunks
+/// across `threads` scoped threads (`0` = one per core).
+fn fill_maps<P: Sync>(
+    path: ExpPath,
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &P,
+    threads: usize,
+    nmaps: usize,
+) -> Vec<Vec<f64>>
+where
+    for<'a, 'm> Slabs<'a, 'm, P>: Kernel<Out = ()>,
+{
+    let atoms = ReceptorAtoms::from(receptor);
+    let cells = CellList::build(&atoms.pos, CELL_EDGE);
+    let mut bufs: Vec<Vec<f64>> = (0..nmaps).map(|_| vec![0.0; spec.len()]).collect();
+    let bounds = slab_bounds(spec.npts, threads);
+    let mut per_chunk = partition_buffers(&mut bufs, &bounds, spec.npts * spec.npts);
+    let slabs = |c: usize, maps| Slabs {
+        spec,
+        k0: bounds[c],
+        k1: bounds[c + 1],
+        atoms: &atoms,
+        cells: &cells,
+        probe_types,
+        params,
+        maps,
+    };
+    if per_chunk.len() == 1 {
+        vexp::run(path, slabs(0, &mut per_chunk[0]));
+    } else {
+        std::thread::scope(|s| {
+            for (c, maps) in per_chunk.iter_mut().enumerate() {
+                let slabs = &slabs;
+                s.spawn(move || vexp::run(path, slabs(c, maps)));
+            }
+        });
+    }
+    drop(per_chunk);
+    bufs
 }
 
 /// Build AD4 grids for the given probe types (single-threaded).
@@ -280,36 +432,22 @@ pub fn build_ad4_grids_threads(
     params: &Ad4Params,
     threads: usize,
 ) -> GridSet {
-    let atoms = ReceptorAtoms::from(receptor);
-    let cells = CellList::build(&atoms.pos, CELL_EDGE);
-    let nmaps = probe_types.len() + 2; // affinities + electrostatic + desolvation
-    let mut bufs: Vec<Vec<f64>> = (0..nmaps).map(|_| vec![0.0; spec.len()]).collect();
-    let bounds = slab_bounds(spec.npts, threads);
-    {
-        let mut per_chunk = partition_buffers(&mut bufs, &bounds, spec.npts * spec.npts);
-        if per_chunk.len() == 1 {
-            fill_ad4_chunk(
-                spec,
-                bounds[0],
-                bounds[1],
-                &atoms,
-                &cells,
-                probe_types,
-                params,
-                &mut per_chunk[0],
-            );
-        } else {
-            std::thread::scope(|s| {
-                for (c, maps) in per_chunk.iter_mut().enumerate() {
-                    let (atoms, cells) = (&atoms, &cells);
-                    let (k0, k1) = (bounds[c], bounds[c + 1]);
-                    s.spawn(move || {
-                        fill_ad4_chunk(spec, k0, k1, atoms, cells, probe_types, params, maps)
-                    });
-                }
-            });
-        }
-    }
+    build_ad4_grids_via(ExpPath::selected(), receptor, spec, probe_types, params, threads)
+}
+
+/// [`build_ad4_grids_threads`] on a given `exp` path; every path builds
+/// the same bits.
+pub fn build_ad4_grids_via(
+    path: ExpPath,
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &Ad4Params,
+    threads: usize,
+) -> GridSet {
+    // affinities + electrostatic + desolvation
+    let nmaps = probe_types.len() + 2;
+    let bufs = fill_maps(path, receptor, spec, probe_types, params, threads, nmaps);
     let mut it = bufs.into_iter();
     let affinity: BTreeMap<AdType, GridMap> = probe_types
         .iter()
@@ -352,35 +490,20 @@ pub fn build_vina_grids_threads(
     params: &VinaParams,
     threads: usize,
 ) -> GridSet {
-    let atoms = ReceptorAtoms::from(receptor);
-    let cells = CellList::build(&atoms.pos, CELL_EDGE);
-    let mut bufs: Vec<Vec<f64>> = (0..probe_types.len()).map(|_| vec![0.0; spec.len()]).collect();
-    let bounds = slab_bounds(spec.npts, threads);
-    {
-        let mut per_chunk = partition_buffers(&mut bufs, &bounds, spec.npts * spec.npts);
-        if per_chunk.len() == 1 {
-            fill_vina_chunk(
-                spec,
-                bounds[0],
-                bounds[1],
-                &atoms,
-                &cells,
-                probe_types,
-                params,
-                &mut per_chunk[0],
-            );
-        } else {
-            std::thread::scope(|s| {
-                for (c, maps) in per_chunk.iter_mut().enumerate() {
-                    let (atoms, cells) = (&atoms, &cells);
-                    let (k0, k1) = (bounds[c], bounds[c + 1]);
-                    s.spawn(move || {
-                        fill_vina_chunk(spec, k0, k1, atoms, cells, probe_types, params, maps)
-                    });
-                }
-            });
-        }
-    }
+    build_vina_grids_via(ExpPath::selected(), receptor, spec, probe_types, params, threads)
+}
+
+/// [`build_vina_grids_threads`] on a given `exp` path; every path builds
+/// the same bits.
+pub fn build_vina_grids_via(
+    path: ExpPath,
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &VinaParams,
+    threads: usize,
+) -> GridSet {
+    let bufs = fill_maps(path, receptor, spec, probe_types, params, threads, probe_types.len());
     let affinity: BTreeMap<AdType, GridMap> = probe_types
         .iter()
         .zip(bufs)

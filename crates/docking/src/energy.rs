@@ -6,13 +6,16 @@
 //! atom's affinity map is resolved to a reference once (killing the
 //! per-atom-per-evaluation `BTreeMap` walk), the AD4 electrostatic and
 //! desolvation coefficients are folded per atom, and the intramolecular pair
-//! table is precomputed ([`ad4_pair_pre`]/[`vina_pair_pre`]). Evaluation
+//! table is precomputed. Evaluation
 //! runs a structure-of-arrays kernel: fractional lattice coordinates are
 //! computed for fixed-width chunks of atoms (the subtract-divide sweeps
 //! auto-vectorize), each atom then resolves one flattened stencil whose
 //! row-major cell base is shared by every co-located map, and
 //! [`EnergyModel::total_batch`] scores a whole population of poses through
 //! the same chunked pass so the lanes stay full across pose boundaries.
+//! The intramolecular sum runs in [`vexp::LANES`]-wide lanes: distances,
+//! `exp` arguments, one batched `exp` per argument kind and the pair terms
+//! ([`ad4_pair_lanes`]/[`vina_pair_lanes`]), added in pair order.
 //! Every shortcut is bit-identical to the retained naive path
 //! ([`EnergyModel::total_reference`]); the `kernel_props` property tests
 //! enforce that.
@@ -25,14 +28,16 @@ use crate::engine::DockError;
 use crate::grid::sample_flat;
 use crate::params::{type_index, vina_radius, Ad4Params, PairParams, VinaParams};
 use crate::scoring::{
-    ad4_pair, ad4_pair_pre, ad4_solvation_param, vina_hbond_pair, vina_pair, vina_pair_pre, CUTOFF,
+    ad4_desolv_exp_arg, ad4_pair, ad4_pair_lanes, ad4_solvation_param, dielectric_exp_arg, flag,
+    vina_exp_args, vina_hbond_pair, vina_pair, vina_pair_lanes, Ad4PairLanes, CUTOFF,
 };
+use crate::vexp::{self, ExpLanes, ExpPath, Kernel};
 
 /// Extra per-unit-|charge| desolvation parameter (AD4's `qsolpar`).
 const QSOLPAR: f64 = 0.01097;
 
 /// One precomputed AD4 intramolecular pair: atom indices plus every
-/// distance-independent quantity [`ad4_pair_pre`] needs.
+/// distance-independent quantity [`ad4_pair_lanes`] needs.
 struct Ad4Intra {
     i: usize,
     j: usize,
@@ -41,13 +46,14 @@ struct Ad4Intra {
     dcoef: f64,
 }
 
-/// One precomputed Vina intramolecular pair for [`vina_pair_pre`].
+/// One precomputed Vina intramolecular pair for [`vina_pair_lanes`]; the
+/// eligibility flags are factors, `1.0` or `0.0`.
 struct VinaIntra {
     i: usize,
     j: usize,
     rsum: f64,
-    hydrophobic: bool,
-    hbond: bool,
+    hydrophobic: f64,
+    hbond: f64,
 }
 
 enum IntraTable {
@@ -71,6 +77,8 @@ pub struct EnergyModel<'a> {
     atom_desolv: Vec<f64>,
     /// Precomputed intramolecular pair table.
     intra: IntraTable,
+    /// The `exp` the intramolecular kernel runs on ([`ExpPath::selected`]).
+    exp: ExpPath,
     /// Grid origin, precomputed once. [`crate::grid::GridSpec::origin`] is a
     /// pure function of the spec, so this is bit-identical to recomputing it
     /// inside every stencil.
@@ -141,8 +149,8 @@ impl<'a> EnergyModel<'a> {
                             i,
                             j,
                             rsum: vina_radius(ta) + vina_radius(tb),
-                            hydrophobic: ta.is_hydrophobic() && tb.is_hydrophobic(),
-                            hbond: vina_hbond_pair(ta, tb),
+                            hydrophobic: flag(ta.is_hydrophobic() && tb.is_hydrophobic()),
+                            hbond: flag(vina_hbond_pair(ta, tb)),
                         }
                     })
                     .collect(),
@@ -159,6 +167,7 @@ impl<'a> EnergyModel<'a> {
             atom_elec,
             atom_desolv,
             intra,
+            exp: ExpPath::selected(),
             origin: grids.spec.origin(),
             atom_vals,
             emap_vals: emap.map_or(&[][..], |m| m.values()),
@@ -248,29 +257,21 @@ impl<'a> EnergyModel<'a> {
     /// term carries a non-underflowing vdW/steric component, and exact
     /// cancellation rounds to `+0.0`), so this is bit-identical to the
     /// filter-free reference loop.
+    ///
+    /// The pairs that pass the prefilter are scored [`vexp::LANES`] at a
+    /// time — their `exp`s as one batch on the process's [`ExpPath`] — and
+    /// added to the sum in pair order.
     pub fn intramolecular(&self, coords: &[Vec3]) -> f64 {
-        const CUTOFF_SQ: f64 = CUTOFF * CUTOFF;
-        let mut e = 0.0;
+        self.intramolecular_via(self.exp, coords)
+    }
+
+    /// [`intramolecular`](EnergyModel::intramolecular) on a given `exp`
+    /// path; every path returns the same bits.
+    pub fn intramolecular_via(&self, path: ExpPath, coords: &[Vec3]) -> f64 {
         match &self.intra {
-            IntraTable::Ad4(pairs) => {
-                for pr in pairs {
-                    let d2 = coords[pr.i].dist_sq(coords[pr.j]);
-                    if d2 < CUTOFF_SQ {
-                        e += ad4_pair_pre(&self.ad4, &pr.pp, pr.qq, pr.dcoef, d2.sqrt());
-                    }
-                }
-            }
-            IntraTable::Vina(pairs) => {
-                for pr in pairs {
-                    let d2 = coords[pr.i].dist_sq(coords[pr.j]);
-                    if d2 < CUTOFF_SQ {
-                        e +=
-                            vina_pair_pre(&self.vina, pr.rsum, pr.hydrophobic, pr.hbond, d2.sqrt());
-                    }
-                }
-            }
+            IntraTable::Ad4(pairs) => vexp::run(path, Intra { pairs, coords, p: &self.ad4 }),
+            IntraTable::Vina(pairs) => vexp::run(path, Intra { pairs, coords, p: &self.vina }),
         }
-        e
     }
 
     /// Total pose energy used by the search (inter + intra).
@@ -385,6 +386,124 @@ impl<'a> EnergyModel<'a> {
                     + self.vina.feb_offset
             }
         }
+    }
+}
+
+const CUTOFF_SQ: f64 = CUTOFF * CUTOFF;
+
+/// The pairs within the cutoff, [`vexp::LANES`] at a time: each pair's
+/// table index and distance.
+struct PairLanes {
+    idx: [usize; vexp::LANES],
+    r: [f64; vexp::LANES],
+    m: usize,
+}
+
+/// One row of a precomputed intramolecular pair table.
+trait IntraPair: Sized {
+    /// The force field's parameter set.
+    type Params;
+    /// The pair's atom indices.
+    fn atoms(&self) -> (usize, usize);
+    /// The terms of the batch `b` of `pairs` rows, lane by lane.
+    fn terms<E: ExpLanes>(pairs: &[Self], p: &Self::Params, b: &PairLanes) -> [f64; vexp::LANES];
+}
+
+impl IntraPair for Ad4Intra {
+    type Params = Ad4Params;
+
+    #[inline(always)]
+    fn atoms(&self) -> (usize, usize) {
+        (self.i, self.j)
+    }
+
+    #[inline(always)]
+    fn terms<E: ExpLanes>(pairs: &[Self], p: &Ad4Params, b: &PairLanes) -> [f64; vexp::LANES] {
+        const L: usize = vexp::LANES;
+        let mut lanes = Ad4PairLanes::default();
+        for l in 0..b.m {
+            let pr = &pairs[b.idx[l]];
+            lanes.set(l, &pr.pp, p, pr.qq, pr.dcoef);
+        }
+        let (mut eps, mut g) = ([0.0; L], [0.0; L]);
+        for l in 0..L {
+            eps[l] = dielectric_exp_arg(b.r[l].max(0.35));
+            g[l] = ad4_desolv_exp_arg(b.r[l]);
+        }
+        E::exp(&mut eps, b.m);
+        E::exp(&mut g, b.m);
+        ad4_pair_lanes(p, &lanes, &b.r, &eps, &g)
+    }
+}
+
+impl IntraPair for VinaIntra {
+    type Params = VinaParams;
+
+    #[inline(always)]
+    fn atoms(&self) -> (usize, usize) {
+        (self.i, self.j)
+    }
+
+    #[inline(always)]
+    fn terms<E: ExpLanes>(pairs: &[Self], p: &VinaParams, b: &PairLanes) -> [f64; vexp::LANES] {
+        const L: usize = vexp::LANES;
+        let (mut rsum, mut hydrophobic, mut hbond) = ([0.0; L], [0.0; L], [0.0; L]);
+        for l in 0..b.m {
+            let pr = &pairs[b.idx[l]];
+            (rsum[l], hydrophobic[l], hbond[l]) = (pr.rsum, pr.hydrophobic, pr.hbond);
+        }
+        let (mut d, mut g1, mut g2) = ([0.0; L], [0.0; L], [0.0; L]);
+        for l in 0..L {
+            d[l] = b.r[l] - rsum[l];
+            [g1[l], g2[l]] = vina_exp_args(d[l]);
+        }
+        E::exp(&mut g1, b.m);
+        E::exp(&mut g2, b.m);
+        vina_pair_lanes(p, &b.r, &d, [&g1, &g2], [&hydrophobic, &hbond])
+    }
+}
+
+/// The intramolecular sum over a pair table, one [`Kernel`] body for both
+/// `exp` paths.
+struct Intra<'a, T: IntraPair> {
+    pairs: &'a [T],
+    coords: &'a [Vec3],
+    p: &'a T::Params,
+}
+
+impl<T: IntraPair> Intra<'_, T> {
+    /// Add the batch's terms to `e` in pair order and empty it.
+    #[inline(always)]
+    fn flush<E: ExpLanes>(&self, b: &mut PairLanes, e: &mut f64) {
+        for t in &T::terms::<E>(self.pairs, self.p, b)[..b.m] {
+            *e += t;
+        }
+        b.m = 0;
+    }
+}
+
+impl<T: IntraPair> Kernel for Intra<'_, T> {
+    type Out = f64;
+
+    #[inline(always)]
+    fn run<E: ExpLanes>(self) -> f64 {
+        let mut e = 0.0;
+        let mut b = PairLanes { idx: [0; vexp::LANES], r: [0.0; vexp::LANES], m: 0 };
+        for (k, pr) in self.pairs.iter().enumerate() {
+            let (i, j) = pr.atoms();
+            let d2 = self.coords[i].dist_sq(self.coords[j]);
+            if d2 < CUTOFF_SQ {
+                (b.idx[b.m], b.r[b.m]) = (k, d2.sqrt());
+                b.m += 1;
+                if b.m == vexp::LANES {
+                    self.flush::<E>(&mut b, &mut e);
+                }
+            }
+        }
+        if b.m > 0 {
+            self.flush::<E>(&mut b, &mut e);
+        }
+        e
     }
 }
 

@@ -271,6 +271,9 @@ pub fn dock_with_grids(
         .collect();
 
     cfg.telemetry.count("dock.evaluations", evaluations);
+    if crate::vexp::ExpPath::selected() == crate::vexp::ExpPath::Lanes {
+        cfg.telemetry.count("dock.exp_simd", 1);
+    }
     Ok(DockResult {
         engine,
         receptor: receptor_name.to_string(),
@@ -445,6 +448,8 @@ mod tests {
         let res = dock(&receptor, &lig, EngineKind::Ad4, &cfg).unwrap();
         let snap = tel.snapshot().unwrap();
         assert_eq!(snap.counter("dock.evaluations"), Some(res.evaluations));
+        let lanes = crate::vexp::ExpPath::selected() == crate::vexp::ExpPath::Lanes;
+        assert_eq!(snap.counter("dock.exp_simd"), lanes.then_some(1));
         let trace = tel.export_chrome_trace().unwrap();
         for phase in ["\"pair\"", "\"pocket\"", "\"grids\"", "\"search\"", "\"analysis\""] {
             assert!(trace.contains(phase), "missing phase {phase}");

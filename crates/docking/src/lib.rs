@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod autogrid;
 pub mod celllist;
@@ -59,6 +60,7 @@ pub mod mapfile;
 pub mod params;
 pub mod scoring;
 pub mod search;
+pub mod vexp;
 
 pub use cluster::{cluster_poses, PoseCluster};
 pub use energy::{DirectEnergy, EnergyModel};

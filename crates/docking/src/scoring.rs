@@ -7,6 +7,7 @@
 use molkit::AdType;
 
 use crate::params::{vina_radius, Ad4Params, VinaParams};
+use crate::vexp::LANES;
 
 /// Interaction cutoff in Å; pairs farther apart contribute nothing.
 pub const CUTOFF: f64 = 8.0;
@@ -14,17 +15,31 @@ pub const CUTOFF: f64 = 8.0;
 /// Electrostatic constant (kcal·Å/mol/e²).
 pub const COULOMB: f64 = 332.06;
 
+const A: f64 = -8.5525;
+const B: f64 = 78.4 - A; // eps0 - A
+const LAM: f64 = 0.003627;
+const K: f64 = 7.7839;
+
 /// Mehler–Solmajer style distance-dependent dielectric ε(r).
 ///
 /// Smoothly interpolates between ~8 at contact distances and ~78 (bulk
 /// water) at long range.
 #[inline]
 pub fn dielectric(r: f64) -> f64 {
-    const A: f64 = -8.5525;
-    const B: f64 = 78.4 - A; // eps0 - A
-    const LAM: f64 = 0.003627;
-    const K: f64 = 7.7839;
     A + B / (1.0 + K * (-LAM * B * r).exp())
+}
+
+/// The argument [`dielectric`] takes `exp` of at distance `r`.
+#[inline(always)]
+pub fn dielectric_exp_arg(r: f64) -> f64 {
+    -LAM * B * r
+}
+
+/// [`dielectric`] given `ex = exp(dielectric_exp_arg(r))`: bit-identical
+/// when `ex` is.
+#[inline(always)]
+pub fn dielectric_from_exp(ex: f64) -> f64 {
+    A + B / (1.0 + K * ex)
 }
 
 /// Gaussian desolvation width σ (Å) of the AD4 desolvation term.
@@ -112,39 +127,90 @@ pub fn ad4_pair(params: &Ad4Params, ta: AdType, tb: AdType, qa: f64, qb: f64, r:
         + ad4_desolvation(params, ta, tb, qa, qb, r)
 }
 
-/// [`ad4_pair`] with every distance-independent quantity precomputed:
-/// `pp = params.pair(ta, tb)`, `qq = qa * qb`, and
-/// `dcoef = s_a·vol_b + s_b·vol_a` where `s = solpar + QSOLPAR·|q|`.
-///
-/// Bit-identical to `ad4_pair(params, ta, tb, qa, qb, r)` — the precomputed
-/// values are exactly the subexpressions the unfolded form evaluates, and
-/// the remaining operations run in the same order. The energy inner loop
-/// hoists the precomputation to [`EnergyModel::new`](crate::EnergyModel)
-/// so per-evaluation work is arithmetic only (no table walks).
-#[inline]
-pub fn ad4_pair_pre(
-    params: &Ad4Params,
-    pp: &crate::params::PairParams,
-    qq: f64,
-    dcoef: f64,
-    r: f64,
-) -> f64 {
-    if r >= CUTOFF {
-        return 0.0;
+/// The argument [`ad4_desolvation`] takes `exp` of at distance `r`.
+#[inline(always)]
+pub fn ad4_desolv_exp_arg(r: f64) -> f64 {
+    -r * r / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA)
+}
+
+/// The distance-independent quantities of [`LANES`] AD4 pairs, lane by
+/// lane: the weight and coefficients of the pair's 12-6 or 12-10 branch,
+/// `qq = qa·qb`, and `dcoef = s_a·vol_b + s_b·vol_a` where
+/// `s = solpar + QSOLPAR·|q|`.
+#[derive(Debug, Clone, Default)]
+pub struct Ad4PairLanes {
+    /// Whether the pair takes the 12-10 H-bond branch.
+    pub hbond: [bool; LANES],
+    /// `w_hbond` or `w_vdw`.
+    pub w: [f64; LANES],
+    /// `hb_c` or `lj_a`.
+    pub c_rep: [f64; LANES],
+    /// `hb_d` or `lj_b`.
+    pub c_att: [f64; LANES],
+    /// Charge product.
+    pub qq: [f64; LANES],
+    /// Desolvation coefficient.
+    pub dcoef: [f64; LANES],
+}
+
+impl Ad4PairLanes {
+    /// Put the pair with parameters `pp`, charge product `qq` and
+    /// desolvation coefficient `dcoef` in lane `l`.
+    #[inline(always)]
+    pub fn set(
+        &mut self,
+        l: usize,
+        pp: &crate::params::PairParams,
+        params: &Ad4Params,
+        qq: f64,
+        dcoef: f64,
+    ) {
+        let (w, c_rep, c_att) = if pp.hbond {
+            (params.w_hbond, pp.hb_c, pp.hb_d)
+        } else {
+            (params.w_vdw, pp.lj_a, pp.lj_b)
+        };
+        self.hbond[l] = pp.hbond;
+        (self.w[l], self.c_rep[l], self.c_att[l]) = (w, c_rep, c_att);
+        (self.qq[l], self.dcoef[l]) = (qq, dcoef);
     }
-    let rc = r.max(0.35);
-    let vdw = if pp.hbond {
-        let r10 = rc.powi(10);
-        params.w_hbond * (pp.hb_c / (r10 * rc * rc) - pp.hb_d / r10)
-    } else {
-        let r6 = rc.powi(6);
-        params.w_vdw * (pp.lj_a / (r6 * r6) - pp.lj_b / r6)
-    };
-    let elec = params.w_estat * COULOMB * qq / (dielectric(rc) * rc);
-    // the desolvation gaussian uses the *unclamped* distance, matching
-    // ad4_desolvation
-    let g = (-r * r / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA)).exp();
-    vdw + elec + params.w_desolv * dcoef * g
+}
+
+/// [`ad4_pair`] over [`LANES`] pairs at distances `r < CUTOFF`, with every
+/// distance-independent quantity precomputed and both exponentials
+/// evaluated by the caller: per lane
+/// `eps_exp = exp(dielectric_exp_arg(max(r, 0.35)))` and
+/// `g = exp(ad4_desolv_exp_arg(r))`.
+///
+/// Each lane is bit-identical to `ad4_pair(params, ta, tb, qa, qb, r)` when
+/// its exponentials are: the precomputed values are exactly the
+/// subexpressions the unfolded form evaluates, and the remaining
+/// operations run in the same order. The branch is a pass of selects over
+/// the lanes, so the lanes compile to vector code.
+#[inline(always)]
+pub fn ad4_pair_lanes(
+    params: &Ad4Params,
+    pairs: &Ad4PairLanes,
+    r: &[f64; LANES],
+    eps_exp: &[f64; LANES],
+    g: &[f64; LANES],
+) -> [f64; LANES] {
+    let (mut rc, mut rep, mut att) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    for l in 0..LANES {
+        rc[l] = r[l].max(0.35);
+        let (r6, r10) = (rc[l].powi(6), rc[l].powi(10));
+        // the repulsive and attractive powers of the pair's branch
+        rep[l] = if pairs.hbond[l] { r10 * rc[l] * rc[l] } else { r6 * r6 };
+        att[l] = if pairs.hbond[l] { r10 } else { r6 };
+    }
+    let mut e = [0.0; LANES];
+    for l in 0..LANES {
+        let vdw = pairs.w[l] * (pairs.c_rep[l] / rep[l] - pairs.c_att[l] / att[l]);
+        let elec =
+            params.w_estat * COULOMB * pairs.qq[l] / (dielectric_from_exp(eps_exp[l]) * rc[l]);
+        e[l] = vdw + elec + params.w_desolv * pairs.dcoef[l] * g[l];
+    }
+    e
 }
 
 /// The per-atom solvation parameter `s = solpar + QSOLPAR·|q|` used by the
@@ -180,32 +246,59 @@ pub fn vina_pair(params: &VinaParams, ta: AdType, tb: AdType, r: f64) -> f64 {
         + params.w_hbond * hbond
 }
 
-/// [`vina_pair`] with the type-dependent parts precomputed:
-/// `rsum = vina_radius(ta) + vina_radius(tb)` plus the hydrophobic and
-/// H-bond pair eligibility flags. Bit-identical to the unfolded form.
-#[inline]
-pub fn vina_pair_pre(
-    params: &VinaParams,
-    rsum: f64,
-    hydrophobic: bool,
-    hbond: bool,
-    r: f64,
-) -> f64 {
-    if r >= CUTOFF {
-        return 0.0;
-    }
-    let d = r - rsum;
-    let gauss1 = (-(d / 0.5) * (d / 0.5)).exp();
+/// The two arguments [`vina_pair`] takes `exp` of at surface distance `d`.
+#[inline(always)]
+pub fn vina_exp_args(d: f64) -> [f64; 2] {
     let g2 = (d - 3.0) / 2.0;
-    let gauss2 = (-g2 * g2).exp();
-    let repulsion = if d < 0.0 { d * d } else { 0.0 };
-    let hydrophobic = if hydrophobic { ramp(d, 0.5, 1.5) } else { 0.0 };
-    let hbond = if hbond { ramp(d, -0.7, 0.0) } else { 0.0 };
-    params.w_gauss1 * gauss1
-        + params.w_gauss2 * gauss2
-        + params.w_repulsion * repulsion
-        + params.w_hydrophobic * hydrophobic
-        + params.w_hbond * hbond
+    [-(d / 0.5) * (d / 0.5), -g2 * g2]
+}
+
+/// [`vina_pair`] over [`LANES`] pairs at once, with the type-dependent
+/// parts precomputed and both Gaussians evaluated by the caller: per lane
+/// `d = r − (vina_radius(ta) + vina_radius(tb))`, `gauss1`/`gauss2` the
+/// `exp`s of [`vina_exp_args`]`(d)`, and the hydrophobic and H-bond pair
+/// eligibility flags as factors (`1.0` eligible, `0.0` not). Each lane is bit-identical to the unfolded form when
+/// its Gaussians are. Nothing branches, so the lanes compile to vector
+/// code.
+#[inline(always)]
+pub fn vina_pair_lanes(
+    params: &VinaParams,
+    r: &[f64; LANES],
+    d: &[f64; LANES],
+    [gauss1, gauss2]: [&[f64; LANES]; 2],
+    [hydrophobic, hbond]: [&[f64; LANES]; 2],
+) -> [f64; LANES] {
+    let (mut repulsion, mut hydro, mut hb) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+    for l in 0..LANES {
+        repulsion[l] = if d[l] < 0.0 { d[l] * d[l] } else { 0.0 };
+    }
+    // a ramp is finite and ≥ 0, so × 1.0 keeps it and × 0.0 is +0.0
+    for l in 0..LANES {
+        hydro[l] = ramp_clamped(d[l], 0.5, 1.5) * hydrophobic[l];
+    }
+    for l in 0..LANES {
+        hb[l] = ramp_clamped(d[l], -0.7, 0.0) * hbond[l];
+    }
+    let mut e = [0.0; LANES];
+    for l in 0..LANES {
+        let sum = params.w_gauss1 * gauss1[l]
+            + params.w_gauss2 * gauss2[l]
+            + params.w_repulsion * repulsion[l]
+            + params.w_hydrophobic * hydro[l]
+            + params.w_hbond * hb[l];
+        e[l] = if r[l] >= CUTOFF { 0.0 } else { sum };
+    }
+    e
+}
+
+/// A pair eligibility flag as the factor [`vina_pair_lanes`] takes.
+#[inline(always)]
+pub fn flag(eligible: bool) -> f64 {
+    if eligible {
+        1.0
+    } else {
+        0.0
+    }
 }
 
 /// Whether a (ligand-atom, ligand-atom) Vina pair is H-bond eligible —
@@ -227,6 +320,14 @@ fn ramp(d: f64, lo: f64, hi: f64) -> f64 {
     } else {
         (hi - d) / (hi - lo)
     }
+}
+
+/// [`ramp`] without branches, bit-identical for finite `d`: rounding is
+/// monotone, so the slope is ≥ 1 exactly when `d ≤ lo` and ≤ +0 exactly
+/// when `d ≥ hi`.
+#[inline(always)]
+fn ramp_clamped(d: f64, lo: f64, hi: f64) -> f64 {
+    ((hi - d) / (hi - lo)).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
@@ -318,6 +419,17 @@ mod tests {
     }
 
     #[test]
+    fn clamped_ramp_is_the_ramp() {
+        for (lo, hi) in [(0.5f64, 1.5f64), (-0.7, 0.0)] {
+            let edges = [lo, hi, lo - 1e-12, lo + 1e-12, hi - 1e-12, hi + 1e-12];
+            let sweep = (0..40_000).map(|k| -10.0 + k as f64 * 5e-4);
+            for d in sweep.chain(edges).chain(edges.map(|e| -e)) {
+                assert_eq!(ramp(d, lo, hi).to_bits(), ramp_clamped(d, lo, hi).to_bits(), "{d}");
+            }
+        }
+    }
+
+    #[test]
     fn ramp_shape() {
         assert_eq!(ramp(-1.0, 0.5, 1.5), 1.0);
         assert_eq!(ramp(2.0, 0.5, 1.5), 0.0);
@@ -325,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_pair_functions_bit_identical() {
+    fn pair_lanes_bit_identical() {
         let p = Ad4Params::new();
         let v = VinaParams::default();
         let cases = [
@@ -335,7 +447,6 @@ mod tests {
         ];
         for (ta, tb, qa, qb) in cases {
             let pp = *p.pair(ta, tb);
-            let qq = qa * qb;
             let ia = crate::params::type_index(ta);
             let ib = crate::params::type_index(tb);
             let dcoef = ad4_solvation_param(&p, ta, qa) * p.volume[ib]
@@ -345,18 +456,38 @@ mod tests {
             let hb = vina_hbond_pair(ta, tb);
             for k in 0..60 {
                 let r = 0.2 + k as f64 * 0.15;
-                assert_eq!(
-                    ad4_pair(&p, ta, tb, qa, qb, r),
-                    ad4_pair_pre(&p, &pp, qq, dcoef, r),
-                    "ad4 {ta:?}/{tb:?} at r={r}"
+                if r < CUTOFF {
+                    let eps = dielectric_exp_arg(r.max(0.35)).exp();
+                    let g = ad4_desolv_exp_arg(r).exp();
+                    let mut lanes = Ad4PairLanes::default();
+                    lanes.set(LANES - 1, &pp, &p, qa * qb, dcoef);
+                    let e = ad4_pair_lanes(&p, &lanes, &[r; LANES], &[eps; LANES], &[g; LANES]);
+                    assert_eq!(
+                        ad4_pair(&p, ta, tb, qa, qb, r).to_bits(),
+                        e[LANES - 1].to_bits(),
+                        "ad4 {ta:?}/{tb:?} at r={r}"
+                    );
+                }
+                let d = r - rsum;
+                let [g1, g2] = vina_exp_args(d).map(f64::exp);
+                let lanes = vina_pair_lanes(
+                    &v,
+                    &[r; LANES],
+                    &[d; LANES],
+                    [&[g1; LANES], &[g2; LANES]],
+                    [&[flag(hydro); LANES], &[flag(hb); LANES]],
                 );
                 assert_eq!(
-                    vina_pair(&v, ta, tb, r),
-                    vina_pair_pre(&v, rsum, hydro, hb, r),
+                    vina_pair(&v, ta, tb, r).to_bits(),
+                    lanes[0].to_bits(),
                     "vina {ta:?}/{tb:?} at r={r}"
                 );
             }
         }
+        assert_eq!(
+            dielectric(2.5).to_bits(),
+            dielectric_from_exp(dielectric_exp_arg(2.5).exp()).to_bits()
+        );
     }
 
     #[test]

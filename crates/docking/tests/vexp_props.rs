@@ -1,0 +1,113 @@
+//! Property tests for the two instantiations of every kernel that runs
+//! `exp` in lanes: the body on the process's selected path (the `vexp`
+//! lanes wherever the port passed its self-check) and the libm body, both
+//! called directly, must give the same bits as each other and as the
+//! retained naive references, on the random receptors and ligands of
+//! `kernel_props`. Where the port is not selected both calls run the libm
+//! body.
+
+use proptest::prelude::*;
+
+use docking::autogrid::{build_ad4_grids_via, build_vina_grids_via, reference, GridSet};
+use docking::conformation::LigandModel;
+use docking::energy::EnergyModel;
+use docking::grid::GridSpec;
+use docking::params::{Ad4Params, VinaParams};
+use docking::search::random_pose;
+use docking::vexp::ExpPath;
+use molkit::formats::pdbqt::PdbqtLigand;
+use molkit::synth::{generate_ligand, generate_receptor, LigandParams, ReceptorParams};
+use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
+use molkit::Molecule;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+fn prepared_receptor(name: &str) -> Molecule {
+    let mut r = generate_receptor(
+        name,
+        &ReceptorParams { min_residues: 20, max_residues: 35, hg_fraction: 0.0 },
+    );
+    assign_ad_types(&mut r);
+    molkit::charges::assign_gasteiger(&mut r, &Default::default());
+    r
+}
+
+fn prepared_ligand(name: &str) -> PdbqtLigand {
+    let mut l =
+        generate_ligand(name, &LigandParams { min_heavy: 8, max_heavy: 14, hang_fraction: 0.0 });
+    assign_ad_types(&mut l);
+    molkit::charges::assign_gasteiger(&mut l, &Default::default());
+    merge_nonpolar_hydrogens(&mut l);
+    let tree = molkit::torsion::build_torsion_tree(&l);
+    PdbqtLigand { mol: l, tree }
+}
+
+/// Every map of `a` and `b`, bit for bit (`-0.0` and `0.0` differ).
+fn grids_bits_equal(a: &GridSet, b: &GridSet) -> bool {
+    let maps = |g: &GridSet| -> Vec<(&'static str, Vec<u64>)> {
+        g.maps().map(|(l, m)| (l, m.values().iter().map(|v| v.to_bits()).collect())).collect()
+    };
+    maps(a) == maps(b)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn ad4_grid_lanes_and_libm_bodies_agree(name in "[A-Z0-9]{3}",
+                                            spacing in 1.0..1.6f64,
+                                            edge in 10.0..16.0f64,
+                                            threads in 1..4usize) {
+        let receptor = prepared_receptor(&name);
+        let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
+        let types = [molkit::AdType::C, molkit::AdType::OA, molkit::AdType::HD, molkit::AdType::N];
+        let p = Ad4Params::new();
+        let lanes = build_ad4_grids_via(ExpPath::selected(), &receptor, spec, &types, &p, threads);
+        let libm = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &p, 1);
+        prop_assert!(grids_bits_equal(&lanes, &libm), "lanes and libm bodies diverged");
+        let naive = reference::build_ad4_grids(&receptor, spec, &types, &p);
+        prop_assert!(grids_bits_equal(&libm, &naive), "libm body diverged from the reference");
+    }
+
+    #[test]
+    fn vina_grid_lanes_and_libm_bodies_agree(name in "[A-Z0-9]{3}",
+                                             spacing in 1.0..1.6f64,
+                                             edge in 10.0..16.0f64,
+                                             threads in 1..4usize) {
+        let receptor = prepared_receptor(&name);
+        let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
+        let types = [molkit::AdType::C, molkit::AdType::NA, molkit::AdType::HD, molkit::AdType::OA];
+        let p = VinaParams::default();
+        let lanes = build_vina_grids_via(ExpPath::selected(), &receptor, spec, &types, &p, threads);
+        let libm = build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &p, 1);
+        prop_assert!(grids_bits_equal(&lanes, &libm), "lanes and libm bodies diverged");
+        let naive = reference::build_vina_grids(&receptor, spec, &types, &p);
+        prop_assert!(grids_bits_equal(&libm, &naive), "libm body diverged from the reference");
+    }
+
+    #[test]
+    fn intramolecular_lanes_and_libm_bodies_agree(rname in "[A-Z0-9]{3}",
+                                                  lname in "[A-Z0-9]{3}",
+                                                  seed in 0..10_000u64) {
+        let receptor = prepared_receptor(&rname);
+        let lig = prepared_ligand(&lname);
+        let lm = LigandModel::new(&lig);
+        let spec = GridSpec::with_edge(receptor.centroid(), 14.0, 1.25);
+        let types = lig.mol.ad_types();
+        let ad4 = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &Ad4Params::new(), 1);
+        let vina =
+            build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &VinaParams::default(), 1);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for grids in [&ad4, &vina] {
+            let em = EnergyModel::new(grids, &lm).unwrap();
+            for _ in 0..16 {
+                let c = lm.coords(&random_pose(&spec, lm.torsdof(), &mut rng));
+                let lanes = em.intramolecular_via(ExpPath::selected(), &c);
+                let libm = em.intramolecular_via(ExpPath::Libm, &c);
+                prop_assert_eq!(lanes.to_bits(), libm.to_bits(), "{:?}", grids.kind);
+                prop_assert_eq!(libm.to_bits(), em.intramolecular_reference(&c).to_bits());
+                prop_assert_eq!(em.intramolecular(&c).to_bits(), libm.to_bits());
+            }
+        }
+    }
+}

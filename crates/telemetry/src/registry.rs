@@ -20,6 +20,7 @@ pub const COUNTERS: &[&str] = &[
     "campaign.submitted",
     "dist.stragglers",
     "dock.evaluations",
+    "dock.exp_simd",
     "files.digest_bytes",
     "fleet.spawn_timeouts",
     "gridcache.bytes",
