@@ -1,17 +1,18 @@
 //! The one provenance committer of each campaign directory (the `Daemon`'s,
 //! a one-shot run's): a bounded FIFO queue drained by one thread, the only
-//! writer of activation rows. `settle` and `poison` queue an owned record
-//! and return, so no worker, reader or engine thread waits on the store's
-//! lock or fsync. Each drained batch is one [`ProvenanceStore::commit_batch`]
-//! — one lock hold, one WAL record per activation, at most one fsync waited
-//! for after the lock is released, when the store's `Durability` makes one
-//! due. FIFO keeps resume sound: a worker queues its record before it
-//! reports `Settled`, so an upstream row is applied before any downstream
-//! one. Under a steering tick `begin` registers attempts and every tick
-//! publishes a crash-visible `RUNNING` row per attempt in flight, which its
-//! definitive row is written over. A barrier calls back once everything
-//! before it is durable; the thread's panic reaches the owner's engine as
-//! `PortEvent::Panicked`.
+//! writer of the directory's store. A run's registration rows, queued before
+//! the run is started, and every record `settle` and `poison` queue are
+//! owned messages, so no worker, reader or engine thread waits on the
+//! store's writer lock or fsync. Each drained batch is one
+//! [`ProvenanceStore::commit_batch`] — one writer-lock hold, one WAL record
+//! per activation, at most one fsync, when the store's `Durability` makes
+//! one due. FIFO keeps resume sound: a run's rows follow its registration,
+//! and a worker queues its record before it reports `Settled`, so an
+//! upstream row is applied before any downstream one. Under a steering tick
+//! `begin` registers attempts and every tick publishes a crash-visible
+//! `RUNNING` row per attempt in flight, which its definitive row is written
+//! over. A barrier calls back once everything before it is durable; the
+//! thread's panic reaches the owner's engine as `PortEvent::Panicked`.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,10 +24,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use provenance::{ActivationOutputs as Outputs, ActivationRecord, ActivationWrite};
-use provenance::{ProvenanceStore, TaskId};
+use provenance::{ActivityId, ProvenanceStore, TaskId, WorkflowId};
 use telemetry::{Histogram, Telemetry};
 
 use crate::engine::PortEvent;
+use crate::workflow::WorkflowDef;
 
 /// Records the queue holds before a send blocks: more than a checkpoint's
 /// worth (a 35 ms hold at ≈ 5 k records/s is ≈ 170), so a checkpoint does
@@ -34,6 +36,8 @@ use crate::engine::PortEvent;
 pub(crate) const BOUND: usize = 512;
 
 enum Msg {
+    /// A run's workflow and activity rows, under reserved ids.
+    Register(WorkflowId, Vec<ActivityId>, Arc<WorkflowDef>),
     /// A registered attempt began: its id and its `RUNNING` row.
     Begin(u64, ActivationRecord),
     /// A definitive row, its attempt's registration, and when it was sent.
@@ -116,6 +120,20 @@ impl Committer {
     /// Panics if the committer has died.
     fn record(&self, msg: Msg) {
         assert!(self.send(msg), "the provenance committer has died");
+    }
+
+    /// Reserve the ids of an execution of `def` in `prov`, the store this
+    /// committer writes, and queue its registration — the `hworkflow` row,
+    /// then one `hactivity` row per activity — ahead of every record of the
+    /// run. Returns the workflow id and the activity ids, in activity order.
+    pub(crate) fn register(
+        &self,
+        prov: &ProvenanceStore,
+        def: &Arc<WorkflowDef>,
+    ) -> (WorkflowId, Vec<ActivityId>) {
+        let (wkf, acts) = prov.reserve_workflow(def.activities.len());
+        self.record(Msg::Register(wkf, acts.clone(), Arc::clone(def)));
+        (wkf, acts)
     }
 
     /// Register an attempt that begins now, if attempts are registered;
@@ -225,6 +243,13 @@ impl Thread {
         let mut writes = Vec::new();
         for msg in batch.drain(..) {
             match msg {
+                Msg::Register(wkf, acts, def) => {
+                    self.commit(&mut writes);
+                    let acts: Vec<_> = (acts.into_iter().zip(&def.activities))
+                        .map(|(id, a)| (id, a.tag.as_str(), a.operator.name()))
+                        .collect();
+                    self.prov.register(wkf, [&def.tag, &def.description, &def.expdir], &acts);
+                }
                 Msg::Begin(id, rec) => {
                     self.in_flight.insert(id, (rec, None));
                 }

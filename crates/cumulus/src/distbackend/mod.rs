@@ -1418,9 +1418,9 @@ mod tests {
     fn a_store_fault_in_the_committer_kills_the_run_instead_of_waiting_for_heartbeats() {
         use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
 
-        // opening the store is append 1; the engine thread registers the
-        // workflow and its three activities in 2–5; every later append is
-        // the committer's, writing what the connections' readers settled
+        // opening the store is append 1; the committer registers the
+        // workflow and its three activities in 2–5, then writes what the
+        // connections' readers settled
         let env = MemEnv::new();
         let plan = Arc::new(FaultPlan::panic_after(7));
         let fault = FaultEnv::new(Box::new(env.clone()), Arc::clone(&plan));

@@ -1007,8 +1007,9 @@ mod tests {
         prov: &Store,
         failures: FailureModel,
     ) {
+        let (wkf, acts) = prov.commit.register(&prov.prov, &def);
         let run = Arc::new(RunCtx {
-            wkf: prov.prov.begin_workflow(&def.tag, &def.description, &def.expdir),
+            wkf,
             files: Arc::new(FileStore::new()),
             prov: Arc::clone(&prov.prov),
             failures,
@@ -1019,7 +1020,7 @@ mod tests {
             commit: Arc::clone(&prov.commit),
             events: None,
         });
-        let ctxs = ActivityCtx::build_all(&def, &run);
+        let ctxs = ActivityCtx::build_all(&def, &run, &acts);
         e.add_run(id, tenant, 0, def, input, ctxs);
     }
 

@@ -17,7 +17,9 @@
 //!    half-recorded activation.
 //!
 //! Every row is queued for the owner's [`Committer`], which writes it on its
-//! own thread; it is durable at the latest when the campaign is recorded.
+//! own thread; it is durable at the latest when the campaign is recorded. A
+//! run's workflow and activity rows go first, under ids reserved when the
+//! run is taken on ([`Committer::register`]): the engine thread never writes.
 //!
 //! The backends differ only in *where* they call the steps. The engine
 //! (`crate::engine`, under every real backend) calls `admit` itself when the
@@ -157,10 +159,10 @@ pub(crate) enum Settled {
 }
 
 impl ActivityCtx {
-    fn build(def: &WorkflowDef, i: usize, run: &Arc<RunCtx>) -> ActivityCtx {
+    fn build(def: &WorkflowDef, i: usize, run: &Arc<RunCtx>, act_id: ActivityId) -> ActivityCtx {
         let activity = &def.activities[i];
         ActivityCtx {
-            act_id: run.prov.register_activity(run.wkf, &activity.tag, activity.operator.name()),
+            act_id,
             tag: activity.tag.clone(),
             hist: format!("activation.{}", activity.tag),
             func: Arc::clone(&activity.func),
@@ -174,9 +176,17 @@ impl ActivityCtx {
         }
     }
 
-    /// One context per activity of `def`, in activity order.
-    pub(crate) fn build_all(def: &WorkflowDef, run: &Arc<RunCtx>) -> Vec<Arc<ActivityCtx>> {
-        (0..def.activities.len()).map(|i| Arc::new(ActivityCtx::build(def, i, run))).collect()
+    /// One context per activity of `def`, in activity order, under the ids
+    /// [`Committer::register`] reserved.
+    pub(crate) fn build_all(
+        def: &WorkflowDef,
+        run: &Arc<RunCtx>,
+        acts: &[ActivityId],
+    ) -> Vec<Arc<ActivityCtx>> {
+        acts.iter()
+            .enumerate()
+            .map(|(i, &id)| Arc::new(ActivityCtx::build(def, i, run, id)))
+            .collect()
     }
 
     /// Working directory of the activation with this arrival index.
@@ -382,20 +392,21 @@ mod tests {
         let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
         let func: ActivityFn = Arc::new(|tuples, _ctx| Ok(tuples.to_vec()));
-        let def = WorkflowDef {
+        let def = Arc::new(WorkflowDef {
             tag: "live".into(),
             description: String::new(),
             expdir: "/e".into(),
             activities: vec![Activity::map("vina", &["x"], func)],
             deps: vec![vec![]],
-        };
+        });
         let t0 = Instant::now();
         // a tick that never comes: the test publishes itself
         let (events, _) = mpsc::channel::<PortEvent>();
         let tick = Some(Duration::from_secs(3600));
         let commit = Committer::start(Arc::clone(&prov), t0, tick, &Telemetry::disabled(), events);
+        let (wkf, acts) = commit.register(&prov, &def);
         let run = Arc::new(RunCtx {
-            wkf: prov.begin_workflow(&def.tag, "", &def.expdir),
+            wkf,
             files: Arc::clone(&files),
             prov: Arc::clone(&prov),
             failures: FailureModel::none(),
@@ -406,7 +417,7 @@ mod tests {
             commit: Arc::clone(&commit),
             events: None,
         });
-        let ctx = &ActivityCtx::build_all(&def, &run)[0];
+        let ctx = &ActivityCtx::build_all(&def, &run, &acts)[0];
         let rows = |sql: &str| {
             assert!(commit.drain());
             prov.query_rows(sql, &[]).unwrap().rows

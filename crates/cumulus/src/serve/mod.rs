@@ -1008,7 +1008,10 @@ impl<P: WorkerPort> Directory<P> {
             let Some(id) = self.pending.pop_front() else { return };
             let c = &mut self.campaigns[at(id)];
             let wf = c.wf.take().expect("pending campaign holds its workflow");
-            let wkf = self.prov.begin_workflow(&wf.def.tag, &wf.def.description, &wf.def.expdir);
+            // queued ahead of every record of the run: the engine thread
+            // writes nothing to the store
+            let def = Arc::new(wf.def);
+            let (wkf, acts) = self.commit.register(&self.prov, &def);
             c.wkf = Some(wkf);
             // the activation lifecycle every backend shares, so the
             // campaign's provenance rows are shaped identically to a
@@ -1025,8 +1028,8 @@ impl<P: WorkerPort> Directory<P> {
                 commit: Arc::clone(&self.commit),
                 events: self.cfg.events.clone(),
             });
-            let ctxs = ActivityCtx::build_all(&wf.def, &run);
-            self.engine.add_run(id, &c.tenant, c.priority, Arc::new(wf.def), &wf.input, ctxs);
+            let ctxs = ActivityCtx::build_all(&def, &run, &acts);
+            self.engine.add_run(id, &c.tenant, c.priority, def, &wf.input, ctxs);
             self.set_state(id, CampaignState::Running);
             self.transition(Severity::Info, "started", id, &[("wkfid", wkf.0.to_string())]);
         }

@@ -442,9 +442,9 @@ fn an_over_deep_query_is_an_error_and_the_daemon_still_answers_status() {
 fn a_store_fault_in_a_workers_commit_fails_the_daemon_instead_of_hanging_the_campaign() {
     use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
 
-    // opening the store is append 1; the engine thread registers the
-    // workflow and its two activities in 2–4; append 5 is the first
-    // activation a worker commits
+    // opening the store is append 1; the committer registers the workflow
+    // and its two activities in 2–4; append 5 is the first activation a
+    // worker settled
     let plan = Arc::new(FaultPlan::panic_after(5));
     let env = FaultEnv::new(Box::new(MemEnv::new()), Arc::clone(&plan));
     let prov = ProvenanceStore::open_env(Box::new(env), Default::default()).expect("fresh env");
@@ -474,6 +474,64 @@ fn a_store_fault_in_a_workers_commit_fails_the_daemon_instead_of_hanging_the_cam
     match polled {
         Ok(msg) => assert_eq!(msg, "daemon is shutting down"),
         Err(state) => panic!("the campaign still reads {state:?}: the fault left it hanging"),
+    }
+}
+
+/// The engine thread writes nothing to the store: with the committer
+/// stalled inside its first append — the first campaign's workflow row — a
+/// second campaign still starts, and once the disk moves both finish with
+/// the provenance of their solo runs.
+#[test]
+fn campaigns_start_while_the_committer_is_parked_in_its_append() {
+    use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
+
+    // opening the store is append 1; the committer's first record is 2
+    let plan = Arc::new(FaultPlan::park_after(2));
+    let env = FaultEnv::new(Box::new(MemEnv::new()), Arc::clone(&plan));
+    let prov =
+        Arc::new(ProvenanceStore::open_env(Box::new(env), Default::default()).expect("fresh env"));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    {
+        let (prov, plan) = (Arc::clone(&prov), Arc::clone(&plan));
+        std::thread::spawn(move || {
+            let cfg = ServeConfig::new().with_workers(2).with_max_active(4);
+            let daemon = Daemon::start(cfg, resolver(), prov).expect("daemon starts");
+            let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+            let mut submit = |spec: &str| match client.submit("alice", 0, spec).expect("submit") {
+                SubmitOutcome::Accepted { id } => id,
+                SubmitOutcome::Rejected { reason, .. } => panic!("{spec} rejected: {reason}"),
+            };
+            let first = submit("wf:parked1:4:0");
+            plan.wait_parked();
+            let second = submit("wf:parked2:4:0");
+            let running =
+                wait_state(&mut client, second, CampaignState::Running, Duration::from_secs(10));
+            plan.release();
+            let finished = [first, second].map(|id| {
+                wait_state(&mut client, id, CampaignState::Finished, Duration::from_secs(30))
+            });
+            drop(client);
+            daemon.shutdown();
+            let _ = done_tx.send((running, finished));
+        });
+    }
+    let (running, finished) =
+        done_rx.recv_timeout(Duration::from_secs(60)).expect("the daemon hung behind its store");
+    assert_eq!(running, CampaignState::Running, "a campaign waited for the committer's disk");
+    assert_eq!(finished, [CampaignState::Finished; 2]);
+
+    for tag in ["wf-parked1", "wf-parked2"] {
+        let (wkf, _) = prov.workflows().into_iter().find(|(_, t)| t == tag).expect("registered");
+        let solo_prov = Arc::new(ProvenanceStore::new());
+        LocalBackend::new(LocalConfig::new().with_threads(2))
+            .run(&test_workflow(tag, 4, 0), &solo_prov)
+            .expect("one-shot run");
+        let solo_wkf = solo_prov.latest_workflow().expect("one-shot workflow recorded");
+        assert_eq!(
+            export_provn_canonical_for(&prov, wkf),
+            export_provn_canonical_for(&solo_prov, solo_wkf),
+            "campaign {tag}: provenance written behind a stalled disk equals a solo run's"
+        );
     }
 }
 

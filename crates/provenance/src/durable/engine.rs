@@ -6,23 +6,16 @@
 //! them and hands the engine the op to log, so the exact same `apply` code
 //! path runs live and during replay.
 //!
-//! Group commit keeps the disk out of the store's lock. Under the lock a
-//! commit applies, encodes and `write`s its frame — that fixes WAL order =
-//! apply order — and, when the commit policy says a flush is due,
-//! [`DurableEngine::append`] leaves a *ticket*: the sequence number that
-//! must be durable before the committer may return. The store's commit
-//! wrapper takes the ticket, releases the lock and redeems it at the shared
-//! [`Syncer`], which fsyncs through a second handle on the log unless its
-//! durable watermark already covers the ticket. So concurrent committers
-//! share one fsync, a query never queues behind a disk flush, and no
-//! acknowledgement is given earlier than before: `Sync` tickets every record,
-//! `Batched` the record that fills or outlives the batch.
+//! The engine sits under the store's writer lock, one writer at a time, so
+//! it needs no lock of its own: [`DurableEngine::append`] writes a frame and
+//! says whether the group-commit policy now wants a flush, and a store call
+//! any of whose appends said so calls [`DurableEngine::sync`] once, after
+//! its last append — under `Sync` every call, under `Batched` the call
+//! whose records fill or outlive the batch. An fsync error latches: every
+//! append and flush after it fails too.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use telemetry::Telemetry;
 
 use crate::durable::io::{LogFile, StorageEnv};
@@ -42,61 +35,8 @@ pub(crate) struct Recovered {
 
 /// Rows in every table of `db`: the checkpoint policy's measure of what a
 /// snapshot of it covers.
-fn rows_in(db: &PagedDb) -> u64 {
+pub(crate) fn rows_in(db: &PagedDb) -> u64 {
     db.table_names().iter().map(|n| db.row_count(n).expect("listed table")).sum()
-}
-
-/// The one place a commit's fsync is issued, shared by every committer and
-/// called with the store's lock released.
-pub(crate) struct Syncer {
-    /// Sequence number of the last frame `write`n to the log in full: stored
-    /// under the store's lock once the write has returned, and read before
-    /// an fsync starts — so that fsync covers every frame up to the value read.
-    written: AtomicU64,
-    /// Highest sequence number known durable. Stored under `handle`'s lock.
-    durable: AtomicU64,
-    /// Set by the first fsync that fails, never cleared: whatever the log
-    /// holds past `durable` may be lost, so nothing more is acknowledged.
-    failed: AtomicBool,
-    /// A second handle on the log. Committers with a ticket queue on its
-    /// lock; whoever holds it is inside the fsync the others may share.
-    handle: Mutex<Box<dyn LogFile>>,
-    telemetry: Telemetry,
-}
-
-impl Syncer {
-    /// Return once frame `seq` is durable: fsync, unless an fsync that began
-    /// after `seq` was written has completed meanwhile.
-    pub(crate) fn sync_to(&self, seq: u64) -> std::io::Result<()> {
-        self.sync_locked(&mut **self.handle.lock(), seq)
-    }
-
-    fn sync_locked(&self, handle: &mut dyn LogFile, seq: u64) -> std::io::Result<()> {
-        self.check()?;
-        if self.durable.load(Ordering::SeqCst) >= seq {
-            self.telemetry.count("provstore.fsync_shared", 1);
-            return Ok(());
-        }
-        let covers = self.written.load(Ordering::SeqCst);
-        let t0 = Instant::now();
-        if let Err(e) = handle.sync() {
-            self.failed.store(true, Ordering::SeqCst);
-            return Err(e);
-        }
-        self.durable.store(covers, Ordering::SeqCst);
-        if let Some(h) = self.telemetry.histogram("provstore.group_commit") {
-            h.record(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    /// An error once any fsync has failed.
-    fn check(&self) -> std::io::Result<()> {
-        if self.failed.load(Ordering::SeqCst) {
-            return Err(std::io::Error::other("an earlier WAL fsync failed"));
-        }
-        Ok(())
-    }
 }
 
 /// The storage engine behind a durable `ProvenanceStore`.
@@ -124,12 +64,11 @@ pub(crate) struct DurableEngine {
     /// The log still carries a version-1 header: it must be checkpointed
     /// (which rewrites the header) before anything is appended to it.
     stale_header: bool,
+    /// Set by the first fsync that fails, never cleared: whatever the log
+    /// holds past the last good fsync may be lost, so nothing more is
+    /// acknowledged.
+    failed: bool,
     telemetry: Telemetry,
-    syncer: Arc<Syncer>,
-    /// The ticket left by the commits made under the current acquisition of
-    /// the store's lock: the sequence number that must be durable before
-    /// their caller returns. The store's commit wrapper takes it.
-    due: Option<u64>,
 }
 
 impl DurableEngine {
@@ -186,13 +125,6 @@ impl DurableEngine {
                 (kept.into_iter().map(|(_, op)| op).collect::<Vec<WalOp>>(), last_seq)
             }
         };
-        let syncer = Arc::new(Syncer {
-            written: AtomicU64::new(last_seq),
-            durable: AtomicU64::new(last_seq),
-            failed: AtomicBool::new(false),
-            handle: Mutex::new(log.sync_handle().map_err(DurableError::Io)?),
-            telemetry: options.telemetry.clone(),
-        });
         let engine = DurableEngine {
             env,
             log,
@@ -205,75 +137,72 @@ impl DurableEngine {
             snapshot_rows,
             checkpoint_every: options.checkpoint_every,
             stale_header,
+            failed: false,
             telemetry: options.telemetry.clone(),
-            syncer,
-            due: None,
         };
         Ok((engine, Recovered { counters: snap.map(|(_, counters)| counters), ops }))
     }
 
     /// Append one record to the WAL — one frame, however many mutations it
-    /// carries — and apply the group-commit policy, toward which (as toward
-    /// the checkpoint policy) the record counts once per mutation. The frame
-    /// is written, not forced to disk: when the policy wants that, a ticket
-    /// is left for [`take_due`](Self::take_due). A record the frame cannot
-    /// hold is an `InvalidData` error, and nothing reaches the log.
-    pub(crate) fn append(&mut self, op: &WalOp) -> std::io::Result<()> {
+    /// carries — and return whether the group-commit policy, toward which
+    /// (as toward the checkpoint policy) the record counts once per
+    /// mutation, now wants a [`sync`](Self::sync). The frame is written,
+    /// not forced to disk. A record the frame cannot hold is an
+    /// `InvalidData` error, and nothing reaches the log.
+    pub(crate) fn append(&mut self, op: &WalOp) -> std::io::Result<bool> {
         debug_assert!(!self.stale_header, "a version-1 log is checkpointed before any append");
-        self.syncer.check()?;
+        self.check()?;
         let t0 = Instant::now();
         let frame = wal::frame(self.next_seq, op)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         self.log.append(&frame)?;
-        self.syncer.written.store(self.next_seq, Ordering::SeqCst);
         self.next_seq += 1;
         self.tail_mutations += op.mutations();
         self.pending += op.mutations();
-        if self.pending_since.is_none() {
-            self.pending_since = Some(t0);
-        }
-        let due = match self.durability {
-            Durability::Sync => true,
-            Durability::Batched { max_ops, max_delay } => {
-                self.pending >= max_ops as u64
-                    || self.pending_since.is_some_and(|s| s.elapsed() >= max_delay)
-            }
-        };
-        if due {
-            self.ticket();
-        }
+        let since = *self.pending_since.get_or_insert(t0);
         if self.telemetry.is_enabled() {
             if let Some(h) = self.telemetry.histogram("provstore.wal_append") {
                 h.record(t0.elapsed().as_nanos() as u64);
             }
             self.telemetry.count("provstore.wal_appends", 1);
         }
-        Ok(())
+        Ok(match self.durability {
+            Durability::Sync => true,
+            Durability::Batched { max_ops, max_delay } => {
+                self.pending >= max_ops as u64 || since.elapsed() >= max_delay
+            }
+        })
     }
 
-    /// Close the pending batch (a group commit): everything appended so far
-    /// is to be durable before the caller of the current store call returns.
-    /// Leaves no ticket when nothing is pending and nothing written is still
-    /// waiting for another committer's fsync.
-    pub(crate) fn ticket(&mut self) {
-        let last = self.next_seq - 1;
-        if self.pending == 0 && self.syncer.durable.load(Ordering::SeqCst) >= last {
-            return;
+    /// Group commit: fsync the log, making every appended record durable,
+    /// unless nothing is pending.
+    pub(crate) fn sync(&mut self) -> std::io::Result<()> {
+        self.check()?;
+        if self.pending == 0 {
+            return Ok(());
         }
-        if self.pending > 0 {
-            if let Some(h) = self.telemetry.histogram("provstore.commit_batch") {
-                h.record(self.pending);
-            }
+        if let Some(h) = self.telemetry.histogram("provstore.commit_batch") {
+            h.record(self.pending);
+        }
+        let t0 = Instant::now();
+        if let Err(e) = self.log.sync() {
+            self.failed = true;
+            return Err(e);
         }
         self.pending = 0;
         self.pending_since = None;
-        self.due = Some(last);
+        if let Some(h) = self.telemetry.histogram("provstore.group_commit") {
+            h.record(t0.elapsed().as_nanos() as u64);
+        }
+        Ok(())
     }
 
-    /// Take the ticket the commits since the last call left, and the syncer
-    /// to redeem it at once the store's lock is released.
-    pub(crate) fn take_due(&mut self) -> Option<(Arc<Syncer>, u64)> {
-        self.due.take().map(|seq| (Arc::clone(&self.syncer), seq))
+    /// An error once any fsync has failed.
+    fn check(&self) -> std::io::Result<()> {
+        if self.failed {
+            return Err(std::io::Error::other("an earlier WAL fsync failed"));
+        }
+        Ok(())
     }
 
     /// Should the caller take a checkpoint now? Yes once the log tail holds
@@ -293,27 +222,26 @@ impl DurableEngine {
         self.stale_header
     }
 
-    /// Write a snapshot of `db`/`counters` covering everything logged so
-    /// far, then truncate the WAL back to its header.
+    /// Write a snapshot covering everything logged so far, then truncate
+    /// the WAL back to its header. `encode` is handed the last logged
+    /// sequence number and returns the snapshot's bytes and the rows it
+    /// holds; it is the only step that needs the tables.
     ///
-    /// Ordering: flush WAL → write+rename snapshot → truncate WAL, all with
-    /// the store's lock *and* the syncer's handle held, so no commit's fsync
-    /// overlaps the truncation and a committer whose ticket this flush
-    /// covered finds it covered. A crash between the last two steps leaves
-    /// stale frames the next recovery skips via the snapshot's `base_seq`.
-    /// A version-1 header is replaced
-    /// on the way (truncate to nothing, append the current header); a crash
-    /// between those two leaves an empty log, which the next open
+    /// Ordering: flush WAL → encode → write+rename snapshot → truncate WAL,
+    /// all under the store's writer lock, so no record is appended between
+    /// them. A crash between the last two steps leaves stale frames the next
+    /// recovery skips via the snapshot's `base_seq`. A version-1 header is
+    /// replaced on the way (truncate to nothing, append the current header);
+    /// a crash between those two leaves an empty log, which the next open
     /// reinitializes — the snapshot already holds everything.
-    pub(crate) fn checkpoint(&mut self, db: &PagedDb, counters: &Counters) -> std::io::Result<()> {
-        let syncer = Arc::clone(&self.syncer);
-        let mut handle = syncer.handle.lock();
-        self.ticket();
-        if let Some(seq) = self.due.take() {
-            syncer.sync_locked(&mut **handle, seq)?;
-        }
+    pub(crate) fn checkpoint(
+        &mut self,
+        encode: impl FnOnce(u64) -> (Vec<u8>, u64),
+    ) -> std::io::Result<()> {
+        let t0 = Instant::now();
+        self.sync()?;
         let covered = self.next_seq - 1;
-        let bytes = snapshot::encode(db, counters, covered);
+        let (bytes, rows) = encode(covered);
         self.env.write_snapshot(&bytes)?;
         if self.stale_header {
             self.log.truncate(0)?;
@@ -325,8 +253,11 @@ impl DurableEngine {
         self.log.sync()?;
         self.base_seq = covered;
         self.tail_mutations = 0;
-        self.snapshot_rows = rows_in(db);
+        self.snapshot_rows = rows;
         self.telemetry.count("provstore.checkpoints", 1);
+        if let Some(h) = self.telemetry.histogram("provstore.checkpoint") {
+            h.record(t0.elapsed().as_nanos() as u64);
+        }
         Ok(())
     }
 
@@ -346,10 +277,7 @@ impl DurableEngine {
 impl Drop for DurableEngine {
     fn drop(&mut self) {
         // best-effort group-commit flush; a crash here is what the WAL is for
-        self.ticket();
-        if let Some(seq) = self.due.take() {
-            let _ = self.syncer.sync_to(seq);
-        }
+        let _ = self.sync();
     }
 }
 
@@ -436,7 +364,7 @@ mod tests {
         }
         db.insert("t", vec![crate::value::Value::Int(42)]).unwrap();
         let counters = Counters { next_task: 5, ..Default::default() };
-        eng.checkpoint(&db, &counters).unwrap();
+        eng.checkpoint(|seq| (snapshot::encode(&db, &counters, seq), rows_in(&db))).unwrap();
         assert_eq!(eng.base_seq(), 4);
         for i in 5..=6 {
             eng.append(&op(i)).unwrap();
@@ -481,21 +409,18 @@ mod tests {
         let durability =
             Durability::Batched { max_ops: 3, max_delay: std::time::Duration::from_secs(3600) };
         let (mut eng, _, _) = open(&env, durability).unwrap();
-        eng.append(&op(1)).unwrap();
-        eng.append(&op(2)).unwrap();
+        assert!(!eng.append(&op(1)).unwrap());
+        assert!(!eng.append(&op(2)).unwrap());
         assert_eq!(eng.pending, 2);
-        assert!(eng.take_due().is_none());
-        eng.append(&op(3)).unwrap();
-        assert_eq!(eng.pending, 0, "hit max_ops → group commit");
-        let (syncer, seq) = eng.take_due().expect("the batch's ticket");
-        assert_eq!((seq, env.syncs()), (3, 1), "only the header is synced so far");
-        syncer.sync_to(seq).unwrap();
-        syncer.sync_to(seq).unwrap();
-        assert_eq!(env.syncs(), 2, "a covered ticket costs no second fsync");
-        eng.append(&op(4)).unwrap();
-        assert!(eng.take_due().is_none(), "one pending mutation is not due");
-        eng.ticket();
-        assert_eq!((eng.pending, eng.take_due().map(|(_, seq)| seq)), (0, Some(4)));
+        assert!(eng.append(&op(3)).unwrap(), "hit max_ops → group commit due");
+        assert_eq!(env.syncs(), 1, "only the header is synced so far");
+        eng.sync().unwrap();
+        assert_eq!((eng.pending, env.syncs()), (0, 2));
+        eng.sync().unwrap();
+        assert_eq!(env.syncs(), 2, "nothing pending costs no second fsync");
+        assert!(!eng.append(&op(4)).unwrap(), "one pending mutation is not due");
+        eng.sync().unwrap();
+        assert_eq!((eng.pending, env.syncs()), (0, 3));
     }
 
     #[test]

@@ -34,11 +34,6 @@ pub trait LogFile: Send {
     /// Truncate the log to `len` bytes (used to drop a torn tail and to
     /// reset the log after a snapshot checkpoint).
     fn truncate(&mut self, len: u64) -> io::Result<()>;
-    /// A second handle on the same log, for group commit: its
-    /// [`sync`](LogFile::sync) runs on whichever thread redeems a commit
-    /// ticket while this handle goes on appending, and covers every append
-    /// that returned before it was called.
-    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>>;
 }
 
 /// The durable layer's whole world: one log plus one snapshot slot.
@@ -108,10 +103,6 @@ impl LogFile for FsLog {
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.file.set_len(len)
-    }
-
-    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>> {
-        Ok(Box::new(FsLog { file: self.file.try_clone()? }))
     }
 }
 
@@ -186,7 +177,7 @@ impl MemEnv {
         self.files.lock().snapshot = bytes;
     }
 
-    /// Number of log `sync` calls made so far, through any handle.
+    /// Number of log `sync` calls made so far.
     pub fn syncs(&self) -> u64 {
         self.files.lock().syncs
     }
@@ -215,10 +206,6 @@ impl LogFile for MemLog {
         self.files.lock().wal.truncate(len as usize);
         Ok(())
     }
-
-    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>> {
-        Ok(Box::new(MemLog { files: Arc::clone(&self.files) }))
-    }
 }
 
 impl StorageEnv for MemEnv {
@@ -239,8 +226,7 @@ impl StorageEnv for MemEnv {
 // -------------------------------------------------------------- FaultEnv
 
 /// What [`FaultEnv`] does to the Nth log append or sync (1-based counts
-/// across the env's lifetime and all of the log's handles; `None` fields
-/// never fire).
+/// across the env's lifetime; `None` fields never fire).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     appends: AtomicU64,
@@ -376,10 +362,6 @@ impl LogFile for FaultLog {
     fn truncate(&mut self, len: u64) -> io::Result<()> {
         self.inner.truncate(len)
     }
-
-    fn sync_handle(&self) -> io::Result<Box<dyn LogFile>> {
-        Ok(Box::new(FaultLog { inner: self.inner.sync_handle()?, plan: Arc::clone(&self.plan) }))
-    }
 }
 
 impl StorageEnv for FaultEnv {
@@ -429,17 +411,6 @@ mod tests {
         let mut log = env.open_log().unwrap();
         assert!(log.append(b"abcdef").is_err());
         assert_eq!(mem.wal_bytes(), b"abc", "torn write left half the buffer");
-
-        // syncs are counted across the log's handles, and only the Nth fails
-        let mem = MemEnv::new();
-        let plan = Arc::new(FaultPlan::fail_sync_at(2));
-        let env = FaultEnv::new(Box::new(mem.clone()), Arc::clone(&plan));
-        let mut log = env.open_log().unwrap();
-        let mut handle = log.sync_handle().unwrap();
-        log.sync().unwrap();
-        assert!(handle.sync().is_err());
-        handle.sync().unwrap();
-        assert_eq!((plan.syncs_seen(), mem.syncs()), (3, 2));
     }
 
     #[test]
@@ -461,7 +432,7 @@ mod tests {
         assert_eq!(log.read_all().unwrap(), b"abc");
         log.truncate(1).unwrap();
         log.append(b"z").unwrap();
-        log.sync_handle().unwrap().sync().unwrap();
+        log.sync().unwrap();
         assert_eq!(log.read_all().unwrap(), b"az");
         assert!(env.read_snapshot().unwrap().is_none());
         env.write_snapshot(b"snapshot-1").unwrap();

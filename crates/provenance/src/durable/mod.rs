@@ -6,10 +6,10 @@
 //! gives our from-scratch store the same property without leaving std:
 //!
 //! * every write is one logical `wal` record — a single mutation, or a
-//!   finished activation whole — applied and appended (length-prefixed and
-//!   CRC-checksummed) under the store's lock, before the caller sees the new
-//!   id; a `commit_batch` of many activations takes the lock once and still
-//!   logs one record per activation;
+//!   finished activation whole — applied to the tables and appended
+//!   (length-prefixed and CRC-checksummed) under the store's writer lock,
+//!   before the caller sees the new id; a `commit_batch` of many activations
+//!   takes the lock once and still logs one record per activation;
 //! * `snapshot` checkpoints — full table serializations written
 //!   atomically (temp + rename) — are taken, and the log truncated, when
 //!   the log tail holds as many mutations as the snapshot holds rows (and
@@ -27,19 +27,17 @@
 //! committer after each steering tick and for every barrier: a run's end, a
 //! campaign's close) bounds the window of unfsynced work.
 //!
-//! No commit fsyncs under the store's lock. The lock covers apply + encode +
-//! `write` — which is what fixes WAL order = apply order — and the commit
-//! whose record makes a flush due leaves a *ticket* (its sequence number).
-//! With the lock released, the committer redeems the ticket at the engine's
-//! shared syncer: one thread at a time fsyncs a second handle on the log,
-//! recording as the durable watermark the last sequence number written
-//! *before* that fsync began; a ticket at or below the watermark returns
-//! without touching the disk. Concurrent committers therefore share fsyncs,
-//! readers never wait for one, and the promises are unchanged: under
-//! [`Durability::Sync`] a call returns only after an fsync covering its
-//! record, under `Batched` the call that fills or outlives the batch does.
-//! An fsync error panics its committer and fails every commit after it.
-//! Checkpoints alone flush under the lock, holding the syncer while they do.
+//! The store has two locks, always taken writer first. A write holds the
+//! writer lock throughout — which is what fixes WAL order = apply order —
+//! and the tables' lock only while it applies its rows; then it appends its
+//! records and, when one of them made a flush due, fsyncs the log, still
+//! holding the writer lock alone. Readers take only the tables' lock, so
+//! none ever waits for an append, an fsync, a snapshot write or a truncate;
+//! a checkpoint holds the tables' lock only to flush the page file and
+//! encode the snapshot. The promises: under [`Durability::Sync`] a call
+//! returns only after an fsync covering its records, under `Batched` the
+//! call that fills or outlives the batch does. An fsync error panics its
+//! writer and fails every write and barrier after it.
 //!
 //! The recovery invariant, property-tested in `tests/durable_props.rs`:
 //! **any byte prefix of the WAL recovers to a record prefix of the
@@ -61,8 +59,8 @@ use telemetry::Telemetry;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
     /// fsync after every record. Nothing acknowledged is ever lost; a
-    /// store call waits for one fsync (calls that overlap may wait for the
-    /// same one, and a `commit_batch` waits once for all its records). In a
+    /// store call waits for one fsync (a `commit_batch` waits once for all
+    /// its records). In a
     /// `cumulus` run the caller is the provenance committer, so a worker's
     /// record is queued, not acknowledged: the promise is kept where a run
     /// ends or a campaign turns `Finished`, both of which wait for the

@@ -5,9 +5,14 @@
 //! `hactivation` (per activity execution/task), `hfile` (produced files),
 //! `hparameter` (extracted domain values), `hmachine` (VMs used).
 //!
-//! The store is thread-safe: workers record activations concurrently while
-//! the user runs *runtime provenance queries* — the SciCumulus feature the
-//! paper highlights for steering.
+//! The store is thread-safe: its writer records activations while the user
+//! runs *runtime provenance queries* — the SciCumulus feature the paper
+//! highlights for steering. Writes take a writer lock and then, only to
+//! apply their rows, the tables' lock; the WAL append and fsync of a durable
+//! store happen under the writer lock alone, so a query, which takes only
+//! the tables' lock, never waits for the disk. Workflow and activity ids are
+//! reserved from atomics ([`ProvenanceStore::reserve_workflow`]), so a
+//! caller can name a workflow's rows before any writer has written them.
 //!
 //! Every store keeps its tables in one engine, a [`PagedDb`]: slotted-page
 //! heap files with B+tree secondary indexes ([`PROV_INDEXES`]) that the
@@ -18,14 +23,16 @@
 //! storage format and guarantees.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use telemetry::Histogram;
+use telemetry::{Histogram, Telemetry};
 
-use crate::durable::engine::DurableEngine;
+use crate::durable::engine::{rows_in, DurableEngine};
 use crate::durable::io::{DirEnv, StorageEnv};
+use crate::durable::snapshot;
 use crate::durable::wal::WalOp;
 use crate::durable::{Counters, DurableError, DurableOptions};
 use crate::sql::ast::Query;
@@ -135,66 +142,38 @@ pub struct ActivationOutputs {
     pub tuples: Vec<Vec<Value>>,
 }
 
-struct Inner {
-    /// The PROV-Wf tables. Every mutation reaches them through [`plan_op`].
+/// The PROV-Wf tables and their id counters: all a reader locks.
+struct Tables {
+    /// Every mutation reaches them through [`plan_op`].
     db: PagedDb,
     counters: Counters,
-    /// Present on stores opened via a durable constructor; `None` keeps the
-    /// store purely in-memory (the default — zero I/O on any path).
-    engine: Option<DurableEngine>,
 }
 
-impl Inner {
-    /// Apply one record to the tables. Returns `false` only for an update
-    /// of an `hactivation` row that does not exist.
-    fn apply(&mut self, op: &WalOp) -> bool {
-        plan_op(&mut self.db, &mut self.counters, op)
-    }
-
-    /// Log one applied record when durable (and maybe checkpoint).
-    ///
-    /// The WAL append happens under the same lock as the table mutation, so
-    /// WAL order always equals application order — the invariant replay
-    /// relies on. Only the fsync, when one is due, is left to
-    /// [`ProvenanceStore::transact`], which runs it with the lock released.
-    ///
-    /// # Panics
-    /// Panics if the durable layer fails to append or checkpoint, or has
-    /// failed an fsync before: a store that promised durability but can no
-    /// longer write its log must not keep acknowledging mutations.
-    /// (Fault-injection tests use exactly this panic as a simulated crash.)
-    fn log(&mut self, op: &WalOp) {
-        if let Some(eng) = &mut self.engine {
-            eng.append(op).expect("provstore: durable WAL append failed");
-            if eng.should_checkpoint() {
-                self.checkpoint_now();
-            }
-        }
-    }
-
-    /// Apply one record and log it. A record that does not apply (see
-    /// [`Inner::apply`]) is not logged either, and `false` comes back.
-    fn commit(&mut self, op: WalOp) -> bool {
-        let applied = self.apply(&op);
+impl Tables {
+    /// Apply one record to the tables and, if it applied, hand it to `log`.
+    /// Returns `false` only for an update of an `hactivation` row that does
+    /// not exist, which is not logged either.
+    fn commit(&mut self, op: WalOp, log: &mut dyn FnMut(WalOp)) -> bool {
+        let applied = plan_op(&mut self.db, &mut self.counters, &op);
         if applied {
-            self.log(&op);
+            log(op);
         }
         applied
     }
 
-    /// Apply one activation's rows and log them as one record: a row alone
-    /// as itself, a finished activation's files, parameters, tuples and then
-    /// its row as one [`WalOp::Group`]. Each op takes its id from the
-    /// counters as the ops before it left them, exactly as a sequence of
-    /// per-row calls would.
+    /// Apply one activation's rows and hand them to `log` as one record: a
+    /// row alone as itself, a finished activation's files, parameters,
+    /// tuples and then its row as one [`WalOp::Group`]. Each op takes its id
+    /// from the counters as the ops before it left them, exactly as a
+    /// sequence of per-row calls would.
     ///
     /// # Panics
     /// Panics if `w.over` names a task the store never recorded.
-    fn write(&mut self, w: &ActivationWrite) -> TaskId {
+    fn write(&mut self, w: &ActivationWrite, log: &mut dyn FnMut(WalOp)) -> TaskId {
         let (rec, task) = (&w.rec, w.over.map_or(self.counters.next_task, |t| t.0));
         let mut ops = Vec::new();
-        let mut stage = |g: &mut Inner, op: WalOp| {
-            let applied = g.apply(&op);
+        let mut stage = |t: &mut Tables, op: WalOp| {
+            let applied = plan_op(&mut t.db, &mut t.counters, &op);
             assert!(applied, "provstore: no RUNNING row for task {task}");
             ops.push(op);
         };
@@ -225,11 +204,10 @@ impl Inner {
             None => WalOp::RecordActivation { task, rec: rec.clone() },
         };
         stage(self, row);
-        let record = match w.outputs {
+        log(match w.outputs {
             Some(_) => WalOp::Group(ops),
             None => ops.pop().expect("the row was staged"),
-        };
-        self.log(&record);
+        });
         TaskId(task)
     }
 
@@ -242,22 +220,6 @@ impl Inner {
     fn scan_all(&self, table: &str) -> Vec<Vec<Value>> {
         let rows = self.db.scan_entries(table, 0, usize::MAX).unwrap_or_default();
         rows.into_iter().map(|(_, row)| row).collect()
-    }
-
-    /// Snapshot the current state and truncate the WAL. Dirty pages are
-    /// flushed first so the page file is coherent with the snapshot; the
-    /// snapshot is encoded straight from the tables (the WAL/snapshot pair
-    /// stays the durability source of truth — the page file is a
-    /// rebuildable acceleration structure).
-    ///
-    /// # Panics
-    /// Panics if the snapshot cannot be written (same contract as `log`).
-    fn checkpoint_now(&mut self) {
-        self.db.flush_pages();
-        if let Some(eng) = &mut self.engine {
-            eng.checkpoint(&self.db, &self.counters)
-                .expect("provstore: snapshot checkpoint failed");
-        }
     }
 
     fn file_op(
@@ -315,6 +277,10 @@ impl Inner {
             tuple: tuple.to_vec(),
         }
     }
+}
+
+fn activity_op(id: ActivityId, wkf: WorkflowId, tag: &str, acttype: &str) -> WalOp {
+    WalOp::RegisterActivity { id: id.0, wkf: wkf.0, tag: tag.into(), acttype: acttype.into() }
 }
 
 /// Apply one logged record to the tables, advancing the id counters.
@@ -459,22 +425,37 @@ fn plan_op(db: &mut PagedDb, c: &mut Counters, op: &WalOp) -> bool {
 
 /// The provenance store.
 pub struct ProvenanceStore {
-    /// Shared with live [`QueryCursor`]s, which re-lock per `next_row` call
-    /// so a half-drained cursor never holds the lock between pulls.
-    inner: Arc<Mutex<Inner>>,
-    /// `provstore.lock_wait` / `provstore.lock_hold`, in nanoseconds, when a
-    /// durable store was opened with telemetry attached: one sample each per
-    /// mutating call.
+    /// The tables, under the lock readers take. Shared with live
+    /// [`QueryCursor`]s, which re-lock per `next_row` call so a half-drained
+    /// cursor never holds the lock between pulls.
+    tables: Arc<Mutex<Tables>>,
+    /// The writer lock, held by a mutating call from start to end — the
+    /// tables' lock only while it applies its rows — and with it the log of
+    /// a durable store (`None` keeps the store purely in-memory: zero I/O on
+    /// any path). Lock order is always writer, then tables.
+    writer: Mutex<Option<DurableEngine>>,
+    /// The next `hworkflow` and `hactivity` ids to reserve, seeded from the
+    /// recovered counters. `Relaxed`: an id publishes no other data, and
+    /// `fetch_add` alone keeps two reservations apart.
+    next_wkf: AtomicI64,
+    next_act: AtomicI64,
+    /// `provstore.lock_wait` / `provstore.lock_hold` of the writer lock, in
+    /// nanoseconds, when a durable store was opened with telemetry attached:
+    /// one sample each per mutating call and per `flush_wal`.
     lock_times: Option<(Arc<Histogram>, Arc<Histogram>)>,
     /// `provstore.query_hold`, in nanoseconds, under the same condition: one
     /// sample per reader hold (a query run whole, a plan, a cursor pull).
     query_hold: Option<Arc<Histogram>>,
 }
 
-/// Run `f` on the tables under the store's lock as a reader, timing the
-/// hold (not the wait for it) into `hold`.
-fn read_timed<R>(inner: &Mutex<Inner>, hold: Option<&Histogram>, f: impl FnOnce(&Inner) -> R) -> R {
-    let g = inner.lock();
+/// Run `f` on the tables under their lock as a reader, timing the hold
+/// (not the wait for it) into `hold`.
+fn read_timed<R>(
+    tables: &Mutex<Tables>,
+    hold: Option<&Histogram>,
+    f: impl FnOnce(&Tables) -> R,
+) -> R {
+    let g = tables.lock();
     let t0 = hold.map(|h| (h, Instant::now()));
     let out = f(&g);
     drop(g);
@@ -617,10 +598,21 @@ impl ProvenanceStore {
         let mut db = PagedDb::in_memory();
         create_tables(&mut db);
         create_indexes(&mut db);
+        Self::assemble(Tables { db, counters: Counters::default() }, None, &Telemetry::default())
+    }
+
+    /// The store over `tables`, its ids reserved from where their counters
+    /// stand; `tel` times its locks.
+    fn assemble(tables: Tables, engine: Option<DurableEngine>, tel: &Telemetry) -> ProvenanceStore {
         ProvenanceStore {
-            inner: Arc::new(Mutex::new(Inner { db, counters: Counters::default(), engine: None })),
-            lock_times: None,
-            query_hold: None,
+            next_wkf: AtomicI64::new(tables.counters.next_wkf),
+            next_act: AtomicI64::new(tables.counters.next_act),
+            tables: Arc::new(Mutex::new(tables)),
+            writer: Mutex::new(engine),
+            lock_times: tel
+                .histogram("provstore.lock_wait")
+                .zip(tel.histogram("provstore.lock_hold")),
+            query_hold: tel.histogram("provstore.query_hold"),
         }
     }
 
@@ -671,10 +663,6 @@ impl ProvenanceStore {
     ) -> Result<ProvenanceStore, DurableError> {
         let mut db = PagedDb::new(pages, DEFAULT_CACHE_PAGES);
         let (engine, recovered) = DurableEngine::open(env, &options, &mut db)?;
-        let tel = &options.telemetry;
-        let lock_times =
-            tel.histogram("provstore.lock_wait").zip(tel.histogram("provstore.lock_hold"));
-        let query_hold = tel.histogram("provstore.query_hold");
         // a snapshot brought its tables; a store without one starts empty
         if recovered.counters.is_none() {
             create_tables(&mut db);
@@ -685,46 +673,90 @@ impl ProvenanceStore {
             plan_op(&mut db, &mut counters, op);
         }
         let upgrade = engine.stale_header();
-        let mut inner = Inner { db, counters, engine: Some(engine) };
+        let tables = Tables { db, counters };
+        let store = Self::assemble(tables, Some(engine), &options.telemetry);
         if upgrade {
             // a log from before WAL version 2 must not receive records an
             // older binary would mistake for a torn tail: fold it into a
             // snapshot, which restarts the log under the current header
-            inner.checkpoint_now();
+            store.checkpoint();
         }
-        Ok(ProvenanceStore { inner: Arc::new(Mutex::new(inner)), lock_times, query_hold })
+        Ok(store)
     }
 
-    /// Run one store call's mutations under the store's lock, and only
-    /// after releasing it wait for the disk: if what `f` logged left a
-    /// ticket (see [`crate::durable`]), return once that record is durable.
-    /// Every mutating method and [`flush_wal`](Self::flush_wal) go through
-    /// here, so no fsync is ever issued with the lock held except a
-    /// checkpoint's.
+    /// Run one store call's writes under the writer lock: `f` applies them
+    /// under the tables' lock and hands over the records to log, which only
+    /// a durable store keeps; with the tables' lock released, it appends
+    /// them, fsyncs when the group-commit policy says one is due (see
+    /// [`crate::durable`]), and checkpoints when its policy says so. Every
+    /// mutating method goes through here, so a reader never waits for an
+    /// append, an fsync or a snapshot write.
     ///
     /// # Panics
-    /// Panics if the fsync fails, or one failed before: the record may not
-    /// be durable, so the call must not be acknowledged.
-    fn transact<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+    /// Panics if the durable layer fails to append, fsync or checkpoint, or
+    /// has failed an fsync before: a store that promised durability but can
+    /// no longer write its log must not keep acknowledging mutations.
+    /// (Fault-injection tests use exactly this panic as a simulated crash.)
+    fn transact<R>(&self, f: impl FnOnce(&mut Tables, &mut dyn FnMut(WalOp)) -> R) -> R {
+        self.with_writer(|writer| {
+            let (durable, mut records) = (writer.is_some(), Vec::new());
+            let out = f(&mut self.tables.lock(), &mut |op| {
+                if durable {
+                    records.push(op);
+                }
+            });
+            if let Some(eng) = writer {
+                let mut due = false;
+                for op in &records {
+                    due |= eng.append(op).expect("provstore: durable WAL append failed");
+                }
+                if due {
+                    eng.sync().expect("provstore: WAL fsync failed");
+                }
+                if eng.should_checkpoint() {
+                    self.checkpoint_with(eng);
+                }
+            }
+            out
+        })
+    }
+
+    /// Run `f` under the writer lock, timing the wait for it and the hold
+    /// into `lock_times`.
+    fn with_writer<R>(&self, f: impl FnOnce(&mut Option<DurableEngine>) -> R) -> R {
         let asked = self.lock_times.as_ref().map(|h| (h, Instant::now()));
-        let mut g = self.inner.lock();
+        let mut writer = self.writer.lock();
         let timed = asked.map(|(h, asked)| (h, asked, Instant::now()));
-        let out = f(&mut g);
-        let due = g.engine.as_mut().and_then(DurableEngine::take_due);
-        drop(g);
+        let out = f(&mut writer);
+        drop(writer);
         if let Some(((wait, hold), asked, locked)) = timed {
             wait.record((locked - asked).as_nanos() as u64);
             hold.record(locked.elapsed().as_nanos() as u64);
         }
-        if let Some((syncer, seq)) = due {
-            syncer.sync_to(seq).expect("provstore: WAL fsync failed");
-        }
         out
+    }
+
+    /// Snapshot the tables through `eng`, the writer lock's engine, and
+    /// truncate the WAL. Only flushing the dirty pages — so the page file is
+    /// coherent with the snapshot — and encoding hold the tables' lock; the
+    /// WAL/snapshot pair stays the durability source of truth, the page
+    /// file a rebuildable acceleration structure.
+    ///
+    /// # Panics
+    /// Panics if the snapshot cannot be written (same contract as
+    /// `transact`).
+    fn checkpoint_with(&self, eng: &mut DurableEngine) {
+        eng.checkpoint(|seq| {
+            let t = self.tables.lock();
+            t.db.flush_pages();
+            (snapshot::encode(&t.db, &t.counters, seq), rows_in(&t.db))
+        })
+        .expect("provstore: snapshot checkpoint failed");
     }
 
     /// Is this store backed by a durable engine?
     pub fn is_durable(&self) -> bool {
-        self.inner.lock().engine.is_some()
+        self.writer.lock().is_some()
     }
 
     /// Group-commit barrier: force every acknowledged mutation to durable
@@ -732,9 +764,9 @@ impl ProvenanceStore {
     /// after publishing RUNNING rows, and for every barrier it is sent (a
     /// run's or a campaign's end).
     pub fn flush_wal(&self) {
-        self.transact(|g| {
-            if let Some(eng) = &mut g.engine {
-                eng.ticket();
+        self.with_writer(|writer| {
+            if let Some(eng) = writer {
+                eng.sync().expect("provstore: WAL fsync failed");
             }
         });
     }
@@ -742,61 +774,76 @@ impl ProvenanceStore {
     /// Take a snapshot checkpoint now, truncating the WAL. Returns `false`
     /// for an in-memory store.
     pub fn checkpoint(&self) -> bool {
-        let mut g = self.inner.lock();
-        if g.engine.is_none() {
-            return false;
-        }
-        g.checkpoint_now();
+        let mut writer = self.writer.lock();
+        let Some(eng) = writer.as_mut() else { return false };
+        self.checkpoint_with(eng);
         true
     }
 
-    /// Register a workflow execution.
-    pub fn begin_workflow(&self, tag: &str, description: &str, expdir: &str) -> WorkflowId {
-        self.transact(|g| {
-            let id = g.counters.next_wkf;
-            g.commit(WalOp::BeginWorkflow {
-                id,
-                tag: tag.to_string(),
-                description: description.to_string(),
-                expdir: expdir.to_string(),
-            });
-            WorkflowId(id)
-        })
+    /// Reserve the ids of a workflow execution and of its `activities`
+    /// activities, in activity order, without taking any lock: ids no other
+    /// reservation on this store is handed, which a caller may name rows by
+    /// before the [`register`](Self::register) call that writes them. An id
+    /// whose row never reached the log may be handed out again after a crash.
+    pub fn reserve_workflow(&self, activities: usize) -> (WorkflowId, Vec<ActivityId>) {
+        let wkf = WorkflowId(self.next_wkf.fetch_add(1, Ordering::Relaxed));
+        let first = self.next_act.fetch_add(activities as i64, Ordering::Relaxed);
+        (wkf, (first..first + activities as i64).map(ActivityId).collect())
     }
 
-    /// Register an activity of a workflow.
+    /// Write a workflow execution's `hworkflow` row and then an `hactivity`
+    /// row per `(id, tag, acttype)` of `activities`, under ids
+    /// [`reserve_workflow`](Self::reserve_workflow) handed out, in one
+    /// acquisition of the writer lock; each row is its own WAL record.
+    pub fn register(
+        &self,
+        wkf: WorkflowId,
+        [tag, description, expdir]: [&str; 3],
+        activities: &[(ActivityId, &str, &str)],
+    ) {
+        self.transact(|t, log| {
+            let (tag, description, expdir) = (tag.into(), description.into(), expdir.into());
+            t.commit(WalOp::BeginWorkflow { id: wkf.0, tag, description, expdir }, log);
+            for &(id, tag, acttype) in activities {
+                t.commit(activity_op(id, wkf, tag, acttype), log);
+            }
+        });
+    }
+
+    /// Register a workflow execution: reserve its id and write its row.
+    pub fn begin_workflow(&self, tag: &str, description: &str, expdir: &str) -> WorkflowId {
+        let (id, _) = self.reserve_workflow(0);
+        self.register(id, [tag, description, expdir], &[]);
+        id
+    }
+
+    /// Register an activity of a workflow: reserve its id and write its row.
     pub fn register_activity(&self, wkf: WorkflowId, tag: &str, acttype: &str) -> ActivityId {
-        self.transact(|g| {
-            let id = g.counters.next_act;
-            g.commit(WalOp::RegisterActivity {
-                id,
-                wkf: wkf.0,
-                tag: tag.to_string(),
-                acttype: acttype.to_string(),
-            });
-            ActivityId(id)
-        })
+        let id = ActivityId(self.next_act.fetch_add(1, Ordering::Relaxed));
+        self.transact(|t, log| t.commit(activity_op(id, wkf, tag, acttype), log));
+        id
     }
 
     /// Register a VM.
     pub fn register_machine(&self, name: &str, instance_type: &str, cores: i64) -> MachineId {
-        self.transact(|g| {
-            let id = g.counters.next_machine;
-            g.commit(WalOp::RegisterMachine {
+        self.transact(|t, log| {
+            let id = t.counters.next_machine;
+            let op = WalOp::RegisterMachine {
                 id,
                 name: name.to_string(),
                 instance_type: instance_type.to_string(),
                 cores,
-            });
+            };
+            t.commit(op, log);
             MachineId(id)
         })
     }
 
     /// Record one activation.
     pub fn record_activation(&self, rec: &ActivationRecord) -> TaskId {
-        self.transact(|g| {
-            let id = g.counters.next_task;
-            g.commit(WalOp::RecordActivation { task: id, rec: rec.clone() });
+        self.transact(|t, log| {
+            let id = t.counters.next_task;
+            t.commit(WalOp::RecordActivation { task: id, rec: rec.clone() }, log);
             TaskId(id)
         })
     }
@@ -809,7 +856,9 @@ impl ProvenanceStore {
     /// when `task` is unknown (the row is then left to the caller to insert).
     pub fn update_activation(&self, task: TaskId, rec: &ActivationRecord) -> bool {
         // an unknown task does not apply, and what does not apply is not logged
-        self.transact(|g| g.commit(WalOp::UpdateActivation { task: task.0, rec: rec.clone() }))
+        self.transact(|t, log| {
+            t.commit(WalOp::UpdateActivation { task: task.0, rec: rec.clone() }, log)
+        })
     }
 
     /// Record a file produced by an activation.
@@ -822,9 +871,9 @@ impl ProvenanceStore {
         fsize: i64,
         fdir: &str,
     ) {
-        self.transact(|g| {
-            let op = g.file_op(task.0, activity, workflow, (fname, fsize, fdir));
-            g.commit(op);
+        self.transact(|t, log| {
+            let op = t.file_op(task.0, activity, workflow, (fname, fsize, fdir));
+            t.commit(op, log);
         });
     }
 
@@ -837,9 +886,9 @@ impl ProvenanceStore {
         num: Option<f64>,
         text: Option<&str>,
     ) {
-        self.transact(|g| {
-            let op = g.parameter_op(task.0, workflow, name, num, text);
-            g.commit(op);
+        self.transact(|t, log| {
+            let op = t.parameter_op(task.0, workflow, name, num, text);
+            t.commit(op, log);
         });
     }
 
@@ -858,27 +907,27 @@ impl ProvenanceStore {
         tuple_idx: usize,
         tuple: &[Value],
     ) {
-        self.transact(|g| {
-            let op = g.output_tuple_op(task.0, activity, workflow, pair_key, tuple_idx, tuple);
-            g.commit(op);
+        self.transact(|t, log| {
+            let op = t.output_tuple_op(task.0, activity, workflow, pair_key, tuple_idx, tuple);
+            t.commit(op, log);
         });
     }
 
-    /// Write many activations under one acquisition of the store's lock,
-    /// in order, and return their task ids. Each write is its own WAL
-    /// record, so the unit recovery keeps or drops is one activation: a
-    /// finished activation's files, parameters, output tuples and
-    /// `hactivation` row are one record, and a recovered `FINISHED` row
-    /// always has its complete outputs. The rows are those the per-row
-    /// methods would write, with ids from the same counters in the same
-    /// order. Whatever fsync the commit policy makes due is waited for once,
-    /// after the lock is released.
+    /// Write many activations under one acquisition of the writer lock, in
+    /// order, and return their task ids. Each write is its own WAL record,
+    /// so the unit recovery keeps or drops is one activation: a finished
+    /// activation's files, parameters, output tuples and `hactivation` row
+    /// are one record, and a recovered `FINISHED` row always has its
+    /// complete outputs. The rows are those the per-row methods would
+    /// write, with ids from the same counters in the same order. Whatever
+    /// fsync the commit policy makes due is issued once, after the last
+    /// append.
     ///
     /// # Panics
     /// Panics if a write's `over` names a task the store never recorded,
     /// or if the durable layer fails to append, checkpoint or fsync.
     pub fn commit_batch(&self, writes: &[ActivationWrite]) -> Vec<TaskId> {
-        self.transact(|g| writes.iter().map(|w| g.write(w)).collect())
+        self.transact(|t, log| writes.iter().map(|w| t.write(w, log)).collect())
     }
 
     /// Commit a finished activation whole: [`commit_batch`](Self::commit_batch)
@@ -918,7 +967,7 @@ impl ProvenanceStore {
         wkf: WorkflowId,
         activity_tag: &str,
     ) -> std::collections::HashMap<String, Vec<Vec<Value>>> {
-        let g = self.inner.lock();
+        let g = self.tables.lock();
         // resolve activity id + the set of finished taskids, then collect
         // output rows (done with direct table scans: this is engine-internal,
         // not a user query)
@@ -986,7 +1035,7 @@ impl ProvenanceStore {
     /// This is SciCumulus' *runtime provenance query* facility, redesigned
     /// around streaming: the query is parsed, parameter-bound, and planned
     /// up front (under a brief lock), then rows are pulled one at a time
-    /// with [`QueryCursor::next_row`] — each pull re-locks the store, so a
+    /// with [`QueryCursor::next_row`] — each pull re-locks the tables, so a
     /// half-read cursor holds nothing between pulls. Each hold (the plan,
     /// every pull) is a `provstore.query_hold` sample, which is what a
     /// writer queued behind it waits.
@@ -1006,7 +1055,7 @@ impl ProvenanceStore {
     /// [`query_rows`]: ProvenanceStore::query_rows
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryCursor, QueryError> {
         let (q, explain) = Self::prepare(sql, params)?;
-        let (columns, src) = read_timed(&self.inner, self.query_hold.as_deref(), |g| {
+        let (columns, src) = read_timed(&self.tables, self.query_hold.as_deref(), |g| {
             if explain {
                 let r = explain_query(&g.db, &q)?;
                 return Ok((r.columns, CursorSrc::Rows(r.rows.into_iter())));
@@ -1014,8 +1063,8 @@ impl ProvenanceStore {
             let pipe = build_pipeline(&g.db, &q)?;
             Ok::<_, QueryError>((pipe.columns.clone(), CursorSrc::Pipe(pipe)))
         })?;
-        let (inner, hold) = (Arc::clone(&self.inner), self.query_hold.clone());
-        Ok(QueryCursor { inner, hold, columns: Arc::new(columns), src })
+        let (tables, hold) = (Arc::clone(&self.tables), self.query_hold.clone());
+        Ok(QueryCursor { tables, hold, columns: Arc::new(columns), src })
     }
 
     /// Parse `sql` (honoring a leading case-insensitive `EXPLAIN ` prefix)
@@ -1032,7 +1081,7 @@ impl ProvenanceStore {
     /// Run a prepared query (or its EXPLAIN) to completion under one lock
     /// acquisition.
     fn run_prepared(&self, q: &Query, explain: bool) -> Result<ResultSet, QueryError> {
-        read_timed(&self.inner, self.query_hold.as_deref(), |g| {
+        read_timed(&self.tables, self.query_hold.as_deref(), |g| {
             if explain {
                 explain_query(&g.db, q)
             } else {
@@ -1062,7 +1111,7 @@ impl ProvenanceStore {
 
     /// Row counts per table (diagnostics).
     pub fn stats(&self) -> Vec<(String, usize)> {
-        let g = self.inner.lock();
+        let g = self.tables.lock();
         g.table_names()
             .into_iter()
             .map(|n| {
@@ -1075,7 +1124,7 @@ impl ProvenanceStore {
     /// All registered workflow executions as `(id, tag)`, in id order —
     /// how a fresh process discovers what a recovered store contains.
     pub fn workflows(&self) -> Vec<(WorkflowId, String)> {
-        let g = self.inner.lock();
+        let g = self.tables.lock();
         let mut out: Vec<(WorkflowId, String)> = g
             .scan_all("hworkflow")
             .iter()
@@ -1099,7 +1148,7 @@ impl ProvenanceStore {
     /// recovery property tests to compare stores for exact state equality;
     /// not a user query surface.
     pub fn dump_tables(&self) -> Vec<(String, Vec<Vec<Value>>)> {
-        let g = self.inner.lock();
+        let g = self.tables.lock();
         g.table_names()
             .into_iter()
             .map(|n| {
@@ -1111,14 +1160,14 @@ impl ProvenanceStore {
 
     /// Page-cache statistics (hits, misses, evictions, writebacks).
     pub fn cache_stats(&self) -> crate::storage::pager::CacheStats {
-        self.inner.lock().db.cache_stats()
+        self.tables.lock().db.cache_stats()
     }
 
     /// Run the tables' structural checks — B+tree ordering, index ↔ heap
     /// agreement, page bookkeeping. Crash-recovery tests call this after
     /// every reopen.
     pub fn verify_integrity(&self) -> Result<(), String> {
-        self.inner.lock().db.verify_integrity()
+        self.tables.lock().db.verify_integrity()
     }
 }
 
@@ -1133,16 +1182,17 @@ enum CursorSrc {
 /// A streaming handle over one query's results.
 ///
 /// Returned by [`ProvenanceStore::query`]. Rows are produced on demand by
-/// [`next_row`](QueryCursor::next_row); each pull briefly locks the store,
-/// so a cursor held open between pulls keeps no writer waiting (a run's
-/// committer, the one thread recording activations, waits at most one
-/// pull). Dropping the cursor abandons the rest of the query — there is
-/// nothing to clean up.
+/// [`next_row`](QueryCursor::next_row); each pull briefly locks the
+/// tables, so a cursor held open between pulls keeps no writer waiting (a
+/// run's committer, the only writer of a campaign directory's store, waits
+/// at most one pull, and only to apply rows: never to append or fsync).
+/// Dropping the cursor abandons the rest of the query — there is nothing to
+/// clean up.
 ///
 /// Cursors do not snapshot: mutations racing a cursor may or may not be
 /// visible in its remaining rows.
 pub struct QueryCursor {
-    inner: Arc<Mutex<Inner>>,
+    tables: Arc<Mutex<Tables>>,
     /// `provstore.query_hold`, sampled per pull.
     hold: Option<Arc<Histogram>>,
     columns: Arc<Vec<String>>,
@@ -1158,7 +1208,7 @@ impl QueryCursor {
     /// Pull the next row, or `None` when the query is exhausted.
     pub fn next_row(&mut self) -> Result<Option<Row>, QueryError> {
         let values = match &mut self.src {
-            CursorSrc::Pipe(pipe) => read_timed(&self.inner, self.hold.as_deref(), |g| {
+            CursorSrc::Pipe(pipe) => read_timed(&self.tables, self.hold.as_deref(), |g| {
                 pipe.next_row(&ExecCtx { provider: &g.db })
             })?,
             CursorSrc::Rows(it) => it.next(),
@@ -1757,6 +1807,46 @@ mod tests {
         let r = p2.query_rows("SELECT count(*) FROM hactivity", &[]).unwrap();
         assert_eq!(r.cell(0, 0), &Value::Int(1));
         assert_eq!(p2.latest_workflow(), Some(w));
+    }
+
+    #[test]
+    fn reserved_ids_never_collide_and_a_reopened_store_reserves_above_every_applied_one() {
+        use std::collections::HashSet;
+        let (env, p) = durable_pair();
+        let p = Arc::new(p);
+        let reserver = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || (0..200).map(|_| p.reserve_workflow(3)).collect::<Vec<_>>())
+        };
+        let written: Vec<(WorkflowId, ActivityId)> = (0..200)
+            .map(|i| {
+                let w = p.begin_workflow(&format!("w{i}"), "", "");
+                (w, p.register_activity(w, "a", "Map"))
+            })
+            .collect();
+        let reserved = reserver.join().unwrap();
+        let wkfs: HashSet<WorkflowId> =
+            written.iter().map(|(w, _)| *w).chain(reserved.iter().map(|(w, _)| *w)).collect();
+        let acts: HashSet<ActivityId> = (written.iter().map(|(_, a)| *a))
+            .chain(reserved.iter().flat_map(|(_, acts)| acts.iter().copied()))
+            .collect();
+        assert_eq!((wkfs.len(), acts.len()), (400, 800), "an id was handed out twice");
+
+        // one reservation is written, the rest never reach the log
+        let (w, acts) = reserved.first().unwrap();
+        let rows: Vec<(ActivityId, &str, &str)> = acts.iter().map(|&id| (id, "r", "Map")).collect();
+        p.register(*w, ["reserved", "", ""], &rows);
+        drop(p);
+        let p2 =
+            ProvenanceStore::open_env(Box::new(env), crate::durable::DurableOptions::default())
+                .unwrap();
+        let max = |sql: &str| p2.query_rows(sql, &[]).unwrap().cell(0, 0).as_f64().unwrap() as i64;
+        let (top_w, top_a) =
+            (max("SELECT max(wkfid) FROM hworkflow"), max("SELECT max(actid) FROM hactivity"));
+        assert_eq!(p2.workflows().len(), 201);
+        let (w2, acts2) = p2.reserve_workflow(2);
+        assert_eq!((w2.0, acts2[0].0), (top_w + 1, top_a + 1));
+        assert_eq!(p2.begin_workflow("next", "", ""), WorkflowId(top_w + 2));
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Group commit with the fsync outside the store's lock: what a committer
-//! may and may not do while another committer's fsync is in flight.
+//! Group commit under the writer lock, with the WAL outside the tables'
+//! lock: what a reader may do while a writer is inside its append or its
+//! fsync, and which fsyncs a writer waits for.
 //!
-//! Interleavings are forced, not slept for: [`GateEnv`]'s group-commit handle
-//! blocks inside `sync` until the test opens the gate, so "while A is inside
-//! the fsync" is a state the test holds for as long as it likes.
+//! Interleavings are forced, not slept for: [`GateEnv`]'s log blocks inside
+//! `sync` until the test opens the gate, and [`FaultPlan::park_after`] inside
+//! an append until released, so "while A is inside the fsync" is a state the
+//! test holds for as long as it likes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use provenance::durable::io::{FaultEnv, FaultPlan, LogFile, MemEnv, StorageEnv};
@@ -15,15 +17,17 @@ use provenance::provwf::{ActivationRecord, ActivationStatus, ActivityId, Workflo
 use provenance::{export_provn_canonical, Durability, DurableOptions, ProvenanceStore, Value};
 use telemetry::Telemetry;
 
-/// `(syncs entered, gate open)` of the group-commit handle.
+/// `(syncs entered, gate open)` of the log once the store is open.
 #[derive(Default)]
 struct Gate {
     state: Mutex<(u64, bool)>,
     changed: Condvar,
+    /// Set once the store is open: recovery's syncs are not gated.
+    armed: AtomicBool,
 }
 
 impl Gate {
-    /// Block until `n` syncs have been entered on the group-commit handle.
+    /// Block until `n` gated syncs have been entered.
     fn wait_entered(&self, n: u64) {
         let mut st = self.state.lock().unwrap();
         while st.0 < n {
@@ -41,8 +45,8 @@ impl Gate {
     }
 }
 
-/// A [`MemEnv`] whose group-commit handle blocks in `sync` until the gate
-/// opens. The log's own handle (recovery, checkpoints) is not gated.
+/// A [`MemEnv`] whose log, once the gate is armed, blocks in `sync` until
+/// the gate opens.
 struct GateEnv {
     inner: MemEnv,
     gate: Arc<Gate>,
@@ -51,7 +55,6 @@ struct GateEnv {
 struct GateLog {
     inner: Box<dyn LogFile>,
     gate: Arc<Gate>,
-    gated: bool,
 }
 
 impl LogFile for GateLog {
@@ -64,7 +67,7 @@ impl LogFile for GateLog {
     }
 
     fn sync(&mut self) -> std::io::Result<()> {
-        if self.gated {
+        if self.gate.armed.load(Ordering::SeqCst) {
             let mut st = self.gate.state.lock().unwrap();
             st.0 += 1;
             self.gate.changed.notify_all();
@@ -78,17 +81,12 @@ impl LogFile for GateLog {
     fn truncate(&mut self, len: u64) -> std::io::Result<()> {
         self.inner.truncate(len)
     }
-
-    fn sync_handle(&self) -> std::io::Result<Box<dyn LogFile>> {
-        let inner = self.inner.sync_handle()?;
-        Ok(Box::new(GateLog { inner, gate: Arc::clone(&self.gate), gated: true }))
-    }
 }
 
 impl StorageEnv for GateEnv {
     fn open_log(&self) -> std::io::Result<Box<dyn LogFile>> {
         let inner = self.inner.open_log()?;
-        Ok(Box::new(GateLog { inner, gate: Arc::clone(&self.gate), gated: false }))
+        Ok(Box::new(GateLog { inner, gate: Arc::clone(&self.gate) }))
     }
 
     fn read_snapshot(&self) -> std::io::Result<Option<Vec<u8>>> {
@@ -104,7 +102,9 @@ fn gated(durability: Durability, tel: &Telemetry) -> (Arc<ProvenanceStore>, MemE
     let (mem, gate) = (MemEnv::new(), Arc::new(Gate::default()));
     let env = GateEnv { inner: mem.clone(), gate: Arc::clone(&gate) };
     let options = DurableOptions { durability, checkpoint_every: 0, telemetry: tel.clone() };
-    (Arc::new(ProvenanceStore::open_env(Box::new(env), options).expect("fresh env")), mem, gate)
+    let p = Arc::new(ProvenanceStore::open_env(Box::new(env), options).expect("fresh env"));
+    gate.armed.store(true, Ordering::SeqCst);
+    (p, mem, gate)
 }
 
 fn finished(a: ActivityId, w: WorkflowId, i: usize) -> ActivationRecord {
@@ -135,8 +135,53 @@ fn wait_for_activations(p: &ProvenanceStore, n: i64) {
     }
 }
 
+/// Run `query` on a thread of its own and return its answer, failing the
+/// test if it takes 10 s: a reader queued behind the writer never answers.
+fn read_apart<T: Send + 'static>(p: &Arc<ProvenanceStore>, query: fn(&ProvenanceStore) -> T) -> T {
+    let (p, (tx, rx)) = (Arc::clone(p), mpsc::channel());
+    std::thread::spawn(move || tx.send(query(&p)));
+    rx.recv_timeout(Duration::from_secs(10)).expect("a reader waited for the writer's disk")
+}
+
 #[test]
-fn batched_committers_and_readers_do_not_wait_for_an_fsync_in_flight() {
+fn a_reader_never_waits_for_a_wal_append_or_an_fsync() {
+    // opening the store is append 1, the registrations 2 and 3: the first
+    // activation's append is 4, where the disk stalls
+    let plan = Arc::new(FaultPlan::park_after(4));
+    let env = FaultEnv::new(Box::new(MemEnv::new()), Arc::clone(&plan));
+    let options = DurableOptions { checkpoint_every: 0, ..Default::default() };
+    let p = Arc::new(ProvenanceStore::open_env(Box::new(env), options).expect("fresh env"));
+    let w = p.begin_workflow("wf", "park", "/e");
+    let a = p.register_activity(w, "vina", "Map");
+    let writer = {
+        let p = Arc::clone(&p);
+        std::thread::spawn(move || p.record_activation(&finished(a, w, 0)))
+    };
+    plan.wait_parked();
+    assert_eq!(read_apart(&p, activations), 1, "the parked row was applied before its append");
+    plan.release();
+    writer.join().expect("the writer appends once the disk moves");
+
+    let (p, _, gate) = gated(Durability::Sync, &Telemetry::disabled());
+    gate.open();
+    let w = p.begin_workflow("wf", "gate", "/e");
+    *gate.state.lock().unwrap() = (0, false);
+    let writer = {
+        let (p, gate) = (Arc::clone(&p), Arc::clone(&gate));
+        std::thread::spawn(move || {
+            p.register_activity(w, "vina", "Map");
+            assert!(gate.is_open(), "acknowledged before its fsync completed");
+        })
+    };
+    gate.wait_entered(1);
+    let tags = |p: &ProvenanceStore| p.query_rows("SELECT tag FROM hactivity", &[]).unwrap().rows;
+    assert_eq!(read_apart(&p, tags), vec![vec![Value::from("vina")]]);
+    gate.open();
+    writer.join().expect("the writer returns after its fsync");
+}
+
+#[test]
+fn batched_readers_do_not_wait_for_an_fsync_in_flight() {
     let batched = Durability::Batched { max_ops: 8, max_delay: Duration::from_secs(3600) };
     let (p, mem, gate) = gated(batched, &Telemetry::disabled());
     let w = p.begin_workflow("wf", "gate", "/e");
@@ -157,15 +202,14 @@ fn batched_committers_and_readers_do_not_wait_for_an_fsync_in_flight() {
     };
     gate.wait_entered(1);
 
-    // A is inside the fsync and stays there. B commits, gets its id, and a
-    // query reads both activations — nobody queues behind the disk
-    let b_task = p.commit_activation(None, &finished(a, w, 1), &[], &[], &[]);
-    assert_eq!(activations(&p), 2);
+    // A is inside the fsync and stays there; a query reads its activation
+    assert_eq!(activations(&p), 1);
     assert!(!a_done.load(Ordering::SeqCst));
     assert_eq!(mem.syncs(), 1, "the gated fsync has not reached the log yet");
 
     gate.open();
     let a_task = committer.join().expect("A commits");
+    let b_task = p.commit_activation(None, &finished(a, w, 1), &[], &[], &[]);
     assert_eq!((a_task.0 + 1, mem.syncs()), (b_task.0, 2));
     // B's one mutation is pending; the barrier syncs it
     p.flush_wal();
@@ -174,7 +218,7 @@ fn batched_committers_and_readers_do_not_wait_for_an_fsync_in_flight() {
 }
 
 #[test]
-fn sync_committers_return_only_after_an_fsync_that_covers_them_and_share_it() {
+fn sync_committers_return_only_after_an_fsync_that_covers_them() {
     let tel = Telemetry::attached();
     let (p, mem, gate) = gated(Durability::Sync, &tel);
     gate.open();
@@ -192,12 +236,12 @@ fn sync_committers_return_only_after_an_fsync_that_covers_them_and_share_it() {
             done.store(true, Ordering::SeqCst);
         })
     };
-    // A enters its fsync; then B and C apply, write their frames, and queue
-    // for the syncer behind it — visible to a reader all the while
+    // A enters its fsync; B and C queue for the writer lock behind it, and a
+    // reader sees A's row all the while
     let first = spawn(0);
     gate.wait_entered(1);
     let rest = [spawn(1), spawn(2)];
-    wait_for_activations(&p, 3);
+    wait_for_activations(&p, 1);
     assert!(done.iter().all(|d| !d.load(Ordering::SeqCst)), "nothing is durable yet");
     assert_eq!(mem.syncs(), 3);
 
@@ -205,11 +249,9 @@ fn sync_committers_return_only_after_an_fsync_that_covers_them_and_share_it() {
     for t in std::iter::once(first).chain(rest) {
         t.join().expect("committer");
     }
-    // A's fsync began before B and C wrote, so it covers neither; whichever
-    // of the two went next began after both had written, and covers both
-    assert_eq!(mem.syncs(), 3 + 2, "three due tickets, two fsyncs");
-    assert_eq!(tel.counter("provstore.fsync_shared").expect("attached").get(), 1);
-    assert_eq!(tel.histogram("provstore.group_commit").expect("attached").count(), 2 + 2);
+    assert_eq!(activations(&p), 3);
+    assert_eq!(mem.syncs(), 3 + 3, "one fsync per record");
+    assert_eq!(tel.histogram("provstore.group_commit").expect("attached").count(), 2 + 3);
     let waits = tel.histogram("provstore.lock_wait").expect("attached");
     let holds = tel.histogram("provstore.lock_hold").expect("attached");
     assert_eq!((waits.count(), holds.count()), (5, 5), "one sample per store call");

@@ -34,7 +34,6 @@ pub const COUNTERS: &[&str] = &[
     "gridcache.persist.write",
     "proto.oversized_done",
     "provstore.checkpoints",
-    "provstore.fsync_shared",
     "provstore.wal_appends",
     "receptor.hg_screened",
     "receptor.prep.hit",
@@ -56,6 +55,7 @@ pub const HISTOGRAMS: &[&str] = &[
     "campaign.first_result",
     "campaign.resolve",
     "dist.heartbeat.job_elapsed",
+    "provstore.checkpoint",
     "provstore.commit_batch",
     "provstore.commit_lag",
     "provstore.commit_records",
