@@ -26,9 +26,12 @@ cargo build --release
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
-# the batched exp against libm over 10^7 arguments: ignored in the default
-# run, ~1 s in release
-echo "== docking: ignored release sweeps =="
+# the kernel property tests again in release, where the benchmark's AVX2
+# instantiation of the evaluation body is the one that runs; then the
+# batched exp against libm over 10^7 arguments: ignored in the default run,
+# ~1 s in release
+echo "== docking: release tests and ignored sweeps =="
+cargo test --release -p docking -q
 cargo test --release -p docking -q -- --ignored
 
 # the benchmark that gates PRs (BENCHMARK.json): its own unit tests, then a

@@ -8,7 +8,7 @@
 //! local backend, steering queries answer mid-run across campaigns, and
 //! the `/campaigns` observability route reports every tenant.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cumulus::obs::{BoundAddr, EventLog};
@@ -25,9 +25,34 @@ use provenance::{
 };
 use telemetry::Telemetry;
 
+/// A latch that holds a campaign's activations until the test opens it.
+#[derive(Clone, Default)]
+struct Gate(Arc<(Mutex<bool>, Condvar)>);
+
+impl Gate {
+    fn wait(&self) {
+        let (open, cv) = &*self.0;
+        let mut open = open.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        let (open, cv) = &*self.0;
+        *open.lock().unwrap() = true;
+        cv.notify_all();
+    }
+}
+
 /// A two-stage map chain (`scale` → `tag`) over `n` pair rows, each
 /// activation sleeping `ms` so campaigns genuinely overlap on the fleet.
 fn test_workflow(tag: &str, n: usize, ms: u64) -> Workflow {
+    gated_workflow(tag, n, ms, None)
+}
+
+/// [`test_workflow`] whose `scale` activations first wait for `gate`.
+fn gated_workflow(tag: &str, n: usize, ms: u64, gate: Option<Gate>) -> Workflow {
     let def = WorkflowDef {
         tag: tag.to_string(),
         description: format!("serve test workflow {tag}"),
@@ -37,6 +62,9 @@ fn test_workflow(tag: &str, n: usize, ms: u64) -> Workflow {
                 "scale",
                 &["pair", "x"],
                 Arc::new(move |part, _| {
+                    if let Some(gate) = &gate {
+                        gate.wait();
+                    }
                     if ms > 0 {
                         std::thread::sleep(Duration::from_millis(ms));
                     }
@@ -65,13 +93,22 @@ fn test_workflow(tag: &str, n: usize, ms: u64) -> Workflow {
 
 /// Resolves `wf:<tag>:<n>:<ms>` specs; anything else is unknown.
 fn resolver() -> CampaignResolver {
-    Arc::new(|spec: &str| {
-        let rest = spec.strip_prefix("wf:")?;
+    gated_resolver(Gate::default())
+}
+
+/// [`resolver`], plus `gated:<tag>:<n>:<ms>` specs: the same workflow, whose
+/// `scale` activations wait for `gate` to open.
+fn gated_resolver(gate: Gate) -> CampaignResolver {
+    Arc::new(move |spec: &str| {
+        let (rest, gate) = match spec.strip_prefix("gated:") {
+            Some(rest) => (rest, Some(gate.clone())),
+            None => (spec.strip_prefix("wf:")?, None),
+        };
         let mut parts = rest.split(':');
         let tag = parts.next()?;
         let n: usize = parts.next()?.parse().ok()?;
         let ms: u64 = parts.next()?.parse().ok()?;
-        Some(test_workflow(&format!("wf-{tag}"), n, ms))
+        Some(gated_workflow(&format!("wf-{tag}"), n, ms, gate))
     })
 }
 
@@ -106,6 +143,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
         }))
     });
     let prov = Arc::new(ProvenanceStore::new());
+    let gate = Gate::default();
     let daemon = Daemon::start(
         ServeConfig::new()
             .with_workers(2)
@@ -117,28 +155,31 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
             .with_events(events.clone())
             .with_metrics_addr("127.0.0.1:0")
             .with_metrics_bound(bound.clone()),
-        resolver(),
+        gated_resolver(gate.clone()),
         Arc::clone(&prov),
     )
     .expect("daemon starts");
 
     // 9 campaigns, 4 tenants, distinct workflow tags so each campaign's
-    // namespace in the shared store is identifiable by tag
+    // namespace in the shared store is identifiable by tag; campaign c0's
+    // `scale` activations hold until the test opens the gate
     let tenants = ["alice", "bob", "carol", "dave"];
     let mut client = ServeClient::connect(daemon.addr()).expect("connect");
-    let mut ids: Vec<(u64, String, String)> = Vec::new(); // (id, tenant, spec)
+    let mut ids: Vec<(u64, String, String)> = Vec::new(); // (id, tenant, tag)
     for i in 0..9usize {
         let tenant = tenants[i % tenants.len()];
-        let spec = format!("wf:c{i}:8:4");
+        let spec = if i == 0 { format!("gated:c{i}:8:4") } else { format!("wf:c{i}:8:4") };
         match client.submit(tenant, (i % 3) as u8, &spec).expect("submit io") {
-            SubmitOutcome::Accepted { id } => ids.push((id, tenant.to_string(), spec)),
+            SubmitOutcome::Accepted { id } => {
+                ids.push((id, tenant.to_string(), format!("wf-c{i}")))
+            }
             SubmitOutcome::Rejected { reason, .. } => panic!("admission rejected {spec}: {reason}"),
         }
     }
 
     // steering answers MID-RUN, across campaigns, from the shared store:
     // the bridge publishes RUNNING rows for in-flight activations of every
-    // campaign on its tick
+    // campaign on its tick, and c0's stay in flight until the gate opens
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut saw_running = false;
     while Instant::now() < deadline {
@@ -151,6 +192,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
         }
         std::thread::sleep(Duration::from_millis(5));
     }
+    gate.open();
     assert!(saw_running, "steering rows must be queryable while campaigns run");
 
     for (id, _, _) in &ids {
@@ -159,10 +201,10 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
     }
 
     // every campaign's final output came back over the wire
-    for (id, _, spec) in &ids {
+    for (id, _, tag) in &ids {
         let (columns, tuples) = client.results(*id).expect("results io");
-        assert_eq!(columns, vec!["pair".to_string(), "x".to_string()], "{spec}");
-        assert_eq!(tuples.len(), 8, "{spec} must produce all 8 rows");
+        assert_eq!(columns, vec!["pair".to_string(), "x".to_string()], "{tag}");
+        assert_eq!(tuples.len(), 8, "{tag} must produce all 8 rows");
     }
 
     // cross-campaign provenance: one store holds all 9 workflow namespaces
@@ -212,8 +254,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
     // SHARED store is byte-identical to the same workflow run one-shot
     // through the local backend into a fresh store
     let wf_rows = prov.query_rows("SELECT wkfid, tag FROM hworkflow", &[]).expect("wkf listing");
-    for (_, _, spec) in &ids {
-        let tag = format!("wf-{}", &spec[3..spec.len() - 4]); // wf:cN:8:4 → wf-cN
+    for (_, _, tag) in &ids {
         let wkfid = wf_rows
             .rows
             .iter()
@@ -222,7 +263,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
             .unwrap_or_else(|| panic!("campaign {tag} missing from shared store"));
 
         let solo_prov = Arc::new(ProvenanceStore::new());
-        let wf = test_workflow(&tag, 8, 0);
+        let wf = test_workflow(tag, 8, 0);
         LocalBackend::new(LocalConfig::new().with_threads(2))
             .run(&wf, &solo_prov)
             .expect("one-shot run");

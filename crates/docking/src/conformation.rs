@@ -118,6 +118,7 @@ impl LigandModel {
     /// Branch rotations are applied parent-before-child about the *current*
     /// axis positions, then the whole molecule is rotated about the root
     /// centroid and translated.
+    #[inline(always)]
     pub fn apply(&self, pose: &Pose, out: &mut Vec<Vec3>) {
         debug_assert_eq!(pose.torsions.len(), self.tree.torsdof(), "torsion count mismatch");
         out.clear();

@@ -6,60 +6,43 @@
 //! atom's affinity map is resolved to a reference once (killing the
 //! per-atom-per-evaluation `BTreeMap` walk), the AD4 electrostatic and
 //! desolvation coefficients are folded per atom, and the intramolecular pair
-//! table is precomputed. Evaluation
-//! runs a structure-of-arrays kernel: fractional lattice coordinates are
-//! computed for fixed-width chunks of atoms (the subtract-divide sweeps
-//! auto-vectorize), each atom then resolves one flattened stencil whose
-//! row-major cell base is shared by every co-located map, and
-//! [`EnergyModel::total_batch`] scores a whole population of poses through
-//! the same chunked pass so the lanes stay full across pose boundaries.
-//! The intramolecular sum runs in [`vexp::LANES`]-wide lanes: distances,
-//! `exp` arguments, one batched `exp` per argument kind and the pair terms
-//! ([`ad4_pair_lanes`]/[`vina_pair_lanes`]), added in pair order.
+//! table is built as structure of arrays.
+//!
+//! Every evaluation is one `vexp::run` dispatch of one kernel body
+//! (`Eval`): compiled under AVX2+FMA over the `exp` port, or as plain code
+//! over libm. The body applies the pose (when it is given poses rather than
+//! coordinates), walks the intermolecular stencil atom by atom — each atom
+//! resolves one flattened stencil whose row-major cell base is shared by
+//! every co-located map — and sums the intramolecular pairs in passes
+//! over the whole pair table: squared distances; `exp` arguments and the
+//! batched `exp`; the pair terms ([`ad4_pair_lanes`]/[`vina_pair_lanes`])
+//! and their sum in pair order. Everything the body calls is inlined into
+//! it, so all of it runs under the dispatch's target features.
+//!
 //! Every shortcut is bit-identical to the retained naive path
-//! ([`EnergyModel::total_reference`]); the `kernel_props` property tests
-//! enforce that.
+//! ([`EnergyModel::total_reference`]); the `kernel_props` and `vexp_props`
+//! property tests enforce that on both `exp` paths.
+
+use std::cell::RefCell;
 
 use molkit::{Molecule, Vec3};
 
 use crate::autogrid::{GridKind, GridSet};
-use crate::conformation::LigandModel;
+use crate::conformation::{LigandModel, Pose};
 use crate::engine::DockError;
 use crate::grid::sample_flat;
-use crate::params::{type_index, vina_radius, Ad4Params, PairParams, VinaParams};
+use crate::params::{type_index, vina_radius, Ad4Params, VinaParams};
 use crate::scoring::{
     ad4_desolv_exp_arg, ad4_pair, ad4_pair_lanes, ad4_solvation_param, dielectric_exp_arg, flag,
-    vina_exp_args, vina_hbond_pair, vina_pair, vina_pair_lanes, Ad4PairLanes, CUTOFF,
+    vina_exp_args, vina_hbond_pair, vina_pair, vina_pair_lanes, Ad4PairConsts, CUTOFF,
 };
-use crate::vexp::{self, ExpLanes, ExpPath, Kernel};
+use crate::vexp::{self, ExpLanes, ExpPath, Kernel, LANES};
 
 /// Extra per-unit-|charge| desolvation parameter (AD4's `qsolpar`).
 const QSOLPAR: f64 = 0.01097;
 
-/// One precomputed AD4 intramolecular pair: atom indices plus every
-/// distance-independent quantity [`ad4_pair_lanes`] needs.
-struct Ad4Intra {
-    i: usize,
-    j: usize,
-    pp: PairParams,
-    qq: f64,
-    dcoef: f64,
-}
-
-/// One precomputed Vina intramolecular pair for [`vina_pair_lanes`]; the
-/// eligibility flags are factors, `1.0` or `0.0`.
-struct VinaIntra {
-    i: usize,
-    j: usize,
-    rsum: f64,
-    hydrophobic: f64,
-    hbond: f64,
-}
-
-enum IntraTable {
-    Ad4(Vec<Ad4Intra>),
-    Vina(Vec<VinaIntra>),
-}
+/// `CUTOFF² = 64`, exact in binary.
+const CUTOFF_SQ: f64 = CUTOFF * CUTOFF;
 
 /// Evaluates ligand poses against a receptor's precomputed grids.
 pub struct EnergyModel<'a> {
@@ -75,9 +58,10 @@ pub struct EnergyModel<'a> {
     atom_elec: Vec<f64>,
     /// Per-atom desolvation coefficient `(w_desolv · 2) · s` (AD4 only).
     atom_desolv: Vec<f64>,
-    /// Precomputed intramolecular pair table.
-    intra: IntraTable,
-    /// The `exp` the intramolecular kernel runs on ([`ExpPath::selected`]).
+    /// The intramolecular pair table's per-pair constants, in the order of
+    /// the atom index pairs `ligand.intra_pairs`.
+    pairs: PairConsts,
+    /// The `exp` every evaluation body runs on.
     exp: ExpPath,
     /// Grid origin, precomputed once. [`crate::grid::GridSpec::origin`] is a
     /// pure function of the spec, so this is bit-identical to recomputing it
@@ -92,16 +76,129 @@ pub struct EnergyModel<'a> {
     dmap_vals: &'a [f64],
 }
 
-/// Lane width of the chunked SoA pass: wide enough to fill two 4-lane AVX
-/// registers. The sweeps are plain indexed std code — the compiler picks the
-/// actual vector width, and any `LANES` value produces identical bits.
-const LANES: usize = 8;
+/// The distance-independent constants of the intramolecular pairs,
+/// structure of arrays in chunks of [`LANES`], the last chunk padded, so
+/// the passes hand [`ad4_pair_lanes`]/[`vina_pair_lanes`] whole chunks
+/// without a copy.
+enum PairConsts {
+    Ad4(Vec<Ad4PairConsts>),
+    Vina(Vec<VinaPairConsts>),
+}
+
+/// The distance-independent quantities of [`LANES`] Vina pairs for
+/// [`vina_pair_lanes`]; the eligibility flags are factors, `1.0` or `0.0`.
+#[derive(Clone, Default)]
+struct VinaPairConsts {
+    rsum: [f64; LANES],
+    hydrophobic: [f64; LANES],
+    hbond: [f64; LANES],
+}
+
+/// The lanes of the pair passes, one slot per pair of the table it was
+/// last fitted to, padding included.
+#[derive(Default)]
+pub(crate) struct PairScratch {
+    /// Squared distance; the padding holds `+∞`, beyond the cutoff, and is
+    /// never written by pass 1.
+    d2: Vec<[f64; LANES]>,
+    /// Distance, or [`CUTOFF`] standing in for a pair beyond it.
+    r: Vec<[f64; LANES]>,
+    /// The first `exp` argument, then its `exp`.
+    x1: Vec<[f64; LANES]>,
+    /// The second `exp` argument, then its `exp`.
+    x2: Vec<[f64; LANES]>,
+}
+
+impl PairScratch {
+    /// Size the lanes for a table of `n` pairs.
+    fn fit(&mut self, n: usize) {
+        for lanes in [&mut self.d2, &mut self.r, &mut self.x1, &mut self.x2] {
+            lanes.resize(n.div_ceil(LANES), [0.0; LANES]);
+        }
+        self.d2.as_flattened_mut()[n..].fill(f64::INFINITY);
+    }
+}
+
+thread_local! {
+    /// The pair lanes of [`EnergyModel`]'s own entry points on this thread,
+    /// reused across calls and models. Taken before a dispatch and passed
+    /// in: a body that reached for it would run the access out of line,
+    /// without the dispatch's target features.
+    static PAIR_LANES: RefCell<PairScratch> = RefCell::default();
+}
+
+/// What one evaluation works in besides the model: the posed coordinates
+/// and the pair lanes. A search thread's [`Evaluator`](crate::search::Evaluator)
+/// owns one, so the body allocates nothing.
+pub(crate) struct Scratch {
+    /// World coordinates of the pose being scored.
+    pub(crate) coords: Vec<Vec3>,
+    pairs: PairScratch,
+}
+
+/// Which terms a dispatch adds.
+#[derive(Clone, Copy)]
+enum Terms {
+    Inter,
+    Intra,
+    Total,
+}
+
+/// What a dispatch scores.
+enum Input<'a> {
+    /// Poses, each applied into the coordinate buffer first.
+    Poses(&'a [Pose], &'a mut Vec<Vec3>),
+    /// World coordinates of back-to-back poses.
+    Coords(&'a [Vec3]),
+}
+
+/// One dispatch's body: every pose of `input`, scored into `out`.
+struct Eval<'a, 'm> {
+    model: &'a EnergyModel<'m>,
+    terms: Terms,
+    input: Input<'a>,
+    pairs: &'a mut PairScratch,
+    out: &'a mut [f64],
+}
+
+impl Kernel for Eval<'_, '_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<E: ExpLanes>(self) {
+        let Eval { model, terms, input, pairs, out } = self;
+        match input {
+            Input::Poses(poses, coords) => {
+                for (pose, e) in poses.iter().zip(out) {
+                    model.ligand.apply(pose, coords);
+                    *e = model.score::<E>(terms, coords, pairs);
+                }
+            }
+            Input::Coords(all) => {
+                let natoms = model.ligand.atom_count().max(1);
+                for (c, e) in all.chunks_exact(natoms).zip(out) {
+                    *e = model.score::<E>(terms, c, pairs);
+                }
+            }
+        }
+    }
+}
 
 impl<'a> EnergyModel<'a> {
     /// Build an evaluator. The grid set must contain a map for every AD type
     /// the ligand uses; a missing map is a pipeline error
     /// ([`DockError::MissingAffinityMap`]), not a panic.
     pub fn new(grids: &'a GridSet, ligand: &'a LigandModel) -> Result<EnergyModel<'a>, DockError> {
+        EnergyModel::new_via(ExpPath::selected(), grids, ligand)
+    }
+
+    /// [`new`](EnergyModel::new) with every evaluation on a given `exp`
+    /// path; every path returns the same bits.
+    pub fn new_via(
+        path: ExpPath,
+        grids: &'a GridSet,
+        ligand: &'a LigandModel,
+    ) -> Result<EnergyModel<'a>, DockError> {
         let ad4 = Ad4Params::new();
         let vina = VinaParams::default();
 
@@ -125,36 +222,31 @@ impl<'a> EnergyModel<'a> {
             }
         }
 
-        let intra = match grids.kind {
-            GridKind::Ad4 => IntraTable::Ad4(
-                ligand
-                    .intra_pairs
-                    .iter()
-                    .map(|&(i, j)| {
-                        let (ta, tb) = (ligand.types[i], ligand.types[j]);
-                        let (qa, qb) = (ligand.charges[i], ligand.charges[j]);
-                        let dcoef = ad4_solvation_param(&ad4, ta, qa) * ad4.volume[type_index(tb)]
-                            + ad4_solvation_param(&ad4, tb, qb) * ad4.volume[type_index(ta)];
-                        Ad4Intra { i, j, pp: *ad4.pair(ta, tb), qq: qa * qb, dcoef }
-                    })
-                    .collect(),
-            ),
-            GridKind::Vina => IntraTable::Vina(
-                ligand
-                    .intra_pairs
-                    .iter()
-                    .map(|&(i, j)| {
-                        let (ta, tb) = (ligand.types[i], ligand.types[j]);
-                        VinaIntra {
-                            i,
-                            j,
-                            rsum: vina_radius(ta) + vina_radius(tb),
-                            hydrophobic: flag(ta.is_hydrophobic() && tb.is_hydrophobic()),
-                            hbond: flag(vina_hbond_pair(ta, tb)),
-                        }
-                    })
-                    .collect(),
-            ),
+        let pairs = &ligand.intra_pairs;
+        let chunks = pairs.len().div_ceil(LANES);
+        let pair_consts = match grids.kind {
+            GridKind::Ad4 => {
+                let mut c = vec![Ad4PairConsts::default(); chunks];
+                for (k, &(i, j)) in pairs.iter().enumerate() {
+                    let (ta, tb) = (ligand.types[i], ligand.types[j]);
+                    let (qa, qb) = (ligand.charges[i], ligand.charges[j]);
+                    let dcoef = ad4_solvation_param(&ad4, ta, qa) * ad4.volume[type_index(tb)]
+                        + ad4_solvation_param(&ad4, tb, qb) * ad4.volume[type_index(ta)];
+                    c[k / LANES].set(k % LANES, ad4.pair(ta, tb), &ad4, qa * qb, dcoef);
+                }
+                PairConsts::Ad4(c)
+            }
+            GridKind::Vina => {
+                let mut c = vec![VinaPairConsts::default(); chunks];
+                for (k, &(i, j)) in pairs.iter().enumerate() {
+                    let (ta, tb) = (ligand.types[i], ligand.types[j]);
+                    let (chunk, l) = (&mut c[k / LANES], k % LANES);
+                    chunk.rsum[l] = vina_radius(ta) + vina_radius(tb);
+                    chunk.hydrophobic[l] = flag(ta.is_hydrophobic() && tb.is_hydrophobic());
+                    chunk.hbond[l] = flag(vina_hbond_pair(ta, tb));
+                }
+                PairConsts::Vina(c)
+            }
         };
 
         let emap = grids.electrostatic.as_ref();
@@ -166,8 +258,8 @@ impl<'a> EnergyModel<'a> {
             vina,
             atom_elec,
             atom_desolv,
-            intra,
-            exp: ExpPath::selected(),
+            pairs: pair_consts,
+            exp: path,
             origin: grids.spec.origin(),
             atom_vals,
             emap_vals: emap.map_or(&[][..], |m| m.values()),
@@ -175,79 +267,149 @@ impl<'a> EnergyModel<'a> {
         })
     }
 
-    /// Receptor–ligand interaction energy of world coordinates `coords`.
-    ///
-    /// SoA fast path: single-pose front end of the chunked kernel behind
-    /// [`total_batch`](EnergyModel::total_batch). Bit-identical to
-    /// [`intermolecular_reference`](EnergyModel::intermolecular_reference).
-    pub fn intermolecular(&self, coords: &[Vec3]) -> f64 {
+    /// A scratch sized for this model's pair table.
+    pub(crate) fn scratch(&self) -> Scratch {
+        let mut pairs = PairScratch::default();
+        pairs.fit(self.ligand.intra_pairs.len());
+        Scratch { coords: Vec::with_capacity(self.ligand.atom_count()), pairs }
+    }
+
+    /// Run one dispatch on `path`.
+    fn dispatch(
+        &self,
+        path: ExpPath,
+        terms: Terms,
+        input: Input<'_>,
+        pairs: &mut PairScratch,
+        out: &mut [f64],
+    ) {
+        vexp::run(path, Eval { model: self, terms, input, pairs, out })
+    }
+
+    /// One term kind of one pose's coordinates, in a dispatch of its own.
+    fn one(&self, path: ExpPath, terms: Terms, coords: &[Vec3]) -> f64 {
         let mut out = [0.0];
-        self.intermolecular_batch(coords, coords.len().max(1), &mut out);
+        self.coords_dispatch(path, terms, coords, &mut out);
         out[0]
     }
 
-    /// Chunked SoA intermolecular kernel over `out.len()` consecutive poses
-    /// of `natoms` atoms each (`coords` is pose-major, back to back).
+    /// One dispatch over back-to-back poses' coordinates, in this thread's
+    /// [`PAIR_LANES`], taken before the dispatch.
+    fn coords_dispatch(&self, path: ExpPath, terms: Terms, coords: &[Vec3], out: &mut [f64]) {
+        PAIR_LANES.with_borrow_mut(|pairs| {
+            pairs.fit(self.ligand.intra_pairs.len());
+            self.dispatch(path, terms, Input::Coords(coords), pairs, out)
+        })
+    }
+
+    /// Score `poses` into `out`, each applied into `scratch` first: one
+    /// dispatch for the whole slice, each result bit-identical to
+    /// [`total`](EnergyModel::total) of that pose's coordinates.
+    pub(crate) fn score_poses(&self, poses: &[Pose], scratch: &mut Scratch, out: &mut [f64]) {
+        debug_assert_eq!(poses.len(), out.len());
+        let input = Input::Poses(poses, &mut scratch.coords);
+        self.dispatch(self.exp, Terms::Total, input, &mut scratch.pairs, out)
+    }
+
+    /// Receptor–ligand interaction energy of world coordinates `coords`.
+    /// Bit-identical to
+    /// [`intermolecular_reference`](EnergyModel::intermolecular_reference).
+    pub fn intermolecular(&self, coords: &[Vec3]) -> f64 {
+        self.one(self.exp, Terms::Inter, coords)
+    }
+
+    /// Ligand internal energy (pairs across rotatable bonds), summed over
+    /// the precomputed pair table. Bit-identical to
+    /// [`intramolecular_reference`](EnergyModel::intramolecular_reference).
+    pub fn intramolecular(&self, coords: &[Vec3]) -> f64 {
+        self.one(self.exp, Terms::Intra, coords)
+    }
+
+    /// [`intramolecular`](EnergyModel::intramolecular) on a given `exp`
+    /// path; every path returns the same bits.
+    pub fn intramolecular_via(&self, path: ExpPath, coords: &[Vec3]) -> f64 {
+        self.one(path, Terms::Intra, coords)
+    }
+
+    /// Total pose energy used by the search (inter + intra).
+    pub fn total(&self, coords: &[Vec3]) -> f64 {
+        self.one(self.exp, Terms::Total, coords)
+    }
+
+    /// Score `out.len()` poses in one call. `coords` holds the world
+    /// coordinates of every pose back to back (pose-major,
+    /// `out.len() × ligand.atom_count()` entries).
     ///
-    /// The subtract-divide sweeps producing fractional lattice coordinates
-    /// run over fixed-width lanes so they auto-vectorize; each atom then
-    /// resolves one [`FlatStencil`](crate::grid::FlatStencil) whose flattened
-    /// cell base is shared by every co-located map. Per-pose accumulation
-    /// order is atom order, exactly as the reference loop, so the result is
-    /// bit-identical for every batch size.
-    fn intermolecular_batch(&self, coords: &[Vec3], natoms: usize, out: &mut [f64]) {
-        debug_assert_eq!(coords.len(), natoms * out.len());
+    /// One dispatch scores the poses one after another; each `out[p]` is
+    /// bit-identical to [`total`](EnergyModel::total) of that pose's
+    /// coordinate slice, for every batch size.
+    pub fn total_batch(&self, coords: &[Vec3], out: &mut [f64]) {
+        let natoms = self.ligand.atom_count();
+        assert_eq!(
+            coords.len(),
+            natoms * out.len(),
+            "coords must hold out.len() poses of {natoms} atoms"
+        );
+        self.coords_dispatch(self.exp, Terms::Total, coords, out)
+    }
+
+    /// The terms `terms` of one pose's world coordinates, inside a body.
+    #[inline(always)]
+    fn score<E: ExpLanes>(&self, terms: Terms, coords: &[Vec3], pairs: &mut PairScratch) -> f64 {
+        match terms {
+            Terms::Inter => self.inter(coords),
+            Terms::Intra => self.intra::<E>(coords, pairs),
+            Terms::Total => self.inter(coords) + self.intra::<E>(coords, pairs),
+        }
+    }
+
+    /// The intermolecular sum of one pose: fractional lattice coordinates
+    /// for [`LANES`] atoms at a time (vector divides), then per atom one
+    /// [`FlatStencil`](crate::grid::FlatStencil) shared by every co-located
+    /// map, added in the reference loop's atom order.
+    #[inline(always)]
+    fn inter(&self, coords: &[Vec3]) -> f64 {
         let spec = &self.grids.spec;
         let (o, s) = (self.origin, spec.spacing);
         let (sy, sz) = (spec.npts, spec.npts * spec.npts);
         let ad4 = self.grids.kind == GridKind::Ad4;
-        let mut gx = [0.0f64; LANES];
-        let mut gy = [0.0f64; LANES];
-        let mut gz = [0.0f64; LANES];
-        let mut pose = 0usize;
-        let mut atom = 0usize; // index within the current pose
-        let mut acc = 0.0f64; // running sum of the current pose, in a register
-        let mut start = 0usize;
-        while start < coords.len() {
-            let m = (coords.len() - start).min(LANES);
-            for l in 0..m {
-                let p = coords[start + l];
+        let mut e = 0.0;
+        let (mut gx, mut gy, mut gz) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+        for (c, chunk) in coords.chunks(LANES).enumerate() {
+            for (l, p) in chunk.iter().enumerate() {
                 gx[l] = (p.x - o.x) / s;
                 gy[l] = (p.y - o.y) / s;
                 gz[l] = (p.z - o.z) / s;
             }
-            for l in 0..m {
+            for l in 0..chunk.len() {
+                let a = c * LANES + l;
                 let st = spec.flat_stencil(gx[l], gy[l], gz[l]);
-                let term = if ad4 {
-                    let aff = sample_flat(self.atom_vals[atom], &st, sy, sz);
-                    let elec = self.atom_elec[atom] * sample_flat(self.emap_vals, &st, sy, sz);
+                e += if ad4 {
+                    let aff = sample_flat(self.atom_vals[a], &st, sy, sz);
+                    let elec = self.atom_elec[a] * sample_flat(self.emap_vals, &st, sy, sz);
                     // one-map approximation of the symmetric AD4 desolvation
                     // term (see DESIGN.md): ligand-side solvation parameter
                     // against the receptor volume field, doubled.
-                    let desolv = self.atom_desolv[atom] * sample_flat(self.dmap_vals, &st, sy, sz);
+                    let desolv = self.atom_desolv[a] * sample_flat(self.dmap_vals, &st, sy, sz);
                     aff + elec + desolv
                 } else {
-                    sample_flat(self.atom_vals[atom], &st, sy, sz)
+                    sample_flat(self.atom_vals[a], &st, sy, sz)
                 };
-                // local accumulation, flushed once per pose: same 0.0-seeded
-                // atom-order sum as a per-pose loop, without a memory RMW
-                // per atom
-                acc += term;
-                atom += 1;
-                if atom == natoms {
-                    out[pose] = acc;
-                    acc = 0.0;
-                    atom = 0;
-                    pose += 1;
-                }
             }
-            start += m;
         }
-        debug_assert_eq!(pose, out.len());
+        e
     }
 
-    /// Ligand internal energy (pairs across rotatable bonds), evaluated via
-    /// the precomputed pair table with a squared-distance cutoff prefilter.
+    /// The intramolecular sum of one pose, in passes over the whole pair
+    /// table:
+    ///
+    /// 1. squared distances, pair by pair;
+    /// 2. distances, the `exp` arguments and the batched `exp`s, a chunk
+    ///    of [`LANES`] at a time;
+    /// 3. the terms ([`ad4_pair_lanes`]/[`vina_pair_lanes`]) chunk by
+    ///    chunk, each chunk's added to the sum in pair order as soon as it
+    ///    is computed, so the sum's chain of dependent adds overlaps the
+    ///    next chunk's divisions.
     ///
     /// Both pair kernels return exactly `0.0` at `r ≥ CUTOFF`, and
     /// `CUTOFF² = 64` is exact in binary, so `d² < 64` selects precisely the
@@ -258,46 +420,61 @@ impl<'a> EnergyModel<'a> {
     /// cancellation rounds to `+0.0`), so this is bit-identical to the
     /// filter-free reference loop.
     ///
-    /// The pairs that pass the prefilter are scored [`vexp::LANES`] at a
-    /// time — their `exp`s as one batch on the process's [`ExpPath`] — and
-    /// added to the sum in pair order.
-    pub fn intramolecular(&self, coords: &[Vec3]) -> f64 {
-        self.intramolecular_via(self.exp, coords)
-    }
-
-    /// [`intramolecular`](EnergyModel::intramolecular) on a given `exp`
-    /// path; every path returns the same bits.
-    pub fn intramolecular_via(&self, path: ExpPath, coords: &[Vec3]) -> f64 {
-        match &self.intra {
-            IntraTable::Ad4(pairs) => vexp::run(path, Intra { pairs, coords, p: &self.ad4 }),
-            IntraTable::Vina(pairs) => vexp::run(path, Intra { pairs, coords, p: &self.vina }),
+    /// A far pair, and a padding slot, goes through passes 2 and 3 at the
+    /// stand-in distance [`CUTOFF`], where every `exp` argument is inside
+    /// the port's range: Vina's `−(d/0.5)²` leaves it past r ≈ 11 Å, and
+    /// one lane out of range sends its whole chunk to libm.
+    #[inline(always)]
+    fn intra<E: ExpLanes>(&self, coords: &[Vec3], s: &mut PairScratch) -> f64 {
+        let pairs = &self.ligand.intra_pairs;
+        let n = pairs.len();
+        for (d2, &(i, j)) in s.d2.as_flattened_mut().iter_mut().zip(pairs) {
+            *d2 = coords[i].dist_sq(coords[j]);
         }
-    }
-
-    /// Total pose energy used by the search (inter + intra).
-    pub fn total(&self, coords: &[Vec3]) -> f64 {
-        self.intermolecular(coords) + self.intramolecular(coords)
-    }
-
-    /// Score `out.len()` poses in one call. `coords` holds the world
-    /// coordinates of every pose back to back (pose-major,
-    /// `out.len() × ligand.atom_count()` entries).
-    ///
-    /// Batching amortizes stencil setup and keeps the SoA chunks full across
-    /// pose boundaries; it never changes the arithmetic — each `out[p]` is
-    /// bit-identical to [`total`](EnergyModel::total) of that pose's
-    /// coordinate slice, for every batch size.
-    pub fn total_batch(&self, coords: &[Vec3], out: &mut [f64]) {
-        let natoms = self.ligand.atom_count();
-        assert_eq!(
-            coords.len(),
-            natoms * out.len(),
-            "coords must hold out.len() poses of {natoms} atoms"
-        );
-        self.intermolecular_batch(coords, natoms, out);
-        for (p, c) in coords.chunks_exact(natoms.max(1)).enumerate() {
-            out[p] += self.intramolecular(c);
+        let mut e = 0.0;
+        let lanes = s.d2.iter().zip(&mut s.r).zip(&mut s.x1).zip(&mut s.x2);
+        match &self.pairs {
+            PairConsts::Ad4(consts) => {
+                for (((d2, r), x1), x2) in lanes {
+                    *r = distances(d2);
+                    let (mut a1, mut a2) = ([0.0; LANES], [0.0; LANES]);
+                    for l in 0..LANES {
+                        a1[l] = dielectric_exp_arg(r[l].max(0.35));
+                        a2[l] = ad4_desolv_exp_arg(r[l]);
+                    }
+                    (*x1, *x2) = (a1, a2);
+                    E::exp(x1, LANES);
+                    E::exp(x2, LANES);
+                }
+                let chunks = consts.iter().zip(&s.d2).zip(&s.r).zip(&s.x1).zip(&s.x2);
+                for (k, ((((c, d2), r), x1), x2)) in chunks.enumerate() {
+                    add(&mut e, n - k * LANES, d2, &ad4_pair_lanes(&self.ad4, c, r, x1, x2));
+                }
+            }
+            PairConsts::Vina(consts) => {
+                for ((((d2, r), x1), x2), c) in lanes.zip(consts) {
+                    *r = distances(d2);
+                    let (mut a1, mut a2) = ([0.0; LANES], [0.0; LANES]);
+                    for l in 0..LANES {
+                        [a1[l], a2[l]] = vina_exp_args(r[l] - c.rsum[l]);
+                    }
+                    (*x1, *x2) = (a1, a2);
+                    E::exp(x1, LANES);
+                    E::exp(x2, LANES);
+                }
+                let chunks = consts.iter().zip(&s.d2).zip(&s.r).zip(&s.x1).zip(&s.x2);
+                for (k, ((((c, d2), r), x1), x2)) in chunks.enumerate() {
+                    let mut d = [0.0; LANES];
+                    for l in 0..LANES {
+                        d[l] = r[l] - c.rsum[l];
+                    }
+                    let t =
+                        vina_pair_lanes(&self.vina, r, &d, [x1, x2], [&c.hydrophobic, &c.hbond]);
+                    add(&mut e, n - k * LANES, d2, &t);
+                }
+            }
         }
+        e
     }
 
     /// Naive intermolecular evaluation retained as the parity reference:
@@ -389,121 +566,28 @@ impl<'a> EnergyModel<'a> {
     }
 }
 
-const CUTOFF_SQ: f64 = CUTOFF * CUTOFF;
-
-/// The pairs within the cutoff, [`vexp::LANES`] at a time: each pair's
-/// table index and distance.
-struct PairLanes {
-    idx: [usize; vexp::LANES],
-    r: [f64; vexp::LANES],
-    m: usize,
-}
-
-/// One row of a precomputed intramolecular pair table.
-trait IntraPair: Sized {
-    /// The force field's parameter set.
-    type Params;
-    /// The pair's atom indices.
-    fn atoms(&self) -> (usize, usize);
-    /// The terms of the batch `b` of `pairs` rows, lane by lane.
-    fn terms<E: ExpLanes>(pairs: &[Self], p: &Self::Params, b: &PairLanes) -> [f64; vexp::LANES];
-}
-
-impl IntraPair for Ad4Intra {
-    type Params = Ad4Params;
-
-    #[inline(always)]
-    fn atoms(&self) -> (usize, usize) {
-        (self.i, self.j)
+/// The distance of each pair at squared distance `d2`, or [`CUTOFF`]
+/// standing in beyond it. Computed into a local array, so no store can
+/// alias the next lane's load and the lanes stay a vector `sqrt` and a
+/// select.
+#[inline(always)]
+fn distances(d2: &[f64; LANES]) -> [f64; LANES] {
+    let mut r = [0.0; LANES];
+    for l in 0..LANES {
+        let root = d2[l].sqrt();
+        r[l] = if d2[l] < CUTOFF_SQ { root } else { CUTOFF };
     }
-
-    #[inline(always)]
-    fn terms<E: ExpLanes>(pairs: &[Self], p: &Ad4Params, b: &PairLanes) -> [f64; vexp::LANES] {
-        const L: usize = vexp::LANES;
-        let mut lanes = Ad4PairLanes::default();
-        for l in 0..b.m {
-            let pr = &pairs[b.idx[l]];
-            lanes.set(l, &pr.pp, p, pr.qq, pr.dcoef);
-        }
-        let (mut eps, mut g) = ([0.0; L], [0.0; L]);
-        for l in 0..L {
-            eps[l] = dielectric_exp_arg(b.r[l].max(0.35));
-            g[l] = ad4_desolv_exp_arg(b.r[l]);
-        }
-        E::exp(&mut eps, b.m);
-        E::exp(&mut g, b.m);
-        ad4_pair_lanes(p, &lanes, &b.r, &eps, &g)
-    }
+    r
 }
 
-impl IntraPair for VinaIntra {
-    type Params = VinaParams;
-
-    #[inline(always)]
-    fn atoms(&self) -> (usize, usize) {
-        (self.i, self.j)
-    }
-
-    #[inline(always)]
-    fn terms<E: ExpLanes>(pairs: &[Self], p: &VinaParams, b: &PairLanes) -> [f64; vexp::LANES] {
-        const L: usize = vexp::LANES;
-        let (mut rsum, mut hydrophobic, mut hbond) = ([0.0; L], [0.0; L], [0.0; L]);
-        for l in 0..b.m {
-            let pr = &pairs[b.idx[l]];
-            (rsum[l], hydrophobic[l], hbond[l]) = (pr.rsum, pr.hydrophobic, pr.hbond);
+/// Add the terms `t` of a chunk's first `left` pairs to `e` in pair order,
+/// skipping the pairs beyond the cutoff.
+#[inline(always)]
+fn add(e: &mut f64, left: usize, d2: &[f64; LANES], t: &[f64; LANES]) {
+    for l in 0..left.min(LANES) {
+        if d2[l] < CUTOFF_SQ {
+            *e += t[l];
         }
-        let (mut d, mut g1, mut g2) = ([0.0; L], [0.0; L], [0.0; L]);
-        for l in 0..L {
-            d[l] = b.r[l] - rsum[l];
-            [g1[l], g2[l]] = vina_exp_args(d[l]);
-        }
-        E::exp(&mut g1, b.m);
-        E::exp(&mut g2, b.m);
-        vina_pair_lanes(p, &b.r, &d, [&g1, &g2], [&hydrophobic, &hbond])
-    }
-}
-
-/// The intramolecular sum over a pair table, one [`Kernel`] body for both
-/// `exp` paths.
-struct Intra<'a, T: IntraPair> {
-    pairs: &'a [T],
-    coords: &'a [Vec3],
-    p: &'a T::Params,
-}
-
-impl<T: IntraPair> Intra<'_, T> {
-    /// Add the batch's terms to `e` in pair order and empty it.
-    #[inline(always)]
-    fn flush<E: ExpLanes>(&self, b: &mut PairLanes, e: &mut f64) {
-        for t in &T::terms::<E>(self.pairs, self.p, b)[..b.m] {
-            *e += t;
-        }
-        b.m = 0;
-    }
-}
-
-impl<T: IntraPair> Kernel for Intra<'_, T> {
-    type Out = f64;
-
-    #[inline(always)]
-    fn run<E: ExpLanes>(self) -> f64 {
-        let mut e = 0.0;
-        let mut b = PairLanes { idx: [0; vexp::LANES], r: [0.0; vexp::LANES], m: 0 };
-        for (k, pr) in self.pairs.iter().enumerate() {
-            let (i, j) = pr.atoms();
-            let d2 = self.coords[i].dist_sq(self.coords[j]);
-            if d2 < CUTOFF_SQ {
-                (b.idx[b.m], b.r[b.m]) = (k, d2.sqrt());
-                b.m += 1;
-                if b.m == vexp::LANES {
-                    self.flush::<E>(&mut b, &mut e);
-                }
-            }
-        }
-        if b.m > 0 {
-            self.flush::<E>(&mut b, &mut e);
-        }
-        e
     }
 }
 
@@ -565,7 +649,6 @@ impl DirectEnergy {
 mod tests {
     use super::*;
     use crate::autogrid::{build_ad4_grids, build_vina_grids};
-    use crate::conformation::Pose;
     use crate::grid::GridSpec;
     use molkit::atom::Atom;
     use molkit::formats::pdbqt::PdbqtLigand;
@@ -588,9 +671,13 @@ mod tests {
     }
 
     fn ligand() -> PdbqtLigand {
+        chain(4)
+    }
+
+    fn chain(n: usize) -> PdbqtLigand {
         // zig-zag chain so torsion axes are not collinear with the atoms
         let mut m = Molecule::new("L");
-        for k in 0..4 {
+        for k in 0..n {
             let mut a = Atom::new(
                 k as u32 + 1,
                 format!("C{k}"),
@@ -600,7 +687,7 @@ mod tests {
             a.charge = if k % 2 == 0 { 0.05 } else { -0.05 };
             m.add_atom(a);
         }
-        for k in 0..3 {
+        for k in 0..n - 1 {
             m.add_bond(k, k + 1, BondOrder::Single);
         }
         let tree = build_torsion_tree(&m);
@@ -793,6 +880,45 @@ mod tests {
                             first + k
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_path_matches_the_reference_past_the_cutoff_and_the_box() {
+        // 13 atoms 1.4 Å apart along x: the chain reaches past the 8 Å
+        // cutoff and out of the 16 Å box, and its pair count is not a
+        // multiple of the lanes
+        let lig = chain(13);
+        let lm = LigandModel::new(&lig);
+        assert_ne!(lm.intra_pairs.len() % LANES, 0);
+        let r = receptor();
+        let types = lig.mol.ad_types();
+        let mut poses = vec![Pose::at(Vec3::ZERO, lm.torsdof()), Pose::at(Vec3::splat(3.0), 0)];
+        poses[1].torsions = (0..lm.torsdof()).map(|k| 0.4 * k as f64 - 1.1).collect();
+        for pose in &poses {
+            let c = lm.coords(pose);
+            assert!(lm.intra_pairs.iter().any(|&(i, j)| c[i].dist(c[j]) >= CUTOFF));
+            assert!(c.iter().any(|&p| !spec().contains(p)));
+        }
+        for grids in [
+            build_ad4_grids(&r, spec(), &types, &Ad4Params::new()),
+            build_vina_grids(&r, spec(), &types, &VinaParams::default()),
+        ] {
+            for path in [ExpPath::selected(), ExpPath::Libm] {
+                let em = EnergyModel::new_via(path, &grids, &lm).unwrap();
+                let mut ev = crate::search::Evaluator::new(&em);
+                let mut batch = Vec::new();
+                ev.energy_batch(&poses, &mut batch);
+                for (pose, batched) in poses.iter().zip(&batch) {
+                    let c = lm.coords(pose);
+                    let want = em.total_reference(&c).to_bits();
+                    assert_eq!(em.total(&c).to_bits(), want, "{:?} {path:?}", grids.kind);
+                    assert_eq!(ev.energy(pose).to_bits(), want, "{:?} {path:?}", grids.kind);
+                    assert_eq!(batched.to_bits(), want, "{:?} {path:?}", grids.kind);
+                    let intra = em.intramolecular_reference(&c).to_bits();
+                    assert_eq!(em.intramolecular_via(path, &c).to_bits(), intra);
                 }
             }
         }

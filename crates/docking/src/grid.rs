@@ -101,7 +101,7 @@ impl GridSpec {
     /// `sample_flat(map.values(), &flat, sy, sz)` is bit-identical to
     /// `map.sample(&spec.stencil(p))` for matching inputs — the SoA energy
     /// kernel depends on that.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn flat_stencil(&self, gx: f64, gy: f64, gz: f64) -> FlatStencil {
         let n = self.npts;
         if gx < 0.0 || gy < 0.0 || gz < 0.0 {
@@ -157,7 +157,7 @@ pub(crate) enum FlatStencil {
 /// `npts²`). The lerp chain is a verbatim copy of [`GridMap::sample`], so
 /// the result is bit-identical to sampling through the map for the same
 /// point.
-#[inline]
+#[inline(always)]
 pub(crate) fn sample_flat(v: &[f64], st: &FlatStencil, sy: usize, sz: usize) -> f64 {
     match *st {
         FlatStencil::Outside => OUT_OF_BOX_PENALTY,

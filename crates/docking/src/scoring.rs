@@ -138,7 +138,7 @@ pub fn ad4_desolv_exp_arg(r: f64) -> f64 {
 /// `qq = qa·qb`, and `dcoef = s_a·vol_b + s_b·vol_a` where
 /// `s = solpar + QSOLPAR·|q|`.
 #[derive(Debug, Clone, Default)]
-pub struct Ad4PairLanes {
+pub struct Ad4PairConsts {
     /// Whether the pair takes the 12-10 H-bond branch.
     pub hbond: [bool; LANES],
     /// `w_hbond` or `w_vdw`.
@@ -153,7 +153,7 @@ pub struct Ad4PairLanes {
     pub dcoef: [f64; LANES],
 }
 
-impl Ad4PairLanes {
+impl Ad4PairConsts {
     /// Put the pair with parameters `pp`, charge product `qq` and
     /// desolvation coefficient `dcoef` in lane `l`.
     #[inline(always)]
@@ -190,7 +190,7 @@ impl Ad4PairLanes {
 #[inline(always)]
 pub fn ad4_pair_lanes(
     params: &Ad4Params,
-    pairs: &Ad4PairLanes,
+    pairs: &Ad4PairConsts,
     r: &[f64; LANES],
     eps_exp: &[f64; LANES],
     g: &[f64; LANES],
@@ -459,7 +459,7 @@ mod tests {
                 if r < CUTOFF {
                     let eps = dielectric_exp_arg(r.max(0.35)).exp();
                     let g = ad4_desolv_exp_arg(r).exp();
-                    let mut lanes = Ad4PairLanes::default();
+                    let mut lanes = Ad4PairConsts::default();
                     lanes.set(LANES - 1, &pp, &p, qa * qb, dcoef);
                     let e = ad4_pair_lanes(&p, &lanes, &[r; LANES], &[eps; LANES], &[g; LANES]);
                     assert_eq!(

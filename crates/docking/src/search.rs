@@ -10,7 +10,7 @@ use rand_chacha::ChaCha8Rng;
 use molkit::{Quat, Vec3};
 
 use crate::conformation::{LigandModel, Pose};
-use crate::energy::EnergyModel;
+use crate::energy::{EnergyModel, Scratch};
 use crate::grid::GridSpec;
 
 /// A pose with its evaluated energy.
@@ -24,97 +24,82 @@ pub struct ScoredPose {
 
 /// Shared evaluation context: counts energy evaluations.
 ///
-/// The scratch coordinate buffer is reused across calls, so
-/// [`Evaluator::energy`] performs no allocation after the first call.
+/// It owns the scratch one evaluation works in (the posed coordinates and
+/// the pair lanes), sized for its model once, so [`Evaluator::energy`] and
+/// [`Evaluator::energy_batch`] allocate nothing. One per search thread: the
+/// model is shared, the scratch is not.
 pub struct Evaluator<'a> {
     /// The energy model being evaluated.
     pub model: &'a EnergyModel<'a>,
     /// Energy evaluations performed so far.
     pub evals: u64,
-    scratch: Vec<Vec3>,
-    batch_coords: Vec<Vec3>,
+    scratch: Scratch,
     reference: bool,
 }
 
 impl<'a> Evaluator<'a> {
     /// Wrap an energy model with a zeroed evaluation counter.
     pub fn new(model: &'a EnergyModel<'a>) -> Evaluator<'a> {
-        Evaluator {
-            model,
-            evals: 0,
-            scratch: Vec::new(),
-            batch_coords: Vec::new(),
-            reference: false,
-        }
+        Evaluator { model, evals: 0, scratch: model.scratch(), reference: false }
     }
 
     /// Like [`Evaluator::new`] but scoring through the naive
     /// [`EnergyModel::total_reference`] path — what the `kernel_props`
     /// property tests hold the fast path bit-identical to.
     pub fn new_reference(model: &'a EnergyModel<'a>) -> Evaluator<'a> {
-        Evaluator {
-            model,
-            evals: 0,
-            scratch: Vec::new(),
-            batch_coords: Vec::new(),
-            reference: true,
-        }
+        Evaluator { model, evals: 0, scratch: model.scratch(), reference: true }
     }
 
-    /// Energy of a pose (counts one evaluation).
+    /// Energy of a pose (counts one evaluation): one kernel dispatch that
+    /// applies the pose and scores it.
     pub fn energy(&mut self, pose: &Pose) -> f64 {
-        self.evals += 1;
-        self.model.ligand.apply(pose, &mut self.scratch);
-        if self.reference {
-            self.model.total_reference(&self.scratch)
-        } else {
-            self.model.total(&self.scratch)
-        }
+        let mut out = [0.0];
+        self.score(std::slice::from_ref(pose), &mut out);
+        out[0]
     }
 
-    /// Score a whole batch of poses in one kernel call (counts one
+    /// Score a whole batch of poses in one kernel dispatch (counts one
     /// evaluation per pose), writing per-pose totals into `out`.
     ///
-    /// Poses are applied into one flat pose-major coordinate buffer and
-    /// scored by [`EnergyModel::total_batch`], which keeps the SoA lanes full
-    /// across pose boundaries. Each `out[i]` is bit-identical to
-    /// [`energy`](Evaluator::energy) of `poses[i]` for every batch size; a
-    /// reference evaluator scores pose by pose through `total_reference`
-    /// instead, so parity tests can batch on both sides.
+    /// Each `out[i]` is bit-identical to [`energy`](Evaluator::energy) of
+    /// `poses[i]` for every batch size; a reference evaluator scores pose by
+    /// pose through `total_reference` instead, so parity tests can batch on
+    /// both sides.
     pub fn energy_batch(&mut self, poses: &[Pose], out: &mut Vec<f64>) {
-        self.evals += poses.len() as u64;
         out.clear();
-        if self.reference {
-            for pose in poses {
-                self.model.ligand.apply(pose, &mut self.scratch);
-                out.push(self.model.total_reference(&self.scratch));
-            }
-            return;
-        }
-        self.batch_coords.clear();
-        for pose in poses {
-            self.model.ligand.apply(pose, &mut self.scratch);
-            self.batch_coords.extend_from_slice(&self.scratch);
-        }
         out.resize(poses.len(), 0.0);
-        self.model.total_batch(&self.batch_coords, out);
+        self.score(poses, out);
+    }
+
+    fn score(&mut self, poses: &[Pose], out: &mut [f64]) {
+        self.evals += poses.len() as u64;
+        if !self.reference {
+            return self.model.score_poses(poses, &mut self.scratch, out);
+        }
+        for (pose, e) in poses.iter().zip(out) {
+            self.model.ligand.apply(pose, &mut self.scratch.coords);
+            *e = self.model.total_reference(&self.scratch.coords);
+        }
     }
 }
 
-/// Perturb `pose` by a gene-space delta: 3 translation components, a
-/// 3-component rotation vector (axis×angle), then torsion deltas.
-pub fn apply_delta(pose: &Pose, delta: &[f64]) -> Pose {
+/// Perturb `pose` by a gene-space delta — 3 translation components, a
+/// 3-component rotation vector (axis×angle), then torsion deltas — into
+/// `out`, which must have as many torsions as `pose`.
+pub fn apply_delta(pose: &Pose, delta: &[f64], out: &mut Pose) {
     debug_assert_eq!(delta.len(), 6 + pose.torsions.len());
-    let t = pose.translation + Vec3::new(delta[0], delta[1], delta[2]);
+    debug_assert_eq!(out.torsions.len(), pose.torsions.len());
+    out.translation = pose.translation + Vec3::new(delta[0], delta[1], delta[2]);
     let rv = Vec3::new(delta[3], delta[4], delta[5]);
     let angle = rv.norm();
-    let orientation = if angle > 1e-12 {
+    out.orientation = if angle > 1e-12 {
         (Quat::from_axis_angle(rv, angle) * pose.orientation).normalized()
     } else {
         pose.orientation
     };
-    let torsions = pose.torsions.iter().zip(&delta[6..]).map(|(a, d)| a + d).collect();
-    Pose { translation: t, orientation, torsions }
+    for ((t, a), d) in out.torsions.iter_mut().zip(&pose.torsions).zip(&delta[6..]) {
+        *t = a + d;
+    }
 }
 
 /// A uniformly random pose inside the grid box (with margin).
@@ -175,6 +160,10 @@ pub fn solis_wets(
     let dim = 6 + start.pose.torsions.len();
     let mut best = start;
     let mut bias = vec![0.0f64; dim];
+    // one step, negated in place for the reflected try, and one candidate
+    // that trades places with `best` on a success
+    let mut step = vec![0.0f64; dim];
+    let mut cand = best.pose.clone();
     let mut rho = cfg.rho;
     let mut successes = 0usize;
     let mut failures = 0usize;
@@ -183,11 +172,14 @@ pub fn solis_wets(
         if rho < cfg.rho_min {
             break;
         }
-        let step: Vec<f64> = bias.iter().map(|b| b + rho * gauss(rng)).collect();
-        let cand = apply_delta(&best.pose, &step);
+        for (s, b) in step.iter_mut().zip(&bias) {
+            *s = b + rho * gauss(rng);
+        }
+        apply_delta(&best.pose, &step, &mut cand);
         let e = ev.energy(&cand);
         if e < best.energy {
-            best = ScoredPose { pose: cand, energy: e };
+            std::mem::swap(&mut best.pose, &mut cand);
+            best.energy = e;
             for (b, s) in bias.iter_mut().zip(&step) {
                 *b = 0.4 * *b + 0.2 * s;
             }
@@ -195,12 +187,15 @@ pub fn solis_wets(
             failures = 0;
         } else {
             // try the reflected step
-            let neg: Vec<f64> = step.iter().map(|s| -s).collect();
-            let cand2 = apply_delta(&best.pose, &neg);
-            let e2 = ev.energy(&cand2);
+            for s in &mut step {
+                *s = -*s;
+            }
+            apply_delta(&best.pose, &step, &mut cand);
+            let e2 = ev.energy(&cand);
             if e2 < best.energy {
-                best = ScoredPose { pose: cand2, energy: e2 };
-                for (b, s) in bias.iter_mut().zip(&neg) {
+                std::mem::swap(&mut best.pose, &mut cand);
+                best.energy = e2;
+                for (b, s) in bias.iter_mut().zip(&step) {
                     *b -= 0.4 * s;
                 }
                 successes += 1;
@@ -455,7 +450,8 @@ pub fn mc_restart(
         // large perturbation then local refinement
         let dim = 6 + n_tors;
         let step: Vec<f64> = (0..dim).map(|_| gauss(rng) * 1.5).collect();
-        let cand_pose = apply_delta(&current.pose, &step);
+        let mut cand_pose = current.pose.clone();
+        apply_delta(&current.pose, &step, &mut cand_pose);
         let e = ev.energy(&cand_pose);
         let cand = solis_wets(ev, ScoredPose { pose: cand_pose, energy: e }, &cfg.solis_wets, rng);
         let accept = cand.energy < current.energy
@@ -636,14 +632,16 @@ mod tests {
     #[test]
     fn apply_delta_zero_is_identity() {
         let p = Pose::at(Vec3::new(1.0, 2.0, 3.0), 2);
-        let q = apply_delta(&p, &[0.0; 8]);
+        let mut q = Pose::at(Vec3::ZERO, 2);
+        apply_delta(&p, &[0.0; 8], &mut q);
         assert_eq!(p, q);
     }
 
     #[test]
     fn apply_delta_translates() {
         let p = Pose::at(Vec3::ZERO, 0);
-        let q = apply_delta(&p, &[1.0, -2.0, 0.5, 0.0, 0.0, 0.0]);
+        let mut q = p.clone();
+        apply_delta(&p, &[1.0, -2.0, 0.5, 0.0, 0.0, 0.0], &mut q);
         assert_eq!(q.translation, Vec3::new(1.0, -2.0, 0.5));
     }
 
@@ -777,27 +775,32 @@ mod tests {
         let r = receptor();
         let lig = ligand();
         let lm = crate::conformation::LigandModel::new(&lig);
-        let g = build_ad4_grids(&r, spec(), &lig.mol.ad_types(), &Ad4Params::new());
-        let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let poses: Vec<Pose> =
-            (0..5).map(|_| random_pose(&spec(), lm.torsdof(), &mut rng)).collect();
-        let mut ev = Evaluator::new(&em);
-        let singles: Vec<f64> = poses.iter().map(|p| ev.energy(p)).collect();
-        let n_single = ev.evals;
-        let mut out = Vec::new();
-        ev.energy_batch(&poses, &mut out);
-        assert_eq!(ev.evals, n_single + poses.len() as u64);
-        for (a, b) in singles.iter().zip(&out) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // the reference evaluator batches bit-identically too
-        let mut evr = Evaluator::new_reference(&em);
-        let mut outr = Vec::new();
-        evr.energy_batch(&poses, &mut outr);
-        assert_eq!(evr.evals, poses.len() as u64);
-        for (a, b) in out.iter().zip(&outr) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let types = lig.mol.ad_types();
+        for g in [
+            build_ad4_grids(&r, spec(), &types, &Ad4Params::new()),
+            build_vina_grids(&r, spec(), &types, &VinaParams::default()),
+        ] {
+            let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(77);
+            let poses: Vec<Pose> =
+                (0..5).map(|_| random_pose(&spec(), lm.torsdof(), &mut rng)).collect();
+            let mut ev = Evaluator::new(&em);
+            let singles: Vec<f64> = poses.iter().map(|p| ev.energy(p)).collect();
+            let n_single = ev.evals;
+            let mut out = Vec::new();
+            ev.energy_batch(&poses, &mut out);
+            assert_eq!(ev.evals, n_single + poses.len() as u64);
+            for (a, b) in singles.iter().zip(&out) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{:?}", g.kind);
+            }
+            // the reference evaluator batches bit-identically too
+            let mut evr = Evaluator::new_reference(&em);
+            let mut outr = Vec::new();
+            evr.energy_batch(&poses, &mut outr);
+            assert_eq!(evr.evals, poses.len() as u64);
+            for (a, b) in out.iter().zip(&outr) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{:?}", g.kind);
+            }
         }
     }
 

@@ -9,13 +9,14 @@ use docking::autogrid::{
     build_ad4_grids, build_ad4_grids_threads, build_vina_grids, build_vina_grids_threads,
     reference, GridSet,
 };
-use docking::conformation::LigandModel;
+use docking::conformation::{LigandModel, Pose};
 use docking::energy::EnergyModel;
 use docking::grid::GridSpec;
 use docking::params::{Ad4Params, VinaParams};
 use docking::search::{
     random_pose, run_lga_seeded, run_mc_seeded, Evaluator, LgaConfig, McConfig, ScoredPose,
 };
+use docking::vexp::ExpPath;
 use molkit::formats::pdbqt::PdbqtLigand;
 use molkit::synth::{generate_ligand, generate_receptor, LigandParams, ReceptorParams};
 use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
@@ -115,14 +116,33 @@ proptest! {
         let lig = prepared_ligand(&lname);
         let lm = LigandModel::new(&lig);
         let spec = GridSpec::with_edge(receptor.centroid(), 14.0, 1.25);
-        let grids = build_ad4_grids(&receptor, spec, &lig.mol.ad_types(), &Ad4Params::new());
-        let em = EnergyModel::new(&grids, &lm).unwrap();
-        let mut fast = Evaluator::new(&em);
-        let mut refr = Evaluator::new_reference(&em);
+        let types = lig.mol.ad_types();
+        let ad4 = build_ad4_grids(&receptor, spec, &types, &Ad4Params::new());
+        let vina = build_vina_grids(&receptor, spec, &types, &VinaParams::default());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..12 {
-            let pose = random_pose(&spec, lm.torsdof(), &mut rng);
-            prop_assert_eq!(fast.energy(&pose).to_bits(), refr.energy(&pose).to_bits());
+        // random poses, and the same poses pushed half a box along x so that
+        // some of their atoms leave the box
+        let mut poses: Vec<Pose> =
+            (0..12).map(|_| random_pose(&spec, lm.torsdof(), &mut rng)).collect();
+        poses.extend(poses.clone().into_iter().map(|mut p| {
+            p.translation.x += spec.edge() * 0.5;
+            p
+        }));
+        for grids in [&ad4, &vina] {
+            for path in [ExpPath::selected(), ExpPath::Libm] {
+                let em = EnergyModel::new_via(path, grids, &lm).unwrap();
+                let mut fast = Evaluator::new(&em);
+                let mut refr = Evaluator::new_reference(&em);
+                let want: Vec<u64> = poses.iter().map(|p| refr.energy(p).to_bits()).collect();
+                for (pose, want) in poses.iter().zip(&want) {
+                    prop_assert_eq!(fast.energy(pose).to_bits(), *want, "{:?} {:?}", grids.kind, path);
+                    prop_assert_eq!(em.total(&lm.coords(pose)).to_bits(), *want);
+                }
+                let mut batch = Vec::new();
+                fast.energy_batch(&poses, &mut batch);
+                let got: Vec<u64> = batch.iter().map(|e| e.to_bits()).collect();
+                prop_assert_eq!(got, want, "{:?} {:?} batch", grids.kind, path);
+            }
         }
     }
 

@@ -204,6 +204,7 @@ impl Quat {
     pub const IDENTITY: Quat = Quat { w: 1.0, x: 0.0, y: 0.0, z: 0.0 };
 
     /// Rotation of `angle` radians around `axis`. A zero axis yields identity.
+    #[inline]
     pub fn from_axis_angle(axis: Vec3, angle: f64) -> Quat {
         match axis.normalized() {
             Some(a) => {
@@ -215,6 +216,7 @@ impl Quat {
     }
 
     /// Normalize to unit length, falling back to identity if degenerate.
+    #[inline]
     pub fn normalized(self) -> Quat {
         let n = (self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z).sqrt();
         if n < 1e-12 {
@@ -225,6 +227,7 @@ impl Quat {
     }
 
     /// Rotate a point about the origin.
+    #[inline]
     pub fn rotate(self, v: Vec3) -> Vec3 {
         // v' = v + 2*q_vec × (q_vec × v + w*v)
         let q = Vec3::new(self.x, self.y, self.z);
@@ -251,6 +254,7 @@ impl Quat {
 impl std::ops::Mul for Quat {
     type Output = Quat;
 
+    #[inline]
     fn mul(self, o: Quat) -> Quat {
         Quat {
             w: self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z,
