@@ -34,6 +34,11 @@ echo "== docking: release tests and ignored sweeps =="
 cargo test --release -p docking -q
 cargo test --release -p docking -q -- --ignored
 
+# the pruned pocket search against the brute-force scan on every Table 2
+# receptor: ignored in the default run, ~45 s in release
+echo "== scidock: pocket parity sweep (release) =="
+cargo test --release -p scidock -q --test pocket_parity -- --ignored
+
 # the benchmark that gates PRs (BENCHMARK.json): its own unit tests, then a
 # tenth-size run of every workload with every correctness gate — exits
 # non-zero on any failed operation or golden-digest miss

@@ -12,10 +12,12 @@
 //! | 7 | `autodpf4` / `vinaconfig` | C | DPF / Vina config generation |
 //! | 8 | `autodock4` / `vina` | D: molecular docking | the docking run, `.dlg`/log output |
 //!
-//! Every receptor-side step (the Hg rule, activity 3, the grids and map
-//! files of activities 5 and 8) is a pure function of the receptor's bytes
-//! and is computed once per process by [`crate::receptors`]; the activities
-//! still run once per pair and record the same files, parameters and tuples.
+//! Every receptor-side step (the Hg rule, activity 3, the pocket, grids and
+//! map files of activities 5 and 8) is a pure function of the receptor's
+//! bytes, and every ligand-side step (activities 1 and 2, the ligand parse
+//! of activities 4, 5 and 8) of the ligand's: [`crate::receptors`] computes
+//! each once per process. The activities still run once per pair and record
+//! the same files, parameters and tuples.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,11 +26,8 @@ use cumulus::workflow::{Activity, ActivityError, ActivityFn, FileStore, Workflow
 use cumulus::{Operator, Template};
 use docking::dlg::{parse_dlg_feb, parse_dlg_rmsd, parse_vina_modes, write_dlg, write_vina_log};
 use docking::engine::{dock_with_grids, DockConfig, EngineKind};
-use molkit::charges::assign_gasteiger;
-use molkit::formats::{mol2, pdbqt, sdf};
+use molkit::formats::pdbqt;
 use molkit::synth::name_seed;
-use molkit::torsion::build_torsion_tree;
-use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
 use provenance::Value;
 
 // Also at `scidock::activities`, beside `build_scidock`, where the examples
@@ -128,12 +127,15 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
     let cfga = Arc::new(cfg.clone());
 
     // -- activity 1: babel (SDF -> MOL2) ------------------------------------
+    // Activities 1 and 2 depend on the ligand alone, so the tier computes
+    // each once per content and every pair stages that text by reference.
+    let cfg1 = Arc::clone(&cfga);
     let a1: ActivityFn = Arc::new(move |tuples, ctx| {
         let t = &tuples[0];
         let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
         let sdf_text = ctx.read_file(&text(t, 3)?)?;
-        let mol = sdf::read_sdf(&sdf_text).map_err(|e| ActivityError(format!("sdf: {e}")))?;
-        let out = ctx.write_file(&format!("{ligand}.mol2"), mol2::write_mol2(&mol));
+        let mol2 = cfg1.receptors.mol2(&sdf_text, &cfg1.dock.telemetry)?;
+        let out = ctx.write_file(&format!("{ligand}.mol2"), mol2);
         Ok(vec![vec![
             receptor.as_str().into(),
             ligand.as_str().into(),
@@ -143,19 +145,14 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
     });
 
     // -- activity 2: prepare_ligand4 (MOL2 -> ligand PDBQT) -----------------
+    let cfg2 = Arc::clone(&cfga);
     let a2: ActivityFn = Arc::new(move |tuples, ctx| {
         let t = &tuples[0];
         let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
         let mol2_text = ctx.read_file(&text(t, 3)?)?;
-        let mut mol =
-            mol2::read_mol2(&mol2_text).map_err(|e| ActivityError(format!("mol2: {e}")))?;
-        assign_ad_types(&mut mol);
-        assign_gasteiger(&mut mol, &Default::default());
-        merge_nonpolar_hydrogens(&mut mol);
-        let tree = build_torsion_tree(&mol);
-        let lig = pdbqt::PdbqtLigand { mol, tree };
-        let out = ctx.write_file(&format!("{ligand}.pdbqt"), pdbqt::write_ligand_pdbqt(&lig));
-        ctx.record_param("torsdof", Some(lig.tree.torsdof() as f64), None);
+        let prepared = cfg2.receptors.prepared_ligand(&mol2_text, &cfg2.dock.telemetry)?;
+        let out = ctx.write_file(&format!("{ligand}.pdbqt"), prepared.pdbqt.clone());
+        ctx.record_param("torsdof", Some(prepared.torsdof as f64), None);
         Ok(vec![vec![
             receptor.as_str().into(),
             ligand.as_str().into(),
@@ -190,8 +187,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         let t = &tuples[0];
         let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
         let lig_text = ctx.read_file(&text(t, 2)?)?;
-        let lig = pdbqt::read_ligand_pdbqt(&lig_text)
-            .map_err(|e| ActivityError(format!("ligand pdbqt: {e}")))?;
+        let lig = cfg4.receptors.ligand(&lig_text, &cfg4.dock.telemetry)?;
         let types: Vec<String> = lig.mol.ad_types().iter().map(|t| t.label().to_string()).collect();
         let npts = (cfg4.dock.box_edge / cfg4.dock.grid_spacing).ceil() as usize + 1;
         let mut gpf = String::new();
@@ -218,9 +214,8 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         let t = &tuples[0];
         let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
         let lig_text = ctx.read_file(&text(t, 2)?)?;
-        let lig = pdbqt::read_ligand_pdbqt(&lig_text)
-            .map_err(|e| ActivityError(format!("ligand pdbqt: {e}")))?;
-        let _ = &lig; // parsed for validation; grids are ligand-independent
+        // parsed for validation; grids are ligand-independent
+        cfg5.receptors.ligand(&lig_text, &cfg5.dock.telemetry)?;
         let rec_path = text(t, 3)?;
         let rec_text = ctx.read_file(&rec_path)?;
         let maps = cache5.get_or_render(&receptor, &rec_text, EngineKind::Ad4, &cfg5.dock)?;
@@ -362,8 +357,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             let t = &tuples[0];
             let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
             let lig_text = ctx.read_file(&text(t, 2)?)?;
-            let lig = pdbqt::read_ligand_pdbqt(&lig_text)
-                .map_err(|e| ActivityError(format!("ligand pdbqt: {e}")))?;
+            let lig = cfg.receptors.ligand(&lig_text, &cfg.dock.telemetry)?;
             let rec_text = ctx.read_file(&text(t, 3)?)?;
             let grids = cache.grids(&rec_text, engine, &cfg.dock)?;
             let mut dock_cfg = cfg.dock.clone();
@@ -397,7 +391,7 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             };
             if engine == EngineKind::Vina {
                 // Vina also writes the docked ligand PDBQT
-                let mut posed = lig.clone();
+                let mut posed = pdbqt::PdbqtLigand::clone(&lig);
                 posed.mol.set_positions(&result.best_coords);
                 ctx.write_file(
                     &format!("{ligand}_{receptor}_out.pdbqt"),
@@ -934,8 +928,8 @@ mod tests {
         p.receptor.max_residues = 35;
         p.receptor.hg_fraction = 0.0;
         let mut mol = crate::dataset::make_receptor("1HUC", &p).structure;
-        assign_ad_types(&mut mol);
-        assign_gasteiger(&mut mol, &Default::default());
+        molkit::typer::assign_ad_types(&mut mol);
+        molkit::charges::assign_gasteiger(&mut mol, &Default::default());
         let text = cumulus::Blob::new(pdbqt::write_receptor_pdbqt(&mol));
         let cfg = DockConfig {
             grid_spacing: 1.5,

@@ -1,10 +1,12 @@
-//! Everything that is a pure function of a receptor's bytes, computed once
-//! per process: the Hg screen, `prepare_receptor4`, grid load/build and
-//! `.map` rendering.
+//! Everything that is a pure function of one input's bytes, computed once
+//! per process: for a receptor the Hg screen, `prepare_receptor4`, the
+//! pocket, grid load/build and `.map` rendering; for a ligand activities 1
+//! and 2 and the parse activities 4, 5 and 8 share.
 //!
 //! A screening campaign is a cross product, so every receptor-side step is
-//! the same computation repeated per ligand — and, on an always-on daemon,
-//! per campaign. Two types keep it to once:
+//! the same computation repeated per ligand, every ligand-side step the same
+//! computation repeated per receptor — and, on an always-on daemon, per
+//! campaign. Two types keep it to once:
 //!
 //! * [`ReceptorCache`] is the **memory tier**: a bounded, shareable handle
 //!   with an owner. Whoever outlives campaigns creates one and puts it in
@@ -26,6 +28,10 @@
 //! | rendered `.map` files | grid key × receptor name (the header names the receptor) |
 //! | parsed receptor (Hg answer + molecule) | the PDB text's digest |
 //! | prepared PDBQT + heavy-atom count | PDB digest × receptor name (the `NAME` record) |
+//! | binding pocket | receptor PDBQT digest × probe radius |
+//! | ligand MOL2 (activity 1) | the SDF text's digest |
+//! | ligand PDBQT + `torsdof` (activity 2) | the MOL2 text's digest |
+//! | parsed ligand (activities 4, 5, 8) | the ligand PDBQT's digest |
 //!
 //! Lookups of one key are **single flight**: the key's cell is locked while
 //! its value is computed, so racing activations wait for one load, build,
@@ -53,13 +59,16 @@ use docking::autogrid::GridSet;
 use docking::engine::{DockConfig, EngineKind};
 use docking::gridio::grid_key_header;
 use molkit::charges::assign_gasteiger;
-use molkit::formats::{pdb, pdbqt};
-use molkit::typer::assign_ad_types;
+use molkit::formats::pdbqt::PdbqtLigand;
+use molkit::formats::{mol2, pdb, pdbqt, sdf};
+use molkit::geometry::{find_pocket, Pocket};
+use molkit::torsion::build_torsion_tree;
+use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
 use molkit::{Element, Molecule};
 use telemetry::Telemetry;
 
 /// Resident bytes (grid values, rendered and prepared texts, the atoms and
-/// bonds of parsed receptors) a tier keeps before evicting its least recently used entries. The
+/// bonds of parsed molecules) a tier keeps before evicting its least recently used entries. The
 /// paper's 238 receptors are ≈ 0.6 GB at its grid settings, which an
 /// always-on daemon must not pin; this holds about a hundred of them.
 const TIER_BUDGET_BYTES: u64 = 256 << 20;
@@ -72,6 +81,11 @@ enum Key {
     Maps(u64, String),
     Receptor(u64),
     Pdbqt(u64, String),
+    /// Receptor PDBQT digest × the probe radius's bits.
+    Pocket(u64, u64),
+    Mol2(u64),
+    LigandPdbqt(u64),
+    Ligand(u64),
 }
 
 /// One key's cell. Its lock is held while the value is computed, so racing
@@ -139,6 +153,22 @@ pub struct Prepared {
     pub heavy_atoms: usize,
 }
 
+/// Activity 2's output for one MOL2 content.
+pub struct PreparedLigand {
+    /// The ligand PDBQT text, digested once here and staged by reference by
+    /// every activation.
+    pub pdbqt: Blob,
+    /// Its torsional degrees of freedom, recorded per activation.
+    pub torsdof: usize,
+}
+
+/// What a parsed molecule holds on the heap: its atoms, bonds and name
+/// strings.
+fn molecule_bytes(mol: &Molecule) -> u64 {
+    let names: usize = mol.atoms.iter().map(|a| a.name.capacity() + a.res_name.capacity()).sum();
+    (size_of_val(&mol.atoms[..]) + size_of_val(&mol.bonds[..]) + names) as u64
+}
+
 /// A receptor PDB parsed once: the Hg rule's answer, and the molecule
 /// activity 3 formats per receptor name.
 struct Receptor {
@@ -197,12 +227,81 @@ impl ReceptorCache {
             tel.count("receptor.hg_screened", 1);
             let mol = pdb::read_pdb(pdb).map_err(|e| ActivityError(format!("pdb: {e}")))?;
             let has_hg = mol.contains_element(Element::Hg);
-            let names: usize =
-                mol.atoms.iter().map(|a| a.name.capacity() + a.res_name.capacity()).sum();
-            let bytes = size_of_val(&mol.atoms[..]) + size_of_val(&mol.bonds[..]) + names;
-            Ok((Receptor { has_hg, mol: Mutex::new((mol, false)) }, bytes as u64))
+            let bytes = molecule_bytes(&mol);
+            Ok((Receptor { has_hg, mol: Mutex::new((mol, false)) }, bytes))
         })?;
         Ok(receptor)
+    }
+
+    /// The binding pocket of the receptor PDBQT `pdbqt` at `probe_radius`,
+    /// searched once per (content, radius) — counted by
+    /// `receptor.pocket.searched` — from the molecule `receptor` the caller
+    /// parsed from it, so the AD4 and Vina grid builds share one search.
+    fn pocket(
+        &self,
+        pdbqt: &Blob,
+        receptor: &Molecule,
+        probe_radius: f64,
+        tel: &Telemetry,
+    ) -> Result<Pocket, ActivityError> {
+        let key = Key::Pocket(pdbqt.digest(), probe_radius.to_bits());
+        let (pocket, _) = self.get_or_try(key, tel, || {
+            tel.count("receptor.pocket.searched", 1);
+            let pocket = find_pocket(receptor, probe_radius)
+                .ok_or_else(|| ActivityError("no binding pocket detected".into()))?;
+            Ok((pocket, size_of::<Pocket>() as u64))
+        })?;
+        Ok(*pocket)
+    }
+
+    /// Activity 1 (`babel`): the staged SDF `sdf` as MOL2 text, converted
+    /// and digested once per content.
+    pub fn mol2(&self, sdf: &Blob, tel: &Telemetry) -> Result<Blob, ActivityError> {
+        let (mol2, _) = self.get_or_try(Key::Mol2(sdf.digest()), tel, || {
+            let mol = sdf::read_sdf(sdf).map_err(|e| ActivityError(format!("sdf: {e}")))?;
+            let mol2 = digested(mol2::write_mol2(&mol), tel);
+            let bytes = mol2.len() as u64;
+            Ok((mol2, bytes))
+        })?;
+        Ok(Blob::clone(&mol2))
+    }
+
+    /// Activity 2 (`prepare_ligand4`) of the staged MOL2 `mol2`: typed,
+    /// charged, hydrogen-merged and formatted once per content — counted by
+    /// `ligand.prepared`, later calls by `ligand.prep.hit`.
+    pub fn prepared_ligand(
+        &self,
+        mol2: &Blob,
+        tel: &Telemetry,
+    ) -> Result<Arc<PreparedLigand>, ActivityError> {
+        let (prepared, computed) = self.get_or_try(Key::LigandPdbqt(mol2.digest()), tel, || {
+            let mut mol = mol2::read_mol2(mol2).map_err(|e| ActivityError(format!("mol2: {e}")))?;
+            assign_ad_types(&mut mol);
+            assign_gasteiger(&mut mol, &Default::default());
+            merge_nonpolar_hydrogens(&mut mol);
+            let tree = build_torsion_tree(&mol);
+            let torsdof = tree.torsdof();
+            let pdbqt = digested(pdbqt::write_ligand_pdbqt(&PdbqtLigand { mol, tree }), tel);
+            let bytes = pdbqt.len() as u64;
+            Ok((PreparedLigand { pdbqt, torsdof }, bytes))
+        })?;
+        tel.count(if computed { "ligand.prepared" } else { "ligand.prep.hit" }, 1);
+        Ok(prepared)
+    }
+
+    /// The staged ligand PDBQT `pdbqt`, parsed once per content for every
+    /// activity that reads it.
+    pub fn ligand(&self, pdbqt: &Blob, tel: &Telemetry) -> Result<Arc<PdbqtLigand>, ActivityError> {
+        let (ligand, _) = self.get_or_try(Key::Ligand(pdbqt.digest()), tel, || {
+            let lig = pdbqt::read_ligand_pdbqt(pdbqt)
+                .map_err(|e| ActivityError(format!("ligand pdbqt: {e}")))?;
+            let tree = &lig.tree;
+            let moved: usize = tree.branches.iter().map(|b| size_of_val(&b.moved[..])).sum();
+            let bytes = molecule_bytes(&lig.mol)
+                + (size_of_val(&tree.root[..]) + size_of_val(&tree.branches[..]) + moved) as u64;
+            Ok((lig, bytes))
+        })?;
+        Ok(ligand)
     }
 
     /// Bytes resident in the tier, as `gridcache.resident_bytes` samples
@@ -496,7 +595,7 @@ impl GridCache {
                     Some(grids) => grids,
                     None => {
                         tel.count("gridcache.persist.miss", 1);
-                        let grids = Self::build(receptor_pdbqt, engine, cfg)?;
+                        let grids = self.build(receptor_pdbqt, engine, cfg)?;
                         let text = docking::gridio::serialize_grid_set(&grids);
                         tel.count("gridcache.persist.write", 1);
                         tel.count("gridcache.persist.bytes", text.len() as u64);
@@ -505,7 +604,7 @@ impl GridCache {
                         grids
                     }
                 },
-                None => Self::build(receptor_pdbqt, engine, cfg)?,
+                None => self.build(receptor_pdbqt, engine, cfg)?,
             };
             let bytes = grids.bytes();
             Ok((grids, bytes))
@@ -560,16 +659,18 @@ impl GridCache {
         let _ = std::fs::remove_file(&tmp); // no-op after a successful rename
     }
 
-    /// Build a grid set, counted by `gridcache.bytes`.
+    /// Build a grid set around the tier's pocket, counted by
+    /// `gridcache.bytes`.
     fn build(
-        receptor_pdbqt: &str,
+        &self,
+        receptor_pdbqt: &Blob,
         engine: EngineKind,
         cfg: &DockConfig,
     ) -> Result<GridSet, ActivityError> {
         let receptor = pdbqt::read_receptor_pdbqt(receptor_pdbqt)
             .map_err(|e| ActivityError(format!("receptor pdbqt: {e}")))?;
-        let pocket = molkit::geometry::find_pocket(&receptor, cfg.pocket_probe)
-            .ok_or_else(|| ActivityError("no binding pocket detected".into()))?;
+        let pocket =
+            self.tier.pocket(receptor_pdbqt, &receptor, cfg.pocket_probe, &cfg.telemetry)?;
         let spec =
             docking::grid::GridSpec::with_edge(pocket.center, cfg.box_edge, cfg.grid_spacing);
         let grids = match engine {
@@ -921,6 +1022,248 @@ mod tests {
         assert_eq!(provn, want_provn);
         // … because what was evicted and asked for again was rebuilt
         assert!(snap.counter("gridcache.miss") > roomy_misses);
+    }
+
+    /// A ligand's SDF text as activity 1 reads it from the store.
+    fn sdf_text(code: &str) -> Blob {
+        Blob::new(sdf::write_sdf(&crate::dataset::make_ligand(code, &params(0.0)).structure))
+    }
+
+    /// Activities 1 and 2 as they ran before the tier: the MOL2 text, then
+    /// the ligand PDBQT and `torsdof` of one private preparation.
+    fn unshared_ligand(sdf_text: &str) -> (String, String, usize) {
+        let mol2_text = mol2::write_mol2(&sdf::read_sdf(sdf_text).unwrap());
+        let mut mol = mol2::read_mol2(&mol2_text).unwrap();
+        assign_ad_types(&mut mol);
+        assign_gasteiger(&mut mol, &Default::default());
+        merge_nonpolar_hydrogens(&mut mol);
+        let tree = build_torsion_tree(&mol);
+        let torsdof = tree.torsdof();
+        (mol2_text, pdbqt::write_ligand_pdbqt(&PdbqtLigand { mol, tree }), torsdof)
+    }
+
+    /// Activities 1 and 2, then the parse of activities 4, 5 and 8, through
+    /// `tier`, as a workflow asks for them.
+    fn prepare(
+        tier: &ReceptorCache,
+        sdf: &Blob,
+        tel: &Telemetry,
+    ) -> (Blob, Arc<PreparedLigand>, Arc<PdbqtLigand>) {
+        let mol2 = tier.mol2(sdf, tel).unwrap();
+        let prepared = tier.prepared_ligand(&mol2, tel).unwrap();
+        let ligand = tier.ligand(&prepared.pdbqt, tel).unwrap();
+        (mol2, prepared, ligand)
+    }
+
+    /// A receptor's PDBQT text, its parse, and the pocket the tier holds.
+    fn pocket_of(tier: &ReceptorCache, id: &str, tel: &Telemetry) -> (Blob, Pocket) {
+        let prepared = tier.prepared(&pdb_text(id, &params(0.0)), id, tel).unwrap();
+        let mol = pdbqt::read_receptor_pdbqt(&prepared.pdbqt).unwrap();
+        let pocket = tier.pocket(&prepared.pdbqt, &mol, 9.0, tel).unwrap();
+        (prepared.pdbqt.clone(), pocket)
+    }
+
+    #[test]
+    fn a_ligand_is_prepared_once_per_content_as_an_unshared_preparation_would() {
+        let tel = Telemetry::attached();
+        let tier = ReceptorCache::default();
+        let sdf = sdf_text("042");
+        let (mol2, prepared, ligand) = prepare(&tier, &sdf, &tel);
+        let (want_mol2, want_pdbqt, want_torsdof) = unshared_ligand(&sdf);
+        assert_eq!(
+            (&*mol2, &*prepared.pdbqt, prepared.torsdof),
+            (&*want_mol2, &*want_pdbqt, want_torsdof)
+        );
+        assert_eq!(*ligand, pdbqt::read_ligand_pdbqt(&want_pdbqt).unwrap());
+        // digested when made, and never again while staged
+        assert_eq!(prepared.pdbqt.digest(), digest(want_pdbqt.as_bytes()));
+        let again = prepare(&tier, &sdf, &tel);
+        assert!(Arc::ptr_eq(again.0.text(), mol2.text()));
+        assert!(Arc::ptr_eq(&again.1, &prepared) && Arc::ptr_eq(&again.2, &ligand));
+        assert_eq!(counter(&tel, "ligand.prepared"), 1);
+        assert_eq!(counter(&tel, "ligand.prep.hit"), 1);
+        // another content is another ligand
+        let (other, ..) = prepare(&tier, &sdf_text("074"), &tel);
+        assert_ne!(other, mol2);
+        assert_eq!(counter(&tel, "ligand.prepared"), 2);
+        assert_eq!(
+            telemetry::registry::unregistered(&tel.snapshot().unwrap()),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn both_grid_builds_of_a_receptor_share_one_pocket_search() {
+        let tel = Telemetry::attached();
+        let cfg = DockConfig {
+            grid_spacing: 1.5,
+            box_edge: 14.0,
+            telemetry: tel.clone(),
+            ..Default::default()
+        };
+        let cache = GridCache::default();
+        let prepared = cache.tier.prepared(&pdb_text("1HUC", &params(0.0)), "1HUC", &tel).unwrap();
+        let ad4 = cache.grids(&prepared.pdbqt, EngineKind::Ad4, &cfg).unwrap();
+        let vina = cache.grids(&prepared.pdbqt, EngineKind::Vina, &cfg).unwrap();
+        assert_eq!(counter(&tel, "gridcache.miss"), 2);
+        assert_eq!(counter(&tel, "receptor.pocket.searched"), 1);
+        // … the pocket the search finds, under both boxes
+        let mol = pdbqt::read_receptor_pdbqt(&prepared.pdbqt).unwrap();
+        let pocket = find_pocket(&mol, cfg.pocket_probe).unwrap();
+        assert_eq!(ad4.spec.center, pocket.center);
+        assert_eq!(vina.spec.center, pocket.center);
+        // a receptor with no pocket fails its build each time it is asked
+        let flat = Blob::new(pdbqt::write_receptor_pdbqt(&mol).replacen(
+            "ATOM",
+            "REMARK",
+            mol.atoms.len() - 1,
+        ));
+        for _ in 0..2 {
+            let err = cache.grids(&flat, EngineKind::Ad4, &cfg).unwrap_err();
+            assert_eq!(err.0, "no binding pocket detected");
+        }
+        assert_eq!(counter(&tel, "receptor.pocket.searched"), 3);
+    }
+
+    #[test]
+    fn ligand_and_pocket_entries_share_the_budget_and_go_least_recently_used_first() {
+        let weigh = |sdf: &Blob| {
+            let tier = ReceptorCache::default();
+            prepare(&tier, sdf, &Telemetry::disabled());
+            tier.resident_bytes()
+        };
+        // b no heavier than c, so filling b evicts nothing
+        let a = sdf_text("042");
+        let [b, c] = {
+            let mut others = [sdf_text("074"), sdf_text("0D6")];
+            others.sort_by_key(weigh);
+            others
+        };
+        // room for two ligands and the pocket, not for three ligands
+        let budget = weigh(&a) + weigh(&c) + size_of::<Pocket>() as u64;
+        let tier = ReceptorCache::with_budget(budget);
+        let tel = Telemetry::attached();
+        // the pocket's receptor entries go first: not part of this budget
+        let (rec_pdbqt, rec_mol, pocket) = {
+            let roomy = ReceptorCache::default();
+            let (text, pocket) = pocket_of(&roomy, "1HUC", &Telemetry::disabled());
+            let mol = pdbqt::read_receptor_pdbqt(&text).unwrap();
+            (text, mol, pocket)
+        };
+        let first = prepare(&tier, &a, &tel);
+        let held = prepare(&tier, &b, &tel);
+        assert_eq!(tier.pocket(&rec_pdbqt, &rec_mol, 9.0, &tel).unwrap(), pocket);
+        prepare(&tier, &a, &tel); // a is now the most recently used ligand
+        prepare(&tier, &c, &tel);
+
+        // b's three entries went, oldest first, and nothing else
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.counter("gridcache.evicted"), Some(3));
+        let gauge = snap.gauge("gridcache.resident_bytes").unwrap();
+        assert!(gauge.samples.iter().all(|&(_, bytes)| bytes <= budget as f64), "{gauge:?}");
+        assert_eq!(tier.resident_bytes(), budget);
+        let kinds = |kind: fn(&Key) -> bool| tier.filled(kind);
+        assert_eq!(kinds(|k| matches!(k, Key::Mol2(_))), 2);
+        assert_eq!(kinds(|k| matches!(k, Key::LigandPdbqt(_))), 2);
+        assert_eq!(kinds(|k| matches!(k, Key::Ligand(_))), 2);
+        assert_eq!(kinds(|k| matches!(k, Key::Pocket(..))), 1);
+        let again = prepare(&tier, &a, &tel);
+        assert!(Arc::ptr_eq(&again.1, &first.1), "a stayed");
+        tier.pocket(&rec_pdbqt, &rec_mol, 9.0, &tel).unwrap();
+        assert_eq!(counter(&tel, "receptor.pocket.searched"), 1, "the pocket stayed");
+
+        // a re-prepared ligand is the first preparation's bytes, and what
+        // was handed out before is untouched
+        let re = prepare(&tier, &b, &tel);
+        assert!(!Arc::ptr_eq(&re.1, &held.1));
+        assert_eq!(
+            (&*re.0, &*re.1.pdbqt, re.1.torsdof),
+            (&*held.0, &*held.1.pdbqt, held.1.torsdof)
+        );
+        assert_eq!(re.1.pdbqt.digest(), held.1.pdbqt.digest());
+        assert_eq!(*re.2, *held.2);
+        assert_eq!(counter(&tel, "ligand.prepared"), 4, "a, b, c, then b again");
+    }
+
+    #[test]
+    fn a_malformed_ligand_fails_its_activity_on_every_attempt() {
+        let tel = Telemetry::attached();
+        let tier = ReceptorCache::default();
+        // the tier answers each ask with the error, and keeps nothing
+        for _ in 0..3 {
+            let err = tier.mol2(&Blob::new("x\n\n\nnot a counts line\n"), &tel).unwrap_err();
+            assert!(err.0.starts_with("sdf: "), "{err:?}");
+            let err = tier
+                .prepared_ligand(&Blob::new("@<TRIPOS>ATOM\n1 C\n"), &tel)
+                .map(drop)
+                .unwrap_err();
+            assert!(err.0.starts_with("mol2: "), "{err:?}");
+            let err = tier.ligand(&Blob::new("ROOT\nBRANCH 1\n"), &tel).unwrap_err();
+            assert!(err.0.starts_with("ligand pdbqt: "), "{err:?}");
+        }
+        assert_eq!((tier.resident_bytes(), counter(&tel, "ligand.prepared")), (0, 0));
+
+        // … so in a run, activity 1 or 2 fails on every attempt of every pair
+        // of the broken ligand, and the good ligand's pairs pass
+        let ds = Dataset::subset(&["1HUC", "2HHN"], &["042", "074"], params(0.0));
+        let cfg = fast_cfg(&tel, tier.clone());
+        for (activity, broken) in [(0, "042.sdf"), (1, "042.mol2")] {
+            let files = Arc::new(FileStore::new());
+            let mut input = stage_inputs(&ds, &files, &cfg.expdir);
+            if activity == 1 {
+                // prepligand reads column 3 as MOL2: give it each ligand's
+                for t in &mut input.tuples {
+                    let sdf_path = t[3].as_str().unwrap().to_string();
+                    let mol2 = tier.mol2(&files.read(&sdf_path).unwrap(), &tel).unwrap();
+                    let path = sdf_path.replace(".sdf", ".mol2");
+                    files.write(&path, mol2);
+                    t[3] = path.into();
+                }
+            }
+            let bad = format!("{}/input/{broken}", cfg.expdir);
+            files.write(&bad, "042\n  molkit\n\n  3  2  0\n");
+            let mut wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
+            wf.activities = vec![wf.activities.swap_remove(activity)];
+            wf.deps = vec![vec![]];
+            let report = LocalBackend::new(LocalConfig::new().with_threads(1).with_max_retries(2))
+                .run(
+                    &Workflow::new(wf, input).with_files(Arc::clone(&files)),
+                    &Arc::new(ProvenanceStore::new()),
+                )
+                .unwrap();
+            assert_eq!(report.failed_attempts, 2 * 3, "two pairs, three attempts each");
+            let done: Vec<&str> =
+                report.final_output().tuples.iter().map(|t| t[1].as_str().unwrap()).collect();
+            assert_eq!(done, ["074", "074"]);
+        }
+    }
+
+    #[test]
+    fn ligand_and_pocket_counters_reach_metrics() {
+        let ds = Dataset::subset(&["1HUC", "2HHN"], &["042", "074"], params(0.0));
+        let tel = Telemetry::attached();
+        let cfg = fast_cfg(&tel, ReceptorCache::default());
+        // both engines over one tier: four grid builds, two pocket searches
+        campaign(&ds, EngineMode::Ad4Only, &cfg, false);
+        campaign(&ds, EngineMode::VinaOnly, &cfg, false);
+        let obs = cumulus::obs::ObsServer::start(
+            "127.0.0.1:0",
+            cumulus::obs::ObsState::new(tel.clone(), cumulus::EventLog::new()),
+        )
+        .unwrap();
+        let (status, body) =
+            cumulus::obs::http_get(obs.addr(), "/metrics", std::time::Duration::from_secs(5))
+                .unwrap();
+        obs.shutdown();
+        assert_eq!(status, 200);
+        let sample = |name: &str| {
+            body.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<f64>().ok())
+        };
+        assert_eq!(sample("scidock_gridcache_miss_total"), Some(4.0));
+        assert_eq!(sample("scidock_receptor_pocket_searched_total"), Some(2.0));
+        // eight babel/prepligand activations per campaign, two ligands
+        assert_eq!(sample("scidock_ligand_prepared_total"), Some(2.0));
+        assert_eq!(sample("scidock_ligand_prep_hit_total"), Some(6.0));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! interactions: re-run the search from a known pose and check whether the
 //! pose is stable (small aligned RMSD, FEB not worse).
 
-use docking::autogrid::GridKind;
 use docking::engine::{dock, refine_pose, DockConfig, DockError, EngineKind};
 use docking::search::SolisWetsConfig;
 use molkit::align::aligned_rmsd;
@@ -114,14 +113,6 @@ pub fn compare_engines(
         pose_rmsd: rmsd(&ad4.best_coords, &vina.best_coords),
         aligned_pose_rmsd: aligned_rmsd(&ad4.best_coords, &vina.best_coords),
     })
-}
-
-/// Convenience: which grid kind an engine uses (for diagnostics).
-pub fn grid_kind_of(engine: EngineKind) -> GridKind {
-    match engine {
-        EngineKind::Ad4 => GridKind::Ad4,
-        EngineKind::Vina => GridKind::Vina,
-    }
 }
 
 #[cfg(test)]

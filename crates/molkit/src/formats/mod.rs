@@ -50,13 +50,22 @@ pub(crate) fn field_u32(s: &str, line: usize, what: &str) -> Result<u32, ParseEr
 }
 
 /// Slice a line by byte columns, clamped to the line length (PDB lines are
-/// frequently right-trimmed).
+/// frequently right-trimmed). A column boundary inside a multi-byte
+/// character moves back to that character's start: such a field never
+/// parses, and the reader reports it instead of panicking.
 pub(crate) fn cols(line: &str, start: usize, end: usize) -> &str {
-    let len = line.len();
-    if start >= len {
+    let floor = |mut i: usize| {
+        i = i.min(line.len());
+        while !line.is_char_boundary(i) {
+            i -= 1;
+        }
+        i
+    };
+    let (start, end) = (floor(start), floor(end));
+    if start >= end {
         ""
     } else {
-        &line[start..end.min(len)]
+        &line[start..end]
     }
 }
 
@@ -69,6 +78,10 @@ mod tests {
         assert_eq!(cols("abcdef", 1, 3), "bc");
         assert_eq!(cols("ab", 1, 5), "b");
         assert_eq!(cols("ab", 5, 9), "");
+        // a boundary inside 'é' (bytes 1..3) moves to its start
+        assert_eq!(cols("aébc", 0, 2), "a");
+        assert_eq!(cols("aébc", 2, 4), "éb");
+        assert_eq!(cols("aébc", 2, 2), "");
     }
 
     #[test]

@@ -100,6 +100,9 @@ pub fn read_mol2(text: &str) -> Result<Molecule, ParseError> {
                 if a == 0 || b == 0 || a > mol.atoms.len() || b > mol.atoms.len() {
                     return Err(ParseError::new(lineno, "bond atom index out of range"));
                 }
+                if a == b {
+                    return Err(ParseError::new(lineno, format!("bond joins atom {a} to itself")));
+                }
                 mol.add_bond(a - 1, b - 1, order);
             }
             Section::None | Section::Other => {}
@@ -234,6 +237,9 @@ NO_CHARGES
         assert_eq!(m.atoms[0].element, Element::C);
         assert_eq!(m.atoms[1].element, Element::O);
         assert_eq!(m.bonds[0].order, BondOrder::Double);
+        // a bond from an atom to itself is refused, not a panic
+        let looped = text.replace("     1 1 2 2", "     1 2 2 2");
+        assert!(read_mol2(&looped).unwrap_err().to_string().contains("to itself"));
     }
 
     #[test]

@@ -77,6 +77,9 @@ pub fn read_sdf_multi(text: &str) -> Result<Vec<Molecule>, ParseError> {
                     format!("bond references atom {a}/{b} out of 1..={n_atoms}"),
                 ));
             }
+            if a == b {
+                return Err(ParseError::new(no, format!("bond joins atom {a} to itself")));
+            }
             let order = BondOrder::from_sdf_code(code as u8)
                 .ok_or_else(|| ParseError::new(no, format!("bad bond type {code}")))?;
             mol.add_bond(a - 1, b - 1, order);
@@ -185,6 +188,9 @@ $$$$
 ";
         let err = read_sdf(text).unwrap_err();
         assert!(err.to_string().contains("out of"));
+        // a bond from an atom to itself is refused, not a panic
+        let looped = text.replace("  1  2  1  0", "  1  1  1  0");
+        assert!(read_sdf(&looped).unwrap_err().to_string().contains("to itself"));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Geometric analysis: RMSD, superposition-free comparisons, pocket search.
 
+use std::collections::HashMap;
+use std::ops::Range;
+
 use crate::molecule::Molecule;
 use crate::vec3::Vec3;
 
@@ -48,17 +51,206 @@ pub struct Pocket {
     pub lining_atoms: usize,
 }
 
+/// Spacing of the probe lattice (Å).
+const STEP: f64 = 1.5;
+/// A probe closer than this to any atom (Å) clashes and is no pocket.
+const CLASH: f64 = 2.4;
+/// Shell atoms a clash-free probe needs to be a pocket at all.
+const MIN_LINING: u32 = 8;
+/// Edge, in probes, of the lattice blocks the search allocates: only blocks
+/// within a shell of some atom exist, so memory follows the atoms, not the
+/// bounding box.
+const BLOCK: usize = 16;
+/// Longest lattice axis searched (2²⁰ probes: a box ≈ 157 µm long, which no
+/// molecule is): past it the search answers `None` instead of allocating
+/// the axis.
+const MAX_AXIS: usize = 1 << 20;
+
 /// Find the receptor's binding pocket.
 ///
 /// Simplified pocket detection: scan a coarse grid over the receptor's
 /// bounding box and score each point by *burial* — the number of receptor
-/// atoms within a probe shell, requiring the point itself to be clash-free.
-/// The best-buried clash-free point wins. Real receptors from our generator
-/// have an explicit concave site, which this reliably finds.
+/// atoms within a probe shell, plus the sum of their inverse distances,
+/// requiring the point itself to be clash-free. The first best-buried
+/// clash-free point in scan order (x, then y, then z) wins. Real receptors
+/// from our generator have an explicit concave site, which this reliably
+/// finds.
+///
+/// The search is exact but pruned: it returns the bits a probe × atom scan
+/// returns (DESIGN.md §14, "The pocket search"). Shell counts are integers,
+/// so they are taken per atom over the probes around it, in any order; only
+/// the probes whose count could still reach the best score are scored in
+/// floating point, each summing over the atoms in file order like the scan.
 pub fn find_pocket(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
     let (lo, hi) = receptor.bounding_box()?;
-    let step = 1.5f64;
-    let clash_sq = 2.4f64 * 2.4;
+    let clash_sq = CLASH * CLASH;
+    let shell_sq = probe_radius * probe_radius;
+    if shell_sq.is_nan() || shell_sq <= clash_sq {
+        // every shell atom would clash: no probe has a lining
+        return None;
+    }
+    let axes = [axis(lo.x, hi.x)?, axis(lo.y, hi.y)?, axis(lo.z, hi.z)?];
+    let probe = |at: [usize; 3]| Vec3::new(axes[0][at[0]], axes[1][at[1]], axes[2][at[2]]);
+
+    // Each probe's shell count and clash flag: each atom visits the probes
+    // of its shell window, with d² computed as `Vec3::dist_sq` computes it
+    let reach = shell_sq.sqrt();
+    let mut blocks: HashMap<[usize; 3], Box<Block>> = HashMap::new();
+    for a in &receptor.atoms {
+        let p = a.pos;
+        if !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()) {
+            continue; // its d² is never below a bound
+        }
+        let [xr, yr, zr] = [
+            window(&axes[0], p.x, reach),
+            window(&axes[1], p.y, reach),
+            window(&axes[2], p.z, reach),
+        ];
+        if xr.is_empty() || yr.is_empty() || zr.is_empty() {
+            continue;
+        }
+        for bx in xr.start / BLOCK..=(xr.end - 1) / BLOCK {
+            for by in yr.start / BLOCK..=(yr.end - 1) / BLOCK {
+                for bz in zr.start / BLOCK..=(zr.end - 1) / BLOCK {
+                    let block = blocks.entry([bx, by, bz]).or_insert_with(Block::new);
+                    for i in clip(&xr, bx) {
+                        let dx = p.x - axes[0][i];
+                        let dx2 = dx * dx;
+                        for j in clip(&yr, by) {
+                            let dy = p.y - axes[1][j];
+                            let dxy = dx2 + dy * dy;
+                            if dxy >= shell_sq {
+                                continue; // adding dz² never lowers it
+                            }
+                            for k in clip(&zr, bz) {
+                                let dz = p.z - axes[2][k];
+                                let d2 = dxy + dz * dz;
+                                if d2 < shell_sq {
+                                    let cell = Block::cell(i, j, k);
+                                    block.near[cell] += 1;
+                                    block.clash[cell] |= d2 < clash_sq;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut found: Vec<([usize; 3], u32)> = blocks
+        .iter()
+        .flat_map(|(&[bx, by, bz], block)| {
+            (0..BLOCK * BLOCK * BLOCK).filter_map(move |cell| {
+                let near = block.near[cell];
+                (near >= MIN_LINING && !block.clash[cell]).then(|| {
+                    let (i, j, k) = (cell / (BLOCK * BLOCK), cell / BLOCK % BLOCK, cell % BLOCK);
+                    ([bx * BLOCK + i, by * BLOCK + j, bz * BLOCK + k], near)
+                })
+            })
+        })
+        .collect();
+    found.sort_unstable_by_key(|&(at, _)| at); // scan order
+
+    // The scan's score: the count plus 1/d over the shell atoms, summed in
+    // atom order
+    let score = |at: [usize; 3], near: u32| {
+        let p = probe(at);
+        let mut inv_dist_sum = 0.0f64;
+        for a in &receptor.atoms {
+            let d2 = a.pos.dist_sq(p);
+            if d2 < shell_sq {
+                inv_dist_sum += 1.0 / d2.sqrt();
+            }
+        }
+        near as f64 + inv_dist_sum
+    };
+    // Each of `near` terms is 1/d with d ≥ 2.4, so a score is at most
+    // near·(1 + 1/2.4). Floating point exceeds that by a relative
+    // (near + 5)·2⁻⁵³ at most (each term's square root and division, the
+    // running sum, the final add); the margin (near + 8)·2⁻⁵² covers it
+    // twice over, rounding of the bound's own arithmetic included.
+    let bound = |near: u32| {
+        let near = near as f64;
+        near * (1.0 + 1.0 / CLASH) * (1.0 + (near + 8.0) * f64::EPSILON)
+    };
+    // The first probe with the highest count scores a floor under the
+    // maximum; a probe whose bound is below it cannot be the maximum
+    let most = found.iter().map(|&(_, near)| near).max()?;
+    let &(first, _) = found.iter().find(|&&(_, near)| near == most)?;
+    let floor = score(first, most);
+
+    let mut best: Option<(f64, [usize; 3], u32)> = None;
+    for &(at, near) in &found {
+        if bound(near) < floor {
+            continue;
+        }
+        let s = score(at, near);
+        if best.is_none_or(|(b, _, _)| s > b) {
+            best = Some((s, at, near));
+        }
+    }
+    best.map(|(_, at, near)| Pocket {
+        center: probe(at),
+        radius: probe_radius,
+        lining_atoms: near as usize,
+    })
+}
+
+/// A lattice axis from `lo` while `≤ hi`, each probe coordinate accumulated
+/// by `+= STEP` as the scan walks it.
+fn axis(lo: f64, hi: f64) -> Option<Vec<f64>> {
+    if !(lo.is_finite() && hi.is_finite()) {
+        return None;
+    }
+    let mut out = Vec::new();
+    let mut c = lo;
+    while c <= hi {
+        if out.len() == MAX_AXIS {
+            return None;
+        }
+        out.push(c);
+        c += STEP;
+    }
+    Some(out)
+}
+
+/// The probes of `axis` within `reach` of `c`, widened by a relative 10⁻⁹:
+/// a superset of every probe whose rounded squared difference is below
+/// `reach²`, which the exact test then decides.
+fn window(axis: &[f64], c: f64, reach: f64) -> Range<usize> {
+    let reach = reach + 1e-9 * (reach + c.abs());
+    axis.partition_point(|&x| x < c - reach)..axis.partition_point(|&x| x <= c + reach)
+}
+
+/// The part of `range` inside block `b` of its axis.
+fn clip(range: &Range<usize>, b: usize) -> Range<usize> {
+    range.start.max(b * BLOCK)..range.end.min((b + 1) * BLOCK)
+}
+
+/// One block of lattice probes: each probe's shell count, and whether an
+/// atom clashes with it.
+struct Block {
+    near: [u32; BLOCK * BLOCK * BLOCK],
+    clash: [bool; BLOCK * BLOCK * BLOCK],
+}
+
+impl Block {
+    fn new() -> Box<Block> {
+        Box::new(Block { near: [0; BLOCK * BLOCK * BLOCK], clash: [false; BLOCK * BLOCK * BLOCK] })
+    }
+
+    fn cell(i: usize, j: usize, k: usize) -> usize {
+        (i % BLOCK * BLOCK + j % BLOCK) * BLOCK + k % BLOCK
+    }
+}
+
+/// The probe × atom scan [`find_pocket`] prunes, kept as its oracle: every
+/// lattice probe against every atom, in scan order.
+#[cfg(any(test, feature = "oracle"))]
+pub fn find_pocket_reference(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
+    let (lo, hi) = receptor.bounding_box()?;
+    let step = STEP;
+    let clash_sq = CLASH * CLASH;
     let shell_sq = probe_radius * probe_radius;
 
     let mut best: Option<(f64, Vec3, usize)> = None;
@@ -82,7 +274,7 @@ pub fn find_pocket(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
                         inv_dist_sum += 1.0 / d2.sqrt();
                     }
                 }
-                if !clash && near >= 8 {
+                if !clash && near >= MIN_LINING as usize {
                     let score = near as f64 + inv_dist_sum;
                     if best.is_none_or(|(s, _, _)| score > s) {
                         best = Some((score, p, near));
@@ -189,5 +381,115 @@ mod tests {
     #[test]
     fn pocket_none_for_empty_receptor() {
         assert!(find_pocket(&Molecule::new("E"), 8.0).is_none());
+        assert!(find_pocket_reference(&Molecule::new("E"), 8.0).is_none());
+    }
+
+    fn molecule(points: impl IntoIterator<Item = Vec3>) -> Molecule {
+        let mut m = Molecule::new("M");
+        for (i, p) in points.into_iter().enumerate() {
+            m.add_atom(Atom::new(i as u32 + 1, "C", Element::C, p));
+        }
+        m
+    }
+
+    /// The pruned search returns the scan's pocket bit for bit.
+    fn assert_matches_the_scan(m: &Molecule, probe_radius: f64) -> Option<Pocket> {
+        let (got, want) = (find_pocket(m, probe_radius), find_pocket_reference(m, probe_radius));
+        let bits = |p: Option<Pocket>| {
+            p.map(|p| ([p.center.x, p.center.y, p.center.z].map(f64::to_bits), p.lining_atoms))
+        };
+        assert_eq!(bits(got), bits(want), "{} atoms, probe {probe_radius}", m.atoms.len());
+        got
+    }
+
+    #[test]
+    fn pocket_none_when_no_probe_has_eight_shell_atoms() {
+        // seven atoms spread along a line: no clash-free probe sees eight
+        let m = molecule((0..7).map(|i| Vec3::new(3.1 * i as f64, 0.4, -0.2)));
+        assert!(assert_matches_the_scan(&m, 9.0).is_none());
+        // … and a radius whose shell lies inside the clash sphere has none
+        let shell = molecule((0..24).map(|i| {
+            let t = std::f64::consts::TAU * i as f64 / 24.0;
+            Vec3::new(6.0 * t.cos(), 6.0 * t.sin(), 0.0)
+        }));
+        assert!(assert_matches_the_scan(&shell, 9.0).is_some());
+        assert!(assert_matches_the_scan(&shell, 2.0).is_none());
+    }
+
+    #[test]
+    fn pocket_none_when_every_probe_clashes() {
+        // atoms on every integer point of a cube: each probe is < 0.9 Å
+        // from one
+        let m = molecule(
+            (0..343).map(|i| Vec3::new((i / 49) as f64, (i / 7 % 7) as f64, (i % 7) as f64)),
+        );
+        assert!(assert_matches_the_scan(&m, 9.0).is_none());
+    }
+
+    /// Atoms on the lattice points (multiples of 1.5 Å) of a cube's surface,
+    /// centred at `center`: every distance to a probe is exact.
+    fn cube_shell(center: Vec3) -> impl Iterator<Item = Vec3> {
+        (0..7 * 7 * 7).filter_map(move |i| {
+            let (x, y, z) = (i / 49, i / 7 % 7, i % 7);
+            let surface = [x, y, z].iter().any(|&c| c == 0 || c == 6);
+            surface
+                .then(|| center + Vec3::new(x as f64 - 3.0, y as f64 - 3.0, z as f64 - 3.0) * 1.5)
+        })
+    }
+
+    #[test]
+    fn of_two_equal_best_scores_the_first_probe_wins() {
+        // two identical sites 30 Å apart on x, the second listed after the
+        // first: their best probes score the same bits
+        let far = Vec3::new(30.0, 0.0, 0.0);
+        let both = molecule(cube_shell(Vec3::ZERO).chain(cube_shell(far)));
+        let first = assert_matches_the_scan(&both, 9.0).expect("a pocket");
+        let second = assert_matches_the_scan(&molecule(cube_shell(far)), 9.0).expect("a pocket");
+        let alone = assert_matches_the_scan(&molecule(cube_shell(Vec3::ZERO)), 9.0).unwrap();
+        assert_eq!(second.center, alone.center + far, "the sites tie");
+        assert_eq!(first.center, alone.center, "the first in scan order wins");
+        assert_eq!(first.lining_atoms, 218);
+    }
+
+    #[test]
+    fn pruned_search_matches_the_scan_on_generated_receptors() {
+        use crate::synth::{generate_receptor, ReceptorParams};
+        let p = ReceptorParams { min_residues: 30, max_residues: 90, hg_fraction: 0.0 };
+        for id in ["1AEC", "2ACT", "3BC3", "9PAP", "1HUC", "2HHN"] {
+            let m = generate_receptor(id, &p);
+            for radius in [8.0, 9.0, 10.0] {
+                assert!(assert_matches_the_scan(&m, radius).is_some(), "{id} at {radius}");
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_the_scan_on_random_clouds() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
+        let mut found = 0;
+        for case in 0..40 {
+            let n = rng.gen_range(1..160);
+            let spread: f64 = rng.gen_range(2.0..14.0);
+            let m = molecule((0..n).map(|_| {
+                Vec3::new(
+                    rng.gen_range(-spread..spread),
+                    rng.gen_range(-spread..spread),
+                    rng.gen_range(-spread..spread) + 40.0,
+                )
+            }));
+            let radius = [4.0, 6.5, 9.0][case % 3];
+            found += assert_matches_the_scan(&m, radius).is_some() as usize;
+        }
+        assert!((10..40).contains(&found), "{found} of 40 clouds have a pocket");
+    }
+
+    #[test]
+    fn pocket_none_for_a_box_with_no_end() {
+        let m = molecule([Vec3::ZERO, Vec3::new(f64::INFINITY, 0.0, 0.0)]);
+        assert!(find_pocket(&m, 9.0).is_none());
+        // … or one longer than the longest axis searched, at once
+        let m = molecule([Vec3::ZERO, Vec3::new(1.5 * MAX_AXIS as f64, 0.0, 0.0)]);
+        assert!(find_pocket(&m, 9.0).is_none());
     }
 }

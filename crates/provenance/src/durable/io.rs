@@ -250,11 +250,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Plan that errors on append number `n` (1-based).
-    pub fn fail_at(n: u64) -> FaultPlan {
-        FaultPlan { fail_at_append: Some(n), ..Default::default() }
-    }
-
     /// Plan that tears append number `n` in half (1-based).
     pub fn short_write_at(n: u64) -> FaultPlan {
         FaultPlan { short_write_at_append: Some(n), ..Default::default() }

@@ -1245,11 +1245,6 @@ impl Row {
         &self.values
     }
 
-    /// Consume the row, yielding its values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// The value in column `i`, or [`DbError::ColumnOutOfRange`].
     pub fn get(&self, i: usize) -> Result<&Value, DbError> {
         self.values.get(i).ok_or(DbError::ColumnOutOfRange { index: i, arity: self.values.len() })

@@ -32,10 +32,13 @@ pub const COUNTERS: &[&str] = &[
     "gridcache.persist.hit",
     "gridcache.persist.miss",
     "gridcache.persist.write",
+    "ligand.prep.hit",
+    "ligand.prepared",
     "proto.oversized_done",
     "provstore.checkpoints",
     "provstore.wal_appends",
     "receptor.hg_screened",
+    "receptor.pocket.searched",
     "receptor.prep.hit",
     "receptor.prepared",
     "receptor.waits",

@@ -14,8 +14,9 @@
 #   * the per-layer metrics of the run's JSON line (its last line of
 #     output) whose names start with `scidock.act.`, `cumulus.`, `docking.`
 #     or are `trace.tet_s`;
-#   * every `scidock_provstore_*` and `scidock_serve_turn_*` sample of the
-#     daemon metrics the run scraped into
+#   * every `scidock_provstore_*`, `scidock_serve_turn_*`,
+#     `scidock_receptor_*`, `scidock_ligand_*` and `scidock_gridcache_*`
+#     sample of the daemon metrics the run scraped into
 #     <tree>/benchmark/out/<workload>-metrics.prom — only for a workload
 #     whose runs leave that file (one with a daemon to scrape).
 set -euo pipefail
@@ -58,7 +59,13 @@ python3 - "$workload" "${log[parent]}" "${log[change]}" "${prom[parent]}" "${pro
 import json, os, sys
 workload, plog, clog, pprom, cprom = sys.argv[1:]
 LAYERS = ("scidock.act.", "cumulus.", "docking.")
-SAMPLES = ("scidock_provstore_", "scidock_serve_turn_")
+SAMPLES = (
+    "scidock_provstore_",
+    "scidock_serve_turn_",
+    "scidock_receptor_",
+    "scidock_ligand_",
+    "scidock_gridcache_",
+)
 
 def layers(path):  # the run's last line: {"metrics": {name: {"value": v, "unit": u}}, ...}
     last = open(path).read().strip().splitlines()[-1]
