@@ -27,9 +27,11 @@ echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
 # the kernel property tests again in release, where the benchmark's AVX2
-# instantiation of the evaluation body is the one that runs; then the
-# batched exp against libm over 10^7 arguments: ignored in the default run,
-# ~1 s in release
+# instantiation of the evaluation body is the one that runs: they are
+# docking's unit tests (`oracle::kernel_props`, `oracle::vexp_props`, and
+# `grid::tests` against the test-only oracles in `docking/src/oracle.rs`);
+# then the batched exp against libm over 10^7 arguments: ignored in the
+# default run, ~1 s in release
 echo "== docking: release tests and ignored sweeps =="
 cargo test --release -p docking -q
 cargo test --release -p docking -q -- --ignored

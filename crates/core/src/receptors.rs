@@ -673,22 +673,13 @@ impl GridCache {
             self.tier.pocket(receptor_pdbqt, &receptor, cfg.pocket_probe, &cfg.telemetry)?;
         let spec =
             docking::grid::GridSpec::with_edge(pocket.center, cfg.box_edge, cfg.grid_spacing);
-        let grids = match engine {
-            EngineKind::Ad4 => docking::autogrid::build_ad4_grids_threads(
-                &receptor,
-                spec,
-                &LIGAND_TYPE_SUPERSET,
-                &docking::params::Ad4Params::new(),
-                cfg.threads,
-            ),
-            EngineKind::Vina => docking::autogrid::build_vina_grids_threads(
-                &receptor,
-                spec,
-                &LIGAND_TYPE_SUPERSET,
-                &docking::params::VinaParams::default(),
-                cfg.threads,
-            ),
-        };
+        let grids = docking::autogrid::build_grids(
+            &receptor,
+            spec,
+            &LIGAND_TYPE_SUPERSET,
+            engine.into(),
+            cfg.threads,
+        );
         cfg.telemetry.count("gridcache.bytes", grids.bytes());
         Ok(grids)
     }

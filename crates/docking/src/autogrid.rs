@@ -6,23 +6,20 @@
 //! charge) and a desolvation map. Vina-style grids fold everything a type
 //! needs into a single map per type.
 //!
-//! Two kernels produce each grid set:
-//!
-//! * the production kernels ([`build_ad4_grids_threads`],
-//!   [`build_vina_grids_threads`]) bin receptor atoms into a [`CellList`]
-//!   once and visit only the cells within cutoff reach of each lattice
-//!   point, optionally fanning contiguous z-slabs across scoped threads —
-//!   the map layout is z-major, so each thread writes a disjoint contiguous
-//!   chunk of every map;
-//! * the naive kernels in [`mod@reference`] scan every atom for every point.
+//! One kernel fills every grid set ([`build_grids`]): it bins receptor
+//! atoms into a [`CellList`] once and visits only the cells within cutoff
+//! reach of each lattice point, fanning contiguous z-slabs across scoped
+//! threads — the map layout is z-major, so each thread writes a disjoint
+//! contiguous chunk of every map.
 //!
 //! Candidates from the cell list are iterated in ascending atom order and
-//! rejected with the same cutoff test, so both kernels perform the same
-//! floating-point operations in the same order: their outputs are
-//! **bit-identical**, which the `kernel_props` property tests assert. The
-//! production kernels score the surviving candidates [`vexp::LANES`] at a
-//! time, with one batched `exp` per argument kind ([`crate::vexp`]), and
-//! add the terms to each lattice point's sums in candidate order.
+//! rejected with the same cutoff test as a scan of every atom at every
+//! point, so the kernel performs that scan's floating-point operations in
+//! the same order: its output is **bit-identical** to the scan, which the
+//! crate's tests keep as their oracle. The kernel scores the surviving
+//! candidates [`vexp::LANES`] at a time, with one batched `exp` per
+//! argument kind ([`crate::vexp`]), and adds the terms to each lattice
+//! point's sums in candidate order.
 
 use std::collections::BTreeMap;
 
@@ -33,8 +30,8 @@ use crate::grid::{GridMap, GridSpec};
 use crate::params::vina_radius;
 use crate::params::{type_index, Ad4Params, VinaParams};
 use crate::scoring::{
-    ad4_vdw_hb, ad4_vdw_hb_pre, dielectric, dielectric_exp_arg, dielectric_from_exp, flag,
-    vina_exp_args, vina_hbond_pair, vina_pair, vina_pair_lanes, COULOMB, CUTOFF, DESOLV_SIGMA,
+    ad4_vdw_hb_pre, dielectric_exp_arg, dielectric_from_exp, flag, vina_exp_args, vina_hbond_pair,
+    vina_pair_lanes, COULOMB, CUTOFF, DESOLV_SIGMA,
 };
 use crate::vexp::{self, ExpLanes, ExpPath, Kernel};
 
@@ -362,21 +359,95 @@ impl Kernel for Slabs<'_, '_, VinaParams> {
     }
 }
 
-/// Fill `nmaps` map buffers of `spec.len()` points with the cell-list
-/// kernel for `params`' physics on `path`, fanning contiguous z-slab chunks
-/// across `threads` scoped threads (`0` = one per core).
-fn fill_maps<P: Sync>(
+/// Build `kind`'s grids for the given probe types with the default
+/// parameter set ([`Ad4Params::new`], [`VinaParams::default`]), fanning
+/// contiguous z-slab chunks across `threads` scoped threads (`0` = one per
+/// core).
+///
+/// The result does not depend on the thread count: every lattice point is
+/// computed by exactly one thread with the same candidate order.
+pub fn build_grids(
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    kind: GridKind,
+    threads: usize,
+) -> GridSet {
+    let path = ExpPath::selected();
+    match kind {
+        GridKind::Ad4 => fill(path, kind, receptor, spec, probe_types, &Ad4Params::new(), threads),
+        GridKind::Vina => {
+            fill(path, kind, receptor, spec, probe_types, &VinaParams::default(), threads)
+        }
+    }
+}
+
+/// Build AD4 grids for the given probe types with `params`, on one thread.
+pub fn build_ad4_grids(
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &Ad4Params,
+) -> GridSet {
+    fill(ExpPath::selected(), GridKind::Ad4, receptor, spec, probe_types, params, 1)
+}
+
+/// Build Vina-style grids for the given probe types with `params`, on one
+/// thread.
+pub fn build_vina_grids(
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &VinaParams,
+) -> GridSet {
+    fill(ExpPath::selected(), GridKind::Vina, receptor, spec, probe_types, params, 1)
+}
+
+/// [`build_ad4_grids`] on a given `exp` path and thread count; every path
+/// builds the same bits.
+#[cfg(test)]
+pub(crate) fn build_ad4_grids_via(
     path: ExpPath,
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &Ad4Params,
+    threads: usize,
+) -> GridSet {
+    fill(path, GridKind::Ad4, receptor, spec, probe_types, params, threads)
+}
+
+/// [`build_vina_grids`] on a given `exp` path and thread count; every path
+/// builds the same bits.
+#[cfg(test)]
+pub(crate) fn build_vina_grids_via(
+    path: ExpPath,
+    receptor: &Molecule,
+    spec: GridSpec,
+    probe_types: &[AdType],
+    params: &VinaParams,
+    threads: usize,
+) -> GridSet {
+    fill(path, GridKind::Vina, receptor, spec, probe_types, params, threads)
+}
+
+/// Fill `kind`'s maps with the cell-list kernel for `params`' physics on
+/// `path`, fanning contiguous z-slab chunks across `threads` scoped threads
+/// (`0` = one per core): one affinity map per probe type, then AD4's
+/// electrostatic and desolvation maps.
+fn fill<P: Sync>(
+    path: ExpPath,
+    kind: GridKind,
     receptor: &Molecule,
     spec: GridSpec,
     probe_types: &[AdType],
     params: &P,
     threads: usize,
-    nmaps: usize,
-) -> Vec<Vec<f64>>
+) -> GridSet
 where
     for<'a, 'm> Slabs<'a, 'm, P>: Kernel<Out = ()>,
 {
+    let nmaps = probe_types.len() + if kind == GridKind::Ad4 { 2 } else { 0 };
     let atoms = ReceptorAtoms::from(receptor);
     let cells = CellList::build(&atoms.pos, CELL_EDGE);
     let mut bufs: Vec<Vec<f64>> = (0..nmaps).map(|_| vec![0.0; spec.len()]).collect();
@@ -403,219 +474,16 @@ where
         });
     }
     drop(per_chunk);
-    bufs
-}
-
-/// Build AD4 grids for the given probe types (single-threaded).
-///
-/// Cell-list kernel; output is bit-identical to
-/// [`reference::build_ad4_grids`]. Use [`build_ad4_grids_threads`] to fan
-/// z-slabs across threads.
-pub fn build_ad4_grids(
-    receptor: &Molecule,
-    spec: GridSpec,
-    probe_types: &[AdType],
-    params: &Ad4Params,
-) -> GridSet {
-    build_ad4_grids_threads(receptor, spec, probe_types, params, 1)
-}
-
-/// Build AD4 grids with the cell-list kernel, fanning contiguous z-slab
-/// chunks across `threads` scoped threads (`0` = one per core).
-///
-/// The result does not depend on the thread count: every lattice point is
-/// computed by exactly one thread with the same candidate order.
-pub fn build_ad4_grids_threads(
-    receptor: &Molecule,
-    spec: GridSpec,
-    probe_types: &[AdType],
-    params: &Ad4Params,
-    threads: usize,
-) -> GridSet {
-    build_ad4_grids_via(ExpPath::selected(), receptor, spec, probe_types, params, threads)
-}
-
-/// [`build_ad4_grids_threads`] on a given `exp` path; every path builds
-/// the same bits.
-pub fn build_ad4_grids_via(
-    path: ExpPath,
-    receptor: &Molecule,
-    spec: GridSpec,
-    probe_types: &[AdType],
-    params: &Ad4Params,
-    threads: usize,
-) -> GridSet {
-    // affinities + electrostatic + desolvation
-    let nmaps = probe_types.len() + 2;
-    let bufs = fill_maps(path, receptor, spec, probe_types, params, threads, nmaps);
-    let mut it = bufs.into_iter();
-    let affinity: BTreeMap<AdType, GridMap> = probe_types
-        .iter()
-        .map(|&t| (t, GridMap::from_values(spec, it.next().expect("affinity buffer"))))
-        .collect();
-    let emap = GridMap::from_values(spec, it.next().expect("electrostatic buffer"));
-    let dmap = GridMap::from_values(spec, it.next().expect("desolvation buffer"));
-    GridSet {
-        kind: GridKind::Ad4,
-        spec,
-        affinity,
-        electrostatic: Some(emap),
-        desolvation: Some(dmap),
-    }
-}
-
-#[inline]
-fn coulomb_term(q: f64, r: f64) -> f64 {
-    COULOMB * q / (dielectric(r) * r)
-}
-
-/// Build Vina-style grids (single-threaded cell-list kernel); bit-identical
-/// to [`reference::build_vina_grids`].
-pub fn build_vina_grids(
-    receptor: &Molecule,
-    spec: GridSpec,
-    probe_types: &[AdType],
-    params: &VinaParams,
-) -> GridSet {
-    build_vina_grids_threads(receptor, spec, probe_types, params, 1)
-}
-
-/// Build Vina-style grids with the cell-list kernel across `threads`
-/// z-slab threads (`0` = one per core); thread count never changes the
-/// output.
-pub fn build_vina_grids_threads(
-    receptor: &Molecule,
-    spec: GridSpec,
-    probe_types: &[AdType],
-    params: &VinaParams,
-    threads: usize,
-) -> GridSet {
-    build_vina_grids_via(ExpPath::selected(), receptor, spec, probe_types, params, threads)
-}
-
-/// [`build_vina_grids_threads`] on a given `exp` path; every path builds
-/// the same bits.
-pub fn build_vina_grids_via(
-    path: ExpPath,
-    receptor: &Molecule,
-    spec: GridSpec,
-    probe_types: &[AdType],
-    params: &VinaParams,
-    threads: usize,
-) -> GridSet {
-    let bufs = fill_maps(path, receptor, spec, probe_types, params, threads, probe_types.len());
-    let affinity: BTreeMap<AdType, GridMap> = probe_types
-        .iter()
-        .zip(bufs)
-        .map(|(&t, buf)| (t, GridMap::from_values(spec, buf)))
-        .collect();
-    GridSet { kind: GridKind::Vina, spec, affinity, electrostatic: None, desolvation: None }
-}
-
-/// Naive O(points × atoms) grid builders, kept always-compiled as the
-/// ground truth the optimized kernels are gated against (the property
-/// tests in `kernel_props` assert bit-identical output).
-pub mod reference {
-    use super::*;
-
-    /// Build AD4 grids by scanning every receptor atom at every lattice
-    /// point.
-    ///
-    /// One pass over (lattice point × receptor atom) fills every map at
-    /// once — the distance computation dominates, so sharing it across maps
-    /// is the main optimization of real AutoGrid too.
-    pub fn build_ad4_grids(
-        receptor: &Molecule,
-        spec: GridSpec,
-        probe_types: &[AdType],
-        params: &Ad4Params,
-    ) -> GridSet {
-        let atoms = ReceptorAtoms::from(receptor);
-        let mut affinity: BTreeMap<AdType, GridMap> =
-            probe_types.iter().map(|&t| (t, GridMap::zeros(spec))).collect();
-        let mut emap = GridMap::zeros(spec);
-        let mut dmap = GridMap::zeros(spec);
-        let cutoff_sq = CUTOFF * CUTOFF;
-
-        for k in 0..spec.npts {
-            for j in 0..spec.npts {
-                for i in 0..spec.npts {
-                    let p = spec.point(i, j, k);
-                    let mut e_acc = 0.0;
-                    let mut d_acc = 0.0;
-                    // per-probe accumulators, same order as probe_types
-                    let mut aff = vec![0.0f64; probe_types.len()];
-                    for a in 0..atoms.pos.len() {
-                        let d2 = atoms.pos[a].dist_sq(p);
-                        if d2 > cutoff_sq {
-                            continue;
-                        }
-                        let r = d2.sqrt().max(0.35);
-                        e_acc += coulomb_term(atoms.charge[a], r);
-                        d_acc += params.volume[type_index(atoms.ad_type[a])]
-                            * (-d2 / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA)).exp();
-                        for (ti, &t) in probe_types.iter().enumerate() {
-                            aff[ti] += ad4_vdw_hb(params, t, atoms.ad_type[a], r);
-                        }
-                    }
-                    *emap.at_mut(i, j, k) = e_acc;
-                    *dmap.at_mut(i, j, k) = d_acc;
-                    for (ti, &t) in probe_types.iter().enumerate() {
-                        *affinity.get_mut(&t).expect("probe map exists").at_mut(i, j, k) = aff[ti];
-                    }
-                }
-            }
-        }
-        GridSet {
-            kind: GridKind::Ad4,
-            spec,
-            affinity,
-            electrostatic: Some(emap),
-            desolvation: Some(dmap),
-        }
-    }
-
-    /// Build Vina-style grids by scanning every atom at every point: one
-    /// folded map per probe type.
-    pub fn build_vina_grids(
-        receptor: &Molecule,
-        spec: GridSpec,
-        probe_types: &[AdType],
-        params: &VinaParams,
-    ) -> GridSet {
-        let atoms = ReceptorAtoms::from(receptor);
-        let mut affinity: BTreeMap<AdType, GridMap> =
-            probe_types.iter().map(|&t| (t, GridMap::zeros(spec))).collect();
-        let cutoff_sq = CUTOFF * CUTOFF;
-
-        for k in 0..spec.npts {
-            for j in 0..spec.npts {
-                for i in 0..spec.npts {
-                    let p = spec.point(i, j, k);
-                    let mut aff = vec![0.0f64; probe_types.len()];
-                    for a in 0..atoms.pos.len() {
-                        let d2 = atoms.pos[a].dist_sq(p);
-                        if d2 > cutoff_sq {
-                            continue;
-                        }
-                        let r = d2.sqrt();
-                        for (ti, &t) in probe_types.iter().enumerate() {
-                            aff[ti] += vina_pair(params, t, atoms.ad_type[a], r);
-                        }
-                    }
-                    for (ti, &t) in probe_types.iter().enumerate() {
-                        *affinity.get_mut(&t).expect("probe map exists").at_mut(i, j, k) = aff[ti];
-                    }
-                }
-            }
-        }
-        GridSet { kind: GridKind::Vina, spec, affinity, electrostatic: None, desolvation: None }
-    }
+    let mut maps = bufs.into_iter().map(|buf| GridMap::from_values(spec, buf));
+    let affinity = probe_types.iter().map(|&t| (t, maps.next().expect("affinity map"))).collect();
+    GridSet { kind, spec, affinity, electrostatic: maps.next(), desolvation: maps.next() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use crate::scoring::ad4_vdw_hb;
     use molkit::{Atom, Element, Vec3};
 
     /// A single charged oxygen at the origin.
@@ -756,9 +624,9 @@ mod tests {
         let params = Ad4Params::new();
         let probes = [AdType::C, AdType::OA, AdType::HD];
         let sp = GridSpec { center: Vec3::ZERO, npts: 13, spacing: 1.25 };
-        let naive = reference::build_ad4_grids(&r, sp, &probes, &params);
+        let naive = oracle::build_ad4_grids(&r, sp, &probes, &params);
         for threads in [1, 2, 3, 5] {
-            let fast = build_ad4_grids_threads(&r, sp, &probes, &params, threads);
+            let fast = build_grids(&r, sp, &probes, GridKind::Ad4, threads);
             assert_gridsets_bit_identical(&naive, &fast);
         }
     }
@@ -769,10 +637,28 @@ mod tests {
         let params = VinaParams::default();
         let probes = [AdType::C, AdType::N];
         let sp = GridSpec { center: Vec3::ZERO, npts: 11, spacing: 1.5 };
-        let naive = reference::build_vina_grids(&r, sp, &probes, &params);
+        let naive = oracle::build_vina_grids(&r, sp, &probes, &params);
         for threads in [1, 2, 4] {
-            let fast = build_vina_grids_threads(&r, sp, &probes, &params, threads);
+            let fast = build_grids(&r, sp, &probes, GridKind::Vina, threads);
             assert_gridsets_bit_identical(&naive, &fast);
+        }
+    }
+
+    #[test]
+    fn build_grids_is_each_kinds_build_with_default_parameters() {
+        let r = cloud_receptor();
+        let probes = [AdType::C, AdType::HD];
+        let ad4 = build_ad4_grids(&r, spec(), &probes, &Ad4Params::new());
+        let vina = build_vina_grids(&r, spec(), &probes, &VinaParams::default());
+        for threads in [0, 1, 3] {
+            assert_gridsets_bit_identical(
+                &ad4,
+                &build_grids(&r, spec(), &probes, GridKind::Ad4, threads),
+            );
+            assert_gridsets_bit_identical(
+                &vina,
+                &build_grids(&r, spec(), &probes, GridKind::Vina, threads),
+            );
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! [`build_ad4_grids`](crate::autogrid::build_ad4_grids) has to answer the
 //! same question at every lattice point: *which receptor atoms are within
-//! [`CUTOFF`](crate::scoring::CUTOFF) of this point?* The naive kernel scans
-//! every atom for every point — O(npts³ × atoms). A [`CellList`] bins the
+//! [`CUTOFF`](crate::scoring::CUTOFF) of this point?* Scanning every atom
+//! for every point is O(npts³ × atoms). A [`CellList`] bins the
 //! atoms once into cubic cells and answers the question by visiting only the
 //! cells that can intersect the cutoff sphere, turning the per-point cost
 //! into O(local density).
@@ -12,10 +12,11 @@
 //! array of atom indices grouped by cell, plus a `starts` offset table. Atom
 //! indices inside each cell are **ascending**, and [`CellList::gather`]
 //! concatenates cells in a fixed order and then sorts, so the candidate
-//! sequence it returns is ascending by atom index — exactly the order the
-//! naive kernel visits atoms in. Downstream accumulation over candidates is
-//! therefore bit-identical to the naive scan (the cutoff test rejects the
-//! same atoms, and floating-point summation order is preserved).
+//! sequence it returns is ascending by atom index — exactly the order a
+//! scan of every atom visits them in. Downstream accumulation over
+//! candidates is therefore bit-identical to that scan, the crate's test
+//! oracle (the cutoff test rejects the same atoms, and floating-point
+//! summation order is preserved).
 
 use molkit::Vec3;
 

@@ -19,13 +19,14 @@
 //! and their sum in pair order. Everything the body calls is inlined into
 //! it, so all of it runs under the dispatch's target features.
 //!
-//! Every shortcut is bit-identical to the retained naive path
-//! ([`EnergyModel::total_reference`]); the `kernel_props` and `vexp_props`
-//! property tests enforce that on both `exp` paths.
+//! Every shortcut is bit-identical to the naive evaluation — a per-atom
+//! map lookup, three independent interpolations per atom, and the full
+//! pair function per pair — which the crate's tests keep as their oracle
+//! and hold this path to on both `exp` paths.
 
 use std::cell::RefCell;
 
-use molkit::{Molecule, Vec3};
+use molkit::Vec3;
 
 use crate::autogrid::{GridKind, GridSet};
 use crate::conformation::{LigandModel, Pose};
@@ -33,13 +34,13 @@ use crate::engine::DockError;
 use crate::grid::sample_flat;
 use crate::params::{type_index, vina_radius, Ad4Params, VinaParams};
 use crate::scoring::{
-    ad4_desolv_exp_arg, ad4_pair, ad4_pair_lanes, ad4_solvation_param, dielectric_exp_arg, flag,
-    vina_exp_args, vina_hbond_pair, vina_pair, vina_pair_lanes, Ad4PairConsts, CUTOFF,
+    ad4_desolv_exp_arg, ad4_pair_lanes, ad4_solvation_param, dielectric_exp_arg, flag,
+    vina_exp_args, vina_hbond_pair, vina_pair_lanes, Ad4PairConsts, CUTOFF,
 };
 use crate::vexp::{self, ExpLanes, ExpPath, Kernel, LANES};
 
 /// Extra per-unit-|charge| desolvation parameter (AD4's `qsolpar`).
-const QSOLPAR: f64 = 0.01097;
+pub(crate) const QSOLPAR: f64 = 0.01097;
 
 /// `CUTOFF² = 64`, exact in binary.
 const CUTOFF_SQ: f64 = CUTOFF * CUTOFF;
@@ -189,16 +190,6 @@ impl<'a> EnergyModel<'a> {
     /// the ligand uses; a missing map is a pipeline error
     /// ([`DockError::MissingAffinityMap`]), not a panic.
     pub fn new(grids: &'a GridSet, ligand: &'a LigandModel) -> Result<EnergyModel<'a>, DockError> {
-        EnergyModel::new_via(ExpPath::selected(), grids, ligand)
-    }
-
-    /// [`new`](EnergyModel::new) with every evaluation on a given `exp`
-    /// path; every path returns the same bits.
-    pub fn new_via(
-        path: ExpPath,
-        grids: &'a GridSet,
-        ligand: &'a LigandModel,
-    ) -> Result<EnergyModel<'a>, DockError> {
         let ad4 = Ad4Params::new();
         let vina = VinaParams::default();
 
@@ -259,7 +250,7 @@ impl<'a> EnergyModel<'a> {
             atom_elec,
             atom_desolv,
             pairs: pair_consts,
-            exp: path,
+            exp: ExpPath::selected(),
             origin: grids.spec.origin(),
             atom_vals,
             emap_vals: emap.map_or(&[][..], |m| m.values()),
@@ -274,31 +265,24 @@ impl<'a> EnergyModel<'a> {
         Scratch { coords: Vec::with_capacity(self.ligand.atom_count()), pairs }
     }
 
-    /// Run one dispatch on `path`.
-    fn dispatch(
-        &self,
-        path: ExpPath,
-        terms: Terms,
-        input: Input<'_>,
-        pairs: &mut PairScratch,
-        out: &mut [f64],
-    ) {
-        vexp::run(path, Eval { model: self, terms, input, pairs, out })
+    /// Run one dispatch on this model's `exp` path.
+    fn dispatch(&self, terms: Terms, input: Input<'_>, pairs: &mut PairScratch, out: &mut [f64]) {
+        vexp::run(self.exp, Eval { model: self, terms, input, pairs, out })
     }
 
     /// One term kind of one pose's coordinates, in a dispatch of its own.
-    fn one(&self, path: ExpPath, terms: Terms, coords: &[Vec3]) -> f64 {
+    fn one(&self, terms: Terms, coords: &[Vec3]) -> f64 {
         let mut out = [0.0];
-        self.coords_dispatch(path, terms, coords, &mut out);
+        self.coords_dispatch(terms, coords, &mut out);
         out[0]
     }
 
     /// One dispatch over back-to-back poses' coordinates, in this thread's
     /// [`PAIR_LANES`], taken before the dispatch.
-    fn coords_dispatch(&self, path: ExpPath, terms: Terms, coords: &[Vec3], out: &mut [f64]) {
+    fn coords_dispatch(&self, terms: Terms, coords: &[Vec3], out: &mut [f64]) {
         PAIR_LANES.with_borrow_mut(|pairs| {
             pairs.fit(self.ligand.intra_pairs.len());
-            self.dispatch(path, terms, Input::Coords(coords), pairs, out)
+            self.dispatch(terms, Input::Coords(coords), pairs, out)
         })
     }
 
@@ -308,32 +292,23 @@ impl<'a> EnergyModel<'a> {
     pub(crate) fn score_poses(&self, poses: &[Pose], scratch: &mut Scratch, out: &mut [f64]) {
         debug_assert_eq!(poses.len(), out.len());
         let input = Input::Poses(poses, &mut scratch.coords);
-        self.dispatch(self.exp, Terms::Total, input, &mut scratch.pairs, out)
+        self.dispatch(Terms::Total, input, &mut scratch.pairs, out)
     }
 
     /// Receptor–ligand interaction energy of world coordinates `coords`.
-    /// Bit-identical to
-    /// [`intermolecular_reference`](EnergyModel::intermolecular_reference).
     pub fn intermolecular(&self, coords: &[Vec3]) -> f64 {
-        self.one(self.exp, Terms::Inter, coords)
+        self.one(Terms::Inter, coords)
     }
 
     /// Ligand internal energy (pairs across rotatable bonds), summed over
-    /// the precomputed pair table. Bit-identical to
-    /// [`intramolecular_reference`](EnergyModel::intramolecular_reference).
+    /// the precomputed pair table.
     pub fn intramolecular(&self, coords: &[Vec3]) -> f64 {
-        self.one(self.exp, Terms::Intra, coords)
-    }
-
-    /// [`intramolecular`](EnergyModel::intramolecular) on a given `exp`
-    /// path; every path returns the same bits.
-    pub fn intramolecular_via(&self, path: ExpPath, coords: &[Vec3]) -> f64 {
-        self.one(path, Terms::Intra, coords)
+        self.one(Terms::Intra, coords)
     }
 
     /// Total pose energy used by the search (inter + intra).
     pub fn total(&self, coords: &[Vec3]) -> f64 {
-        self.one(self.exp, Terms::Total, coords)
+        self.one(Terms::Total, coords)
     }
 
     /// Score `out.len()` poses in one call. `coords` holds the world
@@ -350,7 +325,7 @@ impl<'a> EnergyModel<'a> {
             natoms * out.len(),
             "coords must hold out.len() poses of {natoms} atoms"
         );
-        self.coords_dispatch(self.exp, Terms::Total, coords, out)
+        self.coords_dispatch(Terms::Total, coords, out)
     }
 
     /// The terms `terms` of one pose's world coordinates, inside a body.
@@ -477,74 +452,6 @@ impl<'a> EnergyModel<'a> {
         e
     }
 
-    /// Naive intermolecular evaluation retained as the parity reference:
-    /// per-atom map lookup through the `BTreeMap` and three independent
-    /// interpolations, exactly as the pre-optimization code did it.
-    pub fn intermolecular_reference(&self, coords: &[Vec3]) -> f64 {
-        let mut e = 0.0;
-        match self.grids.kind {
-            GridKind::Ad4 => {
-                let emap = self
-                    .grids
-                    .electrostatic
-                    .as_ref()
-                    .expect("AD4 grid set has an electrostatic map");
-                let dmap =
-                    self.grids.desolvation.as_ref().expect("AD4 grid set has a desolvation map");
-                for (i, &p) in coords.iter().enumerate() {
-                    let t = self.ligand.types[i];
-                    let q = self.ligand.charges[i];
-                    let aff = self.grids.affinity[&t].interpolate(p);
-                    let elec = self.ad4.w_estat * q * emap.interpolate(p);
-                    let s = self.ad4.solpar[type_index(t)] + QSOLPAR * q.abs();
-                    let desolv = self.ad4.w_desolv * 2.0 * s * dmap.interpolate(p);
-                    e += aff + elec + desolv;
-                }
-            }
-            GridKind::Vina => {
-                for (i, &p) in coords.iter().enumerate() {
-                    let t = self.ligand.types[i];
-                    e += self.grids.affinity[&t].interpolate(p);
-                }
-            }
-        }
-        e
-    }
-
-    /// Naive intramolecular evaluation (full pair-function unfold per pair),
-    /// the parity reference for [`intramolecular`](EnergyModel::intramolecular).
-    pub fn intramolecular_reference(&self, coords: &[Vec3]) -> f64 {
-        let mut e = 0.0;
-        match self.grids.kind {
-            GridKind::Ad4 => {
-                for &(i, j) in &self.ligand.intra_pairs {
-                    let r = coords[i].dist(coords[j]);
-                    e += ad4_pair(
-                        &self.ad4,
-                        self.ligand.types[i],
-                        self.ligand.types[j],
-                        self.ligand.charges[i],
-                        self.ligand.charges[j],
-                        r,
-                    );
-                }
-            }
-            GridKind::Vina => {
-                for &(i, j) in &self.ligand.intra_pairs {
-                    let r = coords[i].dist(coords[j]);
-                    e += vina_pair(&self.vina, self.ligand.types[i], self.ligand.types[j], r);
-                }
-            }
-        }
-        e
-    }
-
-    /// Naive total (reference intermolecular + reference intramolecular);
-    /// the pre-optimization evaluation path, kept for the parity gate.
-    pub fn total_reference(&self, coords: &[Vec3]) -> f64 {
-        self.intermolecular_reference(coords) + self.intramolecular_reference(coords)
-    }
-
     /// Engine-specific estimated free energy of binding for a final pose.
     ///
     /// * AD4: scaled intermolecular + torsional entropy penalty
@@ -591,57 +498,23 @@ fn add(e: &mut f64, left: usize, d2: &[f64; LANES], t: &[f64; LANES]) {
     }
 }
 
-/// Grid-free pose evaluation: direct pairwise sums over all
-/// (ligand atom × receptor atom) pairs.
-///
-/// This is the ablation partner of the grid path: exact (no interpolation
-/// error) but O(ligand × receptor) per evaluation instead of O(ligand).
-/// AutoGrid exists precisely because the grid path amortizes the receptor
-/// loop across the whole search.
-pub struct DirectEnergy {
-    kind: GridKind,
-    rec_pos: Vec<Vec3>,
-    rec_type: Vec<molkit::AdType>,
-    rec_charge: Vec<f64>,
-    ad4: Ad4Params,
-    vina: VinaParams,
-}
-
-impl DirectEnergy {
-    /// Build a direct evaluator over a prepared receptor.
-    pub fn new(receptor: &Molecule, kind: GridKind) -> DirectEnergy {
-        DirectEnergy {
-            kind,
-            rec_pos: receptor.atoms.iter().map(|a| a.pos).collect(),
-            rec_type: receptor.atoms.iter().map(|a| a.ad_type).collect(),
-            rec_charge: receptor.atoms.iter().map(|a| a.charge).collect(),
-            ad4: Ad4Params::new(),
-            vina: VinaParams::default(),
-        }
+/// The test seams of the `exp` dispatch: a model whose every evaluation
+/// runs on a given path, which returns the same bits as every other.
+#[cfg(test)]
+impl<'a> EnergyModel<'a> {
+    /// [`new`](EnergyModel::new) with every evaluation on `path`.
+    pub(crate) fn new_via(
+        path: ExpPath,
+        grids: &'a GridSet,
+        ligand: &'a LigandModel,
+    ) -> Result<EnergyModel<'a>, DockError> {
+        Ok(EnergyModel { exp: path, ..EnergyModel::new(grids, ligand)? })
     }
 
-    /// Exact receptor–ligand interaction energy of world coordinates.
-    pub fn intermolecular(&self, ligand: &LigandModel, coords: &[Vec3]) -> f64 {
-        let cutoff_sq = CUTOFF * CUTOFF;
-        let mut e = 0.0;
-        for (i, &p) in coords.iter().enumerate() {
-            let lt = ligand.types[i];
-            let lq = ligand.charges[i];
-            for a in 0..self.rec_pos.len() {
-                let d2 = self.rec_pos[a].dist_sq(p);
-                if d2 > cutoff_sq {
-                    continue;
-                }
-                let r = d2.sqrt();
-                e += match self.kind {
-                    GridKind::Ad4 => {
-                        ad4_pair(&self.ad4, lt, self.rec_type[a], lq, self.rec_charge[a], r)
-                    }
-                    GridKind::Vina => vina_pair(&self.vina, lt, self.rec_type[a], r),
-                };
-            }
-        }
-        e
+    /// [`intramolecular`](EnergyModel::intramolecular) on `path`.
+    pub(crate) fn intramolecular_via(&self, path: ExpPath, coords: &[Vec3]) -> f64 {
+        let model = EnergyModel::new_via(path, self.grids, self.ligand).expect("built once");
+        model.intramolecular(coords)
     }
 }
 
@@ -650,6 +523,7 @@ mod tests {
     use super::*;
     use crate::autogrid::{build_ad4_grids, build_vina_grids};
     use crate::grid::GridSpec;
+    use crate::oracle::DirectEnergy;
     use molkit::atom::Atom;
     use molkit::formats::pdbqt::PdbqtLigand;
     use molkit::molecule::{BondOrder, Molecule};

@@ -9,13 +9,12 @@ use molkit::formats::pdbqt::PdbqtLigand;
 use molkit::geometry::{diameter, find_pocket, rmsd};
 use molkit::{Molecule, Vec3};
 
-use crate::autogrid::{build_ad4_grids_threads, build_vina_grids_threads, planned_slabs, GridSet};
+use crate::autogrid::{build_grids, planned_slabs, GridKind, GridSet};
 use crate::cluster::cluster_poses;
 use crate::conformation::LigandModel;
 use crate::conformation::Pose;
 use crate::energy::EnergyModel;
 use crate::grid::GridSpec;
-use crate::params::{Ad4Params, VinaParams};
 use crate::search::{
     run_lga_seeded, run_mc_seeded, solis_wets, Evaluator, LgaConfig, McConfig, ScoredPose,
     SolisWetsConfig,
@@ -36,6 +35,16 @@ impl EngineKind {
         match self {
             EngineKind::Ad4 => "autodock4",
             EngineKind::Vina => "vina",
+        }
+    }
+}
+
+/// The grids an engine docks against.
+impl From<EngineKind> for GridKind {
+    fn from(engine: EngineKind) -> GridKind {
+        match engine {
+            EngineKind::Ad4 => GridKind::Ad4,
+            EngineKind::Vina => GridKind::Vina,
         }
     }
 }
@@ -192,15 +201,7 @@ pub fn make_grids(
     let _phase = cfg.telemetry.span_detail("dock", "grids", || {
         format!("spacing={} Å slabs={}", cfg.grid_spacing, planned_slabs(spec.npts, cfg.threads))
     });
-    let types = ligand.mol.ad_types();
-    Ok(match engine {
-        EngineKind::Ad4 => {
-            build_ad4_grids_threads(receptor, spec, &types, &Ad4Params::new(), cfg.threads)
-        }
-        EngineKind::Vina => {
-            build_vina_grids_threads(receptor, spec, &types, &VinaParams::default(), cfg.threads)
-        }
-    })
+    Ok(build_grids(receptor, spec, &ligand.mol.ad_types(), engine.into(), cfg.threads))
 }
 
 /// Dock a prepared pair using precomputed grids.
@@ -480,6 +481,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn make_grids_builds_each_engines_kind() {
+        let (receptor, lig) = prepared_pair();
+        let ad4 = make_grids(&receptor, &lig, EngineKind::Ad4, &fast_cfg()).unwrap();
+        assert_eq!(ad4.kind, GridKind::Ad4);
+        assert!(ad4.electrostatic.is_some() && ad4.desolvation.is_some());
+        let vina = make_grids(&receptor, &lig, EngineKind::Vina, &fast_cfg()).unwrap();
+        assert_eq!(vina.kind, GridKind::Vina);
+        assert!(vina.electrostatic.is_none() && vina.desolvation.is_none());
+        let types = lig.mol.ad_types();
+        assert!(types
+            .iter()
+            .all(|t| ad4.affinity.contains_key(t) && vina.affinity.contains_key(t)));
     }
 
     #[test]

@@ -56,51 +56,16 @@ impl GridSpec {
         self.npts == 0
     }
 
-    /// Precompute the trilinear interpolation stencil for `p`.
-    ///
-    /// Every map sharing this spec can be sampled through the same stencil
-    /// ([`GridMap::sample`]), so the cell-base computation is paid once per
-    /// point instead of once per map. The arithmetic is identical to
-    /// [`GridMap::interpolate`] (which is implemented on top of this), so
-    /// sampling through a stencil is bit-identical to direct interpolation.
-    pub fn stencil(&self, p: Vec3) -> Stencil {
-        let o = self.origin();
-        let s = self.spacing;
-        let n = self.npts;
-        let gx = (p.x - o.x) / s;
-        let gy = (p.y - o.y) / s;
-        let gz = (p.z - o.z) / s;
-        if gx < 0.0 || gy < 0.0 || gz < 0.0 {
-            return Stencil::Outside;
-        }
-        let i0 = gx.floor() as usize;
-        let j0 = gy.floor() as usize;
-        let k0 = gz.floor() as usize;
-        if i0 + 1 >= n || j0 + 1 >= n || k0 + 1 >= n {
-            // on the upper face is fine only if exactly on the last point
-            if i0 + 1 == n && (gx - i0 as f64).abs() < 1e-9
-                || j0 + 1 == n && (gy - j0 as f64).abs() < 1e-9
-                || k0 + 1 == n && (gz - k0 as f64).abs() < 1e-9
-            {
-                return Stencil::Face(i0.min(n - 1), j0.min(n - 1), k0.min(n - 1));
-            }
-            return Stencil::Outside;
-        }
-        Stencil::Cell { i0, j0, k0, fx: gx - i0 as f64, fy: gy - j0 as f64, fz: gz - k0 as f64 }
-    }
-}
-
-impl GridSpec {
     /// Resolve fractional lattice coordinates (already divided by spacing,
-    /// relative to the origin) into a [`FlatStencil`].
+    /// relative to the origin) into a [`FlatStencil`]: the map-independent
+    /// half of a trilinear interpolation, with the cell base folded into a
+    /// single row-major index, so every map on this lattice is sampled
+    /// through the one stencil ([`sample_flat`]).
     ///
-    /// This is the classification half of [`GridSpec::stencil`] operating on
-    /// precomputed `g = (p - origin) / spacing` lanes, with the cell base
-    /// folded into a single row-major index. The branch structure and
-    /// arithmetic are identical to `stencil`, so
-    /// `sample_flat(map.values(), &flat, sy, sz)` is bit-identical to
-    /// `map.sample(&spec.stencil(p))` for matching inputs — the SoA energy
-    /// kernel depends on that.
+    /// A point below the origin on any axis is outside. A point whose cell
+    /// would reach past the last lattice point on some axis is outside,
+    /// unless it lies within `1e-9` of the upper face on an axis that
+    /// reached it: then it reads one lattice point.
     #[inline(always)]
     pub(crate) fn flat_stencil(&self, gx: f64, gy: f64, gz: f64) -> FlatStencil {
         let n = self.npts;
@@ -130,19 +95,20 @@ impl GridSpec {
     }
 }
 
-/// A [`Stencil`] with the lattice indices pre-flattened to row-major offsets,
-/// for sampling raw value slices without per-corner index arithmetic.
+/// A resolved interpolation location on a [`GridSpec`] lattice, its
+/// lattice indices flattened to row-major offsets, for sampling raw value
+/// slices without per-corner index arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FlatStencil {
     /// The point is outside the box: sampling yields [`OUT_OF_BOX_PENALTY`].
     Outside,
-    /// Exactly on a lattice point: sampling reads this flat index.
+    /// On an upper-face lattice point: sampling reads this flat index.
     Point(usize),
     /// An interior cell.
     Cell {
         /// Flat row-major index of the cell's lower corner.
         base: usize,
-        /// Fractional offsets into the cell, as in [`Stencil::Cell`].
+        /// Fractional offsets into the cell along each axis, in `[0, 1)`.
         fx: f64,
         /// See `fx`.
         fy: f64,
@@ -151,12 +117,11 @@ pub(crate) enum FlatStencil {
     },
 }
 
-/// Sample a raw value slice through a [`FlatStencil`].
+/// Sample a raw value slice through a [`FlatStencil`]: the trilinear
+/// interpolation, as a chain of lerps along x, then y, then z.
 ///
 /// `sy`/`sz` are the row-major strides for +1 in j and k (`npts` and
-/// `npts²`). The lerp chain is a verbatim copy of [`GridMap::sample`], so
-/// the result is bit-identical to sampling through the map for the same
-/// point.
+/// `npts²`).
 #[inline(always)]
 pub(crate) fn sample_flat(v: &[f64], st: &FlatStencil, sy: usize, sz: usize) -> f64 {
     match *st {
@@ -182,31 +147,6 @@ pub(crate) fn sample_flat(v: &[f64], st: &FlatStencil, sy: usize, sz: usize) -> 
     }
 }
 
-/// A resolved interpolation location on a [`GridSpec`] lattice — the
-/// map-independent half of a trilinear interpolation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Stencil {
-    /// The point is outside the box: sampling yields [`OUT_OF_BOX_PENALTY`].
-    Outside,
-    /// The point sits exactly on an upper-face lattice point.
-    Face(usize, usize, usize),
-    /// An interior cell with fractional offsets into it.
-    Cell {
-        /// Lower-corner lattice indices of the cell.
-        i0: usize,
-        /// See `i0`.
-        j0: usize,
-        /// See `i0`.
-        k0: usize,
-        /// Fractional offsets into the cell along each axis, in `[0, 1)`.
-        fx: f64,
-        /// See `fx`.
-        fy: f64,
-        /// See `fx`.
-        fz: f64,
-    },
-}
-
 /// One scalar field sampled on a [`GridSpec`] lattice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridMap {
@@ -221,11 +161,6 @@ pub struct GridMap {
 pub const OUT_OF_BOX_PENALTY: f64 = 1.0e6;
 
 impl GridMap {
-    /// Allocate a zero-filled map.
-    pub fn zeros(spec: GridSpec) -> GridMap {
-        GridMap { spec, values: vec![0.0; spec.len()] }
-    }
-
     /// Wrap a pre-filled value buffer (row-major, `spec.len()` entries).
     ///
     /// Used by the parallel grid builders, which fill per-slab chunks of a
@@ -233,80 +168,6 @@ impl GridMap {
     pub fn from_values(spec: GridSpec, values: Vec<f64>) -> GridMap {
         assert_eq!(values.len(), spec.len(), "value buffer does not match the lattice");
         GridMap { spec, values }
-    }
-
-    /// Build a map by evaluating `f` at every lattice point.
-    pub fn from_fn(spec: GridSpec, mut f: impl FnMut(Vec3) -> f64) -> GridMap {
-        let mut values = Vec::with_capacity(spec.len());
-        for k in 0..spec.npts {
-            for j in 0..spec.npts {
-                for i in 0..spec.npts {
-                    values.push(f(spec.point(i, j, k)));
-                }
-            }
-        }
-        GridMap { spec, values }
-    }
-
-    #[inline]
-    fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * self.spec.npts + j) * self.spec.npts + i
-    }
-
-    /// Value at a lattice point.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.values[self.idx(i, j, k)]
-    }
-
-    /// Mutable value at a lattice point.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize, k: usize) -> &mut f64 {
-        let ix = self.idx(i, j, k);
-        &mut self.values[ix]
-    }
-
-    /// Trilinearly interpolated value at an arbitrary point.
-    ///
-    /// Points outside the box return [`OUT_OF_BOX_PENALTY`].
-    pub fn interpolate(&self, p: Vec3) -> f64 {
-        self.sample(&self.spec.stencil(p))
-    }
-
-    /// Sample the map through a precomputed [`Stencil`].
-    ///
-    /// The stencil must come from this map's own spec (or an identical one).
-    /// `sample(&spec.stencil(p))` is bit-identical to `interpolate(p)`; the
-    /// split lets the energy loop evaluate several co-located maps while
-    /// computing the cell base and fractional weights only once.
-    #[inline]
-    pub fn sample(&self, st: &Stencil) -> f64 {
-        match *st {
-            Stencil::Outside => OUT_OF_BOX_PENALTY,
-            Stencil::Face(i, j, k) => self.at(i, j, k),
-            Stencil::Cell { i0, j0, k0, fx, fy, fz } => {
-                let c000 = self.at(i0, j0, k0);
-                let c100 = self.at(i0 + 1, j0, k0);
-                let c010 = self.at(i0, j0 + 1, k0);
-                let c110 = self.at(i0 + 1, j0 + 1, k0);
-                let c001 = self.at(i0, j0, k0 + 1);
-                let c101 = self.at(i0 + 1, j0, k0 + 1);
-                let c011 = self.at(i0, j0 + 1, k0 + 1);
-                let c111 = self.at(i0 + 1, j0 + 1, k0 + 1);
-                let c00 = c000 + (c100 - c000) * fx;
-                let c10 = c010 + (c110 - c010) * fx;
-                let c01 = c001 + (c101 - c001) * fx;
-                let c11 = c011 + (c111 - c011) * fx;
-                let c0 = c00 + (c10 - c00) * fy;
-                let c1 = c01 + (c11 - c01) * fy;
-                c0 + (c1 - c0) * fz
-            }
-        }
-    }
-
-    /// Minimum value over the lattice.
-    pub fn min_value(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Raw value storage (for serialization into map files).
@@ -318,9 +179,23 @@ impl GridMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec() -> GridSpec {
         GridSpec { center: Vec3::ZERO, npts: 5, spacing: 1.0 }
+    }
+
+    /// `g` at `p` through the shipped path: the energy kernel's lattice
+    /// coordinates, one [`FlatStencil`], [`sample_flat`].
+    fn sample(g: &GridMap, p: Vec3) -> f64 {
+        let s = g.spec;
+        let o = s.origin();
+        let st = s.flat_stencil(
+            (p.x - o.x) / s.spacing,
+            (p.y - o.y) / s.spacing,
+            (p.z - o.z) / s.spacing,
+        );
+        sample_flat(g.values(), &st, s.npts, s.npts * s.npts)
     }
 
     #[test]
@@ -358,7 +233,7 @@ mod tests {
                 for k in 0..5 {
                     let p = g.spec.point(i, j, k);
                     let want = p.x + 2.0 * p.y - p.z;
-                    assert!((g.interpolate(p) - want).abs() < 1e-9);
+                    assert!((sample(&g, p) - want).abs() < 1e-9);
                 }
             }
         }
@@ -371,15 +246,15 @@ mod tests {
         for p in [Vec3::new(0.25, -0.75, 1.3), Vec3::new(-1.9, 1.9, 0.0), Vec3::new(0.1, 0.2, 0.3)]
         {
             let want = 3.0 * p.x - p.y + 0.5 * p.z + 7.0;
-            assert!((g.interpolate(p) - want).abs() < 1e-9, "at {p}");
+            assert!((sample(&g, p) - want).abs() < 1e-9, "at {p}");
         }
     }
 
     #[test]
     fn out_of_box_penalized() {
-        let g = GridMap::zeros(spec());
-        assert_eq!(g.interpolate(Vec3::new(5.0, 0.0, 0.0)), OUT_OF_BOX_PENALTY);
-        assert_eq!(g.interpolate(Vec3::new(0.0, 0.0, -9.0)), OUT_OF_BOX_PENALTY);
+        let g = GridMap::from_fn(spec(), |_| 0.0);
+        assert_eq!(sample(&g, Vec3::new(5.0, 0.0, 0.0)), OUT_OF_BOX_PENALTY);
+        assert_eq!(sample(&g, Vec3::new(0.0, 0.0, -9.0)), OUT_OF_BOX_PENALTY);
     }
 
     #[test]
@@ -389,42 +264,110 @@ mod tests {
         let lo = g.values().iter().copied().fold(f64::INFINITY, f64::min);
         let hi = g.values().iter().copied().fold(f64::NEG_INFINITY, f64::max);
         for p in [Vec3::new(0.33, 0.77, -1.2), Vec3::new(-0.5, 1.99, 1.99)] {
-            let v = g.interpolate(p);
+            let v = sample(&g, p);
             assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
         }
     }
 
     #[test]
-    fn flat_stencil_sampling_bit_identical_to_stencil() {
-        let g = GridMap::from_fn(spec(), |p| (p.x * 1.7).sin() + (p.y - p.z).cos());
-        let s = g.spec;
-        let o = s.origin();
-        let (sy, sz) = (s.npts, s.npts * s.npts);
-        for p in [
-            Vec3::new(0.33, 0.77, -1.2),
-            Vec3::new(2.0, 2.0, 2.0),    // exact upper corner
-            Vec3::new(-2.0, -2.0, -2.0), // exact lower corner
-            Vec3::new(5.0, 0.0, 0.0),    // outside
-            Vec3::new(0.0, 0.0, -9.0),   // outside (negative)
-            Vec3::new(1.9999999999, -0.3, 0.4),
-        ] {
-            let via_stencil = g.sample(&s.stencil(p));
-            let fs = s.flat_stencil(
-                (p.x - o.x) / s.spacing,
-                (p.y - o.y) / s.spacing,
-                (p.z - o.z) / s.spacing,
-            );
-            let via_flat = sample_flat(g.values(), &fs, sy, sz);
-            assert_eq!(via_stencil.to_bits(), via_flat.to_bits(), "at {p}");
+    fn the_upper_face_reads_its_lattice_point_and_past_it_is_outside() {
+        let g = GridMap::from_fn(spec(), |p| 100.0 * p.x + 10.0 * p.y + p.z);
+        assert_eq!(sample(&g, Vec3::splat(2.0)), g.at(4, 4, 4));
+        // (0.5, -0.25, 1.0) lies in the cell with lower corner (2, 1, 3)
+        let inside = [0.5, -0.25, 1.0];
+        for axis in 0..3 {
+            let at = |d: f64| {
+                let mut p = inside;
+                p[axis] = 2.0 + d;
+                sample(&g, Vec3::new(p[0], p[1], p[2]))
+            };
+            // on the face or within 1e-9 past it: the lattice point on the
+            // face that the other two axes' floors select, not interpolated
+            let mut ijk = [2, 1, 3];
+            ijk[axis] = 4;
+            for d in [0.0, 5e-10] {
+                assert_eq!(at(d), g.at(ijk[0], ijk[1], ijk[2]), "axis {axis} at {d}");
+            }
+            // just inside it: the last cell; further past it: outside
+            assert_ne!(at(-5e-10), OUT_OF_BOX_PENALTY, "axis {axis}");
+            for d in [1e-6, 0.5] {
+                assert_eq!(at(d), OUT_OF_BOX_PENALTY, "axis {axis} at {d}");
+            }
         }
+        assert_eq!(sample(&g, Vec3::new(-2.0 - 1e-12, 0.0, 0.0)), OUT_OF_BOX_PENALTY);
     }
 
     #[test]
-    fn min_value_and_mutation() {
-        let mut g = GridMap::zeros(spec());
-        *g.at_mut(2, 2, 2) = -5.0;
-        assert_eq!(g.min_value(), -5.0);
-        assert_eq!(g.at(2, 2, 2), -5.0);
-        assert_eq!(g.at(0, 0, 0), 0.0);
+    fn from_values_is_row_major() {
+        let s = spec();
+        let g = GridMap::from_values(s, (0..s.len()).map(|v| v as f64).collect());
+        assert_eq!(g.at(1, 2, 3), ((3 * 5 + 2) * 5 + 1) as f64);
+        assert_eq!(g.min_value(), 0.0);
+        assert_eq!(sample(&g, s.point(4, 0, 1)), g.at(4, 0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "value buffer does not match the lattice")]
+    fn from_values_refuses_a_buffer_of_the_wrong_length() {
+        GridMap::from_values(spec(), vec![0.0; 124]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn grid_interpolation_within_data_bounds(values in prop::collection::vec(-10.0..10.0f64, 27),
+                                                 px in -0.99..0.99f64,
+                                                 py in -0.99..0.99f64,
+                                                 pz in -0.99..0.99f64) {
+            // 3×3×3 grid over [-1,1]^3
+            let spec = GridSpec { center: Vec3::ZERO, npts: 3, spacing: 1.0 };
+            let g = GridMap::from_values(spec, values.clone());
+            let v = g.interpolate(Vec3::new(px, py, pz));
+            let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "{v} outside [{lo},{hi}]");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The shipped interpolation against the test-only `Stencil`
+        /// oracle, bit for bit, on a random lattice of random values, at
+        /// random points of every kind on each axis: inside the box, on
+        /// the lower or the upper face, within 1e-9 of the upper face, and
+        /// just outside either face.
+        #[test]
+        fn flat_stencil_sampling_bit_identical_to_stencil(npts in 2usize..9,
+                                                          spacing in 0.2..2.0f64,
+                                                          c in -40.0..40.0f64,
+                                                          seed in 0u64..1 << 32) {
+            let spec = GridSpec { center: Vec3::new(c, -0.5 * c, 0.25 * c), npts, spacing };
+            let mut x = seed;
+            let mut unit = move || {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let g = GridMap::from_fn(spec, |_| unit() * 20.0 - 10.0);
+            let (o, edge) = (spec.origin(), spec.edge());
+            let mut on_axis = |kind: usize, lo: f64| {
+                let (u, hi) = (unit(), lo + edge);
+                match kind {
+                    0 => lo + u * edge,
+                    1 => lo,
+                    2 => hi,
+                    3 => hi + (u - 0.5) * 1.98e-9,
+                    4 => hi + (1e-9 + u * 0.5) * spacing,
+                    _ => lo - (1e-9 + u * 0.5) * spacing,
+                }
+            };
+            for kinds in 0..6 * 6 * 6 {
+                let (kx, ky, kz) = (kinds % 6, kinds / 6 % 6, kinds / 36);
+                let p = Vec3::new(on_axis(kx, o.x), on_axis(ky, o.y), on_axis(kz, o.z));
+                let want = g.sample(&spec.stencil(p));
+                prop_assert_eq!(want.to_bits(), sample(&g, p).to_bits(), "at {}", p);
+            }
+        }
     }
 }

@@ -57,11 +57,13 @@ pub mod engine;
 pub mod grid;
 pub mod gridio;
 pub mod mapfile;
+#[cfg(test)]
+mod oracle;
 pub mod params;
 pub mod scoring;
 pub mod search;
 pub mod vexp;
 
 pub use cluster::{cluster_poses, PoseCluster};
-pub use energy::{DirectEnergy, EnergyModel};
+pub use energy::EnergyModel;
 pub use engine::{dock, ClusterInfo, DockConfig, DockError, DockResult, EngineKind, Mode};

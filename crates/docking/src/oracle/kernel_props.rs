@@ -1,48 +1,23 @@
-//! Property-based tests for the fast docking kernels: the cell-list grid
-//! build, the allocation-free energy loop, and the deterministic parallel
-//! search drivers must be *bit-identical* to their retained naive
-//! references over randomized receptors, ligands, lattices, and seeds.
+//! The fast docking kernels — the cell-list grid build, the evaluation
+//! body, and the deterministic parallel search drivers — are
+//! *bit-identical* to the oracles over randomized receptors, ligands,
+//! lattices, and seeds.
 
 use proptest::prelude::*;
 
-use docking::autogrid::{
-    build_ad4_grids, build_ad4_grids_threads, build_vina_grids, build_vina_grids_threads,
-    reference, GridSet,
-};
-use docking::conformation::{LigandModel, Pose};
-use docking::energy::EnergyModel;
-use docking::grid::GridSpec;
-use docking::params::{Ad4Params, VinaParams};
-use docking::search::{
+use super::{prepared_ligand, prepared_receptor};
+use crate::autogrid::{build_ad4_grids, build_grids, build_vina_grids, GridKind, GridSet};
+use crate::conformation::{LigandModel, Pose};
+use crate::energy::EnergyModel;
+use crate::grid::GridSpec;
+use crate::oracle;
+use crate::params::{Ad4Params, VinaParams};
+use crate::search::{
     random_pose, run_lga_seeded, run_mc_seeded, Evaluator, LgaConfig, McConfig, ScoredPose,
 };
-use docking::vexp::ExpPath;
-use molkit::formats::pdbqt::PdbqtLigand;
-use molkit::synth::{generate_ligand, generate_receptor, LigandParams, ReceptorParams};
-use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
-use molkit::Molecule;
+use crate::vexp::ExpPath;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn prepared_receptor(name: &str) -> Molecule {
-    let mut r = generate_receptor(
-        name,
-        &ReceptorParams { min_residues: 20, max_residues: 35, hg_fraction: 0.0 },
-    );
-    assign_ad_types(&mut r);
-    molkit::charges::assign_gasteiger(&mut r, &Default::default());
-    r
-}
-
-fn prepared_ligand(name: &str) -> PdbqtLigand {
-    let mut l =
-        generate_ligand(name, &LigandParams { min_heavy: 8, max_heavy: 14, hang_fraction: 0.0 });
-    assign_ad_types(&mut l);
-    molkit::charges::assign_gasteiger(&mut l, &Default::default());
-    merge_nonpolar_hydrogens(&mut l);
-    let tree = molkit::torsion::build_torsion_tree(&l);
-    PdbqtLigand { mol: l, tree }
-}
 
 fn grids_bits_equal(a: &GridSet, b: &GridSet) -> bool {
     a.affinity.len() == b.affinity.len()
@@ -83,11 +58,11 @@ proptest! {
         let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
         let types = [molkit::AdType::C, molkit::AdType::OA, molkit::AdType::HD];
         let p = Ad4Params::new();
-        let naive = reference::build_ad4_grids(&receptor, spec, &types, &p);
+        let naive = oracle::build_ad4_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&naive, &build_ad4_grids(&receptor, spec, &types, &p)),
                      "serial cell list diverged");
         prop_assert!(
-            grids_bits_equal(&naive, &build_ad4_grids_threads(&receptor, spec, &types, &p, threads)),
+            grids_bits_equal(&naive, &build_grids(&receptor, spec, &types, GridKind::Ad4, threads)),
             "threaded ({threads}) cell list diverged");
     }
 
@@ -100,11 +75,11 @@ proptest! {
         let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
         let types = [molkit::AdType::C, molkit::AdType::NA, molkit::AdType::HD];
         let p = VinaParams::default();
-        let naive = reference::build_vina_grids(&receptor, spec, &types, &p);
+        let naive = oracle::build_vina_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&naive, &build_vina_grids(&receptor, spec, &types, &p)),
                      "serial cell list diverged");
         prop_assert!(
-            grids_bits_equal(&naive, &build_vina_grids_threads(&receptor, spec, &types, &p, threads)),
+            grids_bits_equal(&naive, &build_grids(&receptor, spec, &types, GridKind::Vina, threads)),
             "threaded ({threads}) cell list diverged");
     }
 
@@ -132,8 +107,8 @@ proptest! {
             for path in [ExpPath::selected(), ExpPath::Libm] {
                 let em = EnergyModel::new_via(path, grids, &lm).unwrap();
                 let mut fast = Evaluator::new(&em);
-                let mut refr = Evaluator::new_reference(&em);
-                let want: Vec<u64> = poses.iter().map(|p| refr.energy(p).to_bits()).collect();
+                let want: Vec<u64> =
+                    poses.iter().map(|p| em.total_reference(&lm.coords(p)).to_bits()).collect();
                 for (pose, want) in poses.iter().zip(&want) {
                     prop_assert_eq!(fast.energy(pose).to_bits(), *want, "{:?} {:?}", grids.kind, path);
                     prop_assert_eq!(em.total(&lm.coords(pose)).to_bits(), *want);

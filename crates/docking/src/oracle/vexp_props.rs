@@ -1,46 +1,23 @@
-//! Property tests for the two instantiations of every kernel that runs
-//! `exp` in lanes: the body on the process's selected path (the `vexp`
-//! lanes wherever the port passed its self-check) and the libm body, both
-//! called directly, must give the same bits as each other and as the
-//! retained naive references, on the random receptors and ligands of
-//! `kernel_props`. Where the port is not selected both calls run the libm
-//! body.
+//! The two instantiations of every kernel that runs `exp` in lanes: the
+//! body on the process's selected path (the `vexp` lanes wherever the port
+//! passed its self-check) and the libm body, both called directly, give
+//! the same bits as each other and as the oracles, on the random receptors
+//! and ligands of `kernel_props`. Where the port is not selected both calls
+//! run the libm body.
 
 use proptest::prelude::*;
 
-use docking::autogrid::{build_ad4_grids_via, build_vina_grids_via, reference, GridSet};
-use docking::conformation::LigandModel;
-use docking::energy::EnergyModel;
-use docking::grid::GridSpec;
-use docking::params::{Ad4Params, VinaParams};
-use docking::search::random_pose;
-use docking::vexp::ExpPath;
-use molkit::formats::pdbqt::PdbqtLigand;
-use molkit::synth::{generate_ligand, generate_receptor, LigandParams, ReceptorParams};
-use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
-use molkit::Molecule;
+use super::{prepared_ligand, prepared_receptor};
+use crate::autogrid::{build_ad4_grids_via, build_vina_grids_via, GridSet};
+use crate::conformation::LigandModel;
+use crate::energy::EnergyModel;
+use crate::grid::GridSpec;
+use crate::oracle;
+use crate::params::{Ad4Params, VinaParams};
+use crate::search::random_pose;
+use crate::vexp::ExpPath;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn prepared_receptor(name: &str) -> Molecule {
-    let mut r = generate_receptor(
-        name,
-        &ReceptorParams { min_residues: 20, max_residues: 35, hg_fraction: 0.0 },
-    );
-    assign_ad_types(&mut r);
-    molkit::charges::assign_gasteiger(&mut r, &Default::default());
-    r
-}
-
-fn prepared_ligand(name: &str) -> PdbqtLigand {
-    let mut l =
-        generate_ligand(name, &LigandParams { min_heavy: 8, max_heavy: 14, hang_fraction: 0.0 });
-    assign_ad_types(&mut l);
-    molkit::charges::assign_gasteiger(&mut l, &Default::default());
-    merge_nonpolar_hydrogens(&mut l);
-    let tree = molkit::torsion::build_torsion_tree(&l);
-    PdbqtLigand { mol: l, tree }
-}
 
 /// Every map of `a` and `b`, bit for bit (`-0.0` and `0.0` differ).
 fn grids_bits_equal(a: &GridSet, b: &GridSet) -> bool {
@@ -65,7 +42,7 @@ proptest! {
         let lanes = build_ad4_grids_via(ExpPath::selected(), &receptor, spec, &types, &p, threads);
         let libm = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &p, 1);
         prop_assert!(grids_bits_equal(&lanes, &libm), "lanes and libm bodies diverged");
-        let naive = reference::build_ad4_grids(&receptor, spec, &types, &p);
+        let naive = oracle::build_ad4_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&libm, &naive), "libm body diverged from the reference");
     }
 
@@ -81,7 +58,7 @@ proptest! {
         let lanes = build_vina_grids_via(ExpPath::selected(), &receptor, spec, &types, &p, threads);
         let libm = build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &p, 1);
         prop_assert!(grids_bits_equal(&lanes, &libm), "lanes and libm bodies diverged");
-        let naive = reference::build_vina_grids(&receptor, spec, &types, &p);
+        let naive = oracle::build_vina_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&libm, &naive), "libm body diverged from the reference");
     }
 

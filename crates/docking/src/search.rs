@@ -34,20 +34,12 @@ pub struct Evaluator<'a> {
     /// Energy evaluations performed so far.
     pub evals: u64,
     scratch: Scratch,
-    reference: bool,
 }
 
 impl<'a> Evaluator<'a> {
     /// Wrap an energy model with a zeroed evaluation counter.
     pub fn new(model: &'a EnergyModel<'a>) -> Evaluator<'a> {
-        Evaluator { model, evals: 0, scratch: model.scratch(), reference: false }
-    }
-
-    /// Like [`Evaluator::new`] but scoring through the naive
-    /// [`EnergyModel::total_reference`] path — what the `kernel_props`
-    /// property tests hold the fast path bit-identical to.
-    pub fn new_reference(model: &'a EnergyModel<'a>) -> Evaluator<'a> {
-        Evaluator { model, evals: 0, scratch: model.scratch(), reference: true }
+        Evaluator { model, evals: 0, scratch: model.scratch() }
     }
 
     /// Energy of a pose (counts one evaluation): one kernel dispatch that
@@ -62,9 +54,7 @@ impl<'a> Evaluator<'a> {
     /// evaluation per pose), writing per-pose totals into `out`.
     ///
     /// Each `out[i]` is bit-identical to [`energy`](Evaluator::energy) of
-    /// `poses[i]` for every batch size; a reference evaluator scores pose by
-    /// pose through `total_reference` instead, so parity tests can batch on
-    /// both sides.
+    /// `poses[i]` for every batch size.
     pub fn energy_batch(&mut self, poses: &[Pose], out: &mut Vec<f64>) {
         out.clear();
         out.resize(poses.len(), 0.0);
@@ -73,13 +63,7 @@ impl<'a> Evaluator<'a> {
 
     fn score(&mut self, poses: &[Pose], out: &mut [f64]) {
         self.evals += poses.len() as u64;
-        if !self.reference {
-            return self.model.score_poses(poses, &mut self.scratch, out);
-        }
-        for (pose, e) in poses.iter().zip(out) {
-            self.model.ligand.apply(pose, &mut self.scratch.coords);
-            *e = self.model.total_reference(&self.scratch.coords);
-        }
+        self.model.score_poses(poses, &mut self.scratch, out)
     }
 }
 
@@ -793,13 +777,10 @@ mod tests {
             for (a, b) in singles.iter().zip(&out) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{:?}", g.kind);
             }
-            // the reference evaluator batches bit-identically too
-            let mut evr = Evaluator::new_reference(&em);
-            let mut outr = Vec::new();
-            evr.energy_batch(&poses, &mut outr);
-            assert_eq!(evr.evals, poses.len() as u64);
-            for (a, b) in out.iter().zip(&outr) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{:?}", g.kind);
+            // and both are the oracle's bits
+            for (pose, e) in poses.iter().zip(&out) {
+                let want = em.total_reference(&lm.coords(pose));
+                assert_eq!(e.to_bits(), want.to_bits(), "{:?}", g.kind);
             }
         }
     }

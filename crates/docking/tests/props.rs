@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use docking::conformation::{LigandModel, Pose};
-use docking::grid::{GridMap, GridSpec};
+use docking::grid::GridSpec;
 use docking::params::{Ad4Params, VinaParams};
 use docking::scoring::{ad4_pair, vina_pair};
 use molkit::formats::pdbqt::PdbqtLigand;
@@ -84,28 +84,6 @@ proptest! {
         let v = VinaParams::default();
         prop_assert_eq!(ad4_pair(&p, AdType::C, AdType::OA, 0.3, -0.3, r), 0.0);
         prop_assert_eq!(vina_pair(&v, AdType::C, AdType::OA, r), 0.0);
-    }
-
-    #[test]
-    fn grid_interpolation_within_data_bounds(values in prop::collection::vec(-10.0..10.0f64, 27),
-                                             px in -0.99..0.99f64,
-                                             py in -0.99..0.99f64,
-                                             pz in -0.99..0.99f64) {
-        // 3×3×3 grid over [-1,1]^3
-        let spec = GridSpec { center: Vec3::ZERO, npts: 3, spacing: 1.0 };
-        let mut g = GridMap::zeros(spec);
-        let mut it = values.iter();
-        for k in 0..3 {
-            for j in 0..3 {
-                for i in 0..3 {
-                    *g.at_mut(i, j, k) = *it.next().unwrap();
-                }
-            }
-        }
-        let v = g.interpolate(Vec3::new(px, py, pz));
-        let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "{v} outside [{lo},{hi}]");
     }
 
     #[test]

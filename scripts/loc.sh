@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Non-test Rust lines per crate: every `src/**/*.rs` of each crate in this
-# repository, each file counted up to its first column-0 `#[cfg(test)]`
-# (where its test module starts). A file its parent declares as a test
-# module (`#[cfg(test)] mod name;`) is test code, and so is everything under
-# it: neither is counted, nor is the declaration.
+# Non-test Rust lines per crate: every line of every `src/**/*.rs` of each
+# crate in this repository, except test code. An item under a column-0
+# `#[cfg(test)]` is test code, with the doc comments and attributes around
+# that line: a `mod name;` declaration, or one braced item (a test module,
+# an `impl` block, a function); counting resumes after its closing brace. A
+# file its parent declares as a test module (`#[cfg(test)] mod name;`) is
+# test code, and so is everything under it.
 #
 #   scripts/loc.sh          the working tree
 #   scripts/loc.sh <rev>    <rev> against the working tree, with the change
@@ -49,13 +51,45 @@ count() { # tree → "<crate> <lines>" per crate, sorted by crate
         [[ -d "$src" && "$crate" != target* ]] || continue
         find "$src" -name '*.rs' | grep -v -F -f <(test_mods "$src") |
             tr '\n' '\0' |
-            xargs -0 -r awk -v decl="$DECL" '
-                FNR == 1 { on = 1; held = 0 }
-                held && /^#\[/ { next }
-                held { held = 0; if ($0 ~ decl) next; on = 0 }
-                on && /^#\[cfg\(test\)\]/ { if ($0 !~ decl) held = 1; next }
-                on { n++ }
-                END { print n + 0 }' |
+            xargs -0 -r awk '
+                # the line without escapes, string and char literals and a
+                # trailing comment; sets `opens` and `closes` to its braces
+                function code(s) {
+                    gsub(/\\./, "", s)
+                    gsub(/"[^"]*"/, "", s)
+                    gsub(/\x27[^\x27]\x27/, "", s)
+                    sub(/\/\/.*/, "", s)
+                    opens = gsub(/\{/, "{", s)
+                    closes = gsub(/\}/, "}", s)
+                    return s
+                }
+                # one line of a test item: it ends at a `;` before any brace
+                # (a declaration) or where its braces balance
+                function item(s) {
+                    s = code(s)
+                    if (!opened && opens == 0) {
+                        if (s ~ /;[[:space:]]*$/) skip = 0
+                        return
+                    }
+                    opened = 1
+                    depth += opens - closes
+                    if (depth <= 0) skip = 0
+                }
+                FNR == 1 { skip = 0; held = 0 }
+                skip && !opened && /^[[:space:]]*(#\[|\/\/\/)/ { next }
+                skip { item($0); next }
+                # column-0 doc comments and attributes count with the item
+                # they precede
+                /^(#\[|\/\/\/)/ && !/^#\[cfg\(test\)\]/ { held++; next }
+                /^#\[cfg\(test\)\]/ {
+                    skip = 1; opened = 0; depth = 0; held = 0
+                    rest = $0
+                    sub(/^#\[cfg\(test\)\][[:space:]]*/, "", rest)
+                    if (rest != "") item(rest)
+                    next
+                }
+                { n += held + 1; held = 0 }
+                END { print n + held }' |
             awk -v crate="$crate" '{ n += $1 } END { print crate, n + 0 }'
     done | sort
 }
