@@ -164,6 +164,16 @@ pub struct PreparedLigand {
 
 /// What a parsed molecule holds on the heap: its atoms, bonds and name
 /// strings.
+/// `f()`, its wall time recorded in nanoseconds into the histogram `name`.
+fn timed<T>(tel: &Telemetry, name: &str, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    if let Some(h) = tel.histogram(name) {
+        h.record(start.elapsed().as_nanos() as u64);
+    }
+    out
+}
+
 fn molecule_bytes(mol: &Molecule) -> u64 {
     let names: usize = mol.atoms.iter().map(|a| a.name.capacity() + a.res_name.capacity()).sum();
     (size_of_val(&mol.atoms[..]) + size_of_val(&mol.bonds[..]) + names) as u64
@@ -247,7 +257,7 @@ impl ReceptorCache {
         let key = Key::Pocket(pdbqt.digest(), probe_radius.to_bits());
         let (pocket, _) = self.get_or_try(key, tel, || {
             tel.count("receptor.pocket.searched", 1);
-            let pocket = find_pocket(receptor, probe_radius)
+            let pocket = timed(tel, "receptor.pocket", || find_pocket(receptor, probe_radius))
                 .ok_or_else(|| ActivityError("no binding pocket detected".into()))?;
             Ok((pocket, size_of::<Pocket>() as u64))
         })?;
@@ -570,10 +580,12 @@ impl GridCache {
         let (maps, _) =
             self.tier.get_or_try(Key::Maps(key, receptor_id.to_string()), tel, || {
                 tel.count("gridcache.maps.rendered", 1);
-                let maps: MapFiles = docking::mapfile::render_map_files(&grids, receptor_id)
-                    .into_iter()
-                    .map(|(name, text)| (name, digested(text, tel)))
-                    .collect();
+                let maps: MapFiles = timed(tel, "gridcache.render", || {
+                    docking::mapfile::render_map_files(&grids, receptor_id)
+                        .into_iter()
+                        .map(|(name, text)| (name, digested(text, tel)))
+                        .collect()
+                });
                 let bytes = maps.iter().map(|(name, text)| (name.len() + text.len()) as u64).sum();
                 Ok((maps, bytes))
             })?;
@@ -596,11 +608,13 @@ impl GridCache {
                     None => {
                         tel.count("gridcache.persist.miss", 1);
                         let grids = self.build(receptor_pdbqt, engine, cfg)?;
-                        let text = docking::gridio::serialize_grid_set(&grids);
-                        tel.count("gridcache.persist.write", 1);
-                        tel.count("gridcache.persist.bytes", text.len() as u64);
-                        Self::write_entry(p, key, &text);
-                        p.files.write(&GridCachePersist::store_path(key), text);
+                        timed(tel, "gridcache.persist", || {
+                            let text = docking::gridio::serialize_grid_set(&grids);
+                            tel.count("gridcache.persist.write", 1);
+                            tel.count("gridcache.persist.bytes", text.len() as u64);
+                            Self::write_entry(p, key, &text);
+                            p.files.write(&GridCachePersist::store_path(key), text);
+                        });
                         grids
                     }
                 },
@@ -673,13 +687,15 @@ impl GridCache {
             self.tier.pocket(receptor_pdbqt, &receptor, cfg.pocket_probe, &cfg.telemetry)?;
         let spec =
             docking::grid::GridSpec::with_edge(pocket.center, cfg.box_edge, cfg.grid_spacing);
-        let grids = docking::autogrid::build_grids(
-            &receptor,
-            spec,
-            &LIGAND_TYPE_SUPERSET,
-            engine.into(),
-            cfg.threads,
-        );
+        let grids = timed(&cfg.telemetry, "gridcache.fill", || {
+            docking::autogrid::build_grids(
+                &receptor,
+                spec,
+                &LIGAND_TYPE_SUPERSET,
+                engine.into(),
+                cfg.threads,
+            )
+        });
         cfg.telemetry.count("gridcache.bytes", grids.bytes());
         Ok(grids)
     }
@@ -1233,7 +1249,12 @@ mod tests {
     fn ligand_and_pocket_counters_reach_metrics() {
         let ds = Dataset::subset(&["1HUC", "2HHN"], &["042", "074"], params(0.0));
         let tel = Telemetry::attached();
-        let cfg = fast_cfg(&tel, ReceptorCache::default());
+        let dir = std::env::temp_dir().join(format!("scidock-cold-metrics-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SciDockConfig {
+            grid_cache_dir: Some(dir.clone()),
+            ..fast_cfg(&tel, ReceptorCache::default())
+        };
         // both engines over one tier: four grid builds, two pocket searches
         campaign(&ds, EngineMode::Ad4Only, &cfg, false);
         campaign(&ds, EngineMode::VinaOnly, &cfg, false);
@@ -1255,6 +1276,16 @@ mod tests {
         // eight babel/prepligand activations per campaign, two ligands
         assert_eq!(sample("scidock_ligand_prepared_total"), Some(2.0));
         assert_eq!(sample("scidock_ligand_prep_hit_total"), Some(6.0));
+        // the cold path's steps, one sample per search, fill, persisted
+        // entry and rendered map set
+        assert_eq!(sample("scidock_receptor_pocket_seconds_count"), Some(2.0));
+        assert_eq!(sample("scidock_gridcache_fill_seconds_count"), Some(4.0));
+        assert_eq!(sample("scidock_gridcache_persist_write_total"), Some(4.0));
+        assert_eq!(sample("scidock_gridcache_persist_seconds_count"), Some(4.0));
+        let rendered = sample("scidock_gridcache_maps_rendered_total");
+        assert!(rendered.is_some_and(|n| n > 0.0));
+        assert_eq!(sample("scidock_gridcache_render_seconds_count"), rendered);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,19 +19,22 @@
 //! crate's tests keep as their oracle. The kernel scores the surviving
 //! candidates [`vexp::LANES`] at a time, with one batched `exp` per
 //! argument kind ([`crate::vexp`]), and adds the terms to each lattice
-//! point's sums in candidate order.
+//! point's sums in candidate order. Work that gives the same bits for
+//! several probe types is done once: probe types whose terms are equal
+//! against every receptor type share one computed column, and the Vina
+//! fill takes its Gaussians once per probe radius (DESIGN.md §9).
 
 use std::collections::BTreeMap;
 
 use molkit::{AdType, Molecule};
 
-use crate::celllist::CellList;
+use crate::celllist::{CellList, Gather};
 use crate::grid::{GridMap, GridSpec};
 use crate::params::vina_radius;
 use crate::params::{type_index, Ad4Params, VinaParams};
 use crate::scoring::{
-    ad4_vdw_hb_pre, dielectric_exp_arg, dielectric_from_exp, flag, vina_exp_args, vina_hbond_pair,
-    vina_pair_lanes, COULOMB, CUTOFF, DESOLV_SIGMA,
+    dielectric_exp_arg, dielectric_from_exp, flag, vina_exp_args, vina_pair_of_radial, VinaRadial,
+    COULOMB, CUTOFF, DESOLV_SIGMA,
 };
 use crate::vexp::{self, ExpLanes, ExpPath, Kernel};
 
@@ -187,7 +190,7 @@ impl<P> Slabs<'_, '_, P> {
         let npts = spec.npts;
         let cutoff_sq = CUTOFF * CUTOFF;
         let reach = cells.reach(CUTOFF);
-        let mut cand: Vec<u32> = Vec::new();
+        let mut cand = Gather::default();
         let mut last_cell = [i64::MIN; 3];
         let mut b = CandLanes {
             atom: [0; vexp::LANES],
@@ -207,7 +210,7 @@ impl<P> Slabs<'_, '_, P> {
                         cells.gather(cc, reach, &mut cand);
                         last_cell = cc;
                     }
-                    for &a in &cand {
+                    for &a in &cand.atoms {
                         let a = a as usize;
                         let d2 = atoms.pos[a].dist_sq(p);
                         if d2 > cutoff_sq {
@@ -233,9 +236,51 @@ impl<P> Slabs<'_, '_, P> {
     }
 }
 
-/// An AD4 point's sums: electrostatic, desolvation, one per probe type.
+/// The probe types of a fill grouped into columns: probe types whose terms
+/// are bitwise equal against every receptor type share one computed
+/// column, whose sums every one of their maps stores.
+struct Columns {
+    /// Each column's first probe type, in probe order.
+    reps: Vec<AdType>,
+    /// Each probe type's column.
+    of: Vec<usize>,
+}
+
+impl Columns {
+    /// Group `probe_types` by `key`: equal keys, one column.
+    fn new<K: PartialEq>(probe_types: &[AdType], key: impl Fn(AdType) -> K) -> Columns {
+        let (mut keys, mut reps) = (Vec::new(), Vec::new());
+        let of = probe_types
+            .iter()
+            .map(|&t| {
+                let k = key(t);
+                keys.iter().position(|seen| *seen == k).unwrap_or_else(|| {
+                    keys.push(k);
+                    reps.push(t);
+                    keys.len() - 1
+                })
+            })
+            .collect();
+        Columns { reps, of }
+    }
+
+    /// Store each probe type's column sum at offset `off` of its map (the
+    /// first `of.len()` of `maps`), and start every column over from zero.
+    #[inline(always)]
+    fn store(&self, sums: &mut [f64], maps: &mut [&mut [f64]], off: usize) {
+        for (slice, &c) in maps.iter_mut().zip(&self.of) {
+            slice[off] = sums[c];
+        }
+        sums.fill(0.0);
+    }
+}
+
+/// An AD4 point's sums: electrostatic, desolvation, one per column of
+/// probe types with bitwise-equal pair rows.
 struct Ad4Sums<'a> {
-    probe_types: &'a [AdType],
+    cols: &'a Columns,
+    /// Whether a column's row has an H-bonding pair at all.
+    hbonds: &'a [bool],
     params: &'a Ad4Params,
     e: f64,
     d: f64,
@@ -255,10 +300,11 @@ impl PointSums for Ad4Sums<'_> {
         }
         E::exp(&mut eps, b.m);
         E::exp(&mut g, b.m);
-        let (mut q, mut vol) = ([0.0; L], [0.0; L]);
+        let (mut q, mut vol, mut tb) = ([0.0; L], [0.0; L], [AdType::C; L]);
         for l in 0..b.m {
+            tb[l] = atoms.ad_type[b.atom[l]];
             q[l] = atoms.charge[b.atom[l]];
-            vol[l] = params.volume[type_index(atoms.ad_type[b.atom[l]])];
+            vol[l] = params.volume[type_index(tb[l])];
         }
         let (mut et, mut dt) = ([0.0; L], [0.0; L]);
         for l in 0..L {
@@ -269,22 +315,40 @@ impl PointSums for Ad4Sums<'_> {
             self.e += et[l];
             self.d += dt[l];
         }
-        for (&r, &a) in rc.iter().zip(&b.atom[..b.m]) {
-            // one set of distance powers serves every probe type
-            let (r6, r10) = (r.powi(6), r.powi(10));
-            let tb = atoms.ad_type[a];
-            for (ti, &t) in self.probe_types.iter().enumerate() {
-                self.aff[ti] += ad4_vdw_hb_pre(params, params.pair(t, tb), r, r6, r10);
+        // one set of distance powers serves every column
+        let (mut r6, mut r10) = ([0.0; L], [0.0; L]);
+        for l in 0..L {
+            (r6[l], r10[l]) = (rc[l].powi(6), rc[l].powi(10));
+        }
+        for (c, &t) in self.cols.reps.iter().enumerate() {
+            let (mut lj_a, mut lj_b) = ([0.0; L], [0.0; L]);
+            for l in 0..L {
+                let pp = params.pair(t, tb[l]);
+                (lj_a[l], lj_b[l]) = (pp.lj_a, pp.lj_b);
+            }
+            let mut v = [0.0; L];
+            for l in 0..L {
+                v[l] = params.w_vdw * (lj_a[l] / (r6[l] * r6[l]) - lj_b[l] / r6[l]);
+            }
+            if self.hbonds[c] {
+                for l in 0..b.m {
+                    let pp = params.pair(t, tb[l]);
+                    if pp.hbond {
+                        let r = rc[l];
+                        v[l] = params.w_hbond * (pp.hb_c / (r10[l] * r * r) - pp.hb_d / r10[l]);
+                    }
+                }
+            }
+            for l in 0..b.m {
+                self.aff[c] += if rc[l] >= CUTOFF { 0.0 } else { v[l] };
             }
         }
     }
 
     #[inline(always)]
     fn store(&mut self, maps: &mut [&mut [f64]], off: usize) {
-        let nprobe = self.aff.len();
-        for (slice, v) in maps.iter_mut().zip(&mut self.aff) {
-            slice[off] = std::mem::take(v);
-        }
+        let nprobe = self.cols.of.len();
+        self.cols.store(&mut self.aff, maps, off);
         maps[nprobe][off] = std::mem::take(&mut self.e);
         maps[nprobe + 1][off] = std::mem::take(&mut self.d);
     }
@@ -297,15 +361,31 @@ impl Kernel for Slabs<'_, '_, Ad4Params> {
 
     #[inline(always)]
     fn run<E: ExpLanes>(mut self) {
-        let (probe_types, params) = (self.probe_types, self.params);
-        let aff = vec![0.0; probe_types.len()];
-        self.fill::<E>(&mut Ad4Sums { probe_types, params, e: 0.0, d: 0.0, aff });
+        let params = self.params;
+        let row = |t: AdType| {
+            AdType::ALL.map(|tb| {
+                let p = params.pair(t, tb);
+                (p.lj_a.to_bits(), p.lj_b.to_bits(), p.hb_c.to_bits(), p.hb_d.to_bits(), p.hbond)
+            })
+        };
+        let cols = Columns::new(self.probe_types, row);
+        let hbonds: Vec<bool> = cols
+            .reps
+            .iter()
+            .map(|&t| AdType::ALL.iter().any(|&tb| params.pair(t, tb).hbond))
+            .collect();
+        let aff = vec![0.0; cols.reps.len()];
+        self.fill::<E>(&mut Ad4Sums { cols: &cols, hbonds: &hbonds, params, e: 0.0, d: 0.0, aff });
     }
 }
 
-/// A Vina point's sums, one per probe type.
+/// A Vina point's sums, one per probe class: the probe types of a class
+/// share a radius and the hydrophobic, donor and acceptor flags, so their
+/// terms are equal against every receptor type.
 struct VinaSums<'a> {
-    probe_types: &'a [AdType],
+    cols: &'a Columns,
+    /// The distinct probe radii, each with the columns of that radius.
+    radii: &'a [(f64, Vec<usize>)],
     params: &'a VinaParams,
     aff: Vec<f64>,
 }
@@ -314,36 +394,50 @@ impl PointSums for VinaSums<'_> {
     #[inline(always)]
     fn add<E: ExpLanes>(&mut self, atoms: &ReceptorAtoms, b: &CandLanes) {
         const L: usize = vexp::LANES;
-        let mut tb = [AdType::C; L];
-        for (t, &a) in tb.iter_mut().zip(&b.atom[..b.m]) {
-            *t = atoms.ad_type[a];
+        // per lane the receptor atom's radius, and the eligibility factors
+        // a probe class picks from: its hydrophobic factor is the atom's
+        // or zero, its H-bond factor (`vina_hbond_pair`) the atom's
+        // acceptor flag for a donor, donor-or-acceptor for an acceptor
+        let (mut radius, mut hydrophobic, mut acceptor, mut either) =
+            ([0.0; L], [0.0; L], [0.0; L], [0.0; L]);
+        for l in 0..b.m {
+            let tb = atoms.ad_type[b.atom[l]];
+            radius[l] = vina_radius(tb);
+            hydrophobic[l] = flag(tb.is_hydrophobic());
+            acceptor[l] = flag(tb.is_acceptor());
+            either[l] = flag(tb.is_donor_h() || tb.is_acceptor());
         }
-        for (ti, &t) in self.probe_types.iter().enumerate() {
-            let (mut rsum, mut hydrophobic, mut hbond) = ([0.0; L], [0.0; L], [0.0; L]);
-            for l in 0..b.m {
-                rsum[l] = vina_radius(t) + vina_radius(tb[l]);
-                hydrophobic[l] = flag(t.is_hydrophobic() && tb[l].is_hydrophobic());
-                hbond[l] = flag(vina_hbond_pair(t, tb[l]));
-            }
+        let zero = [0.0; L];
+        for (probe_radius, cols) in self.radii {
+            // the Gaussians, the repulsion and the ramps depend on the
+            // probe only through its radius
             let (mut d, mut g1, mut g2) = ([0.0; L], [0.0; L], [0.0; L]);
             for l in 0..L {
-                d[l] = b.r[l] - rsum[l];
+                d[l] = b.r[l] - (probe_radius + radius[l]);
                 [g1[l], g2[l]] = vina_exp_args(d[l]);
             }
             E::exp(&mut g1, b.m);
             E::exp(&mut g2, b.m);
-            let term = vina_pair_lanes(self.params, &b.r, &d, [&g1, &g2], [&hydrophobic, &hbond]);
-            for v in &term[..b.m] {
-                self.aff[ti] += v;
+            let radial = VinaRadial::lanes(self.params, &d, [&g1, &g2]);
+            for &c in cols {
+                let t = self.cols.reps[c];
+                let hydrophobic = if t.is_hydrophobic() { &hydrophobic } else { &zero };
+                let hbond = match (t.is_acceptor(), t.is_donor_h()) {
+                    (true, _) => &either,
+                    (false, true) => &acceptor,
+                    (false, false) => &zero,
+                };
+                let term = vina_pair_of_radial(self.params, &b.r, &radial, [hydrophobic, hbond]);
+                for v in &term[..b.m] {
+                    self.aff[c] += v;
+                }
             }
         }
     }
 
     #[inline(always)]
     fn store(&mut self, maps: &mut [&mut [f64]], off: usize) {
-        for (slice, v) in maps.iter_mut().zip(&mut self.aff) {
-            slice[off] = std::mem::take(v);
-        }
+        self.cols.store(&mut self.aff, maps, off);
     }
 }
 
@@ -353,9 +447,20 @@ impl Kernel for Slabs<'_, '_, VinaParams> {
 
     #[inline(always)]
     fn run<E: ExpLanes>(mut self) {
-        let (probe_types, params) = (self.probe_types, self.params);
-        let aff = vec![0.0; probe_types.len()];
-        self.fill::<E>(&mut VinaSums { probe_types, params, aff });
+        let class = |t: AdType| {
+            (vina_radius(t).to_bits(), t.is_hydrophobic(), t.is_donor_h(), t.is_acceptor())
+        };
+        let cols = Columns::new(self.probe_types, class);
+        let mut radii: Vec<(f64, Vec<usize>)> = Vec::new();
+        for (c, &t) in cols.reps.iter().enumerate() {
+            let r = vina_radius(t);
+            match radii.iter_mut().find(|(seen, _)| seen.to_bits() == r.to_bits()) {
+                Some((_, of_r)) => of_r.push(c),
+                None => radii.push((r, vec![c])),
+            }
+        }
+        let aff = vec![0.0; cols.reps.len()];
+        self.fill::<E>(&mut VinaSums { cols: &cols, radii: &radii, params: self.params, aff });
     }
 }
 

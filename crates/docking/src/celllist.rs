@@ -11,14 +11,24 @@
 //! The list is stored in CSR (compressed sparse row) form: one flat `atoms`
 //! array of atom indices grouped by cell, plus a `starts` offset table. Atom
 //! indices inside each cell are **ascending**, and [`CellList::gather`]
-//! concatenates cells in a fixed order and then sorts, so the candidate
-//! sequence it returns is ascending by atom index — exactly the order a
+//! marks the atoms of the cells it visits in a bitset over atom indices
+//! and reads them back in bit order, so the candidate sequence it returns
+//! is ascending by atom index — exactly the order a
 //! scan of every atom visits them in. Downstream accumulation over
 //! candidates is therefore bit-identical to that scan, the crate's test
 //! oracle (the cutoff test rejects the same atoms, and floating-point
 //! summation order is preserved).
 
 use molkit::Vec3;
+
+/// What [`CellList::gather`] returns, and the bitset it orders them with.
+#[derive(Debug, Clone, Default)]
+pub struct Gather {
+    /// The gathered atom indices, ascending.
+    pub atoms: Vec<u32>,
+    /// One bit per atom index; all clear between calls.
+    marks: Vec<u64>,
+}
 
 /// Atoms binned into a uniform grid of cubic cells, CSR layout.
 #[derive(Debug, Clone)]
@@ -110,13 +120,14 @@ impl CellList {
         (cutoff / self.cell).ceil() as i64
     }
 
-    /// Collect into `out` (cleared first) every atom index whose cell lies
-    /// within `reach` cells of `c` in each dimension, sorted ascending.
+    /// Collect into `out.atoms` (cleared first) every atom index whose cell
+    /// lies within `reach` cells of `c` in each dimension, ascending.
     ///
     /// This is a superset of the atoms within `reach × cell` of any point in
     /// cell `c`; callers apply their exact cutoff test per atom.
-    pub fn gather(&self, c: [i64; 3], reach: i64, out: &mut Vec<u32>) {
-        out.clear();
+    pub fn gather(&self, c: [i64; 3], reach: i64, out: &mut Gather) {
+        out.atoms.clear();
+        out.marks.resize(self.atoms.len().div_ceil(64), 0);
         let clamp = |lo: i64, d: usize| -> (usize, usize) {
             let a = (lo).clamp(0, d as i64) as usize;
             let b = (lo + 2 * reach + 1).clamp(0, d as i64) as usize;
@@ -125,18 +136,30 @@ impl CellList {
         let (x0, x1) = clamp(c[0] - reach, self.dims[0]);
         let (y0, y1) = clamp(c[1] - reach, self.dims[1]);
         let (z0, z1) = clamp(c[2] - reach, self.dims[2]);
+        // cells are visited z-major, so their concatenation is not in
+        // order; ascending order is what makes downstream summation
+        // bit-identical to the naive 0..natoms scan, so the atoms are
+        // marked in a bitset and read back word by word
+        let (mut first, mut last) = (usize::MAX, 0);
         for cz in z0..z1 {
             for cy in y0..y1 {
                 let row = (cz * self.dims[1] + cy) * self.dims[0];
                 let lo = self.starts[row + x0] as usize;
                 let hi = self.starts[row + x1] as usize;
-                out.extend_from_slice(&self.atoms[lo..hi]);
+                for &a in &self.atoms[lo..hi] {
+                    let w = a as usize / 64;
+                    out.marks[w] |= 1 << (a % 64);
+                    (first, last) = (first.min(w), last.max(w));
+                }
             }
         }
-        // cells are visited z-major, so concatenation is not globally
-        // ordered; ascending order is what makes downstream summation
-        // bit-identical to the naive 0..natoms scan
-        out.sort_unstable();
+        for w in first..last.wrapping_add(1) {
+            let mut bits = std::mem::take(&mut out.marks[w]);
+            while bits != 0 {
+                out.atoms.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Total number of cells.
@@ -182,11 +205,13 @@ mod tests {
         let cutoff = 8.0;
         let cl = CellList::build(&pos, cutoff / 2.0);
         let reach = cl.reach(cutoff);
-        let mut out = Vec::new();
+        let mut out = Gather::default();
         for probe in cloud(40, 8, 18.0) {
             cl.gather(cl.coords(probe), reach, &mut out);
-            assert!(out.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+            assert!(out.atoms.windows(2).all(|w| w[0] < w[1]), "sorted, no duplicates");
+            assert!(out.marks.iter().all(|&w| w == 0), "the bitset is left clear");
             let filtered: Vec<u32> = out
+                .atoms
                 .iter()
                 .copied()
                 .filter(|&a| pos[a as usize].dist_sq(probe) <= cutoff * cutoff)
@@ -213,17 +238,17 @@ mod tests {
     fn empty_input_gathers_nothing() {
         let cl = CellList::build(&[], 4.0);
         assert!(cl.is_empty());
-        let mut out = vec![1, 2, 3];
+        let mut out = Gather { atoms: vec![1, 2, 3], marks: Vec::new() };
         cl.gather(cl.coords(Vec3::new(5.0, -2.0, 0.1)), cl.reach(8.0), &mut out);
-        assert!(out.is_empty());
+        assert!(out.atoms.is_empty());
     }
 
     #[test]
     fn far_away_point_gathers_nothing() {
         let pos = cloud(50, 11, 5.0);
         let cl = CellList::build(&pos, 4.0);
-        let mut out = Vec::new();
+        let mut out = Gather::default();
         cl.gather(cl.coords(Vec3::new(1e4, 1e4, 1e4)), cl.reach(8.0), &mut out);
-        assert!(out.is_empty());
+        assert!(out.atoms.is_empty());
     }
 }

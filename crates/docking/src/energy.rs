@@ -398,7 +398,10 @@ impl<'a> EnergyModel<'a> {
     /// A far pair, and a padding slot, goes through passes 2 and 3 at the
     /// stand-in distance [`CUTOFF`], where every `exp` argument is inside
     /// the port's range: Vina's `−(d/0.5)²` leaves it past r ≈ 11 Å, and
-    /// one lane out of range sends its whole chunk to libm.
+    /// one lane out of range sends its whole chunk to libm. The `exp`s
+    /// are asked for the live lanes, `d² < 64`: the port computes the
+    /// whole vector anyway, and libm skips the calls whose terms are never
+    /// added.
     #[inline(always)]
     fn intra<E: ExpLanes>(&self, coords: &[Vec3], s: &mut PairScratch) -> f64 {
         let pairs = &self.ligand.intra_pairs;
@@ -418,8 +421,9 @@ impl<'a> EnergyModel<'a> {
                         a2[l] = ad4_desolv_exp_arg(r[l]);
                     }
                     (*x1, *x2) = (a1, a2);
-                    E::exp(x1, LANES);
-                    E::exp(x2, LANES);
+                    let live = d2.map(|d2| d2 < CUTOFF_SQ);
+                    E::exp_live(x1, &live);
+                    E::exp_live(x2, &live);
                 }
                 let chunks = consts.iter().zip(&s.d2).zip(&s.r).zip(&s.x1).zip(&s.x2);
                 for (k, ((((c, d2), r), x1), x2)) in chunks.enumerate() {
@@ -434,8 +438,9 @@ impl<'a> EnergyModel<'a> {
                         [a1[l], a2[l]] = vina_exp_args(r[l] - c.rsum[l]);
                     }
                     (*x1, *x2) = (a1, a2);
-                    E::exp(x1, LANES);
-                    E::exp(x2, LANES);
+                    let live = d2.map(|d2| d2 < CUTOFF_SQ);
+                    E::exp_live(x1, &live);
+                    E::exp_live(x2, &live);
                 }
                 let chunks = consts.iter().zip(&s.d2).zip(&s.r).zip(&s.x1).zip(&s.x2);
                 for (k, ((((c, d2), r), x1), x2)) in chunks.enumerate() {
@@ -794,6 +799,36 @@ mod tests {
                     let intra = em.intramolecular_reference(&c).to_bits();
                     assert_eq!(em.intramolecular_via(path, &c).to_bits(), intra);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn the_libm_body_skips_far_lanes_and_keeps_the_reference_bits() {
+        // a 21-atom chain, 1.4 Å a step: in every pose some pairs are past
+        // 8 Å and some are not, so chunks mix near and far lanes, and the
+        // pair count is not a multiple of the lanes, so the last chunk
+        // carries padding
+        let lig = chain(21);
+        let lm = LigandModel::new(&lig);
+        assert_ne!(lm.intra_pairs.len() % LANES, 0);
+        let r = receptor();
+        let types = lig.mol.ad_types();
+        let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(9);
+        let mut poses = vec![Pose::at(Vec3::ZERO, lm.torsdof())];
+        poses.extend((0..6).map(|_| crate::search::random_pose(&spec(), lm.torsdof(), &mut rng)));
+        for grids in [
+            build_ad4_grids(&r, spec(), &types, &Ad4Params::new()),
+            build_vina_grids(&r, spec(), &types, &VinaParams::default()),
+        ] {
+            let em = EnergyModel::new(&grids, &lm).unwrap();
+            for pose in &poses {
+                let c = lm.coords(pose);
+                let far = lm.intra_pairs.iter().filter(|&&(i, j)| c[i].dist(c[j]) >= CUTOFF);
+                assert!((1..lm.intra_pairs.len()).contains(&far.count()));
+                let want = em.intramolecular_reference(&c).to_bits();
+                assert_eq!(em.intramolecular_via(ExpPath::Libm, &c).to_bits(), want);
+                assert_eq!(em.intramolecular_via(ExpPath::selected(), &c).to_bits(), want);
             }
         }
     }

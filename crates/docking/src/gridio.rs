@@ -73,8 +73,54 @@ pub fn grid_key_header(
 }
 
 fn push_f64(out: &mut String, v: f64) {
-    // `fmt::Write` into a `String` cannot fail
-    let _ = write!(out, "{:016x}", v.to_bits());
+    push_hex16(out, v.to_bits());
+}
+
+/// Append `v` as `format!("{v:016x}")` writes it: 16 lower-case hex
+/// digits, most significant first.
+fn push_hex16(out: &mut String, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut buf = [0u8; 16];
+    for (i, b) in buf.iter_mut().enumerate() {
+        *b = DIGITS[(v >> (60 - 4 * i) & 0xf) as usize];
+    }
+    out.push_str(std::str::from_utf8(&buf).expect("ASCII digits"));
+}
+
+/// The value of a hex digit, or `0xff` for any other byte.
+const HEX_VALUE: [u8; 256] = {
+    let mut t = [0xff; 256];
+    let mut c = 0;
+    while c < 256 {
+        t[c] = match c as u8 {
+            d @ b'0'..=b'9' => d - b'0',
+            d @ b'a'..=b'f' => d - b'a' + 10,
+            d @ b'A'..=b'F' => d - b'A' + 10,
+            _ => 0xff,
+        };
+        c += 1;
+    }
+    t
+};
+
+/// `u64::from_str_radix(tok, 16)`, with a fast path for the one shape an
+/// entry writes: exactly 16 hex digits. Every other token (a sign, fewer
+/// or more digits, anything but a hex digit) goes to `from_str_radix`, so
+/// the same tokens are accepted and refused.
+fn parse_hex16(tok: &str) -> Result<u64, std::num::ParseIntError> {
+    if let Ok(digits) = <&[u8; 16]>::try_from(tok.as_bytes()) {
+        let (mut v, mut bad) = (0u64, 0u8);
+        for &d in digits {
+            let x = HEX_VALUE[d as usize];
+            bad |= x;
+            v = v << 4 | u64::from(x & 0xf);
+        }
+        // a digit's value has its high bits clear; 0xff has them set
+        if bad & 0xf0 == 0 {
+            return Ok(v);
+        }
+    }
+    u64::from_str_radix(tok, 16)
 }
 
 fn push_map(out: &mut String, label: &str, map: &GridMap) {
@@ -115,14 +161,14 @@ pub fn serialize_grid_set(g: &GridSet) -> String {
         push_map(&mut out, label, m);
     }
     let digest = fnv1a64(out.as_bytes());
-    out.push_str(&format!("end {digest:016x}\n"));
+    out.push_str("end ");
+    push_hex16(&mut out, digest);
+    out.push('\n');
     out
 }
 
 fn parse_f64(tok: &str) -> Result<f64, GridIoError> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| GridIoError(format!("bad f64 bits {tok:?}")))
+    parse_hex16(tok).map(f64::from_bits).map_err(|_| GridIoError(format!("bad f64 bits {tok:?}")))
 }
 
 /// Parse one `map` line of a lattice of `points` values.
@@ -157,7 +203,7 @@ pub fn deserialize_grid_set(text: &str) -> Result<GridSet, GridIoError> {
     let footer = text[body_end..].trim();
     let want = footer
         .strip_prefix("end ")
-        .and_then(|d| u64::from_str_radix(d.trim(), 16).ok())
+        .and_then(|d| parse_hex16(d.trim()).ok())
         .ok_or_else(|| GridIoError(format!("bad integrity footer {footer:?}")))?;
     let got = fnv1a64(body.as_bytes());
     if got != want {
@@ -303,6 +349,71 @@ mod tests {
         let digest = fnv1a64(out.as_bytes());
         out.push_str(&format!("end {digest:016x}\n"));
         out
+    }
+
+    /// A SplitMix64 stream.
+    fn bits_stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn hex_codec_round_trips_random_bits_as_core_fmt_writes_them() {
+        let mut next = bits_stream(16);
+        let mut out = String::new();
+        for v in
+            (0..200_000).map(|_| next()).chain([0, 1, u64::MAX, 1 << 63, 0x0123_4567_89ab_cdef])
+        {
+            out.clear();
+            push_hex16(&mut out, v);
+            assert_eq!(out, format!("{v:016x}"));
+            assert_eq!(parse_hex16(&out), Ok(v));
+            assert_eq!(parse_hex16(&out.to_uppercase()), Ok(v));
+        }
+    }
+
+    #[test]
+    fn a_token_that_is_not_16_hex_digits_is_judged_as_from_str_radix_judges_it() {
+        let same = |tok: &str| {
+            assert_eq!(parse_hex16(tok).ok(), u64::from_str_radix(tok, 16).ok(), "{tok:?}");
+        };
+        for tok in [
+            "",
+            "+",
+            "-",
+            "0",
+            "ff",
+            "+0123456789abcde",
+            "-0123456789abcde",
+            "+0123456789abcdef",
+            "0123456789abcdeg",
+            "0123456789abcde",
+            "00000000000000000",
+            "10000000000000000",
+            "0123456789ABCDEF",
+            " 123456789abcdef",
+            "0123456789abcde ",
+            "0x23456789abcdef",
+            "é123456789abcde",
+            "012345678\u{0}abcdef",
+        ] {
+            same(tok);
+        }
+        // random tokens over hex digits and the bytes around them
+        let alphabet = b"0123456789abcdefABCDEFgG+- x/:@`";
+        let mut next = bits_stream(17);
+        for _ in 0..100_000 {
+            let len = (next() % 20) as usize;
+            let tok: String = (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize] as char)
+                .collect();
+            same(&tok);
+        }
     }
 
     #[test]

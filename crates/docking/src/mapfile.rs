@@ -39,12 +39,68 @@ pub fn write_map(map: &GridMap, gpf_name: &str, receptor_name: &str) -> String {
          CENTER {:.3} {:.3} {:.3}\n",
         spec.spacing, spec.center.x, spec.center.y, spec.center.z
     );
-    for v in map.values() {
+    for &v in map.values() {
         // AutoGrid prints %.3f for typical magnitudes; keep more precision
         // so roundtrips are tight
-        let _ = writeln!(out, "{v:.6}");
+        push_fixed6(&mut out, v);
+        out.push('\n');
     }
     out
+}
+
+/// Append `v` as `format!("{v:.6}")` writes it: the exact binary value
+/// rounded to six decimals, ties to even, a `-` on every negative value
+/// (`-0.0` included), no exponent.
+///
+/// Below 2⁵³ in magnitude `v = m / 2^s` for integers `m < 2⁵³` and `s`,
+/// so `v·10⁶ = m·10⁶ / 2^s` with `m·10⁶ < 2⁷³`: one 128-bit product and
+/// shift give the rounded integer, whose digits are the text. Anything
+/// else (±∞, NaN, magnitudes from 2⁵³ on) goes through `core::fmt`.
+fn push_fixed6(out: &mut String, v: f64) {
+    let bits = v.to_bits();
+    let biased = (bits >> 52 & 0x7ff) as u32;
+    if biased > 1075 {
+        let _ = write!(out, "{v:.6}");
+        return;
+    }
+    let frac = bits & ((1 << 52) - 1);
+    let (m, s) = if biased == 0 { (frac, 1074) } else { (frac | 1 << 52, 1075 - biased) };
+    let x = m as u128 * 1_000_000;
+    let n = match s {
+        0 => x,
+        // x < 2⁷³ ≤ half of 2^s: rounds to zero
+        74.. => 0,
+        _ => {
+            let (q, rem, half) = (x >> s, x & ((1 << s) - 1), 1u128 << (s - 1));
+            q + u128::from(rem > half || rem == half && q & 1 == 1)
+        }
+    };
+    let (int, fraction) = ((n / 1_000_000) as u64, (n % 1_000_000) as u32);
+    // sign, up to 16 integer digits (int < 2⁵³), the point, six decimals
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    let mut f = fraction;
+    for _ in 0..6 {
+        at -= 1;
+        buf[at] = b'0' + (f % 10) as u8;
+        f /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    let mut i = int;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (i % 10) as u8;
+        i /= 10;
+        if i == 0 {
+            break;
+        }
+    }
+    if bits >> 63 == 1 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Render every map of a receptor's grid set as the files AutoGrid leaves
@@ -125,6 +181,89 @@ mod tests {
             out.push_str(&format!("{v:.6}\n"));
         }
         out
+    }
+
+    /// `push_fixed6(v)` against `format!("{v:.6}")`.
+    fn assert_fixed6(v: f64) {
+        let mut out = String::new();
+        push_fixed6(&mut out, v);
+        assert_eq!(out, format!("{v:.6}"), "{v:e} ({:016x})", v.to_bits());
+    }
+
+    /// A SplitMix64 stream.
+    fn bits_stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn fixed6_matches_core_fmt_on_random_bit_patterns() {
+        // 10⁶ patterns with the exponent field drawn over the integer
+        // path's range and one past it; the fallback prints up to 309
+        // digits through `core::fmt`, so fully random patterns (half of
+        // them that large) get a smaller share
+        let mut next = bits_stream(45);
+        for _ in 0..1_000_000 {
+            let b = next();
+            let biased = (b >> 52 & 0x7ff) % 1077;
+            assert_fixed6(f64::from_bits((b & !(0x7ff << 52)) | (biased << 52)));
+        }
+        for _ in 0..20_000 {
+            assert_fixed6(f64::from_bits(next()));
+        }
+        // 10⁶ more where maps live, 2⁻²⁶ … 2⁵⁴
+        for _ in 0..1_000_000 {
+            let b = next();
+            let biased = 997 + (b >> 52) % 80;
+            assert_fixed6(f64::from_bits((b & !(0x7ff << 52)) | (biased << 52)));
+        }
+    }
+
+    #[test]
+    fn fixed6_matches_core_fmt_at_every_edge() {
+        // v·10⁶ is a tie exactly when v = n/2⁷ with n odd: all of them up
+        // to 2¹⁷/2⁷, then odd n at random up to 2⁶⁰ (v up to 2⁵³)
+        for n in (1..1u64 << 17).step_by(2) {
+            assert_fixed6(n as f64 / 128.0);
+            assert_fixed6(-(n as f64) / 128.0);
+        }
+        let mut next = bits_stream(7);
+        for _ in 0..100_000 {
+            let n = (next() >> 4) | 1;
+            assert_fixed6(n as f64 / 128.0);
+        }
+        // zeros, subnormals, the smallest normals, and the halfway values
+        // of the last decimal in both directions
+        for v in [0.0, -0.0, 5e-7, -5e-7, 4.999_999_999_999_999e-7, 1.5e-6, 2.5e-6, 0.999_999_5] {
+            assert_fixed6(v);
+        }
+        for b in [1u64, 2, 3, (1 << 52) - 1, 1 << 52, (1 << 52) + 1] {
+            assert_fixed6(f64::from_bits(b));
+            assert_fixed6(-f64::from_bits(b));
+        }
+        for _ in 0..10_000 {
+            assert_fixed6(f64::from_bits(next() & ((1 << 52) - 1)));
+        }
+        // around 2⁵³/10⁶, where v·10⁶ passes 2⁵³, and around 2⁵³, where
+        // the integer path ends
+        for centre in [(1u64 << 53) as f64 / 1e6, (1u64 << 53) as f64] {
+            let mut up = centre;
+            let mut down = centre;
+            for _ in 0..2000 {
+                for v in [up, down, -up, -down] {
+                    assert_fixed6(v);
+                }
+                (up, down) = (up.next_up(), down.next_down());
+            }
+        }
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN, f64::MAX, f64::MIN] {
+            assert_fixed6(v);
+        }
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! Values follow the published AutoDock 4 parameter file (`AD4_parameters.dat`)
 //! and the Vina paper (Trott & Olson 2010) in spirit; they are tabulated per
-//! [`AdType`] pair at construction so the hot scoring loops do table lookups
+//! [`AdType`] pair once per process so the hot scoring loops do table lookups
 //! only.
+
+use std::sync::LazyLock;
 
 use molkit::AdType;
 
@@ -120,8 +122,15 @@ impl Default for Ad4Params {
 }
 
 impl Ad4Params {
-    /// Build the tabulated parameter set.
+    /// The tabulated parameter set: a copy of the one table this process
+    /// builds on first use.
     pub fn new() -> Ad4Params {
+        static TABLE: LazyLock<Ad4Params> = LazyLock::new(Ad4Params::tabulate);
+        TABLE.clone()
+    }
+
+    /// Tabulate every type pair's parameters.
+    fn tabulate() -> Ad4Params {
         let mut pairs = vec![
             PairParams { lj_a: 0.0, lj_b: 0.0, hb_c: 0.0, hb_d: 0.0, hbond: false };
             N_TYPES * N_TYPES

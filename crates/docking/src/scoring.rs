@@ -63,30 +63,6 @@ pub fn ad4_vdw_hb(params: &Ad4Params, ta: AdType, tb: AdType, r: f64) -> f64 {
     }
 }
 
-/// [`ad4_vdw_hb`] with the pair row and distance powers hoisted by the
-/// caller: `r` already clamped to ≥ 0.35, `r6 = r.powi(6)`,
-/// `r10 = r.powi(10)` of that clamped distance. The grid-build inner loop
-/// computes the powers once per receptor atom and shares them across every
-/// probe type at a lattice point; each branch's arithmetic is exactly
-/// [`ad4_vdw_hb`]'s, so the result is bit-identical.
-#[inline]
-pub fn ad4_vdw_hb_pre(
-    params: &Ad4Params,
-    p: &crate::params::PairParams,
-    r: f64,
-    r6: f64,
-    r10: f64,
-) -> f64 {
-    if r >= CUTOFF {
-        return 0.0;
-    }
-    if p.hbond {
-        params.w_hbond * (p.hb_c / (r10 * r * r) - p.hb_d / r10)
-    } else {
-        params.w_vdw * (p.lj_a / (r6 * r6) - p.lj_b / r6)
-    }
-}
-
 /// AD4 electrostatic energy for one pair (weighted).
 #[inline]
 pub fn ad4_electrostatic(params: &Ad4Params, qa: f64, qb: f64, r: f64) -> f64 {
@@ -257,35 +233,79 @@ pub fn vina_exp_args(d: f64) -> [f64; 2] {
 /// parts precomputed and both Gaussians evaluated by the caller: per lane
 /// `d = r − (vina_radius(ta) + vina_radius(tb))`, `gauss1`/`gauss2` the
 /// `exp`s of [`vina_exp_args`]`(d)`, and the hydrophobic and H-bond pair
-/// eligibility flags as factors (`1.0` eligible, `0.0` not). Each lane is bit-identical to the unfolded form when
-/// its Gaussians are. Nothing branches, so the lanes compile to vector
-/// code.
+/// eligibility flags as factors (`1.0` eligible, `0.0` not). Each lane is
+/// bit-identical to the unfolded form when its Gaussians are. Nothing
+/// branches, so the lanes compile to vector code.
 #[inline(always)]
 pub fn vina_pair_lanes(
     params: &VinaParams,
     r: &[f64; LANES],
     d: &[f64; LANES],
-    [gauss1, gauss2]: [&[f64; LANES]; 2],
+    gauss: [&[f64; LANES]; 2],
+    flags: [&[f64; LANES]; 2],
+) -> [f64; LANES] {
+    vina_pair_of_radial(params, r, &VinaRadial::lanes(params, d, gauss), flags)
+}
+
+/// What [`vina_pair_lanes`] computes from the surface distance alone, lane
+/// by lane: the steric sum `w_gauss1·gauss1 + w_gauss2·gauss2 +
+/// w_repulsion·repulsion` (the first three of its five left-to-right
+/// additions) and the two ramps before their eligibility factors. Pairs
+/// at one surface distance share it whatever their types' flags.
+#[derive(Debug, Clone)]
+pub struct VinaRadial {
+    /// The steric part of the sum.
+    pub steric: [f64; LANES],
+    /// The hydrophobic ramp.
+    pub hydrophobic: [f64; LANES],
+    /// The H-bond ramp.
+    pub hbond: [f64; LANES],
+}
+
+impl VinaRadial {
+    /// The radial parts at surface distances `d` with Gaussians `gauss`.
+    #[inline(always)]
+    pub fn lanes(
+        params: &VinaParams,
+        d: &[f64; LANES],
+        [gauss1, gauss2]: [&[f64; LANES]; 2],
+    ) -> VinaRadial {
+        let (mut repulsion, mut hydrophobic, mut hbond) =
+            ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+        for l in 0..LANES {
+            repulsion[l] = if d[l] < 0.0 { d[l] * d[l] } else { 0.0 };
+        }
+        for l in 0..LANES {
+            hydrophobic[l] = ramp_clamped(d[l], 0.5, 1.5);
+        }
+        for l in 0..LANES {
+            hbond[l] = ramp_clamped(d[l], -0.7, 0.0);
+        }
+        let mut steric = [0.0; LANES];
+        for l in 0..LANES {
+            steric[l] = params.w_gauss1 * gauss1[l]
+                + params.w_gauss2 * gauss2[l]
+                + params.w_repulsion * repulsion[l];
+        }
+        VinaRadial { steric, hydrophobic, hbond }
+    }
+}
+
+/// [`vina_pair_lanes`] from its radial parts and the pairs' eligibility
+/// factors: the last two additions, and `0.0` at `r ≥ CUTOFF`.
+#[inline(always)]
+pub fn vina_pair_of_radial(
+    params: &VinaParams,
+    r: &[f64; LANES],
+    radial: &VinaRadial,
     [hydrophobic, hbond]: [&[f64; LANES]; 2],
 ) -> [f64; LANES] {
-    let (mut repulsion, mut hydro, mut hb) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
-    for l in 0..LANES {
-        repulsion[l] = if d[l] < 0.0 { d[l] * d[l] } else { 0.0 };
-    }
-    // a ramp is finite and ≥ 0, so × 1.0 keeps it and × 0.0 is +0.0
-    for l in 0..LANES {
-        hydro[l] = ramp_clamped(d[l], 0.5, 1.5) * hydrophobic[l];
-    }
-    for l in 0..LANES {
-        hb[l] = ramp_clamped(d[l], -0.7, 0.0) * hbond[l];
-    }
     let mut e = [0.0; LANES];
     for l in 0..LANES {
-        let sum = params.w_gauss1 * gauss1[l]
-            + params.w_gauss2 * gauss2[l]
-            + params.w_repulsion * repulsion[l]
-            + params.w_hydrophobic * hydro[l]
-            + params.w_hbond * hb[l];
+        // a ramp is finite and ≥ 0, so × 1.0 keeps it and × 0.0 is +0.0
+        let sum = radial.steric[l]
+            + params.w_hydrophobic * (radial.hydrophobic[l] * hydrophobic[l])
+            + params.w_hbond * (radial.hbond[l] * hbond[l]);
         e[l] = if r[l] >= CUTOFF { 0.0 } else { sum };
     }
     e

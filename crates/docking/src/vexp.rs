@@ -83,6 +83,10 @@ pub(crate) trait ExpLanes {
     /// `x[l] = x[l].exp()` for every `l < m`; lanes `m..` hold garbage
     /// afterwards.
     fn exp(x: &mut [f64; LANES], m: usize);
+
+    /// `x[l] = x[l].exp()` for every lane with `live[l]`; the others hold
+    /// garbage afterwards. An implementation may compute them anyway.
+    fn exp_live(x: &mut [f64; LANES], live: &[bool; LANES]);
 }
 
 /// libm's `f64::exp`, lane by lane.
@@ -93,6 +97,16 @@ impl ExpLanes for Libm {
     fn exp(x: &mut [f64; LANES], m: usize) {
         for v in &mut x[..m] {
             *v = v.exp();
+        }
+    }
+
+    /// Each call is a scalar libm call, so a dead lane's is skipped.
+    #[inline(always)]
+    fn exp_live(x: &mut [f64; LANES], live: &[bool; LANES]) {
+        for (v, &live) in x.iter_mut().zip(live) {
+            if live {
+                *v = v.exp();
+            }
         }
     }
 }
@@ -123,6 +137,12 @@ impl ExpLanes for Port {
             }
         }
         *x = y;
+    }
+
+    /// Every lane at once: a dead lane costs nothing in a vector.
+    #[inline(always)]
+    fn exp_live(x: &mut [f64; LANES], _live: &[bool; LANES]) {
+        Self::exp(x, LANES);
     }
 }
 

@@ -61,6 +61,9 @@ const MIN_LINING: u32 = 8;
 /// within a shell of some atom exist, so memory follows the atoms, not the
 /// bounding box.
 const BLOCK: usize = 16;
+/// Edge, in probes, of the cells whose atoms a score sums over: a block
+/// holds whole cells.
+const CELL: usize = 4;
 /// Longest lattice axis searched (2²⁰ probes: a box ≈ 157 µm long, which no
 /// molecule is): past it the search answers `None` instead of allocating
 /// the axis.
@@ -78,9 +81,10 @@ const MAX_AXIS: usize = 1 << 20;
 ///
 /// The search is exact but pruned: it returns the bits a probe × atom scan
 /// returns (DESIGN.md §14, "The pocket search"). Shell counts are integers,
-/// so they are taken per atom over the probes around it, in any order; only
-/// the probes whose count could still reach the best score are scored in
-/// floating point, each summing over the atoms in file order like the scan.
+/// so they are taken per atom over the probes around it, in any order, one
+/// contiguous z-span per probe row; only the probes whose count could
+/// still reach the best score are scored in floating point, each summing
+/// over the atoms near its cell in file order like the scan.
 pub fn find_pocket(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
     let (lo, hi) = receptor.bounding_box()?;
     let clash_sq = CLASH * CLASH;
@@ -92,11 +96,14 @@ pub fn find_pocket(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
     let axes = [axis(lo.x, hi.x)?, axis(lo.y, hi.y)?, axis(lo.z, hi.z)?];
     let probe = |at: [usize; 3]| Vec3::new(axes[0][at[0]], axes[1][at[1]], axes[2][at[2]]);
 
-    // Each probe's shell count and clash flag: each atom visits the probes
-    // of its shell window, with d² computed as `Vec3::dist_sq` computes it
+    // Each probe's shell and clash counts: each atom visits the probe rows
+    // of its shell window, with d² computed as `Vec3::dist_sq` computes
+    // it, and counts each row's z-spans
     let reach = shell_sq.sqrt();
-    let mut blocks: HashMap<[usize; 3], Box<Block>> = HashMap::new();
-    for a in &receptor.atoms {
+    let mut lattice = Lattice::default();
+    let mut column: Vec<usize> = Vec::new();
+    let mut z = Column { dz2: Vec::new(), mid: 0, range: 0..0 };
+    for (index, a) in receptor.atoms.iter().enumerate() {
         let p = a.pos;
         if !(p.x.is_finite() && p.y.is_finite() && p.z.is_finite()) {
             continue; // its d² is never below a bound
@@ -109,58 +116,55 @@ pub fn find_pocket(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
         if xr.is_empty() || yr.is_empty() || zr.is_empty() {
             continue;
         }
+        z.fill(&axes[2], p.z, zr);
+        let bz0 = z.range.start / BLOCK;
         for bx in xr.start / BLOCK..=(xr.end - 1) / BLOCK {
             for by in yr.start / BLOCK..=(yr.end - 1) / BLOCK {
-                for bz in zr.start / BLOCK..=(zr.end - 1) / BLOCK {
-                    let block = blocks.entry([bx, by, bz]).or_insert_with(Block::new);
-                    for i in clip(&xr, bx) {
-                        let dx = p.x - axes[0][i];
-                        let dx2 = dx * dx;
-                        for j in clip(&yr, by) {
-                            let dy = p.y - axes[1][j];
-                            let dxy = dx2 + dy * dy;
-                            if dxy >= shell_sq {
-                                continue; // adding dz² never lowers it
-                            }
-                            for k in clip(&zr, bz) {
-                                let dz = p.z - axes[2][k];
-                                let d2 = dxy + dz * dz;
-                                if d2 < shell_sq {
-                                    let cell = Block::cell(i, j, k);
-                                    block.near[cell] += 1;
-                                    block.clash[cell] |= d2 < clash_sq;
-                                }
-                            }
+                column.clear();
+                for bz in bz0..=(z.range.end - 1) / BLOCK {
+                    column.push(lattice.block([bx, by, bz], index));
+                }
+                for i in clip(&xr, bx) {
+                    let dx = p.x - axes[0][i];
+                    let dx2 = dx * dx;
+                    for j in clip(&yr, by) {
+                        let dy = p.y - axes[1][j];
+                        let dxy = dx2 + dy * dy;
+                        if dxy >= shell_sq {
+                            continue; // adding dz² never lowers it
+                        }
+                        lattice.mark(z.span(dxy, shell_sq), &column, bz0, [i, j], Shell::Near);
+                        if dxy < clash_sq {
+                            lattice.mark(z.span(dxy, clash_sq), &column, bz0, [i, j], Shell::Clash);
                         }
                     }
                 }
             }
         }
     }
-    let mut found: Vec<([usize; 3], u32)> = blocks
-        .iter()
-        .flat_map(|(&[bx, by, bz], block)| {
-            (0..BLOCK * BLOCK * BLOCK).filter_map(move |cell| {
-                let near = block.near[cell];
-                (near >= MIN_LINING && !block.clash[cell]).then(|| {
-                    let (i, j, k) = (cell / (BLOCK * BLOCK), cell / BLOCK % BLOCK, cell % BLOCK);
-                    ([bx * BLOCK + i, by * BLOCK + j, bz * BLOCK + k], near)
-                })
-            })
-        })
-        .collect();
-    found.sort_unstable_by_key(|&(at, _)| at); // scan order
+    for block in &mut lattice.blocks {
+        block.settle();
+    }
 
     // The scan's score: the count plus 1/d over the shell atoms, summed in
-    // atom order
-    let score = |at: [usize; 3], near: u32| {
+    // atom order; a probe's cell gather lists, ascending, every atom whose
+    // window reaches the cell, so the others add nothing
+    let mut cells = HashMap::new();
+    let mut shell: Vec<f64> = Vec::new();
+    let mut score = |at: [usize; 3], near: u32, b: usize| {
+        let atoms = cell_atoms(&mut cells, at, &lattice.blocks[b].atoms, receptor, &axes, reach);
         let p = probe(at);
+        // the shell atoms' d², in order, kept without a branch per atom
+        shell.resize(atoms.len(), 0.0);
+        let mut n = 0;
+        for &a in atoms {
+            let d2 = receptor.atoms[a as usize].pos.dist_sq(p);
+            shell[n] = d2;
+            n += (d2 < shell_sq) as usize;
+        }
         let mut inv_dist_sum = 0.0f64;
-        for a in &receptor.atoms {
-            let d2 = a.pos.dist_sq(p);
-            if d2 < shell_sq {
-                inv_dist_sum += 1.0 / d2.sqrt();
-            }
+        for d2 in &shell[..n] {
+            inv_dist_sum += 1.0 / d2.sqrt();
         }
         near as f64 + inv_dist_sum
     };
@@ -175,16 +179,35 @@ pub fn find_pocket(receptor: &Molecule, probe_radius: f64) -> Option<Pocket> {
     };
     // The first probe with the highest count scores a floor under the
     // maximum; a probe whose bound is below it cannot be the maximum
-    let most = found.iter().map(|&(_, near)| near).max()?;
-    let &(first, _) = found.iter().find(|&&(_, near)| near == most)?;
-    let floor = score(first, most);
+    let mut first: Option<(u32, [usize; 3], usize)> = None;
+    for (b, block) in lattice.blocks.iter().enumerate() {
+        for (cell, &near) in block.near.iter().enumerate() {
+            if near < MIN_LINING || block.clash[cell] > 0 {
+                continue;
+            }
+            let before = |(m, f, _): (u32, [usize; 3], usize)| {
+                near > m || near == m && block.probe(cell) < f
+            };
+            if first.is_none_or(before) {
+                first = Some((near, block.probe(cell), b));
+            }
+        }
+    }
+    let (most, at, b) = first?;
+    let floor = score(at, most, b);
+    let mut survivors: Vec<([usize; 3], u32, usize)> = Vec::new();
+    for (b, block) in lattice.blocks.iter().enumerate() {
+        for (cell, &near) in block.near.iter().enumerate() {
+            if near >= MIN_LINING && block.clash[cell] == 0 && bound(near) >= floor {
+                survivors.push((block.probe(cell), near, b));
+            }
+        }
+    }
+    survivors.sort_unstable_by_key(|&(at, _, _)| at); // scan order
 
     let mut best: Option<(f64, [usize; 3], u32)> = None;
-    for &(at, near) in &found {
-        if bound(near) < floor {
-            continue;
-        }
-        let s = score(at, near);
+    for (at, near, b) in survivors {
+        let s = score(at, near, b);
         if best.is_none_or(|(b, _, _)| s > b) {
             best = Some((s, at, near));
         }
@@ -227,20 +250,178 @@ fn clip(range: &Range<usize>, b: usize) -> Range<usize> {
     range.start.max(b * BLOCK)..range.end.min((b + 1) * BLOCK)
 }
 
-/// One block of lattice probes: each probe's shell count, and whether an
-/// atom clashes with it.
+/// The atoms of `block_atoms` (ascending) whose windows reach the cell of
+/// `CELL³` probes around lattice index `at`, gathered into `cells` on the
+/// first call for that cell: ascending, and a superset of the atoms within
+/// `reach` of any of its probes. The test is [`window`]'s, asked whether
+/// the window holds a probe of the cell's index range on every axis.
+fn cell_atoms<'c>(
+    cells: &'c mut HashMap<[usize; 3], Vec<u32>>,
+    at: [usize; 3],
+    block_atoms: &[u32],
+    receptor: &Molecule,
+    axes: &[Vec<f64>; 3],
+    reach: f64,
+) -> &'c [u32] {
+    let key = at.map(|c| c / CELL);
+    cells.entry(key).or_insert_with(|| {
+        let reaches = |axis: &[f64], cell: usize, c: f64| {
+            let (first, last) = (cell * CELL, ((cell + 1) * CELL).min(axis.len()) - 1);
+            let reach = reach + 1e-9 * (reach + c.abs());
+            axis[last] >= c - reach && axis[first] <= c + reach
+        };
+        let near = |&a: &u32| {
+            let p = receptor.atoms[a as usize].pos;
+            reaches(&axes[0], key[0], p.x)
+                && reaches(&axes[1], key[1], p.y)
+                && reaches(&axes[2], key[2], p.z)
+        };
+        block_atoms.iter().copied().filter(near).collect()
+    })
+}
+
+/// The z-probes of one atom's window, with each probe's `dz²` to the atom:
+/// `mid` is the first at or above the atom, so `dz²` falls (weakly) over
+/// the probes below `mid` and rises over the rest — rounding is monotone —
+/// and along any row the probes whose `d² = dxy + dz²` is under a bound
+/// form one span.
+struct Column {
+    dz2: Vec<f64>,
+    mid: usize,
+    range: Range<usize>,
+}
+
+impl Column {
+    /// Fill in the window `range` of axis `z` for an atom at height `c`.
+    fn fill(&mut self, z: &[f64], c: f64, range: Range<usize>) {
+        self.dz2.clear();
+        self.dz2.extend(z[range.clone()].iter().map(|&z| {
+            let dz = c - z;
+            dz * dz
+        }));
+        self.mid = range.start + z[range.clone()].partition_point(|&z| z < c);
+        self.range = range;
+    }
+
+    /// The probes of a row at `dxy` whose `d²` is below `bound`: as many
+    /// below `mid` as pass the exact test there, and as many from `mid` on.
+    #[inline]
+    fn span(&self, dxy: f64, bound: f64) -> Range<usize> {
+        let (below, above) = self.dz2.split_at(self.mid - self.range.start);
+        let passes =
+            |side: &[f64]| side.iter().map(|&dz2| (dxy + dz2 < bound) as usize).sum::<usize>();
+        self.mid - passes(below)..self.mid + passes(above)
+    }
+}
+
+/// The blocks of probes within a shell of some atom.
+#[derive(Default)]
+struct Lattice {
+    blocks: Vec<Box<Block>>,
+    index: HashMap<[usize; 3], usize>,
+}
+
+impl Lattice {
+    /// The block at block coordinates `at`, made if new, with atom `atom`
+    /// added to its list.
+    fn block(&mut self, at: [usize; 3], atom: usize) -> usize {
+        let blocks = &mut self.blocks;
+        let b = *self.index.entry(at).or_insert_with(|| {
+            blocks.push(Block::new(at));
+            blocks.len() - 1
+        });
+        self.blocks[b].atoms.push(atom as u32);
+        b
+    }
+
+    /// Count one more atom at the probes `span` of row `(i, j)`, whose
+    /// z-blocks are `column` from block `bz0` on: in each block, `+1` at
+    /// the span's first probe and `−1` past its last, which
+    /// [`Block::settle`] sums along the row.
+    #[inline]
+    fn mark(
+        &mut self,
+        span: Range<usize>,
+        column: &[usize],
+        bz0: usize,
+        [i, j]: [usize; 2],
+        shell: Shell,
+    ) {
+        if span.is_empty() {
+            return;
+        }
+        for bz in span.start / BLOCK..=(span.end - 1) / BLOCK {
+            let block = &mut self.blocks[column[bz - bz0]];
+            let counts = match shell {
+                Shell::Near => &mut block.near,
+                Shell::Clash => &mut block.clash,
+            };
+            let first = span.start.max(bz * BLOCK);
+            let c = &mut counts[Block::cell(i, j, first)];
+            *c = c.wrapping_add(1);
+            if span.end < (bz + 1) * BLOCK {
+                let c = &mut counts[Block::cell(i, j, span.end)];
+                *c = c.wrapping_sub(1);
+            }
+        }
+    }
+}
+
+/// Which count of a probe an atom's span adds to.
+#[derive(Clone, Copy)]
+enum Shell {
+    /// Atoms within the probe shell.
+    Near,
+    /// Atoms within clash distance.
+    Clash,
+}
+
+/// One block of lattice probes: each probe's shell count, how many atoms
+/// clash with it, and the atoms whose windows reach it, ascending. While
+/// atoms are counted the two counts hold differences along z.
 struct Block {
+    at: [usize; 3],
     near: [u32; BLOCK * BLOCK * BLOCK],
-    clash: [bool; BLOCK * BLOCK * BLOCK],
+    clash: [u32; BLOCK * BLOCK * BLOCK],
+    atoms: Vec<u32>,
 }
 
 impl Block {
-    fn new() -> Box<Block> {
-        Box::new(Block { near: [0; BLOCK * BLOCK * BLOCK], clash: [false; BLOCK * BLOCK * BLOCK] })
+    fn new(at: [usize; 3]) -> Box<Block> {
+        Box::new(Block {
+            at,
+            near: [0; BLOCK * BLOCK * BLOCK],
+            clash: [0; BLOCK * BLOCK * BLOCK],
+            atoms: Vec::new(),
+        })
     }
 
+    /// Turn the differences along z into counts.
+    fn settle(&mut self) {
+        for counts in [&mut self.near, &mut self.clash] {
+            for row in counts.chunks_exact_mut(BLOCK) {
+                let mut sum = 0u32;
+                for c in row {
+                    sum = sum.wrapping_add(*c);
+                    *c = sum;
+                }
+            }
+        }
+    }
+
+    /// The offset of probe `(i, j, k)` in its block: consecutive along k.
     fn cell(i: usize, j: usize, k: usize) -> usize {
         (i % BLOCK * BLOCK + j % BLOCK) * BLOCK + k % BLOCK
+    }
+
+    /// The lattice indices of the probe at offset `cell`.
+    fn probe(&self, cell: usize) -> [usize; 3] {
+        let [bx, by, bz] = self.at;
+        [
+            bx * BLOCK + cell / (BLOCK * BLOCK),
+            by * BLOCK + cell / BLOCK % BLOCK,
+            bz * BLOCK + cell % BLOCK,
+        ]
     }
 }
 
@@ -400,6 +581,108 @@ mod tests {
         };
         assert_eq!(bits(got), bits(want), "{} atoms, probe {probe_radius}", m.atoms.len());
         got
+    }
+
+    /// Whether some atom sits exactly at squared distance `bound` from some
+    /// lattice probe of `m`'s box.
+    fn has_a_tie_at(m: &Molecule, bound: f64) -> bool {
+        let (lo, hi) = m.bounding_box().unwrap();
+        let axes =
+            [axis(lo.x, hi.x).unwrap(), axis(lo.y, hi.y).unwrap(), axis(lo.z, hi.z).unwrap()];
+        axes[0].iter().any(|&x| {
+            axes[1].iter().any(|&y| {
+                axes[2]
+                    .iter()
+                    .any(|&z| m.atoms.iter().any(|a| a.pos.dist_sq(Vec3::new(x, y, z)) == bound))
+            })
+        })
+    }
+
+    #[test]
+    fn atoms_exactly_at_the_shell_and_the_clash_distance_count_as_the_scan_counts() {
+        // the cube's faces are 9 Å apart on lattice points, so probes on one
+        // face see the atoms across it at d² = 81 exactly; three atoms
+        // 2.4 Å from the centre probe along each axis sit at the clash
+        // bound exactly (d² = 2.4² is the bound's own rounding), and on x
+        // the row is at it before z is added
+        let m = molecule(cube_shell(Vec3::ZERO).chain([
+            Vec3::new(2.4, 0.0, 0.0),
+            Vec3::new(0.0, 2.4, 0.0),
+            Vec3::new(0.0, 0.0, 2.4),
+        ]));
+        assert!(has_a_tie_at(&m, 9.0 * 9.0) && has_a_tie_at(&m, CLASH * CLASH));
+        let p = assert_matches_the_scan(&m, 9.0).expect("a pocket");
+        assert_eq!(p.center, Vec3::ZERO, "a probe at the clash bound does not clash");
+        // one more atom a hair inside the clash bound takes the centre away
+        let mut closer = m.clone();
+        let z = 2.4f64.next_down();
+        closer.add_atom(Atom::new(999, "C", Element::C, Vec3::new(0.0, -z, 0.0)));
+        assert_ne!(assert_matches_the_scan(&closer, 9.0).expect("a pocket").center, Vec3::ZERO);
+        // radii whose shells pass exactly through lattice atoms
+        for radius in [4.5, 6.0, 7.5, 9.0] {
+            assert!(has_a_tie_at(&m, radius * radius), "{radius}");
+            assert_matches_the_scan(&m, radius);
+        }
+    }
+
+    #[test]
+    fn probes_on_block_boundaries_match_the_scan() {
+        // an anchor atom puts the lattice origin so that the site's centre
+        // lands on lattice index `at` on every axis, and its best probe
+        // beside it: the last probe of a block, the first of the next, and
+        // ones inside
+        let alone = assert_matches_the_scan(&molecule(cube_shell(Vec3::ZERO)), 9.0).unwrap();
+        for at in [15usize, 16, 17, 32, 33] {
+            let centre = Vec3::splat(1.5 * at as f64);
+            let m = molecule(std::iter::once(Vec3::ZERO).chain(cube_shell(centre)));
+            let p = assert_matches_the_scan(&m, 9.0).expect("a pocket");
+            assert_eq!(p.center, alone.center + centre, "index {at}");
+        }
+        // a long cloud: z-spans cross the blocks at 16 and 32 in every row
+        let m = molecule((0..400).map(|i| {
+            let t = i as f64;
+            Vec3::new((t * 0.37).sin() * 7.0, (t * 0.23).cos() * 7.0, t * 0.15)
+        }));
+        for radius in [6.5, 9.0, 12.0] {
+            assert_matches_the_scan(&m, radius);
+        }
+    }
+
+    #[test]
+    fn a_cells_gather_holds_every_shell_atom_of_its_probes_in_file_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(45);
+        for case in 0..12 {
+            let spread: f64 = rng.gen_range(3.0..12.0);
+            let m = molecule((0..rng.gen_range(20..120)).map(|_| {
+                Vec3::new(
+                    rng.gen_range(-spread..spread),
+                    rng.gen_range(-spread..spread),
+                    rng.gen_range(-spread..spread) - 7.0,
+                )
+            }));
+            let reach = [4.0, 6.5, 9.0][case % 3];
+            let (lo, hi) = m.bounding_box().unwrap();
+            let axes =
+                [axis(lo.x, hi.x).unwrap(), axis(lo.y, hi.y).unwrap(), axis(lo.z, hi.z).unwrap()];
+            let all: Vec<u32> = (0..m.atoms.len() as u32).collect();
+            let mut cells = HashMap::new();
+            for (i, &x) in axes[0].iter().enumerate() {
+                for (j, &y) in axes[1].iter().enumerate() {
+                    for (k, &z) in axes[2].iter().enumerate() {
+                        let p = Vec3::new(x, y, z);
+                        let got =
+                            cell_atoms(&mut cells, [i, j, k], &all, &m, &axes, reach).to_vec();
+                        assert!(got.windows(2).all(|w| w[0] < w[1]));
+                        for (a, atom) in m.atoms.iter().enumerate() {
+                            if atom.pos.dist_sq(p) < reach * reach {
+                                assert!(got.contains(&(a as u32)), "case {case}: atom {a} at {p}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,6 +58,9 @@ pub const HISTOGRAMS: &[&str] = &[
     "campaign.first_result",
     "campaign.resolve",
     "dist.heartbeat.job_elapsed",
+    "gridcache.fill",
+    "gridcache.persist",
+    "gridcache.render",
     "provstore.checkpoint",
     "provstore.commit_batch",
     "provstore.commit_lag",
@@ -67,6 +70,7 @@ pub const HISTOGRAMS: &[&str] = &[
     "provstore.lock_wait",
     "provstore.query_hold",
     "provstore.wal_append",
+    "receptor.pocket",
     "receptor.wait",
     "serve.turn.ask",
     "serve.turn.idle",
