@@ -12,6 +12,10 @@
 //!          --metrics-addr 127.0.0.1:9464 --wal /tmp/scidockd.wal
 //! ```
 //!
+//! With `--max-workers` above `--min-workers` (the defaults are 1 and 8) a
+//! queue-depth policy grows and shrinks the fleet within those bounds;
+//! equal bounds keep a fixed fleet of `--workers`.
+//!
 //! The daemon runs until stdin reaches EOF (pipe from `/dev/null` &
 //! background it for service use; press Ctrl-D interactively), then shuts
 //! down gracefully: in-flight activations finish and the WAL is flushed.
@@ -21,7 +25,9 @@ use std::time::Duration;
 
 use cumulus::obs::EventLog;
 use cumulus::serve::{Daemon, ServeConfig};
+use cumulus::{QueueDepthConfig, QueueDepthScheduler, SchedulerFactory};
 use provenance::{DurableOptions, ProvenanceStore};
+use scidock::ReceptorCache;
 use telemetry::Telemetry;
 
 fn usage() -> ! {
@@ -51,7 +57,7 @@ fn main() {
         .with_telemetry(Telemetry::attached())
         .with_events(EventLog::new());
     let mut wal: Option<String> = None;
-    let mut grid_cache_dir: Option<std::path::PathBuf> = None;
+    let mut grid_dir: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -91,13 +97,19 @@ fn main() {
                 }
             }
             "--wal" => wal = Some(parse(&mut args, "--wal")),
-            "--grid-cache-dir" => {
-                // one persistent directory under every campaign's grid
-                // cache: a receptor's map set is built once, ever
-                grid_cache_dir = Some(parse::<String>(&mut args, "--grid-cache-dir").into());
-            }
+            "--grid-cache-dir" => grid_dir = Some(parse(&mut args, "--grid-cache-dir")),
             _ => usage(),
         }
+    }
+    if cfg.max_workers > cfg.min_workers {
+        let bounds = QueueDepthConfig {
+            min_workers: cfg.min_workers,
+            max_workers: cfg.max_workers,
+            ..QueueDepthConfig::default()
+        };
+        cfg = cfg.with_scheduler(SchedulerFactory::new(move || {
+            Box::new(QueueDepthScheduler::new(bounds))
+        }));
     }
 
     // with an endpoint to read them at, the store's `provstore.*` and the
@@ -119,9 +131,11 @@ fn main() {
         None => Arc::new(ProvenanceStore::new()),
     };
 
-    // the resolver owns the daemon's one receptor tier: every campaign's
-    // workflow shares it, so a receptor is prepared once per process
-    let resolver = scidock_bench::distspec::campaign_resolver(grid_cache_dir, layer_tel);
+    // the daemon's one receptor tier, over the grid directory if given:
+    // every campaign's workflow shares it, so a receptor is prepared once
+    // per process and its map set built once, ever
+    let receptors = grid_dir.map_or_else(ReceptorCache::default, ReceptorCache::on_disk);
+    let resolver = scidock_bench::distspec::campaign_resolver(receptors, layer_tel);
     let daemon = match Daemon::start(cfg, resolver, prov) {
         Ok(d) => d,
         Err(e) => {

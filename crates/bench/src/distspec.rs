@@ -22,16 +22,17 @@
 //! lazily through the master fetch protocol; `scidockd` resolves each
 //! submitted campaign through [`campaign_resolver`].
 //!
-//! Who owns the receptor tier ([`ReceptorCache`]): [`campaign_resolver`]
-//! and [`resolver`] each create **one** for the process they serve and put
-//! it in every workflow they resolve, so a receptor is screened, prepared,
-//! loaded and rendered once however many campaigns use it; a bare
-//! [`resolve_with`] (a one-shot dist master) gets a private one. Beside its
-//! tier, [`campaign_resolver`] owns the daemon's one [`InputCatalog`], so
-//! every campaign stages each receptor PDB and ligand SDF by reference to
-//! the one rendering; a bare [`prepare`] stages through a fresh catalog.
+//! Who owns the receptor tier ([`ReceptorCache`], with the grid directory
+//! inside it): the daemon creates **one** and hands it to
+//! [`campaign_resolver`], and [`resolver`] creates one for the worker
+//! process it serves; each puts its tier in every workflow it resolves, so
+//! a receptor is screened, prepared, loaded and rendered once however many
+//! campaigns use it. A bare [`resolve_with`] (a one-shot dist master) gets
+//! a private one. Beside the tier, [`campaign_resolver`] owns the daemon's
+//! one [`InputCatalog`], so every campaign stages each receptor PDB and
+//! ligand SDF by reference to the one rendering; a bare [`prepare`] stages
+//! through a fresh catalog.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,9 +48,9 @@ use scidock::{
 use telemetry::Telemetry;
 
 /// The fast search budget shared by every `scidock:` spec (mirrors the
-/// integration tests: small LGA/MC budgets, coarse grid), with the grid
-/// cache directory and receptor tier of whoever resolves the spec.
-fn fast_cfg(grid_cache_dir: Option<PathBuf>, receptors: ReceptorCache) -> SciDockConfig {
+/// integration tests: small LGA/MC budgets, coarse grid), with the receptor
+/// tier of whoever resolves the spec.
+fn fast_cfg(receptors: ReceptorCache) -> SciDockConfig {
     SciDockConfig {
         dock: docking::engine::DockConfig {
             ad4_runs: 1,
@@ -60,18 +61,18 @@ fn fast_cfg(grid_cache_dir: Option<PathBuf>, receptors: ReceptorCache) -> SciDoc
             ..Default::default()
         },
         hg_rule: true,
-        grid_cache_dir,
         receptors,
         ..Default::default()
     }
 }
 
-/// `SCIDOCK_GRID_CACHE_DIR`: how a dist master and the `scidock-worker`
-/// processes it spawns (which inherit the environment) agree on one
-/// persistent on-disk grid cache, so repeated runs build each receptor's
-/// maps once.
-fn env_grid_cache_dir() -> Option<PathBuf> {
-    std::env::var_os("SCIDOCK_GRID_CACHE_DIR").map(PathBuf::from)
+/// A fresh receptor tier on `SCIDOCK_GRID_CACHE_DIR`, or with no directory
+/// when it is unset: how a dist master and the `scidock-worker` processes
+/// it spawns (which inherit the environment) agree on one persistent grid
+/// directory, so repeated runs build each receptor's maps once.
+fn env_receptor_cache() -> ReceptorCache {
+    std::env::var_os("SCIDOCK_GRID_CACHE_DIR")
+        .map_or_else(ReceptorCache::default, ReceptorCache::on_disk)
 }
 
 fn scidock_parts(spec: &str) -> Option<(EngineMode, usize, usize)> {
@@ -139,11 +140,11 @@ fn resolve_in(spec: &str, files: &Arc<FileStore>, cfg: &SciDockConfig) -> Option
 }
 
 /// Resolve a spec with an explicit shared file store (master side: the
-/// SciDock Hg blacklist rule reads staged receptors from it). The grid
-/// cache directory is `SCIDOCK_GRID_CACHE_DIR` as set at the call; the
-/// receptor tier is private to the returned workflow.
+/// SciDock Hg blacklist rule reads staged receptors from it). The receptor
+/// tier is private to the returned workflow, on `SCIDOCK_GRID_CACHE_DIR` as
+/// set at the call.
 pub fn resolve_with(spec: &str, files: &Arc<FileStore>) -> Option<WorkflowDef> {
-    resolve_in(spec, files, &fast_cfg(env_grid_cache_dir(), ReceptorCache::default()))
+    resolve_in(spec, files, &fast_cfg(env_receptor_cache()))
 }
 
 /// The resolver the `scidock-worker` binary hands to
@@ -152,21 +153,18 @@ pub fn resolve_with(spec: &str, files: &Arc<FileStore>) -> Option<WorkflowDef> {
 /// metrics (`gridcache.*`, `receptor.*`, `files.*`, `dock.evaluations`) go
 /// to `telemetry` — the worker's collector, which ships them to the master.
 pub fn resolver(telemetry: Telemetry) -> WorkflowResolver {
-    let mut cfg = fast_cfg(env_grid_cache_dir(), ReceptorCache::default());
+    let mut cfg = fast_cfg(env_receptor_cache());
     cfg.dock.telemetry = telemetry;
     Arc::new(move |spec| resolve_in(spec, &Arc::new(FileStore::new()), &cfg))
 }
 
 /// The resolver `scidockd` serves campaigns with: each campaign gets its own
-/// file store with its inputs staged, and all of them share the daemon's
-/// grid cache directory, its one receptor tier and its one input catalog.
+/// file store with its inputs staged, and all of them share `receptors`,
+/// the daemon's one tier, and the resolver's one input catalog.
 /// `telemetry` receives the docking-side metrics (`gridcache.*`,
 /// `receptor.*`, `dock.evaluations`).
-pub fn campaign_resolver(
-    grid_cache_dir: Option<PathBuf>,
-    telemetry: Telemetry,
-) -> CampaignResolver {
-    let mut cfg = fast_cfg(grid_cache_dir, ReceptorCache::default());
+pub fn campaign_resolver(receptors: ReceptorCache, telemetry: Telemetry) -> CampaignResolver {
+    let mut cfg = fast_cfg(receptors);
     cfg.dock.telemetry = telemetry;
     let catalog = InputCatalog::default();
     Arc::new(move |spec| {

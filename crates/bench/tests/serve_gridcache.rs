@@ -21,12 +21,14 @@ use cumulus::serve::{
 use cumulus::workflow::FileStore;
 use cumulus::{Backend, LocalBackend, LocalConfig, Workflow};
 use provenance::{export_provn_canonical_for, ProvenanceStore};
-use scidock::{build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, SciDockConfig};
+use scidock::{
+    build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, ReceptorCache, SciDockConfig,
+};
 use telemetry::Telemetry;
 
-/// The fast integration-test search budget, pointed at `cache_dir` and
-/// wired to `tel` so the cache counters are observable. Each call makes a
-/// fresh receptor tier; clones of the returned config share it.
+/// The fast integration-test search budget, on a fresh receptor tier over
+/// `cache_dir` and wired to `tel` so the cache counters are observable;
+/// clones of the returned config share the tier.
 fn campaign_cfg(tel: &Telemetry, cache_dir: &std::path::Path) -> SciDockConfig {
     SciDockConfig {
         dock: docking::engine::DockConfig {
@@ -39,7 +41,7 @@ fn campaign_cfg(tel: &Telemetry, cache_dir: &std::path::Path) -> SciDockConfig {
             ..Default::default()
         },
         hg_rule: true,
-        grid_cache_dir: Some(cache_dir.to_path_buf()),
+        receptors: ReceptorCache::on_disk(cache_dir),
         ..Default::default()
     }
 }
@@ -192,17 +194,31 @@ fn campaigns_share_one_receptor_tier_and_a_new_daemon_loads_from_disk() {
     assert_eq!(built, 0, "the new daemon must build ZERO new grid maps");
 
     // PROV-N parity: every campaign == a one-shot cold-cache local run with
-    // telemetry off; neither the cache nor its metrics are visible to
-    // provenance
+    // telemetry off, and == a second one-shot run on a fresh tier over the
+    // same directory (a disk hit); neither the cache nor its metrics are
+    // visible to provenance, and neither run's store holds cache entries
     let solo_dir =
         std::env::temp_dir().join(format!("scidock-serve-gridcache-solo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&solo_dir);
-    let solo_prov = Arc::new(ProvenanceStore::new());
-    let solo_cfg = campaign_cfg(&Telemetry::disabled(), &solo_dir);
-    LocalBackend::new(LocalConfig::new().with_threads(2))
-        .run(&scidock_workflow(&solo_cfg), &solo_prov)
-        .expect("one-shot run");
-    let solo = exports(&solo_prov).pop().expect("one-shot workflow recorded");
+    let one_shot = |tel: &Telemetry| {
+        let prov = Arc::new(ProvenanceStore::new());
+        let wf = scidock_workflow(&campaign_cfg(tel, &solo_dir));
+        LocalBackend::new(LocalConfig::new().with_threads(2))
+            .run(&wf, &prov)
+            .expect("one-shot run");
+        assert!(!wf.files.is_empty());
+        assert_eq!(wf.files.list("/gridcache/"), Vec::<String>::new(), "cache traffic staged");
+        exports(&prov).pop().expect("one-shot workflow recorded")
+    };
+    let solo = one_shot(&Telemetry::disabled());
+    // the cold run, telemetry off, built and persisted the entry: the
+    // second run loads it
+    let tel3 = Telemetry::attached();
+    let again = one_shot(&tel3);
+    let snap = tel3.snapshot().expect("attached");
+    let persist = ["gridcache.persist.hit", "gridcache.persist.miss"].map(|n| snap.counter(n));
+    assert_eq!(persist, [Some(1), None], "a disk hit");
+    assert_eq!(again, solo);
     let served: Vec<String> = exports(&prov).into_iter().chain(exports(&prov2)).collect();
     assert_eq!(served.len(), 4, "four campaigns recorded");
     for (i, export) in served.iter().enumerate() {
@@ -230,7 +246,7 @@ fn shipped_resolver_pays_once_per_receptor_whatever_the_campaign_count() {
                 .with_max_active(4)
                 .with_max_pending(campaigns)
                 .with_telemetry(tel.clone()),
-            scidock_bench::distspec::campaign_resolver(Some(dir.clone()), tel.clone()),
+            scidock_bench::distspec::campaign_resolver(ReceptorCache::on_disk(&dir), tel.clone()),
             Arc::new(ProvenanceStore::new()),
         )
         .expect("daemon starts");

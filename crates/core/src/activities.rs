@@ -61,12 +61,10 @@ pub struct SciDockConfig {
     /// every docked tuple, ranks by FEB, and writes `ranking.txt` (the
     /// §V.D "top interactions" analysis as a workflow step).
     pub with_ranking: bool,
-    /// Directory for the persistent cross-campaign grid cache; `None`
-    /// keeps grids in memory only.
-    pub grid_cache_dir: Option<std::path::PathBuf>,
-    /// The memory tier every workflow built from this config shares:
-    /// `Default` is a fresh private tier, `Clone` shares it. Not a knob —
-    /// a process that outlives campaigns creates one and hands it to each.
+    /// The receptor tier every workflow built from this config shares, with
+    /// its grid directory if it has one: `Default` is a fresh private tier
+    /// with none, `Clone` shares it. Not a knob — a process that outlives
+    /// campaigns creates one and hands it to each.
     pub receptors: ReceptorCache,
 }
 
@@ -89,7 +87,6 @@ impl Default for SciDockConfig {
             expdir: "/root/exp_SciDock".to_string(),
             hg_rule: true,
             with_ranking: false,
-            grid_cache_dir: None,
             receptors: ReceptorCache::default(),
         }
     }
@@ -118,12 +115,6 @@ fn int(t: &[Value], i: usize) -> Result<i64, ActivityError> {
 /// engine column). `files` is the shared store the workflow will run
 /// against; the Hg blacklist rule inspects staged receptor files through it.
 pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore>) -> WorkflowDef {
-    // this campaign's view of the tier `cfg` carries
-    let cache = Arc::new(GridCache::view(
-        cfg.receptors.clone(),
-        cfg.grid_cache_dir.clone(),
-        Arc::clone(&files),
-    ));
     let cfga = Arc::new(cfg.clone());
 
     // -- activity 1: babel (SDF -> MOL2) ------------------------------------
@@ -208,7 +199,6 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
     });
 
     // -- activity 5: AutoGrid map generation ---------------------------------
-    let cache5 = Arc::clone(&cache);
     let cfg5 = Arc::clone(&cfga);
     let a5: ActivityFn = Arc::new(move |tuples, ctx| {
         let t = &tuples[0];
@@ -218,7 +208,8 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
         cfg5.receptors.ligand(&lig_text, &cfg5.dock.telemetry)?;
         let rec_path = text(t, 3)?;
         let rec_text = ctx.read_file(&rec_path)?;
-        let maps = cache5.get_or_render(&receptor, &rec_text, EngineKind::Ad4, &cfg5.dock)?;
+        let maps =
+            cfg5.receptors.get_or_render(&receptor, &rec_text, EngineKind::Ad4, &cfg5.dock)?;
         // AutoGrid's outputs: one .map file per type + e/d maps, in the real
         // AutoGrid format. Maps are per-receptor and byte-identical for every
         // ligand (the header names the receptor's .gpf, not the pair's), so
@@ -349,17 +340,14 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
     };
 
     // -- activity 8: docking execution ---------------------------------------
-    let dock_fn = |engine: EngineKind,
-                   cache: Arc<GridCache>,
-                   cfg: Arc<SciDockConfig>|
-     -> ActivityFn {
+    let dock_fn = |engine: EngineKind, cfg: Arc<SciDockConfig>| -> ActivityFn {
         Arc::new(move |tuples, ctx| {
             let t = &tuples[0];
             let (receptor, ligand) = (text(t, 0)?, text(t, 1)?);
             let lig_text = ctx.read_file(&text(t, 2)?)?;
             let lig = cfg.receptors.ligand(&lig_text, &cfg.dock.telemetry)?;
             let rec_text = ctx.read_file(&text(t, 3)?)?;
-            let grids = cache.grids(&rec_text, engine, &cfg.dock)?;
+            let grids = cfg.receptors.grids(&rec_text, engine, &cfg.dock)?;
             let mut dock_cfg = cfg.dock.clone();
             dock_cfg.seed = name_seed(&format!("{receptor}:{ligand}:{}", engine.program_name()));
             let result = dock_with_grids(&grids, &receptor, &lig, engine, &dock_cfg)
@@ -462,12 +450,8 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             );
             deps.push(vec![5]);
             activities.push(
-                Activity::map(
-                    "autodock4",
-                    &dock_cols,
-                    dock_fn(EngineKind::Ad4, Arc::clone(&cache), Arc::clone(&cfga)),
-                )
-                .with_affinity("receptor"),
+                Activity::map("autodock4", &dock_cols, dock_fn(EngineKind::Ad4, Arc::clone(&cfga)))
+                    .with_affinity("receptor"),
             );
             deps.push(vec![6]);
         }
@@ -477,12 +461,8 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             );
             deps.push(vec![5]);
             activities.push(
-                Activity::map(
-                    "vina",
-                    &dock_cols,
-                    dock_fn(EngineKind::Vina, Arc::clone(&cache), Arc::clone(&cfga)),
-                )
-                .with_affinity("receptor"),
+                Activity::map("vina", &dock_cols, dock_fn(EngineKind::Vina, Arc::clone(&cfga)))
+                    .with_affinity("receptor"),
             );
             deps.push(vec![6]);
         }
@@ -496,21 +476,13 @@ pub fn build_scidock(mode: EngineMode, cfg: &SciDockConfig, files: Arc<FileStore
             );
             deps.push(vec![5]);
             activities.push(
-                Activity::map(
-                    "autodock4",
-                    &dock_cols,
-                    dock_fn(EngineKind::Ad4, Arc::clone(&cache), Arc::clone(&cfga)),
-                )
-                .with_affinity("receptor"),
+                Activity::map("autodock4", &dock_cols, dock_fn(EngineKind::Ad4, Arc::clone(&cfga)))
+                    .with_affinity("receptor"),
             );
             deps.push(vec![6]);
             activities.push(
-                Activity::map(
-                    "vina",
-                    &dock_cols,
-                    dock_fn(EngineKind::Vina, Arc::clone(&cache), Arc::clone(&cfga)),
-                )
-                .with_affinity("receptor"),
+                Activity::map("vina", &dock_cols, dock_fn(EngineKind::Vina, Arc::clone(&cfga)))
+                    .with_affinity("receptor"),
             );
             deps.push(vec![7]);
         }
@@ -889,7 +861,7 @@ mod tests {
     fn rendered_maps_are_keyed_by_content_digest_and_receptor_name() {
         let tel = telemetry::Telemetry::attached();
         let (text, cfg) = cache_fixture(&tel);
-        let cache = GridCache::default();
+        let cache = ReceptorCache::default();
         let render = |id: &str, text: &cumulus::Blob| {
             cache.get_or_render(id, text, EngineKind::Ad4, &cfg).unwrap()
         };
@@ -917,7 +889,7 @@ mod tests {
         assert_eq!(counter("gridcache.miss"), Some(2));
         assert_eq!(counter("gridcache.maps.rendered"), Some(3));
         assert!(!Arc::ptr_eq(&other, &first));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.grid_sets(), 2);
     }
 
     /// One prepared receptor's PDBQT text plus a fast `DockConfig` bound to
@@ -949,7 +921,7 @@ mod tests {
         let (text, cfg) = cache_fixture(&tel);
 
         // cold: fresh cache over an empty dir → build + persist
-        let cold = GridCache::persistent(&dir, Arc::new(FileStore::new()));
+        let cold = ReceptorCache::on_disk(&dir);
         let built = cold.get_or_build("1HUC", &text, EngineKind::Ad4, &cfg).unwrap();
         let snap = tel.snapshot().unwrap();
         assert_eq!(snap.counter("gridcache.persist.miss"), Some(1));
@@ -958,7 +930,7 @@ mod tests {
 
         // warm: a NEW cache instance (empty memory tier) over the same dir
         // loads the entry instead of rebuilding
-        let warm = GridCache::persistent(&dir, Arc::new(FileStore::new()));
+        let warm = ReceptorCache::on_disk(&dir);
         let loaded = warm.get_or_build("1HUC", &text, EngineKind::Ad4, &cfg).unwrap();
         let snap = tel.snapshot().unwrap();
         assert_eq!(snap.counter("gridcache.persist.miss"), Some(1), "no second build");
@@ -984,16 +956,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let tel = telemetry::Telemetry::attached();
         let (text, cfg) = cache_fixture(&tel);
-        let built = GridCache::persistent(&dir, Arc::new(FileStore::new()))
-            .grids(&text, EngineKind::Ad4, &cfg)
-            .unwrap();
+        let built = ReceptorCache::on_disk(&dir).grids(&text, EngineKind::Ad4, &cfg).unwrap();
         // the entry as a build that keyed grids differently named it
         let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
         std::fs::rename(&entry, dir.join("5e636ef3bd54d040.grid")).unwrap();
 
-        let rebuilt = GridCache::persistent(&dir, Arc::new(FileStore::new()))
-            .grids(&text, EngineKind::Ad4, &cfg)
-            .unwrap();
+        let rebuilt = ReceptorCache::on_disk(&dir).grids(&text, EngineKind::Ad4, &cfg).unwrap();
         let snap = tel.snapshot().unwrap();
         assert_eq!(snap.counter("gridcache.persist.miss"), Some(2), "built again");
         assert_eq!(snap.counter("gridcache.persist.hit"), None);
@@ -1012,9 +980,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let tel = telemetry::Telemetry::attached();
         let (text, cfg) = cache_fixture(&tel);
-        let built = GridCache::persistent(&dir, Arc::new(FileStore::new()))
-            .grids(&text, EngineKind::Ad4, &cfg)
-            .unwrap();
+        let built = ReceptorCache::on_disk(&dir).grids(&text, EngineKind::Ad4, &cfg).unwrap();
         // the entry with 10¹⁵ lattice points in its header and a footer
         // that matches: only the lattice size is a lie
         let entry = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
@@ -1027,9 +993,7 @@ mod tests {
         assert!(docking::gridio::deserialize_grid_set(&crafted).is_err());
         std::fs::write(&entry, crafted).unwrap();
 
-        let rebuilt = GridCache::persistent(&dir, Arc::new(FileStore::new()))
-            .grids(&text, EngineKind::Ad4, &cfg)
-            .unwrap();
+        let rebuilt = ReceptorCache::on_disk(&dir).grids(&text, EngineKind::Ad4, &cfg).unwrap();
         let snap = tel.snapshot().unwrap();
         assert_eq!(snap.counter("gridcache.persist.miss"), Some(2), "built again");
         assert_eq!(snap.counter("gridcache.persist.hit"), None);
@@ -1058,7 +1022,7 @@ mod tests {
                     s.spawn(move || {
                         // each racer is its own campaign: private memory
                         // tier, shared on-disk dir
-                        let cache = GridCache::persistent(dir, Arc::new(FileStore::new()));
+                        let cache = ReceptorCache::on_disk(dir);
                         cache.get_or_build("1HUC", &text, EngineKind::Ad4, &cfg).unwrap()
                     })
                 })

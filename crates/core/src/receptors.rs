@@ -6,16 +6,12 @@
 //! A screening campaign is a cross product, so every receptor-side step is
 //! the same computation repeated per ligand, every ligand-side step the same
 //! computation repeated per receptor — and, on an always-on daemon, per
-//! campaign. Two types keep it to once:
-//!
-//! * [`ReceptorCache`] is the **memory tier**: a bounded, shareable handle
-//!   with an owner. Whoever outlives campaigns creates one and puts it in
-//!   every [`SciDockConfig`](crate::SciDockConfig) it resolves (`scidockd`'s
-//!   resolver, a `scidock-worker` process); a one-shot run keeps a private
-//!   one. It is never a global.
-//! * [`GridCache`] is a **view** for one campaign: the tier handle, an
-//!   optional on-disk directory (tier 2) and the campaign's [`FileStore`]
-//!   (tier 3).
+//! campaign. One type keeps it to once: [`ReceptorCache`], a bounded,
+//! shareable memory tier with an owner and, if the owner gives it one, an
+//! on-disk directory of grid sets beneath it. Whoever outlives campaigns
+//! creates one and puts it in every [`SciDockConfig`](crate::SciDockConfig)
+//! it resolves (`scidockd`'s resolver, a `scidock-worker` process); a
+//! one-shot run keeps its own. It is never a global.
 //!
 //! What is keyed by what — always content, never a path, and a name only
 //! where the output text carries it. A content's digest is the one its
@@ -48,7 +44,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -110,15 +106,22 @@ struct State {
 
 struct Tier {
     budget: u64,
+    /// Where grid sets persist as `<key>.grid` entries, if anywhere.
+    dir: Option<PathBuf>,
     state: Mutex<State>,
 }
 
-/// The memory tier: every receptor-derived value this process has computed
-/// and still holds, shared by each [`GridCache`] view and each workflow
-/// built from a config that carries this handle. `Clone` shares the tier;
-/// `Default` makes a fresh private one.
+/// Every receptor- and ligand-derived value this process has computed and
+/// still holds, shared by each workflow built from a config that carries
+/// this handle, over an optional on-disk directory of grid sets
+/// ([`ReceptorCache::on_disk`]). `Clone` shares the tier; `Default` makes a
+/// fresh private one with no directory.
 #[derive(Clone)]
 pub struct ReceptorCache(Arc<Tier>);
+
+/// The name the benchmark's layer suite still uses for [`ReceptorCache`].
+#[doc(hidden)]
+pub type GridCache = ReceptorCache;
 
 impl Default for ReceptorCache {
     fn default() -> Self {
@@ -130,6 +133,7 @@ impl fmt::Debug for ReceptorCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.0.state.lock();
         f.debug_struct("ReceptorCache")
+            .field("dir", &self.0.dir)
             .field("entries", &st.held.len())
             .field("resident_bytes", &st.resident)
             .field("budget_bytes", &self.0.budget)
@@ -162,8 +166,6 @@ pub struct PreparedLigand {
     pub torsdof: usize,
 }
 
-/// What a parsed molecule holds on the heap: its atoms, bonds and name
-/// strings.
 /// `f()`, its wall time recorded in nanoseconds into the histogram `name`.
 fn timed<T>(tel: &Telemetry, name: &str, f: impl FnOnce() -> T) -> T {
     let start = Instant::now();
@@ -174,6 +176,8 @@ fn timed<T>(tel: &Telemetry, name: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// What a parsed molecule holds on the heap: its atoms, bonds and name
+/// strings.
 fn molecule_bytes(mol: &Molecule) -> u64 {
     let names: usize = mol.atoms.iter().map(|a| a.name.capacity() + a.res_name.capacity()).sum();
     (size_of_val(&mol.atoms[..]) + size_of_val(&mol.bonds[..]) + names) as u64
@@ -190,7 +194,22 @@ struct Receptor {
 
 impl ReceptorCache {
     fn with_budget(budget: u64) -> ReceptorCache {
-        ReceptorCache(Arc::new(Tier { budget, state: Mutex::default() }))
+        ReceptorCache(Arc::new(Tier { budget, dir: None, state: Mutex::default() }))
+    }
+
+    /// A fresh tier whose grid sets also persist in `dir`, as `<key>.grid`
+    /// entries shared across runs, campaigns and the processes of one
+    /// machine.
+    pub fn on_disk(dir: impl Into<PathBuf>) -> ReceptorCache {
+        let (budget, dir) = (TIER_BUDGET_BYTES, Some(dir.into()));
+        ReceptorCache(Arc::new(Tier { budget, dir, state: Mutex::default() }))
+    }
+
+    /// [`ReceptorCache::on_disk`] under the name and arguments the
+    /// benchmark's layer suite calls; the file store is not used.
+    #[doc(hidden)]
+    pub fn persistent(dir: impl Into<PathBuf>, _files: Arc<FileStore>) -> ReceptorCache {
+        ReceptorCache::on_disk(dir)
     }
 
     /// Does the staged receptor PDB `pdb` contain mercury? One parse per
@@ -443,53 +462,6 @@ pub fn grid_key(pdbqt_digest: u64, engine: EngineKind, cfg: &DockConfig) -> u64 
     digest(&key)
 }
 
-/// Content-addressed cache of receptor grids (AutoGrid output is shared by
-/// every ligand docked against the same receptor — and, content-addressed,
-/// by every *campaign* docking the same receptor under the same knobs).
-///
-/// Keys are [`grid_key`] values over the receptor PDBQT's digest plus every
-/// map-shaping knob, so renamed or re-staged receptors still share one
-/// entry. A `GridCache` is one campaign's view of three read-through tiers:
-///
-/// 1. process memory — a [`ReceptorCache`] handle, private to this view
-///    unless one was passed to [`GridCache::view`]. Beside each grid set it
-///    keeps the set's rendered `.map` files, once per receptor *name* (the
-///    `.map` header names the receptor, so the texts are keyed by digest
-///    **and** name, never by name alone): [`GridCache::get_or_render`]
-///    formats them on first use and hands every later activation the same
-///    `Arc<str>`s, which the file store then holds by reference,
-/// 2. an optional on-disk directory (`<digest>.grid` entries, shared across
-///    runs, campaigns, and worker processes on one machine; writes use
-///    temp+rename like `provenance::durable` snapshots, so readers never see
-///    a torn entry),
-/// 3. the campaign's [`FileStore`] under `/gridcache/` — a view publishes
-///    an entry there when it builds or disk-loads it (a memory hit publishes
-///    nothing), and a read miss goes through the store's fetch hook.
-///
-/// Entries are written *directly* to tiers 2–3, never through the activation
-/// context: cache traffic must not appear as produced files in provenance
-/// (a warm-cache run stays byte-identical to a cold one).
-#[derive(Default)]
-pub struct GridCache {
-    tier: ReceptorCache,
-    persist: Option<GridCachePersist>,
-}
-
-struct GridCachePersist {
-    dir: PathBuf,
-    files: Arc<FileStore>,
-}
-
-impl GridCachePersist {
-    fn entry_path(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("{digest:016x}.grid"))
-    }
-
-    fn store_path(digest: u64) -> String {
-        format!("/gridcache/{digest:016x}.grid")
-    }
-}
-
 /// Every AD type a generated ligand can contain — cached receptor grids
 /// carry all of them so one AutoGrid run serves every ligand (exactly how
 /// the real pipeline shares maps across a screening campaign).
@@ -512,36 +484,69 @@ const LIGAND_TYPE_SUPERSET: [molkit::AdType; 12] = [
 /// collide on the same temp file (the pid separates processes).
 static GRID_TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-impl GridCache {
-    /// A cache with a private memory tier whose entries persist in `dir`
-    /// across runs and campaigns and are published to (and fetched from)
-    /// `files` under `/gridcache/`.
-    pub fn persistent(dir: impl Into<PathBuf>, files: Arc<FileStore>) -> GridCache {
-        GridCache::view(ReceptorCache::default(), Some(dir.into()), files)
-    }
+/// The on-disk entry of grid key `key` in `dir`.
+fn entry_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("{key:016x}.grid"))
+}
 
-    /// One campaign's view of an existing memory tier: entries the tier
-    /// lacks are loaded from (and built into) `dir`, when given, and
-    /// published to `files`.
-    pub fn view(tier: ReceptorCache, dir: Option<PathBuf>, files: Arc<FileStore>) -> GridCache {
-        GridCache { tier, persist: dir.map(|dir| GridCachePersist { dir, files }) }
-    }
+/// The grid set persisted under `key` in `dir`, counted by
+/// `gridcache.persist.hit` and `gridcache.persist.bytes`. A missing entry,
+/// or a corrupt, torn or malformed one (a digest mismatch, a lattice its
+/// map lines do not hold), is `None`: a rebuild, not a failed activation.
+fn load_entry(dir: &Path, key: u64, tel: &Telemetry) -> Option<GridSet> {
+    let text = std::fs::read_to_string(entry_path(dir, key)).ok()?;
+    let grids = docking::gridio::deserialize_grid_set(&text).ok()?;
+    tel.count("gridcache.persist.hit", 1);
+    tel.count("gridcache.persist.bytes", text.len() as u64);
+    Some(grids)
+}
 
+/// Atomically publish an entry on disk: write to a uniquely named temp
+/// file, then rename over the final path (the `provenance::durable`
+/// snapshot discipline). Racing writers produce identical bytes, so
+/// whichever rename lands last is as good as the first; readers only ever
+/// see a complete entry.
+fn write_entry(dir: &Path, key: u64, text: &str) {
+    if std::fs::create_dir_all(dir).is_err() {
+        return; // persistence is best-effort; the build already succeeded
+    }
+    let seq = GRID_TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let tmp = dir.join(format!("{key:016x}.grid.tmp.{}.{seq}", std::process::id()));
+    if std::fs::write(&tmp, text).is_ok() {
+        let _ = std::fs::rename(&tmp, entry_path(dir, key));
+    }
+    let _ = std::fs::remove_file(&tmp); // no-op after a successful rename
+}
+
+/// Grid sets: AutoGrid output is shared by every ligand docked against the
+/// same receptor and, keyed by [`grid_key`], by every campaign docking the
+/// same receptor content under the same knobs. A lookup reads two tiers:
+///
+/// 1. the memory tier, which beside each grid set keeps its rendered `.map`
+///    files once per receptor *name* (the header names the receptor, so the
+///    texts are keyed by key **and** name, never by name alone);
+/// 2. the on-disk directory, if the tier has one: `<key>.grid` entries,
+///    shared across runs, campaigns and worker processes on one machine.
+///
+/// Entries are written to disk directly, never through an activation's
+/// context: cache traffic must not appear as produced files in provenance
+/// (a warm-cache run stays byte-identical to a cold one).
+impl ReceptorCache {
     /// Cached grid lookup / computation. Grids are ligand-independent: the
     /// box is sized from the receptor pocket + `cfg.box_edge` and carries
     /// affinity maps for the whole ligand-type superset.
     ///
-    /// Emits `gridcache.hit` / `gridcache.miss` counters (memory tier,
-    /// whoever owns it) plus `gridcache.bytes` (resident map bytes of freshly
-    /// built sets) through `cfg.telemetry`, and builds maps with
-    /// `cfg.threads` slab workers. With a persistent tier configured, a
-    /// memory miss additionally emits `gridcache.persist.hit` (entry loaded
-    /// from disk or the shared file store), or `gridcache.persist.miss` +
-    /// `gridcache.persist.write` (built and persisted), and
-    /// `gridcache.persist.bytes` (entry bytes moved through the tier).
+    /// Emits `gridcache.hit` / `gridcache.miss` counters (memory tier) plus
+    /// `gridcache.bytes` (resident map bytes of freshly built sets) through
+    /// `cfg.telemetry`, and builds maps with `cfg.threads` slab workers. On
+    /// a tier with a directory, a memory miss additionally emits
+    /// `gridcache.persist.hit` (entry loaded from disk), or
+    /// `gridcache.persist.miss` + `gridcache.persist.write` (built and
+    /// persisted), and `gridcache.persist.bytes` (entry bytes read or
+    /// written).
     ///
     /// The text is digested here; a staged receptor goes through
-    /// [`GridCache::grids`], which reuses its blob's digest.
+    /// [`ReceptorCache::grids`], which reuses its blob's digest.
     pub fn get_or_build(
         &self,
         _receptor_id: &str,
@@ -552,7 +557,7 @@ impl GridCache {
         self.grids(&digested(receptor_pdbqt, &cfg.telemetry), engine, cfg)
     }
 
-    /// [`GridCache::get_or_build`] for a staged receptor PDBQT.
+    /// [`ReceptorCache::get_or_build`] for a staged receptor PDBQT.
     pub fn grids(
         &self,
         receptor_pdbqt: &Blob,
@@ -562,8 +567,8 @@ impl GridCache {
         Ok(self.lookup(receptor_pdbqt, engine, cfg)?.1)
     }
 
-    /// The `.map` files of the grid set [`GridCache::grids`] resolves (same
-    /// lookup, same counters, same build on a miss), rendered for
+    /// The `.map` files of the grid set [`ReceptorCache::grids`] resolves
+    /// (same lookup, same counters, same build on a miss), rendered for
     /// `receptor_id`. The texts are formatted and digested once per (grid
     /// key, receptor name) — counted by `gridcache.maps.rendered` — and every
     /// later call returns the same blobs, so staging them costs one pointer
@@ -577,18 +582,17 @@ impl GridCache {
     ) -> Result<MapFiles, ActivityError> {
         let (key, grids) = self.lookup(receptor_pdbqt, engine, cfg)?;
         let tel = &cfg.telemetry;
-        let (maps, _) =
-            self.tier.get_or_try(Key::Maps(key, receptor_id.to_string()), tel, || {
-                tel.count("gridcache.maps.rendered", 1);
-                let maps: MapFiles = timed(tel, "gridcache.render", || {
-                    docking::mapfile::render_map_files(&grids, receptor_id)
-                        .into_iter()
-                        .map(|(name, text)| (name, digested(text, tel)))
-                        .collect()
-                });
-                let bytes = maps.iter().map(|(name, text)| (name.len() + text.len()) as u64).sum();
-                Ok((maps, bytes))
-            })?;
+        let (maps, _) = self.get_or_try(Key::Maps(key, receptor_id.to_string()), tel, || {
+            tel.count("gridcache.maps.rendered", 1);
+            let maps: MapFiles = timed(tel, "gridcache.render", || {
+                docking::mapfile::render_map_files(&grids, receptor_id)
+                    .into_iter()
+                    .map(|(name, text)| (name, digested(text, tel)))
+                    .collect()
+            });
+            let bytes = maps.iter().map(|(name, text)| (name.len() + text.len()) as u64).sum();
+            Ok((maps, bytes))
+        })?;
         Ok(MapFiles::clone(&maps))
     }
 
@@ -600,10 +604,10 @@ impl GridCache {
     ) -> Result<(u64, Arc<GridSet>), ActivityError> {
         let key = grid_key(receptor_pdbqt.digest(), engine, cfg);
         let tel = &cfg.telemetry;
-        let (grids, computed) = self.tier.get_or_try(Key::Grids(key), tel, || {
+        let (grids, computed) = self.get_or_try(Key::Grids(key), tel, || {
             tel.count("gridcache.miss", 1);
-            let grids = match &self.persist {
-                Some(p) => match Self::load_persisted(p, key, cfg) {
+            let grids = match &self.0.dir {
+                Some(dir) => match load_entry(dir, key, tel) {
                     Some(grids) => grids,
                     None => {
                         tel.count("gridcache.persist.miss", 1);
@@ -612,8 +616,7 @@ impl GridCache {
                             let text = docking::gridio::serialize_grid_set(&grids);
                             tel.count("gridcache.persist.write", 1);
                             tel.count("gridcache.persist.bytes", text.len() as u64);
-                            Self::write_entry(p, key, &text);
-                            p.files.write(&GridCachePersist::store_path(key), text);
+                            write_entry(dir, key, &text);
                         });
                         grids
                     }
@@ -629,50 +632,6 @@ impl GridCache {
         Ok((key, grids))
     }
 
-    /// Try the persistent tiers (disk, then shared file store / `FileReq`
-    /// fetch). A hit back-fills whichever tier was missing.
-    fn load_persisted(p: &GridCachePersist, digest: u64, cfg: &DockConfig) -> Option<GridSet> {
-        let disk = std::fs::read_to_string(p.entry_path(digest)).ok();
-        let (text, from_disk): (Arc<str>, bool) = match disk {
-            Some(t) => (t.into(), true),
-            None => {
-                let stored = p.files.read(&GridCachePersist::store_path(digest))?;
-                (Arc::clone(stored.text()), false)
-            }
-        };
-        // a corrupt, torn or malformed entry (a digest mismatch, a lattice
-        // its map lines do not hold) falls back to a rebuild instead of
-        // failing the activation
-        let grids = docking::gridio::deserialize_grid_set(&text).ok()?;
-        cfg.telemetry.count("gridcache.persist.hit", 1);
-        cfg.telemetry.count("gridcache.persist.bytes", text.len() as u64);
-        if from_disk {
-            if !p.files.exists(&GridCachePersist::store_path(digest)) {
-                p.files.write(&GridCachePersist::store_path(digest), text);
-            }
-        } else {
-            Self::write_entry(p, digest, &text);
-        }
-        Some(grids)
-    }
-
-    /// Atomically publish an entry on disk: write to a uniquely named temp
-    /// file, then rename over the final path (the `provenance::durable`
-    /// snapshot discipline). Racing writers produce identical bytes, so
-    /// whichever rename lands last is as good as the first; readers only
-    /// ever see a complete entry.
-    fn write_entry(p: &GridCachePersist, digest: u64, text: &str) {
-        if std::fs::create_dir_all(&p.dir).is_err() {
-            return; // persistence is best-effort; the build already succeeded
-        }
-        let seq = GRID_TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = p.dir.join(format!("{digest:016x}.grid.tmp.{}.{seq}", std::process::id()));
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, p.entry_path(digest));
-        }
-        let _ = std::fs::remove_file(&tmp); // no-op after a successful rename
-    }
-
     /// Build a grid set around the tier's pocket, counted by
     /// `gridcache.bytes`.
     fn build(
@@ -683,8 +642,7 @@ impl GridCache {
     ) -> Result<GridSet, ActivityError> {
         let receptor = pdbqt::read_receptor_pdbqt(receptor_pdbqt)
             .map_err(|e| ActivityError(format!("receptor pdbqt: {e}")))?;
-        let pocket =
-            self.tier.pocket(receptor_pdbqt, &receptor, cfg.pocket_probe, &cfg.telemetry)?;
+        let pocket = self.pocket(receptor_pdbqt, &receptor, cfg.pocket_probe, &cfg.telemetry)?;
         let spec =
             docking::grid::GridSpec::with_edge(pocket.center, cfg.box_edge, cfg.grid_spacing);
         let grids = timed(&cfg.telemetry, "gridcache.fill", || {
@@ -698,16 +656,6 @@ impl GridCache {
         });
         cfg.telemetry.count("gridcache.bytes", grids.bytes());
         Ok(grids)
-    }
-
-    /// Number of grid sets resident in this view's memory tier.
-    pub fn len(&self) -> usize {
-        self.tier.grid_sets()
-    }
-
-    /// Does the memory tier hold no grid set?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -931,14 +879,14 @@ mod tests {
             ..Default::default()
         };
         let pdb = pdb_text("1HUC", &params(0.0));
-        let cache = GridCache::default();
+        let cache = ReceptorCache::default();
         let gate = Barrier::new(8);
         let got: Vec<(Arc<Prepared>, Arc<GridSet>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     s.spawn(|| {
                         gate.wait();
-                        let prepared = cache.tier.prepared(&pdb, "1HUC", &tel).unwrap();
+                        let prepared = cache.prepared(&pdb, "1HUC", &tel).unwrap();
                         let grids = cache
                             .get_or_build("1HUC", &prepared.pdbqt, EngineKind::Ad4, &cfg)
                             .unwrap();
@@ -1108,8 +1056,8 @@ mod tests {
             telemetry: tel.clone(),
             ..Default::default()
         };
-        let cache = GridCache::default();
-        let prepared = cache.tier.prepared(&pdb_text("1HUC", &params(0.0)), "1HUC", &tel).unwrap();
+        let cache = ReceptorCache::default();
+        let prepared = cache.prepared(&pdb_text("1HUC", &params(0.0)), "1HUC", &tel).unwrap();
         let ad4 = cache.grids(&prepared.pdbqt, EngineKind::Ad4, &cfg).unwrap();
         let vina = cache.grids(&prepared.pdbqt, EngineKind::Vina, &cfg).unwrap();
         assert_eq!(counter(&tel, "gridcache.miss"), 2);
@@ -1251,10 +1199,7 @@ mod tests {
         let tel = Telemetry::attached();
         let dir = std::env::temp_dir().join(format!("scidock-cold-metrics-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = SciDockConfig {
-            grid_cache_dir: Some(dir.clone()),
-            ..fast_cfg(&tel, ReceptorCache::default())
-        };
+        let cfg = fast_cfg(&tel, ReceptorCache::on_disk(&dir));
         // both engines over one tier: four grid builds, two pocket searches
         campaign(&ds, EngineMode::Ad4Only, &cfg, false);
         campaign(&ds, EngineMode::VinaOnly, &cfg, false);

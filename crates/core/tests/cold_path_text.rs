@@ -12,7 +12,7 @@ use docking::grid::GridMap;
 use docking::gridio::{fnv1a64, serialize_grid_set, GRID_CACHE_MAGIC};
 use molkit::formats::pdb;
 use scidock::dataset::{make_receptor, DatasetParams, RECEPTOR_IDS};
-use scidock::receptors::{GridCache, ReceptorCache};
+use scidock::receptors::ReceptorCache;
 use telemetry::Telemetry;
 
 /// An `SDGC1` entry with one `format!` per value.
@@ -66,17 +66,16 @@ fn map_reference(map: &GridMap, receptor: &str) -> String {
 fn entries_and_map_files_of_the_screen_receptors_equal_the_format_composition() {
     let tel = Telemetry::disabled();
     let tier = ReceptorCache::default();
-    let cache = GridCache::view(tier.clone(), None, Default::default());
     let cfg = DockConfig { grid_spacing: 1.5, box_edge: 14.0, ..Default::default() };
     let params = DatasetParams::default();
     for id in &RECEPTOR_IDS[..12] {
         let pdb_text = Blob::new(pdb::write_pdb(&make_receptor(id, &params).structure));
         let prepared = tier.prepared(&pdb_text, id, &tel).unwrap();
         for engine in [EngineKind::Ad4, EngineKind::Vina] {
-            let grids = cache.grids(&prepared.pdbqt, engine, &cfg).unwrap();
+            let grids = tier.grids(&prepared.pdbqt, engine, &cfg).unwrap();
             assert_eq!(grids.affinity.len(), 12);
             assert!(serialize_grid_set(&grids) == entry_reference(&grids), "{id} {engine:?} entry");
-            let files = cache.get_or_render(id, &prepared.pdbqt, engine, &cfg).unwrap();
+            let files = tier.get_or_render(id, &prepared.pdbqt, engine, &cfg).unwrap();
             assert_eq!(files.len(), grids.maps().count());
             for ((name, text), (label, map)) in files.iter().zip(grids.maps()) {
                 assert_eq!(name, &format!("{id}.{label}.map"));
