@@ -12,9 +12,9 @@
 //!          --metrics-addr 127.0.0.1:9464 --wal /tmp/scidockd.wal
 //! ```
 //!
-//! With `--max-workers` above `--min-workers` (the defaults are 1 and 8) a
-//! queue-depth policy grows and shrinks the fleet within those bounds;
-//! equal bounds keep a fixed fleet of `--workers`.
+//! The fleet starts at `--workers` clamped into `--min-workers` (default 1)
+//! and `--max-workers` (default 8); a queue-depth policy grows and shrinks it
+//! within them when they differ, and equal bounds keep it fixed.
 //!
 //! The daemon runs until stdin reaches EOF (pipe from `/dev/null` &
 //! background it for service use; press Ctrl-D interactively), then shuts

@@ -1,10 +1,8 @@
 //! Per-started-hour billing, as Amazon EC2 charged at the time of the
 //! paper's experiments.
 //!
-//! Extracted from [`crate::vm::Cluster::total_cost`] so that real fleet
-//! controllers (the distributed backend's cost-aware scheduler) and the
-//! simulator price a worker-hour with the *same* arithmetic — a policy
-//! validated in sim must not bill differently when it runs for real.
+//! [`crate::vm::Cluster::total_cost`] prices every simulated VM lease with
+//! it.
 
 use crate::instance::InstanceType;
 

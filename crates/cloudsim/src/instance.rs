@@ -20,14 +20,6 @@ pub struct InstanceType {
     pub boot_seconds: f64,
 }
 
-impl InstanceType {
-    /// The per-started-hour [`BillingModel`](crate::billing::BillingModel)
-    /// for this type.
-    pub fn billing(&self) -> crate::billing::BillingModel {
-        crate::billing::BillingModel::of(self)
-    }
-}
-
 /// `m3.xlarge`: 4 vCPU on Intel Xeon E5-2670 (Table 1, row 1).
 pub const M3_XLARGE: InstanceType = InstanceType {
     name: "m3.xlarge",

@@ -8,9 +8,7 @@ use cloudsim::{fleet_for_cores, FailureModel, NoiseModel, SharedFsModel};
 use cumulus::localbackend::LocalConfig;
 use cumulus::simbackend::{simulate_tasks, SimConfig, SimReport};
 use cumulus::workflow::FileStore;
-use cumulus::{
-    Backend, LocalBackend, MasterCostModel, Policy, RunReport, SchedulerFactory, Workflow,
-};
+use cumulus::{Backend, LocalBackend, MasterCostModel, RunReport, SchedulerFactory, Workflow};
 use provenance::ProvenanceStore;
 use telemetry::Telemetry;
 
@@ -96,8 +94,6 @@ pub struct SweepConfig {
     pub ligand_codes: Vec<String>,
     /// Failure model (paper: ~10% of activations fail).
     pub failures: FailureModel,
-    /// Scheduling policy.
-    pub policy: Policy,
     /// Master dispatch cost model.
     pub master: MasterCostModel,
     /// Shared FS model.
@@ -130,7 +126,6 @@ impl Default for SweepConfig {
                 fail_at_fraction: 0.6,
                 seed: 2014,
             },
-            policy: Policy::GreedyWeighted,
             master: MasterCostModel::default(),
             sharedfs: SharedFsModel::default(),
             noise: NoiseModel::default(),
@@ -160,7 +155,6 @@ pub fn simulate_at(
         .with_failures(sweep.failures)
         .with_max_retries(3)
         .with_sharedfs(sweep.sharedfs)
-        .with_policy(sweep.policy)
         .with_master(sweep.master)
         .with_hg_rule(sweep.hg_rule)
         .with_telemetry(sweep.telemetry.clone())

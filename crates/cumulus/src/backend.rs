@@ -122,9 +122,6 @@ pub struct RunReport {
     /// Largest provisioned fleet at any point in the run (the thread count
     /// for the local backend).
     pub peak_workers: usize,
-    /// Fleet bill under the policy's cost model (per-started-hour), when
-    /// the active scheduler carries one.
-    pub fleet_cost_usd: Option<f64>,
 }
 
 impl RunReport {

@@ -360,7 +360,7 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// One campaign of a directory (the run scope `scidockd` turns too) whose
 /// engine holds it with `SDW2` connections as its workers, turned on the
 /// calling thread; what is specific to a distributed run — the utilisation
-/// and billing epilogue — follows it.
+/// epilogue — follows it.
 pub fn run_dist(
     def: &WorkflowDef,
     input: Relation,
@@ -406,10 +406,7 @@ pub fn run_dist(
     let wf = Workflow { def: def.clone(), input, files };
     let mut report = dir.run_one(wf, cfg.resume_from, "master")?;
 
-    // per-worker utilisation, and the fleet bill if the policy carries a
-    // cost model (per-started-hour, like the simulator's EC2 billing)
-    let billing = dir.engine.controller.billing();
-    let mut fleet_cost = 0.0;
+    // per-worker utilisation
     for (i, (life, busy)) in dir.engine.worker_lives().enumerate() {
         let (life_s, busy_s) = (life.as_secs_f64(), busy.as_secs_f64());
         let util = if life_s > 0.0 { (busy_s / life_s).min(1.0) } else { 0.0 };
@@ -421,11 +418,7 @@ pub fn run_dist(
                 util * 100.0
             )),
         );
-        if let Some(b) = billing {
-            fleet_cost += b.charge(life_s);
-        }
     }
-    report.fleet_cost_usd = billing.map(|_| fleet_cost);
     report.metrics = dir.close();
     Ok(report)
 }

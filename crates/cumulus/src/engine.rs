@@ -38,7 +38,8 @@ use crate::algebra::{Relation, Tuple};
 use crate::dispatch::{PipelineState, SubmitReq};
 use crate::error::CumulusError;
 use crate::fleet::{
-    drain_targets, FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory, WorkerView,
+    drain_targets, least_loaded, FleetController, FleetSnapshot, ScaleDecision, SchedulerFactory,
+    WorkerView,
 };
 use crate::lifecycle::{ActOutcome, ActivityCtx, Admitted, Attempt, Exec, Settled};
 use crate::obs::{EventLog, HealthView, ObsState, Severity, WorkerHealth};
@@ -196,10 +197,6 @@ pub(crate) struct Run {
     submits: VecDeque<SubmitReq>,
     /// Admitted activations waiting for a worker slot.
     ready: VecDeque<Job>,
-    /// `submits` and `ready` together, by activity: counted as jobs enter
-    /// and leave them, so the fleet policy's per-completion look at the
-    /// backlog walks no queue.
-    queued: Vec<usize>,
     in_flight: usize,
     pub(crate) tally: ActOutcome,
     /// Terminal activations so far.
@@ -234,35 +231,13 @@ impl Run {
         self.pipe.into_outputs()
     }
 
-    /// Queue what the dispatcher submitted, for admission.
-    fn submit(&mut self, reqs: Vec<SubmitReq>) {
-        for req in reqs {
-            self.queued[req.activity] += 1;
-            self.submits.push_back(req);
-        }
-    }
-
-    /// Take the ready job at `at` for a worker slot.
-    fn take(&mut self, at: usize) -> Job {
-        let job = self.ready.remove(at).expect("a ready job's position");
-        self.queued[job.activity] -= 1;
-        job
-    }
-
-    /// Drop everything queued: the run is cancelled.
-    fn clear(&mut self) {
-        self.ready.clear();
-        self.submits.clear();
-        self.queued.fill(0);
-    }
-
     /// A terminal activation: count it and let its tuples flow downstream.
     fn finish(&mut self, activity: usize, out: ActOutcome) {
         self.tally.add(&out);
         self.done += 1;
         if !self.cancelled {
             let reqs = self.pipe.on_completion(activity, &out.tuples);
-            self.submit(reqs);
+            self.submits.extend(reqs);
         }
     }
 
@@ -274,7 +249,6 @@ impl Run {
                 self.tally.failed_attempts += 1;
                 job.attempt += 1;
                 if !self.cancelled {
-                    self.queued[job.activity] += 1;
                     self.ready.push_front(job);
                 }
             }
@@ -292,8 +266,9 @@ pub(crate) struct Engine<P: WorkerPort> {
     pub(crate) port: P,
     cfg: EngineCfg,
     sinks: Sinks,
-    /// The fleet policy, with the decisions it has taken.
-    pub(crate) controller: FleetController,
+    /// The fleet policy, with the decisions it has taken; `None`: a fixed
+    /// fleet, placed least loaded.
+    pub(crate) controller: Option<FleetController>,
     /// The live runs, in the order they were taken on.
     pub(crate) runs: Vec<Run>,
     /// Runs that finished, or were cancelled and have drained, for the owner
@@ -320,7 +295,7 @@ impl<P: WorkerPort> Engine<P> {
             port,
             cfg,
             sinks,
-            controller: scheduler.map_or_else(FleetController::fixed, FleetController::new),
+            controller: scheduler.map(FleetController::new),
             runs: Vec::new(),
             closed: Vec::new(),
             workers: Vec::new(),
@@ -354,14 +329,13 @@ impl<P: WorkerPort> Engine<P> {
         ctxs: Vec<Arc<ActivityCtx>>,
     ) {
         let (pipe, seeds) = PipelineState::new(def, input, self.sinks.tel.clone());
-        let mut run = Run {
+        self.runs.push(Run {
             id,
             tenant: tenant.to_string(),
             priority,
             pipe,
-            queued: vec![0; ctxs.len()],
             ctxs,
-            submits: VecDeque::new(),
+            submits: seeds.into(),
             ready: VecDeque::new(),
             in_flight: 0,
             tally: ActOutcome::default(),
@@ -369,9 +343,7 @@ impl<P: WorkerPort> Engine<P> {
             lat_ns: Vec::new(),
             cancelled: false,
             unseen: true,
-        };
-        run.submit(seeds);
-        self.runs.push(run);
+        });
     }
 
     /// The live run `id`.
@@ -384,7 +356,8 @@ impl<P: WorkerPort> Engine<P> {
     pub(crate) fn cancel(&mut self, id: u64) -> bool {
         let Some(run) = self.runs.iter_mut().find(|r| r.id == id) else { return false };
         run.cancelled = true;
-        run.clear();
+        run.ready.clear();
+        run.submits.clear();
         self.close_runs();
         true
     }
@@ -454,23 +427,14 @@ impl<P: WorkerPort> Engine<P> {
     /// provisioned fleet, capacity), never wall-clock state, so the
     /// simulator can reproduce the exact decision sequence.
     fn snapshot(&self) -> FleetSnapshot {
-        let n_acts = self.runs.iter().map(|r| r.queued.len()).max().unwrap_or(0);
-        let mut queued_by_activity = vec![0usize; n_acts];
-        for r in &self.runs {
-            for (total, n) in queued_by_activity.iter_mut().zip(&r.queued) {
-                *total += n;
-            }
-        }
-        let alive = || self.workers.iter().filter(|w| w.alive);
+        let alive = self.workers.iter().filter(|w| w.alive);
         FleetSnapshot {
             completions: 0, // the controller stamps its own count
-            queued: queued_by_activity.iter().sum(),
+            queued: self.runs.iter().map(|r| r.submits.len() + r.ready.len()).sum(),
             in_flight: self.workers.iter().map(|w| w.in_flight.len()).sum(),
             fleet: self.provisioned(),
-            idle: alive().filter(|w| !w.draining && w.in_flight.is_empty()).count(),
             slots_per_worker: self.port.slots(),
-            queued_by_activity,
-            stragglers: alive().flat_map(|w| &w.in_flight).filter(|f| f.straggler).count(),
+            stragglers: alive.flat_map(|w| &w.in_flight).filter(|f| f.straggler).count(),
         }
     }
 
@@ -478,9 +442,13 @@ impl<P: WorkerPort> Engine<P> {
     /// — the only place a [`ScaleDecision`] takes effect outside the
     /// simulator. `Grow` launches up to the ceiling; `Shrink` drains the
     /// workers [`drain_targets`] picks above the floor: a drained worker
-    /// finishes what it holds and retires without a `FAILED` row.
+    /// finishes what it holds and retires without a `FAILED` row. A fixed
+    /// fleet takes no snapshot.
     fn rescale(&mut self) -> Result<(), CumulusError> {
-        let (verb, sign, n) = match self.controller.evaluate(self.snapshot()) {
+        let Some(mut controller) = self.controller.take() else { return Ok(()) };
+        let decision = controller.evaluate(self.snapshot());
+        self.controller = Some(controller);
+        let (verb, sign, n) = match decision {
             ScaleDecision::Hold => return Ok(()),
             ScaleDecision::Grow(n) => {
                 let n = n.min(self.cfg.ceiling.saturating_sub(self.provisioned()));
@@ -622,10 +590,7 @@ impl<P: WorkerPort> Engine<P> {
             while let Some(req) = run.submits.pop_front() {
                 any = true;
                 match run.ctxs[req.activity].admit(&req.part) {
-                    Admitted::Settled(out) => {
-                        run.queued[req.activity] -= 1;
-                        run.finish(req.activity, out);
-                    }
+                    Admitted::Settled(out) => run.finish(req.activity, out),
                     Admitted::Run(key) => run.ready.push_back(Job {
                         activity: req.activity,
                         part_index: req.part_index,
@@ -685,7 +650,7 @@ impl<P: WorkerPort> Engine<P> {
             };
             let run = &mut self.runs[ri];
             let at = run.ready.iter().position(|j| !j.affinity.is_some_and(held)).unwrap_or(0);
-            let job = run.take(at);
+            let job = run.ready.remove(at).expect("a ready job's position");
             let ctx = Arc::clone(&run.ctxs[job.activity]);
             if ctx.hangs(&job.key, job.attempt) {
                 // the activation would loop forever: abort it here rather
@@ -696,8 +661,11 @@ impl<P: WorkerPort> Engine<P> {
             }
             run.in_flight += 1;
             let run = run.id;
-            let wi =
-                self.controller.place(job.activity, &candidates).expect("candidates is non-empty");
+            let wi = match &mut self.controller {
+                Some(c) => c.place(job.activity, &candidates),
+                None => least_loaded(&candidates),
+            };
+            let wi = wi.expect("candidates is non-empty");
             self.next_job += 1;
             let id = self.next_job;
             let sent = self.port.run(wi, id, &ctx, &job);
@@ -728,7 +696,9 @@ impl<P: WorkerPort> Engine<P> {
                 run.lat_ns.push(elapsed_ns);
                 run.settled(f.job, settled);
                 // every processed completion is a scheduler tick
-                self.controller.note_completion();
+                if let Some(c) = &mut self.controller {
+                    c.note_completion();
+                }
                 self.rescale()?;
             }
             PortEvent::Seen { worker, job } => {
@@ -1311,8 +1281,8 @@ mod tests {
         assert_eq!(e.port.ran.last(), Some(&(2, 3)));
     }
 
-    /// The per-run counts the fleet policy reads equal a full recount of
-    /// both queues after every step: admission (a blacklisted input settles
+    /// The backlog the fleet policy reads equals a full recount of both
+    /// queues after every step: admission (a blacklisted input settles
     /// there), dispatch and the affinity pick, completion, retry, worker
     /// loss and cancel.
     #[test]
@@ -1325,7 +1295,7 @@ mod tests {
                     recount[activity] += 1;
                 }
             }
-            assert_eq!(e.snapshot().queued_by_activity, recount, "step {step}");
+            assert_eq!(e.snapshot().queued, recount.iter().sum::<usize>(), "step {step}");
         }
         let ident: crate::workflow::ActivityFn = Arc::new(|p, _| Ok(p.to_vec()));
         let cols = ["receptor", "ligand"];

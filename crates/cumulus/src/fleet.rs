@@ -1,4 +1,4 @@
-//! Elastic fleet control: the [`Scheduler`] trait and its policies.
+//! Elastic fleet control: the [`Scheduler`] trait and its policy.
 //!
 //! The paper's central claim is *elastic* cloud execution — acquire workers
 //! when the activation queue backs up, drain and retire them when it
@@ -15,25 +15,14 @@
 //! same workflow. That is the point: validate a policy cheaply in the
 //! simulator, then run it unchanged against real processes.
 //!
-//! Three policies ship:
-//!
-//! * [`FixedScheduler`] — never scales; exactly the pre-elastic behavior.
-//! * [`QueueDepthScheduler`] — grow while the backlog exceeds a multiple of
-//!   fleet capacity, shrink when a smaller fleet still covers it, with
-//!   completion-count cooldown hysteresis.
-//! * [`CostAwareScheduler`] — HEFT-style: ranks remaining work with
-//!   per-activity mean durations (from provenance via
-//!   [`crate::sched::activity_profiles`]), grows only while the estimated
-//!   time-to-clear misses a target makespan *and* the fleet bill stays
-//!   under a $/hour ceiling from [`cloudsim::BillingModel`].
+//! One policy ships, [`QueueDepthScheduler`]: grow while the backlog exceeds
+//! a multiple of fleet capacity, shrink when a smaller fleet still covers
+//! it, with completion-count cooldown hysteresis. No policy is a fixed
+//! fleet: the backends then hold no [`FleetController`], take no snapshot
+//! and place every activation on the least-loaded worker.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-use cloudsim::BillingModel;
-
-use crate::workflow::WorkflowDef;
 
 /// What a [`Scheduler`] sees when asked for a scale decision.
 ///
@@ -50,13 +39,9 @@ pub struct FleetSnapshot {
     /// Provisioned workers: connected + still booting/connecting, minus
     /// any that are draining or gone.
     pub fleet: usize,
-    /// Connected workers currently running nothing.
-    pub idle: usize,
     /// Concurrent activations one worker runs (`max_in_flight` for the
     /// dist backend, cores-per-VM for the simulator).
     pub slots_per_worker: usize,
-    /// `queued` broken down by activity index (for rank-weighted policies).
-    pub queued_by_activity: Vec<usize>,
     /// In-flight activations currently flagged as stragglers (running far
     /// beyond their activity's latency baseline). Always 0 for backends
     /// without a straggler detector, which keeps decision traces identical
@@ -139,16 +124,10 @@ pub trait Scheduler: Send {
         let _ = activity;
         least_loaded(candidates)
     }
-
-    /// The price of one worker-hour, when the policy carries one. Backends
-    /// use it to bill the fleet in their run report.
-    fn billing(&self) -> Option<BillingModel> {
-        None
-    }
 }
 
 /// The default placement: least loaded, ties to the lowest index.
-fn least_loaded(candidates: &[WorkerView]) -> Option<usize> {
+pub(crate) fn least_loaded(candidates: &[WorkerView]) -> Option<usize> {
     candidates.iter().min_by_key(|w| (w.in_flight, w.index)).map(|w| w.index)
 }
 
@@ -208,11 +187,6 @@ impl FleetController {
         FleetController { sched: factory.build(), trace: Vec::new(), completions: 0 }
     }
 
-    /// A controller that never scales (the default fixed fleet).
-    pub fn fixed() -> FleetController {
-        FleetController { sched: Box::new(FixedScheduler), trace: Vec::new(), completions: 0 }
-    }
-
     /// The policy's name.
     pub fn name(&self) -> &'static str {
         self.sched.name()
@@ -257,11 +231,6 @@ impl FleetController {
         }
     }
 
-    /// The policy's billing model, if any.
-    pub fn billing(&self) -> Option<BillingModel> {
-        self.sched.billing()
-    }
-
     /// The decision trace so far.
     pub fn trace(&self) -> &[ScaleEvent] {
         &self.trace
@@ -270,20 +239,6 @@ impl FleetController {
     /// Consume the controller, yielding its decision trace.
     pub fn into_trace(self) -> Vec<ScaleEvent> {
         self.trace
-    }
-}
-
-/// Never scales: today's fixed-fleet behavior, and the default.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FixedScheduler;
-
-impl Scheduler for FixedScheduler {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn decide(&mut self, _snap: &FleetSnapshot) -> ScaleDecision {
-        ScaleDecision::Hold
     }
 }
 
@@ -370,142 +325,9 @@ impl Scheduler for QueueDepthScheduler {
     }
 }
 
-/// Tuning for [`CostAwareScheduler`].
-#[derive(Debug, Clone)]
-pub struct CostAwareConfig {
-    /// What one worker costs per started hour.
-    pub billing: BillingModel,
-    /// HEFT upward rank per activity index, in seconds (see
-    /// [`upward_ranks`]). Missing/extra indices fall back to the mean rank.
-    pub ranks: Vec<f64>,
-    /// Ceiling on the fleet's aggregate $/hour burn rate.
-    pub max_usd_per_hour: f64,
-    /// Grow while the estimated time-to-clear exceeds this many seconds.
-    pub target_seconds: f64,
-    /// Completion events between scale decisions.
-    pub cooldown: usize,
-    /// Never shrink below this many workers.
-    pub min_workers: usize,
-}
-
-impl CostAwareConfig {
-    /// A config billing at `billing` with HEFT `ranks`, a burn ceiling and
-    /// a target time-to-clear.
-    pub fn new(billing: BillingModel, ranks: Vec<f64>) -> CostAwareConfig {
-        CostAwareConfig {
-            billing,
-            ranks,
-            max_usd_per_hour: 2.0,
-            target_seconds: 60.0,
-            cooldown: 2,
-            min_workers: 1,
-        }
-    }
-}
-
-/// HEFT-style cost-aware autoscaling.
-///
-/// Estimates remaining work as `Σ queued_by_activity[a] × rank[a]` (upward
-/// ranks weight an activation by everything still downstream of it), turns
-/// that into a time-to-clear for the current fleet, and grows only while
-/// that estimate misses `target_seconds` *and* one more worker keeps the
-/// aggregate burn rate under `max_usd_per_hour`. Shrinks as soon as a
-/// smaller fleet still meets the target — with per-started-hour billing,
-/// an idle worker retired early is pure savings.
-#[derive(Debug, Clone)]
-pub struct CostAwareScheduler {
-    cfg: CostAwareConfig,
-    last_scale: Option<usize>,
-}
-
-impl CostAwareScheduler {
-    /// A scheduler with the given tuning.
-    pub fn new(cfg: CostAwareConfig) -> CostAwareScheduler {
-        CostAwareScheduler { cfg, last_scale: None }
-    }
-
-    fn remaining_seconds(&self, snap: &FleetSnapshot) -> f64 {
-        let mean = if self.cfg.ranks.is_empty() {
-            1.0
-        } else {
-            self.cfg.ranks.iter().sum::<f64>() / self.cfg.ranks.len() as f64
-        };
-        let rank = |a: usize| self.cfg.ranks.get(a).copied().unwrap_or(mean).max(0.0);
-        let queued: f64 =
-            snap.queued_by_activity.iter().enumerate().map(|(a, &n)| n as f64 * rank(a)).sum();
-        // In-flight work is already placed; assume half of a mean rank
-        // remains on each (we cannot see per-activation progress). A
-        // straggler has blown its baseline, so charge it a full extra rank.
-        queued + snap.in_flight as f64 * mean * 0.5 + snap.stragglers as f64 * mean
-    }
-}
-
-impl Scheduler for CostAwareScheduler {
-    fn name(&self) -> &'static str {
-        "cost-aware"
-    }
-
-    fn decide(&mut self, snap: &FleetSnapshot) -> ScaleDecision {
-        if matches!(self.last_scale, Some(at) if snap.completions < at + self.cfg.cooldown) {
-            return ScaleDecision::Hold;
-        }
-        let slots = snap.slots_per_worker.max(1);
-        let work_s = self.remaining_seconds(snap);
-        let affordable = (self.cfg.max_usd_per_hour / self.cfg.billing.hourly_usd).floor() as usize;
-        let max_fleet = affordable.max(self.cfg.min_workers);
-        let eta = |fleet: usize| work_s / (fleet.max(1) * slots) as f64;
-        if eta(snap.fleet) > self.cfg.target_seconds && snap.fleet < max_fleet {
-            self.last_scale = Some(snap.completions);
-            return ScaleDecision::Grow(1);
-        }
-        if snap.fleet > self.cfg.min_workers && eta(snap.fleet - 1) <= self.cfg.target_seconds {
-            let mut needed = snap.fleet - 1;
-            while needed > self.cfg.min_workers && eta(needed - 1) <= self.cfg.target_seconds {
-                needed -= 1;
-            }
-            self.last_scale = Some(snap.completions);
-            return ScaleDecision::Shrink(snap.fleet - needed);
-        }
-        ScaleDecision::Hold
-    }
-
-    fn billing(&self) -> Option<BillingModel> {
-        Some(self.cfg.billing)
-    }
-}
-
-/// HEFT upward ranks for a workflow: `rank(i) = mean_duration(i) + max`
-/// over successors' ranks, so an activation's rank is the critical-path
-/// time from its start to workflow completion.
-///
-/// `profile` maps activity tags to mean durations in seconds — typically
-/// [`crate::sched::activity_profiles`] over a prior run's provenance.
-/// Activities without a profile entry count 1.0 s.
-pub fn upward_ranks(def: &WorkflowDef, profile: &HashMap<String, f64>) -> Vec<f64> {
-    let n = def.activities.len();
-    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, ups) in def.deps.iter().enumerate() {
-        for &u in ups {
-            if u < n {
-                successors[u].push(i);
-            }
-        }
-    }
-    // Activities are topologically ordered (validated), so one reverse
-    // sweep settles every rank.
-    let mut ranks = vec![0.0f64; n];
-    for i in (0..n).rev() {
-        let mean = profile.get(&def.activities[i].tag).copied().unwrap_or(1.0);
-        let down = successors[i].iter().map(|&s| ranks[s]).fold(0.0f64, f64::max);
-        ranks[i] = mean + down;
-    }
-    ranks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::Activity;
 
     fn snap(queued: usize, in_flight: usize, fleet: usize, slots: usize) -> FleetSnapshot {
         FleetSnapshot {
@@ -513,23 +335,14 @@ mod tests {
             queued,
             in_flight,
             fleet,
-            idle: 0,
             slots_per_worker: slots,
-            queued_by_activity: vec![queued],
             stragglers: 0,
         }
     }
 
     #[test]
-    fn fixed_always_holds() {
-        let mut s = FixedScheduler;
-        assert_eq!(s.decide(&snap(1000, 4, 1, 1)), ScaleDecision::Hold);
-        assert_eq!(s.decide(&snap(0, 0, 8, 4)), ScaleDecision::Hold);
-    }
-
-    #[test]
     fn default_placement_is_least_loaded_lowest_index() {
-        let mut s = FixedScheduler;
+        let mut s = QueueDepthScheduler::new(QueueDepthConfig::default());
         let cands = [
             WorkerView { index: 0, in_flight: 2 },
             WorkerView { index: 1, in_flight: 1 },
@@ -607,41 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_grows_until_the_budget_ceiling() {
-        // $0.50/worker-hour, $1.00 ceiling → at most 2 workers.
-        let cfg = CostAwareConfig {
-            billing: BillingModel::per_hour(0.50),
-            ranks: vec![10.0],
-            max_usd_per_hour: 1.00,
-            target_seconds: 5.0,
-            cooldown: 0,
-            min_workers: 1,
-        };
-        let mut s = CostAwareScheduler::new(cfg);
-        // 4 queued × 10 s = 40 s of work ≫ 5 s target
-        let mut sn = snap(4, 0, 1, 1);
-        assert_eq!(s.decide(&sn), ScaleDecision::Grow(1));
-        sn.fleet = 2;
-        assert_eq!(s.decide(&sn), ScaleDecision::Hold, "ceiling caps the fleet at 2");
-        assert_eq!(s.billing(), Some(BillingModel::per_hour(0.50)));
-    }
-
-    #[test]
-    fn cost_aware_retires_workers_the_target_no_longer_needs() {
-        let cfg = CostAwareConfig {
-            billing: BillingModel::per_hour(0.10),
-            ranks: vec![1.0],
-            max_usd_per_hour: 1.00,
-            target_seconds: 60.0,
-            cooldown: 0,
-            min_workers: 1,
-        };
-        let mut s = CostAwareScheduler::new(cfg);
-        // 3 queued × 1 s on 4 workers: one worker clears it in 3 s ≤ 60 s
-        assert_eq!(s.decide(&snap(3, 0, 4, 1)), ScaleDecision::Shrink(3));
-    }
-
-    #[test]
     fn controller_records_only_non_hold_decisions() {
         let factory = SchedulerFactory::new(|| {
             Box::new(QueueDepthScheduler::new(QueueDepthConfig {
@@ -670,7 +448,10 @@ mod tests {
 
     #[test]
     fn controller_overrides_snapshot_completions() {
-        let mut c = FleetController::fixed();
+        let factory = SchedulerFactory::new(|| {
+            Box::new(QueueDepthScheduler::new(QueueDepthConfig::default()))
+        });
+        let mut c = FleetController::new(&factory);
         c.note_completion();
         c.note_completion();
         let mut sn = snap(1, 0, 1, 1);
@@ -678,40 +459,6 @@ mod tests {
         c.evaluate(sn);
         assert_eq!(c.completions(), 2);
         assert!(c.trace().is_empty());
-        assert_eq!(c.name(), "fixed");
-        assert!(c.billing().is_none());
-    }
-
-    fn chain_def() -> WorkflowDef {
-        // a → b → c, a also → c (diamond-ish)
-        let act = |tag: &str| {
-            Activity::map(tag, &["x"], Arc::new(|tuples: &[_], _ctx: &mut _| Ok(tuples.to_vec())))
-        };
-        WorkflowDef {
-            tag: "ranks".into(),
-            description: String::new(),
-            expdir: "/exp/ranks".into(),
-            activities: vec![act("a"), act("b"), act("c")],
-            deps: vec![vec![], vec![0], vec![0, 1]],
-        }
-    }
-
-    #[test]
-    fn upward_ranks_accumulate_downstream_critical_path() {
-        let def = chain_def();
-        let mut profile = HashMap::new();
-        profile.insert("a".to_string(), 2.0);
-        profile.insert("b".to_string(), 3.0);
-        profile.insert("c".to_string(), 5.0);
-        let ranks = upward_ranks(&def, &profile);
-        // c: 5; b: 3 + 5 = 8; a: 2 + max(8, 5) = 10
-        assert_eq!(ranks, vec![10.0, 8.0, 5.0]);
-    }
-
-    #[test]
-    fn upward_ranks_default_unprofiled_activities_to_one_second() {
-        let def = chain_def();
-        let ranks = upward_ranks(&def, &HashMap::new());
-        assert_eq!(ranks, vec![3.0, 2.0, 1.0]);
+        assert_eq!(c.name(), "queue-depth");
     }
 }

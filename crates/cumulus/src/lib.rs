@@ -15,11 +15,11 @@
 //! * [`distbackend`] — one workflow across worker processes speaking the
 //!   `SDW2` frame protocol: backpressure, heartbeats, hang and straggler
 //!   detection, reassignment of a lost worker's activations;
-//! * [`sched`] — the weighted greedy scheduler and its master cost model;
+//! * [`sched`] — the weighted greedy ready queue and the master cost model;
 //! * [`fleet`] — the elastic fleet layer: the [`Scheduler`]
 //!   trait (placement + scale decisions, separated from resource
-//!   bookkeeping) with fixed, queue-depth, and cost-aware policies, driven
-//!   identically by the distributed backend and the simulator;
+//!   bookkeeping) with the queue-depth policy, driven identically by the
+//!   distributed backend and the simulator; no policy is a fixed fleet;
 //! * [`obs`] — the live observability plane: structured event log, fleet
 //!   health view, and a std-only HTTP endpoint serving Prometheus text
 //!   exposition, snapshot JSON, health and events mid-run;
@@ -76,12 +76,12 @@ pub use backend::{
 pub use distbackend::{run_dist, DistConfig, KillPlan};
 pub use error::CumulusError;
 pub use fleet::{
-    upward_ranks, CostAwareConfig, CostAwareScheduler, FixedScheduler, FleetSnapshot,
-    QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent, Scheduler, SchedulerFactory,
+    FleetSnapshot, QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent, Scheduler,
+    SchedulerFactory,
 };
 pub use localbackend::LocalConfig;
 pub use obs::{BoundAddr, EventLog, HealthView, ObsEvent, Severity};
-pub use sched::{MasterCostModel, Policy};
+pub use sched::MasterCostModel;
 pub use serve::{
     CampaignResolver, CampaignState, CampaignStatus, Daemon, ServeClient, ServeConfig,
     SubmitOutcome,

@@ -1,4 +1,4 @@
-//! Scheduling policies and the master's cost model.
+//! The weighted greedy ready queue and the master's cost model.
 //!
 //! SciCumulus uses "a native weighted cost model associated with a greedy
 //! scheduling algorithm" (§V.C): long activations go to powerful VMs, and
@@ -6,21 +6,8 @@
 //! of VMs — the source of the efficiency decline from 32 to 128 cores
 //! (Fig. 9).
 
-use std::collections::VecDeque;
-
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
-
-/// Scheduling policy (greedy is the paper's; the others are ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Weighted greedy: heaviest ready task first, fastest slot first.
-    GreedyWeighted,
-    /// FIFO round-robin.
-    RoundRobin,
-    /// Uniformly random ready task.
-    Random,
-}
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A ready task as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,16 +18,15 @@ pub struct ReadyTask {
     pub weight: f64,
 }
 
-/// The ready queue, ordered per policy.
+/// The ready queue of the paper's greedy pick: heaviest task first, ties in
+/// push order.
 ///
-/// Greedy uses a max-heap so `pop` is O(log n) — the *modeled* planning cost
-/// (the paper's growing scheduling overhead) is charged separately by
+/// A max-heap, so `pop` is O(log n) — the *modeled* planning cost (the
+/// paper's growing scheduling overhead) is charged separately by
 /// [`MasterCostModel`]; the simulator itself must stay fast at 10⁵ tasks.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReadyQueue {
-    policy: Policy,
-    fifo: VecDeque<ReadyTask>,
-    heap: std::collections::BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<HeapEntry>,
     seq: u64,
 }
 
@@ -54,78 +40,51 @@ struct HeapEntry {
 impl Eq for HeapEntry {}
 
 impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         // max-heap by weight; FIFO (lower seq first) on ties
         self.weight.total_cmp(&other.weight).then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
 impl ReadyQueue {
-    /// Empty queue with the given policy.
-    pub fn new(policy: Policy) -> ReadyQueue {
-        ReadyQueue {
-            policy,
-            fifo: VecDeque::new(),
-            heap: std::collections::BinaryHeap::new(),
-            seq: 0,
-        }
+    /// Empty queue.
+    pub fn new() -> ReadyQueue {
+        ReadyQueue::default()
     }
 
     /// Add a ready task.
     ///
     /// Weights are estimates and can be garbage (a cold profile divides by
     /// zero, a bad cost row goes negative). `total_cmp` sorts NaN above
-    /// +inf, so a single NaN entry would sit at the top of the greedy heap
-    /// and also poison tie-breaking below it — sanitize here instead of
+    /// +inf, so a single NaN entry would sit at the top of the heap and
+    /// also poison tie-breaking below it — sanitize here instead of
     /// trusting every producer.
     pub fn push(&mut self, t: ReadyTask) {
         let weight = if t.weight.is_nan() { 0.0 } else { t.weight.max(0.0) };
-        match self.policy {
-            Policy::GreedyWeighted => {
-                let seq = self.seq;
-                self.seq += 1;
-                self.heap.push(HeapEntry { weight, seq, task: t.task });
-            }
-            _ => self.fifo.push_back(ReadyTask { task: t.task, weight }),
-        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(HeapEntry { weight, seq, task: t.task });
     }
 
-    /// Remove and return the next task per policy.
-    pub fn pop(&mut self, rng: &mut ChaCha8Rng) -> Option<ReadyTask> {
-        match self.policy {
-            Policy::RoundRobin => self.fifo.pop_front(),
-            Policy::GreedyWeighted => {
-                self.heap.pop().map(|e| ReadyTask { task: e.task, weight: e.weight })
-            }
-            Policy::Random => {
-                if self.fifo.is_empty() {
-                    return None;
-                }
-                // swap the pick to the back and pop: O(1) instead of the
-                // O(n) shift `VecDeque::remove` does. Random order anyway,
-                // so the shuffle it causes is free.
-                let i = rng.gen_range(0..self.fifo.len());
-                let last = self.fifo.len() - 1;
-                self.fifo.swap(i, last);
-                self.fifo.pop_back()
-            }
-        }
+    /// Remove and return the heaviest task, the earliest pushed of equals.
+    pub fn pop(&mut self) -> Option<ReadyTask> {
+        self.heap.pop().map(|e| ReadyTask { task: e.task, weight: e.weight })
     }
 
     /// Number of ready tasks.
     pub fn len(&self) -> usize {
-        self.fifo.len() + self.heap.len()
+        self.heap.len()
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -199,14 +158,9 @@ pub fn activity_profiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(1)
-    }
-
-    fn q(policy: Policy) -> ReadyQueue {
-        let mut q = ReadyQueue::new(policy);
+    fn q() -> ReadyQueue {
+        let mut q = ReadyQueue::new();
         q.push(ReadyTask { task: 0, weight: 5.0 });
         q.push(ReadyTask { task: 1, weight: 50.0 });
         q.push(ReadyTask { task: 2, weight: 20.0 });
@@ -215,78 +169,32 @@ mod tests {
 
     #[test]
     fn greedy_pops_heaviest_first() {
-        let mut queue = q(Policy::GreedyWeighted);
-        let mut r = rng();
-        assert_eq!(queue.pop(&mut r).unwrap().task, 1);
-        assert_eq!(queue.pop(&mut r).unwrap().task, 2);
-        assert_eq!(queue.pop(&mut r).unwrap().task, 0);
-        assert!(queue.pop(&mut r).is_none());
-    }
-
-    #[test]
-    fn round_robin_is_fifo() {
-        let mut queue = q(Policy::RoundRobin);
-        let mut r = rng();
-        let order: Vec<usize> = std::iter::from_fn(|| queue.pop(&mut r)).map(|t| t.task).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn random_pops_everything_once() {
-        let mut queue = q(Policy::Random);
-        let mut r = rng();
-        let mut order: Vec<usize> =
-            std::iter::from_fn(|| queue.pop(&mut r)).map(|t| t.task).collect();
-        order.sort_unstable();
-        assert_eq!(order, vec![0, 1, 2]);
+        let mut queue = q();
+        assert_eq!(queue.pop().unwrap().task, 1);
+        assert_eq!(queue.pop().unwrap().task, 2);
+        assert_eq!(queue.pop().unwrap().task, 0);
+        assert!(queue.pop().is_none());
     }
 
     #[test]
     fn nan_weight_does_not_hijack_greedy_order() {
-        let mut queue = ReadyQueue::new(Policy::GreedyWeighted);
+        let mut queue = ReadyQueue::new();
         queue.push(ReadyTask { task: 0, weight: f64::NAN });
         queue.push(ReadyTask { task: 1, weight: 50.0 });
         queue.push(ReadyTask { task: 2, weight: -3.0 });
         queue.push(ReadyTask { task: 3, weight: 20.0 });
-        let mut r = rng();
         // NaN and negative weights clamp to 0.0 and sink to the bottom
         // (FIFO among themselves), instead of NaN sorting above +inf.
-        let order: Vec<usize> = std::iter::from_fn(|| queue.pop(&mut r)).map(|t| t.task).collect();
+        let order: Vec<usize> = std::iter::from_fn(|| queue.pop()).map(|t| t.task).collect();
         assert_eq!(order, vec![1, 3, 0, 2]);
     }
 
     #[test]
-    fn nan_weight_sanitized_in_fifo_policies_too() {
-        let mut queue = ReadyQueue::new(Policy::RoundRobin);
-        queue.push(ReadyTask { task: 0, weight: f64::NAN });
-        let mut r = rng();
-        assert_eq!(queue.pop(&mut r).unwrap().weight, 0.0);
-    }
-
-    #[test]
-    fn random_pop_uniform_over_large_queue() {
-        // also a smoke test that swap-based removal keeps every element
-        // reachable; with the old O(n) remove this test still passed but
-        // took quadratic time at scale
-        let mut queue = ReadyQueue::new(Policy::Random);
-        for task in 0..500 {
-            queue.push(ReadyTask { task, weight: 1.0 });
-        }
-        let mut r = rng();
-        let mut order: Vec<usize> =
-            std::iter::from_fn(|| queue.pop(&mut r)).map(|t| t.task).collect();
-        assert_ne!(order[..10], (0..10).collect::<Vec<_>>()[..]);
-        order.sort_unstable();
-        assert_eq!(order, (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn queue_len_tracking() {
-        let mut queue = q(Policy::GreedyWeighted);
+        let mut queue = q();
         assert_eq!(queue.len(), 3);
         assert!(!queue.is_empty());
-        let mut r = rng();
-        queue.pop(&mut r);
+        queue.pop();
         assert_eq!(queue.len(), 2);
     }
 

@@ -427,7 +427,10 @@ impl Daemon {
         let addr = listener.local_addr()?;
 
         let fleet = EngineCfg::threads(cfg.min_workers.max(1), cfg.max_workers);
-        let (workers, tel) = (cfg.workers.max(1), cfg.telemetry.clone());
+        // the fleet starts within its bounds; `max` then `min` rather than
+        // `clamp`, which panics on bounds set the wrong way round
+        let workers = cfg.workers.max(cfg.min_workers).min(cfg.max_workers).max(1);
+        let tel = cfg.telemetry.clone();
         let port = |_: &Telemetry, tx| Ok(ThreadPort::new(tx, &tel, "scidockd-worker"));
         let mut directory = Directory::new(cfg, resolver, Arc::clone(&prov), fleet, port)
             .map_err(std::io::Error::other)?;
@@ -844,9 +847,12 @@ impl<P: WorkerPort> Directory<P> {
             resumed: t.resumed,
             outputs,
             metrics: None,
-            scale_events: self.engine.controller.trace().to_vec(),
+            scale_events: self
+                .engine
+                .controller
+                .as_ref()
+                .map_or_else(Vec::new, |c| c.trace().to_vec()),
             peak_workers: self.engine.peak_workers,
-            fleet_cost_usd: None,
         })
     }
 
@@ -1168,6 +1174,19 @@ mod tests {
         ev[at..end].parse().unwrap_or_else(|_| panic!("{key} of {ev}"))
     }
 
+    /// Submit `spec` as tenant `t` and wait until it has finished.
+    fn run_to_finish(client: &mut ServeClient, spec: &str) -> u64 {
+        let SubmitOutcome::Accepted { id } = client.submit("t", 0, spec).expect("submit io") else {
+            panic!("campaign must be admitted")
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while client.status(id).expect("status io").state != CampaignState::Finished {
+            assert!(Instant::now() < deadline, "campaign never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        id
+    }
+
     /// On the thread port `begin` → execute → `settle` run on the worker
     /// threads: every `activation` span — which encloses `settle` — is on a
     /// `scidockd-worker-*` track, none on the engine thread's, and two slow
@@ -1199,15 +1218,7 @@ mod tests {
         )
         .expect("daemon starts");
         let mut client = ServeClient::connect(daemon.addr()).expect("connect");
-        let SubmitOutcome::Accepted { id } = client.submit("t", 0, "slow").expect("submit io")
-        else {
-            panic!("campaign must be admitted")
-        };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while client.status(id).expect("status io").state != CampaignState::Finished {
-            assert!(Instant::now() < deadline, "campaign never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        run_to_finish(&mut client, "slow");
         daemon.shutdown();
 
         let trace = tel.export_chrome_trace().expect("attached");
@@ -1259,6 +1270,23 @@ mod tests {
         Workflow::new(def, input)
     }
 
+    /// Five workers asked for under a ceiling of three start three.
+    #[test]
+    fn the_initial_fleet_starts_within_the_worker_bounds() {
+        let tel = Telemetry::attached();
+        let cfg =
+            ServeConfig::new().with_workers(5).with_worker_bounds(1, 3).with_telemetry(tel.clone());
+        let resolver: CampaignResolver = Arc::new(|_| Some(sleeper(3, 0)));
+        let daemon =
+            Daemon::start(cfg, resolver, Arc::new(ProvenanceStore::new())).expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        run_to_finish(&mut client, "quick");
+        let snap = tel.snapshot().expect("attached");
+        daemon.shutdown();
+        let fleet = snap.gauge("fleet.size").and_then(|g| g.samples.last()).map(|s| s.1);
+        assert_eq!(fleet, Some(3.0));
+    }
+
     /// With the engine thread held inside a second `Submit` (its resolver
     /// parks on a channel), another connection's `Status` and `Results` of a
     /// finished campaign still answer within 100 ms; released, the parked
@@ -1283,15 +1311,7 @@ mod tests {
         )
         .expect("daemon starts");
         let mut client = ServeClient::connect(daemon.addr()).expect("connect");
-        let SubmitOutcome::Accepted { id } = client.submit("t", 0, "quick").expect("submit io")
-        else {
-            panic!("campaign must be admitted")
-        };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while client.status(id).expect("status io").state != CampaignState::Finished {
-            assert!(Instant::now() < deadline, "campaign never finished");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let id = run_to_finish(&mut client, "quick");
 
         let addr = daemon.addr();
         let parked_submit = std::thread::spawn(move || {

@@ -7,17 +7,16 @@
 //! virtualization noise, shared-filesystem staging, ~10% activation
 //! failures with re-execution, hang detection, poison-input blacklisting,
 //! serialized master dispatch whose planning cost grows with queue × VMs
-//! (§V.C's weighted cost model with its greedy pick), and an elastic fleet
-//! under a [`crate::fleet::Scheduler`] policy.
+//! (§V.C's weighted cost model with its greedy pick: the heaviest ready
+//! task on the fastest free VM), and an elastic fleet under a
+//! [`crate::fleet::Scheduler`] policy.
 //!
 //! It is a cost model, not a backend: it runs no activity and moves no
 //! data, and it keeps its own event loop rather than driving the engine.
 //! What it shares with the engine is the fleet layer — the same policy
 //! objects, snapshot shape and drain rule ([`crate::fleet`]) — so a policy
-//! takes the same decisions here as on real workers.
-
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+//! takes the same decisions here as on real workers. Without a policy the
+//! fleet is fixed and no snapshot is taken.
 
 use cloudsim::{
     sim_ns, Cluster, EventQueue, FailureModel, Fate, InstanceType, NoiseModel, SharedFsModel,
@@ -32,7 +31,7 @@ use crate::fleet::{
     drain_targets, FleetController, FleetSnapshot, ScaleDecision, ScaleEvent, SchedulerFactory,
 };
 use crate::obs::{EventLog, Severity};
-use crate::sched::{MasterCostModel, Policy, ReadyQueue, ReadyTask};
+use crate::sched::{MasterCostModel, ReadyQueue, ReadyTask};
 
 /// The hang detector aborts a hanging activation after this many times its
 /// runtime on the VM it landed on.
@@ -79,8 +78,6 @@ pub struct SimConfig {
     pub max_retries: u32,
     /// Shared-filesystem model.
     pub sharedfs: SharedFsModel,
-    /// Scheduling policy.
-    pub policy: Policy,
     /// Master dispatch cost model.
     pub master: MasterCostModel,
     /// Elastic fleet policy — the same [`crate::fleet::Scheduler`] the
@@ -122,7 +119,6 @@ impl Default for SimConfig {
             failures: FailureModel::none(),
             max_retries: 3,
             sharedfs: SharedFsModel::default(),
-            policy: Policy::GreedyWeighted,
             master: MasterCostModel::default(),
             scheduler: None,
             scale_itype: &cloudsim::M3_XLARGE,
@@ -137,8 +133,8 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The default configuration (one m3.xlarge, greedy-weighted policy,
-    /// no failure injection, Hg rule on, telemetry disabled).
+    /// The default configuration (one m3.xlarge, no failure injection, Hg
+    /// rule on, telemetry disabled).
     pub fn new() -> SimConfig {
         SimConfig::default()
     }
@@ -176,12 +172,6 @@ impl SimConfig {
     /// Set the shared-filesystem model.
     pub fn with_sharedfs(mut self, sharedfs: SharedFsModel) -> SimConfig {
         self.sharedfs = sharedfs;
-        self
-    }
-
-    /// Set the scheduling policy.
-    pub fn with_policy(mut self, policy: Policy) -> SimConfig {
-        self.policy = policy;
         self
     }
 
@@ -353,14 +343,12 @@ struct Sim<'a> {
     prov: Option<&'a ProvenanceStore>,
     /// The run's activities by index, when `prov` is set.
     act_ids: Vec<ActivityId>,
-    rng: ChaCha8Rng,
     cluster: Cluster,
     events: EventQueue<Event>,
     vms: Vec<SimVm>,
     /// One entry per free core of a booted, serving VM.
     free_slots: Vec<VmId>,
     ready: ReadyQueue,
-    ready_by_activity: Vec<usize>,
     in_flight: usize,
     /// Dependencies of each task not yet finished.
     dep_count: Vec<usize>,
@@ -414,24 +402,16 @@ impl<'a> Sim<'a> {
                 successors[d].push(i);
             }
         }
-        let n_acts = tasks
-            .iter()
-            .map(|t| t.activity_index + 1)
-            .max()
-            .unwrap_or(1)
-            .max(cfg.activity_tags.len().max(1));
         let mut sim = Sim {
             tasks,
             cfg,
             prov,
             act_ids,
-            rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5C4E_D01E),
             cluster: Cluster::with_telemetry(cfg.seed, cfg.noise, cfg.telemetry.clone()),
             events: EventQueue::new(),
             vms: Vec::new(),
             free_slots: Vec::new(),
-            ready: ReadyQueue::new(cfg.policy),
-            ready_by_activity: vec![0; n_acts],
+            ready: ReadyQueue::new(),
             in_flight: 0,
             dep_count: tasks.iter().map(|t| t.deps.len()).collect(),
             successors,
@@ -496,7 +476,6 @@ impl<'a> Sim<'a> {
             .and_then(|p| p.get(task.activity_index))
             .copied()
             .unwrap_or(task.nominal_s);
-        self.ready_by_activity[task.activity_index] += 1;
         self.ready.push(ReadyTask { task: i, weight });
     }
 
@@ -525,22 +504,17 @@ impl<'a> Sim<'a> {
             self.master_free = dispatch_at;
             self.report.master_overhead_s += overhead;
 
-            let rt = self.ready.pop(&mut self.rng).expect("non-empty");
+            let rt = self.ready.pop().expect("non-empty");
             let task = &self.tasks[rt.task];
-            self.ready_by_activity[task.activity_index] =
-                self.ready_by_activity[task.activity_index].saturating_sub(1);
             self.in_flight += 1;
-            // slot choice: greedy takes the fastest VM, others take the last
+            // the greedy pick: the heaviest task goes to the fastest VM
             let cluster = &self.cluster;
-            let slot_idx = match cfg.policy {
-                Policy::GreedyWeighted => (self.free_slots.iter().enumerate())
-                    .max_by(|(_, a), (_, b)| {
-                        cluster.vm(**a).core_speed().total_cmp(&cluster.vm(**b).core_speed())
-                    })
-                    .map(|(i, _)| i)
-                    .expect("non-empty"),
-                _ => self.free_slots.len() - 1,
-            };
+            let slot_idx = (self.free_slots.iter().enumerate())
+                .max_by(|(_, a), (_, b)| {
+                    cluster.vm(**a).core_speed().total_cmp(&cluster.vm(**b).core_speed())
+                })
+                .map(|(i, _)| i)
+                .expect("non-empty");
             let vm_id = self.free_slots.swap_remove(slot_idx);
             self.vms[vm_id.0].busy += 1;
 
@@ -666,15 +640,12 @@ impl<'a> Sim<'a> {
     /// queue depths, provisioned fleet (booted + booting, minus draining),
     /// and per-worker slot capacity.
     fn snapshot(&self) -> FleetSnapshot {
-        let serving = || self.vms.iter().filter(|v| v.serving());
         FleetSnapshot {
             completions: 0, // the controller stamps its own count
             queued: self.ready.len(),
             in_flight: self.in_flight,
-            fleet: serving().count(),
-            idle: serving().filter(|v| v.busy == 0 && v.ready_at <= self.now).count(),
+            fleet: self.vms.iter().filter(|v| v.serving()).count(),
             slots_per_worker: self.slots_per_worker,
-            queued_by_activity: self.ready_by_activity.clone(),
             // the simulator has no wall-clock variance, so nothing straggles
             stragglers: 0,
         }
@@ -1178,34 +1149,5 @@ mod tests {
             .unwrap_or_else(|off| panic!("invalid trace JSON at byte {off}"));
         assert!(trace.contains("stage_in") && trace.contains("stage_out"));
         assert!(trace.contains("\"cat\":\"sim.task\""));
-    }
-
-    #[test]
-    fn greedy_beats_random_on_heterogeneous_tasks() {
-        // mix of long and short tasks: greedy (LPT-style) should do no worse
-        let mut tasks = Vec::new();
-        for p in 0..120 {
-            tasks.push(SimTask {
-                activity_index: 0,
-                pair_key: format!("p{p}"),
-                nominal_s: if p % 10 == 0 { 120.0 } else { 4.0 },
-                in_bytes: 0,
-                out_bytes: 0,
-                deps: vec![],
-                poison: false,
-            });
-        }
-        let mut greedy = base_cfg(16);
-        greedy.policy = Policy::GreedyWeighted;
-        let mut random = base_cfg(16);
-        random.policy = Policy::Random;
-        let g = simulate_tasks(&tasks, &greedy, None);
-        let r = simulate_tasks(&tasks, &random, None);
-        assert!(
-            g.tet_s <= r.tet_s * 1.05,
-            "greedy {} should not lose badly to random {}",
-            g.tet_s,
-            r.tet_s
-        );
     }
 }

@@ -15,9 +15,8 @@ use cumulus::fleet::WorkerView;
 use cumulus::serve::{CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome};
 use cumulus::workflow::{Activity, FileStore, WorkflowDef};
 use cumulus::{
-    run_dist, simulate_tasks, CostAwareConfig, CostAwareScheduler, DistConfig, QueueDepthConfig,
-    QueueDepthScheduler, Relation, ScaleDecision, Scheduler, SchedulerFactory, SimConfig, SimTask,
-    Workflow,
+    run_dist, simulate_tasks, DistConfig, QueueDepthConfig, QueueDepthScheduler, Relation,
+    ScaleDecision, Scheduler, SchedulerFactory, SimConfig, SimTask, Workflow,
 };
 use provenance::{ProvenanceStore, Value};
 
@@ -107,26 +106,6 @@ fn sim_and_dist_schedulers_decide_identically() {
         dist.scale_events, sim.scale_events,
         "one policy, two substrates, one decision trace"
     );
-}
-
-#[test]
-fn cost_aware_policy_bills_the_distributed_fleet() {
-    let billing = cloudsim::M1_SMALL.billing();
-    let factory = SchedulerFactory::new(move || {
-        Box::new(CostAwareScheduler::new(CostAwareConfig {
-            max_usd_per_hour: 3.0 * billing.hourly_usd,
-            ..CostAwareConfig::new(billing, vec![30.0])
-        }))
-    });
-    let cfg = dist_cfg(20).with_scheduler(factory);
-    let prov = Arc::new(ProvenanceStore::new());
-    let report = run_dist(&flat_def(20), flat_input(10), Arc::new(FileStore::new()), prov, &cfg)
-        .expect("cost-aware run");
-    assert_eq!(report.finished, 10);
-    let cost = report.fleet_cost_usd.expect("cost-aware scheduler carries a cost model");
-    // per-started-hour billing: every worker bills at least one hour
-    assert!(cost >= billing.hourly_usd, "cost {cost} must cover at least one worker-hour");
-    assert!(report.peak_workers <= 3, "the $/hour cap bounds the fleet");
 }
 
 /// A policy whose every placement is the same index, whoever the candidates

@@ -4,6 +4,8 @@
 //! `figures` binary produces the full-scale numbers recorded in
 //! EXPERIMENTS.md.
 
+use std::collections::HashMap;
+
 use cloudsim::FailureModel;
 use cloudsim::NoiseModel;
 use provenance::ProvenanceStore;
@@ -185,16 +187,17 @@ fn data_volume_bookkeeping_near_600gb() {
 }
 
 /// Scheduler ablation (DESIGN.md): greedy-weighted must not lose badly to
-/// round-robin on the heterogeneous SciDock mix.
+/// arrival order on the heterogeneous SciDock mix. Equal weights make the
+/// greedy queue pop first-in first-out.
 #[test]
 fn greedy_scheduling_competitive() {
-    let greedy = SweepConfig { policy: cumulus::Policy::GreedyWeighted, ..sweep() };
-    let rr = SweepConfig { policy: cumulus::Policy::RoundRobin, ..sweep() };
+    let greedy = sweep();
+    let fifo = SweepConfig { weight_profile: Some(HashMap::new()), ..sweep() };
     let g = simulate_at(32, EngineMode::Ad4Only, &greedy, None);
-    let r = simulate_at(32, EngineMode::Ad4Only, &rr, None);
+    let r = simulate_at(32, EngineMode::Ad4Only, &fifo, None);
     assert!(
         g.tet_s <= r.tet_s * 1.10,
-        "greedy {} should be within 10% of round-robin {}",
+        "greedy {} should be within 10% of first-in first-out {}",
         g.tet_s,
         r.tet_s
     );
@@ -221,14 +224,16 @@ fn profile_weights_track_oracle_weights() {
         profiled.tet_s,
         oracle.tet_s
     );
-    // and clearly no worse than scheduling blind (random policy)
-    let random_sweep = SweepConfig { policy: cumulus::Policy::Random, ..SweepConfig::default() };
-    let random = simulate_at(32, EngineMode::Ad4Only, &random_sweep, None);
+    // and clearly no worse than scheduling blind (equal weights: arrival
+    // order)
+    let blind_sweep =
+        SweepConfig { weight_profile: Some(HashMap::new()), ..SweepConfig::default() };
+    let blind = simulate_at(32, EngineMode::Ad4Only, &blind_sweep, None);
     assert!(
-        profiled.tet_s <= random.tet_s * 1.05,
-        "profiled greedy {} should not lose to random {}",
+        profiled.tet_s <= blind.tet_s * 1.05,
+        "profiled greedy {} should not lose to blind {}",
         profiled.tet_s,
-        random.tet_s
+        blind.tet_s
     );
 }
 
