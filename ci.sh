@@ -26,6 +26,12 @@ cargo build --release
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
+# `cargo test` builds the examples but runs none: run the tour of the
+# provenance reader API (a simulated campaign, every steering helper, the
+# PROV-N export), which exits non-zero on any error
+echo "== example: provenance_steering =="
+cargo run -q --example provenance_steering >/dev/null
+
 # the kernel property tests again in release, where the benchmark's AVX2
 # instantiation of the evaluation body is the one that runs: they are
 # docking's unit tests (`oracle::kernel_props`, `oracle::vexp_props`, and

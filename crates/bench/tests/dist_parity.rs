@@ -1,5 +1,5 @@
 //! Cross-backend parity: the same workflow run through `LocalBackend` and
-//! through `DistBackend` (one real `scidock-worker` OS process) must leave
+//! through `run_dist` (one real `scidock-worker` OS process) must leave
 //! byte-identical canonical PROV-N provenance and answer the steering
 //! queries identically.
 
@@ -8,7 +8,7 @@ use std::sync::Arc;
 use cumulus::distbackend::DistConfig;
 use cumulus::workflow::FileStore;
 use cumulus::{
-    activity_timings, Backend, DistBackend, LocalBackend, LocalConfig, RunReport, Workflow,
+    activity_timings, run_dist, Backend, LocalBackend, LocalConfig, RunReport, Workflow,
 };
 use provenance::steering::{failures_by_activity, problematic_pairs, status_summary};
 use provenance::{export_provn_canonical, ProvenanceStore};
@@ -42,15 +42,18 @@ fn sorted_rows(rel: &cumulus::Relation) -> Vec<String> {
 #[test]
 fn local_and_dist_runs_are_provenance_identical() {
     let local: Box<dyn Backend> = Box::new(LocalBackend::new(LocalConfig::new().with_threads(2)));
-    let dist: Box<dyn Backend> = Box::new(DistBackend::new(
-        DistConfig::new()
-            .with_workers(1)
-            .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
-            .with_spec(SPEC),
-    ));
+    let dist = DistConfig::new()
+        .with_workers(1)
+        .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
+        .with_spec(SPEC);
 
     let (lout, lstore) = run(local.as_ref());
-    let (dout, dstore) = run(dist.as_ref());
+    let (dout, dstore) = {
+        let (wf, store) = (workflow(), Arc::new(ProvenanceStore::new()));
+        let out =
+            run_dist(&wf.def, wf.input, wf.files, Arc::clone(&store), &dist).expect("run succeeds");
+        (out, store)
+    };
 
     assert_eq!(lout.finished, dout.finished);
     assert_eq!(lout.failed_attempts, dout.failed_attempts);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use cumulus::distbackend::worker;
 use cumulus::workflow::{Blob, FileStore};
 use cumulus::{
-    Backend, CumulusError, DistBackend, DistConfig, LocalBackend, LocalConfig, RunReport, Workflow,
+    run_dist, Backend, CumulusError, DistConfig, LocalBackend, LocalConfig, RunReport, Workflow,
 };
 use provenance::{export_provn_canonical, ProvenanceStore};
 use scidock_bench::distspec;
@@ -29,6 +29,14 @@ fn workflow(spec: &str) -> Workflow {
 fn run(backend: &dyn Backend, wf: &Workflow) -> (RunReport, Arc<ProvenanceStore>) {
     let store = Arc::new(ProvenanceStore::new());
     let outcome = backend.run(wf, &store).expect("run succeeds");
+    (outcome, store)
+}
+
+fn run_on(cfg: &DistConfig, wf: &Workflow) -> (RunReport, Arc<ProvenanceStore>) {
+    let store = Arc::new(ProvenanceStore::new());
+    let outcome =
+        run_dist(&wf.def, wf.input.clone(), Arc::clone(&wf.files), Arc::clone(&store), cfg)
+            .expect("run succeeds");
     (outcome, store)
 }
 
@@ -61,15 +69,13 @@ fn distinct_bytes<'a>(blobs: impl IntoIterator<Item = &'a Blob>) -> u64 {
 #[test]
 fn the_master_receives_and_keeps_each_content_once() {
     let tel = Telemetry::attached();
-    let dist = DistBackend::new(
-        DistConfig::new()
-            .with_workers(2)
-            .with_resolver(distspec::resolver(Telemetry::disabled()))
-            .with_spec(SPEC)
-            .with_telemetry(tel.clone()),
-    );
+    let dist = DistConfig::new()
+        .with_workers(2)
+        .with_resolver(distspec::resolver(Telemetry::disabled()))
+        .with_spec(SPEC)
+        .with_telemetry(tel.clone());
     let wf = workflow(SPEC);
-    let (out, store) = run(&dist, &wf);
+    let (out, store) = run_on(&dist, &wf);
     assert!(out.finished > 0);
 
     let files = produced(&store, &wf.files);
@@ -108,14 +114,12 @@ fn the_master_receives_and_keeps_each_content_once() {
 #[test]
 fn worker_process_counters_reach_the_masters_snapshot() {
     let tel = Telemetry::attached();
-    let dist = DistBackend::new(
-        DistConfig::new()
-            .with_workers(1)
-            .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
-            .with_spec("scidock:adaptive:2x3")
-            .with_telemetry(tel.clone()),
-    );
-    let (out, _) = run(&dist, &workflow("scidock:adaptive:2x3"));
+    let dist = DistConfig::new()
+        .with_workers(1)
+        .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
+        .with_spec("scidock:adaptive:2x3")
+        .with_telemetry(tel.clone());
+    let (out, _) = run_on(&dist, &workflow("scidock:adaptive:2x3"));
     assert!(out.finished > 0);
     let snap = out.metrics.expect("telemetry attached");
     assert!(snap.counter("receptor.prepared").unwrap_or(0) >= 1, "the worker's tier counted");

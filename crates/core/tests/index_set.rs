@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use cumulus::{backend, sched};
-use provenance::provwf::PROV_INDEXES;
+use provenance::provwf::{self, PROV_INDEXES};
 use provenance::{provn, steering, ProvenanceStore, Value};
 use scidock::analysis;
 
@@ -41,6 +41,13 @@ fn shipped() -> Vec<(&'static str, Vec<Value>, Vec<&'static str>)> {
         (steering::THROUGHPUT_SQL, vec![], vec!["ix_hactivation_status"]),
         (steering::DATA_VOLUME_SQL, vec![], vec![]),
         (provn::WORKFLOWS_SQL, vec![], vec![]),
+        (
+            provwf::ACTIVITY_BY_TAG_SQL,
+            vec![Value::Int(1), Value::from("dock")],
+            vec!["ix_hactivity_wkfid"],
+        ),
+        (provwf::FINISHED_TASKS_SQL, vec![Value::Int(1)], vec!["ix_hactivation_actid"]),
+        (provwf::OUTPUT_CELLS_SQL, vec![], vec![]),
         (provn::MACHINES_SQL, vec![], vec![]),
         (provn::ACTIVATIONS_SQL, vec![], vec!["ix_hactivity_actid"]),
         (provn::FILES_SQL, vec![], vec![]),

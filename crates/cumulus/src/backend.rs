@@ -1,10 +1,10 @@
 //! The unified execution-backend API.
 //!
-//! Both ways of running a workflow — in-process threads ([`LocalBackend`])
-//! and multiple OS processes ([`DistBackend`]) — implement one trait, and
-//! both run a workflow as the one campaign of a campaign directory (the run
-//! scope `scidockd` turns too) and answer with the [`RunReport`] of the
-//! closed run:
+//! Both ways of running a workflow — in-process threads ([`LocalBackend`],
+//! the [`Backend`] implementation) and multiple OS processes
+//! ([`run_dist`](crate::run_dist)) — run it as the one campaign of a
+//! campaign directory (the run scope `scidockd` turns too) and answer with
+//! the [`RunReport`] of the closed run:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -35,11 +35,12 @@
 //! assert_eq!(report.final_output().tuples, vec![vec![Value::Int(42)]]);
 //! ```
 //!
-//! [`Backend::run`] lets callers swap execution substrates behind a
-//! `dyn Backend`. Per-activity wall timings are a query over the run's
-//! provenance, [`activity_timings`], for callers that want them. The
-//! paper's cloud-scale simulator is not a backend: it models costs, not
-//! data, and runs task DAGs through [`crate::simulate_tasks`].
+//! [`Backend::run`] is the local run behind a `dyn Backend`; a distributed
+//! run is a [`run_dist`](crate::run_dist) call with its
+//! [`DistConfig`](crate::DistConfig). Per-activity wall timings are a query
+//! over the run's provenance, [`activity_timings`], for callers that want
+//! them. The paper's cloud-scale simulator is not a backend: it models
+//! costs, not data, and runs task DAGs through [`crate::simulate_tasks`].
 
 use std::sync::Arc;
 
@@ -47,7 +48,6 @@ use provenance::{ProvenanceStore, Value, WorkflowId};
 use telemetry::MetricsSnapshot;
 
 use crate::algebra::Relation;
-use crate::distbackend::{run_dist, DistConfig};
 use crate::error::CumulusError;
 use crate::localbackend::LocalConfig;
 use crate::workflow::{FileStore, WorkflowDef};
@@ -186,7 +186,8 @@ pub fn activity_timings(store: &ProvenanceStore, wkf: WorkflowId) -> Vec<Activit
 
 /// A way of executing a [`Workflow`] against a [`ProvenanceStore`].
 ///
-/// Both implementations record the same PROV-Wf provenance shape, so
+/// [`LocalBackend`] is its one implementation. It records the same PROV-Wf
+/// provenance shape as [`run_dist`](crate::run_dist), so
 /// `provenance::export_provn_canonical` of a local and a distributed run of
 /// the same workflow are byte-identical (the parity tests assert this).
 pub trait Backend {
@@ -205,26 +206,6 @@ impl LocalBackend {
     /// A local backend with the given configuration.
     pub fn new(cfg: LocalConfig) -> LocalBackend {
         LocalBackend { cfg }
-    }
-}
-
-/// Multi-process execution: a master shards activations over spawned
-/// worker processes (see [`crate::distbackend`]).
-#[derive(Debug, Clone)]
-pub struct DistBackend {
-    cfg: DistConfig,
-}
-
-impl DistBackend {
-    /// A distributed backend with the given configuration.
-    pub fn new(cfg: DistConfig) -> DistBackend {
-        DistBackend { cfg }
-    }
-}
-
-impl Backend for DistBackend {
-    fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError> {
-        run_dist(&wf.def, wf.input.clone(), Arc::clone(&wf.files), Arc::clone(store), &self.cfg)
     }
 }
 

@@ -353,9 +353,8 @@ impl DistConfig {
 /// Deadline for a launched worker to connect and complete the handshake.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Run a workflow across worker processes; prefer
-/// [`crate::backend::Backend::run`] on a [`crate::backend::DistBackend`]
-/// unless the raw [`RunReport`] is what you need.
+/// Run a workflow across worker processes — the one entry point of a
+/// distributed run.
 ///
 /// One campaign of a directory (the run scope `scidockd` turns too) whose
 /// engine holds it with `SDW2` connections as its workers, turned on the

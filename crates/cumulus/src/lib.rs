@@ -70,9 +70,7 @@ pub mod workflow;
 pub mod xmlspec;
 
 pub use algebra::{Operator, Relation, Tuple};
-pub use backend::{
-    activity_timings, ActivityTiming, Backend, DistBackend, LocalBackend, RunReport, Workflow,
-};
+pub use backend::{activity_timings, ActivityTiming, Backend, LocalBackend, RunReport, Workflow};
 pub use distbackend::{run_dist, DistConfig, KillPlan};
 pub use error::CumulusError;
 pub use fleet::{

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use cumulus::serve::{CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome};
 use cumulus::workflow::{Activity, WorkflowDef};
-use cumulus::{Backend, DistBackend, DistConfig, LocalBackend, LocalConfig, Relation, Workflow};
+use cumulus::{run_dist, Backend, DistConfig, LocalBackend, LocalConfig, Relation, Workflow};
 use provenance::{export_provn_canonical, ProvenanceStore, Value};
 
 const N: i64 = 6;
@@ -102,14 +102,18 @@ fn local_and_dist_record_a_panicking_activity_identically() {
         .expect("a panicking activity does not abort the run");
 
     let dist_store = Arc::new(ProvenanceStore::new());
-    let dist = DistBackend::new(
-        DistConfig::new()
+    let wf = panicky_workflow();
+    let dist = run_dist(
+        &wf.def,
+        wf.input,
+        wf.files,
+        Arc::clone(&dist_store),
+        &DistConfig::new()
             .with_workers(2)
             .with_max_retries(MAX_RETRIES)
             .with_spec("panicky")
             .with_resolver(Arc::new(|spec| (spec == "panicky").then(|| panicky_workflow().def))),
     )
-    .run(&panicky_workflow(), &dist_store)
     .expect("distributed run");
 
     for out in [&local, &dist] {

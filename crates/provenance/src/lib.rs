@@ -9,12 +9,13 @@
 //! Every store keeps its tables in one paged engine (slotted-page heap
 //! files + B+tree indexes, see [`storage`]), in memory or under a WAL, and
 //! one Volcano-style executor plans index access paths over it.
-//! Queries run through [`ProvenanceStore::query`], which returns a
-//! streaming [`QueryCursor`] — or [`ProvenanceStore::query_rows`] for a
-//! materialized [`ResultSet`].
+//! Every query runs through [`ProvenanceStore::query_rows`] (or its capped
+//! form, [`ProvenanceStore::query_limited`]): whole, under one hold of the
+//! tables' lock, into a materialized [`ResultSet`].
 //!
 //! ```
 //! use provenance::provwf::{ActivationRecord, ActivationStatus, ProvenanceStore};
+//! use provenance::Value;
 //!
 //! let p = ProvenanceStore::new();
 //! let w = p.begin_workflow("SciDock", "Docking", "/root/scidock/");
@@ -29,14 +30,14 @@
 //!     retries: 0,
 //!     pair_key: "1AEC:042".into(),
 //! });
-//! // Streaming cursor with typed row accessors:
-//! let mut cur = p.query("SELECT count(*) FROM hactivation", &[]).unwrap();
-//! let row = cur.next_row().unwrap().unwrap();
-//! assert_eq!(row.int(0).unwrap(), 1);
+//! let rs = p.query_rows("SELECT count(*) FROM hactivation", &[]).unwrap();
+//! assert_eq!(rs.cell(0, 0), &Value::Int(1));
 //!
-//! // Or materialize everything at once:
-//! let rs = p.query_rows("SELECT pairkey FROM hactivation", &[]).unwrap();
-//! assert_eq!(rs.len(), 1);
+//! // `?` placeholders bind typed values after parsing:
+//! let rs = p
+//!     .query_rows("SELECT pairkey FROM hactivation WHERE endtime >= ?", &[Value::Timestamp(1.0)])
+//!     .unwrap();
+//! assert_eq!(rs.rows, vec![vec![Value::from("1AEC:042")]]);
 //! ```
 
 #![warn(missing_docs)]
@@ -55,7 +56,7 @@ pub use durable::{Durability, DurableError, DurableOptions};
 pub use provn::{export_provn, export_provn_canonical, export_provn_canonical_for};
 pub use provwf::{
     ActivationOutputs, ActivationRecord, ActivationStatus, ActivationWrite, ActivityId, MachineId,
-    ProvenanceStore, QueryCursor, Row, TaskId, WorkflowId,
+    ProvenanceStore, TaskId, WorkflowId,
 };
 pub use sql::{QueryError, ResultSet};
 pub use table::{DbError, Schema};

@@ -22,6 +22,7 @@
 //! tables so the same API survives crashes — see [`crate::durable`] for the
 //! storage format and guarantees.
 
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -35,14 +36,14 @@ use crate::durable::io::{DirEnv, StorageEnv};
 use crate::durable::snapshot;
 use crate::durable::wal::WalOp;
 use crate::durable::{Counters, DurableError, DurableOptions};
+use crate::provn::WORKFLOWS_SQL;
 use crate::sql::ast::Query;
 use crate::sql::expr::bind_params;
-use crate::sql::volcano::{build_pipeline, ExecCtx, Pipeline};
 use crate::sql::{explain_query, parse, run_query, QueryError, ResultSet};
 use crate::storage::paged::DEFAULT_CACHE_PAGES;
 use crate::storage::pager::{FilePageStore, MemPageStore, PageStore};
-use crate::storage::{PagedDb, TableProvider};
-use crate::table::{DbError, Schema};
+use crate::storage::PagedDb;
+use crate::table::Schema;
 use crate::value::{Value, ValueType};
 
 /// Workflow execution id.
@@ -425,10 +426,10 @@ fn plan_op(db: &mut PagedDb, c: &mut Counters, op: &WalOp) -> bool {
 
 /// The provenance store.
 pub struct ProvenanceStore {
-    /// The tables, under the lock readers take. Shared with live
-    /// [`QueryCursor`]s, which re-lock per `next_row` call so a half-drained
-    /// cursor never holds the lock between pulls.
-    tables: Arc<Mutex<Tables>>,
+    /// The tables, under the lock readers take: a read holds it through
+    /// [`read_timed`] for the whole of its query, and a write only while it
+    /// applies its rows.
+    tables: Mutex<Tables>,
     /// The writer lock, held by a mutating call from start to end — the
     /// tables' lock only while it applies its rows — and with it the log of
     /// a durable store (`None` keeps the store purely in-memory: zero I/O on
@@ -444,7 +445,7 @@ pub struct ProvenanceStore {
     /// one sample each per mutating call and per `flush_wal`.
     lock_times: Option<(Arc<Histogram>, Arc<Histogram>)>,
     /// `provstore.query_hold`, in nanoseconds, under the same condition: one
-    /// sample per reader hold (a query run whole, a plan, a cursor pull).
+    /// sample per read, which runs whole under one hold.
     query_hold: Option<Arc<Histogram>>,
 }
 
@@ -464,6 +465,21 @@ fn read_timed<R>(
     }
     out
 }
+
+/// A workflow's first activity of a tag, by `(wkfid, tag)` — the first of
+/// [`ProvenanceStore::finished_outputs`]'s reads. Without an `ORDER BY` the
+/// `wkfid` index yields its rows in insertion order.
+pub const ACTIVITY_BY_TAG_SQL: &str =
+    "SELECT actid FROM hactivity WHERE wkfid = ? AND tag = ? LIMIT 1";
+
+/// The `FINISHED` activations of one activity, by `actid`.
+pub const FINISHED_TASKS_SQL: &str =
+    "SELECT taskid, pairkey FROM hactivation WHERE actid = ? AND status = 'FINISHED'";
+
+/// Every recorded output cell, in insertion order; a zero-arity tuple's
+/// marker row (`colidx` -1) is no cell.
+pub const OUTPUT_CELLS_SQL: &str =
+    "SELECT taskid, tupleidx, colidx, val_num, val_text FROM houtput WHERE colidx >= 0";
 
 /// The secondary indexes `(table, index, columns)` installed over the
 /// PROV-Wf schema on every store: exactly the ones an `EXPLAIN` of a shipped
@@ -607,7 +623,7 @@ impl ProvenanceStore {
         ProvenanceStore {
             next_wkf: AtomicI64::new(tables.counters.next_wkf),
             next_act: AtomicI64::new(tables.counters.next_act),
-            tables: Arc::new(Mutex::new(tables)),
+            tables: Mutex::new(tables),
             writer: Mutex::new(engine),
             lock_times: tel
                 .histogram("provstore.lock_wait")
@@ -957,7 +973,12 @@ impl ProvenanceStore {
     }
 
     /// Recover the recorded output tuples of every FINISHED activation of
-    /// `activity_tag` in workflow `wkf`, keyed by the activation's pair key.
+    /// `activity_tag` in workflow `wkf`, keyed by the activation's pair key:
+    /// [`ACTIVITY_BY_TAG_SQL`] (the workflow's first activity of that tag),
+    /// [`FINISHED_TASKS_SQL`] and one pass of [`OUTPUT_CELLS_SQL`], under
+    /// one reader hold. A finished activation that produced nothing has an
+    /// empty entry; the tuples of a pair key come in tuple-index order, each
+    /// in column order.
     ///
     /// Numeric cells come back as `Float` (the storage type), so resumed
     /// relations are value-equal, not necessarily type-identical, to the
@@ -966,105 +987,43 @@ impl ProvenanceStore {
         &self,
         wkf: WorkflowId,
         activity_tag: &str,
-    ) -> std::collections::HashMap<String, Vec<Vec<Value>>> {
-        let g = self.tables.lock();
-        // resolve activity id + the set of finished taskids, then collect
-        // output rows (done with direct table scans: this is engine-internal,
-        // not a user query)
-        let mut out: std::collections::HashMap<String, Vec<Vec<Value>>> = Default::default();
-        let activities = g.scan_all("hactivity");
-        let act_id = activities.iter().find_map(|r| {
-            let id = r[0].as_f64()? as i64;
-            let w = r[1].as_f64()? as i64;
-            let tag = r[2].as_str()?;
-            (w == wkf.0 && tag == activity_tag).then_some(id)
-        });
-        let Some(act_id) = act_id else { return out };
-        let finished: std::collections::HashMap<i64, String> = g
-            .scan_all("hactivation")
-            .iter()
-            .filter_map(|r| {
-                let task = r[0].as_f64()? as i64;
-                let a = r[1].as_f64()? as i64;
-                let status = r[3].as_str()?;
-                let pk = r[8].as_str()?;
-                (a == act_id && status == "FINISHED").then(|| (task, pk.to_string()))
-            })
-            .collect();
-        // (pair_key, tuple_idx) -> Vec<(colidx, value)>
-        let mut cells: std::collections::HashMap<(String, i64), Vec<(i64, Value)>> =
-            Default::default();
-        for r in &g.scan_all("houtput") {
-            let task = match r[1].as_f64() {
-                Some(t) => t as i64,
-                None => continue,
+    ) -> HashMap<String, Vec<Vec<Value>>> {
+        let query = |sql, params: &[Value]| Self::prepare(sql, params).expect("a resume query").0;
+        let act = query(ACTIVITY_BY_TAG_SQL, &[Value::Int(wkf.0), activity_tag.into()]);
+        let cells = query(OUTPUT_CELLS_SQL, &[]);
+        let (finished, cells) = read_timed(&self.tables, self.query_hold.as_deref(), |g| {
+            let run = |q: &Query| run_query(&g.db, q).expect("a resume query runs").rows;
+            let Some(act_id) = run(&act).first().map(|r| r[0].clone()) else {
+                return (Vec::new(), Vec::new());
             };
-            let Some(pk) = finished.get(&task) else {
+            let finished = run(&query(FINISHED_TASKS_SQL, &[act_id]));
+            let cells = if finished.is_empty() { Vec::new() } else { run(&cells) };
+            (finished, cells)
+        });
+        let finished: HashMap<i64, String> = finished
+            .iter()
+            .filter_map(|r| Some((r[0].as_f64()? as i64, r[1].as_str()?.to_string())))
+            .collect();
+        // (pair key, tuple index) → (column index, value), in `houtput` order
+        let mut keyed: HashMap<(String, i64), Vec<(i64, Value)>> = HashMap::new();
+        for r in cells {
+            let Some(pk) = r[0].as_f64().and_then(|t| finished.get(&(t as i64))) else {
                 continue;
             };
-            let tuple_idx = r[5].as_f64().unwrap_or(0.0) as i64;
-            let colidx = r[6].as_f64().unwrap_or(-1.0) as i64;
-            let value = if colidx < 0 {
-                continue; // arity-0 marker
-            } else if !r[7].is_null() {
-                r[7].clone()
-            } else if !r[8].is_null() {
-                r[8].clone()
-            } else {
-                Value::Null
-            };
-            cells.entry((pk.clone(), tuple_idx)).or_default().push((colidx, value));
+            let tuple_idx = r[1].as_f64().unwrap_or(0.0) as i64;
+            let colidx = r[2].as_f64().unwrap_or(-1.0) as i64;
+            let value = if r[3].is_null() { r[4].clone() } else { r[3].clone() };
+            keyed.entry((pk.clone(), tuple_idx)).or_default().push((colidx, value));
         }
-        // even activations that produced nothing must appear
-        for pk in finished.values() {
-            out.entry(pk.clone()).or_default();
-        }
-        // (pair key, taskid) → column-indexed cells
-        type KeyedCells = Vec<((String, i64), Vec<(i64, Value)>)>;
-        let mut keyed: KeyedCells = cells.into_iter().collect();
+        let mut out: HashMap<_, Vec<Vec<Value>>> =
+            finished.into_values().map(|pk| (pk, Vec::new())).collect();
+        let mut keyed: Vec<_> = keyed.into_iter().collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         for ((pk, _), mut cols) in keyed {
             cols.sort_by_key(|(c, _)| *c);
             out.entry(pk).or_default().push(cols.into_iter().map(|(_, v)| v).collect());
         }
         out
-    }
-
-    /// Run a SQL query, returning a streaming [`QueryCursor`].
-    ///
-    /// This is SciCumulus' *runtime provenance query* facility, redesigned
-    /// around streaming: the query is parsed, parameter-bound, and planned
-    /// up front (under a brief lock), then rows are pulled one at a time
-    /// with [`QueryCursor::next_row`] — each pull re-locks the tables, so a
-    /// half-read cursor holds nothing between pulls. Each hold (the plan,
-    /// every pull) is a `provstore.query_hold` sample, which is what a
-    /// writer queued behind it waits.
-    ///
-    /// `?` placeholders (numbered left to right) become [`Value`] literals
-    /// after parsing, so caller-supplied values can never change the query's
-    /// structure. Pass `&[]` for a query without parameters.
-    ///
-    /// Prefixing the SQL with `EXPLAIN ` returns the chosen plan instead:
-    /// one `plan` column, one row per line of the operator tree, including
-    /// which index (if any) each table access uses.
-    ///
-    /// Cursors do not snapshot: rows recorded while a cursor is open may or
-    /// may not appear in its remaining output. Use [`query_rows`] for a
-    /// point-in-time materialized result under one lock acquisition.
-    ///
-    /// [`query_rows`]: ProvenanceStore::query_rows
-    pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryCursor, QueryError> {
-        let (q, explain) = Self::prepare(sql, params)?;
-        let (columns, src) = read_timed(&self.tables, self.query_hold.as_deref(), |g| {
-            if explain {
-                let r = explain_query(&g.db, &q)?;
-                return Ok((r.columns, CursorSrc::Rows(r.rows.into_iter())));
-            }
-            let pipe = build_pipeline(&g.db, &q)?;
-            Ok::<_, QueryError>((pipe.columns.clone(), CursorSrc::Pipe(pipe)))
-        })?;
-        let (tables, hold) = (Arc::clone(&self.tables), self.query_hold.clone());
-        Ok(QueryCursor { tables, hold, columns: Arc::new(columns), src })
     }
 
     /// Parse `sql` (honoring a leading case-insensitive `EXPLAIN ` prefix)
@@ -1078,8 +1037,8 @@ impl ProvenanceStore {
         Ok((q, explain))
     }
 
-    /// Run a prepared query (or its EXPLAIN) to completion under one lock
-    /// acquisition.
+    /// Run a prepared query (or its EXPLAIN) to completion under one timed
+    /// reader hold.
     fn run_prepared(&self, q: &Query, explain: bool) -> Result<ResultSet, QueryError> {
         read_timed(&self.tables, self.query_hold.as_deref(), |g| {
             if explain {
@@ -1090,9 +1049,19 @@ impl ProvenanceStore {
         })
     }
 
-    /// [`ProvenanceStore::query`], fully materialized: runs the query to
-    /// completion under one lock acquisition and returns the whole
-    /// [`ResultSet`].
+    /// Run a SQL query — SciCumulus' *runtime provenance query* facility,
+    /// and the store's one read: the query runs to completion under one
+    /// hold of the tables' lock, a point-in-time result, and the whole
+    /// [`ResultSet`] comes back. The hold is one `provstore.query_hold`
+    /// sample, which is what a writer queued behind it waits.
+    ///
+    /// `?` placeholders (numbered left to right) become [`Value`] literals
+    /// after parsing, so caller-supplied values can never change the query's
+    /// structure. Pass `&[]` for a query without parameters.
+    ///
+    /// Prefixing the SQL with `EXPLAIN ` returns the chosen plan instead:
+    /// one `plan` column, one row per line of the operator tree, including
+    /// which index (if any) each table access uses.
     pub fn query_rows(&self, sql: &str, params: &[Value]) -> Result<ResultSet, QueryError> {
         let (q, explain) = Self::prepare(sql, params)?;
         self.run_prepared(&q, explain)
@@ -1109,33 +1078,14 @@ impl ProvenanceStore {
         self.run_prepared(&q, explain)
     }
 
-    /// Row counts per table (diagnostics).
-    pub fn stats(&self) -> Vec<(String, usize)> {
-        let g = self.tables.lock();
-        g.table_names()
-            .into_iter()
-            .map(|n| {
-                let count = g.db.row_count(&n).unwrap_or(0) as usize;
-                (n, count)
-            })
-            .collect()
-    }
-
     /// All registered workflow executions as `(id, tag)`, in id order —
     /// how a fresh process discovers what a recovered store contains.
     pub fn workflows(&self) -> Vec<(WorkflowId, String)> {
-        let g = self.tables.lock();
-        let mut out: Vec<(WorkflowId, String)> = g
-            .scan_all("hworkflow")
+        let rs = self.query_rows(WORKFLOWS_SQL, &[]).expect("WORKFLOWS_SQL runs");
+        rs.rows
             .iter()
-            .filter_map(|r| {
-                let id = r[0].as_f64()? as i64;
-                let tag = r[1].as_str()?.to_string();
-                Some((WorkflowId(id), tag))
-            })
-            .collect();
-        out.sort_by_key(|(id, _)| *id);
-        out
+            .filter_map(|r| Some((WorkflowId(r[0].as_f64()? as i64), r[1].as_str()?.to_string())))
+            .collect()
     }
 
     /// The most recently begun workflow execution, if any — the natural
@@ -1168,137 +1118,6 @@ impl ProvenanceStore {
     /// every reopen.
     pub fn verify_integrity(&self) -> Result<(), String> {
         self.tables.lock().db.verify_integrity()
-    }
-}
-
-/// Where a [`QueryCursor`] pulls its rows from.
-enum CursorSrc {
-    /// A live operator pipeline (re-locks the store per pull).
-    Pipe(Pipeline),
-    /// Pre-materialized rows (EXPLAIN output).
-    Rows(std::vec::IntoIter<Vec<Value>>),
-}
-
-/// A streaming handle over one query's results.
-///
-/// Returned by [`ProvenanceStore::query`]. Rows are produced on demand by
-/// [`next_row`](QueryCursor::next_row); each pull briefly locks the
-/// tables, so a cursor held open between pulls keeps no writer waiting (a
-/// run's committer, the only writer of a campaign directory's store, waits
-/// at most one pull, and only to apply rows: never to append or fsync).
-/// Dropping the cursor abandons the rest of the query — there is nothing to
-/// clean up.
-///
-/// Cursors do not snapshot: mutations racing a cursor may or may not be
-/// visible in its remaining rows.
-pub struct QueryCursor {
-    tables: Arc<Mutex<Tables>>,
-    /// `provstore.query_hold`, sampled per pull.
-    hold: Option<Arc<Histogram>>,
-    columns: Arc<Vec<String>>,
-    src: CursorSrc,
-}
-
-impl QueryCursor {
-    /// Output column names, in order.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// Pull the next row, or `None` when the query is exhausted.
-    pub fn next_row(&mut self) -> Result<Option<Row>, QueryError> {
-        let values = match &mut self.src {
-            CursorSrc::Pipe(pipe) => read_timed(&self.tables, self.hold.as_deref(), |g| {
-                pipe.next_row(&ExecCtx { provider: &g.db })
-            })?,
-            CursorSrc::Rows(it) => it.next(),
-        };
-        Ok(values.map(|values| Row { columns: Arc::clone(&self.columns), values }))
-    }
-
-    /// Drain the cursor into a materialized [`ResultSet`].
-    pub fn collect(mut self) -> Result<ResultSet, QueryError> {
-        let mut rows = Vec::new();
-        while let Some(row) = self.next_row()? {
-            rows.push(row.values);
-        }
-        Ok(ResultSet { columns: self.columns.iter().cloned().collect(), rows })
-    }
-}
-
-/// One row from a [`QueryCursor`], with typed, error-returning column
-/// accessors (the redesign of the old panicking [`ResultSet::cell`] access).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Row {
-    columns: Arc<Vec<String>>,
-    values: Vec<Value>,
-}
-
-impl Row {
-    /// Column names of this row's result, in order.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
-    /// The raw values, in column order.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// The value in column `i`, or [`DbError::ColumnOutOfRange`].
-    pub fn get(&self, i: usize) -> Result<&Value, DbError> {
-        self.values.get(i).ok_or(DbError::ColumnOutOfRange { index: i, arity: self.values.len() })
-    }
-
-    /// The value of the column named `name` (matched case-insensitively,
-    /// and against the bare name for `binding.column`-style labels).
-    pub fn column(&self, name: &str) -> Option<&Value> {
-        self.columns
-            .iter()
-            .position(|c| {
-                c.eq_ignore_ascii_case(name)
-                    || c.rsplit('.').next().is_some_and(|tail| tail.eq_ignore_ascii_case(name))
-            })
-            .and_then(|i| self.values.get(i))
-    }
-
-    /// Column `i` as an `i64`, or a typed error.
-    pub fn int(&self, i: usize) -> Result<i64, DbError> {
-        match self.get(i)? {
-            Value::Int(v) => Ok(*v),
-            other => Err(DbError::CellType {
-                index: i,
-                expected: ValueType::Int,
-                got: other.to_string(),
-            }),
-        }
-    }
-
-    /// Column `i` as an `f64` (accepts any numeric value), or a typed error.
-    pub fn float(&self, i: usize) -> Result<f64, DbError> {
-        let v = self.get(i)?;
-        v.as_f64().ok_or_else(|| DbError::CellType {
-            index: i,
-            expected: ValueType::Float,
-            got: v.to_string(),
-        })
-    }
-
-    /// Column `i` as text, or a typed error.
-    pub fn text(&self, i: usize) -> Result<&str, DbError> {
-        match self.get(i)? {
-            Value::Text(s) => Ok(s),
-            other => Err(DbError::CellType {
-                index: i,
-                expected: ValueType::Text,
-                got: other.to_string(),
-            }),
-        }
-    }
-
-    /// Is column `i` NULL? (Still range-checked.)
-    pub fn is_null(&self, i: usize) -> Result<bool, DbError> {
-        Ok(self.get(i)?.is_null())
     }
 }
 
@@ -1443,15 +1262,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.len(), 1);
         assert_eq!(r.cell(0, 1), &Value::Float(-7.2));
-    }
-
-    #[test]
-    fn stats_reports_all_tables() {
-        let (p, _, _, _) = populated();
-        let stats = p.stats();
-        assert_eq!(stats.len(), 7, "six PROV-Wf tables plus houtput");
-        let activation = stats.iter().find(|(n, _)| n == "hactivation").unwrap();
-        assert_eq!(activation.1, 4);
     }
 
     #[test]
@@ -1873,5 +1683,280 @@ mod tests {
         }
         let r = p.query_rows("SELECT count(*) FROM hactivation", &[]).unwrap();
         assert_eq!(r.cell(0, 0), &Value::Int(400));
+    }
+
+    /// The scan-based resume read the SQL one replaced: copies of
+    /// `hactivity`, `hactivation` and `houtput` joined by hand. The oracle
+    /// [`ProvenanceStore::finished_outputs`] must answer to.
+    fn finished_outputs_scan(
+        p: &ProvenanceStore,
+        wkf: WorkflowId,
+        activity_tag: &str,
+    ) -> HashMap<String, Vec<Vec<Value>>> {
+        let g = p.tables.lock();
+        let mut out: HashMap<String, Vec<Vec<Value>>> = Default::default();
+        let act_id = g.scan_all("hactivity").iter().find_map(|r| {
+            let id = r[0].as_f64()? as i64;
+            let w = r[1].as_f64()? as i64;
+            let tag = r[2].as_str()?;
+            (w == wkf.0 && tag == activity_tag).then_some(id)
+        });
+        let Some(act_id) = act_id else { return out };
+        let finished: HashMap<i64, String> = g
+            .scan_all("hactivation")
+            .iter()
+            .filter_map(|r| {
+                let task = r[0].as_f64()? as i64;
+                let a = r[1].as_f64()? as i64;
+                let status = r[3].as_str()?;
+                let pk = r[8].as_str()?;
+                (a == act_id && status == "FINISHED").then(|| (task, pk.to_string()))
+            })
+            .collect();
+        let mut cells: HashMap<(String, i64), Vec<(i64, Value)>> = Default::default();
+        for r in &g.scan_all("houtput") {
+            let Some(task) = r[1].as_f64() else { continue };
+            let Some(pk) = finished.get(&(task as i64)) else { continue };
+            let tuple_idx = r[5].as_f64().unwrap_or(0.0) as i64;
+            let colidx = r[6].as_f64().unwrap_or(-1.0) as i64;
+            let value = if colidx < 0 {
+                continue;
+            } else if !r[7].is_null() {
+                r[7].clone()
+            } else if !r[8].is_null() {
+                r[8].clone()
+            } else {
+                Value::Null
+            };
+            cells.entry((pk.clone(), tuple_idx)).or_default().push((colidx, value));
+        }
+        for pk in finished.values() {
+            out.entry(pk.clone()).or_default();
+        }
+        let mut keyed: Vec<_> = cells.into_iter().collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        for ((pk, _), mut cols) in keyed {
+            cols.sort_by_key(|(c, _)| *c);
+            out.entry(pk).or_default().push(cols.into_iter().map(|(_, v)| v).collect());
+        }
+        out
+    }
+
+    /// A resume map in key order, printed with `{:?}`: two maps print
+    /// alike only if every value has the same type and bits.
+    fn exact(m: HashMap<String, Vec<Vec<Value>>>) -> String {
+        format!("{:?}", m.into_iter().collect::<std::collections::BTreeMap<_, _>>())
+    }
+
+    /// SplitMix64, the resume driver's own deterministic RNG.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n.max(1)
+        }
+    }
+
+    const RESUME_TAGS: [&str; 3] = ["stage", "dock", "score"];
+
+    /// Drive `p` through `steps` random calls from `seed`: several
+    /// workflows and activities (now and then a second activity under a
+    /// tag its workflow already has), failed attempts and their finished
+    /// retries, `RUNNING` rows rewritten in place, finished activations
+    /// with no outputs, zero-arity tuples, and pair keys shared across
+    /// activations so one key gathers several tuples.
+    fn drive_resume(p: &ProvenanceStore, seed: u64, steps: usize) {
+        let mut rng = Rng(seed);
+        let mut acts: Vec<(ActivityId, WorkflowId)> = Vec::new();
+        let mut tasks: Vec<(TaskId, ActivityId, WorkflowId)> = Vec::new();
+        for i in 0..steps {
+            let choice = if acts.is_empty() { 0 } else { rng.below(8) };
+            if choice == 0 {
+                let w = p.begin_workflow(&format!("wf{i}"), "resume", "/e");
+                for tag in RESUME_TAGS {
+                    if rng.below(4) > 0 {
+                        acts.push((p.register_activity(w, tag, "Map"), w));
+                    }
+                }
+                if rng.below(3) == 0 {
+                    let tag = RESUME_TAGS[rng.below(3) as usize];
+                    acts.push((p.register_activity(w, tag, "Map"), w));
+                }
+                continue;
+            }
+            let (a, w) = acts[rng.below(acts.len() as u64) as usize];
+            let rec = |status, rng: &mut Rng| ActivationRecord {
+                activity: a,
+                workflow: w,
+                status,
+                start_time: rng.below(100) as f64,
+                end_time: 100.0 + rng.below(100) as f64,
+                machine: None,
+                retries: rng.below(3) as i64,
+                pair_key: format!("R{}:L{}", rng.below(3), rng.below(3)),
+            };
+            let tuple = |rng: &mut Rng, k: usize| -> Vec<Value> {
+                (0..rng.below(4))
+                    .map(|c| match rng.below(6) {
+                        0 => Value::Int(k as i64 * 10 + c as i64),
+                        1 => Value::Float(k as f64 / 7.0 - c as f64),
+                        2 => Value::Text(format!("t{k}.{c}")),
+                        3 => Value::Bool(c % 2 == 0),
+                        4 => Value::Timestamp(k as f64 + 0.25),
+                        _ => Value::Null,
+                    })
+                    .collect()
+            };
+            match choice {
+                1 => {
+                    // a failed attempt, then its finished retry under the same key
+                    let mut r = rec(ActivationStatus::Failed, &mut rng);
+                    let t = p.record_activation(&r);
+                    p.record_output_tuple(t, a, w, &r.pair_key, 0, &tuple(&mut rng, i));
+                    r.status = ActivationStatus::Finished;
+                    r.retries += 1;
+                    let tuples: Vec<_> =
+                        (0..rng.below(3)).map(|k| tuple(&mut rng, i + k as usize)).collect();
+                    tasks.push((p.commit_activation(None, &r, &[], &[], &tuples), a, w));
+                }
+                2 => {
+                    // a RUNNING row, rewritten in place by its terminal record
+                    let running = p.record_activation(&rec(ActivationStatus::Running, &mut rng));
+                    let status = [ActivationStatus::Finished, ActivationStatus::Aborted]
+                        [rng.below(2) as usize];
+                    let r = rec(status, &mut rng);
+                    let tuples: Vec<_> =
+                        (0..rng.below(3)).map(|k| tuple(&mut rng, i + k as usize)).collect();
+                    p.commit_activation(Some(running), &r, &[("o.dlg", 1, "/e/")], &[], &tuples);
+                    tasks.push((running, a, w));
+                }
+                3 => {
+                    // finished with no outputs at all
+                    tasks.push((
+                        p.record_activation(&rec(ActivationStatus::Finished, &mut rng)),
+                        a,
+                        w,
+                    ));
+                }
+                4 => {
+                    // finished with one zero-arity tuple: a marker row, no cells
+                    let r = rec(ActivationStatus::Finished, &mut rng);
+                    tasks.push((p.commit_activation(None, &r, &[], &[], &[vec![]]), a, w));
+                }
+                5 if !tasks.is_empty() => {
+                    // one more tuple on an existing activation, any index
+                    let (t, ta, tw) = tasks[rng.below(tasks.len() as u64) as usize];
+                    let key = format!("R{}:L{}", rng.below(3), rng.below(3));
+                    let idx = rng.below(4) as usize;
+                    p.record_output_tuple(t, ta, tw, &key, idx, &tuple(&mut rng, i));
+                }
+                6 if !tasks.is_empty() => {
+                    // a published row overwritten with another status
+                    let (t, ..) = tasks[rng.below(tasks.len() as u64) as usize];
+                    let status = [ActivationStatus::Finished, ActivationStatus::Failed]
+                        [rng.below(2) as usize];
+                    assert!(p.update_activation(t, &rec(status, &mut rng)));
+                }
+                _ => {
+                    let r = rec(ActivationStatus::Blacklisted, &mut rng);
+                    p.record_activation(&r);
+                }
+            }
+        }
+    }
+
+    /// Every `(workflow, tag)` a resume could ask for — each workflow with
+    /// each tag and one no activity has, and a workflow id never begun.
+    fn assert_resume_parity(p: &ProvenanceStore) {
+        let mut wkfs: Vec<WorkflowId> = p.workflows().into_iter().map(|(w, _)| w).collect();
+        wkfs.push(WorkflowId(wkfs.len() as i64 + 100));
+        for w in wkfs {
+            for tag in RESUME_TAGS.iter().chain(&["absent"]) {
+                assert_eq!(
+                    exact(p.finished_outputs(w, tag)),
+                    exact(finished_outputs_scan(p, w, tag)),
+                    "workflow {} tag {tag}",
+                    w.0
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The SQL resume read returns the scan's map on random stores, in
+        /// memory and durable, and on a durable store reopened after a
+        /// crash at a random WAL append.
+        #[test]
+        fn resume_reads_what_the_scan_reads(
+            seed in 0u64..u64::MAX / 2,
+            steps in 1usize..40,
+            crash_frac in 1u64..100,
+        ) {
+            use crate::durable::io::{FaultEnv, FaultPlan, MemEnv};
+            let mem = ProvenanceStore::new();
+            drive_resume(&mem, seed, steps);
+            assert_resume_parity(&mem);
+
+            let opts = crate::durable::DurableOptions {
+                checkpoint_every: 7,
+                ..Default::default()
+            };
+            let env = MemEnv::new();
+            let durable = ProvenanceStore::open_env(Box::new(env.clone()), opts.clone()).unwrap();
+            drive_resume(&durable, seed, steps);
+            assert_resume_parity(&durable);
+            proptest::prop_assert_eq!(durable.dump_tables(), mem.dump_tables());
+            drop(durable);
+            let reopened = ProvenanceStore::open_env(Box::new(env), opts.clone()).unwrap();
+            assert_resume_parity(&reopened);
+
+            let (inner, plan) = (MemEnv::new(), Arc::new(FaultPlan::panic_after(crash_frac)));
+            let faulty = FaultEnv::new(Box::new(inner.clone()), Arc::clone(&plan));
+            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let p = ProvenanceStore::open_env(Box::new(faulty), opts.clone()).unwrap();
+                drive_resume(&p, seed, steps);
+            }));
+            drop(crashed);
+            let recovered = ProvenanceStore::open_env(Box::new(inner), opts).unwrap();
+            assert_resume_parity(&recovered);
+        }
+    }
+
+    /// Each read of a durable store with telemetry attached — a query, a
+    /// capped query, an `EXPLAIN`, a resume read, the latest workflow —
+    /// holds the tables' lock once and records one `provstore.query_hold`
+    /// sample.
+    #[test]
+    fn every_read_is_one_query_hold_sample() {
+        let tel = Telemetry::attached();
+        let opts = crate::durable::DurableOptions { telemetry: tel.clone(), ..Default::default() };
+        let p =
+            ProvenanceStore::open_env(Box::new(crate::durable::io::MemEnv::new()), opts).unwrap();
+        drive_resume(&p, 7, 30);
+        let w = p.latest_workflow().unwrap();
+        let hold = tel.histogram("provstore.query_hold").expect("telemetry attached");
+        let reads: [(&str, &dyn Fn() -> usize); 6] = [
+            ("query_rows", &|| {
+                p.query_rows("SELECT count(*) FROM hactivation", &[]).unwrap().len()
+            }),
+            ("query_limited", &|| {
+                p.query_limited("SELECT taskid FROM hactivation", 3).unwrap().len()
+            }),
+            ("EXPLAIN", &|| p.query_rows("EXPLAIN SELECT tag FROM hactivity", &[]).unwrap().len()),
+            ("finished_outputs", &|| p.finished_outputs(w, "dock").len()),
+            ("finished_outputs of no activity", &|| p.finished_outputs(w, "absent").len()),
+            ("latest_workflow", &|| p.latest_workflow().map_or(0, |w| w.0 as usize)),
+        ];
+        for (read, call) in reads {
+            let before = hold.count();
+            call();
+            assert_eq!(hold.count(), before + 1, "{read}");
+        }
     }
 }

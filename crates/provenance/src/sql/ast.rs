@@ -110,7 +110,7 @@ pub enum Expr {
     /// `?` positional parameter (0-based, numbered left to right).
     ///
     /// Parameters are placeholders bound to typed [`Value`]s by
-    /// [`ProvenanceStore::query`](crate::ProvenanceStore::query) before
+    /// [`ProvenanceStore::query_rows`](crate::ProvenanceStore::query_rows) before
     /// evaluation; an unbound parameter reaching the executor is an error.
     Param(usize),
 }

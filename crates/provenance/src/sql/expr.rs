@@ -215,7 +215,7 @@ pub(crate) fn eval(expr: &Expr, b: &Bindings, ctx: &Ctx<'_>) -> Result<Value, Qu
         // one surviving to evaluation means parameterized SQL was run
         // without its values.
         Expr::Param(i) => Err(QueryError::Param(format!(
-            "unbound parameter ?{} — pass its value to `ProvenanceStore::query`",
+            "unbound parameter ?{} — pass its value to `ProvenanceStore::query_rows`",
             i + 1
         ))),
         Expr::Column { table, name } => {

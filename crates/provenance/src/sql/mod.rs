@@ -6,7 +6,7 @@
 //! `IS [NOT] NULL`, arithmetic, `extract('epoch' from …)`, the aggregates
 //! `min`/`max`/`sum`/`avg`/`count`, `GROUP BY`, `ORDER BY … [DESC]`,
 //! `LIMIT`, and `?` positional parameters bound to typed values via
-//! [`crate::ProvenanceStore::query`].
+//! [`crate::ProvenanceStore::query_rows`].
 
 pub mod ast;
 pub(crate) mod expr;

@@ -10,11 +10,11 @@
 //!   pairs: `ProjectOp`, `AggOp` (streaming accumulators), `DistinctOp`,
 //!   `SortOp`, `LimitOp`.
 //!
-//! Operators never borrow the storage: they receive a fresh
-//! [`ExecCtx`] (a `&dyn TableProvider`) on every `next` call, and all scan
-//! positions are plain rowids. That is what lets a
-//! [`QueryCursor`](crate::provwf::QueryCursor) suspend a half-drained
-//! pipeline, release the store lock, and resume later.
+//! Operators never borrow the storage: they receive an [`ExecCtx`] (a
+//! `&dyn TableProvider`) on every `next` call, and all scan positions are
+//! plain rowids. A query is built and drained whole by [`run_query`], so
+//! the context — and with it the store's lock, which the store's one read
+//! holds around the call — lives exactly as long as the query.
 //!
 //! Semantics contract: for any query the pipeline produces *row-identical*
 //! output (values **and** order) to the tree-walking reference executor
@@ -35,19 +35,20 @@ use super::ast::{is_aggregate, Expr, Query};
 use super::expr::{eval, item_name, order_keys, Bindings, Ctx, QueryError, ResultSet};
 use super::plan::{explain_lines, plan_query, Access, Plan, TableStep};
 
-/// Per-call execution context: the storage the operators read through.
+/// Per-query execution context: the storage the operators read through,
+/// borrowed for as long as [`run_query`] drains the pipeline.
 pub struct ExecCtx<'a> {
     /// The tables the operators read.
     pub provider: &'a dyn TableProvider,
 }
 
 /// A joined-row operator. `next` returns the next flat row or `None`.
-pub(crate) trait Op: Send {
+pub(crate) trait Op {
     fn next(&mut self, cx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>, QueryError>;
 }
 
 /// A projected-tuple operator: `(output values, ORDER BY keys)`.
-pub(crate) trait TupleOp: Send {
+pub(crate) trait TupleOp {
     #[allow(clippy::type_complexity)]
     fn next(&mut self, cx: &ExecCtx<'_>) -> Result<Option<(Vec<Value>, Vec<Value>)>, QueryError>;
 }
@@ -687,7 +688,8 @@ impl TupleOp for LimitOp {
     }
 }
 
-/// A fully built, suspendable query pipeline.
+/// A fully built query pipeline: its output columns and the operator
+/// [`run_query`] pulls rows from.
 pub(crate) struct Pipeline {
     pub(crate) columns: Vec<String>,
     tail: Box<dyn TupleOp>,
@@ -979,7 +981,8 @@ mod tests {
         let q = parse("SELECT name FROM emp").unwrap();
         let mut pipe = build_pipeline(&db, &q).unwrap();
         let cx = ExecCtx { provider: &db };
-        // pull two rows and stop: a cursor can abandon a pipeline mid-stream
+        // pull two rows and stop: a pipeline yields rows as pulled, not
+        // after a full materialization, and can be dropped mid-stream
         assert!(pipe.next_row(&cx).unwrap().is_some());
         assert!(pipe.next_row(&cx).unwrap().is_some());
     }

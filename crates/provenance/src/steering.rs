@@ -1,13 +1,14 @@
 //! Canned runtime-steering queries — the paper's §V.C workflow: while a
 //! campaign runs, the scientist probes the provenance database to find
 //! failures, hot spots, and problematic inputs without browsing output
-//! directories. Each helper wraps one SQL query against the PROV-Wf schema
-//! and returns typed rows.
+//! directories. Each helper runs one SQL query against the PROV-Wf schema
+//! through [`ProvenanceStore::query_rows`] (or its capped form) — whole,
+//! under one hold of the tables' lock — and returns typed rows.
 //!
 //! These queries run through the store's secondary indexes instead of full
 //! scans (`status`, `actid`, `endtime`, …); prefix any of the SQL below
-//! with `EXPLAIN` via [`ProvenanceStore::query`] to see the chosen access
-//! path.
+//! with `EXPLAIN` in [`ProvenanceStore::query_rows`] to see the chosen
+//! access path.
 
 use crate::provwf::ProvenanceStore;
 use crate::sql::QueryError;
@@ -103,22 +104,19 @@ pub fn activations_since(
     prov: &ProvenanceStore,
     since: f64,
 ) -> Result<Vec<RecentActivation>, QueryError> {
-    let mut cur = prov.query(ACTIVATIONS_SINCE_SQL, &[Value::Timestamp(since)])?;
-    let mut out = Vec::new();
-    while let Some(row) = cur.next_row()? {
-        let (Ok(task), Ok(status), Ok(pair), Ok(end)) =
-            (row.int(0), row.text(1), row.text(2), row.float(3))
-        else {
-            continue;
-        };
-        out.push(RecentActivation {
-            task,
-            status: status.to_string(),
-            pair_key: pair.to_string(),
-            end_time: end,
-        });
-    }
-    Ok(out)
+    let rs = prov.query_rows(ACTIVATIONS_SINCE_SQL, &[Value::Timestamp(since)])?;
+    Ok(rs
+        .rows
+        .iter()
+        .filter_map(|r| {
+            Some(RecentActivation {
+                task: r[0].as_f64()? as i64,
+                status: r[1].as_str()?.to_string(),
+                pair_key: r[2].as_str()?.to_string(),
+                end_time: r[3].as_f64()?,
+            })
+        })
+        .collect())
 }
 
 /// One row of [`slowest_activations`].
@@ -179,19 +177,16 @@ pub fn problematic_pairs(
 
 /// Activation throughput: finished activations per time bucket of
 /// `bucket_s` simulated/real seconds — the "how is the run progressing"
-/// steering view.
-///
-/// Streams through a [`ProvenanceStore::query`] cursor: the bucket map is
-/// built row by row without materializing the end-time column, and the
-/// store lock is released between pulls.
+/// steering view. A width that is not positive (zero, negative, NaN) is a
+/// [`QueryError::Param`].
 pub fn throughput(prov: &ProvenanceStore, bucket_s: f64) -> Result<Vec<(i64, i64)>, QueryError> {
-    assert!(bucket_s > 0.0, "bucket width must be positive");
-    let mut cur = prov.query(THROUGHPUT_SQL, &[])?;
+    if bucket_s.is_nan() || bucket_s <= 0.0 {
+        return Err(QueryError::Param(format!("bucket width must be positive, got {bucket_s}")));
+    }
+    let rs = prov.query_rows(THROUGHPUT_SQL, &[])?;
     let mut buckets: std::collections::BTreeMap<i64, i64> = Default::default();
-    while let Some(row) = cur.next_row()? {
-        if let Ok(t) = row.float(0) {
-            *buckets.entry((t / bucket_s) as i64).or_default() += 1;
-        }
+    for t in rs.rows.iter().filter_map(|r| r[0].as_f64()) {
+        *buckets.entry((t / bucket_s) as i64).or_default() += 1;
     }
     Ok(buckets.into_iter().collect())
 }
@@ -379,8 +374,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket width")]
-    fn zero_bucket_panics() {
-        let _ = throughput(&store(), 0.0);
+    fn a_bucket_width_that_is_not_positive_is_a_param_error() {
+        let p = store();
+        for width in [0.0, -1.0, f64::NAN] {
+            match throughput(&p, width) {
+                Err(QueryError::Param(m)) => assert!(m.contains("bucket width"), "{m}"),
+                other => panic!("width {width}: {other:?}"),
+            }
+        }
+        // a positive width keeps its buckets: end times 2.0, 7.5, 70.0,
+        // 137.0, 180.0 in buckets of 100 s
+        assert_eq!(throughput(&p, 100.0).unwrap(), vec![(0, 3), (1, 2)]);
     }
 }

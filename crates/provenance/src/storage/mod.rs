@@ -41,8 +41,8 @@ pub struct IndexMeta {
 /// Storage abstraction the Volcano executor runs over.
 ///
 /// Positions (`pos` in [`scan_batch`](TableProvider::scan_batch)) are plain
-/// rowids, so a scan can be suspended (cursor handed to the caller) and
-/// resumed without holding any borrow into the storage.
+/// rowids, so a scan operator holds no borrow into the storage between
+/// its pulls.
 pub trait TableProvider {
     /// Schema of `table`.
     fn schema_of(&self, table: &str) -> Result<Schema, DbError>;

@@ -74,22 +74,6 @@ pub enum DbError {
         /// The missing index name.
         index: String,
     },
-    /// A row/cell access past the end of a result row.
-    ColumnOutOfRange {
-        /// Requested column position.
-        index: usize,
-        /// Number of columns in the row.
-        arity: usize,
-    },
-    /// A typed cell accessor hit a value of a different type.
-    CellType {
-        /// Column position accessed.
-        index: usize,
-        /// The type the accessor requires.
-        expected: ValueType,
-        /// Display form of the value actually there.
-        got: String,
-    },
 }
 
 impl fmt::Display for DbError {
@@ -105,12 +89,6 @@ impl fmt::Display for DbError {
             DbError::TableExists(t) => write!(f, "table already exists: {t}"),
             DbError::NoSuchIndex { table, index } => {
                 write!(f, "no such index: {index} on {table}")
-            }
-            DbError::ColumnOutOfRange { index, arity } => {
-                write!(f, "column {index} out of range for a {arity}-column row")
-            }
-            DbError::CellType { index, expected, got } => {
-                write!(f, "column {index} expected {expected:?}, found {got}")
             }
         }
     }

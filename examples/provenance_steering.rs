@@ -90,6 +90,13 @@ fn main() {
     for s in provenance::steering::slowest_activations(&prov, 3).unwrap() {
         println!("     {} on {}: {:.1} s", s.activity, s.pair_key, s.seconds);
     }
+    for (tag, n) in provenance::steering::failures_by_activity(&prov).unwrap() {
+        println!("   {tag}: {n} failed attempts");
+    }
+    let last_hour = provenance::steering::activations_since(&prov, report.tet_s - 3600.0).unwrap();
+    println!("   activations ending in the last hour: {}", last_hour.len());
+    let per_hour = provenance::steering::throughput(&prov, 3600.0).unwrap();
+    println!("   finished per hour, first hours: {:?}", &per_hour[..per_hour.len().min(4)]);
     let retried = provenance::steering::problematic_pairs(&prov, 2).unwrap();
     println!("   pairs retried ≥2 times: {}", retried.len());
     println!(
