@@ -32,6 +32,13 @@ cargo test --workspace -q
 echo "== example: provenance_steering =="
 cargo run -q --example provenance_steering >/dev/null
 
+# the two tours of the one-shot run config, each `expect`ing every step:
+# failure injection and provenance resume, then telemetry with a steering
+# tick (it writes target/scidock_trace.json)
+echo "== examples: resume_reexecution, chrome_trace =="
+cargo run -q --example resume_reexecution >/dev/null
+cargo run -q --example chrome_trace >/dev/null
+
 # the kernel property tests again in release, where the benchmark's AVX2
 # instantiation of the evaluation body is the one that runs: they are
 # docking's unit tests (`oracle::kernel_props`, `oracle::vexp_props`, and

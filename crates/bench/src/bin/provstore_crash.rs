@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cumulus::{
-    Activity, ActivityFn, Backend, LocalBackend, LocalConfig, Relation, Workflow, WorkflowDef,
+    Activity, ActivityFn, Backend, LocalBackend, Relation, RunConfig, Workflow, WorkflowDef,
 };
 use provenance::durable::io::DirEnv;
 use provenance::{Durability, DurableOptions, ProvenanceStore, Value};
@@ -82,7 +82,7 @@ fn main() {
         }
         _ => None,
     };
-    let mut cfg = LocalConfig::new().with_threads(2);
+    let mut cfg = RunConfig::new().with_workers(2);
     if let Some(prior) = resume_from {
         cfg = cfg.with_resume_from(prior);
     }

@@ -1,6 +1,6 @@
 //! `scidock-top` — a one-screen live view of a running campaign, fed by the
-//! observability endpoint (`DistConfig::with_metrics_addr` /
-//! `LocalConfig::with_metrics_addr`).
+//! observability endpoint a run scope binds (`RunConfig::with_metrics_addr`,
+//! `scidockd --metrics-addr`).
 //!
 //! ```text
 //! scidock-top 127.0.0.1:9099            # refresh every 2 s until ^C

@@ -1,6 +1,6 @@
 //! `scidock-worker` — a worker process for the distributed backend.
 //!
-//! Spawned by the master (`DistConfig::with_worker_command`) as
+//! Spawned by the `run_dist` master (`RunConfig::with_worker_command`) as
 //! `scidock-worker --connect HOST:PORT`. It connects back, resolves the
 //! workflow spec the master ships in its `Hello` frame through the shared
 //! [`scidock_bench::distspec`] registry, and serves activations until the

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cumulus::obs::EventLog;
-use cumulus::serve::{Daemon, ServeConfig};
+use cumulus::serve::{Daemon, RunConfig};
 use cumulus::{QueueDepthConfig, QueueDepthScheduler, SchedulerFactory};
 use provenance::{DurableOptions, ProvenanceStore};
 use scidock::ReceptorCache;
@@ -49,7 +49,7 @@ fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &s
 }
 
 fn main() {
-    let mut cfg = ServeConfig::new()
+    let mut cfg = RunConfig::new()
         .with_addr("127.0.0.1:7878")
         .with_workers(4)
         .with_worker_bounds(1, 8)

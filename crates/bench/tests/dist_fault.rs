@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use cumulus::distbackend::{run_dist, DistConfig, KillPlan};
+use cumulus::distbackend::{run_dist, KillPlan};
 use cumulus::workflow::FileStore;
-use cumulus::RunReport;
+use cumulus::{RunConfig, RunReport};
 use provenance::ProvenanceStore;
 use scidock_bench::distspec;
 
@@ -17,7 +17,7 @@ fn run(kill: Option<KillPlan>) -> (RunReport, Arc<ProvenanceStore>) {
     let prov = Arc::new(ProvenanceStore::new());
     let def = distspec::resolve_with(SPEC, &files).expect("known spec");
     let input = distspec::prepare(SPEC, &files).expect("known spec");
-    let mut cfg = DistConfig::new()
+    let mut cfg = RunConfig::new()
         .with_workers(2)
         .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
         .with_spec(SPEC)

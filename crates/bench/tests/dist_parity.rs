@@ -5,11 +5,8 @@
 
 use std::sync::Arc;
 
-use cumulus::distbackend::DistConfig;
 use cumulus::workflow::FileStore;
-use cumulus::{
-    activity_timings, run_dist, Backend, LocalBackend, LocalConfig, RunReport, Workflow,
-};
+use cumulus::{activity_timings, run_dist, Backend, LocalBackend, RunConfig, RunReport, Workflow};
 use provenance::steering::{failures_by_activity, problematic_pairs, status_summary};
 use provenance::{export_provn_canonical, ProvenanceStore};
 use scidock_bench::distspec;
@@ -41,8 +38,8 @@ fn sorted_rows(rel: &cumulus::Relation) -> Vec<String> {
 
 #[test]
 fn local_and_dist_runs_are_provenance_identical() {
-    let local: Box<dyn Backend> = Box::new(LocalBackend::new(LocalConfig::new().with_threads(2)));
-    let dist = DistConfig::new()
+    let local: Box<dyn Backend> = Box::new(LocalBackend::new(RunConfig::new().with_workers(2)));
+    let dist = RunConfig::new()
         .with_workers(1)
         .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
         .with_spec(SPEC);

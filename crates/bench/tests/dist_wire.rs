@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 use cumulus::distbackend::worker;
 use cumulus::workflow::{Blob, FileStore};
-use cumulus::{
-    run_dist, Backend, CumulusError, DistConfig, LocalBackend, LocalConfig, RunReport, Workflow,
-};
+use cumulus::{run_dist, Backend, CumulusError, LocalBackend, RunConfig, RunReport, Workflow};
 use provenance::{export_provn_canonical, ProvenanceStore};
 use scidock_bench::distspec;
 use telemetry::{registry, Telemetry};
@@ -32,7 +30,7 @@ fn run(backend: &dyn Backend, wf: &Workflow) -> (RunReport, Arc<ProvenanceStore>
     (outcome, store)
 }
 
-fn run_on(cfg: &DistConfig, wf: &Workflow) -> (RunReport, Arc<ProvenanceStore>) {
+fn run_on(cfg: &RunConfig, wf: &Workflow) -> (RunReport, Arc<ProvenanceStore>) {
     let store = Arc::new(ProvenanceStore::new());
     let outcome =
         run_dist(&wf.def, wf.input.clone(), Arc::clone(&wf.files), Arc::clone(&store), cfg)
@@ -69,7 +67,7 @@ fn distinct_bytes<'a>(blobs: impl IntoIterator<Item = &'a Blob>) -> u64 {
 #[test]
 fn the_master_receives_and_keeps_each_content_once() {
     let tel = Telemetry::attached();
-    let dist = DistConfig::new()
+    let dist = RunConfig::new()
         .with_workers(2)
         .with_resolver(distspec::resolver(Telemetry::disabled()))
         .with_spec(SPEC)
@@ -105,7 +103,7 @@ fn the_master_receives_and_keeps_each_content_once() {
     assert!(resident * 10 <= stored * 11, "resident {resident} B for {stored} B distinct");
 
     // … and none of it changes what provenance says
-    let local = LocalBackend::new(LocalConfig::new().with_threads(2));
+    let local = LocalBackend::new(RunConfig::new().with_workers(2));
     let (lout, lstore) = run(&local, &workflow(SPEC));
     assert_eq!(lout.finished, out.finished);
     assert_eq!(export_provn_canonical(&lstore), export_provn_canonical(&store));
@@ -114,7 +112,7 @@ fn the_master_receives_and_keeps_each_content_once() {
 #[test]
 fn worker_process_counters_reach_the_masters_snapshot() {
     let tel = Telemetry::attached();
-    let dist = DistConfig::new()
+    let dist = RunConfig::new()
         .with_workers(1)
         .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
         .with_spec("scidock:adaptive:2x3")

@@ -16,10 +16,10 @@ use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use cumulus::serve::{
-    CampaignResolver, CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome,
+    CampaignResolver, CampaignState, Daemon, RunConfig, ServeClient, SubmitOutcome,
 };
 use cumulus::workflow::FileStore;
-use cumulus::{Backend, LocalBackend, LocalConfig, Workflow};
+use cumulus::{Backend, LocalBackend, Workflow};
 use provenance::{export_provn_canonical_for, ProvenanceStore};
 use scidock::{
     build_scidock, stage_inputs, Dataset, DatasetParams, EngineMode, ReceptorCache, SciDockConfig,
@@ -95,7 +95,7 @@ fn start_daemon(
         })
     };
     Daemon::start(
-        ServeConfig::new().with_workers(2).with_telemetry(tel.clone()),
+        RunConfig::new().with_workers(2).with_telemetry(tel.clone()),
         resolver,
         Arc::clone(prov),
     )
@@ -203,9 +203,7 @@ fn campaigns_share_one_receptor_tier_and_a_new_daemon_loads_from_disk() {
     let one_shot = |tel: &Telemetry| {
         let prov = Arc::new(ProvenanceStore::new());
         let wf = scidock_workflow(&campaign_cfg(tel, &solo_dir));
-        LocalBackend::new(LocalConfig::new().with_threads(2))
-            .run(&wf, &prov)
-            .expect("one-shot run");
+        LocalBackend::new(RunConfig::new().with_workers(2)).run(&wf, &prov).expect("one-shot run");
         assert!(!wf.files.is_empty());
         assert_eq!(wf.files.list("/gridcache/"), Vec::<String>::new(), "cache traffic staged");
         exports(&prov).pop().expect("one-shot workflow recorded")
@@ -241,7 +239,7 @@ fn shipped_resolver_pays_once_per_receptor_whatever_the_campaign_count() {
         let _ = std::fs::remove_dir_all(&dir);
         let tel = Telemetry::attached();
         let daemon = Daemon::start(
-            ServeConfig::new()
+            RunConfig::new()
                 .with_workers(workers)
                 .with_max_active(4)
                 .with_max_pending(campaigns)

@@ -612,7 +612,7 @@ pub fn scidock_xml_spec(mode: EngineMode, cfg: &SciDockConfig) -> String {
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, DatasetParams};
-    use cumulus::localbackend::LocalConfig;
+    use cumulus::RunConfig;
     use cumulus::{Backend, LocalBackend, RunReport, Workflow};
     use docking::autogrid::GridSet;
     use parking_lot::Mutex;
@@ -625,7 +625,7 @@ mod tests {
         input: cumulus::Relation,
         files: Arc<FileStore>,
         prov: &Arc<ProvenanceStore>,
-        cfg: LocalConfig,
+        cfg: RunConfig,
     ) -> RunReport {
         LocalBackend::new(cfg).run(&Workflow::new(wf, input).with_files(files), prov).unwrap()
     }
@@ -670,7 +670,7 @@ mod tests {
         let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
         assert!(wf.validate().is_ok());
         assert_eq!(wf.activities.len(), 8);
-        let report = run(wf, input, Arc::clone(&files), &prov, LocalConfig::new().with_threads(2));
+        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
         assert_eq!(report.final_output().len(), 2, "both pairs docked");
         // FEB column is a finite float
         let feb = report.final_output().tuples[0][3].as_f64().unwrap();
@@ -693,7 +693,7 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-        let report = run(wf, input, Arc::clone(&files), &prov, LocalConfig::new().with_threads(2));
+        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
         assert_eq!(report.final_output().len(), 2);
         // Vina writes the docked pose pdbqt
         let outs = files.list(&format!("{}/vina", cfg.expdir));
@@ -728,7 +728,7 @@ mod tests {
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
         assert_eq!(wf.activities.len(), 10);
-        let report = run(wf, input, files, &prov, LocalConfig::new().with_threads(2));
+        let report = run(wf, input, files, &prov, RunConfig::new().with_workers(2));
         // outputs: activity index 8 = autodock4, 9 = vina
         let ad4_out = &report.outputs[8];
         let vina_out = &report.outputs[9];
@@ -756,7 +756,7 @@ mod tests {
             input,
             files,
             &Arc::new(ProvenanceStore::new()),
-            LocalConfig::new().with_threads(2),
+            RunConfig::new().with_workers(2),
         );
         assert_eq!(report.final_output().len(), 2, "one receptor, two ligands");
     }
@@ -783,7 +783,7 @@ mod tests {
             input,
             files,
             &Arc::new(ProvenanceStore::new()),
-            LocalConfig::new().with_threads(1),
+            RunConfig::new().with_workers(1),
         );
         assert_eq!(report.final_output().len(), 2);
         let snap = tel.snapshot().unwrap();
@@ -827,7 +827,7 @@ mod tests {
                 Ok(out)
             })
         };
-        let report = run(wf, input, Arc::clone(&files), &prov, LocalConfig::new().with_threads(1));
+        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(1));
         assert_eq!(report.final_output().len(), 3);
 
         // every activation stages the same allocation, not a copy of it
@@ -1064,7 +1064,7 @@ mod tests {
         cfg.hg_rule = true;
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-        let report = run(wf, input, files, &prov, LocalConfig::new().with_threads(2));
+        let report = run(wf, input, files, &prov, RunConfig::new().with_workers(2));
         assert_eq!(report.blacklisted, 1);
         let r = prov
             .query_rows("SELECT count(*) FROM hactivation WHERE status = 'BLACKLISTED'", &[])
@@ -1082,7 +1082,7 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-        let _ = run(wf, input, Arc::clone(&files), &prov, LocalConfig::default());
+        let _ = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(4));
         // every vinaconfig activation recorded its substituted template tags
         let q = prov
             .query_rows(
@@ -1115,7 +1115,7 @@ mod tests {
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
         assert_eq!(wf.activities.len(), 9, "8 activities + ranking");
         assert_eq!(wf.activities.last().unwrap().operator, Operator::SRQuery);
-        let report = run(wf, input, Arc::clone(&files), &prov, LocalConfig::new().with_threads(2));
+        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
         let ranked = report.final_output();
         assert_eq!(ranked.len(), 2);
         // rank column ascending, FEB ascending
@@ -1165,7 +1165,7 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-        let _ = run(wf, input, files, &prov, LocalConfig::default());
+        let _ = run(wf, input, files, &prov, RunConfig::new().with_workers(4));
         // Query 1 (paper Fig. 10)
         let q1 = prov
             .query_rows(

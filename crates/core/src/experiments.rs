@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use cloudsim::{fleet_for_cores, FailureModel, NoiseModel, SharedFsModel};
-use cumulus::localbackend::LocalConfig;
 use cumulus::simbackend::{simulate_tasks, SimConfig, SimReport};
 use cumulus::workflow::FileStore;
+use cumulus::RunConfig;
 use cumulus::{Backend, LocalBackend, MasterCostModel, RunReport, SchedulerFactory, Workflow};
 use provenance::ProvenanceStore;
 use telemetry::Telemetry;
@@ -47,8 +47,8 @@ pub fn run_screening(
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(mode, cfg, Arc::clone(&files));
     let backend = LocalBackend::new(
-        LocalConfig::new()
-            .with_threads(threads)
+        RunConfig::new()
+            .with_workers(threads)
             .with_failures(FailureModel::none())
             .with_max_retries(3),
     );

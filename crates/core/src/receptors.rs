@@ -666,7 +666,7 @@ mod tests {
     use super::*;
     use crate::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
     use crate::dataset::{make_receptor, Dataset, DatasetParams};
-    use cumulus::localbackend::LocalConfig;
+    use cumulus::RunConfig;
     use cumulus::{Backend, LocalBackend, RunReport, Workflow};
     use provenance::{export_provn_canonical_for, ProvenanceStore, Value};
 
@@ -721,7 +721,7 @@ mod tests {
             input.tuples.sort_by_key(|t| t[1].as_str().unwrap().to_string());
         }
         let wf = build_scidock(mode, cfg, Arc::clone(&files));
-        let report = LocalBackend::new(LocalConfig::new().with_threads(1))
+        let report = LocalBackend::new(RunConfig::new().with_workers(1))
             .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
             .unwrap();
         (report, files, prov)
@@ -835,7 +835,7 @@ mod tests {
         let mut wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
         wf.activities.truncate(3); // … up to and including prepreceptor
         wf.deps.truncate(3);
-        let report = LocalBackend::new(LocalConfig::new().with_threads(2))
+        let report = LocalBackend::new(RunConfig::new().with_workers(2))
             .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
             .unwrap();
 
@@ -1180,7 +1180,7 @@ mod tests {
             let mut wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
             wf.activities = vec![wf.activities.swap_remove(activity)];
             wf.deps = vec![vec![]];
-            let report = LocalBackend::new(LocalConfig::new().with_threads(1).with_max_retries(2))
+            let report = LocalBackend::new(RunConfig::new().with_workers(1).with_max_retries(2))
                 .run(
                     &Workflow::new(wf, input).with_files(Arc::clone(&files)),
                     &Arc::new(ProvenanceStore::new()),

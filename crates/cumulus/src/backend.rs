@@ -3,12 +3,13 @@
 //! Both ways of running a workflow — in-process threads ([`LocalBackend`],
 //! the [`Backend`] implementation) and multiple OS processes
 //! ([`run_dist`](crate::run_dist)) — run it as the one campaign of a
-//! campaign directory (the run scope `scidockd` turns too) and answer with
-//! the [`RunReport`] of the closed run:
+//! campaign directory (the run scope `scidockd` turns too), configured by
+//! the one [`RunConfig`], and answer with the [`RunReport`] of the closed
+//! run:
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cumulus::{Backend, LocalBackend, LocalConfig, Relation, Workflow};
+//! use cumulus::{Backend, LocalBackend, Relation, RunConfig, Workflow};
 //! use cumulus::workflow::{Activity, WorkflowDef};
 //! use provenance::{ProvenanceStore, Value};
 //!
@@ -29,15 +30,15 @@
 //! input.push(vec![Value::Int(21)]);
 //! let wf = Workflow::new(def, input);
 //! let store = Arc::new(ProvenanceStore::new());
-//! let backend: Box<dyn Backend> = Box::new(LocalBackend::new(LocalConfig::new()));
+//! let backend: Box<dyn Backend> = Box::new(LocalBackend::new(RunConfig::new().with_workers(2)));
 //! let report = backend.run(&wf, &store).unwrap();
 //! assert_eq!(report.finished, 1);
 //! assert_eq!(report.final_output().tuples, vec![vec![Value::Int(42)]]);
 //! ```
 //!
 //! [`Backend::run`] is the local run behind a `dyn Backend`; a distributed
-//! run is a [`run_dist`](crate::run_dist) call with its
-//! [`DistConfig`](crate::DistConfig). Per-activity wall timings are a query
+//! run is a [`run_dist`](crate::run_dist) call with the same config, whose
+//! `SDW2` fields it alone reads. Per-activity wall timings are a query
 //! over the run's provenance, [`activity_timings`], for callers that want
 //! them. The paper's cloud-scale simulator is not a backend: it models
 //! costs, not data, and runs task DAGs through [`crate::simulate_tasks`].
@@ -49,7 +50,7 @@ use telemetry::MetricsSnapshot;
 
 use crate::algebra::Relation;
 use crate::error::CumulusError;
-use crate::localbackend::LocalConfig;
+use crate::serve::RunConfig;
 use crate::workflow::{FileStore, WorkflowDef};
 
 /// A runnable workflow: the definition plus its input relation and the
@@ -199,12 +200,13 @@ pub trait Backend {
 /// (see [`crate::localbackend`]).
 #[derive(Debug, Clone, Default)]
 pub struct LocalBackend {
-    pub(crate) cfg: LocalConfig,
+    pub(crate) cfg: RunConfig,
 }
 
 impl LocalBackend {
-    /// A local backend with the given configuration.
-    pub fn new(cfg: LocalConfig) -> LocalBackend {
+    /// A local backend with the given configuration: its fleet, run and
+    /// endpoint fields; the admission and `SDW2` fields are not read.
+    pub fn new(cfg: RunConfig) -> LocalBackend {
         LocalBackend { cfg }
     }
 }
@@ -269,7 +271,7 @@ mod tests {
         let wf = Workflow::new(xy_def(), xy_input());
         let store = Arc::new(ProvenanceStore::new());
         let backend: Box<dyn Backend> =
-            Box::new(LocalBackend::new(LocalConfig::new().with_threads(2)));
+            Box::new(LocalBackend::new(RunConfig::new().with_workers(2)));
         let out = backend.run(&wf, &store).unwrap();
         assert_eq!(out.finished, 6); // 5 inc + 1 sum
         assert_eq!(out.final_output().tuples, vec![vec![Value::Int(15)]]);
@@ -292,7 +294,7 @@ mod tests {
         let wf = Workflow::new(xy_def(), xy_input());
         let store = Arc::new(ProvenanceStore::new());
         let local =
-            LocalBackend::new(LocalConfig::new().with_threads(1).with_events(local_events.clone()));
+            LocalBackend::new(RunConfig::new().with_workers(1).with_events(local_events.clone()));
         local.run(&wf, &store).unwrap();
 
         // sim mirror of the same workflow shape, fixed seed: one task per

@@ -11,14 +11,14 @@
 //! layout is documented in `DESIGN.md` §10). Together they keep every run
 //! honest:
 //!
-//! * **Backpressure** — at most [`DistConfig::max_in_flight`] activations
+//! * **Backpressure** — at most [`RunConfig::max_in_flight`] activations
 //!   are outstanding per worker; the rest wait in a FIFO.
 //! * **Liveness** — workers heartbeat on an interval; a silent worker is
-//!   declared lost after [`DistConfig::heartbeat_timeout`], its socket cut,
+//!   declared lost after [`RunConfig::heartbeat_timeout`], its socket cut,
 //!   and its in-flight activations reassigned.
 //! * **Crash recovery** — a lost activation gets a `FAILED` provenance row
 //!   and re-enters the queue with a bumped attempt; after more than
-//!   [`DistConfig::reassign_budget`] crashes the input is treated as poison
+//!   [`RunConfig::reassign_budget`] crashes the input is treated as poison
 //!   and `BLACKLISTED`, so one bad tuple cannot wedge the run.
 //! * **Provenance parity** — the master process writes every row itself
 //!   through the lifecycle the local backend uses (the reader thread of the
@@ -38,8 +38,12 @@
 //!
 //! Activity functions are Rust closures and cannot cross a process
 //! boundary, so both sides rebuild the workflow from a spec name: the
-//! master ships [`DistConfig::spec`] in its `Hello`, and the worker
+//! master ships [`RunConfig::spec`] in its `Hello`, and the worker
 //! resolves it through a [`worker::WorkflowResolver`] registry.
+//!
+//! Its [`RunConfig`] is the one every run scope reads; the `SDW2` port
+//! fields — the worker command or resolver, the spec, and the liveness
+//! settings above — are read here alone.
 
 pub mod worker;
 
@@ -52,19 +56,16 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use cloudsim::FailureModel;
 use parking_lot::Mutex;
-use provenance::{ProvenanceStore, WorkflowId};
+use provenance::ProvenanceStore;
 use telemetry::{RemoteSpan, Telemetry};
 
 use crate::algebra::Relation;
 use crate::backend::{RunReport, Workflow};
 use crate::engine::{EngineCfg, Job, PortEvent, WorkerPort};
 use crate::error::CumulusError;
-use crate::fleet::SchedulerFactory;
 use crate::lifecycle::{ActivityCtx, Attempt, Exec, Settled};
-use crate::obs::{BoundAddr, EventLog};
-use crate::serve::{Directory, ServeConfig};
+use crate::serve::{Directory, RunConfig};
 use crate::workflow::{Blob, FileStore, WorkflowDef};
 
 use proto::{Carried, Frame, WireFate, WireOutcome};
@@ -80,274 +81,6 @@ pub struct KillPlan {
     pub after_runs: usize,
 }
 
-/// Distributed backend configuration.
-///
-/// Marked `#[non_exhaustive]`: construct it with [`DistConfig::new`] (or
-/// `Default`) and the `with_*` builder methods rather than a struct
-/// literal, so new knobs can be added without breaking downstream crates.
-#[derive(Clone)]
-#[non_exhaustive]
-pub struct DistConfig {
-    /// Number of worker processes (or in-process worker threads).
-    pub workers: usize,
-    /// Worker executable and its leading arguments; the master appends
-    /// `--connect <addr>`. `None` = run workers as in-process threads via
-    /// [`DistConfig::resolver`] (used by tests and single-binary setups).
-    pub worker_cmd: Option<(String, Vec<String>)>,
-    /// Spec-name resolver for in-process workers (`worker_cmd: None`).
-    pub resolver: Option<worker::WorkflowResolver>,
-    /// Workflow spec name shipped to workers in the `Hello` frame.
-    pub spec: String,
-    /// Maximum activations outstanding per worker (backpressure bound).
-    pub max_in_flight: usize,
-    /// Heartbeat interval requested from workers.
-    pub heartbeat: Duration,
-    /// A worker silent for longer than this is declared lost.
-    pub heartbeat_timeout: Duration,
-    /// An activation running longer than this wedges its worker: the
-    /// worker is declared lost and the activation reassigned. `None`
-    /// disables the hang detector.
-    pub activation_timeout: Option<Duration>,
-    /// Worker crashes an activation survives before being blacklisted as
-    /// poison input.
-    pub reassign_budget: u32,
-    /// Failure injection model (fates roll on the master, exactly like the
-    /// local backend, so injected failures are schedule-independent).
-    pub failures: FailureModel,
-    /// Maximum re-executions of a failed activation before dropping it.
-    pub max_retries: u32,
-    /// Resume from a prior workflow execution (skip finished activations).
-    pub resume_from: Option<WorkflowId>,
-    /// Telemetry sink; worker spans merge into it on per-worker tracks.
-    pub telemetry: Telemetry,
-    /// When set, the run's provenance committer publishes a `RUNNING` row
-    /// for every attempt in flight at this interval.
-    pub steering_tick: Option<Duration>,
-    /// Fault-drill hook (tests).
-    pub kill_plan: Option<KillPlan>,
-    /// Elastic fleet policy. `None` = fixed fleet (today's behavior): the
-    /// run starts with [`DistConfig::workers`] workers and keeps them.
-    /// With a factory, the controller re-evaluates after every completion
-    /// and may spawn new workers mid-run or drain-then-retire idle ones.
-    pub scheduler: Option<SchedulerFactory>,
-    /// Serve the observability endpoint (`/metrics`, `/snapshot.json`,
-    /// `/healthz`, `/events`) on this address for the run's duration.
-    /// `"127.0.0.1:0"` binds an ephemeral port readable through
-    /// [`DistConfig::metrics_bound`]. `None` = no listener.
-    pub metrics_addr: Option<String>,
-    /// Resolves to the endpoint's actual bound address once it is
-    /// listening (for ephemeral ports).
-    pub metrics_bound: Option<BoundAddr>,
-    /// Structured event log the run emits into (lifecycle, failures, fleet
-    /// scaling, stragglers). `None` = a fresh in-memory ring, still served
-    /// from `/events` when the endpoint is up.
-    pub events: Option<EventLog>,
-    /// Straggler threshold as a multiple of the activity's rolling p95
-    /// latency (merged from worker `Stats` frames).
-    pub straggler_factor: f64,
-    /// Straggler floor: an activation younger than this many milliseconds
-    /// is never flagged, whatever the baseline says.
-    pub straggler_min_ms: u64,
-    /// Test-only: in-process worker index that never heartbeats, to drill
-    /// the master's liveness timeout.
-    pub(crate) mute_heartbeat: Option<usize>,
-}
-
-impl std::fmt::Debug for DistConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistConfig")
-            .field("workers", &self.workers)
-            .field("worker_cmd", &self.worker_cmd)
-            .field("resolver", &self.resolver.as_ref().map(|_| "<resolver>"))
-            .field("spec", &self.spec)
-            .field("max_in_flight", &self.max_in_flight)
-            .field("heartbeat", &self.heartbeat)
-            .field("heartbeat_timeout", &self.heartbeat_timeout)
-            .field("activation_timeout", &self.activation_timeout)
-            .field("reassign_budget", &self.reassign_budget)
-            .field("failures", &self.failures)
-            .field("max_retries", &self.max_retries)
-            .field("resume_from", &self.resume_from)
-            .field("steering_tick", &self.steering_tick)
-            .field("kill_plan", &self.kill_plan)
-            .field("scheduler", &self.scheduler)
-            .field("metrics_addr", &self.metrics_addr)
-            .field("events", &self.events.as_ref().map(|_| "<event-log>"))
-            .field("straggler_factor", &self.straggler_factor)
-            .field("straggler_min_ms", &self.straggler_min_ms)
-            .finish()
-    }
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            workers: 2,
-            worker_cmd: None,
-            resolver: None,
-            spec: String::new(),
-            max_in_flight: 4,
-            heartbeat: Duration::from_millis(100),
-            heartbeat_timeout: Duration::from_secs(3),
-            activation_timeout: None,
-            reassign_budget: 2,
-            failures: FailureModel::none(),
-            max_retries: 3,
-            resume_from: None,
-            telemetry: Telemetry::disabled(),
-            steering_tick: None,
-            kill_plan: None,
-            scheduler: None,
-            metrics_addr: None,
-            metrics_bound: None,
-            events: None,
-            straggler_factor: 4.0,
-            straggler_min_ms: 30_000,
-            mute_heartbeat: None,
-        }
-    }
-}
-
-impl DistConfig {
-    /// The default configuration (2 in-process workers, 4 in-flight each,
-    /// no failure injection, telemetry disabled).
-    pub fn new() -> DistConfig {
-        DistConfig::default()
-    }
-
-    /// Set the number of workers.
-    pub fn with_workers(mut self, workers: usize) -> DistConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Spawn workers as OS processes running `program` (the master appends
-    /// `--connect <addr>` to `args`).
-    pub fn with_worker_command(
-        mut self,
-        program: impl Into<String>,
-        args: Vec<String>,
-    ) -> DistConfig {
-        self.worker_cmd = Some((program.into(), args));
-        self
-    }
-
-    /// Run workers as in-process threads resolving specs through `resolver`.
-    pub fn with_resolver(mut self, resolver: worker::WorkflowResolver) -> DistConfig {
-        self.resolver = Some(resolver);
-        self
-    }
-
-    /// Set the workflow spec name shipped to workers.
-    pub fn with_spec(mut self, spec: impl Into<String>) -> DistConfig {
-        self.spec = spec.into();
-        self
-    }
-
-    /// Set the per-worker in-flight bound.
-    pub fn with_max_in_flight(mut self, n: usize) -> DistConfig {
-        self.max_in_flight = n;
-        self
-    }
-
-    /// Set the worker heartbeat interval.
-    pub fn with_heartbeat(mut self, interval: Duration) -> DistConfig {
-        self.heartbeat = interval;
-        self
-    }
-
-    /// Set the heartbeat liveness timeout.
-    pub fn with_heartbeat_timeout(mut self, timeout: Duration) -> DistConfig {
-        self.heartbeat_timeout = timeout;
-        self
-    }
-
-    /// Enable the per-activation hang detector.
-    pub fn with_activation_timeout(mut self, timeout: Duration) -> DistConfig {
-        self.activation_timeout = Some(timeout);
-        self
-    }
-
-    /// Set the crash budget before an input is blacklisted as poison.
-    pub fn with_reassign_budget(mut self, budget: u32) -> DistConfig {
-        self.reassign_budget = budget;
-        self
-    }
-
-    /// Set the failure-injection model.
-    pub fn with_failures(mut self, failures: FailureModel) -> DistConfig {
-        self.failures = failures;
-        self
-    }
-
-    /// Set the per-activation retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> DistConfig {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Resume from a prior workflow execution.
-    pub fn with_resume_from(mut self, prev: WorkflowId) -> DistConfig {
-        self.resume_from = Some(prev);
-        self
-    }
-
-    /// Attach a telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> DistConfig {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Publish `RUNNING` rows at the given interval.
-    pub fn with_steering_tick(mut self, tick: Duration) -> DistConfig {
-        self.steering_tick = Some(tick);
-        self
-    }
-
-    /// Install a fault-drill kill plan.
-    pub fn with_kill_plan(mut self, plan: KillPlan) -> DistConfig {
-        self.kill_plan = Some(plan);
-        self
-    }
-
-    /// Drive the fleet elastically with a [`SchedulerFactory`]. The run
-    /// still *starts* with [`DistConfig::workers`] workers; the policy
-    /// then grows or drains the fleet as completions flow.
-    pub fn with_scheduler(mut self, factory: SchedulerFactory) -> DistConfig {
-        self.scheduler = Some(factory);
-        self
-    }
-
-    /// Serve the observability endpoint on `addr` for the run's duration.
-    pub fn with_metrics_addr(mut self, addr: impl Into<String>) -> DistConfig {
-        self.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Publish the endpoint's bound address into `bound` once listening
-    /// (pair with a `"127.0.0.1:0"` metrics address).
-    pub fn with_metrics_bound(mut self, bound: BoundAddr) -> DistConfig {
-        self.metrics_bound = Some(bound);
-        self
-    }
-
-    /// Emit structured run events into `events` (and its sink file, if it
-    /// has one) instead of a private in-memory ring.
-    pub fn with_events(mut self, events: EventLog) -> DistConfig {
-        self.events = Some(events);
-        self
-    }
-
-    /// Tune the straggler detector: flag an in-flight activation once it
-    /// runs longer than `factor ×` its activity's rolling p95 **and**
-    /// longer than `min_ms` milliseconds.
-    pub fn with_straggler(mut self, factor: f64, min_ms: u64) -> DistConfig {
-        self.straggler_factor = factor;
-        self.straggler_min_ms = min_ms;
-        self
-    }
-}
-
 // --------------------------------------------------------------------- run
 
 /// Deadline for a launched worker to connect and complete the handshake.
@@ -359,51 +92,30 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// One campaign of a directory (the run scope `scidockd` turns too) whose
 /// engine holds it with `SDW2` connections as its workers, turned on the
 /// calling thread; what is specific to a distributed run — the utilisation
-/// epilogue — follows it.
+/// epilogue — follows it. Of `cfg`, it reads the fleet, run and endpoint
+/// fields and the `SDW2` port fields.
 pub fn run_dist(
     def: &WorkflowDef,
     input: Relation,
     files: Arc<FileStore>,
     prov: Arc<ProvenanceStore>,
-    cfg: &DistConfig,
+    cfg: &RunConfig,
 ) -> Result<RunReport, CumulusError> {
     if cfg.workers == 0 {
         return Err(CumulusError::Invalid("distributed run needs at least one worker".into()));
     }
     if cfg.worker_cmd.is_none() && cfg.resolver.is_none() {
         return Err(CumulusError::Invalid(
-            "DistConfig needs a worker command or an in-process resolver".into(),
+            "a distributed run needs a worker command or an in-process resolver".into(),
         ));
     }
     def.validate().map_err(CumulusError::Invalid)?;
     let tel = &cfg.telemetry;
-    let serve = ServeConfig {
-        failures: cfg.failures,
-        max_retries: cfg.max_retries,
-        telemetry: tel.clone(),
-        steering_tick: cfg.steering_tick,
-        scheduler: cfg.scheduler.clone(),
-        // without a log of the caller's, a fresh in-memory ring: still
-        // served from `/events` when the endpoint is up
-        events: Some(cfg.events.clone().unwrap_or_default()),
-        metrics_addr: cfg.metrics_addr.clone(),
-        metrics_bound: cfg.metrics_bound.clone(),
-        ..ServeConfig::default()
-    };
-    let fleet = EngineCfg {
-        // whatever the policy asks for, one worker keeps serving; how far it
-        // grows is the policy's own business
-        floor: 1,
-        ceiling: usize::MAX,
-        reassign_budget: cfg.reassign_budget,
-        heartbeat_timeout: Some(cfg.heartbeat_timeout),
-        activation_timeout: cfg.activation_timeout,
-        straggler: Some((cfg.straggler_factor, cfg.straggler_min_ms)),
-    };
     let port = |obs_tel: &Telemetry, tx| SdwPort::connect(cfg, &files, tel, obs_tel, tx);
-    let mut dir = Directory::new(serve, Arc::new(|_| None), prov, fleet, port)?;
+    let fleet = EngineCfg::sdw(cfg);
+    let mut dir = Directory::new(cfg.clone(), Arc::new(|_| None), prov, fleet, port)?;
     let wf = Workflow { def: def.clone(), input, files };
-    let mut report = dir.run_one(wf, cfg.resume_from, "master")?;
+    let mut report = dir.run_one(wf, "master")?;
 
     // per-worker utilisation
     for (i, (life, busy)) in dir.engine.worker_lives().enumerate() {
@@ -449,7 +161,7 @@ impl Conn {
     }
 }
 
-/// The engine's port onto `SDW2` worker connections, [`DistConfig::max_in_flight`]
+/// The engine's port onto `SDW2` worker connections, [`RunConfig::max_in_flight`]
 /// activation slots each, plus everything needed to grow the fleet mid-run:
 /// the listening socket stays open for the run's lifetime, and the port
 /// keeps a sender of the engine's event channel for the readers of
@@ -461,7 +173,7 @@ impl Conn {
 /// `Done` frame ships and calls `settle`, which queues the attempt's rows
 /// for the run's committer, so no result waits behind the engine's dispatch.
 struct SdwPort<'a, M: From<PortEvent> + Send + 'static> {
-    cfg: &'a DistConfig,
+    cfg: &'a RunConfig,
     tel: Telemetry,
     /// The collector `/metrics` serves: workers' `Stats` deltas merge here.
     obs_tel: Telemetry,
@@ -488,12 +200,13 @@ impl<'a, M: From<PortEvent> + Send + 'static> SdwPort<'a, M> {
     /// Bind, launch the initial fleet, and complete the `Ready`/`Hello`
     /// handshake with every worker of it.
     fn connect(
-        cfg: &'a DistConfig,
+        cfg: &'a RunConfig,
         files: &Arc<FileStore>,
         tel: &Telemetry,
         obs_tel: &Telemetry,
         events_tx: mpsc::Sender<M>,
     ) -> Result<SdwPort<'a, M>, CumulusError> {
+        let workers = cfg.initial_workers();
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?.to_string();
         listener.set_nonblocking(true)?;
@@ -501,7 +214,7 @@ impl<'a, M: From<PortEvent> + Send + 'static> SdwPort<'a, M> {
             cfg,
             tel: tel.clone(),
             obs_tel: obs_tel.clone(),
-            conns: Vec::with_capacity(cfg.workers),
+            conns: Vec::with_capacity(workers),
             listener,
             addr,
             events_tx,
@@ -512,18 +225,18 @@ impl<'a, M: From<PortEvent> + Send + 'static> SdwPort<'a, M> {
             launched: 0,
             fresh: 0,
         };
-        for _ in 0..cfg.workers {
+        for _ in 0..workers {
             port.launch()?;
         }
         let deadline = Instant::now() + CONNECT_TIMEOUT;
-        while port.conns.len() < cfg.workers {
+        while port.conns.len() < workers {
             if port.accept()? == 0 {
                 if Instant::now() > deadline {
                     // Drop reaps the children and joins the threads
                     return Err(CumulusError::Timeout(format!(
                         "only {}/{} workers connected within {CONNECT_TIMEOUT:?}",
                         port.conns.len(),
-                        cfg.workers,
+                        workers,
                     )));
                 }
                 std::thread::sleep(Duration::from_millis(5));
@@ -919,9 +632,12 @@ mod tests {
     use super::*;
     use crate::algebra::Operator;
     use crate::backend::{Backend, LocalBackend};
-    use crate::fleet::{QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent};
-    use crate::localbackend::LocalConfig;
+    use crate::fleet::{
+        QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent, SchedulerFactory,
+    };
+    use crate::obs::{BoundAddr, EventLog};
     use crate::workflow::Activity;
+    use cloudsim::FailureModel;
     use provenance::{export_provn_canonical, Value};
 
     /// Three activities: stage (writes a file per tuple), score (reads the
@@ -998,17 +714,17 @@ mod tests {
         Arc::new(move |spec| (spec == "dist-test").then(|| test_def(sleep_ms)))
     }
 
-    fn dist_cfg(workers: usize) -> DistConfig {
-        DistConfig::new().with_workers(workers).with_resolver(resolver(0)).with_spec("dist-test")
+    fn dist_cfg(workers: usize) -> RunConfig {
+        RunConfig::new().with_workers(workers).with_resolver(resolver(0)).with_spec("dist-test")
     }
 
     /// `test_def(0)` over four inputs through the local backend.
-    fn run_local(cfg: LocalConfig, prov: &Arc<ProvenanceStore>) -> RunReport {
+    fn run_local(cfg: RunConfig, prov: &Arc<ProvenanceStore>) -> RunReport {
         let wf = Workflow::new(test_def(0), test_input(4));
         LocalBackend::new(cfg).run(&wf, prov).expect("local run")
     }
 
-    fn run(cfg: &DistConfig) -> (RunReport, Arc<ProvenanceStore>, Arc<FileStore>) {
+    fn run(cfg: &RunConfig) -> (RunReport, Arc<ProvenanceStore>, Arc<FileStore>) {
         let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
         let report =
@@ -1026,7 +742,7 @@ mod tests {
         assert_eq!(last.tuples, vec![vec![Value::Int(18)]]);
 
         let lprov = Arc::new(ProvenanceStore::new());
-        let lreport = run_local(LocalConfig::new().with_threads(2), &lprov);
+        let lreport = run_local(RunConfig::new().with_workers(2), &lprov);
         assert_eq!(lreport.finished, report.finished);
         assert_eq!(
             export_provn_canonical(&prov),
@@ -1055,7 +771,7 @@ mod tests {
 
         let lprov = Arc::new(ProvenanceStore::new());
         let lreport = run_local(
-            LocalConfig::new().with_threads(2).with_failures(failures).with_max_retries(2),
+            RunConfig::new().with_workers(2).with_failures(failures).with_max_retries(2),
             &lprov,
         );
         assert_eq!(report.finished, lreport.finished);
@@ -1096,14 +812,13 @@ mod tests {
 
     #[test]
     fn silent_worker_trips_the_heartbeat_timeout() {
-        let mut cfg = DistConfig::new()
-            .with_workers(1)
-            .with_resolver(resolver(600))
-            .with_spec("dist-test")
-            .with_heartbeat(Duration::from_millis(20))
-            .with_heartbeat_timeout(Duration::from_millis(250))
-            .with_reassign_budget(0);
-        cfg.mute_heartbeat = Some(0);
+        let cfg = RunConfig {
+            heartbeat: Duration::from_millis(20),
+            heartbeat_timeout: Duration::from_millis(250),
+            reassign_budget: 0,
+            mute_heartbeat: Some(0),
+            ..RunConfig::new().with_workers(1).with_resolver(resolver(600)).with_spec("dist-test")
+        };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
             &test_def(600),
@@ -1140,13 +855,15 @@ mod tests {
             deps: vec![vec![]],
         };
         let hung = def.clone();
-        let cfg = DistConfig::new()
-            .with_workers(2)
-            .with_resolver(Arc::new(move |spec| (spec == "hang-test").then(|| hung.clone())))
-            .with_spec("hang-test")
-            .with_max_in_flight(1)
-            .with_activation_timeout(Duration::from_millis(300))
-            .with_reassign_budget(0);
+        let cfg = RunConfig {
+            activation_timeout: Some(Duration::from_millis(300)),
+            reassign_budget: 0,
+            ..RunConfig::new()
+                .with_workers(2)
+                .with_resolver(Arc::new(move |spec| (spec == "hang-test").then(|| hung.clone())))
+                .with_spec("hang-test")
+                .with_max_in_flight(1)
+        };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
             run_dist(&def, test_input(3), Arc::new(FileStore::new()), Arc::clone(&prov), &cfg)
@@ -1186,8 +903,8 @@ mod tests {
         })
     }
 
-    fn flat_cfg(sleep_ms: u64) -> DistConfig {
-        DistConfig::new()
+    fn flat_cfg(sleep_ms: u64) -> RunConfig {
+        RunConfig::new()
             .with_workers(1)
             .with_resolver(Arc::new(move |spec| (spec == "flat-test").then(|| flat_def(sleep_ms))))
             .with_spec("flat-test")
@@ -1331,7 +1048,7 @@ mod tests {
         };
         let resolver_def = def.clone();
         let tel = Telemetry::attached();
-        let cfg = DistConfig::new()
+        let cfg = RunConfig::new()
             .with_workers(1)
             .with_resolver(Arc::new(move |spec| (spec == "big-test").then(|| resolver_def.clone())))
             .with_spec("big-test")
@@ -1355,7 +1072,7 @@ mod tests {
         // master wakes on its 50 ms tick plus one wakeup per frame (tens
         // of iterations); a busy-spinning one would log thousands
         let tel = Telemetry::attached();
-        let cfg = DistConfig::new()
+        let cfg = RunConfig::new()
             .with_workers(1)
             .with_resolver(resolver(300))
             .with_spec("dist-test")
@@ -1419,7 +1136,7 @@ mod tests {
         let prov =
             Arc::new(ProvenanceStore::open_env(Box::new(fault), Default::default()).unwrap());
         // a silent worker would only be noticed long after the watchdog
-        let cfg = dist_cfg(2).with_heartbeat_timeout(Duration::from_secs(30));
+        let cfg = RunConfig { heartbeat_timeout: Duration::from_secs(30), ..dist_cfg(2) };
         let (done_tx, done_rx) = mpsc::channel();
         let run = std::thread::spawn(move || {
             let files = Arc::new(FileStore::new());
@@ -1444,7 +1161,7 @@ mod tests {
     /// error: no panic, and no wait for a worker that never comes.
     #[test]
     fn a_worker_command_that_cannot_start_is_an_error() {
-        let cfg = DistConfig::new()
+        let cfg = RunConfig::new()
             .with_worker_command("scidock-worker-that-does-not-exist", Vec::new())
             .with_spec("dist-test");
         let (done_tx, done_rx) = mpsc::channel();
@@ -1465,7 +1182,7 @@ mod tests {
     #[test]
     fn no_p95_sort_without_an_endpoint() {
         let ltel = Telemetry::attached();
-        let local = LocalConfig::new().with_threads(2).with_telemetry(ltel.clone());
+        let local = RunConfig::new().with_workers(2).with_telemetry(ltel.clone());
         assert_eq!(run_local(local, &Arc::new(ProvenanceStore::new())).finished, 9);
         let dtel = Telemetry::attached();
         assert_eq!(run(&dist_cfg(2).with_telemetry(dtel.clone())).0.finished, 9);
@@ -1517,15 +1234,17 @@ mod tests {
     fn live_endpoint_streams_metrics_health_and_events_mid_run() {
         let events = EventLog::new();
         let bound = BoundAddr::new();
-        let cfg = DistConfig::new()
-            .with_workers(2)
-            .with_resolver(resolver(80))
-            .with_spec("dist-test")
-            .with_max_in_flight(1)
-            .with_heartbeat(Duration::from_millis(15))
-            .with_metrics_addr("127.0.0.1:0")
-            .with_metrics_bound(bound.clone())
-            .with_events(events.clone());
+        let cfg = RunConfig {
+            heartbeat: Duration::from_millis(15),
+            ..RunConfig::new()
+                .with_workers(2)
+                .with_resolver(resolver(80))
+                .with_spec("dist-test")
+                .with_max_in_flight(1)
+                .with_metrics_addr("127.0.0.1:0")
+                .with_metrics_bound(bound.clone())
+                .with_events(events.clone())
+        };
         let handle = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
             run_dist(&test_def(80), test_input(12), Arc::new(FileStore::new()), prov, &cfg)
@@ -1598,16 +1317,18 @@ mod tests {
     #[test]
     fn healthz_reports_a_killed_worker_dead_mid_run() {
         let bound = BoundAddr::new();
-        let cfg = DistConfig::new()
-            .with_workers(2)
-            .with_resolver(resolver(100))
-            .with_spec("dist-test")
-            .with_max_in_flight(1)
-            .with_heartbeat(Duration::from_millis(15))
-            .with_metrics_addr("127.0.0.1:0")
-            .with_metrics_bound(bound.clone())
-            // worker 0 dies on its first activation, early in the run
-            .with_kill_plan(KillPlan { worker: 0, after_runs: 1 });
+        let cfg = RunConfig {
+            heartbeat: Duration::from_millis(15),
+            ..RunConfig::new()
+                .with_workers(2)
+                .with_resolver(resolver(100))
+                .with_spec("dist-test")
+                .with_max_in_flight(1)
+                .with_metrics_addr("127.0.0.1:0")
+                .with_metrics_bound(bound.clone())
+                // worker 0 dies on its first activation, early in the run
+                .with_kill_plan(KillPlan { worker: 0, after_runs: 1 })
+        };
         let handle = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
             run_dist(&test_def(100), test_input(8), Arc::new(FileStore::new()), prov, &cfg)
@@ -1656,17 +1377,20 @@ mod tests {
         let resolver_def = def.clone();
         let events = EventLog::new();
         let tel = Telemetry::attached();
-        let cfg = DistConfig::new()
-            .with_workers(2)
-            .with_resolver(Arc::new(move |spec| {
-                (spec == "strag-test").then(|| resolver_def.clone())
-            }))
-            .with_spec("strag-test")
-            .with_max_in_flight(1)
-            .with_heartbeat(Duration::from_millis(15))
-            .with_straggler(1.0, 150)
-            .with_telemetry(tel)
-            .with_events(events.clone());
+        let cfg = RunConfig {
+            heartbeat: Duration::from_millis(15),
+            straggler_factor: 1.0,
+            straggler_min_ms: 150,
+            ..RunConfig::new()
+                .with_workers(2)
+                .with_resolver(Arc::new(move |spec| {
+                    (spec == "strag-test").then(|| resolver_def.clone())
+                }))
+                .with_spec("strag-test")
+                .with_max_in_flight(1)
+                .with_telemetry(tel)
+                .with_events(events.clone())
+        };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
             run_dist(&def, test_input(6), Arc::new(FileStore::new()), Arc::clone(&prov), &cfg)
@@ -1709,11 +1433,14 @@ mod tests {
 
         let events = EventLog::new();
         let bound = BoundAddr::new();
-        let observed = dist_cfg(2)
-            .with_metrics_addr("127.0.0.1:0")
-            .with_metrics_bound(bound)
-            .with_events(events.clone())
-            .with_straggler(1.0, 100);
+        let observed = RunConfig {
+            straggler_factor: 1.0,
+            straggler_min_ms: 100,
+            ..dist_cfg(2)
+                .with_metrics_addr("127.0.0.1:0")
+                .with_metrics_bound(bound)
+                .with_events(events.clone())
+        };
         let (obs_report, obs_prov, _) = run(&observed);
 
         assert_eq!(obs_report.finished, plain_report.finished);
@@ -1736,11 +1463,12 @@ mod tests {
         // distributed: turn timings, fleet size, worker.* counters,
         // activation histograms, heartbeat/straggler plumbing
         let dtel = Telemetry::attached();
-        let cfg = dist_cfg(2)
-            .with_telemetry(dtel)
-            .with_max_in_flight(1)
-            .with_straggler(1.0, 1)
-            .with_heartbeat(Duration::from_millis(10));
+        let cfg = RunConfig {
+            straggler_factor: 1.0,
+            straggler_min_ms: 1,
+            heartbeat: Duration::from_millis(10),
+            ..dist_cfg(2).with_telemetry(dtel).with_max_in_flight(1)
+        };
         let (report, _, _) = run(&cfg);
         let dsnap = report.metrics.expect("dist telemetry attached");
         assert!(!dsnap.counters.is_empty(), "dist run must emit counters");
@@ -1749,7 +1477,7 @@ mod tests {
         // local: fleet size + activation histograms
         let ltel = Telemetry::attached();
         let lreport = run_local(
-            LocalConfig::new().with_threads(2).with_telemetry(ltel.clone()),
+            RunConfig::new().with_workers(2).with_telemetry(ltel.clone()),
             &Arc::new(ProvenanceStore::new()),
         );
         assert_eq!(lreport.finished, 9);
@@ -1788,7 +1516,7 @@ mod tests {
             (spec == "ok").then(|| crate::backend::Workflow::new(test_def(0), test_input(4)))
         });
         let daemon = crate::serve::Daemon::start(
-            crate::serve::ServeConfig::new().with_workers(2).with_telemetry(vtel.clone()),
+            RunConfig::new().with_workers(2).with_telemetry(vtel.clone()),
             resolver,
             Arc::new(vprov),
         )

@@ -43,6 +43,7 @@ use crate::fleet::{
 };
 use crate::lifecycle::{ActOutcome, ActivityCtx, Admitted, Attempt, Exec, Settled};
 use crate::obs::{EventLog, HealthView, ObsState, Severity, WorkerHealth};
+use crate::serve::RunConfig;
 use crate::workflow::WorkflowDef;
 
 /// How long the directory's loop waits for a [`PortEvent`] before it pumps and
@@ -115,7 +116,8 @@ pub(crate) trait WorkerPort {
 }
 
 /// What differs between the engine's owners that is not the port: each
-/// owner supplies its own.
+/// derives its own from the scope's [`RunConfig`].
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct EngineCfg {
     /// `Shrink` never drains below this many workers.
     pub(crate) floor: usize,
@@ -133,16 +135,28 @@ pub(crate) struct EngineCfg {
 }
 
 impl EngineCfg {
-    /// Between `floor` and `ceiling` threads of this process, which are
+    /// Threads of this process within `cfg`'s fleet bounds, which are
     /// neither lost nor silent.
-    pub(crate) fn threads(floor: usize, ceiling: usize) -> EngineCfg {
+    pub(crate) fn threads(cfg: &RunConfig) -> EngineCfg {
         EngineCfg {
-            floor,
-            ceiling,
+            floor: cfg.min_workers.max(1),
+            ceiling: cfg.max_workers,
             reassign_budget: 0,
             heartbeat_timeout: None,
             activation_timeout: None,
             straggler: None,
+        }
+    }
+
+    /// `SDW2` connections within `cfg`'s fleet bounds, watched by the
+    /// liveness settings of its port fields.
+    pub(crate) fn sdw(cfg: &RunConfig) -> EngineCfg {
+        EngineCfg {
+            reassign_budget: cfg.reassign_budget,
+            heartbeat_timeout: Some(cfg.heartbeat_timeout),
+            activation_timeout: cfg.activation_timeout,
+            straggler: Some((cfg.straggler_factor, cfg.straggler_min_ms)),
+            ..EngineCfg::threads(cfg)
         }
     }
 }
@@ -918,7 +932,7 @@ mod tests {
         floor: usize,
         scheduler: Option<&SchedulerFactory>,
     ) -> Engine<FakePort> {
-        let cfg = EngineCfg { reassign_budget: 2, ..EngineCfg::threads(floor, usize::MAX) };
+        let cfg = EngineCfg { floor, reassign_budget: 2, ..EngineCfg::threads(&RunConfig::new()) };
         let sinks =
             Sinks { tel: Telemetry::disabled(), events: None, epoch: Instant::now(), obs: None };
         let mut e = Engine::new(FakePort::new(slots), cfg, sinks, scheduler);

@@ -35,10 +35,10 @@
 //!   and one durable provenance store, with fair-share scheduling and
 //!   explicit admission control.
 //!
-//! Every run is a campaign of one run scope, [`serve`]'s campaign directory:
-//! `scidockd` turns one on its engine thread for many campaigns, and
-//! [`localbackend`] and [`distbackend`] each turn one on the calling thread
-//! for their one campaign. A directory owns one private engine
+//! Every run is a campaign of one run scope, [`serve`]'s campaign directory,
+//! started from one [`RunConfig`]: `scidockd` turns one on its engine thread
+//! for many campaigns, and [`localbackend`] and [`distbackend`] each turn one
+//! on the calling thread for their one campaign. A directory owns one private engine
 //! (`engine.rs`) — the table of live runs, the worker table, admission →
 //! fair share → placement → dispatch, the fleet-policy tick, worker loss and
 //! reassignment, the health view — which reaches its workers only through a
@@ -71,18 +71,16 @@ pub mod xmlspec;
 
 pub use algebra::{Operator, Relation, Tuple};
 pub use backend::{activity_timings, ActivityTiming, Backend, LocalBackend, RunReport, Workflow};
-pub use distbackend::{run_dist, DistConfig, KillPlan};
+pub use distbackend::{run_dist, KillPlan};
 pub use error::CumulusError;
 pub use fleet::{
     FleetSnapshot, QueueDepthConfig, QueueDepthScheduler, ScaleDecision, ScaleEvent, Scheduler,
     SchedulerFactory,
 };
-pub use localbackend::LocalConfig;
 pub use obs::{BoundAddr, EventLog, HealthView, ObsEvent, Severity};
 pub use sched::MasterCostModel;
 pub use serve::{
-    CampaignResolver, CampaignState, CampaignStatus, Daemon, ServeClient, ServeConfig,
-    SubmitOutcome,
+    CampaignResolver, CampaignState, CampaignStatus, Daemon, RunConfig, ServeClient, SubmitOutcome,
 };
 pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask};
 pub use template::{Template, TemplateError};
@@ -90,3 +88,9 @@ pub use workflow::{
     digest, ActivationCtx, Activity, ActivityError, ActivityFn, Blob, Contents, FetchFn, FileStore,
     WorkflowDef,
 };
+
+// `RunConfig` under the names `benchmark/src`, their only caller, spells
+#[doc(hidden)]
+pub type LocalConfig = RunConfig;
+#[doc(hidden)]
+pub type DistConfig = RunConfig;

@@ -5,7 +5,9 @@
 //! blacklisting.
 //!
 //! This is the backend SciDock's biological results (Table 3) come from;
-//! cloud-scale timing studies use [`crate::simbackend`] instead.
+//! cloud-scale timing studies use [`crate::simbackend`] instead. It reads
+//! the fleet, run and endpoint fields of its [`RunConfig`](crate::RunConfig):
+//! `workers` threads, clamped into the fleet bounds.
 //!
 //! Dispatch is ready-driven dataflow (the private `dispatch` module): the
 //! instant one pair's activity-N activation finishes, its output tuples flow
@@ -25,157 +27,23 @@
 
 use std::sync::Arc;
 
-use cloudsim::FailureModel;
-use provenance::{ProvenanceStore, WorkflowId};
-use telemetry::Telemetry;
+use provenance::ProvenanceStore;
 
 use crate::backend::{Backend, LocalBackend, RunReport, Workflow};
-use crate::engine::EngineCfg;
 use crate::error::CumulusError;
-use crate::obs::{BoundAddr, EventLog};
-use crate::serve::{Directory, ServeConfig};
-use crate::threadport::ThreadPort;
-
-/// Local backend configuration.
-///
-/// Marked `#[non_exhaustive]`: construct it with [`LocalConfig::new`] (or
-/// `Default`) and the `with_*` builder methods rather than a struct
-/// literal, so new knobs can be added without breaking downstream crates.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct LocalConfig {
-    /// Worker threads (≙ local cores).
-    pub threads: usize,
-    /// Failure injection model (use [`FailureModel::none`] to disable).
-    pub failures: FailureModel,
-    /// Maximum re-executions of a failed activation before dropping it.
-    pub max_retries: u32,
-    /// Resume from a prior workflow execution: activations whose
-    /// `(activity tag, pair key)` finished in that run are *not* re-executed;
-    /// their recorded output tuples are reused (SciCumulus' re-execution
-    /// mechanism — "it does not need to restart the entire workflow").
-    pub resume_from: Option<WorkflowId>,
-    /// Telemetry sink: spans/counters/histograms are recorded into it when
-    /// attached and near-free when disabled (the default).
-    pub telemetry: Telemetry,
-    /// When set, the run's provenance committer publishes a `RUNNING` row
-    /// for every attempt in flight at this interval, so steering queries see
-    /// in-flight work during the run.
-    pub steering_tick: Option<std::time::Duration>,
-    /// Structured event log: run/activation lifecycle events are emitted
-    /// into it (and served from `/events` when an endpoint is bound).
-    pub events: Option<EventLog>,
-    /// When set, bind a std-only HTTP exposition endpoint at this address
-    /// (e.g. `"127.0.0.1:0"`) serving `/metrics`, `/snapshot.json`,
-    /// `/healthz` and `/events` for the duration of the run.
-    pub metrics_addr: Option<String>,
-    /// Resolves to the endpoint's actual bound address once the listener is
-    /// up — needed to discover the ephemeral port when binding port 0.
-    pub metrics_bound: Option<BoundAddr>,
-}
-
-impl Default for LocalConfig {
-    fn default() -> Self {
-        LocalConfig {
-            threads: 4,
-            failures: FailureModel::none(),
-            max_retries: 3,
-            resume_from: None,
-            telemetry: Telemetry::disabled(),
-            steering_tick: None,
-            events: None,
-            metrics_addr: None,
-            metrics_bound: None,
-        }
-    }
-}
-
-impl LocalConfig {
-    /// The default configuration (4 threads, pipelined dispatch, no failure
-    /// injection, telemetry disabled).
-    pub fn new() -> LocalConfig {
-        LocalConfig::default()
-    }
-
-    /// Set the worker thread count.
-    pub fn with_threads(mut self, threads: usize) -> LocalConfig {
-        self.threads = threads;
-        self
-    }
-
-    /// Set the failure-injection model.
-    pub fn with_failures(mut self, failures: FailureModel) -> LocalConfig {
-        self.failures = failures;
-        self
-    }
-
-    /// Set the per-activation retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> LocalConfig {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Resume from a prior workflow execution (skip activations it finished).
-    pub fn with_resume_from(mut self, prev: WorkflowId) -> LocalConfig {
-        self.resume_from = Some(prev);
-        self
-    }
-
-    /// Attach a telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> LocalConfig {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Publish `RUNNING` rows at the given interval.
-    pub fn with_steering_tick(mut self, tick: std::time::Duration) -> LocalConfig {
-        self.steering_tick = Some(tick);
-        self
-    }
-
-    /// Attach a structured event log.
-    pub fn with_events(mut self, events: EventLog) -> LocalConfig {
-        self.events = Some(events);
-        self
-    }
-
-    /// Serve `/metrics`, `/snapshot.json`, `/healthz` and `/events` over
-    /// HTTP at `addr` for the duration of the run.
-    pub fn with_metrics_addr(mut self, addr: impl Into<String>) -> LocalConfig {
-        self.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Resolve the endpoint's actual bound address into `bound`.
-    pub fn with_metrics_bound(mut self, bound: BoundAddr) -> LocalConfig {
-        self.metrics_bound = Some(bound);
-        self
-    }
-}
+use crate::serve::Directory;
 
 /// A run on threads of this process: the one campaign of a directory — the
-/// run scope `scidockd` turns too — whose engine holds it over a fixed fleet
-/// of `threads` workers of the thread port, turned on the calling thread.
+/// run scope `scidockd` turns too — whose engine holds it over the thread
+/// port's fleet by the daemon's rule (`workers` clamped into the bounds,
+/// fixed without a `scheduler`), turned on the calling thread.
 impl Backend for LocalBackend {
     fn run(&self, wf: &Workflow, store: &Arc<ProvenanceStore>) -> Result<RunReport, CumulusError> {
         wf.def.validate().map_err(CumulusError::Invalid)?;
-        let cfg = &self.cfg;
-        let threads = cfg.threads.max(1);
-        let serve = ServeConfig {
-            failures: cfg.failures,
-            max_retries: cfg.max_retries,
-            telemetry: cfg.telemetry.clone(),
-            steering_tick: cfg.steering_tick,
-            events: cfg.events.clone(),
-            metrics_addr: cfg.metrics_addr.clone(),
-            metrics_bound: cfg.metrics_bound.clone(),
-            ..ServeConfig::default()
-        };
-        let port = |_: &Telemetry, tx| Ok(ThreadPort::new(tx, &cfg.telemetry, "cumulus-worker"));
-        let fleet = EngineCfg::threads(threads, threads);
-        let mut dir = Directory::new(serve, Arc::new(|_| None), Arc::clone(store), fleet, port)?;
-        dir.engine.launch(threads)?;
-        let mut report = dir.run_one(wf.clone(), cfg.resume_from, "dispatcher")?;
+        let store = Arc::clone(store);
+        let mut dir =
+            Directory::on_threads(self.cfg.clone(), Arc::new(|_| None), store, "cumulus-worker")?;
+        let mut report = dir.run_one(wf.clone(), "dispatcher")?;
         report.metrics = dir.close();
         Ok(report)
     }
@@ -185,9 +53,14 @@ impl Backend for LocalBackend {
 mod tests {
     use super::*;
     use crate::algebra::Relation;
+    use crate::obs::BoundAddr;
+    use crate::serve::RunConfig;
     use crate::workflow::{Activity, FileStore, WorkflowDef};
+    use cloudsim::FailureModel;
     use provenance::Value;
+    use provenance::WorkflowId;
     use std::time::Instant;
+    use telemetry::Telemetry;
 
     /// `def` over `input` through the local backend.
     fn run_local(
@@ -195,7 +68,7 @@ mod tests {
         input: Relation,
         files: Arc<FileStore>,
         prov: Arc<ProvenanceStore>,
-        cfg: &LocalConfig,
+        cfg: &RunConfig,
     ) -> Result<RunReport, CumulusError> {
         let wf = Workflow { def: def.clone(), input, files };
         LocalBackend::new(cfg.clone()).run(&wf, &prov)
@@ -241,7 +114,7 @@ mod tests {
             input(10),
             Arc::new(FileStore::new()),
             Arc::new(ProvenanceStore::new()),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap();
         assert_eq!(report.finished, 20); // 10 activations × 2 activities
@@ -260,7 +133,7 @@ mod tests {
             input(5),
             Arc::new(FileStore::new()),
             Arc::clone(&prov),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap();
         let r = prov
@@ -293,7 +166,7 @@ mod tests {
             input(3),
             Arc::clone(&files),
             Arc::clone(&prov),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap();
         let r =
@@ -310,8 +183,8 @@ mod tests {
 
     #[test]
     fn failures_are_retried() {
-        let cfg = LocalConfig {
-            threads: 4,
+        let cfg = RunConfig {
+            workers: 4,
             failures: FailureModel {
                 fail_rate: 0.3,
                 hang_rate: 0.0,
@@ -345,8 +218,8 @@ mod tests {
 
     #[test]
     fn hangs_are_aborted_and_dropped() {
-        let cfg = LocalConfig {
-            threads: 2,
+        let cfg = RunConfig {
+            workers: 2,
             failures: FailureModel {
                 fail_rate: 0.0,
                 hang_rate: 0.5,
@@ -382,7 +255,7 @@ mod tests {
             input(10),
             Arc::new(FileStore::new()),
             Arc::clone(&prov),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap();
         assert_eq!(report.blacklisted, 5);
@@ -402,7 +275,7 @@ mod tests {
             input(1),
             Arc::new(FileStore::new()),
             Arc::new(ProvenanceStore::new()),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap_err();
         assert!(matches!(err, CumulusError::Invalid(_)));
@@ -419,7 +292,7 @@ mod tests {
             activities: vec![Activity::map("always_fails", &["x"], func)],
             deps: vec![vec![]],
         };
-        let cfg = LocalConfig { max_retries: 2, ..Default::default() };
+        let cfg = RunConfig { workers: 4, max_retries: 2, ..Default::default() };
         let report = run_local(
             &wf,
             input(4),
@@ -474,7 +347,7 @@ mod tests {
             rel,
             Arc::new(FileStore::new()),
             Arc::clone(&prov),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap();
         // fanout: 3 activations producing 2+3+4 = 9 tuples
@@ -526,8 +399,8 @@ mod tests {
         let prov = Arc::new(ProvenanceStore::new());
         let files = Arc::new(FileStore::new());
         // run 1: heavy failures, no retries -> some tuples dropped
-        let cfg1 = LocalConfig {
-            threads: 2,
+        let cfg1 = RunConfig {
+            workers: 2,
             failures: FailureModel {
                 fail_rate: 0.5,
                 hang_rate: 0.0,
@@ -545,8 +418,8 @@ mod tests {
 
         // run 2: resume from run 1 with failures off — only the dropped
         // activations execute
-        let cfg2 = LocalConfig {
-            threads: 2,
+        let cfg2 = RunConfig {
+            workers: 2,
             failures: FailureModel::none(),
             max_retries: 0,
             resume_from: Some(r1.workflow),
@@ -574,10 +447,10 @@ mod tests {
             input(5),
             Arc::clone(&files),
             Arc::clone(&prov),
-            &LocalConfig::default(),
+            &RunConfig::new().with_workers(4),
         )
         .unwrap();
-        let cfg2 = LocalConfig { resume_from: Some(r1.workflow), ..Default::default() };
+        let cfg2 = RunConfig { workers: 4, resume_from: Some(r1.workflow), ..Default::default() };
         let r2 = run_local(&wf, input(5), files, Arc::clone(&prov), &cfg2).unwrap();
         assert_eq!(r2.resumed, 10, "both activities fully resumed");
         assert_eq!(r2.finished, 0);
@@ -663,8 +536,8 @@ mod tests {
             FailureModel { fail_rate: 0.15, hang_rate: 0.05, fail_at_fraction: 0.5, seed: 42 };
         let run = |threads: usize| {
             let prov = Arc::new(ProvenanceStore::new());
-            let cfg = LocalConfig {
-                threads,
+            let cfg = RunConfig {
+                workers: threads,
                 failures,
                 max_retries: 2,
                 resume_from: None,
@@ -735,7 +608,7 @@ mod tests {
             ],
             deps: vec![vec![], vec![0]],
         };
-        let cfg = LocalConfig { threads: 4, ..Default::default() };
+        let cfg = RunConfig { workers: 4, ..Default::default() };
         let report = run_local(
             &wf,
             input(8),
@@ -776,7 +649,7 @@ mod tests {
                 input(6),
                 Arc::new(FileStore::new()),
                 Arc::new(ProvenanceStore::new()),
-                &LocalConfig { threads, ..Default::default() },
+                &RunConfig { workers: threads, ..Default::default() },
             )
             .unwrap()
         };
@@ -819,7 +692,7 @@ mod tests {
     #[test]
     fn pipelined_run_exports_chrome_trace_with_nested_activation_spans() {
         let tel = Telemetry::attached();
-        let cfg = LocalConfig { threads: 2, telemetry: tel.clone(), ..Default::default() };
+        let cfg = RunConfig { workers: 2, telemetry: tel.clone(), ..Default::default() };
         let report = run_local(
             &simple_workflow(),
             input(6),
@@ -882,8 +755,8 @@ mod tests {
             deps: vec![vec![]],
         };
         let bound = BoundAddr::new();
-        let cfg = LocalConfig::new()
-            .with_threads(2)
+        let cfg = RunConfig::new()
+            .with_workers(2)
             .with_metrics_addr("127.0.0.1:0")
             .with_metrics_bound(bound.clone());
         let run = std::thread::spawn(move || {
@@ -912,6 +785,52 @@ mod tests {
         assert!(done <= total && total <= 8, "{body}");
     }
 
+    /// A run scope has one event log: with an endpoint and no log of the
+    /// caller's, `/events` serves what the engine and the run emit into the
+    /// ring the scope made for it, mid-run.
+    #[test]
+    fn an_endpoint_without_a_callers_log_serves_the_runs_events_mid_run() {
+        use std::time::Duration;
+        let slow: crate::workflow::ActivityFn = Arc::new(|tuples, _ctx| {
+            std::thread::sleep(Duration::from_millis(60));
+            Ok(tuples.to_vec())
+        });
+        let wf = WorkflowDef {
+            tag: "slow".into(),
+            description: String::new(),
+            expdir: "/e".into(),
+            activities: vec![Activity::map("slow", &["x"], slow)],
+            deps: vec![vec![]],
+        };
+        let bound = BoundAddr::new();
+        let cfg = RunConfig::new()
+            .with_workers(2)
+            .with_metrics_addr("127.0.0.1:0")
+            .with_metrics_bound(bound.clone());
+        assert!(cfg.events.is_none());
+        let run = std::thread::spawn(move || {
+            let prov = Arc::new(ProvenanceStore::new());
+            run_local(&wf, input(8), Arc::new(FileStore::new()), prov, &cfg)
+        });
+        let addr = bound.wait(Duration::from_secs(10)).expect("the endpoint comes up");
+        let shows = |body: &str, kind: &str| body.contains(&format!("\"kind\":\"{kind}\""));
+        let mut seen = None;
+        while seen.is_none() && !run.is_finished() {
+            let scraped = crate::obs::http_get(addr, "/events", Duration::from_secs(2));
+            let Ok((code, body)) = scraped else { break };
+            assert_eq!(code, 200);
+            if shows(&body, "campaign_started") && shows(&body, "activation_finished") {
+                seen = Some(body);
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(run.join().expect("run thread").expect("run").finished, 8);
+        let body = seen.expect("/events never showed the run's events while it ran");
+        for line in body.lines() {
+            telemetry::json::validate(line).expect("valid event JSON");
+        }
+    }
+
     /// `threads = 0` runs on the one thread it is clamped to, and says so.
     #[test]
     fn zero_threads_runs_on_one_and_reports_it() {
@@ -920,7 +839,7 @@ mod tests {
             input(5),
             Arc::new(FileStore::new()),
             Arc::new(ProvenanceStore::new()),
-            &LocalConfig::new().with_threads(0),
+            &RunConfig::new().with_workers(0),
         )
         .unwrap();
         assert_eq!(report.finished, 10);
@@ -956,8 +875,8 @@ mod tests {
             activities: vec![Activity::map("slow", &["x"], func)],
             deps: vec![vec![]],
         };
-        let cfg = LocalConfig {
-            threads: 4,
+        let cfg = RunConfig {
+            workers: 4,
             steering_tick: Some(std::time::Duration::from_millis(10)),
             ..Default::default()
         };
@@ -982,8 +901,8 @@ mod tests {
             FailureModel { fail_rate: 0.3, hang_rate: 0.05, fail_at_fraction: 0.5, seed: 11 };
         let run = |threads| {
             let prov = Arc::new(ProvenanceStore::new());
-            let cfg = LocalConfig {
-                threads,
+            let cfg = RunConfig {
+                workers: threads,
                 failures,
                 max_retries: 2,
                 steering_tick: Some(std::time::Duration::from_millis(5)),

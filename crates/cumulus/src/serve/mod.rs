@@ -18,6 +18,13 @@
 //! has the daemon's committer, events, `serve.turn.*` timings and
 //! `/campaigns` row.
 //!
+//! Every scope starts from one [`RunConfig`], handed to the directory as it
+//! is: its fleet, run and endpoint fields are read by all three entry
+//! points, its admission fields by [`Daemon::start`] alone, its `SDW2` port
+//! fields by `run_dist` alone. A scope has one event log — the caller's, a
+//! fresh ring when it binds an endpoint, or none — which the endpoint, the
+//! engine and every run share.
+//!
 //! Architecture (all std, no async runtime):
 //!
 //! ```text
@@ -85,6 +92,8 @@ use telemetry::{Histogram, MetricsSnapshot, Telemetry};
 use crate::algebra::{Relation, Tuple};
 use crate::backend::{RunReport, Workflow};
 use crate::commit::Committer;
+use crate::distbackend::worker::WorkflowResolver;
+use crate::distbackend::KillPlan;
 use crate::engine::{Engine, EngineCfg, PortEvent, Sinks, WorkerPort, TICK};
 use crate::error::CumulusError;
 use crate::fleet::SchedulerFactory;
@@ -102,169 +111,323 @@ pub use proto::CampaignState;
 /// laboratory.
 pub type CampaignResolver = Arc<dyn Fn(&str) -> Option<Workflow> + Send + Sync>;
 
-/// Daemon configuration.
+/// The one run configuration: what every run scope is started with —
+/// `scidockd`'s [`Daemon::start`], a [`LocalBackend`](crate::LocalBackend)
+/// run and a [`run_dist`](crate::run_dist) run. Each field says which entry
+/// point reads it; the others ignore it.
 ///
-/// Marked `#[non_exhaustive]`: construct with [`ServeConfig::new`] (or
-/// `Default`) plus the `with_*` builders.
-#[derive(Debug, Clone)]
+/// One fleet rule holds for all three: the initial fleet is `workers`
+/// clamped into `[min_workers, max_workers]` (and at least one), and only a
+/// `scheduler` moves it within those bounds; without one the fleet is fixed.
+///
+/// Marked `#[non_exhaustive]`: construct it with [`RunConfig::new`] (or
+/// `Default`) and the `with_*` builders, or assign its `pub` fields.
+#[derive(Clone)]
 #[non_exhaustive]
-pub struct ServeConfig {
-    /// Listen address for the `SDC1` endpoint (port 0 = ephemeral).
-    pub addr: String,
-    /// Initial worker fleet (threads, one activation slot each).
+pub struct RunConfig {
+    /// Initial worker fleet: threads of this process (one activation slot
+    /// each) for the daemon and a local run, worker processes for
+    /// `run_dist`. Every entry point.
     pub workers: usize,
-    /// Elastic floor: `Shrink` never drains below this many workers.
+    /// Elastic floor: `Shrink` never drains below this many workers. Every
+    /// entry point.
     pub min_workers: usize,
     /// Elastic ceiling: `Grow` never provisions above this many workers.
+    /// Every entry point.
     pub max_workers: usize,
+    /// Elastic fleet policy (`None`: a fixed fleet of the initial size).
+    /// Every entry point.
+    pub scheduler: Option<SchedulerFactory>,
+    /// Failure injection rolled for every activation (fates roll in this
+    /// process, so injected failures are schedule-independent). Every entry
+    /// point.
+    pub failures: FailureModel,
+    /// Re-executions of a failed activation before it is dropped. Every
+    /// entry point.
+    pub max_retries: u32,
+    /// Activations whose `(activity tag, pair key)` finished in this prior
+    /// execution are not re-executed; their recorded outputs are reused
+    /// (SciCumulus' re-execution mechanism). The local backend and
+    /// `run_dist`: a daemon campaign starts afresh.
+    pub resume_from: Option<WorkflowId>,
+    /// Telemetry sink shared by the engine and every run; `run_dist` merges
+    /// its workers' spans into it on per-worker tracks. Every entry point.
+    pub telemetry: Telemetry,
+    /// Publish every attempt in flight as a `RUNNING` row on this tick, so
+    /// steering queries see in-flight work (`None`: no such rows). Every
+    /// entry point.
+    pub steering_tick: Option<Duration>,
+    /// Structured event log: campaign, activation and fleet events. Without
+    /// one, a scope that binds an endpoint keeps a fresh ring for `/events`
+    /// and any other emits nothing. Every entry point.
+    pub events: Option<EventLog>,
+    /// Serve `/metrics`, `/snapshot.json`, `/healthz`, `/events` and
+    /// `/campaigns` over HTTP here for the scope's life (`"127.0.0.1:0"`
+    /// binds an ephemeral port; `None`: no endpoint). Every entry point.
+    pub metrics_addr: Option<String>,
+    /// Resolves to the endpoint's actual bound address once it listens.
+    /// Every entry point.
+    pub metrics_bound: Option<BoundAddr>,
+    /// Listen address of the `SDC1` endpoint (port 0 = ephemeral).
+    /// `Daemon::start` only.
+    pub addr: String,
     /// Campaigns running concurrently; the rest wait in the pending queue.
+    /// `Daemon::start` only.
     pub max_active: usize,
-    /// Bound on the pending queue — submissions over it are `Reject`ed
-    /// with a retry-after hint rather than queued.
+    /// Bound on the pending queue: submissions over it are `Reject`ed with
+    /// a retry-after hint rather than queued. `Daemon::start` only.
     pub max_pending: usize,
-    /// Max live (pending + running) campaigns per tenant; submissions over
-    /// it are `Reject`ed.
+    /// Live (pending + running) campaigns per tenant; submissions over it
+    /// are `Reject`ed. `Daemon::start` only.
     pub tenant_quota: usize,
     /// Retry-after hint carried in overload `Reject`s, milliseconds.
+    /// `Daemon::start` only.
     pub retry_after_ms: u64,
-    /// Elastic fleet policy (None = fixed fleet of `workers`).
-    pub scheduler: Option<SchedulerFactory>,
-    /// Publish in-flight activations of all campaigns as `RUNNING` rows on
-    /// this tick (None = no steering rows).
-    pub steering_tick: Option<Duration>,
-    /// Failure injection forwarded to every activation.
-    pub failures: FailureModel,
-    /// Retry budget per activation.
-    pub max_retries: u32,
-    /// Telemetry sink shared by the engine and all campaigns.
-    pub telemetry: Telemetry,
-    /// Structured event log (campaign lifecycle + fleet scale events).
-    pub events: Option<EventLog>,
-    /// Bind the observability HTTP endpoint here (None = no endpoint).
-    pub metrics_addr: Option<String>,
-    /// Resolves to the observability endpoint's actual bound address.
-    pub metrics_bound: Option<BoundAddr>,
+    /// Worker executable and its leading arguments; the master appends
+    /// `--connect <addr>` (`None`: in-process worker threads through
+    /// `resolver`). `run_dist` only.
+    pub worker_cmd: Option<(String, Vec<String>)>,
+    /// Spec-name resolver of in-process workers (`worker_cmd: None`).
+    /// `run_dist` only.
+    pub resolver: Option<WorkflowResolver>,
+    /// Workflow spec name shipped to workers in the `Hello` frame.
+    /// `run_dist` only.
+    pub spec: String,
+    /// Activations outstanding per worker (the backpressure bound).
+    /// `run_dist` only.
+    pub max_in_flight: usize,
+    /// Heartbeat interval asked of workers. `run_dist` only.
+    pub heartbeat: Duration,
+    /// A worker silent for longer is declared lost and its activations
+    /// reassigned. `run_dist` only.
+    pub heartbeat_timeout: Duration,
+    /// An activation running longer wedges its worker, which is then lost
+    /// (`None`: no hang detector). `run_dist` only.
+    pub activation_timeout: Option<Duration>,
+    /// Worker losses an activation survives before its input is
+    /// `BLACKLISTED` as poison. `run_dist` only.
+    pub reassign_budget: u32,
+    /// Fault drill: sever a worker upon its Nth `Run` frame. `run_dist` only.
+    pub kill_plan: Option<KillPlan>,
+    /// Flag an in-flight activation as a straggler once it runs longer than
+    /// this multiple of its activity's rolling p95… `run_dist` only.
+    pub straggler_factor: f64,
+    /// …and longer than this many milliseconds. `run_dist` only.
+    pub straggler_min_ms: u64,
+    /// In-process worker launch that never heartbeats, to drill the
+    /// liveness timeout.
+    pub(crate) mute_heartbeat: Option<usize>,
 }
 
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
+impl std::fmt::Debug for RunConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // the resolver is a closure: only whether there is one shows
+        f.debug_struct("RunConfig")
+            .field("workers", &(self.min_workers, self.workers, self.max_workers))
+            .field("scheduler", &self.scheduler)
+            .field("failures", &self.failures)
+            .field("max_retries", &self.max_retries)
+            .field("resume_from", &self.resume_from)
+            .field("steering_tick", &self.steering_tick)
+            .field("metrics_addr", &self.metrics_addr)
+            .field("addr", &self.addr)
+            .field("worker_cmd", &self.worker_cmd)
+            .field("resolver", &self.resolver.is_some())
+            .field("spec", &self.spec)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Default for RunConfig {
+    fn default() -> RunConfig {
+        RunConfig {
             workers: 2,
             min_workers: 1,
-            max_workers: 8,
+            max_workers: usize::MAX,
+            scheduler: None,
+            failures: FailureModel::none(),
+            max_retries: 3,
+            resume_from: None,
+            telemetry: Telemetry::disabled(),
+            steering_tick: None,
+            events: None,
+            metrics_addr: None,
+            metrics_bound: None,
+            addr: "127.0.0.1:0".to_string(),
             max_active: 4,
             max_pending: 16,
             tenant_quota: 8,
             retry_after_ms: 250,
-            scheduler: None,
-            steering_tick: None,
-            failures: FailureModel::none(),
-            max_retries: 3,
-            telemetry: Telemetry::disabled(),
-            events: None,
-            metrics_addr: None,
-            metrics_bound: None,
+            worker_cmd: None,
+            resolver: None,
+            spec: String::new(),
+            max_in_flight: 4,
+            heartbeat: Duration::from_millis(100),
+            heartbeat_timeout: Duration::from_secs(3),
+            activation_timeout: None,
+            reassign_budget: 2,
+            kill_plan: None,
+            straggler_factor: 4.0,
+            straggler_min_ms: 30_000,
+            mute_heartbeat: None,
         }
     }
 }
 
-impl ServeConfig {
-    /// The default configuration (2 fixed workers, 4 active campaigns, 16
-    /// pending, tenant quota 8, no endpoint).
-    pub fn new() -> ServeConfig {
-        ServeConfig::default()
+impl RunConfig {
+    /// The default configuration: 2 workers on a fixed fleet, no failure
+    /// injection, telemetry disabled, no endpoint; 4 active campaigns, 16
+    /// pending, a tenant quota of 8; 4 activations in flight per `SDW2`
+    /// worker.
+    pub fn new() -> RunConfig {
+        RunConfig::default()
     }
 
-    /// Set the `SDC1` listen address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> ServeConfig {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Set the initial worker fleet size.
-    pub fn with_workers(mut self, workers: usize) -> ServeConfig {
+    /// Set the initial worker fleet.
+    pub fn with_workers(mut self, workers: usize) -> RunConfig {
         self.workers = workers;
         self
     }
 
-    /// Set the elastic fleet bounds.
-    pub fn with_worker_bounds(mut self, min: usize, max: usize) -> ServeConfig {
+    // `with_workers` under the name `benchmark/src`, its only caller, spells
+    #[doc(hidden)]
+    pub fn with_threads(self, threads: usize) -> RunConfig {
+        self.with_workers(threads)
+    }
+
+    /// Set the elastic fleet bounds (a floor of at least one, a ceiling of
+    /// at least the floor).
+    pub fn with_worker_bounds(mut self, min: usize, max: usize) -> RunConfig {
         self.min_workers = min.max(1);
         self.max_workers = max.max(self.min_workers);
         self
     }
 
-    /// Set how many campaigns run concurrently.
-    pub fn with_max_active(mut self, n: usize) -> ServeConfig {
-        self.max_active = n.max(1);
-        self
-    }
-
-    /// Set the pending-queue bound (admission control).
-    pub fn with_max_pending(mut self, n: usize) -> ServeConfig {
-        self.max_pending = n;
-        self
-    }
-
-    /// Set the per-tenant live-campaign quota.
-    pub fn with_tenant_quota(mut self, n: usize) -> ServeConfig {
-        self.tenant_quota = n.max(1);
-        self
-    }
-
-    /// Set the retry-after hint for overload rejections.
-    pub fn with_retry_after_ms(mut self, ms: u64) -> ServeConfig {
-        self.retry_after_ms = ms;
-        self
-    }
-
     /// Drive the fleet elastically with a [`SchedulerFactory`].
-    pub fn with_scheduler(mut self, factory: SchedulerFactory) -> ServeConfig {
+    pub fn with_scheduler(mut self, factory: SchedulerFactory) -> RunConfig {
         self.scheduler = Some(factory);
         self
     }
 
-    /// Publish `RUNNING` rows on this tick.
-    pub fn with_steering_tick(mut self, tick: Duration) -> ServeConfig {
-        self.steering_tick = Some(tick);
-        self
-    }
-
-    /// Set failure injection for activations.
-    pub fn with_failures(mut self, failures: FailureModel) -> ServeConfig {
+    /// Set the failure-injection model.
+    pub fn with_failures(mut self, failures: FailureModel) -> RunConfig {
         self.failures = failures;
         self
     }
 
     /// Set the per-activation retry budget.
-    pub fn with_max_retries(mut self, n: u32) -> ServeConfig {
-        self.max_retries = n;
+    pub fn with_max_retries(mut self, max_retries: u32) -> RunConfig {
+        self.max_retries = max_retries;
+        self
+    }
+
+    /// Resume from a prior workflow execution (skip activations it finished).
+    pub fn with_resume_from(mut self, prev: WorkflowId) -> RunConfig {
+        self.resume_from = Some(prev);
         self
     }
 
     /// Attach a telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> ServeConfig {
+    pub fn with_telemetry(mut self, telemetry: Telemetry) -> RunConfig {
         self.telemetry = telemetry;
         self
     }
 
+    /// Publish `RUNNING` rows on this tick.
+    pub fn with_steering_tick(mut self, tick: Duration) -> RunConfig {
+        self.steering_tick = Some(tick);
+        self
+    }
+
     /// Attach a structured event log.
-    pub fn with_events(mut self, events: EventLog) -> ServeConfig {
+    pub fn with_events(mut self, events: EventLog) -> RunConfig {
         self.events = Some(events);
         self
     }
 
-    /// Bind the observability HTTP endpoint at `addr`.
-    pub fn with_metrics_addr(mut self, addr: impl Into<String>) -> ServeConfig {
+    /// Serve the observability endpoint at `addr` for the scope's life.
+    pub fn with_metrics_addr(mut self, addr: impl Into<String>) -> RunConfig {
         self.metrics_addr = Some(addr.into());
         self
     }
 
-    /// Resolve the observability endpoint's bound address into `bound`.
-    pub fn with_metrics_bound(mut self, bound: BoundAddr) -> ServeConfig {
+    /// Resolve the endpoint's bound address into `bound`.
+    pub fn with_metrics_bound(mut self, bound: BoundAddr) -> RunConfig {
         self.metrics_bound = Some(bound);
         self
+    }
+
+    /// Set the `SDC1` listen address.
+    pub fn with_addr(mut self, addr: impl Into<String>) -> RunConfig {
+        self.addr = addr.into();
+        self
+    }
+
+    /// Set how many campaigns run concurrently.
+    pub fn with_max_active(mut self, n: usize) -> RunConfig {
+        self.max_active = n.max(1);
+        self
+    }
+
+    /// Set the pending-queue bound (admission control).
+    pub fn with_max_pending(mut self, n: usize) -> RunConfig {
+        self.max_pending = n;
+        self
+    }
+
+    /// Set the per-tenant live-campaign quota.
+    pub fn with_tenant_quota(mut self, n: usize) -> RunConfig {
+        self.tenant_quota = n.max(1);
+        self
+    }
+
+    /// Set the retry-after hint for overload rejections.
+    pub fn with_retry_after_ms(mut self, ms: u64) -> RunConfig {
+        self.retry_after_ms = ms;
+        self
+    }
+
+    /// Spawn `SDW2` workers as OS processes running `program` (the master
+    /// appends `--connect <addr>` to `args`).
+    pub fn with_worker_command(
+        mut self,
+        program: impl Into<String>,
+        args: Vec<String>,
+    ) -> RunConfig {
+        self.worker_cmd = Some((program.into(), args));
+        self
+    }
+
+    /// Run `SDW2` workers as in-process threads resolving specs through
+    /// `resolver`.
+    pub fn with_resolver(mut self, resolver: WorkflowResolver) -> RunConfig {
+        self.resolver = Some(resolver);
+        self
+    }
+
+    /// Set the workflow spec name shipped to `SDW2` workers.
+    pub fn with_spec(mut self, spec: impl Into<String>) -> RunConfig {
+        self.spec = spec.into();
+        self
+    }
+
+    /// Set the per-worker in-flight bound of `SDW2` workers.
+    pub fn with_max_in_flight(mut self, n: usize) -> RunConfig {
+        self.max_in_flight = n;
+        self
+    }
+
+    /// Install a fault-drill kill plan.
+    pub fn with_kill_plan(mut self, plan: KillPlan) -> RunConfig {
+        self.kill_plan = Some(plan);
+        self
+    }
+
+    /// The initial fleet: `workers` clamped into the bounds, and at least
+    /// one (`max` then `min` rather than `clamp`, which panics on bounds set
+    /// the wrong way round).
+    pub(crate) fn initial_workers(&self) -> usize {
+        self.workers.max(self.min_workers).min(self.max_workers).max(1)
     }
 }
 
@@ -413,7 +576,7 @@ impl Daemon {
     /// `prov`. A fleet that cannot be started is an error here, before any
     /// client is answered.
     pub fn start(
-        cfg: ServeConfig,
+        cfg: RunConfig,
         resolver: CampaignResolver,
         prov: Arc<ProvenanceStore>,
     ) -> std::io::Result<Daemon> {
@@ -426,15 +589,8 @@ impl Daemon {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let fleet = EngineCfg::threads(cfg.min_workers.max(1), cfg.max_workers);
-        // the fleet starts within its bounds; `max` then `min` rather than
-        // `clamp`, which panics on bounds set the wrong way round
-        let workers = cfg.workers.max(cfg.min_workers).min(cfg.max_workers).max(1);
-        let tel = cfg.telemetry.clone();
-        let port = |_: &Telemetry, tx| Ok(ThreadPort::new(tx, &tel, "scidockd-worker"));
-        let mut directory = Directory::new(cfg, resolver, Arc::clone(&prov), fleet, port)
+        let directory = Directory::on_threads(cfg, resolver, Arc::clone(&prov), "scidockd-worker")
             .map_err(std::io::Error::other)?;
-        directory.engine.launch(workers).map_err(std::io::Error::other)?;
         let (tx, table) = (directory.tx.clone(), Arc::clone(&directory.table));
         let engine_thread = std::thread::Builder::new()
             .name("scidockd-engine".into())
@@ -703,7 +859,7 @@ const TURNS: [&str; 4] =
 /// campaign ([`Directory::run_one`]). Dropping it stops the fleet, then the
 /// committer, then the endpoint.
 pub(crate) struct Directory<P: WorkerPort> {
-    cfg: ServeConfig,
+    cfg: RunConfig,
     resolver: CampaignResolver,
     prov: Arc<ProvenanceStore>,
     tel: Telemetry,
@@ -746,7 +902,7 @@ impl<P: WorkerPort> Directory<P> {
     /// directory's channel. The owner supplies the engine's `fleet` settings
     /// and starts its initial workers.
     pub(crate) fn new(
-        cfg: ServeConfig,
+        mut cfg: RunConfig,
         resolver: CampaignResolver,
         prov: Arc<ProvenanceStore>,
         fleet: EngineCfg,
@@ -756,13 +912,16 @@ impl<P: WorkerPort> Directory<P> {
         let tel = cfg.telemetry.clone();
         let (tx, rx) = channel();
         // the endpoint serves the run's own collector when one is attached,
-        // otherwise a private one; observation only reads engine state
-        let (obs, server) = match &cfg.metrics_addr {
+        // otherwise a private one; observation only reads engine state. The
+        // scope has one event log, which the endpoint, the engine and every
+        // run share: the caller's, or a fresh ring for the endpoint to serve
+        let (obs, server) = match cfg.metrics_addr.clone() {
             Some(addr) => {
                 let obs_tel = if tel.is_enabled() { tel.clone() } else { Telemetry::attached() };
-                let obs = ObsState::new(obs_tel, cfg.events.clone().unwrap_or_default());
+                let obs =
+                    ObsState::new(obs_tel, cfg.events.get_or_insert_with(EventLog::new).clone());
                 obs.set_health(HealthView { phase: "starting".into(), ..HealthView::default() });
-                let server = ObsServer::start(addr, obs.clone())
+                let server = ObsServer::start(&addr, obs.clone())
                     .map_err(|e| CumulusError::Io(format!("metrics listener on {addr}: {e}")))?;
                 if let Some(bound) = &cfg.metrics_bound {
                     bound.set(server.addr());
@@ -816,17 +975,13 @@ impl<P: WorkerPort> Directory<P> {
     }
 
     /// A one-shot run: `wf` as the directory's one campaign, resuming from
-    /// `resume_from`, turned on the calling thread — its telemetry track
-    /// named `track` — until the campaign is recorded. An engine error ends
-    /// the run. The report's `metrics` are [`Directory::close`]'s.
-    pub(crate) fn run_one(
-        &mut self,
-        wf: Workflow,
-        resume_from: Option<WorkflowId>,
-        track: &str,
-    ) -> Result<RunReport, CumulusError> {
+    /// the config's `resume_from`, turned on the calling thread — its
+    /// telemetry track named `track` — until the campaign is recorded. An
+    /// engine error ends the run. The report's `metrics` are
+    /// [`Directory::close`]'s.
+    pub(crate) fn run_one(&mut self, wf: Workflow, track: &str) -> Result<RunReport, CumulusError> {
         self.tel.name_current_track(track);
-        let id = self.enter(String::new(), 0, wf.def.tag.clone(), wf, resume_from);
+        let id = self.enter(String::new(), 0, wf.def.tag.clone(), wf, self.cfg.resume_from);
         let mut woke = None;
         let outputs = loop {
             self.turn(woke)?;
@@ -1152,6 +1307,25 @@ impl<P: WorkerPort> Directory<P> {
     }
 }
 
+impl Directory<ThreadPort<EngineMsg>> {
+    /// A directory over threads of this process, named `<prefix>-<i>`, the
+    /// engine of the daemon and of a local run: `cfg`'s initial fleet is
+    /// started, within its bounds, and no worker is ever lost or silent.
+    pub(crate) fn on_threads(
+        cfg: RunConfig,
+        resolver: CampaignResolver,
+        prov: Arc<ProvenanceStore>,
+        prefix: &'static str,
+    ) -> Result<Self, CumulusError> {
+        let (fleet, workers) = (EngineCfg::threads(&cfg), cfg.initial_workers());
+        let tel = cfg.telemetry.clone();
+        let port = |_: &Telemetry, tx| Ok(ThreadPort::new(tx, &tel, prefix));
+        let mut dir = Directory::new(cfg, resolver, prov, fleet, port)?;
+        dir.engine.launch(workers)?;
+        Ok(dir)
+    }
+}
+
 impl<P: WorkerPort> Drop for Directory<P> {
     /// Stop the fleet (running attempts finish and record themselves), then
     /// the committer; the endpoint goes with the fields.
@@ -1212,7 +1386,7 @@ mod tests {
         });
         let tel = Telemetry::attached();
         let daemon = Daemon::start(
-            ServeConfig::new().with_workers(2).with_telemetry(tel.clone()),
+            RunConfig::new().with_workers(2).with_telemetry(tel.clone()),
             resolver,
             Arc::new(ProvenanceStore::new()),
         )
@@ -1275,7 +1449,7 @@ mod tests {
     fn the_initial_fleet_starts_within_the_worker_bounds() {
         let tel = Telemetry::attached();
         let cfg =
-            ServeConfig::new().with_workers(5).with_worker_bounds(1, 3).with_telemetry(tel.clone());
+            RunConfig::new().with_workers(5).with_worker_bounds(1, 3).with_telemetry(tel.clone());
         let resolver: CampaignResolver = Arc::new(|_| Some(sleeper(3, 0)));
         let daemon =
             Daemon::start(cfg, resolver, Arc::new(ProvenanceStore::new())).expect("daemon starts");
@@ -1285,6 +1459,43 @@ mod tests {
         daemon.shutdown();
         let fleet = snap.gauge("fleet.size").and_then(|g| g.samples.last()).map(|s| s.1);
         assert_eq!(fleet, Some(3.0));
+    }
+
+    /// What each entry point derives from one config: the thread port (a
+    /// local run, the daemon) a fleet of `workers` clamped into the bounds
+    /// and no liveness checks, the `SDW2` port (`run_dist`) the liveness
+    /// settings of its port fields.
+    #[test]
+    fn every_entry_point_derives_its_settings_from_one_run_config() {
+        let cfg = RunConfig::new().with_workers(2);
+        let unbounded = EngineCfg {
+            floor: 1,
+            ceiling: usize::MAX,
+            reassign_budget: 0,
+            heartbeat_timeout: None,
+            activation_timeout: None,
+            straggler: None,
+        };
+        // local: a fixed fleet of two threads, never lost, never silent
+        assert_eq!((cfg.initial_workers(), cfg.scheduler.is_none()), (2, true));
+        assert_eq!(EngineCfg::threads(&cfg), unbounded);
+        // dist: the port's liveness settings, 4 jobs in flight per worker
+        let sdw = EngineCfg {
+            reassign_budget: 2,
+            heartbeat_timeout: Some(Duration::from_secs(3)),
+            activation_timeout: None,
+            straggler: Some((4.0, 30_000)),
+            ..unbounded.clone()
+        };
+        assert_eq!(EngineCfg::sdw(&cfg), sdw);
+        assert_eq!((cfg.heartbeat, cfg.max_in_flight), (Duration::from_millis(100), 4));
+        // daemon: the configured bounds, and the initial fleet clamped into them
+        let bounded = cfg.with_worker_bounds(3, 8);
+        let fleet = EngineCfg::threads(&bounded);
+        assert_eq!((fleet.floor, fleet.ceiling), (3, 8));
+        assert_eq!(bounded.initial_workers(), 3);
+        assert_eq!(bounded.clone().with_workers(9).initial_workers(), 8);
+        assert_eq!(RunConfig::new().with_workers(0).initial_workers(), 1);
     }
 
     /// With the engine thread held inside a second `Submit` (its resolver
@@ -1305,7 +1516,7 @@ mod tests {
             Some(sleeper(3, 0))
         });
         let daemon = Daemon::start(
-            ServeConfig::new().with_workers(1),
+            RunConfig::new().with_workers(1),
             resolver,
             Arc::new(ProvenanceStore::new()),
         )
@@ -1375,12 +1586,10 @@ mod tests {
     #[test]
     fn the_live_count_per_tenant_equals_a_recount_after_every_turn() {
         let resolver: CampaignResolver = Arc::new(|spec| (spec == "ok").then(|| sleeper(3, 5)));
-        let cfg = ServeConfig::new().with_workers(1).with_max_active(1).with_tenant_quota(2);
+        let cfg = RunConfig::new().with_workers(1).with_max_active(1).with_tenant_quota(2);
         let prov = Arc::new(ProvenanceStore::new());
-        let port = |tel: &Telemetry, tx| Ok(ThreadPort::new(tx, tel, "scidockd-worker"));
-        let mut dir: Threads = Directory::new(cfg, resolver, prov, EngineCfg::threads(1, 8), port)
-            .expect("no endpoint");
-        dir.engine.launch(1).expect("a worker thread");
+        let mut dir: Threads =
+            Directory::on_threads(cfg, resolver, prov, "scidockd-worker").expect("a worker thread");
         let submit = |tenant: &str, spec: &str| proto::Msg::Submit {
             tenant: tenant.into(),
             priority: 0,

@@ -6,9 +6,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cumulus::serve::{CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome};
+use cumulus::serve::{CampaignState, Daemon, ServeClient, SubmitOutcome};
 use cumulus::workflow::{Activity, WorkflowDef};
-use cumulus::{run_dist, Backend, DistConfig, LocalBackend, LocalConfig, Relation, Workflow};
+use cumulus::{run_dist, Backend, LocalBackend, Relation, RunConfig, Workflow};
 use provenance::{export_provn_canonical, ProvenanceStore, Value};
 
 const N: i64 = 6;
@@ -60,7 +60,7 @@ fn daemon_campaign_survives_a_panicking_activity_and_shuts_down() {
     std::thread::spawn(move || {
         let prov = Arc::new(ProvenanceStore::new());
         let daemon = Daemon::start(
-            ServeConfig::new().with_workers(2).with_max_retries(MAX_RETRIES),
+            RunConfig::new().with_workers(2).with_max_retries(MAX_RETRIES),
             Arc::new(|spec: &str| (spec == "panicky").then(panicky_workflow)),
             Arc::clone(&prov),
         )
@@ -97,7 +97,7 @@ fn daemon_campaign_survives_a_panicking_activity_and_shuts_down() {
 #[test]
 fn local_and_dist_record_a_panicking_activity_identically() {
     let local_store = Arc::new(ProvenanceStore::new());
-    let local = LocalBackend::new(LocalConfig::new().with_threads(2).with_max_retries(MAX_RETRIES))
+    let local = LocalBackend::new(RunConfig::new().with_workers(2).with_max_retries(MAX_RETRIES))
         .run(&panicky_workflow(), &local_store)
         .expect("a panicking activity does not abort the run");
 
@@ -108,7 +108,7 @@ fn local_and_dist_record_a_panicking_activity_identically() {
         wf.input,
         wf.files,
         Arc::clone(&dist_store),
-        &DistConfig::new()
+        &RunConfig::new()
             .with_workers(2)
             .with_max_retries(MAX_RETRIES)
             .with_spec("panicky")

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cumulus::{
-    Activity, Backend, CumulusError, FileStore, LocalBackend, LocalConfig, Relation, RunReport,
+    Activity, Backend, CumulusError, FileStore, LocalBackend, Relation, RunConfig, RunReport,
     Workflow, WorkflowDef,
 };
 use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
@@ -44,7 +44,7 @@ fn run(
     wf: WorkflowDef,
     input: Relation,
     prov: &Arc<ProvenanceStore>,
-    cfg: LocalConfig,
+    cfg: RunConfig,
 ) -> Result<RunReport, CumulusError> {
     LocalBackend::new(cfg)
         .run(&Workflow::new(wf, input).with_files(Arc::new(FileStore::new())), prov)
@@ -74,7 +74,7 @@ fn injected_crash_mid_run_then_reopen_and_resume() {
     let calls_ref = Arc::new(AtomicUsize::new(0));
     let wf_ref = doubling_workflow(&calls_ref);
     let prov_ref = Arc::new(ProvenanceStore::new());
-    let full = run(wf_ref, input(N), &prov_ref, LocalConfig::new().with_threads(2)).unwrap();
+    let full = run(wf_ref, input(N), &prov_ref, RunConfig::new().with_workers(2)).unwrap();
     assert_eq!(full.finished, N as usize);
 
     // crashing run: the storage env panics after a handful of WAL appends,
@@ -87,7 +87,7 @@ fn injected_crash_mid_run_then_reopen_and_resume() {
     let calls1 = Arc::new(AtomicUsize::new(0));
     let wf1 = doubling_workflow(&calls1);
     let crashed = catch_unwind(AssertUnwindSafe(|| {
-        run(wf1, input(N), &prov1, LocalConfig::new().with_threads(2))
+        run(wf1, input(N), &prov1, RunConfig::new().with_workers(2))
     }));
     assert!(crashed.is_err(), "the injected fault must kill the run");
     assert!(plan.appends_seen() >= 9);
@@ -107,7 +107,7 @@ fn injected_crash_mid_run_then_reopen_and_resume() {
     let calls2 = Arc::new(AtomicUsize::new(0));
     let wf2 = doubling_workflow(&calls2);
     let resumed =
-        run(wf2, input(N), &prov2, LocalConfig::new().with_threads(2).with_resume_from(prior))
+        run(wf2, input(N), &prov2, RunConfig::new().with_workers(2).with_resume_from(prior))
             .unwrap();
     assert_eq!(resumed.resumed as i64, recovered, "every recovered FINISHED row is reused");
     assert_eq!(resumed.finished + resumed.resumed, N as usize);
@@ -122,7 +122,7 @@ fn torn_wal_tail_recovers_committed_prefix_and_resumes() {
     let wf = doubling_workflow(&calls);
     let env = MemEnv::new();
     let prov1 = Arc::new(ProvenanceStore::open_env(Box::new(env.clone()), sync_options()).unwrap());
-    let full = run(wf, input(N), &prov1, LocalConfig::new().with_threads(2)).unwrap();
+    let full = run(wf, input(N), &prov1, RunConfig::new().with_workers(2)).unwrap();
     drop(prov1);
 
     // simulate a crash mid-write: keep ~60% of the WAL and smear garbage
@@ -143,7 +143,7 @@ fn torn_wal_tail_recovers_committed_prefix_and_resumes() {
     let calls2 = Arc::new(AtomicUsize::new(0));
     let wf2 = doubling_workflow(&calls2);
     let resumed =
-        run(wf2, input(N), &prov2, LocalConfig::new().with_threads(2).with_resume_from(prior))
+        run(wf2, input(N), &prov2, RunConfig::new().with_workers(2).with_resume_from(prior))
             .unwrap();
     assert_eq!(resumed.finished + resumed.resumed, N as usize);
     // a FINISHED row and its outputs are one WAL record, so every recovered
@@ -160,7 +160,7 @@ fn durability_knob_and_steering_flush_reach_the_wal() {
     let calls = Arc::new(AtomicUsize::new(0));
     let wf = doubling_workflow(&calls);
     let cfg =
-        LocalConfig::new().with_threads(2).with_steering_tick(std::time::Duration::from_millis(1));
+        RunConfig::new().with_workers(2).with_steering_tick(std::time::Duration::from_millis(1));
     let r = run(wf, input(N), &prov, cfg).unwrap();
     assert_eq!(r.finished, N as usize);
     drop(prov);
@@ -172,7 +172,8 @@ fn durability_knob_and_steering_flush_reach_the_wal() {
     let calls2 = Arc::new(AtomicUsize::new(0));
     let wf2 = doubling_workflow(&calls2);
     let prior = prov2.latest_workflow().unwrap();
-    let r2 = run(wf2, input(N), &prov2, LocalConfig::new().with_resume_from(prior)).unwrap();
+    let r2 = run(wf2, input(N), &prov2, RunConfig::new().with_workers(4).with_resume_from(prior))
+        .unwrap();
     assert_eq!(r2.resumed, N as usize);
     assert_eq!(calls2.load(Ordering::SeqCst), 0, "nothing re-executes");
 }

@@ -12,10 +12,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cumulus::fleet::WorkerView;
-use cumulus::serve::{CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome};
+use cumulus::serve::{CampaignState, Daemon, ServeClient, SubmitOutcome};
 use cumulus::workflow::{Activity, FileStore, WorkflowDef};
 use cumulus::{
-    run_dist, simulate_tasks, DistConfig, QueueDepthConfig, QueueDepthScheduler, Relation,
+    run_dist, simulate_tasks, QueueDepthConfig, QueueDepthScheduler, Relation, RunConfig,
     ScaleDecision, Scheduler, SchedulerFactory, SimConfig, SimTask, Workflow,
 };
 use provenance::{ProvenanceStore, Value};
@@ -73,8 +73,8 @@ fn qd_factory(max_workers: usize) -> SchedulerFactory {
     })
 }
 
-fn dist_cfg(sleep_ms: u64) -> DistConfig {
-    DistConfig::new()
+fn dist_cfg(sleep_ms: u64) -> RunConfig {
+    RunConfig::new()
         .with_workers(1)
         .with_resolver(Arc::new(move |spec| (spec == "flat").then(|| flat_def(sleep_ms))))
         .with_spec("flat")
@@ -154,7 +154,7 @@ fn a_placement_outside_the_candidates_falls_back_to_least_loaded() {
             deps: vec![vec![]],
         };
         let daemon = Daemon::start(
-            ServeConfig::new().with_workers(2).with_scheduler(factory.clone()),
+            RunConfig::new().with_workers(2).with_scheduler(factory.clone()),
             Arc::new(move |spec: &str| {
                 (spec == "flat").then(|| Workflow::new(def.clone(), flat_input(6)))
             }),

@@ -12,12 +12,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use cumulus::obs::{BoundAddr, EventLog};
-use cumulus::serve::{
-    CampaignResolver, CampaignState, Daemon, ServeClient, ServeConfig, SubmitOutcome,
-};
+use cumulus::serve::{CampaignResolver, CampaignState, Daemon, ServeClient, SubmitOutcome};
 use cumulus::workflow::{Activity, FileStore, WorkflowDef};
 use cumulus::{
-    Backend, LocalBackend, LocalConfig, QueueDepthConfig, QueueDepthScheduler, Relation,
+    Backend, LocalBackend, QueueDepthConfig, QueueDepthScheduler, Relation, RunConfig,
     SchedulerFactory, Workflow,
 };
 use provenance::{
@@ -145,7 +143,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
     let prov = Arc::new(ProvenanceStore::new());
     let gate = Gate::default();
     let daemon = Daemon::start(
-        ServeConfig::new()
+        RunConfig::new()
             .with_workers(2)
             .with_worker_bounds(1, 6)
             .with_max_active(16)
@@ -264,7 +262,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
 
         let solo_prov = Arc::new(ProvenanceStore::new());
         let wf = test_workflow(tag, 8, 0);
-        LocalBackend::new(LocalConfig::new().with_threads(2))
+        LocalBackend::new(RunConfig::new().with_workers(2))
             .run(&wf, &solo_prov)
             .expect("one-shot run");
         let solo_wkf = solo_prov.latest_workflow().expect("one-shot workflow recorded");
@@ -288,7 +286,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
 #[test]
 fn overload_rejects_with_retry_after_and_keeps_the_queue_bounded() {
     let daemon = Daemon::start(
-        ServeConfig::new()
+        RunConfig::new()
             .with_workers(1)
             .with_max_active(1)
             .with_max_pending(2)
@@ -361,7 +359,7 @@ fn overload_rejects_with_retry_after_and_keeps_the_queue_bounded() {
 #[test]
 fn tenant_quota_stops_one_tenant_from_starving_the_rest() {
     let daemon = Daemon::start(
-        ServeConfig::new()
+        RunConfig::new()
             .with_workers(2)
             .with_max_active(8)
             .with_max_pending(16)
@@ -438,7 +436,7 @@ fn a_query_keeps_its_own_limit_and_an_explain_names_its_index() {
             pair_key: format!("R:L{i}"),
         });
     }
-    let daemon = Daemon::start(ServeConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
+    let daemon = Daemon::start(RunConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
         .expect("daemon starts");
     let mut client = ServeClient::connect(daemon.addr()).expect("connect");
     let (_, rows) =
@@ -461,7 +459,7 @@ fn a_query_keeps_its_own_limit_and_an_explain_names_its_index() {
 #[test]
 fn an_over_deep_query_is_an_error_and_the_daemon_still_answers_status() {
     let prov = Arc::new(ProvenanceStore::new());
-    let daemon = Daemon::start(ServeConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
+    let daemon = Daemon::start(RunConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
         .expect("daemon starts");
     let mut client = ServeClient::connect(daemon.addr()).expect("connect");
     let SubmitOutcome::Accepted { id } = client.submit("alice", 0, "wf:deep:2:0").unwrap() else {
@@ -491,7 +489,7 @@ fn a_store_fault_in_a_workers_commit_fails_the_daemon_instead_of_hanging_the_cam
     let prov = ProvenanceStore::open_env(Box::new(env), Default::default()).expect("fresh env");
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let daemon = Daemon::start(ServeConfig::new().with_workers(2), resolver(), Arc::new(prov))
+        let daemon = Daemon::start(RunConfig::new().with_workers(2), resolver(), Arc::new(prov))
             .expect("daemon starts");
         let mut client = ServeClient::connect(daemon.addr()).expect("connect");
         let SubmitOutcome::Accepted { id } = client.submit("alice", 0, "wf:doomed:4:0").unwrap()
@@ -535,7 +533,7 @@ fn campaigns_start_while_the_committer_is_parked_in_its_append() {
     {
         let (prov, plan) = (Arc::clone(&prov), Arc::clone(&plan));
         std::thread::spawn(move || {
-            let cfg = ServeConfig::new().with_workers(2).with_max_active(4);
+            let cfg = RunConfig::new().with_workers(2).with_max_active(4);
             let daemon = Daemon::start(cfg, resolver(), prov).expect("daemon starts");
             let mut client = ServeClient::connect(daemon.addr()).expect("connect");
             let mut submit = |spec: &str| match client.submit("alice", 0, spec).expect("submit") {
@@ -564,7 +562,7 @@ fn campaigns_start_while_the_committer_is_parked_in_its_append() {
     for tag in ["wf-parked1", "wf-parked2"] {
         let (wkf, _) = prov.workflows().into_iter().find(|(_, t)| t == tag).expect("registered");
         let solo_prov = Arc::new(ProvenanceStore::new());
-        LocalBackend::new(LocalConfig::new().with_threads(2))
+        LocalBackend::new(RunConfig::new().with_workers(2))
             .run(&test_workflow(tag, 4, 0), &solo_prov)
             .expect("one-shot run");
         let solo_wkf = solo_prov.latest_workflow().expect("one-shot workflow recorded");
@@ -579,7 +577,7 @@ fn campaigns_start_while_the_committer_is_parked_in_its_append() {
 #[test]
 fn cancel_pending_and_running_campaigns() {
     let daemon = Daemon::start(
-        ServeConfig::new().with_workers(1).with_max_active(1),
+        RunConfig::new().with_workers(1).with_max_active(1),
         resolver(),
         Arc::new(ProvenanceStore::new()),
     )

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cumulus::{
-    Activity, Backend, FileStore, LocalBackend, LocalConfig, Relation, RunReport, Workflow,
+    Activity, Backend, FileStore, LocalBackend, Relation, RunConfig, RunReport, Workflow,
     WorkflowDef,
 };
 use provenance::durable::io::{FaultEnv, FaultPlan, MemEnv};
@@ -55,7 +55,7 @@ fn chain() -> WorkflowDef {
     }
 }
 
-fn run(prov: &Arc<ProvenanceStore>, cfg: LocalConfig) -> RunReport {
+fn run(prov: &Arc<ProvenanceStore>, cfg: RunConfig) -> RunReport {
     let mut input = Relation::new(&["pair", "x"]);
     for k in 0..PAIRS {
         input.push(vec![Value::from(format!("P{k:02}")), Value::Int(k)]);
@@ -81,7 +81,7 @@ fn finished_keys(prov: &ProvenanceStore, tag: &str) -> BTreeSet<String> {
 #[test]
 fn a_crash_at_any_append_keeps_every_finished_dock_above_a_finished_stage() {
     let reference =
-        sorted_output(&run(&Arc::new(ProvenanceStore::new()), LocalConfig::new().with_threads(4)));
+        sorted_output(&run(&Arc::new(ProvenanceStore::new()), RunConfig::new().with_workers(4)));
     let activations = 2 * PAIRS as u64;
     for k in SETUP_APPENDS + 1..=SETUP_APPENDS + activations {
         let env = MemEnv::new();
@@ -90,7 +90,7 @@ fn a_crash_at_any_append_keeps_every_finished_dock_above_a_finished_stage() {
         let prov =
             Arc::new(ProvenanceStore::open_env(Box::new(fault), Default::default()).unwrap());
         let crashed =
-            catch_unwind(AssertUnwindSafe(|| run(&prov, LocalConfig::new().with_threads(4))));
+            catch_unwind(AssertUnwindSafe(|| run(&prov, RunConfig::new().with_workers(4))));
         assert!(crashed.is_err(), "append {k}: the injected crash must kill the run");
         // a killed process runs no destructors
         std::mem::forget(prov);
@@ -103,7 +103,7 @@ fn a_crash_at_any_append_keeps_every_finished_dock_above_a_finished_stage() {
         assert_eq!(stage.len() + dock.len(), kept, "append {k}: the records up to the crash");
 
         let prior = prov.latest_workflow().expect("the workflow row precedes every crash");
-        let resumed = run(&prov, LocalConfig::new().with_threads(4).with_resume_from(prior));
+        let resumed = run(&prov, RunConfig::new().with_workers(4).with_resume_from(prior));
         assert_eq!(resumed.resumed, stage.len() + dock.len(), "append {k}");
         assert_eq!(sorted_output(&resumed), reference, "append {k}: resume reproduces the run");
     }

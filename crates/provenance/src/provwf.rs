@@ -753,10 +753,10 @@ impl ProvenanceStore {
     }
 
     /// Snapshot the tables through `eng`, the writer lock's engine, and
-    /// truncate the WAL. Only flushing the dirty pages — so the page file is
-    /// coherent with the snapshot — and encoding hold the tables' lock; the
-    /// WAL/snapshot pair stays the durability source of truth, the page
-    /// file a rebuildable acceleration structure.
+    /// truncate the WAL. Only encoding holds the tables' lock. The
+    /// WAL/snapshot pair is the durability source of truth; the page file is
+    /// a cache spill, truncated on every open and read only after an
+    /// eviction, so a checkpoint writes no page to it.
     ///
     /// # Panics
     /// Panics if the snapshot cannot be written (same contract as
@@ -764,7 +764,6 @@ impl ProvenanceStore {
     fn checkpoint_with(&self, eng: &mut DurableEngine) {
         eng.checkpoint(|seq| {
             let t = self.tables.lock();
-            t.db.flush_pages();
             (snapshot::encode(&t.db, &t.counters, seq), rows_in(&t.db))
         })
         .expect("provstore: snapshot checkpoint failed");
@@ -1612,6 +1611,42 @@ mod tests {
         let r = p2.query_rows("SELECT count(*) FROM hactivity", &[]).unwrap();
         assert_eq!(r.cell(0, 0), &Value::Int(1));
         assert_eq!(p2.latest_workflow(), Some(w));
+    }
+
+    /// The page file is a cache spill: a checkpoint of a store whose pages
+    /// all fit in the cache writes none of them to it.
+    #[test]
+    fn a_checkpoint_writes_no_page_to_the_page_file() {
+        let dir = crate::durable::testing::TempDir::new("provwf-ckpt");
+        let opts = crate::durable::DurableOptions { checkpoint_every: 0, ..Default::default() };
+        let p = ProvenanceStore::open_with(dir.path(), opts).unwrap();
+        let w = p.begin_workflow("ckpt", "", "");
+        let act = p.register_activity(w, "a", "Map");
+        for i in 0..300 {
+            let rec = ActivationRecord {
+                activity: act,
+                workflow: w,
+                status: ActivationStatus::Finished,
+                start_time: i as f64,
+                end_time: i as f64 + 1.0,
+                machine: None,
+                retries: 0,
+                pair_key: format!("k{i}"),
+            };
+            let params = [("feb".to_string(), Some(-6.5), None)];
+            p.commit_activation(
+                None,
+                &rec,
+                &[("out.txt", 10, "/e")],
+                &params,
+                &[vec![Value::Int(i)]],
+            );
+        }
+        assert!(p.checkpoint());
+        let stats = p.cache_stats();
+        assert_eq!((stats.evictions, stats.writebacks), (0, 0), "{stats:?}");
+        let pages = std::fs::metadata(dir.path().join("pages.db")).unwrap();
+        assert_eq!(pages.len(), 0, "a checkpoint wrote pages nothing reads");
     }
 
     #[test]

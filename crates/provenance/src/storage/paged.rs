@@ -427,11 +427,6 @@ impl PagedDb {
         self.cache.stats()
     }
 
-    /// Write all dirty pages back to the page store (checkpoint hook).
-    pub fn flush_pages(&self) {
-        self.cache.flush();
-    }
-
     /// Exhaustive structural check: every row reachable through the primary
     /// index, row counts consistent, and every secondary index holding
     /// exactly one correctly keyed entry per row. Test/diagnostic hook.

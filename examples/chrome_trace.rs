@@ -10,9 +10,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cumulus::localbackend::LocalConfig;
 use cumulus::workflow::FileStore;
-use cumulus::{Backend, LocalBackend, Workflow};
+use cumulus::{Backend, LocalBackend, RunConfig, Workflow};
 use provenance::{steering, ProvenanceStore};
 use scidock::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
 use scidock::dataset::{Dataset, DatasetParams, LIGAND_CODES, RECEPTOR_IDS};
@@ -47,8 +46,8 @@ fn main() {
     };
 
     let backend = LocalBackend::new(
-        LocalConfig::new()
-            .with_threads(4)
+        RunConfig::new()
+            .with_workers(4)
             .with_telemetry(tel.clone())
             .with_steering_tick(Duration::from_millis(50)),
     );

@@ -9,9 +9,8 @@
 use std::sync::Arc;
 
 use cloudsim::FailureModel;
-use cumulus::localbackend::LocalConfig;
 use cumulus::workflow::FileStore;
-use cumulus::{Backend, LocalBackend, Workflow};
+use cumulus::{Backend, LocalBackend, RunConfig, Workflow};
 use provenance::ProvenanceStore;
 use scidock::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
 use scidock::dataset::{Dataset, DatasetParams, LIGAND_CODES, RECEPTOR_IDS};
@@ -27,8 +26,8 @@ fn main() {
     println!("== run 1: {} pairs with heavy failure injection, no retries ==", ds.pair_count());
     let workflow = Workflow::new(wf, input).with_files(Arc::clone(&files));
     let run1 = LocalBackend::new(
-        LocalConfig::new()
-            .with_threads(4)
+        RunConfig::new()
+            .with_workers(4)
             .with_failures(FailureModel {
                 fail_rate: 0.30,
                 hang_rate: 0.0,
@@ -49,8 +48,8 @@ fn main() {
 
     println!("\n== run 2: resume from run 1's provenance (workflow id {}) ==", run1.workflow.0);
     let run2 = LocalBackend::new(
-        LocalConfig::new()
-            .with_threads(4)
+        RunConfig::new()
+            .with_workers(4)
             .with_failures(FailureModel::none())
             .with_max_retries(3)
             .with_resume_from(run1.workflow),

@@ -9,9 +9,8 @@
 
 use std::sync::Arc;
 
-use cumulus::localbackend::LocalConfig;
 use cumulus::workflow::FileStore;
-use cumulus::{Backend, LocalBackend, Workflow};
+use cumulus::{Backend, LocalBackend, RunConfig, Workflow};
 use provenance::ProvenanceStore;
 use scidock::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
 use scidock::analysis::results_from_provenance;
@@ -41,7 +40,7 @@ fn main() {
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
 
-    let report = LocalBackend::new(LocalConfig::new().with_threads(8))
+    let report = LocalBackend::new(RunConfig::new().with_workers(8))
         .run(&Workflow::new(wf.clone(), input).with_files(Arc::clone(&files)), &prov)
         .expect("workflow is valid");
 

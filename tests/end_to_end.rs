@@ -4,9 +4,8 @@
 use std::sync::Arc;
 
 use cloudsim::FailureModel;
-use cumulus::localbackend::LocalConfig;
 use cumulus::workflow::FileStore;
-use cumulus::{Backend, LocalBackend, Workflow};
+use cumulus::{Backend, LocalBackend, RunConfig, Workflow};
 use provenance::{ProvenanceStore, Value};
 use scidock::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
 use scidock::analysis::{results_from_provenance, results_from_relation};
@@ -47,7 +46,7 @@ fn full_pipeline_produces_consistent_results_in_three_places() {
     let cfg = fast_cfg();
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-    let backend = LocalBackend::new(LocalConfig::new().with_threads(2));
+    let backend = LocalBackend::new(RunConfig::new().with_workers(2));
     let report =
         backend.run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov).unwrap();
 
@@ -83,7 +82,7 @@ fn pipeline_is_deterministic() {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-        let backend = LocalBackend::new(LocalConfig::new().with_threads(2));
+        let backend = LocalBackend::new(RunConfig::new().with_workers(2));
         let report = backend.run(&Workflow::new(wf, input).with_files(files), &prov).unwrap();
         results_from_relation(report.final_output())
     };
@@ -103,8 +102,8 @@ fn failure_injection_recovers_through_retries() {
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
     let backend = LocalBackend::new(
-        LocalConfig::new()
-            .with_threads(2)
+        RunConfig::new()
+            .with_workers(2)
             .with_failures(FailureModel {
                 fail_rate: 0.25,
                 hang_rate: 0.0,
@@ -149,7 +148,7 @@ fn adaptive_split_and_both_engines_report() {
     cfg.size_threshold_atoms = 400;
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
-    let _ = LocalBackend::new(LocalConfig::default())
+    let _ = LocalBackend::new(RunConfig::new().with_workers(4))
         .run(&Workflow::new(wf, input).with_files(files), &prov)
         .unwrap();
     let results = results_from_provenance(&prov);
@@ -225,7 +224,7 @@ fn six_hundred_gb_scale_bookkeeping() {
     let staged = files.total_bytes();
     assert!(staged > 0);
     let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-    let _ = LocalBackend::new(LocalConfig::default())
+    let _ = LocalBackend::new(RunConfig::new().with_workers(4))
         .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
         .unwrap();
     assert!(files.total_bytes() > staged, "activities must add artifacts");
