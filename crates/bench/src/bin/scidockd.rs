@@ -16,6 +16,12 @@
 //! and `--max-workers` (default 8); a queue-depth policy grows and shrinks it
 //! within them when they differ, and equal bounds keep it fixed.
 //!
+//! Observability costs nothing unless asked for: `--metrics-addr` attaches
+//! one telemetry handle, shared by the daemon, the store and the docking
+//! side, and serves it with the event ring on `/metrics` and `/events`;
+//! `--events FILE` appends every event to `FILE`. With neither, the daemon
+//! keeps no spans, metrics or events.
+//!
 //! The daemon runs until stdin reaches EOF (pipe from `/dev/null` &
 //! background it for service use; press Ctrl-D interactively), then shuts
 //! down gracefully: in-flight activations finish and the WAL is flushed.
@@ -48,17 +54,27 @@ fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &s
     })
 }
 
-fn main() {
+/// What the command line asks for: the run config, with its observability
+/// sinks, and the store and grid directories.
+struct Flags {
+    cfg: RunConfig,
+    wal: Option<String>,
+    grid_dir: Option<String>,
+}
+
+/// Parse `scidockd`'s flags. A sink exists only for its reader: telemetry
+/// is attached only for `--metrics-addr`, whose endpoint serves it, and an
+/// event log is created only for `--events FILE` (the endpoint makes its
+/// own ring for `/events`).
+fn parse_flags(args: impl IntoIterator<Item = String>) -> Flags {
     let mut cfg = RunConfig::new()
         .with_addr("127.0.0.1:7878")
         .with_workers(4)
         .with_worker_bounds(1, 8)
-        .with_steering_tick(Duration::from_millis(250))
-        .with_telemetry(Telemetry::attached())
-        .with_events(EventLog::new());
+        .with_steering_tick(Duration::from_millis(250));
     let mut wal: Option<String> = None;
     let mut grid_dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => cfg = cfg.with_addr(parse::<String>(&mut args, "--addr")),
@@ -101,6 +117,9 @@ fn main() {
             _ => usage(),
         }
     }
+    if cfg.metrics_addr.is_some() {
+        cfg = cfg.with_telemetry(Telemetry::attached());
+    }
     if cfg.max_workers > cfg.min_workers {
         let bounds = QueueDepthConfig {
             min_workers: cfg.min_workers,
@@ -111,15 +130,19 @@ fn main() {
             Box::new(QueueDepthScheduler::new(bounds))
         }));
     }
+    Flags { cfg, wal, grid_dir }
+}
 
-    // with an endpoint to read them at, the store's `provstore.*` and the
-    // docking side's `gridcache.*` / `receptor.*` / `dock.evaluations` go
-    // where the daemon's own metrics do; otherwise they stay detached
-    let layer_tel =
-        if cfg.metrics_addr.is_some() { cfg.telemetry.clone() } else { Telemetry::disabled() };
+fn main() {
+    let Flags { cfg, wal, grid_dir } = parse_flags(std::env::args().skip(1));
+
+    // the store's `provstore.*` and the docking side's `gridcache.*` /
+    // `receptor.*` / `dock.evaluations` go to the daemon's own handle:
+    // attached when an endpoint reads it, disabled otherwise
+    let tel = cfg.telemetry.clone();
     let prov = match &wal {
         Some(path) => {
-            let options = DurableOptions { telemetry: layer_tel.clone(), ..Default::default() };
+            let options = DurableOptions { telemetry: tel.clone(), ..Default::default() };
             match ProvenanceStore::open_with(path, options) {
                 Ok(p) => Arc::new(p),
                 Err(e) => {
@@ -135,7 +158,7 @@ fn main() {
     // every campaign's workflow shares it, so a receptor is prepared once
     // per process and its map set built once, ever
     let receptors = grid_dir.map_or_else(ReceptorCache::default, ReceptorCache::on_disk);
-    let resolver = scidock_bench::distspec::campaign_resolver(receptors, layer_tel);
+    let resolver = scidock_bench::distspec::campaign_resolver(receptors, tel);
     let daemon = match Daemon::start(cfg, resolver, prov) {
         Ok(d) => d,
         Err(e) => {
@@ -154,4 +177,46 @@ fn main() {
     let _ = std::io::Read::read_to_string(&mut std::io::stdin().lock(), &mut sink);
     println!("scidockd: shutting down");
     daemon.shutdown();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(args: &[&str]) -> Flags {
+        parse_flags(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn no_flags_keep_no_event_log_and_no_telemetry() {
+        let f = flags(&[]);
+        assert!(f.cfg.events.is_none(), "an event log nobody reads");
+        assert!(!f.cfg.telemetry.is_enabled(), "telemetry nobody reads");
+        assert!(f.cfg.metrics_addr.is_none());
+        assert_eq!((f.wal, f.grid_dir), (None, None));
+    }
+
+    #[test]
+    fn an_endpoint_attaches_the_telemetry() {
+        let f = flags(&["--metrics-addr", "127.0.0.1:0", "--wal", "wal-dir"]);
+        assert!(f.cfg.telemetry.is_enabled());
+        assert_eq!(f.cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
+        // the endpoint makes its own ring for `/events`
+        assert!(f.cfg.events.is_none());
+        assert_eq!(f.wal.as_deref(), Some("wal-dir"));
+    }
+
+    #[test]
+    fn an_event_file_gets_a_file_log_and_no_telemetry() {
+        let path = std::env::temp_dir()
+            .join(format!("scidockd-flags-events-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let f = flags(&["--events", path.to_str().expect("a UTF-8 temp path")]);
+        assert!(!f.cfg.telemetry.is_enabled());
+        let log = f.cfg.events.expect("an event log");
+        log.emit(0.5, cumulus::obs::Severity::Info, "probe", &[]);
+        let written = std::fs::read_to_string(&path).expect("the event file");
+        let _ = std::fs::remove_file(&path);
+        assert!(written.contains("\"kind\":\"probe\""), "not in the file: {written}");
+    }
 }

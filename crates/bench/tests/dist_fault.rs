@@ -20,11 +20,9 @@ fn run(kill: Option<KillPlan>) -> (RunReport, Arc<ProvenanceStore>) {
     let mut cfg = RunConfig::new()
         .with_workers(2)
         .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
-        .with_spec(SPEC)
-        .with_max_in_flight(1);
-    if let Some(plan) = kill {
-        cfg = cfg.with_kill_plan(plan);
-    }
+        .with_spec(SPEC);
+    cfg.max_in_flight = 1;
+    cfg.kill_plan = kill;
     let report = run_dist(&def, input, files, Arc::clone(&prov), &cfg).expect("run completes");
     (report, prov)
 }

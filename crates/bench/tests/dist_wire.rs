@@ -67,11 +67,8 @@ fn distinct_bytes<'a>(blobs: impl IntoIterator<Item = &'a Blob>) -> u64 {
 #[test]
 fn the_master_receives_and_keeps_each_content_once() {
     let tel = Telemetry::attached();
-    let dist = RunConfig::new()
-        .with_workers(2)
-        .with_resolver(distspec::resolver(Telemetry::disabled()))
-        .with_spec(SPEC)
-        .with_telemetry(tel.clone());
+    let mut dist = RunConfig::new().with_workers(2).with_spec(SPEC).with_telemetry(tel.clone());
+    dist.resolver = Some(distspec::resolver(Telemetry::disabled()));
     let wf = workflow(SPEC);
     let (out, store) = run_on(&dist, &wf);
     assert!(out.finished > 0);

@@ -715,7 +715,10 @@ mod tests {
     }
 
     fn dist_cfg(workers: usize) -> RunConfig {
-        RunConfig::new().with_workers(workers).with_resolver(resolver(0)).with_spec("dist-test")
+        RunConfig {
+            resolver: Some(resolver(0)),
+            ..RunConfig::new().with_workers(workers).with_spec("dist-test")
+        }
     }
 
     /// `test_def(0)` over four inputs through the local backend.
@@ -754,7 +757,7 @@ mod tests {
     #[test]
     fn workers_fetch_files_through_the_master() {
         // serialize hard so stage and score land on different workers
-        let cfg = dist_cfg(2).with_max_in_flight(1);
+        let cfg = RunConfig { max_in_flight: 1, ..dist_cfg(2) };
         let (report, _, files) = run(&cfg);
         assert_eq!(report.finished, 9);
         assert_eq!(report.outputs.last().unwrap().tuples, vec![vec![Value::Int(18)]]);
@@ -786,11 +789,12 @@ mod tests {
 
     #[test]
     fn killed_worker_is_reassigned_and_the_run_completes() {
-        let fair = dist_cfg(2).with_max_in_flight(1);
+        let fair = RunConfig { max_in_flight: 1, ..dist_cfg(2) };
         let (clean, _, _) = run(&fair);
 
         // worker 0 dies the moment it receives its first activation
-        let cfg = fair.clone().with_kill_plan(KillPlan { worker: 0, after_runs: 1 });
+        let cfg =
+            RunConfig { kill_plan: Some(KillPlan { worker: 0, after_runs: 1 }), ..fair.clone() };
         let (report, prov, _) = run(&cfg);
         assert_eq!(report.finished, clean.finished);
         assert_eq!(report.failed_attempts, 1, "exactly the activation lost with the worker");
@@ -817,7 +821,8 @@ mod tests {
             heartbeat_timeout: Duration::from_millis(250),
             reassign_budget: 0,
             mute_heartbeat: Some(0),
-            ..RunConfig::new().with_workers(1).with_resolver(resolver(600)).with_spec("dist-test")
+            resolver: Some(resolver(600)),
+            ..RunConfig::new().with_workers(1).with_spec("dist-test")
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
@@ -858,11 +863,9 @@ mod tests {
         let cfg = RunConfig {
             activation_timeout: Some(Duration::from_millis(300)),
             reassign_budget: 0,
-            ..RunConfig::new()
-                .with_workers(2)
-                .with_resolver(Arc::new(move |spec| (spec == "hang-test").then(|| hung.clone())))
-                .with_spec("hang-test")
-                .with_max_in_flight(1)
+            resolver: Some(Arc::new(move |spec| (spec == "hang-test").then(|| hung.clone()))),
+            max_in_flight: 1,
+            ..RunConfig::new().with_workers(2).with_spec("hang-test")
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
@@ -904,11 +907,11 @@ mod tests {
     }
 
     fn flat_cfg(sleep_ms: u64) -> RunConfig {
-        RunConfig::new()
-            .with_workers(1)
-            .with_resolver(Arc::new(move |spec| (spec == "flat-test").then(|| flat_def(sleep_ms))))
-            .with_spec("flat-test")
-            .with_max_in_flight(1)
+        RunConfig {
+            resolver: Some(Arc::new(move |spec| (spec == "flat-test").then(|| flat_def(sleep_ms)))),
+            max_in_flight: 1,
+            ..RunConfig::new().with_workers(1).with_spec("flat-test")
+        }
     }
 
     /// The decision trace a queue-depth policy (factor 2, step 1, cooldown
@@ -979,9 +982,10 @@ mod tests {
     fn worker_killed_during_scale_up_is_reassigned() {
         // launch-sequence 1 is the first *scaled-up* worker: it dies the
         // moment it receives its first activation, mid-growth
-        let cfg = flat_cfg(25)
-            .with_scheduler(qd_factory(3))
-            .with_kill_plan(KillPlan { worker: 1, after_runs: 1 });
+        let cfg = RunConfig {
+            kill_plan: Some(KillPlan { worker: 1, after_runs: 1 }),
+            ..flat_cfg(25).with_scheduler(qd_factory(3))
+        };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
             &flat_def(25),
@@ -1006,7 +1010,7 @@ mod tests {
 
     #[test]
     fn autoscaling_preserves_canonical_provenance() {
-        let fixed = dist_cfg(1).with_max_in_flight(1);
+        let fixed = RunConfig { max_in_flight: 1, ..dist_cfg(1) };
         let (freport, fprov, _) = run(&fixed);
 
         let elastic = fixed.clone().with_scheduler(qd_factory(3));
@@ -1048,13 +1052,17 @@ mod tests {
         };
         let resolver_def = def.clone();
         let tel = Telemetry::attached();
-        let cfg = RunConfig::new()
-            .with_workers(1)
-            .with_resolver(Arc::new(move |spec| (spec == "big-test").then(|| resolver_def.clone())))
-            .with_spec("big-test")
-            .with_max_in_flight(1)
-            .with_max_retries(0)
-            .with_telemetry(tel);
+        let cfg = RunConfig {
+            resolver: Some(Arc::new(move |spec| {
+                (spec == "big-test").then(|| resolver_def.clone())
+            })),
+            max_in_flight: 1,
+            ..RunConfig::new()
+                .with_workers(1)
+                .with_spec("big-test")
+                .with_max_retries(0)
+                .with_telemetry(tel)
+        };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
             run_dist(&def, test_input(3), Arc::new(FileStore::new()), Arc::clone(&prov), &cfg)
@@ -1072,12 +1080,11 @@ mod tests {
         // master wakes on its 50 ms tick plus one wakeup per frame (tens
         // of iterations); a busy-spinning one would log thousands
         let tel = Telemetry::attached();
-        let cfg = RunConfig::new()
-            .with_workers(1)
-            .with_resolver(resolver(300))
-            .with_spec("dist-test")
-            .with_max_in_flight(1)
-            .with_telemetry(tel);
+        let cfg = RunConfig {
+            resolver: Some(resolver(300)),
+            max_in_flight: 1,
+            ..RunConfig::new().with_workers(1).with_spec("dist-test").with_telemetry(tel)
+        };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
             &test_def(300),
@@ -1236,13 +1243,13 @@ mod tests {
         let bound = BoundAddr::new();
         let cfg = RunConfig {
             heartbeat: Duration::from_millis(15),
+            resolver: Some(resolver(80)),
+            max_in_flight: 1,
+            metrics_bound: Some(bound.clone()),
             ..RunConfig::new()
                 .with_workers(2)
-                .with_resolver(resolver(80))
                 .with_spec("dist-test")
-                .with_max_in_flight(1)
                 .with_metrics_addr("127.0.0.1:0")
-                .with_metrics_bound(bound.clone())
                 .with_events(events.clone())
         };
         let handle = std::thread::spawn(move || {
@@ -1319,15 +1326,15 @@ mod tests {
         let bound = BoundAddr::new();
         let cfg = RunConfig {
             heartbeat: Duration::from_millis(15),
+            resolver: Some(resolver(100)),
+            max_in_flight: 1,
+            metrics_bound: Some(bound.clone()),
+            // worker 0 dies on its first activation, early in the run
+            kill_plan: Some(KillPlan { worker: 0, after_runs: 1 }),
             ..RunConfig::new()
                 .with_workers(2)
-                .with_resolver(resolver(100))
                 .with_spec("dist-test")
-                .with_max_in_flight(1)
                 .with_metrics_addr("127.0.0.1:0")
-                .with_metrics_bound(bound.clone())
-                // worker 0 dies on its first activation, early in the run
-                .with_kill_plan(KillPlan { worker: 0, after_runs: 1 })
         };
         let handle = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
@@ -1381,13 +1388,13 @@ mod tests {
             heartbeat: Duration::from_millis(15),
             straggler_factor: 1.0,
             straggler_min_ms: 150,
+            resolver: Some(Arc::new(move |spec| {
+                (spec == "strag-test").then(|| resolver_def.clone())
+            })),
+            max_in_flight: 1,
             ..RunConfig::new()
                 .with_workers(2)
-                .with_resolver(Arc::new(move |spec| {
-                    (spec == "strag-test").then(|| resolver_def.clone())
-                }))
                 .with_spec("strag-test")
-                .with_max_in_flight(1)
                 .with_telemetry(tel)
                 .with_events(events.clone())
         };
@@ -1436,10 +1443,8 @@ mod tests {
         let observed = RunConfig {
             straggler_factor: 1.0,
             straggler_min_ms: 100,
-            ..dist_cfg(2)
-                .with_metrics_addr("127.0.0.1:0")
-                .with_metrics_bound(bound)
-                .with_events(events.clone())
+            metrics_bound: Some(bound),
+            ..dist_cfg(2).with_metrics_addr("127.0.0.1:0").with_events(events.clone())
         };
         let (obs_report, obs_prov, _) = run(&observed);
 
@@ -1467,7 +1472,8 @@ mod tests {
             straggler_factor: 1.0,
             straggler_min_ms: 1,
             heartbeat: Duration::from_millis(10),
-            ..dist_cfg(2).with_telemetry(dtel).with_max_in_flight(1)
+            max_in_flight: 1,
+            ..dist_cfg(2).with_telemetry(dtel)
         };
         let (report, _, _) = run(&cfg);
         let dsnap = report.metrics.expect("dist telemetry attached");

@@ -755,10 +755,8 @@ mod tests {
             deps: vec![vec![]],
         };
         let bound = BoundAddr::new();
-        let cfg = RunConfig::new()
-            .with_workers(2)
-            .with_metrics_addr("127.0.0.1:0")
-            .with_metrics_bound(bound.clone());
+        let mut cfg = RunConfig::new().with_workers(2).with_metrics_addr("127.0.0.1:0");
+        cfg.metrics_bound = Some(bound.clone());
         let run = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
             run_local(&wf, input(8), Arc::new(FileStore::new()), prov, &cfg)
@@ -803,10 +801,8 @@ mod tests {
             deps: vec![vec![]],
         };
         let bound = BoundAddr::new();
-        let cfg = RunConfig::new()
-            .with_workers(2)
-            .with_metrics_addr("127.0.0.1:0")
-            .with_metrics_bound(bound.clone());
+        let mut cfg = RunConfig::new().with_workers(2).with_metrics_addr("127.0.0.1:0");
+        cfg.metrics_bound = Some(bound.clone());
         assert!(cfg.events.is_none());
         let run = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());

@@ -351,12 +351,6 @@ impl RunConfig {
         self
     }
 
-    /// Resolve the endpoint's bound address into `bound`.
-    pub fn with_metrics_bound(mut self, bound: BoundAddr) -> RunConfig {
-        self.metrics_bound = Some(bound);
-        self
-    }
-
     /// Set the `SDC1` listen address.
     pub fn with_addr(mut self, addr: impl Into<String>) -> RunConfig {
         self.addr = addr.into();
@@ -398,28 +392,9 @@ impl RunConfig {
         self
     }
 
-    /// Run `SDW2` workers as in-process threads resolving specs through
-    /// `resolver`.
-    pub fn with_resolver(mut self, resolver: WorkflowResolver) -> RunConfig {
-        self.resolver = Some(resolver);
-        self
-    }
-
     /// Set the workflow spec name shipped to `SDW2` workers.
     pub fn with_spec(mut self, spec: impl Into<String>) -> RunConfig {
         self.spec = spec.into();
-        self
-    }
-
-    /// Set the per-worker in-flight bound of `SDW2` workers.
-    pub fn with_max_in_flight(mut self, n: usize) -> RunConfig {
-        self.max_in_flight = n;
-        self
-    }
-
-    /// Install a fault-drill kill plan.
-    pub fn with_kill_plan(mut self, plan: KillPlan) -> RunConfig {
-        self.kill_plan = Some(plan);
         self
     }
 

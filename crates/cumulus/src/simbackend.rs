@@ -188,12 +188,6 @@ impl SimConfig {
         self
     }
 
-    /// Set the instance type acquired on `Grow` decisions.
-    pub fn with_scale_instance(mut self, itype: &'static InstanceType) -> SimConfig {
-        self.scale_itype = itype;
-        self
-    }
-
     /// Install (or remove) the provenance-driven Hg blacklist rule.
     pub fn with_hg_rule(mut self, on: bool) -> SimConfig {
         self.hg_rule = on;

@@ -103,18 +103,11 @@ fn local_and_dist_record_a_panicking_activity_identically() {
 
     let dist_store = Arc::new(ProvenanceStore::new());
     let wf = panicky_workflow();
-    let dist = run_dist(
-        &wf.def,
-        wf.input,
-        wf.files,
-        Arc::clone(&dist_store),
-        &RunConfig::new()
-            .with_workers(2)
-            .with_max_retries(MAX_RETRIES)
-            .with_spec("panicky")
-            .with_resolver(Arc::new(|spec| (spec == "panicky").then(|| panicky_workflow().def))),
-    )
-    .expect("distributed run");
+    let mut cfg =
+        RunConfig::new().with_workers(2).with_max_retries(MAX_RETRIES).with_spec("panicky");
+    cfg.resolver = Some(Arc::new(|spec| (spec == "panicky").then(|| panicky_workflow().def)));
+    let dist = run_dist(&wf.def, wf.input, wf.files, Arc::clone(&dist_store), &cfg)
+        .expect("distributed run");
 
     for out in [&local, &dist] {
         assert_eq!(out.failed_attempts, MAX_RETRIES as usize + 1);

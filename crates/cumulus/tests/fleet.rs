@@ -74,11 +74,10 @@ fn qd_factory(max_workers: usize) -> SchedulerFactory {
 }
 
 fn dist_cfg(sleep_ms: u64) -> RunConfig {
-    RunConfig::new()
-        .with_workers(1)
-        .with_resolver(Arc::new(move |spec| (spec == "flat").then(|| flat_def(sleep_ms))))
-        .with_spec("flat")
-        .with_max_in_flight(1)
+    let mut cfg = RunConfig::new().with_workers(1).with_spec("flat");
+    cfg.resolver = Some(Arc::new(move |spec| (spec == "flat").then(|| flat_def(sleep_ms))));
+    cfg.max_in_flight = 1;
+    cfg
 }
 
 #[test]
@@ -93,11 +92,11 @@ fn sim_and_dist_schedulers_decide_identically() {
     assert_eq!(dist.finished, 10);
 
     // simulated: 1 single-core m1.small, the same 10-task backlog
-    let scfg = SimConfig::new()
+    let mut scfg = SimConfig::new()
         .with_fleet(vec![&cloudsim::M1_SMALL])
-        .with_scale_instance(&cloudsim::M1_SMALL)
         .with_activity_tags(vec!["work".into()])
         .with_scheduler(factory);
+    scfg.scale_itype = &cloudsim::M1_SMALL;
     let sim = simulate_tasks(&flat_tasks(10), &scfg, None);
     assert_eq!(sim.finished, 10);
 

@@ -142,21 +142,18 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
     });
     let prov = Arc::new(ProvenanceStore::new());
     let gate = Gate::default();
-    let daemon = Daemon::start(
-        RunConfig::new()
-            .with_workers(2)
-            .with_worker_bounds(1, 6)
-            .with_max_active(16)
-            .with_scheduler(factory)
-            .with_steering_tick(Duration::from_millis(5))
-            .with_telemetry(tel.clone())
-            .with_events(events.clone())
-            .with_metrics_addr("127.0.0.1:0")
-            .with_metrics_bound(bound.clone()),
-        gated_resolver(gate.clone()),
-        Arc::clone(&prov),
-    )
-    .expect("daemon starts");
+    let mut cfg = RunConfig::new()
+        .with_workers(2)
+        .with_worker_bounds(1, 6)
+        .with_max_active(16)
+        .with_scheduler(factory)
+        .with_steering_tick(Duration::from_millis(5))
+        .with_telemetry(tel.clone())
+        .with_events(events.clone())
+        .with_metrics_addr("127.0.0.1:0");
+    cfg.metrics_bound = Some(bound.clone());
+    let daemon =
+        Daemon::start(cfg, gated_resolver(gate.clone()), Arc::clone(&prov)).expect("daemon starts");
 
     // 9 campaigns, 4 tenants, distinct workflow tags so each campaign's
     // namespace in the shared store is identifiable by tag; campaign c0's

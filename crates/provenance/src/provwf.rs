@@ -976,8 +976,9 @@ impl ProvenanceStore {
     /// [`ACTIVITY_BY_TAG_SQL`] (the workflow's first activity of that tag),
     /// [`FINISHED_TASKS_SQL`] and one pass of [`OUTPUT_CELLS_SQL`], under
     /// one reader hold. A finished activation that produced nothing has an
-    /// empty entry; the tuples of a pair key come in tuple-index order, each
-    /// in column order.
+    /// empty entry; the tuples of a pair key come in task-id order, then
+    /// tuple-index order, each in column order, so two finished activations
+    /// under one pair key give two sets of tuples, never one interleaved.
     ///
     /// Numeric cells come back as `Float` (the storage type), so resumed
     /// relations are value-equal, not necessarily type-identical, to the
@@ -1003,22 +1004,23 @@ impl ProvenanceStore {
             .iter()
             .filter_map(|r| Some((r[0].as_f64()? as i64, r[1].as_str()?.to_string())))
             .collect();
-        // (pair key, tuple index) → (column index, value), in `houtput` order
-        let mut keyed: HashMap<(String, i64), Vec<(i64, Value)>> = HashMap::new();
+        // (pair key, task id, tuple index) → (column index, value), in
+        // `houtput` order: two finished activations under one pair key keep
+        // their tuples apart
+        let mut keyed: HashMap<(String, i64, i64), Vec<(i64, Value)>> = HashMap::new();
         for r in cells {
-            let Some(pk) = r[0].as_f64().and_then(|t| finished.get(&(t as i64))) else {
-                continue;
-            };
+            let Some(task) = r[0].as_f64().map(|t| t as i64) else { continue };
+            let Some(pk) = finished.get(&task) else { continue };
             let tuple_idx = r[1].as_f64().unwrap_or(0.0) as i64;
             let colidx = r[2].as_f64().unwrap_or(-1.0) as i64;
             let value = if r[3].is_null() { r[4].clone() } else { r[3].clone() };
-            keyed.entry((pk.clone(), tuple_idx)).or_default().push((colidx, value));
+            keyed.entry((pk.clone(), task, tuple_idx)).or_default().push((colidx, value));
         }
         let mut out: HashMap<_, Vec<Vec<Value>>> =
             finished.into_values().map(|pk| (pk, Vec::new())).collect();
         let mut keyed: Vec<_> = keyed.into_iter().collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        for ((pk, _), mut cols) in keyed {
+        for ((pk, ..), mut cols) in keyed {
             cols.sort_by_key(|(c, _)| *c);
             out.entry(pk).or_default().push(cols.into_iter().map(|(_, v)| v).collect());
         }
@@ -1303,6 +1305,19 @@ mod tests {
         assert_eq!(tuples[1][1].as_f64(), Some(9.0));
         // unknown activity -> empty map
         assert!(p.finished_outputs(w, "nope").is_empty());
+    }
+
+    #[test]
+    fn two_finished_activations_under_one_pair_key_keep_their_tuples_apart() {
+        // tasks 1 and 2 are both FINISHED babel activations of "1AEC:042",
+        // each with its own tuple 0
+        let (p, w, babel, _) = populated();
+        let (a, b) = (["a0", "a1"].map(Value::from), ["b0", "b1"].map(Value::from));
+        p.record_output_tuple(TaskId(2), babel, w, "1AEC:042", 0, &b);
+        p.record_output_tuple(TaskId(1), babel, w, "1AEC:042", 0, &a);
+        let outs = p.finished_outputs(w, "babel1k");
+        assert_eq!(outs["1AEC:042"], vec![a.to_vec(), b.to_vec()], "one tuple per activation");
+        assert_eq!(exact(outs), exact(finished_outputs_scan(&p, w, "babel1k")));
     }
 
     #[test]
@@ -1748,10 +1763,10 @@ mod tests {
                 (a == act_id && status == "FINISHED").then(|| (task, pk.to_string()))
             })
             .collect();
-        let mut cells: HashMap<(String, i64), Vec<(i64, Value)>> = Default::default();
+        let mut cells: HashMap<(String, i64, i64), Vec<(i64, Value)>> = Default::default();
         for r in &g.scan_all("houtput") {
-            let Some(task) = r[1].as_f64() else { continue };
-            let Some(pk) = finished.get(&(task as i64)) else { continue };
+            let Some(task) = r[1].as_f64().map(|t| t as i64) else { continue };
+            let Some(pk) = finished.get(&task) else { continue };
             let tuple_idx = r[5].as_f64().unwrap_or(0.0) as i64;
             let colidx = r[6].as_f64().unwrap_or(-1.0) as i64;
             let value = if colidx < 0 {
@@ -1763,14 +1778,14 @@ mod tests {
             } else {
                 Value::Null
             };
-            cells.entry((pk.clone(), tuple_idx)).or_default().push((colidx, value));
+            cells.entry((pk.clone(), task, tuple_idx)).or_default().push((colidx, value));
         }
         for pk in finished.values() {
             out.entry(pk.clone()).or_default();
         }
         let mut keyed: Vec<_> = cells.into_iter().collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        for ((pk, _), mut cols) in keyed {
+        for ((pk, ..), mut cols) in keyed {
             cols.sort_by_key(|(c, _)| *c);
             out.entry(pk).or_default().push(cols.into_iter().map(|(_, v)| v).collect());
         }
