@@ -21,6 +21,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
+# the paper's Figure 7–9 sweep as a user runs it: `SweepConfig::default()`
+# through `scaling_sweep` over the full 10,000 pairs, ~2 s in release
+echo "== example: cloud_scaling (release) =="
+cargo run -q --release --example cloud_scaling >/dev/null
+
 # the root manifest is a package *and* a workspace: plain `cargo test` would
 # only run the facade crate's tests
 echo "== cargo test --workspace -q =="

@@ -96,11 +96,11 @@ fn main() {
     let needs_sim_1k = want("fig5") || want("fig6") || want("query1");
     let sim_tel = telemetry::Telemetry::attached();
     let sim_prov = if needs_sim_1k {
-        let sweep = SweepConfig {
+        let mut sweep = SweepConfig {
             ligand_codes: LIGAND_CODES[..4].iter().map(|s| s.to_string()).collect(),
-            telemetry: sim_tel.clone(),
             ..Default::default()
         };
+        sweep.sim.telemetry = sim_tel.clone();
         let prov = ProvenanceStore::new();
         eprintln!("[figures] simulating the 1,000-pair run on 16 cores …");
         let r = simulate_at(16, EngineMode::VinaOnly, &sweep, Some(&prov));

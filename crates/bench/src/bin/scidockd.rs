@@ -64,8 +64,8 @@ struct Flags {
 
 /// Parse `scidockd`'s flags. A sink exists only for its reader: telemetry
 /// is attached only for `--metrics-addr`, whose endpoint serves it, and an
-/// event log is created only for `--events FILE` (the endpoint makes its
-/// own ring for `/events`).
+/// event log is created only for `--events FILE`, and it buffers nothing:
+/// only an endpoint keeps a ring for `/events`, the file log's or its own.
 fn parse_flags(args: impl IntoIterator<Item = String>) -> Flags {
     let mut cfg = RunConfig::new()
         .with_addr("127.0.0.1:7878")
@@ -218,5 +218,7 @@ mod tests {
         let written = std::fs::read_to_string(&path).expect("the event file");
         let _ = std::fs::remove_file(&path);
         assert!(written.contains("\"kind\":\"probe\""), "not in the file: {written}");
+        // no endpoint reads a ring, so the log keeps none
+        assert!(log.events().is_empty(), "a ring nobody reads");
     }
 }

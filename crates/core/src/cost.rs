@@ -10,7 +10,7 @@ use molkit::synth::name_seed;
 
 use crate::activities::EngineMode;
 use crate::dataset::Dataset;
-use cumulus::simbackend::SimTask;
+use cumulus::simbackend::{SimTask, SimWorkflow};
 
 /// Distribution of one activity's activation duration: min/mean/max seconds
 /// on a nominal 1.0-speed core.
@@ -103,13 +103,14 @@ impl CostModel {
     }
 }
 
-/// Build the simulated activation DAG for a dataset: one 7-activity chain
-/// per receptor–ligand pair.
+/// Build the simulated SciDock workflow for a dataset: one 7-activity chain
+/// per receptor–ligand pair, under the engine mode's workflow tag and the
+/// [`SIM_ACTIVITY_TAGS`].
 ///
 /// `size_bias` couples durations to structure size: a pair's draws are
 /// scaled by the receptor's size relative to the dataset mean, reproducing
 /// the correlation the paper observes between input size and runtime.
-pub fn build_sim_tasks(ds: &Dataset, mode: EngineMode, cost: &CostModel) -> Vec<SimTask> {
+pub fn build_sim_tasks(ds: &Dataset, mode: EngineMode, cost: &CostModel) -> SimWorkflow {
     let mean_atoms = ds.receptors.iter().map(|r| r.heavy_atoms as f64).sum::<f64>()
         / ds.receptors.len().max(1) as f64;
     let mut tasks = Vec::with_capacity(ds.pair_count() * 7);
@@ -145,7 +146,16 @@ pub fn build_sim_tasks(ds: &Dataset, mode: EngineMode, cost: &CostModel) -> Vec<
             }
         }
     }
-    tasks
+    let tag = match mode {
+        EngineMode::Ad4Only => "SciDock-AD4",
+        EngineMode::VinaOnly => "SciDock-Vina",
+        EngineMode::Adaptive => "SciDock",
+    };
+    SimWorkflow {
+        tag: tag.to_string(),
+        activities: SIM_ACTIVITY_TAGS.iter().map(|s| s.to_string()).collect(),
+        tasks,
+    }
 }
 
 #[cfg(test)]
@@ -195,7 +205,7 @@ mod tests {
     #[test]
     fn sim_tasks_shape() {
         let ds = small_ds();
-        let tasks = build_sim_tasks(&ds, EngineMode::VinaOnly, &CostModel::default());
+        let tasks = build_sim_tasks(&ds, EngineMode::VinaOnly, &CostModel::default()).tasks;
         assert_eq!(tasks.len(), 6 * 3 * 7);
         // chains: every non-first activity depends on its predecessor
         for (i, t) in tasks.iter().enumerate() {
@@ -222,9 +232,9 @@ mod tests {
         let ds = small_ds();
         let c = CostModel::default();
         let ad4: f64 =
-            build_sim_tasks(&ds, EngineMode::Ad4Only, &c).iter().map(|t| t.nominal_s).sum();
+            build_sim_tasks(&ds, EngineMode::Ad4Only, &c).tasks.iter().map(|t| t.nominal_s).sum();
         let vina: f64 =
-            build_sim_tasks(&ds, EngineMode::VinaOnly, &c).iter().map(|t| t.nominal_s).sum();
+            build_sim_tasks(&ds, EngineMode::VinaOnly, &c).tasks.iter().map(|t| t.nominal_s).sum();
         assert!(ad4 > vina, "{ad4} vs {vina}");
     }
 
@@ -233,7 +243,7 @@ mod tests {
         let mut p = DatasetParams::default();
         p.receptor.hg_fraction = 1.0; // every receptor poisoned
         let ds = Dataset::subset(&RECEPTOR_IDS[..2], &LIGAND_CODES[..1], p);
-        let tasks = build_sim_tasks(&ds, EngineMode::Ad4Only, &CostModel::default());
+        let tasks = build_sim_tasks(&ds, EngineMode::Ad4Only, &CostModel::default()).tasks;
         for t in &tasks {
             assert_eq!(t.poison, t.activity_index == 2, "{t:?}");
         }
@@ -251,7 +261,7 @@ mod tests {
         let big = crate::dataset::make_receptor("1AEC", &big_p);
         let lig = crate::dataset::make_ligand("042", &small_p);
         let ds = Dataset { receptors: vec![small, big], ligands: vec![lig], params: small_p };
-        let tasks = build_sim_tasks(&ds, EngineMode::VinaOnly, &CostModel::default());
+        let tasks = build_sim_tasks(&ds, EngineMode::VinaOnly, &CostModel::default()).tasks;
         let small_total: f64 = tasks[..7].iter().map(|t| t.nominal_s).sum();
         let big_total: f64 = tasks[7..].iter().map(|t| t.nominal_s).sum();
         assert!(big_total > small_total, "bigger receptor must cost more");

@@ -4,17 +4,15 @@
 
 use std::sync::Arc;
 
-use cloudsim::{fleet_for_cores, FailureModel, NoiseModel, SharedFsModel};
+use cloudsim::{fleet_for_cores, FailureModel};
 use cumulus::simbackend::{simulate_tasks, SimConfig, SimReport};
 use cumulus::workflow::FileStore;
-use cumulus::RunConfig;
-use cumulus::{Backend, LocalBackend, MasterCostModel, RunReport, SchedulerFactory, Workflow};
+use cumulus::{Backend, LocalBackend, RunConfig, RunReport, Workflow};
 use provenance::ProvenanceStore;
-use telemetry::Telemetry;
 
 use crate::activities::{build_scidock, stage_inputs, EngineMode, SciDockConfig};
 use crate::analysis::{results_from_relation, PairResult};
-use crate::cost::{build_sim_tasks, CostModel, SIM_ACTIVITY_TAGS};
+use crate::cost::{build_sim_tasks, CostModel};
 use crate::dataset::{Dataset, DatasetParams, LIGAND_CODES, RECEPTOR_IDS};
 
 /// Outcome of a real (local-backend) screening run.
@@ -83,56 +81,38 @@ pub struct ScalePoint {
     pub report: SimReport,
 }
 
-/// Simulation parameters for the scaling sweep.
+/// Simulation parameters for the scaling sweep: the simulator's own
+/// configuration and the slice of the dataset it screens.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Seed for all stochastic components.
-    pub seed: u64,
+    /// The simulator's configuration for every point; [`simulate_at`]
+    /// replaces only its `fleet`, with the fleet for the point's cores.
+    /// Without a `scheduler` the fleet stays fixed, the paper's setup for
+    /// Figs 7–9.
+    pub sim: SimConfig,
     /// Receptor ids to screen (default: the full Table 2 set).
     pub receptor_ids: Vec<String>,
     /// Ligand codes to screen.
     pub ligand_codes: Vec<String>,
-    /// Failure model (paper: ~10% of activations fail).
-    pub failures: FailureModel,
-    /// Master dispatch cost model.
-    pub master: MasterCostModel,
-    /// Shared FS model.
-    pub sharedfs: SharedFsModel,
-    /// VM noise.
-    pub noise: NoiseModel,
-    /// Elastic fleet policy (None = fixed fleet per point, the paper's
-    /// setup for Figs 7–9).
-    pub scheduler: Option<SchedulerFactory>,
-    /// Honor the Hg blacklist rule.
-    pub hg_rule: bool,
-    /// Scheduling weights per activity tag, mined from a prior run's
-    /// provenance (`cumulus::sched::activity_profiles`). `None` = oracle
-    /// weights (the scheduler sees true task costs).
-    pub weight_profile: Option<std::collections::HashMap<String, f64>>,
-    /// Telemetry sink for the simulated runs (disabled by default; attach
-    /// one to get a `MetricsSnapshot` in the returned report).
-    pub telemetry: Telemetry,
 }
 
 impl Default for SweepConfig {
+    /// The paper's setup: seed 2014, ~10% of activations fail (8% fail,
+    /// 1.5% hang), the Hg rule on, telemetry off, every Table 2 pair.
     fn default() -> Self {
         SweepConfig {
-            seed: 2014,
+            sim: SimConfig {
+                seed: 2014,
+                failures: FailureModel {
+                    fail_rate: 0.08,
+                    hang_rate: 0.015,
+                    fail_at_fraction: 0.6,
+                    seed: 2014,
+                },
+                ..Default::default()
+            },
             receptor_ids: RECEPTOR_IDS.iter().map(|s| s.to_string()).collect(),
             ligand_codes: LIGAND_CODES.iter().map(|s| s.to_string()).collect(),
-            failures: FailureModel {
-                fail_rate: 0.08,
-                hang_rate: 0.015,
-                fail_at_fraction: 0.6,
-                seed: 2014,
-            },
-            master: MasterCostModel::default(),
-            sharedfs: SharedFsModel::default(),
-            noise: NoiseModel::default(),
-            scheduler: None,
-            hg_rule: true,
-            weight_profile: None,
-            telemetry: Telemetry::disabled(),
         }
     }
 }
@@ -147,32 +127,9 @@ pub fn simulate_at(
     let ids: Vec<&str> = sweep.receptor_ids.iter().map(|s| s.as_str()).collect();
     let codes: Vec<&str> = sweep.ligand_codes.iter().map(|s| s.as_str()).collect();
     let ds = Dataset::subset(&ids, &codes, DatasetParams::default());
-    let tasks = build_sim_tasks(&ds, mode, &CostModel::default());
-    let mut cfg = SimConfig::new()
-        .with_seed(sweep.seed)
-        .with_fleet(fleet_for_cores(cores))
-        .with_noise(sweep.noise)
-        .with_failures(sweep.failures)
-        .with_max_retries(3)
-        .with_sharedfs(sweep.sharedfs)
-        .with_master(sweep.master)
-        .with_hg_rule(sweep.hg_rule)
-        .with_telemetry(sweep.telemetry.clone())
-        .with_workflow_tag(match mode {
-            EngineMode::Ad4Only => "SciDock-AD4",
-            EngineMode::VinaOnly => "SciDock-Vina",
-            EngineMode::Adaptive => "SciDock",
-        })
-        .with_activity_tags(SIM_ACTIVITY_TAGS.iter().map(|s| s.to_string()).collect());
-    if let Some(factory) = &sweep.scheduler {
-        cfg = cfg.with_scheduler(factory.clone());
-    }
-    if let Some(prof) = &sweep.weight_profile {
-        cfg = cfg.with_weight_profile(
-            SIM_ACTIVITY_TAGS.iter().map(|tag| prof.get(*tag).copied().unwrap_or(1.0)).collect(),
-        );
-    }
-    simulate_tasks(&tasks, &cfg, prov)
+    let wf = build_sim_tasks(&ds, mode, &CostModel::default());
+    let cfg = SimConfig { fleet: fleet_for_cores(cores), ..sweep.sim.clone() };
+    simulate_tasks(&wf, &cfg, prov)
 }
 
 /// Run the Figure 7–9 sweep: TET/speedup/efficiency at each core count.
@@ -236,6 +193,8 @@ pub const PAPER_CORE_COUNTS: [u32; 7] = [2, 4, 8, 16, 32, 64, 128];
 mod tests {
     use super::*;
     use crate::analysis::{table3, total_feb_negative};
+    use cloudsim::NoiseModel;
+    use cumulus::SchedulerFactory;
     use docking::engine::DockConfig;
     use docking::search::{LgaConfig, McConfig};
 
@@ -256,13 +215,78 @@ mod tests {
 
     /// A sweep over a small slice of the dataset to keep tests quick.
     fn small_sweep() -> SweepConfig {
-        SweepConfig {
+        let mut sweep = SweepConfig {
             receptor_ids: RECEPTOR_IDS[..10].iter().map(|s| s.to_string()).collect(),
             ligand_codes: LIGAND_CODES[..4].iter().map(|s| s.to_string()).collect(),
-            failures: FailureModel::none(),
-            noise: NoiseModel { amplitude: 0.0 },
             ..Default::default()
-        }
+        };
+        sweep.sim.failures = FailureModel::none();
+        sweep.sim.noise = NoiseModel { amplitude: 0.0 };
+        sweep
+    }
+
+    /// [`small_sweep`] with equal weights for every activity: the greedy
+    /// queue pops first-in first-out.
+    fn equal_weights_sweep() -> SweepConfig {
+        let mut sweep = small_sweep();
+        sweep.sim.weight_profile = Some(std::collections::HashMap::new());
+        sweep
+    }
+
+    /// [`small_sweep`] on a fleet a queue-depth policy grows to 4 VMs.
+    fn elastic_sweep() -> SweepConfig {
+        let mut sweep = small_sweep();
+        sweep.sim.scheduler = Some(SchedulerFactory::new(|| {
+            Box::new(cumulus::QueueDepthScheduler::new(cumulus::QueueDepthConfig {
+                max_workers: 4,
+                ..Default::default()
+            }))
+        }));
+        sweep
+    }
+
+    /// [`small_sweep`] with failed and hanging attempts.
+    fn failing_sweep() -> SweepConfig {
+        let mut sweep = small_sweep();
+        sweep.sim.failures =
+            FailureModel { fail_rate: 0.10, hang_rate: 0.02, fail_at_fraction: 0.6, seed: 11 };
+        sweep
+    }
+
+    /// The simulator's outputs over the small sweep, bit for bit: a change
+    /// to how a run is configured must leave every simulated figure as it
+    /// was.
+    #[test]
+    fn simulated_outputs_are_pinned() {
+        let pin = |cores, mode, sweep: &SweepConfig| {
+            let r = simulate_at(cores, mode, sweep, None);
+            (
+                r.tet_s.to_bits(),
+                r.finished,
+                r.failed_attempts,
+                r.aborted,
+                r.blacklisted,
+                r.cancelled,
+                r.cost_usd.to_bits(),
+            )
+        };
+        let got = [
+            pin(2, EngineMode::VinaOnly, &small_sweep()),
+            pin(8, EngineMode::Ad4Only, &small_sweep()),
+            pin(8, EngineMode::Ad4Only, &equal_weights_sweep()),
+            pin(2, EngineMode::Adaptive, &elastic_sweep()),
+            pin(4, EngineMode::VinaOnly, &failing_sweep()),
+        ];
+        assert_eq!(
+            got,
+            [
+                (4659691214261126897, 280, 0, 0, 0, 0, 4597274499619802317),
+                (4652932729820474505, 280, 0, 0, 0, 0, 4606281698874543309),
+                (4654426753432406270, 280, 0, 0, 0, 0, 4606281698874543309),
+                (4650314411663801646, 280, 0, 0, 0, 0, 4609771988585755443),
+                (4656383300548134093, 272, 23, 2, 0, 6, 4601778099247172813),
+            ]
+        );
     }
 
     #[test]
@@ -362,7 +386,7 @@ mod tests {
     #[test]
     fn failures_visible_in_sweep() {
         let mut sweep = small_sweep();
-        sweep.failures =
+        sweep.sim.failures =
             FailureModel { fail_rate: 0.10, hang_rate: 0.0, fail_at_fraction: 0.6, seed: 1 };
         let r = simulate_at(8, EngineMode::VinaOnly, &sweep, None);
         let n_tasks = 10 * 4 * 7;

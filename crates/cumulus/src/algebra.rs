@@ -2,7 +2,7 @@
 //! SciCumulus executes: activities are operators over relations, and every
 //! tuple of an input relation becomes an independent *activation*.
 
-use provenance::{Value, ValueType};
+use provenance::Value;
 use serde::{Deserialize, Serialize};
 
 /// One tuple of a workflow relation.
@@ -51,19 +51,6 @@ impl Relation {
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()
     }
-
-    /// Infer a provenance-style schema (column → ValueType) from the first
-    /// non-NULL value of each column.
-    pub fn inferred_types(&self) -> Vec<(String, Option<ValueType>)> {
-        self.columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let ty = self.tuples.iter().find_map(|t| t[i].value_type());
-                (c.clone(), ty)
-            })
-            .collect()
-    }
 }
 
 /// The algebraic operator of an activity — determines the ratio between
@@ -97,32 +84,6 @@ impl Operator {
             Operator::Filter => "Filter",
             Operator::SRQuery => "SRQuery",
             Operator::MRQuery => "MRQuery",
-        }
-    }
-
-    /// Parse an operator from its XML-spec spelling (`MAP`, `SPLITMAP`,
-    /// `REDUCE(key1,key2)`, `FILTER`, `SRQUERY`, `MRQUERY`).
-    pub fn from_spec_name(name: &str) -> Option<Operator> {
-        let t = name.trim();
-        let upper = t.to_ascii_uppercase();
-        if let Some(rest) = upper.strip_prefix("REDUCE") {
-            let keys: Vec<String> = rest
-                .trim()
-                .trim_start_matches('(')
-                .trim_end_matches(')')
-                .split(',')
-                .map(|k| k.trim().to_lowercase())
-                .filter(|k| !k.is_empty())
-                .collect();
-            return Some(Operator::Reduce { keys });
-        }
-        match upper.as_str() {
-            "MAP" => Some(Operator::Map),
-            "SPLITMAP" => Some(Operator::SplitMap),
-            "FILTER" => Some(Operator::Filter),
-            "SRQUERY" => Some(Operator::SRQuery),
-            "MRQUERY" => Some(Operator::MRQuery),
-            _ => None,
         }
     }
 
@@ -249,44 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_name_roundtrip() {
-        for op in [
-            Operator::Map,
-            Operator::SplitMap,
-            Operator::Filter,
-            Operator::SRQuery,
-            Operator::MRQuery,
-        ] {
-            assert_eq!(
-                Operator::from_spec_name(&op.name().to_uppercase()),
-                Some(op.clone()),
-                "{op:?}"
-            );
-        }
-        assert_eq!(
-            Operator::from_spec_name("reduce(receptor, ligand)"),
-            Some(Operator::Reduce { keys: vec!["receptor".into(), "ligand".into()] })
-        );
-        assert_eq!(Operator::from_spec_name("REDUCE"), Some(Operator::Reduce { keys: vec![] }));
-        assert_eq!(Operator::from_spec_name("TELEPORT"), None);
-    }
-
-    #[test]
     fn operator_names() {
         assert_eq!(Operator::Map.name(), "Map");
         assert_eq!(Operator::Reduce { keys: vec![] }.name(), "Reduce");
         assert_eq!(Operator::Filter.name(), "Filter");
-    }
-
-    #[test]
-    fn inferred_types() {
-        let r = rel();
-        let t = r.inferred_types();
-        assert_eq!(t[0].1, Some(ValueType::Text));
-        assert_eq!(t[2].1, Some(ValueType::Int));
-        // all-NULL column infers None
-        let mut r2 = Relation::new(&["n"]);
-        r2.push(vec![Value::Null]);
-        assert_eq!(r2.inferred_types()[0].1, None);
     }
 }

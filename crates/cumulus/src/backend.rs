@@ -215,7 +215,7 @@ impl LocalBackend {
 mod tests {
     use super::*;
     use crate::algebra::Operator;
-    use crate::simbackend::{simulate_tasks, SimConfig, SimTask};
+    use crate::simbackend::{simulate_tasks, SimConfig, SimTask, SimWorkflow};
     use crate::workflow::Activity;
 
     fn xy_def() -> WorkflowDef {
@@ -311,12 +311,10 @@ mod tests {
         let mut tasks: Vec<SimTask> = (0..5).map(|_| task(0, vec![])).collect();
         tasks.push(task(1, (0..5).collect()));
         let sim_events = EventLog::new();
-        let sim_cfg = SimConfig::new()
-            .with_seed(7)
-            .with_events(sim_events.clone())
-            .with_workflow_tag("bt")
-            .with_activity_tags(vec!["inc".into(), "sum".into()]);
-        simulate_tasks(&tasks, &sim_cfg, None);
+        let sim_cfg = SimConfig { seed: 7, events: Some(sim_events.clone()), ..Default::default() };
+        let sim_wf =
+            SimWorkflow { tag: "bt".into(), activities: vec!["inc".into(), "sum".into()], tasks };
+        simulate_tasks(&sim_wf, &sim_cfg, None);
 
         let local_seq: Vec<_> =
             local_events.events().iter().map(|e| e.parity_signature()).collect();

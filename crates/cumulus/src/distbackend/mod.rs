@@ -1504,8 +1504,9 @@ mod tests {
                 poison: false,
             })
             .collect();
-        let scfg = crate::simbackend::SimConfig::new().with_seed(11).with_telemetry(stel);
-        let sreport = crate::simbackend::simulate_tasks(&tasks, &scfg, None);
+        let scfg = crate::simbackend::SimConfig { seed: 11, telemetry: stel, ..Default::default() };
+        let swf = crate::simbackend::SimWorkflow { tasks, ..Default::default() };
+        let sreport = crate::simbackend::simulate_tasks(&swf, &scfg, None);
         let ssnap = sreport.metrics.expect("sim telemetry attached");
         assert!(ssnap.counter("sim.dispatched").unwrap_or(0) >= 6);
         assert_eq!(registry::unregistered(&ssnap), Vec::<String>::new());

@@ -82,7 +82,7 @@ pub use sched::MasterCostModel;
 pub use serve::{
     CampaignResolver, CampaignState, CampaignStatus, Daemon, RunConfig, ServeClient, SubmitOutcome,
 };
-pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask};
+pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask, SimWorkflow};
 pub use template::{Template, TemplateError};
 pub use workflow::{
     digest, ActivationCtx, Activity, ActivityError, ActivityFn, Blob, Contents, FetchFn, FileStore,

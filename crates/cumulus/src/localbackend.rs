@@ -783,11 +783,10 @@ mod tests {
         assert!(done <= total && total <= 8, "{body}");
     }
 
-    /// A run scope has one event log: with an endpoint and no log of the
-    /// caller's, `/events` serves what the engine and the run emit into the
-    /// ring the scope made for it, mid-run.
-    #[test]
-    fn an_endpoint_without_a_callers_log_serves_the_runs_events_mid_run() {
+    /// Run 8 slow activations on an endpoint with `events` as the caller's
+    /// log, and return what `/events` served once it showed the run's
+    /// `campaign_started` and an `activation_finished`, mid-run.
+    fn scrape_events_mid_run(events: Option<crate::obs::EventLog>) -> String {
         use std::time::Duration;
         let slow: crate::workflow::ActivityFn = Arc::new(|tuples, _ctx| {
             std::thread::sleep(Duration::from_millis(60));
@@ -803,7 +802,7 @@ mod tests {
         let bound = BoundAddr::new();
         let mut cfg = RunConfig::new().with_workers(2).with_metrics_addr("127.0.0.1:0");
         cfg.metrics_bound = Some(bound.clone());
-        assert!(cfg.events.is_none());
+        cfg.events = events;
         let run = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
             run_local(&wf, input(8), Arc::new(FileStore::new()), prov, &cfg)
@@ -825,6 +824,31 @@ mod tests {
         for line in body.lines() {
             telemetry::json::validate(line).expect("valid event JSON");
         }
+        body
+    }
+
+    /// A run scope has one event log: with an endpoint and no log of the
+    /// caller's, `/events` serves what the engine and the run emit into the
+    /// ring the scope made for it, mid-run.
+    #[test]
+    fn an_endpoint_without_a_callers_log_serves_the_runs_events_mid_run() {
+        scrape_events_mid_run(None);
+    }
+
+    /// A caller's file log buffers nothing on its own, but under an endpoint
+    /// the scope turns its ring on: `/events` serves the run mid-run and the
+    /// file still gets every event.
+    #[test]
+    fn an_endpoint_over_a_callers_file_log_serves_the_runs_events_and_writes_the_file() {
+        let path = std::env::temp_dir()
+            .join(format!("localbackend-file-log-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = crate::obs::EventLog::with_file(&path).expect("the event file");
+        scrape_events_mid_run(Some(log.clone()));
+        let written = std::fs::read_to_string(&path).expect("the event file");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written.lines().count() as u64, log.len(), "every event written");
+        assert!(written.contains("\"kind\":\"campaign_finished\""), "{written}");
     }
 
     /// `threads = 0` runs on the one thread it is clamped to, and says so.

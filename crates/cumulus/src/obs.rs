@@ -140,8 +140,9 @@ struct EventRing {
 }
 
 /// A cloneable, thread-safe structured event log: an in-memory ring (served
-/// from `/events`) plus an optional JSONL sink file. Sequence numbers are
-/// monotonic for the lifetime of the log.
+/// from `/events`) or a JSONL sink file, or both when a run scope serves a
+/// file log from its endpoint. Sequence numbers are monotonic for the
+/// lifetime of the log.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     inner: Arc<EventLogInner>,
@@ -158,24 +159,29 @@ impl EventLog {
 
     /// An in-memory log.
     pub fn new() -> EventLog {
+        EventLog::with_ring(Self::RING_CAP, None)
+    }
+
+    /// A log that appends each event line to `path` and buffers none,
+    /// unless a run scope binds an endpoint over it, which turns the ring
+    /// on for `/events`.
+    pub fn with_file(path: impl AsRef<std::path::Path>) -> std::io::Result<EventLog> {
+        let f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(EventLog::with_ring(0, Some(f)))
+    }
+
+    fn with_ring(cap: usize, sink: Option<std::fs::File>) -> EventLog {
         EventLog {
             inner: Arc::new(EventLogInner {
-                ring: Mutex::new(EventRing {
-                    buf: VecDeque::new(),
-                    cap: Self::RING_CAP,
-                    next_seq: 0,
-                }),
-                sink: Mutex::new(None),
+                ring: Mutex::new(EventRing { buf: VecDeque::new(), cap, next_seq: 0 }),
+                sink: Mutex::new(sink),
             }),
         }
     }
 
-    /// A log that additionally appends each event line to `path`.
-    pub fn with_file(path: impl AsRef<std::path::Path>) -> std::io::Result<EventLog> {
-        let f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        let log = EventLog::new();
-        *log.inner.sink.lock().expect("event sink poisoned") = Some(f);
-        Ok(log)
+    /// Buffer the newest events from now on, for an endpoint to serve.
+    pub(crate) fn keep_ring(&self) {
+        self.inner.ring.lock().expect("event ring poisoned").cap = Self::RING_CAP;
     }
 
     /// Emit one event at `t_s` seconds since the run epoch (simulated
@@ -191,10 +197,12 @@ impl EventLog {
                 fields: fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
             };
             g.next_seq += 1;
-            if g.buf.len() == g.cap {
-                g.buf.pop_front();
+            if g.cap > 0 {
+                if g.buf.len() == g.cap {
+                    g.buf.pop_front();
+                }
+                g.buf.push_back(ev.clone());
             }
-            g.buf.push_back(ev.clone());
             ev
         };
         let mut sink = self.inner.sink.lock().expect("event sink poisoned");
@@ -203,7 +211,8 @@ impl EventLog {
         }
     }
 
-    /// All buffered events, oldest first (the ring keeps the newest 4096).
+    /// All buffered events, oldest first (the ring keeps the newest 4096;
+    /// a file log keeps none until an endpoint serves it).
     pub fn events(&self) -> Vec<ObsEvent> {
         self.inner.ring.lock().expect("event ring poisoned").buf.iter().cloned().collect()
     }
@@ -581,6 +590,28 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().nth(1).unwrap().contains("\"kind\":\"b\""));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A file log nobody serves buffers nothing: every event goes to the
+    /// file alone, until an endpoint turns the ring on.
+    #[test]
+    fn a_file_log_buffers_no_event_but_writes_every_line() {
+        let path =
+            std::env::temp_dir().join(format!("obs-sink-unbuffered-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = EventLog::with_file(&path).unwrap();
+        for i in 0..5 {
+            log.emit(i as f64, Severity::Info, "tick", &[]);
+        }
+        assert!(log.events().is_empty(), "a file log keeps no ring");
+        assert_eq!(log.len(), 5);
+        log.keep_ring();
+        log.emit(5.0, Severity::Info, "served", &[]);
+        let evs = log.events();
+        assert_eq!(evs.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![5]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(text.lines().count(), 6, "every event written: {text}");
     }
 
     #[test]

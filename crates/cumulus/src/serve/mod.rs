@@ -159,7 +159,8 @@ pub struct RunConfig {
     pub steering_tick: Option<Duration>,
     /// Structured event log: campaign, activation and fleet events. Without
     /// one, a scope that binds an endpoint keeps a fresh ring for `/events`
-    /// and any other emits nothing. Every entry point.
+    /// and any other emits nothing; a file log keeps a ring only for a
+    /// scope's endpoint. Every entry point.
     pub events: Option<EventLog>,
     /// Serve `/metrics`, `/snapshot.json`, `/healthz`, `/events` and
     /// `/campaigns` over HTTP here for the scope's life (`"127.0.0.1:0"`
@@ -889,12 +890,14 @@ impl<P: WorkerPort> Directory<P> {
         // the endpoint serves the run's own collector when one is attached,
         // otherwise a private one; observation only reads engine state. The
         // scope has one event log, which the endpoint, the engine and every
-        // run share: the caller's, or a fresh ring for the endpoint to serve
+        // run share: the caller's, with its ring on for the endpoint to
+        // serve, or a fresh ring
         let (obs, server) = match cfg.metrics_addr.clone() {
             Some(addr) => {
                 let obs_tel = if tel.is_enabled() { tel.clone() } else { Telemetry::attached() };
-                let obs =
-                    ObsState::new(obs_tel, cfg.events.get_or_insert_with(EventLog::new).clone());
+                let events = cfg.events.get_or_insert_with(EventLog::new);
+                events.keep_ring();
+                let obs = ObsState::new(obs_tel, events.clone());
                 obs.set_health(HealthView { phase: "starting".into(), ..HealthView::default() });
                 let server = ObsServer::start(&addr, obs.clone())
                     .map_err(|e| CumulusError::Io(format!("metrics listener on {addr}: {e}")))?;

@@ -18,6 +18,8 @@
 //! takes the same decisions here as on real workers. Without a policy the
 //! fleet is fixed and no snapshot is taken.
 
+use std::collections::HashMap;
+
 use cloudsim::{
     sim_ns, Cluster, EventQueue, FailureModel, Fate, InstanceType, NoiseModel, SharedFsModel,
     SimTime, VmId,
@@ -41,7 +43,7 @@ const HANG_TIMEOUT_FACTOR: f64 = 10.0;
 #[derive(Debug, Clone)]
 pub struct SimTask {
     /// Position of this task's activity in the workflow (indexes
-    /// [`SimConfig`]-registered activity tags).
+    /// [`SimWorkflow::activities`]).
     pub activity_index: usize,
     /// Which receptor–ligand pair (or other tuple) this activation serves.
     pub pair_key: String,
@@ -58,13 +60,22 @@ pub struct SimTask {
     pub poison: bool,
 }
 
-/// Simulation configuration.
-///
-/// Marked `#[non_exhaustive]`: construct it with [`SimConfig::new`] (or
-/// `Default`) and the `with_*` builder methods rather than a struct
-/// literal, so new knobs can be added without breaking downstream crates.
+/// A workflow to simulate: its activation DAG and the names provenance and
+/// the event log record it under.
+#[derive(Debug, Clone, Default)]
+pub struct SimWorkflow {
+    /// Workflow tag recorded in provenance.
+    pub tag: String,
+    /// Activity tags by [`SimTask::activity_index`].
+    pub activities: Vec<String>,
+    /// The activations; [`SimTask::deps`] index into this list.
+    pub tasks: Vec<SimTask>,
+}
+
+/// Simulation configuration. The default is one m3.xlarge, no failure
+/// injection, three retries, the Hg rule on and telemetry disabled; set
+/// the fields, or build one with struct-update syntax.
 #[derive(Debug, Clone)]
-#[non_exhaustive]
 pub struct SimConfig {
     /// Master seed for every stochastic component.
     pub seed: u64,
@@ -90,14 +101,11 @@ pub struct SimConfig {
     pub scale_itype: &'static InstanceType,
     /// Is the provenance-driven Hg blacklist rule installed?
     pub hg_rule: bool,
-    /// Workflow tag recorded in provenance.
-    pub workflow_tag: String,
-    /// Activity tags by `activity_index`.
-    pub activity_tags: Vec<String>,
-    /// Scheduling weights per `activity_index` mined from a prior run's
-    /// provenance (see [`crate::sched::activity_profiles`]). `None` = the
-    /// scheduler sees each task's true nominal cost (oracle weights).
-    pub weight_profile: Option<Vec<f64>>,
+    /// Scheduling weights per activity tag, mined from a prior run's
+    /// provenance (see [`crate::sched::activity_profiles`]); an activity the
+    /// profile does not name weighs 1.0. `None` = the scheduler sees each
+    /// task's true nominal cost (oracle weights).
+    pub weight_profile: Option<HashMap<String, f64>>,
     /// Telemetry sink. Spans are recorded at *simulated* timestamps, one
     /// trace lane per VM, so a Chrome trace of a simulated run lays out like
     /// a real one.
@@ -123,105 +131,10 @@ impl Default for SimConfig {
             scheduler: None,
             scale_itype: &cloudsim::M3_XLARGE,
             hg_rule: true,
-            workflow_tag: "SciDock".to_string(),
-            activity_tags: Vec::new(),
             weight_profile: None,
             telemetry: Telemetry::disabled(),
             events: None,
         }
-    }
-}
-
-impl SimConfig {
-    /// The default configuration (one m3.xlarge, no failure injection, Hg
-    /// rule on, telemetry disabled).
-    pub fn new() -> SimConfig {
-        SimConfig::default()
-    }
-
-    /// Set the master seed for every stochastic component.
-    pub fn with_seed(mut self, seed: u64) -> SimConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the initial fleet.
-    pub fn with_fleet(mut self, fleet: Vec<&'static InstanceType>) -> SimConfig {
-        self.fleet = fleet;
-        self
-    }
-
-    /// Set the VM performance-noise model.
-    pub fn with_noise(mut self, noise: NoiseModel) -> SimConfig {
-        self.noise = noise;
-        self
-    }
-
-    /// Set the failure-injection model.
-    pub fn with_failures(mut self, failures: FailureModel) -> SimConfig {
-        self.failures = failures;
-        self
-    }
-
-    /// Set the per-activation retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> SimConfig {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Set the shared-filesystem model.
-    pub fn with_sharedfs(mut self, sharedfs: SharedFsModel) -> SimConfig {
-        self.sharedfs = sharedfs;
-        self
-    }
-
-    /// Set the master dispatch cost model.
-    pub fn with_master(mut self, master: MasterCostModel) -> SimConfig {
-        self.master = master;
-        self
-    }
-
-    /// Drive the fleet elastically with a [`SchedulerFactory`] — the same
-    /// policy object the distributed backend accepts.
-    pub fn with_scheduler(mut self, factory: SchedulerFactory) -> SimConfig {
-        self.scheduler = Some(factory);
-        self
-    }
-
-    /// Install (or remove) the provenance-driven Hg blacklist rule.
-    pub fn with_hg_rule(mut self, on: bool) -> SimConfig {
-        self.hg_rule = on;
-        self
-    }
-
-    /// Set the workflow tag recorded in provenance.
-    pub fn with_workflow_tag(mut self, tag: impl Into<String>) -> SimConfig {
-        self.workflow_tag = tag.into();
-        self
-    }
-
-    /// Set the activity tags by `activity_index`.
-    pub fn with_activity_tags(mut self, tags: Vec<String>) -> SimConfig {
-        self.activity_tags = tags;
-        self
-    }
-
-    /// Feed the scheduler per-activity weights mined from a prior run.
-    pub fn with_weight_profile(mut self, profile: Vec<f64>) -> SimConfig {
-        self.weight_profile = Some(profile);
-        self
-    }
-
-    /// Attach a telemetry sink.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> SimConfig {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Attach a structured event log (events carry simulated timestamps).
-    pub fn with_events(mut self, events: EventLog) -> SimConfig {
-        self.events = Some(events);
-        self
     }
 }
 
@@ -274,15 +187,16 @@ enum Event {
     TaskDone { task: usize, vm: VmId, attempt: u32, fate: Fate },
 }
 
-/// Run the discrete-event simulation over a [`SimTask`] DAG. When `prov` is
-/// given, every activation is recorded with its simulated timestamps, so
-/// the paper's provenance queries run against simulated executions too.
+/// Run the discrete-event simulation over a workflow's [`SimTask`] DAG.
+/// When `prov` is given, every activation is recorded with its simulated
+/// timestamps, so the paper's provenance queries run against simulated
+/// executions too.
 pub fn simulate_tasks(
-    tasks: &[SimTask],
+    wf: &SimWorkflow,
     cfg: &SimConfig,
     prov: Option<&ProvenanceStore>,
 ) -> SimReport {
-    let mut sim = Sim::new(tasks, cfg, prov);
+    let mut sim = Sim::new(wf, cfg, prov);
     // the policy's first look: the whole seeded backlog, before any
     // dispatch — the distributed master evaluates at the same instant
     sim.rescale();
@@ -332,7 +246,7 @@ impl SimVm {
 
 /// The state of one [`simulate_tasks`] run.
 struct Sim<'a> {
-    tasks: &'a [SimTask],
+    wf: &'a SimWorkflow,
     cfg: &'a SimConfig,
     prov: Option<&'a ProvenanceStore>,
     /// The run's activities by index, when `prov` is set.
@@ -366,15 +280,12 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     /// Register the run, boot the initial fleet and seed the ready queue.
-    fn new(tasks: &'a [SimTask], cfg: &'a SimConfig, prov: Option<&'a ProvenanceStore>) -> Self {
+    fn new(wf: &'a SimWorkflow, cfg: &'a SimConfig, prov: Option<&'a ProvenanceStore>) -> Self {
         assert!(!cfg.fleet.is_empty(), "fleet must contain at least one VM");
         let (wkf, act_ids) = match prov {
             Some(p) => {
-                let w = p.begin_workflow(&cfg.workflow_tag, "simulated run", "/root/scidock/");
-                (
-                    Some(w),
-                    cfg.activity_tags.iter().map(|t| p.register_activity(w, t, "Map")).collect(),
-                )
+                let w = p.begin_workflow(&wf.tag, "simulated run", "/root/scidock/");
+                (Some(w), wf.activities.iter().map(|t| p.register_activity(w, t, "Map")).collect())
             }
             None => (None, Vec::new()),
         };
@@ -382,12 +293,13 @@ impl<'a> Sim<'a> {
         // campaign 1 of the anonymous tenant, submitted under its tag
         if let Some(ev) = &cfg.events {
             let mut submitted = campaign_fields();
-            submitted.extend([("spec", cfg.workflow_tag.clone()), ("priority", "0".into())]);
+            submitted.extend([("spec", wf.tag.clone()), ("priority", "0".into())]);
             ev.emit(0.0, Severity::Info, "campaign_submitted", &submitted);
             let mut started = campaign_fields();
             started.extend(wkf.map(|w| ("wkfid", w.0.to_string())));
             ev.emit(0.0, Severity::Info, "campaign_started", &started);
         }
+        let tasks = &wf.tasks;
         let n = tasks.len();
         let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, t) in tasks.iter().enumerate() {
@@ -397,7 +309,7 @@ impl<'a> Sim<'a> {
             }
         }
         let mut sim = Sim {
-            tasks,
+            wf,
             cfg,
             prov,
             act_ids,
@@ -452,7 +364,7 @@ impl<'a> Sim<'a> {
     /// Every dependency of task `i` finished: the provenance-driven Hg rule
     /// blacklists a poison input before it runs; anything else is queued.
     fn admit(&mut self, i: usize) {
-        if self.tasks[i].poison && self.cfg.hg_rule {
+        if self.wf.tasks[i].poison && self.cfg.hg_rule {
             self.blacklist(i);
             self.report.blacklisted += 1;
             self.dropped[i] = true;
@@ -463,13 +375,13 @@ impl<'a> Sim<'a> {
     }
 
     fn enqueue(&mut self, i: usize) {
-        let task = &self.tasks[i];
-        // scheduling weight: profiled per-activity mean if available, else
-        // the task's true nominal cost
-        let weight = (self.cfg.weight_profile.as_ref())
-            .and_then(|p| p.get(task.activity_index))
-            .copied()
-            .unwrap_or(task.nominal_s);
+        let task = &self.wf.tasks[i];
+        // scheduling weight: the profiled mean of the task's activity if a
+        // profile is given, else the task's true nominal cost
+        let weight = match &self.cfg.weight_profile {
+            Some(p) => p.get(self.tag(task.activity_index)).copied().unwrap_or(1.0),
+            None => task.nominal_s,
+        };
         self.ready.push(ReadyTask { task: i, weight });
     }
 
@@ -499,7 +411,7 @@ impl<'a> Sim<'a> {
             self.report.master_overhead_s += overhead;
 
             let rt = self.ready.pop().expect("non-empty");
-            let task = &self.tasks[rt.task];
+            let task = &self.wf.tasks[rt.task];
             self.in_flight += 1;
             // the greedy pick: the heaviest task goes to the fastest VM
             let cluster = &self.cluster;
@@ -699,13 +611,13 @@ impl<'a> Sim<'a> {
     }
 
     fn tag(&self, activity: usize) -> &str {
-        self.cfg.activity_tags.get(activity).map_or("task", String::as_str)
+        self.wf.activities.get(activity).map_or("task", String::as_str)
     }
 
     /// The lifecycle event of attempt `attempt` of task `ti`.
     fn emit(&self, ti: usize, attempt: u32, severity: Severity, kind: &str) {
         if let Some(ev) = &self.cfg.events {
-            let task = &self.tasks[ti];
+            let task = &self.wf.tasks[ti];
             let fields = [
                 ("activity", self.tag(task.activity_index).to_string()),
                 ("key", task.pair_key.clone()),
@@ -717,7 +629,7 @@ impl<'a> Sim<'a> {
 
     /// Blacklist task `i` now: its event and its `BLACKLISTED` row.
     fn blacklist(&self, i: usize) {
-        let task = &self.tasks[i];
+        let task = &self.wf.tasks[i];
         if let Some(ev) = &self.cfg.events {
             let fields = [
                 ("activity", self.tag(task.activity_index).to_string()),
@@ -736,7 +648,7 @@ impl<'a> Sim<'a> {
     /// bookkeeping read), as the engine's lifecycle commits an activation.
     fn record(&self, ti: usize, vm: VmId, status: ActivationStatus, attempt: u32) {
         let Some(p) = self.prov else { return };
-        let task = &self.tasks[ti];
+        let task = &self.wf.tasks[ti];
         // a finished attempt spans its nominal runtime, any other one second
         let span = if status == ActivationStatus::Finished { task.nominal_s } else { 1.0 };
         let rec =
@@ -760,7 +672,7 @@ impl<'a> Sim<'a> {
         machine: Option<MachineId>,
         attempt: u32,
     ) -> ActivationRecord {
-        let task = &self.tasks[ti];
+        let task = &self.wf.tasks[ti];
         ActivationRecord {
             activity: *self.act_ids.get(task.activity_index).expect("registered activity"),
             workflow: self.report.workflow.expect("workflow registered"),
@@ -784,7 +696,7 @@ impl<'a> Sim<'a> {
         }
         if let Some(ev) = &self.cfg.events {
             // every task an upstream drop did not cancel ended once
-            let activations = self.tasks.len() - r.cancelled;
+            let activations = self.wf.tasks.len() - r.cancelled;
             let mut fields = campaign_fields();
             fields.push(("activations", activations.to_string()));
             ev.emit(r.tet_s, Severity::Info, "campaign_finished", &fields);
@@ -800,7 +712,7 @@ mod tests {
     use super::*;
 
     /// `pairs` chains of `acts` activities, each activation `nominal_s`.
-    fn chain_tasks(pairs: usize, acts: usize, nominal_s: f64) -> Vec<SimTask> {
+    fn chain_tasks(pairs: usize, acts: usize, nominal_s: f64) -> SimWorkflow {
         let mut tasks = Vec::new();
         for p in 0..pairs {
             for a in 0..acts {
@@ -816,7 +728,8 @@ mod tests {
                 });
             }
         }
-        tasks
+        let activities = (0..acts).map(|i| format!("act{i}")).collect();
+        SimWorkflow { tag: "SciDock".into(), activities, tasks }
     }
 
     fn base_cfg(cores: u32) -> SimConfig {
@@ -825,7 +738,6 @@ mod tests {
             noise: NoiseModel { amplitude: 0.0 },
             sharedfs: SharedFsModel { latency_s: 0.0, bandwidth_bps: 1e12, contention: 0.0 },
             master: MasterCostModel { c0: 0.0, c1: 0.0, window: 1, latency_per_vm: 0.0 },
-            activity_tags: (0..8).map(|i| format!("act{i}")).collect(),
             ..Default::default()
         }
     }
@@ -896,7 +808,7 @@ mod tests {
     fn poison_blacklisted_with_rule() {
         let mut tasks = chain_tasks(10, 2, 2.0);
         for p in 0..3 {
-            tasks[p * 2].poison = true;
+            tasks.tasks[p * 2].poison = true;
         }
         let mut cfg = base_cfg(4);
         cfg.hg_rule = true;
@@ -909,7 +821,7 @@ mod tests {
     #[test]
     fn poison_hangs_without_rule() {
         let mut tasks = chain_tasks(10, 2, 2.0);
-        tasks[0].poison = true;
+        tasks.tasks[0].poison = true;
         let mut cfg = base_cfg(4);
         cfg.hg_rule = false;
         let r = simulate_tasks(&tasks, &cfg, None);
@@ -945,9 +857,9 @@ mod tests {
     #[test]
     fn provenance_recorded_with_simulated_times() {
         let prov = ProvenanceStore::new();
-        let tasks = chain_tasks(5, 2, 3.0);
-        let mut cfg = base_cfg(4);
-        cfg.activity_tags = vec!["prep".into(), "dock".into()];
+        let mut tasks = chain_tasks(5, 2, 3.0);
+        tasks.activities = vec!["prep".into(), "dock".into()];
+        let cfg = base_cfg(4);
         let r = simulate_tasks(&tasks, &cfg, Some(&prov));
         assert_eq!(r.finished, 10);
         let q = prov
@@ -978,11 +890,11 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         let mut tasks = chain_tasks(4, 2, 3.0);
-        for t in &mut tasks {
+        for t in &mut tasks.tasks {
             t.out_bytes = 1_000;
         }
+        tasks.activities = vec!["prep".into(), "dock".into()];
         let mut cfg = base_cfg(4);
-        cfg.activity_tags = vec!["prep".into(), "dock".into()];
         cfg.failures =
             FailureModel { fail_rate: 0.3, hang_rate: 0.0, fail_at_fraction: 0.5, seed: 5 };
         let open = |plan: &Arc<FaultPlan>, env: &MemEnv| {
@@ -1021,12 +933,15 @@ mod tests {
     fn elasticity_grows_fleet_under_backlog() {
         use crate::fleet::{QueueDepthConfig, QueueDepthScheduler};
         let tasks = chain_tasks(3000, 1, 10.0);
-        let cfg = base_cfg(4).with_scheduler(SchedulerFactory::new(|| {
-            Box::new(QueueDepthScheduler::new(QueueDepthConfig {
-                max_workers: 8,
-                ..QueueDepthConfig::default()
-            }))
-        }));
+        let cfg = SimConfig {
+            scheduler: Some(SchedulerFactory::new(|| {
+                Box::new(QueueDepthScheduler::new(QueueDepthConfig {
+                    max_workers: 8,
+                    ..QueueDepthConfig::default()
+                }))
+            })),
+            ..base_cfg(4)
+        };
         let r = simulate_tasks(&tasks, &cfg, None);
         assert!(r.peak_vms > cfg.fleet.len(), "fleet should grow, peak {}", r.peak_vms);
         // grown fleet must beat the fixed one
@@ -1050,7 +965,6 @@ mod tests {
             noise: NoiseModel { amplitude: 0.0 },
             sharedfs: SharedFsModel { latency_s: 0.0, bandwidth_bps: 1e12, contention: 0.0 },
             master: MasterCostModel { c0: 0.0, c1: 0.0, window: 1, latency_per_vm: 0.0 },
-            activity_tags: vec!["work".into()],
             ..Default::default()
         };
         let r = simulate_tasks(&tasks, &cfg, None);
@@ -1105,7 +1019,7 @@ mod tests {
     #[should_panic(expected = "fleet must contain")]
     fn empty_fleet_panics() {
         let cfg = SimConfig { fleet: vec![], ..Default::default() };
-        simulate_tasks(&[], &cfg, None);
+        simulate_tasks(&SimWorkflow::default(), &cfg, None);
     }
 
     #[test]
@@ -1115,7 +1029,7 @@ mod tests {
         cfg.sharedfs = SharedFsModel { latency_s: 0.05, bandwidth_bps: 1e6, contention: 0.0 };
         cfg.telemetry = tel.clone();
         let mut tasks = chain_tasks(6, 2, 3.0);
-        for t in &mut tasks {
+        for t in &mut tasks.tasks {
             t.in_bytes = 500_000;
             t.out_bytes = 250_000;
         }

@@ -16,7 +16,7 @@ use cumulus::serve::{CampaignState, Daemon, ServeClient, SubmitOutcome};
 use cumulus::workflow::{Activity, FileStore, WorkflowDef};
 use cumulus::{
     run_dist, simulate_tasks, QueueDepthConfig, QueueDepthScheduler, Relation, RunConfig,
-    ScaleDecision, Scheduler, SchedulerFactory, SimConfig, SimTask, Workflow,
+    ScaleDecision, Scheduler, SchedulerFactory, SimConfig, SimTask, SimWorkflow, Workflow,
 };
 use provenance::{ProvenanceStore, Value};
 
@@ -50,8 +50,8 @@ fn flat_input(n: i64) -> Relation {
 
 /// The simulator's version of the same workload: `n` independent tasks of
 /// one activity.
-fn flat_tasks(n: usize) -> Vec<SimTask> {
-    (0..n)
+fn flat_tasks(n: usize) -> SimWorkflow {
+    let tasks = (0..n)
         .map(|i| SimTask {
             activity_index: 0,
             pair_key: format!("x{i}"),
@@ -61,7 +61,8 @@ fn flat_tasks(n: usize) -> Vec<SimTask> {
             deps: Vec::new(),
             poison: false,
         })
-        .collect()
+        .collect();
+    SimWorkflow { tag: "flat".into(), activities: vec!["work".into()], tasks }
 }
 
 fn qd_factory(max_workers: usize) -> SchedulerFactory {
@@ -92,11 +93,12 @@ fn sim_and_dist_schedulers_decide_identically() {
     assert_eq!(dist.finished, 10);
 
     // simulated: 1 single-core m1.small, the same 10-task backlog
-    let mut scfg = SimConfig::new()
-        .with_fleet(vec![&cloudsim::M1_SMALL])
-        .with_activity_tags(vec!["work".into()])
-        .with_scheduler(factory);
-    scfg.scale_itype = &cloudsim::M1_SMALL;
+    let scfg = SimConfig {
+        fleet: vec![&cloudsim::M1_SMALL],
+        scale_itype: &cloudsim::M1_SMALL,
+        scheduler: Some(factory),
+        ..Default::default()
+    };
     let sim = simulate_tasks(&flat_tasks(10), &scfg, None);
     assert_eq!(sim.finished, 10);
 

@@ -16,12 +16,13 @@ use scidock::experiments::{simulate_at, SweepConfig};
 fn main() {
     // Simulate a 238 × 8 slice with the paper's ~10% failure injection so
     // there is something interesting to steer on.
-    let sweep = SweepConfig {
+    let mut sweep = SweepConfig {
         receptor_ids: RECEPTOR_IDS.iter().map(|s| s.to_string()).collect(),
         ligand_codes: LIGAND_CODES[..8].iter().map(|s| s.to_string()).collect(),
-        failures: FailureModel { fail_rate: 0.10, hang_rate: 0.02, fail_at_fraction: 0.6, seed: 7 },
         ..Default::default()
     };
+    sweep.sim.failures =
+        FailureModel { fail_rate: 0.10, hang_rate: 0.02, fail_at_fraction: 0.6, seed: 7 };
 
     let prov = ProvenanceStore::new();
     println!("simulating SciDock-Vina on 32 cores with failure injection …");

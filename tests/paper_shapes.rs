@@ -96,15 +96,9 @@ fn cost_model_matches_paper_tets() {
 /// visible in provenance; hangs are aborted; Hg receptors blacklisted.
 #[test]
 fn fault_tolerance_story() {
-    let s = SweepConfig {
-        failures: FailureModel {
-            fail_rate: 0.10,
-            hang_rate: 0.02,
-            fail_at_fraction: 0.6,
-            seed: 11,
-        },
-        ..sweep()
-    };
+    let mut s = sweep();
+    s.sim.failures =
+        FailureModel { fail_rate: 0.10, hang_rate: 0.02, fail_at_fraction: 0.6, seed: 11 };
     let prov = ProvenanceStore::new();
     let r = simulate_at(16, EngineMode::VinaOnly, &s, Some(&prov));
     let total_attempts = r.finished + r.failed_attempts + r.aborted;
@@ -124,11 +118,11 @@ fn fault_tolerance_story() {
 #[test]
 fn hg_rule_saves_compute() {
     let mut with_rule = sweep();
-    with_rule.hg_rule = true;
-    with_rule.failures = FailureModel::none();
-    with_rule.noise = NoiseModel { amplitude: 0.0 };
+    with_rule.sim.hg_rule = true;
+    with_rule.sim.failures = FailureModel::none();
+    with_rule.sim.noise = NoiseModel { amplitude: 0.0 };
     let mut without_rule = with_rule.clone();
-    without_rule.hg_rule = false;
+    without_rule.sim.hg_rule = false;
 
     let a = simulate_at(16, EngineMode::VinaOnly, &with_rule, None);
     let b = simulate_at(16, EngineMode::VinaOnly, &without_rule, None);
@@ -145,12 +139,14 @@ fn hg_rule_saves_compute() {
         );
     } else {
         // full dataset always has them
-        let full = SweepConfig { hg_rule: true, ..Default::default() };
+        let mut full = SweepConfig::default();
+        full.sim.hg_rule = true;
         let tasks_have_poison = scidock::cost::build_sim_tasks(
             &scidock::dataset::Dataset::full(Default::default()),
             EngineMode::VinaOnly,
             &CostModel::default(),
         )
+        .tasks
         .iter()
         .any(|t| t.poison);
         assert!(tasks_have_poison, "full Table 2 set must contain Hg receptors");
@@ -163,7 +159,8 @@ fn hg_rule_saves_compute() {
 /// slice to the full 9,996 pairs.
 #[test]
 fn data_volume_bookkeeping_near_600gb() {
-    let s = SweepConfig { failures: FailureModel::none(), ..sweep() };
+    let mut s = sweep();
+    s.sim.failures = FailureModel::none();
     let prov = ProvenanceStore::new();
     let r = simulate_at(16, EngineMode::VinaOnly, &s, Some(&prov));
     let pairs_run = 30 * 6;
@@ -192,7 +189,8 @@ fn data_volume_bookkeeping_near_600gb() {
 #[test]
 fn greedy_scheduling_competitive() {
     let greedy = sweep();
-    let fifo = SweepConfig { weight_profile: Some(HashMap::new()), ..sweep() };
+    let mut fifo = sweep();
+    fifo.sim.weight_profile = Some(HashMap::new());
     let g = simulate_at(32, EngineMode::Ad4Only, &greedy, None);
     let r = simulate_at(32, EngineMode::Ad4Only, &fifo, None);
     assert!(
@@ -216,7 +214,8 @@ fn profile_weights_track_oracle_weights() {
     // mine per-activity means and re-run with profile weights
     let profile = cumulus::sched::activity_profiles(&prov);
     assert!(profile.len() >= 6, "all activities profiled: {profile:?}");
-    let profiled_sweep = SweepConfig { weight_profile: Some(profile), ..SweepConfig::default() };
+    let mut profiled_sweep = SweepConfig::default();
+    profiled_sweep.sim.weight_profile = Some(profile);
     let profiled = simulate_at(32, EngineMode::Ad4Only, &profiled_sweep, None);
     assert!(
         profiled.tet_s <= oracle.tet_s * 1.10,
@@ -226,8 +225,8 @@ fn profile_weights_track_oracle_weights() {
     );
     // and clearly no worse than scheduling blind (equal weights: arrival
     // order)
-    let blind_sweep =
-        SweepConfig { weight_profile: Some(HashMap::new()), ..SweepConfig::default() };
+    let mut blind_sweep = SweepConfig::default();
+    blind_sweep.sim.weight_profile = Some(HashMap::new());
     let blind = simulate_at(32, EngineMode::Ad4Only, &blind_sweep, None);
     assert!(
         profiled.tet_s <= blind.tet_s * 1.05,
@@ -242,15 +241,13 @@ fn profile_weights_track_oracle_weights() {
 #[test]
 fn elasticity_beats_fixed_small_fleet() {
     let fixed = sweep();
-    let elastic = SweepConfig {
-        scheduler: Some(cumulus::SchedulerFactory::new(|| {
-            Box::new(cumulus::QueueDepthScheduler::new(cumulus::QueueDepthConfig {
-                max_workers: 16,
-                ..Default::default()
-            }))
-        })),
-        ..sweep()
-    };
+    let mut elastic = sweep();
+    elastic.sim.scheduler = Some(cumulus::SchedulerFactory::new(|| {
+        Box::new(cumulus::QueueDepthScheduler::new(cumulus::QueueDepthConfig {
+            max_workers: 16,
+            ..Default::default()
+        }))
+    }));
     let f = simulate_at(4, EngineMode::Ad4Only, &fixed, None);
     let e = simulate_at(4, EngineMode::Ad4Only, &elastic, None);
     assert!(e.peak_vms > 1, "the fleet must actually grow");
