@@ -26,6 +26,23 @@ cargo build --release
 echo "== example: cloud_scaling (release) =="
 cargo run -q --release --example cloud_scaling >/dev/null
 
+# Query 2 (Fig. 11: the ten largest `.dlg` files of a 4-thread real
+# docking run) orders ties by file name, so two runs list the same files in
+# the same order; only `fdir`, the activation directory, depends on thread
+# timing. ~2 s per run in release
+echo "== figures: Query 2 rows are the same run to run =="
+query2() {
+    cargo run -q --release -p scidock-bench --bin figures -- --query2 --scale 40 2>/dev/null |
+        grep '\.dlg *|' | cut -d'|' -f3,4
+}
+first="$(query2)"
+second="$(query2)"
+if [[ -z "$first" || "$first" != "$second" ]]; then
+    diff <(echo "$first") <(echo "$second") || true
+    echo "Query 2 listed different (fname, fsize) rows in two runs" >&2
+    exit 1
+fi
+
 # the root manifest is a package *and* a workspace: plain `cargo test` would
 # only run the facade crate's tests
 echo "== cargo test --workspace -q =="

@@ -416,7 +416,7 @@ fn main() {
             let sql = "SELECT w.tag, a.tag, f.fname, f.fsize, f.fdir \
                        FROM hworkflow w, hactivity a, hactivation t, hfile f \
                        WHERE w.wkfid = a.wkfid AND a.actid = t.actid AND t.taskid = f.taskid \
-                       AND f.fname LIKE '%.dlg' ORDER BY f.fsize DESC LIMIT 10";
+                       AND f.fname LIKE '%.dlg' ORDER BY f.fsize DESC, f.fname LIMIT 10";
             println!("SQL: {sql}\n");
             match ad4_out.prov.query_rows(sql, &[]) {
                 Ok(rs) => println!("{rs}"),

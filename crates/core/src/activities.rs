@@ -830,11 +830,13 @@ mod tests {
         let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(1));
         assert_eq!(report.final_output().len(), 3);
 
-        // every activation stages the same allocation, not a copy of it
+        // every activation stages the one rendered set, not a copy of it:
+        // each read is the same bytes, and the store holds none of them
         let seen = seen.lock();
         assert_eq!(seen.len(), 3);
-        assert!(seen.iter().all(|text| Arc::ptr_eq(text.text(), seen[0].text())));
+        assert!(seen.iter().all(|text| *text == seen[0] && **text == *seen[0]));
         assert_eq!(tel.snapshot().unwrap().counter("gridcache.maps.rendered"), Some(1));
+        assert_eq!(files.resident_bytes(), held_without_maps(&files, &cfg.expdir));
 
         // … and still records all of it: 14 maps + its own .fld, per pair
         assert_eq!(files.list(&format!("{}/maps/", cfg.expdir)).len(), 14);
@@ -855,6 +857,53 @@ mod tests {
         let maps =
             prov.query_rows("SELECT count(*) FROM hfile WHERE fname LIKE 'e.%.map'", &[]).unwrap();
         assert_eq!(maps.cell(0, 0), &Value::Int(14 * 3));
+    }
+
+    /// Bytes of the distinct contents of every path of `files` that is not
+    /// a `.map` file under `expdir`.
+    fn held_without_maps(files: &FileStore, expdir: &str) -> u64 {
+        let map_dir = format!("{}/maps/", expdir.trim_end_matches('/'));
+        let mut distinct: Vec<cumulus::Blob> = Vec::new();
+        for path in files.list("") {
+            if path.starts_with(&map_dir) && path.ends_with(".map") {
+                continue;
+            }
+            let blob = files.read(&path).unwrap();
+            if !distinct.contains(&blob) {
+                distinct.push(blob);
+            }
+        }
+        distinct.iter().map(|blob| blob.len() as u64).sum()
+    }
+
+    #[test]
+    fn a_run_holds_no_map_text_and_every_map_reads_back_as_autogrid_prints_it() {
+        let ds = Dataset::subset(&["1HUC", "2HHN"], &["042", "074"], tiny_dataset().params);
+        let files = Arc::new(FileStore::new());
+        let prov = Arc::new(ProvenanceStore::new());
+        let cfg = fast_cfg();
+        let input = stage_inputs(&ds, &files, &cfg.expdir);
+        let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
+        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
+        assert_eq!(report.failed_attempts, 0);
+        assert_eq!(files.resident_bytes(), held_without_maps(&files, &cfg.expdir));
+
+        // each receptor's staged maps are the files its grid set prints
+        let map_dir = format!("{}/maps", cfg.expdir);
+        let prepared = &report.outputs[2];
+        assert_eq!(files.list(&format!("{map_dir}/")).len(), 14 * 2);
+        for id in ["1HUC", "2HHN"] {
+            let t = prepared.tuples.iter().find(|t| t[0].as_str() == Some(id)).unwrap();
+            let pdbqt = files.read(t[3].as_str().unwrap()).unwrap();
+            let grids = cfg.receptors.grids(&pdbqt, EngineKind::Ad4, &cfg.dock).unwrap();
+            for (name, text) in docking::mapfile::render_map_files(&grids, id) {
+                let staged = files.read(&format!("{map_dir}/{name}")).unwrap();
+                assert!(*staged == *text, "{name}");
+                assert_eq!(staged.digest(), cumulus::digest(text.as_bytes()));
+            }
+        }
+        // … and reading them held nothing
+        assert_eq!(files.resident_bytes(), held_without_maps(&files, &cfg.expdir));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | entry | key |
 //! |-------|-----|
 //! | grid set | [`grid_key`] (every map-shaping knob + the receptor PDBQT's digest) |
-//! | rendered `.map` files | grid key × receptor name (the header names the receptor) |
+//! | `.map` files (rendered on read) | grid key × receptor name (the header names the receptor) |
 //! | parsed receptor (Hg answer + molecule) | the PDB text's digest |
 //! | prepared PDBQT + heavy-atom count | PDB digest × receptor name (the `NAME` record) |
 //! | binding pocket | receptor PDBQT digest × probe radius |
@@ -39,7 +39,9 @@
 //! The tier is **LRU by resident bytes** against `TIER_BUDGET_BYTES`.
 //! Eviction only drops the tier's reference: activations and file stores
 //! holding the `Arc`s are unaffected, and the next lookup falls through to
-//! disk or a rebuild with bit-identical results.
+//! disk or a rebuild with bit-identical results. A grid set's map files
+//! print from it, so they leave with it: the tier holds no grid set it
+//! does not charge.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -63,10 +65,13 @@ use molkit::typer::{assign_ad_types, merge_nonpolar_hydrogens};
 use molkit::{Element, Molecule};
 use telemetry::Telemetry;
 
-/// Resident bytes (grid values, rendered and prepared texts, the atoms and
-/// bonds of parsed molecules) a tier keeps before evicting its least recently used entries. The
-/// paper's 238 receptors are ≈ 0.6 GB at its grid settings, which an
-/// always-on daemon must not pin; this holds about a hundred of them.
+/// Resident bytes (grid values, prepared texts, map files' names, the atoms
+/// and bonds of parsed molecules) a tier keeps before evicting its least
+/// recently used entries. At the paper's grid settings (1.0 Å, 20 Å box) a
+/// receptor is ≈ 1.6 MB on average in adaptive mode (its AD4 grid set, 1.04
+/// MB, for all; a Vina one, 0.89 MB, for the 123 of 238 above the size
+/// threshold), so its 238 receptors are ≈ 0.38 GB, which an always-on daemon
+/// must not pin; this holds about 165 of them.
 const TIER_BUDGET_BYTES: u64 = 256 << 20;
 
 /// What an entry is and what identifies it (the module table): a content
@@ -414,21 +419,37 @@ impl ReceptorCache {
     fn charge(&self, key: &Key, slot: &Arc<Slot>, bytes: u64, tel: &Telemetry) {
         let bytes = bytes.max(1);
         let mut st = self.0.state.lock();
-        match st.held.get_mut(key) {
-            Some(held) if Arc::ptr_eq(&held.slot, slot) => held.bytes = bytes,
-            // dropped by a failed fill this one waited behind: the value
-            // lives by its caller's reference only
-            _ => return,
+        // dropped by a failed fill this one waited behind, or with its grid
+        // set: the value lives by its caller's reference only
+        if !st.held.get(key).is_some_and(|held| Arc::ptr_eq(&held.slot, slot)) {
+            return;
         }
+        // map files rendered over a grid set the tier no longer holds (it
+        // was evicted while they were rendered) would pin it uncharged
+        if let Key::Maps(grids, _) = key {
+            if st.held.get(&Key::Grids(*grids)).is_none_or(|held| held.bytes == 0) {
+                st.held.remove(key);
+                return;
+            }
+        }
+        st.held.get_mut(key).expect("checked under this lock").bytes = bytes;
         st.resident += bytes;
         let mut evicted = 0;
         while st.resident > self.0.budget {
             // an unfilled slot (0 bytes) is a computation in flight
             let lru = st.held.iter().filter(|(_, h)| h.bytes > 0).min_by_key(|(_, h)| h.used);
             let Some(victim) = lru.map(|(k, _)| k.clone()) else { break };
-            let held = st.held.remove(&victim).expect("found under this lock");
-            st.resident -= held.bytes;
-            evicted += 1;
+            // a grid set's map files hold it: they go with it, filled or in
+            // flight, so the tier keeps no grid set it does not charge
+            let maps_of =
+                |k: &Key| matches!((&victim, k), (Key::Grids(g), Key::Maps(m, _)) if g == m);
+            let gone: Vec<Key> =
+                st.held.keys().filter(|k| **k == victim || maps_of(k)).cloned().collect();
+            for key in gone {
+                let held = st.held.remove(&key).expect("found under this lock");
+                st.resident -= held.bytes;
+                evicted += u64::from(held.bytes > 0);
+            }
         }
         let resident = st.resident;
         drop(st);
@@ -440,8 +461,10 @@ impl ReceptorCache {
 }
 
 /// A grid set's AutoGrid output files, `(file name, text)` per map in
-/// [`GridSet::maps`] order, digested when rendered and shared by every
-/// activation that stages them.
+/// [`GridSet::maps`] order, digested when the set is made and shared by
+/// every activation that stages them. Each text is a
+/// [rendered](Blob::rendered) blob over the grid set: it exists only while
+/// someone reads it.
 pub type MapFiles = Arc<[(String, Blob)]>;
 
 /// The cache key of the grid set built from a receptor PDBQT whose digest
@@ -522,9 +545,10 @@ fn write_entry(dir: &Path, key: u64, text: &str) {
 /// same receptor and, keyed by [`grid_key`], by every campaign docking the
 /// same receptor content under the same knobs. A lookup reads two tiers:
 ///
-/// 1. the memory tier, which beside each grid set keeps its rendered `.map`
-///    files once per receptor *name* (the header names the receptor, so the
-///    texts are keyed by key **and** name, never by name alone);
+/// 1. the memory tier, which beside each grid set keeps its `.map` files
+///    once per receptor *name* (the header names the receptor, so the
+///    files are keyed by key **and** name, never by name alone), as blobs
+///    that render from the grid set when read;
 /// 2. the on-disk directory, if the tier has one: `<key>.grid` entries,
 ///    shared across runs, campaigns and worker processes on one machine.
 ///
@@ -570,9 +594,12 @@ impl ReceptorCache {
     /// The `.map` files of the grid set [`ReceptorCache::grids`] resolves
     /// (same lookup, same counters, same build on a miss), rendered for
     /// `receptor_id`. The texts are formatted and digested once per (grid
-    /// key, receptor name) — counted by `gridcache.maps.rendered` — and every
-    /// later call returns the same blobs, so staging them costs one pointer
-    /// write per map.
+    /// key, receptor name) — counted by `gridcache.maps.rendered` — and
+    /// dropped: each file is a [rendered](Blob::rendered) blob over the grid
+    /// set, which prints its text again only for a reader. Every later call
+    /// returns the same blobs, so staging them costs one pointer write per
+    /// map. The entry is charged for its names and per-map fields, and
+    /// leaves the tier with its grid set.
     pub fn get_or_render(
         &self,
         receptor_id: &str,
@@ -584,13 +611,39 @@ impl ReceptorCache {
         let tel = &cfg.telemetry;
         let (maps, _) = self.get_or_try(Key::Maps(key, receptor_id.to_string()), tel, || {
             tel.count("gridcache.maps.rendered", 1);
+            let receptor: Arc<str> = receptor_id.into();
             let maps: MapFiles = timed(tel, "gridcache.render", || {
-                docking::mapfile::render_map_files(&grids, receptor_id)
-                    .into_iter()
-                    .map(|(name, text)| (name, digested(text, tel)))
-                    .collect()
+                let mut files: Vec<(String, Blob)> = Vec::new();
+                for (index, (label, map)) in grids.maps().enumerate() {
+                    let (set, receptor) = (Arc::clone(&grids), Arc::clone(&receptor));
+                    let blob = Blob::rendered(Arc::new(move || {
+                        let (_, map) = set.maps().nth(index).expect("a map of the set");
+                        docking::mapfile::write_map(map, &format!("{receptor}.gpf"), &receptor)
+                    }));
+                    tel.count("files.digest_bytes", blob.len() as u64);
+                    // the maps of a set share their header, so maps of equal
+                    // values (AutoGrid's C and A, N and NA, S and SA) print
+                    // equal text: one blob names them, and a store interns
+                    // them by pointer instead of rendering both to compare
+                    let earlier = grids.maps().zip(&files).find(|((_, other), (_, held))| {
+                        held.digest() == blob.digest()
+                            && other
+                                .values()
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .eq(map.values().iter().map(|v| v.to_bits()))
+                    });
+                    let blob = earlier.map_or(blob, |(_, (_, held))| held.clone());
+                    files.push((format!("{receptor_id}.{label}.map"), blob));
+                }
+                files.into()
             });
-            let bytes = maps.iter().map(|(name, text)| (name.len() + text.len()) as u64).sum();
+            // a file's name and blob, and what its render function captures
+            let per_map =
+                size_of::<(String, Blob)>() + size_of::<(Arc<GridSet>, usize, Arc<str>)>();
+            let per_map = per_map as u64;
+            let bytes = maps.iter().map(|(name, _)| name.len() as u64 + per_map).sum::<u64>()
+                + receptor.len() as u64;
             Ok((maps, bytes))
         })?;
         Ok(MapFiles::clone(&maps))
@@ -977,6 +1030,70 @@ mod tests {
         assert_eq!(provn, want_provn);
         // … because what was evicted and asked for again was rebuilt
         assert!(snap.counter("gridcache.miss") > roomy_misses);
+    }
+
+    #[test]
+    fn a_map_set_goes_with_its_grid_set_and_renders_the_same_bytes_again() {
+        let tel = Telemetry::attached();
+        let cfg = DockConfig {
+            grid_spacing: 1.5,
+            box_edge: 14.0,
+            telemetry: tel.clone(),
+            ..Default::default()
+        };
+        let pdbqt = ReceptorCache::default()
+            .prepared(&pdb_text("1HUC", &params(0.0)), "1HUC", &Telemetry::disabled())
+            .unwrap()
+            .pdbqt
+            .clone();
+        // one receptor's grid set and map set, less one byte
+        let roomy = ReceptorCache::default();
+        let quiet = DockConfig { telemetry: Telemetry::disabled(), ..cfg.clone() };
+        roomy.get_or_render("1HUC", &pdbqt, EngineKind::Ad4, &quiet).unwrap();
+        assert_eq!(roomy.grid_sets(), 1);
+        let budget = roomy.resident_bytes() - size_of::<Pocket>() as u64 - 1;
+        let tier = ReceptorCache::with_budget(budget);
+
+        let mut texts = Vec::new();
+        for round in 1..=2 {
+            let grids = Arc::downgrade(&tier.grids(&pdbqt, EngineKind::Ad4, &cfg).unwrap());
+            let maps = tier.get_or_render("1HUC", &pdbqt, EngineKind::Ad4, &cfg).unwrap();
+            // charging the map set evicted the pocket, then the older grid
+            // set and the map set with it: nothing in the tier holds the
+            // grids once the caller lets go of the map files
+            assert_eq!((tier.grid_sets(), tier.filled(|k| matches!(k, Key::Maps(..)))), (0, 0));
+            assert!(tier.resident_bytes() <= budget);
+            let read: Vec<String> = maps.iter().map(|(_, text)| text.to_string()).collect();
+            drop(maps);
+            assert!(grids.upgrade().is_none(), "round {round}: an evicted grid set lives on");
+            texts.push(read);
+        }
+        // … and what was rendered again is the same bytes
+        assert_eq!(texts[0], texts[1]);
+        assert_eq!(texts[0].len(), 14);
+        let snap = tel.snapshot().unwrap();
+        assert_eq!(snap.counter("gridcache.miss"), Some(2));
+        assert_eq!(snap.counter("gridcache.maps.rendered"), Some(2));
+        assert_eq!(snap.counter("gridcache.evicted"), Some(2 * 3), "pocket, grids, maps, twice");
+        let gauge = snap.gauge("gridcache.resident_bytes").unwrap();
+        assert!(gauge.samples.iter().all(|&(_, bytes)| bytes <= budget as f64), "{gauge:?}");
+    }
+
+    #[test]
+    fn equal_maps_of_a_set_are_one_blob() {
+        let cfg = DockConfig { grid_spacing: 1.5, box_edge: 14.0, ..Default::default() };
+        let tier = ReceptorCache::default();
+        let tel = Telemetry::disabled();
+        let pdbqt = tier.prepared(&pdb_text("1HUC", &params(0.0)), "1HUC", &tel).unwrap();
+        let maps = tier.get_or_render("1HUC", &pdbqt.pdbqt, EngineKind::Ad4, &cfg).unwrap();
+        let grids = tier.grids(&pdbqt.pdbqt, EngineKind::Ad4, &cfg).unwrap();
+        let mut texts: Vec<String> = maps.iter().map(|(_, text)| text.to_string()).collect();
+        texts.sort();
+        texts.dedup();
+        assert!(texts.len() < maps.len(), "AutoGrid's C and A maps print the same text");
+        // one render function per distinct text holds the grid set, beside
+        // the tier and this handle
+        assert_eq!(Arc::strong_count(&grids), 2 + texts.len());
     }
 
     /// A ligand's SDF text as activity 1 reads it from the store.

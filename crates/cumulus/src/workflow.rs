@@ -1,6 +1,7 @@
 //! Executable workflow definitions: activities bound to Rust functions, plus
 //! the shared file store activations exchange artifacts through.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -72,20 +73,59 @@ pub fn digest(bytes: &[u8]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// A file's contents and their [`digest`], taken once when the contents are
-/// made. Cloning shares both: a blob staged again, shipped or looked up is
-/// never hashed again. Dereferences to the text.
+/// A file's contents and their [`digest`] and length, taken once when the
+/// contents are made. Cloning shares the contents: a blob staged again,
+/// shipped or looked up is never hashed again. Dereferences to the text.
+///
+/// The contents are either held text ([`Blob::new`]) or a [`Render`]
+/// function that prints them ([`Blob::rendered`]): a rendered blob holds no
+/// text until it is read, renders it into that one value on its first
+/// read, and keeps it as long as that value lives. So its text exists only
+/// while a reader holds it, and whatever needs only the length or the
+/// digest (sizes, interning, the worker wire's known-content check, `{:?}`)
+/// never renders it.
 #[derive(Clone)]
 pub struct Blob {
-    text: Arc<str>,
     digest: u64,
+    body: Body,
 }
+
+/// Boxed on the rendered side, so a blob of held text stays a digest and a
+/// pointer: a store keeps two per path.
+#[derive(Clone)]
+enum Body {
+    Held(Arc<str>),
+    Rendered(Box<Rendered>),
+}
+
+#[derive(Clone)]
+struct Rendered {
+    source: Arc<Render>,
+    len: usize,
+    /// The text, once this value has been read.
+    text: OnceLock<Arc<str>>,
+}
+
+/// What a [`Blob::rendered`] blob prints its text with whenever it is
+/// read. Every call must return the same bytes.
+pub type Render = dyn Fn() -> String + Send + Sync;
 
 impl Blob {
     /// Digest `text` and wrap it.
     pub fn new(text: impl Into<Arc<str>>) -> Blob {
         let text = text.into();
-        Blob { digest: digest(text.as_bytes()), text }
+        Blob { digest: digest(text.as_bytes()), body: Body::Held(text) }
+    }
+
+    /// A blob of `source`'s text, held as the source alone: the text is
+    /// rendered once here to take its digest and length, then dropped.
+    pub fn rendered(source: Arc<Render>) -> Blob {
+        let text = source();
+        let (digest, len) = (digest(text.as_bytes()), text.len());
+        Blob {
+            digest,
+            body: Body::Rendered(Box::new(Rendered { source, len, text: OnceLock::new() })),
+        }
     }
 
     /// The content digest.
@@ -93,15 +133,66 @@ impl Blob {
         self.digest
     }
 
-    /// The shared allocation holding the text.
-    pub fn text(&self) -> &Arc<str> {
-        &self.text
+    /// The length of the text in bytes, known without rendering it.
+    pub fn len(&self) -> usize {
+        match &self.body {
+            Body::Held(text) => text.len(),
+            Body::Rendered(r) => r.len,
+        }
     }
 
-    /// Equal bytes (the same allocation, or a digest hit and a byte compare).
+    /// Is the text empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The allocation holding the text: the shared one of held text, or
+    /// this value's own rendering, made on the first read.
+    pub fn text(&self) -> &Arc<str> {
+        match &self.body {
+            Body::Held(text) => text,
+            Body::Rendered(r) => r.text.get_or_init(|| (r.source)().into()),
+        }
+    }
+
+    /// Bytes of text this value holds: all of held text, a rendered blob's
+    /// only once it has been read.
+    fn held_bytes(&self) -> u64 {
+        match &self.body {
+            Body::Held(text) => text.len() as u64,
+            Body::Rendered(r) => r.text.get().map_or(0, |t| t.len() as u64),
+        }
+    }
+
+    /// The text, borrowed where this value holds it and rendered for the
+    /// call where it does not, so comparing contents pins no rendering.
+    fn bytes(&self) -> Cow<'_, str> {
+        match &self.body {
+            Body::Held(text) => Cow::Borrowed(text),
+            Body::Rendered(r) => match r.text.get() {
+                Some(text) => Cow::Borrowed(text),
+                None => Cow::Owned((r.source)()),
+            },
+        }
+    }
+
+    /// One body: the same held allocation, or the same render source.
+    fn same_body(&self, other: &Blob) -> bool {
+        match (&self.body, &other.body) {
+            (Body::Held(a), Body::Held(b)) => Arc::ptr_eq(a, b),
+            (Body::Rendered(a), Body::Rendered(b)) => {
+                std::ptr::addr_eq(Arc::as_ptr(&a.source), Arc::as_ptr(&b.source))
+            }
+            _ => false,
+        }
+    }
+
+    /// Equal bytes (one body, or a digest and length hit and a byte
+    /// compare).
     fn same_content(&self, other: &Blob) -> bool {
         self.digest == other.digest
-            && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+            && self.len() == other.len()
+            && (self.same_body(other) || self.bytes() == other.bytes())
     }
 }
 
@@ -109,7 +200,7 @@ impl Deref for Blob {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.text
+        self.text()
     }
 }
 
@@ -123,13 +214,18 @@ impl Eq for Blob {}
 
 impl fmt::Debug for Blob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.text, f)
+        match &self.body {
+            Body::Rendered(r) if r.text.get().is_none() => {
+                write!(f, "<rendered on read: {} bytes, digest {:016x}>", r.len, self.digest)
+            }
+            _ => fmt::Debug::fmt(&**self, f),
+        }
     }
 }
 
 impl fmt::Display for Blob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
+        f.write_str(self)
     }
 }
 
@@ -186,6 +282,13 @@ pub type FetchFn = Box<dyn Fn(&str) -> Option<Contents> + Send + Sync>;
 /// share a path (the per-receptor grid maps) must write identical bytes —
 /// which one lands last is a scheduling artifact.
 ///
+/// A [rendered](Blob::rendered) blob is stored as its source: sizes and
+/// interning read its digest and length, and each `read` hands out a value
+/// that renders the text on its own first read, so the store holds no copy
+/// of it ([`FileStore::resident_bytes`] counts only text held). Interning
+/// tries the body's pointer before the bytes; comparing a rendered content
+/// with another body of the same digest renders both for the compare.
+///
 /// A store may carry a read-through [`FetchFn`]: on a local `read` miss the
 /// hook is consulted and a hit is cached locally, so a distributed worker
 /// transparently pulls inputs it doesn't hold yet. `exists`/`size`/`list`
@@ -233,7 +336,7 @@ impl Table {
             unreachable!("a named content is held");
         };
         let list = same.get_mut();
-        let at = list.iter().position(|(held, _)| Arc::ptr_eq(&held.text, &blob.text));
+        let at = list.iter().position(|(held, _)| held.same_body(blob));
         let at = at.expect("a named content is held");
         list[at].1 -= 1;
         if list[at].1 == 0 {
@@ -337,10 +440,11 @@ impl FileStore {
         self.table.lock().paths.values().map(|c| c.len() as u64).sum()
     }
 
-    /// Bytes the store actually holds: each distinct content once.
+    /// Bytes of text the store actually holds: each distinct content once,
+    /// and a rendered one only if it was stored after being read.
     pub fn resident_bytes(&self) -> u64 {
         let table = self.table.lock();
-        table.contents.values().flatten().map(|(blob, _)| blob.len() as u64).sum()
+        table.contents.values().flatten().map(|(blob, _)| blob.held_bytes()).sum()
     }
 
     /// Bytes this store has digested since the last call — what a run adds
@@ -655,7 +759,7 @@ mod tests {
     fn colliding_digests_keep_every_content_intact() {
         // every content under one digest: only the byte compare tells them
         // apart, and every path must still read back its own bytes
-        let collide = |text: &str| Blob { text: text.into(), digest: 7 };
+        let collide = |text: &str| Blob { digest: 7, body: Body::Held(text.into()) };
         let fs = FileStore::new();
         let texts = ["one", "two", "three", "one", "", "two"];
         for (i, text) in texts.iter().enumerate() {
@@ -672,6 +776,99 @@ mod tests {
         }
         assert_eq!(fs.resident_bytes(), 3);
         assert_eq!(fs.table.lock().contents[&7].len(), 1);
+    }
+
+    /// A render function of `text` that counts its calls.
+    fn counted(text: &str) -> (Arc<Render>, Arc<AtomicU64>) {
+        let (text, calls) = (text.to_string(), Arc::new(AtomicU64::new(0)));
+        let counter = Arc::clone(&calls);
+        let render = move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            text.clone()
+        };
+        (Arc::new(render), calls)
+    }
+
+    fn renders(calls: &AtomicU64) -> u64 {
+        calls.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_rendered_blob_names_its_text_as_held_text_does() {
+        let text = "GRID_PARAMETER_FILE r.gpf\n".to_string() + &"-0.125000\n".repeat(40);
+        let (render, source) = counted(&text);
+        let lazy = Blob::rendered(render);
+        assert_eq!(renders(&source), 1, "rendered once, to digest");
+        let held = Blob::new(text.clone());
+        assert_eq!((lazy.len(), lazy.digest()), (held.len(), held.digest()));
+        assert_eq!(lazy, held);
+        assert_eq!(renders(&source), 2, "a compare with another body renders for the call");
+        // a read is the exact bytes, rendered into this value once
+        assert_eq!(&*lazy, text);
+        assert_eq!(lazy.to_string(), text);
+        assert_eq!(renders(&source), 3);
+        assert_eq!(format!("{lazy:?}"), format!("{text:?}"), "a read blob prints its text");
+        assert!(Blob::rendered(counted("").0).is_empty());
+    }
+
+    #[test]
+    fn a_rendered_blob_is_stored_and_sized_without_its_text() {
+        let text = "0.125000\n".repeat(30);
+        let (render, source) = counted(&text);
+        let lazy = Blob::rendered(render);
+        let fs = FileStore::new();
+        fs.write("/maps/r.C.map", lazy.clone());
+        fs.write("/maps/again/r.C.map", lazy.clone());
+        assert_eq!(fs.size("/maps/r.C.map"), Some(text.len() as u64));
+        assert_eq!(fs.total_bytes(), 2 * text.len() as u64);
+        assert_eq!(fs.resident_bytes(), 0, "no text is held");
+        assert_eq!(fs.take_digest_bytes(), 0);
+        let shown = format!("{lazy:?} {fs:?}");
+        assert!(!shown.contains("0.125"), "{shown}");
+        assert_eq!(renders(&source), 1, "none of that rendered");
+
+        // every read renders into its own value, and the store keeps none
+        let read = fs.read("/maps/r.C.map").unwrap();
+        assert_eq!(&*read, text);
+        assert_eq!(&*read, text);
+        assert_eq!(renders(&source), 2);
+        assert_eq!(&*fs.read("/maps/again/r.C.map").unwrap(), text);
+        assert_eq!(renders(&source), 3);
+        assert_eq!(fs.resident_bytes(), 0);
+        // a read value stored again interns to the unread content; stored
+        // where no equal content is, its text is held and counted
+        fs.write("/copy", read.clone());
+        assert_eq!(fs.resident_bytes(), 0);
+        let other = FileStore::new();
+        other.write("/copy", read);
+        assert_eq!(other.resident_bytes(), text.len() as u64);
+        assert_eq!(renders(&source), 3);
+    }
+
+    #[test]
+    fn rendered_and_held_blobs_of_equal_bytes_intern_as_one_content() {
+        let text = "ATOM 1\n".repeat(20);
+        for lazy_first in [true, false] {
+            let (render, source) = counted(&text);
+            let fs = FileStore::new();
+            let (lazy, held) = (Blob::rendered(render), Blob::new(text.clone()));
+            let order = if lazy_first { [&lazy, &held] } else { [&held, &lazy] };
+            let first = fs.write("/a", order[0].clone());
+            let second = fs.write("/b", order[1].clone());
+            assert!(first.same_body(&second), "the second write names the first's content");
+            assert_eq!(fs.table.lock().contents[&lazy.digest()].len(), 1);
+            let held_text = if lazy_first { 0 } else { text.len() as u64 };
+            assert_eq!(fs.resident_bytes(), held_text);
+            // the same render source interns by pointer, rendering nothing
+            let before = renders(&source);
+            fs.write("/c", lazy.clone());
+            assert_eq!(renders(&source), before + u64::from(!lazy_first));
+            assert_eq!(fs.read("/b").as_deref(), Some(text.as_str()));
+            for path in ["/a", "/b", "/c"] {
+                fs.write(path, "moved");
+            }
+            assert_eq!(fs.resident_bytes(), 5, "the content left with its last path");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn main() {
             "SELECT a.tag, f.fname, f.fsize, f.fdir \
              FROM hactivity a, hactivation t, hfile f \
              WHERE a.actid = t.actid AND t.taskid = f.taskid AND f.fname LIKE '%.dlg' \
-             ORDER BY f.fsize DESC LIMIT 5",
+             ORDER BY f.fsize DESC, f.fname LIMIT 5",
             &[],
         )
         .expect("query 2 runs");

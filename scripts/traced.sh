@@ -15,7 +15,8 @@
 #     output) whose names start with `scidock.act.`, `cumulus.`, `docking.`
 #     or are `trace.tet_s`;
 #   * every `scidock_provstore_*`, `scidock_serve_turn_*`,
-#     `scidock_receptor_*`, `scidock_ligand_*` and `scidock_gridcache_*`
+#     `scidock_receptor_*`, `scidock_ligand_*`, `scidock_gridcache_*` and
+#     `scidock_files_*`
 #     sample of the daemon metrics the run scraped into
 #     <tree>/benchmark/out/<workload>-metrics.prom — only for a workload
 #     whose runs leave that file (one with a daemon to scrape).
@@ -65,6 +66,7 @@ SAMPLES = (
     "scidock_receptor_",
     "scidock_ligand_",
     "scidock_gridcache_",
+    "scidock_files_",
 )
 
 def layers(path):  # the run's last line: {"metrics": {name: {"value": v, "unit": u}}, ...}
