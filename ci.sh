@@ -43,6 +43,19 @@ if [[ -z "$first" || "$first" != "$second" ]]; then
     exit 1
 fi
 
+# the simulated Figures 7–9, cost and headline numbers that EXPERIMENTS.md
+# quotes are what the binary prints: the block under its marker comment,
+# verbatim, against the binary's stdout (byte-stable run to run, ~1.2 s in
+# release)
+echo "== figures: EXPERIMENTS.md quotes the simulated figures verbatim =="
+marker='<!-- figures --fig7 --fig8 --fig9 --cost --headline -->'
+if ! diff <(awk -v m="$marker" '$0 == m {f = 1; getline; next} f && /^```$/ {exit} f' EXPERIMENTS.md) \
+    <(cargo run -q --release -p scidock-bench --bin figures -- \
+        --fig7 --fig8 --fig9 --cost --headline 2>/dev/null); then
+    echo "EXPERIMENTS.md's figures block differs from the figures binary's output" >&2
+    exit 1
+fi
+
 # the root manifest is a package *and* a workspace: plain `cargo test` would
 # only run the facade crate's tests
 echo "== cargo test --workspace -q =="

@@ -225,14 +225,6 @@ mod tests {
         sweep
     }
 
-    /// [`small_sweep`] with equal weights for every activity: the greedy
-    /// queue pops first-in first-out.
-    fn equal_weights_sweep() -> SweepConfig {
-        let mut sweep = small_sweep();
-        sweep.sim.weight_profile = Some(std::collections::HashMap::new());
-        sweep
-    }
-
     /// [`small_sweep`] on a fleet a queue-depth policy grows to 4 VMs.
     fn elastic_sweep() -> SweepConfig {
         let mut sweep = small_sweep();
@@ -273,18 +265,21 @@ mod tests {
         let got = [
             pin(2, EngineMode::VinaOnly, &small_sweep()),
             pin(8, EngineMode::Ad4Only, &small_sweep()),
-            pin(8, EngineMode::Ad4Only, &equal_weights_sweep()),
+            pin(32, EngineMode::Ad4Only, &small_sweep()),
             pin(2, EngineMode::Adaptive, &elastic_sweep()),
             pin(4, EngineMode::VinaOnly, &failing_sweep()),
         ];
+        // what a master scheduling by per-activity mean durations mined from
+        // a prior run's provenance computes on the same configs: the ready
+        // queue's rule is those weights' whole effect here
         assert_eq!(
             got,
             [
-                (4659691214261126897, 280, 0, 0, 0, 0, 4597274499619802317),
-                (4652932729820474505, 280, 0, 0, 0, 0, 4606281698874543309),
-                (4654426753432406270, 280, 0, 0, 0, 0, 4606281698874543309),
-                (4650314411663801646, 280, 0, 0, 0, 0, 4609771988585755443),
-                (4656383300548134093, 272, 23, 2, 0, 6, 4601778099247172813),
+                (4659978569155577516, 280, 0, 0, 0, 0, 4597274499619802317),
+                (4654190818278078840, 280, 0, 0, 0, 0, 4606281698874543309),
+                (4652427971339260038, 280, 0, 0, 0, 0, 4615288898129284301),
+                (4652554515414515733, 280, 0, 0, 0, 0, 4609771988585755443),
+                (4656705567684026981, 272, 23, 2, 0, 6, 4601778099247172813),
             ]
         );
     }

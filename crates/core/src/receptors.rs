@@ -398,8 +398,10 @@ impl ReceptorCache {
             Ok((value, bytes)) => {
                 let value = Arc::new(value);
                 *cell = Some(Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
-                drop(cell);
+                // charged before a waiter gets in: map files a waiter
+                // renders over grids still at 0 bytes would be dropped
                 self.charge(&key, &slot, bytes, tel);
+                drop(cell);
                 Ok((value, true))
             }
             Err(e) => {
@@ -987,6 +989,44 @@ mod tests {
         assert_eq!(snap.counter("receptor.waits"), Some(1));
         assert_eq!(snap.histogram("receptor.wait").map(|h| h.count), Some(1));
         assert_eq!(telemetry::registry::unregistered(&snap), Vec::<String>::new());
+    }
+
+    /// A caller that waited for a fill gets its value only once the tier
+    /// has charged it, so the map files it then renders over a grid set the
+    /// filler just built stay in the tier.
+    #[test]
+    fn a_waiter_gets_a_filled_value_only_once_it_is_charged() {
+        let tel = Telemetry::attached();
+        let tier = ReceptorCache::default();
+        let (entered, filled) = (Barrier::new(2), Barrier::new(2));
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                tier.get_or_try(Key::Grids(7), &tel, || {
+                    entered.wait();
+                    filled.wait();
+                    Ok((42u64, 8))
+                })
+            });
+            entered.wait();
+            s.spawn(|| {
+                let got = tier.get_or_try::<u64>(Key::Grids(7), &tel, || unreachable!());
+                got_tx.send(got.is_ok()).unwrap();
+            });
+            while counter(&tel, "receptor.waits") == 0 {
+                std::thread::yield_now();
+            }
+            // the tier's lock held, the filler cannot charge its value, so
+            // the waiter must still be waiting when the fill returns
+            let st = tier.0.state.lock();
+            filled.wait();
+            let early = got_rx.recv_timeout(std::time::Duration::from_millis(200));
+            drop(st);
+            assert!(early.is_err(), "the waiter got the value before it was charged");
+            assert_eq!(got_rx.recv(), Ok(true));
+        });
+        tier.get_or_try(Key::Maps(7, "r".into()), &tel, || Ok((0u8, 4))).unwrap();
+        assert_eq!(tier.filled(|k| matches!(k, Key::Maps(..))), 1, "map files kept");
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! another query — run against a populated store, the way
 //! `provenance::codec::testing::check_codec` damages encoded frames.
 
-use cumulus::{backend, sched};
 use provenance::codec::testing::Gen;
 use provenance::{provn, steering, ActivationRecord, ActivationStatus, ProvenanceStore, Value};
 use scidock::analysis;
@@ -57,9 +56,6 @@ fn corpus() -> Vec<String> {
         provn::ACTIVATIONS_SQL,
         provn::FILES_SQL,
         provn::PARAMETERS_SQL,
-        backend::FINISHED_TIMES_SQL,
-        backend::ACTIVITY_TAGS_SQL,
-        sched::ACTIVITY_PROFILES_SQL,
         analysis::PAIR_RESULTS_SQL,
         analysis::DURATIONS_SQL,
         analysis::PER_ACTIVITY_SQL,

@@ -9,7 +9,6 @@
 
 use std::collections::BTreeSet;
 
-use cumulus::{backend, sched};
 use provenance::provwf::{self, PROV_INDEXES};
 use provenance::{provn, steering, ProvenanceStore, Value};
 use scidock::analysis;
@@ -52,13 +51,6 @@ fn shipped() -> Vec<(&'static str, Vec<Value>, Vec<&'static str>)> {
         (provn::ACTIVATIONS_SQL, vec![], vec!["ix_hactivity_actid"]),
         (provn::FILES_SQL, vec![], vec![]),
         (provn::PARAMETERS_SQL, vec![], vec![]),
-        (
-            backend::FINISHED_TIMES_SQL,
-            wkf(),
-            vec!["ix_hactivation_wkfid_status", "ix_hactivity_actid"],
-        ),
-        (backend::ACTIVITY_TAGS_SQL, wkf(), vec!["ix_hactivity_wkfid"]),
-        (sched::ACTIVITY_PROFILES_SQL, vec![], vec!["ix_hactivation_actid"]),
         (
             analysis::PAIR_RESULTS_SQL,
             vec![],

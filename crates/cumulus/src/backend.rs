@@ -39,13 +39,14 @@
 //! [`Backend::run`] is the local run behind a `dyn Backend`; a distributed
 //! run is a [`run_dist`](crate::run_dist) call with the same config, whose
 //! `SDW2` fields it alone reads. Per-activity wall timings are a query
-//! over the run's provenance, [`activity_timings`], for callers that want
-//! them. The paper's cloud-scale simulator is not a backend: it models
-//! costs, not data, and runs task DAGs through [`crate::simulate_tasks`].
+//! over the run's provenance (`scidock::analysis::per_activity_stats`, the
+//! paper's Query 1). The paper's cloud-scale simulator is not a backend: it
+//! models costs, not data, and runs task DAGs through
+//! [`crate::simulate_tasks`].
 
 use std::sync::Arc;
 
-use provenance::{ProvenanceStore, Value, WorkflowId};
+use provenance::{ProvenanceStore, WorkflowId};
 use telemetry::MetricsSnapshot;
 
 use crate::algebra::Relation;
@@ -76,22 +77,6 @@ impl Workflow {
         self.files = files;
         self
     }
-}
-
-/// Wall-clock statistics for one activity, folded from the provenance
-/// store's `FINISHED` activation rows after the run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivityTiming {
-    /// Activity tag (`hactivity.tag`).
-    pub tag: String,
-    /// Number of activations that finished.
-    pub activations: usize,
-    /// Sum of activation wall times in seconds.
-    pub total_s: f64,
-    /// Mean activation wall time in seconds (0 when nothing finished).
-    pub mean_s: f64,
-    /// Longest activation wall time in seconds.
-    pub max_s: f64,
 }
 
 /// Outcome of a workflow run, whichever backend ran it.
@@ -136,55 +121,6 @@ impl RunReport {
     }
 }
 
-/// The `FINISHED` activations of one workflow (`?` = its id), for
-/// [`activity_timings`].
-pub const FINISHED_TIMES_SQL: &str = "SELECT a.tag, t.starttime, t.endtime \
-     FROM hactivation t, hactivity a \
-     WHERE t.actid = a.actid AND t.wkfid = ? AND t.status = 'FINISHED' ORDER BY t.taskid";
-
-/// The activity tags of one workflow (`?` = its id) in registration order,
-/// for [`activity_timings`].
-pub const ACTIVITY_TAGS_SQL: &str = "SELECT tag FROM hactivity WHERE wkfid = ? ORDER BY actid";
-
-/// Fold per-activity wall-time statistics out of the provenance store's
-/// `FINISHED` rows for one workflow execution.
-pub fn activity_timings(store: &ProvenanceStore, wkf: WorkflowId) -> Vec<ActivityTiming> {
-    let wkfid = [Value::Int(wkf.0)];
-    let rows = store.query_rows(FINISHED_TIMES_SQL, &wkfid).expect("provenance schema is fixed");
-    // preserve activity registration order
-    let acts = store.query_rows(ACTIVITY_TAGS_SQL, &wkfid).expect("provenance schema is fixed");
-    let mut out: Vec<ActivityTiming> = acts
-        .rows
-        .iter()
-        .map(|r| ActivityTiming {
-            tag: r[0].to_string(),
-            activations: 0,
-            total_s: 0.0,
-            mean_s: 0.0,
-            max_s: 0.0,
-        })
-        .collect();
-    for row in &rows.rows {
-        let tag = row[0].to_string();
-        let (start, end) = match (&row[1], &row[2]) {
-            (Value::Timestamp(s), Value::Timestamp(e)) => (*s, *e),
-            _ => continue,
-        };
-        if let Some(t) = out.iter_mut().find(|t| t.tag == tag) {
-            let dur = (end - start).max(0.0);
-            t.activations += 1;
-            t.total_s += dur;
-            t.max_s = t.max_s.max(dur);
-        }
-    }
-    for t in &mut out {
-        if t.activations > 0 {
-            t.mean_s = t.total_s / t.activations as f64;
-        }
-    }
-    out
-}
-
 /// A way of executing a [`Workflow`] against a [`ProvenanceStore`].
 ///
 /// [`LocalBackend`] is its one implementation. It records the same PROV-Wf
@@ -213,6 +149,8 @@ impl LocalBackend {
 
 #[cfg(test)]
 mod tests {
+    use provenance::Value;
+
     use super::*;
     use crate::algebra::Operator;
     use crate::simbackend::{simulate_tasks, SimConfig, SimTask, SimWorkflow};
@@ -267,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn local_backend_runs_and_folds_timings() {
+    fn local_backend_runs_a_two_activity_workflow() {
         let wf = Workflow::new(xy_def(), xy_input());
         let store = Arc::new(ProvenanceStore::new());
         let backend: Box<dyn Backend> =
@@ -275,13 +213,6 @@ mod tests {
         let out = backend.run(&wf, &store).unwrap();
         assert_eq!(out.finished, 6); // 5 inc + 1 sum
         assert_eq!(out.final_output().tuples, vec![vec![Value::Int(15)]]);
-        let timings = activity_timings(&store, out.workflow);
-        assert_eq!(timings.len(), 2);
-        assert_eq!(timings[0].tag, "inc");
-        assert_eq!(timings[0].activations, 5);
-        assert_eq!(timings[1].tag, "sum");
-        assert_eq!(timings[1].activations, 1);
-        assert!(timings[0].mean_s <= timings[0].max_s + 1e-12);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`distbackend`] — one workflow across worker processes speaking the
 //!   `SDW2` frame protocol: backpressure, heartbeats, hang and straggler
 //!   detection, reassignment of a lost worker's activations;
-//! * [`sched`] — the weighted greedy ready queue and the master cost model;
+//! * [`sched`] — the master's ready queue (a started pair's next activation
+//!   first) and its cost model;
 //! * [`fleet`] — the elastic fleet layer: the [`Scheduler`]
 //!   trait (placement + scale decisions, separated from resource
 //!   bookkeeping) with the queue-depth policy, driven identically by the
@@ -70,7 +71,7 @@ pub mod workflow;
 pub mod xmlspec;
 
 pub use algebra::{Operator, Relation, Tuple};
-pub use backend::{activity_timings, ActivityTiming, Backend, LocalBackend, RunReport, Workflow};
+pub use backend::{Backend, LocalBackend, RunReport, Workflow};
 pub use distbackend::{run_dist, KillPlan};
 pub use error::CumulusError;
 pub use fleet::{

@@ -7,8 +7,9 @@
 //! virtualization noise, shared-filesystem staging, ~10% activation
 //! failures with re-execution, hang detection, poison-input blacklisting,
 //! serialized master dispatch whose planning cost grows with queue × VMs
-//! (§V.C's weighted cost model with its greedy pick: the heaviest ready
-//! task on the fastest free VM), and an elastic fleet under a
+//! (§V.C's cost model with its greedy pick: a started pair's next
+//! activation before a new pair's first — [`crate::sched::ReadyQueue`] —
+//! on the fastest free VM), and an elastic fleet under a
 //! [`crate::fleet::Scheduler`] policy.
 //!
 //! It is a cost model, not a backend: it runs no activity and moves no
@@ -17,8 +18,6 @@
 //! objects, snapshot shape and drain rule ([`crate::fleet`]) — so a policy
 //! takes the same decisions here as on real workers. Without a policy the
 //! fleet is fixed and no snapshot is taken.
-
-use std::collections::HashMap;
 
 use cloudsim::{
     sim_ns, Cluster, EventQueue, FailureModel, Fate, InstanceType, NoiseModel, SharedFsModel,
@@ -33,7 +32,7 @@ use crate::fleet::{
     drain_targets, FleetController, FleetSnapshot, ScaleDecision, ScaleEvent, SchedulerFactory,
 };
 use crate::obs::{EventLog, Severity};
-use crate::sched::{MasterCostModel, ReadyQueue, ReadyTask};
+use crate::sched::{MasterCostModel, ReadyQueue};
 
 /// The hang detector aborts a hanging activation after this many times its
 /// runtime on the VM it landed on.
@@ -101,11 +100,6 @@ pub struct SimConfig {
     pub scale_itype: &'static InstanceType,
     /// Is the provenance-driven Hg blacklist rule installed?
     pub hg_rule: bool,
-    /// Scheduling weights per activity tag, mined from a prior run's
-    /// provenance (see [`crate::sched::activity_profiles`]); an activity the
-    /// profile does not name weighs 1.0. `None` = the scheduler sees each
-    /// task's true nominal cost (oracle weights).
-    pub weight_profile: Option<HashMap<String, f64>>,
     /// Telemetry sink. Spans are recorded at *simulated* timestamps, one
     /// trace lane per VM, so a Chrome trace of a simulated run lays out like
     /// a real one.
@@ -131,7 +125,6 @@ impl Default for SimConfig {
             scheduler: None,
             scale_itype: &cloudsim::M3_XLARGE,
             hg_rule: true,
-            weight_profile: None,
             telemetry: Telemetry::disabled(),
             events: None,
         }
@@ -375,14 +368,7 @@ impl<'a> Sim<'a> {
     }
 
     fn enqueue(&mut self, i: usize) {
-        let task = &self.wf.tasks[i];
-        // scheduling weight: the profiled mean of the task's activity if a
-        // profile is given, else the task's true nominal cost
-        let weight = match &self.cfg.weight_profile {
-            Some(p) => p.get(self.tag(task.activity_index)).copied().unwrap_or(1.0),
-            None => task.nominal_s,
-        };
-        self.ready.push(ReadyTask { task: i, weight });
+        self.ready.push(i, !self.wf.tasks[i].deps.is_empty());
     }
 
     /// Cancel everything downstream of task `start`.
@@ -410,10 +396,10 @@ impl<'a> Sim<'a> {
             self.master_free = dispatch_at;
             self.report.master_overhead_s += overhead;
 
-            let rt = self.ready.pop().expect("non-empty");
-            let task = &self.wf.tasks[rt.task];
+            let ti = self.ready.pop().expect("non-empty");
+            let task = &self.wf.tasks[ti];
             self.in_flight += 1;
-            // the greedy pick: the heaviest task goes to the fastest VM
+            // the greedy pick: the task goes to the fastest free VM
             let cluster = &self.cluster;
             let slot_idx = (self.free_slots.iter().enumerate())
                 .max_by(|(_, a), (_, b)| {
@@ -424,7 +410,7 @@ impl<'a> Sim<'a> {
             let vm_id = self.free_slots.swap_remove(slot_idx);
             self.vms[vm_id.0].busy += 1;
 
-            let attempt = self.attempts[rt.task];
+            let attempt = self.attempts[ti];
             let fate = if task.poison && !cfg.hg_rule {
                 Fate::Hang // without the rule, poison inputs always hang
             } else {
@@ -482,7 +468,7 @@ impl<'a> Sim<'a> {
                 tel.gauge_at("sim.ready_queue", sim_ns(now), self.ready.len() as f64);
                 tel.count("sim.dispatched", 1);
             }
-            self.events.push(done_at, Event::TaskDone { task: rt.task, vm: vm_id, attempt, fate });
+            self.events.push(done_at, Event::TaskDone { task: ti, vm: vm_id, attempt, fate });
         }
     }
 
@@ -775,6 +761,34 @@ mod tests {
         // the chain can start no earlier than the fastest-booting VM type
         let boot = cloudsim::M3_XLARGE.boot_seconds.min(cloudsim::M3_2XLARGE.boot_seconds);
         assert!(r.tet_s >= boot + 50.0 - 1e-6, "TET {} must serialize the chain", r.tet_s);
+    }
+
+    /// A started pair's next activation goes before a new pair's first, even
+    /// when the new pair's first is the heavier task.
+    #[test]
+    fn a_started_chain_runs_before_a_new_one() {
+        let mut tasks = chain_tasks(2, 2, 1.0);
+        tasks.tasks[0].nominal_s = 20.0; // A's source, first either way
+        tasks.tasks[1].nominal_s = 2.0; // A's second task
+        tasks.tasks[2].nominal_s = 10.0; // B's source
+        let events = EventLog::new();
+        let cfg = SimConfig {
+            fleet: vec![&cloudsim::M1_SMALL],
+            events: Some(events.clone()),
+            ..base_cfg(1)
+        };
+        assert_eq!(simulate_tasks(&tasks, &cfg, None).finished, 4);
+        // one slot: tasks finish in the order they start
+        let order: Vec<String> = events
+            .events()
+            .iter()
+            .filter(|e| e.kind == "activation_finished")
+            .map(|e| {
+                let field = |k: &str| e.fields.iter().find(|f| f.0 == k).unwrap().1.clone();
+                format!("{}/{}", field("key"), field("activity"))
+            })
+            .collect();
+        assert_eq!(order, ["pair0/act0", "pair0/act1", "pair1/act0", "pair1/act1"]);
     }
 
     #[test]

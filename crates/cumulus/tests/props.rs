@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cloudsim::EventQueue;
-use cumulus::sched::{ReadyQueue, ReadyTask};
+use cumulus::sched::ReadyQueue;
 use cumulus::xmlspec::SciCumulusSpec;
 
 proptest! {
@@ -23,34 +23,23 @@ proptest! {
         prop_assert!(popped.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// Each task pops once; every dependent task pops before every source
+    /// task queued with it, and each group keeps push order — the
+    /// simulator's determinism rests on that rule.
     #[test]
-    fn ready_queue_conserves_tasks(weights in prop::collection::vec(0.1..1e4f64, 0..100)) {
-        let mut q = ReadyQueue::new();
-        for (i, w) in weights.iter().enumerate() {
-            q.push(ReadyTask { task: i, weight: *w });
-        }
-        prop_assert_eq!(q.len(), weights.len());
-        let mut seen: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|t| t.task).collect();
-        seen.sort_unstable();
-        prop_assert_eq!(seen, (0..weights.len()).collect::<Vec<_>>());
-    }
-
-    /// Heaviest first, and equal weights in push order: the simulator's
-    /// determinism rests on that tie rule. Level 0 draws a weight from the
-    /// whole range, levels 1 to 3 from a set of three, so ties are common.
-    #[test]
-    fn greedy_queue_pops_in_weight_order(
-        draws in prop::collection::vec((0u8..4, 0.1..1e4f64), 1..100)
+    fn ready_queue_pops_dependents_first_in_push_order(
+        kinds in prop::collection::vec(0u8..2, 0..100)
     ) {
+        let dependent: Vec<bool> = kinds.iter().map(|k| *k == 1).collect();
         let mut q = ReadyQueue::new();
-        for (i, (level, w)) in draws.iter().enumerate() {
-            let weight = if *level == 0 { *w } else { f64::from(*level) };
-            q.push(ReadyTask { task: i, weight });
+        for (i, d) in dependent.iter().enumerate() {
+            q.push(i, *d);
         }
-        let order: Vec<ReadyTask> = std::iter::from_fn(|| q.pop()).collect();
-        prop_assert!(order.windows(2).all(|w| w[0].weight >= w[1].weight), "{order:?}");
-        let mut ties = order.windows(2).filter(|w| w[0].weight == w[1].weight);
-        prop_assert!(ties.all(|w| w[0].task < w[1].task), "{order:?}");
+        prop_assert_eq!(q.len(), dependent.len());
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).collect();
+        let (deps, sources): (Vec<usize>, Vec<usize>) =
+            (0..dependent.len()).partition(|&i| dependent[i]);
+        prop_assert_eq!(order, [deps, sources].concat());
     }
 
     #[test]

@@ -492,7 +492,6 @@ pub const PROV_INDEXES: &[(&str, &str, &[&str])] = &[
     ("hactivity", "ix_hactivity_actid", &["actid"]),
     ("hactivity", "ix_hactivity_wkfid", &["wkfid"]),
     ("hactivation", "ix_hactivation_taskid", &["taskid"]),
-    ("hactivation", "ix_hactivation_wkfid_status", &["wkfid", "status"]),
     ("hactivation", "ix_hactivation_actid", &["actid"]),
     ("hactivation", "ix_hactivation_status", &["status"]),
     ("hactivation", "ix_hactivation_endtime", &["endtime"]),

@@ -4,8 +4,6 @@
 //! `figures` binary produces the full-scale numbers recorded in
 //! EXPERIMENTS.md.
 
-use std::collections::HashMap;
-
 use cloudsim::FailureModel;
 use cloudsim::NoiseModel;
 use provenance::ProvenanceStore;
@@ -181,59 +179,6 @@ fn data_volume_bookkeeping_near_600gb() {
         )
         .unwrap();
     assert!(!q2.is_empty(), "simulated runs must expose .dlg files to Query 2");
-}
-
-/// Scheduler ablation (DESIGN.md): greedy-weighted must not lose badly to
-/// arrival order on the heterogeneous SciDock mix. Equal weights make the
-/// greedy queue pop first-in first-out.
-#[test]
-fn greedy_scheduling_competitive() {
-    let greedy = sweep();
-    let mut fifo = sweep();
-    fifo.sim.weight_profile = Some(HashMap::new());
-    let g = simulate_at(32, EngineMode::Ad4Only, &greedy, None);
-    let r = simulate_at(32, EngineMode::Ad4Only, &fifo, None);
-    assert!(
-        g.tet_s <= r.tet_s * 1.10,
-        "greedy {} should be within 10% of first-in first-out {}",
-        g.tet_s,
-        r.tet_s
-    );
-}
-
-/// Ablation: scheduling with *profiled* weights (the cost model the real
-/// SciCumulus mines from provenance) must come close to oracle weights.
-#[test]
-fn profile_weights_track_oracle_weights() {
-    // run 1: oracle weights, record provenance (full-scale: per-activity
-    // means only make sense when each activity has many activations, and
-    // at small scale straggler tails dominate the makespan)
-    let base = SweepConfig::default();
-    let prov = ProvenanceStore::new();
-    let oracle = simulate_at(32, EngineMode::Ad4Only, &base, Some(&prov));
-    // mine per-activity means and re-run with profile weights
-    let profile = cumulus::sched::activity_profiles(&prov);
-    assert!(profile.len() >= 6, "all activities profiled: {profile:?}");
-    let mut profiled_sweep = SweepConfig::default();
-    profiled_sweep.sim.weight_profile = Some(profile);
-    let profiled = simulate_at(32, EngineMode::Ad4Only, &profiled_sweep, None);
-    assert!(
-        profiled.tet_s <= oracle.tet_s * 1.10,
-        "profile-weighted TET {} must be within 10% of oracle {} at full scale",
-        profiled.tet_s,
-        oracle.tet_s
-    );
-    // and clearly no worse than scheduling blind (equal weights: arrival
-    // order)
-    let mut blind_sweep = SweepConfig::default();
-    blind_sweep.sim.weight_profile = Some(HashMap::new());
-    let blind = simulate_at(32, EngineMode::Ad4Only, &blind_sweep, None);
-    assert!(
-        profiled.tet_s <= blind.tet_s * 1.05,
-        "profiled greedy {} should not lose to blind {}",
-        profiled.tet_s,
-        blind.tet_s
-    );
 }
 
 /// Elasticity ablation: an elastic fleet starting small must beat the same
