@@ -56,6 +56,18 @@ if ! diff <(awk -v m="$marker" '$0 == m {f = 1; getline; next} f && /^```$/ {exi
     exit 1
 fi
 
+# Table 3 at one tenth (real docking of 23 receptors × 4 ligands with both
+# engines) as EXPERIMENTS.md quotes it: the block under its marker comment,
+# verbatim, against the binary's stdout (byte-stable run to run, ~4 s in
+# release)
+echo "== figures: EXPERIMENTS.md quotes Table 3 at one tenth verbatim =="
+marker='<!-- figures --table3 --scale 10 -->'
+if ! diff <(awk -v m="$marker" '$0 == m {f = 1; getline; next} f && /^```$/ {exit} f' EXPERIMENTS.md) \
+    <(cargo run -q --release -p scidock-bench --bin figures -- --table3 --scale 10 2>/dev/null); then
+    echo "EXPERIMENTS.md's Table 3 block differs from the figures binary's output" >&2
+    exit 1
+fi
+
 # the root manifest is a package *and* a workspace: plain `cargo test` would
 # only run the facade crate's tests
 echo "== cargo test --workspace -q =="

@@ -564,10 +564,9 @@ impl ReceptorCache {
     ///
     /// Emits `gridcache.hit` / `gridcache.miss` counters (memory tier) plus
     /// `gridcache.bytes` (resident map bytes of freshly built sets) through
-    /// `cfg.telemetry`, and builds maps with `cfg.threads` slab workers. On
-    /// a tier with a directory, a memory miss additionally emits
-    /// `gridcache.persist.hit` (entry loaded from disk), or
-    /// `gridcache.persist.miss` + `gridcache.persist.write` (built and
+    /// `cfg.telemetry`. On a tier with a directory, a memory miss
+    /// additionally emits `gridcache.persist.hit` (entry loaded from disk),
+    /// or `gridcache.persist.miss` + `gridcache.persist.write` (built and
     /// persisted), and `gridcache.persist.bytes` (entry bytes read or
     /// written).
     ///
@@ -701,13 +700,7 @@ impl ReceptorCache {
         let spec =
             docking::grid::GridSpec::with_edge(pocket.center, cfg.box_edge, cfg.grid_spacing);
         let grids = timed(&cfg.telemetry, "gridcache.fill", || {
-            docking::autogrid::build_grids(
-                &receptor,
-                spec,
-                &LIGAND_TYPE_SUPERSET,
-                engine.into(),
-                cfg.threads,
-            )
+            docking::autogrid::build_grids(&receptor, spec, &LIGAND_TYPE_SUPERSET, engine.into())
         });
         cfg.telemetry.count("gridcache.bytes", grids.bytes());
         Ok(grids)

@@ -8,9 +8,8 @@
 //!
 //! One kernel fills every grid set ([`build_grids`]): it bins receptor
 //! atoms into a [`CellList`] once and visits only the cells within cutoff
-//! reach of each lattice point, fanning contiguous z-slabs across scoped
-//! threads — the map layout is z-major, so each thread writes a disjoint
-//! contiguous chunk of every map.
+//! reach of each lattice point, on the caller's thread: a docking campaign
+//! runs in parallel one whole dock per engine worker, not within a dock.
 //!
 //! Candidates from the cell list are iterated in ascending atom order and
 //! rejected with the same cutoff test as a scan of every atom at every
@@ -104,62 +103,15 @@ impl ReceptorAtoms {
     }
 }
 
-/// Resolve a `DockConfig::threads`-style knob: `0` means "one thread per
-/// available core", anything else is taken literally.
-pub fn effective_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Number of contiguous z-slab chunks a build with this lattice and thread
-/// knob fans out (also the number of threads actually spawned).
-pub fn planned_slabs(npts: usize, threads: usize) -> usize {
-    effective_threads(threads).min(npts).max(1)
-}
-
-/// Chunk boundaries: `npts` z-slabs split into `planned_slabs` contiguous
-/// runs of near-equal size. `bounds[c]..bounds[c + 1]` is chunk `c`'s
-/// k-range.
-fn slab_bounds(npts: usize, threads: usize) -> Vec<usize> {
-    let t = planned_slabs(npts, threads);
-    (0..=t).map(|c| c * npts / t).collect()
-}
-
-/// Split each map buffer at the chunk boundaries, transposing into one
-/// `Vec<&mut [f64]>` (slice per map) per chunk so threads own disjoint
-/// contiguous regions of every map.
-fn partition_buffers<'a>(
-    bufs: &'a mut [Vec<f64>],
-    bounds: &[usize],
-    slab: usize,
-) -> Vec<Vec<&'a mut [f64]>> {
-    let nchunks = bounds.len() - 1;
-    let mut per_chunk: Vec<Vec<&'a mut [f64]>> = (0..nchunks).map(|_| Vec::new()).collect();
-    for buf in bufs.iter_mut() {
-        let mut rest: &mut [f64] = buf;
-        for (c, w) in bounds.windows(2).enumerate() {
-            let (head, tail) = rest.split_at_mut((w[1] - w[0]) * slab);
-            per_chunk[c].push(head);
-            rest = tail;
-        }
-    }
-    per_chunk
-}
-
-/// One z-slab chunk of a grid build: slabs `k0..k1` of `maps`, each slice
-/// covering exactly this chunk's points in z-major layout.
-struct Slabs<'a, 'm, P> {
+/// One grid build: `maps` holds every map's buffer, `spec.len()` values
+/// each in z-major layout.
+struct Slabs<'a, P> {
     spec: GridSpec,
-    k0: usize,
-    k1: usize,
     atoms: &'a ReceptorAtoms,
     cells: &'a CellList,
     probe_types: &'a [AdType],
     params: &'a P,
-    maps: &'m mut [&'a mut [f64]],
+    maps: &'a mut [Vec<f64>],
 }
 
 /// The candidates of one lattice point within the cutoff,
@@ -177,13 +129,13 @@ trait PointSums {
     /// order.
     fn add<E: ExpLanes>(&mut self, atoms: &ReceptorAtoms, b: &CandLanes);
     /// Store the sums at offset `off` of `maps`, and start over from zero.
-    fn store(&mut self, maps: &mut [&mut [f64]], off: usize);
+    fn store(&mut self, maps: &mut [Vec<f64>], off: usize);
 }
 
-impl<P> Slabs<'_, '_, P> {
-    /// Visit every lattice point of the chunk in map order, feeding its
-    /// in-cutoff candidates to `sums` batch by batch and storing the sums
-    /// once its last batch is in.
+impl<P> Slabs<'_, P> {
+    /// Visit every lattice point in map order, feeding its in-cutoff
+    /// candidates to `sums` batch by batch and storing the sums once its
+    /// last batch is in.
     #[inline(always)]
     fn fill<E: ExpLanes>(&mut self, sums: &mut impl PointSums) {
         let (spec, cells, atoms) = (self.spec, self.cells, self.atoms);
@@ -198,7 +150,7 @@ impl<P> Slabs<'_, '_, P> {
             r: [0.0; vexp::LANES],
             m: 0,
         };
-        for k in self.k0..self.k1 {
+        for k in 0..npts {
             for j in 0..npts {
                 for i in 0..npts {
                     let p = spec.point(i, j, k);
@@ -229,7 +181,7 @@ impl<P> Slabs<'_, '_, P> {
                         sums.add::<E>(atoms, &b);
                         b.m = 0;
                     }
-                    sums.store(self.maps, ((k - self.k0) * npts + j) * npts + i);
+                    sums.store(self.maps, (k * npts + j) * npts + i);
                 }
             }
         }
@@ -267,9 +219,9 @@ impl Columns {
     /// Store each probe type's column sum at offset `off` of its map (the
     /// first `of.len()` of `maps`), and start every column over from zero.
     #[inline(always)]
-    fn store(&self, sums: &mut [f64], maps: &mut [&mut [f64]], off: usize) {
-        for (slice, &c) in maps.iter_mut().zip(&self.of) {
-            slice[off] = sums[c];
+    fn store(&self, sums: &mut [f64], maps: &mut [Vec<f64>], off: usize) {
+        for (map, &c) in maps.iter_mut().zip(&self.of) {
+            map[off] = sums[c];
         }
         sums.fill(0.0);
     }
@@ -346,7 +298,7 @@ impl PointSums for Ad4Sums<'_> {
     }
 
     #[inline(always)]
-    fn store(&mut self, maps: &mut [&mut [f64]], off: usize) {
+    fn store(&mut self, maps: &mut [Vec<f64>], off: usize) {
         let nprobe = self.cols.of.len();
         self.cols.store(&mut self.aff, maps, off);
         maps[nprobe][off] = std::mem::take(&mut self.e);
@@ -356,7 +308,7 @@ impl PointSums for Ad4Sums<'_> {
 
 /// The AD4 fill: `maps` is `[affinity(probe_types[0]), …, electrostatic,
 /// desolvation]`.
-impl Kernel for Slabs<'_, '_, Ad4Params> {
+impl Kernel for Slabs<'_, Ad4Params> {
     type Out = ();
 
     #[inline(always)]
@@ -436,13 +388,13 @@ impl PointSums for VinaSums<'_> {
     }
 
     #[inline(always)]
-    fn store(&mut self, maps: &mut [&mut [f64]], off: usize) {
+    fn store(&mut self, maps: &mut [Vec<f64>], off: usize) {
         self.cols.store(&mut self.aff, maps, off);
     }
 }
 
 /// The Vina fill: `maps[ti]` is probe type `ti`'s map.
-impl Kernel for Slabs<'_, '_, VinaParams> {
+impl Kernel for Slabs<'_, VinaParams> {
     type Out = ();
 
     #[inline(always)]
@@ -465,51 +417,42 @@ impl Kernel for Slabs<'_, '_, VinaParams> {
 }
 
 /// Build `kind`'s grids for the given probe types with the default
-/// parameter set ([`Ad4Params::new`], [`VinaParams::default`]), fanning
-/// contiguous z-slab chunks across `threads` scoped threads (`0` = one per
-/// core).
-///
-/// The result does not depend on the thread count: every lattice point is
-/// computed by exactly one thread with the same candidate order.
+/// parameter set ([`Ad4Params::new`], [`VinaParams::default`]).
 pub fn build_grids(
     receptor: &Molecule,
     spec: GridSpec,
     probe_types: &[AdType],
     kind: GridKind,
-    threads: usize,
 ) -> GridSet {
     let path = ExpPath::selected();
     match kind {
-        GridKind::Ad4 => fill(path, kind, receptor, spec, probe_types, &Ad4Params::new(), threads),
-        GridKind::Vina => {
-            fill(path, kind, receptor, spec, probe_types, &VinaParams::default(), threads)
-        }
+        GridKind::Ad4 => fill(path, kind, receptor, spec, probe_types, &Ad4Params::new()),
+        GridKind::Vina => fill(path, kind, receptor, spec, probe_types, &VinaParams::default()),
     }
 }
 
-/// Build AD4 grids for the given probe types with `params`, on one thread.
+/// Build AD4 grids for the given probe types with `params`.
 pub fn build_ad4_grids(
     receptor: &Molecule,
     spec: GridSpec,
     probe_types: &[AdType],
     params: &Ad4Params,
 ) -> GridSet {
-    fill(ExpPath::selected(), GridKind::Ad4, receptor, spec, probe_types, params, 1)
+    fill(ExpPath::selected(), GridKind::Ad4, receptor, spec, probe_types, params)
 }
 
-/// Build Vina-style grids for the given probe types with `params`, on one
-/// thread.
+/// Build Vina-style grids for the given probe types with `params`.
 pub fn build_vina_grids(
     receptor: &Molecule,
     spec: GridSpec,
     probe_types: &[AdType],
     params: &VinaParams,
 ) -> GridSet {
-    fill(ExpPath::selected(), GridKind::Vina, receptor, spec, probe_types, params, 1)
+    fill(ExpPath::selected(), GridKind::Vina, receptor, spec, probe_types, params)
 }
 
-/// [`build_ad4_grids`] on a given `exp` path and thread count; every path
-/// builds the same bits.
+/// [`build_ad4_grids`] on a given `exp` path; every path builds the same
+/// bits.
 #[cfg(test)]
 pub(crate) fn build_ad4_grids_via(
     path: ExpPath,
@@ -517,13 +460,12 @@ pub(crate) fn build_ad4_grids_via(
     spec: GridSpec,
     probe_types: &[AdType],
     params: &Ad4Params,
-    threads: usize,
 ) -> GridSet {
-    fill(path, GridKind::Ad4, receptor, spec, probe_types, params, threads)
+    fill(path, GridKind::Ad4, receptor, spec, probe_types, params)
 }
 
-/// [`build_vina_grids`] on a given `exp` path and thread count; every path
-/// builds the same bits.
+/// [`build_vina_grids`] on a given `exp` path; every path builds the same
+/// bits.
 #[cfg(test)]
 pub(crate) fn build_vina_grids_via(
     path: ExpPath,
@@ -531,54 +473,32 @@ pub(crate) fn build_vina_grids_via(
     spec: GridSpec,
     probe_types: &[AdType],
     params: &VinaParams,
-    threads: usize,
 ) -> GridSet {
-    fill(path, GridKind::Vina, receptor, spec, probe_types, params, threads)
+    fill(path, GridKind::Vina, receptor, spec, probe_types, params)
 }
 
 /// Fill `kind`'s maps with the cell-list kernel for `params`' physics on
-/// `path`, fanning contiguous z-slab chunks across `threads` scoped threads
-/// (`0` = one per core): one affinity map per probe type, then AD4's
-/// electrostatic and desolvation maps.
-fn fill<P: Sync>(
+/// `path`: one affinity map per probe type, then AD4's electrostatic and
+/// desolvation maps.
+fn fill<P>(
     path: ExpPath,
     kind: GridKind,
     receptor: &Molecule,
     spec: GridSpec,
     probe_types: &[AdType],
     params: &P,
-    threads: usize,
 ) -> GridSet
 where
-    for<'a, 'm> Slabs<'a, 'm, P>: Kernel<Out = ()>,
+    for<'a> Slabs<'a, P>: Kernel<Out = ()>,
 {
     let nmaps = probe_types.len() + if kind == GridKind::Ad4 { 2 } else { 0 };
     let atoms = ReceptorAtoms::from(receptor);
     let cells = CellList::build(&atoms.pos, CELL_EDGE);
     let mut bufs: Vec<Vec<f64>> = (0..nmaps).map(|_| vec![0.0; spec.len()]).collect();
-    let bounds = slab_bounds(spec.npts, threads);
-    let mut per_chunk = partition_buffers(&mut bufs, &bounds, spec.npts * spec.npts);
-    let slabs = |c: usize, maps| Slabs {
-        spec,
-        k0: bounds[c],
-        k1: bounds[c + 1],
-        atoms: &atoms,
-        cells: &cells,
-        probe_types,
-        params,
-        maps,
-    };
-    if per_chunk.len() == 1 {
-        vexp::run(path, slabs(0, &mut per_chunk[0]));
-    } else {
-        std::thread::scope(|s| {
-            for (c, maps) in per_chunk.iter_mut().enumerate() {
-                let slabs = &slabs;
-                s.spawn(move || vexp::run(path, slabs(c, maps)));
-            }
-        });
-    }
-    drop(per_chunk);
+    vexp::run(
+        path,
+        Slabs { spec, atoms: &atoms, cells: &cells, probe_types, params, maps: &mut bufs },
+    );
     let mut maps = bufs.into_iter().map(|buf| GridMap::from_values(spec, buf));
     let affinity = probe_types.iter().map(|&t| (t, maps.next().expect("affinity map"))).collect();
     GridSet { kind, spec, affinity, electrostatic: maps.next(), desolvation: maps.next() }
@@ -724,29 +644,23 @@ mod tests {
     }
 
     #[test]
-    fn cell_list_ad4_bit_identical_to_reference_any_thread_count() {
+    fn cell_list_ad4_bit_identical_to_reference() {
         let r = cloud_receptor();
         let params = Ad4Params::new();
         let probes = [AdType::C, AdType::OA, AdType::HD];
         let sp = GridSpec { center: Vec3::ZERO, npts: 13, spacing: 1.25 };
         let naive = oracle::build_ad4_grids(&r, sp, &probes, &params);
-        for threads in [1, 2, 3, 5] {
-            let fast = build_grids(&r, sp, &probes, GridKind::Ad4, threads);
-            assert_gridsets_bit_identical(&naive, &fast);
-        }
+        assert_gridsets_bit_identical(&naive, &build_grids(&r, sp, &probes, GridKind::Ad4));
     }
 
     #[test]
-    fn cell_list_vina_bit_identical_to_reference_any_thread_count() {
+    fn cell_list_vina_bit_identical_to_reference() {
         let r = cloud_receptor();
         let params = VinaParams::default();
         let probes = [AdType::C, AdType::N];
         let sp = GridSpec { center: Vec3::ZERO, npts: 11, spacing: 1.5 };
         let naive = oracle::build_vina_grids(&r, sp, &probes, &params);
-        for threads in [1, 2, 4] {
-            let fast = build_grids(&r, sp, &probes, GridKind::Vina, threads);
-            assert_gridsets_bit_identical(&naive, &fast);
-        }
+        assert_gridsets_bit_identical(&naive, &build_grids(&r, sp, &probes, GridKind::Vina));
     }
 
     #[test]
@@ -755,24 +669,8 @@ mod tests {
         let probes = [AdType::C, AdType::HD];
         let ad4 = build_ad4_grids(&r, spec(), &probes, &Ad4Params::new());
         let vina = build_vina_grids(&r, spec(), &probes, &VinaParams::default());
-        for threads in [0, 1, 3] {
-            assert_gridsets_bit_identical(
-                &ad4,
-                &build_grids(&r, spec(), &probes, GridKind::Ad4, threads),
-            );
-            assert_gridsets_bit_identical(
-                &vina,
-                &build_grids(&r, spec(), &probes, GridKind::Vina, threads),
-            );
-        }
-    }
-
-    #[test]
-    fn thread_knob_resolution() {
-        assert_eq!(effective_threads(3), 3);
-        assert!(effective_threads(0) >= 1);
-        assert_eq!(planned_slabs(9, 4), 4);
-        assert_eq!(planned_slabs(2, 8), 2); // never more chunks than slabs
+        assert_gridsets_bit_identical(&ad4, &build_grids(&r, spec(), &probes, GridKind::Ad4));
+        assert_gridsets_bit_identical(&vina, &build_grids(&r, spec(), &probes, GridKind::Vina));
     }
 
     #[test]

@@ -129,7 +129,7 @@ thread_local! {
 }
 
 /// What one evaluation works in besides the model: the posed coordinates
-/// and the pair lanes. A search thread's [`Evaluator`](crate::search::Evaluator)
+/// and the pair lanes. A search run's [`Evaluator`](crate::search::Evaluator)
 /// owns one, so the body allocates nothing.
 pub(crate) struct Scratch {
     /// World coordinates of the pose being scored.

@@ -9,7 +9,7 @@ use molkit::formats::pdbqt::PdbqtLigand;
 use molkit::geometry::{diameter, find_pocket, rmsd};
 use molkit::{Molecule, Vec3};
 
-use crate::autogrid::{build_grids, planned_slabs, GridKind, GridSet};
+use crate::autogrid::{build_grids, GridKind, GridSet};
 use crate::cluster::cluster_poses;
 use crate::conformation::LigandModel;
 use crate::conformation::Pose;
@@ -67,10 +67,6 @@ pub struct DockConfig {
     pub box_edge: f64,
     /// Probe radius used for pocket detection.
     pub pocket_probe: f64,
-    /// Worker threads for grid construction and the independent search
-    /// runs: `0` = one per available core, `1` (default) = serial. The
-    /// docking result is byte-identical for every value.
-    pub threads: usize,
     /// Telemetry sink: per-phase spans (pocket, grids, search, analysis)
     /// when attached, near-free when disabled (the default).
     pub telemetry: Telemetry,
@@ -86,7 +82,6 @@ impl Default for DockConfig {
             grid_spacing: 0.75,
             box_edge: 16.0,
             pocket_probe: 9.0,
-            threads: 1,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -198,10 +193,9 @@ pub fn make_grids(
         let _phase = cfg.telemetry.span("dock", "pocket");
         make_grid_spec(receptor, ligand, cfg)?
     };
-    let _phase = cfg.telemetry.span_detail("dock", "grids", || {
-        format!("spacing={} Å slabs={}", cfg.grid_spacing, planned_slabs(spec.npts, cfg.threads))
-    });
-    Ok(build_grids(receptor, spec, &ligand.mol.ad_types(), engine.into(), cfg.threads))
+    let _phase =
+        cfg.telemetry.span_detail("dock", "grids", || format!("spacing={} Å", cfg.grid_spacing));
+    Ok(build_grids(receptor, spec, &ligand.mol.ad_types(), engine.into()))
 }
 
 /// Dock a prepared pair using precomputed grids.
@@ -223,21 +217,13 @@ pub fn dock_with_grids(
         let mut phase = cfg.telemetry.span("dock", "search");
         let out = match engine {
             EngineKind::Ad4 => {
-                let (mut runs, evals) = run_lga_seeded(
-                    &em,
-                    &grids.spec,
-                    &lm,
-                    &cfg.lga,
-                    cfg.seed,
-                    cfg.ad4_runs,
-                    cfg.threads,
-                );
+                let (mut runs, evals) =
+                    run_lga_seeded(&em, &grids.spec, &lm, &cfg.lga, cfg.seed, cfg.ad4_runs);
                 runs.sort_by(|a, b| a.energy.total_cmp(&b.energy));
                 (runs, false, evals)
             }
             EngineKind::Vina => {
-                let (out, evals) =
-                    run_mc_seeded(&em, &grids.spec, &lm, &cfg.mc, cfg.seed, cfg.threads);
+                let (out, evals) = run_mc_seeded(&em, &grids.spec, &lm, &cfg.mc, cfg.seed);
                 (out.modes, true, evals)
             }
         };
@@ -460,27 +446,35 @@ mod tests {
         assert_eq!(trace.matches("\"parent\":").count(), 4);
     }
 
+    /// A docking result's bits for each engine on `prepared_pair()`: a
+    /// change to the grid fill, the search driver or the analysis must leave
+    /// every reported number as it was.
     #[test]
-    fn dock_result_byte_identical_across_thread_counts() {
-        let (receptor, lig) = prepared_pair();
-        let base = fast_cfg();
-        for engine in [EngineKind::Ad4, EngineKind::Vina] {
-            let serial =
-                dock(&receptor, &lig, engine, &DockConfig { threads: 1, ..base.clone() }).unwrap();
-            for t in [2, 4, 0] {
-                let par = dock(&receptor, &lig, engine, &DockConfig { threads: t, ..base.clone() })
-                    .unwrap();
-                assert_eq!(serial.feb.to_bits(), par.feb.to_bits(), "feb threads={t}");
-                assert_eq!(serial.evaluations, par.evaluations, "evals threads={t}");
-                assert_eq!(serial.best_coords, par.best_coords, "coords threads={t}");
-                for (a, b) in serial.modes.iter().zip(&par.modes) {
-                    assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-                    assert_eq!(a.feb.to_bits(), b.feb.to_bits());
-                    assert_eq!(a.rmsd.to_bits(), b.rmsd.to_bits());
-                    assert_eq!(a.rmsd_lb.to_bits(), b.rmsd_lb.to_bits());
+    fn dock_results_are_pinned() {
+        let pin = |engine| {
+            let (receptor, lig) = prepared_pair();
+            let res = dock(&receptor, &lig, engine, &fast_cfg()).unwrap();
+            let mut bytes = Vec::new();
+            for c in &res.best_coords {
+                for v in [c.x, c.y, c.z] {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
             }
-        }
+            for m in &res.modes {
+                for v in [m.energy, m.feb, m.rmsd, m.rmsd_lb] {
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                }
+            }
+            (res.feb.to_bits(), res.evaluations, crate::gridio::fnv1a64(&bytes))
+        };
+        let got = [pin(EngineKind::Ad4), pin(EngineKind::Vina)];
+        assert_eq!(
+            got,
+            [
+                (4610906049306262088, 827, 6216533688644418429),
+                (4608737743465610056, 705, 18085672644375812074),
+            ]
+        );
     }
 
     #[test]

@@ -163,8 +163,8 @@ pub const OUT_OF_BOX_PENALTY: f64 = 1.0e6;
 impl GridMap {
     /// Wrap a pre-filled value buffer (row-major, `spec.len()` entries).
     ///
-    /// Used by the parallel grid builders, which fill per-slab chunks of a
-    /// plain buffer across threads and only then assemble the map.
+    /// Used by the grid builder, which fills every map of a set as a plain
+    /// buffer in one pass and only then assembles the maps.
     pub fn from_values(spec: GridSpec, values: Vec<f64>) -> GridMap {
         assert_eq!(values.len(), spec.len(), "value buffer does not match the lattice");
         GridMap { spec, values }

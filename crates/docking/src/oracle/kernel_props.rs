@@ -1,20 +1,17 @@
-//! The fast docking kernels — the cell-list grid build, the evaluation
-//! body, and the deterministic parallel search drivers — are
-//! *bit-identical* to the oracles over randomized receptors, ligands,
-//! lattices, and seeds.
+//! The fast docking kernels — the cell-list grid build and the evaluation
+//! body — are *bit-identical* to the oracles over randomized receptors,
+//! ligands, lattices, and seeds.
 
 use proptest::prelude::*;
 
 use super::{prepared_ligand, prepared_receptor};
-use crate::autogrid::{build_ad4_grids, build_grids, build_vina_grids, GridKind, GridSet};
+use crate::autogrid::{build_ad4_grids, build_vina_grids, GridSet};
 use crate::conformation::{LigandModel, Pose};
 use crate::energy::EnergyModel;
 use crate::grid::GridSpec;
 use crate::oracle;
 use crate::params::{Ad4Params, VinaParams};
-use crate::search::{
-    random_pose, run_lga_seeded, run_mc_seeded, Evaluator, LgaConfig, McConfig, ScoredPose,
-};
+use crate::search::{random_pose, Evaluator};
 use crate::vexp::ExpPath;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -34,53 +31,33 @@ fn grids_bits_equal(a: &GridSet, b: &GridSet) -> bool {
         }
 }
 
-fn poses_bits_equal(lm: &LigandModel, a: &[ScoredPose], b: &[ScoredPose]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.energy.to_bits() == y.energy.to_bits()
-                && lm
-                    .coords(&x.pose)
-                    .iter()
-                    .zip(&lm.coords(&y.pose))
-                    .all(|(p, q)| p.x == q.x && p.y == q.y && p.z == q.z)
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
     fn cell_list_ad4_grids_match_naive_exactly(name in "[A-Z0-9]{3}",
                                                spacing in 1.0..1.6f64,
-                                               edge in 10.0..16.0f64,
-                                               threads in 1..5usize) {
+                                               edge in 10.0..16.0f64) {
         let receptor = prepared_receptor(&name);
         let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
         let types = [molkit::AdType::C, molkit::AdType::OA, molkit::AdType::HD];
         let p = Ad4Params::new();
         let naive = oracle::build_ad4_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&naive, &build_ad4_grids(&receptor, spec, &types, &p)),
-                     "serial cell list diverged");
-        prop_assert!(
-            grids_bits_equal(&naive, &build_grids(&receptor, spec, &types, GridKind::Ad4, threads)),
-            "threaded ({threads}) cell list diverged");
+                     "cell list diverged");
     }
 
     #[test]
     fn cell_list_vina_grids_match_naive_exactly(name in "[A-Z0-9]{3}",
                                                 spacing in 1.0..1.6f64,
-                                                edge in 10.0..16.0f64,
-                                                threads in 1..5usize) {
+                                                edge in 10.0..16.0f64) {
         let receptor = prepared_receptor(&name);
         let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
         let types = [molkit::AdType::C, molkit::AdType::NA, molkit::AdType::HD];
         let p = VinaParams::default();
         let naive = oracle::build_vina_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&naive, &build_vina_grids(&receptor, spec, &types, &p)),
-                     "serial cell list diverged");
-        prop_assert!(
-            grids_bits_equal(&naive, &build_grids(&receptor, spec, &types, GridKind::Vina, threads)),
-            "threaded ({threads}) cell list diverged");
+                     "cell list diverged");
     }
 
     #[test]
@@ -159,46 +136,6 @@ proptest! {
                 prop_assert_eq!(got.to_bits(), want.to_bits(),
                                 "batch size {} diverged from per-pose total", batch);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_lga_byte_identical_to_serial(rname in "[A-Z0-9]{3}",
-                                             lname in "[A-Z0-9]{3}",
-                                             seed in 0..10_000u64) {
-        let receptor = prepared_receptor(&rname);
-        let lig = prepared_ligand(&lname);
-        let lm = LigandModel::new(&lig);
-        let spec = GridSpec::with_edge(receptor.centroid(), 14.0, 1.25);
-        let grids = build_ad4_grids(&receptor, spec, &lig.mol.ad_types(), &Ad4Params::new());
-        let em = EnergyModel::new(&grids, &lm).unwrap();
-        let cfg = LgaConfig { population: 6, generations: 3, ..Default::default() };
-        let (serial, ev1) = run_lga_seeded(&em, &spec, &lm, &cfg, seed, 3, 1);
-        for threads in [2usize, 4] {
-            let (fanned, evn) = run_lga_seeded(&em, &spec, &lm, &cfg, seed, 3, threads);
-            prop_assert!(poses_bits_equal(&lm, &serial, &fanned),
-                         "LGA diverged at {threads} threads");
-            prop_assert_eq!(ev1, evn);
-        }
-    }
-
-    #[test]
-    fn parallel_mc_byte_identical_to_serial(rname in "[A-Z0-9]{3}",
-                                            lname in "[A-Z0-9]{3}",
-                                            seed in 0..10_000u64) {
-        let receptor = prepared_receptor(&rname);
-        let lig = prepared_ligand(&lname);
-        let lm = LigandModel::new(&lig);
-        let spec = GridSpec::with_edge(receptor.centroid(), 14.0, 1.25);
-        let grids = build_vina_grids(&receptor, spec, &lig.mol.ad_types(), &VinaParams::default());
-        let em = EnergyModel::new(&grids, &lm).unwrap();
-        let cfg = McConfig { restarts: 3, steps: 2, ..Default::default() };
-        let (serial, ev1) = run_mc_seeded(&em, &spec, &lm, &cfg, seed, 1);
-        for threads in [2usize, 4] {
-            let (fanned, evn) = run_mc_seeded(&em, &spec, &lm, &cfg, seed, threads);
-            prop_assert!(poses_bits_equal(&lm, &serial.modes, &fanned.modes),
-                         "MC diverged at {threads} threads");
-            prop_assert_eq!(ev1, evn);
         }
     }
 }

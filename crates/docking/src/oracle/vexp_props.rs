@@ -34,14 +34,13 @@ proptest! {
     #[test]
     fn ad4_grid_lanes_and_libm_bodies_agree(name in "[A-Z0-9]{3}",
                                             spacing in 1.0..1.6f64,
-                                            edge in 10.0..16.0f64,
-                                            threads in 1..4usize) {
+                                            edge in 10.0..16.0f64) {
         let receptor = prepared_receptor(&name);
         let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
         let types = [molkit::AdType::C, molkit::AdType::OA, molkit::AdType::HD, molkit::AdType::N];
         let p = Ad4Params::new();
-        let lanes = build_ad4_grids_via(ExpPath::selected(), &receptor, spec, &types, &p, threads);
-        let libm = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &p, 1);
+        let lanes = build_ad4_grids_via(ExpPath::selected(), &receptor, spec, &types, &p);
+        let libm = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&lanes, &libm), "lanes and libm bodies diverged");
         let naive = oracle::build_ad4_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&libm, &naive), "libm body diverged from the reference");
@@ -50,14 +49,13 @@ proptest! {
     #[test]
     fn vina_grid_lanes_and_libm_bodies_agree(name in "[A-Z0-9]{3}",
                                              spacing in 1.0..1.6f64,
-                                             edge in 10.0..16.0f64,
-                                             threads in 1..4usize) {
+                                             edge in 10.0..16.0f64) {
         let receptor = prepared_receptor(&name);
         let spec = GridSpec::with_edge(receptor.centroid(), edge, spacing);
         let types = [molkit::AdType::C, molkit::AdType::NA, molkit::AdType::HD, molkit::AdType::OA];
         let p = VinaParams::default();
-        let lanes = build_vina_grids_via(ExpPath::selected(), &receptor, spec, &types, &p, threads);
-        let libm = build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &p, 1);
+        let lanes = build_vina_grids_via(ExpPath::selected(), &receptor, spec, &types, &p);
+        let libm = build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&lanes, &libm), "lanes and libm bodies diverged");
         let naive = oracle::build_vina_grids(&receptor, spec, &types, &p);
         prop_assert!(grids_bits_equal(&libm, &naive), "libm body diverged from the reference");
@@ -72,9 +70,9 @@ proptest! {
         let lm = LigandModel::new(&lig);
         let spec = GridSpec::with_edge(receptor.centroid(), 14.0, 1.25);
         let types = lig.mol.ad_types();
-        let ad4 = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &Ad4Params::new(), 1);
+        let ad4 = build_ad4_grids_via(ExpPath::Libm, &receptor, spec, &types, &Ad4Params::new());
         let vina =
-            build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &VinaParams::default(), 1);
+            build_vina_grids_via(ExpPath::Libm, &receptor, spec, &types, &VinaParams::default());
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for grids in [&ad4, &vina] {
             let em = EnergyModel::new(grids, &lm).unwrap();
@@ -134,12 +132,10 @@ fn fills_over_the_ligand_type_superset_match_the_oracles_on_both_paths() {
         let want_ad4 = oracle::build_ad4_grids(&receptor, spec, &types, &ad4);
         let want_vina = oracle::build_vina_grids(&receptor, spec, &types, &vina);
         for path in [ExpPath::selected(), ExpPath::Libm] {
-            for threads in [1, 2, 3] {
-                let got = build_ad4_grids_via(path, &receptor, spec, &types, &ad4, threads);
-                assert!(grids_bits_equal(&got, &want_ad4), "AD4 {name} {path:?} {threads}");
-                let got = build_vina_grids_via(path, &receptor, spec, &types, &vina, threads);
-                assert!(grids_bits_equal(&got, &want_vina), "Vina {name} {path:?} {threads}");
-            }
+            let got = build_ad4_grids_via(path, &receptor, spec, &types, &ad4);
+            assert!(grids_bits_equal(&got, &want_ad4), "AD4 {name} {path:?}");
+            let got = build_vina_grids_via(path, &receptor, spec, &types, &vina);
+            assert!(grids_bits_equal(&got, &want_vina), "Vina {name} {path:?}");
         }
     }
 }

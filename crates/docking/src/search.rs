@@ -26,7 +26,7 @@ pub struct ScoredPose {
 ///
 /// It owns the scratch one evaluation works in (the posed coordinates and
 /// the pair lanes), sized for its model once, so [`Evaluator::energy`] and
-/// [`Evaluator::energy_batch`] allocate nothing. One per search thread: the
+/// [`Evaluator::energy_batch`] allocate nothing. One per search run: the
 /// model is shared, the scratch is not.
 pub struct Evaluator<'a> {
     /// The energy model being evaluated.
@@ -416,8 +416,7 @@ pub struct McOutcome {
 ///
 /// Every score feeds the next proposal (Metropolis), so the chain is
 /// inherently sequential: it evaluates through [`Evaluator::energy`], which
-/// is the batch kernel at width 1 — bit-identical, amortization comes from
-/// the restart fan instead.
+/// is the batch kernel at width 1, bit-identical.
 pub fn mc_restart(
     ev: &mut Evaluator<'_>,
     spec: &GridSpec,
@@ -452,82 +451,33 @@ pub fn mc_restart(
     best
 }
 
-/// Round-robin a set of independently seeded work items across `threads`
-/// scoped threads and return the results in item order plus the summed
-/// evaluation count.
+/// Run `n` independently seeded work items in order and return their
+/// results plus the summed evaluation count.
 ///
-/// Each item `i` gets its own `ChaCha8Rng::seed_from_u64(seed + i)` stream
-/// and its own [`Evaluator`], so the output is **byte-identical regardless
-/// of thread count**: no RNG state and no evaluation counter is shared
-/// between items, and results are merged back by index.
-fn run_indexed<F>(
-    em: &EnergyModel<'_>,
-    seed: u64,
-    n: usize,
-    threads: usize,
-    f: F,
-) -> (Vec<ScoredPose>, u64)
+/// Item `i` gets its own `ChaCha8Rng::seed_from_u64(seed + i)` stream and
+/// its own [`Evaluator`]: no RNG state is shared between items.
+fn run_indexed<F>(em: &EnergyModel<'_>, seed: u64, n: usize, f: F) -> (Vec<ScoredPose>, u64)
 where
-    F: Fn(&mut Evaluator<'_>, &mut ChaCha8Rng) -> ScoredPose + Sync,
+    F: Fn(&mut Evaluator<'_>, &mut ChaCha8Rng) -> ScoredPose,
 {
     use rand::SeedableRng;
-    let t = crate::autogrid::effective_threads(threads).min(n).max(1);
-    let one = |i: usize| {
-        let mut ev = Evaluator::new(em);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64));
-        let sp = f(&mut ev, &mut rng);
-        (sp, ev.evals)
-    };
-    if t <= 1 {
-        let mut out = Vec::with_capacity(n);
-        let mut evals = 0u64;
-        for i in 0..n {
-            let (sp, e) = one(i);
-            out.push(sp);
-            evals += e;
-        }
-        return (out, evals);
-    }
-    let mut slots: Vec<Option<(ScoredPose, u64)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let one = &one;
-        let handles: Vec<_> = (0..t)
-            .map(|w| {
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut i = w;
-                    while i < n {
-                        local.push((i, one(i)));
-                        i += t;
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("search worker panicked") {
-                slots[i] = Some(r);
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(n);
     let mut evals = 0u64;
-    for slot in slots {
-        let (sp, e) = slot.expect("every work item completed");
-        out.push(sp);
-        evals += e;
-    }
+    let out = (0..n)
+        .map(|i| {
+            let mut ev = Evaluator::new(em);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(i as u64));
+            let sp = f(&mut ev, &mut rng);
+            evals += ev.evals;
+            sp
+        })
+        .collect();
     (out, evals)
 }
 
-/// Run `runs` independent LGA runs, fanned across `threads` threads
-/// (`0` = one per core), each seeded `seed + i`.
+/// Run `runs` independent LGA runs, run `i` seeded `seed + i`.
 ///
 /// Returns the per-run best poses **in run order** (unsorted) plus the total
-/// evaluation count. Serial and threaded execution produce byte-identical
-/// results: run `i`'s RNG stream depends only on `seed + i`, and the shared
-/// evaluation counter of the legacy serial loop carried no feedback into the
-/// search.
+/// evaluation count.
 pub fn run_lga_seeded(
     em: &EnergyModel<'_>,
     spec: &GridSpec,
@@ -535,27 +485,20 @@ pub fn run_lga_seeded(
     cfg: &LgaConfig,
     seed: u64,
     runs: usize,
-    threads: usize,
 ) -> (Vec<ScoredPose>, u64) {
-    run_indexed(em, seed, runs, threads, |ev, rng| run_lga(ev, spec, ligand, cfg, rng))
+    run_indexed(em, seed, runs, |ev, rng| run_lga(ev, spec, ligand, cfg, rng))
 }
 
-/// Run `cfg.restarts` MC restarts, fanned across `threads` threads
-/// (`0` = one per core), restart `r` seeded `seed + r`.
-///
-/// Each restart owns an independent ChaCha8 stream, which is what makes the
-/// fan deterministic and byte-identical for any thread count.
+/// Run `cfg.restarts` MC restarts, restart `r` seeded `seed + r`.
 pub fn run_mc_seeded(
     em: &EnergyModel<'_>,
     spec: &GridSpec,
     ligand: &LigandModel,
     cfg: &McConfig,
     seed: u64,
-    threads: usize,
 ) -> (McOutcome, u64) {
-    let (mut modes, evals) = run_indexed(em, seed, cfg.restarts, threads, |ev, rng| {
-        mc_restart(ev, spec, ligand, cfg, rng)
-    });
+    let (mut modes, evals) =
+        run_indexed(em, seed, cfg.restarts, |ev, rng| mc_restart(ev, spec, ligand, cfg, rng));
     modes.sort_by(|a, b| a.energy.total_cmp(&b.energy));
     (McOutcome { best: modes[0].clone(), modes }, evals)
 }
@@ -707,51 +650,12 @@ mod tests {
         let g = build_vina_grids(&r, spec(), &lig.mol.ad_types(), &VinaParams::default());
         let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
         let cfg = McConfig { restarts: 4, steps: 5, ..Default::default() };
-        let (out, _) = run_mc_seeded(&em, &spec(), &lm, &cfg, 9, 1);
+        let (out, _) = run_mc_seeded(&em, &spec(), &lm, &cfg, 9);
         assert_eq!(out.modes.len(), 4);
         for w in out.modes.windows(2) {
             assert!(w[0].energy <= w[1].energy, "modes must be sorted");
         }
         assert_eq!(out.best.energy, out.modes[0].energy);
-    }
-
-    #[test]
-    fn seeded_lga_byte_identical_across_thread_counts() {
-        let r = receptor();
-        let lig = ligand();
-        let lm = crate::conformation::LigandModel::new(&lig);
-        let g = build_ad4_grids(&r, spec(), &lig.mol.ad_types(), &Ad4Params::new());
-        let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
-        let cfg = LgaConfig { population: 6, generations: 3, ..Default::default() };
-        let (serial, evals) = run_lga_seeded(&em, &spec(), &lm, &cfg, 11, 5, 1);
-        for t in [2, 3, 4, 8] {
-            let (par, par_evals) = run_lga_seeded(&em, &spec(), &lm, &cfg, 11, 5, t);
-            assert_eq!(evals, par_evals, "eval count at threads={t}");
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "energy at threads={t}");
-                assert_eq!(a.pose, b.pose, "pose at threads={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_mc_byte_identical_across_thread_counts() {
-        let r = receptor();
-        let lig = ligand();
-        let lm = crate::conformation::LigandModel::new(&lig);
-        let g = build_vina_grids(&r, spec(), &lig.mol.ad_types(), &VinaParams::default());
-        let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
-        let cfg = McConfig { restarts: 4, steps: 3, ..Default::default() };
-        let (serial, evals) = run_mc_seeded(&em, &spec(), &lm, &cfg, 23, 1);
-        for t in [2, 4] {
-            let (par, par_evals) = run_mc_seeded(&em, &spec(), &lm, &cfg, 23, t);
-            assert_eq!(evals, par_evals);
-            assert_eq!(serial.best.energy.to_bits(), par.best.energy.to_bits());
-            for (a, b) in serial.modes.iter().zip(&par.modes) {
-                assert_eq!(a.energy.to_bits(), b.energy.to_bits());
-                assert_eq!(a.pose, b.pose);
-            }
-        }
     }
 
     #[test]

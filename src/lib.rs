@@ -18,3 +18,9 @@ pub use docking;
 pub use molkit;
 pub use provenance;
 pub use scidock;
+
+/// The README's Rust snippets, compiled (and run, unless marked `no_run`)
+/// as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
