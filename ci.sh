@@ -18,6 +18,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# every public name of `cumulus` and `provenance` that no program calls is
+# a deliberate one: `scripts/callers.sh` lists it and `scripts/callers.allow`
+# says why it stays, and an allowed name the script no longer lists is stale
+echo "== callers: cumulus and provenance ship what programs call =="
+surface="$(
+    { scripts/callers.sh cumulus; scripts/callers.sh provenance; } |
+        awk 'NR == FNR {
+                 if ($0 !~ /^#/ && NF) { sub(/:$/, "", $3); allowed[$1 " " $2 " " $3] = 1 }
+                 next
+             }
+             { sub(/:[0-9]+$/, "", $1); k = $1 " " $2 " " $3; listed[k] = 1
+               if (!(k in allowed)) print "not in scripts/callers.allow: " k }
+             END { for (k in allowed) if (!(k in listed)) print "stale in scripts/callers.allow: " k }' \
+            scripts/callers.allow -
+)"
+if [[ -n "$surface" ]]; then
+    echo "$surface" >&2
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
@@ -43,30 +63,12 @@ if [[ -z "$first" || "$first" != "$second" ]]; then
     exit 1
 fi
 
-# the simulated Figures 7–9, cost and headline numbers that EXPERIMENTS.md
-# quotes are what the binary prints: the block under its marker comment,
-# verbatim, against the binary's stdout (byte-stable run to run, ~1.2 s in
-# release)
-echo "== figures: EXPERIMENTS.md quotes the simulated figures verbatim =="
-marker='<!-- figures --fig7 --fig8 --fig9 --cost --headline -->'
-if ! diff <(awk -v m="$marker" '$0 == m {f = 1; getline; next} f && /^```$/ {exit} f' EXPERIMENTS.md) \
-    <(cargo run -q --release -p scidock-bench --bin figures -- \
-        --fig7 --fig8 --fig9 --cost --headline 2>/dev/null); then
-    echo "EXPERIMENTS.md's figures block differs from the figures binary's output" >&2
-    exit 1
-fi
-
-# Table 3 at one tenth (real docking of 23 receptors × 4 ligands with both
-# engines) as EXPERIMENTS.md quotes it: the block under its marker comment,
-# verbatim, against the binary's stdout (byte-stable run to run, ~4 s in
-# release)
-echo "== figures: EXPERIMENTS.md quotes Table 3 at one tenth verbatim =="
-marker='<!-- figures --table3 --scale 10 -->'
-if ! diff <(awk -v m="$marker" '$0 == m {f = 1; getline; next} f && /^```$/ {exit} f' EXPERIMENTS.md) \
-    <(cargo run -q --release -p scidock-bench --bin figures -- --table3 --scale 10 2>/dev/null); then
-    echo "EXPERIMENTS.md's Table 3 block differs from the figures binary's output" >&2
-    exit 1
-fi
+# every figure EXPERIMENTS.md quotes under a `<!-- figures … -->` marker is
+# what the binary prints: Figs 5–9, Query 1, cost and headline numbers and
+# Table 3 at one tenth, each block diffed against `figures` with the
+# marker's arguments (byte-stable run to run, ~7 s in release)
+echo "== docs: EXPERIMENTS.md's figures blocks are the binary's stdout =="
+scripts/docblocks.sh
 
 # the root manifest is a package *and* a workspace: plain `cargo test` would
 # only run the facade crate's tests

@@ -82,10 +82,7 @@ fn main() {
         }
         _ => None,
     };
-    let mut cfg = RunConfig::new().with_workers(2);
-    if let Some(prior) = resume_from {
-        cfg = cfg.with_resume_from(prior);
-    }
+    let cfg = RunConfig { workers: 2, resume_from, ..RunConfig::default() };
     let report = LocalBackend::new(cfg).run(&Workflow::new(wf, input()), &prov).unwrap();
 
     assert_eq!(report.finished + report.resumed, N as usize, "every pair accounted for");

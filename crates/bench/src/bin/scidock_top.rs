@@ -1,5 +1,5 @@
 //! `scidock-top` — a one-screen live view of a running campaign, fed by the
-//! observability endpoint a run scope binds (`RunConfig::with_metrics_addr`,
+//! observability endpoint a run scope binds (`RunConfig::metrics_addr`,
 //! `scidockd --metrics-addr`).
 //!
 //! ```text

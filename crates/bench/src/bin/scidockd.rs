@@ -67,45 +67,36 @@ struct Flags {
 /// event log is created only for `--events FILE`, and it buffers nothing:
 /// only an endpoint keeps a ring for `/events`, the file log's or its own.
 fn parse_flags(args: impl IntoIterator<Item = String>) -> Flags {
-    let mut cfg = RunConfig::new()
-        .with_addr("127.0.0.1:7878")
-        .with_workers(4)
-        .with_worker_bounds(1, 8)
-        .with_steering_tick(Duration::from_millis(250));
+    let mut cfg = RunConfig {
+        addr: "127.0.0.1:7878".into(),
+        workers: 4,
+        min_workers: 1,
+        max_workers: 8,
+        steering_tick: Some(Duration::from_millis(250)),
+        ..RunConfig::default()
+    };
     let mut wal: Option<String> = None;
     let mut grid_dir: Option<String> = None;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => cfg = cfg.with_addr(parse::<String>(&mut args, "--addr")),
-            "--workers" => cfg = cfg.with_workers(parse(&mut args, "--workers")),
-            "--min-workers" => {
-                let min: usize = parse(&mut args, "--min-workers");
-                let max = cfg.max_workers.max(min);
-                cfg = cfg.with_worker_bounds(min, max);
-            }
-            "--max-workers" => {
-                let max: usize = parse(&mut args, "--max-workers");
-                let min = cfg.min_workers.min(max);
-                cfg = cfg.with_worker_bounds(min, max);
-            }
-            "--max-active" => cfg = cfg.with_max_active(parse(&mut args, "--max-active")),
-            "--max-pending" => cfg = cfg.with_max_pending(parse(&mut args, "--max-pending")),
-            "--tenant-quota" => cfg = cfg.with_tenant_quota(parse(&mut args, "--tenant-quota")),
-            "--retry-after-ms" => {
-                cfg = cfg.with_retry_after_ms(parse(&mut args, "--retry-after-ms"));
-            }
+            "--addr" => cfg.addr = parse(&mut args, "--addr"),
+            "--workers" => cfg.workers = parse(&mut args, "--workers"),
+            "--min-workers" => cfg.min_workers = parse(&mut args, "--min-workers"),
+            "--max-workers" => cfg.max_workers = parse(&mut args, "--max-workers"),
+            "--max-active" => cfg.max_active = parse(&mut args, "--max-active"),
+            "--max-pending" => cfg.max_pending = parse(&mut args, "--max-pending"),
+            "--tenant-quota" => cfg.tenant_quota = parse(&mut args, "--tenant-quota"),
+            "--retry-after-ms" => cfg.retry_after_ms = parse(&mut args, "--retry-after-ms"),
             "--steering-ms" => {
-                cfg = cfg
-                    .with_steering_tick(Duration::from_millis(parse(&mut args, "--steering-ms")));
+                let ms = parse(&mut args, "--steering-ms");
+                cfg.steering_tick = Some(Duration::from_millis(ms));
             }
-            "--metrics-addr" => {
-                cfg = cfg.with_metrics_addr(parse::<String>(&mut args, "--metrics-addr"));
-            }
+            "--metrics-addr" => cfg.metrics_addr = Some(parse(&mut args, "--metrics-addr")),
             "--events" => {
                 let path: String = parse(&mut args, "--events");
                 match EventLog::with_file(&path) {
-                    Ok(log) => cfg = cfg.with_events(log),
+                    Ok(log) => cfg.events = Some(log),
                     Err(e) => {
                         eprintln!("scidockd: cannot open event sink {path}: {e}");
                         std::process::exit(1);
@@ -118,17 +109,19 @@ fn parse_flags(args: impl IntoIterator<Item = String>) -> Flags {
         }
     }
     if cfg.metrics_addr.is_some() {
-        cfg = cfg.with_telemetry(Telemetry::attached());
+        cfg.telemetry = Telemetry::attached();
     }
-    if cfg.max_workers > cfg.min_workers {
+    // the engine holds a floor of at least one: `--min-workers 0` is 1, so
+    // `--min-workers 0 --max-workers 1` is a fixed fleet
+    let floor = cfg.min_workers.max(1);
+    if cfg.max_workers > floor {
         let bounds = QueueDepthConfig {
-            min_workers: cfg.min_workers,
+            min_workers: floor,
             max_workers: cfg.max_workers,
             ..QueueDepthConfig::default()
         };
-        cfg = cfg.with_scheduler(SchedulerFactory::new(move || {
-            Box::new(QueueDepthScheduler::new(bounds))
-        }));
+        cfg.scheduler =
+            Some(SchedulerFactory::new(move || Box::new(QueueDepthScheduler::new(bounds))));
     }
     Flags { cfg, wal, grid_dir }
 }
@@ -220,5 +213,21 @@ mod tests {
         assert!(written.contains("\"kind\":\"probe\""), "not in the file: {written}");
         // no endpoint reads a ring, so the log keeps none
         assert!(log.events().is_empty(), "a ring nobody reads");
+    }
+
+    /// `--min-workers 0` is a floor of one: under a ceiling of one the fleet
+    /// is fixed, as with `--min-workers 1`, and under a higher ceiling a
+    /// policy moves it; the order of the two flags does not matter.
+    #[test]
+    fn a_floor_of_zero_workers_is_a_floor_of_one() {
+        for args in [
+            ["--min-workers", "0", "--max-workers", "1"],
+            ["--max-workers", "1", "--min-workers", "0"],
+            ["--min-workers", "1", "--max-workers", "1"],
+        ] {
+            assert!(flags(&args).cfg.scheduler.is_none(), "{args:?}: a fixed fleet of one");
+        }
+        assert!(flags(&["--min-workers", "0", "--max-workers", "2"]).cfg.scheduler.is_some());
+        assert!(flags(&["--min-workers", "0"]).cfg.scheduler.is_some(), "1..=8");
     }
 }

@@ -224,7 +224,10 @@ mod tests {
         let files = Arc::new(FileStore::new());
         let prov = Arc::new(provenance::ProvenanceStore::new());
         let input = prepare("unit:spin:4:0", &files).unwrap();
-        let backend = cumulus::LocalBackend::new(cumulus::RunConfig::new().with_workers(2));
+        let backend = cumulus::LocalBackend::new(cumulus::RunConfig {
+            workers: 2,
+            ..cumulus::RunConfig::default()
+        });
         let wf = cumulus::Workflow::new(def, input).with_files(files);
         let report = cumulus::Backend::run(&backend, &wf, &prov).unwrap();
         assert_eq!(report.finished, 4);

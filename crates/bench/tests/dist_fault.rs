@@ -17,10 +17,12 @@ fn run(kill: Option<KillPlan>) -> (RunReport, Arc<ProvenanceStore>) {
     let prov = Arc::new(ProvenanceStore::new());
     let def = distspec::resolve_with(SPEC, &files).expect("known spec");
     let input = distspec::prepare(SPEC, &files).expect("known spec");
-    let mut cfg = RunConfig::new()
-        .with_workers(2)
-        .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
-        .with_spec(SPEC);
+    let mut cfg = RunConfig {
+        workers: 2,
+        worker_cmd: Some((env!("CARGO_BIN_EXE_scidock-worker").into(), Vec::new())),
+        spec: SPEC.into(),
+        ..RunConfig::default()
+    };
     cfg.max_in_flight = 1;
     cfg.kill_plan = kill;
     let report = run_dist(&def, input, files, Arc::clone(&prov), &cfg).expect("run completes");

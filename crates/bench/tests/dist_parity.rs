@@ -38,11 +38,14 @@ fn sorted_rows(rel: &cumulus::Relation) -> Vec<String> {
 
 #[test]
 fn local_and_dist_runs_are_provenance_identical() {
-    let local: Box<dyn Backend> = Box::new(LocalBackend::new(RunConfig::new().with_workers(2)));
-    let dist = RunConfig::new()
-        .with_workers(1)
-        .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
-        .with_spec(SPEC);
+    let local: Box<dyn Backend> =
+        Box::new(LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() }));
+    let dist = RunConfig {
+        workers: 1,
+        worker_cmd: Some((env!("CARGO_BIN_EXE_scidock-worker").into(), Vec::new())),
+        spec: SPEC.into(),
+        ..RunConfig::default()
+    };
 
     let (lout, lstore) = run(local.as_ref());
     let (dout, dstore) = {

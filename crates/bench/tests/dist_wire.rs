@@ -67,7 +67,8 @@ fn distinct_bytes<'a>(blobs: impl IntoIterator<Item = &'a Blob>) -> u64 {
 #[test]
 fn the_master_receives_and_keeps_each_content_once() {
     let tel = Telemetry::attached();
-    let mut dist = RunConfig::new().with_workers(2).with_spec(SPEC).with_telemetry(tel.clone());
+    let mut dist =
+        RunConfig { workers: 2, spec: SPEC.into(), telemetry: tel.clone(), ..RunConfig::default() };
     dist.resolver = Some(distspec::resolver(Telemetry::disabled()));
     let wf = workflow(SPEC);
     let (out, store) = run_on(&dist, &wf);
@@ -100,7 +101,7 @@ fn the_master_receives_and_keeps_each_content_once() {
     assert!(resident * 10 <= stored * 11, "resident {resident} B for {stored} B distinct");
 
     // … and none of it changes what provenance says
-    let local = LocalBackend::new(RunConfig::new().with_workers(2));
+    let local = LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() });
     let (lout, lstore) = run(&local, &workflow(SPEC));
     assert_eq!(lout.finished, out.finished);
     assert_eq!(export_provn_canonical(&lstore), export_provn_canonical(&store));
@@ -109,11 +110,13 @@ fn the_master_receives_and_keeps_each_content_once() {
 #[test]
 fn worker_process_counters_reach_the_masters_snapshot() {
     let tel = Telemetry::attached();
-    let dist = RunConfig::new()
-        .with_workers(1)
-        .with_worker_command(env!("CARGO_BIN_EXE_scidock-worker"), Vec::new())
-        .with_spec("scidock:adaptive:2x3")
-        .with_telemetry(tel.clone());
+    let dist = RunConfig {
+        workers: 1,
+        worker_cmd: Some((env!("CARGO_BIN_EXE_scidock-worker").into(), Vec::new())),
+        spec: "scidock:adaptive:2x3".into(),
+        telemetry: tel.clone(),
+        ..RunConfig::default()
+    };
     let (out, _) = run_on(&dist, &workflow("scidock:adaptive:2x3"));
     assert!(out.finished > 0);
     let snap = out.metrics.expect("telemetry attached");

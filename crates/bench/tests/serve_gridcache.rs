@@ -95,7 +95,7 @@ fn start_daemon(
         })
     };
     Daemon::start(
-        RunConfig::new().with_workers(2).with_telemetry(tel.clone()),
+        RunConfig { workers: 2, telemetry: tel.clone(), ..RunConfig::default() },
         resolver,
         Arc::clone(prov),
     )
@@ -203,7 +203,9 @@ fn campaigns_share_one_receptor_tier_and_a_new_daemon_loads_from_disk() {
     let one_shot = |tel: &Telemetry| {
         let prov = Arc::new(ProvenanceStore::new());
         let wf = scidock_workflow(&campaign_cfg(tel, &solo_dir));
-        LocalBackend::new(RunConfig::new().with_workers(2)).run(&wf, &prov).expect("one-shot run");
+        LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() })
+            .run(&wf, &prov)
+            .expect("one-shot run");
         assert!(!wf.files.is_empty());
         assert_eq!(wf.files.list("/gridcache/"), Vec::<String>::new(), "cache traffic staged");
         exports(&prov).pop().expect("one-shot workflow recorded")
@@ -239,11 +241,13 @@ fn shipped_resolver_pays_once_per_receptor_whatever_the_campaign_count() {
         let _ = std::fs::remove_dir_all(&dir);
         let tel = Telemetry::attached();
         let daemon = Daemon::start(
-            RunConfig::new()
-                .with_workers(workers)
-                .with_max_active(4)
-                .with_max_pending(campaigns)
-                .with_telemetry(tel.clone()),
+            RunConfig {
+                workers,
+                max_active: 4,
+                max_pending: campaigns,
+                telemetry: tel.clone(),
+                ..RunConfig::default()
+            },
             scidock_bench::distspec::campaign_resolver(ReceptorCache::on_disk(&dir), tel.clone()),
             Arc::new(ProvenanceStore::new()),
         )

@@ -670,7 +670,13 @@ mod tests {
         let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
         assert!(wf.validate().is_ok());
         assert_eq!(wf.activities.len(), 8);
-        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
+        let report = run(
+            wf,
+            input,
+            Arc::clone(&files),
+            &prov,
+            RunConfig { workers: 2, ..RunConfig::default() },
+        );
         assert_eq!(report.final_output().len(), 2, "both pairs docked");
         // FEB column is a finite float
         let feb = report.final_output().tuples[0][3].as_f64().unwrap();
@@ -693,7 +699,13 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
+        let report = run(
+            wf,
+            input,
+            Arc::clone(&files),
+            &prov,
+            RunConfig { workers: 2, ..RunConfig::default() },
+        );
         assert_eq!(report.final_output().len(), 2);
         // Vina writes the docked pose pdbqt
         let outs = files.list(&format!("{}/vina", cfg.expdir));
@@ -728,7 +740,7 @@ mod tests {
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
         assert_eq!(wf.activities.len(), 10);
-        let report = run(wf, input, files, &prov, RunConfig::new().with_workers(2));
+        let report = run(wf, input, files, &prov, RunConfig { workers: 2, ..RunConfig::default() });
         // outputs: activity index 8 = autodock4, 9 = vina
         let ad4_out = &report.outputs[8];
         let vina_out = &report.outputs[9];
@@ -756,7 +768,7 @@ mod tests {
             input,
             files,
             &Arc::new(ProvenanceStore::new()),
-            RunConfig::new().with_workers(2),
+            RunConfig { workers: 2, ..RunConfig::default() },
         );
         assert_eq!(report.final_output().len(), 2, "one receptor, two ligands");
     }
@@ -783,7 +795,7 @@ mod tests {
             input,
             files,
             &Arc::new(ProvenanceStore::new()),
-            RunConfig::new().with_workers(1),
+            RunConfig { workers: 1, ..RunConfig::default() },
         );
         assert_eq!(report.final_output().len(), 2);
         let snap = tel.snapshot().unwrap();
@@ -827,7 +839,13 @@ mod tests {
                 Ok(out)
             })
         };
-        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(1));
+        let report = run(
+            wf,
+            input,
+            Arc::clone(&files),
+            &prov,
+            RunConfig { workers: 1, ..RunConfig::default() },
+        );
         assert_eq!(report.final_output().len(), 3);
 
         // every activation stages the one rendered set, not a copy of it:
@@ -884,7 +902,13 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
-        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
+        let report = run(
+            wf,
+            input,
+            Arc::clone(&files),
+            &prov,
+            RunConfig { workers: 2, ..RunConfig::default() },
+        );
         assert_eq!(report.failed_attempts, 0);
         assert_eq!(files.resident_bytes(), held_without_maps(&files, &cfg.expdir));
 
@@ -1113,7 +1137,7 @@ mod tests {
         cfg.hg_rule = true;
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-        let report = run(wf, input, files, &prov, RunConfig::new().with_workers(2));
+        let report = run(wf, input, files, &prov, RunConfig { workers: 2, ..RunConfig::default() });
         assert_eq!(report.blacklisted, 1);
         let r = prov
             .query_rows("SELECT count(*) FROM hactivation WHERE status = 'BLACKLISTED'", &[])
@@ -1131,7 +1155,13 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-        let _ = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(4));
+        let _ = run(
+            wf,
+            input,
+            Arc::clone(&files),
+            &prov,
+            RunConfig { workers: 4, ..RunConfig::default() },
+        );
         // every vinaconfig activation recorded its substituted template tags
         let q = prov
             .query_rows(
@@ -1164,7 +1194,13 @@ mod tests {
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
         assert_eq!(wf.activities.len(), 9, "8 activities + ranking");
         assert_eq!(wf.activities.last().unwrap().operator, Operator::SRQuery);
-        let report = run(wf, input, Arc::clone(&files), &prov, RunConfig::new().with_workers(2));
+        let report = run(
+            wf,
+            input,
+            Arc::clone(&files),
+            &prov,
+            RunConfig { workers: 2, ..RunConfig::default() },
+        );
         let ranked = report.final_output();
         assert_eq!(ranked.len(), 2);
         // rank column ascending, FEB ascending
@@ -1214,7 +1250,7 @@ mod tests {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-        let _ = run(wf, input, files, &prov, RunConfig::new().with_workers(4));
+        let _ = run(wf, input, files, &prov, RunConfig { workers: 4, ..RunConfig::default() });
         // Query 1 (paper Fig. 10)
         let q1 = prov
             .query_rows(

@@ -44,12 +44,12 @@ pub fn run_screening(
     let prov = Arc::new(ProvenanceStore::new());
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(mode, cfg, Arc::clone(&files));
-    let backend = LocalBackend::new(
-        RunConfig::new()
-            .with_workers(threads)
-            .with_failures(FailureModel::none())
-            .with_max_retries(3),
-    );
+    let backend = LocalBackend::new(RunConfig {
+        workers: threads,
+        failures: FailureModel::none(),
+        max_retries: 3,
+        ..RunConfig::default()
+    });
     let report = backend
         .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
         .expect("workflow validated");

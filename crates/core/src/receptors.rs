@@ -769,7 +769,7 @@ mod tests {
             input.tuples.sort_by_key(|t| t[1].as_str().unwrap().to_string());
         }
         let wf = build_scidock(mode, cfg, Arc::clone(&files));
-        let report = LocalBackend::new(RunConfig::new().with_workers(1))
+        let report = LocalBackend::new(RunConfig { workers: 1, ..RunConfig::default() })
             .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
             .unwrap();
         (report, files, prov)
@@ -883,7 +883,7 @@ mod tests {
         let mut wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
         wf.activities.truncate(3); // … up to and including prepreceptor
         wf.deps.truncate(3);
-        let report = LocalBackend::new(RunConfig::new().with_workers(2))
+        let report = LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() })
             .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
             .unwrap();
 
@@ -1330,12 +1330,13 @@ mod tests {
             let mut wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
             wf.activities = vec![wf.activities.swap_remove(activity)];
             wf.deps = vec![vec![]];
-            let report = LocalBackend::new(RunConfig::new().with_workers(1).with_max_retries(2))
-                .run(
-                    &Workflow::new(wf, input).with_files(Arc::clone(&files)),
-                    &Arc::new(ProvenanceStore::new()),
-                )
-                .unwrap();
+            let report =
+                LocalBackend::new(RunConfig { workers: 1, max_retries: 2, ..RunConfig::default() })
+                    .run(
+                        &Workflow::new(wf, input).with_files(Arc::clone(&files)),
+                        &Arc::new(ProvenanceStore::new()),
+                    )
+                    .unwrap();
             assert_eq!(report.failed_attempts, 2 * 3, "two pairs, three attempts each");
             let done: Vec<&str> =
                 report.final_output().tuples.iter().map(|t| t[1].as_str().unwrap()).collect();

@@ -30,7 +30,8 @@
 //! input.push(vec![Value::Int(21)]);
 //! let wf = Workflow::new(def, input);
 //! let store = Arc::new(ProvenanceStore::new());
-//! let backend: Box<dyn Backend> = Box::new(LocalBackend::new(RunConfig::new().with_workers(2)));
+//! let backend: Box<dyn Backend> =
+//!     Box::new(LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() }));
 //! let report = backend.run(&wf, &store).unwrap();
 //! assert_eq!(report.finished, 1);
 //! assert_eq!(report.final_output().tuples, vec![vec![Value::Int(42)]]);
@@ -209,7 +210,7 @@ mod tests {
         let wf = Workflow::new(xy_def(), xy_input());
         let store = Arc::new(ProvenanceStore::new());
         let backend: Box<dyn Backend> =
-            Box::new(LocalBackend::new(RunConfig::new().with_workers(2)));
+            Box::new(LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() }));
         let out = backend.run(&wf, &store).unwrap();
         assert_eq!(out.finished, 6); // 5 inc + 1 sum
         assert_eq!(out.final_output().tuples, vec![vec![Value::Int(15)]]);
@@ -224,8 +225,11 @@ mod tests {
         let local_events = EventLog::new();
         let wf = Workflow::new(xy_def(), xy_input());
         let store = Arc::new(ProvenanceStore::new());
-        let local =
-            LocalBackend::new(RunConfig::new().with_workers(1).with_events(local_events.clone()));
+        let local = LocalBackend::new(RunConfig {
+            workers: 1,
+            events: Some(local_events.clone()),
+            ..RunConfig::default()
+        });
         local.run(&wf, &store).unwrap();
 
         // sim mirror of the same workflow shape, fixed seed: one task per

@@ -169,13 +169,6 @@ impl Committer {
         }) && applied.recv().is_ok()
     }
 
-    /// Publish the `RUNNING` rows now, and return once they are written.
-    #[cfg(test)]
-    pub(crate) fn publish_now(&self) {
-        self.record(Msg::Tick);
-        assert!(self.drain());
-    }
-
     /// Apply what is queued, publish the `RUNNING` rows of attempts still
     /// in flight, flush, and join the thread — at once, not at the next
     /// tick. Idempotent.
@@ -184,6 +177,15 @@ impl Committer {
             self.send(Msg::Stop);
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+impl Committer {
+    /// Publish the `RUNNING` rows now, and return once they are written.
+    pub(crate) fn publish_now(&self) {
+        self.record(Msg::Tick);
+        assert!(self.drain());
     }
 }
 

@@ -331,7 +331,7 @@ pub(crate) fn pair_key(tuples: &[Tuple]) -> String {
 /// [`digest`] of both, taken once, when the dispatcher submits the part.
 /// Keys compare across runs: between runs of one workflow, equal keys
 /// mean the same activity over the same receptor.
-pub(crate) fn affinity_key(activity: usize, value: &provenance::Value) -> u64 {
+fn affinity_key(activity: usize, value: &provenance::Value) -> u64 {
     digest(format!("{activity}:{value}").as_bytes())
 }
 

@@ -366,7 +366,10 @@ impl<M: From<PortEvent> + Send + 'static> WorkerPort for SdwPort<'_, M> {
             let resolver = self.cfg.resolver.clone().expect("validated by run_dist");
             let addr = self.addr.clone();
             let opts = worker::ServeOptions {
+                #[cfg(test)]
                 no_heartbeat: self.cfg.mute_heartbeat == Some(seq),
+                #[cfg(not(test))]
+                no_heartbeat: false,
                 die_on_run: self.cfg.kill_plan.filter(|p| p.worker == seq).map(|p| p.after_runs),
             };
             self.threads.push_back(std::thread::spawn(move || {
@@ -717,7 +720,9 @@ mod tests {
     fn dist_cfg(workers: usize) -> RunConfig {
         RunConfig {
             resolver: Some(resolver(0)),
-            ..RunConfig::new().with_workers(workers).with_spec("dist-test")
+            workers,
+            spec: "dist-test".into(),
+            ..RunConfig::default()
         }
     }
 
@@ -745,7 +750,7 @@ mod tests {
         assert_eq!(last.tuples, vec![vec![Value::Int(18)]]);
 
         let lprov = Arc::new(ProvenanceStore::new());
-        let lreport = run_local(RunConfig::new().with_workers(2), &lprov);
+        let lreport = run_local(RunConfig { workers: 2, ..RunConfig::default() }, &lprov);
         assert_eq!(lreport.finished, report.finished);
         assert_eq!(
             export_provn_canonical(&prov),
@@ -769,12 +774,12 @@ mod tests {
     fn injected_failures_stay_in_parity_with_local() {
         let failures =
             FailureModel { fail_rate: 0.35, hang_rate: 0.15, fail_at_fraction: 0.5, seed: 7 };
-        let cfg = dist_cfg(2).with_failures(failures).with_max_retries(2);
+        let cfg = RunConfig { failures, max_retries: 2, ..dist_cfg(2) };
         let (report, prov, _) = run(&cfg);
 
         let lprov = Arc::new(ProvenanceStore::new());
         let lreport = run_local(
-            RunConfig::new().with_workers(2).with_failures(failures).with_max_retries(2),
+            RunConfig { workers: 2, failures, max_retries: 2, ..RunConfig::default() },
             &lprov,
         );
         assert_eq!(report.finished, lreport.finished);
@@ -822,7 +827,9 @@ mod tests {
             reassign_budget: 0,
             mute_heartbeat: Some(0),
             resolver: Some(resolver(600)),
-            ..RunConfig::new().with_workers(1).with_spec("dist-test")
+            workers: 1,
+            spec: "dist-test".into(),
+            ..RunConfig::default()
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
@@ -865,7 +872,9 @@ mod tests {
             reassign_budget: 0,
             resolver: Some(Arc::new(move |spec| (spec == "hang-test").then(|| hung.clone()))),
             max_in_flight: 1,
-            ..RunConfig::new().with_workers(2).with_spec("hang-test")
+            workers: 2,
+            spec: "hang-test".into(),
+            ..RunConfig::default()
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
@@ -910,7 +919,9 @@ mod tests {
         RunConfig {
             resolver: Some(Arc::new(move |spec| (spec == "flat-test").then(|| flat_def(sleep_ms)))),
             max_in_flight: 1,
-            ..RunConfig::new().with_workers(1).with_spec("flat-test")
+            workers: 1,
+            spec: "flat-test".into(),
+            ..RunConfig::default()
         }
     }
 
@@ -965,7 +976,7 @@ mod tests {
 
     #[test]
     fn elastic_fleet_grows_and_retires() {
-        let cfg = flat_cfg(25).with_scheduler(qd_factory(3));
+        let cfg = RunConfig { scheduler: Some(qd_factory(3)), ..flat_cfg(25) };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
             run_dist(&flat_def(25), test_input(10), Arc::new(FileStore::new()), prov, &cfg)
@@ -984,7 +995,8 @@ mod tests {
         // moment it receives its first activation, mid-growth
         let cfg = RunConfig {
             kill_plan: Some(KillPlan { worker: 1, after_runs: 1 }),
-            ..flat_cfg(25).with_scheduler(qd_factory(3))
+            scheduler: Some(qd_factory(3)),
+            ..flat_cfg(25)
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
@@ -1013,7 +1025,7 @@ mod tests {
         let fixed = RunConfig { max_in_flight: 1, ..dist_cfg(1) };
         let (freport, fprov, _) = run(&fixed);
 
-        let elastic = fixed.clone().with_scheduler(qd_factory(3));
+        let elastic = RunConfig { scheduler: Some(qd_factory(3)), ..fixed.clone() };
         let (ereport, eprov, _) = run(&elastic);
         assert_eq!(ereport.finished, freport.finished);
         assert!(!ereport.scale_events.is_empty(), "the policy must actually scale");
@@ -1057,11 +1069,11 @@ mod tests {
                 (spec == "big-test").then(|| resolver_def.clone())
             })),
             max_in_flight: 1,
-            ..RunConfig::new()
-                .with_workers(1)
-                .with_spec("big-test")
-                .with_max_retries(0)
-                .with_telemetry(tel)
+            workers: 1,
+            spec: "big-test".into(),
+            max_retries: 0,
+            telemetry: tel,
+            ..RunConfig::default()
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
@@ -1083,7 +1095,10 @@ mod tests {
         let cfg = RunConfig {
             resolver: Some(resolver(300)),
             max_in_flight: 1,
-            ..RunConfig::new().with_workers(1).with_spec("dist-test").with_telemetry(tel)
+            workers: 1,
+            spec: "dist-test".into(),
+            telemetry: tel,
+            ..RunConfig::default()
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report = run_dist(
@@ -1118,7 +1133,7 @@ mod tests {
             test_input(4),
             Arc::clone(&files),
             Arc::clone(&prov),
-            &cfg.clone().with_resume_from(first.workflow),
+            &RunConfig { resume_from: Some(first.workflow), ..cfg.clone() },
         )
         .expect("resumed run");
         assert_eq!(resumed.finished, 0, "nothing re-executes");
@@ -1168,9 +1183,11 @@ mod tests {
     /// error: no panic, and no wait for a worker that never comes.
     #[test]
     fn a_worker_command_that_cannot_start_is_an_error() {
-        let cfg = RunConfig::new()
-            .with_worker_command("scidock-worker-that-does-not-exist", Vec::new())
-            .with_spec("dist-test");
+        let cfg = RunConfig {
+            worker_cmd: Some(("scidock-worker-that-does-not-exist".into(), Vec::new())),
+            spec: "dist-test".into(),
+            ..RunConfig::default()
+        };
         let (done_tx, done_rx) = mpsc::channel();
         std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
@@ -1189,10 +1206,10 @@ mod tests {
     #[test]
     fn no_p95_sort_without_an_endpoint() {
         let ltel = Telemetry::attached();
-        let local = RunConfig::new().with_workers(2).with_telemetry(ltel.clone());
+        let local = RunConfig { workers: 2, telemetry: ltel.clone(), ..RunConfig::default() };
         assert_eq!(run_local(local, &Arc::new(ProvenanceStore::new())).finished, 9);
         let dtel = Telemetry::attached();
-        assert_eq!(run(&dist_cfg(2).with_telemetry(dtel.clone())).0.finished, 9);
+        assert_eq!(run(&RunConfig { telemetry: dtel.clone(), ..dist_cfg(2) }).0.finished, 9);
         for tel in [ltel, dtel] {
             let snap = tel.snapshot().expect("attached");
             assert_eq!(snap.counter("campaign.p95_sorts").unwrap_or(0), 0);
@@ -1246,11 +1263,11 @@ mod tests {
             resolver: Some(resolver(80)),
             max_in_flight: 1,
             metrics_bound: Some(bound.clone()),
-            ..RunConfig::new()
-                .with_workers(2)
-                .with_spec("dist-test")
-                .with_metrics_addr("127.0.0.1:0")
-                .with_events(events.clone())
+            workers: 2,
+            spec: "dist-test".into(),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            events: Some(events.clone()),
+            ..RunConfig::default()
         };
         let handle = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
@@ -1331,10 +1348,10 @@ mod tests {
             metrics_bound: Some(bound.clone()),
             // worker 0 dies on its first activation, early in the run
             kill_plan: Some(KillPlan { worker: 0, after_runs: 1 }),
-            ..RunConfig::new()
-                .with_workers(2)
-                .with_spec("dist-test")
-                .with_metrics_addr("127.0.0.1:0")
+            workers: 2,
+            spec: "dist-test".into(),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..RunConfig::default()
         };
         let handle = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
@@ -1392,11 +1409,11 @@ mod tests {
                 (spec == "strag-test").then(|| resolver_def.clone())
             })),
             max_in_flight: 1,
-            ..RunConfig::new()
-                .with_workers(2)
-                .with_spec("strag-test")
-                .with_telemetry(tel)
-                .with_events(events.clone())
+            workers: 2,
+            spec: "strag-test".into(),
+            telemetry: tel,
+            events: Some(events.clone()),
+            ..RunConfig::default()
         };
         let prov = Arc::new(ProvenanceStore::new());
         let report =
@@ -1444,7 +1461,9 @@ mod tests {
             straggler_factor: 1.0,
             straggler_min_ms: 100,
             metrics_bound: Some(bound),
-            ..dist_cfg(2).with_metrics_addr("127.0.0.1:0").with_events(events.clone())
+            metrics_addr: Some("127.0.0.1:0".into()),
+            events: Some(events.clone()),
+            ..dist_cfg(2)
         };
         let (obs_report, obs_prov, _) = run(&observed);
 
@@ -1473,7 +1492,8 @@ mod tests {
             straggler_min_ms: 1,
             heartbeat: Duration::from_millis(10),
             max_in_flight: 1,
-            ..dist_cfg(2).with_telemetry(dtel)
+            telemetry: dtel,
+            ..dist_cfg(2)
         };
         let (report, _, _) = run(&cfg);
         let dsnap = report.metrics.expect("dist telemetry attached");
@@ -1483,7 +1503,7 @@ mod tests {
         // local: fleet size + activation histograms
         let ltel = Telemetry::attached();
         let lreport = run_local(
-            RunConfig::new().with_workers(2).with_telemetry(ltel.clone()),
+            RunConfig { workers: 2, telemetry: ltel.clone(), ..RunConfig::default() },
             &Arc::new(ProvenanceStore::new()),
         );
         assert_eq!(lreport.finished, 9);
@@ -1523,7 +1543,7 @@ mod tests {
             (spec == "ok").then(|| crate::backend::Workflow::new(test_def(0), test_input(4)))
         });
         let daemon = crate::serve::Daemon::start(
-            RunConfig::new().with_workers(2).with_telemetry(vtel.clone()),
+            RunConfig { workers: 2, telemetry: vtel.clone(), ..RunConfig::default() },
             resolver,
             Arc::new(vprov),
         )

@@ -135,12 +135,14 @@ pub(crate) struct EngineCfg {
 }
 
 impl EngineCfg {
-    /// Threads of this process within `cfg`'s fleet bounds, which are
-    /// neither lost nor silent.
+    /// Threads of this process within `cfg`'s fleet bounds — a floor of at
+    /// least one, a ceiling of at least the floor —, which are neither lost
+    /// nor silent.
     pub(crate) fn threads(cfg: &RunConfig) -> EngineCfg {
+        let floor = cfg.min_workers.max(1);
         EngineCfg {
-            floor: cfg.min_workers.max(1),
-            ceiling: cfg.max_workers,
+            floor,
+            ceiling: cfg.max_workers.max(floor),
             reassign_budget: 0,
             heartbeat_timeout: None,
             activation_timeout: None,
@@ -391,7 +393,7 @@ impl<P: WorkerPort> Engine<P> {
 
     /// Provisioned fleet the policy reasons about: serving workers (alive,
     /// not draining) plus launches still joining.
-    pub(crate) fn provisioned(&self) -> usize {
+    fn provisioned(&self) -> usize {
         self.workers.iter().filter(|w| w.alive && !w.draining).count() + self.spawning
     }
 
@@ -932,7 +934,8 @@ mod tests {
         floor: usize,
         scheduler: Option<&SchedulerFactory>,
     ) -> Engine<FakePort> {
-        let cfg = EngineCfg { floor, reassign_budget: 2, ..EngineCfg::threads(&RunConfig::new()) };
+        let cfg =
+            EngineCfg { floor, reassign_budget: 2, ..EngineCfg::threads(&RunConfig::default()) };
         let sinks =
             Sinks { tel: Telemetry::disabled(), events: None, epoch: Instant::now(), obs: None };
         let mut e = Engine::new(FakePort::new(slots), cfg, sinks, scheduler);

@@ -63,7 +63,7 @@ impl FleetSnapshot {
     /// Capacity discounted by straggling slots: a straggler occupies a slot
     /// without making progress, so policies should not count it as
     /// throughput. Equals [`FleetSnapshot::capacity`] when no detector ran.
-    pub fn effective_capacity(&self) -> usize {
+    fn effective_capacity(&self) -> usize {
         self.capacity().saturating_sub(self.stragglers)
     }
 }

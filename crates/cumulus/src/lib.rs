@@ -86,7 +86,7 @@ pub use serve::{
 pub use simbackend::{simulate_tasks, SimConfig, SimReport, SimTask, SimWorkflow};
 pub use template::{Template, TemplateError};
 pub use workflow::{
-    digest, ActivationCtx, Activity, ActivityError, ActivityFn, Blob, Contents, FetchFn, FileStore,
+    digest, ActivationCtx, Activity, ActivityError, ActivityFn, Blob, Contents, FileStore,
     WorkflowDef,
 };
 

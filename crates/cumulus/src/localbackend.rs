@@ -114,7 +114,7 @@ mod tests {
             input(10),
             Arc::new(FileStore::new()),
             Arc::new(ProvenanceStore::new()),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap();
         assert_eq!(report.finished, 20); // 10 activations × 2 activities
@@ -133,7 +133,7 @@ mod tests {
             input(5),
             Arc::new(FileStore::new()),
             Arc::clone(&prov),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap();
         let r = prov
@@ -166,7 +166,7 @@ mod tests {
             input(3),
             Arc::clone(&files),
             Arc::clone(&prov),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap();
         let r =
@@ -255,7 +255,7 @@ mod tests {
             input(10),
             Arc::new(FileStore::new()),
             Arc::clone(&prov),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap();
         assert_eq!(report.blacklisted, 5);
@@ -275,7 +275,7 @@ mod tests {
             input(1),
             Arc::new(FileStore::new()),
             Arc::new(ProvenanceStore::new()),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap_err();
         assert!(matches!(err, CumulusError::Invalid(_)));
@@ -347,7 +347,7 @@ mod tests {
             rel,
             Arc::new(FileStore::new()),
             Arc::clone(&prov),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap();
         // fanout: 3 activations producing 2+3+4 = 9 tuples
@@ -447,7 +447,7 @@ mod tests {
             input(5),
             Arc::clone(&files),
             Arc::clone(&prov),
-            &RunConfig::new().with_workers(4),
+            &RunConfig { workers: 4, ..RunConfig::default() },
         )
         .unwrap();
         let cfg2 = RunConfig { workers: 4, resume_from: Some(r1.workflow), ..Default::default() };
@@ -755,7 +755,11 @@ mod tests {
             deps: vec![vec![]],
         };
         let bound = BoundAddr::new();
-        let mut cfg = RunConfig::new().with_workers(2).with_metrics_addr("127.0.0.1:0");
+        let mut cfg = RunConfig {
+            workers: 2,
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..RunConfig::default()
+        };
         cfg.metrics_bound = Some(bound.clone());
         let run = std::thread::spawn(move || {
             let prov = Arc::new(ProvenanceStore::new());
@@ -800,7 +804,11 @@ mod tests {
             deps: vec![vec![]],
         };
         let bound = BoundAddr::new();
-        let mut cfg = RunConfig::new().with_workers(2).with_metrics_addr("127.0.0.1:0");
+        let mut cfg = RunConfig {
+            workers: 2,
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..RunConfig::default()
+        };
         cfg.metrics_bound = Some(bound.clone());
         cfg.events = events;
         let run = std::thread::spawn(move || {
@@ -859,11 +867,30 @@ mod tests {
             input(5),
             Arc::new(FileStore::new()),
             Arc::new(ProvenanceStore::new()),
-            &RunConfig::new().with_workers(0),
+            &RunConfig { workers: 0, ..RunConfig::default() },
         )
         .unwrap();
         assert_eq!(report.finished, 10);
         assert_eq!(report.peak_workers, 1);
+    }
+
+    /// A `max_active` of 0, set as a field, is read as one: the run's one
+    /// campaign starts and the run returns. It runs on its own thread, so a
+    /// run that never returns fails the test instead of hanging it.
+    #[test]
+    fn a_zero_max_active_still_starts_the_run() {
+        let cfg = RunConfig { max_active: 0, ..RunConfig::default() };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let prov = Arc::new(ProvenanceStore::new());
+            let files = Arc::new(FileStore::new());
+            let report = run_local(&simple_workflow(), input(3), files, prov, &cfg);
+            let _ = done_tx.send(report.map(|r| r.finished));
+        });
+        let finished = done_rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the run returns within 10 s");
+        assert_eq!(finished.expect("the run succeeds"), 6);
     }
 
     /// Acceptance: with `steering_tick` set, `steering::status_summary`

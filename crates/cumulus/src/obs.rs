@@ -6,7 +6,7 @@
 //! Every backend can attach an [`EventLog`] (the simulator emits at
 //! *simulated* timestamps so a sim mirror of a run produces the same event
 //! sequence), and every real run — a local or distributed one, `scidockd` —
-//! can additionally bind an HTTP listener with `with_metrics_addr` so the
+//! can additionally bind an HTTP listener at its `metrics_addr` so the
 //! state is scrapeable mid-run. Observation never perturbs results: the plane only reads
 //! engine state, and canonical provenance is byte-identical with it on or
 //! off.
@@ -19,6 +19,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use telemetry::Telemetry;
+
+use crate::distbackend::proto::MAX_FRAME;
 
 /// How loud an event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,10 +95,13 @@ impl ObsEvent {
         s.push('}');
         s
     }
+}
 
+#[cfg(test)]
+impl ObsEvent {
     /// The event minus its timing: `(severity, kind, fields)` — what parity
     /// tests compare across backends.
-    pub fn signature(&self) -> (&'static str, String, Vec<(String, String)>) {
+    pub(crate) fn signature(&self) -> (&'static str, String, Vec<(String, String)>) {
         (self.severity.as_str(), self.kind.clone(), self.fields.clone())
     }
 
@@ -106,7 +111,7 @@ impl ObsEvent {
     /// (the simulator models costs, not data) and has VMs where the real
     /// backends have threads or worker processes, so pair keys and resource
     /// ids legitimately differ while the lifecycle sequence must not.
-    pub fn parity_signature(&self) -> (&'static str, String, Vec<(String, String)>) {
+    pub(crate) fn parity_signature(&self) -> (&'static str, String, Vec<(String, String)>) {
         let fields = self
             .fields
             .iter()
@@ -123,7 +128,8 @@ impl ObsEvent {
 /// gave the run (a simulation without a store has none) and how the backend
 /// names them are substrate details; the lifecycle itself (kind, severity,
 /// activity, attempt, outcome counts) must match across substrates.
-pub const PARITY_EXCLUDED_FIELDS: &[&str] =
+#[cfg(test)]
+const PARITY_EXCLUDED_FIELDS: &[&str] =
     &["worker", "vm", "fleet", "key", "job", "elapsed_ms", "threshold_ms", "wkfid"];
 
 #[derive(Debug)]
@@ -228,7 +234,7 @@ impl EventLog {
     }
 
     /// The buffered events as JSONL (one JSON object per line).
-    pub fn to_jsonl(&self) -> String {
+    fn to_jsonl(&self) -> String {
         let mut s = String::new();
         for ev in self.events() {
             s.push_str(&ev.to_json());
@@ -535,23 +541,40 @@ fn handle_conn(mut stream: TcpStream, state: &ObsState) {
     let _ = stream.flush();
 }
 
+/// Longest response head [`http_get`] reads.
+const MAX_RESPONSE_HEAD: usize = 64 << 10;
+
 /// Minimal std-only HTTP GET against the exposition endpoint: returns
 /// `(status code, body)`. Used by `scidock-top`, the benchmark's scrape
-/// and tests — no curl required.
+/// and tests — no curl required. Whatever the address answers, the read is
+/// bounded: a head over 64 KiB or a body over the wire codecs' 64 MiB frame
+/// cap is an `InvalidData` error (the endpoint's largest body is far
+/// smaller).
 pub fn http_get(addr: SocketAddr, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")?;
-    let mut resp = String::new();
-    stream.read_to_string(&mut resp)?;
-    let status = resp
+    let mut body = Vec::new();
+    stream.take((MAX_RESPONSE_HEAD + MAX_FRAME) as u64 + 1).read_to_end(&mut body)?;
+    let head: Vec<u8> = match body.windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(at) => body.drain(..at + 4).collect(),
+        None => std::mem::take(&mut body),
+    };
+    if head.len() > MAX_RESPONSE_HEAD || body.len() > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("HTTP response over {MAX_RESPONSE_HEAD} head or {MAX_FRAME} body bytes"),
+        ));
+    }
+    let status = String::from_utf8_lossy(&head)
         .lines()
         .next()
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| std::io::Error::other("malformed HTTP response"))?;
-    let body = resp.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
+    let body = String::from_utf8(body)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     Ok((status, body))
 }
 
@@ -686,6 +709,62 @@ mod tests {
 
         let (code, _) = http_get(addr, "/nope", t).unwrap();
         assert_eq!(code, 404);
+        srv.shutdown();
+    }
+
+    /// `http_get` against a listener on this host that reads one request
+    /// head and answers `200` with a body of `len` bytes, written a MiB at a
+    /// time.
+    fn get_a_body_of(len: usize) -> std::io::Result<(u16, String)> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut head = Vec::new();
+            let mut byte = [0u8; 1];
+            while !head.ends_with(b"\r\n\r\n") && stream.read(&mut byte).unwrap_or(0) == 1 {
+                head.push(byte[0]);
+            }
+            let _ = write!(stream, "HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\n");
+            let chunk = vec![b'x'; 1 << 20];
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(chunk.len());
+                // the client hangs up once a body is over the cap
+                if stream.write_all(&chunk[..n]).is_err() {
+                    return;
+                }
+                left -= n;
+            }
+        });
+        let got = http_get(addr, "/", Duration::from_secs(20));
+        server.join().expect("the listener thread");
+        got
+    }
+
+    #[test]
+    fn http_get_reads_a_body_at_the_frame_cap_and_refuses_one_byte_more() {
+        let (code, body) = get_a_body_of(MAX_FRAME).unwrap();
+        assert_eq!((code, body.len()), (200, MAX_FRAME));
+        drop(body);
+        let err = get_a_body_of(MAX_FRAME + 1).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// A request head that fills the 4,096-byte read buffer without its
+    /// blank line is answered from its first line.
+    #[test]
+    fn a_full_request_head_without_its_blank_line_is_answered() {
+        let state = ObsState::new(Telemetry::disabled(), EventLog::new());
+        let srv = ObsServer::start("127.0.0.1:0", state).unwrap();
+        let mut stream = TcpStream::connect(srv.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+        head.resize(4096, b'a');
+        stream.write_all(&head).unwrap();
+        let mut resp = String::new();
+        stream.read_to_string(&mut resp).unwrap();
+        assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
         srv.shutdown();
     }
 

@@ -120,20 +120,22 @@ pub type CampaignResolver = Arc<dyn Fn(&str) -> Option<Workflow> + Send + Sync>;
 /// clamped into `[min_workers, max_workers]` (and at least one), and only a
 /// `scheduler` moves it within those bounds; without one the fleet is fixed.
 ///
-/// Marked `#[non_exhaustive]`: construct it with [`RunConfig::new`] (or
-/// `Default`) and the `with_*` builders, or assign its `pub` fields.
+/// Set it through its fields: `RunConfig { workers: 4, ..RunConfig::default() }`,
+/// or assign them. Each bound holds where the engine reads it, however the
+/// field was set. The default: 2 workers on a fixed fleet, no failure
+/// injection, telemetry disabled, no endpoint; 4 active campaigns, 16
+/// pending, a tenant quota of 8; 4 activations in flight per `SDW2` worker.
 #[derive(Clone)]
-#[non_exhaustive]
 pub struct RunConfig {
     /// Initial worker fleet: threads of this process (one activation slot
     /// each) for the daemon and a local run, worker processes for
     /// `run_dist`. Every entry point.
     pub workers: usize,
-    /// Elastic floor: `Shrink` never drains below this many workers. Every
-    /// entry point.
+    /// Elastic floor: `Shrink` never drains below this many workers, and
+    /// never below one. Every entry point.
     pub min_workers: usize,
-    /// Elastic ceiling: `Grow` never provisions above this many workers.
-    /// Every entry point.
+    /// Elastic ceiling: `Grow` never provisions above this many workers, or
+    /// above the floor when it is lower. Every entry point.
     pub max_workers: usize,
     /// Elastic fleet policy (`None`: a fixed fleet of the initial size).
     /// Every entry point.
@@ -172,14 +174,14 @@ pub struct RunConfig {
     /// Listen address of the `SDC1` endpoint (port 0 = ephemeral).
     /// `Daemon::start` only.
     pub addr: String,
-    /// Campaigns running concurrently; the rest wait in the pending queue.
-    /// `Daemon::start` only.
+    /// Campaigns running concurrently, at least one; the rest wait in the
+    /// pending queue. `Daemon::start` only.
     pub max_active: usize,
     /// Bound on the pending queue: submissions over it are `Reject`ed with
     /// a retry-after hint rather than queued. `Daemon::start` only.
     pub max_pending: usize,
-    /// Live (pending + running) campaigns per tenant; submissions over it
-    /// are `Reject`ed. `Daemon::start` only.
+    /// Live (pending + running) campaigns per tenant, at least one;
+    /// submissions over it are `Reject`ed. `Daemon::start` only.
     pub tenant_quota: usize,
     /// Retry-after hint carried in overload `Reject`s, milliseconds.
     /// `Daemon::start` only.
@@ -216,7 +218,9 @@ pub struct RunConfig {
     /// …and longer than this many milliseconds. `run_dist` only.
     pub straggler_min_ms: u64,
     /// In-process worker launch that never heartbeats, to drill the
-    /// liveness timeout.
+    /// liveness timeout. A test build's only: other crates set every other
+    /// field with struct-update syntax, which a private field would refuse.
+    #[cfg(test)]
     pub(crate) mute_heartbeat: Option<usize>,
 }
 
@@ -270,21 +274,21 @@ impl Default for RunConfig {
             kill_plan: None,
             straggler_factor: 4.0,
             straggler_min_ms: 30_000,
+            #[cfg(test)]
             mute_heartbeat: None,
         }
     }
 }
 
 impl RunConfig {
-    /// The default configuration: 2 workers on a fixed fleet, no failure
-    /// injection, telemetry disabled, no endpoint; 4 active campaigns, 16
-    /// pending, a tenant quota of 8; 4 activations in flight per `SDW2`
-    /// worker.
+    // `RunConfig::default()` under the name `benchmark/src`, its only caller, spells
+    #[doc(hidden)]
     pub fn new() -> RunConfig {
         RunConfig::default()
     }
 
-    /// Set the initial worker fleet.
+    // sets `workers`; `benchmark/src`, its only caller, still spells it
+    #[doc(hidden)]
     pub fn with_workers(mut self, workers: usize) -> RunConfig {
         self.workers = workers;
         self
@@ -296,94 +300,22 @@ impl RunConfig {
         self.with_workers(threads)
     }
 
-    /// Set the elastic fleet bounds (a floor of at least one, a ceiling of
-    /// at least the floor).
-    pub fn with_worker_bounds(mut self, min: usize, max: usize) -> RunConfig {
-        self.min_workers = min.max(1);
-        self.max_workers = max.max(self.min_workers);
-        self
-    }
-
-    /// Drive the fleet elastically with a [`SchedulerFactory`].
-    pub fn with_scheduler(mut self, factory: SchedulerFactory) -> RunConfig {
-        self.scheduler = Some(factory);
-        self
-    }
-
-    /// Set the failure-injection model.
-    pub fn with_failures(mut self, failures: FailureModel) -> RunConfig {
-        self.failures = failures;
-        self
-    }
-
-    /// Set the per-activation retry budget.
-    pub fn with_max_retries(mut self, max_retries: u32) -> RunConfig {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Resume from a prior workflow execution (skip activations it finished).
-    pub fn with_resume_from(mut self, prev: WorkflowId) -> RunConfig {
-        self.resume_from = Some(prev);
-        self
-    }
-
-    /// Attach a telemetry sink.
+    // sets `telemetry`; `benchmark/src`, its only caller, still spells it
+    #[doc(hidden)]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> RunConfig {
         self.telemetry = telemetry;
         self
     }
 
-    /// Publish `RUNNING` rows on this tick.
+    // sets `steering_tick`; `benchmark/src`, its only caller, still spells it
+    #[doc(hidden)]
     pub fn with_steering_tick(mut self, tick: Duration) -> RunConfig {
         self.steering_tick = Some(tick);
         self
     }
 
-    /// Attach a structured event log.
-    pub fn with_events(mut self, events: EventLog) -> RunConfig {
-        self.events = Some(events);
-        self
-    }
-
-    /// Serve the observability endpoint at `addr` for the scope's life.
-    pub fn with_metrics_addr(mut self, addr: impl Into<String>) -> RunConfig {
-        self.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Set the `SDC1` listen address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> RunConfig {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Set how many campaigns run concurrently.
-    pub fn with_max_active(mut self, n: usize) -> RunConfig {
-        self.max_active = n.max(1);
-        self
-    }
-
-    /// Set the pending-queue bound (admission control).
-    pub fn with_max_pending(mut self, n: usize) -> RunConfig {
-        self.max_pending = n;
-        self
-    }
-
-    /// Set the per-tenant live-campaign quota.
-    pub fn with_tenant_quota(mut self, n: usize) -> RunConfig {
-        self.tenant_quota = n.max(1);
-        self
-    }
-
-    /// Set the retry-after hint for overload rejections.
-    pub fn with_retry_after_ms(mut self, ms: u64) -> RunConfig {
-        self.retry_after_ms = ms;
-        self
-    }
-
-    /// Spawn `SDW2` workers as OS processes running `program` (the master
-    /// appends `--connect <addr>` to `args`).
+    // sets `worker_cmd`; `benchmark/src`, its only caller, still spells it
+    #[doc(hidden)]
     pub fn with_worker_command(
         mut self,
         program: impl Into<String>,
@@ -393,17 +325,18 @@ impl RunConfig {
         self
     }
 
-    /// Set the workflow spec name shipped to `SDW2` workers.
+    // sets `spec`; `benchmark/src`, its only caller, still spells it
+    #[doc(hidden)]
     pub fn with_spec(mut self, spec: impl Into<String>) -> RunConfig {
         self.spec = spec.into();
         self
     }
 
-    /// The initial fleet: `workers` clamped into the bounds, and at least
-    /// one (`max` then `min` rather than `clamp`, which panics on bounds set
-    /// the wrong way round).
+    /// The initial fleet: `workers` clamped into the fleet bounds the engine
+    /// holds (a floor of at least one, a ceiling of at least the floor).
     pub(crate) fn initial_workers(&self) -> usize {
-        self.workers.max(self.min_workers).min(self.max_workers).max(1)
+        let fleet = EngineCfg::threads(self);
+        self.workers.clamp(fleet.floor, fleet.ceiling)
     }
 }
 
@@ -1085,7 +1018,8 @@ impl<P: WorkerPort> Directory<P> {
         if self.pending.len() >= self.cfg.max_pending {
             return self.reject(tenant, "pending queue full".into(), retry);
         }
-        if self.live.get(tenant.as_str()).copied().unwrap_or(0) >= self.cfg.tenant_quota {
+        let quota = self.cfg.tenant_quota.max(1);
+        if self.live.get(tenant.as_str()).copied().unwrap_or(0) >= quota {
             return self.reject(tenant, "tenant quota exceeded".into(), retry);
         }
         let start = Instant::now();
@@ -1143,7 +1077,7 @@ impl<P: WorkerPort> Directory<P> {
 
     /// Hand pending campaigns to the engine while concurrency slots are free.
     fn start_pending(&mut self) {
-        while self.engine.runs.len() < self.cfg.max_active {
+        while self.engine.runs.len() < self.cfg.max_active.max(1) {
             let Some(id) = self.pending.pop_front() else { return };
             let c = &mut self.campaigns[at(id)];
             let wf = c.wf.take().expect("pending campaign holds its workflow");
@@ -1364,7 +1298,7 @@ mod tests {
         });
         let tel = Telemetry::attached();
         let daemon = Daemon::start(
-            RunConfig::new().with_workers(2).with_telemetry(tel.clone()),
+            RunConfig { workers: 2, telemetry: tel.clone(), ..RunConfig::default() },
             resolver,
             Arc::new(ProvenanceStore::new()),
         )
@@ -1426,8 +1360,13 @@ mod tests {
     #[test]
     fn the_initial_fleet_starts_within_the_worker_bounds() {
         let tel = Telemetry::attached();
-        let cfg =
-            RunConfig::new().with_workers(5).with_worker_bounds(1, 3).with_telemetry(tel.clone());
+        let cfg = RunConfig {
+            workers: 5,
+            min_workers: 1,
+            max_workers: 3,
+            telemetry: tel.clone(),
+            ..RunConfig::default()
+        };
         let resolver: CampaignResolver = Arc::new(|_| Some(sleeper(3, 0)));
         let daemon =
             Daemon::start(cfg, resolver, Arc::new(ProvenanceStore::new())).expect("daemon starts");
@@ -1445,7 +1384,7 @@ mod tests {
     /// settings of its port fields.
     #[test]
     fn every_entry_point_derives_its_settings_from_one_run_config() {
-        let cfg = RunConfig::new().with_workers(2);
+        let cfg = RunConfig { workers: 2, ..RunConfig::default() };
         let unbounded = EngineCfg {
             floor: 1,
             ceiling: usize::MAX,
@@ -1468,12 +1407,28 @@ mod tests {
         assert_eq!(EngineCfg::sdw(&cfg), sdw);
         assert_eq!((cfg.heartbeat, cfg.max_in_flight), (Duration::from_millis(100), 4));
         // daemon: the configured bounds, and the initial fleet clamped into them
-        let bounded = cfg.with_worker_bounds(3, 8);
+        let bounded = RunConfig { min_workers: 3, max_workers: 8, ..cfg };
         let fleet = EngineCfg::threads(&bounded);
         assert_eq!((fleet.floor, fleet.ceiling), (3, 8));
         assert_eq!(bounded.initial_workers(), 3);
-        assert_eq!(bounded.clone().with_workers(9).initial_workers(), 8);
-        assert_eq!(RunConfig::new().with_workers(0).initial_workers(), 1);
+        assert_eq!(RunConfig { workers: 9, ..bounded.clone() }.initial_workers(), 8);
+        assert_eq!(RunConfig { workers: 0, ..RunConfig::default() }.initial_workers(), 1);
+    }
+
+    /// Fleet bounds set the wrong way round hold as the engine reads them: a
+    /// ceiling below the floor is the floor, a floor of 0 is 1, and the
+    /// initial fleet lies within them on both ports.
+    #[test]
+    fn the_fleet_bounds_hold_however_the_fields_are_set() {
+        let inverted =
+            RunConfig { workers: 2, min_workers: 3, max_workers: 1, ..RunConfig::default() };
+        for fleet in [EngineCfg::threads(&inverted), EngineCfg::sdw(&inverted)] {
+            assert_eq!((fleet.floor, fleet.ceiling), (3, 3));
+        }
+        assert_eq!(inverted.initial_workers(), 3);
+        let zero = RunConfig { workers: 0, min_workers: 0, max_workers: 0, ..RunConfig::default() };
+        let fleet = EngineCfg::threads(&zero);
+        assert_eq!((fleet.floor, fleet.ceiling, zero.initial_workers()), (1, 1, 1));
     }
 
     /// With the engine thread held inside a second `Submit` (its resolver
@@ -1494,7 +1449,7 @@ mod tests {
             Some(sleeper(3, 0))
         });
         let daemon = Daemon::start(
-            RunConfig::new().with_workers(1),
+            RunConfig { workers: 1, ..RunConfig::default() },
             resolver,
             Arc::new(ProvenanceStore::new()),
         )
@@ -1564,7 +1519,7 @@ mod tests {
     #[test]
     fn the_live_count_per_tenant_equals_a_recount_after_every_turn() {
         let resolver: CampaignResolver = Arc::new(|spec| (spec == "ok").then(|| sleeper(3, 5)));
-        let cfg = RunConfig::new().with_workers(1).with_max_active(1).with_tenant_quota(2);
+        let cfg = RunConfig { workers: 1, max_active: 1, tenant_quota: 2, ..RunConfig::default() };
         let prov = Arc::new(ProvenanceStore::new());
         let mut dir: Threads =
             Directory::on_threads(cfg, resolver, prov, "scidockd-worker").expect("a worker thread");

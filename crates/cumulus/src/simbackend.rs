@@ -107,8 +107,8 @@ pub struct SimConfig {
     /// Structured event log. Events are emitted at *simulated* timestamps
     /// with the same kinds and lifecycle ordering as the real backends, so a
     /// sim mirror of a run produces the same event sequence (modulo
-    /// timestamps and resource names — see
-    /// [`crate::obs::ObsEvent::parity_signature`]).
+    /// timestamps and resource names, which the test-only
+    /// `ObsEvent::parity_signature` leaves out).
     pub events: Option<EventLog>,
 }
 

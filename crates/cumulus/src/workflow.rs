@@ -262,10 +262,8 @@ impl From<&str> for Contents {
     }
 }
 
-/// Read-through hook consulted by [`FileStore::read`] on a local miss (e.g.
-/// a distributed worker fetching a staged input from the master's store).
-/// Returns `None` when the remote side doesn't have the file either.
-pub type FetchFn = Box<dyn Fn(&str) -> Option<Contents> + Send + Sync>;
+/// A [`FileStore`]'s read-through hook.
+type Fetch = Box<dyn Fn(&str) -> Option<Contents> + Send + Sync>;
 
 /// The in-memory shared filesystem (stands in for the s3fs mount): path →
 /// file contents. Thread-safe; activations on any worker see each other's
@@ -289,14 +287,14 @@ pub type FetchFn = Box<dyn Fn(&str) -> Option<Contents> + Send + Sync>;
 /// tries the body's pointer before the bytes; comparing a rendered content
 /// with another body of the same digest renders both for the compare.
 ///
-/// A store may carry a read-through [`FetchFn`]: on a local `read` miss the
-/// hook is consulted and a hit is cached locally, so a distributed worker
-/// transparently pulls inputs it doesn't hold yet. `exists`/`size`/`list`
-/// stay strictly local — only `read` reaches out.
+/// A store may carry a read-through hook ([`FileStore::set_fetch_hook`]): on
+/// a local `read` miss the hook is consulted and a hit is cached locally, so
+/// a distributed worker transparently pulls inputs it doesn't hold yet.
+/// `exists`/`size`/`list` stay strictly local — only `read` reaches out.
 #[derive(Default)]
 pub struct FileStore {
     table: Mutex<Table>,
-    fetch: OnceLock<FetchFn>,
+    fetch: OnceLock<Fetch>,
     /// Bytes digested by `write` and not yet taken by
     /// [`FileStore::take_digest_bytes`].
     digested: AtomicU64,
@@ -397,10 +395,12 @@ impl FileStore {
         }
     }
 
-    /// Install the read-through hook consulted on local `read` misses.
+    /// Install the read-through hook consulted on local `read` misses (e.g.
+    /// a distributed worker fetching a staged input from the master's
+    /// store); it returns `None` when the remote side lacks the file too.
     /// Settable once per store; a second call is ignored (the first hook
     /// wins), which keeps an already-wired worker store consistent.
-    pub fn set_fetch_hook(&self, hook: FetchFn) {
+    pub fn set_fetch_hook(&self, hook: Fetch) {
         let _ = self.fetch.set(hook);
     }
 
@@ -600,9 +600,12 @@ impl Activity {
         self.affinity = Some(column.to_string());
         self
     }
+}
 
+#[cfg(test)]
+impl Activity {
     /// Builder: install a blacklist predicate.
-    pub fn with_blacklist(mut self, f: BlacklistFn) -> Activity {
+    pub(crate) fn with_blacklist(mut self, f: BlacklistFn) -> Activity {
         self.blacklist = Some(f);
         self
     }

@@ -60,7 +60,7 @@ fn daemon_campaign_survives_a_panicking_activity_and_shuts_down() {
     std::thread::spawn(move || {
         let prov = Arc::new(ProvenanceStore::new());
         let daemon = Daemon::start(
-            RunConfig::new().with_workers(2).with_max_retries(MAX_RETRIES),
+            RunConfig { workers: 2, max_retries: MAX_RETRIES, ..RunConfig::default() },
             Arc::new(|spec: &str| (spec == "panicky").then(panicky_workflow)),
             Arc::clone(&prov),
         )
@@ -97,14 +97,22 @@ fn daemon_campaign_survives_a_panicking_activity_and_shuts_down() {
 #[test]
 fn local_and_dist_record_a_panicking_activity_identically() {
     let local_store = Arc::new(ProvenanceStore::new());
-    let local = LocalBackend::new(RunConfig::new().with_workers(2).with_max_retries(MAX_RETRIES))
-        .run(&panicky_workflow(), &local_store)
-        .expect("a panicking activity does not abort the run");
+    let local = LocalBackend::new(RunConfig {
+        workers: 2,
+        max_retries: MAX_RETRIES,
+        ..RunConfig::default()
+    })
+    .run(&panicky_workflow(), &local_store)
+    .expect("a panicking activity does not abort the run");
 
     let dist_store = Arc::new(ProvenanceStore::new());
     let wf = panicky_workflow();
-    let mut cfg =
-        RunConfig::new().with_workers(2).with_max_retries(MAX_RETRIES).with_spec("panicky");
+    let mut cfg = RunConfig {
+        workers: 2,
+        max_retries: MAX_RETRIES,
+        spec: "panicky".into(),
+        ..RunConfig::default()
+    };
     cfg.resolver = Some(Arc::new(|spec| (spec == "panicky").then(|| panicky_workflow().def)));
     let dist = run_dist(&wf.def, wf.input, wf.files, Arc::clone(&dist_store), &cfg)
         .expect("distributed run");

@@ -75,7 +75,7 @@ fn qd_factory(max_workers: usize) -> SchedulerFactory {
 }
 
 fn dist_cfg(sleep_ms: u64) -> RunConfig {
-    let mut cfg = RunConfig::new().with_workers(1).with_spec("flat");
+    let mut cfg = RunConfig { workers: 1, spec: "flat".into(), ..RunConfig::default() };
     cfg.resolver = Some(Arc::new(move |spec| (spec == "flat").then(|| flat_def(sleep_ms))));
     cfg.max_in_flight = 1;
     cfg
@@ -86,7 +86,7 @@ fn sim_and_dist_schedulers_decide_identically() {
     let factory = qd_factory(3);
 
     // distributed: 1 single-slot in-process worker, 10 real activations
-    let cfg = dist_cfg(20).with_scheduler(factory.clone());
+    let cfg = RunConfig { scheduler: Some(factory.clone()), ..dist_cfg(20) };
     let prov = Arc::new(ProvenanceStore::new());
     let dist = run_dist(&flat_def(20), flat_input(10), Arc::new(FileStore::new()), prov, &cfg)
         .expect("distributed run");
@@ -155,7 +155,7 @@ fn a_placement_outside_the_candidates_falls_back_to_least_loaded() {
             deps: vec![vec![]],
         };
         let daemon = Daemon::start(
-            RunConfig::new().with_workers(2).with_scheduler(factory.clone()),
+            RunConfig { workers: 2, scheduler: Some(factory.clone()), ..RunConfig::default() },
             Arc::new(move |spec: &str| {
                 (spec == "flat").then(|| Workflow::new(def.clone(), flat_input(6)))
             }),
@@ -183,7 +183,7 @@ fn a_placement_outside_the_candidates_falls_back_to_least_loaded() {
         let ran: Vec<String> = ran.lock().unwrap().iter().cloned().collect();
         assert_eq!(ran, ["scidockd-worker-0", "scidockd-worker-1"], "answer {answer}");
 
-        let cfg = dist_cfg(5).with_workers(2).with_scheduler(factory);
+        let cfg = RunConfig { workers: 2, scheduler: Some(factory), ..dist_cfg(5) };
         let prov = Arc::new(ProvenanceStore::new());
         let dist = run_dist(&flat_def(5), flat_input(6), Arc::new(FileStore::new()), prov, &cfg)
             .expect("distributed run");

@@ -142,15 +142,18 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
     });
     let prov = Arc::new(ProvenanceStore::new());
     let gate = Gate::default();
-    let mut cfg = RunConfig::new()
-        .with_workers(2)
-        .with_worker_bounds(1, 6)
-        .with_max_active(16)
-        .with_scheduler(factory)
-        .with_steering_tick(Duration::from_millis(5))
-        .with_telemetry(tel.clone())
-        .with_events(events.clone())
-        .with_metrics_addr("127.0.0.1:0");
+    let mut cfg = RunConfig {
+        workers: 2,
+        min_workers: 1,
+        max_workers: 6,
+        max_active: 16,
+        scheduler: Some(factory),
+        steering_tick: Some(Duration::from_millis(5)),
+        telemetry: tel.clone(),
+        events: Some(events.clone()),
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..RunConfig::default()
+    };
     cfg.metrics_bound = Some(bound.clone());
     let daemon =
         Daemon::start(cfg, gated_resolver(gate.clone()), Arc::clone(&prov)).expect("daemon starts");
@@ -259,7 +262,7 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
 
         let solo_prov = Arc::new(ProvenanceStore::new());
         let wf = test_workflow(tag, 8, 0);
-        LocalBackend::new(RunConfig::new().with_workers(2))
+        LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() })
             .run(&wf, &solo_prov)
             .expect("one-shot run");
         let solo_wkf = solo_prov.latest_workflow().expect("one-shot workflow recorded");
@@ -283,11 +286,13 @@ fn nine_campaigns_from_four_tenants_share_one_daemon() {
 #[test]
 fn overload_rejects_with_retry_after_and_keeps_the_queue_bounded() {
     let daemon = Daemon::start(
-        RunConfig::new()
-            .with_workers(1)
-            .with_max_active(1)
-            .with_max_pending(2)
-            .with_retry_after_ms(750),
+        RunConfig {
+            workers: 1,
+            max_active: 1,
+            max_pending: 2,
+            retry_after_ms: 750,
+            ..RunConfig::default()
+        },
         resolver(),
         Arc::new(ProvenanceStore::new()),
     )
@@ -353,15 +358,39 @@ fn overload_rejects_with_retry_after_and_keeps_the_queue_bounded() {
     daemon.shutdown();
 }
 
+/// A `tenant_quota` or `max_active` of 0, set as a field, is read as one:
+/// the daemon accepts a campaign, starts it and finishes it.
+#[test]
+fn a_zero_quota_or_max_active_still_admits_and_finishes_a_campaign() {
+    for cfg in [
+        RunConfig { tenant_quota: 0, ..RunConfig::default() },
+        RunConfig { max_active: 0, ..RunConfig::default() },
+    ] {
+        let daemon = Daemon::start(cfg, resolver(), Arc::new(ProvenanceStore::new()))
+            .expect("daemon starts");
+        let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+        let id = match client.submit("solo", 0, "wf:zero:3:0").expect("submit io") {
+            SubmitOutcome::Accepted { id } => id,
+            refused => panic!("a bound of 0 is a bound of 1: {refused:?}"),
+        };
+        let state = wait_state(&mut client, id, CampaignState::Finished, Duration::from_secs(20));
+        assert_eq!(state, CampaignState::Finished, "the campaign never ran");
+        drop(client);
+        daemon.shutdown();
+    }
+}
+
 #[test]
 fn tenant_quota_stops_one_tenant_from_starving_the_rest() {
     let daemon = Daemon::start(
-        RunConfig::new()
-            .with_workers(2)
-            .with_max_active(8)
-            .with_max_pending(16)
-            .with_tenant_quota(2)
-            .with_retry_after_ms(500),
+        RunConfig {
+            workers: 2,
+            max_active: 8,
+            max_pending: 16,
+            tenant_quota: 2,
+            retry_after_ms: 500,
+            ..RunConfig::default()
+        },
         resolver(),
         Arc::new(ProvenanceStore::new()),
     )
@@ -433,8 +462,12 @@ fn a_query_keeps_its_own_limit_and_an_explain_names_its_index() {
             pair_key: format!("R:L{i}"),
         });
     }
-    let daemon = Daemon::start(RunConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
-        .expect("daemon starts");
+    let daemon = Daemon::start(
+        RunConfig { workers: 1, ..RunConfig::default() },
+        resolver(),
+        Arc::clone(&prov),
+    )
+    .expect("daemon starts");
     let mut client = ServeClient::connect(daemon.addr()).expect("connect");
     let (_, rows) =
         client.query("SELECT taskid FROM hactivation ORDER BY taskid LIMIT 3").expect("query");
@@ -456,8 +489,12 @@ fn a_query_keeps_its_own_limit_and_an_explain_names_its_index() {
 #[test]
 fn an_over_deep_query_is_an_error_and_the_daemon_still_answers_status() {
     let prov = Arc::new(ProvenanceStore::new());
-    let daemon = Daemon::start(RunConfig::new().with_workers(1), resolver(), Arc::clone(&prov))
-        .expect("daemon starts");
+    let daemon = Daemon::start(
+        RunConfig { workers: 1, ..RunConfig::default() },
+        resolver(),
+        Arc::clone(&prov),
+    )
+    .expect("daemon starts");
     let mut client = ServeClient::connect(daemon.addr()).expect("connect");
     let SubmitOutcome::Accepted { id } = client.submit("alice", 0, "wf:deep:2:0").unwrap() else {
         panic!("admitted")
@@ -486,8 +523,12 @@ fn a_store_fault_in_a_workers_commit_fails_the_daemon_instead_of_hanging_the_cam
     let prov = ProvenanceStore::open_env(Box::new(env), Default::default()).expect("fresh env");
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let daemon = Daemon::start(RunConfig::new().with_workers(2), resolver(), Arc::new(prov))
-            .expect("daemon starts");
+        let daemon = Daemon::start(
+            RunConfig { workers: 2, ..RunConfig::default() },
+            resolver(),
+            Arc::new(prov),
+        )
+        .expect("daemon starts");
         let mut client = ServeClient::connect(daemon.addr()).expect("connect");
         let SubmitOutcome::Accepted { id } = client.submit("alice", 0, "wf:doomed:4:0").unwrap()
         else {
@@ -530,7 +571,7 @@ fn campaigns_start_while_the_committer_is_parked_in_its_append() {
     {
         let (prov, plan) = (Arc::clone(&prov), Arc::clone(&plan));
         std::thread::spawn(move || {
-            let cfg = RunConfig::new().with_workers(2).with_max_active(4);
+            let cfg = RunConfig { workers: 2, max_active: 4, ..RunConfig::default() };
             let daemon = Daemon::start(cfg, resolver(), prov).expect("daemon starts");
             let mut client = ServeClient::connect(daemon.addr()).expect("connect");
             let mut submit = |spec: &str| match client.submit("alice", 0, spec).expect("submit") {
@@ -559,7 +600,7 @@ fn campaigns_start_while_the_committer_is_parked_in_its_append() {
     for tag in ["wf-parked1", "wf-parked2"] {
         let (wkf, _) = prov.workflows().into_iter().find(|(_, t)| t == tag).expect("registered");
         let solo_prov = Arc::new(ProvenanceStore::new());
-        LocalBackend::new(RunConfig::new().with_workers(2))
+        LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() })
             .run(&test_workflow(tag, 4, 0), &solo_prov)
             .expect("one-shot run");
         let solo_wkf = solo_prov.latest_workflow().expect("one-shot workflow recorded");
@@ -574,7 +615,7 @@ fn campaigns_start_while_the_committer_is_parked_in_its_append() {
 #[test]
 fn cancel_pending_and_running_campaigns() {
     let daemon = Daemon::start(
-        RunConfig::new().with_workers(1).with_max_active(1),
+        RunConfig { workers: 1, max_active: 1, ..RunConfig::default() },
         resolver(),
         Arc::new(ProvenanceStore::new()),
     )

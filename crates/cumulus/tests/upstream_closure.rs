@@ -80,8 +80,10 @@ fn finished_keys(prov: &ProvenanceStore, tag: &str) -> BTreeSet<String> {
 
 #[test]
 fn a_crash_at_any_append_keeps_every_finished_dock_above_a_finished_stage() {
-    let reference =
-        sorted_output(&run(&Arc::new(ProvenanceStore::new()), RunConfig::new().with_workers(4)));
+    let reference = sorted_output(&run(
+        &Arc::new(ProvenanceStore::new()),
+        RunConfig { workers: 4, ..RunConfig::default() },
+    ));
     let activations = 2 * PAIRS as u64;
     for k in SETUP_APPENDS + 1..=SETUP_APPENDS + activations {
         let env = MemEnv::new();
@@ -89,8 +91,9 @@ fn a_crash_at_any_append_keeps_every_finished_dock_above_a_finished_stage() {
         let fault = FaultEnv::new(Box::new(env.clone()), Arc::clone(&plan));
         let prov =
             Arc::new(ProvenanceStore::open_env(Box::new(fault), Default::default()).unwrap());
-        let crashed =
-            catch_unwind(AssertUnwindSafe(|| run(&prov, RunConfig::new().with_workers(4))));
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            run(&prov, RunConfig { workers: 4, ..RunConfig::default() })
+        }));
         assert!(crashed.is_err(), "append {k}: the injected crash must kill the run");
         // a killed process runs no destructors
         std::mem::forget(prov);
@@ -103,7 +106,8 @@ fn a_crash_at_any_append_keeps_every_finished_dock_above_a_finished_stage() {
         assert_eq!(stage.len() + dock.len(), kept, "append {k}: the records up to the crash");
 
         let prior = prov.latest_workflow().expect("the workflow row precedes every crash");
-        let resumed = run(&prov, RunConfig::new().with_workers(4).with_resume_from(prior));
+        let resumed =
+            run(&prov, RunConfig { workers: 4, resume_from: Some(prior), ..RunConfig::default() });
         assert_eq!(resumed.resumed, stage.len() + dock.len(), "append {k}");
         assert_eq!(sorted_output(&resumed), reference, "append {k}: resume reproduces the run");
     }

@@ -260,15 +260,16 @@ impl DurableEngine {
         }
         Ok(())
     }
+}
 
+#[cfg(test)]
+impl DurableEngine {
     /// Sequence number of the last appended frame (0 = none ever).
-    #[cfg(test)]
     pub(crate) fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
 
     /// Highest sequence the snapshot covers.
-    #[cfg(test)]
     pub(crate) fn base_seq(&self) -> u64 {
         self.base_seq
     }

@@ -67,11 +67,6 @@ impl DirEnv {
         self.dir.join("wal.log")
     }
 
-    /// Path of the snapshot file.
-    pub fn snapshot_path(&self) -> PathBuf {
-        self.dir.join("snapshot.bin")
-    }
-
     fn sync_dir(&self) -> io::Result<()> {
         // fsync the directory so the rename itself is durable (Linux
         // allows opening a directory read-only for exactly this).
@@ -113,7 +108,7 @@ impl StorageEnv for DirEnv {
     }
 
     fn read_snapshot(&self) -> io::Result<Option<Vec<u8>>> {
-        match std::fs::read(self.snapshot_path()) {
+        match std::fs::read(self.dir.join("snapshot.bin")) {
             Ok(b) => Ok(Some(b)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e),
@@ -127,7 +122,7 @@ impl StorageEnv for DirEnv {
             f.write_all(bytes)?;
             f.sync_all()?;
         }
-        std::fs::rename(&tmp, self.snapshot_path())?;
+        std::fs::rename(&tmp, self.dir.join("snapshot.bin"))?;
         self.sync_dir()
     }
 }

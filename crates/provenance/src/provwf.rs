@@ -90,9 +90,12 @@ impl ActivationStatus {
             ActivationStatus::Running => "RUNNING",
         }
     }
+}
 
+#[cfg(test)]
+impl ActivationStatus {
     /// Is this a terminal (will-not-change) status?
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         !matches!(self, ActivationStatus::Running)
     }
 }

@@ -10,7 +10,7 @@
 //!   pairs: `ProjectOp`, `AggOp` (streaming accumulators), `DistinctOp`,
 //!   `SortOp`, `LimitOp`.
 //!
-//! Operators never borrow the storage: they receive an [`ExecCtx`] (a
+//! Operators never borrow the storage: they receive an `ExecCtx` (a
 //! `&dyn TableProvider`) on every `next` call, and all scan positions are
 //! plain rowids. A query is built and drained whole by [`run_query`], so
 //! the context — and with it the store's lock, which the store's one read
@@ -37,18 +37,18 @@ use super::plan::{explain_lines, plan_query, Access, Plan, TableStep};
 
 /// Per-query execution context: the storage the operators read through,
 /// borrowed for as long as [`run_query`] drains the pipeline.
-pub struct ExecCtx<'a> {
+struct ExecCtx<'a> {
     /// The tables the operators read.
     pub provider: &'a dyn TableProvider,
 }
 
 /// A joined-row operator. `next` returns the next flat row or `None`.
-pub(crate) trait Op {
+trait Op {
     fn next(&mut self, cx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>, QueryError>;
 }
 
 /// A projected-tuple operator: `(output values, ORDER BY keys)`.
-pub(crate) trait TupleOp {
+trait TupleOp {
     #[allow(clippy::type_complexity)]
     fn next(&mut self, cx: &ExecCtx<'_>) -> Result<Option<(Vec<Value>, Vec<Value>)>, QueryError>;
 }
@@ -690,28 +690,25 @@ impl TupleOp for LimitOp {
 
 /// A fully built query pipeline: its output columns and the operator
 /// [`run_query`] pulls rows from.
-pub(crate) struct Pipeline {
+struct Pipeline {
     pub(crate) columns: Vec<String>,
     tail: Box<dyn TupleOp>,
 }
 
 impl Pipeline {
     /// Pull the next output row.
-    pub(crate) fn next_row(&mut self, cx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>, QueryError> {
+    fn next_row(&mut self, cx: &ExecCtx<'_>) -> Result<Option<Vec<Value>>, QueryError> {
         Ok(self.tail.next(cx)?.map(|(vals, _)| vals))
     }
 }
 
 /// Plan `q` and assemble its operator pipeline over `provider`.
-pub(crate) fn build_pipeline(
-    provider: &dyn TableProvider,
-    q: &Query,
-) -> Result<Pipeline, QueryError> {
+fn build_pipeline(provider: &dyn TableProvider, q: &Query) -> Result<Pipeline, QueryError> {
     let (bindings, plan) = plan_query(q, provider)?;
     build_pipeline_planned(q, bindings, &plan)
 }
 
-pub(crate) fn build_pipeline_planned(
+fn build_pipeline_planned(
     q: &Query,
     bindings: Arc<Bindings>,
     plan: &Plan,

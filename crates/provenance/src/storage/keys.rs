@@ -45,7 +45,7 @@ fn encode_f64(x: f64, out: &mut Vec<u8>) {
 }
 
 /// Append the order-preserving encoding of `v` to `out`.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
+fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(b) => {
@@ -71,7 +71,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 
 /// Encode a composite key from `vals`, truncated to [`MAX_KEY_BYTES`].
 /// Returns the (possibly truncated) bytes and whether truncation happened.
-pub fn encode_key<'a>(vals: impl IntoIterator<Item = &'a Value>) -> (Vec<u8>, bool) {
+fn encode_key<'a>(vals: impl IntoIterator<Item = &'a Value>) -> (Vec<u8>, bool) {
     let mut out = Vec::new();
     for v in vals {
         encode_value(v, &mut out);
@@ -85,7 +85,7 @@ pub fn encode_key<'a>(vals: impl IntoIterator<Item = &'a Value>) -> (Vec<u8>, bo
 
 /// Smallest byte string strictly greater than every string prefixed by
 /// `bytes` (`None` when no such string exists, i.e. all `0xFF`).
-pub fn prefix_upper(bytes: &[u8]) -> Option<Vec<u8>> {
+fn prefix_upper(bytes: &[u8]) -> Option<Vec<u8>> {
     let mut out = bytes.to_vec();
     while let Some(&last) = out.last() {
         if last < 0xFF {

@@ -53,7 +53,7 @@ pub fn init(page: &mut [u8]) {
 }
 
 /// Free bytes available for one more record of length `len` (slot included).
-pub fn fits(page: &[u8], len: usize) -> bool {
+fn fits(page: &[u8], len: usize) -> bool {
     let used_front = HDR + nslots(page) * SLOT;
     free_end(page) >= used_front + SLOT + len
 }

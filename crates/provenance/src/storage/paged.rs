@@ -287,14 +287,6 @@ impl PagedDb {
         Ok(rowid)
     }
 
-    /// Replace the row at `rowid`, maintaining all indexes.
-    pub fn update(&mut self, table: &str, rowid: u64, row: Vec<Value>) -> Result<(), DbError> {
-        let (old_rid, old) = self
-            .fetch_located(table, rowid)?
-            .ok_or_else(|| DbError::NoSuchTable(format!("{table} rowid {rowid}")))?;
-        self.rewrite(table, rowid, old_rid, &old, row)
-    }
-
     /// Replace the first row (insertion order) whose `col` equals `key`;
     /// `Ok(false)` when there is none. The row is located once — index
     /// lookup, primary descent, heap read — and that one resolution serves
@@ -469,6 +461,22 @@ impl PagedDb {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl PagedDb {
+    /// Replace the row at `rowid`, maintaining all indexes.
+    pub(crate) fn update(
+        &mut self,
+        table: &str,
+        rowid: u64,
+        row: Vec<Value>,
+    ) -> Result<(), DbError> {
+        let (old_rid, old) = self
+            .fetch_located(table, rowid)?
+            .ok_or_else(|| DbError::NoSuchTable(format!("{table} rowid {rowid}")))?;
+        self.rewrite(table, rowid, old_rid, &old, row)
     }
 }
 

@@ -179,11 +179,6 @@ impl PageCache {
         pid
     }
 
-    /// Total pages allocated so far (including the nil page).
-    pub fn pages_allocated(&self) -> u32 {
-        self.inner.lock().expect("page cache poisoned").next_page
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> CacheStats {
         self.inner.lock().expect("page cache poisoned").stats
@@ -267,6 +262,14 @@ impl PageCache {
         let frame = self.frame(pid, true);
         let mut data = frame.lock().expect("frame poisoned");
         f(&mut data)
+    }
+}
+
+#[cfg(test)]
+impl PageCache {
+    /// Total pages allocated so far (including the nil page).
+    pub(crate) fn pages_allocated(&self) -> u32 {
+        self.inner.lock().expect("page cache poisoned").next_page
     }
 }
 

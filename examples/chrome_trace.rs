@@ -45,12 +45,12 @@ fn main() {
         })
     };
 
-    let backend = LocalBackend::new(
-        RunConfig::new()
-            .with_workers(4)
-            .with_telemetry(tel.clone())
-            .with_steering_tick(Duration::from_millis(50)),
-    );
+    let backend = LocalBackend::new(RunConfig {
+        workers: 4,
+        telemetry: tel.clone(),
+        steering_tick: Some(Duration::from_millis(50)),
+        ..RunConfig::default()
+    });
     let report = backend
         .run(&Workflow::new(wf, input).with_files(files), &prov)
         .expect("workflow validated");

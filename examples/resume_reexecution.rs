@@ -25,17 +25,12 @@ fn main() {
 
     println!("== run 1: {} pairs with heavy failure injection, no retries ==", ds.pair_count());
     let workflow = Workflow::new(wf, input).with_files(Arc::clone(&files));
-    let run1 = LocalBackend::new(
-        RunConfig::new()
-            .with_workers(4)
-            .with_failures(FailureModel {
-                fail_rate: 0.30,
-                hang_rate: 0.0,
-                fail_at_fraction: 0.5,
-                seed: 99,
-            })
-            .with_max_retries(0),
-    )
+    let run1 = LocalBackend::new(RunConfig {
+        workers: 4,
+        failures: FailureModel { fail_rate: 0.30, hang_rate: 0.0, fail_at_fraction: 0.5, seed: 99 },
+        max_retries: 0,
+        ..RunConfig::default()
+    })
     .run(&workflow, &prov)
     .expect("valid workflow");
     println!(
@@ -47,13 +42,13 @@ fn main() {
     );
 
     println!("\n== run 2: resume from run 1's provenance (workflow id {}) ==", run1.workflow.0);
-    let run2 = LocalBackend::new(
-        RunConfig::new()
-            .with_workers(4)
-            .with_failures(FailureModel::none())
-            .with_max_retries(3)
-            .with_resume_from(run1.workflow),
-    )
+    let run2 = LocalBackend::new(RunConfig {
+        workers: 4,
+        failures: FailureModel::none(),
+        max_retries: 3,
+        resume_from: Some(run1.workflow),
+        ..RunConfig::default()
+    })
     .run(&workflow, &prov)
     .expect("valid workflow");
     println!(

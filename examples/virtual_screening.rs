@@ -40,7 +40,7 @@ fn main() {
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
 
-    let report = LocalBackend::new(RunConfig::new().with_workers(8))
+    let report = LocalBackend::new(RunConfig { workers: 8, ..RunConfig::default() })
         .run(&Workflow::new(wf.clone(), input).with_files(Arc::clone(&files)), &prov)
         .expect("workflow is valid");
 

@@ -46,7 +46,7 @@ fn full_pipeline_produces_consistent_results_in_three_places() {
     let cfg = fast_cfg();
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-    let backend = LocalBackend::new(RunConfig::new().with_workers(2));
+    let backend = LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() });
     let report =
         backend.run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov).unwrap();
 
@@ -82,7 +82,7 @@ fn pipeline_is_deterministic() {
         let cfg = fast_cfg();
         let input = stage_inputs(&ds, &files, &cfg.expdir);
         let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-        let backend = LocalBackend::new(RunConfig::new().with_workers(2));
+        let backend = LocalBackend::new(RunConfig { workers: 2, ..RunConfig::default() });
         let report = backend.run(&Workflow::new(wf, input).with_files(files), &prov).unwrap();
         results_from_relation(report.final_output())
     };
@@ -101,17 +101,12 @@ fn failure_injection_recovers_through_retries() {
     let cfg = fast_cfg();
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::VinaOnly, &cfg, Arc::clone(&files));
-    let backend = LocalBackend::new(
-        RunConfig::new()
-            .with_workers(2)
-            .with_failures(FailureModel {
-                fail_rate: 0.25,
-                hang_rate: 0.0,
-                fail_at_fraction: 0.5,
-                seed: 3,
-            })
-            .with_max_retries(8),
-    );
+    let backend = LocalBackend::new(RunConfig {
+        workers: 2,
+        failures: FailureModel { fail_rate: 0.25, hang_rate: 0.0, fail_at_fraction: 0.5, seed: 3 },
+        max_retries: 8,
+        ..RunConfig::default()
+    });
     let report = backend.run(&Workflow::new(wf, input).with_files(files), &prov).unwrap();
     assert!(report.failed_attempts > 0, "25% fail rate must produce failures");
     assert_eq!(report.final_output().len(), 3, "all pairs recover via retries");
@@ -148,7 +143,7 @@ fn adaptive_split_and_both_engines_report() {
     cfg.size_threshold_atoms = 400;
     let input = stage_inputs(&ds, &files, &cfg.expdir);
     let wf = build_scidock(EngineMode::Adaptive, &cfg, Arc::clone(&files));
-    let _ = LocalBackend::new(RunConfig::new().with_workers(4))
+    let _ = LocalBackend::new(RunConfig { workers: 4, ..RunConfig::default() })
         .run(&Workflow::new(wf, input).with_files(files), &prov)
         .unwrap();
     let results = results_from_provenance(&prov);
@@ -224,7 +219,7 @@ fn six_hundred_gb_scale_bookkeeping() {
     let staged = files.total_bytes();
     assert!(staged > 0);
     let wf = build_scidock(EngineMode::Ad4Only, &cfg, Arc::clone(&files));
-    let _ = LocalBackend::new(RunConfig::new().with_workers(4))
+    let _ = LocalBackend::new(RunConfig { workers: 4, ..RunConfig::default() })
         .run(&Workflow::new(wf, input).with_files(Arc::clone(&files)), &prov)
         .unwrap();
     assert!(files.total_bytes() > staged, "activities must add artifacts");
