@@ -111,13 +111,13 @@ fn parse_flags(args: impl IntoIterator<Item = String>) -> Flags {
     if cfg.metrics_addr.is_some() {
         cfg.telemetry = Telemetry::attached();
     }
-    // the engine holds a floor of at least one: `--min-workers 0` is 1, so
+    // the bounds the engine holds: `--min-workers 0` is a floor of 1, so
     // `--min-workers 0 --max-workers 1` is a fixed fleet
-    let floor = cfg.min_workers.max(1);
-    if cfg.max_workers > floor {
+    let (floor, ceiling) = cfg.worker_bounds();
+    if ceiling > floor {
         let bounds = QueueDepthConfig {
             min_workers: floor,
-            max_workers: cfg.max_workers,
+            max_workers: ceiling,
             ..QueueDepthConfig::default()
         };
         cfg.scheduler =

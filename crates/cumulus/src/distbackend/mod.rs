@@ -366,11 +366,9 @@ impl<M: From<PortEvent> + Send + 'static> WorkerPort for SdwPort<'_, M> {
             let resolver = self.cfg.resolver.clone().expect("validated by run_dist");
             let addr = self.addr.clone();
             let opts = worker::ServeOptions {
+                die_on_run: self.cfg.kill_plan.filter(|p| p.worker == seq).map(|p| p.after_runs),
                 #[cfg(test)]
                 no_heartbeat: self.cfg.mute_heartbeat == Some(seq),
-                #[cfg(not(test))]
-                no_heartbeat: false,
-                die_on_run: self.cfg.kill_plan.filter(|p| p.worker == seq).map(|p| p.after_runs),
             };
             self.threads.push_back(std::thread::spawn(move || {
                 let _ = worker::serve_with(&addr, |_| resolver, opts);

@@ -34,11 +34,12 @@ pub type WorkflowResolver = Arc<dyn Fn(&str) -> Option<WorkflowDef> + Send + Syn
 /// Test and fault-drill knobs for [`serve_with`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ServeOptions {
-    /// Suppress heartbeats entirely (to test the master's liveness timeout).
-    pub no_heartbeat: bool,
     /// Abruptly sever the connection upon *receiving* the Nth `Run` frame
     /// (1-based), simulating a SIGKILL for in-process crash tests.
     pub die_on_run: Option<usize>,
+    /// Send no heartbeat (to test the master's liveness timeout).
+    #[cfg(test)]
+    pub no_heartbeat: bool,
 }
 
 /// Where the socket thread delivers the master's answer to one `FileReq`.
@@ -135,7 +136,9 @@ pub(crate) fn serve_with(
         })
     };
 
-    let heartbeat = (!opts.no_heartbeat).then(|| {
+    let heartbeat = {
+        #[cfg(test)]
+        let muted = opts.no_heartbeat;
         let writer = Arc::clone(&writer);
         let alive = Arc::clone(&alive);
         let current = Arc::clone(&current);
@@ -149,6 +152,10 @@ pub(crate) fn serve_with(
                 std::thread::park_timeout(interval);
                 if !alive.load(Ordering::SeqCst) {
                     break;
+                }
+                #[cfg(test)]
+                if muted {
+                    continue;
                 }
                 let (job, elapsed) = match *current.lock() {
                     Some((j, at)) => (Some(j), at.elapsed().as_millis() as u64),
@@ -164,7 +171,7 @@ pub(crate) fn serve_with(
                 }
             }
         })
-    });
+    };
 
     // dedicated executor: runs activations sequentially so the socket
     // thread stays responsive (file fetches must not wait behind compute)
@@ -320,10 +327,8 @@ pub(crate) fn serve_with(
                     if let Some(h) = executor.take() {
                         let _ = h.join();
                     }
-                    if let Some(h) = heartbeat {
-                        h.thread().unpark();
-                        let _ = h.join();
-                    }
+                    heartbeat.thread().unpark();
+                    let _ = heartbeat.join();
                     return Ok(());
                 }
                 match run_tx.as_ref() {
@@ -408,10 +413,8 @@ pub(crate) fn serve_with(
     let _ = flush_stats(); // best-effort: the master may already be gone
     alive.store(false, Ordering::SeqCst);
     let _ = writer.lock().shutdown(std::net::Shutdown::Both);
-    if let Some(h) = heartbeat {
-        h.thread().unpark();
-        let _ = h.join();
-    }
+    heartbeat.thread().unpark();
+    let _ = heartbeat.join();
     result
 }
 

@@ -135,14 +135,14 @@ pub(crate) struct EngineCfg {
 }
 
 impl EngineCfg {
-    /// Threads of this process within `cfg`'s fleet bounds — a floor of at
-    /// least one, a ceiling of at least the floor —, which are neither lost
-    /// nor silent.
+    /// Threads of this process within `cfg`'s
+    /// [fleet bounds](RunConfig::worker_bounds), which are neither lost nor
+    /// silent.
     pub(crate) fn threads(cfg: &RunConfig) -> EngineCfg {
-        let floor = cfg.min_workers.max(1);
+        let (floor, ceiling) = cfg.worker_bounds();
         EngineCfg {
             floor,
-            ceiling: cfg.max_workers.max(floor),
+            ceiling,
             reassign_budget: 0,
             heartbeat_timeout: None,
             activation_timeout: None,

@@ -281,6 +281,20 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
+    /// The fleet bounds the engine holds: `(floor, ceiling)`, a floor of at
+    /// least one and a ceiling of at least the floor.
+    pub fn worker_bounds(&self) -> (usize, usize) {
+        let floor = self.min_workers.max(1);
+        (floor, self.max_workers.max(floor))
+    }
+
+    /// The initial fleet: `workers` clamped into the
+    /// [fleet bounds](RunConfig::worker_bounds).
+    pub(crate) fn initial_workers(&self) -> usize {
+        let (floor, ceiling) = self.worker_bounds();
+        self.workers.clamp(floor, ceiling)
+    }
+
     // `RunConfig::default()` under the name `benchmark/src`, its only caller, spells
     #[doc(hidden)]
     pub fn new() -> RunConfig {
@@ -330,13 +344,6 @@ impl RunConfig {
     pub fn with_spec(mut self, spec: impl Into<String>) -> RunConfig {
         self.spec = spec.into();
         self
-    }
-
-    /// The initial fleet: `workers` clamped into the fleet bounds the engine
-    /// holds (a floor of at least one, a ceiling of at least the floor).
-    pub(crate) fn initial_workers(&self) -> usize {
-        let fleet = EngineCfg::threads(self);
-        self.workers.clamp(fleet.floor, fleet.ceiling)
     }
 }
 

@@ -4,21 +4,14 @@
 # stdout of `figures ARGS`, byte for byte. Exits non-zero, naming each block
 # that differs and printing the diff.
 #
-#   scripts/docblocks.sh          check every marker of EXPERIMENTS.md
-#   scripts/docblocks.sh FILE     check the markers of FILE
-#
 # `figures` is the only binary a marker may run, and ARGS may hold only
 # flags and numbers, so a document cannot run anything else. A block is
 # pasted as the binary prints it: after a change that moves a figure, paste
 # the new stdout under its marker.
 set -euo pipefail
 
-if [[ $# -gt 1 ]]; then
-    echo "usage: scripts/docblocks.sh [FILE]" >&2
-    exit 2
-fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-doc="$(realpath "${1:-$root/EXPERIMENTS.md}")"
+doc="$root/EXPERIMENTS.md"
 # `figures` writes its JSON sidecar under the working directory's target/
 cd "$root"
 
