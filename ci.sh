@@ -18,12 +18,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# every public name of `cumulus` and `provenance` that no program calls is
-# a deliberate one: `scripts/callers.sh` lists it and `scripts/callers.allow`
-# says why it stays, and an allowed name the script no longer lists is stale
-echo "== callers: cumulus and provenance ship what programs call =="
+# every public name of every crate that no program calls is a deliberate
+# one: `scripts/callers.sh` lists it and `scripts/callers.allow` says why it
+# stays, and an allowed name the script no longer lists is stale
+echo "== callers: every crate ships what programs call =="
 surface="$(
-    { scripts/callers.sh cumulus; scripts/callers.sh provenance; } |
+    scripts/callers.sh |
         awk 'NR == FNR {
                  if ($0 !~ /^#/ && NF) { sub(/:$/, "", $3); allowed[$1 " " $2 " " $3] = 1 }
                  next

@@ -9,10 +9,6 @@
 //! `--scale N` divides the receptor set of the *local* (real-docking)
 //! experiments by N to keep laptop runs short; the simulated experiments
 //! always use the full 10,000-pair dataset.
-//!
-//! Besides the human-readable text, every numeric series is also written as
-//! a JSON sidecar (default `target/figures.json`, override with
-//! `--json PATH`) so bench trajectories can be diffed across PRs.
 
 use std::collections::BTreeSet;
 
@@ -27,9 +23,7 @@ use scidock::experiments::{
     headline, run_screening, scaling_sweep, simulate_at, ScalePoint, SweepConfig, PAPER_CORE_COUNTS,
 };
 
-use scidock_bench::sidecar::{num_array, Sidecar};
 use scidock_bench::util::{bar, human_time};
-use telemetry::json;
 
 /// Every artifact a `--<name>` flag selects; `--all` (or no flag) = all.
 const ARTIFACTS: [&str; 14] = [
@@ -41,24 +35,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_arg =
         |flag: &str| args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned();
-    let json_path = flag_arg("--json").unwrap_or_else(|| "target/figures.json".to_string());
     let mut wanted: BTreeSet<String> = args
         .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            a.starts_with("--")
-                && !matches!(a.as_str(), "--scale" | "--all" | "--json")
-                // skip a flag's value slot (e.g. the PATH after --json)
-                && !matches!(i.checked_sub(1).and_then(|p| args.get(p)).map(String::as_str),
-                    Some("--scale" | "--json"))
-        })
-        .map(|(_, a)| a.trim_start_matches("--").to_string())
+        .filter(|a| a.starts_with("--") && !matches!(a.as_str(), "--scale" | "--all"))
+        .map(|a| a.trim_start_matches("--").to_string())
         .collect();
     let scale: usize = flag_arg("--scale").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let mut sidecar = Sidecar::new();
     if let Some(unknown) = wanted.iter().find(|w| !ARTIFACTS.contains(&w.as_str())) {
         eprintln!(
-            "figures: unknown flag --{unknown}\nusage: figures [--all] [--scale N] [--json PATH] {}",
+            "figures: unknown flag --{unknown}\nusage: figures [--all] [--scale N] {}",
             ARTIFACTS.map(|a| format!("[--{a}]")).join(" ")
         );
         std::process::exit(2);
@@ -94,13 +79,11 @@ fn main() {
 
     // ---------------- simulated 1,000-pair run: figs 5, 6, query 1 ----------
     let needs_sim_1k = want("fig5") || want("fig6") || want("query1");
-    let sim_tel = telemetry::Telemetry::attached();
     let sim_prov = if needs_sim_1k {
-        let mut sweep = SweepConfig {
+        let sweep = SweepConfig {
             ligand_codes: LIGAND_CODES[..4].iter().map(|s| s.to_string()).collect(),
             ..Default::default()
         };
-        sweep.sim.telemetry = sim_tel.clone();
         let prov = ProvenanceStore::new();
         eprintln!("[figures] simulating the 1,000-pair run on 16 cores …");
         let r = simulate_at(16, EngineMode::VinaOnly, &sweep, Some(&prov));
@@ -131,22 +114,6 @@ fn main() {
         let mean = durations.iter().sum::<f64>() / n;
         let sd = (durations.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / n).sqrt();
         println!("activations: {} | mean {:.1} s | sd {:.1} s", durations.len(), mean, sd);
-        let bins: Vec<String> = h
-            .iter()
-            .map(|(lo, hi, c)| {
-                format!("{{\"lo_s\":{},\"hi_s\":{},\"count\":{c}}}", json::num(*lo), json::num(*hi))
-            })
-            .collect();
-        sidecar.push(
-            "fig5",
-            format!(
-                "{{\"activations\":{},\"mean_s\":{},\"sd_s\":{},\"bins\":[{}]}}",
-                durations.len(),
-                json::num(mean),
-                json::num(sd),
-                bins.join(",")
-            ),
-        );
     }
 
     if want("fig6") {
@@ -169,20 +136,6 @@ fn main() {
                 bar((*sum) as usize, max_sum as usize, 30)
             );
         }
-        let rows: Vec<String> = stats
-            .iter()
-            .map(|(tag, min, max, sum, avg)| {
-                format!(
-                    "{{\"activity\":\"{}\",\"min_s\":{},\"max_s\":{},\"total_s\":{},\"avg_s\":{}}}",
-                    json::escape(tag),
-                    json::num(*min),
-                    json::num(*max),
-                    json::num(*sum),
-                    json::num(*avg)
-                )
-            })
-            .collect();
-        sidecar.push("fig6", format!("[{}]", rows.join(",")));
     }
 
     if want("query1") {
@@ -224,15 +177,6 @@ fn main() {
         for (a, v) in ad4.iter().zip(vina) {
             println!("{:>5} | {:>15} | {:>15}", a.cores, human_time(a.tet_s), human_time(v.tet_s));
         }
-        sidecar.push(
-            "fig7",
-            format!(
-                "{{\"cores\":{},\"ad4_tet_s\":{},\"vina_tet_s\":{}}}",
-                num_array(&ad4.iter().map(|p| p.cores as f64).collect::<Vec<_>>()),
-                num_array(&ad4.iter().map(|p| p.tet_s).collect::<Vec<_>>()),
-                num_array(&vina.iter().map(|p| p.tet_s).collect::<Vec<_>>())
-            ),
-        );
     }
 
     if want("fig8") {
@@ -243,15 +187,6 @@ fn main() {
         for (a, v) in ad4.iter().zip(vina) {
             println!("{:>5} | {:>11.1} | {:>12.1} | {:>5}", a.cores, a.speedup, v.speedup, a.cores);
         }
-        sidecar.push(
-            "fig8",
-            format!(
-                "{{\"cores\":{},\"ad4_speedup\":{},\"vina_speedup\":{}}}",
-                num_array(&ad4.iter().map(|p| p.cores as f64).collect::<Vec<_>>()),
-                num_array(&ad4.iter().map(|p| p.speedup).collect::<Vec<_>>()),
-                num_array(&vina.iter().map(|p| p.speedup).collect::<Vec<_>>())
-            ),
-        );
     }
 
     if want("fig9") {
@@ -262,15 +197,6 @@ fn main() {
         for (a, v) in ad4.iter().zip(vina) {
             println!("{:>5} | {:>14.2} | {:>15.2}", a.cores, a.efficiency, v.efficiency);
         }
-        sidecar.push(
-            "fig9",
-            format!(
-                "{{\"cores\":{},\"ad4_efficiency\":{},\"vina_efficiency\":{}}}",
-                num_array(&ad4.iter().map(|p| p.cores as f64).collect::<Vec<_>>()),
-                num_array(&ad4.iter().map(|p| p.efficiency).collect::<Vec<_>>()),
-                num_array(&vina.iter().map(|p| p.efficiency).collect::<Vec<_>>())
-            ),
-        );
     }
 
     if want("cost") {
@@ -289,15 +215,6 @@ fn main() {
             );
         }
         println!("\n(the paper's caution about >32 VMs shows up as the cost knee: past the\nefficiency plateau each extra dollar buys less speedup)");
-        sidecar.push(
-            "cost",
-            format!(
-                "{{\"cores\":{},\"ad4_usd\":{},\"vina_usd\":{}}}",
-                num_array(&ad4.iter().map(|p| p.cores as f64).collect::<Vec<_>>()),
-                num_array(&ad4.iter().map(|p| p.cost_usd).collect::<Vec<_>>()),
-                num_array(&vina.iter().map(|p| p.cost_usd).collect::<Vec<_>>())
-            ),
-        );
     }
 
     if want("spec") {
@@ -332,19 +249,6 @@ fn main() {
             "speedup at 16 cores: AD4 {:.1}×, Vina {:.1}×                  [paper: ~13×]",
             ha.speedup_at_16.unwrap_or(0.0),
             hv.speedup_at_16.unwrap_or(0.0)
-        );
-        let engine_json = |h: &scidock::experiments::Headline| {
-            format!(
-                "{{\"tet_low_days\":{},\"tet_high_hours\":{},\"improvement_at_32_pct\":{},\"speedup_at_16\":{}}}",
-                json::num(h.tet_low_days),
-                json::num(h.tet_high_hours),
-                json::num(h.improvement_at_32.unwrap_or(f64::NAN)),
-                json::num(h.speedup_at_16.unwrap_or(f64::NAN))
-            )
-        };
-        sidecar.push(
-            "headline",
-            format!("{{\"ad4\":{},\"vina\":{}}}", engine_json(&ha), engine_json(&hv)),
         );
     }
 
@@ -390,15 +294,6 @@ fn main() {
                 total_feb_negative(&results, "vina"),
                 ad4_out.results.len()
             );
-            sidecar.push(
-                "table3",
-                format!(
-                    "{{\"scale\":{scale},\"pairs_per_engine\":{},\"ad4_feb_negative\":{},\"vina_feb_negative\":{}}}",
-                    ad4_out.results.len(),
-                    total_feb_negative(&results, "autodock4"),
-                    total_feb_negative(&results, "vina")
-                ),
-            );
         }
 
         if want("top3") {
@@ -425,18 +320,6 @@ fn main() {
         }
     }
 
-    if !sidecar.is_empty() {
-        if let Some(m) = sim_tel.snapshot() {
-            if !m.counters.is_empty() || !m.histograms.is_empty() {
-                sidecar.push_metrics(&m);
-            }
-        }
-        let path = std::path::Path::new(&json_path);
-        match sidecar.write(path) {
-            Ok(()) => eprintln!("[figures] JSON sidecar written to {}", path.display()),
-            Err(e) => eprintln!("[figures] failed to write {}: {e}", path.display()),
-        }
-    }
     eprintln!("[figures] done.");
 }
 

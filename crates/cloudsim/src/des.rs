@@ -70,11 +70,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -83,6 +78,14 @@ impl<T> EventQueue<T> {
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl<T> EventQueue<T> {
+    /// Time of the next event without removing it.
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 }
 

@@ -64,11 +64,6 @@ pub const M1_SMALL: InstanceType = InstanceType {
 /// types plus the two baseline-only types.
 pub const CATALOG: [&InstanceType; 4] = [&M1_SMALL, &M3_LARGE, &M3_XLARGE, &M3_2XLARGE];
 
-/// Look up an instance type by name.
-pub fn by_name(name: &str) -> Option<&'static InstanceType> {
-    CATALOG.iter().copied().find(|t| t.name == name)
-}
-
 /// Compose a mixed fleet totalling `target_cores` virtual cores, mirroring
 /// the paper's "combination of m3.xlarge and m3.2xlarge VMs up to 32 VMs,
 /// totalizing 128 virtual cores".
@@ -98,6 +93,12 @@ pub fn fleet_for_cores(target_cores: u32) -> Vec<&'static InstanceType> {
         pick_large = !pick_large;
     }
     fleet
+}
+
+/// Look up an instance type by name.
+#[cfg(test)]
+fn by_name(name: &str) -> Option<&'static InstanceType> {
+    CATALOG.iter().copied().find(|t| t.name == name)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub use billing::BillingModel;
 pub use des::{EventQueue, SimTime};
 pub use failure::{FailureModel, Fate};
 pub use instance::{
-    by_name, fleet_for_cores, InstanceType, CATALOG, M1_SMALL, M3_2XLARGE, M3_LARGE, M3_XLARGE,
+    fleet_for_cores, InstanceType, CATALOG, M1_SMALL, M3_2XLARGE, M3_LARGE, M3_XLARGE,
 };
 pub use sharedfs::SharedFsModel;
 pub use vm::{sim_ns, Cluster, NoiseModel, Vm, VmId};

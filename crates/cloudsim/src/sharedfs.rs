@@ -36,10 +36,13 @@ impl SharedFsModel {
         let eff_bw = self.bandwidth_bps / conc.powf(self.contention);
         self.latency_s + bytes as f64 / eff_bw
     }
+}
 
+#[cfg(test)]
+impl SharedFsModel {
     /// Time to stage a set of files sequentially (FUSE mounts serialize
     /// per-process I/O).
-    pub fn stage_time(&self, file_sizes: &[u64], concurrency: u32) -> f64 {
+    fn stage_time(&self, file_sizes: &[u64], concurrency: u32) -> f64 {
         file_sizes.iter().map(|&b| self.transfer_time(b, concurrency)).sum()
     }
 }

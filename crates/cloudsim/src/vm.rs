@@ -47,7 +47,7 @@ impl Vm {
     }
 
     /// Is the VM alive (booted and not released) at `t`?
-    pub fn alive_at(&self, t: SimTime) -> bool {
+    fn alive_at(&self, t: SimTime) -> bool {
         t >= self.ready_at && self.released_at.is_none_or(|r| t < r)
     }
 }
@@ -147,11 +147,6 @@ impl Cluster {
         &self.vms
     }
 
-    /// VMs alive at time `t`.
-    pub fn alive_at(&self, t: SimTime) -> Vec<VmId> {
-        self.vms.iter().filter(|v| v.alive_at(t)).map(|v| v.id).collect()
-    }
-
     /// Total virtual cores alive at `t`.
     pub fn cores_at(&self, t: SimTime) -> u32 {
         self.vms.iter().filter(|v| v.alive_at(t)).map(|v| v.itype.cores).sum()
@@ -168,6 +163,14 @@ impl Cluster {
                 crate::billing::BillingModel::of(v.itype).charge(end - start)
             })
             .sum()
+    }
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// VMs alive at time `t`.
+    fn alive_at(&self, t: SimTime) -> Vec<VmId> {
+        self.vms.iter().filter(|v| v.alive_at(t)).map(|v| v.id).collect()
     }
 }
 

@@ -33,7 +33,7 @@ use provenance::Value;
 // Also at `scidock::activities`, beside `build_scidock`, where the examples
 // and integration tests import it.
 pub use crate::inputs::stage_inputs;
-pub use crate::receptors::{GridCache, MapFiles, ReceptorCache};
+pub use crate::receptors::{GridCache, ReceptorCache};
 
 /// Which docking program(s) the workflow uses (paper Fig. 4 scenarios).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

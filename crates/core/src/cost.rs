@@ -15,19 +15,19 @@ use cumulus::simbackend::{SimTask, SimWorkflow};
 /// Distribution of one activity's activation duration: min/mean/max seconds
 /// on a nominal 1.0-speed core.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostDist {
+struct CostDist {
     /// Minimum duration.
-    pub min_s: f64,
+    min_s: f64,
     /// Mean duration.
-    pub mean_s: f64,
+    mean_s: f64,
     /// Maximum duration (tail clamp).
-    pub max_s: f64,
+    max_s: f64,
 }
 
 impl CostDist {
     /// Deterministic draw for a given key: a clamped exponential around the
     /// mean, reproducing the heavy right tails of Fig. 10.
-    pub fn sample(&self, key: &str) -> f64 {
+    fn sample(&self, key: &str) -> f64 {
         let h = name_seed(key);
         let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
         let x = -(1.0 - u).ln(); // Exp(1), mean 1
@@ -63,11 +63,11 @@ const OUT_BYTES: [u64; 7] = [
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Activities 1–6 (indices 0–5 of [`SIM_ACTIVITY_TAGS`]).
-    pub prep: [CostDist; 6],
+    prep: [CostDist; 6],
     /// AD4 docking (activity 7 when the pair routes to AD4).
-    pub dock_ad4: CostDist,
+    dock_ad4: CostDist,
     /// Vina docking.
-    pub dock_vina: CostDist,
+    dock_vina: CostDist,
 }
 
 impl Default for CostModel {

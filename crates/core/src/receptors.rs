@@ -20,7 +20,7 @@
 //!
 //! | entry | key |
 //! |-------|-----|
-//! | grid set | [`grid_key`] (every map-shaping knob + the receptor PDBQT's digest) |
+//! | grid set | `grid_key` (every map-shaping knob + the receptor PDBQT's digest) |
 //! | `.map` files (rendered on read) | grid key × receptor name (the header names the receptor) |
 //! | parsed receptor (Hg answer + molecule) | the PDB text's digest |
 //! | prepared PDBQT + heavy-atom count | PDB digest × receptor name (the `NAME` record) |
@@ -467,14 +467,14 @@ impl ReceptorCache {
 /// every activation that stages them. Each text is a
 /// [rendered](Blob::rendered) blob over the grid set: it exists only while
 /// someone reads it.
-pub type MapFiles = Arc<[(String, Blob)]>;
+type MapFiles = Arc<[(String, Blob)]>;
 
 /// The cache key of the grid set built from a receptor PDBQT whose digest
 /// is `pdbqt_digest`, under `engine` and `cfg`'s map-shaping knobs: the
 /// [`digest`] of the knob header ([`grid_key_header`]) followed by the
 /// content digest. It names the on-disk `<key>.grid` entry, so it must not
 /// change from build to build.
-pub fn grid_key(pdbqt_digest: u64, engine: EngineKind, cfg: &DockConfig) -> u64 {
+fn grid_key(pdbqt_digest: u64, engine: EngineKind, cfg: &DockConfig) -> u64 {
     let mut key = grid_key_header(
         engine.program_name(),
         cfg.grid_spacing,
@@ -544,7 +544,7 @@ fn write_entry(dir: &Path, key: u64, text: &str) {
 }
 
 /// Grid sets: AutoGrid output is shared by every ligand docked against the
-/// same receptor and, keyed by [`grid_key`], by every campaign docking the
+/// same receptor and, keyed by `grid_key`, by every campaign docking the
 /// same receptor content under the same knobs. A lookup reads two tiers:
 ///
 /// 1. the memory tier, which beside each grid set keeps its `.map` files

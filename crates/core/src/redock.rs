@@ -43,7 +43,7 @@ impl RedockOutcome {
 }
 
 /// Prepare a (receptor, ligand) pair exactly as the workflow does.
-pub fn prepare_pair(
+fn prepare_pair(
     receptor_id: &str,
     ligand_code: &str,
     params: &DatasetParams,

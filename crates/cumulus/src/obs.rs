@@ -16,7 +16,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use telemetry::Telemetry;
 
@@ -476,22 +476,21 @@ fn serve_loop(listener: TcpListener, state: ObsState, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => handle_conn(stream, &state),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
 fn handle_conn(mut stream: TcpStream, state: &ObsState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let deadline = Instant::now() + Duration::from_millis(500);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 4096];
     let mut len = 0usize;
-    // read until the end of the request head (we ignore any body)
+    // read the request head (any body is ignored) within 500 ms of the accept
     while len < buf.len() {
-        match stream.read(&mut buf[len..]) {
+        // once none is left, the zero timeout is an error: the head ends
+        let left = deadline.saturating_duration_since(Instant::now());
+        match stream.set_read_timeout(Some(left)).and_then(|()| stream.read(&mut buf[len..])) {
             Ok(0) => break,
             Ok(n) => {
                 len += n;
@@ -765,6 +764,29 @@ mod tests {
         let mut resp = String::new();
         stream.read_to_string(&mut resp).unwrap();
         assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
+        srv.shutdown();
+    }
+
+    /// A client that sends its request head a byte every 300 ms holds the
+    /// one-connection listener for the head's deadline, not for as long as
+    /// it keeps sending: a `/healthz` behind it is answered within 2 s. Its
+    /// connect returns first, so the listener's FIFO accept takes it first.
+    #[test]
+    fn a_trickling_client_does_not_hold_the_endpoint() {
+        let state = ObsState::new(Telemetry::disabled(), EventLog::new());
+        let srv = ObsServer::start("127.0.0.1:0", state).unwrap();
+        let mut slow = TcpStream::connect(srv.addr()).unwrap();
+        let trickle = std::thread::spawn(move || {
+            for &b in b"GET /healthz HTTP/1.1\r\n" {
+                if slow.write_all(&[b]).is_err() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        let (code, _) = http_get(srv.addr(), "/healthz", Duration::from_secs(2)).unwrap();
+        assert_eq!(code, 200);
+        trickle.join().unwrap();
         srv.shutdown();
     }
 

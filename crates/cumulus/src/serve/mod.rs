@@ -177,8 +177,8 @@ pub struct RunConfig {
     /// Campaigns running concurrently, at least one; the rest wait in the
     /// pending queue. `Daemon::start` only.
     pub max_active: usize,
-    /// Bound on the pending queue: submissions over it are `Reject`ed with
-    /// a retry-after hint rather than queued. `Daemon::start` only.
+    /// Bound on the pending queue: submissions that would wait past it are
+    /// `Reject`ed with a retry-after hint. `Daemon::start` only.
     pub max_pending: usize,
     /// Live (pending + running) campaigns per tenant, at least one;
     /// submissions over it are `Reject`ed. `Daemon::start` only.
@@ -1017,12 +1017,13 @@ impl<P: WorkerPort> Directory<P> {
         proto::Msg::Reject { reason, retry_after_ms }
     }
 
-    /// Admission control: bounded pending queue, per-tenant quota, then
-    /// spec resolution (timed into `campaign.resolve`). Rejections are
-    /// explicit backpressure, never queued.
+    /// Admission control: the pending-queue bound, which a campaign that
+    /// starts at once passes; per-tenant quota; then spec resolution (timed
+    /// into `campaign.resolve`). Rejections are backpressure, never queued.
     fn admit(&mut self, tenant: String, priority: u8, spec: String) -> proto::Msg {
         let retry = self.cfg.retry_after_ms;
-        if self.pending.len() >= self.cfg.max_pending {
+        let full = self.engine.runs.len() >= self.cfg.max_active.max(1);
+        if (full || !self.pending.is_empty()) && self.pending.len() >= self.cfg.max_pending {
             return self.reject(tenant, "pending queue full".into(), retry);
         }
         let quota = self.cfg.tenant_quota.max(1);

@@ -380,6 +380,31 @@ fn a_zero_quota_or_max_active_still_admits_and_finishes_a_campaign() {
     }
 }
 
+/// A `max_pending` of 0 bounds only the campaigns that would wait: an idle
+/// daemon accepts and finishes a campaign, and rejects a second one while
+/// the first holds the only `max_active` slot.
+#[test]
+fn a_zero_pending_bound_admits_what_starts_at_once_and_rejects_what_would_wait() {
+    let gate = Gate::default();
+    let cfg = RunConfig { workers: 1, max_active: 1, max_pending: 0, ..RunConfig::default() };
+    let daemon = Daemon::start(cfg, gated_resolver(gate.clone()), Arc::new(ProvenanceStore::new()))
+        .expect("daemon starts");
+    let mut client = ServeClient::connect(daemon.addr()).expect("connect");
+    let id = match client.submit("solo", 0, "gated:first:3:0").expect("submit io") {
+        SubmitOutcome::Accepted { id } => id,
+        refused => panic!("an idle daemon starts a campaign at once: {refused:?}"),
+    };
+    match client.submit("solo", 0, "wf:second:2:0").expect("submit io") {
+        SubmitOutcome::Rejected { reason, .. } => assert_eq!(reason, "pending queue full"),
+        SubmitOutcome::Accepted { id } => panic!("queued past a bound of 0: campaign {id}"),
+    }
+    gate.open();
+    let state = wait_state(&mut client, id, CampaignState::Finished, Duration::from_secs(20));
+    assert_eq!(state, CampaignState::Finished, "the first campaign never ran");
+    drop(client);
+    daemon.shutdown();
+}
+
 #[test]
 fn tenant_quota_stops_one_tenant_from_starving_the_rest() {
     let daemon = Daemon::start(

@@ -162,11 +162,6 @@ impl CellList {
         }
     }
 
-    /// Total number of cells.
-    pub fn ncells(&self) -> usize {
-        self.dims[0] * self.dims[1] * self.dims[2]
-    }
-
     /// Number of binned atoms.
     pub fn len(&self) -> usize {
         self.atoms.len()

@@ -98,7 +98,7 @@ struct VinaPairConsts {
 /// The lanes of the pair passes, one slot per pair of the table it was
 /// last fitted to, padding included.
 #[derive(Default)]
-pub(crate) struct PairScratch {
+struct PairScratch {
     /// Squared distance; the padding holds `+∞`, beyond the cutoff, and is
     /// never written by pass 1.
     d2: Vec<[f64; LANES]>,
@@ -141,6 +141,7 @@ pub(crate) struct Scratch {
 #[derive(Clone, Copy)]
 enum Terms {
     Inter,
+    #[cfg(test)]
     Intra,
     Total,
 }
@@ -296,14 +297,8 @@ impl<'a> EnergyModel<'a> {
     }
 
     /// Receptor–ligand interaction energy of world coordinates `coords`.
-    pub fn intermolecular(&self, coords: &[Vec3]) -> f64 {
+    fn intermolecular(&self, coords: &[Vec3]) -> f64 {
         self.one(Terms::Inter, coords)
-    }
-
-    /// Ligand internal energy (pairs across rotatable bonds), summed over
-    /// the precomputed pair table.
-    pub fn intramolecular(&self, coords: &[Vec3]) -> f64 {
-        self.one(Terms::Intra, coords)
     }
 
     /// Total pose energy used by the search (inter + intra).
@@ -333,6 +328,7 @@ impl<'a> EnergyModel<'a> {
     fn score<E: ExpLanes>(&self, terms: Terms, coords: &[Vec3], pairs: &mut PairScratch) -> f64 {
         match terms {
             Terms::Inter => self.inter(coords),
+            #[cfg(test)]
             Terms::Intra => self.intra::<E>(coords, pairs),
             Terms::Total => self.inter(coords) + self.intra::<E>(coords, pairs),
         }
@@ -504,7 +500,8 @@ fn add(e: &mut f64, left: usize, d2: &[f64; LANES], t: &[f64; LANES]) {
 }
 
 /// The test seams of the `exp` dispatch: a model whose every evaluation
-/// runs on a given path, which returns the same bits as every other.
+/// runs on a given path, which returns the same bits as every other, and
+/// the intramolecular term on its own.
 #[cfg(test)]
 impl<'a> EnergyModel<'a> {
     /// [`new`](EnergyModel::new) with every evaluation on `path`.
@@ -514,6 +511,12 @@ impl<'a> EnergyModel<'a> {
         ligand: &'a LigandModel,
     ) -> Result<EnergyModel<'a>, DockError> {
         Ok(EnergyModel { exp: path, ..EnergyModel::new(grids, ligand)? })
+    }
+
+    /// Ligand internal energy (pairs across rotatable bonds), summed over
+    /// the precomputed pair table.
+    pub(crate) fn intramolecular(&self, coords: &[Vec3]) -> f64 {
+        self.one(Terms::Intra, coords)
     }
 
     /// [`intramolecular`](EnergyModel::intramolecular) on `path`.

@@ -171,7 +171,7 @@ impl std::fmt::Display for DockError {
 impl std::error::Error for DockError {}
 
 /// Compute the grid box for a receptor–ligand pair.
-pub fn make_grid_spec(
+fn make_grid_spec(
     receptor: &Molecule,
     ligand: &PdbqtLigand,
     cfg: &DockConfig,
@@ -223,8 +223,8 @@ pub fn dock_with_grids(
                 (runs, false, evals)
             }
             EngineKind::Vina => {
-                let (out, evals) = run_mc_seeded(&em, &grids.spec, &lm, &cfg.mc, cfg.seed);
-                (out.modes, true, evals)
+                let (modes, evals) = run_mc_seeded(&em, &grids.spec, &lm, &cfg.mc, cfg.seed);
+                (modes, true, evals)
             }
         };
         phase.set_detail(|| format!("{} evals={}", engine.program_name(), out.2));
@@ -412,7 +412,8 @@ mod tests {
     #[test]
     fn empty_ligand_rejected() {
         let (receptor, _) = prepared_pair();
-        let empty = PdbqtLigand { mol: Molecule::new("E"), tree: molkit::TorsionTree::rigid(0) };
+        let tree = molkit::TorsionTree { root: Vec::new(), branches: Vec::new() };
+        let empty = PdbqtLigand { mol: Molecule::new("E"), tree };
         // grid creation works off the receptor; docking must reject the ligand
         let cfg = fast_cfg();
         let err = dock(&receptor, &empty, EngineKind::Ad4, &cfg).unwrap_err();

@@ -26,7 +26,7 @@ pub struct ScoredPose {
 ///
 /// It owns the scratch one evaluation works in (the posed coordinates and
 /// the pair lanes), sized for its model once, so [`Evaluator::energy`] and
-/// [`Evaluator::energy_batch`] allocate nothing. One per search run: the
+/// `Evaluator::energy_batch` allocate nothing. One per search run: the
 /// model is shared, the scratch is not.
 pub struct Evaluator<'a> {
     /// The energy model being evaluated.
@@ -55,7 +55,7 @@ impl<'a> Evaluator<'a> {
     ///
     /// Each `out[i]` is bit-identical to [`energy`](Evaluator::energy) of
     /// `poses[i]` for every batch size.
-    pub fn energy_batch(&mut self, poses: &[Pose], out: &mut Vec<f64>) {
+    pub(crate) fn energy_batch(&mut self, poses: &[Pose], out: &mut Vec<f64>) {
         out.clear();
         out.resize(poses.len(), 0.0);
         self.score(poses, out);
@@ -70,7 +70,7 @@ impl<'a> Evaluator<'a> {
 /// Perturb `pose` by a gene-space delta — 3 translation components, a
 /// 3-component rotation vector (axis×angle), then torsion deltas — into
 /// `out`, which must have as many torsions as `pose`.
-pub fn apply_delta(pose: &Pose, delta: &[f64], out: &mut Pose) {
+fn apply_delta(pose: &Pose, delta: &[f64], out: &mut Pose) {
     debug_assert_eq!(delta.len(), 6 + pose.torsions.len());
     debug_assert_eq!(out.torsions.len(), pose.torsions.len());
     out.translation = pose.translation + Vec3::new(delta[0], delta[1], delta[2]);
@@ -87,7 +87,7 @@ pub fn apply_delta(pose: &Pose, delta: &[f64], out: &mut Pose) {
 }
 
 /// A uniformly random pose inside the grid box (with margin).
-pub fn random_pose(spec: &GridSpec, n_torsions: usize, rng: &mut ChaCha8Rng) -> Pose {
+pub(crate) fn random_pose(spec: &GridSpec, n_torsions: usize, rng: &mut ChaCha8Rng) -> Pose {
     let margin = 2.0;
     let half = (spec.edge() * 0.5 - margin).max(0.5);
     let t = spec.center
@@ -252,7 +252,7 @@ impl Default for LgaConfig {
 /// consumes no RNG, so deferring the scores leaves the RNG stream — and
 /// therefore every pose and energy — bit-identical to the pose-at-a-time
 /// loop, for every batch size the draws happen to produce.
-pub fn run_lga(
+fn run_lga(
     ev: &mut Evaluator<'_>,
     spec: &GridSpec,
     ligand: &LigandModel,
@@ -401,23 +401,13 @@ impl Default for McConfig {
     }
 }
 
-/// Result of a Monte-Carlo run: the global best plus per-restart bests
-/// (Vina's "modes").
-#[derive(Debug, Clone)]
-pub struct McOutcome {
-    /// The global best pose.
-    pub best: ScoredPose,
-    /// Per-restart best poses, sorted best-first (Vina's "modes").
-    pub modes: Vec<ScoredPose>,
-}
-
 /// One MC restart: random start, local refinement, then `steps` rounds of
 /// perturbation + refinement with Metropolis acceptance.
 ///
 /// Every score feeds the next proposal (Metropolis), so the chain is
 /// inherently sequential: it evaluates through [`Evaluator::energy`], which
 /// is the batch kernel at width 1, bit-identical.
-pub fn mc_restart(
+fn mc_restart(
     ev: &mut Evaluator<'_>,
     spec: &GridSpec,
     ligand: &LigandModel,
@@ -490,17 +480,20 @@ pub fn run_lga_seeded(
 }
 
 /// Run `cfg.restarts` MC restarts, restart `r` seeded `seed + r`.
+///
+/// Returns the per-restart best poses sorted best-first (Vina's "modes")
+/// plus the total evaluation count.
 pub fn run_mc_seeded(
     em: &EnergyModel<'_>,
     spec: &GridSpec,
     ligand: &LigandModel,
     cfg: &McConfig,
     seed: u64,
-) -> (McOutcome, u64) {
+) -> (Vec<ScoredPose>, u64) {
     let (mut modes, evals) =
         run_indexed(em, seed, cfg.restarts, |ev, rng| mc_restart(ev, spec, ligand, cfg, rng));
     modes.sort_by(|a, b| a.energy.total_cmp(&b.energy));
-    (McOutcome { best: modes[0].clone(), modes }, evals)
+    (modes, evals)
 }
 
 #[cfg(test)]
@@ -650,12 +643,11 @@ mod tests {
         let g = build_vina_grids(&r, spec(), &lig.mol.ad_types(), &VinaParams::default());
         let em = crate::energy::EnergyModel::new(&g, &lm).unwrap();
         let cfg = McConfig { restarts: 4, steps: 5, ..Default::default() };
-        let (out, _) = run_mc_seeded(&em, &spec(), &lm, &cfg, 9);
-        assert_eq!(out.modes.len(), 4);
-        for w in out.modes.windows(2) {
+        let (modes, _) = run_mc_seeded(&em, &spec(), &lm, &cfg, 9);
+        assert_eq!(modes.len(), 4);
+        for w in modes.windows(2) {
             assert!(w[0].energy <= w[1].energy, "modes must be sorted");
         }
-        assert_eq!(out.best.energy, out.modes[0].energy);
     }
 
     #[test]

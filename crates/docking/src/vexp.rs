@@ -90,7 +90,7 @@ pub(crate) trait ExpLanes {
 }
 
 /// libm's `f64::exp`, lane by lane.
-pub(crate) enum Libm {}
+enum Libm {}
 
 impl ExpLanes for Libm {
     #[inline(always)]
@@ -185,7 +185,7 @@ unsafe fn run_fma<K: Kernel>(kernel: K) -> K::Out {
 
 /// `xs[i] = xs[i].exp()` for every element, [`LANES`] at a time on `path`
 /// (pass [`ExpPath::selected`] for the process's own).
-pub fn exp_in_place(path: ExpPath, xs: &mut [f64]) {
+fn exp_in_place(path: ExpPath, xs: &mut [f64]) {
     struct Slice<'a>(&'a mut [f64]);
     impl Kernel for Slice<'_> {
         type Out = ();

@@ -13,22 +13,22 @@ use crate::vec3::{Quat, Vec3};
 
 /// Result of an optimal superposition.
 #[derive(Debug, Clone, Copy)]
-pub struct Superposition {
+struct Superposition {
     /// Rotation to apply to the second set (about its centroid).
-    pub rotation: Quat,
+    rotation: Quat,
     /// Translation: `aligned = rotation·(b − centroid_b) + centroid_a`.
-    pub centroid_a: Vec3,
+    centroid_a: Vec3,
     /// Centroid of the mobile set.
-    pub centroid_b: Vec3,
+    centroid_b: Vec3,
     /// RMSD after superposition.
-    pub rmsd: f64,
+    rmsd: f64,
 }
 
 /// Compute the optimal superposition of `b` onto `a`.
 ///
 /// # Panics
 /// Panics if the sets differ in length or are empty.
-pub fn superpose(a: &[Vec3], b: &[Vec3]) -> Superposition {
+fn superpose(a: &[Vec3], b: &[Vec3]) -> Superposition {
     assert_eq!(a.len(), b.len(), "superpose: point sets differ in length");
     assert!(!a.is_empty(), "superpose: empty point sets");
     let n = a.len() as f64;
@@ -80,12 +80,12 @@ pub fn superpose(a: &[Vec3], b: &[Vec3]) -> Superposition {
     let rotation = Quat { w: v[0], x: v[1], y: v[2], z: v[3] }.normalized();
 
     // apply and measure
+    let s = Superposition { rotation, centroid_a: ca, centroid_b: cb, rmsd: 0.0 };
     let mut sum = 0.0;
     for (pa, pb) in a.iter().zip(b) {
-        let moved = rotation.rotate(*pb - cb) + ca;
-        sum += moved.dist_sq(*pa);
+        sum += s.apply(*pb).dist_sq(*pa);
     }
-    Superposition { rotation, centroid_a: ca, centroid_b: cb, rmsd: (sum / n).sqrt() }
+    Superposition { rmsd: (sum / n).sqrt(), ..s }
 }
 
 /// RMSD after optimal superposition (the "aligned RMSD").
@@ -96,7 +96,7 @@ pub fn aligned_rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
 /// Apply a superposition to a point of the mobile set.
 impl Superposition {
     /// Transform a mobile-frame point into the reference frame.
-    pub fn apply(&self, p: Vec3) -> Vec3 {
+    fn apply(&self, p: Vec3) -> Vec3 {
         self.rotation.rotate(p - self.centroid_b) + self.centroid_a
     }
 }

@@ -127,11 +127,6 @@ impl AdType {
         matches!(self, AdType::C | AdType::A | AdType::F | AdType::Cl | AdType::Br | AdType::I)
     }
 
-    /// True for heavy (non-hydrogen) types. RMSD is computed on these only.
-    pub fn is_heavy(self) -> bool {
-        !matches!(self, AdType::H | AdType::HD)
-    }
-
     /// Classify an element into its default AD type.
     ///
     /// `aromatic` and `polar`/`acceptor` refinements are context the caller
@@ -256,6 +251,14 @@ impl Atom {
     /// Is this a hydrogen atom?
     pub fn is_hydrogen(&self) -> bool {
         self.element == Element::H
+    }
+}
+
+#[cfg(test)]
+impl AdType {
+    /// True for heavy (non-hydrogen) types. RMSD is computed on these only.
+    fn is_heavy(self) -> bool {
+        !matches!(self, AdType::H | AdType::HD)
     }
 }
 

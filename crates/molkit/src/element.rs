@@ -54,28 +54,6 @@ impl Element {
         Element::Hg,
     ];
 
-    /// Atomic number.
-    pub fn atomic_number(self) -> u8 {
-        match self {
-            Element::H => 1,
-            Element::C => 6,
-            Element::N => 7,
-            Element::O => 8,
-            Element::F => 9,
-            Element::Mg => 12,
-            Element::P => 15,
-            Element::S => 16,
-            Element::Cl => 17,
-            Element::Ca => 20,
-            Element::Mn => 25,
-            Element::Fe => 26,
-            Element::Zn => 30,
-            Element::Br => 35,
-            Element::I => 53,
-            Element::Hg => 80,
-        }
-    }
-
     /// Standard atomic weight in Daltons (rounded; docking does not need more).
     pub fn mass(self) -> f64 {
         match self {
@@ -95,28 +73,6 @@ impl Element {
             Element::Br => 79.904,
             Element::I => 126.904,
             Element::Hg => 200.592,
-        }
-    }
-
-    /// Van der Waals radius in Å (Bondi-style values).
-    pub fn vdw_radius(self) -> f64 {
-        match self {
-            Element::H => 1.20,
-            Element::C => 1.70,
-            Element::N => 1.55,
-            Element::O => 1.52,
-            Element::F => 1.47,
-            Element::Mg => 1.73,
-            Element::P => 1.80,
-            Element::S => 1.80,
-            Element::Cl => 1.75,
-            Element::Ca => 2.31,
-            Element::Mn => 2.05,
-            Element::Fe => 2.05,
-            Element::Zn => 1.39,
-            Element::Br => 1.85,
-            Element::I => 1.98,
-            Element::Hg => 1.55,
         }
     }
 
@@ -162,14 +118,6 @@ impl Element {
             Element::I => 2.66,
             Element::Hg => 2.00,
         }
-    }
-
-    /// True for metals (mono-atomic in our structures, never in ligands).
-    pub fn is_metal(self) -> bool {
-        matches!(
-            self,
-            Element::Mg | Element::Ca | Element::Mn | Element::Fe | Element::Zn | Element::Hg
-        )
     }
 
     /// Canonical symbol.
@@ -226,6 +174,61 @@ impl FromStr for Element {
             }
         }
         Err(UnknownElement(t.to_string()))
+    }
+}
+
+#[cfg(test)]
+impl Element {
+    /// Atomic number.
+    fn atomic_number(self) -> u8 {
+        match self {
+            Element::H => 1,
+            Element::C => 6,
+            Element::N => 7,
+            Element::O => 8,
+            Element::F => 9,
+            Element::Mg => 12,
+            Element::P => 15,
+            Element::S => 16,
+            Element::Cl => 17,
+            Element::Ca => 20,
+            Element::Mn => 25,
+            Element::Fe => 26,
+            Element::Zn => 30,
+            Element::Br => 35,
+            Element::I => 53,
+            Element::Hg => 80,
+        }
+    }
+
+    /// Van der Waals radius in Å (Bondi-style values).
+    fn vdw_radius(self) -> f64 {
+        match self {
+            Element::H => 1.20,
+            Element::C => 1.70,
+            Element::N => 1.55,
+            Element::O => 1.52,
+            Element::F => 1.47,
+            Element::Mg => 1.73,
+            Element::P => 1.80,
+            Element::S => 1.80,
+            Element::Cl => 1.75,
+            Element::Ca => 2.31,
+            Element::Mn => 2.05,
+            Element::Fe => 2.05,
+            Element::Zn => 1.39,
+            Element::Br => 1.85,
+            Element::I => 1.98,
+            Element::Hg => 1.55,
+        }
+    }
+
+    /// True for metals (mono-atomic in our structures, never in ligands).
+    fn is_metal(self) -> bool {
+        matches!(
+            self,
+            Element::Mg | Element::Ca | Element::Mn | Element::Fe | Element::Zn | Element::Hg
+        )
     }
 }
 

@@ -400,7 +400,8 @@ mod tests {
         }
         m.add_bond(0, 1, BondOrder::Single);
         m.add_bond(1, 2, BondOrder::Single);
-        let lig = PdbqtLigand { mol: m, tree: TorsionTree::rigid(3) };
+        let tree = TorsionTree { root: vec![0, 1, 2], branches: Vec::new() };
+        let lig = PdbqtLigand { mol: m, tree };
         let back = read_ligand_pdbqt(&write_ligand_pdbqt(&lig)).unwrap();
         assert_eq!(back.tree.torsdof(), 0);
         assert_eq!(back.tree.root.len(), 3);

@@ -20,7 +20,7 @@ pub fn read_sdf(text: &str) -> Result<Molecule, ParseError> {
 }
 
 /// Parse every molecule in a (possibly multi-record) SDF file.
-pub fn read_sdf_multi(text: &str) -> Result<Vec<Molecule>, ParseError> {
+fn read_sdf_multi(text: &str) -> Result<Vec<Molecule>, ParseError> {
     let lines: Vec<&str> = text.lines().collect();
     let mut mols = Vec::new();
     let mut i = 0usize;

@@ -22,24 +22,6 @@ pub fn rmsd(a: &[Vec3], b: &[Vec3]) -> f64 {
     (sum / a.len() as f64).sqrt()
 }
 
-/// RMSD over heavy atoms only (hydrogens excluded), comparing `mol` against
-/// an alternative coordinate set of the same atom order.
-pub fn heavy_atom_rmsd(mol: &Molecule, other_pos: &[Vec3]) -> f64 {
-    assert_eq!(other_pos.len(), mol.atoms.len(), "heavy_atom_rmsd: length mismatch");
-    let pairs: Vec<(Vec3, Vec3)> = mol
-        .atoms
-        .iter()
-        .zip(other_pos)
-        .filter(|(a, _)| !a.is_hydrogen())
-        .map(|(a, &p)| (a.pos, p))
-        .collect();
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = pairs.iter().map(|(p, q)| p.dist_sq(*q)).sum();
-    (sum / pairs.len() as f64).sqrt()
-}
-
 /// A detected binding pocket: a sphere centered at `center`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pocket {
@@ -480,6 +462,25 @@ pub fn diameter(mol: &Molecule) -> f64 {
         }
     }
     best.sqrt()
+}
+
+/// RMSD over heavy atoms only (hydrogens excluded), comparing `mol` against
+/// an alternative coordinate set of the same atom order.
+#[cfg(test)]
+fn heavy_atom_rmsd(mol: &Molecule, other_pos: &[Vec3]) -> f64 {
+    assert_eq!(other_pos.len(), mol.atoms.len(), "heavy_atom_rmsd: length mismatch");
+    let pairs: Vec<(Vec3, Vec3)> = mol
+        .atoms
+        .iter()
+        .zip(other_pos)
+        .filter(|(a, _)| !a.is_hydrogen())
+        .map(|(a, &p)| (a.pos, p))
+        .collect();
+    if pairs.is_empty() {
+        return 0.0;
+    }
+    let sum: f64 = pairs.iter().map(|(p, q)| p.dist_sq(*q)).sum();
+    (sum / pairs.len() as f64).sqrt()
 }
 
 #[cfg(test)]

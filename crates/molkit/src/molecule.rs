@@ -178,7 +178,7 @@ impl Molecule {
     }
 
     /// Number of connected components of the bond graph.
-    pub fn connected_components(&self) -> usize {
+    fn connected_components(&self) -> usize {
         let n = self.atoms.len();
         if n == 0 {
             return 0;

@@ -40,7 +40,7 @@ impl TorsionTree {
     }
 
     /// A rigid tree (everything in the root).
-    pub fn rigid(n_atoms: usize) -> TorsionTree {
+    fn rigid(n_atoms: usize) -> TorsionTree {
         TorsionTree { root: (0..n_atoms).collect(), branches: Vec::new() }
     }
 }
@@ -49,7 +49,7 @@ impl TorsionTree {
 ///
 /// A bond is rotatable when it is a single, non-ring bond and neither side is
 /// a terminal atom (rotating a terminal atom is a no-op for heavy-atom poses).
-pub fn is_rotatable(
+fn is_rotatable(
     mol: &Molecule,
     a: usize,
     b: usize,

@@ -44,7 +44,7 @@ impl Vec3 {
 
     /// Cross product.
     #[inline]
-    pub fn cross(self, other: Vec3) -> Vec3 {
+    fn cross(self, other: Vec3) -> Vec3 {
         Vec3::new(
             self.y * other.z - self.z * other.y,
             self.z * other.x - self.x * other.z,
@@ -54,7 +54,7 @@ impl Vec3 {
 
     /// Squared Euclidean norm. Prefer this over `norm()` in hot loops.
     #[inline]
-    pub fn norm_sq(self) -> f64 {
+    fn norm_sq(self) -> f64 {
         self.dot(self)
     }
 
@@ -97,12 +97,6 @@ impl Vec3 {
     #[inline]
     pub fn max(self, other: Vec3) -> Vec3 {
         Vec3::new(self.x.max(other.x), self.y.max(other.y), self.z.max(other.z))
-    }
-
-    /// Linear interpolation: `self` at t = 0, `other` at t = 1.
-    #[inline]
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// True when every component is finite.
@@ -262,6 +256,15 @@ impl std::ops::Mul for Quat {
             y: self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x,
             z: self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w,
         }
+    }
+}
+
+#[cfg(test)]
+impl Vec3 {
+    /// Linear interpolation: `self` at t = 0, `other` at t = 1.
+    #[inline]
+    fn lerp(self, other: Vec3, t: f64) -> Vec3 {
+        self + (other - self) * t
     }
 }
 

@@ -167,14 +167,17 @@ impl MemEnv {
         self.files.lock().snapshot.clone()
     }
 
-    /// Replace the snapshot bytes.
-    pub fn set_snapshot_bytes(&self, bytes: Option<Vec<u8>>) {
-        self.files.lock().snapshot = bytes;
-    }
-
     /// Number of log `sync` calls made so far.
     pub fn syncs(&self) -> u64 {
         self.files.lock().syncs
+    }
+}
+
+#[cfg(test)]
+impl MemEnv {
+    /// Replace the snapshot bytes.
+    pub(crate) fn set_snapshot_bytes(&self, bytes: Option<Vec<u8>>) {
+        self.files.lock().snapshot = bytes;
     }
 }
 

@@ -1,6 +1,6 @@
 //! Minimal JSON writing and validation helpers (std-only — the trace
-//! exporter and the bench sidecar hand-roll their JSON, and tests validate
-//! the output with the tiny recursive-descent checker here).
+//! exporter and the metrics snapshot hand-roll their JSON, and tests
+//! validate the output with the tiny recursive-descent checker here).
 
 use std::fmt::Write as _;
 

@@ -69,7 +69,7 @@ thread_local! {
 }
 
 /// Track id of the current thread, assigning one on first use.
-pub fn current_track() -> u64 {
+fn current_track() -> u64 {
     THREAD_TRACK.with(|t| {
         let mut id = t.get();
         if id == 0 {
@@ -197,7 +197,7 @@ impl Histogram {
 
     /// Merge a (possibly remote) snapshot's samples into this histogram:
     /// bucket counts, count and sum add; max takes the maximum.
-    pub fn merge_from(&self, snap: &HistogramSnapshot) {
+    fn merge_from(&self, snap: &HistogramSnapshot) {
         for (b, v) in self.buckets.iter().zip(snap.buckets.iter()) {
             if *v > 0 {
                 b.fetch_add(*v, Ordering::Relaxed);
@@ -365,7 +365,7 @@ pub(crate) enum Record {
 }
 
 impl Record {
-    pub(crate) fn order_key(&self) -> u64 {
+    fn order_key(&self) -> u64 {
         match self {
             Record::Span { start_ns, .. } => *start_ns,
             Record::Instant { ts_ns, .. } => *ts_ns,

@@ -80,19 +80,9 @@ impl MetricsSnapshot {
         self.gauges.iter().find(|g| g.name == name)
     }
 
-    /// Mean utilisation across tracks that recorded at least one span.
-    pub fn mean_utilization(&self) -> f64 {
-        let busy: Vec<_> = self.tracks.iter().filter(|t| t.spans > 0).collect();
-        if busy.is_empty() {
-            0.0
-        } else {
-            busy.iter().map(|t| t.utilization).sum::<f64>() / busy.len() as f64
-        }
-    }
-
     /// Render the snapshot as one JSON object (std-only, via
-    /// [`crate::json`]) — served from `/snapshot.json` and embedded in the
-    /// bench sidecars.
+    /// [`crate::json`]), as the exposition endpoint serves it from
+    /// `/snapshot.json`.
     pub fn to_json(&self) -> String {
         use crate::json::{escape, num};
         use std::fmt::Write as _;
@@ -276,6 +266,19 @@ pub(crate) fn build_snapshot(col: &Collector) -> MetricsSnapshot {
             })
             .collect(),
         dropped_records: dropped,
+    }
+}
+
+#[cfg(test)]
+impl MetricsSnapshot {
+    /// Mean utilisation across tracks that recorded at least one span.
+    fn mean_utilization(&self) -> f64 {
+        let busy: Vec<_> = self.tracks.iter().filter(|t| t.spans > 0).collect();
+        if busy.is_empty() {
+            0.0
+        } else {
+            busy.iter().map(|t| t.utilization).sum::<f64>() / busy.len() as f64
+        }
     }
 }
 

@@ -12,8 +12,6 @@ set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 doc="$root/EXPERIMENTS.md"
-# `figures` writes its JSON sidecar under the working directory's target/
-cd "$root"
 
 cargo build -q --release --manifest-path "$root/Cargo.toml" -p scidock-bench --bin figures
 figures="${CARGO_TARGET_DIR:-$root/target}/release/figures"
